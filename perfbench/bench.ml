@@ -37,11 +37,15 @@ let () =
     let onll = get "onll" in
     let p = Serve_wl.run_pass ~onll ~wl ~seed ~seconds in
     let t = p.tally in
-    Printf.printf "samples: %d updates, %d reads; %d submits shed\n" (Stats.Lat.count t.upd)
-      (Stats.Lat.count t.rd) t.shed;
+    Printf.printf "samples: %d updates, %d reads; %d submits shed\n" (Stats.Samples.count t.upd)
+      (Stats.Samples.count t.rd) t.shed;
+    if wl.tier = Onll_serve.Protocol.T_exactly_once then
+      Printf.printf "restarts: %d in-doubt updates found applied, %d never applied\n" p.adopted
+        p.dropped
+    else Printf.printf "restarts: %d acked updates lost with the staleness tail\n" p.lost;
     if not traced then (t.attempted, t.failed, p.violations, Serve_wl.e2e p)
     else begin
-      let sp = Serve_wl.socket_pass ~wl ~seed ~seconds in
+      let sp = Serve_wl.socket_pass ~wl ~seed in
       let rp = Serve_wl.replay ~wl ~stream:(List.rev sp.t_tally.sent_log) in
       let op = Serve_wl.open_pass ~onll ~wl ~seed in
       let late = Stats.Samples.quantile op.late 0.99 in
@@ -59,7 +63,7 @@ let () =
     | "lib-kv-nvm" ->
         let r = Kv_wl.run_plain ~seed ~seconds ~t_launch in
         Printf.printf "samples: %d updates, %d reads; %d checkpoints\n"
-          (Stats.Lat.count r.updates) (Stats.Lat.count r.reads) r.checkpoints;
+          (Stats.Samples.count r.updates) (Stats.Samples.count r.reads) r.checkpoints;
         if not traced then
           (r.ops, r.failed, r.violations, Kv_wl.e2e r ~rss:(Stats.peak_rss_mb "self"))
         else

@@ -53,8 +53,8 @@ let client ~seed id =
 
 (* What a pass observed. Latencies in microseconds. *)
 type tally = {
-  upd : Stats.Lat.t;  (* confirmed updates, from due time *)
-  rd : Stats.Lat.t;  (* reads, from due time *)
+  upd : Samples.t;  (* confirmed updates, from due time *)
+  rd : Samples.t;  (* reads, from due time *)
   rtt : Samples.t;  (* every response, from send time *)
   late : Samples.t;  (* send time minus due time, when the connection was free at the due time *)
   mutable attempted : int;
@@ -71,7 +71,7 @@ type tally = {
 
 let tally ?(log_sends = false) () =
   {
-    upd = Stats.Lat.create (); rd = Stats.Lat.create (); rtt = Samples.create ();
+    upd = Stats.Samples.create (); rd = Stats.Samples.create (); rtt = Samples.create ();
     late = Samples.create (); attempted = 0; ok = 0; acked = 0; submits = 0;
     shed = 0; failed = 0; errors = []; window_ns = 0; log_sends; sent_log = [];
   } [@ocamlformat "disable"]
@@ -106,9 +106,11 @@ let fill c =
       true
   | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> false
 
-(* Blocking receive of one response, bounded by [timeout_s]. *)
-let recv ?(timeout_s = 10.) c =
-  let deadline = Stats.now_s () +. timeout_s in
+(* Blocking receive of one response, bounded by [recv_timeout_s]. *)
+let recv_timeout_s = 10.
+
+let recv c =
+  let deadline = Stats.now_s () +. recv_timeout_s in
   let rec go () =
     match Protocol.Inbuf.pop c.inb Protocol.resp_codec with
     | Some r -> r
@@ -187,11 +189,11 @@ let on_resp t ~ledger ~limit_us c now (resp : Protocol.resp) =
           Option.iter (fun l -> Checks.Ledger.confirm l ~client:c.id ~seq) ledger;
           c.next_seq <- seq + 1;
           t.acked <- t.acked + 1;
-          Stats.Lat.add t.upd lat;
+          Stats.Samples.add t.upd lat;
           if lat <= limit_us then t.ok <- t.ok + 1
       | Update, Protocol.Refused Protocol.R_overloaded -> t.shed <- t.shed + 1
       | Read, Protocol.Got _ ->
-          Stats.Lat.add t.rd lat;
+          Stats.Samples.add t.rd lat;
           if lat <= limit_us then t.ok <- t.ok + 1
       | _, Protocol.Refused r ->
           fail t "client %d: refused %s" c.id (Format.asprintf "%a" Protocol.pp_refusal r)

@@ -1,7 +1,8 @@
 (* lib-kv-nvm: [Onll.Make(Native)(Kv)] through its public API, one caller,
-   closed loop. 200k keys are preloaded, then a fixed number of ops runs:
-   80% [Get] / 20% [Put], keys drawn from a seeded Zipf(0.99), with
-   checkpoint + prune on a fixed update cadence.
+   closed loop. 200k keys are preloaded, then a fixed number of ops runs in
+   rounds: 80% [Get] / 20% [Put], keys drawn from a seeded Zipf(0.99),
+   with checkpoint + prune halfway through each round and timed
+   recoveries after it.
 
    The explicit checkpoint cadence is the documented §8 practice, and it
    also keeps the workload clear of a known defect: with ten or more keys
@@ -16,21 +17,29 @@ let zipf_s = 0.99
 
 (* Closed loop: the op count is fixed from [seconds], never from how fast
    the host runs, so every run does the same work: every fifth op is a
-   [Put], and a checkpoint + prune follows every fifth of the puts but the
-   last, which leaves the same tail for recovery to replay. *)
+   [Put]. The ops run in [rounds] equal rounds, each with a checkpoint +
+   prune halfway, which leaves the same tail for recovery to replay; the
+   untraced pass then times [recovers_per_round] recoveries. Throughput
+   and the p50s are medians over the rounds, and the recoveries are
+   spread over the run, so a burst of host speed that covers a minority
+   of the run moves none of them (NOTES.md, Steadiness). *)
 let ops_per_second = 50_000
-let checkpoints_per_run = 4
+let rounds = 8
+let recovers_per_round = 2
+
+(* The untraced pass sets up this many stores and reports the median; the
+   last one runs the window. *)
+let setups = 3
 
 (* Explicit checkpoints drop log entries logically; only the emergency
-   path compacts physically. The log is sized so that a run at 20 s
-   never reaches that path: the preload's records (~113 B each, 22.7 MB),
-   five 200k-key checkpoints (~6.5 MB each) and 200k window records
-   (22.6 MB) come to ~78 MB. *)
-let log_capacity = 88 lsl 20
+   path compacts physically. The log is sized so that a run never reaches
+   that path: the preload's records (~113 B each, 22.7 MB), one 200k-key
+   checkpoint per round and the preload's (~6.5 MB each) and the window's
+   put records, with room to spare. *)
+let log_capacity ~n_ops = (32 + (7 * (rounds + 1)) + ((n_ops / 5 * 128) lsr 20)) lsl 20
 
 (* An op slower than this misses [ok_frac]. *)
 let limit_us = 1000.
-let recover_repeats = 7
 let key k = Printf.sprintf "key%07d" k
 
 (* Zipf ranks are mapped to keys through a seeded permutation, so hot keys
@@ -62,11 +71,14 @@ type result = {
   setup_s : float;
   window_s : float;
   ops : int;
-  updates : Stats.Lat.t;  (* us *)
-  reads : Stats.Lat.t;
+  updates : Stats.Samples.t;  (* us *)
+  reads : Stats.Samples.t;
+  thr : float list;  (* per round: correct ops per second, its checkpoint included *)
+  upd_p50 : float list;  (* per round *)
+  rd_p50 : float list;
   ok : int;
   failed : int;
-  recover_s : float;
+  recover_s : float;  (* untraced pass only *)
   violations : string list;
   (* traced pass only *)
   update_self_ns : int;
@@ -87,26 +99,48 @@ struct
 
   let run ~traced ~seed ~seconds ~t_launch =
     let n_ops = seconds * ops_per_second in
-    let ckpt_every = max 1 (n_ops / 5 / (checkpoints_per_run + 1)) in
-    let obj =
-      C.make { Onll_core.Onll.Config.default with log_capacity; local_views = true }
+    let per_round = n_ops / rounds in
+    (* a fresh store, preloaded and checkpointed; the first set-up also
+       counts the process start *)
+    let setup t0 =
+      let obj =
+        C.make
+          { Onll_core.Onll.Config.default with log_capacity = log_capacity ~n_ops; local_views = true }
+      in
+      let shadow = Array.make keys None in
+      for k = 0 to keys - 1 do
+        let v = "v" ^ string_of_int k in
+        ignore (C.update obj (Kv.Put (key k, v)) : Kv.value);
+        shadow.(k) <- Some v
+      done;
+      C.prune obj ~below:(C.checkpoint obj);
+      (obj, shadow, Stats.now_s () -. t0)
     in
-    let shadow = Array.make keys None in
-    for k = 0 to keys - 1 do
-      let v = "v" ^ string_of_int k in
-      ignore (C.update obj (Kv.Put (key k, v)) : Kv.value);
-      shadow.(k) <- Some v
+    let setup_times = ref [] and store = ref None in
+    for i = 1 to if traced then 1 else setups do
+      let t0 =
+        if i = 1 then t_launch
+        else begin
+          (* the previous store's memory is reclaimed before the next is timed *)
+          store := None;
+          Gc.compact ();
+          Stats.now_s ()
+        end
+      in
+      let obj, shadow, t = setup t0 in
+      setup_times := t :: !setup_times;
+      store := Some (obj, shadow)
     done;
-    C.prune obj ~below:(C.checkpoint obj);
+    let obj, shadow = Option.get !store in
     let g = gen seed in
-    let updates = Stats.Lat.create () and reads = Stats.Lat.create () in
+    let updates = Stats.Samples.create () and reads = Stats.Samples.create () in
     let ok = ref 0 and failed = ref 0 and violations = ref [] in
     let upd_self = ref 0 and read_self = ref 0 and ckpt_ns = ref 0 and ckpts = ref 0 in
-    let spans = ref 0 and puts = ref 0 in
-    let setup_s = Stats.now_s () -. t_launch in
+    let spans = ref 0 and puts = ref 0 and window_ns = ref 0 in
+    let thr = ref [] and upd_p50 = ref [] and rd_p50 = ref [] and recs = ref [] in
+    let setup_s = Stats.median_of !setup_times in
     Timed.reset ();
-    let w0 = Stats.now_ns () in
-    for i = 1 to n_ops do
+    let op i =
       let k = draw g in
       let is_put = i mod 5 = 0 in
       let mk = Timed.mark () in
@@ -130,7 +164,7 @@ struct
       in
       if correct then begin
         if us <= limit_us then incr ok;
-        Stats.Lat.add (if is_put then updates else reads) us
+        Stats.Samples.add (if is_put then updates else reads) us
       end
       else begin
         incr failed;
@@ -139,8 +173,21 @@ struct
       end;
       if is_put then begin
         shadow.(k) <- Some (Printf.sprintf "%x" i);
-        incr puts;
-        if !puts mod ckpt_every = 0 && !ckpts < checkpoints_per_run then begin
+        incr puts
+      end
+    in
+    (* Recovery from the durable logs (Listing 5); the final check then
+       reads every key through the recovered object. *)
+    let recover () =
+      let t0 = Stats.now_s () in
+      C.recover obj;
+      recs := (Stats.now_s () -. t0) :: !recs
+    in
+    for r = 0 to rounds - 1 do
+      let w0 = Stats.now_ns () and u0 = Stats.Samples.count updates and d0 = Stats.Samples.count reads in
+      for j = 1 to per_round do
+        op ((r * per_round) + j);
+        if j = per_round / 2 then begin
           let t0 = Stats.now_ns () in
           C.prune obj ~below:(C.checkpoint obj);
           let d = Stats.now_ns () - t0 in
@@ -148,31 +195,32 @@ struct
           spans := !spans + d;
           incr ckpts
         end
-      end
+      done;
+      let w = Stats.now_ns () - w0 in
+      window_ns := !window_ns + w;
+      let upd = Stats.Samples.since updates u0 and rd = Stats.Samples.since reads d0 in
+      thr := (float_of_int (Stats.Samples.count upd + Stats.Samples.count rd) /. (float_of_int w /. 1e9)) :: !thr;
+      upd_p50 := Stats.Samples.median upd :: !upd_p50;
+      rd_p50 := Stats.Samples.median rd :: !rd_p50;
+      (* the traced pass leaves recovery out of its machine accounting *)
+      if not traced then for _ = 1 to recovers_per_round do recover () done
     done;
-    let window_ns = Stats.now_ns () - w0 in
+    let window_ns = !window_ns in
     let layers =
       if traced then Timed.machine_metrics (Timed.summary ()) ~updates:!puts ~window_ns @ Timed.spec_metrics ()
       else []
     in
-    (* Recovery from the durable logs (Listing 5), repeated; the final
-       check then reads every key through the recovered object. *)
-    let recs =
-      List.init recover_repeats (fun _ ->
-          let t0 = Stats.now_s () in
-          C.recover obj;
-          Stats.now_s () -. t0)
-    in
+    if traced then recover ();
     let violations =
       List.rev !violations
       @ Checks.check_kv ~expected:shadow
           ~get:(fun k ->
             match C.read obj (Kv.Get (key k)) with Kv.Found f -> f | _ -> Some "<not Found>")
-          ()
     in
     {
-      setup_s; window_s = float_of_int window_ns /. 1e9; ops = n_ops; updates; reads; ok = !ok; failed = !failed;
-      recover_s = Stats.median_of recs; violations; update_self_ns = !upd_self;
+      setup_s; window_s = float_of_int window_ns /. 1e9; ops = rounds * per_round; updates; reads;
+      thr = !thr; upd_p50 = !upd_p50; rd_p50 = !rd_p50; ok = !ok; failed = !failed;
+      recover_s = Stats.median_of !recs; violations; update_self_ns = !upd_self;
       read_self_ns = !read_self; checkpoint_ns = !ckpt_ns; checkpoints = !ckpts;
       spans_ns = !spans; layers;
     } [@ocamlformat "disable"]
@@ -198,11 +246,11 @@ let e2e r ~rss =
   [
     m "setup_s" "s" r.setup_s;
     m "recover_s" "s" r.recover_s;
-    m "throughput_ops_s" "ops/s" (float_of_int (r.ops - r.failed) /. r.window_s);
-    m "update_p50_us" "us" (Stats.Lat.p50 r.updates);
-    m "update_p99_us" "us" (Stats.Lat.p99 r.updates);
-    m "read_p50_us" "us" (Stats.Lat.p50 r.reads);
-    m "read_p99_us" "us" (Stats.Lat.p99 r.reads);
+    m "throughput_ops_s" "ops/s" (Stats.median_of r.thr);
+    m "update_p50_us" "us" (Stats.median_of r.upd_p50);
+    m "update_p99_slice_median_us" "us" (Stats.Samples.slice_p99 r.updates);
+    m "read_p50_us" "us" (Stats.median_of r.rd_p50);
+    m "read_p99_slice_median_us" "us" (Stats.Samples.slice_p99 r.reads);
     m "ok_frac" "ratio" (float_of_int r.ok /. float_of_int r.ops);
     m "peak_rss_mb" "MiB" rss;
   ]
@@ -214,7 +262,7 @@ let coverage r = float_of_int r.spans_ns /. (r.window_s *. 1e9)
 let per_layer ~untraced ~traced:r =
   let m = Stats.m in
   let window_ns = r.window_s *. 1e9 in
-  let n = Stats.Lat.count in
+  let n = Stats.Samples.count in
   let per_op ns k = if k = 0 then 0. else float_of_int ns /. float_of_int k /. 1e3 in
   r.layers
   @ [
@@ -230,6 +278,8 @@ let per_layer ~untraced ~traced:r =
       m "server.socket_us" "us" 0.;
       m "server.restart_ready_s" "s" 0.;
       m "service.reattach_ms" "ms" 0.;
+      m "tail.update_p99_pooled_us" "us" (Stats.Samples.p99 untraced.updates);
+      m "tail.read_p99_pooled_us" "us" (Stats.Samples.p99 untraced.reads);
       m "loadgen.late_p99_us" "us" 0.;
       m "trace.overhead_frac" "ratio" ((r.window_s /. untraced.window_s) -. 1.);
       m "trace.coverage" "ratio" (coverage r);

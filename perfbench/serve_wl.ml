@@ -2,55 +2,71 @@
    over its socket by the generator, two connections (nproc = 2), closed
    loop; the traced run adds an open-loop pass.
 
-   A round, on a fresh store: several set-ups (the last server stays),
-   several SIGKILLs with an update in flight on each connection, each
-   followed by a restart on the same store until both sessions are
-   re-attached and resolved, then the measured window and the round's
-   check. Set-up and restart are short, so a run reports the median of
-   many.
+   A round: first the recovery phase, on a server of its own over a
+   file-backed store that the phase first fills with updates: several
+   SIGKILLs with an update in flight on each connection, each followed by
+   a restart on the same store until both sessions are re-attached and
+   resolved, so every restart recovers a populated store from disk. Then,
+   on a fresh store, several set-ups (the last server stays), the
+   measured window and the round's check. Set-up and restart are short,
+   so a run reports the median of many; throughput and the p50s are
+   medians over the rounds.
 
-   serve-eo-mem and serve-eo-file: plain construction, exactly-once tier,
-   on the in-memory native machine (500 ns emulated fence) or a
-   file-backed store (real fsync fences); the check is the exactly-once
-   audit. An in-memory store has nothing to recover, so on the memory
-   workloads recover_s is the time back to serving.
+   serve-eo-mem and serve-eo-file: plain construction, exactly-once tier;
+   the window runs on the in-memory native machine (500 ns emulated
+   fence) or on a file-backed store (real fsync fences). After each
+   recovery phase the exactly-once audit checks how the in-doubt updates
+   were resolved.
 
-   serve-stale-mem: in-memory native machine, stale:8 tier; the check is
-   the window's acked count. *)
+   serve-stale-mem: in-memory native machine, stale:8 tier. A crash may
+   lose up to 8 acked updates (the staleness tail), so the recovery phase
+   checks the counter against the acked count within that loss; the
+   window's check is the acked count after drain. *)
 
 module Protocol = Onll_serve.Protocol
 module Samples = Stats.Samples
 
 type workload = {
-  file_backed : bool;
+  file_backed : bool;  (* the window's store *)
   tier : Protocol.tier;
-  ops_per_s : int;  (* closed loop: ops per connection per second of --seconds *)
+  per_round : int;  (* closed loop: ops per connection in a round's window *)
+  rounds_per_10s : int;  (* rounds per 10 s of --seconds *)
   open_hz : float;  (* the traced run's open-loop pass: rate per connection *)
   limit_us : float;  (* latency limit for ok_frac *)
-  rounds : int;  (* each on a fresh store *)
-  setups : int;  (* per round; the last server stays *)
-  kills : int;  (* per round, before the window *)
 }
 
-(* All run in rounds, each on a fresh store or server, and pool the
-   samples of their rounds (NOTES.md): the exactly-once tier stops
-   confirming writes after ~704 updates on a fresh store, and a served
-   object keeps its whole history in memory, so one long-lived stale-mem
-   server slows down as its heap grows. *)
+let rounds wl ~seconds = max 1 (wl.rounds_per_10s * seconds / 10)
+
+(* Per round: set-ups (the last server stays) and SIGKILLs. *)
+let setups = 2
+let kills = 2
+
+(* Ops per connection that a recovery phase runs before its first kill,
+   one read in five: ~240 confirmed updates, well under the ~704 at which
+   the exactly-once tier stops confirming writes (NOTES.md). *)
+let fill_per_client = 150
+
+(* Between firing the in-flight updates and the SIGKILL, a seeded pause
+   of up to one fsync'd update, so that kills land before, inside and
+   after the update's fences. *)
+let kill_delay_s = 0.001
+
+(* All run in rounds, each on a fresh store or server (NOTES.md): the
+   exactly-once tier stops confirming writes after ~704 updates on a
+   fresh store, and a served object keeps its whole history in memory, so
+   a stale-mem server slows down as its heap grows, by ~15% over 25k ops
+   per connection; its rounds are kept short. *)
 let eo_file =
   { file_backed = true; tier = Protocol.T_exactly_once;
-    ops_per_s = 3600; open_hz = 100.; limit_us = 10_000.; rounds = 48; setups = 2;
-    kills = 2 } [@ocamlformat "disable"]
+    per_round = 1500; rounds_per_10s = 12; open_hz = 100.; limit_us = 10_000. } [@ocamlformat "disable"]
 
 let eo_mem =
   { file_backed = false; tier = Protocol.T_exactly_once;
-    ops_per_s = 1800; open_hz = 500.; limit_us = 1_000.; rounds = 24; setups = 2;
-    kills = 2 } [@ocamlformat "disable"]
+    per_round = 1500; rounds_per_10s = 20; open_hz = 500.; limit_us = 1_000. } [@ocamlformat "disable"]
 
 let stale_mem =
   { file_backed = false; tier = Protocol.T_staleness 8;
-    ops_per_s = 7500; open_hz = 1000.; limit_us = 1_000.; rounds = 6; setups = 2;
-    kills = 2 } [@ocamlformat "disable"]
+    per_round = 6250; rounds_per_10s = 12; open_hz = 1000.; limit_us = 1_000. } [@ocamlformat "disable"]
 
 let clients_n = 2
 
@@ -133,7 +149,7 @@ let kill_all () =
 
 (* Flush the store filesystem: the set-ups' and earlier rounds' deleted
    stores leave journal and writeback work that would otherwise land in
-   the measured window, on the fsyncs it times. *)
+   the timed restarts or window, on the fsyncs they time. *)
 let settle () =
   let pid = Unix.create_process "sync" [| "sync"; "-f"; run_dir |] Unix.stdin Unix.stdout Unix.stderr in
   ignore (Unix.waitpid [] pid)
@@ -141,14 +157,13 @@ let settle () =
 (* {1 One untraced pass} *)
 
 (* The exactly-once audit needs the ledger; relaxed tiers do no dedup,
-   and an in-memory restart starts from an empty object, so their check
-   is the window's acked count. *)
+   so their check is the acked count. *)
 let new_ledger wl = if wl.tier = Protocol.T_exactly_once then Some (Checks.Ledger.create ()) else None
 
 let check ledger ~acked ~counter_value =
   match ledger with
   | Some l -> Checks.Ledger.check_final l ~counter_value
-  | None -> Checks.check_acked ~acked ~counter_value
+  | None -> Checks.check_acked ~acked ~counter_value ()
 
 type pass = {
   tally : Duegen.tally;
@@ -156,7 +171,13 @@ type pass = {
   recover : float list;
   ready : float list;  (* spawn to READY, per restart *)
   reattach_ms : float list;  (* READY to both sessions attached and resolved *)
+  thr : float list;  (* per round: confirmed ops per second of its window *)
+  upd_p50 : float list;  (* per round *)
+  rd_p50 : float list;
   rss_mb : float;
+  adopted : int;  (* exactly-once: in-doubt updates a restart found applied *)
+  dropped : int;  (* and found never applied *)
+  lost : int;  (* relaxed tiers: acked updates the crashes lost *)
   violations : string list;
 }
 
@@ -171,58 +192,89 @@ let bring_up ~onll ~wl ~socket ~dir ?ledger clients =
 
 let run_pass ~onll ~wl ~seed ~seconds =
   let socket = Filename.concat run_dir "s.sock" in
-  let dir = if wl.file_backed then Some (Filename.concat run_dir "store") else None in
   let clients = Array.init clients_n (Duegen.client ~seed) in
   let t = Duegen.tally () in
-  let per_round = wl.ops_per_s * seconds / wl.rounds in
-  let peak = ref 0. and server = ref None and violations = ref [] in
+  let peak = ref 0. and violations = ref [] in
   let setup = ref [] and recover = ref [] and ready = ref [] and reattach = ref [] in
-  let note_rss s = peak := Float.max !peak (Stats.peak_rss_mb (string_of_int s.pid)) in
-  let restart ledger =
-    let s = Option.get !server in
-    note_rss s;
-    let t0 = Stats.now_s () in
-    kill s;
-    let s, r, a = bring_up ~onll ~wl ~socket ~dir ?ledger clients in
-    recover := (Stats.now_s () -. t0) :: !recover;
-    ready := r :: !ready;
-    reattach := (a *. 1e3) :: !reattach;
-    server := Some s
+  let thr = ref [] and upd_p50 = ref [] and rd_p50 = ref [] in
+  let rng = Onll_util.Splitmix.create (seed + 1) in
+  let adopted = ref 0 and dropped = ref 0 and lost = ref 0 in
+  (* SIGKILL with an update in flight on each connection, restart on the
+     same store, re-attach and resolve; on a server of its own, so that
+     restarts do not disturb the window *)
+  let recovery () =
+    let dir = Some (fresh_dir "kstore") in
+    let ledger = new_ledger wl in
+    let s, _, _ = bring_up ~onll ~wl ~socket ~dir ?ledger clients in
+    let fill = Duegen.tally () in
+    Duegen.segment fill ~ledger ~clients ~load:Closed ~per_client:fill_per_client ~limit_us:wl.limit_us;
+    violations := !violations @ List.rev fill.errors;
+    settle ();
+    let s = ref s in
+    for _ = 1 to kills do
+      Array.iter (Duegen.fire ~ledger) clients;
+      Unix.sleepf (Onll_util.Splitmix.float rng kill_delay_s);
+      let t0 = Stats.now_s () in
+      kill !s;
+      let s', r, a = bring_up ~onll ~wl ~socket ~dir ?ledger clients in
+      recover := (Stats.now_s () -. t0) :: !recover;
+      ready := r :: !ready;
+      reattach := (a *. 1e3) :: !reattach;
+      s := s'
+    done;
+    let counter_value = Duegen.read_counter clients.(0) in
+    (match (ledger, wl.tier) with
+    | Some l, _ ->
+        violations := !violations @ Checks.Ledger.check_final l ~counter_value;
+        adopted := !adopted + l.adopted;
+        dropped := !dropped + l.dropped
+    | None, tier ->
+        let k = match tier with Protocol.T_staleness k -> k | _ -> 0 in
+        violations :=
+          !violations
+          @ Checks.check_acked ~in_flight:(kills * clients_n) ~max_lost:(kills * k)
+              ~acked:fill.acked ~counter_value ();
+        lost := !lost + max 0 (fill.acked - counter_value));
+    Array.iter Duegen.disconnect clients;
+    stop !s
   in
-  for _ = 1 to wl.rounds do
+  for _ = 1 to rounds wl ~seconds do
+    recovery ();
     (* set-up, repeated on a fresh store each time; the last one stays *)
-    for i = 1 to wl.setups do
+    let dir = if wl.file_backed then Some (Filename.concat run_dir "store") else None in
+    let server = ref None in
+    for i = 1 to setups do
       let t0 = Stats.now_s () in
       if wl.file_backed then ignore (fresh_dir "store" : string);
       let s, _, _ = bring_up ~onll ~wl ~socket ~dir clients in
       setup := (Stats.now_s () -. t0) :: !setup;
-      if i < wl.setups then begin
+      if i < setups then begin
         Array.iter Duegen.disconnect clients;
         kill s
       end
       else server := Some s
     done;
-    (* recovery: SIGKILL with an update in flight on each connection,
-       restart on the same store, re-attach and resolve; kept out of the
-       latency window so that restarts do not disturb it *)
-    let ledger = new_ledger wl in
-    for _ = 1 to wl.kills do
-      Array.iter (Duegen.fire ~ledger) clients;
-      restart ledger
-    done;
     if wl.file_backed then settle ();
-    let acked = t.acked in
-    Duegen.segment t ~ledger ~clients ~load:Closed ~per_client:per_round ~limit_us:wl.limit_us;
+    let ledger = new_ledger wl and acked = t.acked and w0 = t.window_ns in
+    let u0 = Samples.count t.upd and r0 = Samples.count t.rd in
+    Duegen.segment t ~ledger ~clients ~load:Closed ~per_client:wl.per_round ~limit_us:wl.limit_us;
+    let upd = Samples.since t.upd u0 and rd = Samples.since t.rd r0 in
+    thr :=
+      (float_of_int (Samples.count upd + Samples.count rd) /. (float_of_int (t.window_ns - w0) /. 1e9))
+      :: !thr;
+    upd_p50 := Samples.median upd :: !upd_p50;
+    rd_p50 := Samples.median rd :: !rd_p50;
     let counter_value = Duegen.read_counter clients.(0) in
     violations := !violations @ check ledger ~acked:(t.acked - acked) ~counter_value;
     let s = Option.get !server in
-    note_rss s;
+    peak := Float.max !peak (Stats.peak_rss_mb (string_of_int s.pid));
     Array.iter Duegen.disconnect clients;
     stop s
   done;
   {
     tally = t; setup = !setup; recover = !recover; ready = !ready;
-    reattach_ms = !reattach; rss_mb = !peak;
+    reattach_ms = !reattach; thr = !thr; upd_p50 = !upd_p50; rd_p50 = !rd_p50; rss_mb = !peak;
+    adopted = !adopted; dropped = !dropped; lost = !lost;
     violations = List.rev t.errors @ !violations;
   } [@ocamlformat "disable"]
 
@@ -251,12 +303,11 @@ let e2e p =
   [
     m "setup_s" "s" (Stats.median_of p.setup);
     m "recover_s" "s" (Stats.median_of p.recover);
-    m "throughput_ops_s" "ops/s"
-      (float_of_int (Stats.Lat.count t.upd + Stats.Lat.count t.rd) /. (float_of_int t.window_ns /. 1e9));
-    m "update_p50_us" "us" (Stats.Lat.p50 t.upd);
-    m "update_p99_us" "us" (Stats.Lat.p99 t.upd);
-    m "read_p50_us" "us" (Stats.Lat.p50 t.rd);
-    m "read_p99_us" "us" (Stats.Lat.p99 t.rd);
+    m "throughput_ops_s" "ops/s" (Stats.median_of p.thr);
+    m "update_p50_us" "us" (Stats.median_of p.upd_p50);
+    m "update_p99_slice_median_us" "us" (Stats.Samples.slice_p99 t.upd);
+    m "read_p50_us" "us" (Stats.median_of p.rd_p50);
+    m "read_p99_slice_median_us" "us" (Stats.Samples.slice_p99 t.rd);
     m "ok_frac" "ratio" (float_of_int t.ok /. float_of_int t.attempted);
     m "peak_rss_mb" "MiB" p.rss_mb;
   ]
@@ -310,7 +361,7 @@ type traced_socket = {
   t_violations : string list;
 }
 
-let socket_pass ~wl ~seed ~seconds =
+let socket_pass ~wl ~seed =
   let socket = Filename.concat run_dir "t.sock" in
   let dir = if wl.file_backed then fresh_dir "tstore" else run_dir in
   let stats_path = Filename.concat run_dir "child.stats" in
@@ -338,8 +389,7 @@ let socket_pass ~wl ~seed ~seconds =
       let ledger = new_ledger wl in
       Array.iter (fun c -> Duegen.attach ?ledger c ~path:socket ~tier:wl.tier) clients;
       let t = Duegen.tally ~log_sends:true () in
-      Duegen.segment t ~ledger ~clients ~load:Closed ~per_client:(wl.ops_per_s * seconds / wl.rounds)
-        ~limit_us:wl.limit_us;
+      Duegen.segment t ~ledger ~clients ~load:Closed ~per_client:wl.per_round ~limit_us:wl.limit_us;
       let counter_value = Duegen.read_counter clients.(0) in
       Array.iter Duegen.disconnect clients;
       stop s;
@@ -455,6 +505,8 @@ let per_layer ~(untraced : pass) ~(sp : traced_socket) ~(rp : replay) ~(op : Due
         -. codec_us);
       m "server.restart_ready_s" "s" (Stats.median_of untraced.ready);
       m "service.reattach_ms" "ms" (Stats.median_of untraced.reattach_ms);
+      m "tail.update_p99_pooled_us" "us" (Samples.p99 t.upd);
+      m "tail.read_p99_pooled_us" "us" (Samples.p99 t.rd);
       m "loadgen.late_p99_us" "us" (Samples.quantile op.late 0.99);
       m "trace.overhead_frac" "ratio" (Samples.mean st.rtt /. Samples.mean t.rtt -. 1.);
       m "trace.coverage" "ratio" (float_of_int (rp.handle_ns + rp.codec_ns) /. float_of_int rp.wall_ns);

@@ -19,6 +19,9 @@ module Samples = struct
     t.n <- t.n + 1
 
   let count t = t.n
+
+  (* The samples added since the buffer held [i]. *)
+  let since t i = { a = Array.sub t.a i (t.n - i); n = t.n - i }
   let clear t = t.n <- 0
 
   let sum t =
@@ -44,32 +47,26 @@ module Samples = struct
     end
 
   let median t = quantile t 0.5
-end
+  let p99 t = quantile t 0.99
 
-(* Latency samples, cut into slices of [slice] samples. The median comes
-   from all samples; the 99th percentile is the median of the full
-   slices' 99th percentiles (each with ten samples beyond it), so that a
-   burst of host stalls in one part of a run moves it less than it would
-   move a pooled percentile. With fewer samples than one slice, the
-   pooled percentile. *)
-module Lat = struct
+  (* The median of the 99th percentiles of consecutive [slice]-sample
+     slices, each with ten samples beyond its p99: bursts of host
+     scheduling stalls, which land in few slices, move it far less than
+     they move [p99]. A program stall that recurs through the run moves
+     both; one that lands in few slices moves only [p99]. With fewer
+     samples than one slice, [p99]. *)
   let slice = 1000
 
-  type t = { all : Samples.t; p99s : Samples.t; cur : Samples.t }
-
-  let create () = { all = Samples.create (); p99s = Samples.create (); cur = Samples.create () }
-
-  let add t x =
-    Samples.add t.all x;
-    Samples.add t.cur x;
-    if Samples.count t.cur = slice then begin
-      Samples.add t.p99s (Samples.quantile t.cur 0.99);
-      Samples.clear t.cur
-    end
-
-  let count t = Samples.count t.all
-  let p50 t = Samples.median t.all
-  let p99 t = if Samples.count t.p99s = 0 then Samples.quantile t.all 0.99 else Samples.median t.p99s
+  let slice_p99 t =
+    let p99s = create () and cur = create () in
+    for i = 0 to (t.n / slice * slice) - 1 do
+      add cur t.a.(i);
+      if cur.n = slice then begin
+        add p99s (p99 cur);
+        clear cur
+      end
+    done;
+    if p99s.n = 0 then p99 t else median p99s
 end
 
 let median_of l =

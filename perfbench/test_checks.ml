@@ -27,20 +27,31 @@ let ledger_tests =
         L.in_doubt l ~client:1 ~seq:0;
         rejected (L.check_final l ~counter_value:1);
         L.not_applied l ~client:1;
-        accepted (L.check_final l ~counter_value:1));
+        accepted (L.check_final l ~counter_value:1);
+        Alcotest.(check int) "counted as never applied" 1 l.dropped);
     Alcotest.test_case "in-doubt op confirmed on reattach" `Quick (fun () ->
         let l = ledger [ (0, 0) ] in
         L.in_doubt l ~client:0 ~seq:1;
         L.confirm l ~client:0 ~seq:1;
-        accepted (L.check_final l ~counter_value:2));
+        accepted (L.check_final l ~counter_value:2);
+        Alcotest.(check int) "counted as applied" 1 l.adopted);
   ]
 
 let acked_tests =
   [
     Alcotest.test_case "acked count matches" `Quick (fun () ->
-        accepted (Checks.check_acked ~acked:40 ~counter_value:40));
+        accepted (Checks.check_acked ~acked:40 ~counter_value:40 ()));
     Alcotest.test_case "lost acked update rejected" `Quick (fun () ->
-        rejected (Checks.check_acked ~acked:40 ~counter_value:39));
+        rejected (Checks.check_acked ~acked:40 ~counter_value:39 ()));
+    Alcotest.test_case "duplicate apply rejected" `Quick (fun () ->
+        rejected (Checks.check_acked ~acked:40 ~counter_value:41 ()));
+    Alcotest.test_case "crash loss within the budget accepted" `Quick (fun () ->
+        accepted (Checks.check_acked ~in_flight:4 ~max_lost:16 ~acked:40 ~counter_value:24 ());
+        accepted (Checks.check_acked ~in_flight:4 ~max_lost:16 ~acked:40 ~counter_value:44 ()));
+    Alcotest.test_case "crash loss beyond the budget rejected" `Quick (fun () ->
+        rejected (Checks.check_acked ~in_flight:4 ~max_lost:16 ~acked:40 ~counter_value:23 ()));
+    Alcotest.test_case "more than acked + in flight rejected" `Quick (fun () ->
+        rejected (Checks.check_acked ~in_flight:4 ~max_lost:16 ~acked:40 ~counter_value:45 ()));
   ]
 
 let kv_tests =
@@ -48,11 +59,11 @@ let kv_tests =
   let store doctor k = if k = 2 then doctor else expected.(k) in
   [
     Alcotest.test_case "matching store accepted" `Quick (fun () ->
-        accepted (Checks.check_kv ~expected ~get:(store (Some "c")) ()));
+        accepted (Checks.check_kv ~expected ~get:(store (Some "c"))));
     Alcotest.test_case "wrong value rejected" `Quick (fun () ->
-        rejected (Checks.check_kv ~expected ~get:(store (Some "x")) ()));
+        rejected (Checks.check_kv ~expected ~get:(store (Some "x"))));
     Alcotest.test_case "missing key rejected" `Quick (fun () ->
-        rejected (Checks.check_kv ~expected ~get:(store None) ()));
+        rejected (Checks.check_kv ~expected ~get:(store None)));
   ]
 
 let () =
