@@ -309,6 +309,24 @@ module Make_generic
             Checkpoint { upto_idx; state }
         | n -> raise (Decode_error (Printf.sprintf "record: bad tag %d" n)))
 
+  (* The drop key of an encoded record, read from its 24-byte header —
+     the [tagged] frame (tag, body length) and the first field of the body,
+     which is [exec_idx] for Ops and [upto_idx] for a Checkpoint. A
+     checkpoint that summarises up to [upto] makes redundant every Ops
+     record with [exec_idx <= upto] and every Checkpoint with
+     [upto_idx < upto], so both keys are compared with [<= upto]. A
+     malformed header keys to [max_int]: such an entry is never dropped. *)
+  let record_key payload =
+    let n = String.length payload in
+    if n < 24 || Int64.to_int (String.get_int64_le payload 8) <> n - 16 then
+      max_int
+    else
+      let idx = Int64.to_int (String.get_int64_le payload 16) in
+      match Int64.to_int (String.get_int64_le payload 0) with
+      | 0 -> idx
+      | 1 when idx < max_int -> idx + 1
+      | _ -> max_int
+
   type t = {
     mutable trace : (envelope, istate) T.t;
         (** replaced wholesale by recovery *)
@@ -340,7 +358,7 @@ module Make_generic
       trace = T.create ~sink ~base_idx:0 ~base_state:(initial_istate ()) ();
       logs =
         Array.init M.max_processes (fun p ->
-            L.create ~sink ~replicas:cfg.Config.replicas
+            L.create ~sink ~replicas:cfg.Config.replicas ~key:record_key
               ~name:
                 (Printf.sprintf "%s%s.%d.plog.%d" S.name
                    cfg.Config.region_suffix n p)
@@ -387,18 +405,28 @@ module Make_generic
   let decode_entries log =
     List.map (Onll_util.Codec.decode record_codec) (L.entries log)
 
+  (* The checkpoint record of the newest available operation, and its
+     index. The state comes from [compute]: with local views on, the
+     caller's view already holds it, so only the operations since the view
+     are folded. *)
+  let checkpoint_record t =
+    let node = T.latest_available t.trace in
+    let state, _ = compute t node in
+    let upto = T.idx node in
+    ( upto,
+      Onll_util.Codec.encode record_codec (Checkpoint { upto_idx = upto; state })
+    )
+
   (* Summarise the history up to the newest available operation into
      process [p]'s log, then drop (and, on demand, physically reclaim) the
-     log prefix this makes redundant. Body shared by the public
-     [checkpoint] (attributed) and by auto-compaction inside the update
-     path (where the fences are already attributed to the update). *)
+     log prefix this makes redundant. The drop reads no record back: the
+     log's account keeps each live entry's [record_key], and our own Ops
+     entries have increasing exec_idx, so the droppable entries are the
+     prefix whose key is <= upto. Body shared by the public [checkpoint]
+     (attributed) and by auto-compaction inside the update path (where the
+     fences are already attributed to the update). *)
   let checkpoint_body t p =
-    let node = T.latest_available t.trace in
-    let state = istate_at t node in
-    let upto = T.idx node in
-    let payload =
-      Onll_util.Codec.encode record_codec (Checkpoint { upto_idx = upto; state })
-    in
+    let upto, payload = checkpoint_record t in
     (match L.try_append t.logs.(p) payload with
     | Ok () -> ()
     | Error `Full -> (
@@ -407,19 +435,7 @@ module Make_generic
         match L.try_append t.logs.(p) payload with
         | Ok () -> ()
         | Error `Full -> raise (Log_full (L.name t.logs.(p)))));
-    let droppable =
-      (* Our own Ops entries have increasing exec_idx, so the droppable
-         entries form a prefix. *)
-      let rec count acc = function
-        | Ops { exec_idx; _ } :: rest when exec_idx <= upto ->
-            count (acc + 1) rest
-        | Checkpoint { upto_idx; _ } :: rest when upto_idx < upto ->
-            count (acc + 1) rest
-        | _ -> acc
-      in
-      count 0 (decode_entries t.logs.(p))
-    in
-    L.set_head t.logs.(p) droppable;
+    ignore (L.drop_upto t.logs.(p) upto);
     if Onll_obs.Opstats.active t.ostats then
       Onll_obs.Sink.emit
         (Onll_obs.Opstats.sink t.ostats)
@@ -440,16 +456,11 @@ module Make_generic
      exact encoded size, computed only when the log is nearly full. *)
   let entry_overhead = 16 (* plog [len][crc] framing *)
 
-  let ckpt_payload t =
-    let node = T.latest_available t.trace in
-    Onll_util.Codec.encode record_codec
-      (Checkpoint { upto_idx = T.idx node; state = istate_at t node })
-
   let append_record t p payload =
     let log = t.logs.(p) in
     let need = String.length payload + entry_overhead in
     (if L.free_bytes log < 2 * need + 64 then
-       let ckpt = ckpt_payload t in
+       let _, ckpt = checkpoint_record t in
        if L.free_bytes log < need + String.length ckpt + entry_overhead then begin
          (try ignore (checkpoint_body t p) with Log_full _ -> ());
          L.relocate log
@@ -470,9 +481,12 @@ module Make_generic
     let fuzzy_len = List.length fuzzy in
     (* Prop 5.2 bounds the window by MAX-PROCESSES counting at most one
        in-flight operation per process; staged transaction sub-operations
-       (E19) are exempt — one process may have several staged at once. *)
+       (E19) are exempt — one process may have several staged at once.
+       Counted in one pass that allocates nothing. *)
     assert (
-      List.length (List.filter (fun e -> e.e_txn = None) fuzzy)
+      List.fold_left
+        (fun n e -> match e.e_txn with None -> n + 1 | Some _ -> n)
+        0 fuzzy
       <= M.max_processes);
     if fuzzy_len > t.max_fuzzy then t.max_fuzzy <- fuzzy_len;
     if Onll_obs.Opstats.active t.ostats then begin

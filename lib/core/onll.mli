@@ -286,10 +286,16 @@ module type CONSTRUCTION = sig
 
   val checkpoint : t -> int
   (** Summarise the history up to the newest available operation into the
-      caller's log and drop the log prefix this makes redundant. Two
-      persistent fences (the checkpoint append and the durable head
-      update); a handful more only if the log was full and had to be
-      physically compacted first. Returns the summarised execution index.
+      caller's log and drop the log prefix this makes redundant. The
+      checkpoint encodes the state once (taken from the caller's local
+      view when views are on), appends one record and drops the prefix
+      from the log's in-memory account of record keys
+      ({!Onll_plog.Plog.Make.drop_upto}) without reading the log back —
+      except the first checkpoint after a recovery or scrub, which
+      rebuilds that account with one scan. Two persistent fences (the
+      checkpoint append and the durable head update); a handful more only
+      if the log was full and had to be physically compacted first.
+      Returns the summarised execution index.
       @raise Onll.Log_full if the checkpoint record cannot fit even after
       compaction. *)
 

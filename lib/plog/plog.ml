@@ -111,15 +111,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     mutable tail : int;  (* next append offset (absolute) *)
     mutable head : int;  (* first live entry offset (absolute) *)
     mutable header_seq : int64;
-    offs : int Queue.t;
-        (* live-entry offsets in log order, maintained incrementally by
-           [append] so [set_head] does not pay a CRC-validating scan of
-           the whole live span per compaction *)
+    key : string -> int;  (* the caller's per-record key, see [drop_upto] *)
+    offs : live Queue.t;
+        (* the live entries in log order, maintained incrementally by
+           [append] so neither [set_head] nor [drop_upto] pays a
+           CRC-validating scan of the whole live span per compaction *)
     mutable offs_valid : bool;
         (* recovery, scrubbing and relocation move or rewrite records out
            from under the account; they clear this and the next
-           [set_head] rebuilds it with one scan *)
+           [set_head] or [drop_upto] rebuilds it with one scan *)
   }
+
+  (* One live entry of the account: its offset and its record's key. *)
+  and live = { l_off : int; l_key : int }
 
   let name t = t.log_name
   let capacity t = t.log_capacity
@@ -333,8 +337,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     loop head [] 0
 
-  let create ?(sink = Onll_obs.Sink.null) ?(replicas = 1) ~name ~capacity ()
-      =
+  let create ?(sink = Onll_obs.Sink.null) ?(replicas = 1) ?(key = fun _ -> 0)
+      ~name ~capacity () =
     if capacity <= 0 then invalid_arg "Plog.create: non-positive capacity";
     if replicas < 1 then invalid_arg "Plog.create: replicas < 1";
     {
@@ -349,6 +353,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       tail = header_size;
       head = header_size;
       header_seq = 0L;
+      key;
       offs = Queue.create ();
       offs_valid = true;
     }
@@ -628,7 +633,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     store_all t ~off:(off + 16) payload;
     persist t ~site:"plog.append" ~off ~len:need;
     t.tail <- off + need;
-    if t.offs_valid then Queue.push off t.offs;
+    if t.offs_valid then
+      Queue.push { l_off = off; l_key = t.key payload } t.offs;
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Log_append { log = t.log_name; bytes = need })
@@ -660,38 +666,65 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Log_compact { log = t.log_name; dropped })
 
+  (* Where the live entries are listed: in the account, or — when the
+     account cannot represent the log — in the scan that tried to rebuild
+     it (the live entries oldest first and the end of the valid prefix). *)
+  type span = Account | Scanned of live list * int
+
+  (* The live span, rebuilding an invalid account with one scan. The
+     rebuild leaves the account invalid when the valid prefix stops short
+     of the tail (unrepaired mid-log damage): offsets beyond the damage
+     are unreachable by a scan, so the caller works from the scan itself. *)
+  let live_span t =
+    if t.offs_valid then Account
+    else begin
+      let es, tail_off, _ = scan t t.head in
+      let live =
+        List.map
+          (fun (payload, off) -> { l_off = off; l_key = t.key payload })
+          es
+      in
+      Queue.clear t.offs;
+      List.iter (fun l -> Queue.push l t.offs) live;
+      t.offs_valid <- tail_off = t.tail;
+      if t.offs_valid then Account else Scanned (live, tail_off)
+    end
+
+  (* Durably drop the oldest [n] entries of [span] (1 <= n <= its length). *)
+  let drop_first t span n =
+    let new_head =
+      match span with
+      | Account -> (
+          for _ = 1 to n do ignore (Queue.pop t.offs) done;
+          match Queue.peek_opt t.offs with Some l -> l.l_off | None -> t.tail)
+      | Scanned (live, stop) -> (
+          match List.nth_opt live n with Some l -> l.l_off | None -> stop)
+    in
+    advance_head t ~new_head ~dropped:n
+
   let set_head t n =
     if n < 0 then invalid_arg "Plog.set_head: negative count";
     if n > 0 then begin
-      if not t.offs_valid then begin
-        (* Rebuild the account with one scan — unless the valid prefix
-           stops short of the tail (unrepaired mid-log damage), in which
-           case offsets beyond the damage are unreachable by a scan and
-           the account cannot represent the log. *)
-        let live, tail_off, _ = scan t t.head in
-        Queue.clear t.offs;
-        List.iter (fun (_, off) -> Queue.push off t.offs) live;
-        t.offs_valid <- tail_off = t.tail
-      end;
-      if t.offs_valid then begin
-        if n > Queue.length t.offs then
-          invalid_arg "Plog.set_head: fewer entries than requested";
-        for _ = 1 to n do ignore (Queue.pop t.offs) done;
-        advance_head t
-          ~new_head:
-            (if Queue.is_empty t.offs then t.tail else Queue.peek t.offs)
-          ~dropped:n
-      end
-      else begin
-        let live, tail_off, _ = scan t t.head in
-        if n > List.length live then
-          invalid_arg "Plog.set_head: fewer entries than requested";
-        let new_head =
-          if n = List.length live then tail_off else snd (List.nth live n)
-        in
-        advance_head t ~new_head ~dropped:n
-      end
+      let span = live_span t in
+      let len =
+        match span with
+        | Account -> Queue.length t.offs
+        | Scanned (live, _) -> List.length live
+      in
+      if n > len then invalid_arg "Plog.set_head: fewer entries than requested";
+      drop_first t span n
     end
+
+  let drop_upto t k =
+    let span = live_span t in
+    let live =
+      match span with
+      | Account -> Queue.to_seq t.offs
+      | Scanned (live, _) -> List.to_seq live
+    in
+    let n = Seq.length (Seq.take_while (fun l -> l.l_key <= k) live) in
+    if n > 0 then drop_first t span n;
+    n
 
   let used_bytes t = t.tail - header_size
   let live_bytes t = t.tail - t.head

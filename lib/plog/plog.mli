@@ -10,10 +10,13 @@
     exactly the set of fenced appends plus possibly a lucky unfenced one —
     either is a legal durable state.
 
-    The log also supports compaction (paper §8): {!Make.set_head} durably
-    advances a head pointer past entries made redundant by a checkpoint,
-    using a two-slot versioned header so that a crash during the head update
-    preserves one valid header.
+    The log also supports compaction (paper §8): {!Make.set_head} and
+    {!Make.drop_upto} durably advance a head pointer past entries made
+    redundant by a checkpoint, using a two-slot versioned header so that a
+    crash during the head update preserves one valid header. Both work from
+    an in-memory account of the live entries (offset and caller-defined key
+    per entry), so compaction reads nothing back while the account is
+    valid.
 
     {b Media-fault hardening.} Under the fault model of [Onll_faults],
     durable bytes can rot {e anywhere}, not just at the tail. {!Make.recover}
@@ -122,6 +125,7 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   val create :
     ?sink:Onll_obs.Sink.t ->
     ?replicas:int ->
+    ?key:(string -> int) ->
     name:string ->
     capacity:int ->
     unit ->
@@ -133,7 +137,16 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       [Log_compact] event per head advance, a [Retry] event per transient
       fault retried, a [Salvage] event per repairing recovery, a [Repair]
       event when recovery heals replica divergence and a [Scrub] event per
-      {!scrub} pass. @raise Invalid_argument if [replicas < 1]. *)
+      {!scrub} pass.
+
+      [key] (default: [0] for every record) maps a payload to the int key
+      {!drop_upto} compares. The log keeps each live entry's key in memory
+      beside its offset, computed once when the entry is appended (or when
+      the in-memory account is rebuilt from a scan after {!recover},
+      {!scrub} or {!relocate}), so dropping by key reads nothing back.
+      [key] must be total: a payload it cannot interpret should map to
+      [max_int], which no drop passes.
+      @raise Invalid_argument if [replicas < 1]. *)
 
   val replicas : t -> int
 
@@ -152,7 +165,8 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   val entries : t -> string list
   (** The durable valid entries from the current head, oldest first, read
       back from (simulated) NVM, stepping over skip markers. This is the
-      recovery read path; it performs no fences. *)
+      recovery read path (compaction does not use it: see {!drop_upto}); it
+      performs no fences. *)
 
   val recover : t -> salvage_report
   (** Reset the in-memory cursors from the durable contents — call after a
@@ -185,6 +199,16 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   (** [set_head t n] durably discards the oldest [n] valid entries (one
       persistent fence for the header update, covering every replica).
       @raise Invalid_argument if fewer than [n] entries exist. *)
+
+  val drop_upto : t -> int -> int
+  (** [drop_upto t k] durably discards the leading live entries whose key
+      (see [create]'s [key]) is [<= k], stopping at the first one whose key
+      is greater, and returns how many it discarded. It reads the keys from
+      the in-memory account, so while the account is valid it performs no
+      durable load; after {!recover}, {!scrub} or {!relocate} it first
+      rebuilds the account with the one scan {!set_head} would run. Costs
+      the one header fence of {!set_head} when it discards anything, and
+      nothing otherwise. *)
 
   val entry_count : t -> int
   (** Number of valid entries from the head (by durable scan). *)

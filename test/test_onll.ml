@@ -663,6 +663,314 @@ let test_log_full_terminal_when_checkpoint_cannot_fit () =
     | exception Onll_core.Onll.Log_full _ -> true
     | _ -> false)
 
+(* {1 Checkpoints drop by key and read no log back} *)
+
+(* The live entries of a log replica as (offset, payload), parsed straight
+   from its bytes the way the log's own scan reads them: the newer
+   CRC-valid header slot gives the head; from there CRC-valid entries are
+   listed, CRC-valid skip markers stepped over, and anything else ends the
+   valid prefix. Independent of the log's in-memory account. *)
+let live_entries region =
+  let module R = Onll_nvm.Memory.Region in
+  let ld off = R.load_int64 region ~proc:0 ~off in
+  let le64 v =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    Bytes.to_string b
+  in
+  let crc s =
+    Int64.logand (Int64.of_int32 (Onll_util.Crc32.string s)) 0xFFFFFFFFL
+  in
+  let stop = R.size region in
+  let slot off =
+    let seq = ld off and head = Int64.to_int (ld (off + 8)) in
+    if
+      seq > 0L && head >= 64 && head <= stop
+      && ld (off + 16) = crc (le64 seq ^ le64 (Int64.of_int head))
+    then Some (seq, head)
+    else None
+  in
+  let head =
+    match (slot 0, slot 32) with
+    | None, None -> 64
+    | Some (_, h), None | None, Some (_, h) -> h
+    | Some (sa, ha), Some (sb, hb) -> if sa >= sb then ha else hb
+  in
+  let rec walk pos acc =
+    let len = if pos + 16 > stop then 0L else ld pos in
+    let n = Int64.to_int len in
+    if n >= 1 && pos + 16 + n <= stop then
+      let payload = R.load region ~proc:0 ~off:(pos + 16) ~len:n in
+      if ld (pos + 8) = crc (le64 len ^ payload) then
+        walk (pos + 16 + n) ((pos, payload) :: acc)
+      else List.rev acc
+    else if
+      n <= -16 && pos - n <= stop
+      && ld (pos + 8) = crc (le64 len ^ le64 0x534B49504D41524BL)
+    then walk (pos - n) acc
+    else List.rev acc
+  in
+  walk head []
+
+(* An ONLL record's (tag, index): tag 0 is Ops with its exec_idx, tag 1 a
+   Checkpoint with its upto_idx. *)
+let record_header payload =
+  let open Onll_util.Codec in
+  let tag, body = decode (pair int string) payload in
+  (tag, fst (read int body ~pos:0))
+
+(* The drop rule checkpoints used before the log kept record keys: decode
+   the live entries and count the leading ones a checkpoint up to [upto]
+   makes redundant. *)
+let old_rule_droppable payloads ~upto =
+  let rec count n = function
+    | p :: rest -> (
+        match record_header p with
+        | 0, exec_idx when exec_idx <= upto -> count (n + 1) rest
+        | 1, upto_idx when upto_idx < upto -> count (n + 1) rest
+        | _ -> n)
+    | [] -> n
+  in
+  count 0 payloads
+
+let flip_byte region ~off =
+  Onll_nvm.Memory.Region.corrupt region ~off ~len:1 ~f:(fun _ c ->
+      Char.chr (Char.code c lxor 0x10))
+
+(* Seeded sequences of concurrent updates, checkpoints by either process,
+   prunes, scrubs, crash + recovery, and small mirrored logs that the
+   update path auto-compacts (checkpoint, then relocate). Now and then one
+   live entry is rotted in every replica; a scrub quarantines it and its
+   owner checkpoints at once, so the account must be rebuilt around the
+   skip marker. Every checkpoint — explicit or automatic — is checked,
+   through the sink, against the old rule evaluated on the log's bytes
+   right after the checkpoint record's append; every recovery must give
+   the state of the updates that returned and report each of them
+   linearized. *)
+let test_checkpoint_drop_matches_old_rule () =
+  let checked = ref 0 and explicit = ref 0 and corrupted = ref 0 in
+  let recoveries = ref 0 in
+  let mismatches = ref [] in
+  for seed = 0 to 24 do
+    let rng = Random.State.make [| seed |] in
+    let sim = Sim.create ~max_processes:2 () in
+    let module M = (val Sim.machine sim) in
+    let module C = Onll_core.Onll.Make (M) (Cs) in
+    let mem = Sim.memory sim in
+    let log_names = ref [||] in
+    (* log name -> (old rule's count, upto, entries the log dropped) *)
+    let pending = Hashtbl.create 4 in
+    let last_upto = Array.make 2 (-1) in
+    let fail fmt =
+      Printf.ksprintf (fun m -> mismatches := (seed, m) :: !mismatches) fmt
+    in
+    let handler (e : Onll_obs.Event.t) =
+      match e.kind with
+      | Onll_obs.Event.Log_append { log; _ } -> (
+          let live =
+            List.map snd
+              (live_entries
+                 (Option.get (Onll_nvm.Memory.find_region mem log)))
+          in
+          match List.rev live with
+          | last :: _ when fst (record_header last) = 1 ->
+              let upto = snd (record_header last) in
+              Hashtbl.replace pending log
+                (old_rule_droppable live ~upto, upto, ref 0)
+          | _ -> Hashtbl.remove pending log)
+      | Onll_obs.Event.Log_compact { log; dropped } -> (
+          match Hashtbl.find_opt pending log with
+          | Some (_, _, seen) -> seen := !seen + dropped
+          | None -> fail "%s: a drop outside a checkpoint" log)
+      | Onll_obs.Event.Checkpoint { upto } -> (
+          last_upto.(e.proc) <- upto;
+          let log = !log_names.(e.proc) in
+          match Hashtbl.find_opt pending log with
+          | Some (expect, u, seen) when u = upto ->
+              incr checked;
+              if !seen <> expect then
+                fail "%s: checkpoint to %d dropped %d, old rule %d" log upto
+                  !seen expect;
+              Hashtbl.remove pending log
+          | _ -> fail "%s: checkpoint to %d without its record" log upto)
+      | _ -> ()
+    in
+    let obj =
+      C.make
+        {
+          Onll_core.Onll.Config.default with
+          log_capacity = 700;
+          replicas = 2;
+          local_views = seed mod 2 = 0;
+          sink = Onll_obs.Sink.make ~handler ();
+        }
+    in
+    log_names :=
+      Array.of_list
+        (List.map
+           (fun l -> l.Onll_core.Onll.Snapshot.log_name)
+           (C.snapshot obj).Onll_core.Onll.Snapshot.logs);
+    let acked = ref [] and count = ref 0 in
+    let run_as p f =
+      if p = 0 then f ()
+      else
+        ignore
+          (Sim.run sim
+             (Sched.Strategy.random ~seed:(Random.State.bits rng))
+             [| (fun _ -> ()); (fun _ -> f ()) |])
+    in
+    let checkpoint p =
+      incr explicit;
+      run_as p (fun () -> ignore (C.checkpoint obj))
+    in
+    let latest () =
+      (C.snapshot obj).Onll_core.Onll.Snapshot.latest_available_idx
+    in
+    let crash_recover () =
+      Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
+      C.recover obj;
+      incr recoveries;
+      check Alcotest.int
+        (Printf.sprintf "seed %d: recovered state" seed)
+        !count (C.read obj Cs.Get);
+      List.iter
+        (fun id ->
+          if not (C.was_linearized obj id) then
+            fail "%s not linearized after recovery"
+              (Format.asprintf "%a" Onll_core.Onll.pp_op_id id))
+        !acked;
+      check Alcotest.bool
+        (Printf.sprintf "seed %d: never-invoked op" seed)
+        false
+        (C.was_linearized obj { Onll_core.Onll.id_proc = 1; id_seq = 100_000 })
+    in
+    for _ = 1 to 40 do
+      match Random.State.int rng 10 with
+      | 0 | 1 | 2 | 3 ->
+          let body k _ =
+            for _ = 1 to k do
+              let id, _ = C.update_with_id obj Cs.Increment in
+              acked := id :: !acked;
+              incr count
+            done
+          in
+          ignore
+            (Sim.run sim
+               (Sched.Strategy.random ~seed:(Random.State.bits rng))
+               [|
+                 body (Random.State.int rng 4); body (Random.State.int rng 4);
+               |])
+      | 4 | 5 ->
+          (* A checkpoint with no progress since the log's last one drops
+             nothing (the old checkpoint's index is not below the new
+             one's), so repeating it only fills these small logs. *)
+          let p = Random.State.int rng 2 in
+          if latest () <> last_upto.(p) then checkpoint p
+      | 6 ->
+          let below = latest () in
+          if below > fst (C.trace_base obj) then C.prune obj ~below
+      | 7 -> ignore (C.scrub obj)
+      | 8 -> crash_recover ()
+      | _ -> (
+          let p = Random.State.int rng 2 in
+          let name = !log_names.(p) in
+          let region r = Option.get (Onll_nvm.Memory.find_region mem r) in
+          match live_entries (region name) with
+          | [] -> ()
+          | live ->
+              let off, payload =
+                List.nth live (Random.State.int rng (List.length live))
+              in
+              let at =
+                off + 16 + Random.State.int rng (String.length payload)
+              in
+              List.iter
+                (fun r -> flip_byte (region r) ~off:at)
+                [ name; Onll_plog.Plog.replica_region_name name 1 ];
+              incr corrupted;
+              let s = C.scrub obj in
+              check Alcotest.int
+                (Printf.sprintf "seed %d: scrub quarantines the rot" seed)
+                1 s.Onll_plog.Plog.unrepairable_spans;
+              checkpoint p)
+    done;
+    crash_recover ()
+  done;
+  List.iter
+    (fun (seed, m) -> Alcotest.failf "seed %d: %s" seed m)
+    (List.rev !mismatches);
+  check Alcotest.bool "automatic checkpoints were checked too" true
+    (!checked > !explicit);
+  check Alcotest.bool "corruptions were quarantined" true (!corrupted > 10);
+  check Alcotest.bool "recoveries ran" true (!recoveries > 25)
+
+(* The machine with every durable load counted. *)
+module Counting_loads (M : Machine_sig.S) = struct
+  include M
+
+  let loads = ref 0
+
+  module Pm = struct
+    type t = M.Pm.t
+
+    let create = M.Pm.create
+    let size = M.Pm.size
+    let store = M.Pm.store
+    let store_int64 = M.Pm.store_int64
+    let flush = M.Pm.flush
+
+    let load t ~off ~len =
+      incr loads;
+      M.Pm.load t ~off ~len
+
+    let load_int64 t ~off =
+      incr loads;
+      M.Pm.load_int64 t ~off
+  end
+end
+
+(* While the log's account is valid, a checkpoint reads nothing back: it
+   encodes the state once, appends one record and drops the prefix from
+   the in-memory keys. Only the first checkpoint after a recovery or a
+   scrub pays one scan to rebuild the account. *)
+let test_checkpoint_reads_no_log () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M0 = (val Sim.machine sim) in
+  let module M = Counting_loads (M0) in
+  let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
+  let obj =
+    C.make
+      { Onll_core.Onll.Config.default with replicas = 2; local_views = true }
+  in
+  let puts n =
+    for i = 1 to n do
+      ignore (C.update obj (Onll_specs.Kv.Put (string_of_int i, "v")))
+    done
+  in
+  let checkpoint_loads () =
+    let before = !M.loads in
+    ignore (C.checkpoint obj);
+    !M.loads - before
+  in
+  puts 30;
+  check Alcotest.int "first checkpoint" 0 (checkpoint_loads ());
+  puts 30;
+  check Alcotest.int "second checkpoint" 0 (checkpoint_loads ());
+  check Alcotest.int "checkpoint with no progress" 0 (checkpoint_loads ());
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  C.recover obj;
+  puts 10;
+  check Alcotest.bool "after recovery: one rebuilding scan" true
+    (checkpoint_loads () > 0);
+  puts 10;
+  check Alcotest.int "then nothing again" 0 (checkpoint_loads ());
+  ignore (C.scrub obj);
+  check Alcotest.bool "after a scrub: one rebuilding scan" true
+    (checkpoint_loads () > 0);
+  check Alcotest.int "valid again" 0 (checkpoint_loads ());
+  check Alcotest.bool "state intact" true
+    (C.read obj (Onll_specs.Kv.Get "7") = Onll_specs.Kv.Found (Some "v"))
+
 (* Forge a log entry claiming execution index 3 with no entries for 1..2:
    recovery must refuse (Prop 5.10 says such logs cannot be produced by the
    implementation, so this is corruption). The entry bytes are constructed
@@ -787,6 +1095,10 @@ let () =
             test_prune_keeps_reads_correct;
           Alcotest.test_case "checkpoint+prune+crash cycle" `Quick
             test_checkpoint_prune_crash_cycle;
+          Alcotest.test_case "checkpoint drop = the old rule" `Quick
+            test_checkpoint_drop_matches_old_rule;
+          Alcotest.test_case "checkpoint reads no log back" `Quick
+            test_checkpoint_reads_no_log;
         ] );
       ( "misc",
         [

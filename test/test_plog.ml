@@ -599,6 +599,133 @@ let test_relocate_quarantines_double_fault () =
     r.Onll_plog.Plog.quarantined_spans;
   check Alcotest.(list string) "stable" [ "ffffffff" ] (P.entries log)
 
+(* {1 Dropping by key} *)
+
+(* Test records carry their key in their first 8 bytes. *)
+let keyed k =
+  Printf.sprintf "%s-rec" (Onll_util.Codec.encode Onll_util.Codec.int k)
+
+let key_of payload =
+  if String.length payload < 8 then max_int
+  else Int64.to_int (String.get_int64_le payload 0)
+
+let test_drop_upto_by_key () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~key:key_of ~name:"l" ~capacity:4096 () in
+  List.iter (fun k -> P.append log (keyed k)) [ 1; 2; 5; 3; 9 ];
+  let keys () = List.map key_of (P.entries log) in
+  let f0 = M.persistent_fences () in
+  check Alcotest.int "drops the keys <= 2" 2 (P.drop_upto log 2);
+  check Alcotest.int "one header fence" (f0 + 1) (M.persistent_fences ());
+  check Alcotest.(list int) "rest kept" [ 5; 3; 9 ] (keys ());
+  check Alcotest.int "stops at the first greater key" 0 (P.drop_upto log 4);
+  check Alcotest.int "no fence when nothing drops" (f0 + 1)
+    (M.persistent_fences ());
+  check Alcotest.int "the rest" 3 (P.drop_upto log 9);
+  check Alcotest.(list int) "empty" [] (keys ());
+  P.append log (keyed 10);
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  ignore (P.recover log);
+  check Alcotest.(list int) "the drops are durable" [ 10 ] (keys ());
+  (* without [~key] every record keys to 0 *)
+  let plain = P.create ~name:"plain" ~capacity:4096 () in
+  List.iter (P.append plain) [ "a"; "b" ];
+  check Alcotest.int "default key drops everything at 0" 2
+    (P.drop_upto plain 0)
+
+(* [drop_upto] against the rule it replaced in ONLL's checkpoint: read the
+   live entries back, count the prefix whose key is <= k, and [set_head]
+   that many. Seeded sequences of appends (keys roughly increasing, not
+   monotone), drops, scrubs, relocations and recoveries on a mirrored log;
+   a byte rotted in every replica is quarantined before the next drop by a
+   relocation when one can move the live span, else by a scrub or a
+   recovery — so the account must be rebuilt around skip markers. *)
+let test_drop_upto_matches_entries_rule () =
+  let quarantined = ref 0 and by_relocate = ref 0 and drops = ref 0 in
+  for seed = 0 to 59 do
+    let rng = Random.State.make [| seed |] in
+    let sim = Sim.create ~max_processes:1 () in
+    let module M = (val Sim.machine sim) in
+    let module P = Onll_plog.Plog.Make (M) in
+    let sink, events = Onll_obs.Sink.recording () in
+    let log =
+      P.create ~sink ~replicas:2 ~key:key_of ~name:"l" ~capacity:1024 ()
+    in
+    let salvage_events () =
+      List.length
+        (List.filter
+           (fun e ->
+             match e.Onll_obs.Event.kind with
+             | Onll_obs.Event.Salvage { quarantined; _ } -> quarantined > 0
+             | _ -> false)
+           (events ()))
+    in
+    let regions =
+      List.map
+        (fun n -> Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) n))
+        (P.region_names log)
+    in
+    let next = ref 0 in
+    let salvaged r =
+      quarantined := !quarantined + r.Onll_plog.Plog.quarantined_spans
+    in
+    let crash_recover () =
+      Onll_nvm.Memory.crash (Sim.memory sim)
+        ~policy:Onll_nvm.Crash_policy.Drop_all;
+      salvaged (P.recover log)
+    in
+    for _ = 1 to 80 do
+      match Random.State.int rng 12 with
+      | 0 | 1 | 2 | 3 | 4 ->
+          incr next;
+          let k = !next + Random.State.int rng 5 - 2 in
+          if P.free_bytes log >= 40 then P.append log (keyed k)
+          else P.relocate log
+      | 5 | 6 | 7 ->
+          let k = !next - Random.State.int rng 6 in
+          let before = P.entries log in
+          let rec rule n = function
+            | e :: rest when key_of e <= k -> rule (n + 1) rest
+            | _ -> n
+          in
+          let expect = rule 0 before in
+          let n = P.drop_upto log k in
+          incr drops;
+          check Alcotest.int
+            (Printf.sprintf "seed %d: drop_upto %d" seed k)
+            expect n;
+          check Alcotest.(list string)
+            (Printf.sprintf "seed %d: survivors" seed)
+            (List.filteri (fun i _ -> i >= n) before)
+            (P.entries log)
+      | 8 -> ignore (P.scrub log)
+      | 9 -> P.relocate log
+      | 10 -> crash_recover ()
+      | _ ->
+          let live = P.live_bytes log in
+          let dead = P.used_bytes log - live in
+          if live > 0 then begin
+            let off = 64 + dead + Random.State.int rng live in
+            List.iter (fun r -> flip r ~off) regions;
+            if dead > 0 && live <= dead then begin
+              (* relocation reports its quarantine as a Salvage event *)
+              let seen = salvage_events () in
+              P.relocate log;
+              if salvage_events () > seen then incr by_relocate
+            end
+            else if Random.State.bool rng then
+              quarantined :=
+                !quarantined + (P.scrub log).Onll_plog.Plog.unrepairable_spans
+            else crash_recover ()
+          end
+    done
+  done;
+  check Alcotest.bool "drops were checked" true (!drops > 500);
+  check Alcotest.bool "relocations quarantined" true (!by_relocate > 0);
+  check Alcotest.bool "quarantines happened" true (!quarantined > 0)
+
 let test_multiple_logs_independent () =
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
@@ -698,6 +825,9 @@ let () =
             test_crash_during_set_head_keeps_a_valid_header;
           Alcotest.test_case "newer header wins (persist-all)" `Quick
             test_crash_during_set_head_newer_header_wins;
+          Alcotest.test_case "drop_upto by key" `Quick test_drop_upto_by_key;
+          Alcotest.test_case "drop_upto = the entries rule" `Quick
+            test_drop_upto_matches_entries_rule;
         ] );
       ( "mirror",
         [

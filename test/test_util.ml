@@ -32,6 +32,53 @@ let test_crc_int64 () =
     (Crc32.bytes b ~pos:0 ~len:8)
     (Crc32.int64 0x0123456789ABCDEFL)
 
+(* The plain byte-at-a-time CRC-32 loop, kept as the oracle for the
+   table-sliced implementation. *)
+let crc_bytewise ?(init = 0l) b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+          else c := !c lsr 1
+        done;
+        !c)
+  in
+  let crc = ref (Int32.to_int init land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc :=
+      table.((!crc lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!crc lsr 8)
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let test_crc_matches_bytewise () =
+  check Alcotest.int32 "oracle check value" 0xCBF43926l
+    (crc_bytewise (Bytes.of_string "123456789") ~pos:0 ~len:9);
+  (* high bits set in every lane, so sign handling of the word loads shows *)
+  let b = Bytes.init 96 (fun i -> Char.chr ((i * 151 + 77) land 0xFF)) in
+  for len = 0 to 64 do
+    for pos = 0 to 9 do
+      let expect = crc_bytewise b ~pos ~len in
+      check Alcotest.int32
+        (Printf.sprintf "pos %d len %d" pos len)
+        expect (Crc32.bytes b ~pos ~len);
+      let init = 0x89ABCDEFl in
+      check Alcotest.int32
+        (Printf.sprintf "init, pos %d len %d" pos len)
+        (crc_bytewise ~init b ~pos ~len)
+        (Crc32.bytes ~init b ~pos ~len);
+      (* chaining at every split point gives the whole-range value *)
+      for k = 0 to len do
+        if
+          Crc32.bytes
+            ~init:(Crc32.bytes b ~pos ~len:k)
+            b ~pos:(pos + k) ~len:(len - k)
+          <> expect
+        then Alcotest.failf "chained at %d: pos %d len %d" k pos len
+      done
+    done
+  done
+
 let prop_crc_detects_single_bit_flip =
   QCheck.Test.make ~name:"crc detects any single bit flip" ~count:200
     QCheck.(pair (string_of_size Gen.(1 -- 64)) (pair small_nat small_nat))
@@ -247,6 +294,8 @@ let () =
           Alcotest.test_case "incremental" `Quick test_crc_incremental;
           Alcotest.test_case "bytes range" `Quick test_crc_bytes_range;
           Alcotest.test_case "int64" `Quick test_crc_int64;
+          Alcotest.test_case "matches the byte-wise loop" `Quick
+            test_crc_matches_bytewise;
           qcheck prop_crc_detects_single_bit_flip;
         ] );
       ( "splitmix",
