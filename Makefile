@@ -31,7 +31,8 @@ gate:
 
 # A fast slice of every chaos campaign, E12 through E20: media faults +
 # nested recovery crashes on two objects, the unhardened calibration
-# baseline (which must be caught losing data), a mirrored slice where
+# baseline (which must be caught losing data; E19's no-sweep calibration
+# too), a mirrored slice where
 # primary-only faults must cost nothing, the same pair against the
 # 4-shard partitioned construction, the group-commit object with the
 # crash landing mid-batch (alone and composed with --mirrored), durable
@@ -59,6 +60,7 @@ chaos -s kv --seeds 10 --batched --mirrored
 chaos --session --seeds 10
 chaos -s kv --txn --seeds 10
 chaos -s kv --txn --mirrored --seeds 10
+chaos -s kv --txn --unhardened --seeds 8
 chaos -s kv --relaxed --seeds 10
 chaos -s kv --relaxed --mirrored --seeds 10
 store campaign --seeds 4
@@ -94,6 +96,15 @@ chaos-smoke:
 	    exit 1; \
 	  fi; \
 	  echo "quiet violating campaign exited with code 4 (asserted)"
+	@# --session runs its own grid: combining it with another campaign
+	@# flag is a usage error (exit 1), never a silently different run.
+	@st=0; $(ONLL_CLI) chaos --session --unhardened --quiet --seeds 2 \
+	  2>/dev/null || st=$$?; \
+	  if [ "$$st" -ne 1 ]; then \
+	    echo "chaos-smoke: expected exit 1 from --session --unhardened, got $$st"; \
+	    exit 1; \
+	  fi; \
+	  echo "chaos --session --unhardened refused with code 1 (asserted)"
 
 bench:
 	dune exec bench/main.exe

@@ -50,8 +50,8 @@
 (* Every experiment with a gated golden in bench/snapshots/. CI's
    gate-freshness step diffs [--list-gated] against the directory listing,
    so a snapshot that exists without being gated here fails the build —
-   adding a BENCH_*.json means adding it to this list (and a compare
-   block below). *)
+   adding a BENCH_*.json means adding it to this list, which is also the
+   list the compare loop below walks. *)
 let gated_experiments =
   [ "e1"; "e13"; "e14"; "e15"; "e16"; "e17"; "e18"; "e19"; "e20" ]
 
@@ -260,85 +260,20 @@ let () =
   let prefixed p k =
     String.length k >= String.length p && String.sub k 0 (String.length p) = p
   in
-  (match (load (golden "e1"), load (Filename.concat tmp "BENCH_e1.json"))
-   with
-  | Some g, Some f ->
-      let gated k = prefixed "pf_update." k || prefixed "pf_read." k in
-      let n = compare_gated ~label:"e1" ~gated ~golden:g ~fresh:f in
-      Printf.printf "e1: %d gated fence-count keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e14"), load (Filename.concat tmp "BENCH_e14.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e14" ~gated:(prefixed "e14.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e14: %d gated accounting/chaos keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e13"), load (Filename.concat tmp "BENCH_e13.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e13" ~gated:(prefixed "e13.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e13: %d gated mirrored-slice keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e15"), load (Filename.concat tmp "BENCH_e15.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e15" ~gated:(prefixed "e15.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e15: %d gated session-slice keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e16"), load (Filename.concat tmp "BENCH_e16.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e16" ~gated:(prefixed "e16.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e16: %d gated group-commit keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e17"), load (Filename.concat tmp "BENCH_e17.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e17" ~gated:(prefixed "e17.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e17: %d gated file-store crash-slice keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e18"), load (Filename.concat tmp "BENCH_e18.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e18" ~gated:(prefixed "e18.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e18: %d gated service crash-slice keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e19"), load (Filename.concat tmp "BENCH_e19.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e19" ~gated:(prefixed "e19.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e19: %d gated transaction-slice keys compared\n" n
-  | _ -> ());
-  (match (load (golden "e20"), load (Filename.concat tmp "BENCH_e20.json"))
-   with
-  | Some g, Some f ->
-      let n =
-        compare_gated ~label:"e20" ~gated:(prefixed "e20.") ~golden:g
-          ~fresh:f
-      in
-      Printf.printf "e20: %d gated staleness-slice keys compared\n" n
-  | _ -> ());
+  List.iter
+    (fun exp ->
+      let fresh = Filename.concat tmp (Printf.sprintf "BENCH_%s.json" exp) in
+      match (load (golden exp), load fresh) with
+      | Some g, Some f ->
+          let gated =
+            if exp = "e1" then fun k ->
+              prefixed "pf_update." k || prefixed "pf_read." k
+            else prefixed (exp ^ ".")
+          in
+          let n = compare_gated ~label:exp ~gated ~golden:g ~fresh:f in
+          Printf.printf "%s: %d gated keys compared\n" exp n
+      | _ -> ())
+    gated_experiments;
   (* 3. Every committed golden must carry zero violation counters. *)
   Array.iter
     (fun name ->

@@ -57,7 +57,7 @@ let raw_fence_ns () =
     ns.(i) <- Int64.to_int (Int64.sub t1 t0)
   done;
   Fmem.close fm;
-  Fchaos.rm_rf dir;
+  Test_support.Temp_dir.rm_rf dir;
   median ns
 
 let update_ns ~replicas =
@@ -77,7 +77,7 @@ let update_ns ~replicas =
   let t1 = Onll_machine.Native.monotonic_ns () in
   let pf = M.persistent_fences () in
   Fm.close fmach;
-  Fchaos.rm_rf dir;
+  Test_support.Temp_dir.rm_rf dir;
   (Int64.to_int (Int64.sub t1 t0) / updates, pf, updates)
 
 let fence_timing reg =
@@ -144,7 +144,7 @@ let campaign reg =
         (Printf.eprintf "e17 campaign violation: %s\n")
         (Fchaos.campaign_violations cam);
       Fchaos.campaign_to_metrics reg cam;
-      Fchaos.rm_rf dir;
+      Test_support.Temp_dir.rm_rf dir;
       assert (Fchaos.campaign_violations cam = [])
 
 let run () =

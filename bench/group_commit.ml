@@ -149,66 +149,38 @@ let adversarial summary =
 
 (* {2 Part 3 — batched chaos slices (deterministic, gated)} *)
 
-let record_row summary prefix (r : Test_support.Chaos_harness.row) =
-  let add name v =
-    Onll_obs.Metrics.add (Onll_obs.Metrics.counter summary name) v
-  in
-  let open Test_support.Chaos_harness in
-  let p k = Printf.sprintf "%s.%s" prefix k in
-  add (p "runs") r.runs;
-  add (p "crashed") r.crashed;
-  add (p "media_faults") r.media_faults;
-  add (p "reported_lost") r.lost_reported;
-  add (p "tail_ambiguous") r.tail_ambiguous;
-  add (p "violations") r.violations
-
 let chaos_slices summary =
   let open Test_support in
-  let messages = ref [] in
-  let module D = Chaos_harness.Drive (Kv) in
-  let plain =
-    D.campaign ~plan_of:Chaos_harness.batched_plan_of_seed ~name:"kv/batched"
-      ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read ~seeds:40 ~messages ()
+  let slice plan_of name =
+    Chaos_harness.arm ~plan_of ~obj:"kv" ~name ~seeds:40 ()
   in
+  let plain = slice Chaos_harness.batched_plan_of_seed "kv/batched" in
   let mirrored =
-    D.campaign ~plan_of:Chaos_harness.batched_mirrored_plan_of_seed
-      ~name:"kv/batched+mirrored" ~gen_update:Gen.Kv.update
-      ~gen_read:Gen.Kv.read ~seeds:40 ~messages ()
+    slice Chaos_harness.batched_mirrored_plan_of_seed "kv/batched+mirrored"
   in
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) (List.rev !messages);
-  let open Chaos_harness in
-  Onll_util.Table.print
+  Campaign.print
     ~title:
       "E16 chaos slices — crash mid-batch, before or after the shared \
        fence (violations must be 0; the mirrored arm additionally loses \
        nothing)"
-    ~header:
-      [ "arm"; "runs"; "crashed"; "media"; "reported-lost"; "tail-ambig";
-        "violations" ]
-    (List.map
-       (fun r ->
-         [
-           r.obj_name;
-           string_of_int r.runs;
-           string_of_int r.crashed;
-           string_of_int r.media_faults;
-           string_of_int r.lost_reported;
-           string_of_int r.tail_ambiguous;
-           string_of_int r.violations;
-         ])
-       [ plain; mirrored ]);
-  assert (plain.violations = 0);
-  assert (mirrored.violations = 0);
+    ~header:"arm" ~columns:Chaos_harness.slice_columns [ plain; mirrored ];
+  assert (Campaign.total "violations" [ plain; mirrored ] = 0);
   print_endline
     "(asserted: zero durable-linearizability violations — and zero \
      duplicate acks, which the chaos audit folds into violations — \
      across both batched chaos arms)";
-  assert (mirrored.lost_reported = 0 && mirrored.tail_ambiguous = 0);
+  assert (Chaos_harness.lost [ mirrored ] = 0);
   print_endline
     "(asserted: batched + mirrored + primary-scoped faults cost nothing \
      — the mirror copy of the batch drained under the same single fence)";
-  record_row summary "e16.chaos.batched" plain;
-  record_row summary "e16.chaos.batched_mirrored" mirrored
+  let record prefix r =
+    ignore
+      (Campaign.to_metrics ~reg:summary
+         ~keys:(List.map snd Chaos_harness.slice_columns)
+         ~prefix r)
+  in
+  record "e16.chaos.batched" plain;
+  record "e16.chaos.batched_mirrored" mirrored
 
 (* {2 Part 4 — native throughput grid} *)
 

@@ -122,10 +122,12 @@ let fence_accounting summary =
 
 let chaos_slices summary =
   let open Test_support in
-  let s = Relaxed_chaos.run_campaign ~seeds:12 ~calibration_seeds:8 in
+  let ((c, _) as s) =
+    Relaxed_chaos.run_campaign ~seeds:12 ~calibration_seeds:8
+  in
   Relaxed_chaos.print s;
-  assert (Relaxed_chaos.total_violations s = 0);
-  assert (s.Relaxed_chaos.cal_caught > 0);
+  assert (Campaign.total "violations" c.Campaign.rows = 0);
+  assert (c.Campaign.cal_caught > 0);
   print_endline
     "(asserted: zero staleness violations across both relaxed chaos arms; \
      the ledger-free calibration was caught)";
@@ -322,18 +324,16 @@ let run () =
      measured ops-at-risk histogram bounded by the budget, and a
      calibration arm that must be caught. *)
   let seeds = env_int "ONLL_E20_SEEDS" 200 in
-  let s =
+  let ((c, hist) as s) =
     Test_support.Relaxed_chaos.run_campaign ~seeds
       ~calibration_seeds:(max 10 (seeds / 10))
   in
   Test_support.Relaxed_chaos.print s;
-  assert (Test_support.Relaxed_chaos.total_violations s = 0);
-  assert (s.Test_support.Relaxed_chaos.cal_caught > 0);
+  assert (Test_support.Campaign.total "violations" c.rows = 0);
+  assert (c.cal_caught > 0);
   (* every crash landed within the budget: no histogram bucket beyond
      the deepest configured risk budget *)
-  List.iter
-    (fun (d, _) -> assert (d <= budget))
-    s.Test_support.Relaxed_chaos.hist;
+  List.iter (fun (d, _) -> assert (d <= budget)) hist;
   ignore (Test_support.Relaxed_chaos.to_metrics ~reg:summary s);
   native_throughput summary;
   print_endline "== per-session durability tiers over a real socket ==";

@@ -139,7 +139,7 @@ let campaign reg = function
         (Printf.eprintf "e18 campaign violation: %s\n")
         (Schaos.campaign_violations cam);
       Schaos.campaign_to_metrics reg cam;
-      Schaos.rm_rf dir;
+      Test_support.Temp_dir.rm_rf dir;
       assert (Schaos.campaign_violations cam = [])
 
 let run () =

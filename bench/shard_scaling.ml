@@ -99,65 +99,37 @@ let fence_accounting summary =
 
 (* {2 Part 2 — sharded chaos slices (deterministic, gated)} *)
 
-let record_row summary prefix (r : Test_support.Chaos_harness.row) =
-  let add name v =
-    Onll_obs.Metrics.add (Onll_obs.Metrics.counter summary name) v
-  in
-  let open Test_support.Chaos_harness in
-  let p k = Printf.sprintf "%s.%s" prefix k in
-  add (p "runs") r.runs;
-  add (p "crashed") r.crashed;
-  add (p "media_faults") r.media_faults;
-  add (p "reported_lost") r.lost_reported;
-  add (p "tail_ambiguous") r.tail_ambiguous;
-  add (p "violations") r.violations
-
 let chaos_slices summary =
   let open Test_support in
-  let messages = ref [] in
-  let module D = Chaos_harness.Drive (Kv) in
-  let plain =
-    D.campaign ~plan_of:Chaos_harness.sharded_plan_of_seed ~name:"kv/sharded"
-      ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read ~seeds:40 ~messages ()
+  let slice plan_of name =
+    Chaos_harness.arm ~plan_of ~obj:"kv" ~name ~seeds:40 ()
   in
+  let plain = slice Chaos_harness.sharded_plan_of_seed "kv/sharded" in
   let mirrored =
-    D.campaign ~plan_of:Chaos_harness.sharded_mirrored_plan_of_seed
-      ~name:"kv/sharded+mirrored" ~gen_update:Gen.Kv.update
-      ~gen_read:Gen.Kv.read ~seeds:40 ~messages ()
+    slice Chaos_harness.sharded_mirrored_plan_of_seed "kv/sharded+mirrored"
   in
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) (List.rev !messages);
-  let open Chaos_harness in
-  Onll_util.Table.print
+  Campaign.print
     ~title:
       "E14 chaos slices — crash mid-update on one shard while others \
        proceed (violations must be 0; the mirrored arm additionally loses \
        nothing)"
-    ~header:
-      [ "arm"; "runs"; "crashed"; "media"; "reported-lost"; "tail-ambig";
-        "violations" ]
-    (List.map
-       (fun r ->
-         [
-           r.obj_name;
-           string_of_int r.runs;
-           string_of_int r.crashed;
-           string_of_int r.media_faults;
-           string_of_int r.lost_reported;
-           string_of_int r.tail_ambiguous;
-           string_of_int r.violations;
-         ])
-       [ plain; mirrored ]);
-  assert (plain.violations = 0);
-  assert (mirrored.violations = 0);
+    ~header:"arm" ~columns:Chaos_harness.slice_columns [ plain; mirrored ];
+  assert (Campaign.total "violations" [ plain; mirrored ] = 0);
   print_endline
     "(asserted: zero durable-linearizability violations across both \
      sharded chaos arms)";
-  assert (mirrored.lost_reported = 0 && mirrored.tail_ambiguous = 0);
+  assert (Chaos_harness.lost [ mirrored ] = 0);
   print_endline
     "(asserted: sharded + mirrored + primary-scoped faults cost nothing — \
      per-shard repair composes)";
-  record_row summary "e14.chaos.sharded" plain;
-  record_row summary "e14.chaos.sharded_mirrored" mirrored
+  let record prefix r =
+    ignore
+      (Campaign.to_metrics ~reg:summary
+         ~keys:(List.map snd Chaos_harness.slice_columns)
+         ~prefix r)
+  in
+  record "e14.chaos.sharded" plain;
+  record "e14.chaos.sharded_mirrored" mirrored
 
 (* {2 Part 3 — native throughput grid} *)
 

@@ -173,8 +173,8 @@ let chaos_slices summary =
   let open Test_support in
   let s = Txn_chaos.run_campaign ~seeds:12 ~calibration_seeds:8 in
   Txn_chaos.print s;
-  assert (Txn_chaos.total_violations s = 0);
-  assert (s.Txn_chaos.cal_caught > 0);
+  assert (Campaign.total "violations" s.Campaign.rows = 0);
+  assert (s.Campaign.cal_caught > 0);
   print_endline
     "(asserted: zero atomicity violations across both transaction chaos \
      arms; the sweep-free calibration was caught)";
@@ -272,8 +272,8 @@ let run () =
       ~calibration_seeds:(max 10 (seeds / 10))
   in
   Test_support.Txn_chaos.print s;
-  assert (Test_support.Txn_chaos.total_violations s = 0);
-  assert (s.Test_support.Txn_chaos.cal_caught > 0);
+  assert (Test_support.Campaign.total "violations" s.rows = 0);
+  assert (s.cal_caught > 0);
   ignore (Test_support.Txn_chaos.to_metrics ~reg:summary s);
   native_throughput summary;
   let path =

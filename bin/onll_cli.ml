@@ -162,6 +162,24 @@ let fuzz_cmd =
    calibration (the deliberately broken arm was never caught) exits 1. *)
 let exit_violations = 4
 
+(* A hardened arm: print its row unless [--quiet]; any violation exits
+   with the violation code. *)
+let hardened_arm ~quiet ~print row =
+  if not quiet then print [ row ];
+  if row.Test_support.Campaign.violations <> [] then exit exit_violations
+
+(* A calibration arm: [caught] of [seeds] deliberately broken runs were
+   flagged; a detector that never fired exits 1. *)
+let calibration_arm ~quiet ~print ~seeds caught =
+  if not quiet then
+    print
+      {
+        Test_support.Campaign.rows = [];
+        cal_runs = seeds;
+        cal_caught = caught;
+      };
+  if caught = 0 then exit 1
+
 (* [--session]: the E15 grid instead — every (spec, arm) campaign of the
    exactly-once session audit, [seeds] seeds per arm. The session arms
    must be perfect; the naive at-least-once arm must duplicate, or the
@@ -183,37 +201,16 @@ let session_chaos seeds quiet =
    caught tearing or losing committed transfers. *)
 let txn_chaos seeds unhardened mirrored quiet =
   let open Test_support in
-  if unhardened then begin
-    let runs, caught = Txn_chaos.calibrate ~seeds in
-    if not quiet then
-      Printf.printf
-        "kv/txn (unhardened calibration): %d/%d crashes caught losing or \
-         tearing transactions\n"
-        caught runs;
-    if caught = 0 then begin
-      if not quiet then
-        Printf.printf
-          "calibration FAILED: the sweep-free recovery was never caught\n";
-      exit 1
-    end
-  end
-  else begin
-    let messages = ref [] in
-    let plan_of, arm =
+  if unhardened then
+    calibration_arm ~quiet ~print:Txn_chaos.print_calibration ~seeds
+      (Txn_chaos.calibrate ~seeds)
+  else
+    let plan_of, name =
       if mirrored then (Txn_chaos.mirrored_plan_of_seed, "kv/txn/mirrored")
       else (Txn_chaos.plan_of_seed, "kv/txn")
     in
-    let r = Txn_chaos.campaign ~plan_of ~arm ~seeds ~messages () in
-    if not quiet then begin
-      List.iter (Printf.printf "  VIOLATION %s\n") (List.rev !messages);
-      Printf.printf
-        "%s: %d runs, %d crashed, %d actions completed, %d txns committed, \
-         %d sub-ops swept, %d violations\n"
-        arm r.Txn_chaos.runs r.Txn_chaos.crashed r.Txn_chaos.completed
-        r.Txn_chaos.committed r.Txn_chaos.swept r.Txn_chaos.violations
-    end;
-    if r.Txn_chaos.violations > 0 then exit exit_violations
-  end
+    hardened_arm ~quiet ~print:Txn_chaos.print_rows
+      (Txn_chaos.arm ~plan_of ~name ~seeds ())
 
 (* [--relaxed]: the E20 bounded-staleness campaign — seeded crashes cut
    the risk-budgeted tail at swept depths (plain or mirrored), audited
@@ -224,44 +221,75 @@ let txn_chaos seeds unhardened mirrored quiet =
 let relaxed_chaos seeds unhardened mirrored quiet =
   let open Test_support in
   if unhardened then begin
-    let runs, caught = Relaxed_chaos.calibrate ~seeds in
-    if not quiet then
-      Printf.printf
-        "kv/relaxed (unhardened calibration): %d/%d crashes caught losing \
-         acknowledged updates\n"
-        caught runs;
-    if caught = 0 then begin
-      if not quiet then
-        Printf.printf
-          "calibration FAILED: the ledger-free recovery was never caught\n";
-      exit 1
-    end;
+    calibration_arm ~quiet ~print:Relaxed_chaos.print_calibration ~seeds
+      (Relaxed_chaos.calibrate ~seeds);
     exit exit_violations
   end
-  else begin
-    let messages = ref [] in
-    let plan_of, arm =
+  else
+    let plan_of, name =
       if mirrored then
         (Relaxed_chaos.mirrored_plan_of_seed, "kv/relaxed/mirrored")
       else (Relaxed_chaos.plan_of_seed, "kv/relaxed")
     in
-    let r = Relaxed_chaos.campaign ~plan_of ~arm ~seeds ~messages () in
-    if not quiet then begin
-      List.iter (Printf.printf "  VIOLATION %s\n") (List.rev !messages);
-      Printf.printf
-        "%s: %d runs, %d crashed, %d acked, %d lost, %d drains, %d \
-         deferred acks, %d violations\n"
-        arm r.Relaxed_chaos.runs r.Relaxed_chaos.crashed
-        r.Relaxed_chaos.completed r.Relaxed_chaos.lost
-        r.Relaxed_chaos.drains r.Relaxed_chaos.deferred
-        r.Relaxed_chaos.violations
-    end;
-    if r.Relaxed_chaos.violations > 0 then exit exit_violations
+    hardened_arm ~quiet ~print:Relaxed_chaos.print_rows
+      (Relaxed_chaos.arm ~plan_of ~name ~seeds ())
+
+(* The E12/E13/E14/E16 grids on one object: [--unhardened] runs the
+   calibration, which must be caught; hardened runs must be clean, and a
+   mirrored one must also lose nothing — primary-only faults against a
+   mirror cost NOTHING. *)
+let object_chaos spec seeds unhardened mirrored sharded batched quiet =
+  let open Test_support in
+  if not (List.mem_assoc spec Chaos_harness.objects) then begin
+    Printf.eprintf "unknown spec %S (try counter, queue, kv, stack)\n" spec;
+    exit 1
+  end;
+  let plan_of =
+    match (batched, sharded, mirrored) with
+    | true, _, false -> Chaos_harness.batched_plan_of_seed
+    | true, _, true -> Chaos_harness.batched_mirrored_plan_of_seed
+    | false, false, false -> Chaos_harness.plan_of_seed
+    | false, false, true -> Chaos_harness.mirrored_plan_of_seed
+    | false, true, false -> Chaos_harness.sharded_plan_of_seed
+    | false, true, true -> Chaos_harness.sharded_mirrored_plan_of_seed
+  in
+  if unhardened then
+    calibration_arm ~quiet ~print:Chaos_harness.print_calibration ~seeds
+      (Chaos_harness.calibrate ~plan_of ~obj:spec ~seeds ())
+  else begin
+    let name =
+      spec
+      ^ (if sharded then "/sharded" else "")
+      ^ (if batched then "/batched" else "")
+      ^ if mirrored then "+mirrored" else ""
+    in
+    let row = Chaos_harness.arm ~plan_of ~obj:spec ~name ~seeds () in
+    hardened_arm ~quiet
+      ~print:
+        (Chaos_harness.print_rows
+           ~title:
+             (Printf.sprintf "chaos %s (violations must be 0%s)" name
+                (if mirrored then "; mirrored: no loss either" else "")))
+      row;
+    if mirrored && Chaos_harness.lost [ row ] > 0 then begin
+      if not quiet then
+        print_endline
+          "MIRRORED LOSS: every reported-lost and tail-ambiguous update \
+           should have been repaired from the intact replica";
+      exit exit_violations
+    end
   end
 
 let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
     quiet =
-  if session then session_chaos seeds quiet
+  if session then begin
+    if unhardened || mirrored || sharded || batched || txn || relaxed then begin
+      Printf.eprintf
+        "chaos: --session composes with no other campaign flag\n";
+      exit 1
+    end;
+    session_chaos seeds quiet
+  end
   else if relaxed then begin
     if sharded || batched || txn then begin
       Printf.eprintf "chaos: --relaxed composes with --mirrored only\n";
@@ -290,90 +318,7 @@ let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
     Printf.eprintf "chaos: --batched does not compose with --sharded\n";
     exit 1
   end
-  else
-  let open Test_support in
-  let campaign (type u r) (run : plan:Chaos.plan -> gen_update:_ -> gen_read:_ -> unit -> _)
-      (gen_update : Onll_util.Splitmix.t -> u)
-      (gen_read : Onll_util.Splitmix.t -> r) =
-    let violations = ref 0 and crashed = ref 0 in
-    let media = ref 0 and transients = ref 0 and nested = ref 0 in
-    let lost = ref 0 and ambiguous = ref 0 in
-    for seed = 1 to seeds do
-      let plan =
-        let p =
-          match (batched, sharded, mirrored) with
-          | true, _, false -> Chaos_harness.batched_plan_of_seed seed
-          | true, _, true -> Chaos_harness.batched_mirrored_plan_of_seed seed
-          | false, false, false -> Chaos_harness.plan_of_seed seed
-          | false, false, true -> Chaos_harness.mirrored_plan_of_seed seed
-          | false, true, false -> Chaos_harness.sharded_plan_of_seed seed
-          | false, true, true -> Chaos_harness.sharded_mirrored_plan_of_seed seed
-        in
-        if unhardened then { p with Chaos.hardened = false } else p
-      in
-      let r = run ~plan ~gen_update ~gen_read () in
-      let f = r.Chaos.faults in
-      if r.Chaos.crashed then incr crashed;
-      media := !media + f.Onll_faults.Faults.bit_flips + f.torn_spans;
-      transients := !transients + f.flush_transients + f.fence_transients;
-      nested := !nested + r.Chaos.nested_fired;
-      lost := !lost + r.Chaos.lost_reported;
-      ambiguous := !ambiguous + r.Chaos.tail_ambiguous;
-      if r.Chaos.violations <> [] then begin
-        incr violations;
-        if not quiet then begin
-          Printf.printf "seed %d VIOLATIONS:\n" seed;
-          List.iter (fun v -> Printf.printf "  %s\n" v) r.Chaos.violations
-        end
-      end
-    done;
-    if not quiet then
-      Printf.printf
-        "%s%s%s: %d runs, %d crashed, %d media faults, %d transients, %d nested \
-         recovery crashes, %d reported-lost, %d tail-ambiguous, %d runs with \
-         violations\n"
-        (spec
-        ^ (if sharded then "/sharded" else "")
-        ^ if batched then "/batched" else "")
-        (if mirrored then " (mirrored, primary-only faults)" else "")
-        (if unhardened then " (unhardened calibration)" else "")
-        seeds !crashed !media !transients !nested !lost !ambiguous !violations;
-    (* hardened must be clean; the unhardened baseline must be caught *)
-    if unhardened then begin
-      if !violations = 0 then begin
-        if not quiet then
-          Printf.printf
-            "calibration FAILED: the unhardened recovery was never caught\n";
-        exit 1
-      end
-    end
-    else if !violations > 0 then exit exit_violations
-    else if mirrored && !lost + !ambiguous > 0 then begin
-      (* primary-only faults against a mirror must cost NOTHING *)
-      if not quiet then
-        Printf.printf
-          "MIRRORED LOSS: %d reported-lost + %d tail-ambiguous should all \
-           have been repaired from the intact replica\n"
-          !lost !ambiguous;
-      exit exit_violations
-    end
-  in
-  match spec with
-  | "counter" ->
-      let module C = Chaos.Make (Onll_specs.Counter) in
-      campaign C.run Gen.Counter.update Gen.Counter.read
-  | "queue" ->
-      let module C = Chaos.Make (Onll_specs.Queue_spec) in
-      campaign C.run Gen.Queue.update Gen.Queue.read
-  | "kv" ->
-      let module C = Chaos.Make (Onll_specs.Kv) in
-      campaign C.run Gen.Kv.update Gen.Kv.read
-  | "stack" ->
-      let module C = Chaos.Make (Onll_specs.Stack_spec) in
-      campaign C.run Gen.Stack.update Gen.Stack.read
-  | other ->
-      Printf.eprintf "unknown spec %S (try counter, queue, kv, stack)\n" other;
-      exit 1
+  else object_chaos spec seeds unhardened mirrored sharded batched quiet
 
 let chaos_cmd =
   let doc =
@@ -394,10 +339,11 @@ let chaos_cmd =
      With $(b,--session), run the E15 exactly-once session grid instead \
      (counter and ledger workloads through durable client sessions over \
      the plain, mirrored and sharded backends, plus the naive \
-     at-least-once calibration arm, $(i,SEEDS) seeds per arm); the other \
-     flags are ignored. With $(b,--txn), run the E19 cross-shard \
-     transaction atomicity campaign instead: seeded kv transfers cut by \
-     crashes at swept schedule points, audited all-or-nothing with \
+     at-least-once calibration arm, $(i,SEEDS) seeds per arm); it \
+     composes with no other campaign flag. With $(b,--txn), run the E19 \
+     cross-shard transaction atomicity campaign instead: seeded kv \
+     transfers cut by crashes at swept schedule points, audited \
+     all-or-nothing with \
      balanced books — composable with $(b,--mirrored) (and \
      $(b,--unhardened) for its no-sweep calibration), not with \
      $(b,--sharded)/$(b,--batched). With $(b,--relaxed), run the E20 \
@@ -1330,7 +1276,7 @@ let store_campaign seeds target dir keep =
   List.iter
     (Printf.eprintf "violation: %s\n")
     (Fchaos.campaign_violations cam);
-  if not keep then Fchaos.rm_rf base;
+  if not keep then Test_support.Temp_dir.rm_rf base;
   if Fchaos.campaign_violations cam <> [] then exit 1
 
 let store_campaign_cmd =
@@ -1812,7 +1758,7 @@ let service_campaign seeds dir keep =
   List.iter
     (Printf.eprintf "violation: %s\n")
     (Schaos.campaign_violations cam);
-  if not keep then Schaos.rm_rf base;
+  if not keep then Test_support.Temp_dir.rm_rf base;
   if Schaos.campaign_violations cam <> [] then exit 1
 
 let service_campaign_cmd =

@@ -15,7 +15,6 @@
     E12 plans as the scale calibration the mirrored rows are compared
     against. *)
 
-open Onll_util
 module Faults = Onll_faults.Faults
 
 (* The per-seed plan grid. Every knob is a pure function of the seed so a
@@ -110,271 +109,169 @@ let batched_plan_of_seed seed =
 let batched_mirrored_plan_of_seed seed =
   { (mirrored_plan_of_seed seed) with Chaos.batched = true; wait_free = false }
 
-type row = {
-  obj_name : string;
-  runs : int;
-  crashed : int;
-  media_faults : int;  (** bit flips + torn spans injected *)
-  transients : int;  (** transient flush/fence failures injected *)
-  nested : int;  (** nested recovery crashes that fired *)
-  lost_reported : int;
-  tail_ambiguous : int;
-  violations : int;
-  metrics : (string * int) list;  (** summed tracked sink counters *)
-}
+(* The four objects every E12/E13 arm drives, by name: one {!Chaos.Make}
+   instance each, closed over its generators. *)
+let objects =
+  let module Counter = Chaos.Make (Onll_specs.Counter) in
+  let module Queue = Chaos.Make (Onll_specs.Queue_spec) in
+  let module Kv = Chaos.Make (Onll_specs.Kv) in
+  let module Stack = Chaos.Make (Onll_specs.Stack_spec) in
+  [
+    ( "counter",
+      fun plan ->
+        Counter.run ~plan ~gen_update:Gen.Counter.update
+          ~gen_read:Gen.Counter.read () );
+    ( "queue",
+      fun plan ->
+        Queue.run ~plan ~gen_update:Gen.Queue.update ~gen_read:Gen.Queue.read
+          () );
+    ( "kv",
+      fun plan ->
+        Kv.run ~plan ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read () );
+    ( "stack",
+      fun plan ->
+        Stack.run ~plan ~gen_update:Gen.Stack.update ~gen_read:Gen.Stack.read
+          () );
+  ]
 
-type calibration = {
-  cal_runs : int;
-  cal_caught : int;  (** unhardened runs the audit flagged (must be > 0) *)
-}
+(* The counts projection: injected faults, nested crashes and loss
+   accounting, then the summed sink counters. *)
+let counts r =
+  let f = r.Chaos.faults in
+  [
+    ("media_faults", f.Faults.bit_flips + f.Faults.torn_spans);
+    ("transients", f.Faults.flush_transients + f.Faults.fence_transients);
+    ("nested_crashes", r.Chaos.nested_fired);
+    ("reported_lost", r.Chaos.lost_reported);
+    ("tail_ambiguous", r.Chaos.tail_ambiguous);
+  ]
+  @ r.Chaos.metrics
 
-type summary = {
-  rows : row list;
-  calibration : calibration;
-  messages : string list;  (** concrete violation messages, if any *)
-}
+(** [seeds] runs of object [obj] over [plan_of]'s grid, as one row. *)
+let arm ?(plan_of = plan_of_seed) ~obj ?(name = obj) ~seeds () =
+  Campaign.arm ~name ~seeds
+    ~crashed:(fun r -> r.Chaos.crashed)
+    ~violations:(fun r -> r.Chaos.violations)
+    ~counts
+    (fun seed -> List.assoc obj objects (plan_of seed))
 
-let total_violations s =
-  List.fold_left (fun acc r -> acc + r.violations) 0 s.rows
+(** Calibration: the same plans, unhardened recovery. A run is caught when
+    the audit flags it at all — which it must, for silent truncation under
+    media faults, on at least one seed. *)
+let calibrate ?(plan_of = plan_of_seed) ~obj ~seeds () =
+  Campaign.calibrate ~seeds
+    ~caught:(fun r -> r.Chaos.violations <> [])
+    (fun seed ->
+      List.assoc obj objects { (plan_of seed) with Chaos.hardened = false })
 
-module Drive (S : Onll_core.Spec.S) = struct
-  module C = Chaos.Make (S)
+(* The six columns the E14/E16 chaos slices print and gate. *)
+let slice_columns =
+  [
+    ("runs", "runs");
+    ("crashed", "crashed");
+    ("media", "media_faults");
+    ("reported-lost", "reported_lost");
+    ("tail-ambig", "tail_ambiguous");
+    ("violations", "violations");
+  ]
 
-  let campaign ?(plan_of = plan_of_seed) ~name ~gen_update ~gen_read ~seeds
-      ~messages () =
-    let zero k = (k, 0) in
-    let acc =
-      ref
-        {
-          obj_name = name;
-          runs = 0;
-          crashed = 0;
-          media_faults = 0;
-          transients = 0;
-          nested = 0;
-          lost_reported = 0;
-          tail_ambiguous = 0;
-          violations = 0;
-          metrics = List.map zero Chaos.tracked_counters;
-        }
-    in
-    for seed = 1 to seeds do
-      let r = C.run ~plan:(plan_of seed) ~gen_update ~gen_read () in
-      let a = !acc in
-      let f = r.Chaos.faults in
-      List.iter
-        (fun m -> messages := Printf.sprintf "%s seed %d: %s" name seed m :: !messages)
-        r.Chaos.violations;
-      acc :=
-        {
-          a with
-          runs = a.runs + 1;
-          crashed = (a.crashed + if r.Chaos.crashed then 1 else 0);
-          media_faults =
-            a.media_faults + f.Faults.bit_flips + f.Faults.torn_spans;
-          transients =
-            a.transients + f.Faults.flush_transients
-            + f.Faults.fence_transients;
-          nested = a.nested + r.Chaos.nested_fired;
-          lost_reported = a.lost_reported + r.Chaos.lost_reported;
-          tail_ambiguous = a.tail_ambiguous + r.Chaos.tail_ambiguous;
-          violations = a.violations + List.length r.Chaos.violations;
-          metrics =
-            List.map2
-              (fun (k, v) (k', v') ->
-                assert (k = k');
-                (k, v + v'))
-              a.metrics r.Chaos.metrics;
-        }
-    done;
-    !acc
-
-  (* Calibration: the same plans, unhardened recovery. A run is "caught"
-     when the audit flags it — which it must, for silent truncation under
-     media faults, on at least one seed. *)
-  let calibrate ~gen_update ~gen_read ~seeds =
-    let caught = ref 0 in
-    for seed = 1 to seeds do
-      let plan = { (plan_of_seed seed) with Chaos.hardened = false } in
-      let r = C.run ~plan ~gen_update ~gen_read () in
-      if r.Chaos.violations <> [] then incr caught
-    done;
-    (seeds, !caught)
-end
+let lost rows =
+  Campaign.total "reported_lost" rows + Campaign.total "tail_ambiguous" rows
 
 let run ~seeds_per_object ~calibration_seeds =
-  let messages = ref [] in
-  let module D_counter = Drive (Onll_specs.Counter) in
-  let module D_queue = Drive (Onll_specs.Queue_spec) in
-  let module D_kv = Drive (Onll_specs.Kv) in
-  let module D_stack = Drive (Onll_specs.Stack_spec) in
-  let rows =
-    [
-      D_counter.campaign ~name:"counter" ~gen_update:Gen.Counter.update
-        ~gen_read:Gen.Counter.read ~seeds:seeds_per_object ~messages ();
-      D_queue.campaign ~name:"queue" ~gen_update:Gen.Queue.update
-        ~gen_read:Gen.Queue.read ~seeds:seeds_per_object ~messages ();
-      D_kv.campaign ~name:"kv" ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read
-        ~seeds:seeds_per_object ~messages ();
-      D_stack.campaign ~name:"stack" ~gen_update:Gen.Stack.update
-        ~gen_read:Gen.Stack.read ~seeds:seeds_per_object ~messages ();
-    ]
-  in
-  (* Calibration on the kv object: rich payloads make silent truncation
-     bite fast. *)
-  let cal_runs, cal_caught =
-    D_kv.calibrate ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read
-      ~seeds:calibration_seeds
-  in
   {
-    rows;
-    calibration = { cal_runs; cal_caught };
-    messages = List.rev !messages;
+    Campaign.rows =
+      List.map (fun (obj, _) -> arm ~obj ~seeds:seeds_per_object ()) objects;
+    cal_runs = calibration_seeds;
+    (* on the kv object: rich payloads make silent truncation bite fast *)
+    cal_caught = calibrate ~obj:"kv" ~seeds:calibration_seeds ();
   }
 
-let print s =
-  Table.print
-    ~title:
+let print_rows
+    ?(title =
       "E12 — chaos campaign (media faults × transient flush/fence failures \
-       × nested recovery crashes; violations must be 0)"
-    ~header:
+       × nested recovery crashes; violations must be 0)") rows =
+  Campaign.print ~title ~header:"object"
+    ~columns:
       [
-        "object";
-        "runs";
-        "crashed";
-        "media";
-        "transient";
-        "nested";
-        "reported-lost";
-        "tail-ambig";
-        "violations";
+        ("runs", "runs");
+        ("crashed", "crashed");
+        ("media", "media_faults");
+        ("transient", "transients");
+        ("nested", "nested_crashes");
+        ("reported-lost", "reported_lost");
+        ("tail-ambig", "tail_ambiguous");
+        ("violations", "violations");
       ]
-    (List.map
-       (fun r ->
-         [
-           r.obj_name;
-           string_of_int r.runs;
-           string_of_int r.crashed;
-           string_of_int r.media_faults;
-           string_of_int r.transients;
-           string_of_int r.nested;
-           string_of_int r.lost_reported;
-           string_of_int r.tail_ambiguous;
-           string_of_int r.violations;
-         ])
-       s.rows);
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) s.messages;
-  Printf.printf
-    "calibration (unhardened recovery): %d/%d runs caught losing data %s\n"
-    s.calibration.cal_caught s.calibration.cal_runs
-    (if s.calibration.cal_caught > 0 then "(detector fires)"
-     else "(DETECTOR NEVER FIRED — campaign proves nothing)")
+    rows
+
+let print_calibration =
+  Campaign.print_calibration ~arm:"unhardened recovery"
+    ~verdict:"runs caught losing data"
+
+let print s =
+  print_rows s.Campaign.rows;
+  print_calibration s
+
+(* Fold a summary into the BENCH_e12.json snapshot: fault, retry, salvage
+   and recovery counters are first-class metrics. *)
+let to_metrics s = Campaign.summary_metrics ~prefix:"chaos" s
 
 (* {2 E13 — mirrored logs, scrubbing, repair-aware recovery} *)
 
 type e13_summary = {
-  mirrored : row list;
+  mirrored : Campaign.row list;
       (** 2-way mirrored, faults on primaries only: zero violations AND
           zero reported-lost AND zero tail-ambiguous required *)
-  dual : row list;
+  dual : Campaign.row list;
       (** mirrored, faults on every replica: zero violations required;
           double-fault losses reappear but must be named *)
-  unmirrored : row list;
+  unmirrored : Campaign.row list;
       (** the E12 plans re-run hardened and unmirrored — the calibration
           scale mirrored rows are compared against (must show losses) *)
-  e13_messages : string list;
 }
 
-let e13_violations s =
-  List.fold_left (fun acc r -> acc + r.violations) 0 (s.mirrored @ s.dual)
-
-let e13_mirrored_lost s =
-  List.fold_left
-    (fun acc r -> acc + r.lost_reported + r.tail_ambiguous)
-    0 s.mirrored
-
-let e13_unmirrored_lost s =
-  List.fold_left
-    (fun acc r -> acc + r.lost_reported + r.tail_ambiguous)
-    0 s.unmirrored
+let e13_violations s = Campaign.total "violations" (s.mirrored @ s.dual)
+let e13_mirrored_lost s = lost s.mirrored
+let e13_unmirrored_lost s = lost s.unmirrored
 
 let run_e13 ~seeds_per_object ~dual_seeds ~unmirrored_seeds =
-  let messages = ref [] in
-  let module D_counter = Drive (Onll_specs.Counter) in
-  let module D_queue = Drive (Onll_specs.Queue_spec) in
-  let module D_kv = Drive (Onll_specs.Kv) in
-  let module D_stack = Drive (Onll_specs.Stack_spec) in
-  let arm plan_of suffix seeds =
-    [
-      D_counter.campaign ~plan_of ~name:("counter" ^ suffix)
-        ~gen_update:Gen.Counter.update ~gen_read:Gen.Counter.read ~seeds
-        ~messages ();
-      D_queue.campaign ~plan_of ~name:("queue" ^ suffix)
-        ~gen_update:Gen.Queue.update ~gen_read:Gen.Queue.read ~seeds
-        ~messages ();
-      D_kv.campaign ~plan_of ~name:("kv" ^ suffix)
-        ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read ~seeds ~messages ();
-      D_stack.campaign ~plan_of ~name:("stack" ^ suffix)
-        ~gen_update:Gen.Stack.update ~gen_read:Gen.Stack.read ~seeds
-        ~messages ();
-    ]
-  in
-  let mirrored = arm mirrored_plan_of_seed "" seeds_per_object in
-  let dual =
-    [
-      D_kv.campaign ~plan_of:dual_fault_plan_of_seed ~name:"kv/dual"
-        ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read ~seeds:dual_seeds
-        ~messages ();
-    ]
-  in
-  let unmirrored =
-    [
-      D_kv.campaign ~plan_of:plan_of_seed ~name:"kv/unmirrored"
-        ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read
-        ~seeds:unmirrored_seeds ~messages ();
-    ]
-  in
-  { mirrored; dual; unmirrored; e13_messages = List.rev !messages }
+  {
+    mirrored =
+      List.map
+        (fun (obj, _) ->
+          arm ~plan_of:mirrored_plan_of_seed ~obj ~seeds:seeds_per_object ())
+        objects;
+    dual =
+      [
+        arm ~plan_of:dual_fault_plan_of_seed ~obj:"kv" ~name:"kv/dual"
+          ~seeds:dual_seeds ();
+      ];
+    unmirrored =
+      [ arm ~obj:"kv" ~name:"kv/unmirrored" ~seeds:unmirrored_seeds () ];
+  }
 
 let print_e13 s =
-  let render rows =
-    List.map
-      (fun r ->
-        [
-          r.obj_name;
-          string_of_int r.runs;
-          string_of_int r.crashed;
-          string_of_int r.media_faults;
-          string_of_int (List.assoc "scrubs" r.metrics);
-          string_of_int (List.assoc "repairs" r.metrics);
-          string_of_int (List.assoc "scrub.repaired" r.metrics);
-          string_of_int r.lost_reported;
-          string_of_int r.tail_ambiguous;
-          string_of_int r.violations;
-        ])
-      rows
-  in
-  Table.print
+  Campaign.print
     ~title:
       "E13 — mirrored chaos campaign (2 replicas; primary-only faults must \
        cost NOTHING: reported-lost, tail-ambig and violations all 0; the \
        dual arm may lose but must say so; the unmirrored arm shows the \
        E12-scale losses mirroring removed)"
-    ~header:
+    ~header:"object"
+    ~columns:
       [
-        "object";
-        "runs";
-        "crashed";
-        "media";
-        "scrubs";
-        "repairs";
-        "scrub-fix";
-        "reported-lost";
-        "tail-ambig";
-        "violations";
+        ("runs", "runs");
+        ("crashed", "crashed");
+        ("media", "media_faults");
+        ("scrubs", "scrubs");
+        ("repairs", "repairs");
+        ("scrub-fix", "scrub.repaired");
+        ("reported-lost", "reported_lost");
+        ("tail-ambig", "tail_ambiguous");
+        ("violations", "violations");
       ]
-    (render (s.mirrored @ s.dual @ s.unmirrored));
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) s.e13_messages;
+    (s.mirrored @ s.dual @ s.unmirrored);
   Printf.printf
     "mirrored losses: %d (must be 0) | unmirrored calibration losses: %d %s\n"
     (e13_mirrored_lost s) (e13_unmirrored_lost s)
@@ -383,47 +280,16 @@ let print_e13 s =
 
 let e13_to_metrics s =
   let reg = Onll_obs.Metrics.create () in
-  let add name v = Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg name) v in
-  let fold prefix r =
-    let p fmt = Printf.sprintf fmt prefix r.obj_name in
-    add (p "%s.%s.runs") r.runs;
-    add (p "%s.%s.crashed") r.crashed;
-    add (p "%s.%s.media_faults") r.media_faults;
-    add (p "%s.%s.transients") r.transients;
-    add (p "%s.%s.nested_crashes") r.nested;
-    add (p "%s.%s.reported_lost") r.lost_reported;
-    add (p "%s.%s.tail_ambiguous") r.tail_ambiguous;
-    add (p "%s.%s.violations") r.violations;
-    List.iter
-      (fun (k, v) -> add (Printf.sprintf "%s.%s.%s" prefix r.obj_name k) v)
-      r.metrics
-  in
-  List.iter (fold "e13.mirrored") s.mirrored;
-  List.iter (fold "e13.dual") s.dual;
-  List.iter (fold "e13.unmirrored") s.unmirrored;
-  reg
-
-(* Fold a summary into a metrics registry for the BENCH_e12.json snapshot
-   (satellite: fault/retry/salvage/recovery counters are first-class
-   metrics). *)
-let to_metrics s =
-  let reg = Onll_obs.Metrics.create () in
-  let add name v = Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg name) v in
   List.iter
-    (fun r ->
-      let p fmt = Printf.sprintf fmt r.obj_name in
-      add (p "chaos.%s.runs") r.runs;
-      add (p "chaos.%s.crashed") r.crashed;
-      add (p "chaos.%s.media_faults") r.media_faults;
-      add (p "chaos.%s.transients") r.transients;
-      add (p "chaos.%s.nested_crashes") r.nested;
-      add (p "chaos.%s.reported_lost") r.lost_reported;
-      add (p "chaos.%s.tail_ambiguous") r.tail_ambiguous;
-      add (p "chaos.%s.violations") r.violations;
+    (fun (group, rows) ->
       List.iter
-        (fun (k, v) -> add (Printf.sprintf "chaos.%s.%s" r.obj_name k) v)
-        r.metrics)
-    s.rows;
-  add "chaos.calibration.runs" s.calibration.cal_runs;
-  add "chaos.calibration.caught" s.calibration.cal_caught;
+        (fun r ->
+          ignore
+            (Campaign.to_metrics ~reg
+               ~prefix:(Printf.sprintf "e13.%s.%s" group r.Campaign.name)
+               r))
+        rows)
+    [
+      ("mirrored", s.mirrored); ("dual", s.dual); ("unmirrored", s.unmirrored);
+    ];
   reg

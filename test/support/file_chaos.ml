@@ -255,27 +255,7 @@ type slice_totals = {
   mutable t_violations : int;
 }
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "onll-e17-%d-%d" (Unix.getpid ()) !n)
-    in
-    Unix.mkdir d 0o755;
-    d
-
-let rm_rf dir =
-  let rec go p =
-    if Sys.is_directory p then begin
-      Array.iter (fun f -> go (Filename.concat p f)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists dir then go dir
+let fresh_dir () = Temp_dir.fresh ~prefix:"onll-e17"
 
 let run_restart_scenario ~replicas ~target ~seed totals =
   let dir = fresh_dir () in
@@ -309,7 +289,7 @@ let run_restart_scenario ~replicas ~target ~seed totals =
   totals.t_reacked <- totals.t_reacked + a.reacked;
   totals.t_violations <- totals.t_violations + List.length a.violations;
   List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  rm_rf dir
+  Temp_dir.rm_rf dir
 
 let slice_to_metrics reg ~prefix t =
   let c name v = Metrics.add (Metrics.counter reg (prefix ^ "." ^ name)) v in
@@ -348,7 +328,7 @@ let run_eio_slices reg =
   c "e17.eio.retry.acks" a.acks;
   c "e17.eio.retry.violations" (List.length a.violations);
   List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  rm_rf dir;
+  Temp_dir.rm_rf dir;
   (* EIO past the budget: fsyncgate page loss on every attempt. The fence
      must never succeed, the store must degrade sticky, the epoch must not
      ack the in-flight update — and a clean restart must still see every
@@ -384,7 +364,7 @@ let run_eio_slices reg =
   c "e17.eio.sticky.acks_before" acked_before;
   c "e17.eio.sticky.violations" (List.length a.violations);
   List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  rm_rf dir;
+  Temp_dir.rm_rf dir;
   (* short writes: torn sectors at pwrite granularity, healed by the
      bounded re-write retry — all acks land, zero violations *)
   let dir = fresh_dir () in
@@ -406,7 +386,7 @@ let run_eio_slices reg =
   c "e17.shortw.acks" a.acks;
   c "e17.shortw.violations" (List.length a.violations);
   List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  rm_rf dir;
+  Temp_dir.rm_rf dir;
   (* disk-full: one injected ENOSPC fails the attempt, the retry lands *)
   let dir = fresh_dir () in
   let a = audit_create () in
@@ -423,7 +403,7 @@ let run_eio_slices reg =
   c "e17.enospc.acks" a.acks;
   c "e17.enospc.violations" (List.length a.violations);
   List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  rm_rf dir
+  Temp_dir.rm_rf dir
 
 let gate_slices reg =
   let plain =

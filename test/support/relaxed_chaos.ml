@@ -420,159 +420,93 @@ let run ~plan () =
 
 (* {2 Campaign aggregation} *)
 
-type row = {
-  arm : string;
-  runs : int;
-  crashed : int;
-  completed : int;
-  lost : int;
-  drains : int;
-  deferred : int;
-  converge_steps : int;
-  violations : int;
-}
+let counts r =
+  [
+    ("acked", r.completed);
+    ("lost", r.lost);
+    ("drains", r.drains);
+    ("deferred", r.deferred);
+    ("converge_steps", r.converge_steps);
+  ]
 
-type summary = {
-  rows : row list;
-  hist : (int * int) list;
-      (** (tail depth at the crash, crashed runs at that depth) — the
-          measured ops-at-risk distribution, bounded by the budget *)
-  cal_runs : int;
-  cal_caught : int;  (** unhardened runs the audit flagged (must be > 0) *)
-  messages : string list;
-}
+(* [?hist] tallies the tail depth (ops at risk) of every crashed run. *)
+let arm ?(plan_of = plan_of_seed) ?hist ~name ~seeds () =
+  Campaign.arm ~name ~seeds
+    ~crashed:(fun r -> r.crashed)
+    ~violations:(fun r -> r.violations)
+    ~counts
+    (fun seed ->
+      let r = run ~plan:(plan_of seed) () in
+      (match hist with
+      | Some h when r.crashed ->
+          Hashtbl.replace h r.depth_at_crash
+            (1 + Option.value ~default:0 (Hashtbl.find_opt h r.depth_at_crash))
+      | _ -> ());
+      r)
 
-let total_violations s =
-  List.fold_left (fun acc r -> acc + r.violations) 0 s.rows
-
-let campaign ?(plan_of = plan_of_seed) ?hist ~arm ~seeds ~messages () =
-  let acc =
-    ref
-      {
-        arm;
-        runs = 0;
-        crashed = 0;
-        completed = 0;
-        lost = 0;
-        drains = 0;
-        deferred = 0;
-        converge_steps = 0;
-        violations = 0;
-      }
-  in
-  for seed = 1 to seeds do
-    let r = run ~plan:(plan_of seed) () in
-    List.iter
-      (fun m ->
-        messages := Printf.sprintf "%s seed %d: %s" arm seed m :: !messages)
-      r.violations;
-    (match hist with
-    | Some h when r.crashed ->
-        Hashtbl.replace h r.depth_at_crash
-          (1 + Option.value ~default:0 (Hashtbl.find_opt h r.depth_at_crash))
-    | _ -> ());
-    let a = !acc in
-    acc :=
-      {
-        a with
-        runs = a.runs + 1;
-        crashed = (a.crashed + if r.crashed then 1 else 0);
-        completed = a.completed + r.completed;
-        lost = a.lost + r.lost;
-        drains = a.drains + r.drains;
-        deferred = a.deferred + r.deferred;
-        converge_steps = a.converge_steps + r.converge_steps;
-        violations = a.violations + List.length r.violations;
-      }
-  done;
-  !acc
-
+(* The ledger-free calibration: caught when a crash run is flagged. *)
 let calibrate ~seeds =
-  let caught = ref 0 in
-  for seed = 1 to seeds do
-    let plan = { (plan_of_seed seed) with hardened = false } in
-    let r = run ~plan () in
-    if r.crashed && r.violations <> [] then incr caught
-  done;
-  (seeds, !caught)
+  Campaign.calibrate ~seeds
+    ~caught:(fun r -> r.crashed && r.violations <> [])
+    (fun seed -> run ~plan:{ (plan_of_seed seed) with hardened = false } ())
 
+(* The summary, and the measured ops-at-risk distribution: (tail depth at
+   the crash, crashed runs at that depth), bounded by the budget. *)
 let run_campaign ~seeds ~calibration_seeds =
-  let messages = ref [] in
   let h = Hashtbl.create 16 in
   let rows =
     [
-      campaign ~arm:"relaxed" ~hist:h ~seeds ~messages ();
-      campaign ~plan_of:mirrored_plan_of_seed ~arm:"relaxed/mirrored"
-        ~hist:h ~seeds ~messages ();
+      arm ~name:"relaxed" ~hist:h ~seeds ();
+      arm ~plan_of:mirrored_plan_of_seed ~name:"relaxed/mirrored" ~hist:h
+        ~seeds ();
     ]
   in
-  let cal_runs, cal_caught = calibrate ~seeds:calibration_seeds in
-  {
-    rows;
-    hist =
-      List.sort compare (Hashtbl.fold (fun d n acc -> (d, n) :: acc) h []);
-    cal_runs;
-    cal_caught;
-    messages = List.rev !messages;
-  }
+  ( {
+      Campaign.rows;
+      cal_runs = calibration_seeds;
+      cal_caught = calibrate ~seeds:calibration_seeds;
+    },
+    List.sort compare (Hashtbl.fold (fun d n acc -> (d, n) :: acc) h []) )
 
-let print s =
-  Onll_util.Table.print
+let print_rows rows =
+  Campaign.print
     ~title:
       "E20 — bounded-staleness crash chaos (swept crash points; loss is \
        at most the budgeted suffix, named exactly, never resurrected; \
        violations must be 0)"
-    ~header:
+    ~header:"arm"
+    ~columns:
       [
-        "arm"; "runs"; "crashed"; "acked"; "lost"; "drains"; "deferred";
-        "converge-steps"; "violations";
+        ("runs", "runs");
+        ("crashed", "crashed");
+        ("acked", "acked");
+        ("lost", "lost");
+        ("drains", "drains");
+        ("deferred", "deferred");
+        ("converge-steps", "converge_steps");
+        ("violations", "violations");
       ]
-    (List.map
-       (fun r ->
-         [
-           r.arm;
-           string_of_int r.runs;
-           string_of_int r.crashed;
-           string_of_int r.completed;
-           string_of_int r.lost;
-           string_of_int r.drains;
-           string_of_int r.deferred;
-           string_of_int r.converge_steps;
-           string_of_int r.violations;
-         ])
-       s.rows);
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) s.messages;
+    rows
+
+let print_calibration =
+  Campaign.print_calibration ~arm:"unhardened recovery, ledger ignored"
+    ~verdict:"crashes caught losing acknowledged updates"
+
+let print (s, hist) =
+  print_rows s.Campaign.rows;
   Printf.printf "ops at risk when the crash hit (tail depth -> runs): %s\n"
     (String.concat ", "
-       (List.map (fun (d, n) -> Printf.sprintf "%d->%d" d n) s.hist));
-  Printf.printf
-    "calibration (unhardened recovery, ledger ignored): %d/%d crashes \
-     caught losing acknowledged updates %s\n"
-    s.cal_caught s.cal_runs
-    (if s.cal_caught > 0 then "(detector fires)"
-     else "(DETECTOR NEVER FIRED — campaign proves nothing)")
+       (List.map (fun (d, n) -> Printf.sprintf "%d->%d" d n) hist));
+  print_calibration s
 
 (* Fold into a metrics registry for the BENCH_e20.json gate slice
    ([?reg] merges into an existing summary instead). *)
-let to_metrics ?(reg = Onll_obs.Metrics.create ()) s =
-  let add name v =
-    Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg name) v
-  in
+let to_metrics ?reg (s, hist) =
+  let reg = Campaign.summary_metrics ?reg ~prefix:"e20" s in
   List.iter
-    (fun r ->
-      let p fmt = Printf.sprintf fmt r.arm in
-      add (p "e20.%s.runs") r.runs;
-      add (p "e20.%s.crashed") r.crashed;
-      add (p "e20.%s.acked") r.completed;
-      add (p "e20.%s.lost") r.lost;
-      add (p "e20.%s.drains") r.drains;
-      add (p "e20.%s.deferred") r.deferred;
-      add (p "e20.%s.converge_steps") r.converge_steps;
-      add (p "e20.%s.violations") r.violations)
-    s.rows;
-  List.iter
-    (fun (d, n) -> add (Printf.sprintf "e20.risk.hist.%d" d) n)
-    s.hist;
-  add "e20.calibration.runs" s.cal_runs;
-  add "e20.calibration.caught" s.cal_caught;
+    (fun (d, n) ->
+      Onll_obs.Metrics.add
+        (Onll_obs.Metrics.counter reg (Printf.sprintf "e20.risk.hist.%d" d))
+        n)
+    hist;
   reg

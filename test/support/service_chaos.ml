@@ -30,27 +30,7 @@ module Service = Onll_serve.Service
 module Protocol = Onll_serve.Protocol
 module Loadgen = Onll_serve.Loadgen
 
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let d =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "onll-e18-%d-%d" (Unix.getpid ()) !n)
-    in
-    Unix.mkdir d 0o755;
-    d
-
-let rm_rf dir =
-  let rec go p =
-    if Sys.is_directory p then begin
-      Array.iter (fun f -> go (Filename.concat p f)) (Sys.readdir p);
-      Unix.rmdir p
-    end
-    else Sys.remove p
-  in
-  if Sys.file_exists dir then go dir
+let fresh_dir () = Temp_dir.fresh ~prefix:"onll-e18"
 
 let inc_op = Onll_util.Codec.encode Cs.update_codec Cs.Increment
 
@@ -242,7 +222,7 @@ let run_restart_scenario ~construction ~target ~seed totals =
     totals.t_violations <- totals.t_violations + 1
   end;
   totals.t_scenarios <- totals.t_scenarios + 1;
-  rm_rf dir
+  Temp_dir.rm_rf dir
 
 (* Protocol policy surface, deterministically: refusals, injectivity,
    drain semantics — no faults, one epoch. *)
@@ -326,7 +306,7 @@ let run_policy_slice reg =
   c "e18.policy.sessions" (Srv.sessions svc);
   c "e18.policy.region_bytes" (Srv.region_bytes svc);
   Fm.close fmach;
-  rm_rf dir
+  Temp_dir.rm_rf dir
 
 (* The allocator across a restart: the unused tail of a reserved block
    is abandoned, never re-handed. *)
@@ -359,7 +339,7 @@ let run_oseq_slice reg =
   c "e18.oseq.restart_first" after;
   c "e18.oseq.reused" reused;
   Fm.close fmach;
-  rm_rf dir
+  Temp_dir.rm_rf dir
 
 let gate_slices reg =
   let plain = new_totals () in

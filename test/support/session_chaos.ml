@@ -682,104 +682,30 @@ end
 
 (* {2 Campaign} *)
 
-type row = {
-  row_name : string;  (** "<spec>/<arm>" *)
-  runs : int;
-  crashed : int;
-  logical : int;
-  acked : int;
-  duplicates : int;
-  lost_acks : int;
-  transients : int;
-  media_faults : int;
-  nested : int;
-  violations : int;
-  metrics : (string * int) list;  (** summed tracked sink counters *)
-}
+(* The counts projection: the exactly-once bookkeeping, injected faults,
+   then the summed sink counters. *)
+let counts r =
+  let f = r.faults in
+  [
+    ("logical", r.logical);
+    ("acked", r.acked);
+    ("duplicates", r.duplicates);
+    ("lost_acks", r.lost_acks);
+    ("transients", f.Faults.flush_transients + f.Faults.fence_transients);
+    ("media_faults", f.Faults.bit_flips + f.Faults.torn_spans);
+    ("nested_crashes", r.nested_fired);
+  ]
+  @ r.metrics
 
-type summary = {
-  rows : row list;
-  messages : string list;  (** concrete violation messages, if any *)
-}
-
-let is_naive_row r =
-  String.length r.row_name >= 6
-  && String.sub r.row_name (String.length r.row_name - 5) 5 = "naive"
-
-let e15_violations s =
-  List.fold_left (fun acc r -> acc + r.violations) 0 s.rows
-
-let e15_session_duplicates s =
-  List.fold_left
-    (fun acc r -> if is_naive_row r then acc else acc + r.duplicates)
-    0 s.rows
-
-let e15_session_lost_acks s =
-  List.fold_left
-    (fun acc r -> if is_naive_row r then acc else acc + r.lost_acks)
-    0 s.rows
+(* The summary is the row list; rows are named "<spec>/<arm>". *)
+let is_naive r = String.ends_with ~suffix:"/naive" r.Campaign.name
+let session_rows s = List.filter (fun r -> not (is_naive r)) s
+let e15_violations s = Campaign.total "violations" s
+let e15_session_duplicates s = Campaign.total "duplicates" (session_rows s)
+let e15_session_lost_acks s = Campaign.total "lost_acks" (session_rows s)
 
 let e15_naive_duplicates s =
-  List.fold_left
-    (fun acc r -> if is_naive_row r then acc + r.duplicates else acc)
-    0 s.rows
-
-module Drive (S : Onll_core.Spec.S) = struct
-  module SC = Make (S)
-
-  let campaign ~arm ~name ~op_of ~check ~seeds ~messages () =
-    let zero k = (k, 0) in
-    let acc =
-      ref
-        {
-          row_name = name;
-          runs = 0;
-          crashed = 0;
-          logical = 0;
-          acked = 0;
-          duplicates = 0;
-          lost_acks = 0;
-          transients = 0;
-          media_faults = 0;
-          nested = 0;
-          violations = 0;
-          metrics = List.map zero tracked_counters;
-        }
-    in
-    for seed = 1 to seeds do
-      let r = SC.run ~plan:(plan_of_seed ~arm seed) ~op_of ~check () in
-      let a = !acc in
-      let f = r.faults in
-      List.iter
-        (fun m ->
-          messages := Printf.sprintf "%s seed %d: %s" name seed m :: !messages)
-        r.violations;
-      acc :=
-        {
-          a with
-          runs = a.runs + 1;
-          crashed = (a.crashed + if r.crashed then 1 else 0);
-          logical = a.logical + r.logical;
-          acked = a.acked + r.acked;
-          duplicates = a.duplicates + r.duplicates;
-          lost_acks = a.lost_acks + r.lost_acks;
-          transients =
-            a.transients + f.Faults.flush_transients
-            + f.Faults.fence_transients;
-          media_faults =
-            a.media_faults + f.Faults.bit_flips + f.Faults.torn_spans;
-          nested = a.nested + r.nested_fired;
-          violations = a.violations + List.length r.violations;
-          metrics =
-            List.map2
-              (fun (k, v) (k', v') ->
-                assert (k = k');
-                (k, v + v'))
-              a.metrics r.metrics;
-        }
-    done;
-    !acc
-end
+  Campaign.total "duplicates" (List.filter is_naive s)
 
 (* Deterministic per-client workloads. Both specs are duplicate-sensitive:
    a counter counts every applied increment; a per-client ledger account
@@ -828,68 +754,52 @@ let ledger_check ~n_procs ~read ~applied =
          | _ -> [ Printf.sprintf "ledger: Balance(c%d) returned non-amount" p ]))
 
 let run_e15 ~seeds_per_arm =
-  let messages = ref [] in
-  let module D_counter = Drive (Onll_specs.Counter) in
-  let module D_ledger = Drive (Onll_specs.Ledger) in
+  let module Counter = Make (Onll_specs.Counter) in
+  let module Ledger = Make (Onll_specs.Ledger) in
   let n_procs = (plan_of_seed 1).n_procs in
-  let arms = [ Plain; Mirrored; Sharded; Naive ] in
-  let rows =
-    List.concat_map
-      (fun arm ->
-        [
-          D_counter.campaign ~arm
-            ~name:(Printf.sprintf "counter/%s" (arm_label arm))
-            ~op_of:counter_op ~check:counter_check ~seeds:seeds_per_arm
-            ~messages ();
-          D_ledger.campaign ~arm
-            ~name:(Printf.sprintf "ledger/%s" (arm_label arm))
-            ~op_of:ledger_op
-            ~check:(ledger_check ~n_procs)
-            ~seeds:seeds_per_arm ~messages ();
-        ])
-      arms
+  let arm ~spec run arm =
+    Campaign.arm
+      ~name:(Printf.sprintf "%s/%s" spec (arm_label arm))
+      ~seeds:seeds_per_arm
+      ~crashed:(fun r -> r.crashed)
+      ~violations:(fun r -> r.violations)
+      ~counts
+      (fun seed -> run ~plan:(plan_of_seed ~arm seed) ())
   in
-  { rows; messages = List.rev !messages }
+  List.concat_map
+    (fun a ->
+      [
+        arm ~spec:"counter"
+          (Counter.run ~op_of:counter_op ~check:counter_check)
+          a;
+        arm ~spec:"ledger"
+          (Ledger.run ~op_of:ledger_op ~check:(ledger_check ~n_procs))
+          a;
+      ])
+    [ Plain; Mirrored; Sharded; Naive ]
 
 let print s =
-  Table.print
+  Campaign.print
     ~title:
       "E15 — exactly-once session campaign (session arms must show 0 \
        duplicates and 0 lost acks; the naive at-least-once arm is the \
        calibration and must duplicate)"
-    ~header:
+    ~header:"workload/arm"
+    ~columns:
       [
-        "workload/arm";
-        "runs";
-        "crashed";
-        "logical";
-        "acked";
-        "timeouts";
-        "indoubt";
-        "reinvoked";
-        "compact";
-        "dups";
-        "lost-acks";
-        "violations";
+        ("runs", "runs");
+        ("crashed", "crashed");
+        ("logical", "logical");
+        ("acked", "acked");
+        ("timeouts", "session.timeouts");
+        ("indoubt", "session.indoubt");
+        ("reinvoked", "session.resolved.reinvoked");
+        ("compact", "session.compactions");
+        ("dups", "duplicates");
+        ("lost-acks", "lost_acks");
+        ("violations", "violations");
       ]
-    (List.map
-       (fun r ->
-         [
-           r.row_name;
-           string_of_int r.runs;
-           string_of_int r.crashed;
-           string_of_int r.logical;
-           string_of_int r.acked;
-           string_of_int (List.assoc "session.timeouts" r.metrics);
-           string_of_int (List.assoc "session.indoubt" r.metrics);
-           string_of_int (List.assoc "session.resolved.reinvoked" r.metrics);
-           string_of_int (List.assoc "session.compactions" r.metrics);
-           string_of_int r.duplicates;
-           string_of_int r.lost_acks;
-           string_of_int r.violations;
-         ])
-       s.rows);
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) s.messages;
+    s;
   Printf.printf
     "session arms: %d duplicates, %d lost acks (both must be 0) | naive \
      calibration: %d duplicates %s\n"
@@ -898,31 +808,16 @@ let print s =
     (if e15_naive_duplicates s > 0 then "(detector fires)"
      else "(NAIVE ARM NEVER DUPLICATED — campaign proves nothing)")
 
-(* Fold a summary into a metrics registry for the BENCH_e15.json snapshot
-   and the deterministic gate slice. *)
+(* Fold the rows into a metrics registry for the BENCH_e15.json snapshot
+   and the deterministic gate slice; "<spec>/<arm>" keys as
+   "e15.<spec>.<arm>.*". *)
 let to_metrics s =
   let reg = Onll_obs.Metrics.create () in
-  let add name v =
-    Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg name) v
-  in
   List.iter
     (fun r ->
       let name =
-        String.map (fun c -> if c = '/' then '.' else c) r.row_name
+        String.map (fun c -> if c = '/' then '.' else c) r.Campaign.name
       in
-      let p fmt = Printf.sprintf fmt name in
-      add (p "e15.%s.runs") r.runs;
-      add (p "e15.%s.crashed") r.crashed;
-      add (p "e15.%s.logical") r.logical;
-      add (p "e15.%s.acked") r.acked;
-      add (p "e15.%s.duplicates") r.duplicates;
-      add (p "e15.%s.lost_acks") r.lost_acks;
-      add (p "e15.%s.transients") r.transients;
-      add (p "e15.%s.media_faults") r.media_faults;
-      add (p "e15.%s.nested_crashes") r.nested;
-      add (p "e15.%s.violations") r.violations;
-      List.iter
-        (fun (k, v) -> add (Printf.sprintf "e15.%s.%s" name k) v)
-        r.metrics)
-    s.rows;
+      ignore (Campaign.to_metrics ~reg ~prefix:("e15." ^ name) r))
+    s;
   reg

@@ -1,0 +1,25 @@
+(** Scratch directories for the subprocess campaigns (E17, E18): one fresh
+    directory per scenario under the system temp dir, removed after. *)
+
+(** A new empty directory named [<prefix>-<pid>-<n>]. *)
+let fresh =
+  let n = ref 0 in
+  fun ~prefix ->
+    incr n;
+    let d =
+      Filename.concat
+        (Filename.get_temp_dir_name ())
+        (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !n)
+    in
+    Unix.mkdir d 0o755;
+    d
+
+let rm_rf dir =
+  let rec go p =
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> go (Filename.concat p f)) (Sys.readdir p);
+      Unix.rmdir p
+    end
+    else Sys.remove p
+  in
+  if Sys.file_exists dir then go dir

@@ -319,125 +319,59 @@ let run ~plan () =
 
 (* {2 Campaign aggregation} *)
 
-type row = {
-  arm : string;
-  runs : int;
-  crashed : int;
-  completed : int;
-  committed : int;
-  swept : int;
-  violations : int;
-}
+let counts r =
+  [ ("completed", r.completed); ("committed", r.committed); ("swept", r.swept) ]
 
-type summary = {
-  rows : row list;
-  cal_runs : int;
-  cal_caught : int;  (** unhardened runs the audit flagged (must be > 0) *)
-  messages : string list;
-}
+let arm ?(plan_of = plan_of_seed) ~name ~seeds () =
+  Campaign.arm ~name ~seeds
+    ~crashed:(fun r -> r.crashed)
+    ~violations:(fun r -> r.violations)
+    ~counts
+    (fun seed -> run ~plan:(plan_of seed) ())
 
-let total_violations s =
-  List.fold_left (fun acc r -> acc + r.violations) 0 s.rows
-
-let campaign ?(plan_of = plan_of_seed) ~arm ~seeds ~messages () =
-  let acc =
-    ref
-      {
-        arm;
-        runs = 0;
-        crashed = 0;
-        completed = 0;
-        committed = 0;
-        swept = 0;
-        violations = 0;
-      }
-  in
-  for seed = 1 to seeds do
-    let r = run ~plan:(plan_of seed) () in
-    List.iter
-      (fun m ->
-        messages := Printf.sprintf "%s seed %d: %s" arm seed m :: !messages)
-      r.violations;
-    let a = !acc in
-    acc :=
-      {
-        a with
-        runs = a.runs + 1;
-        crashed = (a.crashed + if r.crashed then 1 else 0);
-        completed = a.completed + r.completed;
-        committed = a.committed + r.committed;
-        swept = a.swept + r.swept;
-        violations = a.violations + List.length r.violations;
-      }
-  done;
-  !acc
-
+(* The no-sweep calibration: caught when a crash run is flagged. *)
 let calibrate ~seeds =
-  let caught = ref 0 in
-  for seed = 1 to seeds do
-    let plan = { (plan_of_seed seed) with hardened = false } in
-    let r = run ~plan () in
-    if r.crashed && r.violations <> [] then incr caught
-  done;
-  (seeds, !caught)
+  Campaign.calibrate ~seeds
+    ~caught:(fun r -> r.crashed && r.violations <> [])
+    (fun seed -> run ~plan:{ (plan_of_seed seed) with hardened = false } ())
 
 let run_campaign ~seeds ~calibration_seeds =
-  let messages = ref [] in
-  let rows =
-    [
-      campaign ~arm:"txn" ~seeds ~messages ();
-      campaign ~plan_of:mirrored_plan_of_seed ~arm:"txn/mirrored" ~seeds
-        ~messages ();
-    ]
-  in
-  let cal_runs, cal_caught = calibrate ~seeds:calibration_seeds in
-  { rows; cal_runs; cal_caught; messages = List.rev !messages }
+  {
+    Campaign.rows =
+      [
+        arm ~name:"txn" ~seeds ();
+        arm ~plan_of:mirrored_plan_of_seed ~name:"txn/mirrored" ~seeds ();
+      ];
+    cal_runs = calibration_seeds;
+    cal_caught = calibrate ~seeds:calibration_seeds;
+  }
 
-let print s =
-  Table.print
+let print_rows rows =
+  Campaign.print
     ~title:
       "E19 — cross-shard transaction atomicity chaos (crash sweep; after \
        every crash a transfer is all-or-nothing and the books balance; \
        violations must be 0)"
-    ~header:
+    ~header:"arm"
+    ~columns:
       [
-        "arm"; "runs"; "crashed"; "completed"; "committed"; "swept";
-        "violations";
+        ("runs", "runs");
+        ("crashed", "crashed");
+        ("completed", "completed");
+        ("committed", "committed");
+        ("swept", "swept");
+        ("violations", "violations");
       ]
-    (List.map
-       (fun r ->
-         [
-           r.arm;
-           string_of_int r.runs;
-           string_of_int r.crashed;
-           string_of_int r.completed;
-           string_of_int r.committed;
-           string_of_int r.swept;
-           string_of_int r.violations;
-         ])
-       s.rows);
-  List.iter (fun m -> Printf.printf "  VIOLATION %s\n" m) s.messages;
-  Printf.printf
-    "calibration (unhardened recovery, no sweep): %d/%d crashes caught \
-     losing or tearing transactions %s\n"
-    s.cal_caught s.cal_runs
-    (if s.cal_caught > 0 then "(detector fires)"
-     else "(DETECTOR NEVER FIRED — campaign proves nothing)")
+    rows
+
+let print_calibration =
+  Campaign.print_calibration ~arm:"unhardened recovery, no sweep"
+    ~verdict:"crashes caught losing or tearing transactions"
+
+let print s =
+  print_rows s.Campaign.rows;
+  print_calibration s
 
 (* Fold into a metrics registry for the BENCH_e19.json gate slice
    ([?reg] merges into an existing summary instead). *)
-let to_metrics ?(reg = Onll_obs.Metrics.create ()) s =
-  let add name v = Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg name) v in
-  List.iter
-    (fun r ->
-      let p fmt = Printf.sprintf fmt r.arm in
-      add (p "e19.%s.runs") r.runs;
-      add (p "e19.%s.crashed") r.crashed;
-      add (p "e19.%s.completed") r.completed;
-      add (p "e19.%s.committed") r.committed;
-      add (p "e19.%s.swept") r.swept;
-      add (p "e19.%s.violations") r.violations)
-    s.rows;
-  add "e19.calibration.runs" s.cal_runs;
-  add "e19.calibration.caught" s.cal_caught;
-  reg
+let to_metrics ?reg s = Campaign.summary_metrics ?reg ~prefix:"e19" s

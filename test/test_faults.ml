@@ -244,6 +244,113 @@ let test_chaos_run_hardened_and_calibration () =
   done;
   check Alcotest.bool "unhardened baseline caught" true !caught
 
+(* {1 The campaign loop (Test_support.Campaign)} *)
+
+module Campaign = Test_support.Campaign
+
+(* A fake per-seed run: seed [s] crashes when odd, counts [s] hits and
+   [2s] misses, and fails its audit on multiples of 3. *)
+type fake = {
+  f_crashed : bool;
+  f_counts : (string * int) list;
+  f_bad : string list;
+}
+
+let fake seed =
+  {
+    f_crashed = seed mod 2 = 1;
+    f_counts = [ ("hits", seed); ("misses", 2 * seed) ];
+    f_bad = (if seed mod 3 = 0 then [ "bad"; "worse" ] else []);
+  }
+
+let fake_arm ?(counts = fun r -> r.f_counts) seeds =
+  Campaign.arm ~name:"fake" ~seeds
+    ~crashed:(fun r -> r.f_crashed)
+    ~violations:(fun r -> r.f_bad)
+    ~counts fake
+
+let test_campaign_sums_per_key () =
+  let r = fake_arm 4 in
+  check Alcotest.int "runs" 4 r.Campaign.runs;
+  check Alcotest.int "crashed (seeds 1 and 3)" 2 r.Campaign.crashed;
+  check
+    Alcotest.(list (pair string int))
+    "counts summed per key, in projection order"
+    [ ("hits", 10); ("misses", 20) ]
+    r.Campaign.counts
+
+let test_campaign_violations_in_seed_order () =
+  let r = fake_arm 6 in
+  check
+    Alcotest.(list string)
+    "<arm> seed <n>: <msg>, seed order"
+    [
+      "fake seed 3: bad";
+      "fake seed 3: worse";
+      "fake seed 6: bad";
+      "fake seed 6: worse";
+    ]
+    r.Campaign.violations;
+  check Alcotest.int "violations counted" 4 (Campaign.get r "violations")
+
+let test_campaign_misaligned_keys_raise () =
+  let raises counts =
+    try
+      ignore (fake_arm ~counts 2);
+      false
+    with Assert_failure _ | Invalid_argument _ -> true
+  in
+  (* seed 1 crashes, seed 2 does not: the second run's keys disagree *)
+  let reordered r = if r.f_crashed then r.f_counts else List.rev r.f_counts in
+  let dropped r = if r.f_crashed then r.f_counts else List.tl r.f_counts in
+  check Alcotest.bool "keys out of order raise" true (raises reordered);
+  check Alcotest.bool "a missing key raises" true (raises dropped)
+
+let test_campaign_calibration_predicate () =
+  let seen = ref [] in
+  let caught =
+    Campaign.calibrate ~seeds:9
+      ~caught:(fun r -> r.f_bad <> [])
+      (fun seed ->
+        seen := seed :: !seen;
+        fake seed)
+  in
+  check Alcotest.int "only runs the predicate accepts (seeds 3, 6, 9)" 3
+    caught;
+  check
+    Alcotest.(list int)
+    "every seed run once" [ 9; 8; 7; 6; 5; 4; 3; 2; 1 ] !seen
+
+let test_campaign_metrics_keys () =
+  let r = fake_arm 3 in
+  let dump reg =
+    List.map
+      (fun (k, v) ->
+        match v with
+        | Onll_obs.Metrics.Int n -> (k, n)
+        | _ -> Alcotest.fail ("non-counter metric " ^ k))
+      (Onll_obs.Metrics.dump reg)
+  in
+  check
+    Alcotest.(list (pair string int))
+    "exactly prefix.key for the listed keys"
+    [ ("x.y.misses", 12); ("x.y.runs", 3); ("x.y.violations", 2) ]
+    (dump
+       (Campaign.to_metrics ~prefix:"x.y"
+          ~keys:[ "runs"; "misses"; "violations" ]
+          r));
+  check
+    Alcotest.(list (pair string int))
+    "no keys: every field"
+    [
+      ("p.crashed", 2);
+      ("p.hits", 6);
+      ("p.misses", 12);
+      ("p.runs", 3);
+      ("p.violations", 2);
+    ]
+    (dump (Campaign.to_metrics ~prefix:"p" r))
+
 (* {1 Scrubbing under active rot} *)
 
 let test_scrub_under_active_rot_never_spreads_damage () =
@@ -490,6 +597,19 @@ let () =
             `Quick test_scrub_under_active_rot_never_spreads_damage;
           Alcotest.test_case "relocate under active rot never loses" `Quick
             test_relocate_under_active_rot_never_loses;
+        ] );
+      ( "campaign loop",
+        [
+          Alcotest.test_case "counts sum per key" `Quick
+            test_campaign_sums_per_key;
+          Alcotest.test_case "violations in seed order" `Quick
+            test_campaign_violations_in_seed_order;
+          Alcotest.test_case "misaligned count keys raise" `Quick
+            test_campaign_misaligned_keys_raise;
+          Alcotest.test_case "calibration counts its predicate" `Quick
+            test_campaign_calibration_predicate;
+          Alcotest.test_case "to_metrics emits exactly the listed keys"
+            `Quick test_campaign_metrics_keys;
         ] );
       ( "backend parity",
         [
