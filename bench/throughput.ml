@@ -1,12 +1,13 @@
 (** E3 — throughput vs core count, and E5 — throughput vs fence latency.
 
     The same functorised implementations measured on the native machine:
-    real domains, [Atomic] shared variables, persistent fences emulated by a
-    calibrated spin of configurable duration. Expected shapes: the
-    non-durable object is the ceiling; ONLL tracks it at one emulated fence
-    per update; shadow paging runs at roughly half ONLL's rate (two fences
-    and a global lock); flat combining serialises everything through one
-    combiner; gaps widen as the fence gets more expensive (E5). *)
+    real domains, [Atomic] shared variables, persistent fences emulated by
+    a busy-wait of configurable duration on the monotonic clock. Expected
+    shapes: the non-durable object is the ceiling; ONLL tracks it at one
+    emulated fence per update; shadow paging runs at roughly half ONLL's
+    rate (two fences and a global lock); flat combining serialises
+    everything through one combiner; gaps widen as the fence gets more
+    expensive (E5). *)
 
 open Onll_machine
 module Cs = Onll_specs.Counter

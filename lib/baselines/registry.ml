@@ -213,7 +213,7 @@ module Make (S : Onll_core.Spec.S) = struct
         let obj = C.make cfg in
         let module Sess = Onll_session.Make (M) (S) in
         let module Over = Sess.Over (C) in
-        let backend = Over.backend ~log_capacity:o.log_capacity obj in
+        let backend = Over.backend obj in
         let config =
           {
             Onll_session.default_config with

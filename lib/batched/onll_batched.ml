@@ -591,6 +591,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
         with_lock t (fun () -> checkpoint_body t))
 
+  let reclaim t = with_lock t (fun () -> L.relocate t.log)
+
   let prune _t ~below:_ =
     raise
       (Trace_intf.Unsupported
@@ -631,6 +633,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
           };
         ];
     }
+
+  let log_fill t =
+    float_of_int (L.live_bytes t.log) /. float_of_int (L.capacity t.log)
 
   let batch_stats t = (t.batches, t.batched_ops)
   let durable_watermark t = M.Tvar.get t.durable

@@ -181,6 +181,7 @@ module type CONSTRUCTION = sig
   val was_linearized : t -> op_id -> bool
   val recovered_ops : t -> (op_id * int) list
   val checkpoint : t -> int
+  val reclaim : t -> unit
   val prune : t -> below:int -> unit
 
   type envelope
@@ -191,6 +192,7 @@ module type CONSTRUCTION = sig
   val trace_base : t -> int * state
   val current_state : t -> state
   val snapshot : t -> Snapshot.t
+  val log_fill : t -> float
 end
 
 (* CONSTRUCTION plus the order/linearize split and the oracle-aware
@@ -884,6 +886,8 @@ module Make_generic
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
         checkpoint_body t (M.self ()))
 
+  let reclaim t = L.relocate t.logs.(M.self ())
+
   let prune t ~below =
     T.prune t.trace ~below ~state_before:(fun node -> istate_at t node)
 
@@ -924,6 +928,13 @@ module Make_generic
       logs;
     }
 
+  (* From the logs' in-memory accounts: no durable load. *)
+  let log_fill t =
+    Array.fold_left
+      (fun acc l ->
+        Float.max acc
+          (float_of_int (L.live_bytes l) /. float_of_int (L.capacity l)))
+      0. t.logs
 end
 
 (** The paper's construction: ONLL over the lock-free Listing 2 trace. *)

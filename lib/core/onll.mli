@@ -299,6 +299,14 @@ module type CONSTRUCTION = sig
       @raise Onll.Log_full if the checkpoint record cannot fit even after
       compaction. *)
 
+  val reclaim : t -> unit
+  (** Physically compact the caller's log: move its live span to the
+      front of the log ({!Onll_plog.Plog.Make.relocate}), so the dead
+      bytes a {!checkpoint} left before the head take appends again.
+      Durable and crash-atomic; a no-op, with no fence, when there is
+      nothing to reclaim. A {!checkpoint} followed by [reclaim] keeps the
+      caller's log clear of the update path's emergency compaction. *)
+
   val prune : t -> below:int -> unit
   (** Make trace nodes with execution index < [below] unreachable,
       materialising their cumulative state (the node at [below] must be
@@ -325,6 +333,13 @@ module type CONSTRUCTION = sig
   (** Every introspection statistic in one call, decoding each log once:
       durable watermark, fuzzy-window high-water mark, degraded flag and
       per-log space/entry statistics. *)
+
+  val log_fill : t -> float
+  (** The fullest log's live bytes over its capacity (the maximum over
+      the object's logs). A {!checkpoint} shrinks the caller's live bytes
+      to what it cannot summarise away. Read from each log's in-memory
+      account in O(logs), with no durable load, so admission control can
+      sample it on every submission. *)
 end
 
 (** {!CONSTRUCTION} plus the hooks a cross-shard transaction coordinator

@@ -8,9 +8,9 @@
     Two implementations exist: {!Sim} (deterministic scheduler + simulated
     NVM, for correctness, crash testing and fence accounting) and {!Native}
     (OCaml 5 domains + [Atomic], with persistent fences emulated by a
-    calibrated spin, for throughput experiments). The construction is a
-    functor over this signature, so the code measured natively is the code
-    verified under simulation. *)
+    busy-wait on the monotonic clock, for throughput experiments). The
+    construction is a functor over this signature, so the code measured
+    natively is the code verified under simulation. *)
 
 module type S = sig
   val id : string

@@ -1,5 +1,7 @@
 external sched_yield : unit -> unit = "onll_sched_yield" [@@noalloc]
-external monotonic_ns : unit -> int64 = "onll_monotonic_ns"
+external monotonic_ns : unit -> (int64[@unboxed])
+  = "onll_monotonic_ns" "onll_monotonic_ns_unboxed"
+[@@noalloc]
 
 type proc_slot = {
   mutable pending : int;  (* flushed-but-unfenced line count *)
@@ -18,38 +20,17 @@ type t = {
   names_lock : Mutex.t;
 }
 
-let iters_per_ns = ref 0.0
-
-let calibrate () =
-  if !iters_per_ns = 0.0 then begin
-    (* Measure a pure spin loop against the monotonic clock — never the
-       wall clock, whose NTP steps would silently skew the calibrated
-       fence duration. The loop body matches [spin] below. *)
-    let iters = 50_000_000 in
-    let t0 = monotonic_ns () in
-    let x = ref 0 in
-    for i = 1 to iters do
-      if !x land 1 = 0 then incr x else x := !x + i land 1
-    done;
-    let t1 = monotonic_ns () in
-    ignore (Sys.opaque_identity !x);
-    let ns = Int64.to_float (Int64.sub t1 t0) in
-    iters_per_ns := float_of_int iters /. Float.max ns 1.0
-  end;
-  !iters_per_ns
-
-let spin_iters ns = int_of_float (float_of_int ns *. calibrate ())
-
-let spin iters =
-  let x = ref 0 in
-  for i = 1 to iters do
-    if !x land 1 = 0 then incr x else x := !x + i land 1
-  done;
-  ignore (Sys.opaque_identity !x)
+(* The emulated fence: busy-wait until [ns] have passed on the monotonic
+   clock. The clock read is a noalloc stub returning an unboxed int64, so
+   the loop allocates nothing and needs no per-host calibration. *)
+let spin_ns ns =
+  let deadline = Int64.add (monotonic_ns ()) (Int64.of_int ns) in
+  while Int64.compare (monotonic_ns ()) deadline < 0 do
+    ()
+  done
 
 let create ?(fence_ns = 500) ?(sink = Onll_obs.Sink.null) ~max_processes () =
   if max_processes < 1 then invalid_arg "Native.create: max_processes < 1";
-  ignore (calibrate ());
   {
     max_processes;
     fence_ns;
@@ -174,7 +155,7 @@ end) : Machine_sig.S = struct
       if Onll_obs.Sink.active n.sink then
         Onll_obs.Sink.emit n.sink ~proc:(self_exn n)
           (Onll_obs.Event.Fence { persistent = true });
-      if n.fence_ns > 0 then spin (spin_iters n.fence_ns)
+      if n.fence_ns > 0 then spin_ns n.fence_ns
     end
 
   let self () = self_exn n

@@ -2,12 +2,13 @@
 
     For throughput experiments the construction runs on real hardware
     parallelism: [Tvar] is [Atomic], persistent-memory regions are plain
-    byte buffers, and a persistent fence is emulated by a calibrated busy
-    spin of configurable duration (modelling the CPU stall while pending
-    write-backs drain to NVM, §2.1). Flushes are free, exactly as in the
-    cost model. Crashes are not supported on this machine — crash-recovery
-    correctness is the simulator's job; the native machine exists to measure
-    who wins and by how much as fence cost and core count vary.
+    byte buffers, and a persistent fence is emulated by a busy-wait of
+    configurable duration on the monotonic clock (modelling the CPU stall
+    while pending write-backs drain to NVM, §2.1). Flushes are free,
+    exactly as in the cost model. Crashes are not supported on this
+    machine — crash-recovery correctness is the simulator's job; the
+    native machine exists to measure who wins and by how much as fence
+    cost and core count vary.
 
     Worker domains must call {!register} (or be started via {!run_workers})
     before touching the machine, so that per-process state (pending flush
@@ -42,10 +43,7 @@ val set_sink : t -> Onll_obs.Sink.t -> unit
 val persistent_fences : t -> int
 val reset_stats : t -> unit
 
-val calibrate : unit -> float
-(** Spin-loop iterations per nanosecond on this host; measured once and
-    cached. Exposed for reporting. *)
-
 val monotonic_ns : unit -> int64
 (** [CLOCK_MONOTONIC] in nanoseconds — immune to wall-clock (NTP) steps.
-    Used by {!calibrate} and by benches that time real fsync fences. *)
+    The emulated fence waits on it, and benches time real fsync fences
+    with it. Allocation-free in native code. *)

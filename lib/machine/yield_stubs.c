@@ -18,11 +18,19 @@ CAMLprim value onll_sched_yield(value unit)
   return Val_unit;
 }
 
-/* Monotonic nanoseconds. Fence calibration and fsync timing must not see
-   wall-clock steps (NTP slews would skew the calibrated spin). */
-CAMLprim value onll_monotonic_ns(value unit)
+/* Monotonic nanoseconds. The emulated fence spins against this clock and
+   fsync timing reads it, so neither may see wall-clock (NTP) steps. The
+   unboxed variant allocates nothing: native code calls it in the fence's
+   busy-wait loop. */
+int64_t onll_monotonic_ns_unboxed(value unit)
 {
   struct timespec ts;
+  (void)unit;
   clock_gettime(CLOCK_MONOTONIC, &ts);
-  return caml_copy_int64((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec);
+  return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+CAMLprim value onll_monotonic_ns(value unit)
+{
+  return caml_copy_int64(onll_monotonic_ns_unboxed(unit));
 }

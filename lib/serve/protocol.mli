@@ -66,7 +66,10 @@ type req =
     durable state except [R_timeout], which is the session contract's
     indeterminate case — the client resolves it by re-attaching. *)
 type refusal =
-  | R_overloaded  (** watermark admission shed it before any durable work *)
+  | R_overloaded
+      (** watermark admission shed it: the object's log was still at the
+          watermark after a compaction (or compaction was withheld while
+          another session's op is in doubt). The op did no durable work. *)
   | R_timeout
       (** deadline passed (before work: definite) or the durable path
           timed out (indeterminate: reattach to resolve) *)

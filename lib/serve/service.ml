@@ -150,12 +150,6 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
        that drains the shared tail at quiesce. *)
     tier_submit : (Protocol.tier -> Cs.update_op -> int) option;
     tier_flush : unit -> unit;
-    (* watermark admission for the tiered path — the session applies the
-       same policy inside [Sess.submit]; without it the relaxed tiers
-       would never shed and overload would surface as deadline blowouts
-       instead of definite refusals *)
-    mutable tier_submits : int;
-    mutable tier_pressure : float;
     proc : int;  (* the machine process every session runs on *)
     scfg : Onll_session.config;
     backend : Sess.backend;  (* shared by every session; b_alloc installed *)
@@ -211,6 +205,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     let alloc = Oseq.create ~sink ~block:oseq_block () in
     Oseq.recover alloc;
+    let sessions = Hashtbl.create 256 in
     let base_backend, read0, obj_degraded, tier_submit, tier_flush =
       match construction with
       | Plain | Mirrored ->
@@ -232,10 +227,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           in
           ignore (R.recover_report robj : Onll_core.Onll.Recovery_report.t);
           let module Ov = Sess.Over (C) in
-          let base = Ov.backend ~log_capacity obj in
+          let base = Ov.backend obj in
           ( {
               base with
-              Sess.b_update_detectable =
+              (* compact through the wrapper, under its lock: the
+                 checkpoint covers the staleness tail and clears it, so
+                 the tail stays a suffix of the linearization *)
+              Sess.b_compact =
+                (fun () ->
+                  ignore (R.checkpoint robj : int);
+                  C.reclaim obj;
+                  true);
+              b_update_detectable =
                 (fun ~seq op ->
                   (* an exactly-once update fences its own fuzzy window,
                      which skips the acked-available tail; earlier
@@ -260,7 +263,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           let obj = C.make ccfg in
           ignore (C.recover_report obj : Onll_core.Onll.Recovery_report.t);
           let module Ov = Sess.Over (C) in
-          ( Ov.backend ~log_capacity obj,
+          ( Ov.backend obj,
             (fun () -> C.read obj Cs.Get),
             (fun () -> C.degraded obj),
             None,
@@ -269,20 +272,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           let module C = Onll_sharded.Make (M) (Cs) in
           let obj = C.make ~shards:4 ccfg in
           ignore (C.recover_report obj : Onll_core.Onll.Recovery_report.t);
-          let capf = float_of_int (max log_capacity 1) in
           ( {
               Sess.b_update_detectable =
                 (fun ~seq op -> C.update_detectable obj ~seq op);
               b_was_linearized = (fun op id -> C.was_linearized obj op id);
               b_read = (fun r -> C.read obj r);
               b_degraded = (fun () -> C.degraded obj);
-              b_pressure =
+              b_pressure = (fun () -> C.log_fill obj);
+              b_compact =
                 (fun () ->
-                  let snap = C.snapshot obj in
-                  List.fold_left
-                    (fun acc (l : Onll_core.Onll.Snapshot.log) ->
-                      Float.max acc (float_of_int l.live_bytes /. capf))
-                    0. snap.Onll_core.Onll.Snapshot.logs);
+                  ignore (C.checkpoint obj : int);
+                  C.reclaim obj;
+                  true);
               b_alloc = None;
             },
             (fun () -> C.read obj Cs.Get),
@@ -291,8 +292,28 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             fun () -> () )
     in
     let dir = Dir.create ~sink ~max_clients () in
+    (* The compaction guard. Every session shares this process and the
+       allocator, so a session's in-doubt operation may hold an identity
+       that never reached the object (its intent append, or the flush
+       before the object call, ran out of retries) while later
+       identities did. A checkpoint now would set the process's floor
+       above it, and [was_linearized] would vouch for an operation that
+       never ran — the phantom apply of the {!Dir} comment, reachable on
+       a live re-attach as well as after a restart. So admission does
+       not compact (it sheds instead) until every such operation is
+       resolved. *)
+    let in_doubt () =
+      Seq.exists
+        (fun s -> Sess.pending s <> None)
+        (Hashtbl.to_seq_values sessions)
+    in
     let backend =
-      { base_backend with Sess.b_alloc = Some (fun () -> Oseq.next alloc) }
+      {
+        base_backend with
+        Sess.b_compact =
+          (fun () -> (not (in_doubt ())) && base_backend.Sess.b_compact ());
+        b_alloc = Some (fun () -> Oseq.next alloc);
+      }
     in
     let scfg =
       match session with
@@ -307,8 +328,6 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       max_staleness;
       tier_submit;
       tier_flush;
-      tier_submits = 0;
-      tier_pressure = 0.;
       proc = M.self ();
       scfg;
       backend;
@@ -316,7 +335,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       obj_degraded;
       alloc;
       dir;
-      sessions = Hashtbl.create 256;
+      sessions;
       regions = Hashtbl.create 256;
       drain_flag = false;
       went_degraded = false;
@@ -479,24 +498,21 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      (staleness). [seq] is echoed, not checked: retrying an
      indeterminate submit may double-apply; that is the tier's stated
      trade. *)
-  let tier_overloaded t =
-    t.tier_submits <- t.tier_submits + 1;
-    if t.tier_submits mod max t.scfg.check_pressure_every 1 = 0 then
-      t.tier_pressure <- t.backend.Sess.b_pressure ();
-    t.scfg.high_watermark < 1.0
-    && t.tier_pressure >= t.scfg.high_watermark
-
-  let submit_tiered t ~seq ~op tier =
-    if tier_overloaded t then begin
-      Metrics.incr t.m_shed;
-      Protocol.Refused Protocol.R_overloaded
-    end
-    else
+  let submit_tiered t sess ~seq ~op tier =
     match Codec.decode Cs.update_codec op with
     | exception Codec.Decode_error _ -> Protocol.Refused Protocol.R_bad_op
     | uop -> (
-        match (Option.get t.tier_submit) tier uop with
-        | v ->
+        (* the session's own admission step: without it the relaxed tiers
+           would never shed and overload would surface as deadline
+           blowouts instead of definite refusals *)
+        match
+          if Sess.admit sess then Some ((Option.get t.tier_submit) tier uop)
+          else None
+        with
+        | None ->
+            Metrics.incr t.m_shed;
+            Protocol.Refused Protocol.R_overloaded
+        | Some v ->
             Metrics.incr t.m_ok;
             Metrics.incr
               (if tier = Protocol.T_strict then t.m_tier_strict
@@ -519,7 +535,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           Protocol.Refused Protocol.R_draining
         end
         else if conn.tier <> Protocol.T_exactly_once then
-          submit_tiered t ~seq ~op conn.tier
+          submit_tiered t sess ~seq ~op conn.tier
         else if Sess.pending sess <> None then begin
           (* an unresolved in-doubt op blocks new work; the client should
              have resolved it via Hello — refuse rather than guess *)

@@ -89,7 +89,14 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       a [Hello] may request ({!Protocol.tier.T_staleness}) — it is the
       risk budget of the {!Onll_relaxed} wrapper the service attaches
       over a [Plain] or [Mirrored] object. On [Sharded]/[Batched] every
-      relaxed tier is refused with {!Protocol.refusal.R_bad_tier}. *)
+      relaxed tier is refused with {!Protocol.refusal.R_bad_tier}.
+
+      Admission ({!Onll_session.Make.admit}, every tier) compacts the
+      object before it sheds: a checkpoint (through the relaxed wrapper
+      on [Plain]/[Mirrored], so the staleness tail stays a suffix) and
+      {!Onll_core.Onll.CONSTRUCTION.reclaim}. While any attached session
+      has an operation in doubt the service withholds compaction, for
+      the same floor reason as above, and admission sheds instead. *)
 
   type conn
   (** Per-connection authentication state (which session, if any, this

@@ -23,7 +23,6 @@ type config = {
   backoff_cap : int;
   deadline : int;
   high_watermark : float;
-  check_pressure_every : int;
   degradation : degradation;
   rng_seed : int;
 }
@@ -37,7 +36,6 @@ let default_config =
     backoff_cap = 64;
     deadline = 256;
     high_watermark = 0.85;
-    check_pressure_every = 16;
     degradation = Fail_writes;
     rng_seed = 0;
   }
@@ -99,6 +97,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     b_read : S.read_op -> S.value;
     b_degraded : unit -> bool;
     b_pressure : unit -> float;
+    b_compact : unit -> bool;
     b_alloc : (unit -> int) option;
         (* When several sessions share one object through the same client
            identity (a server hosting many clients on one machine process),
@@ -116,25 +115,18 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
               and type read_op = S.read_op
               and type value = S.value) =
   struct
-    let backend ?log_capacity c =
-      let cap =
-        match log_capacity with
-        | Some n -> n
-        | None -> Onll_core.Onll.Config.default.log_capacity
-      in
-      let capf = float_of_int (max cap 1) in
+    let backend c =
       {
         b_update_detectable = (fun ~seq op -> C.update_detectable c ~seq op);
         b_was_linearized = (fun _op id -> C.was_linearized c id);
         b_read = (fun r -> C.read c r);
         b_degraded = (fun () -> C.degraded c);
-        b_pressure =
+        b_pressure = (fun () -> C.log_fill c);
+        b_compact =
           (fun () ->
-            let snap = C.snapshot c in
-            List.fold_left
-              (fun acc (l : Onll_core.Onll.Snapshot.log) ->
-                Float.max acc (float_of_int l.live_bytes /. capf))
-              0. snap.Onll_core.Onll.Snapshot.logs);
+            ignore (C.checkpoint c : int);
+            C.reclaim c;
+            true);
         b_alloc = None;
       }
   end
@@ -152,8 +144,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     mutable acked : int;  (* every seq below this is resolved *)
     mutable pend : (int * int * S.update_op) option;
         (* durable in-doubt op: session seq, object seq, op *)
-    mutable submits : int;  (* submissions since attach (pressure sampling) *)
     mutable last_pressure : float;
+    mutable stuck_fill : float;
+        (* fill left by the last compaction that could not get below the
+           watermark; admission does not compact again until the fill
+           grows past it *)
     mutable attempts : Onll_core.Onll.op_id list;  (* newest first *)
     (* metric handles, resolved once *)
     m_retries : Metrics.counter;
@@ -267,8 +262,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         next = 0;
         acked = 0;
         pend = None;
-        submits = 0;
         last_pressure = 0.;
+        stuck_fill = Float.neg_infinity;
         attempts = [];
         m_retries = Metrics.counter reg "session.retries";
         m_indoubt = Metrics.counter reg "session.indoubt";
@@ -433,6 +428,42 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     in
     attempt_intent 1
 
+  (* Admission control: sample the backend's log fill, and at the
+     watermark compact and sample again, so that only what compaction
+     cannot reclaim is shed. A compaction that left the fill at or above
+     the watermark (or raised [Log_full]: nothing to reclaim) is not
+     retried until the fill grows past that level, so genuine overload
+     stays a cheap refusal. A compaction the backend declined, or that a
+     transient fault cut short, leaves no such mark. *)
+  let admit t =
+    let hw = t.cfg.high_watermark in
+    let below () =
+      t.last_pressure <- t.backend.b_pressure ();
+      t.last_pressure < hw
+    in
+    if hw >= 1.0 then true
+    else if below () then begin
+      t.stuck_fill <- Float.neg_infinity;
+      true
+    end
+    else if t.last_pressure <= t.stuck_fill then false
+    else begin
+      let ran =
+        match t.backend.b_compact () with
+        | ran -> ran
+        | exception Onll_core.Onll.Log_full _ -> true
+        | exception Onll_nvm.Memory.Transient_fault _ -> false
+      in
+      if below () then begin
+        t.stuck_fill <- Float.neg_infinity;
+        true
+      end
+      else begin
+        if ran then t.stuck_fill <- t.last_pressure;
+        false
+      end
+    end
+
   let submit t op =
     check_owner t "submit";
     (match t.pend with
@@ -453,11 +484,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     else begin
       if degraded && Sink.active t.sink then
         Metrics.incr t.m_degraded_writes;
-      if t.submits mod max t.cfg.check_pressure_every 1 = 0 then
-        t.last_pressure <- t.backend.b_pressure ();
-      t.submits <- t.submits + 1;
-      if t.cfg.high_watermark < 1.0 && t.last_pressure >= t.cfg.high_watermark
-      then begin
+      if not (admit t) then begin
         emit_outcome t ~seq:t.next Sess_shed;
         observe t t.h_shed t0;
         Error Overloaded

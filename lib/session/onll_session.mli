@@ -29,11 +29,16 @@
        backoff and deterministic jitter, and a per-operation deadline
        converts a stuck log into {!error.Timeout} instead of an unbounded
        hang;}
-    {- {b overload is shed before it stalls} — watermark-based admission
-       control refuses submissions ({!error.Overloaded}) while the
-       backend's live history nears its log capacity, {e before} the
-       construction's emergency checkpoint-and-compact path serialises
-       every process behind a full log;}
+    {- {b the log is compacted before anything is shed} — admission
+       control samples the backend's log fill on every submission (an
+       O(1) read of the logs' in-memory accounts, {!backend.b_pressure}).
+       At the watermark it compacts the backend first
+       ({!backend.b_compact}: a checkpoint) and samples again, and
+       refuses the submission ({!error.Overloaded}) only when the live
+       history that compaction cannot reclaim still reaches the
+       watermark — {e before} the construction's emergency
+       checkpoint-and-compact path serialises every process behind a
+       full log;}
     {- {b degraded media is a policy, not a surprise} — when the backend's
        sticky degraded flag is up (recovery or scrubbing admitted
        unrepairable loss), the session applies its configured
@@ -67,9 +72,11 @@ type error =
           flush/fence faults. Indeterminate: the operation may yet take
           effect (see module doc). *)
   | Overloaded
-      (** Admission control shed the submission before any durable work:
-          the backend's live history exceeds the configured watermark
-          fraction of its log capacity. Definitely not applied. *)
+      (** Admission control shed the submission: even after a compaction
+          the backend's live history reaches the configured watermark
+          fraction of its log capacity. The shed operation did no durable
+          work of its own (a compaction of the backend may have preceded
+          the refusal). Definitely not applied. *)
   | Degraded
       (** The degradation policy refused the submission: the backend has
           admitted unrepairable durable loss and this session is
@@ -112,12 +119,10 @@ type config = {
           exceeded the submission returns {!error.Timeout} ([0] = no
           deadline, retry up to [max_attempts]; default 256) *)
   high_watermark : float;
-      (** admission control: shed submissions while any backend log's
-          live bytes exceed this fraction of its capacity (default 0.85;
-          [>= 1.0] disables shedding) *)
-  check_pressure_every : int;
-      (** sample backend pressure every [n] submissions (a snapshot scan
-          is cheap but not free; default 16, [1] = every submission) *)
+      (** admission control: at this fill of any backend log (live bytes
+          over capacity) compact the backend, and shed submissions while
+          the fill compaction leaves still reaches it (default 0.85;
+          [>= 1.0] disables admission control) *)
   degradation : degradation;  (** default {!degradation.Fail_writes} *)
   rng_seed : int;
       (** seed for the backoff-jitter RNG. The jitter stream is a pure
@@ -130,7 +135,7 @@ type config = {
 val default_config : config
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
-  (** What the session needs from the object: five closures, so one
+  (** What the session needs from the object: six closures, so one
       session type composes with the plain, mirrored, wait-free {e and}
       sharded constructions (whose module types differ). Build it with
       {!Over} for any {!Onll_core.Onll.CONSTRUCTION}, or by hand for the
@@ -142,8 +147,23 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     b_read : S.read_op -> S.value;
     b_degraded : unit -> bool;  (** the sticky degraded snapshot flag *)
     b_pressure : unit -> float;
-        (** max over the backend's logs of live bytes / log capacity —
-            the fraction compaction cannot reclaim *)
+        (** max over the backend's logs of live bytes / log capacity
+            ({!Onll_core.Onll.CONSTRUCTION.log_fill}), sampled on every
+            submission, so it must be O(1) and load nothing durable.
+            Right after {!b_compact} it is the fraction compaction cannot
+            reclaim. *)
+    b_compact : unit -> bool;
+        (** Compact the backend (a checkpoint, then
+            {!Onll_core.Onll.CONSTRUCTION.reclaim}); admission control
+            calls it when {!b_pressure} reaches the watermark. [false]
+            means the backend declined and compacted nothing: admission
+            then sheds as if compaction could not help, but asks again
+            on the next submission. A multi-tenant backend declines while
+            any of its sessions has an in-doubt operation whose identity
+            may never have reached the object: a checkpoint's per-process
+            floor would pass that identity, and
+            {!Onll_core.Onll.CONSTRUCTION.was_linearized} would then
+            vouch for an operation that never ran. *)
     b_alloc : (unit -> int) option;
         (** Object-identity allocator for {e multi-tenant} backends. When
             one machine process hosts many client sessions over the same
@@ -167,11 +187,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
              with type update_op = S.update_op
               and type read_op = S.read_op
               and type value = S.value) : sig
-    val backend : ?log_capacity:int -> C.t -> backend
-    (** [log_capacity] must match the object's
-        {!Onll_core.Onll.Config.t.log_capacity} (default
-        {!Onll_core.Onll.Config.default}'s) — it is the denominator of
-        {!backend.b_pressure}. *)
+    val backend : C.t -> backend
+    (** [b_pressure] is {!Onll_core.Onll.CONSTRUCTION.log_fill} and
+        [b_compact] a {!Onll_core.Onll.CONSTRUCTION.checkpoint} followed
+        by {!Onll_core.Onll.CONSTRUCTION.reclaim} by the calling
+        process. *)
   end
 
   type t
@@ -247,7 +267,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
       retry/deadline/admission/degradation behaviour.
       @raise Onll_core.Onll.Log_full if the {e object}'s live history
       outgrows its log — terminal for the configured capacity, and
-      normally prevented by admission control shedding first.
+      normally prevented by admission control compacting, then
+      shedding, first.
       @raise Invalid_argument if called with an unresolved {!pending}
       operation (call {!recover} first) or by a process other than the
       owning client. *)
@@ -274,6 +295,16 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   (** Every identity the most recent {!submit} (or {!recover}
       re-invocation) tried, oldest first — the hook the E15 harness uses
       to audit exactly-once at the identity level. Volatile. *)
+
+  val admit : t -> bool
+  (** The admission step {!submit} runs before any durable work of its
+      own: sample {!backend.b_pressure}; at the watermark call
+      {!backend.b_compact} and sample again. [true] admits. A compaction
+      that could not get below the watermark is not retried until the
+      fill grows past the level it left, so repeated refusals under
+      genuine overload cost one O(1) sample each. Exposed for
+      front-ends that run other update paths over the same backend
+      under the same policy. *)
 
   val pressure : t -> float
   (** The backend pressure sample admission control last acted on. *)

@@ -30,8 +30,10 @@ module type SHARDED = sig
   val was_linearized : t -> Shard.update_op -> Onll_core.Onll.op_id -> bool
   val recovered_ops : t -> (int * Onll_core.Onll.op_id * int) list
   val checkpoint : t -> int
+  val reclaim : t -> unit
   val compact : t -> unit
   val snapshot : t -> Onll_core.Onll.Snapshot.t
+  val log_fill : t -> float
 end
 
 module Make_over
@@ -169,6 +171,8 @@ struct
   let checkpoint t =
     Array.fold_left (fun acc c -> acc + Shard.checkpoint c) 0 t.insts
 
+  let reclaim t = Array.iter Shard.reclaim t.insts
+
   let compact t =
     Array.iter
       (fun c ->
@@ -195,6 +199,9 @@ struct
         List.exists (fun s -> s.Onll_core.Onll.Snapshot.degraded) snaps;
       logs = List.concat_map (fun s -> s.Onll_core.Onll.Snapshot.logs) snaps;
     }
+
+  let log_fill t =
+    Array.fold_left (fun acc c -> Float.max acc (Shard.log_fill c)) 0. t.insts
 end
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) =

@@ -134,6 +134,10 @@ module type SHARDED = sig
   (** Checkpoint every shard from the calling process; returns the sum of
       summarised execution indices. *)
 
+  val reclaim : t -> unit
+  (** {!Onll_core.Onll.CONSTRUCTION.reclaim} on every shard: physically
+      compact the calling process's log in each. *)
+
   val compact : t -> unit
   (** Checkpoint every shard {e and} prune its transient trace below the
       summarised index, bounding both durable log space and the replay
@@ -146,6 +150,11 @@ module type SHARDED = sig
       [latest_available_idx] sums, [max_fuzzy_window] is the max over
       shards (each shard's window obeys Prop. 5.2 independently) and
       [degraded] is the OR. *)
+
+  val log_fill : t -> float
+  (** The fullest shard log's fill: the maximum of
+      {!Onll_core.Onll.CONSTRUCTION.log_fill} over shards, with no
+      durable load. *)
 end
 
 module Make_over

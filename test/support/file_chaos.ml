@@ -66,7 +66,7 @@ let run_epoch ?(log_capacity = 1 lsl 14) ?(retry_budget = 8) ?(backoff_ns = 0)
     in
     let obj = C.make cfg in
     ignore (C.recover_report obj);
-    let backend = Over.backend ~log_capacity obj in
+    let backend = Over.backend obj in
     let config = { Onll_session.default_config with replicas } in
     let sess = Sess.attach ~config ~client:0 backend in
     (match Sess.recover sess with

@@ -204,20 +204,18 @@ module Make (S : Onll_core.Spec.S) = struct
       | Sharded ->
           let module C = Onll_sharded.Make (M) (S) in
           let obj = C.make ~shards:4 (cfg ~replicas:1) in
-          let capf = float_of_int (max plan.log_capacity 1) in
           ( {
               Sess.b_update_detectable =
                 (fun ~seq op -> C.update_detectable obj ~seq op);
               b_was_linearized = (fun op id -> C.was_linearized obj op id);
               b_read = (fun r -> C.read obj r);
               b_degraded = (fun () -> C.degraded obj);
-              b_pressure =
+              b_pressure = (fun () -> C.log_fill obj);
+              b_compact =
                 (fun () ->
-                  let snap = C.snapshot obj in
-                  List.fold_left
-                    (fun acc (l : Onll_core.Onll.Snapshot.log) ->
-                      Float.max acc (float_of_int l.live_bytes /. capf))
-                    0. snap.Onll_core.Onll.Snapshot.logs);
+                  ignore (C.checkpoint obj : int);
+                  C.reclaim obj;
+                  true);
               b_alloc = None;
             },
             (fun () -> ignore (C.recover_report obj)),
@@ -235,7 +233,7 @@ module Make (S : Onll_core.Spec.S) = struct
           let module C = Onll_core.Onll.Make (M) (S) in
           let obj = C.make (cfg ~replicas) in
           let module Over = Sess.Over (C) in
-          ( Over.backend ~log_capacity:plan.log_capacity obj,
+          ( Over.backend obj,
             (fun () -> ignore (C.recover_report obj)),
             fun () ->
               List.map fst (C.recovered_ops obj)

@@ -201,8 +201,21 @@ let test_native_duplicate_region () =
     (Invalid_argument "Native.Pm.create: duplicate region \"dup\"") (fun () ->
       ignore (M.Pm.create ~name:"dup" ~size:8))
 
-let test_native_calibration_positive () =
-  check Alcotest.bool "iters per ns > 0" true (Native.calibrate () > 0.0)
+(* The emulated fence waits on the monotonic clock: a persistent fence
+   lasts at least [fence_ns], on any host and with no calibration. *)
+let test_native_fence_spin_timed () =
+  let fence_ns = 200_000 in
+  let n = Native.create ~max_processes:1 ~fence_ns () in
+  ignore (Native.register n);
+  let module M = (val Native.machine n) in
+  let r = M.Pm.create ~name:"spin" ~size:64 in
+  M.Pm.store r ~off:0 "x";
+  M.Pm.flush r ~off:0 ~len:1;
+  let t0 = Native.monotonic_ns () in
+  M.fence ();
+  let waited = Int64.sub (Native.monotonic_ns ()) t0 in
+  check Alcotest.bool "persistent fence lasted fence_ns" true
+    (Int64.compare waited (Int64.of_int fence_ns) >= 0)
 
 let test_native_fence_ns_settable () =
   let n = Native.create ~max_processes:1 ~fence_ns:100 () in
@@ -242,8 +255,8 @@ let () =
           Alcotest.test_case "fence counting" `Quick test_native_fence_counting;
           Alcotest.test_case "duplicate region" `Quick
             test_native_duplicate_region;
-          Alcotest.test_case "calibration" `Quick
-            test_native_calibration_positive;
+          Alcotest.test_case "fence spin timed by the clock" `Quick
+            test_native_fence_spin_timed;
           Alcotest.test_case "fence_ns settable" `Quick
             test_native_fence_ns_settable;
         ] );

@@ -904,31 +904,6 @@ let test_checkpoint_drop_matches_old_rule () =
   check Alcotest.bool "corruptions were quarantined" true (!corrupted > 10);
   check Alcotest.bool "recoveries ran" true (!recoveries > 25)
 
-(* The machine with every durable load counted. *)
-module Counting_loads (M : Machine_sig.S) = struct
-  include M
-
-  let loads = ref 0
-
-  module Pm = struct
-    type t = M.Pm.t
-
-    let create = M.Pm.create
-    let size = M.Pm.size
-    let store = M.Pm.store
-    let store_int64 = M.Pm.store_int64
-    let flush = M.Pm.flush
-
-    let load t ~off ~len =
-      incr loads;
-      M.Pm.load t ~off ~len
-
-    let load_int64 t ~off =
-      incr loads;
-      M.Pm.load_int64 t ~off
-  end
-end
-
 (* While the log's account is valid, a checkpoint reads nothing back: it
    encodes the state once, appends one record and drops the prefix from
    the in-memory keys. Only the first checkpoint after a recovery or a
@@ -936,7 +911,7 @@ end
 let test_checkpoint_reads_no_log () =
   let sim = Sim.create ~max_processes:1 () in
   let module M0 = (val Sim.machine sim) in
-  let module M = Counting_loads (M0) in
+  let module M = Test_support.Machine_wrap.Counting_loads (M0) in
   let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
   let obj =
     C.make

@@ -13,6 +13,7 @@ module Codec = Onll_util.Codec
 module Protocol = Onll_serve.Protocol
 module Service = Onll_serve.Service
 module Server = Onll_serve.Server
+module Faults = Onll_faults.Faults
 
 let check = Alcotest.check
 
@@ -225,6 +226,116 @@ let test_tiers () =
     | Protocol.Attached _ -> true
     | _ -> false)
 
+(* {1 Admission compacts before it sheds} *)
+
+let hello_ok h ~client =
+  match
+    h (Protocol.Hello { client; token = "onll"; tier = Protocol.T_exactly_once })
+  with
+  | Protocol.Attached { next_seq; _ } -> next_seq
+  | _ -> Alcotest.failf "client %d: hello refused" client
+
+let test_no_cliff () =
+  (* Two exactly-once clients, 5000 submits each, on the default 64 KiB
+     object log: far past the ~700 updates the log holds. Admission
+     compacts whenever the fill reaches the watermark, so nothing is
+     shed and the counter equals the acks. *)
+  let nat = Native.create ~fence_ns:0 ~max_processes:1 () in
+  ignore (Native.register nat);
+  let module M = (val Native.machine nat) in
+  let module Svc = Service.Make (M) in
+  let t = Svc.make Service.Plain in
+  let conns = Array.init 2 (fun _ -> Svc.conn ()) in
+  Array.iteri
+    (fun client conn -> ignore (hello_ok (Svc.handle t conn) ~client))
+    conns;
+  let acks = ref 0 and sheds = ref 0 in
+  for seq = 0 to 4999 do
+    Array.iter
+      (fun conn ->
+        match
+          Svc.handle t conn (Protocol.Submit { seq; deadline_ns = 0; op = incr_op })
+        with
+        | Protocol.Acked _ -> incr acks
+        | Protocol.Refused Protocol.R_overloaded -> incr sheds
+        | _ -> Alcotest.failf "seq %d: unexpected response" seq)
+      conns
+  done;
+  check Alcotest.int "no submit shed" 0 !sheds;
+  check Alcotest.int "every submit acked" 10_000 !acks;
+  check Alcotest.int "the counter equals the acks" !acks (Svc.counter_value t)
+
+(* {1 No compaction past an in-doubt identity} *)
+
+let test_guard_in_doubt () =
+  (* Client 1's intent append meets failing fences until its session
+     times out: the intent (object identity X) stays queued and the next
+     fence, client 2's, makes it durable, but X never reached the object.
+     Client 2 then drives the object log past the watermark. Compacting
+     there would checkpoint a floor above X, and the restart's
+     resolution would vouch for X as applied: a lost update. With an
+     operation in doubt the service must shed instead, so the restart
+     re-invokes X exactly once. *)
+  let dir = fresh_dir () in
+  let log_capacity = 4096 in
+  let fm = Fm.create ~dir ~max_processes:1 () in
+  ignore (Fm.register fm);
+  let module M1 = (val Fm.machine fm) in
+  let module S1 = Service.Make (M1) in
+  let t1 = S1.make ~log_capacity Service.Plain in
+  let submit conn seq =
+    S1.handle t1 conn (Protocol.Submit { seq; deadline_ns = 0; op = incr_op })
+  in
+  let ca = S1.conn () and cb = S1.conn () in
+  ignore (hello_ok (S1.handle t1 ca) ~client:1);
+  ignore (hello_ok (S1.handle t1 cb) ~client:2);
+  check Alcotest.bool "client 1's first op acks" true
+    (submit ca 0 = Protocol.Acked { seq = 0; value = 1 });
+  let inj =
+    Faults.install_file (Fm.memory fm)
+      {
+        Faults.File_plan.none with
+        base =
+          {
+            Faults.Plan.none with
+            seed = 3;
+            fence_fail_prob = 1.0;
+            max_consecutive_transients = 1_000_000;
+          };
+      }
+  in
+  check Alcotest.bool "client 1's second op times out in doubt" true
+    (submit ca 1 = Protocol.Refused Protocol.R_timeout);
+  Faults.remove_file inj;
+  let acks_b = ref 0 and sheds = ref 0 in
+  for i = 1 to 200 do
+    match submit cb !acks_b with
+    | Protocol.Acked _ -> incr acks_b
+    | Protocol.Refused Protocol.R_overloaded -> incr sheds
+    | _ -> Alcotest.failf "client 2, submit %d: unexpected response" i
+  done;
+  (* crash: close the store with nothing more fenced *)
+  Fm.close fm;
+  let registry = Onll_obs.Metrics.create () in
+  let sink = Onll_obs.Sink.make ~registry () in
+  let fm2 = Fm.create ~dir ~max_processes:1 () in
+  ignore (Fm.register fm2);
+  let module M2 = (val Fm.machine fm2) in
+  let module S2 = Service.Make (M2) in
+  let t2 = S2.make ~sink ~log_capacity Service.Plain in
+  let next_seq = hello_ok (S2.handle t2 (S2.conn ())) ~client:1 in
+  let applied_1 = if 1 < next_seq then 1 else 0 in
+  (* client 2's last acked op is adopted (its ack was not yet durable);
+     client 1's in-doubt op must be re-invoked, never adopted *)
+  check Alcotest.int "the in-doubt op was re-invoked at restart" 1
+    (Onll_obs.Metrics.counter_value registry "serve.resolved.reinvoked");
+  check Alcotest.int "exactly once: counter = acks + the resolved op"
+    (1 + !acks_b + applied_1)
+    (S2.counter_value t2);
+  check Alcotest.bool "while it was in doubt, the full log shed" true
+    (!sheds > 0);
+  Fm.close fm2
+
 (* {1 The identity allocator never re-hands an identity across restart} *)
 
 let test_oseq_restart_never_reuses () =
@@ -427,6 +538,13 @@ let () =
             test_handle_policy;
           Alcotest.test_case "durability tiers: strict / staleness-k" `Quick
             test_tiers;
+        ] );
+      ( "admission",
+        [
+          Alcotest.test_case "2 x 5000 exactly-once submits, none shed"
+            `Quick test_no_cliff;
+          Alcotest.test_case "no compaction past an in-doubt identity" `Quick
+            test_guard_in_doubt;
         ] );
       ( "regions",
         [

@@ -153,10 +153,11 @@ let test_timeout_then_submit_raises () =
 
 let test_overloaded () =
   (* Admission control: a watermark below any live history sheds the next
-     submission before it does durable work. Client 0 (watermark off)
-     seeds one update; client 1 samples pressure on every submission
-     against an impossible watermark and must be refused without the
-     counter moving. *)
+     submission, after one compaction that cannot help. Client 0
+     (default watermark) seeds one update; client 1, against an
+     impossible watermark, compacts once, is refused without the counter
+     moving, and on its second refusal does not compact again: nothing
+     grew since the compaction that could not help. *)
   let registry = Onll_obs.Metrics.create () in
   let sink = Onll_obs.Sink.make ~registry () in
   let sim = Sim.create ~sink ~max_processes:2 () in
@@ -167,14 +168,17 @@ let test_overloaded () =
   let module Over = Sess.Over (C) in
   let backend = Over.backend obj in
   let s0 = Sess.attach ~sink ~client:0 backend in
-  let shed_cfg =
-    {
-      Onll_session.default_config with
-      high_watermark = 1e-9;
-      check_pressure_every = 1;
-    }
-  in
+  let shed_cfg = { Onll_session.default_config with high_watermark = 1e-9 } in
   let s1 = Sess.attach ~config:shed_cfg ~sink ~client:1 backend in
+  let checkpoints () = Onll_obs.Metrics.counter_value registry "checkpoints" in
+  let shed () =
+    match Sess.submit s1 Cs.Increment with
+    | Error Sess_t.Overloaded ->
+        check Alcotest.bool "pressure sample exceeded the watermark" true
+          (Sess.pressure s1 > shed_cfg.Onll_session.high_watermark)
+    | Ok _ -> Alcotest.fail "an impossible watermark admitted a write"
+    | Error e -> Alcotest.failf "expected Overloaded, got %a" Sess_t.pp_error e
+  in
   let outcome =
     Sim.run sim Onll_sched.Sched.Strategy.round_robin
       [|
@@ -190,22 +194,79 @@ let test_overloaded () =
           done;
           check Alcotest.bool "client 0's update is live" true
             (Sess.read s1 Cs.Get = 1);
-          match Sess.submit s1 Cs.Increment with
-          | Error Sess_t.Overloaded ->
-              check Alcotest.bool "pressure sample exceeded the watermark"
-                true
-                (Sess.pressure s1 > shed_cfg.Onll_session.high_watermark)
-          | Ok _ -> Alcotest.fail "an impossible watermark admitted a write"
-          | Error e ->
-              Alcotest.failf "expected Overloaded, got %a" Sess_t.pp_error e);
+          let c0 = checkpoints () in
+          shed ();
+          check Alcotest.int "the first shed compacted once" (c0 + 1)
+            (checkpoints ());
+          shed ();
+          check Alcotest.int "the second shed did not compact again" (c0 + 1)
+            (checkpoints ()));
       |]
   in
   check Alcotest.bool "completed" true
     (outcome = Onll_sched.Sched.World.Completed);
-  check Alcotest.int "shed before any durable work: value unchanged" 1
-    (C.read obj Cs.Get);
-  check Alcotest.bool "the shed was counted" true
-    (Onll_obs.Metrics.counter_value registry "session.sheds" > 0)
+  check Alcotest.int "shed with no durable work for the op: value unchanged"
+    1 (C.read obj Cs.Get);
+  check Alcotest.int "both sheds were counted" 2
+    (Onll_obs.Metrics.counter_value registry "session.sheds")
+
+(* {1 Admission compacts before it sheds} *)
+
+let test_compacts_before_shedding () =
+  (* Far more updates than the object's small log holds: every time the
+     fill reaches the watermark, admission compacts and admits. Nothing
+     is shed and the counter equals the acks. *)
+  let registry = Onll_obs.Metrics.create () in
+  let sink = Onll_obs.Sink.make ~registry () in
+  let sim = Sim.create ~sink ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let obj =
+    C.make
+      { Onll_core.Onll.Config.default with sink; log_capacity = 4096 }
+  in
+  let module Sess = Onll_session.Make (M) (Cs) in
+  let module Over = Sess.Over (C) in
+  let s = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let n = 600 in
+  run sim (fun _ ->
+      for _ = 1 to n do
+        match Sess.submit s Cs.Increment with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "submit: %a" Sess_t.pp_error e
+      done);
+  check Alcotest.int "every submit applied once" n (C.read obj Cs.Get);
+  check Alcotest.int "nothing shed" 0
+    (Onll_obs.Metrics.counter_value registry "session.sheds");
+  check Alcotest.bool "admission compacted" true
+    (Onll_obs.Metrics.counter_value registry "checkpoints" > 0);
+  check Alcotest.bool "the fill stays below the watermark" true
+    (C.log_fill obj < Onll_session.default_config.high_watermark)
+
+(* {1 Admission sampling loads nothing durable} *)
+
+let test_admission_loads_nothing () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M0 = (val Sim.machine sim) in
+  let module M = Test_support.Machine_wrap.Counting_loads (M0) in
+  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let obj = C.make Onll_core.Onll.Config.default in
+  let module Sess = Onll_session.Make (M) (Cs) in
+  let module Over = Sess.Over (C) in
+  let s = Sess.attach ~client:0 (Over.backend obj) in
+  for _ = 1 to 200 do
+    match Sess.submit s Cs.Increment with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "submit: %a" Sess_t.pp_error e
+  done;
+  let before = !M.loads in
+  for _ = 1 to 1000 do
+    check Alcotest.bool "admitted" true (Sess.admit s)
+  done;
+  check Alcotest.int "1000 admission samples, 0 durable loads" 0
+    (!M.loads - before);
+  check Alcotest.bool "the sample is the object's fill" true
+    (Sess.pressure s = C.log_fill obj && Sess.pressure s > 0.)
 
 (* {1 Sequence durability across session-log compaction} *)
 
@@ -449,6 +510,10 @@ let () =
             test_timeout_then_submit_raises;
           Alcotest.test_case "deterministic Overloaded shed" `Quick
             test_overloaded;
+          Alcotest.test_case "admission compacts before it sheds" `Quick
+            test_compacts_before_shedding;
+          Alcotest.test_case "admission sampling loads nothing durable" `Quick
+            test_admission_loads_nothing;
           Alcotest.test_case "backoff jitter pinned by rng_seed" `Quick
             test_jitter_deterministic;
         ] );
