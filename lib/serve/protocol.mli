@@ -20,9 +20,10 @@
     {ul
     {- [s = next_seq - 1] and [resolution] is not [W_none] — trust it
        (adopted / re-invoked / refused / still unresolved);}
-    {- otherwise, [s < next_seq] — the operation was applied and
-       acknowledged durably; the protocol acknowledgement was what got
-       lost. Confirm it, do not resubmit;}
+    {- otherwise, [s < next_seq] — the operation was applied: it was
+       acknowledged durably, or the server resolved it while the client
+       was away (before a compaction), and only the protocol
+       acknowledgement got lost. Confirm it, do not resubmit;}
     {- otherwise [s >= next_seq] — the intent never became durable;
        resubmit under [next_seq].}} *)
 
@@ -69,7 +70,8 @@ type refusal =
   | R_overloaded
       (** watermark admission shed it: the object's log was still at the
           watermark after a compaction (or compaction was withheld while
-          another session's op is in doubt). The op did no durable work. *)
+          another session's op could not be resolved). The op did no
+          durable work. *)
   | R_timeout
       (** deadline passed (before work: definite) or the durable path
           timed out (indeterminate: reattach to resolve) *)

@@ -185,6 +185,35 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     m_reads : Metrics.counter;
   }
 
+  let wire_of_resolution t = function
+    | Sess.No_pending -> Protocol.W_none
+    | Sess.Was_applied id ->
+        Metrics.incr t.m_adopted;
+        Protocol.W_applied id.Onll_core.Onll.id_seq
+    | Sess.Reinvoked (old_id, fresh, v) ->
+        Metrics.incr t.m_reinvoked;
+        Protocol.W_reinvoked
+          (old_id.Onll_core.Onll.id_seq, fresh.Onll_core.Onll.id_seq, v)
+    | Sess.Refused id ->
+        Metrics.incr t.m_res_refused;
+        Protocol.W_refused id.Onll_core.Onll.id_seq
+    | Sess.Unresolved (id, _) ->
+        Metrics.incr t.m_unresolved;
+        Protocol.W_unresolved id.Onll_core.Onll.id_seq
+
+  (* Resolve the session's in-doubt operation, degraded-safe: a sticky
+     fail-stop store surfacing mid-resolution leaves the op pending and
+     reports it unresolved — never a connection reset, never an ack. *)
+  let resolve t sess =
+    match Sess.recover sess with
+    | r -> wire_of_resolution t r
+    | exception Onll_nvm.File_memory.Degraded _ -> (
+        t.went_degraded <- true;
+        Metrics.incr t.m_unresolved;
+        match Sess.pending sess with
+        | Some (id, _) -> Protocol.W_unresolved id.Onll_core.Onll.id_seq
+        | None -> Protocol.W_none)
+
   let create_service ?session ?(sink = Sink.null) ?(token = "onll")
       ?(max_clients = 10_000) ?(oseq_block = 1024)
       ?(log_capacity = Onll_core.Onll.Config.default.log_capacity)
@@ -227,17 +256,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           in
           ignore (R.recover_report robj : Onll_core.Onll.Recovery_report.t);
           let module Ov = Sess.Over (C) in
-          let base = Ov.backend obj in
+          (* compact through the wrapper, under its lock: the checkpoint
+             covers the staleness tail and clears it, so the tail stays a
+             suffix of the linearization *)
+          let base =
+            Ov.backend ~checkpoint:(fun () -> R.checkpoint robj) obj
+          in
           ( {
               base with
-              (* compact through the wrapper, under its lock: the
-                 checkpoint covers the staleness tail and clears it, so
-                 the tail stays a suffix of the linearization *)
-              Sess.b_compact =
-                (fun () ->
-                  ignore (R.checkpoint robj : int);
-                  C.reclaim obj;
-                  true);
               b_update_detectable =
                 (fun ~seq op ->
                   (* an exactly-once update fences its own fuzzy window,
@@ -272,20 +298,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           let module C = Onll_sharded.Make (M) (Cs) in
           let obj = C.make ~shards:4 ccfg in
           ignore (C.recover_report obj : Onll_core.Onll.Recovery_report.t);
-          ( {
-              Sess.b_update_detectable =
-                (fun ~seq op -> C.update_detectable obj ~seq op);
-              b_was_linearized = (fun op id -> C.was_linearized obj op id);
-              b_read = (fun r -> C.read obj r);
-              b_degraded = (fun () -> C.degraded obj);
-              b_pressure = (fun () -> C.log_fill obj);
-              b_compact =
-                (fun () ->
-                  ignore (C.checkpoint obj : int);
-                  C.reclaim obj;
-                  true);
-              b_alloc = None;
-            },
+          let module Ov = Sess.Over_routed (C) in
+          ( Ov.backend obj,
             (fun () -> C.read obj Cs.Get),
             (fun () -> C.degraded obj),
             None,
@@ -299,19 +313,21 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
        identities did. A checkpoint now would set the process's floor
        above it, and [was_linearized] would vouch for an operation that
        never ran — the phantom apply of the {!Dir} comment, reachable on
-       a live re-attach as well as after a restart. So admission does
-       not compact (it sheds instead) until every such operation is
-       resolved. *)
-    let in_doubt () =
-      Seq.exists
-        (fun s -> Sess.pending s <> None)
-        (Hashtbl.to_seq_values sessions)
-    in
+       a live re-attach as well as after a restart. So before compacting,
+       the service resolves every in-doubt operation on the spot, as the
+       client's re-attach would ([resolve]: adopt it, or re-invoke it
+       under a fresh identity while the old one is still answered
+       truthfully), and declines, so that admission sheds, only while
+       one stays in doubt. A client that never comes back cannot switch
+       compaction off; when it does come back its [Hello] finds nothing
+       pending, and [next_seq] tells it the operation's fate. The
+       closure is tied to the service record below, which [resolve]
+       needs. *)
+    let compact = ref (fun () -> false) in
     let backend =
       {
         base_backend with
-        Sess.b_compact =
-          (fun () -> (not (in_doubt ())) && base_backend.Sess.b_compact ());
+        Sess.b_compact = (fun () -> !compact ());
         b_alloc = Some (fun () -> Oseq.next alloc);
       }
     in
@@ -321,45 +337,59 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       | None -> { Onll_session.default_config with replicas }
     in
     let reg = Sink.registry sink in
-    {
-      sink;
-      token;
-      max_clients;
-      max_staleness;
-      tier_submit;
-      tier_flush;
-      proc = M.self ();
-      scfg;
-      backend;
-      read0;
-      obj_degraded;
-      alloc;
-      dir;
-      sessions;
-      regions = Hashtbl.create 256;
-      drain_flag = false;
-      went_degraded = false;
-      (* the allocator region (512 bytes, Oseq.create) + the directory *)
-      rbytes = 512 + Dir.capacity ~max_clients;
-      g_region_bytes = Metrics.gauge reg "serve.region_bytes";
-      g_sessions = Metrics.gauge reg "serve.sessions";
-      m_attach = Metrics.counter reg "serve.attach";
-      m_ok = Metrics.counter reg "serve.submit.ok";
-      m_shed = Metrics.counter reg "serve.refused.overloaded";
-      m_timeout = Metrics.counter reg "serve.refused.timeout";
-      m_degraded = Metrics.counter reg "serve.refused.degraded";
-      m_drained = Metrics.counter reg "serve.refused.draining";
-      m_bad_seq = Metrics.counter reg "serve.refused.bad_seq";
-      m_bad_auth = Metrics.counter reg "serve.refused.auth";
-      m_bad_tier = Metrics.counter reg "serve.refused.bad_tier";
-      m_tier_strict = Metrics.counter reg "serve.submit.strict";
-      m_tier_relaxed = Metrics.counter reg "serve.submit.relaxed";
-      m_adopted = Metrics.counter reg "serve.resolved.adopted";
-      m_reinvoked = Metrics.counter reg "serve.resolved.reinvoked";
-      m_res_refused = Metrics.counter reg "serve.resolved.refused";
-      m_unresolved = Metrics.counter reg "serve.resolved.unresolved";
-      m_reads = Metrics.counter reg "serve.reads";
-    }
+    let t =
+      {
+        sink;
+        token;
+        max_clients;
+        max_staleness;
+        tier_submit;
+        tier_flush;
+        proc = M.self ();
+        scfg;
+        backend;
+        read0;
+        obj_degraded;
+        alloc;
+        dir;
+        sessions;
+        regions = Hashtbl.create 256;
+        drain_flag = false;
+        went_degraded = false;
+        (* the allocator region (512 bytes, Oseq.create) + the directory *)
+        rbytes = 512 + Dir.capacity ~max_clients;
+        g_region_bytes = Metrics.gauge reg "serve.region_bytes";
+        g_sessions = Metrics.gauge reg "serve.sessions";
+        m_attach = Metrics.counter reg "serve.attach";
+        m_ok = Metrics.counter reg "serve.submit.ok";
+        m_shed = Metrics.counter reg "serve.refused.overloaded";
+        m_timeout = Metrics.counter reg "serve.refused.timeout";
+        m_degraded = Metrics.counter reg "serve.refused.degraded";
+        m_drained = Metrics.counter reg "serve.refused.draining";
+        m_bad_seq = Metrics.counter reg "serve.refused.bad_seq";
+        m_bad_auth = Metrics.counter reg "serve.refused.auth";
+        m_bad_tier = Metrics.counter reg "serve.refused.bad_tier";
+        m_tier_strict = Metrics.counter reg "serve.submit.strict";
+        m_tier_relaxed = Metrics.counter reg "serve.submit.relaxed";
+        m_adopted = Metrics.counter reg "serve.resolved.adopted";
+        m_reinvoked = Metrics.counter reg "serve.resolved.reinvoked";
+        m_res_refused = Metrics.counter reg "serve.resolved.refused";
+        m_unresolved = Metrics.counter reg "serve.resolved.unresolved";
+        m_reads = Metrics.counter reg "serve.reads";
+      }
+    in
+    (compact :=
+       fun () ->
+         let in_doubt = ref false in
+         Hashtbl.iter
+           (fun _ sess ->
+             if Sess.pending sess <> None then begin
+               ignore (resolve t sess : Protocol.wire_resolution);
+               if Sess.pending sess <> None then in_doubt := true
+             end)
+           t.sessions;
+         (not !in_doubt) && base_backend.Sess.b_compact ());
+    t
 
   (* One session region per client, named injectively; the collision
      table turns any future naming regression into a loud failure rather
@@ -389,35 +419,6 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           Metrics.incr t.m_attach
         end;
         (sess, true)
-
-  let wire_of_resolution t = function
-    | Sess.No_pending -> Protocol.W_none
-    | Sess.Was_applied id ->
-        Metrics.incr t.m_adopted;
-        Protocol.W_applied id.Onll_core.Onll.id_seq
-    | Sess.Reinvoked (old_id, fresh, v) ->
-        Metrics.incr t.m_reinvoked;
-        Protocol.W_reinvoked
-          (old_id.Onll_core.Onll.id_seq, fresh.Onll_core.Onll.id_seq, v)
-    | Sess.Refused id ->
-        Metrics.incr t.m_res_refused;
-        Protocol.W_refused id.Onll_core.Onll.id_seq
-    | Sess.Unresolved (id, _) ->
-        Metrics.incr t.m_unresolved;
-        Protocol.W_unresolved id.Onll_core.Onll.id_seq
-
-  (* Resolve the session's in-doubt operation, degraded-safe: a sticky
-     fail-stop store surfacing mid-resolution leaves the op pending and
-     reports it unresolved — never a connection reset, never an ack. *)
-  let resolve t sess =
-    match Sess.recover sess with
-    | r -> wire_of_resolution t r
-    | exception Onll_nvm.File_memory.Degraded _ -> (
-        t.went_degraded <- true;
-        Metrics.incr t.m_unresolved;
-        match Sess.pending sess with
-        | Some (id, _) -> Protocol.W_unresolved id.Onll_core.Onll.id_seq
-        | None -> Protocol.W_none)
 
   (* Recovery-complete serving: every session the directory knows is
      attached and its in-doubt operation resolved before the first

@@ -94,9 +94,14 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       Admission ({!Onll_session.Make.admit}, every tier) compacts the
       object before it sheds: a checkpoint (through the relaxed wrapper
       on [Plain]/[Mirrored], so the staleness tail stays a suffix) and
-      {!Onll_core.Onll.CONSTRUCTION.reclaim}. While any attached session
-      has an operation in doubt the service withholds compaction, for
-      the same floor reason as above, and admission sheds instead. *)
+      {!Onll_core.Onll.CONSTRUCTION.reclaim}. For the same floor reason
+      as above, it first resolves every attached session's in-doubt
+      operation ({!Sess.recover}, as the client's [Hello] would), and
+      withholds compaction, so that admission sheds, only while one
+      stays in doubt. A client whose operation was resolved this way
+      finds nothing pending at its next [Hello]; its [next_seq] past the
+      operation says it was applied (the {!Protocol} resolution
+      rule). *)
 
   type conn
   (** Per-connection authentication state (which session, if any, this

@@ -109,27 +109,48 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
            impersonate an old operation under [was_linearized]. *)
   }
 
-  module Over
-      (C : Onll_core.Onll.CONSTRUCTION
-             with type update_op = S.update_op
-              and type read_op = S.read_op
-              and type value = S.value) =
-  struct
-    let backend c =
+  module type ROUTED = sig
+    type t
+
+    val update_detectable : t -> seq:int -> S.update_op -> S.value
+    val was_linearized : t -> S.update_op -> Onll_core.Onll.op_id -> bool
+    val read : t -> S.read_op -> S.value
+    val degraded : t -> bool
+    val log_fill : t -> float
+    val checkpoint : t -> int
+    val reclaim : t -> unit
+  end
+
+  module Over_routed (C : ROUTED) = struct
+    let backend ?checkpoint c =
+      let checkpoint =
+        match checkpoint with Some f -> f | None -> fun () -> C.checkpoint c
+      in
       {
         b_update_detectable = (fun ~seq op -> C.update_detectable c ~seq op);
-        b_was_linearized = (fun _op id -> C.was_linearized c id);
+        b_was_linearized = (fun op id -> C.was_linearized c op id);
         b_read = (fun r -> C.read c r);
         b_degraded = (fun () -> C.degraded c);
         b_pressure = (fun () -> C.log_fill c);
         b_compact =
           (fun () ->
-            ignore (C.checkpoint c : int);
+            ignore (checkpoint () : int);
             C.reclaim c;
             true);
         b_alloc = None;
       }
   end
+
+  module Over
+      (C : Onll_core.Onll.CONSTRUCTION
+             with type update_op = S.update_op
+              and type read_op = S.read_op
+              and type value = S.value) =
+    Over_routed (struct
+      include C
+
+      let was_linearized c _op id = C.was_linearized c id
+    end)
 
   type t = {
     cfg : config;

@@ -135,12 +135,13 @@ type config = {
 val default_config : config
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
-  (** What the session needs from the object: six closures, so one
-      session type composes with the plain, mirrored, wait-free {e and}
-      sharded constructions (whose module types differ). Build it with
-      {!Over} for any {!Onll_core.Onll.CONSTRUCTION}, or by hand for the
-      sharded construction (its [was_linearized] wants the operation for
-      routing, which this record's shape already carries). *)
+  (** What the session needs from the object: a record of closures, so
+      one session type composes with the plain, mirrored, wait-free {e
+      and} sharded constructions (whose module types differ). Build it
+      with {!Over} for any {!Onll_core.Onll.CONSTRUCTION}, or with
+      {!Over_routed} for the sharded construction (its [was_linearized]
+      wants the operation for routing, which this record's shape already
+      carries). *)
   type backend = {
     b_update_detectable : seq:int -> S.update_op -> S.value;
     b_was_linearized : S.update_op -> Onll_core.Onll.op_id -> bool;
@@ -158,12 +159,14 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             calls it when {!b_pressure} reaches the watermark. [false]
             means the backend declined and compacted nothing: admission
             then sheds as if compaction could not help, but asks again
-            on the next submission. A multi-tenant backend declines while
-            any of its sessions has an in-doubt operation whose identity
-            may never have reached the object: a checkpoint's per-process
-            floor would pass that identity, and
+            on the next submission. A multi-tenant backend must not
+            checkpoint past a session's in-doubt operation whose identity
+            may never have reached the object: the checkpoint's
+            per-process floor would pass that identity, and
             {!Onll_core.Onll.CONSTRUCTION.was_linearized} would then
-            vouch for an operation that never ran. *)
+            vouch for an operation that never ran. It resolves such
+            operations first ({!recover}, on the backend's process) and
+            declines while one stays in doubt. *)
     b_alloc : (unit -> int) option;
         (** Object-identity allocator for {e multi-tenant} backends. When
             one machine process hosts many client sessions over the same
@@ -181,17 +184,38 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             single-tenant default, byte-identical on media to E15. *)
   }
 
-  (** Adapter for any unsharded construction instance. *)
+  (** The object surface a backend is built from. *)
+  module type ROUTED = sig
+    type t
+
+    val update_detectable : t -> seq:int -> S.update_op -> S.value
+    val was_linearized : t -> S.update_op -> Onll_core.Onll.op_id -> bool
+    val read : t -> S.read_op -> S.value
+    val degraded : t -> bool
+    val log_fill : t -> float
+    val checkpoint : t -> int
+    val reclaim : t -> unit
+  end
+
+  (** Adapter for an object whose [was_linearized] takes the operation,
+      as [Onll_sharded.SHARDED]'s does. *)
+  module Over_routed (C : ROUTED) : sig
+    val backend : ?checkpoint:(unit -> int) -> C.t -> backend
+    (** [b_pressure] is [C.log_fill] and [b_compact] runs [checkpoint]
+        (default [C.checkpoint]; a wrapper that owns the object's
+        updates passes its own) and then [C.reclaim], by the calling
+        process. This is the one place that says what a compaction
+        is. *)
+  end
+
+  (** Adapter for any unsharded construction instance: {!Over_routed}
+      with [was_linearized] ignoring the operation. *)
   module Over
       (C : Onll_core.Onll.CONSTRUCTION
              with type update_op = S.update_op
               and type read_op = S.read_op
               and type value = S.value) : sig
-    val backend : C.t -> backend
-    (** [b_pressure] is {!Onll_core.Onll.CONSTRUCTION.log_fill} and
-        [b_compact] a {!Onll_core.Onll.CONSTRUCTION.checkpoint} followed
-        by {!Onll_core.Onll.CONSTRUCTION.reclaim} by the calling
-        process. *)
+    val backend : ?checkpoint:(unit -> int) -> C.t -> backend
   end
 
   type t

@@ -204,20 +204,8 @@ module Make (S : Onll_core.Spec.S) = struct
       | Sharded ->
           let module C = Onll_sharded.Make (M) (S) in
           let obj = C.make ~shards:4 (cfg ~replicas:1) in
-          ( {
-              Sess.b_update_detectable =
-                (fun ~seq op -> C.update_detectable obj ~seq op);
-              b_was_linearized = (fun op id -> C.was_linearized obj op id);
-              b_read = (fun r -> C.read obj r);
-              b_degraded = (fun () -> C.degraded obj);
-              b_pressure = (fun () -> C.log_fill obj);
-              b_compact =
-                (fun () ->
-                  ignore (C.checkpoint obj : int);
-                  C.reclaim obj;
-                  true);
-              b_alloc = None;
-            },
+          let module Ov = Sess.Over_routed (C) in
+          ( Ov.backend obj,
             (fun () -> ignore (C.recover_report obj)),
             fun () ->
               List.concat
