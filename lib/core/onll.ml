@@ -337,6 +337,10 @@ module Make_generic
     views : ((envelope, istate) T.node * istate) option array;
         (** per-process local view (§8): an available node and the state at
             it; owner-only *)
+    prev_views : ((envelope, istate) T.node * istate) option array;
+        (** the view each local view replaced when it moved to another
+            node; owner-only. A checkpoint leaves the view at the newest
+            node, and the prune after it needs the state one below. *)
     use_views : bool;
     recovered : (op_id, int) Hashtbl.t;
         (** op id -> execution index, rebuilt by recovery *)
@@ -367,6 +371,7 @@ module Make_generic
               ~capacity:cfg.Config.log_capacity ());
       seqs = Array.make M.max_processes 0;
       views = Array.make M.max_processes None;
+      prev_views = Array.make M.max_processes None;
       use_views = cfg.Config.local_views;
       recovered = Hashtbl.create 64;
       max_fuzzy = 0;
@@ -395,13 +400,38 @@ module Make_generic
         (base, None)
         delta
     in
-    if t.use_views then t.views.(p) <- Some (node, state);
+    if t.use_views then begin
+      (match t.views.(p) with
+      | Some (n, _) as v when n != node -> t.prev_views.(p) <- v
+      | Some _ | None -> ());
+      t.views.(p) <- Some (node, state)
+    end;
     (state, last_value)
 
-  (* State after [node] without touching local views (recovery/pruning
-     contexts, where the caller is not a registered process). *)
+  (* A state the calling process holds at or below [node]: its local
+     view, else the view that one replaced. [None] when neither is at or
+     below [node], or when the caller is not a registered process (a
+     native domain that never registered, e.g. the main one reading the
+     final state). *)
+  let held_floor t node =
+    match M.self () with
+    | exception Failure _ -> None
+    | p -> (
+        let at_or_below = function
+          | Some (n, _) as v when T.idx n <= T.idx node -> v
+          | Some _ | None -> None
+        in
+        match at_or_below t.views.(p) with
+        | Some _ as v -> v
+        | None -> at_or_below t.prev_views.(p))
+
+  (* State after [node] without moving local views (pruning and
+     introspection). It folds from a state the caller already holds at or
+     below [node], so a prune just below a checkpoint's node applies
+     nothing. *)
   let istate_at t node =
-    let base, delta = T.delta_from t.trace node in
+    let floor = if t.use_views then held_floor t node else None in
+    let base, delta = T.delta_from ?floor t.trace node in
     List.fold_left (fun is (_, env) -> fst (apply_env is env)) base delta
 
   let decode_entries log =
@@ -687,6 +717,7 @@ module Make_generic
     Hashtbl.reset t.recovered;
     Array.blit base_state.floors 0 t.seqs 0 M.max_processes;
     Array.fill t.views 0 (Array.length t.views) None;
+    Array.fill t.prev_views 0 (Array.length t.prev_views) None;
     (* Bump sequence allocation past every id recovery has seen — including
        ids above a gap that cannot be replayed — so no post-recovery update
        can reuse a pre-crash identity. *)

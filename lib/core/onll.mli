@@ -310,7 +310,11 @@ module type CONSTRUCTION = sig
   val prune : t -> below:int -> unit
   (** Make trace nodes with execution index < [below] unreachable,
       materialising their cumulative state (the node at [below] must be
-      available). @raise Trace_intf.Unsupported on the wait-free variant. *)
+      available). With local views on, the state is folded from the
+      caller's view (or the view that one replaced) when it lies at or
+      below [below - 1], so [prune t ~below:(checkpoint t)] applies no
+      operation; otherwise it is folded from the trace's current base.
+      @raise Trace_intf.Unsupported on the wait-free variant. *)
 
   (** {1 Introspection (tests, scenarios, reports)} *)
 

@@ -39,11 +39,33 @@ let crc_to_int64 c = Int64.logand (Int64.of_int32 c) 0xFFFFFFFFL
 
 exception Full
 
-let entry_crc payload =
-  let buf = Bytes.create (8 + String.length payload) in
-  Bytes.set_int64_le buf 0 (Int64.of_int (String.length payload));
-  Bytes.blit_string payload 0 buf 8 (String.length payload);
-  Crc32.bytes buf ~pos:0 ~len:(Bytes.length buf)
+(* An entry's checksum covers [len:int64 ‖ payload]. The length's CRC
+   seeds the payload's, so neither is copied into a frame buffer; the
+   [_in] form checksums a payload lying at [pos] of a larger buffer in
+   place. *)
+let entry_crc_in s ~pos ~len =
+  Crc32.bytes
+    ~init:(Crc32.int64 (Int64.of_int len))
+    (Bytes.unsafe_of_string s) ~pos ~len
+
+let entry_crc payload = entry_crc_in payload ~pos:0 ~len:(String.length payload)
+
+(* Index of the last nonzero byte of [s], or -1 if it is all zeros: the
+   bytes past the last whole word one at a time, then backward a word at
+   a time, finishing inside the first nonzero word byte by byte. *)
+let last_nonzero s =
+  let rec byte i lo =
+    if i < lo then -1
+    else if String.unsafe_get s i <> '\000' then i
+    else byte (i - 1) lo
+  in
+  let rec word w =
+    if w < 0 then -1
+    else if String.get_int64_le s w <> 0L then byte (w + 7) w
+    else word (w - 8)
+  in
+  let whole = String.length s land lnot 7 in
+  match byte (String.length s - 1) whole with -1 -> word (whole - 8) | i -> i
 
 type salvage_report = {
   torn_tail_bytes : int;
@@ -240,7 +262,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       let stored = String.get_int64_le blob 8 in
       if Int64.compare len64 0L > 0 then
         Int64.to_int len64 = n - 16
-        && stored = crc_to_int64 (entry_crc (String.sub blob 16 (n - 16)))
+        && stored = crc_to_int64 (entry_crc_in blob ~pos:16 ~len:(n - 16))
       else
         n = 16 && stored = crc_to_int64 (crc_of_int64s len64 skip_magic)
 
@@ -387,7 +409,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       if len >= 1 then
         r + 16 + len <= n
         && String.get_int64_le rest (r + 8)
-           = crc_to_int64 (entry_crc (String.sub rest (r + 16) len))
+           = crc_to_int64 (entry_crc_in rest ~pos:(r + 16) ~len)
       else if Int64.compare len64 0L < 0 then
         let span = Int64.to_int (Int64.neg len64) in
         span >= 16
@@ -405,15 +427,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       in
       (* Last nonzero byte (across replicas) bounds the search: an entry
          has a nonzero length field, so none can start in the all-zero
-         suffix. *)
-      let last_nz = ref (-1) in
-      Array.iter
-        (fun rest ->
-          String.iteri
-            (fun i c -> if c <> '\000' then last_nz := max !last_nz i)
-            rest)
-        rests;
-      if !last_nz < 0 then Clean
+         suffix. On a healthy log this pass over the free remainder is
+         the whole of the check, so it runs a word at a time. *)
+      let last_nz =
+        Array.fold_left (fun m rest -> max m (last_nonzero rest)) (-1) rests
+      in
+      if last_nz < 0 then Clean
       else begin
         (* Resync search. The corrupted entry at [pos] originally occupied
            >= 17 bytes, so the next real boundary is at pos+17 or later —
@@ -421,14 +440,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
            marker. *)
         let resync = ref None in
         let r = ref 17 in
-        while !resync = None && !r <= !last_nz do
+        while !resync = None && !r <= last_nz do
           if Array.exists (fun rest -> buffer_valid_at rest !r) rests then
             resync := Some !r;
           incr r
         done;
         match !resync with
         | Some r -> Corrupt_span r
-        | None -> Torn (!last_nz + 1)
+        | None -> Torn (last_nz + 1)
       end
     end
 

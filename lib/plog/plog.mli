@@ -63,6 +63,16 @@ exception Full
 (** Raised by [append] when a log's entries area is exhausted. The
     exception is shared by every [Make] instantiation. *)
 
+val entry_crc : string -> int32
+(** The checksum an entry stores for [payload]: the CRC-32 of the
+    payload's length as a little-endian int64 followed by the payload,
+    computed without building that frame. *)
+
+val last_nonzero : string -> int
+(** The index of the last nonzero byte of a string, or [-1] if every byte
+    is zero. Recovery's clean-end check runs it over each replica's free
+    remainder (see {!Make.recover}). *)
+
 val replica_region_name : string -> int -> string
 (** [replica_region_name name r] is the NVM region name of replica [r] of a
     log created as [name]: [name] itself for [r = 0] (the primary),
@@ -177,7 +187,18 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       no valid copy anywhere is zeroed and truncated; replica headers are
       re-converged. The report says exactly what was repaired and what was
       lost. A recovery that itself crashes mid-repair converges when
-      re-run: every repair is idempotent. *)
+      re-run: every repair is idempotent.
+
+      Cost: one CRC pass over the live records from the head, then one
+      bulk load per replica of everything past the valid prefix, scanned
+      a word at a time for a nonzero byte. A healthy log pays the second
+      pass for its whole free remainder, so a checkpointed log with a few
+      live bytes still costs time proportional to its capacity — at
+      memory speed. The pass stays because a zeroed length field under a
+      media fault ends the valid prefix early and can hide intact records
+      behind it, which only a look past the end finds. A durable
+      high-water mark would bound the pass by the bytes ever written,
+      but it changes the log format and the salvage counters. *)
 
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: truncate the primary at the first invalid

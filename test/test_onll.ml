@@ -946,6 +946,50 @@ let test_checkpoint_reads_no_log () =
   check Alcotest.bool "state intact" true
     (C.read obj (Onll_specs.Kv.Get "7") = Onll_specs.Kv.Found (Some "v"))
 
+(* The counter, counting its [apply] calls. *)
+module Counting_counter = struct
+  include Cs
+
+  let applies = ref 0
+
+  let apply s op =
+    incr applies;
+    Cs.apply s op
+end
+
+(* [prune ~below:(checkpoint t)] needs the state just below the
+   checkpoint's node. With local views the caller already holds it — the
+   view its last move replaced — so the prune applies no operation; with
+   views off it refolds everything since the last prune, as before. *)
+let test_prune_after_checkpoint_applies_nothing () =
+  let prune_applies ~local_views =
+    let sim = Sim.create ~max_processes:1 () in
+    let module M = (val Sim.machine sim) in
+    let module C = Onll_core.Onll.Make (M) (Counting_counter) in
+    let obj = C.make { Onll_core.Onll.Config.default with local_views } in
+    List.map
+      (fun updates ->
+        for _ = 1 to updates do
+          ignore (C.update obj Cs.Increment)
+        done;
+        ignore (C.read obj Cs.Get);
+        let upto = C.checkpoint obj in
+        let before = !Counting_counter.applies in
+        C.prune obj ~below:upto;
+        let applied = !Counting_counter.applies - before in
+        check
+          Alcotest.(pair int int)
+          "base = the fold below the checkpoint"
+          (upto - 1, upto - 1)
+          (C.trace_base obj);
+        applied)
+      [ 20; 20; 1 ]
+  in
+  check Alcotest.(list int) "views on" [ 0; 0; 0 ]
+    (prune_applies ~local_views:true);
+  check Alcotest.(list int) "views off: unchanged" [ 19; 20; 1 ]
+    (prune_applies ~local_views:false)
+
 (* Forge a log entry claiming execution index 3 with no entries for 1..2:
    recovery must refuse (Prop 5.10 says such logs cannot be produced by the
    implementation, so this is corruption). The entry bytes are constructed
@@ -1074,6 +1118,8 @@ let () =
             test_checkpoint_drop_matches_old_rule;
           Alcotest.test_case "checkpoint reads no log back" `Quick
             test_checkpoint_reads_no_log;
+          Alcotest.test_case "prune after checkpoint applies nothing" `Quick
+            test_prune_after_checkpoint_applies_nothing;
         ] );
       ( "misc",
         [

@@ -746,6 +746,147 @@ let test_binary_payloads () =
   P.append log payload;
   check Alcotest.(list string) "binary-safe" [ payload ] (P.entries log)
 
+(* {1 The recovery scan's building blocks} *)
+
+(* The per-byte definition the word-wise search must agree with. *)
+let last_nonzero_ref s =
+  let last = ref (-1) in
+  String.iteri (fun i c -> if c <> '\000' then last := i) s;
+  !last
+
+let test_last_nonzero_every_alignment () =
+  for len = 0 to 300 do
+    let zeros = String.make len '\000' in
+    check Alcotest.int
+      (Printf.sprintf "all zeros, length %d" len)
+      (-1)
+      (Onll_plog.Plog.last_nonzero zeros);
+    for i = 0 to len - 1 do
+      (* 0x80 and friends: a set high bit must not read as a sign *)
+      let c = Char.chr (if i mod 2 = 0 then 0x80 else 1 + (i mod 255)) in
+      let s = String.init len (fun j -> if j = i then c else '\000') in
+      check Alcotest.int
+        (Printf.sprintf "one nonzero byte at %d of %d" i len)
+        i
+        (Onll_plog.Plog.last_nonzero s)
+    done
+  done
+
+let test_last_nonzero_random () =
+  let rng = Random.State.make [| 16 |] in
+  for _ = 1 to 2000 do
+    let len = Random.State.int rng 2048 in
+    (* mostly zeros, so the last nonzero byte lands anywhere *)
+    let density = 1 + Random.State.int rng 64 in
+    let s =
+      String.init len (fun _ ->
+          if Random.State.int rng (density * 16) = 0 then
+            Char.chr (1 + Random.State.int rng 255)
+          else '\000')
+    in
+    check Alcotest.int "word-wise = per byte" (last_nonzero_ref s)
+      (Onll_plog.Plog.last_nonzero s)
+  done
+
+(* The checksum as the log format defines it, over a copied frame. *)
+let framed_entry_crc payload =
+  let buf = Bytes.create (8 + String.length payload) in
+  Bytes.set_int64_le buf 0 (Int64.of_int (String.length payload));
+  Bytes.blit_string payload 0 buf 8 (String.length payload);
+  Onll_util.Crc32.bytes buf ~pos:0 ~len:(Bytes.length buf)
+
+let random_payload rng =
+  String.init (1 + Random.State.int rng 300) (fun _ ->
+      Char.chr (Random.State.int rng 256))
+
+let test_entry_crc_is_framed_crc () =
+  let rng = Random.State.make [| 32 |] in
+  for _ = 1 to 500 do
+    let p = random_payload rng in
+    check Alcotest.int32 "crc(len ++ payload)" (framed_entry_crc p)
+      (Onll_plog.Plog.entry_crc p)
+  done
+
+(* A log image laid down byte by byte with the framed checksum (entries
+   from offset 64 under an all-zero header) must be the very image the
+   log's own appends write, and must recover the same way: same entries,
+   same salvage report. One middle entry is rotted so the salvage path
+   runs too. *)
+let test_framed_crc_image_recovers_identically () =
+  let rng = Random.State.make [| 48 |] in
+  let payloads = List.init 12 (fun _ -> random_payload rng) in
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let capacity = 8192 in
+  let appended = P.create ~name:"new" ~capacity () in
+  List.iter (P.append appended) payloads;
+  let written = P.create ~name:"old" ~capacity () in
+  let image = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      let word v =
+        let b = Bytes.create 8 in
+        Bytes.set_int64_le b 0 v;
+        Buffer.add_bytes image b
+      in
+      word (Int64.of_int (String.length p));
+      word (Int64.logand (Int64.of_int32 (framed_entry_crc p)) 0xFFFFFFFFL);
+      Buffer.add_string image p)
+    payloads;
+  let image = Buffer.contents image in
+  let region name =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) name)
+  in
+  Onll_nvm.Memory.Region.corrupt (region "old") ~off:64
+    ~len:(String.length image) ~f:(fun i _ -> image.[i]);
+  let mid =
+    64 + 16 + String.length (List.nth payloads 0) + 16 + 1
+  in
+  List.iter (fun name -> flip (region name) ~off:mid) [ "old"; "new" ];
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  check Alcotest.string "same durable bytes"
+    (Onll_nvm.Memory.Region.durable_snapshot (region "new"))
+    (Onll_nvm.Memory.Region.durable_snapshot (region "old"));
+  let r_new = P.recover appended and r_old = P.recover written in
+  let pp = Fmt.to_to_string Onll_plog.Plog.pp_salvage_report in
+  check Alcotest.string "same salvage report" (pp r_new) (pp r_old);
+  check Alcotest.int "the rotted entry was quarantined" 1
+    r_old.Onll_plog.Plog.quarantined_spans;
+  check Alcotest.(list string) "same entries" (P.entries appended)
+    (P.entries written)
+
+(* Every durable load ticks the fault hooks, so the number of loads a
+   recovery makes is part of every seeded fault schedule: pin it on a
+   clean log, a torn tail and an interior corruption. *)
+let test_recover_load_counts () =
+  let loads_of damage =
+    let sim = Sim.create ~max_processes:1 () in
+    let module M0 = (val Sim.machine sim) in
+    let module M = Test_support.Machine_wrap.Counting_loads (M0) in
+    let module P = Onll_plog.Plog.Make (M) in
+    let log = P.create ~name:"l" ~capacity:4096 () in
+    P.append log "aaaaaaaa";
+    P.append log "bbbbbbbb";
+    P.append log "cccccccc";
+    let region =
+      Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l")
+    in
+    (match damage with
+    | `Clean -> ()
+    | `Torn_tail -> flip region ~off:(112 + 16 + 3)
+    | `Interior -> flip region ~off:(88 + 16 + 3));
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    M.loads := 0;
+    ignore (P.recover log);
+    !M.loads
+  in
+  check Alcotest.int "clean log" 24 (loads_of `Clean);
+  check Alcotest.int "torn tail" 23 (loads_of `Torn_tail);
+  check Alcotest.int "interior corruption" 26 (loads_of `Interior)
+
 (* Property: whatever single step the crash lands on, recovery yields a
    prefix of the appended entries; completed appends always survive. *)
 let prop_recovery_is_prefix =
@@ -860,5 +1001,18 @@ let () =
             test_salvage_truncates_corrupt_tail;
           Alcotest.test_case "unhardened silently truncates" `Quick
             test_unhardened_recover_silently_truncates;
+        ] );
+      ( "scan",
+        [
+          Alcotest.test_case "last nonzero at every alignment" `Quick
+            test_last_nonzero_every_alignment;
+          Alcotest.test_case "last nonzero on random buffers" `Quick
+            test_last_nonzero_random;
+          Alcotest.test_case "entry crc = crc of len ++ payload" `Quick
+            test_entry_crc_is_framed_crc;
+          Alcotest.test_case "framed-crc image recovers identically" `Quick
+            test_framed_crc_image_recovers_identically;
+          Alcotest.test_case "recover load counts pinned" `Quick
+            test_recover_load_counts;
         ] );
     ]

@@ -233,6 +233,79 @@ let prop_checkpoint_anytime =
          C.recover obj;
          C.read obj Cs.Get = n))
 
+(* Pruning folds from the pruning process's local views, which random
+   interleavings leave at scattered nodes. Whatever they are, the base a
+   prune installs must be the state the operations below it fold to from
+   the initial state. The queue's state lists every enqueue in order, so
+   the final contents (checked against every process's FIFO order) give
+   the linearization the base is checked against. *)
+let prop_prune_base_is_fold =
+  qcheck
+    (QCheck.Test.make
+       ~name:"prune from local views: base = fold from the initial state"
+       ~count:60 QCheck.small_nat (fun seed ->
+         let module Q = Onll_specs.Queue_spec in
+         let procs = 3 and per = 12 in
+         let sim = Sim.create ~max_processes:procs () in
+         let module M = (val Sim.machine sim) in
+         let module C = Onll_core.Onll.Make (M) (Q) in
+         let obj =
+           C.make { Onll_core.Onll.Config.default with local_views = true }
+         in
+         let rng = Splitmix.create seed in
+         let plans =
+           Array.init procs (fun _ -> Array.init per (fun _ -> Splitmix.int rng 6))
+         in
+         let ok = ref true in
+         for round = 0 to 2 do
+           let body p _ =
+             Array.iteri
+               (fun k choice ->
+                 match choice with
+                 | 0 -> ignore (C.read obj Q.Length)
+                 | 1 -> (
+                     (* a concurrent prune may already have cut above
+                        this checkpoint: the trace refuses, as sharded
+                        checkpoints expect *)
+                     let upto = C.checkpoint obj in
+                     try C.prune obj ~below:upto with Invalid_argument _ -> ())
+                 | _ ->
+                     ignore
+                       (C.update obj
+                          (Q.Enqueue ((round * 10_000) + (p * 100) + k))))
+               plans.(p)
+           in
+           ignore
+             (Sim.run sim
+                (Onll_sched.Sched.Strategy.random ~seed:((seed * 3) + round))
+                (Array.init procs body));
+           let order = Q.to_list (C.current_state obj) in
+           for p = 0 to procs - 1 do
+             let enqueued =
+               List.concat_map
+                 (fun r ->
+                   List.filter_map
+                     (fun k ->
+                       if plans.(p).(k) >= 2 then
+                         Some ((r * 10_000) + (p * 100) + k)
+                       else None)
+                     (List.init per Fun.id))
+                 (List.init (round + 1) Fun.id)
+             in
+             if List.filter (fun v -> v / 100 mod 100 = p) order <> enqueued
+             then ok := false
+           done;
+           let base_idx, base = C.trace_base obj in
+           let folded =
+             List.fold_left
+               (fun st v -> fst (Q.apply st (Q.Enqueue v)))
+               Q.initial
+               (List.filteri (fun i _ -> i < base_idx) order)
+           in
+           if not (Q.equal_state base folded) then ok := false
+         done;
+         !ok))
+
 let prop_detectability_total =
   qcheck
     (QCheck.Test.make
@@ -347,7 +420,7 @@ let () =
           prop_multi_era_monotone;
           prop_detectability_total;
         ] );
-      ( "reclamation", [ prop_checkpoint_anytime ] );
+      ( "reclamation", [ prop_checkpoint_anytime; prop_prune_base_is_fold ] );
       ( "checker",
         [ prop_checker_accepts_model_histories; prop_checker_rejects_mutations ]
       );
