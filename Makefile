@@ -35,7 +35,8 @@ gate:
 # too), a mirrored slice where
 # primary-only faults must cost nothing, the same pair against the
 # 4-shard partitioned construction, the group-commit object with the
-# crash landing mid-batch (alone and composed with --mirrored), durable
+# crash landing mid-batch (alone, composed with --mirrored, and sharded
+# group commit under --sharded), durable
 # client sessions (E15), cross-shard transactions (E19: all-or-nothing
 # across a crash sweep, plain and mirrored), a kill -9 slice of the E17
 # file-backend campaign (real files, real fsync, SIGKILLed subprocess
@@ -57,6 +58,7 @@ chaos -s kv --seeds 10 --sharded
 chaos -s kv --seeds 10 --sharded --mirrored
 chaos -s kv --seeds 10 --batched
 chaos -s kv --seeds 10 --batched --mirrored
+chaos -s kv --seeds 10 --batched --sharded
 chaos --session --seeds 10
 chaos -s kv --txn --seeds 10
 chaos -s kv --txn --mirrored --seeds 10

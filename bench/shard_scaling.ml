@@ -49,9 +49,8 @@ let fence_accounting summary =
           {
             Onll_baselines.Registry.default_options with
             log_capacity = 1 lsl 18;
-            shards = acct_shards;
           }
-        ~max_processes:n_procs
+        ~shards:acct_shards ~max_processes:n_procs
         ~gen_update:(fun () -> Test_support.Gen.Kv.update rng)
         ~gen_read:(fun () -> Test_support.Gen.Kv.read rng)
         "onll-sharded"

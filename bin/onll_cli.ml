@@ -245,13 +245,15 @@ let object_chaos spec seeds unhardened mirrored sharded batched quiet =
     exit 1
   end;
   let plan_of =
-    match (batched, sharded, mirrored) with
-    | true, _, false -> Chaos_harness.batched_plan_of_seed
-    | true, _, true -> Chaos_harness.batched_mirrored_plan_of_seed
-    | false, false, false -> Chaos_harness.plan_of_seed
-    | false, false, true -> Chaos_harness.mirrored_plan_of_seed
-    | false, true, false -> Chaos_harness.sharded_plan_of_seed
-    | false, true, true -> Chaos_harness.sharded_mirrored_plan_of_seed
+    let base =
+      if mirrored then Chaos_harness.mirrored_plan_of_seed
+      else Chaos_harness.plan_of_seed
+    in
+    match (sharded, batched) with
+    | false, false -> base
+    | false, true -> Chaos_harness.over Onll_stack.(Bare `Batched) base
+    | true, false -> Chaos_harness.over Onll_stack.(Sharded (`Plain, 4)) base
+    | true, true -> Chaos_harness.over Onll_stack.(Sharded (`Batched, 4)) base
   in
   if unhardened then
     calibration_arm ~quiet ~print:Chaos_harness.print_calibration ~seeds
@@ -314,10 +316,6 @@ let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
     end;
     txn_chaos seeds unhardened mirrored quiet
   end
-  else if batched && sharded then begin
-    Printf.eprintf "chaos: --batched does not compose with --sharded\n";
-    exit 1
-  end
   else object_chaos spec seeds unhardened mirrored sharded batched quiet
 
 let chaos_cmd =
@@ -331,26 +329,25 @@ let chaos_cmd =
      primaries plus online rot and periodic scrubs — where loss of any \
      kind (even reported) is a failure, since every fault has an intact \
      mirror copy. With $(b,--sharded), the same grids run against the E14 \
-     partitioned construction (4 shards), composable with $(b,--mirrored). \
-     With $(b,--batched), they run against the E16 group-commit \
-     construction — the crash grid lands mid-batch, before or after the \
-     shared fence — also composable with $(b,--mirrored) but not with \
-     $(b,--sharded). \
+     partitioned construction (4 shards). With $(b,--batched), they run \
+     against the E16 group-commit construction — the crash grid lands \
+     mid-batch, before or after the shared fence — and with both, against \
+     sharded group commit. Which object stacks exist is the type \
+     Onll_stack.t; each of these flags picks one. \
      With $(b,--session), run the E15 exactly-once session grid instead \
      (counter and ledger workloads through durable client sessions over \
      the plain, mirrored and sharded backends, plus the naive \
-     at-least-once calibration arm, $(i,SEEDS) seeds per arm); it \
-     composes with no other campaign flag. With $(b,--txn), run the E19 \
-     cross-shard transaction atomicity campaign instead: seeded kv \
-     transfers cut by crashes at swept schedule points, audited \
-     all-or-nothing with \
-     balanced books — composable with $(b,--mirrored) (and \
-     $(b,--unhardened) for its no-sweep calibration), not with \
-     $(b,--sharded)/$(b,--batched). With $(b,--relaxed), run the E20 \
-     bounded-staleness campaign instead: seeded crashes cut the \
-     risk-budgeted volatile tail at swept depths, audited for \
-     quantified suffix-only loss, idempotent recovery and convergence — \
-     composable with $(b,--mirrored); its $(b,--unhardened) calibration \
+     at-least-once calibration arm, $(i,SEEDS) seeds per arm). With \
+     $(b,--txn), run the E19 cross-shard transaction atomicity campaign \
+     instead: seeded kv transfers cut by crashes at swept schedule \
+     points, audited all-or-nothing with balanced books \
+     ($(b,--unhardened) runs its no-sweep calibration). With \
+     $(b,--relaxed), run the E20 bounded-staleness campaign instead: \
+     seeded crashes cut the risk-budgeted volatile tail at swept depths, \
+     audited for quantified suffix-only loss, idempotent recovery and \
+     convergence. These three campaigns take $(b,--mirrored) and no \
+     other object flag; $(b,--session) takes none. The relaxed \
+     $(b,--unhardened) calibration \
      exits with the violation code when the ledger-free recovery is \
      caught (the expected outcome). Any campaign that records \
      violations exits with code 4 — also under $(b,--quiet), which \
@@ -659,11 +656,10 @@ let session_demo updates seed =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let session = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let session = Sess.attach ~sink ~client:0 (B.backend obj) in
   let run body =
     match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |] with
     | Onll_sched.Sched.World.Completed -> ()
@@ -688,7 +684,7 @@ let session_demo updates seed =
      acknowledgement became durable@."
     updates;
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Persist_all;
-  ignore (C.recover_report obj);
+  ignore (obj.B.recover_report ());
   run (fun _ ->
       (match Sess.recover session with
       | Sess.Was_applied id ->
@@ -744,7 +740,7 @@ let session_demo updates seed =
      unfenced in the volatile buffer, and a Persist_all crash would
      persist it — turning the in-doubt operation into a survivor. *)
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
-  ignore (C.recover_report obj);
+  ignore (obj.B.recover_report ());
   let final = ref 0 in
   run (fun _ ->
       (match Sess.recover session with
@@ -851,9 +847,7 @@ module Stats_run (S : Onll_core.Spec.S) = struct
     let sink = Onll_obs.Sink.make () in
     let rng = Onll_util.Splitmix.create seed in
     match
-      R.build ~sink
-        ~options:{ Onll_baselines.Registry.default_options with shards }
-        ~max_processes:procs
+      R.build ~sink ~shards ~max_processes:procs
         ~gen_update:(fun () -> gen_update rng)
         ~gen_read:(fun () -> gen_read rng)
         impl
@@ -1004,7 +998,7 @@ let stats_cmd =
     Arg.(
       value & opt int 4
       & info [ "shards" ] ~docv:"S"
-          ~doc:"shard count (onll-sharded only; others ignore it)")
+          ~doc:"shard count (onll-sharded and onll-txn only; others ignore it)")
   in
   let procs =
     Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"process count")

@@ -23,13 +23,9 @@
     lower-bound benchmark and the fence audit instead of per-caller copies
     of the same match.
 
-    Compositions are not new names: they are {!options}. ["onll"] with
-    [{ default_options with replicas = 2; batched = true }] is the
-    mirrored group-commit object; every flag the CLI spells
-    [--mirrored --sharded --session --batched] maps onto one field of the
-    record, uniformly for every caller. A family name is shorthand for
-    the base options it implies (["onll-mirrored"] = [replicas = 2], …)
-    and composes with whatever else the record requests. *)
+    Compositions are not new names: they are {!Onll_stack.t} values in
+    {!options}, built by ["onll"]. Which layers compose is that type; a
+    family name is shorthand for one stack ({!family}). *)
 
 type handle = {
   sim : Onll_machine.Sim.t;
@@ -50,62 +46,21 @@ type options = {
   log_capacity : int;  (** bytes per persistent log (default 64 KiB) *)
   state_capacity : int;
       (** bytes per shadow-state region (["shadow"] only; default 4096) *)
-  shards : int;
-      (** > 1 routes every operation through {!Onll_sharded} with this
-          many independent instances (default 1; the ["onll-sharded"]
-          family name implies 4 unless the record already asks for more) *)
-  replicas : int;
-      (** log copies, all drained under the update's one fence
-          (default 1; ["onll-mirrored"] implies 2) *)
-  batched : bool;
-      (** group-commit construction ({!Onll_batched}) instead of the
-          per-process-log one (default false; ["onll-batched"] implies
-          it) *)
-  session : bool;
-      (** drive updates through per-client exactly-once
-          {!Onll_session} sessions (default false; ["onll-session"]
-          implies it); composes with [batched]/[replicas], not with
-          [shards] *)
-  local_views : bool;
-      (** §8 read acceleration (default false; ["onll+views"] implies
-          it) *)
-  wait_free : bool;
-      (** wait-free trace variant (default false; ["onll-wait-free"]
-          implies it); mutually exclusive with [batched] *)
-  txn : bool;
-      (** front the sharded object with the E19 cross-shard transaction
-          coordinator ({!Onll_txn}; default false; ["onll-txn"] implies
-          it, plus [shards = 4] unless the record asks for more);
-          composes with [replicas]/[shards], not with
-          [batched]/[session]/[wait_free]. Single updates take the fast
-          path — a plain sharded update, one fence — so the E1 audit
-          holds unchanged *)
-  relaxed : bool;
-      (** wrap the object in the E20 bounded-staleness mode
-          ({!Onll_relaxed}): updates acknowledged fence-free into a
-          volatile tail of at most [risk_budget] operations, one lazy
-          fence draining it — strictly below 1 pf/update in steady state,
-          with a crash losing at most the budgeted (and precisely
-          reported) suffix. Default false; ["onll-relaxed"] implies it;
-          composes with [replicas]/[wait_free], not with
-          [batched]/[session]/[txn]/[shards] *)
-  risk_budget : int;
-      (** [relaxed] only: max acknowledged-unfenced operations (default
-          8) *)
+  stack : Onll_stack.t;
+      (** what ["onll"] builds (default {!Onll_stack.plain}); the other
+          family names build their own stack *)
 }
-(** How to build an ONLL-family object: every axis the registry knows,
-    with {!default_options} as the neutral point. Only the ONLL family
-    reads these (baselines take [log_capacity]/[state_capacity] and
-    ignore the rest). *)
+(** Capacities for every implementation, and the stack ["onll"] builds. *)
 
 val default_options : options
 
-val pp_options : Format.formatter -> options -> unit
-(** One line, only the non-default fields (["defaults"] when none) —
-    benches embed it in row labels. *)
-
 val names : string list
 (** Canonical implementation names, in report order (aliases excluded). *)
+
+val family : ?shards:int -> string -> Onll_stack.t option
+(** The stack an ONLL family name (or alias) denotes; [None] for a
+    baseline or an unknown name. [shards] (default 4) sizes
+    ["onll-sharded"] and ["onll-txn"], and nothing else. *)
 
 val recovery_capable : string list
 (** The subset of {!names} with hardened recovery (the ONLL family) — the
@@ -115,6 +70,7 @@ module Make (S : Onll_core.Spec.S) : sig
   val build :
     ?sink:Onll_obs.Sink.t ->
     ?options:options ->
+    ?shards:int ->
     max_processes:int ->
     gen_update:(unit -> S.update_op) ->
     gen_read:(unit -> S.read_op) ->
@@ -124,7 +80,7 @@ module Make (S : Onll_core.Spec.S) : sig
       installing [sink] (default {!Onll_obs.Sink.null}) in both the machine
       and the object. [gen_update]/[gen_read] supply the operation each
       thunk invocation performs (close over an RNG for random workloads).
-      [options] (default {!default_options}) selects capacities and the
-      composition; the family name's own implication (see {!options}) is
-      applied on top of it. [None] for an unknown name — see {!names}. *)
+      [options] (default {!default_options}) sets the capacities and, for
+      ["onll"], the stack; any other family name builds {!family}
+      [?shards name]. [None] for an unknown name — see {!names}. *)
 end

@@ -20,10 +20,27 @@ let construction_name = function
   | Sharded -> "sharded"
   | Batched -> "batched"
 
+let stack ?(max_staleness = 64) construction =
+  {
+    Onll_stack.top =
+      Onll_stack.Session
+        (match construction with
+        | Plain | Mirrored -> Onll_stack.Relaxed (`Plain, max_staleness)
+        | Sharded -> Onll_stack.Sharded (`Plain, 4)
+        | Batched -> Onll_stack.Bare `Batched);
+    replicas = (if construction = Mirrored then 2 else 1);
+    (* local views (§8, E4): a server applies every client's updates
+       from one process, so without them each update replays the whole
+       history — O(n²) CPU over a pass. Volatile read acceleration only:
+       fence accounting and recovery are unchanged. *)
+    views = true;
+  }
+
 let region_name ~client = Printf.sprintf "%s.srv.c%d" Cs.name client
 
 module Make (M : Onll_machine.Machine_sig.S) = struct
   module Sess = Onll_session.Make (M) (Cs)
+  module B = Onll_stack.Make (M) (Cs)
 
   (* {1 The durable object-sequence allocator}
 
@@ -144,18 +161,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     token : string;
     max_clients : int;
     max_staleness : int;
-    (* E20 tier plumbing (Plain|Mirrored only): submit via the relaxed
-       wrapper — [T_strict] pays exactly one piggybacking fence,
-       [T_staleness k] is fence-free within the budget — and the flush
-       that drains the shared tail at quiesce. *)
-    tier_submit : (Protocol.tier -> Cs.update_op -> int) option;
-    tier_flush : unit -> unit;
+    (* the built stack below the sessions; its [relaxed] tiers
+       (Plain|Mirrored only) are [T_strict] — exactly one piggybacking
+       fence — and [T_staleness k], fence-free within the budget, plus
+       the flush that drains the shared tail at quiesce *)
+    obj : B.obj;
     proc : int;  (* the machine process every session runs on *)
     scfg : Onll_session.config;
     backend : Sess.backend;  (* shared by every session; b_alloc installed *)
-    read0 : unit -> int;
-    obj_degraded : unit -> bool;
-    alloc : Oseq.t;
     dir : Dir.t;
     sessions : (int, Sess.t) Hashtbl.t;
     regions : (string, int) Hashtbl.t;  (* region name -> owning client *)
@@ -218,93 +231,24 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       ?(max_clients = 10_000) ?(oseq_block = 1024)
       ?(log_capacity = Onll_core.Onll.Config.default.log_capacity)
       ?(max_staleness = 64) construction =
-    let replicas = if construction = Mirrored then 2 else 1 in
-    let ccfg =
-      (* local views (§8, E4): a server applies every client's updates
-         from one process, so without them each update replays the whole
-         history — O(n²) CPU over a pass. Volatile read acceleration
-         only: fence accounting and recovery are unchanged. *)
-      {
-        Onll_core.Onll.Config.default with
-        log_capacity;
-        replicas;
-        sink;
-        local_views = true;
-      }
-    in
+    let stack = stack ~max_staleness construction in
     let alloc = Oseq.create ~sink ~block:oseq_block () in
     Oseq.recover alloc;
     let sessions = Hashtbl.create 256 in
-    let base_backend, read0, obj_degraded, tier_submit, tier_flush =
-      match construction with
-      | Plain | Mirrored ->
-          let module C = Onll_core.Onll.Make (M) (Cs) in
-          let obj = C.make ccfg in
-          (* The relaxed wrapper (E20) mediates every update on the
-             object — including the exactly-once path below — so the
-             acked-but-unfenced staleness tail is always a suffix of the
-             linearization. Its recovery subsumes the construction's
-             (salvage + drain-record re-apply). *)
-          let module R = Onll_relaxed.Make_over (M) (Cs) (C) in
-          (* the wrapper draws identities from the same durable
-             allocator as the session path — the two update paths share
-             the object, so they must share its identity space *)
-          let robj =
-            R.attach ~max_unfenced_ops:max_staleness
-              ~alloc:(fun () -> Oseq.next alloc)
-              ccfg obj
-          in
-          ignore (R.recover_report robj : Onll_core.Onll.Recovery_report.t);
-          let module Ov = Sess.Over (C) in
-          (* compact through the wrapper, under its lock: the checkpoint
-             covers the staleness tail and clears it, so the tail stays a
-             suffix of the linearization *)
-          let base =
-            Ov.backend ~checkpoint:(fun () -> R.checkpoint robj) obj
-          in
-          ( {
-              base with
-              b_update_detectable =
-                (fun ~seq op ->
-                  (* an exactly-once update fences its own fuzzy window,
-                     which skips the acked-available tail; earlier
-                     staleness acks must go durable first or a crash
-                     would lose an interior operation. Free (no fence)
-                     when the tail is empty — the all-exactly-once
-                     steady state. *)
-                  R.flush robj;
-                  C.update_detectable obj ~seq op);
-            },
-            (fun () -> C.read obj Cs.Get),
-            (fun () -> C.degraded obj),
-            Some
-              (fun tier op ->
-                match (tier : Protocol.tier) with
-                | Protocol.T_strict -> snd (R.update_strict robj op)
-                | Protocol.T_staleness k -> snd (R.update ~budget:k robj op)
-                | Protocol.T_exactly_once -> assert false),
-            fun () -> R.flush robj )
-      | Batched ->
-          let module C = Onll_batched.Make (M) (Cs) in
-          let obj = C.make ccfg in
-          ignore (C.recover_report obj : Onll_core.Onll.Recovery_report.t);
-          let module Ov = Sess.Over (C) in
-          ( Ov.backend obj,
-            (fun () -> C.read obj Cs.Get),
-            (fun () -> C.degraded obj),
-            None,
-            fun () -> () )
-      | Sharded ->
-          let module C = Onll_sharded.Make (M) (Cs) in
-          let obj = C.make ~shards:4 ccfg in
-          ignore (C.recover_report obj : Onll_core.Onll.Recovery_report.t);
-          let module Ov = Sess.Over_routed (C) in
-          ( Ov.backend obj,
-            (fun () -> C.read obj Cs.Get),
-            (fun () -> C.degraded obj),
-            None,
-            fun () -> () )
+    (* The object below the sessions, which this service attaches per
+       client itself. The builder applies the stack's seam rules: over
+       the relaxed wrapper an exactly-once update drains the staleness
+       tail first and compaction checkpoints through the wrapper; and
+       both update paths draw identities from the one durable
+       allocator, because they share the object's identity space. Its
+       recovery subsumes the construction's. *)
+    let obj =
+      B.build
+        ~alloc:(fun () -> Oseq.next alloc)
+        (Onll_stack.without_session stack)
+        { Onll_core.Onll.Config.default with log_capacity; sink }
     in
+    ignore (obj.B.recover_report () : Onll_core.Onll.Recovery_report.t);
     let dir = Dir.create ~sink ~max_clients () in
     (* The compaction guard. Every session shares this process and the
        allocator, so a session's in-doubt operation may hold an identity
@@ -325,16 +269,13 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
        needs. *)
     let compact = ref (fun () -> false) in
     let backend =
-      {
-        base_backend with
-        Sess.b_compact = (fun () -> !compact ());
-        b_alloc = Some (fun () -> Oseq.next alloc);
-      }
+      { (B.backend obj) with Sess.b_compact = (fun () -> !compact ()) }
     in
     let scfg =
       match session with
       | Some c -> c
-      | None -> { Onll_session.default_config with replicas }
+      | None ->
+          { Onll_session.default_config with replicas = stack.replicas }
     in
     let reg = Sink.registry sink in
     let t =
@@ -343,14 +284,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         token;
         max_clients;
         max_staleness;
-        tier_submit;
-        tier_flush;
+        obj;
         proc = M.self ();
         scfg;
         backend;
-        read0;
-        obj_degraded;
-        alloc;
         dir;
         sessions;
         regions = Hashtbl.create 256;
@@ -388,7 +325,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                if Sess.pending sess <> None then in_doubt := true
              end)
            t.sessions;
-         (not !in_doubt) && base_backend.Sess.b_compact ());
+         (not !in_doubt)
+         && begin
+              obj.B.compact ();
+              true
+            end);
     t
 
   (* One session region per client, named injectively; the collision
@@ -443,9 +384,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   let tier_ok t = function
     | Protocol.T_exactly_once -> true
-    | Protocol.T_strict -> t.tier_submit <> None
+    | Protocol.T_strict -> t.obj.B.relaxed <> None
     | Protocol.T_staleness k ->
-        t.tier_submit <> None && k >= 1 && k <= t.max_staleness
+        t.obj.B.relaxed <> None && k >= 1 && k <= t.max_staleness
 
   let hello t conn ~client ~token ~tier =
     if t.drain_flag then begin
@@ -506,9 +447,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (* the session's own admission step: without it the relaxed tiers
            would never shed and overload would surface as deadline
            blowouts instead of definite refusals *)
+        let r = Option.get t.obj.B.relaxed in
         match
-          if Sess.admit sess then Some ((Option.get t.tier_submit) tier uop)
-          else None
+          if not (Sess.admit sess) then None
+          else
+            match tier with
+            | Protocol.T_strict -> Some (r.B.update_strict uop)
+            | Protocol.T_staleness k -> Some (r.B.update_stale ~budget:k uop)
+            | Protocol.T_exactly_once -> assert false
         with
         | None ->
             Metrics.incr t.m_shed;
@@ -604,11 +550,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      acked operation, whatever its tier. *)
   let quiesce t =
     try
-      t.tier_flush ();
+      Option.iter (fun r -> r.B.flush ()) t.obj.B.relaxed;
       M.fence ()
     with Onll_nvm.File_memory.Degraded _ -> ()
-  let counter_value t = t.read0 ()
+  let counter_value t = t.obj.B.read Cs.Get
   let sessions t = Hashtbl.length t.sessions
   let region_bytes t = t.rbytes
-  let degraded t = t.went_degraded || t.obj_degraded ()
+  let degraded t = t.went_degraded || t.obj.B.degraded ()
 end

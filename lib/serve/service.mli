@@ -27,6 +27,14 @@ type construction = Plain | Mirrored | Sharded | Batched
 val construction_of_string : string -> construction option
 val construction_name : construction -> string
 
+val stack : ?max_staleness:int -> construction -> Onll_stack.t
+(** The layer stack a construction serves: sessions over the relaxed
+    wrapper (risk budget [max_staleness], default 64) on [Plain] and
+    [Mirrored] (two replicas), over 4 plain shards on [Sharded], over
+    group commit on [Batched] — all with local views. {!Make.make}
+    builds it without the session layer ({!Onll_stack.without_session})
+    and attaches one session per client itself. *)
+
 val region_name : client:int -> string
 (** The durable region (log) name of a client's session: injective in
     [client] (asserted again, with a collision table, at attach time). *)

@@ -122,10 +122,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   end
 
   module Over_routed (C : ROUTED) = struct
-    let backend ?checkpoint c =
-      let checkpoint =
-        match checkpoint with Some f -> f | None -> fun () -> C.checkpoint c
-      in
+    let backend c =
       {
         b_update_detectable = (fun ~seq op -> C.update_detectable c ~seq op);
         b_was_linearized = (fun op id -> C.was_linearized c op id);
@@ -134,23 +131,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         b_pressure = (fun () -> C.log_fill c);
         b_compact =
           (fun () ->
-            ignore (checkpoint () : int);
+            ignore (C.checkpoint c : int);
             C.reclaim c;
             true);
         b_alloc = None;
       }
   end
-
-  module Over
-      (C : Onll_core.Onll.CONSTRUCTION
-             with type update_op = S.update_op
-              and type read_op = S.read_op
-              and type value = S.value) =
-    Over_routed (struct
-      include C
-
-      let was_linearized c _op id = C.was_linearized c id
-    end)
 
   type t = {
     cfg : config;

@@ -136,12 +136,10 @@ val default_config : config
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   (** What the session needs from the object: a record of closures, so
-      one session type composes with the plain, mirrored, wait-free {e
-      and} sharded constructions (whose module types differ). Build it
-      with {!Over} for any {!Onll_core.Onll.CONSTRUCTION}, or with
-      {!Over_routed} for the sharded construction (its [was_linearized]
-      wants the operation for routing, which this record's shape already
-      carries). *)
+      one session type composes with every stack below it (whose module
+      types differ). [Onll_stack.Make.backend] builds it for any legal
+      stack; {!Over_routed} adapts one module directly. [was_linearized]
+      takes the operation because sharded identities are per shard. *)
   type backend = {
     b_update_detectable : seq:int -> S.update_op -> S.value;
     b_was_linearized : S.update_op -> Onll_core.Onll.op_id -> bool;
@@ -180,7 +178,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             record itself, so recovery interrogates the exact identity
             the invocation would have used. The allocator must be
             monotone {e across crashes} (persist a watermark). [None]
-            (and {!Over.backend}) keeps the session's own counter — the
+            keeps the session's own counter — the
             single-tenant default, byte-identical on media to E15. *)
   }
 
@@ -197,25 +195,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     val reclaim : t -> unit
   end
 
-  (** Adapter for an object whose [was_linearized] takes the operation,
-      as [Onll_sharded.SHARDED]'s does. *)
+  (** Adapter for one object module (an unsharded construction adapts
+      by ignoring the operation in [was_linearized]). *)
   module Over_routed (C : ROUTED) : sig
-    val backend : ?checkpoint:(unit -> int) -> C.t -> backend
-    (** [b_pressure] is [C.log_fill] and [b_compact] runs [checkpoint]
-        (default [C.checkpoint]; a wrapper that owns the object's
-        updates passes its own) and then [C.reclaim], by the calling
-        process. This is the one place that says what a compaction
-        is. *)
-  end
-
-  (** Adapter for any unsharded construction instance: {!Over_routed}
-      with [was_linearized] ignoring the operation. *)
-  module Over
-      (C : Onll_core.Onll.CONSTRUCTION
-             with type update_op = S.update_op
-              and type read_op = S.read_op
-              and type value = S.value) : sig
-    val backend : ?checkpoint:(unit -> int) -> C.t -> backend
+    val backend : C.t -> backend
+    (** [b_pressure] is [C.log_fill] and [b_compact] runs [C.checkpoint]
+        and then [C.reclaim], by the calling process; [b_alloc] is
+        [None]. *)
   end
 
   type t

@@ -1,0 +1,132 @@
+(** The legal layer stacks, as a type, and one builder for all of them.
+
+    Every durable object this repository builds is a stack of layers over
+    one {e engine}: the paper's construction ([`Plain]), its wait-free
+    trace variant ([`Wait_free]) or group commit ([`Batched],
+    {!Onll_batched}). Above the engine sits one {e front} — nothing,
+    key-routed shards ({!Onll_sharded}) or the bounded-staleness wrapper
+    ({!Onll_relaxed}) — and above the front, optionally, per-client
+    exactly-once sessions ({!Onll_session}). The cross-shard transaction
+    coordinator ({!Onll_txn}) is a top of its own over plain shards.
+
+    {b The layer contract.} Each layer, given a durably linearizable
+    object below it, yields a durably linearizable object (buffered
+    durably linearizable, for the relaxed front) and adds a fixed,
+    stated fence cost: a session one fence per submission on its own
+    client record, sharding and the transaction fast path none, the
+    relaxed front {e fewer} than one per update. That durable
+    linearizability composes this way, layer by layer and across
+    disjoint objects, is the argument of D'Osualdo, Raad and Vafeiadis,
+    "The Path to Durable Linearizability" (PAPERS.md); it is why
+    Theorem 5.1's bound — at most one persistent fence per update, none
+    per read — holds for every value of {!t}, which
+    [test/test_stacks.ml] checks over {!legal}.
+
+    {b What is not a stack.} Three compositions have no constructor, so
+    asking for one is a type error rather than a run-time refusal:
+    - wait-free shards: [Wf_trace.prune] raises
+      [Trace_intf.Unsupported], which {!Onll_sharded.SHARDED.compact}
+      does not catch;
+    - relaxed over batched: {!Onll_relaxed.Make_over} stages through
+      {!Onll_core.Onll.TXN_CAPABLE}, which group commit is not;
+    - a session over the transaction coordinator: a session submits
+      single operations, which the coordinator hands straight to its
+      shards (a session over plain shards is that stack), and an
+      exactly-once transaction needs [txn_detectable] and
+      [txn_was_committed], which a session backend does not carry. *)
+
+type engine = [ `Plain | `Wait_free | `Batched ]
+
+(** The layer an object's updates enter. *)
+type front =
+  | Bare of engine
+  | Sharded of [ `Plain | `Batched ] * int
+      (** that many key-routed instances of the engine *)
+  | Relaxed of [ `Plain | `Wait_free ] * int
+      (** acks fence-free into a tail of at most that many operations *)
+
+type top =
+  | Direct of front  (** callers update the front itself *)
+  | Session of front
+      (** every update is an exactly-once session submission *)
+  | Txn of int  (** the transaction coordinator over that many plain shards *)
+
+type t = {
+  top : top;
+  replicas : int;  (** copies of every log, drained under one fence *)
+  views : bool;  (** §8 local views: volatile read acceleration *)
+}
+
+val plain : t
+(** The paper's construction, bare, unmirrored, without views. *)
+
+val legal : t list
+(** Every top over every front and engine, each once unmirrored and once
+    mirrored with views: 4 shards, 4 transaction shards, a relaxed tail
+    of 8. *)
+
+val pp : Format.formatter -> t -> unit
+(** One short line, e.g. ["session/relaxed(plain,k=64) x2 +views"]. *)
+
+val without_session : t -> t
+(** The stack with its session layer removed — what a front-end that
+    attaches its own sessions to {!Make.backend} builds. *)
+
+module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
+  (** The relaxed front's two acknowledgement tiers and its drain. *)
+  type relaxed = {
+    update_strict : S.update_op -> S.value;
+        (** one fence, which also drains the tail *)
+    update_stale : budget:int -> S.update_op -> S.value;
+        (** fence-free while the tail stays within [budget] *)
+    flush : unit -> unit;  (** drain the tail now *)
+  }
+
+  (** A built stack: everything its callers reach it through. *)
+  type obj = {
+    update : S.update_op -> S.value;
+        (** the stack's update — on a session stack, a submission through
+            the calling process's session
+            @raise Failure if the session refuses it *)
+    update_detectable : seq:int -> S.update_op -> S.value;
+        (** the front's detectable update, under a caller-chosen sequence
+            number; over the relaxed front it first drains the staleness
+            tail, so the tail stays a suffix of the linearization *)
+    read : S.read_op -> S.value;
+    was_linearized : S.update_op -> Onll_core.Onll.op_id -> bool;
+        (** identities are per shard, so the question carries the
+            operation that routes it; unsharded stacks ignore it *)
+    shard_of : S.update_op -> int;  (** [0] unsharded *)
+    recover_report : unit -> Onll_core.Onll.Recovery_report.t;
+    recover_unhardened : unit -> unit;
+        (** the calibration baseline recovery *)
+    recovered_ops : unit -> (Onll_core.Onll.op_id * int) list;
+        (** recovery's re-inserted operations with their execution
+            indices (per shard, shard-major, when sharded) *)
+    scrub : unit -> unit;  (** one cooperative scrub step *)
+    degraded : unit -> bool;
+    log_fill : unit -> float;  (** the fullest object log's fill, O(1) *)
+    compact : unit -> unit;
+        (** checkpoint (through the relaxed wrapper, whose checkpoint
+            covers its tail) and reclaim the calling process's logs *)
+    alloc : (unit -> int) option;  (** the identity allocator built with *)
+    relaxed : relaxed option;
+        (** [Some] over the relaxed front — under a session only when
+            built with [alloc]: the tiers and the sessions then update one
+            object, so they must draw from one identity space *)
+  }
+
+  val build : ?alloc:(unit -> int) -> t -> Onll_core.Onll.Config.t -> obj
+  (** Create the stack's regions, bottom layer first, and return it.
+      [cfg] supplies log capacity, region suffix and sink; the stack
+      supplies [replicas] and [local_views]. [alloc] hands out object
+      sequence numbers for every update path that takes one — the
+      relaxed wrapper's and, through {!backend}, the sessions' — so the
+      paths sharing one object share one identity space. A session stack
+      attaches one session per machine process, client [p] on process
+      [p], after the object's regions. *)
+
+  val backend : obj -> Onll_session.Make(M)(S).backend
+  (** The object as a session backend: [b_pressure] is [log_fill],
+      [b_compact] is [compact], [b_alloc] is [alloc]. *)
+end

@@ -52,21 +52,14 @@ type plan = {
   read_ratio : float;
   crash_at : int;  (** scheduler step of the crash *)
   policy : Onll_nvm.Crash_policy.t;
-  wait_free : bool;
-  local_views : bool;
-  shards : int;
-      (** run the E14 sharded construction with this many shards
-          (1 = plain unsharded ONLL); incompatible with [wait_free] *)
-  batched : bool;
-      (** run the E16 group-commit construction: updates combined into a
-          shared batch made durable under one fence, so the crash can land
-          {e mid-batch} — between the announce and the shared fence (the
+  stack : Onll_stack.t;
+      (** the object under test — any legal stack; the E14 arms shard it,
+          the E16 arms put it on group commit, so the crash can land {e
+          mid-batch}: between the announce and the shared fence (the
           whole unfenced tail-batch must vanish with no acknowledged op in
           it) or between the fence and the acknowledgements (every batched
-          update must recover exactly once). Composes with [replicas];
-          incompatible with [wait_free] and [shards > 1] *)
+          update must recover exactly once) *)
   log_capacity : int;
-  replicas : int;  (** log replication factor (1 = unmirrored) *)
   fault_scope : [ `All | `Primary_only ];
       (** which replicas media faults may hit; [`Primary_only] composes
           [Plog.is_mirror_region] into the fault plan's target, modelling
@@ -88,12 +81,8 @@ let default_plan =
     read_ratio = 0.25;
     crash_at = 60;
     policy = Onll_nvm.Crash_policy.Drop_all;
-    wait_free = false;
-    local_views = false;
-    shards = 1;
-    batched = false;
+    stack = Onll_stack.plain;
     log_capacity = 1 lsl 16;
-    replicas = 1;
     fault_scope = `All;
     scrub_every = 0;
     fault = Faults.Plan.none;
@@ -135,128 +124,6 @@ let tracked_counters =
   ]
 
 module Make (S : Onll_core.Spec.S) = struct
-  type obj = {
-    o_update : S.update_op -> S.value;
-    o_update_detectable : seq:int -> S.update_op -> S.value;
-    o_read : S.read_op -> S.value;
-    o_recover_report : unit -> Onll_core.Onll.Recovery_report.t;
-    o_recover_unhardened : unit -> unit;
-    o_scrub : unit -> unit;
-    o_was_linearized : Onll_core.Onll.op_id -> bool;
-    o_recovered_ops : unit -> (Onll_core.Onll.op_id * int) list;
-    o_shard_of : Onll_core.Onll.op_id -> int;
-        (** which shard an id's operation routed to (constantly [0]
-            unsharded). Execution indices are per shard, so the precedence
-            audit only compares indices of ids on the same shard — across
-            shards durable linearizability composes by locality, there is
-            no shared index space to compare. *)
-  }
-
-  let make_obj (module M : Onll_machine.Machine_sig.S) plan sink =
-    let cfg =
-      {
-        Onll_core.Onll.Config.log_capacity = plan.log_capacity;
-        replicas = plan.replicas;
-        local_views = plan.local_views;
-        region_suffix = "";
-        sink;
-      }
-    in
-    if plan.shards > 1 then begin
-      if plan.wait_free then
-        invalid_arg "Chaos: shards > 1 with wait_free is not supported";
-      if plan.batched then
-        invalid_arg "Chaos: shards > 1 with batched is not supported";
-      let module C = Onll_sharded.Make (M) (S) in
-      let obj = C.make ~shards:plan.shards cfg in
-      (* The audit interrogates detectability by id alone, but sharded
-         identities are per-shard — remember each id's routing operation.
-         A volatile (non-simulated-NVM) table, so it survives simulated
-         crashes exactly like the audit's own bookkeeping does. *)
-      let routes : (Onll_core.Onll.op_id, S.update_op) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      {
-        o_update =
-          (fun op ->
-            let id, v = C.update_with_id obj op in
-            Hashtbl.replace routes id op;
-            v);
-        o_update_detectable =
-          (fun ~seq op ->
-            let id = { Onll_core.Onll.id_proc = M.self (); id_seq = seq } in
-            Hashtbl.replace routes id op;
-            C.update_detectable obj ~seq op);
-        o_read = C.read obj;
-        o_recover_report = (fun () -> C.recover_report obj);
-        o_recover_unhardened = (fun () -> C.recover_unhardened obj);
-        o_scrub = (fun () -> ignore (C.scrub obj));
-        o_was_linearized =
-          (fun id ->
-            match Hashtbl.find_opt routes id with
-            | Some op -> C.was_linearized obj op id
-            | None -> false);
-        o_recovered_ops =
-          (fun () ->
-            (* Shard-major like [recovered_ops]; indices are (shard,
-               per-shard exec idx) flattened so idempotence comparison
-               still works. Precedence is audited per shard. *)
-            List.map (fun (_, id, idx) -> (id, idx)) (C.recovered_ops obj));
-        o_shard_of =
-          (fun id ->
-            match Hashtbl.find_opt routes id with
-            | Some op -> C.shard_of_update obj op
-            | None -> -1);
-      }
-    end
-    else if plan.batched then begin
-      if plan.wait_free then
-        invalid_arg "Chaos: batched with wait_free is not supported";
-      let module C = Onll_batched.Make (M) (S) in
-      let obj = C.make cfg in
-      {
-        o_update = C.update obj;
-        o_update_detectable = (fun ~seq op -> C.update_detectable obj ~seq op);
-        o_read = C.read obj;
-        o_recover_report = (fun () -> C.recover_report obj);
-        o_recover_unhardened = (fun () -> C.recover_unhardened obj);
-        o_scrub = (fun () -> ignore (C.scrub obj));
-        o_was_linearized = C.was_linearized obj;
-        o_recovered_ops = (fun () -> C.recovered_ops obj);
-        o_shard_of = (fun _ -> 0);
-      }
-    end
-    else if plan.wait_free then begin
-      let module C = Onll_core.Onll.Make_wait_free (M) (S) in
-      let obj = C.make cfg in
-      {
-        o_update = C.update obj;
-        o_update_detectable = (fun ~seq op -> C.update_detectable obj ~seq op);
-        o_read = C.read obj;
-        o_recover_report = (fun () -> C.recover_report obj);
-        o_recover_unhardened = (fun () -> C.recover_unhardened obj);
-        o_scrub = (fun () -> ignore (C.scrub obj));
-        o_was_linearized = C.was_linearized obj;
-        o_recovered_ops = (fun () -> C.recovered_ops obj);
-        o_shard_of = (fun _ -> 0);
-      }
-    end
-    else begin
-      let module C = Onll_core.Onll.Make (M) (S) in
-      let obj = C.make cfg in
-      {
-        o_update = C.update obj;
-        o_update_detectable = (fun ~seq op -> C.update_detectable obj ~seq op);
-        o_read = C.read obj;
-        o_recover_report = (fun () -> C.recover_report obj);
-        o_recover_unhardened = (fun () -> C.recover_unhardened obj);
-        o_scrub = (fun () -> ignore (C.scrub obj));
-        o_was_linearized = C.was_linearized obj;
-        o_recovered_ops = (fun () -> C.recovered_ops obj);
-        o_shard_of = (fun _ -> 0);
-      }
-    end
-
   let run ~plan ~gen_update ~gen_read () =
     let registry = Onll_obs.Metrics.create () in
     let sink = Onll_obs.Sink.make ~registry () in
@@ -265,7 +132,41 @@ module Make (S : Onll_core.Spec.S) = struct
         ~crash_policy:plan.policy ()
     in
     let mem = Sim.memory sim in
-    let obj = make_obj (Sim.machine sim) plan sink in
+    let module M = (val Sim.machine sim) in
+    let module B = Onll_stack.Make (M) (S) in
+    let obj =
+      B.build plan.stack
+        {
+          Onll_core.Onll.Config.default with
+          log_capacity = plan.log_capacity;
+          sink;
+        }
+    in
+    (* The audit interrogates detectability by id alone, but sharded
+       identities are per shard: remember each id's routing operation. A
+       volatile (non-simulated-NVM) table, so it survives simulated
+       crashes exactly like the audit's own bookkeeping does. *)
+    let routes : (Onll_core.Onll.op_id, S.update_op) Hashtbl.t =
+      Hashtbl.create 64
+    in
+    let update_detectable ~seq op =
+      Hashtbl.replace routes { Onll_core.Onll.id_proc = M.self (); id_seq = seq } op;
+      obj.B.update_detectable ~seq op
+    in
+    let was_linearized id =
+      match Hashtbl.find_opt routes id with
+      | Some op -> obj.B.was_linearized op id
+      | None -> false
+    in
+    (* Execution indices are per shard, so the precedence audit only
+       compares indices of ids on the same shard — across shards durable
+       linearizability composes by locality, there is no shared index
+       space to compare. *)
+    let shard_of id =
+      match Hashtbl.find_opt routes id with
+      | Some op -> obj.B.shard_of op
+      | None -> -1
+    in
     let fault_plan =
       match plan.fault_scope with
       | `All -> plan.fault
@@ -294,20 +195,20 @@ module Make (S : Onll_core.Spec.S) = struct
       let seq = ref 0 in
       for k = 1 to plan.ops_per_proc do
         if Splitmix.float rng 1.0 < plan.read_ratio then
-          ignore (obj.o_read (gen_read rng))
+          ignore (obj.B.read (gen_read rng))
         else begin
           let op = gen_update rng in
           let id = { Onll_core.Onll.id_proc = p; id_seq = !seq } in
           let inv = tick () in
           invoked := (id, inv) :: !invoked;
-          let _v = obj.o_update_detectable ~seq:!seq op in
+          let _v = update_detectable ~seq:!seq op in
           incr seq;
           completed := (id, inv, tick ()) :: !completed
         end;
         (* Online scrubbing as a cooperative scheduler step: the crash can
            land mid-scrub, which is part of what the audit must survive. *)
         if plan.scrub_every > 0 && k mod plan.scrub_every = 0 then
-          obj.o_scrub ()
+          obj.B.scrub ()
       done
     in
     let strategy =
@@ -340,9 +241,9 @@ module Make (S : Onll_core.Spec.S) = struct
          attempt runs unarmed. *)
       let rng = Splitmix.create (plan.seed lxor 0x5EED) in
       let recover_once () =
-        if plan.hardened then Some (obj.o_recover_report ())
+        if plan.hardened then Some (obj.B.recover_report ())
         else begin
-          obj.o_recover_unhardened ();
+          obj.B.recover_unhardened ();
           None
         end
       in
@@ -365,9 +266,9 @@ module Make (S : Onll_core.Spec.S) = struct
       let report = go plan.nested_crashes in
       (* Idempotence: an immediate re-recovery must adopt the same
          history. *)
-      let ops1 = obj.o_recovered_ops () in
+      let ops1 = obj.B.recovered_ops () in
       ignore (recover_once ());
-      let ops2 = obj.o_recovered_ops () in
+      let ops2 = obj.B.recovered_ops () in
       if ops1 <> ops2 then
         fail "recovery not idempotent: %d ops then %d ops"
           (List.length ops1) (List.length ops2);
@@ -385,7 +286,7 @@ module Make (S : Onll_core.Spec.S) = struct
          torn append. With a mirror and primary-scoped faults it is not —
          the intact mirror tail must have been restored — so the excuse is
          withdrawn and any missing completed op is a hard violation. *)
-      let excusable = plan.replicas = 1 || plan.fault_scope = `All in
+      let excusable = plan.stack.Onll_stack.replicas = 1 || plan.fault_scope = `All in
       let reported id =
         match report with
         | None -> `No
@@ -400,7 +301,7 @@ module Make (S : Onll_core.Spec.S) = struct
       in
       List.iter
         (fun (id, _, _) ->
-          if not (obj.o_was_linearized id) then
+          if not (was_linearized id) then
             match reported id with
             | `Reported -> incr lost_reported
             | `Tail_ambiguous -> incr tail_ambiguous
@@ -422,7 +323,7 @@ module Make (S : Onll_core.Spec.S) = struct
             (fun (id2, inv2) ->
               if
                 id1 <> id2 && ret1 < inv2
-                && obj.o_shard_of id1 = obj.o_shard_of id2
+                && shard_of id1 = shard_of id2
               then
                 match (idx_of id1, idx_of id2) with
                 | Some i1, Some i2 when i1 >= i2 ->
@@ -439,8 +340,8 @@ module Make (S : Onll_core.Spec.S) = struct
         let prng = Splitmix.create (plan.seed + 777) in
         let post _ =
           for k = 1 to plan.post_ops do
-            if k mod 2 = 0 then ignore (obj.o_read (gen_read prng))
-            else ignore (obj.o_update (gen_update prng))
+            if k mod 2 = 0 then ignore (obj.B.read (gen_read prng))
+            else ignore (obj.B.update (gen_update prng))
           done
         in
         match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| post |] with
@@ -453,7 +354,7 @@ module Make (S : Onll_core.Spec.S) = struct
       crashed;
       completed = List.length !completed;
       recovered =
-        (if crashed then List.length (obj.o_recovered_ops ()) else 0);
+        (if crashed then List.length (obj.B.recovered_ops ()) else 0);
       lost_reported = !lost_reported;
       tail_ambiguous = !tail_ambiguous;
       nested_fired = !nested_fired;

@@ -46,8 +46,12 @@ let plan_of_seed seed =
       | 0 -> Onll_nvm.Crash_policy.Persist_all
       | 1 -> Onll_nvm.Crash_policy.Drop_all
       | _ -> Onll_nvm.Crash_policy.Random seed);
-    wait_free = seed mod 5 = 0;
-    local_views = seed mod 2 = 0;
+    stack =
+      {
+        Onll_stack.plain with
+        top = Direct (Bare (if seed mod 5 = 0 then `Wait_free else `Plain));
+        views = seed mod 2 = 0;
+      };
     fault;
     nested_crashes = seed mod 3;
     hardened = true;
@@ -61,7 +65,7 @@ let mirrored_plan_of_seed seed =
   let p = plan_of_seed seed in
   {
     p with
-    Chaos.replicas = 2;
+    Chaos.stack = { p.Chaos.stack with replicas = 2 };
     fault_scope = `Primary_only;
     scrub_every = (if seed mod 2 = 0 then 1 else 0);
     fault =
@@ -79,35 +83,31 @@ let mirrored_plan_of_seed seed =
 let dual_fault_plan_of_seed seed =
   { (mirrored_plan_of_seed seed) with Chaos.fault_scope = `All }
 
-(* The E14 arms: the same per-seed adversity against the {e sharded}
-   construction (4 shards; wait_free off — sharding composes the lock-free
+(* The same per-seed adversity against another front, keeping the seed's
+   replicas and views. *)
+let over front plan_of seed =
+  let p = plan_of seed in
+  { p with Chaos.stack = { p.Chaos.stack with top = Direct front } }
+
+(* The E14 arms: the sharded construction (4 shards over the lock-free
    trace construction). The crash lands mid-update on whichever shard the
    schedule was driving while the other shards proceed; per-shard recovery
-   must compose back into one loss-free history. *)
-let sharded_plan_of_seed seed =
-  { (plan_of_seed seed) with Chaos.shards = 4; wait_free = false }
+   must compose back into one loss-free history. Over mirrored logs with
+   primary-scoped faults it is the no-excuse arm of E13 composed with
+   partitioning — zero violations, zero reported loss, zero tail
+   ambiguity, on every shard. *)
+let sharded_plan_of_seed = over (Sharded (`Plain, 4)) plan_of_seed
+let sharded_mirrored_plan_of_seed = over (Sharded (`Plain, 4)) mirrored_plan_of_seed
 
-(* Sharded over mirrored logs with primary-scoped faults: the no-excuse
-   arm of E13 composed with partitioning — zero violations, zero reported
-   loss, zero tail ambiguity, on every shard. *)
-let sharded_mirrored_plan_of_seed seed =
-  { (mirrored_plan_of_seed seed) with Chaos.shards = 4; wait_free = false }
-
-(* The E16 arms: the same per-seed adversity against the {e group-commit}
-   construction, where the crash grid sweeps over the batch protocol
-   itself — before the shared fence (the whole unfenced tail-batch must
-   vanish with no acknowledged op in it) or after it (every batched
-   update must recover exactly once). wait_free off: batching replaces
-   the per-process-log trace, it does not compose with Kogan–Petrank. *)
-let batched_plan_of_seed seed =
-  { (plan_of_seed seed) with Chaos.batched = true; wait_free = false }
-
-(* Batched over mirrored logs with primary-scoped faults: the E13
-   no-excuse bar applied to group commit — a primary-only fault on the
+(* The E16 arms: the group-commit construction, where the crash grid
+   sweeps over the batch protocol itself — before the shared fence (the
+   whole unfenced tail-batch must vanish with no acknowledged op in it)
+   or after it (every batched update must recover exactly once). Over
+   mirrored logs with primary-scoped faults, a primary-only fault on the
    shared batch log must cost nothing, because the mirror drained under
    the same single batch fence. *)
-let batched_mirrored_plan_of_seed seed =
-  { (mirrored_plan_of_seed seed) with Chaos.batched = true; wait_free = false }
+let batched_plan_of_seed = over (Bare `Batched) plan_of_seed
+let batched_mirrored_plan_of_seed = over (Bare `Batched) mirrored_plan_of_seed
 
 (* The four objects every E12/E13 arm drives, by name: one {!Chaos.Make}
    instance each, closed over its generators. *)

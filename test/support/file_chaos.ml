@@ -52,21 +52,20 @@ let run_epoch ?(log_capacity = 1 lsl 14) ?(retry_budget = 8) ?(backoff_ns = 0)
   in
   ignore (Fm.register fmach);
   let module M = (val Fm.machine fmach) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let module B = Onll_stack.Make (M) (Cs) in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
   let finish outcome =
     Option.iter Faults.remove_file inj;
     Fm.close fmach;
     outcome
   in
   try
-    let cfg =
-      { Onll_core.Onll.Config.default with log_capacity; replicas }
+    let obj =
+      B.build { Onll_stack.plain with replicas }
+        { Onll_core.Onll.Config.default with log_capacity }
     in
-    let obj = C.make cfg in
-    ignore (C.recover_report obj);
-    let backend = Over.backend obj in
+    ignore (obj.B.recover_report ());
+    let backend = B.backend obj in
     let config = { Onll_session.default_config with replicas } in
     let sess = Sess.attach ~config ~client:0 backend in
     (match Sess.recover sess with
@@ -105,7 +104,7 @@ let run_epoch ?(log_capacity = 1 lsl 14) ?(retry_budget = 8) ?(backoff_ns = 0)
         let applied =
           List.filter
             (fun s ->
-              C.was_linearized obj
+              obj.B.was_linearized Cs.Increment
                 { Onll_core.Onll.id_proc = 0; id_seq = s })
             (List.init (Sess.next_seq sess) Fun.id)
         in

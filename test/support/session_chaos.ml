@@ -220,8 +220,12 @@ module Make (S : Onll_core.Spec.S) = struct
           let replicas = if plan.arm = Mirrored then 2 else 1 in
           let module C = Onll_core.Onll.Make (M) (S) in
           let obj = C.make (cfg ~replicas) in
-          let module Over = Sess.Over (C) in
-          ( Over.backend obj,
+          let module Ov = Sess.Over_routed (struct
+            include C
+
+            let was_linearized c _op id = C.was_linearized c id
+          end) in
+          ( Ov.backend obj,
             (fun () -> ignore (C.recover_report obj)),
             fun () ->
               List.map fst (C.recovered_ops obj)

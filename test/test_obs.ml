@@ -353,6 +353,26 @@ let test_registry_attribution_per_impl () =
                "fences.update"))
     expect
 
+(* [--shards] sizes the sharded families and nothing else: a shard count
+   handed to every name (the CLI's default is 4) must leave the others
+   unsharded. *)
+let test_registry_shards_only_shard_sharded_families () =
+  let module Registry = Onll_baselines.Registry in
+  check Alcotest.bool "onll is the bare plain stack" true
+    (Registry.family ~shards:4 "onll" = Some Onll_stack.plain);
+  check Alcotest.bool "onll-sharded is Sharded 4" true
+    (match Registry.family ~shards:4 "onll-sharded" with
+    | Some { Onll_stack.top = Direct (Sharded (`Plain, 4)); _ } -> true
+    | _ -> false);
+  List.iter
+    (fun name ->
+      match Registry.family ~shards:4 name with
+      | Some { Onll_stack.top = Direct (Sharded _) | Txn _; _ } ->
+          check Alcotest.bool (name ^ " is a sharded family") true
+            (List.mem name [ "onll-sharded"; "onll-txn" ])
+      | Some _ | None -> ())
+    Registry.names
+
 let () =
   Alcotest.run "obs"
     [
@@ -395,5 +415,7 @@ let () =
             test_registry_builds_every_name;
           Alcotest.test_case "per-impl attribution" `Quick
             test_registry_attribution_per_impl;
+          Alcotest.test_case "--shards shards only sharded families" `Quick
+            test_registry_shards_only_shard_sharded_families;
         ] );
     ]

@@ -42,11 +42,10 @@ let test_was_applied () =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let s = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
   run sim (fun _ ->
       for _ = 1 to 4 do
         match Sess.submit s Cs.Increment with
@@ -55,7 +54,7 @@ let test_was_applied () =
       done);
   let seq_before = Sess.next_seq s in
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Persist_all;
-  ignore (C.recover_report obj);
+  ignore (obj.B.recover_report ());
   run sim (fun _ ->
       (match Sess.recover s with
       | Sess.Was_applied id ->
@@ -87,11 +86,10 @@ let test_reinvoked () =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let s = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
   run sim (fun _ ->
       for _ = 1 to 2 do
         match Sess.submit s Cs.Increment with
@@ -110,7 +108,7 @@ let test_reinvoked () =
   (* Drop_all: the storm-blocked object record was never fenced, so the
      restart discards it — the fenced intent survives. *)
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
-  ignore (C.recover_report obj);
+  ignore (obj.B.recover_report ());
   run sim (fun _ ->
       (match Sess.recover s with
       | Sess.Reinvoked (old_id, fresh, v) ->
@@ -129,11 +127,10 @@ let test_timeout_then_submit_raises () =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let s = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
   let h = storm mem in
   run sim (fun _ ->
       (match Sess.submit s Cs.Increment with
@@ -162,11 +159,10 @@ let test_overloaded () =
   let sink = Onll_obs.Sink.make ~registry () in
   let sim = Sim.create ~sink ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let backend = Over.backend obj in
+  let backend = B.backend obj in
   let s0 = Sess.attach ~sink ~client:0 backend in
   let shed_cfg = { Onll_session.default_config with high_watermark = 1e-9 } in
   let s1 = Sess.attach ~config:shed_cfg ~sink ~client:1 backend in
@@ -206,7 +202,7 @@ let test_overloaded () =
   check Alcotest.bool "completed" true
     (outcome = Onll_sched.Sched.World.Completed);
   check Alcotest.int "shed with no durable work for the op: value unchanged"
-    1 (C.read obj Cs.Get);
+    1 (obj.B.read Cs.Get);
   check Alcotest.int "both sheds were counted" 2
     (Onll_obs.Metrics.counter_value registry "session.sheds")
 
@@ -220,14 +216,13 @@ let test_compacts_before_shedding () =
   let sink = Onll_obs.Sink.make ~registry () in
   let sim = Sim.create ~sink ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let module B = Onll_stack.Make (M) (Cs) in
   let obj =
-    C.make
+    B.build Onll_stack.plain
       { Onll_core.Onll.Config.default with sink; log_capacity = 4096 }
   in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let s = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
   let n = 600 in
   run sim (fun _ ->
       for _ = 1 to n do
@@ -235,13 +230,13 @@ let test_compacts_before_shedding () =
         | Ok _ -> ()
         | Error e -> Alcotest.failf "submit: %a" Sess_t.pp_error e
       done);
-  check Alcotest.int "every submit applied once" n (C.read obj Cs.Get);
+  check Alcotest.int "every submit applied once" n (obj.B.read Cs.Get);
   check Alcotest.int "nothing shed" 0
     (Onll_obs.Metrics.counter_value registry "session.sheds");
   check Alcotest.bool "admission compacted" true
     (Onll_obs.Metrics.counter_value registry "checkpoints" > 0);
   check Alcotest.bool "the fill stays below the watermark" true
-    (C.log_fill obj < Onll_session.default_config.high_watermark)
+    (obj.B.log_fill () < Onll_session.default_config.high_watermark)
 
 (* {1 Admission sampling loads nothing durable} *)
 
@@ -249,11 +244,10 @@ let test_admission_loads_nothing () =
   let sim = Sim.create ~max_processes:1 () in
   let module M0 = (val Sim.machine sim) in
   let module M = Test_support.Machine_wrap.Counting_loads (M0) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make Onll_core.Onll.Config.default in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain Onll_core.Onll.Config.default in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let s = Sess.attach ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~client:0 (B.backend obj) in
   for _ = 1 to 200 do
     match Sess.submit s Cs.Increment with
     | Ok _ -> ()
@@ -266,7 +260,7 @@ let test_admission_loads_nothing () =
   check Alcotest.int "1000 admission samples, 0 durable loads" 0
     (!M.loads - before);
   check Alcotest.bool "the sample is the object's fill" true
-    (Sess.pressure s = C.log_fill obj && Sess.pressure s > 0.)
+    (Sess.pressure s = obj.B.log_fill () && Sess.pressure s > 0.)
 
 (* {1 Sequence durability across session-log compaction} *)
 
@@ -279,12 +273,11 @@ let test_seq_across_compaction () =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
   let cfg = { Onll_session.default_config with log_capacity = 640 } in
-  let s = Sess.attach ~config:cfg ~sink ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~config:cfg ~sink ~client:0 (B.backend obj) in
   let n = 40 in
   run sim (fun _ ->
       for _ = 1 to n do
@@ -297,7 +290,7 @@ let test_seq_across_compaction () =
   let seq_before = Sess.next_seq s in
   check Alcotest.int "sequence numbers stayed dense" n seq_before;
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Persist_all;
-  ignore (C.recover_report obj);
+  ignore (obj.B.recover_report ());
   run sim (fun _ ->
       (match Sess.recover s with
       | Sess.No_pending | Sess.Was_applied _ -> ()
@@ -319,13 +312,12 @@ let test_degradation_fail_writes_and_best_effort () =
   let sink = Onll_obs.Sink.make ~registry () in
   let sim = Sim.create ~sink ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
   let degraded = ref false in
   let backend =
-    { (Over.backend obj) with Sess.b_degraded = (fun () -> !degraded) }
+    { (B.backend obj) with Sess.b_degraded = (fun () -> !degraded) }
   in
   (* client 0: Fail_writes (the default); client 1: Best_effort *)
   let s0 = Sess.attach ~sink ~client:0 backend in
@@ -374,13 +366,12 @@ let test_degradation_read_only_refuses_reinvocation () =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
   let degraded = ref false in
   let backend =
-    { (Over.backend obj) with Sess.b_degraded = (fun () -> !degraded) }
+    { (B.backend obj) with Sess.b_degraded = (fun () -> !degraded) }
   in
   let ro_cfg =
     { Onll_session.default_config with degradation = Sess_t.Read_only }
@@ -395,7 +386,7 @@ let test_degradation_read_only_refuses_reinvocation () =
   Faults.remove h;
   degraded := true;
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
-  ignore (C.recover_report obj);
+  ignore (obj.B.recover_report ());
   run sim (fun _ ->
       (match Sess.recover s with
       | Sess.Refused _ -> ()
@@ -418,14 +409,13 @@ let jitter_world ~rng_seed =
   let sim = Sim.create ~sink ~max_processes:1 () in
   let mem = Sim.memory sim in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
   let config =
     { Sess_t.default_config with rng_seed; max_attempts = 64; deadline = 0 }
   in
-  let s = Sess.attach ~config ~sink ~proc:0 ~client:3 (Over.backend obj) in
+  let s = Sess.attach ~config ~sink ~proc:0 ~client:3 (B.backend obj) in
   (* storm only the session's own log: every intent/ack append punches
      through the plog budget once (9 failures), backs off with jitter,
      and lands on the retry — the object itself stays clean, so every
@@ -472,11 +462,10 @@ let test_foreign_process_raises () =
   let sink = Onll_obs.Sink.make () in
   let sim = Sim.create ~sink ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with sink } in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
   let module Sess = Onll_session.Make (M) (Cs) in
-  let module Over = Sess.Over (C) in
-  let s = Sess.attach ~sink ~client:0 (Over.backend obj) in
+  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
   match
     Sim.run sim Onll_sched.Sched.Strategy.round_robin
       [|

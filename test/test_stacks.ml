@@ -1,0 +1,169 @@
+(* Theorem 5.1 over every legal layer stack: each value of
+   [Onll_stack.legal], and each stack [onll serve] ships, is built through
+   the registry's ["onll"] entry and driven on the simulated machine. Solo,
+   an update costs exactly one object fence (fewer on the relaxed front,
+   once the run outgrows its tail), a session adds exactly one fence per
+   submission, and reads cost none. Under a random three-process schedule
+   an update costs at most one object fence and a read none. *)
+
+open Onll_machine
+module Registry = Onll_baselines.Registry
+module Gen = Test_support.Gen
+module Svc = Onll_serve.Service
+
+let check = Alcotest.check
+let solo_updates = 100 (* more than any stack's relaxed tail *)
+
+(* Every constructor a stack is made of, by an exhaustive match: a new
+   constructor does not compile here until [legal] is checked for it. *)
+let constructors s =
+  let engine = function
+    | `Plain -> "Plain"
+    | `Wait_free -> "Wait_free"
+    | `Batched -> "Batched"
+  in
+  let front = function
+    | Onll_stack.Bare e -> [ "Bare"; engine e ]
+    | Onll_stack.Sharded (e, _) -> [ "Sharded"; engine (e :> Onll_stack.engine) ]
+    | Onll_stack.Relaxed (e, _) -> [ "Relaxed"; engine (e :> Onll_stack.engine) ]
+  in
+  match s.Onll_stack.top with
+  | Onll_stack.Direct f -> "Direct" :: front f
+  | Onll_stack.Session f -> "Session" :: front f
+  | Onll_stack.Txn _ -> [ "Txn" ]
+
+let test_legal_reaches_every_constructor () =
+  let shapes = List.sort_uniq compare (List.map constructors Onll_stack.legal) in
+  (* 7 engine/front pairs, each direct and under a session, plus txn *)
+  check Alcotest.int "every top over every front and engine" 15
+    (List.length shapes);
+  check Alcotest.bool "mirrored and unmirrored" true
+    (List.exists (fun s -> s.Onll_stack.replicas > 1) Onll_stack.legal
+    && List.exists (fun s -> s.Onll_stack.replicas = 1) Onll_stack.legal)
+
+let per_op registry ~fences ~ops =
+  let f = Onll_obs.Metrics.counter_value registry fences in
+  let n = Onll_obs.Metrics.counter_value registry ops in
+  if n = 0 then 0. else float_of_int f /. float_of_int n
+
+(* Build [stack] over kv for [procs] processes, run each process through
+   [updates] updates and as many reads, and return the sink's registry. *)
+let run_stack stack ~procs ~updates ~strategy =
+  let rng = Onll_util.Splitmix.create 17 in
+  let registry = Onll_obs.Metrics.create () in
+  let sink = Onll_obs.Sink.make ~registry () in
+  let module R = Registry.Make (Onll_specs.Kv) in
+  match
+    R.build ~sink
+      ~options:
+        { Registry.default_options with log_capacity = 1 lsl 18; stack }
+      ~max_processes:procs
+      ~gen_update:(fun () -> Gen.Kv.update rng)
+      ~gen_read:(fun () -> Gen.Kv.read rng)
+      "onll"
+  with
+  | None -> Alcotest.fail "the registry refused a legal stack"
+  | Some h ->
+      let outcome =
+        Sim.run h.Registry.sim strategy
+          (Array.init procs (fun _ _ ->
+               for _ = 1 to updates do
+                 h.Registry.update ();
+                 h.Registry.read ()
+               done))
+      in
+      check Alcotest.bool "the run completes" true
+        (outcome = Onll_sched.Sched.World.Completed);
+      registry
+
+let session = function Onll_stack.Session _ -> true | _ -> false
+
+let solo stack () =
+  let r =
+    run_stack stack ~procs:1 ~updates:solo_updates
+      ~strategy:Onll_sched.Sched.Strategy.round_robin
+  in
+  let pu = per_op r ~fences:"fences.update" ~ops:"ops.update" in
+  (match stack.Onll_stack.top with
+  | Onll_stack.Direct (Onll_stack.Relaxed _) ->
+      check Alcotest.bool "relaxed: below 1 pf/update, above 0" true
+        (pu < 1. && pu > 0.)
+  | _ -> check (Alcotest.float 0.) "1 object pf/update" 1. pu);
+  check (Alcotest.float 0.) "0 pf/read" 0.
+    (per_op r ~fences:"fences.read" ~ops:"ops.read");
+  if session stack.Onll_stack.top then begin
+    check Alcotest.int "every update was a submission" solo_updates
+      (Onll_obs.Metrics.counter_value r "ops.session");
+    check (Alcotest.float 0.) "1 session pf/submit" 1.
+      (per_op r ~fences:"fences.session" ~ops:"ops.session")
+  end
+
+let concurrent stack () =
+  let r =
+    run_stack stack ~procs:3 ~updates:10
+      ~strategy:(Onll_sched.Sched.Strategy.random ~seed:5)
+  in
+  let pu = per_op r ~fences:"fences.update" ~ops:"ops.update" in
+  check Alcotest.bool "at most 1 object pf/update" true (pu <= 1. && pu > 0.);
+  check (Alcotest.float 0.) "0 pf/read" 0.
+    (per_op r ~fences:"fences.read" ~ops:"ops.read")
+
+(* The seam rules every session-over-relaxed stack gets from the
+   builder: both update paths draw from the one allocator (or the
+   session's identity would collide with the tier's), and an exactly-once
+   update first drains the staleness tail, or a crash after it would keep
+   the exactly-once update and lose the earlier staleness ack — an
+   interior operation, not a suffix. *)
+let seam stack () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module Cs = Onll_specs.Counter in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let next = ref 0 in
+  let alloc () =
+    incr next;
+    !next
+  in
+  let o = B.build ~alloc stack Onll_core.Onll.Config.default in
+  let r = Option.get o.B.relaxed in
+  let run body =
+    check Alcotest.bool "the run completes" true
+      (Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |]
+      = Onll_sched.Sched.World.Completed)
+  in
+  run (fun _ ->
+      ignore (r.B.update_stale ~budget:8 Cs.Increment);
+      ignore (o.B.update Cs.Increment));
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  ignore (o.B.recover_report ());
+  run (fun _ ->
+      check Alcotest.int "both acknowledged updates survive" 2
+        (o.B.read Cs.Get))
+
+let cases name stack =
+  let label = Format.asprintf "%s%a" name Onll_stack.pp stack in
+  [
+    Alcotest.test_case (label ^ " solo") `Quick (solo stack);
+    Alcotest.test_case (label ^ " 3 procs") `Quick (concurrent stack);
+  ]
+  @
+  match stack.Onll_stack.top with
+  | Onll_stack.Session (Onll_stack.Relaxed _) ->
+      [ Alcotest.test_case (label ^ " seam") `Quick (seam stack) ]
+  | _ -> []
+
+let served =
+  List.concat_map
+    (fun c -> cases ("serve " ^ Svc.construction_name c ^ ": ") (Svc.stack c))
+    [ Svc.Plain; Svc.Mirrored; Svc.Sharded; Svc.Batched ]
+
+let () =
+  Alcotest.run "stacks"
+    [
+      ( "legal",
+        Alcotest.test_case "reaches every constructor" `Quick
+          test_legal_reaches_every_constructor
+        :: List.concat_map (cases "") Onll_stack.legal );
+      ("served", served);
+    ]
