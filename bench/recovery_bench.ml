@@ -12,7 +12,12 @@
     Each run observes its own crash/recovery through an {!Onll_obs.Sink.t}:
     the machine emits the crash event, [recover] emits a recovery event
     carrying the number of replayed operations, and the replay count is
-    cross-checked against the rebuilt trace size. *)
+    cross-checked against the rebuilt trace size. Every run also records
+    the recovery's durable loads and asserts its load accounting: each
+    live log byte loaded exactly once, and no load longer than the 64 KiB
+    chunk of the clean-end check — so a free remainder is never loaded
+    whole, and a walk that loads records twice fails here, not as a
+    timing. *)
 
 open Onll_machine
 module Cs = Onll_specs.Counter
@@ -28,7 +33,8 @@ type sample = {
 let run_one ~log_capacity ~history ~checkpoint_every =
   let sink = Onll_obs.Sink.make () in
   let sim = Sim.create ~sink ~max_processes:1 () in
-  let module M = (val Sim.machine sim) in
+  let module M0 = (val Sim.machine sim) in
+  let module M = Test_support.Machine_wrap.Counting_loads (M0) in
   let module C = Onll_core.Onll.Make (M) (Cs) in
   let obj =
     C.make { Onll_core.Onll.Config.default with log_capacity; sink }
@@ -47,7 +53,25 @@ let run_one ~log_capacity ~history ~checkpoint_every =
       (fun a l -> a + l.Onll_core.Onll.Snapshot.live_bytes)
       0 snap.Onll_core.Onll.Snapshot.logs
   in
+  M.spans := [];
   let (), dt = Harness.time_it (fun () -> C.recover obj) in
+  let spans = !M.spans in
+  (match (C.snapshot obj).Onll_core.Onll.Snapshot.logs with
+  | [ l ] ->
+      let tail = 64 + l.Onll_core.Onll.Snapshot.used_bytes in
+      let head = tail - l.Onll_core.Onll.Snapshot.live_bytes in
+      (* the counter's records are far below one chunk *)
+      let complaints =
+        Test_support.Machine_wrap.not_loaded_once ~lo:head ~hi:tail spans
+        @ Test_support.Machine_wrap.loads_over ~max_load:65536 spans
+      in
+      if complaints <> [] then
+        failwith
+          (Printf.sprintf
+             "E6 load accounting (capacity %d): %d faults, first %s"
+             log_capacity (List.length complaints)
+             (String.concat "; " (List.filteri (fun i _ -> i < 3) complaints)))
+  | _ -> assert false);
   let reg = Onll_obs.Sink.registry sink in
   assert (Onll_obs.Metrics.counter_value reg "crashes" = 1);
   assert (Onll_obs.Metrics.counter_value reg "recoveries" = 1);

@@ -99,10 +99,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         v)
 
   let recover t =
-    Array.iter (fun l -> ignore (L.recover l)) t.logs;
+    let payloads = Array.map (fun l -> snd (L.recover l)) t.logs in
     let by_idx = Hashtbl.create 64 in
     Array.iter
-      (fun log ->
+      (fun entries ->
         List.iter
           (fun payload ->
             let (Ops { exec_idx; envs }) =
@@ -111,8 +111,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
             List.iteri
               (fun k env -> Hashtbl.replace by_idx (exec_idx - k) env)
               envs)
-          (L.entries log))
-      t.logs;
+          entries)
+      payloads;
     let max_idx = Hashtbl.fold (fun i _ acc -> max i acc) by_idx 0 in
     let trace =
       T.create ~sink:(Onll_obs.Opstats.sink t.ostats) ~base_idx:0

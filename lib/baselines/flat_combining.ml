@@ -145,18 +145,18 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         v)
 
   let recover t =
-    Array.iter (fun l -> ignore (L.recover l)) t.logs;
+    let payloads = Array.map (fun l -> snd (L.recover l)) t.logs in
     let batches = ref [] in
     Array.iter
-      (fun log ->
+      (fun entries ->
         List.iter
           (fun payload ->
             let (Batch { start_idx; ops }) =
               Onll_util.Codec.decode record_codec payload
             in
             batches := (start_idx, ops) :: !batches)
-          (L.entries log))
-      t.logs;
+          entries)
+      payloads;
     let batches = List.sort compare !batches in
     let state, next_idx =
       List.fold_left

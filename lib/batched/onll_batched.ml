@@ -409,7 +409,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 Recovery} *)
 
-  let decode_entries_tolerant log failures =
+  let decode_entries_tolerant payloads failures =
     List.filter_map
       (fun e ->
         match Onll_util.Codec.decode record_codec e with
@@ -417,7 +417,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         | exception _ ->
             incr failures;
             None)
-      (L.entries log)
+      payloads
 
   (* One routine, mirroring the core construction: salvage the shared log,
      adopt the deepest checkpoint plus the longest contiguous run of
@@ -427,15 +427,17 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
      operation of it was ever acknowledged, so nothing acknowledged is
      lost. *)
   let recover_core t ~hardened =
-    let salvage =
-      if hardened then [ (L.name t.log, L.recover t.log) ]
+    let salvage, payloads =
+      if hardened then
+        let r, payloads = L.recover t.log in
+        ([ (L.name t.log, r) ], payloads)
       else begin
         L.recover_unhardened t.log;
-        []
+        ([], L.entries t.log)
       end
     in
     let decode_failures = ref 0 in
-    let records = decode_entries_tolerant t.log decode_failures in
+    let records = decode_entries_tolerant payloads decode_failures in
     let base_idx, base_state =
       List.fold_left
         (fun ((bi, _) as best) r ->

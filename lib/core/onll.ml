@@ -342,7 +342,13 @@ module Make_generic
             node; owner-only. A checkpoint leaves the view at the newest
             node, and the prune after it needs the state one below. *)
     use_views : bool;
-    recovered : (op_id, int) Hashtbl.t;
+    ckpts : int option array;
+        (** per process: the [upto_idx] of the newest checkpoint live in
+            its log, if known — set by a checkpoint and by recovery,
+            forgotten by a relocation or a scrub that rewrote a span;
+            owner-only. A checkpoint that makes no progress beyond it
+            appends nothing. *)
+    mutable recovered : (op_id, int) Hashtbl.t;
         (** op id -> execution index, rebuilt by recovery *)
     mutable max_fuzzy : int;
         (** largest fuzzy window observed at any persist step (Prop 5.2
@@ -373,6 +379,7 @@ module Make_generic
       views = Array.make M.max_processes None;
       prev_views = Array.make M.max_processes None;
       use_views = cfg.Config.local_views;
+      ckpts = Array.make M.max_processes None;
       recovered = Hashtbl.create 64;
       max_fuzzy = 0;
       degraded = false;
@@ -437,6 +444,12 @@ module Make_generic
   let decode_entries log =
     List.map (Onll_util.Codec.decode record_codec) (L.entries log)
 
+  (* Physically compact process [p]'s log. A span quarantined on the way
+     may be its checkpoint, so the next checkpoint appends afresh. *)
+  let relocate t p =
+    L.relocate t.logs.(p);
+    t.ckpts.(p) <- None
+
   (* The checkpoint record of the newest available operation, and its
      index. The state comes from [compute]: with local views on, the
      caller's view already holds it, so only the operations since the view
@@ -458,22 +471,29 @@ module Make_generic
      (attributed) and by auto-compaction inside the update path (where the
      fences are already attributed to the update). *)
   let checkpoint_body t p =
-    let upto, payload = checkpoint_record t in
-    (match L.try_append t.logs.(p) payload with
-    | Ok () -> ()
-    | Error `Full -> (
-        (* an earlier compaction may have left reclaimable dead space *)
-        L.relocate t.logs.(p);
-        match L.try_append t.logs.(p) payload with
+    match t.ckpts.(p) with
+    | Some upto when upto >= T.idx (T.latest_available t.trace) ->
+        (* the checkpoint live in our log already covers every available
+           operation: a second record would drop nothing, not even it *)
+        upto
+    | Some _ | None ->
+        let upto, payload = checkpoint_record t in
+        (match L.try_append t.logs.(p) payload with
         | Ok () -> ()
-        | Error `Full -> raise (Log_full (L.name t.logs.(p)))));
-    ignore (L.drop_upto t.logs.(p) upto);
-    if Onll_obs.Opstats.active t.ostats then
-      Onll_obs.Sink.emit
-        (Onll_obs.Opstats.sink t.ostats)
-        ~proc:p
-        (Onll_obs.Event.Checkpoint { upto });
-    upto
+        | Error `Full -> (
+            (* an earlier compaction may have left reclaimable dead space *)
+            relocate t p;
+            match L.try_append t.logs.(p) payload with
+            | Ok () -> ()
+            | Error `Full -> raise (Log_full (L.name t.logs.(p)))));
+        ignore (L.drop_upto t.logs.(p) upto);
+        t.ckpts.(p) <- Some upto;
+        if Onll_obs.Opstats.active t.ostats then
+          Onll_obs.Sink.emit
+            (Onll_obs.Opstats.sink t.ostats)
+            ~proc:p
+            (Onll_obs.Event.Checkpoint { upto });
+        upto
 
   (* Persist-stage append with graceful [Full] degradation: when the log
      runs low, summarise our history (checkpoint), physically compact the
@@ -495,13 +515,13 @@ module Make_generic
        let _, ckpt = checkpoint_record t in
        if L.free_bytes log < need + String.length ckpt + entry_overhead then begin
          (try ignore (checkpoint_body t p) with Log_full _ -> ());
-         L.relocate log
+         relocate t p
        end);
     match L.try_append log payload with
     | Ok () -> ()
     | Error `Full -> (
         ignore (checkpoint_body t p);
-        L.relocate log;
+        relocate t p;
         match L.try_append log payload with
         | Ok () -> ()
         | Error `Full -> raise (Log_full (L.name log)))
@@ -587,7 +607,7 @@ module Make_generic
   (* Tolerant decode: a CRC-valid entry whose payload nevertheless fails to
      decode (requires forged or astronomically unlucky bytes) is dropped
      and counted rather than aborting recovery. *)
-  let decode_entries_tolerant log failures =
+  let decode_entries_tolerant payloads failures =
     List.filter_map
       (fun e ->
         match Onll_util.Codec.decode record_codec e with
@@ -595,7 +615,7 @@ module Make_generic
         | exception _ ->
             incr failures;
             None)
-      (L.entries log)
+      payloads
 
   (* The one recovery routine. [hardened] selects the log-level recovery
      (salvaging vs. silently truncating); the trace rebuild is tolerant in
@@ -620,19 +640,28 @@ module Make_generic
      Also returns every transaction commit payload found riding in a
      logged envelope ([e_txn]) — the helper-committed transactions. *)
   let recover_core t ~hardened ~extra =
-    let salvage =
+    (* Each log is salvaged and decoded before the next is read, so only
+       one log's payloads are held at a time. *)
+    let decode_failures = ref 0 in
+    let salvage, by_log =
       if hardened then
-        Array.to_list t.logs |> List.map (fun l -> (L.name l, L.recover l))
+        let rs =
+          Array.map
+            (fun l ->
+              let r, payloads = L.recover l in
+              ((L.name l, r), decode_entries_tolerant payloads decode_failures))
+            t.logs
+        in
+        (Array.to_list (Array.map fst rs), Array.map snd rs)
       else begin
         Array.iter L.recover_unhardened t.logs;
-        []
+        ( [],
+          Array.map
+            (fun l -> decode_entries_tolerant (L.entries l) decode_failures)
+            t.logs )
       end
     in
-    let decode_failures = ref 0 in
-    let records =
-      Array.to_list t.logs
-      |> List.concat_map (fun l -> decode_entries_tolerant l decode_failures)
-    in
+    let records = List.concat (Array.to_list by_log) in
     (* Best checkpoint = deepest summarised prefix. *)
     let base_idx, base_state =
       List.fold_left
@@ -644,107 +673,149 @@ module Make_generic
         (0, initial_istate ())
         records
     in
-    (* Execution index -> envelope, from every Ops record. Duplicates are
-       fine (helping stores the same operation in several logs); they must
-       agree on the operation id. *)
-    let by_idx = Hashtbl.create 64 in
+    (* Every (execution index, envelope) the logs hold, in log order and
+       marked log-resident, and every transaction commit payload riding in
+       one, first sighting first. *)
+    let logged =
+      List.concat_map
+        (function
+          | Checkpoint _ -> []
+          | Ops { exec_idx; envs } ->
+              List.mapi (fun k env -> (exec_idx - k, env, true)) envs)
+        records
+      |> Array.of_list
+    in
+    let txns = ref [] in
+    let seen_txns = Hashtbl.create 8 in
+    Array.iter
+      (fun (_, env, _) ->
+        match env.e_txn with
+        | Some p when not (Hashtbl.mem seen_txns p) ->
+            Hashtbl.replace seen_txns p ();
+            txns := p :: !txns
+        | Some _ | None -> ())
+      logged;
+    (* Sorted by index — stably, so the earlier copy of an index comes
+       first — and swept once, keeping the first copy of each index.
+       Duplicates are fine (helping stores the same operation in several
+       logs); they must agree on the operation id. *)
     let disagreements = ref [] in
-    let payloads = ref [] in
-    List.iter
-      (function
-        | Checkpoint _ -> ()
-        | Ops { exec_idx; envs } ->
-            List.iteri
-              (fun k env ->
-                (match env.e_txn with
-                | Some p when not (List.mem p !payloads) ->
-                    payloads := p :: !payloads
-                | Some _ | None -> ());
-                let idx = exec_idx - k in
-                match Hashtbl.find_opt by_idx idx with
-                | None -> Hashtbl.replace by_idx idx env
-                | Some prior ->
-                    if prior.e_proc <> env.e_proc || prior.e_seq <> env.e_seq
-                    then disagreements := idx :: !disagreements)
-              envs)
-      records;
+    let first_by_idx a =
+      Array.stable_sort (fun (i, _, _) (j, _, _) -> Int.compare i j) a;
+      let kept = ref [] in
+      Array.iter
+        (fun ((idx, env, _) as e) ->
+          match !kept with
+          | (i, prior, _) :: _ when i = idx ->
+              if prior.e_proc <> env.e_proc || prior.e_seq <> env.e_seq then
+                disagreements := idx :: !disagreements
+          | _ -> kept := e :: !kept)
+        a;
+      Array.of_list (List.rev !kept)
+    in
+    let resident = first_by_idx logged in
     (* Highest index with a *log-resident* copy: the horizon below which a
        missing index is reportable loss. *)
-    let log_max = Hashtbl.fold (fun i _ acc -> max i acc) by_idx base_idx in
-    (* [extended] = log entries plus the committed-transaction oracle. An
-       oracle entry whose identity is already log-resident is skipped: a
-       sub-operation an earlier sweep re-applied (and durably logged) at a
-       relocated index would otherwise collide with its own commit
-       record's stale staging index. *)
-    let log_ids = Hashtbl.create 64 in
-    Hashtbl.iter
-      (fun _ env -> Hashtbl.replace log_ids (env.e_proc, env.e_seq) ())
-      by_idx;
-    let extended = Hashtbl.copy by_idx in
-    List.iter
-      (fun (idx, id, op) ->
-        if idx > base_idx && not (Hashtbl.mem log_ids (id.id_proc, id.id_seq))
-        then
-          let env =
-            { e_proc = id.id_proc; e_seq = id.id_seq; e_op = op; e_txn = None }
-          in
-          match Hashtbl.find_opt extended idx with
-          | None -> Hashtbl.replace extended idx env
-          | Some prior ->
-              if prior.e_proc <> env.e_proc || prior.e_seq <> env.e_seq then
-                disagreements := idx :: !disagreements)
-      extra;
-    (* Under the clean crash model a gap below a persisted operation is
-       impossible (Prop 5.10); under media faults it means the operation's
-       every durable copy was corrupted. Only the contiguous prefix below
-       the first gap can be adopted — anything above it cannot be replayed
-       without fabricating the missing operation, so it is reported as
-       dropped instead. *)
-    let gaps = ref [] in
-    for idx = log_max downto base_idx + 1 do
-      if not (Hashtbl.mem extended idx) then gaps := idx :: !gaps
-    done;
-    let gaps = !gaps in
-    (* Adopt the longest contiguous prefix of the extended table; with no
-       oracle entries this is exactly first-gap - 1. *)
-    let stop_idx =
-      let rec go i = if Hashtbl.mem extended (i + 1) then go (i + 1) else i in
-      go base_idx
+    let log_max =
+      match resident with
+      | [||] -> base_idx
+      | r ->
+          let idx, _, _ = r.(Array.length r - 1) in
+          max base_idx idx
+    in
+    (* [extended] = log entries plus the committed-transaction oracle,
+       which sorts after the log copies of its index. An oracle entry
+       whose identity is already log-resident is skipped: a sub-operation
+       an earlier sweep re-applied (and durably logged) at a relocated
+       index would otherwise collide with its own commit record's stale
+       staging index. *)
+    let extended =
+      if extra = [] then resident
+      else begin
+        let log_ids = Hashtbl.create (Array.length resident) in
+        Array.iter
+          (fun (_, env, _) ->
+            Hashtbl.replace log_ids (env.e_proc, env.e_seq) ())
+          resident;
+        let oracle =
+          List.filter_map
+            (fun (idx, id, op) ->
+              if
+                idx > base_idx
+                && not (Hashtbl.mem log_ids (id.id_proc, id.id_seq))
+              then
+                let env =
+                  {
+                    e_proc = id.id_proc;
+                    e_seq = id.id_seq;
+                    e_op = op;
+                    e_txn = None;
+                  }
+                in
+                Some (idx, env, false)
+              else None)
+            extra
+        in
+        first_by_idx (Array.append resident (Array.of_list oracle))
+      end
     in
     let trace =
       T.create ~sink:(Onll_obs.Opstats.sink t.ostats) ~base_idx ~base_state ()
     in
-    Hashtbl.reset t.recovered;
+    (* a table grows past two bindings per bucket, so half as many
+       buckets as bindings take them all without a resize *)
+    t.recovered <- Hashtbl.create (Array.length extended / 2);
     Array.blit base_state.floors 0 t.seqs 0 M.max_processes;
     Array.fill t.views 0 (Array.length t.views) None;
     Array.fill t.prev_views 0 (Array.length t.prev_views) None;
-    (* Bump sequence allocation past every id recovery has seen — including
-       ids above a gap that cannot be replayed — so no post-recovery update
-       can reuse a pre-crash identity. *)
-    Hashtbl.iter
-      (fun _ env ->
+    (* each log's newest checkpoint is live in it *)
+    Array.iteri
+      (fun p records ->
+        t.ckpts.(p) <-
+          List.fold_left
+            (fun newest -> function
+              | Checkpoint { upto_idx; _ } -> Some upto_idx | Ops _ -> newest)
+            None records)
+      by_log;
+    (* One sweep in index order. Under the clean crash model a gap below a
+       persisted operation is impossible (Prop 5.10); under media faults
+       it means the operation's every durable copy was corrupted. Only the
+       contiguous prefix below the first gap can be adopted — anything
+       above it cannot be replayed without fabricating the missing
+       operation, so it is reported as dropped instead; with no oracle
+       entries the prefix ends at first-gap - 1. Gaps are reported only
+       up to [log_max]. Only log-resident strandings count as dropped: an
+       oracle entry above the adopted prefix is re-applied by the
+       coordinator sweep, so nothing durable is lost through it. Sequence
+       allocation is bumped past every id recovery has seen — including
+       ids above a gap that cannot be replayed — so no post-recovery
+       update can reuse a pre-crash identity. *)
+    let gaps = ref [] and dropped = ref [] in
+    let stop_idx = ref base_idx and next = ref (base_idx + 1) in
+    Array.iter
+      (fun (idx, env, resident) ->
         if env.e_seq >= t.seqs.(env.e_proc) then
-          t.seqs.(env.e_proc) <- env.e_seq + 1)
+          t.seqs.(env.e_proc) <- env.e_seq + 1;
+        if idx > base_idx then begin
+          for missing = !next to min (idx - 1) log_max do
+            gaps := missing :: !gaps
+          done;
+          next := idx + 1;
+          let id = { id_proc = env.e_proc; id_seq = env.e_seq } in
+          if idx = !stop_idx + 1 then begin
+            let node = T.insert trace env in
+            assert (T.idx node = idx);
+            T.set_available node;
+            Hashtbl.replace t.recovered id idx;
+            stop_idx := idx
+          end
+          else if resident && idx <= log_max then dropped := id :: !dropped
+        end)
       extended;
-    for idx = base_idx + 1 to stop_idx do
-      let env = Hashtbl.find extended idx in
-      let node = T.insert trace env in
-      assert (T.idx node = idx);
-      T.set_available node;
-      Hashtbl.replace t.recovered
-        { id_proc = env.e_proc; id_seq = env.e_seq }
-        idx
+    for missing = !next to log_max do
+      gaps := missing :: !gaps
     done;
-    (* Only log-resident strandings count as dropped: an oracle entry
-       above the stop index is re-applied by the coordinator sweep, so
-       nothing durable is lost through it. *)
-    let dropped = ref [] in
-    for idx = log_max downto stop_idx + 1 do
-      match Hashtbl.find_opt by_idx idx with
-      | Some env ->
-          dropped := { id_proc = env.e_proc; id_seq = env.e_seq } :: !dropped
-      | None -> ()
-    done;
+    let gaps = List.rev !gaps and stop_idx = !stop_idx in
     t.trace <- trace;
     if Onll_obs.Opstats.active t.ostats then
       Onll_obs.Sink.emit
@@ -756,7 +827,7 @@ module Make_generic
         Recovery_report.recovered_ops = stop_idx - base_idx;
         base_idx;
         gap_indices = gaps;
-        dropped = !dropped;
+        dropped = List.rev !dropped;
         disagreements = List.sort_uniq compare !disagreements;
         decode_failures = !decode_failures;
         salvage;
@@ -771,7 +842,7 @@ module Make_generic
        it is admitted, stickily, until the object is rebuilt. *)
     if hardened && Recovery_report.detected_loss report then
       t.degraded <- true;
-    (report, List.rev !payloads)
+    (report, List.rev !txns)
 
   let recover_txn t ~extra = recover_core t ~hardened:true ~extra
   let recover_report t = fst (recover_core t ~hardened:true ~extra:[])
@@ -806,6 +877,12 @@ module Make_generic
             Onll_plog.Plog.clean_scrub t.logs
         in
         if r.Onll_plog.Plog.unrepairable_spans > 0 then t.degraded <- true;
+        if
+          r.Onll_plog.Plog.unrepairable_spans > 0
+          || r.Onll_plog.Plog.scrub_repaired_entries > 0
+        then
+          (* a rewritten or quarantined span may have held a checkpoint *)
+          Array.fill t.ckpts 0 (Array.length t.ckpts) None;
         r)
 
   let degraded t = t.degraded
@@ -917,7 +994,7 @@ module Make_generic
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
         checkpoint_body t (M.self ()))
 
-  let reclaim t = L.relocate t.logs.(M.self ())
+  let reclaim t = relocate t (M.self ())
 
   let prune t ~below =
     T.prune t.trace ~below ~state_before:(fun node -> istate_at t node)

@@ -291,11 +291,13 @@ module type CONSTRUCTION = sig
       view when views are on), appends one record and drops the prefix
       from the log's in-memory account of record keys
       ({!Onll_plog.Plog.Make.drop_upto}) without reading the log back —
-      except the first checkpoint after a recovery or scrub, which
-      rebuilds that account with one scan. Two persistent fences (the
-      checkpoint append and the durable head update); a handful more only
-      if the log was full and had to be physically compacted first.
-      Returns the summarised execution index.
+      except the first checkpoint after a scrub, which rebuilds that
+      account with one scan (recovery rebuilds it as it walks the log).
+      Two persistent fences (the checkpoint append and the durable head
+      update); a handful more only if the log was full and had to be
+      physically compacted first. A checkpoint with no progress since the
+      one already live in the caller's log appends nothing and pays no
+      fence. Returns the summarised execution index.
       @raise Onll.Log_full if the checkpoint record cannot fit even after
       compaction. *)
 

@@ -50,9 +50,15 @@ let entry_crc_in s ~pos ~len =
 
 let entry_crc payload = entry_crc_in payload ~pos:0 ~len:(String.length payload)
 
+(* A native-endian int64 load with no bounds check. Only whether a word is
+   zero matters below, so the byte order does not. *)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
 (* Index of the last nonzero byte of [s], or -1 if it is all zeros: the
-   bytes past the last whole word one at a time, then backward a word at
-   a time, finishing inside the first nonzero word byte by byte. *)
+   bytes past the last whole word one at a time, then backward 32 bytes
+   at a time (four words OR-ed together) while a whole block remains, a
+   word at a time below that, finishing inside the first nonzero word
+   byte by byte. Every load is at [0, whole - 8], inside [s]. *)
 let last_nonzero s =
   let rec byte i lo =
     if i < lo then -1
@@ -61,11 +67,34 @@ let last_nonzero s =
   in
   let rec word w =
     if w < 0 then -1
-    else if String.get_int64_le s w <> 0L then byte (w + 7) w
+    else if get64u s w <> 0L then byte (w + 7) w
     else word (w - 8)
   in
+  let rec block w =
+    if w < 24 then word w
+    else if
+      Int64.logor
+        (Int64.logor (get64u s w) (get64u s (w - 8)))
+        (Int64.logor (get64u s (w - 16)) (get64u s (w - 24)))
+      <> 0L
+    then word w
+    else block (w - 32)
+  in
   let whole = String.length s land lnot 7 in
-  match byte (String.length s - 1) whole with -1 -> word (whole - 8) | i -> i
+  match byte (String.length s - 1) whole with -1 -> block (whole - 8) | i -> i
+
+(* Recovery's clean-end check loads a free remainder in pieces of at most
+   [zero_chunk] bytes (see [classify]). *)
+let zero_chunk = 1 lsl 16
+
+(* The CRC of [n] zero bytes, continuing [init]. *)
+let zero_block = Bytes.make 4096 '\000'
+
+let rec crc_zeros init n =
+  if n = 0 then init
+  else
+    let k = min n (Bytes.length zero_block) in
+    crc_zeros (Crc32.bytes ~init zero_block ~pos:0 ~len:k) (n - k)
 
 type salvage_report = {
   torn_tail_bytes : int;
@@ -135,17 +164,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     mutable header_seq : int64;
     key : string -> int;  (* the caller's per-record key, see [drop_upto] *)
     offs : live Queue.t;
-        (* the live entries in log order, maintained incrementally by
-           [append] so neither [set_head] nor [drop_upto] pays a
-           CRC-validating scan of the whole live span per compaction *)
+        (* the live entries in log order, rebuilt by [recover]'s walk and
+           maintained incrementally by [append] and [relocate], so neither
+           [set_head], [drop_upto] nor [entry_count] pays a CRC-validating
+           scan of the whole live span *)
     mutable offs_valid : bool;
-        (* recovery, scrubbing and relocation move or rewrite records out
-           from under the account; they clear this and the next
-           [set_head] or [drop_upto] rebuilds it with one scan *)
+        (* a scrub, or a relocation that quarantines, can rewrite record
+           boundaries out from under the account; they clear this and the
+           next use rebuilds it with one scan *)
   }
 
   (* One live entry of the account: its offset and its record's key. *)
-  and live = { l_off : int; l_key : int }
+  and live = { mutable l_off : int; l_key : int }
 
   let name t = t.log_name
   let capacity t = t.log_capacity
@@ -218,107 +248,112 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         if s > bs then (s, h) else best)
       (0L, header_size) t.regions
 
-  (* What a replica holds at [pos]. *)
-  type probe = P_entry of int  (* payload length *) | P_skip of int | P_nothing
+  (* The valid record one replica holds at [pos], if any, read with two
+     loads for the 16-byte record header and, for an entry, one load of
+     its payload, checked once. The record returned is the bytes checked:
+     media rot can strike between two loads of the same record (the
+     scrubber runs under active rot), so a copy made from a later load
+     could spread fresh damage onto the intact replicas — turning a
+     repairable single-copy fault into an unrepairable all-copy one.
+     Working only from these bytes closes that window. The length checks
+     are written so a forged length cannot overflow them. *)
+  type record =
+    | Entry of int64 * string  (* stored CRC, payload *)
+    | Skip of int  (* quarantined span *)
 
-  let probe t region pos =
-    let stop = log_end t in
-    if pos + 16 > stop then P_nothing
+  let read_at t region pos =
+    let room = log_end t - pos in
+    if room < 16 then None
     else
       let len64 = M.Pm.load_int64 region ~off:pos in
-      let len = Int64.to_int len64 in
-      if len >= 1 then
-        if pos + 16 + len > stop then P_nothing
-        else
-          let stored = M.Pm.load_int64 region ~off:(pos + 8) in
-          let payload = M.Pm.load region ~off:(pos + 16) ~len in
-          if stored = crc_to_int64 (entry_crc payload) then P_entry len
-          else P_nothing
-      else if Int64.compare len64 0L < 0 then
-        let span = Int64.to_int (Int64.neg len64) in
+      if len64 = 0L then None
+      else
         let stored = M.Pm.load_int64 region ~off:(pos + 8) in
-        if
-          stored = crc_to_int64 (crc_of_int64s len64 skip_magic)
-          && span >= 16
-          && pos + span <= stop
-        then P_skip span
-        else P_nothing
-      else P_nothing
+        let len = Int64.to_int len64 in
+        if len >= 1 then
+          if len > room - 16 then None
+          else
+            let payload = M.Pm.load region ~off:(pos + 16) ~len in
+            if stored = crc_to_int64 (entry_crc payload) then
+              Some (Entry (stored, payload))
+            else None
+        else
+          let span = Int64.to_int (Int64.neg len64) in
+          if
+            stored = crc_to_int64 (crc_of_int64s len64 skip_magic)
+            && span >= 16 && span <= room
+          then Some (Skip span)
+          else None
 
-  (* Is [blob] a byte-exact valid log record (a whole entry or a whole
-     skip marker)? A copy source must be revalidated on the very bytes
-     about to be propagated: media rot can strike between the probe that
-     validated a replica and the load of its bytes (the scrubber runs
-     under ACTIVE rot), and copying an unchecked canon would spread the
-     fresh damage onto the intact replicas — turning a repairable
-     single-copy fault into an unrepairable all-copy one. Checking the
-     loaded bytes themselves closes that window: whatever is stored is
-     exactly what was checked. *)
-  let valid_record blob =
-    let n = String.length blob in
-    if n < 16 then false
-    else
-      let len64 = String.get_int64_le blob 0 in
-      let stored = String.get_int64_le blob 8 in
-      if Int64.compare len64 0L > 0 then
-        Int64.to_int len64 = n - 16
-        && stored = crc_to_int64 (entry_crc_in blob ~pos:16 ~len:(n - 16))
-      else
-        n = 16 && stored = crc_to_int64 (crc_of_int64s len64 skip_magic)
+  (* The byte length of a record in the log. *)
+  let record_span = function
+    | Entry (_, payload) -> 16 + String.length payload
+    | Skip span -> span
 
-  (* A validated record loaded from some replica: the payload length
-     (resp. quarantine span) plus the canonical bytes every replica should
-     hold at that offset. *)
-  type record = R_entry of int * string | R_skip of int * string
-
-  (* The record at [pos] from the first replica whose copy both probes
-     valid and revalidates on the loaded bytes ([valid_record]). A source
-     that fails revalidation — rot struck between probe and load — is
-     passed over, not trusted and not allowed to end the search: another
-     replica may still hold an intact copy, and only when none does may
-     the caller fall through to quarantine/classify. Entries are checked
-     before markers across every replica: an entry can never reappear
-     under a marker (quarantine only happens when no replica had one), so
-     preferring the entry is safe and can only resurrect real data. *)
-  let load_record t pos =
-    let n = Array.length t.regions in
-    let rec entry r =
-      if r >= n then skip 0
-      else
-        match probe t t.regions.(r) pos with
-        | P_entry len ->
-            let blob = M.Pm.load t.regions.(r) ~off:pos ~len:(16 + len) in
-            if valid_record blob then Some (R_entry (len, blob))
-            else entry (r + 1)
-        | P_skip _ | P_nothing -> entry (r + 1)
-    and skip r =
-      if r >= n then None
-      else
-        match probe t t.regions.(r) pos with
-        | P_skip span ->
-            let blob = M.Pm.load t.regions.(r) ~off:pos ~len:16 in
-            if valid_record blob then Some (R_skip (span, blob))
-            else skip (r + 1)
-        | P_entry _ | P_nothing -> skip (r + 1)
+  (* The bytes a record occupies at its offset: a skip marker covers only
+     the first 16 bytes of its span. *)
+  let record_bytes r =
+    let len64, stored, payload =
+      match r with
+      | Entry (stored, payload) ->
+          (Int64.of_int (String.length payload), stored, payload)
+      | Skip span ->
+          let len64 = Int64.neg (Int64.of_int span) in
+          (len64, crc_to_int64 (crc_of_int64s len64 skip_magic), "")
     in
-    entry 0
+    let b = Bytes.create (16 + String.length payload) in
+    Bytes.set_int64_le b 0 len64;
+    Bytes.set_int64_le b 8 stored;
+    Bytes.blit_string payload 0 b 16 (String.length payload);
+    Bytes.unsafe_to_string b
 
-  (* Durably propagate a record's validated canonical bytes over every
-     replica that differs at [off]. Returns the number of replica ranges
-     rewritten; 0 when all replicas already agree (no fence paid).
-     Idempotent: re-running copies identical bytes. *)
-  let heal_with t ~off canon =
-    let len = String.length canon in
-    let healed = ref 0 in
-    Array.iter
-      (fun r ->
-        if M.Pm.load r ~off ~len <> canon then begin
-          M.Pm.store r ~off canon;
-          incr healed
-        end)
-      t.regions;
-    if !healed > 0 then persist t ~site:"plog.repair" ~off ~len;
-    !healed
+  (* One [read_at] per replica, primary first. *)
+  let read_all t pos = Array.map (fun r -> read_at t r pos) t.regions
+
+  (* The canonical record at [pos] and the replica it came from: the first
+     valid entry, else the first valid skip marker, else none — the caller
+     falls through to classify/quarantine. Entries come first across every
+     replica: an entry can never reappear under a marker (quarantine only
+     happens when no replica had one), so preferring the entry can only
+     resurrect real data. *)
+  let canonical reads =
+    let first is =
+      Array.find_mapi
+        (fun i read ->
+          match read with Some r when is r -> Some (i, r) | _ -> None)
+        reads
+    in
+    match first (function Entry _ -> true | Skip _ -> false) with
+    | Some _ as c -> c
+    | None -> first (function Skip _ -> true | Entry _ -> false)
+
+  (* Durably write the canonical record over every replica whose read at
+     [off] differs. Returns the number of replica ranges rewritten; 0 when
+     all replicas already agree (no fence paid). Two reads are equal
+     exactly when their bytes are: both were checked, and identical bytes
+     check identically. Idempotent: re-running copies identical bytes. *)
+  let heal t ~off reads (c, canon) =
+    let stale = ref [] in
+    Array.iteri
+      (fun i read -> if i <> c && read <> Some canon then stale := i :: !stale)
+      reads;
+    if !stale <> [] then begin
+      let bytes = record_bytes canon in
+      List.iter (fun i -> M.Pm.store t.regions.(i) ~off bytes) !stale;
+      persist t ~site:"plog.repair" ~off ~len:(String.length bytes)
+    end;
+    List.length !stale
+
+  (* The canonical record at [pos], every replica healed to it, and how
+     many replica ranges that rewrote. A single replica is its own
+     canonical copy, so nothing is compared. *)
+  let settle t pos =
+    if Array.length t.regions = 1 then (read_at t t.regions.(0) pos, 0)
+    else
+      let reads = read_all t pos in
+      match canonical reads with
+      | Some ((_, canon) as c) -> (Some canon, heal t ~off:pos reads c)
+      | None -> (None, 0)
 
   (* Re-converge replica headers on the merged (seq, head): rewrite the
      canonical slot of every replica whose slot disagrees. The replicas
@@ -344,20 +379,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   (* Scan the valid entries from [head] in the primary, transparently
      stepping over valid skip markers left by salvage; returns (payload,
-     offset) pairs in order, the end-of-valid-prefix offset, and the
-     markers stepped over. The primary is canonical after any
-     recovery/scrub, so the ordinary read path never consults mirrors. *)
+     offset) pairs in order and the end-of-valid-prefix offset. The
+     primary is canonical after any recovery/scrub, so the ordinary read
+     path never consults mirrors. *)
   let scan t head =
     let region = primary t in
-    let rec loop pos acc markers =
-      match probe t region pos with
-      | P_entry len ->
-          let payload = M.Pm.load region ~off:(pos + 16) ~len in
-          loop (pos + 16 + len) ((payload, pos) :: acc) markers
-      | P_skip span -> loop (pos + span) acc (markers + 1)
-      | P_nothing -> (List.rev acc, pos, markers)
+    let rec loop pos acc =
+      match read_at t region pos with
+      | Some (Entry (_, payload) as r) ->
+          loop (pos + record_span r) ((payload, pos) :: acc)
+      | Some (Skip span) -> loop (pos + span) acc
+      | None -> (List.rev acc, pos)
     in
-    loop head [] 0
+    loop head []
 
   let create ?(sink = Onll_obs.Sink.null) ?(replicas = 1) ?(key = fun _ -> 0)
       ~name ~capacity () =
@@ -395,42 +429,79 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   type tail_class = Clean | Torn of int | Corrupt_span of int
 
   (* Is there a whole CRC-valid record (an entry, or an earlier salvage's
-     skip marker — equally good as a resync point) at offset [r] of the
-     buffered span copy [rest]? The resync searches work over ONE bulk
-     load per replica rather than per-byte [Pm] probes: every durable
-     load ticks the fault hooks, so a byte-wise probe of a long corrupt
-     span would itself accelerate rot injection mid-scan. *)
-  let buffer_valid_at rest r =
-    let n = String.length rest in
+     skip marker — equally good as a resync point) at offset [r] of a
+     span of [n] bytes whose first bytes are [rest] and whose other bytes
+     are zero? The resync searches work over buffered copies rather than
+     per-byte [Pm] probes: every durable load ticks the fault hooks, so a
+     byte-wise probe of a long corrupt span would itself accelerate rot
+     injection mid-scan. A record may run past [rest] into the zeros (an
+     encoded record can end in zero bytes), so its bytes there read as
+     zero. *)
+  let buffer_valid_at ~n rest r =
+    let have = String.length rest in
+    let int64_at i =
+      if i + 8 <= have then String.get_int64_le rest i
+      else begin
+        let b = Bytes.make 8 '\000' in
+        if i < have then Bytes.blit_string rest i b 0 (have - i);
+        Bytes.get_int64_le b 0
+      end
+    in
     if r + 16 > n then false
     else
-      let len64 = String.get_int64_le rest r in
+      let len64 = int64_at r in
       let len = Int64.to_int len64 in
       if len >= 1 then
-        r + 16 + len <= n
-        && String.get_int64_le rest (r + 8)
-           = crc_to_int64 (entry_crc_in rest ~pos:(r + 16) ~len)
+        len <= n - r - 16
+        &&
+        let pos = r + 16 in
+        let inside = max 0 (min len (have - pos)) in
+        let crc =
+          crc_zeros
+            (Crc32.bytes
+               ~init:(Crc32.int64 len64)
+               (Bytes.unsafe_of_string rest) ~pos:(min pos have) ~len:inside)
+            (len - inside)
+        in
+        int64_at (r + 8) = crc_to_int64 crc
       else if Int64.compare len64 0L < 0 then
         let span = Int64.to_int (Int64.neg len64) in
         span >= 16
-        && r + span <= n
-        && String.get_int64_le rest (r + 8)
-           = crc_to_int64 (crc_of_int64s len64 skip_magic)
+        && span <= n - r
+        && int64_at (r + 8) = crc_to_int64 (crc_of_int64s len64 skip_magic)
       else false
 
+  (* A replica's bytes from [pos] up to and including its last nonzero
+     byte before the log end ([""] if they are all zero). The zero check
+     runs backward in chunks of at most [zero_chunk] bytes, so a healthy
+     log's check never holds more than one chunk of its free remainder,
+     and the nonzero prefix is loaded only when some byte is nonzero. *)
+  let nonzero_prefix t region pos =
+    let rec down hi =
+      if hi <= pos then ""
+      else
+        let lo = max pos (hi - zero_chunk) in
+        let chunk = M.Pm.load region ~off:lo ~len:(hi - lo) in
+        match last_nonzero chunk with
+        | -1 -> down lo
+        | i when lo = pos -> String.sub chunk 0 (i + 1)
+        | i -> M.Pm.load region ~off:pos ~len:(lo - pos + i + 1)
+    in
+    down (log_end t)
+
+  (* The verdict on the free remainder [pos, log end), from each replica's
+     nonzero prefix. The last nonzero byte across replicas bounds the
+     search: an entry has a nonzero length field, so none can start in
+     the all-zero suffix. *)
   let classify t pos =
     let stop = log_end t in
     if pos >= stop then Clean
     else begin
-      let rests =
-        Array.map (fun r -> M.Pm.load r ~off:pos ~len:(stop - pos)) t.regions
-      in
-      (* Last nonzero byte (across replicas) bounds the search: an entry
-         has a nonzero length field, so none can start in the all-zero
-         suffix. On a healthy log this pass over the free remainder is
-         the whole of the check, so it runs a word at a time. *)
+      let rests = Array.map (fun r -> nonzero_prefix t r pos) t.regions in
       let last_nz =
-        Array.fold_left (fun m rest -> max m (last_nonzero rest)) (-1) rests
+        Array.fold_left
+          (fun m rest -> max m (String.length rest - 1))
+          (-1) rests
       in
       if last_nz < 0 then Clean
       else begin
@@ -438,10 +509,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
            >= 17 bytes, so the next real boundary is at pos+17 or later —
            which also guarantees a quarantined span can hold the 16-byte
            marker. *)
+        let n = stop - pos in
         let resync = ref None in
         let r = ref 17 in
         while !resync = None && !r <= last_nz do
-          if Array.exists (fun rest -> buffer_valid_at rest !r) rests then
+          if Array.exists (fun rest -> buffer_valid_at ~n rest !r) rests then
             resync := Some !r;
           incr r
         done;
@@ -466,7 +538,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     let found = ref None in
     let r = ref 17 in
     while !found = None && !r + 16 <= n do
-      if Array.exists (fun rest -> buffer_valid_at rest !r) rests then
+      if Array.exists (fun rest -> buffer_valid_at ~n rest !r) rests then
         found := Some (pos + !r);
       incr r
     done;
@@ -483,50 +555,67 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     store_all t ~off (String.make len '\000');
     persist t ~site:"plog.salvage" ~off ~len
 
+  (* A Salvage event for bytes recovery is about to discard, emitted
+     before the discard is made durable: a recovery that crashes after
+     zeroing a torn tail leaves the next one nothing to find, so a report
+     made after the walk would lose the loss. *)
+  let salvaged t ~quarantined ~bytes_lost =
+    if Onll_obs.Sink.active t.sink then
+      Onll_obs.Sink.emit t.sink ~proc:(M.self ())
+        (Onll_obs.Event.Salvage { log = t.log_name; quarantined; bytes_lost })
+
   let recover t =
     let seq, head = read_header t in
     heal_headers t ~seq ~head;
     t.header_seq <- seq;
     t.head <- head;
+    (* the walk rebuilds the account; it is valid once the walk is done *)
+    Queue.clear t.offs;
     t.offs_valid <- false;
     let torn = ref 0 and qspans = ref 0 and qbytes = ref 0 in
     let repaired = ref 0 and rep_bytes = ref 0 in
     let markers = ref 0 in
-    (* Settle the log: walk the entries, healing replica divergence from
-       any copy that revalidates on load, quarantining spans corrupt
-       everywhere, truncating a tail no replica can vouch for. A record
-       whose every replica fails revalidation falls through to
-       classify/quarantine — the walk never advances past an offset it
-       could neither vouch for nor heal, so the primary is always either
-       intact or the span is named as lost. Every repair is idempotent —
-       healing copies CRC-valid canonical bytes, rewriting a marker is
-       byte-identical and re-zeroing zeros is a no-op — so a crash at any
-       point during salvage converges on the next recovery. *)
+    let payloads = ref [] in
+    (* Settle the log in one walk: read each record once per replica,
+       heal replica divergence from a copy that checked valid,
+       quarantine spans corrupt everywhere, truncate a tail no replica
+       can vouch for — and list every live entry in the account and in
+       the payloads returned, so no caller reads the log again. A record
+       no replica holds intact falls through to classify/quarantine — the
+       walk never advances past an offset it could neither vouch for nor
+       heal, so the primary is always either intact or the span is named
+       as lost. Every repair is idempotent — healing copies CRC-valid
+       canonical bytes, rewriting a marker is byte-identical and
+       re-zeroing zeros is a no-op — so a crash at any point during
+       salvage converges on the next recovery. *)
     let stop = log_end t in
     let rec walk pos =
       if pos + 16 > stop then pos
       else
-        match load_record t pos with
-        | Some (R_entry (len, canon)) ->
-            let healed = heal_with t ~off:pos canon in
+        match settle t pos with
+        | Some (Entry (_, payload) as r), healed ->
+            let len = record_span r in
             if healed > 0 then begin
               repaired := !repaired + healed;
-              rep_bytes := !rep_bytes + (healed * (16 + len))
+              rep_bytes := !rep_bytes + (healed * len)
             end;
-            walk (pos + 16 + len)
-        | Some (R_skip (span, canon)) ->
-            (* propagate the marker (not counted as a data repair) *)
-            ignore (heal_with t ~off:pos canon);
+            Queue.push { l_off = pos; l_key = t.key payload } t.offs;
+            payloads := payload :: !payloads;
+            walk (pos + len)
+        | Some (Skip span), _ ->
+            (* propagating the marker is not a data repair *)
             incr markers;
             walk (pos + span)
-        | None -> (
+        | None, _ -> (
             match classify t pos with
             | Clean -> pos
             | Torn n ->
+                salvaged t ~quarantined:0 ~bytes_lost:n;
                 zero_span t ~off:pos ~len:n;
                 torn := !torn + n;
                 pos
             | Corrupt_span span ->
+                salvaged t ~quarantined:1 ~bytes_lost:span;
                 write_skip_marker t ~off:pos ~span;
                 incr qspans;
                 incr markers;
@@ -534,28 +623,20 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                 walk (pos + span))
     in
     t.tail <- walk head;
-    if Onll_obs.Sink.active t.sink then begin
-      if !torn > 0 || !qspans > 0 then
-        Onll_obs.Sink.emit t.sink ~proc:(M.self ())
-          (Onll_obs.Event.Salvage
-             {
-               log = t.log_name;
-               quarantined = !qspans;
-               bytes_lost = !torn + !qbytes;
-             });
-      if !repaired > 0 then
-        Onll_obs.Sink.emit t.sink ~proc:(M.self ())
-          (Onll_obs.Event.Repair
-             { log = t.log_name; entries = !repaired; bytes = !rep_bytes })
-    end;
-    {
-      torn_tail_bytes = !torn;
-      quarantined_spans = !qspans;
-      quarantined_bytes = !qbytes;
-      skip_markers = !markers;
-      repaired_entries = !repaired;
-      repaired_bytes = !rep_bytes;
-    }
+    t.offs_valid <- true;
+    if !repaired > 0 && Onll_obs.Sink.active t.sink then
+      Onll_obs.Sink.emit t.sink ~proc:(M.self ())
+        (Onll_obs.Event.Repair
+           { log = t.log_name; entries = !repaired; bytes = !rep_bytes });
+    ( {
+        torn_tail_bytes = !torn;
+        quarantined_spans = !qspans;
+        quarantined_bytes = !qbytes;
+        skip_markers = !markers;
+        repaired_entries = !repaired;
+        repaired_bytes = !rep_bytes;
+      },
+      List.rev !payloads )
 
   (* The pre-hardening recovery: truncate the primary at the first invalid
      entry — no resync, no mirror consultation, no repair, no report. Kept
@@ -598,19 +679,17 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     let rec walk pos =
       if pos >= t.tail then ()
       else
-        match load_record t pos with
-        | Some (R_entry (len, canon)) ->
+        match settle t pos with
+        | Some (Entry _ as r), healed ->
+            let len = record_span r in
             incr scrubbed;
-            let healed = heal_with t ~off:pos canon in
             if healed > 0 then begin
               repaired := !repaired + healed;
-              rep_bytes := !rep_bytes + (healed * (16 + len))
+              rep_bytes := !rep_bytes + (healed * len)
             end;
-            walk (pos + 16 + len)
-        | Some (R_skip (span, canon)) ->
-            ignore (heal_with t ~off:pos canon);
-            walk (pos + span)
-        | None ->
+            walk (pos + len)
+        | Some (Skip span), _ -> walk (pos + span)
+        | None, _ ->
             (* Corrupt in every replica: resync at the next offset some
                replica holds a valid record (bounded by the live tail),
                else the rest of the live span is gone. Either way the span
@@ -663,11 +742,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     | () -> Ok ()
     | exception Full -> Error `Full
 
-  let entries t =
-    let es, _, _ = scan t t.head in
-    List.map fst es
-
-  let entry_count t = List.length (entries t)
+  let entries t = List.map fst (fst (scan t t.head))
 
   let advance_head t ~new_head ~dropped =
     let seq = Int64.add t.header_seq 1L in
@@ -697,7 +772,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let live_span t =
     if t.offs_valid then Account
     else begin
-      let es, tail_off, _ = scan t t.head in
+      let es, tail_off = scan t t.head in
       let live =
         List.map
           (fun (payload, off) -> { l_off = off; l_key = t.key payload })
@@ -721,16 +796,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     advance_head t ~new_head ~dropped:n
 
+  let span_length t = function
+    | Account -> Queue.length t.offs
+    | Scanned (live, _) -> List.length live
+
+  let entry_count t = span_length t (live_span t)
+
   let set_head t n =
     if n < 0 then invalid_arg "Plog.set_head: negative count";
     if n > 0 then begin
       let span = live_span t in
-      let len =
-        match span with
-        | Account -> Queue.length t.offs
-        | Scanned (live, _) -> List.length live
-      in
-      if n > len then invalid_arg "Plog.set_head: fewer entries than requested";
+      if n > span_length t span then
+        invalid_arg "Plog.set_head: fewer entries than requested";
       drop_first t span n
     end
 
@@ -750,19 +827,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let free_bytes t = log_end t - t.tail
 
   (* Physically move the live span to the front of the entries area,
-     reclaiming the dead pre-head bytes for appends (set_head only advances
-     a pointer; appends never wrap, so without this the area fills for
-     good). The copy walks the live span record by record, sourcing each
-     record from whichever replica's copy revalidates on load
-     ([load_record]) — a bulk primary-only copy would propagate a rotted
-     primary record onto every mirror while the zeroing below destroys the
-     mirrors' intact copy at the old offsets, converting a repairable
-     single-replica fault into unrepairable loss. A span corrupt in every
-     replica is rewritten at the destination as a skip marker — exactly
-     the quarantine an in-place scrub would perform — and reported with a
-     Salvage event. Every byte landing at the destination was therefore
-     validated (or is a fresh CRC-protected marker) at copy time, so the
-     old span is dead weight by the time it is zeroed.
+     reclaiming the dead pre-head bytes for appends (set_head only advances a
+     pointer; appends never wrap, so without this the area fills for good).
+     The copy walks the live span record by record, sourcing each record from
+     whichever replica's copy checks valid as loaded ([read_all], [canonical])
+     — a bulk primary-only copy would propagate a rotted primary record onto
+     every mirror while the zeroing below destroys the mirrors' intact copy at
+     the old offsets, converting a repairable single-replica fault into
+     unrepairable loss. A span corrupt in every replica is rewritten at the
+     destination as a skip marker — exactly the quarantine an in-place scrub
+     would perform — and reported with a Salvage event. Every byte landing at
+     the destination was therefore validated (or is a fresh CRC-protected
+     marker) at copy time, so the old span is dead weight by the time it is
+     zeroed.
 
      Crash-atomic: the live records are first durably copied into the dead
      zone at the start of the entries area — strictly below [head], so the
@@ -785,15 +862,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           if pos >= t.tail then ()
           else
             let dst = header_size + (pos - t.head) in
-            match load_record t pos with
-            | Some (R_entry (len, canon)) ->
-                store_all t ~off:dst canon;
-                copy (pos + 16 + len)
-            | Some (R_skip (span, canon)) ->
-                (* the marker's span is relative, so it covers the same
+            match canonical (read_all t pos) with
+            | Some (_, canon) ->
+                (* a marker's span is relative, so it covers the same
                    bytes at the destination *)
-                store_all t ~off:dst canon;
-                copy (pos + span)
+                store_all t ~off:dst (record_bytes canon);
+                copy (pos + record_span canon)
             | None ->
                 let upto =
                   match resync_offset t ~pos ~stop:t.tail with
@@ -820,10 +894,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (crc_to_int64 (crc_of_int64s seq (Int64.of_int header_size)));
       persist t ~site:"plog.relocate" ~off:slot ~len:slot_bytes;
       let old_tail = t.tail in
+      (* every record moved by the same distance, so a valid account
+         stays valid shifted — unless a quarantine redrew a boundary *)
+      if !quarantined = 0 then
+        Queue.iter (fun l -> l.l_off <- l.l_off - (t.head - header_size)) t.offs
+      else t.offs_valid <- false;
       t.header_seq <- seq;
       t.head <- header_size;
       t.tail <- header_size + live;
-      t.offs_valid <- false;
       let stale = old_tail - t.tail in
       if stale > 0 then begin
         store_all t ~off:t.tail (String.make stale '\000');

@@ -70,8 +70,8 @@ val entry_crc : string -> int32
 
 val last_nonzero : string -> int
 (** The index of the last nonzero byte of a string, or [-1] if every byte
-    is zero. Recovery's clean-end check runs it over each replica's free
-    remainder (see {!Make.recover}). *)
+    is zero. Recovery's clean-end check runs it over each 64 KiB chunk of
+    a replica's free remainder (see {!Make.recover}). *)
 
 val replica_region_name : string -> int -> string
 (** [replica_region_name name r] is the NVM region name of replica [r] of a
@@ -145,15 +145,16 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       added on top), named {!replica_region_name}[ name r]. [sink] (default
       {!Onll_obs.Sink.null}) receives a [Log_append] event per append, a
       [Log_compact] event per head advance, a [Retry] event per transient
-      fault retried, a [Salvage] event per repairing recovery, a [Repair]
+      fault retried, a [Salvage] event per span recovery quarantines or
+      tail it truncates (emitted before the bytes are discarded), a [Repair]
       event when recovery heals replica divergence and a [Scrub] event per
       {!scrub} pass.
 
       [key] (default: [0] for every record) maps a payload to the int key
       {!drop_upto} compares. The log keeps each live entry's key in memory
       beside its offset, computed once when the entry is appended (or when
-      the in-memory account is rebuilt from a scan after {!recover},
-      {!scrub} or {!relocate}), so dropping by key reads nothing back.
+      the in-memory account is rebuilt, by {!recover}'s walk or by a scan
+      after {!scrub}), so dropping by key reads nothing back.
       [key] must be total: a payload it cannot interpret should map to
       [max_int], which no drop passes.
       @raise Invalid_argument if [replicas < 1]. *)
@@ -178,27 +179,35 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       recovery read path (compaction does not use it: see {!drop_upto}); it
       performs no fences. *)
 
-  val recover : t -> salvage_report
+  val recover : t -> salvage_report * string list
   (** Reset the in-memory cursors from the durable contents — call after a
       crash before appending again. Runs the salvage scan described in the
       module doc, consulting every replica at each stop: an entry with an
       intact copy anywhere is durably restored in place ([repaired]), a
       span corrupt everywhere is quarantined ([skip markers]), a tail with
       no valid copy anywhere is zeroed and truncated; replica headers are
-      re-converged. The report says exactly what was repaired and what was
-      lost. A recovery that itself crashes mid-repair converges when
-      re-run: every repair is idempotent.
+      re-converged. Returns the report, which says exactly what was
+      repaired and what was lost, and the live payloads oldest first —
+      what {!entries} would read back, so a caller need not rescan. A
+      recovery that itself crashes mid-repair converges when re-run: every
+      repair is idempotent.
 
-      Cost: one CRC pass over the live records from the head, then one
-      bulk load per replica of everything past the valid prefix, scanned
-      a word at a time for a nonzero byte. A healthy log pays the second
-      pass for its whole free remainder, so a checkpointed log with a few
-      live bytes still costs time proportional to its capacity — at
-      memory speed. The pass stays because a zeroed length field under a
-      media fault ends the valid prefix early and can hide intact records
-      behind it, which only a look past the end finds. A durable
-      high-water mark would bound the pass by the bytes ever written,
-      but it changes the log format and the salvage counters. *)
+      Cost: one walk that reads each live record once per replica — two
+      8-byte loads for its header, one load of its payload, one CRC — heals
+      the other replicas from those bytes (comparing them only when there
+      are several) and rebuilds the live-entry account as it goes, so the
+      first {!drop_upto}, {!set_head} or {!entry_count} after it reads
+      nothing. Then a clean-end check of the free remainder past the valid
+      prefix: each replica's remainder is zero-checked backward in loads
+      of at most 64 KiB, a word at a time, and only when a nonzero byte
+      turns up are its bytes up to that byte loaded for the resync search
+      (the damaged case). A healthy log still pays the check for its whole
+      free remainder, at memory speed, but never holds more than one chunk
+      of it. The check stays because a zeroed length field under a media
+      fault ends the valid prefix early and can hide intact records behind
+      it, which only a look past the end finds. A durable high-water mark
+      would bound it by the bytes ever written, but it changes the log
+      format and the salvage counters. *)
 
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: truncate the primary at the first invalid
@@ -226,13 +235,16 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       (see [create]'s [key]) is [<= k], stopping at the first one whose key
       is greater, and returns how many it discarded. It reads the keys from
       the in-memory account, so while the account is valid it performs no
-      durable load; after {!recover}, {!scrub} or {!relocate} it first
-      rebuilds the account with the one scan {!set_head} would run. Costs
+      durable load; after {!scrub} (or a {!relocate} that quarantined a
+      span) it first rebuilds the account with one scan. Costs
       the one header fence of {!set_head} when it discards anything, and
       nothing otherwise. *)
 
   val entry_count : t -> int
-  (** Number of valid entries from the head (by durable scan). *)
+  (** Number of valid entries from the head, read from the live-entry
+      account: O(1) while the account is valid (after an append, a
+      {!recover} or a {!relocate} that quarantined nothing); after a
+      {!scrub} the first call rebuilds it with one scan. *)
 
   val used_bytes : t -> int
   (** Bytes of the entries area in use, including dead pre-head bytes

@@ -319,7 +319,7 @@ struct
 
   (* {2 Recovery} *)
 
-  let decode_drains_tolerant log failures =
+  let decode_drains_tolerant payloads failures =
     List.filter_map
       (fun e ->
         match Onll_util.Codec.decode drain_codec e with
@@ -327,7 +327,7 @@ struct
         | exception _ ->
             incr failures;
             None)
-      (L.entries log)
+      payloads
 
   (* Hardened recovery: salvage the coordinator logs, recover the inner
      object with the drained indices as the oracle, re-apply any drained
@@ -339,12 +339,16 @@ struct
   let recover_report t =
     M.Tvar.set t.lock false;
     let failures = ref 0 in
+    let recovered = Array.to_list (Array.map L.recover t.coord) in
     let coord_salvage =
-      Array.to_list t.coord |> List.map (fun l -> (L.name l, L.recover l))
+      List.map2
+        (fun l (r, _) -> (L.name l, r))
+        (Array.to_list t.coord) recovered
     in
     let drained =
-      Array.to_list t.coord
-      |> List.concat_map (fun l -> decode_drains_tolerant l failures)
+      List.concat_map
+        (fun (_, payloads) -> decode_drains_tolerant payloads failures)
+        recovered
       |> List.concat
     in
     let extra =

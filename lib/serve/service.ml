@@ -61,14 +61,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       mutable limit : int;  (* durable watermark: reserved below this *)
     }
 
-    let refold t =
+    let refold t payloads =
       let wm =
         List.fold_left
           (fun acc e ->
             match Codec.decode Codec.int e with
             | w -> max acc w
             | exception Codec.Decode_error _ -> acc)
-          0 (L.entries t.log)
+          0 payloads
       in
       t.next <- wm;
       t.limit <- wm
@@ -77,12 +77,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       if block < 1 then invalid_arg "Oseq.create: block < 1";
       let log = L.create ~sink ~name ~capacity:512 () in
       let t = { log; block; next = 0; limit = 0 } in
-      refold t;
+      refold t (L.entries log);
       t
 
     let recover t =
-      ignore (L.recover t.log : Onll_plog.Plog.salvage_report);
-      refold t
+      let (_ : Onll_plog.Plog.salvage_report), payloads = L.recover t.log in
+      refold t payloads
 
     let reserve t =
       let wm = t.limit + t.block in
@@ -131,14 +131,14 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         L.create ~sink ~name:"serve.clients"
           ~capacity:(capacity ~max_clients) ()
       in
-      ignore (L.recover log : Onll_plog.Plog.salvage_report);
+      let (_ : Onll_plog.Plog.salvage_report), payloads = L.recover log in
       let known = Hashtbl.create 256 in
       List.iter
         (fun e ->
           match Codec.decode Codec.int e with
           | c -> Hashtbl.replace known c ()
           | exception Codec.Decode_error _ -> ())
-        (L.entries log);
+        payloads;
       { log; known }
 
     let clients t =

@@ -205,7 +205,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
      a subsequent record) already passed it. Undecodable entries are
      skipped: the log layer's salvage has already quarantined media damage,
      and a half-written record can only be the torn last entry. *)
-  let refold t =
+  let refold t payloads =
     t.next <- 0;
     t.acked <- 0;
     t.pend <- None;
@@ -228,7 +228,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
             if next > t.next then t.next <- next;
             if ack > t.acked then t.acked <- ack
         | exception Codec.Decode_error _ -> ())
-      (L.entries t.log);
+      payloads;
     match t.pend with
     | Some (seq, _, _) when seq < t.acked -> t.pend <- None
     | _ -> ()
@@ -286,7 +286,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         h_degraded = Metrics.histogram reg "session.latency.degraded";
       }
     in
-    refold t;
+    refold t (L.entries t.log);
     t
 
   let client t = t.t_client
@@ -515,8 +515,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   let recover t =
     check_owner t "recover";
-    let (_ : Onll_plog.Plog.salvage_report) = L.recover t.log in
-    refold t;
+    let (_ : Onll_plog.Plog.salvage_report), payloads = L.recover t.log in
+    refold t payloads;
     match t.pend with
     | None -> No_pending
     | Some (seq, oseq, op) -> (

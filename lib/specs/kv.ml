@@ -12,9 +12,21 @@ type value = Previous of string option | Found of string option | Count of int
 let name = "kv"
 let initial = Smap.empty
 
-let apply st = function
-  | Put (k, v) -> (Smap.add k v st, Previous (Smap.find_opt k st))
-  | Delete k -> (Smap.remove k st, Previous (Smap.find_opt k st))
+(* One walk of the tree per update: [Smap.update] hands over the previous
+   binding on its way to the key. *)
+let apply st op =
+  let prev = ref None in
+  let set k b =
+    Smap.update k
+      (fun old ->
+        prev := old;
+        b)
+      st
+  in
+  let st =
+    match op with Put (k, v) -> set k (Some v) | Delete k -> set k None
+  in
+  (st, Previous !prev)
 
 let read st = function
   | Get k -> Found (Smap.find_opt k st)
@@ -54,11 +66,8 @@ let update_codec =
       | n -> raise (Decode_error (Printf.sprintf "kv op: bad tag %d" n)))
 
 let state_codec =
-  let open Onll_util.Codec in
-  map
-    (fun bindings -> Smap.of_seq (List.to_seq bindings))
-    Smap.bindings
-    (list (pair string string))
+  let module C = Onll_util.Codec.Map_bindings (Smap) in
+  C.codec Onll_util.Codec.string Onll_util.Codec.string
 
 let equal_state = Smap.equal String.equal
 let equal_value (a : value) b = a = b

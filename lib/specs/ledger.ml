@@ -80,11 +80,8 @@ let update_codec =
       | n -> raise (Decode_error (Printf.sprintf "ledger op: bad tag %d" n)))
 
 let state_codec =
-  let open Onll_util.Codec in
-  map
-    (fun bindings -> Smap.of_seq (List.to_seq bindings))
-    Smap.bindings
-    (list (pair string int))
+  let module C = Onll_util.Codec.Map_bindings (Smap) in
+  C.codec Onll_util.Codec.string Onll_util.Codec.int
 
 let equal_state = Smap.equal Int.equal
 let equal_value (a : value) b = a = b

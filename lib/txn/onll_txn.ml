@@ -132,7 +132,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   (* {2 Reclamation} *)
 
-  let decode_commits_tolerant log failures =
+  let decode_commits_tolerant payloads failures =
     List.filter_map
       (fun e ->
         match Onll_util.Codec.decode commit_codec e with
@@ -140,7 +140,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         | exception _ ->
             incr failures;
             None)
-      (L.entries log)
+      payloads
 
   (* Checkpoint + prune every shard, then drop the prefix of each
      coordinator log whose commit records are fully covered: every
@@ -296,8 +296,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     let failures = ref 0 in
     (* 1. Coordinator logs: salvage, then the committed set C1 — in
        deterministic (process, log) order, which fixes the sweep order. *)
+    let recovered = Array.to_list (Array.map L.recover t.coord) in
     let coord_salvage =
-      Array.to_list t.coord |> List.map (fun l -> (L.name l, L.recover l))
+      List.map2
+        (fun l (r, _) -> (L.name l, r))
+        (Array.to_list t.coord) recovered
     in
     if
       List.exists
@@ -305,8 +308,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         coord_salvage
     then t.c_degraded <- true;
     let c1 =
-      Array.to_list t.coord
-      |> List.concat_map (fun l -> decode_commits_tolerant l failures)
+      List.concat_map
+        (fun (_, payloads) -> decode_commits_tolerant payloads failures)
+        recovered
     in
     (* 2. Per-shard recovery with C1's staged indices as the oracle. *)
     let extras = Array.make t.n [] in

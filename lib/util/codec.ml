@@ -3,6 +3,7 @@ exception Decode_error of string
 type 'a t = {
   write : Buffer.t -> 'a -> unit;
   read : string -> pos:int -> 'a * int;
+  width : int;  (* the fewest input bytes one value takes *)
 }
 
 let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
@@ -27,7 +28,7 @@ let write c buf v = c.write buf v
 let read c s ~pos = c.read s ~pos
 
 let unit =
-  { write = (fun _ () -> ()); read = (fun _ ~pos -> ((), pos)) }
+  { write = (fun _ () -> ()); read = (fun _ ~pos -> ((), pos)); width = 0 }
 
 let char =
   {
@@ -36,6 +37,7 @@ let char =
       (fun s ~pos ->
         check_space s pos 1 "char";
         (s.[pos], pos + 1));
+    width = 1;
   }
 
 let bool =
@@ -48,6 +50,7 @@ let bool =
         | '\000' -> (false, pos + 1)
         | '\001' -> (true, pos + 1)
         | c -> fail "bool: invalid byte %d" (Char.code c)));
+    width = 1;
   }
 
 let int64 =
@@ -57,6 +60,7 @@ let int64 =
       (fun s ~pos ->
         check_space s pos 8 "int64";
         (String.get_int64_le s pos, pos + 8));
+    width = 8;
   }
 
 let int =
@@ -66,6 +70,7 @@ let int =
       (fun s ~pos ->
         check_space s pos 8 "int";
         (Int64.to_int (String.get_int64_le s pos), pos + 8));
+    width = 8;
   }
 
 let int32 =
@@ -75,6 +80,7 @@ let int32 =
       (fun s ~pos ->
         check_space s pos 4 "int32";
         (String.get_int32_le s pos, pos + 4));
+    width = 4;
   }
 
 let float =
@@ -84,6 +90,7 @@ let float =
       (fun s ~pos ->
         check_space s pos 8 "float";
         (Int64.float_of_bits (String.get_int64_le s pos), pos + 8));
+    width = 8;
   }
 
 let string =
@@ -99,6 +106,7 @@ let string =
         if len < 0 then fail "string: negative length %d" len;
         check_space s (pos + 8) len "string body";
         (String.sub s (pos + 8) len, pos + 8 + len));
+    width = 8;
   }
 
 let pair ca cb =
@@ -112,6 +120,7 @@ let pair ca cb =
         let x, pos = ca.read s ~pos in
         let y, pos = cb.read s ~pos in
         ((x, y), pos));
+    width = ca.width + cb.width;
   }
 
 let triple ca cb cc =
@@ -127,7 +136,21 @@ let triple ca cb cc =
         let y, pos = cb.read s ~pos in
         let z, pos = cc.read s ~pos in
         ((x, y, z), pos));
+    width = ca.width + cb.width + cc.width;
   }
+
+(* An element count at [pos], checked against the input left after it:
+   [n] elements of at least [width] bytes each must fit, so a forged count
+   fails here, before anything is allocated for it. Zero-width elements
+   take no input, so any count of them fits. *)
+let read_count s ~pos ~width what =
+  check_space s pos 8 (what ^ " length");
+  let n = Int64.to_int (String.get_int64_le s pos) in
+  if n < 0 then fail "%s: negative length %d" what n;
+  let left = String.length s - pos - 8 in
+  if width > 0 && n > left / width then
+    fail "%s: %d elements of at least %d bytes in %d bytes" what n width left;
+  (n, pos + 8)
 
 let list c =
   {
@@ -137,26 +160,38 @@ let list c =
         List.iter (c.write b) l);
     read =
       (fun s ~pos ->
-        check_space s pos 8 "list length";
-        let n = Int64.to_int (String.get_int64_le s pos) in
-        if n < 0 then fail "list: negative length %d" n;
+        let n, pos = read_count s ~pos ~width:c.width "list" in
         let rec loop acc pos k =
           if k = 0 then (List.rev acc, pos)
           else
             let v, pos = c.read s ~pos in
             loop (v :: acc) pos (k - 1)
         in
-        loop [] (pos + 8) n);
+        loop [] pos n);
+    width = 8;
   }
 
 let array c =
-  let l = list c in
   {
-    write = (fun b a -> l.write b (Array.to_list a));
+    write =
+      (fun b a ->
+        Buffer.add_int64_le b (Int64.of_int (Array.length a));
+        Array.iter (c.write b) a);
     read =
       (fun s ~pos ->
-        let xs, pos = l.read s ~pos in
-        (Array.of_list xs, pos));
+        let n, pos = read_count s ~pos ~width:c.width "array" in
+        if n = 0 then ([||], pos)
+        else
+          let first, pos = c.read s ~pos in
+          let a = Array.make n first in
+          let pos = ref pos in
+          for k = 1 to n - 1 do
+            let v, next = c.read s ~pos:!pos in
+            a.(k) <- v;
+            pos := next
+          done;
+          (a, !pos));
+    width = 8;
   }
 
 let option c =
@@ -176,6 +211,7 @@ let option c =
             let v, pos = c.read s ~pos:(pos + 1) in
             (Some v, pos)
         | ch -> fail "option: invalid tag %d" (Char.code ch));
+    width = 1;
   }
 
 let map of_a to_a c =
@@ -185,6 +221,7 @@ let map of_a to_a c =
       (fun s ~pos ->
         let v, pos = c.read s ~pos in
         (of_a v, pos));
+    width = c.width;
   }
 
 let tagged to_tag of_tag =
@@ -195,4 +232,44 @@ let tagged to_tag of_tag =
       (fun s ~pos ->
         let (tag, body), pos = payload.read s ~pos in
         (of_tag tag body, pos));
+    width = payload.width;
   }
+
+module Map_bindings (M : Map.S) = struct
+  let codec key value =
+    {
+      write =
+        (fun b m ->
+          Buffer.add_int64_le b (Int64.of_int (M.cardinal m));
+          M.iter
+            (fun k v ->
+              key.write b k;
+              value.write b v)
+            m);
+      read =
+        (fun s ~pos ->
+          let n, pos =
+            read_count s ~pos ~width:(key.width + value.width) "map"
+          in
+          let pos = ref pos in
+          (* [build n] reads the next [n] bindings, the left half first.
+             Halves of sorted input are disjoint key ranges, and joining
+             two such maps costs O(log^2 n), so the whole build is linear,
+             where adding the bindings one by one is O(n log n). *)
+          let rec build = function
+            | 0 -> M.empty
+            | 1 ->
+                let k, next = key.read s ~pos:!pos in
+                let v, next = value.read s ~pos:next in
+                pos := next;
+                M.singleton k v
+            | n ->
+                let left = build (n / 2) in
+                let right = build (n - (n / 2)) in
+                M.union (fun _ _ later -> Some later) left right
+          in
+          let m = build n in
+          (m, !pos));
+      width = 8;
+    }
+end

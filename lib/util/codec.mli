@@ -39,6 +39,12 @@ val pair : 'a t -> 'b t -> ('a * 'b) t
 val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 val list : 'a t -> 'a list t
 val array : 'a t -> 'a array t
+(** The same bytes as [list]. Decoding reads the elements straight into
+    the array. A count the remaining input cannot hold raises
+    {!Decode_error} before anything is allocated for it (as it does for
+    [list]); only an element that takes no input, such as [unit], is
+    exempt. *)
+
 val option : 'a t -> 'a option t
 
 val map : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
@@ -49,6 +55,17 @@ val tagged : ('a -> int * string) -> (int -> string -> 'a) -> 'a t
 (** [tagged to_tag of_tag] builds a variant codec: [to_tag v] yields a
     constructor tag and an encoded payload; [of_tag tag payload] rebuilds the
     value (raising {!Decode_error} on an unknown tag). *)
+
+module Map_bindings (M : Map.S) : sig
+  val codec : M.key t -> 'v t -> 'v M.t t
+  (** A map as its bindings in key order: the bytes
+      [list (pair key value)] writes for [M.bindings m], written straight
+      from [M.iter]. Decoding builds the map by joining halves with
+      [M.union], in time linear in the bindings on the sorted input an
+      encoding holds. Unsorted or duplicate-key input still decodes to
+      what adding the bindings in order gives, the last binding of a key
+      winning. *)
+end
 
 (** {1 Low-level interface for incremental encoding} *)
 

@@ -109,6 +109,44 @@ let test_roundtrip_still_holds () =
       (Codec.decode c (Codec.encode c v))
   done
 
+(* A forged element count is rejected as soon as it is read, before
+   anything is allocated for it: 2^40 elements would not fit in memory,
+   and 2^20 would cost megabytes before the input ran out. *)
+let test_forged_counts () =
+  let forged n rest =
+    let b = Buffer.create 16 in
+    Buffer.add_int64_le b (Int64.of_int n);
+    Buffer.add_string b rest;
+    Buffer.contents b
+  in
+  let must_fail : type a. string -> a Codec.t -> string -> unit =
+   fun name c s ->
+    let before = Gc.allocated_bytes () in
+    (match Codec.decode c s with
+    | _ -> Alcotest.failf "%s: a forged count decoded" name
+    | exception Codec.Decode_error _ -> ());
+    let spent = Gc.allocated_bytes () -. before in
+    if spent > 65536. then
+      Alcotest.failf "%s: %.0f bytes allocated before the count failed" name
+        spent
+  in
+  List.iter
+    (fun n ->
+      let rest = Codec.encode Codec.int 7 in
+      must_fail "array" (Codec.array Codec.int) (forged n rest);
+      must_fail "array of pairs"
+        (Codec.array (Codec.pair Codec.string Codec.string))
+        (forged n rest);
+      must_fail "list" (Codec.list Codec.int) (forged n rest);
+      must_fail "kv-state" Onll_specs.Kv.state_codec (forged n rest);
+      must_fail "ledger-state" Onll_specs.Ledger.state_codec (forged n rest))
+    [ 1 lsl 40; max_int; 1 lsl 20; 2 ];
+  (* zero-width elements take no input, so any count of them fits *)
+  check Alcotest.int "array of units roundtrips" 5
+    (Array.length
+       (Codec.decode (Codec.array Codec.unit)
+          (Codec.encode (Codec.array Codec.unit) (Array.make 5 ()))))
+
 (* {1 Plog salvage under arbitrary corruption} *)
 
 (* Property: whatever bytes media damage leaves in the regions — headers
@@ -139,11 +177,13 @@ let test_plog_salvage_never_raises () =
       (P.region_names log);
     Onll_nvm.Memory.crash (Sim.memory sim)
       ~policy:Onll_nvm.Crash_policy.Drop_all;
-    (match P.recover log with
-    | _ -> ()
-    | exception e ->
-        Alcotest.failf "trial %d: recover raised %s" trial
-          (Printexc.to_string e));
+    let recovered =
+      match P.recover log with
+      | _, payloads -> payloads
+      | exception e ->
+          Alcotest.failf "trial %d: recover raised %s" trial
+            (Printexc.to_string e)
+    in
     let entries1 =
       match P.entries log with
       | e -> e
@@ -151,7 +191,10 @@ let test_plog_salvage_never_raises () =
           Alcotest.failf "trial %d: entries raised %s" trial
             (Printexc.to_string e)
     in
-    let r2 = P.recover log in
+    check Alcotest.(list string)
+      (Printf.sprintf "trial %d: recover returns what entries reads" trial)
+      entries1 recovered;
+    let r2, _ = P.recover log in
     check Alcotest.(list string)
       (Printf.sprintf "trial %d: recovery is a fixed point" trial)
       entries1 (P.entries log);
@@ -217,6 +260,8 @@ let () =
             test_decode_mutated_valid_encodings;
           Alcotest.test_case "honest roundtrip unharmed" `Quick
             test_roundtrip_still_holds;
+          Alcotest.test_case "forged counts -> typed errors" `Quick
+            test_forged_counts;
         ] );
       ( "salvage",
         [

@@ -385,7 +385,7 @@ let test_scrub_under_active_rot_never_spreads_damage () =
   check Alcotest.bool "rot actually fired, heavily" true
     ((Faults.counters h).Faults.rot_flips > 100);
   Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   Faults.remove h;
   check Alcotest.int "recovery lost nothing" 0 (Onll_plog.Plog.report_lost r);
   check Alcotest.int "every entry survived" 120 (P.entry_count log)
@@ -437,7 +437,7 @@ let test_relocate_under_active_rot_never_loses () =
   check Alcotest.bool "rot actually fired, heavily" true
     ((Faults.counters h).Faults.rot_flips > 50);
   Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   Faults.remove h;
   (* rot beyond the tail may be truncated as torn garbage (it never held
      data), but no interior span may ever be quarantined: the mirror

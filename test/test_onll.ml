@@ -906,8 +906,9 @@ let test_checkpoint_drop_matches_old_rule () =
 
 (* While the log's account is valid, a checkpoint reads nothing back: it
    encodes the state once, appends one record and drops the prefix from
-   the in-memory keys. Only the first checkpoint after a recovery or a
-   scrub pays one scan to rebuild the account. *)
+   the in-memory keys. Recovery's walk rebuilds the account as it goes,
+   so only the first checkpoint after a scrub pays one scan to rebuild
+   it. *)
 let test_checkpoint_reads_no_log () =
   let sim = Sim.create ~max_processes:1 () in
   let module M0 = (val Sim.machine sim) in
@@ -935,16 +936,62 @@ let test_checkpoint_reads_no_log () =
   Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
   C.recover obj;
   puts 10;
-  check Alcotest.bool "after recovery: one rebuilding scan" true
-    (checkpoint_loads () > 0);
+  check Alcotest.int "after recovery: the walk rebuilt the account" 0
+    (checkpoint_loads ());
   puts 10;
   check Alcotest.int "then nothing again" 0 (checkpoint_loads ());
   ignore (C.scrub obj);
+  puts 10;
   check Alcotest.bool "after a scrub: one rebuilding scan" true
     (checkpoint_loads () > 0);
+  puts 10;
   check Alcotest.int "valid again" 0 (checkpoint_loads ());
   check Alcotest.bool "state intact" true
     (C.read obj (Onll_specs.Kv.Get "7") = Onll_specs.Kv.Found (Some "v"))
+
+(* A checkpoint with no progress since the one already live in the
+   caller's log appends nothing and pays no fence: a second record with
+   the same index would drop nothing, not even the first, so repeating it
+   used to fill a small log until [Log_full]. Recovery learns the live
+   checkpoint from the log it reads, so the rule holds across a crash. *)
+let test_checkpoint_without_progress () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
+  let obj =
+    C.make { Onll_core.Onll.Config.default with log_capacity = 4096 }
+  in
+  for i = 1 to 20 do
+    ignore (C.update obj (Onll_specs.Kv.Put (string_of_int i, "v")))
+  done;
+  let upto = C.checkpoint obj in
+  let live_checkpoints () =
+    (List.hd (C.snapshot obj).Onll_core.Onll.Snapshot.logs)
+      .Onll_core.Onll.Snapshot.ops_per_entry
+    |> List.filter (( = ) 0)
+    |> List.length
+  in
+  let no_progress what =
+    let fences = M.persistent_fences () in
+    for _ = 1 to 1000 do
+      check Alcotest.int (what ^ ": the same index") upto (C.checkpoint obj)
+    done;
+    check Alcotest.int (what ^ ": no fence") fences (M.persistent_fences ());
+    check Alcotest.int (what ^ ": one live checkpoint") 1
+      (live_checkpoints ())
+  in
+  no_progress "1000 checkpoints";
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  C.recover obj;
+  no_progress "after recovery";
+  ignore (C.update obj (Onll_specs.Kv.Put ("21", "v")));
+  check Alcotest.int "progress: a new checkpoint" (upto + 1)
+    (C.checkpoint obj);
+  check Alcotest.int "progress: it replaced the old one" 1
+    (live_checkpoints ());
+  check Alcotest.bool "state intact" true
+    (C.read obj (Onll_specs.Kv.Get "21") = Onll_specs.Kv.Found (Some "v")
+    && C.read obj Onll_specs.Kv.Size = Onll_specs.Kv.Count 21)
 
 (* The counter, counting its [apply] calls. *)
 module Counting_counter = struct
@@ -995,6 +1042,49 @@ let test_prune_after_checkpoint_applies_nothing () =
    implementation, so this is corruption). The entry bytes are constructed
    with the same codecs the implementation uses, then written straight into
    the object's log region. *)
+(* Media damage that takes one operation's every durable copy leaves a
+   gap: recovery adopts the prefix below it, names the gap, lists the
+   stranded operations above it in index order, answers [was_linearized]
+   accordingly, and still allocates sequence numbers past every identity
+   it saw. *)
+let test_recovery_report_gap_and_dropped () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let obj = C.make Onll_core.Onll.Config.default in
+  for _ = 1 to 6 do
+    ignore (C.update obj Cs.Increment)
+  done;
+  let region =
+    Option.get
+      (Onll_nvm.Memory.find_region (Sim.memory sim) "counter.0.plog.0")
+  in
+  (* the third record: skip two [len][crc][payload] frames from offset 64 *)
+  let image = Onll_nvm.Memory.Region.durable_snapshot region in
+  let next off = off + 16 + Int64.to_int (String.get_int64_le image off) in
+  let third = next (next 64) in
+  Onll_nvm.Memory.Region.corrupt region ~off:(third + 16) ~len:1
+    ~f:(fun _ c -> Char.chr (Char.code c lxor 0x10));
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let r = C.recover_report obj in
+  let id seq = { Onll_core.Onll.id_proc = 0; id_seq = seq } in
+  check Alcotest.(list int) "the gap" [ 3 ]
+    r.Onll_core.Onll.Recovery_report.gap_indices;
+  check Alcotest.(list int) "stranded above it, in index order" [ 3; 4; 5 ]
+    (List.map
+       (fun i -> i.Onll_core.Onll.id_seq)
+       r.Onll_core.Onll.Recovery_report.dropped);
+  check Alcotest.int "adopted" 2 r.Onll_core.Onll.Recovery_report.recovered_ops;
+  check Alcotest.(list int) "recovered indices" [ 1; 2 ]
+    (List.map snd (C.recovered_ops obj));
+  check Alcotest.(list bool) "was_linearized"
+    [ true; true; false; false; false; false ]
+    (List.init 6 (fun seq -> C.was_linearized obj (id seq)));
+  check Alcotest.int "value" 2 (C.read obj Cs.Get);
+  ignore (C.update obj Cs.Increment);
+  check Alcotest.bool "the next update takes a fresh identity" true
+    (C.was_linearized obj (id 6))
+
 let test_recovery_corrupt_on_forged_gap () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
@@ -1082,6 +1172,8 @@ let () =
             test_recovery_under_persist_all;
           Alcotest.test_case "forged gap rejected" `Quick
             test_recovery_corrupt_on_forged_gap;
+          Alcotest.test_case "gap and dropped reported" `Quick
+            test_recovery_report_gap_and_dropped;
         ] );
       ( "detectability",
         [
@@ -1120,6 +1212,8 @@ let () =
             test_checkpoint_reads_no_log;
           Alcotest.test_case "prune after checkpoint applies nothing" `Quick
             test_prune_after_checkpoint_applies_nothing;
+          Alcotest.test_case "checkpoint without progress appends nothing"
+            `Quick test_checkpoint_without_progress;
         ] );
       ( "misc",
         [

@@ -255,7 +255,7 @@ let test_salvage_quarantines_interior_corruption () =
   flip region ~off:(88 + 16 + 3);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "entries beyond the rot survive"
     [ "aaaaaaaa"; "cccccccc" ] (P.entries log);
   check Alcotest.int "one quarantined span" 1
@@ -267,7 +267,7 @@ let test_salvage_quarantines_interior_corruption () =
     (Onll_plog.Plog.report_lost r > 0);
   (* Salvage is idempotent: a second recovery finds a clean log whose only
      scar is the durable skip marker. *)
-  let r2 = P.recover log in
+  let r2, _ = P.recover log in
   check Alcotest.(list string) "stable" [ "aaaaaaaa"; "cccccccc" ]
     (P.entries log);
   check Alcotest.int "nothing newly quarantined" 0
@@ -296,7 +296,7 @@ let test_salvage_truncates_corrupt_tail () =
   flip region ~off:(112 + 16 + 3);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "prefix survives" [ "aaaaaaaa"; "bbbbbbbb" ]
     (P.entries log);
   check Alcotest.int "tail zeroed" 24 r.Onll_plog.Plog.torn_tail_bytes;
@@ -377,7 +377,7 @@ let test_mirrored_repairs_interior_rot () =
   flip primary ~off:(88 + 16 + 3);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "nothing lost"
     [ "aaaaaaaa"; "bbbbbbbb"; "cccccccc" ] (P.entries log);
   check Alcotest.int "one entry repaired" 1 r.Onll_plog.Plog.repaired_entries;
@@ -385,7 +385,7 @@ let test_mirrored_repairs_interior_rot () =
     r.Onll_plog.Plog.quarantined_spans;
   check Alcotest.int "no loss reported" 0 (Onll_plog.Plog.report_lost r);
   (* the repair was durable and byte-exact: a second recovery is clean *)
-  let r2 = P.recover log in
+  let r2, _ = P.recover log in
   check Alcotest.int "idempotent: no re-repair" 0
     r2.Onll_plog.Plog.repaired_entries;
   check Alcotest.(list string) "stable"
@@ -408,7 +408,7 @@ let test_mirrored_tail_fault_disambiguated () =
   flip primary ~off:(112 + 16 + 3);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "tail entry healed, not truncated"
     [ "aaaaaaaa"; "bbbbbbbb"; "cccccccc" ] (P.entries log);
   check Alcotest.int "repaired" 1 r.Onll_plog.Plog.repaired_entries;
@@ -434,7 +434,7 @@ let test_mirrored_torn_append_tears_all_replicas () =
     Sim.run sim strategy [| (fun _ -> P.append log "interrupted") |]
   in
   check Alcotest.bool "crashed" true (outcome = Sched.World.Crashed);
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "only the fenced entry" [ "good" ]
     (P.entries log);
   check Alcotest.int "no repair possible (no intact copy exists)" 0
@@ -460,7 +460,7 @@ let test_mirrored_double_fault_quarantined () =
   flip mirror ~off:(88 + 16 + 4);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "both-replica hit is lost, rest survives"
     [ "aaaaaaaa"; "cccccccc" ] (P.entries log);
   check Alcotest.int "quarantined" 1 r.Onll_plog.Plog.quarantined_spans;
@@ -494,7 +494,7 @@ let test_scrub_heals_divergence_online () =
   P.append log "dddddddd";
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "all four entries"
     [ "aaaaaaaa"; "bbbbbbbb"; "cccccccc"; "dddddddd" ] (P.entries log);
   check Alcotest.int "recovery had nothing to heal" 0
@@ -523,7 +523,7 @@ let test_scrub_quarantines_double_fault () =
   (* the quarantine is durable: still stable after crash+recover *)
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.(list string) "stable" [ "aaaaaaaa"; "cccccccc" ]
     (P.entries log);
   check Alcotest.int "nothing NEWLY quarantined" 0
@@ -558,7 +558,7 @@ let test_relocate_sources_from_intact_replica () =
      loss-free: a crash finds nothing to repair and nothing to report *)
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.int "no loss" 0 (Onll_plog.Plog.report_lost r);
   check Alcotest.int "nothing left to repair" 0
     r.Onll_plog.Plog.repaired_entries;
@@ -594,7 +594,7 @@ let test_relocate_quarantines_double_fault () =
     s.Onll_plog.Plog.unrepairable_spans;
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = P.recover log in
+  let r, _ = P.recover log in
   check Alcotest.int "nothing NEWLY quarantined" 0
     r.Onll_plog.Plog.quarantined_spans;
   check Alcotest.(list string) "stable" [ "ffffffff" ] (P.entries log)
@@ -608,6 +608,42 @@ let keyed k =
 let key_of payload =
   if String.length payload < 8 then max_int
   else Int64.to_int (String.get_int64_le payload 0)
+
+(* [entry_count] reads the live-entry account: no durable load after
+   appends, a head advance, a relocation or a recovery (whose walk rebuilt
+   the account). Only a scrub leaves it to be rebuilt by one scan. *)
+let test_entry_count_reads_nothing () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M0 = (val Sim.machine sim) in
+  let module M = Test_support.Machine_wrap.Counting_loads (M0) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~name:"l" ~capacity:4096 ~replicas:2 () in
+  let count_loads what expect =
+    let before = !M.loads in
+    let n = P.entry_count log in
+    let loads = !M.loads - before in
+    check Alcotest.int (what ^ ": count") (List.length (P.entries log)) n;
+    check Alcotest.bool (what ^ ": loads") true
+      (if expect = `None then loads = 0 else loads > 0)
+  in
+  for i = 1 to 6 do
+    P.append log (Printf.sprintf "entry-%d" i)
+  done;
+  count_loads "after appends" `None;
+  P.set_head log 4;
+  count_loads "after set_head" `None;
+  P.relocate log;
+  count_loads "after relocate" `None;
+  P.append log "entry-7";
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  ignore (P.recover log);
+  count_loads "after recover" `None;
+  ignore (P.scrub log);
+  count_loads "after scrub" `Scan;
+  count_loads "then" `None;
+  check Alcotest.(list string) "entries" [ "entry-5"; "entry-6"; "entry-7" ]
+    (P.entries log)
 
 let test_drop_upto_by_key () =
   let sim = Sim.create ~max_processes:1 () in
@@ -674,7 +710,7 @@ let test_drop_upto_matches_entries_rule () =
     let crash_recover () =
       Onll_nvm.Memory.crash (Sim.memory sim)
         ~policy:Onll_nvm.Crash_policy.Drop_all;
-      salvaged (P.recover log)
+      salvaged (fst (P.recover log))
     in
     for _ = 1 to 80 do
       match Random.State.int rng 12 with
@@ -849,7 +885,7 @@ let test_framed_crc_image_recovers_identically () =
   check Alcotest.string "same durable bytes"
     (Onll_nvm.Memory.Region.durable_snapshot (region "new"))
     (Onll_nvm.Memory.Region.durable_snapshot (region "old"));
-  let r_new = P.recover appended and r_old = P.recover written in
+  let r_new, _ = P.recover appended and r_old, _ = P.recover written in
   let pp = Fmt.to_to_string Onll_plog.Plog.pp_salvage_report in
   check Alcotest.string "same salvage report" (pp r_new) (pp r_old);
   check Alcotest.int "the rotted entry was quarantined" 1
@@ -883,9 +919,298 @@ let test_recover_load_counts () =
     ignore (P.recover log);
     !M.loads
   in
-  check Alcotest.int "clean log" 24 (loads_of `Clean);
-  check Alcotest.int "torn tail" 23 (loads_of `Torn_tail);
-  check Alcotest.int "interior corruption" 26 (loads_of `Interior)
+  check Alcotest.int "clean log" 17 (loads_of `Clean);
+  check Alcotest.int "torn tail" 16 (loads_of `Torn_tail);
+  check Alcotest.int "interior corruption" 18 (loads_of `Interior)
+
+(* {1 The chunked clean-end check}
+
+   Recovery zero-checks the free remainder backward in chunks of at most
+   64 KiB and loads the bytes up to the last nonzero one only when one
+   turns up; the verdict must be the one a whole-remainder load gives.
+   Each case damages a log whose free remainder spans 32 chunks and
+   states the report a whole-remainder load gives. Damage placed relative
+   to the end of the valid prefix is also applied to the same contents on
+   a log whose remainder is one chunk, and the two reports must agree. *)
+
+let big_capacity = (2 lsl 20) + 13 (* 32 chunks and a partial one *)
+let small_capacity = (48 lsl 10) + 13
+
+(* Append [payloads] to a log of [capacity] with [replicas], apply
+   [damage region ~prefix_end ~log_end] to the named replica regions'
+   durable bytes, crash and recover. Returns the report and the payloads
+   recovery returned, having checked that they are what [entries] reads
+   and that a second recovery is clean. *)
+let salvage ?(replicas = 1) ~capacity payloads damage =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~name:"l" ~capacity ~replicas () in
+  List.iter (P.append log) payloads;
+  let region name =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) name)
+  in
+  damage
+    (fun r -> region (Onll_plog.Plog.replica_region_name "l" r))
+    ~prefix_end:(64 + P.used_bytes log) ~log_end:(64 + capacity);
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let report, recovered = P.recover log in
+  check Alcotest.(list string) "recover returns what entries reads"
+    (P.entries log) recovered;
+  let again, _ = P.recover log in
+  check Alcotest.bool "a second recovery is clean" true
+    (again
+    = { Onll_plog.Plog.clean_report with skip_markers = again.skip_markers });
+  (report, recovered)
+
+let set_byte region ~off c =
+  Onll_nvm.Memory.Region.corrupt region ~off ~len:1 ~f:(fun _ _ -> c)
+
+let pp_report = Fmt.to_to_string Onll_plog.Plog.pp_salvage_report
+let abc = [ "aaaaaaaa"; "bbbbbbbb"; "cccccccc" ]
+
+(* Same report and entries from a 32-chunk and a one-chunk remainder. *)
+let both ?replicas payloads damage =
+  let big = salvage ?replicas ~capacity:big_capacity payloads damage in
+  let small = salvage ?replicas ~capacity:small_capacity payloads damage in
+  check Alcotest.string "32 chunks report = one chunk report"
+    (pp_report (fst small)) (pp_report (fst big));
+  check Alcotest.(list string) "same entries" (snd small) (snd big);
+  big
+
+let torn n = { Onll_plog.Plog.clean_report with torn_tail_bytes = n }
+
+let expect what report entries (got, recovered) =
+  check Alcotest.string what (pp_report report) (pp_report got);
+  check Alcotest.(list string) (what ^ ": entries") entries recovered
+
+let test_chunked_clean_log () =
+  expect "clean" Onll_plog.Plog.clean_report abc
+    (both abc (fun _ ~prefix_end:_ ~log_end:_ -> ()))
+
+let test_chunked_last_bytes () =
+  for k = 0 to 7 do
+    expect
+      (Printf.sprintf "nonzero byte %d from the end" (k + 1))
+      (torn (64 + big_capacity - k - (64 + 72)))
+      abc
+      (salvage ~capacity:big_capacity abc (fun region ~prefix_end:_ ~log_end ->
+           set_byte (region 0) ~off:(log_end - 1 - k) '\001'))
+  done
+
+let test_chunked_boundary () =
+  let log_end = 64 + big_capacity and prefix_end = 64 + 72 in
+  List.iter
+    (fun j ->
+      (* [b] starts a chunk of the backward check; [b - 1] ends the next *)
+      let b = log_end - (j * 65536) in
+      List.iter
+        (fun (what, offs) ->
+          let last = List.fold_left max 0 offs in
+          expect
+            (Printf.sprintf "chunk boundary %d: %s" j what)
+            (torn (last + 1 - prefix_end))
+            abc
+            (salvage ~capacity:big_capacity abc
+               (fun region ~prefix_end:_ ~log_end:_ ->
+                 List.iter (fun off -> set_byte (region 0) ~off '\255') offs)))
+        [
+          ("straddling", [ b - 1; b ]);
+          ("its first byte", [ b ]);
+          ("the byte before it", [ b - 1 ]);
+        ])
+    [ 1; 2; 31 ]
+
+let test_chunked_torn_append () =
+  (* a header claiming 100 payload bytes, and 50 of them *)
+  expect "torn append" (torn (16 + 50)) abc
+    (both abc (fun region ~prefix_end ~log_end:_ ->
+         let r = region 0 in
+         set_byte r ~off:prefix_end '\100';
+         set_byte r ~off:(prefix_end + 8) '\042';
+         for i = 0 to 49 do
+           set_byte r ~off:(prefix_end + 16 + i) 'x'
+         done))
+
+let test_chunked_interior_span () =
+  expect "interior span"
+    {
+      Onll_plog.Plog.clean_report with
+      quarantined_spans = 1;
+      quarantined_bytes = 24;
+      skip_markers = 1;
+    }
+    [ "aaaaaaaa"; "cccccccc" ]
+    (both abc (fun region ~prefix_end:_ ~log_end:_ ->
+         flip (region 0) ~off:(88 + 16 + 3)));
+  (* the record the resync finds ends past the last nonzero byte *)
+  let zeros_last = "cc" ^ String.make 30 '\000' in
+  expect "interior span, then a record ending in zeros"
+    {
+      Onll_plog.Plog.clean_report with
+      quarantined_spans = 1;
+      quarantined_bytes = 24;
+      skip_markers = 1;
+    }
+    [ "aaaaaaaa"; zeros_last ]
+    (both
+       [ "aaaaaaaa"; "bbbbbbbb"; zeros_last ]
+       (fun region ~prefix_end:_ ~log_end:_ ->
+         flip (region 0) ~off:(88 + 16 + 3)))
+
+let test_chunked_mirrored_dirty_replica () =
+  (* garbage in the mirror's free remainder only: the primary's check
+     passes, the mirror's sends its nonzero prefix to the resync search *)
+  expect "dirty mirror" (torn 20_001) abc
+    (both ~replicas:2 abc (fun region ~prefix_end ~log_end:_ ->
+         set_byte (region 1) ~off:(prefix_end + 20_000) '\001'));
+  let log_end = 64 + big_capacity and prefix_end = 64 + 72 in
+  expect "dirty mirror, far from the prefix"
+    (torn (log_end - 70_000 + 1 - prefix_end))
+    abc
+    (salvage ~replicas:2 ~capacity:big_capacity abc
+       (fun region ~prefix_end:_ ~log_end ->
+         set_byte (region 1) ~off:(log_end - 70_000) '\001'))
+
+(* Recover a single-replica log of [capacity] holding [payloads], the
+   first [dropped] of them behind the head, counting its loads. Checks
+   that every live byte and every free byte past the 8-byte zero length
+   that ends the walk (which the clean-end check loads again) is loaded
+   exactly once, and that no load is longer than [max_load]. Returns the
+   report and the payloads recovered. *)
+let recover_counting_loads ~capacity ~dropped ~max_load payloads =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M0 = (val Sim.machine sim) in
+  let module M = Test_support.Machine_wrap.Counting_loads (M0) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~name:"l" ~capacity () in
+  List.iter (P.append log) payloads;
+  P.set_head log dropped;
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  M.spans := [];
+  let result = P.recover log in
+  let spans = !M.spans in
+  let tail = 64 + P.used_bytes log in
+  let head = tail - P.live_bytes log in
+  let complaints =
+    Test_support.Machine_wrap.not_loaded_once ~lo:head ~hi:tail spans
+    @ Test_support.Machine_wrap.not_loaded_once ~lo:(tail + 8)
+        ~hi:(64 + capacity) spans
+    @ Test_support.Machine_wrap.loads_over ~max_load spans
+  in
+  check Alcotest.(list string) "load accounting" [] complaints;
+  result
+
+(* Each live byte is loaded once — the header of each record, then its
+   payload — and only a payload load may exceed the 64 KiB chunk. *)
+let test_recover_load_accounting () =
+  let large = String.make (3 lsl 19) 'L' in
+  let _, recovered =
+    recover_counting_loads ~capacity:(4 lsl 20) ~dropped:2
+      ~max_load:(String.length large)
+      ([ "dropped-1"; "dropped-2" ]
+      @ List.init 50 (Printf.sprintf "small-%d")
+      @ [ large ]
+      @ List.init 50 (Printf.sprintf "after-%d"))
+  in
+  check Alcotest.int "every live entry returned" 101 (List.length recovered)
+
+(* A healthy log with a free remainder of more than 4 MiB recovers Clean
+   without ever holding more than one 64 KiB chunk of it. *)
+let test_large_remainder_in_chunks () =
+  let payloads = List.init 40 (Printf.sprintf "entry-%d") in
+  let report, recovered =
+    recover_counting_loads ~capacity:((4 lsl 20) + 65536 + 13) ~dropped:0
+      ~max_load:65536 payloads
+  in
+  check Alcotest.string "clean" (pp_report Onll_plog.Plog.clean_report)
+    (pp_report report);
+  check Alcotest.(list string) "every entry" payloads recovered
+
+(* A recovery reports the bytes it discards before it discards them: one
+   that crashes right after zeroing a torn tail leaves the next recovery
+   nothing to find, so a report made only at the end of the walk would
+   lose the loss. Whatever step of the first recovery the crash lands on,
+   the two recoveries together report the rotted last entry. *)
+let test_salvage_reported_before_discard () =
+  for crash_at = 0 to 40 do
+    let registry = Onll_obs.Metrics.create () in
+    let sink = Onll_obs.Sink.make ~registry () in
+    let sim =
+      Sim.create ~max_processes:1
+        ~crash_policy:Onll_nvm.Crash_policy.Persist_all ()
+    in
+    let module M = (val Sim.machine sim) in
+    let module P = Onll_plog.Plog.Make (M) in
+    let log = P.create ~sink ~name:"l" ~capacity:4096 () in
+    P.append log "aaaaaaaa";
+    P.append log "bbbbbbbb";
+    flip
+      (Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l"))
+      ~off:(88 + 16 + 3);
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    ignore
+      (Sim.run sim
+         (Sched.Strategy.random_with_crash ~seed:0 ~crash_at_step:crash_at)
+         [| (fun _ -> ignore (P.recover log)) |]);
+    ignore (P.recover log);
+    check Alcotest.bool
+      (Printf.sprintf "crash at step %d: the torn tail is reported" crash_at)
+      true
+      (Onll_obs.Metrics.counter_value registry "salvage.bytes_lost" >= 24);
+    check Alcotest.(list string) "the fenced prefix" [ "aaaaaaaa" ]
+      (P.entries log)
+  done
+
+(* Property: a crash anywhere in a run of appends, then one rotted byte
+   anywhere in the written span. Recovery returns exactly what [entries]
+   reads afterwards, never an entry that was not appended, and the same
+   report and entries whether the free remainder is one chunk or 32 —
+   the verdicts the whole-remainder check gave, which the examples above
+   pin. *)
+let prop_rotted_recovery_returns_entries =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"crash anywhere + one rotted byte -> recover = entries"
+       ~count:100
+       QCheck.(triple small_nat (int_bound 200) (int_bound 1000))
+       (fun (seed, crash_at, rot) ->
+         let all = List.init 8 (fun i -> Printf.sprintf "entry-%d-%d" seed i) in
+         let run capacity =
+           let sim =
+             Sim.create ~max_processes:1
+               ~crash_policy:
+                 (if seed mod 2 = 0 then Onll_nvm.Crash_policy.Drop_all
+                  else Onll_nvm.Crash_policy.Persist_all)
+               ()
+           in
+           let module M = (val Sim.machine sim) in
+           let module P = Onll_plog.Plog.Make (M) in
+           let log = P.create ~name:"l" ~capacity () in
+           ignore
+             (Sim.run sim
+                (Sched.Strategy.random_with_crash ~seed ~crash_at_step:crash_at)
+                [| (fun _ -> List.iter (P.append log) all) |]);
+           let written =
+             List.fold_left (fun n e -> n + 16 + String.length e) 0 all
+           in
+           flip
+             (Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l"))
+             ~off:(64 + (rot mod written));
+           let report, recovered = P.recover log in
+           if recovered <> P.entries log then
+             QCheck.Test.fail_reportf
+               "recover returned %d entries, entries reads %d"
+               (List.length recovered)
+               (List.length (P.entries log));
+           if not (List.for_all (fun e -> List.mem e all) recovered) then
+             QCheck.Test.fail_report "recovery fabricated an entry";
+           (pp_report report, recovered)
+         in
+         run small_capacity = run big_capacity))
 
 (* Property: whatever single step the crash lands on, recovery yields a
    prefix of the appended entries; completed appends always survive. *)
@@ -969,6 +1294,8 @@ let () =
           Alcotest.test_case "drop_upto by key" `Quick test_drop_upto_by_key;
           Alcotest.test_case "drop_upto = the entries rule" `Quick
             test_drop_upto_matches_entries_rule;
+          Alcotest.test_case "entry_count reads nothing" `Quick
+            test_entry_count_reads_nothing;
         ] );
       ( "mirror",
         [
@@ -1014,5 +1341,25 @@ let () =
             test_framed_crc_image_recovers_identically;
           Alcotest.test_case "recover load counts pinned" `Quick
             test_recover_load_counts;
+          Alcotest.test_case "recover load accounting" `Quick
+            test_recover_load_accounting;
+          Alcotest.test_case "4 MiB remainder in chunks" `Quick
+            test_large_remainder_in_chunks;
+          Alcotest.test_case "salvage reported before discard" `Quick
+            test_salvage_reported_before_discard;
+          prop_rotted_recovery_returns_entries;
+        ] );
+      ( "clean end",
+        [
+          Alcotest.test_case "clean log" `Quick test_chunked_clean_log;
+          Alcotest.test_case "nonzero in the last 8 bytes" `Quick
+            test_chunked_last_bytes;
+          Alcotest.test_case "nonzero at a chunk boundary" `Quick
+            test_chunked_boundary;
+          Alcotest.test_case "torn append" `Quick test_chunked_torn_append;
+          Alcotest.test_case "interior span, then a record" `Quick
+            test_chunked_interior_span;
+          Alcotest.test_case "mirrored, one dirty replica" `Quick
+            test_chunked_mirrored_dirty_replica;
         ] );
     ]

@@ -113,6 +113,56 @@ let test_kv_semantics () =
   let _, v = apply st (Delete "a") in
   check Alcotest.bool "delete absent" true (v = Previous None)
 
+(* The map states' codec against the list codec it replaced, kept here
+   as the reference: the bindings of [Smap.bindings] in a list, decoded by
+   adding them in order. Encodings must be byte-identical, and any list of
+   bindings — shuffled, with duplicate keys (forged bytes) — must decode
+   to what adding them in order gives, the last binding of a key
+   winning. *)
+let test_map_state_codecs () =
+  let module Kv = Onll_specs.Kv in
+  let module Ledger = Onll_specs.Ledger in
+  let kv_ref =
+    Codec.(
+      map
+        (fun bindings -> Kv.Smap.of_seq (List.to_seq bindings))
+        Kv.Smap.bindings
+        (list (pair string string)))
+  in
+  let ledger_ref =
+    Codec.(
+      map
+        (fun bindings -> Ledger.Smap.of_seq (List.to_seq bindings))
+        Ledger.Smap.bindings
+        (list (pair string int)))
+  in
+  let rng = Random.State.make [| 0x5EED |] in
+  for trial = 1 to 300 do
+    let n = Random.State.int rng (if trial mod 10 = 0 then 3000 else 40) in
+    let keys = 1 + Random.State.int rng (2 * (n + 1)) in
+    let bindings =
+      List.init n (fun _ ->
+          ( Printf.sprintf "k%d" (Random.State.int rng keys),
+            Random.State.int rng 1000 ))
+    in
+    let kv_bindings = List.map (fun (k, v) -> (k, string_of_int v)) bindings in
+    let name what = Printf.sprintf "trial %d (%d bindings): %s" trial n what in
+    let kv_bytes = Codec.encode Codec.(list (pair string string)) kv_bindings in
+    let kv = Codec.decode Kv.state_codec kv_bytes in
+    check Alcotest.bool (name "kv decodes as the reference") true
+      (Kv.equal_state kv (Codec.decode kv_ref kv_bytes));
+    check Alcotest.string (name "kv encodes as the reference")
+      (Codec.encode kv_ref kv)
+      (Codec.encode Kv.state_codec kv);
+    let ledger_bytes = Codec.encode Codec.(list (pair string int)) bindings in
+    let ledger = Codec.decode Ledger.state_codec ledger_bytes in
+    check Alcotest.bool (name "ledger decodes as the reference") true
+      (Ledger.equal_state ledger (Codec.decode ledger_ref ledger_bytes));
+    check Alcotest.string (name "ledger encodes as the reference")
+      (Codec.encode ledger_ref ledger)
+      (Codec.encode Ledger.state_codec ledger)
+  done
+
 let prop_kv_matches_assoc =
   qcheck
     (QCheck.Test.make ~name:"kv matches an association list" ~count:200
@@ -373,6 +423,8 @@ let () =
           prop_kv_matches_assoc;
           prop_kv_codec;
           state_roundtrip (module Onll_specs.Kv) Test_support.Gen.Kv.update;
+          Alcotest.test_case "map state codecs = the list codec" `Quick
+            test_map_state_codecs;
         ] );
       ( "set",
         [
