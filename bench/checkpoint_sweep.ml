@@ -32,6 +32,10 @@ let run_one ~history ~interval =
   let ckpt_fences = Onll_obs.Metrics.counter_value reg "fences.checkpoint" in
   assert (
     Onll_obs.Metrics.counter_value reg "fences.update" + ckpt_fences = fences);
+  (* Each checkpoint pays exactly its append and its head update: one
+     more fence, or a checkpoint skipped or repeated, fails here. *)
+  let checkpoints = if interval > 0 then history / interval else 0 in
+  assert (ckpt_fences = 2 * checkpoints);
   Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
   let live =
     List.fold_left (fun a (_, l, _) -> a + l) 0 ((List.map (fun l -> Onll_core.Onll.Snapshot.(l.log_name, l.live_bytes, l.used_bytes)) (C.snapshot obj).Onll_core.Onll.Snapshot.logs))

@@ -154,7 +154,7 @@ let run_native ~shards ~domains ~fence_ns ~total_ops =
                ignore
                  (C.update obj
                     (Kv.Put (Printf.sprintf "d%d.k%d" d (j land 63), "v")));
-               if j mod compact_every = 0 then C.compact obj
+               if j mod compact_every = 0 then ignore (C.compact obj : int)
              done)));
   Harness.ops_per_sec (per * domains) (Unix.gettimeofday () -. t0)
 

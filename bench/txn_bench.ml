@@ -69,12 +69,8 @@ module Two_pc (M : Onll_machine.Machine_sig.S) = struct
     let p = M.self () in
     let seq = t.seqs.(p) in
     t.seqs.(p) <- seq + 1;
-    (match
-       L.try_append t.dec.(p)
-         Onll_util.Codec.(encode (pair int int) (p, seq))
-     with
-    | Ok () -> ()
-    | Error `Full -> failwith "2pc decision log full");
+    (try L.append t.dec.(p) Onll_util.Codec.(encode (pair int int) (p, seq))
+     with Onll_plog.Plog.Full -> failwith "2pc decision log full");
     vs
 end
 
@@ -235,7 +231,7 @@ let native_throughput summary =
                           (List.init n_shards (fun s ->
                                Kv.Put (keys.(s), string_of_int (k land 63)))));
                      if k mod 256 = 0 then begin
-                       P.Sh.compact obj.P.sh;
+                       ignore (P.Sh.compact obj.P.sh : int);
                        Array.iter
                          (fun l ->
                            P.L.set_head l (P.L.entry_count l);

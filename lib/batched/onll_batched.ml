@@ -17,22 +17,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* Materialised state with per-process sequence floors, exactly as the
      core construction: floors keep detectability across compaction. *)
-  type istate = { st : S.state; floors : int array }
+  module I = Onll_core.Istate.Make (M) (S)
 
-  let initial_istate () =
-    { st = S.initial; floors = Array.make M.max_processes 0 }
+  type istate = I.t = { st : S.state; floors : int array }
 
-  let apply_env is env =
-    let st, v = S.apply is.st env.e_op in
-    let floors =
-      if env.e_seq >= is.floors.(env.e_proc) then begin
-        let f = Array.copy is.floors in
-        f.(env.e_proc) <- env.e_seq + 1;
-        f
-      end
-      else is.floors
-    in
-    ({ st; floors }, v)
+  let initial_istate = I.initial
+  let apply_env is env = I.apply is ~proc:env.e_proc ~seq:env.e_seq env.e_op
 
   (* The shared log's records. [Batch] is the group commit: envelopes in
      linearization order, with contiguous execution indices ascending from
@@ -49,17 +39,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       (fun { e_proc; e_seq; e_op } -> (e_proc, e_seq, e_op))
       (triple int int S.update_codec)
 
-  let istate_codec =
-    let open Onll_util.Codec in
-    map
-      (fun (st, floors) -> { st; floors })
-      (fun { st; floors } -> (st, floors))
-      (pair S.state_codec (array int))
-
   let record_codec =
     let open Onll_util.Codec in
     let batch_c = pair int (list envelope_codec) in
-    let ckpt_c = pair int istate_codec in
+    let ckpt_c = pair int I.codec in
     tagged
       (function
         | Batch { start_idx; envs } -> (0, encode batch_c (start_idx, envs))
@@ -74,6 +57,21 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
             let upto_idx, state = decode ckpt_c body in
             Checkpoint { upto_idx; state }
         | n -> raise (Decode_error (Printf.sprintf "record: bad tag %d" n)))
+
+  (* The drop key of an encoded record: a batch's last execution index, a
+     checkpoint's [upto_idx + 1] — a checkpoint at [upto] makes redundant
+     every record whose key is [<= upto], and keys are non-decreasing
+     along the log. A checkpoint's key is read from its header (the
+     [tagged] frame, then [upto_idx]), so its state is never decoded for
+     it; a batch is decoded, and one that does not decode keys to
+     [max_int]: it is never dropped, so every recovery still reports it. *)
+  let record_key payload =
+    if String.length payload >= 24 && String.get_int64_le payload 0 = 1L then
+      Int64.to_int (String.get_int64_le payload 16) + 1
+    else
+      match Onll_util.Codec.decode record_codec payload with
+      | Batch { start_idx; envs } -> start_idx + List.length envs - 1
+      | Checkpoint _ | (exception _) -> max_int
 
   type slot =
     | Empty
@@ -103,21 +101,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         (** id -> execution index for every durable operation above the
             base floors; leader-owned writes *)
     recovered : (Onll.op_id, int) Hashtbl.t;  (** rebuilt by recovery *)
-    covers : int Queue.t;
-        (** coverage key of every record currently in the log, in log
-            order (batch: last execution index; checkpoint: [upto_idx +
-            1]) — a record is droppable under a checkpoint at [upto] iff
-            its key is [<= upto], and keys are non-decreasing, so the
-            droppable prefix pops off the front without decoding the log.
-            Leader-owned (mutated under the lock). *)
-    mutable covers_valid : bool;
-        (** false after a recovery that saw undecodable entries: the
-            account no longer matches the log record-for-record, so the
-            next checkpoint falls back to decoding *)
-    mutable ckpt_hint : int;
-        (** last observed checkpoint-record footprint, in bytes — the
-            emergency-compaction trigger in [append_record] needs a size
-            estimate {e before} paying the full state encode *)
     mutable batches : int;  (** batch fences paid since build/recovery *)
     mutable batched_ops : int;  (** updates those fences covered *)
     mutable max_occupancy : int;  (** largest batch observed *)
@@ -138,7 +121,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       lock = M.Tvar.make false;
       slots = Array.init M.max_processes (fun _ -> M.Tvar.make Empty);
       log =
-        L.create ~sink ~replicas:cfg.Onll.Config.replicas
+        L.create ~sink ~replicas:cfg.Onll.Config.replicas ~key:record_key
           ~name:
             (Printf.sprintf "%s%s.%d.gc.plog" S.name
                cfg.Onll.Config.region_suffix n)
@@ -151,9 +134,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       hist = [];
       applied = Hashtbl.create 64;
       recovered = Hashtbl.create 64;
-      covers = Queue.create ();
-      covers_valid = true;
-      ckpt_hint = 1024;
       batches = 0;
       batched_ops = 0;
       max_occupancy = 0;
@@ -178,91 +158,54 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   let unlock t = M.Tvar.set t.lock false
 
-  let decode_entries log =
-    List.map (Onll_util.Codec.decode record_codec) (L.entries log)
+  let typed_full t f =
+    try f () with Onll_plog.Plog.Full -> raise (Onll.Log_full (L.name t.log))
 
-  let cover_key = function
-    | Batch { start_idx; envs } -> start_idx + List.length envs - 1
-    | Checkpoint { upto_idx; _ } -> upto_idx + 1
+  (* {2 Checkpointing and compaction (must hold the lock)} *)
 
-  (* {2 Checkpointing and log space (must hold the lock)} *)
-
-  let entry_overhead = 16 (* plog [len][crc] framing *)
-
-  let checkpoint_body t =
+  (* Summarise everything up to the durable watermark, from the mirror,
+     and drop what that covers ([Plog.checkpoint]). *)
+  let checkpoint_body t ~worth =
     let upto = M.Tvar.get t.durable in
-    let state = M.Tvar.get t.mirror in
-    let payload =
-      Onll_util.Codec.encode record_codec (Checkpoint { upto_idx = upto; state })
-    in
-    t.ckpt_hint <- String.length payload + entry_overhead;
-    (match L.try_append t.log payload with
-    | Ok () -> ()
-    | Error `Full -> (
+    L.checkpoint t.log ~upto ~worth (fun () ->
+        Onll_util.Codec.encode record_codec
+          (Checkpoint { upto_idx = upto; state = M.Tvar.get t.mirror }))
+
+  (* Forget the operations below [below]: fold them into the base and
+     drop their detectability entries, which the base's floors answer
+     from then on. *)
+  let prune_body t ~below =
+    if below > M.Tvar.get t.durable then
+      invalid_arg "Onll_batched.prune: no durable operation at index";
+    let keep, gone = List.partition (fun (idx, _) -> idx >= below) t.hist in
+    if gone <> [] then begin
+      let base =
+        List.fold_left
+          (fun is (_, env) ->
+            Hashtbl.remove t.applied (envelope_id env);
+            fst (apply_env is env))
+          (snd t.base) (List.rev gone)
+      in
+      t.base <- (below - 1, base);
+      t.hist <- keep
+    end
+
+  let compact_body t ~worth =
+    Option.map
+      (fun upto ->
+        prune_body t ~below:upto;
         L.relocate t.log;
-        match L.try_append t.log payload with
-        | Ok () -> ()
-        | Error `Full -> raise (Onll.Log_full (L.name t.log))));
-    if t.covers_valid then Queue.push (upto + 1) t.covers
-    else begin
-      (* a recovery saw entries it could not account for: rebuild the
-         account by decoding once (the new checkpoint is in the log
-         already, so a full rebuild covers it too) *)
-      Queue.clear t.covers;
-      let records = decode_entries t.log in
-      List.iter (fun r -> Queue.push (cover_key r) t.covers) records;
-      t.covers_valid <- true
-    end;
-    let droppable =
-      let n = ref 0 in
-      while (not (Queue.is_empty t.covers)) && Queue.peek t.covers <= upto do
-        ignore (Queue.pop t.covers);
-        incr n
-      done;
-      !n
-    in
-    L.set_head t.log droppable;
-    t.base <- (upto, state);
-    t.hist <- [];
-    if Onll_obs.Opstats.active t.ostats then
-      Onll_obs.Sink.emit
-        (Onll_obs.Opstats.sink t.ostats)
-        ~proc:(M.self ())
-        (Onll_obs.Event.Checkpoint { upto });
-    upto
+        upto)
+      (checkpoint_body t ~worth)
 
-  (* Same headroom discipline as the core construction — compact while
-     the checkpoint record that enables compaction still fits — except
-     the trigger budgets for the checkpoint's own footprint up front
-     (twice the last observed size, for state growth since), not just
-     the incoming record's: a batched log serves every process, so it
-     can reach the capacity wall between periodic checkpoints, and an
-     emergency checkpoint that no longer fits would strand the log. The
-     expensive full-state encode still only happens near the edge. *)
-  let ckpt_payload t =
-    Onll_util.Codec.encode record_codec
-      (Checkpoint
-         { upto_idx = M.Tvar.get t.durable; state = M.Tvar.get t.mirror })
+  let always _ = true
 
+  (* Compacting first when the log says so ([Plog.append_compacting]). *)
   let append_record t payload =
-    let need = String.length payload + entry_overhead in
-    (if L.free_bytes t.log < need + (2 * t.ckpt_hint) + 64 then
-       let ckpt = ckpt_payload t in
-       t.ckpt_hint <- String.length ckpt + entry_overhead;
-       if
-         L.free_bytes t.log < need + String.length ckpt + entry_overhead
-       then begin
-         (try ignore (checkpoint_body t) with Onll.Log_full _ -> ());
-         L.relocate t.log
-       end);
-    match L.try_append t.log payload with
-    | Ok () -> ()
-    | Error `Full -> (
-        (try ignore (checkpoint_body t) with Onll.Log_full _ -> ());
-        L.relocate t.log;
-        match L.try_append t.log payload with
-        | Ok () -> ()
-        | Error `Full -> raise (Onll.Log_full (L.name t.log)))
+    typed_full t (fun () ->
+        L.append_compacting t.log
+          ~compact:(fun ~worth -> ignore (compact_body t ~worth))
+          payload)
 
   (* {2 The group commit (must hold the lock)} *)
 
@@ -301,7 +244,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       (* One persistent fence covers the whole batch (and, with replicated
          logs, every replica's copy of it — Plog drains them together). *)
       append_record t payload;
-      Queue.push (start_idx + k - 1) t.covers;
       t.batches <- t.batches + 1;
       t.batched_ops <- t.batched_ops + k;
       if k > t.max_occupancy then t.max_occupancy <- k;
@@ -409,11 +351,15 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 Recovery} *)
 
-  let decode_entries_tolerant payloads failures =
+  let decode_entries_tolerant t payloads failures =
     List.filter_map
       (fun e ->
         match Onll_util.Codec.decode record_codec e with
-        | r -> Some r
+        | Checkpoint _ as r ->
+            (* the last one noted is the log's newest *)
+            L.note_checkpoint t.log e;
+            Some r
+        | Batch _ as r -> Some r
         | exception _ ->
             incr failures;
             None)
@@ -437,7 +383,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       end
     in
     let decode_failures = ref 0 in
-    let records = decode_entries_tolerant payloads decode_failures in
+    let records = decode_entries_tolerant t payloads decode_failures in
     let base_idx, base_state =
       List.fold_left
         (fun ((bi, _) as best) r ->
@@ -500,12 +446,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     t.base <- (base_idx, base_state);
     t.hist <- !hist;
     t.next_idx <- stop_idx + 1;
-    Queue.clear t.covers;
-    List.iter (fun r -> Queue.push (cover_key r) t.covers) records;
-    (* entries that survived the frame CRC but failed to decode are still
-       physically in the log; the account above misses them, so force the
-       next checkpoint to re-derive it by decoding *)
-    t.covers_valid <- !decode_failures = 0;
     M.Tvar.set t.mirror !state;
     M.Tvar.set t.durable stop_idx;
     M.Tvar.set t.lock false;
@@ -535,34 +475,14 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   let recover_report t = recover_core t ~hardened:true
 
-  let recover t =
-    let r = recover_core t ~hardened:true in
-    match
-      (r.Onll.Recovery_report.disagreements, r.Onll.Recovery_report.gap_indices)
-    with
-    | d :: _, _ ->
-        raise
-          (Onll.Recovery_corrupt
-             (Printf.sprintf "logs disagree on operation at index %d" d))
-    | [], g :: _ ->
-        raise
-          (Onll.Recovery_corrupt
-             (Printf.sprintf "operation at index %d missing from all logs" g))
-    | [], [] ->
-        if r.Onll.Recovery_report.decode_failures > 0 then
-          raise (Onll.Recovery_corrupt "undecodable log entry")
+  let recover t = Onll.Recovery_report.check (recover_report t)
 
   let recover_unhardened t = ignore (recover_core t ~hardened:false)
 
   let scrub t =
     attributed t Onll_obs.Opstats.scrub_done (fun () ->
         let r = L.scrub t.log in
-        if r.Onll_plog.Plog.unrepairable_spans > 0 then begin
-          t.degraded <- true;
-          (* an unrepairable span can change what the log decodes to;
-             stop trusting the record account *)
-          t.covers_valid <- false
-        end;
+        if r.Onll_plog.Plog.unrepairable_spans > 0 then t.degraded <- true;
         r)
 
   let degraded t = t.degraded
@@ -591,14 +511,15 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   let checkpoint t =
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        with_lock t (fun () -> checkpoint_body t))
+        with_lock t (fun () ->
+            typed_full t (fun () -> Option.get (checkpoint_body t ~worth:always))))
 
-  let reclaim t = with_lock t (fun () -> L.relocate t.log)
+  let compact t =
+    attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
+        with_lock t (fun () ->
+            typed_full t (fun () -> Option.get (compact_body t ~worth:always))))
 
-  let prune _t ~below:_ =
-    raise
-      (Trace_intf.Unsupported
-         "Onll_batched: the batched trace prunes via checkpoint only")
+  let prune t ~below = with_lock t (fun () -> prune_body t ~below)
 
   (* {2 Introspection} *)
 
@@ -615,7 +536,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   let snapshot t =
     let ops_per_entry =
-      decode_entries t.log
+      List.map (Onll_util.Codec.decode record_codec) (L.entries t.log)
       |> List.map (function
            | Batch { envs; _ } -> List.length envs
            | Checkpoint _ -> 0)

@@ -70,6 +70,33 @@ module Recovery_report = struct
 
   let clean r = not (detected_loss r)
 
+  let check r =
+    match (r.disagreements, r.gap_indices) with
+    | d :: _, _ ->
+        raise
+          (Recovery_corrupt
+             (Printf.sprintf "logs disagree on operation at index %d" d))
+    | [], g :: _ ->
+        raise
+          (Recovery_corrupt
+             (Printf.sprintf "operation at index %d missing from all logs" g))
+    | [], [] ->
+        if r.decode_failures > 0 then
+          raise (Recovery_corrupt "undecodable log entry")
+
+  let merge rs =
+    let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
+    {
+      recovered_ops = sum (fun r -> r.recovered_ops);
+      base_idx = sum (fun r -> r.base_idx);
+      gap_indices = List.concat_map (fun r -> r.gap_indices) rs;
+      dropped = List.concat_map (fun r -> r.dropped) rs;
+      disagreements = List.concat_map (fun r -> r.disagreements) rs;
+      decode_failures = sum (fun r -> r.decode_failures);
+      salvage = List.concat_map (fun r -> r.salvage) rs;
+      lost_acked = List.concat_map (fun r -> r.lost_acked) rs;
+    }
+
   let pp ppf r =
     Format.fprintf ppf
       "@[<v>recovered_ops=%d base_idx=%d gaps=%d dropped=%d disagreements=%d \
@@ -181,7 +208,7 @@ module type CONSTRUCTION = sig
   val was_linearized : t -> op_id -> bool
   val recovered_ops : t -> (op_id * int) list
   val checkpoint : t -> int
-  val reclaim : t -> unit
+  val compact : t -> int
   val prune : t -> below:int -> unit
 
   type envelope
@@ -250,25 +277,12 @@ module Make_generic
   let envelope_id e = { id_proc = e.e_proc; id_seq = e.e_seq }
   let envelope_op e = e.e_op
 
-  (* Materialised state: the specification state plus, per process, how many
-     of its operations are included ([floors.(p)] = 1 + highest included
-     sequence number). Immutable; [floors] is copied on write. *)
-  type istate = { st : S.state; floors : int array }
+  module I = Istate.Make (M) (S)
 
-  let initial_istate () =
-    { st = S.initial; floors = Array.make M.max_processes 0 }
+  type istate = I.t = { st : S.state; floors : int array }
 
-  let apply_env is env =
-    let st, v = S.apply is.st env.e_op in
-    let floors =
-      if env.e_seq >= is.floors.(env.e_proc) then begin
-        let f = Array.copy is.floors in
-        f.(env.e_proc) <- env.e_seq + 1;
-        f
-      end
-      else is.floors
-    in
-    ({ st; floors }, v)
+  let initial_istate = I.initial
+  let apply_env is env = I.apply is ~proc:env.e_proc ~seq:env.e_seq env.e_op
 
   (* What goes into the persistent log. [Ops] is Listing 1's recordEntry:
      the helped envelopes, newest first, with contiguous execution indices
@@ -285,17 +299,10 @@ module Make_generic
       (fun { e_proc; e_seq; e_op; e_txn } -> ((e_proc, e_seq, e_op), e_txn))
       (pair (triple int int S.update_codec) (option string))
 
-  let istate_codec =
-    let open Onll_util.Codec in
-    map
-      (fun (st, floors) -> { st; floors })
-      (fun { st; floors } -> (st, floors))
-      (pair S.state_codec (array int))
-
   let record_codec =
     let open Onll_util.Codec in
     let ops_c = pair int (list envelope_codec) in
-    let ckpt_c = pair int istate_codec in
+    let ckpt_c = pair int I.codec in
     tagged
       (function
         | Ops { exec_idx; envs } -> (0, encode ops_c (exec_idx, envs))
@@ -342,12 +349,6 @@ module Make_generic
             node; owner-only. A checkpoint leaves the view at the newest
             node, and the prune after it needs the state one below. *)
     use_views : bool;
-    ckpts : int option array;
-        (** per process: the [upto_idx] of the newest checkpoint live in
-            its log, if known — set by a checkpoint and by recovery,
-            forgotten by a relocation or a scrub that rewrote a span;
-            owner-only. A checkpoint that makes no progress beyond it
-            appends nothing. *)
     mutable recovered : (op_id, int) Hashtbl.t;
         (** op id -> execution index, rebuilt by recovery *)
     mutable max_fuzzy : int;
@@ -379,7 +380,6 @@ module Make_generic
       views = Array.make M.max_processes None;
       prev_views = Array.make M.max_processes None;
       use_views = cfg.Config.local_views;
-      ckpts = Array.make M.max_processes None;
       recovered = Hashtbl.create 64;
       max_fuzzy = 0;
       degraded = false;
@@ -441,90 +441,49 @@ module Make_generic
     let base, delta = T.delta_from ?floor t.trace node in
     List.fold_left (fun is (_, env) -> fst (apply_env is env)) base delta
 
-  let decode_entries log =
-    List.map (Onll_util.Codec.decode record_codec) (L.entries log)
-
-  (* Physically compact process [p]'s log. A span quarantined on the way
-     may be its checkpoint, so the next checkpoint appends afresh. *)
-  let relocate t p =
-    L.relocate t.logs.(p);
-    t.ckpts.(p) <- None
-
-  (* The checkpoint record of the newest available operation, and its
-     index. The state comes from [compute]: with local views on, the
-     caller's view already holds it, so only the operations since the view
-     are folded. *)
-  let checkpoint_record t =
-    let node = T.latest_available t.trace in
-    let state, _ = compute t node in
-    let upto = T.idx node in
-    ( upto,
-      Onll_util.Codec.encode record_codec (Checkpoint { upto_idx = upto; state })
-    )
+  (* Run [f] on process [p]'s log, turning the log's transient [Full]
+     into the typed, terminal [Log_full]. *)
+  let typed_full t p f =
+    try f () with Onll_plog.Plog.Full -> raise (Log_full (L.name t.logs.(p)))
 
   (* Summarise the history up to the newest available operation into
-     process [p]'s log, then drop (and, on demand, physically reclaim) the
-     log prefix this makes redundant. The drop reads no record back: the
-     log's account keeps each live entry's [record_key], and our own Ops
-     entries have increasing exec_idx, so the droppable entries are the
-     prefix whose key is <= upto. Body shared by the public [checkpoint]
-     (attributed) and by auto-compaction inside the update path (where the
-     fences are already attributed to the update). *)
-  let checkpoint_body t p =
-    match t.ckpts.(p) with
-    | Some upto when upto >= T.idx (T.latest_available t.trace) ->
-        (* the checkpoint live in our log already covers every available
-           operation: a second record would drop nothing, not even it *)
-        upto
-    | Some _ | None ->
-        let upto, payload = checkpoint_record t in
-        (match L.try_append t.logs.(p) payload with
-        | Ok () -> ()
-        | Error `Full -> (
-            (* an earlier compaction may have left reclaimable dead space *)
-            relocate t p;
-            match L.try_append t.logs.(p) payload with
-            | Ok () -> ()
-            | Error `Full -> raise (Log_full (L.name t.logs.(p)))));
-        ignore (L.drop_upto t.logs.(p) upto);
-        t.ckpts.(p) <- Some upto;
-        if Onll_obs.Opstats.active t.ostats then
-          Onll_obs.Sink.emit
-            (Onll_obs.Opstats.sink t.ostats)
-            ~proc:p
-            (Onll_obs.Event.Checkpoint { upto });
-        upto
+     process [p]'s log and drop what that makes redundant, by
+     [record_key] ([Plog.checkpoint]). The state comes from [compute]:
+     with local views on, only the operations since the view are
+     folded. *)
+  let checkpoint_body t p ~worth =
+    let node = T.latest_available t.trace in
+    let upto = T.idx node in
+    L.checkpoint t.logs.(p) ~upto ~worth (fun () ->
+        Onll_util.Codec.encode record_codec
+          (Checkpoint { upto_idx = upto; state = fst (compute t node) }))
 
-  (* Persist-stage append with graceful [Full] degradation: when the log
-     runs low, summarise our history (checkpoint), physically compact the
-     log, and retry; only if the record still does not fit does the typed
-     [Log_full] escape.
+  let prune t ~below =
+    T.prune t.trace ~below ~state_before:(fun node -> istate_at t node)
 
-     The headroom check is what keeps compaction possible at all: the
-     checkpoint record must itself be appended before the prefix it
-     summarises can be dropped, so a log allowed to fill to the last byte
-     with no checkpoint below it could never be compacted. We therefore
-     compact while there is still room for the checkpoint record — its
-     exact encoded size, computed only when the log is nearly full. *)
-  let entry_overhead = 16 (* plog [len][crc] framing *)
+  (* The one compaction: checkpoint, prune the trace below it, relocate.
+     A concurrent compaction that pruned deeper first (unlinking the node
+     at [upto]) had our goal, so the lost race is success; the wait-free
+     trace cannot prune. *)
+  let compact_body t p ~worth =
+    Option.map
+      (fun upto ->
+        (try prune t ~below:upto
+         with Invalid_argument _ | Trace_intf.Unsupported _ -> ());
+        L.relocate t.logs.(p);
+        upto)
+      (checkpoint_body t p ~worth)
 
+  let always _ = true
+
+  (* Persist-stage append, compacting first when the log says so
+     ([Plog.append_compacting]); the update pays that compaction's
+     fences. *)
   let append_record t p payload =
-    let log = t.logs.(p) in
-    let need = String.length payload + entry_overhead in
-    (if L.free_bytes log < 2 * need + 64 then
-       let _, ckpt = checkpoint_record t in
-       if L.free_bytes log < need + String.length ckpt + entry_overhead then begin
-         (try ignore (checkpoint_body t p) with Log_full _ -> ());
-         relocate t p
-       end);
-    match L.try_append log payload with
-    | Ok () -> ()
-    | Error `Full -> (
-        ignore (checkpoint_body t p);
-        relocate t p;
-        match L.try_append log payload with
-        | Ok () -> ()
-        | Error `Full -> raise (Log_full (L.name log)))
+    typed_full t p (fun () ->
+        L.append_compacting t.logs.(p)
+          ~compact:(fun ~worth -> ignore (compact_body t p ~worth))
+          payload)
 
   (* Listing 3. *)
   let update_env_body t env =
@@ -607,11 +566,15 @@ module Make_generic
   (* Tolerant decode: a CRC-valid entry whose payload nevertheless fails to
      decode (requires forged or astronomically unlucky bytes) is dropped
      and counted rather than aborting recovery. *)
-  let decode_entries_tolerant payloads failures =
+  let decode_entries_tolerant log payloads failures =
     List.filter_map
       (fun e ->
         match Onll_util.Codec.decode record_codec e with
-        | r -> Some r
+        | Checkpoint _ as r ->
+            (* the last one noted is the log's newest *)
+            L.note_checkpoint log e;
+            Some r
+        | Ops _ as r -> Some r
         | exception _ ->
             incr failures;
             None)
@@ -649,7 +612,8 @@ module Make_generic
           Array.map
             (fun l ->
               let r, payloads = L.recover l in
-              ((L.name l, r), decode_entries_tolerant payloads decode_failures))
+              ( (L.name l, r),
+                decode_entries_tolerant l payloads decode_failures ))
             t.logs
         in
         (Array.to_list (Array.map fst rs), Array.map snd rs)
@@ -657,7 +621,7 @@ module Make_generic
         Array.iter L.recover_unhardened t.logs;
         ( [],
           Array.map
-            (fun l -> decode_entries_tolerant (L.entries l) decode_failures)
+            (fun l -> decode_entries_tolerant l (L.entries l) decode_failures)
             t.logs )
       end
     in
@@ -768,15 +732,6 @@ module Make_generic
     Array.blit base_state.floors 0 t.seqs 0 M.max_processes;
     Array.fill t.views 0 (Array.length t.views) None;
     Array.fill t.prev_views 0 (Array.length t.prev_views) None;
-    (* each log's newest checkpoint is live in it *)
-    Array.iteri
-      (fun p records ->
-        t.ckpts.(p) <-
-          List.fold_left
-            (fun newest -> function
-              | Checkpoint { upto_idx; _ } -> Some upto_idx | Ops _ -> newest)
-            None records)
-      by_log;
     (* One sweep in index order. Under the clean crash model a gap below a
        persisted operation is impossible (Prop 5.10); under media faults
        it means the operation's every durable copy was corrupted. Only the
@@ -847,20 +802,7 @@ module Make_generic
   let recover_txn t ~extra = recover_core t ~hardened:true ~extra
   let recover_report t = fst (recover_core t ~hardened:true ~extra:[])
 
-  let recover t =
-    let r = fst (recover_core t ~hardened:true ~extra:[]) in
-    match (r.Recovery_report.disagreements, r.Recovery_report.gap_indices) with
-    | d :: _, _ ->
-        raise
-          (Recovery_corrupt
-             (Printf.sprintf "logs disagree on operation at index %d" d))
-    | [], g :: _ ->
-        raise
-          (Recovery_corrupt
-             (Printf.sprintf "operation at index %d missing from all logs" g))
-    | [], [] ->
-        if r.Recovery_report.decode_failures > 0 then
-          raise (Recovery_corrupt "undecodable log entry")
+  let recover t = Recovery_report.check (recover_report t)
 
   let recover_unhardened t =
     ignore (recover_core t ~hardened:false ~extra:[])
@@ -877,12 +819,6 @@ module Make_generic
             Onll_plog.Plog.clean_scrub t.logs
         in
         if r.Onll_plog.Plog.unrepairable_spans > 0 then t.degraded <- true;
-        if
-          r.Onll_plog.Plog.unrepairable_spans > 0
-          || r.Onll_plog.Plog.scrub_repaired_entries > 0
-        then
-          (* a rewritten or quarantined span may have held a checkpoint *)
-          Array.fill t.ckpts 0 (Array.length t.ckpts) None;
         r)
 
   let degraded t = t.degraded
@@ -991,13 +927,14 @@ module Make_generic
      durable head update (plus relocation fences only when the log was
      full). Returns the summarised index. *)
   let checkpoint t =
+    let p = M.self () in
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        checkpoint_body t (M.self ()))
+        typed_full t p (fun () -> Option.get (checkpoint_body t p ~worth:always)))
 
-  let reclaim t = relocate t (M.self ())
-
-  let prune t ~below =
-    T.prune t.trace ~below ~state_before:(fun node -> istate_at t node)
+  let compact t =
+    let p = M.self () in
+    attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
+        typed_full t p (fun () -> Option.get (compact_body t p ~worth:always)))
 
   (* {2 Introspection (tests, figures, reports)} *)
 
@@ -1016,7 +953,7 @@ module Make_generic
       Array.to_list t.logs
       |> List.map (fun l ->
              let ops_per_entry =
-               decode_entries l
+               List.map (Onll_util.Codec.decode record_codec) (L.entries l)
                |> List.map (function
                     | Ops { envs; _ } -> List.length envs
                     | Checkpoint _ -> 0)

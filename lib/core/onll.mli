@@ -38,9 +38,9 @@ exception Log_full of string
 (** Raised (with the log's region name) when an update or checkpoint record
     cannot be made durable even after auto-compaction — the live history
     alone exceeds the log's capacity, so this is terminal for the
-    configured size. The transient {!Onll_plog.Plog.Full} no longer escapes
-    the construction: a full log is first checkpointed and physically
-    compacted ({!Onll_plog.Plog.Make.relocate}), and the append retried. *)
+    configured size. The transient {!Onll_plog.Plog.Full} does not escape
+    the construction: a log running short of room for its next checkpoint
+    is first compacted ({!CONSTRUCTION.compact}). *)
 
 (** What a hardened recovery found and did — the precise detected-loss
     set the chaos campaign (E12) audits against. *)
@@ -83,6 +83,16 @@ module Recovery_report : sig
 
   val clean : t -> bool
   (** [not (detected_loss r)]. *)
+
+  val check : t -> unit
+  (** The strict reading of a report, as {!CONSTRUCTION.recover} applies
+      it: @raise Recovery_corrupt on a disagreement, a gap or an
+      undecodable entry. *)
+
+  val merge : t list -> t
+  (** The report of several independent objects (shards) recovered
+      together: counts and base indices summed, lists concatenated in
+      order. *)
 
   val pp : Format.formatter -> t -> unit
 
@@ -189,9 +199,10 @@ module type CONSTRUCTION = sig
 
   val update : t -> update_op -> value
   (** Apply an update. Linearizable, durable on response, exactly one
-      persistent fence on the common path. When the caller's log fills,
-      the construction degrades gracefully instead of failing: it
-      checkpoints, physically compacts the log and retries the append.
+      persistent fence on the common path. When the caller's log runs
+      short of room for its next checkpoint
+      ({!Onll_plog.Plog.Make.append_compacting}), the update first runs
+      {!compact}, whose fences it pays.
       @raise Onll.Log_full when even that cannot make room (the live
       history alone exceeds the log's capacity). *)
 
@@ -301,13 +312,15 @@ module type CONSTRUCTION = sig
       @raise Onll.Log_full if the checkpoint record cannot fit even after
       compaction. *)
 
-  val reclaim : t -> unit
-  (** Physically compact the caller's log: move its live span to the
-      front of the log ({!Onll_plog.Plog.Make.relocate}), so the dead
-      bytes a {!checkpoint} left before the head take appends again.
-      Durable and crash-atomic; a no-op, with no fence, when there is
-      nothing to reclaim. A {!checkpoint} followed by [reclaim] keeps the
-      caller's log clear of the update path's emergency compaction. *)
+  val compact : t -> int
+  (** The one compaction, also run by the update path: {!checkpoint},
+      {!prune} below the checkpoint, then move the caller's live log span
+      to the front of its log ({!Onll_plog.Plog.Make.relocate}) so the
+      dropped bytes take appends again. The state is encoded at most once.
+      A prune that lost a race to a deeper concurrent one counts as done;
+      the wait-free variant skips the prune, so its trace keeps growing.
+      Returns the summarised execution index, as {!checkpoint} does.
+      @raise Onll.Log_full if the checkpoint record cannot fit. *)
 
   val prune : t -> below:int -> unit
   (** Make trace nodes with execution index < [below] unreachable,

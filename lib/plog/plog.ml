@@ -172,6 +172,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (* a scrub, or a relocation that quarantines, can rewrite record
            boundaries out from under the account; they clear this and the
            next use rebuilds it with one scan *)
+    mutable ckpt_key : int option;  (* the newest live checkpoint's key *)
+    mutable footprint : int;
+        (* bytes of the newest checkpoint written, noted or measured; 0
+           while unknown *)
   }
 
   (* One live entry of the account: its offset and its record's key. *)
@@ -412,7 +416,13 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       key;
       offs = Queue.create ();
       offs_valid = true;
+      ckpt_key = None;
+      footprint = 0;
     }
+
+  let forget_checkpoint t =
+    t.ckpt_key <- None;
+    t.footprint <- 0
 
   (* What lies at the end of the valid prefix [pos], judged across EVERY
      replica:
@@ -572,6 +582,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     (* the walk rebuilds the account; it is valid once the walk is done *)
     Queue.clear t.offs;
     t.offs_valid <- false;
+    forget_checkpoint t;
     let torn = ref 0 and qspans = ref 0 and qbytes = ref 0 in
     let repaired = ref 0 and rep_bytes = ref 0 in
     let markers = ref 0 in
@@ -660,7 +671,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     t.header_seq <- seq;
     t.head <- head;
     t.tail <- loop head;
-    t.offs_valid <- false
+    t.offs_valid <- false;
+    forget_checkpoint t
 
   (* Online self-healing: CRC-walk the live span [head, tail) across all
      replicas while the log is in use — the in-memory cursors are
@@ -704,6 +716,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             walk upto
     in
     walk t.head;
+    (* a rewritten or quarantined span may have held the checkpoint *)
+    if !repaired > 0 || !unrep > 0 then forget_checkpoint t;
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Scrub
@@ -736,11 +750,6 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Log_append { log = t.log_name; bytes = need })
-
-  let try_append t payload =
-    match append t payload with
-    | () -> Ok ()
-    | exception Full -> Error `Full
 
   let entries t = List.map fst (fst (scan t t.head))
 
@@ -898,7 +907,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
          stays valid shifted — unless a quarantine redrew a boundary *)
       if !quarantined = 0 then
         Queue.iter (fun l -> l.l_off <- l.l_off - (t.head - header_size)) t.offs
-      else t.offs_valid <- false;
+      else begin
+        t.offs_valid <- false;
+        forget_checkpoint t
+      end;
       t.header_seq <- seq;
       t.head <- header_size;
       t.tail <- header_size + live;
@@ -916,4 +928,50 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                bytes_lost = !qbytes;
              })
     end
+
+  (* {2 Checkpoints and the headroom rule}
+
+     A checkpoint is appended before the prefix it summarises can be
+     dropped, so compaction must run while the next one still fits (see
+     the interface). Before any footprint is known, the live span bounds
+     the checkpoint that summarises it. *)
+
+  let note_checkpoint t payload =
+    t.ckpt_key <- Some (t.key payload);
+    t.footprint <- 16 + String.length payload
+
+  let checkpoint t ~upto ~worth record =
+    match t.ckpt_key with
+    | Some key when key - 1 >= upto -> Some (key - 1)
+    | Some _ | None ->
+        let payload = record () in
+        if not (worth payload) then None
+        else begin
+          (try append t payload
+           with Full ->
+             (* an earlier drop may have left dead bytes to reclaim *)
+             relocate t;
+             append t payload);
+          note_checkpoint t payload;
+          ignore (drop_upto t upto);
+          if Onll_obs.Sink.active t.sink then
+            Onll_obs.Sink.emit t.sink ~proc:(M.self ())
+              (Onll_obs.Event.Checkpoint { upto });
+          Some upto
+        end
+
+  let append_compacting t ~compact payload =
+    let short reserve = free_bytes t < 16 + String.length payload + reserve in
+    let known = t.footprint > 0 in
+    if short (if known then 2 * t.footprint else live_bytes t) then begin
+      let worth ckpt =
+        known
+        || begin
+          t.footprint <- 16 + String.length ckpt;
+          short (2 * t.footprint)
+        end
+      in
+      try compact ~worth with Full -> ()
+    end;
+    append t payload
 end

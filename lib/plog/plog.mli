@@ -170,9 +170,6 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       regardless of the replica count (transient fault retries excepted).
       @raise Full if the entries area is exhausted (compact or resize). *)
 
-  val try_append : t -> string -> (unit, [ `Full ]) result
-  (** [append] with a typed full condition instead of an exception. *)
-
   val entries : t -> string list
   (** The durable valid entries from the current head, oldest first, read
       back from (simulated) NVM, stepping over skip markers. This is the
@@ -270,6 +267,41 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       reported with a [Salvage] event, exactly as {!scrub} would in place.
       No-op when there is nothing to reclaim or the live span would overlap
       its destination; call after a checkpoint has shrunk the live set. *)
+
+  (** {2 Checkpoints and the headroom rule}
+
+      A checkpoint record summarising the history up to an index [upto]
+      must key to [upto + 1] (see [create]), and the entries it makes
+      redundant to at most [upto]. *)
+
+  val checkpoint :
+    t -> upto:int -> worth:(string -> bool) -> (unit -> string) -> int option
+  (** [checkpoint t ~upto ~worth record] appends [record ()] (relocating
+      first if the log is full), drops what it covers ({!drop_upto}) and
+      emits a [Checkpoint] event — [Some upto], two fences — or returns
+      [None] when [worth] declines the encoded record. When the newest
+      live checkpoint already covers [upto], it appends and encodes
+      nothing and returns that checkpoint's index. The log remembers the
+      checkpoint until {!recover} or {!recover_unhardened} reloads it, or
+      a {!scrub} or {!relocate} rewrites or quarantines a span.
+      @raise Full if the record does not fit. *)
+
+  val note_checkpoint : t -> string -> unit
+  (** Remember a payload in the log as its newest live checkpoint (after
+      a recovery, whose caller alone can tell). *)
+
+  val append_compacting :
+    t -> compact:(worth:(string -> bool) -> unit) -> string -> unit
+  (** [append], first running [compact] — {!checkpoint} with [worth], then
+      prune and {!relocate} if it wrote one — when the free space is below
+      the record plus twice the newest checkpoint's footprint. A log that
+      knows no footprint asks once the free space is below the record plus
+      its live bytes, and [worth] then only measures the record unless the
+      free space is already below the record plus twice its footprint: one
+      state encode per compaction, plus one per log that starts without a
+      checkpoint. If
+      [compact] raises {!Full} the append is still tried.
+      @raise Full if the record does not fit. *)
 
   val capacity : t -> int
   val name : t -> string

@@ -175,13 +175,12 @@ struct
     t.tail <- []
 
   let append_coord t p payload =
-    match L.try_append t.coord.(p) payload with
-    | Ok () -> ()
-    | Error `Full -> (
-        compact_locked t;
-        match L.try_append t.coord.(p) payload with
-        | Ok () -> ()
-        | Error `Full -> raise (Onll.Log_full (L.name t.coord.(p))))
+    let log = t.coord.(p) in
+    try L.append log payload
+    with Onll_plog.Plog.Full -> (
+      compact_locked t;
+      try L.append log payload
+      with Onll_plog.Plog.Full -> raise (Onll.Log_full (L.name log)))
 
   (* {2 The lazy fence} *)
 
@@ -319,16 +318,6 @@ struct
 
   (* {2 Recovery} *)
 
-  let decode_drains_tolerant payloads failures =
-    List.filter_map
-      (fun e ->
-        match Onll_util.Codec.decode drain_codec e with
-        | subs -> Some subs
-        | exception _ ->
-            incr failures;
-            None)
-      payloads
-
   (* Hardened recovery: salvage the coordinator logs, recover the inner
      object with the drained indices as the oracle, re-apply any drained
      operation the rebuilt trace could not place, then settle the ledger:
@@ -347,7 +336,8 @@ struct
     in
     let drained =
       List.concat_map
-        (fun (_, payloads) -> decode_drains_tolerant payloads failures)
+        (fun (_, payloads) ->
+          Onll_util.Codec.decode_tolerant drain_codec ~failures payloads)
         recovered
       |> List.concat
     in

@@ -180,6 +180,17 @@ let report_to_json r =
   Buffer.add_string b "}\n";
   Buffer.contents b
 
+(* How long the event loop may block in poll when the earliest timed
+   event (an arrival, a backoff, a reconnect) is due at [due]: until then,
+   rounded up to whole milliseconds so it is never early, and at most
+   [max_poll_ms]. A socket that becomes ready ends the wait sooner. *)
+let max_poll_ms = 10
+
+let poll_timeout_ms ~now ~due =
+  if due <= now then 0
+  else if due - now >= max_poll_ms * 1_000_000 then max_poll_ms
+  else (due - now + 999_999) / 1_000_000
+
 (* {1 Per-client state machine} *)
 
 type pending = {
@@ -674,7 +685,20 @@ let run ?audit cfg =
         | None, _ -> ())
       clients;
     if !polled > 0 then begin
-      ignore (Netpoll.wait poll ~timeout_ms:10 : int);
+      (* an arrival is due only at an idle client; the others act on
+         socket readiness *)
+      let due =
+        Array.fold_left
+          (fun due c ->
+            match c.phase with
+            | Sleeping at | Backoff_submit at -> min due at
+            | Ready when issuing -> min due c.next_arrival_ns
+            | _ -> due)
+          max_int clients
+      in
+      ignore
+        (Netpoll.wait poll ~timeout_ms:(poll_timeout_ms ~now:(now_ns ()) ~due)
+          : int);
       let now = now_ns () in
       Netpoll.ready poll (fun fd revents ->
           match Hashtbl.find_opt by_fd (fd_int fd) with

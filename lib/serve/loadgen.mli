@@ -107,6 +107,12 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 val report_to_json : report -> string
 
+val poll_timeout_ms : now:int -> due:int -> int
+(** The event loop's poll timeout when its earliest timed event (an
+    arrival, a backoff or a reconnect) is due at [due] (ns, on the clock
+    [now] reads): the wait until then rounded up to whole milliseconds,
+    [0] when already due, at most 10 ms. *)
+
 val run : ?audit:Audit.t -> config -> report
 (** One pass. With [duration_ms = 0] no new operations are issued: every
     client attaches, resolves what the audit says is in doubt, and one

@@ -100,9 +100,9 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       relaxed tier is refused with {!Protocol.refusal.R_bad_tier}.
 
       Admission ({!Onll_session.Make.admit}, every tier) compacts the
-      object before it sheds: a checkpoint (through the relaxed wrapper
-      on [Plain]/[Mirrored], so the staleness tail stays a suffix) and
-      {!Onll_core.Onll.CONSTRUCTION.reclaim}. For the same floor reason
+      object before it sheds: {!Onll_core.Onll.CONSTRUCTION.compact}
+      (behind the relaxed wrapper's checkpoint on [Plain]/[Mirrored], so
+      the staleness tail stays a suffix). For the same floor reason
       as above, it first resolves every attached session's in-doubt
       operation ({!Sess.recover}, as the client's [Hello] would), and
       withholds compaction, so that admission sheds, only while one

@@ -117,8 +117,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     val read : t -> S.read_op -> S.value
     val degraded : t -> bool
     val log_fill : t -> float
-    val checkpoint : t -> int
-    val reclaim : t -> unit
+    val compact : t -> int
   end
 
   module Over_routed (C : ROUTED) = struct
@@ -131,8 +130,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         b_pressure = (fun () -> C.log_fill c);
         b_compact =
           (fun () ->
-            ignore (C.checkpoint c : int);
-            C.reclaim c;
+            ignore (C.compact c : int);
             true);
         b_alloc = None;
       }

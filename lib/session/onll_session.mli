@@ -33,12 +33,11 @@
        control samples the backend's log fill on every submission (an
        O(1) read of the logs' in-memory accounts, {!backend.b_pressure}).
        At the watermark it compacts the backend first
-       ({!backend.b_compact}: a checkpoint) and samples again, and
-       refuses the submission ({!error.Overloaded}) only when the live
-       history that compaction cannot reclaim still reaches the
-       watermark — {e before} the construction's emergency
-       checkpoint-and-compact path serialises every process behind a
-       full log;}
+       ({!backend.b_compact}) and samples again, and refuses the
+       submission ({!error.Overloaded}) only when the live history that
+       compaction cannot reclaim still reaches the watermark — {e before}
+       the update path's own compaction, which cannot resolve a
+       session's in-doubt identity, runs;}
     {- {b degraded media is a policy, not a surprise} — when the backend's
        sticky degraded flag is up (recovery or scrubbing admitted
        unrepairable loss), the session applies its configured
@@ -152,8 +151,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             Right after {!b_compact} it is the fraction compaction cannot
             reclaim. *)
     b_compact : unit -> bool;
-        (** Compact the backend (a checkpoint, then
-            {!Onll_core.Onll.CONSTRUCTION.reclaim}); admission control
+        (** Compact the backend
+            ({!Onll_core.Onll.CONSTRUCTION.compact}); admission control
             calls it when {!b_pressure} reaches the watermark. [false]
             means the backend declined and compacted nothing: admission
             then sheds as if compaction could not help, but asks again
@@ -191,17 +190,16 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     val read : t -> S.read_op -> S.value
     val degraded : t -> bool
     val log_fill : t -> float
-    val checkpoint : t -> int
-    val reclaim : t -> unit
+    val compact : t -> int
   end
 
   (** Adapter for one object module (an unsharded construction adapts
       by ignoring the operation in [was_linearized]). *)
   module Over_routed (C : ROUTED) : sig
     val backend : C.t -> backend
-    (** [b_pressure] is [C.log_fill] and [b_compact] runs [C.checkpoint]
-        and then [C.reclaim], by the calling process; [b_alloc] is
-        [None]. *)
+    (** [b_pressure] is [C.log_fill] and [b_compact] runs [C.compact]
+        ({!Onll_core.Onll.CONSTRUCTION.compact}) by the calling process;
+        [b_alloc] is [None]. *)
   end
 
   type t

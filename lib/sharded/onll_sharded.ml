@@ -29,9 +29,7 @@ module type SHARDED = sig
   val degraded : t -> bool
   val was_linearized : t -> Shard.update_op -> Onll_core.Onll.op_id -> bool
   val recovered_ops : t -> (int * Onll_core.Onll.op_id * int) list
-  val checkpoint : t -> int
-  val reclaim : t -> unit
-  val compact : t -> unit
+  val compact : t -> int
   val snapshot : t -> Onll_core.Onll.Snapshot.t
   val log_fill : t -> float
 end
@@ -46,7 +44,6 @@ module Make_over
             and type value = S.value) =
 struct
   module Shard = C
-  module Report = Onll_core.Onll.Recovery_report
 
   type t = {
     insts : Shard.t array;
@@ -138,19 +135,7 @@ struct
   let recover_reports t = Array.to_list (Array.map Shard.recover_report t.insts)
 
   let recover_report t =
-    let rs = recover_reports t in
-    {
-      Report.recovered_ops =
-        List.fold_left (fun a r -> a + r.Report.recovered_ops) 0 rs;
-      base_idx = List.fold_left (fun a r -> a + r.Report.base_idx) 0 rs;
-      gap_indices = List.concat_map (fun r -> r.Report.gap_indices) rs;
-      dropped = List.concat_map (fun r -> r.Report.dropped) rs;
-      disagreements = List.concat_map (fun r -> r.Report.disagreements) rs;
-      decode_failures =
-        List.fold_left (fun a r -> a + r.Report.decode_failures) 0 rs;
-      salvage = List.concat_map (fun r -> r.Report.salvage) rs;
-      lost_acked = List.concat_map (fun r -> r.Report.lost_acked) rs;
-    }
+    Onll_core.Onll.Recovery_report.merge (recover_reports t)
 
   let recover_unhardened t = Array.iter Shard.recover_unhardened t.insts
 
@@ -168,21 +153,8 @@ struct
          (fun s c -> List.map (fun (id, idx) -> (s, id, idx)) (Shard.recovered_ops c))
          (Array.to_list t.insts))
 
-  let checkpoint t =
-    Array.fold_left (fun acc c -> acc + Shard.checkpoint c) 0 t.insts
-
-  let reclaim t = Array.iter Shard.reclaim t.insts
-
   let compact t =
-    Array.iter
-      (fun c ->
-        let upto = Shard.checkpoint c in
-        if upto > 0 then
-          (* A concurrent compact may have pruned deeper between our
-             checkpoint and here, unlinking the node at [upto] — its goal
-             is ours, so a lost race is success, not an error. *)
-          try Shard.prune c ~below:upto with Invalid_argument _ -> ())
-      t.insts
+    Array.fold_left (fun acc c -> acc + Shard.compact c) 0 t.insts
 
   let snapshot t =
     let snaps = Array.to_list (Array.map Shard.snapshot t.insts) in

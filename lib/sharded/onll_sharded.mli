@@ -130,20 +130,14 @@ module type SHARDED = sig
 
   (** {1 Reclamation and introspection} *)
 
-  val checkpoint : t -> int
-  (** Checkpoint every shard from the calling process; returns the sum of
-      summarised execution indices. *)
-
-  val reclaim : t -> unit
-  (** {!Onll_core.Onll.CONSTRUCTION.reclaim} on every shard: physically
-      compact the calling process's log in each. *)
-
-  val compact : t -> unit
-  (** Checkpoint every shard {e and} prune its transient trace below the
-      summarised index, bounding both durable log space and the replay
-      distance of subsequent view-less computes. The per-shard trace a
-      compute replays is [1/S] of the whole history between compactions —
-      the locality benefit E14 measures alongside contention. *)
+  val compact : t -> int
+  (** {!Onll_core.Onll.CONSTRUCTION.compact} on every shard: checkpoint,
+      prune the shard's trace below the summarised index and reclaim the
+      calling process's log, bounding both durable log space and the
+      replay distance of subsequent view-less computes. The per-shard
+      trace a compute replays is [1/S] of the whole history between
+      compactions — the locality benefit E14 measures alongside
+      contention. Returns the sum of the summarised execution indices. *)
 
   val snapshot : t -> Onll_core.Onll.Snapshot.t
   (** Composed snapshot: [logs] concatenate in shard order,

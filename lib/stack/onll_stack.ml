@@ -122,10 +122,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       scrub = (fun () -> ignore (C.scrub obj));
       degraded = (fun () -> C.degraded obj);
       log_fill = (fun () -> C.log_fill obj);
-      compact =
-        (fun () ->
-          ignore (C.checkpoint obj : int);
-          C.reclaim obj);
+      compact = (fun () -> ignore (C.compact obj : int));
       alloc;
       relaxed = None;
     }
@@ -144,10 +141,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       scrub = (fun () -> ignore (Sh.scrub obj));
       degraded = (fun () -> Sh.degraded obj);
       log_fill = (fun () -> Sh.log_fill obj);
-      compact =
-        (fun () ->
-          ignore (Sh.checkpoint obj : int);
-          Sh.reclaim obj);
+      compact = (fun () -> ignore (Sh.compact obj : int));
       alloc;
       relaxed = None;
     }
@@ -181,10 +175,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
           scrub = (fun () -> ignore (R.scrub r));
           compact =
             (fun () ->
-              (* under the wrapper's lock: the checkpoint covers the tail
-                 and clears it *)
+              (* the wrapper's checkpoint covers the tail and clears it;
+                 the inner compaction usually finds no progress to record *)
               ignore (R.checkpoint r : int);
-              C.reclaim inner);
+              ignore (C.compact inner : int));
           relaxed =
             Some
               {

@@ -24,9 +24,10 @@
 
     {b What is not a stack.} Three compositions have no constructor, so
     asking for one is a type error rather than a run-time refusal:
-    - wait-free shards: [Wf_trace.prune] raises
-      [Trace_intf.Unsupported], which {!Onll_sharded.SHARDED.compact}
-      does not catch;
+    - wait-free shards: sharding exists so that a compaction leaves each
+      shard's trace [1/S] of the history (E14), and the wait-free trace
+      cannot prune ([Wf_trace.prune] raises [Trace_intf.Unsupported], so
+      the wait-free [compact] skips it);
     - relaxed over batched: {!Onll_relaxed.Make_over} stages through
       {!Onll_core.Onll.TXN_CAPABLE}, which group commit is not;
     - a session over the transaction coordinator: a session submits
@@ -107,8 +108,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     degraded : unit -> bool;
     log_fill : unit -> float;  (** the fullest object log's fill, O(1) *)
     compact : unit -> unit;
-        (** checkpoint (through the relaxed wrapper, whose checkpoint
-            covers its tail) and reclaim the calling process's logs *)
+        (** {!Onll_core.Onll.CONSTRUCTION.compact} of the calling
+            process's logs (after the relaxed wrapper's checkpoint, which
+            covers its tail, over the relaxed front) *)
     alloc : (unit -> int) option;  (** the identity allocator built with *)
     relaxed : relaxed option;
         (** [Some] over the relaxed front — under a session only when

@@ -120,7 +120,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   let read t op = Sh.read t.sh op
   let was_linearized t op id = Sh.was_linearized t.sh op id
   let recovered_ops t = Sh.recovered_ops t.sh
-  let checkpoint t = Sh.checkpoint t.sh
   let txn_was_committed t id = Hashtbl.mem t.committed id
 
   let committed_txns t =
@@ -132,31 +131,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   (* {2 Reclamation} *)
 
-  let decode_commits_tolerant payloads failures =
-    List.filter_map
-      (fun e ->
-        match Onll_util.Codec.decode commit_codec e with
-        | c -> Some c
-        | exception _ ->
-            incr failures;
-            None)
-      payloads
-
-  (* Checkpoint + prune every shard, then drop the prefix of each
-     coordinator log whose commit records are fully covered: every
-     sub-operation either checkpoint-summarised (-1) or at an index at or
-     below its shard's fresh checkpoint. Commit records the applied table
-     does not vouch for — another process's in-flight transaction — stop
-     the prefix. *)
+  (* Compact every shard, then drop the prefix of each coordinator log
+     whose commit records are fully covered: every sub-operation either
+     checkpoint-summarised (-1) or at an index at or below its shard's
+     fresh checkpoint. Commit records the applied table does not vouch
+     for — another process's in-flight transaction — stop the prefix. *)
   let compact t =
-    let uptos =
-      Array.init t.n (fun i ->
-          let shard = Sh.shard t.sh i in
-          let upto = C.checkpoint shard in
-          (if upto > 0 then
-             try C.prune shard ~below:upto with Invalid_argument _ -> ());
-          upto)
-    in
+    let uptos = Array.init t.n (fun i -> C.compact (Sh.shard t.sh i)) in
     Array.iter
       (fun log ->
         let covered cm =
@@ -190,13 +171,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   (* {2 The commit path} *)
 
   let append_coord t p payload =
-    match L.try_append t.coord.(p) payload with
-    | Ok () -> ()
-    | Error `Full -> (
-        compact t;
-        match L.try_append t.coord.(p) payload with
-        | Ok () -> ()
-        | Error `Full -> raise (Onll.Log_full (L.name t.coord.(p))))
+    let log = t.coord.(p) in
+    try L.append log payload
+    with Onll_plog.Plog.Full -> (
+      compact t;
+      try L.append log payload
+      with Onll_plog.Plog.Full -> raise (Onll.Log_full (L.name log)))
 
   let txn_commit t ~id ops =
     A.attributed t.ostats Onll_obs.Opstats.txn_done (fun () ->
@@ -309,7 +289,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     then t.c_degraded <- true;
     let c1 =
       List.concat_map
-        (fun (_, payloads) -> decode_commits_tolerant payloads failures)
+        (fun (_, payloads) ->
+          Onll_util.Codec.decode_tolerant commit_codec ~failures payloads)
         recovered
     in
     (* 2. Per-shard recovery with C1's staged indices as the oracle. *)
@@ -410,37 +391,15 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     (* 7. Composed report: shards as Onll_sharded composes them, the
        coordinator logs' salvage prepended, swept re-applies counted as
        recovered operations. *)
-    let rs = Array.to_list (Array.map fst shard_results) in
+    let r = Report.merge (Array.to_list (Array.map fst shard_results)) in
     {
-      Report.recovered_ops =
-        List.fold_left (fun a r -> a + r.Report.recovered_ops) 0 rs
-        + !injected;
-      base_idx = List.fold_left (fun a r -> a + r.Report.base_idx) 0 rs;
-      gap_indices = List.concat_map (fun r -> r.Report.gap_indices) rs;
-      dropped = List.concat_map (fun r -> r.Report.dropped) rs;
-      disagreements = List.concat_map (fun r -> r.Report.disagreements) rs;
-      decode_failures =
-        List.fold_left (fun a r -> a + r.Report.decode_failures) 0 rs
-        + !failures;
-      salvage =
-        coord_salvage @ List.concat_map (fun r -> r.Report.salvage) rs;
-      lost_acked = List.concat_map (fun r -> r.Report.lost_acked) rs;
+      r with
+      Report.recovered_ops = r.Report.recovered_ops + !injected;
+      decode_failures = r.Report.decode_failures + !failures;
+      salvage = coord_salvage @ r.Report.salvage;
     }
 
-  let recover t =
-    let r = recover_report t in
-    match (r.Report.disagreements, r.Report.gap_indices) with
-    | d :: _, _ ->
-        raise
-          (Onll.Recovery_corrupt
-             (Printf.sprintf "logs disagree on operation at index %d" d))
-    | [], g :: _ ->
-        raise
-          (Onll.Recovery_corrupt
-             (Printf.sprintf "operation at index %d missing from all logs" g))
-    | [], [] ->
-        if r.Report.decode_failures > 0 then
-          raise (Onll.Recovery_corrupt "undecodable log entry")
+  let recover t = Report.check (recover_report t)
 
   let recover_unhardened t =
     Hashtbl.reset t.committed;

@@ -187,11 +187,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
 
   (** {1 Reclamation and introspection} *)
 
-  val checkpoint : t -> int
-  (** Checkpoint every shard; returns the summed summarised indices. *)
-
   val compact : t -> unit
-  (** Checkpoint and prune every shard, then advance each coordinator
+  (** Compact every shard, then advance each coordinator
       log's head past the prefix of commit records whose every
       sub-operation is covered by a shard checkpoint — the transactional
       analogue of {!Onll_sharded.SHARDED.compact}, bounding coordinator

@@ -24,6 +24,14 @@ let decode c s =
     fail "decode: %d trailing bytes" (String.length s - stop);
   v
 
+let decode_tolerant c ~failures =
+  List.filter_map (fun s ->
+      match decode c s with
+      | v -> Some v
+      | exception _ ->
+          incr failures;
+          None)
+
 let write c buf v = c.write buf v
 let read c s ~pos = c.read s ~pos
 

@@ -17,6 +17,10 @@ val decode : 'a t -> string -> 'a
 (** [decode c s] decodes [s] entirely; trailing bytes are a
     {!Decode_error}. *)
 
+val decode_tolerant : 'a t -> failures:int ref -> string list -> 'a list
+(** [decode] each string, dropping those that fail and counting them in
+    [failures]: recovery's reading of CRC-valid log payloads. *)
+
 (** {1 Primitives} *)
 
 val unit : unit t

@@ -68,4 +68,25 @@ let () =
   let stats = E.run ~max_preemptions:1 ~with_crashes:true ~max_runs:400_000 ~mk () in
   Format.printf "wf exhaustive 2x2+crashes: %a@." E.pp_stats stats;
   assert (not stats.E.truncated);
+  (* 4. the compaction property's full grid: every engine, every
+     workload, fifty log capacities' worth of updates *)
+  let module P = Compaction in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun w ->
+          P.run ~capacities:50 engine w;
+          Printf.printf "compaction %s %s: clean\n%!" (P.engine_name engine)
+            (P.workload_name w))
+        P.workloads)
+    P.engines;
+  (* 5. 200k exactly-once updates served in process: the live heap stays
+     within 1.5x of the heap after the first 50k *)
+  (match P.served_live_words [ 25_000; 100_000 ] with
+  | [ at_50k; at_200k ] ->
+      Printf.printf
+        "served 200k exactly-once updates: %d live words (%d at 50k)\n%!"
+        at_200k at_50k;
+      assert (2 * at_200k <= 3 * at_50k)
+  | _ -> assert false);
   print_endline "SOAK CLEAN"

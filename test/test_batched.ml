@@ -267,6 +267,44 @@ let test_compaction_preserves_detectability () =
   check Alcotest.int "watermark covers every update" (2 * per_proc)
     snap.Onll_core.Onll.Snapshot.latest_available_idx
 
+(* {1 An entry recovery cannot decode} *)
+
+(* kv whose update codec refuses to decode one key: a CRC-valid entry that
+   nevertheless fails to decode. *)
+module Poisoned_kv = struct
+  include Onll_specs.Kv
+
+  let update_codec =
+    Onll_util.Codec.map
+      (function
+        | Put ("poison", _) ->
+            raise (Onll_util.Codec.Decode_error "poison")
+        | op -> op)
+      Fun.id Onll_specs.Kv.update_codec
+end
+
+(* Recovery counts the undecodable batch and moves on; later checkpoints
+   must not decode the log again, and the entry keys to [max_int], so no
+   checkpoint drops it and the next recovery reports it again. *)
+let test_undecodable_entry_kept () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_batched.Make (M) (Poisoned_kv) in
+  let obj = C.make (cfg ()) in
+  let put k = ignore (C.update obj (Onll_specs.Kv.Put (k, "v"))) in
+  let recover_failures () =
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    (C.recover_report obj).Onll_core.Onll.Recovery_report.decode_failures
+  in
+  List.iter put [ "a"; "poison"; "b" ];
+  check Alcotest.int "recovery counts the entry" 1 (recover_failures ());
+  ignore (C.checkpoint obj);
+  put "c";
+  ignore (C.checkpoint obj);
+  check Alcotest.int "a second recovery still reports it" 1
+    (recover_failures ())
+
 (* {1 The chaos arms (media faults, nested recovery crashes)} *)
 
 let test_batched_chaos_arms () =
@@ -318,6 +356,11 @@ let () =
             `Quick test_crash_at_every_step;
           Alcotest.test_case "crash at every step (mirrored log)" `Quick
             test_crash_at_every_step_mirrored;
+        ] );
+      ( "recovery",
+        [
+          Alcotest.test_case "an undecodable entry survives checkpoints"
+            `Quick test_undecodable_entry_kept;
         ] );
       ( "chaos",
         [

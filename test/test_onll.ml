@@ -629,23 +629,53 @@ let test_two_objects_independent () =
   check Alcotest.int "a" 3 (C.read a Cs.Get);
   check Alcotest.int "b" 4 (C.read b Cs.Get)
 
-(* A full log no longer surfaces Plog.Full: the update checkpoints,
-   physically compacts the log (Plog relocate) and retries, so a workload
-   far exceeding the raw capacity completes — and the result is still
-   durable across a crash. *)
-let test_log_full_auto_compacts () =
+(* A full log never surfaces Plog.Full: the update compacts (checkpoint,
+   drop, trace prune, Plog relocate) while the next checkpoint still
+   fits, so a workload far exceeding the raw capacity completes — and the
+   result is still durable across a crash. Counter on a 256-byte log, and
+   kv at 8, 10 and 50 keys (1-byte values, no explicit checkpoint) on the
+   default 64 KiB log, where a checkpoint is many records long. *)
+let log_full_auto_compacts (type u v) (module S : Onll_core.Spec.S
+    with type update_op = u and type read_op = v) ~log_capacity ~updates
+    ~(op : int -> u) ~(read : v) ~expected () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with log_capacity = 256 } in
-  for _ = 1 to 100 do
-    ignore (C.update obj Cs.Increment)
+  let module C = Onll_core.Onll.Make (M) (S) in
+  let obj = C.make { Onll_core.Onll.Config.default with log_capacity } in
+  for i = 1 to updates do
+    match C.update obj (op i) with
+    | _ -> ()
+    | exception Onll_core.Onll.Log_full _ ->
+        Alcotest.failf "%s: Log_full after %d updates" S.name (i - 1)
   done;
-  check Alcotest.int "all updates applied" 100 (C.read obj Cs.Get);
+  let value () = Format.asprintf "%a" S.pp_value (C.read obj read) in
+  check Alcotest.string (S.name ^ ": all updates applied") expected (value ());
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
   C.recover obj;
-  check Alcotest.int "durable across compactions" 100 (C.read obj Cs.Get)
+  check Alcotest.string (S.name ^ ": durable across compactions") expected
+    (value ())
+
+let test_log_full_auto_compacts () =
+  log_full_auto_compacts
+    (module Cs)
+    ~log_capacity:256 ~updates:100
+    ~op:(fun _ -> Cs.Increment)
+    ~read:Cs.Get ~expected:"100" ();
+  List.iter
+    (fun keys ->
+      log_full_auto_compacts
+        (module Onll_specs.Kv)
+        ~log_capacity:Onll_core.Onll.Config.default.log_capacity
+        ~updates:20_000
+        ~op:(fun i ->
+          Onll_specs.Kv.Put (string_of_int (i mod keys), "v"))
+        ~read:Onll_specs.Kv.Size
+        ~expected:
+          (Format.asprintf "%a" Onll_specs.Kv.pp_value
+             (Onll_specs.Kv.Count keys))
+        ())
+    [ 8; 10; 50 ]
 
 (* When even a checkpoint record cannot fit, degradation is graceful but
    terminal: the typed Onll.Log_full, not the transient Plog.Full. *)

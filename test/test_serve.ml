@@ -265,6 +265,34 @@ let test_no_cliff () =
   check Alcotest.int "every submit acked" 10_000 !acks;
   check Alcotest.int "the counter equals the acks" !acks (Svc.counter_value t)
 
+(* Compaction prunes the object's trace as well as its log, so a server's
+   memory does not grow with the operations it has served: the live heap
+   after 90k exactly-once updates is within 1.5x of that after 30k. *)
+let test_heap_flat () =
+  match Test_support.Compaction.served_live_words [ 15_000; 45_000 ] with
+  | [ at_30k; at_90k ] ->
+      check Alcotest.bool
+        (Printf.sprintf "live words %d at 90k within 1.5x of %d at 30k"
+           at_90k at_30k)
+        true
+        (2 * at_90k <= 3 * at_30k)
+  | _ -> assert false
+
+(* {1 Load generator} *)
+
+(* The event loop sleeps until its earliest timed event, never past it,
+   and never longer than 10 ms. *)
+let test_poll_timeout () =
+  let ms = 1_000_000 and now = 5_000_000_000 in
+  let wait due = Onll_serve.Loadgen.poll_timeout_ms ~now ~due in
+  check Alcotest.int "already due" 0 (wait now);
+  check Alcotest.int "overdue" 0 (wait (now - (3 * ms)));
+  check Alcotest.int "rounded up, never early" 1 (wait (now + 1));
+  check Alcotest.int "whole milliseconds" 3 (wait (now + (3 * ms)));
+  check Alcotest.int "a partial one rounds up" 4 (wait (now + (3 * ms) + 1));
+  check Alcotest.int "capped" 10 (wait (now + (25 * ms)));
+  check Alcotest.int "nothing due" 10 (wait max_int)
+
 (* {1 No compaction past an in-doubt identity} *)
 
 let test_guard_in_doubt () =
@@ -565,6 +593,13 @@ let () =
             `Quick test_no_cliff;
           Alcotest.test_case "no compaction past an in-doubt identity" `Quick
             test_guard_in_doubt;
+          Alcotest.test_case "exactly-once heap stays flat" `Quick
+            test_heap_flat;
+        ] );
+      ( "loadgen",
+        [
+          Alcotest.test_case "poll waits for the earliest due event" `Quick
+            test_poll_timeout;
         ] );
       ( "regions",
         [
