@@ -59,6 +59,7 @@ chaos -s kv --seeds 10 --sharded --mirrored
 chaos -s kv --seeds 10 --batched
 chaos -s kv --seeds 10 --batched --mirrored
 chaos -s kv --seeds 10 --batched --sharded
+chaos -s kv --seeds 15 --batched --unhardened
 chaos --session --seeds 10
 chaos -s kv --txn --seeds 10
 chaos -s kv --txn --mirrored --seeds 10

@@ -1,18 +1,7 @@
-(** "Linearize now, persist later" — the design §3.1 argues against.
+(** "Linearize now, persist later" — the design §3.1 argues against (see
+    linearize_early.mli). *)
 
-    Structurally ONLL's sibling: same execution trace, same per-process
-    single-fence logs, same recovery. The difference is the order of stages:
-    an update is {e linearized at insertion} (it becomes visible to readers
-    immediately), and the trace's per-node flag tracks {e persistence}
-    instead of availability. The §3.1 case analysis then forces a choice on
-    readers that observe a not-yet-persistent operation; this implementation
-    takes the third branch — {e the reader helps the update persist} —
-    which preserves durable linearizability and lock-freedom but gives up
-    the "no persistent fences on reads" property. Benchmarks measure exactly
-    how often readers pay.
-
-    Fence cost: 1 per update, plus 1 per read whose observed prefix is not
-    yet persistent. *)
+type reader = Help | Wait | Return
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   module T = Onll_core.Trace.Make (M)
@@ -37,12 +26,14 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       (pair int (list envelope_codec))
 
   type t = {
+    reader : reader;
     (* In this trace, a node's [available] flag means "persistent". Nodes
        are visible (linearized) as soon as they are inserted. *)
     mutable trace : (envelope, unit) T.t;
     logs : L.t array;
     seqs : int array;
     mutable read_fences : int;  (** reads that had to fence (statistics) *)
+    mutable reader_waits : int;  (** reads that had to spin (statistics) *)
     ostats : Onll_obs.Opstats.t;
   }
 
@@ -50,18 +41,23 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   let instances = ref 0
 
-  let create ?(log_capacity = 1 lsl 16) ?(sink = Onll_obs.Sink.null) () =
+  let create ?(log_capacity = 1 lsl 16) ?(sink = Onll_obs.Sink.null) reader =
     let n = !instances in
     incr instances;
+    let region =
+      match reader with Help -> "por" | Wait -> "wor" | Return -> "broken"
+    in
     {
+      reader;
       trace = T.create ~sink ~base_idx:0 ~base_state:() ();
       logs =
         Array.init M.max_processes (fun p ->
             L.create ~sink
-              ~name:(Printf.sprintf "%s.%d.por.%d" S.name n p)
+              ~name:(Printf.sprintf "%s.%d.%s.%d" S.name n region p)
               ~capacity:log_capacity ());
       seqs = Array.make M.max_processes 0;
       read_fences = 0;
+      reader_waits = 0;
       ostats = Onll_obs.Opstats.make sink;
     }
 
@@ -75,7 +71,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       delta
 
   (* Persist [node]'s unpersisted window into [proc]'s log and mark the
-     node persistent. One persistent fence. *)
+     node persistent. One persistent fence. [Full] propagates: baselines
+     deliberately do not compact (cost comparisons only; size logs for the
+     workload). *)
   let persist_window t ~proc node =
     let fuzzy = T.fuzzy_envs node in
     let payload =
@@ -97,58 +95,72 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         M.return_point ();
         Option.get value)
 
+  (* Readers observe the very tail — every inserted update is linearized.
+     What a reader does when that prefix is not yet durable is the §3.1
+     case analysis: [Return] responds anyway (THE BUG), [Wait] spins until
+     the responsible updater persists it (THE COST: lock-freedom), [Help]
+     makes it durable itself, and the helping fence lands in
+     [fences.read] — the attribution the benchmarks exist to expose.
+     [Return] never even looks at the flag. *)
   let read t rop =
-    (* Readers observe the very tail — every inserted update is linearized.
-       If that prefix is not yet durable, the reader must make it durable
-       before responding (§3.1, branch three). The helping fence lands in
-       [fences.read] — the attribution the benchmarks exist to expose. *)
     A.attributed t.ostats Onll_obs.Opstats.read_done (fun () ->
         let node = T.tail t.trace in
-        if not (M.Tvar.get node.T.available) then begin
-          t.read_fences <- t.read_fences + 1;
-          persist_window t ~proc:(M.self ()) node
-        end;
+        (match t.reader with
+        | Return -> ()
+        | (Help | Wait) when M.Tvar.get node.T.available -> ()
+        | Help ->
+            t.read_fences <- t.read_fences + 1;
+            persist_window t ~proc:(M.self ()) node
+        | Wait ->
+            t.reader_waits <- t.reader_waits + 1;
+            while not (M.Tvar.get node.T.available) do
+              M.pause ()
+            done);
         let st, _ = state_at node in
         let v = S.read st rop in
         M.return_point ();
         v)
 
   let read_fences t = t.read_fences
+  let reader_waits t = t.reader_waits
 
+  (* Listing 5 through the shared adoption rule, with no checkpoint below.
+     [Help] and [Wait] readers only ever observed durable operations, so a
+     gap means corruption; a [Return] reader may already have observed the
+     lost suffix, and recovery keeps the adopted prefix silently. *)
   let recover t =
-    let payloads = Array.map (fun l -> snd (L.recover l)) t.logs in
-    let by_idx = Hashtbl.create 64 in
-    Array.iter
-      (fun entries ->
-        List.iter
-          (fun payload ->
-            let (Ops { exec_idx; envs }) =
-              Onll_util.Codec.decode record_codec payload
-            in
-            List.iteri
-              (fun k env -> Hashtbl.replace by_idx (exec_idx - k) env)
-              envs)
-          entries)
-      payloads;
-    let max_idx = Hashtbl.fold (fun i _ acc -> max i acc) by_idx 0 in
+    let entries =
+      Array.to_list t.logs
+      |> List.concat_map (fun l ->
+             List.concat_map
+               (fun payload ->
+                 let (Ops { exec_idx; envs }) =
+                   Onll_util.Codec.decode record_codec payload
+                 in
+                 List.mapi
+                   (fun k env ->
+                     {
+                       Onll_core.Onll.Adoption.idx = exec_idx - k;
+                       proc = env.e_proc;
+                       seq = env.e_seq;
+                       env;
+                       resident = true;
+                     })
+                   envs)
+               (snd (L.recover l)))
+    in
     let trace =
       T.create ~sink:(Onll_obs.Opstats.sink t.ostats) ~base_idx:0
         ~base_state:() ()
     in
-    Array.fill t.seqs 0 (Array.length t.seqs) 0;
-    for idx = 1 to max_idx do
-      match Hashtbl.find_opt by_idx idx with
-      | None ->
-          raise
-            (Onll_core.Onll.Recovery_corrupt
-               (Printf.sprintf "operation at index %d missing from all logs"
-                  idx))
-      | Some env ->
-          let node = T.insert trace env in
-          M.Tvar.set node.T.available true;
-          if env.e_seq >= t.seqs.(env.e_proc) then
-            t.seqs.(env.e_proc) <- env.e_seq + 1
-    done;
+    let report, seqs =
+      Onll_core.Onll.Adoption.run ~base_idx:0
+        ~floors:(Array.make M.max_processes 0)
+        entries
+        ~adopt:(fun e -> M.Tvar.set (T.insert trace e.env).T.available true)
+    in
+    if t.reader <> Return then Onll_core.Onll.Recovery_report.check report;
+    Array.blit seqs 0 t.seqs 0 M.max_processes;
     t.trace <- trace
 
   let current_state t = fst (state_at (T.tail t.trace))

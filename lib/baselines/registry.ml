@@ -98,8 +98,11 @@ module Make (S : Onll_core.Spec.S) = struct
         in
         handle ~scrub:o.B.scrub ~recover:o.B.recover_report o.B.update o.B.read
     | None, "persist-on-read" ->
-        let module P = Persist_on_read.Make (M) (S) in
-        let obj = P.create ~log_capacity:options.log_capacity ~sink () in
+        let module P = Linearize_early.Make (M) (S) in
+        let obj =
+          P.create ~log_capacity:options.log_capacity ~sink
+            Linearize_early.Help
+        in
         handle (P.update obj) (P.read obj)
     | None, "shadow" ->
         let module H = Shadow.Make (M) (S) in

@@ -351,27 +351,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 Recovery} *)
 
-  let decode_entries_tolerant t payloads failures =
-    List.filter_map
-      (fun e ->
-        match Onll_util.Codec.decode record_codec e with
-        | Checkpoint _ as r ->
-            (* the last one noted is the log's newest *)
-            L.note_checkpoint t.log e;
-            Some r
-        | Batch _ as r -> Some r
-        | exception _ ->
-            incr failures;
-            None)
-      payloads
-
   (* One routine, mirroring the core construction: salvage the shared log,
      adopt the deepest checkpoint plus the longest contiguous run of
-     batches above it, report everything that could not be adopted. A
-     batch whose fence did not complete is a torn tail record: its CRC
-     frame fails as a whole, so the batch vanishes all-or-nothing — no
-     operation of it was ever acknowledged, so nothing acknowledged is
-     lost. *)
+     batches above it ({!Onll.Adoption.run}), report everything that could
+     not be adopted. A batch whose fence did not complete is a torn tail
+     record: its CRC frame fails as a whole, so the batch vanishes
+     all-or-nothing — no operation of it was ever acknowledged, so nothing
+     acknowledged is lost. *)
   let recover_core t ~hardened =
     let salvage, payloads =
       if hardened then
@@ -382,8 +368,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         ([], L.entries t.log)
       end
     in
-    let decode_failures = ref 0 in
-    let records = decode_entries_tolerant t payloads decode_failures in
+    let failures = ref 0 in
+    let records =
+      L.decode_recovered t.log record_codec ~failures payloads
+        ~checkpoint:(function Checkpoint _ -> true | Batch _ -> false)
+    in
     let base_idx, base_state =
       List.fold_left
         (fun ((bi, _) as best) r ->
@@ -394,60 +383,41 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         (0, initial_istate ())
         records
     in
-    let by_idx = Hashtbl.create 64 in
-    let disagreements = ref [] in
-    List.iter
-      (function
-        | Checkpoint _ -> ()
-        | Batch { start_idx; envs } ->
-            List.iteri
-              (fun k env ->
-                let idx = start_idx + k in
-                match Hashtbl.find_opt by_idx idx with
-                | None -> Hashtbl.replace by_idx idx env
-                | Some prior ->
-                    if prior.e_proc <> env.e_proc || prior.e_seq <> env.e_seq
-                    then disagreements := idx :: !disagreements)
-              envs)
-      records;
-    let max_idx = Hashtbl.fold (fun i _ acc -> max i acc) by_idx base_idx in
-    let gaps = ref [] in
-    for idx = max_idx downto base_idx + 1 do
-      if not (Hashtbl.mem by_idx idx) then gaps := idx :: !gaps
-    done;
-    let gaps = !gaps in
-    let stop_idx = match gaps with [] -> max_idx | g :: _ -> g - 1 in
+    let entries =
+      List.concat_map
+        (function
+          | Checkpoint _ -> []
+          | Batch { start_idx; envs } ->
+              List.mapi
+                (fun k env ->
+                  {
+                    Onll.Adoption.idx = start_idx + k;
+                    proc = env.e_proc;
+                    seq = env.e_seq;
+                    env;
+                    resident = true;
+                  })
+                envs)
+        records
+    in
     Hashtbl.reset t.recovered;
     Hashtbl.reset t.applied;
-    Array.blit base_state.floors 0 t.seqs 0 M.max_processes;
-    (* Bump sequence allocation past every id seen — including ids above a
-       gap that cannot be replayed — so no post-recovery update can reuse
-       a pre-crash identity. *)
-    Hashtbl.iter
-      (fun _ env ->
-        if env.e_seq >= t.seqs.(env.e_proc) then
-          t.seqs.(env.e_proc) <- env.e_seq + 1)
-      by_idx;
-    let state = ref base_state in
-    let hist = ref [] in
-    for idx = base_idx + 1 to stop_idx do
-      let env = Hashtbl.find by_idx idx in
-      state := fst (apply_env !state env);
-      hist := (idx, env) :: !hist;
-      Hashtbl.replace t.applied (envelope_id env) idx;
-      Hashtbl.replace t.recovered (envelope_id env) idx
-    done;
-    let dropped = ref [] in
-    for idx = max_idx downto stop_idx + 1 do
-      match Hashtbl.find_opt by_idx idx with
-      | Some env -> dropped := envelope_id env :: !dropped
-      | None -> ()
-    done;
+    let state = ref base_state and hist = ref [] in
+    let report, seqs =
+      Onll.Adoption.run ~base_idx ~floors:base_state.floors entries
+        ~adopt:(fun { idx; env; _ } ->
+          state := fst (apply_env !state env);
+          hist := (idx, env) :: !hist;
+          Hashtbl.replace t.applied (envelope_id env) idx;
+          Hashtbl.replace t.recovered (envelope_id env) idx)
+    in
+    let upto = base_idx + report.recovered_ops in
+    Array.blit seqs 0 t.seqs 0 M.max_processes;
     t.base <- (base_idx, base_state);
     t.hist <- !hist;
-    t.next_idx <- stop_idx + 1;
+    t.next_idx <- upto + 1;
     M.Tvar.set t.mirror !state;
-    M.Tvar.set t.durable stop_idx;
+    M.Tvar.set t.durable upto;
     M.Tvar.set t.lock false;
     Array.iter (fun s -> M.Tvar.set s Empty) t.slots;
     t.batches <- 0;
@@ -456,19 +426,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       Onll_obs.Sink.emit
         (Onll_obs.Opstats.sink t.ostats)
         ~proc:(M.self ())
-        (Onll_obs.Event.Recovery { ops = stop_idx - base_idx });
-    let report =
-      {
-        Onll.Recovery_report.recovered_ops = stop_idx - base_idx;
-        base_idx;
-        gap_indices = gaps;
-        dropped = !dropped;
-        disagreements = List.sort_uniq compare !disagreements;
-        decode_failures = !decode_failures;
-        salvage;
-        lost_acked = [];
-      }
-    in
+        (Onll_obs.Event.Recovery { ops = report.recovered_ops });
+    let report = { report with decode_failures = !failures; salvage } in
     if hardened && Onll.Recovery_report.detected_loss report then
       t.degraded <- true;
     report
@@ -536,10 +495,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   let snapshot t =
     let ops_per_entry =
-      List.map (Onll_util.Codec.decode record_codec) (L.entries t.log)
-      |> List.map (function
-           | Batch { envs; _ } -> List.length envs
-           | Checkpoint _ -> 0)
+      List.map
+        (fun e ->
+          match Onll_util.Codec.decode record_codec e with
+          | Batch { envs; _ } -> List.length envs
+          | Checkpoint _ | (exception _) -> 0)
+        (L.entries t.log)
     in
     {
       Onll.Snapshot.latest_available_idx = M.Tvar.get t.durable;

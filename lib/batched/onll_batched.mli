@@ -45,9 +45,12 @@
     appends drain under the batch's one fence) and
     {!Onll_core.Onll.Config.t.region_suffix} (so shard layers can
     qualify it), and the module satisfies the full
-    {!Onll_core.Onll.CONSTRUCTION} signature — sessions
-    ({!Onll_session.Make.Over}) and shards
-    ({!Onll_sharded.Make_over}) stack on top unchanged. *)
+    {!Onll_core.Onll.CONSTRUCTION} signature — sessions (through
+    {!Onll_stack.Make.backend}) and shards ({!Onll_sharded.Make_over})
+    stack on top unchanged.
+
+    Recovery adopts through the same rule as the core construction
+    ({!Onll_core.Onll.Adoption.run}). *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   include

@@ -148,6 +148,102 @@ module Recovery_report = struct
     Onll_obs.Export.json ~meta:(("report", "recovery") :: meta) reg
 end
 
+(* Listing 5's one decision — which logged operations recovery adopts;
+   see onll.mli. *)
+module Adoption = struct
+  type 'e entry = {
+    idx : int;
+    proc : int;
+    seq : int;
+    env : 'e;
+    resident : bool;
+  }
+
+  (* By index, log-resident copies before oracle ones. *)
+  let index_order a b =
+    match Int.compare a.idx b.idx with
+    | 0 -> Bool.compare b.resident a.resident
+    | c -> c
+
+  let run ~base_idx ~floors entries ~adopt =
+    (* Sorted stably, so the earlier copy of an index comes first, and
+       swept once, keeping the first copy of each index. *)
+    let a = Array.of_list entries in
+    Array.stable_sort index_order a;
+    (* The highest index with a log-resident copy: the horizon below
+       which a missing index is reportable loss. *)
+    let rec log_max i =
+      if i < 0 then base_idx
+      else if a.(i).resident then max base_idx a.(i).idx
+      else log_max (i - 1)
+    in
+    let log_max = log_max (Array.length a - 1) in
+    (* An oracle entry counts only above the base and when its identity
+       has no first log copy: a sub-operation an earlier sweep re-applied
+       (and logged) at a relocated index would otherwise collide with its
+       own commit record's stale staging index. *)
+    let counts =
+      if Array.for_all (fun e -> e.resident) a then fun _ -> true
+      else begin
+        let ids = Hashtbl.create (Array.length a) in
+        Array.iteri
+          (fun i e ->
+            if e.resident && (i = 0 || a.(i - 1).idx <> e.idx) then
+              Hashtbl.replace ids (e.proc, e.seq) ())
+          a;
+        fun e ->
+          e.resident
+          || (e.idx > base_idx && not (Hashtbl.mem ids (e.proc, e.seq)))
+      end
+    in
+    let seqs = Array.copy floors in
+    let gaps = ref [] and dropped = ref [] and disagreements = ref [] in
+    let kept_idx = ref min_int and kept_proc = ref 0 and kept_seq = ref 0 in
+    let upto = ref base_idx and next = ref (base_idx + 1) in
+    Array.iter
+      (fun e ->
+        if not (counts e) then ()
+        else if e.idx = !kept_idx then begin
+          (* Duplicates are fine (helping stores the same operation in
+             several logs); they must agree on the operation id. *)
+          if e.proc <> !kept_proc || e.seq <> !kept_seq then
+            disagreements := e.idx :: !disagreements
+        end
+        else begin
+          kept_idx := e.idx;
+          kept_proc := e.proc;
+          kept_seq := e.seq;
+          if e.seq >= seqs.(e.proc) then seqs.(e.proc) <- e.seq + 1;
+          if e.idx > base_idx then begin
+            for missing = !next to min (e.idx - 1) log_max do
+              gaps := missing :: !gaps
+            done;
+            next := e.idx + 1;
+            if e.idx = !upto + 1 then begin
+              adopt e;
+              upto := e.idx
+            end
+            else if e.resident then
+              dropped := { id_proc = e.proc; id_seq = e.seq } :: !dropped
+          end
+        end)
+      a;
+    for missing = !next to log_max do
+      gaps := missing :: !gaps
+    done;
+    ( {
+        Recovery_report.recovered_ops = !upto - base_idx;
+        base_idx;
+        gap_indices = List.rev !gaps;
+        dropped = List.rev !dropped;
+        disagreements = List.sort_uniq compare !disagreements;
+        decode_failures = 0;
+        salvage = [];
+        lost_acked = [];
+      },
+      seqs )
+end
+
 (* Construction-time knobs; see onll.mli. *)
 module Config = struct
   type t = {
@@ -563,66 +659,49 @@ module Make_generic
 
   (* {2 Recovery — Listing 5, hardened} *)
 
-  (* Tolerant decode: a CRC-valid entry whose payload nevertheless fails to
-     decode (requires forged or astronomically unlucky bytes) is dropped
-     and counted rather than aborting recovery. *)
-  let decode_entries_tolerant log payloads failures =
-    List.filter_map
-      (fun e ->
-        match Onll_util.Codec.decode record_codec e with
-        | Checkpoint _ as r ->
-            (* the last one noted is the log's newest *)
-            L.note_checkpoint log e;
-            Some r
-        | Ops _ as r -> Some r
-        | exception _ ->
-            incr failures;
-            None)
-      payloads
-
   (* The one recovery routine. [hardened] selects the log-level recovery
      (salvaging vs. silently truncating); the trace rebuild is tolerant in
-     both cases — it adopts the longest contiguous prefix above the deepest
-     checkpoint — and the report says exactly what could not be adopted.
-     The strict [recover] entry point turns a lossy report into
+     both cases — {!Adoption.run} adopts the longest contiguous prefix
+     above the deepest checkpoint — and the report says exactly what could
+     not be adopted. A CRC-valid entry whose payload nevertheless fails to
+     decode (forged or astronomically unlucky bytes) is dropped and
+     counted. The strict [recover] entry point turns a lossy report into
      [Recovery_corrupt]; the unhardened one discards it (the calibration
      baseline the chaos campaign must catch).
 
      [extra] (E19) is the committed-transaction oracle: sub-operations
      whose sole durable copy is a coordinator's commit record, keyed by
-     the execution index assigned when they were staged. They are merged
-     into the index table before the gap scan, so a hole a shard log
-     alone cannot account for (a staged sub-operation overwritten only in
-     the coordinator region) is filled rather than reported as loss.
-     Oracle entries never *create* reportable gaps: gaps are reported
-     only below the highest log-resident index, because a missing index
-     there strands a durably-logged operation, whereas indices reachable
-     only through the oracle are simply re-applied by the coordinator
-     sweep ({!Onll_txn}) if they cannot be adopted in place.
+     the execution index assigned when they were staged. They join the
+     adoption as non-resident entries, so a hole a shard log alone cannot
+     account for (a staged sub-operation overwritten only in the
+     coordinator region) is filled rather than reported as loss. Indices
+     reachable only through the oracle that cannot be adopted in place
+     are re-applied by the coordinator sweep ({!Onll_txn}).
 
      Also returns every transaction commit payload found riding in a
      logged envelope ([e_txn]) — the helper-committed transactions. *)
   let recover_core t ~hardened ~extra =
     (* Each log is salvaged and decoded before the next is read, so only
        one log's payloads are held at a time. *)
-    let decode_failures = ref 0 in
+    let failures = ref 0 in
+    let decode l =
+      L.decode_recovered l record_codec ~failures ~checkpoint:(function
+        | Checkpoint _ -> true
+        | Ops _ -> false)
+    in
     let salvage, by_log =
       if hardened then
         let rs =
           Array.map
             (fun l ->
               let r, payloads = L.recover l in
-              ( (L.name l, r),
-                decode_entries_tolerant l payloads decode_failures ))
+              ((L.name l, r), decode l payloads))
             t.logs
         in
         (Array.to_list (Array.map fst rs), Array.map snd rs)
       else begin
         Array.iter L.recover_unhardened t.logs;
-        ( [],
-          Array.map
-            (fun l -> decode_entries_tolerant l (L.entries l) decode_failures)
-            t.logs )
+        ([], Array.map (fun l -> decode l (L.entries l)) t.logs)
       end
     in
     let records = List.concat (Array.to_list by_log) in
@@ -637,162 +716,68 @@ module Make_generic
         (0, initial_istate ())
         records
     in
-    (* Every (execution index, envelope) the logs hold, in log order and
-       marked log-resident, and every transaction commit payload riding in
-       one, first sighting first. *)
+    let entry idx env resident =
+      { Adoption.idx; proc = env.e_proc; seq = env.e_seq; env; resident }
+    in
     let logged =
       List.concat_map
         (function
           | Checkpoint _ -> []
           | Ops { exec_idx; envs } ->
-              List.mapi (fun k env -> (exec_idx - k, env, true)) envs)
+              List.mapi (fun k env -> entry (exec_idx - k) env true) envs)
         records
-      |> Array.of_list
     in
+    (* Every transaction commit payload riding in a logged envelope,
+       first sighting first. *)
     let txns = ref [] in
     let seen_txns = Hashtbl.create 8 in
-    Array.iter
-      (fun (_, env, _) ->
+    List.iter
+      (fun { Adoption.env; _ } ->
         match env.e_txn with
         | Some p when not (Hashtbl.mem seen_txns p) ->
             Hashtbl.replace seen_txns p ();
             txns := p :: !txns
         | Some _ | None -> ())
       logged;
-    (* Sorted by index — stably, so the earlier copy of an index comes
-       first — and swept once, keeping the first copy of each index.
-       Duplicates are fine (helping stores the same operation in several
-       logs); they must agree on the operation id. *)
-    let disagreements = ref [] in
-    let first_by_idx a =
-      Array.stable_sort (fun (i, _, _) (j, _, _) -> Int.compare i j) a;
-      let kept = ref [] in
-      Array.iter
-        (fun ((idx, env, _) as e) ->
-          match !kept with
-          | (i, prior, _) :: _ when i = idx ->
-              if prior.e_proc <> env.e_proc || prior.e_seq <> env.e_seq then
-                disagreements := idx :: !disagreements
-          | _ -> kept := e :: !kept)
-        a;
-      Array.of_list (List.rev !kept)
-    in
-    let resident = first_by_idx logged in
-    (* Highest index with a *log-resident* copy: the horizon below which a
-       missing index is reportable loss. *)
-    let log_max =
-      match resident with
-      | [||] -> base_idx
-      | r ->
-          let idx, _, _ = r.(Array.length r - 1) in
-          max base_idx idx
-    in
-    (* [extended] = log entries plus the committed-transaction oracle,
-       which sorts after the log copies of its index. An oracle entry
-       whose identity is already log-resident is skipped: a sub-operation
-       an earlier sweep re-applied (and durably logged) at a relocated
-       index would otherwise collide with its own commit record's stale
-       staging index. *)
-    let extended =
-      if extra = [] then resident
-      else begin
-        let log_ids = Hashtbl.create (Array.length resident) in
-        Array.iter
-          (fun (_, env, _) ->
-            Hashtbl.replace log_ids (env.e_proc, env.e_seq) ())
-          resident;
-        let oracle =
-          List.filter_map
-            (fun (idx, id, op) ->
-              if
-                idx > base_idx
-                && not (Hashtbl.mem log_ids (id.id_proc, id.id_seq))
-              then
-                let env =
-                  {
-                    e_proc = id.id_proc;
-                    e_seq = id.id_seq;
-                    e_op = op;
-                    e_txn = None;
-                  }
-                in
-                Some (idx, env, false)
-              else None)
-            extra
-        in
-        first_by_idx (Array.append resident (Array.of_list oracle))
-      end
+    let entries =
+      List.fold_right
+        (fun (idx, id, op) acc ->
+          entry idx
+            { e_proc = id.id_proc; e_seq = id.id_seq; e_op = op; e_txn = None }
+            false
+          :: acc)
+        extra logged
     in
     let trace =
       T.create ~sink:(Onll_obs.Opstats.sink t.ostats) ~base_idx ~base_state ()
     in
     (* a table grows past two bindings per bucket, so half as many
        buckets as bindings take them all without a resize *)
-    t.recovered <- Hashtbl.create (Array.length extended / 2);
-    Array.blit base_state.floors 0 t.seqs 0 M.max_processes;
+    t.recovered <- Hashtbl.create (List.length logged / 2);
+    let report, seqs =
+      Adoption.run ~base_idx ~floors:base_state.floors entries
+        ~adopt:(fun e ->
+          let node = T.insert trace e.env in
+          assert (T.idx node = e.idx);
+          T.set_available node;
+          Hashtbl.replace t.recovered
+            { id_proc = e.proc; id_seq = e.seq }
+            e.idx)
+    in
+    Array.blit seqs 0 t.seqs 0 M.max_processes;
     Array.fill t.views 0 (Array.length t.views) None;
     Array.fill t.prev_views 0 (Array.length t.prev_views) None;
-    (* One sweep in index order. Under the clean crash model a gap below a
-       persisted operation is impossible (Prop 5.10); under media faults
-       it means the operation's every durable copy was corrupted. Only the
-       contiguous prefix below the first gap can be adopted — anything
-       above it cannot be replayed without fabricating the missing
-       operation, so it is reported as dropped instead; with no oracle
-       entries the prefix ends at first-gap - 1. Gaps are reported only
-       up to [log_max]. Only log-resident strandings count as dropped: an
-       oracle entry above the adopted prefix is re-applied by the
-       coordinator sweep, so nothing durable is lost through it. Sequence
-       allocation is bumped past every id recovery has seen — including
-       ids above a gap that cannot be replayed — so no post-recovery
-       update can reuse a pre-crash identity. *)
-    let gaps = ref [] and dropped = ref [] in
-    let stop_idx = ref base_idx and next = ref (base_idx + 1) in
-    Array.iter
-      (fun (idx, env, resident) ->
-        if env.e_seq >= t.seqs.(env.e_proc) then
-          t.seqs.(env.e_proc) <- env.e_seq + 1;
-        if idx > base_idx then begin
-          for missing = !next to min (idx - 1) log_max do
-            gaps := missing :: !gaps
-          done;
-          next := idx + 1;
-          let id = { id_proc = env.e_proc; id_seq = env.e_seq } in
-          if idx = !stop_idx + 1 then begin
-            let node = T.insert trace env in
-            assert (T.idx node = idx);
-            T.set_available node;
-            Hashtbl.replace t.recovered id idx;
-            stop_idx := idx
-          end
-          else if resident && idx <= log_max then dropped := id :: !dropped
-        end)
-      extended;
-    for missing = !next to log_max do
-      gaps := missing :: !gaps
-    done;
-    let gaps = List.rev !gaps and stop_idx = !stop_idx in
     t.trace <- trace;
     if Onll_obs.Opstats.active t.ostats then
       Onll_obs.Sink.emit
         (Onll_obs.Opstats.sink t.ostats)
         ~proc:(M.self ())
-        (Onll_obs.Event.Recovery { ops = stop_idx - base_idx });
-    let report =
-      {
-        Recovery_report.recovered_ops = stop_idx - base_idx;
-        base_idx;
-        gap_indices = gaps;
-        dropped = List.rev !dropped;
-        disagreements = List.sort_uniq compare !disagreements;
-        decode_failures = !decode_failures;
-        salvage;
-        (* Only a relaxed-mode wrapper ({!Onll_relaxed}) knows which acked
-           operations were still unfenced at the crash; the core cannot
-           distinguish a lost unfenced suffix from operations that were
-           simply never invoked, so it reports none. *)
-        lost_acked = [];
-      }
-    in
+        (Onll_obs.Event.Recovery { ops = report.recovered_ops });
+    (* Only a relaxed-mode wrapper ({!Onll_relaxed}) knows which acked
+       operations were still unfenced at the crash; the core cannot
+       distinguish a lost unfenced suffix from operations that were
+       simply never invoked, so it reports none. *)
+    let report = { report with decode_failures = !failures; salvage } in
     (* The degraded-mode policy: detected loss never stops the object, but
        it is admitted, stickily, until the object is rebuilt. *)
     if hardened && Recovery_report.detected_loss report then
@@ -947,16 +932,20 @@ module Make_generic
   let current_state t = (istate_at t (T.latest_available t.trace)).st
 
   (* One durable scan per log: entries are decoded once and every derived
-     statistic (counts, sizes, helping profile) comes from that pass. *)
+     statistic (counts, sizes, helping profile) comes from that pass. An
+     entry that does not decode counts 0 operations, as recovery adopted
+     none from it. *)
   let snapshot t =
     let logs =
       Array.to_list t.logs
       |> List.map (fun l ->
              let ops_per_entry =
-               List.map (Onll_util.Codec.decode record_codec) (L.entries l)
-               |> List.map (function
-                    | Ops { envs; _ } -> List.length envs
-                    | Checkpoint _ -> 0)
+               List.map
+                 (fun e ->
+                   match Onll_util.Codec.decode record_codec e with
+                   | Ops { envs; _ } -> List.length envs
+                   | Checkpoint _ | (exception _) -> 0)
+                 (L.entries l)
              in
              {
                Snapshot.log_name = L.name l;

@@ -111,6 +111,52 @@ module Recovery_report : sig
       [meta]). *)
 end
 
+(** Listing 5's one decision: which logged operations a restarted object
+    adopts. The core construction, group commit ({!Onll_batched}) and the
+    §3.1 baselines ({!Onll_baselines.Linearize_early}) decode their logs
+    and hand the entries here. *)
+module Adoption : sig
+  type 'e entry = {
+    idx : int;  (** execution index *)
+    proc : int;  (** identity: process ... *)
+    seq : int;  (** ... and its sequence number *)
+    env : 'e;  (** the construction's envelope *)
+    resident : bool;
+        (** a log holds this copy; [false] for an oracle entry, whose only
+            durable copy is elsewhere (E19: a coordinator's commit
+            record) *)
+  }
+
+  val run :
+    base_idx:int ->
+    floors:int array ->
+    'e entry list ->
+    adopt:('e entry -> unit) ->
+    Recovery_report.t * int array
+  (** [run ~base_idx ~floors entries ~adopt] rebuilds the history above a
+      base checkpoint at [base_idx] whose per-process sequence floors are
+      [floors]. It keeps the first copy of each index (log copies first,
+      in list order) and records the indices whose copies name different
+      operations: helping stores one operation in several logs, and its
+      copies must agree. It calls [adopt] on the longest contiguous run of
+      indices above the base, in index order: anything above the first
+      missing index cannot be replayed without fabricating the missing
+      operation. Under the clean crash model such a gap is impossible
+      (Prop 5.10); under media faults it means every durable copy of the
+      operation was corrupted.
+
+      The report's [recovered_ops], [base_idx], [gap_indices] (missing
+      indices up to the highest log-resident one), [dropped] (log-resident
+      operations above the adopted run, in index order) and
+      [disagreements] are filled in; its [decode_failures], [salvage] and
+      [lost_acked] are empty for the caller to set. Oracle entries never
+      create gaps or dropped operations, and count only above the base
+      and when no log copy carries their identity. The array is [floors]
+      bumped past every identity kept, adopted or not, so no
+      post-recovery update can reuse a pre-crash identity and
+      [was_linearized] can answer for every identity recovery saw. *)
+end
+
 (** Construction-time configuration — the one record every instantiation's
     {!CONSTRUCTION.make} takes. Build it by functional update of
     {!Config.default}:
@@ -155,8 +201,9 @@ module Snapshot : sig
     used_bytes : int;
     entry_count : int;  (** valid entries from the head *)
     ops_per_entry : int list;
-        (** operations per entry (0 for checkpoints); an entry with more
-            than one operation exposes helping *)
+        (** operations per entry (0 for checkpoints and for entries that
+            do not decode); an entry with more than one operation exposes
+            helping *)
   }
 
   type t = {

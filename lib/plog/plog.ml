@@ -940,6 +940,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     t.ckpt_key <- Some (t.key payload);
     t.footprint <- 16 + String.length payload
 
+  let decode_recovered t codec ~checkpoint ~failures payloads =
+    List.filter_map
+      (fun p ->
+        match Codec.decode codec p with
+        | r ->
+            (* the last one noted is the log's newest *)
+            if checkpoint r then note_checkpoint t p;
+            Some r
+        | exception _ ->
+            incr failures;
+            None)
+      payloads
+
   let checkpoint t ~upto ~worth record =
     match t.ckpt_key with
     | Some key when key - 1 >= upto -> Some (key - 1)

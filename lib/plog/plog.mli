@@ -290,6 +290,18 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   (** Remember a payload in the log as its newest live checkpoint (after
       a recovery, whose caller alone can tell). *)
 
+  val decode_recovered :
+    t ->
+    'a Onll_util.Codec.t ->
+    checkpoint:('a -> bool) ->
+    failures:int ref ->
+    string list ->
+    'a list
+  (** Recovery's reading of this log's payloads (from {!recover} or
+      {!entries}): decode each, dropping and counting in [failures] those
+      that do not decode, and {!note_checkpoint} the newest one that
+      [checkpoint] recognises. *)
+
   val append_compacting :
     t -> compact:(worth:(string -> bool) -> unit) -> string -> unit
   (** [append], first running [compact] — {!checkpoint} with [worth], then

@@ -78,11 +78,12 @@ let run_all () =
   let b1 =
     let sim = Sim.create ~max_processes:2 () in
     let module M = (val Sim.machine sim) in
-    let module B = Onll_baselines.Broken_early.Make (M) (Cs) in
-    let obj = B.create () in
+    let module B = Onll_baselines.Linearize_early.Make (M) (Cs) in
+    let obj = B.create Onll_baselines.Linearize_early.Return in
     branch ~name:"branch 1: reader just returns"
       ~story:
-        "linearize early; the reader neither waits nor helps (Broken_early)"
+        "linearize early; the reader neither waits nor helps \
+         (Linearize_early, Return)"
       ~sim
       ~update:(fun () -> B.update obj Cs.Increment)
       ~read:(fun () -> B.read obj Cs.Get)
@@ -91,12 +92,12 @@ let run_all () =
   let b2 =
     let sim = Sim.create ~max_processes:2 () in
     let module M = (val Sim.machine sim) in
-    let module W = Onll_baselines.Wait_on_read.Make (M) (Cs) in
-    let obj = W.create () in
+    let module W = Onll_baselines.Linearize_early.Make (M) (Cs) in
+    let obj = W.create Onll_baselines.Linearize_early.Wait in
     branch ~name:"branch 2: reader waits"
       ~story:
         "linearize early; the reader spins until its observation is \
-         durable (Wait_on_read)"
+         durable (Linearize_early, Wait)"
       ~sim
       ~update:(fun () -> W.update obj Cs.Increment)
       ~read:(fun () -> W.read obj Cs.Get)
@@ -105,12 +106,12 @@ let run_all () =
   let b3 =
     let sim = Sim.create ~max_processes:2 () in
     let module M = (val Sim.machine sim) in
-    let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-    let obj = P.create () in
+    let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+    let obj = P.create Onll_baselines.Linearize_early.Help in
     branch ~name:"branch 3: reader helps"
       ~story:
         "linearize early; the reader persists its observation before \
-         returning (Persist_on_read) — correct, but reads pay fences"
+         returning (Linearize_early, Help) — correct, but reads pay fences"
       ~sim
       ~update:(fun () -> P.update obj Cs.Increment)
       ~read:(fun () -> P.read obj Cs.Get)

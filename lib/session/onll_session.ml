@@ -109,33 +109,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
            impersonate an old operation under [was_linearized]. *)
   }
 
-  module type ROUTED = sig
-    type t
-
-    val update_detectable : t -> seq:int -> S.update_op -> S.value
-    val was_linearized : t -> S.update_op -> Onll_core.Onll.op_id -> bool
-    val read : t -> S.read_op -> S.value
-    val degraded : t -> bool
-    val log_fill : t -> float
-    val compact : t -> int
-  end
-
-  module Over_routed (C : ROUTED) = struct
-    let backend c =
-      {
-        b_update_detectable = (fun ~seq op -> C.update_detectable c ~seq op);
-        b_was_linearized = (fun op id -> C.was_linearized c op id);
-        b_read = (fun r -> C.read c r);
-        b_degraded = (fun () -> C.degraded c);
-        b_pressure = (fun () -> C.log_fill c);
-        b_compact =
-          (fun () ->
-            ignore (C.compact c : int);
-            true);
-        b_alloc = None;
-      }
-  end
-
   type t = {
     cfg : config;
     sink : Sink.t;

@@ -137,8 +137,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   (** What the session needs from the object: a record of closures, so
       one session type composes with every stack below it (whose module
       types differ). [Onll_stack.Make.backend] builds it for any legal
-      stack; {!Over_routed} adapts one module directly. [was_linearized]
-      takes the operation because sharded identities are per shard. *)
+      stack. [was_linearized] takes the operation because sharded
+      identities are per shard. *)
   type backend = {
     b_update_detectable : seq:int -> S.update_op -> S.value;
     b_was_linearized : S.update_op -> Onll_core.Onll.op_id -> bool;
@@ -180,27 +180,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             keeps the session's own counter — the
             single-tenant default, byte-identical on media to E15. *)
   }
-
-  (** The object surface a backend is built from. *)
-  module type ROUTED = sig
-    type t
-
-    val update_detectable : t -> seq:int -> S.update_op -> S.value
-    val was_linearized : t -> S.update_op -> Onll_core.Onll.op_id -> bool
-    val read : t -> S.read_op -> S.value
-    val degraded : t -> bool
-    val log_fill : t -> float
-    val compact : t -> int
-  end
-
-  (** Adapter for one object module (an unsharded construction adapts
-      by ignoring the operation in [was_linearized]). *)
-  module Over_routed (C : ROUTED) : sig
-    val backend : C.t -> backend
-    (** [b_pressure] is [C.log_fill] and [b_compact] runs [C.compact]
-        ({!Onll_core.Onll.CONSTRUCTION.compact}) by the calling process;
-        [b_alloc] is [None]. *)
-  end
 
   type t
   (** One client's durable session. Owned by a single process: {!submit}

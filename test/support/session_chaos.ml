@@ -204,8 +204,15 @@ module Make (S : Onll_core.Spec.S) = struct
       | Sharded ->
           let module C = Onll_sharded.Make (M) (S) in
           let obj = C.make ~shards:4 (cfg ~replicas:1) in
-          let module Ov = Sess.Over_routed (C) in
-          ( Ov.backend obj,
+          ( {
+              Sess.b_update_detectable = C.update_detectable obj;
+              b_was_linearized = C.was_linearized obj;
+              b_read = C.read obj;
+              b_degraded = (fun () -> C.degraded obj);
+              b_pressure = (fun () -> C.log_fill obj);
+              b_compact = (fun () -> ignore (C.compact obj : int); true);
+              b_alloc = None;
+            },
             (fun () -> ignore (C.recover_report obj)),
             fun () ->
               List.concat
@@ -220,12 +227,15 @@ module Make (S : Onll_core.Spec.S) = struct
           let replicas = if plan.arm = Mirrored then 2 else 1 in
           let module C = Onll_core.Onll.Make (M) (S) in
           let obj = C.make (cfg ~replicas) in
-          let module Ov = Sess.Over_routed (struct
-            include C
-
-            let was_linearized c _op id = C.was_linearized c id
-          end) in
-          ( Ov.backend obj,
+          ( {
+              Sess.b_update_detectable = C.update_detectable obj;
+              b_was_linearized = (fun _op id -> C.was_linearized obj id);
+              b_read = C.read obj;
+              b_degraded = (fun () -> C.degraded obj);
+              b_pressure = (fun () -> C.log_fill obj);
+              b_compact = (fun () -> ignore (C.compact obj : int); true);
+              b_alloc = None;
+            },
             (fun () -> ignore (C.recover_report obj)),
             fun () ->
               List.map fst (C.recovered_ops obj)

@@ -122,8 +122,8 @@ let test_shadow_concurrent_mutual_exclusion () =
 let test_por_semantics () =
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   check Alcotest.int "incr" 1 (P.update obj Cs.Increment);
   check Alcotest.int "read" 1 (P.read obj Cs.Get);
   check Alcotest.int "incr 2" 2 (P.update obj Cs.Increment)
@@ -131,8 +131,8 @@ let test_por_semantics () =
 let test_por_one_fence_per_update () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   for i = 1 to 10 do
     ignore (P.update obj Cs.Increment);
     check Alcotest.int "1 fence per update" i (M.persistent_fences ())
@@ -148,8 +148,8 @@ let test_por_reader_pays_when_update_in_flight () =
      fence before returning — the §3.1 trade-off made visible. *)
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   let read_v = ref (-1) in
   let procs =
     [|
@@ -176,8 +176,8 @@ let test_por_read_observation_durable () =
      the observed update even though the updater never fenced. *)
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   let procs =
     [|
       (fun _ -> ignore (P.update obj Cs.Increment));
@@ -199,8 +199,8 @@ let test_por_read_observation_durable () =
 let test_por_recovery () =
   let sim = Sim.create ~max_processes:3 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   let procs =
     Array.init 3 (fun _ ->
         fun _ ->
@@ -217,13 +217,48 @@ let test_por_recovery () =
   check Alcotest.bool "recovered prefix" true (v >= 0 && v <= 12);
   check Alcotest.int "continues" (v + 1) (P.update obj Cs.Increment)
 
+(* A record lost from every log leaves a gap: a reader that helps or
+   waits only ever observed durable operations, so recovery calls the
+   gap corruption; a reader that returns may already have observed the
+   lost suffix, and recovery keeps the prefix below the gap. *)
+let test_gap_by_reader () =
+  let recover reader region =
+    let sim = Sim.create ~max_processes:1 () in
+    let module M = (val Sim.machine sim) in
+    let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+    let obj = P.create reader in
+    for _ = 1 to 3 do
+      ignore (P.update obj Cs.Increment)
+    done;
+    let region =
+      Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) region)
+    in
+    (* the second record: skip one [len][crc][payload] frame from 64 *)
+    let image = Onll_nvm.Memory.Region.durable_snapshot region in
+    let second = 64 + 16 + Int64.to_int (String.get_int64_le image 64) in
+    Onll_nvm.Memory.Region.corrupt region ~off:(second + 16) ~len:1
+      ~f:(fun _ c -> Char.chr (Char.code c lxor 0x10));
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    match P.recover obj with
+    | () -> Ok (P.read obj Cs.Get)
+    | exception Onll_core.Onll.Recovery_corrupt msg -> Error msg
+  in
+  let open Onll_baselines.Linearize_early in
+  let corrupt = Error "operation at index 2 missing from all logs" in
+  let result = Alcotest.(result int string) in
+  check result "help" corrupt (recover Help "counter.0.por.0");
+  check result "wait" corrupt (recover Wait "counter.0.wor.0");
+  check result "return keeps the prefix" (Ok 1)
+    (recover Return "counter.0.broken.0")
+
 (* {1 Wait-on-read (§3.1 branch two)} *)
 
 let test_wor_semantics () =
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module W = Onll_baselines.Wait_on_read.Make (M) (Cs) in
-  let obj = W.create () in
+  let module W = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = W.create Onll_baselines.Linearize_early.Wait in
   check Alcotest.int "incr" 1 (W.update obj Cs.Increment);
   check Alcotest.int "read" 1 (W.read obj Cs.Get);
   check Alcotest.int "no waiting when sequential" 0 (W.reader_waits obj)
@@ -233,8 +268,8 @@ let test_wor_reader_waits_for_updater () =
      observes the update, spins; resuming the updater releases it. *)
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module W = Onll_baselines.Wait_on_read.Make (M) (Cs) in
-  let obj = W.create () in
+  let module W = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = W.create Onll_baselines.Linearize_early.Wait in
   let read_v = ref (-1) in
   let procs =
     [|
@@ -263,8 +298,8 @@ let test_wor_livelocks_behind_stalled_updater () =
      forever — waiting breaks lock-freedom. *)
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module W = Onll_baselines.Wait_on_read.Make (M) (Cs) in
-  let obj = W.create () in
+  let module W = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = W.create Onll_baselines.Linearize_early.Wait in
   let procs =
     [|
       (fun _ -> ignore (W.update obj Cs.Increment));
@@ -288,8 +323,8 @@ let test_wor_durable_observations () =
      after the reader returned, the update must survive. *)
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module W = Onll_baselines.Wait_on_read.Make (M) (Cs) in
-  let obj = W.create () in
+  let module W = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = W.create Onll_baselines.Linearize_early.Wait in
   let procs =
     [|
       (fun _ -> ignore (W.update obj Cs.Increment));
@@ -471,6 +506,8 @@ let () =
           Alcotest.test_case "read observation durable" `Quick
             test_por_read_observation_durable;
           Alcotest.test_case "recovery" `Quick test_por_recovery;
+          Alcotest.test_case "a gap by reader branch" `Quick
+            test_gap_by_reader;
         ] );
       ( "wait-on-read",
         [

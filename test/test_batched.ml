@@ -271,25 +271,14 @@ let test_compaction_preserves_detectability () =
 
 (* kv whose update codec refuses to decode one key: a CRC-valid entry that
    nevertheless fails to decode. *)
-module Poisoned_kv = struct
-  include Onll_specs.Kv
-
-  let update_codec =
-    Onll_util.Codec.map
-      (function
-        | Put ("poison", _) ->
-            raise (Onll_util.Codec.Decode_error "poison")
-        | op -> op)
-      Fun.id Onll_specs.Kv.update_codec
-end
-
 (* Recovery counts the undecodable batch and moves on; later checkpoints
    must not decode the log again, and the entry keys to [max_int], so no
-   checkpoint drops it and the next recovery reports it again. *)
+   checkpoint drops it and the next recovery reports it again. A snapshot
+   counts it as 0 operations at every step. *)
 let test_undecodable_entry_kept () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_batched.Make (M) (Poisoned_kv) in
+  let module C = Onll_batched.Make (M) (Test_support.Poisoned_kv) in
   let obj = C.make (cfg ()) in
   let put k = ignore (C.update obj (Onll_specs.Kv.Put (k, "v"))) in
   let recover_failures () =
@@ -297,13 +286,27 @@ let test_undecodable_entry_kept () =
       ~policy:Onll_nvm.Crash_policy.Drop_all;
     (C.recover_report obj).Onll_core.Onll.Recovery_report.decode_failures
   in
+  let logged_ops after =
+    match C.snapshot obj with
+    | { Onll_core.Onll.Snapshot.logs = [ l ]; _ } ->
+        List.fold_left ( + ) 0 l.Onll_core.Onll.Snapshot.ops_per_entry
+    | _ -> Alcotest.failf "snapshot after %s: one log expected" after
+  in
   List.iter put [ "a"; "poison"; "b" ];
   check Alcotest.int "recovery counts the entry" 1 (recover_failures ());
+  check Alcotest.int "snapshot after recovery" 2 (logged_ops "recovery");
   ignore (C.checkpoint obj);
+  check Alcotest.int "snapshot after a checkpoint" 1
+    (logged_ops "checkpoint");
   put "c";
+  check Alcotest.int "snapshot after an update" 2 (logged_ops "update");
   ignore (C.checkpoint obj);
+  check Alcotest.int "snapshot after a second checkpoint" 2
+    (logged_ops "second checkpoint");
   check Alcotest.int "a second recovery still reports it" 1
-    (recover_failures ())
+    (recover_failures ());
+  check Alcotest.int "snapshot after the second recovery" 2
+    (logged_ops "second recovery")
 
 (* {1 The chaos arms (media faults, nested recovery crashes)} *)
 

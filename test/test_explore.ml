@@ -170,15 +170,18 @@ let test_explorer_finds_volatile_lost_update () =
   check Alcotest.bool "found a lost update" true !lost
 
 let test_explorer_finds_broken_early_violation () =
-  (* The §3.1 bug (Broken_early): the explorer, with crash branching, must
-     hit the reader-observed-then-erased window without any seed luck. *)
+  (* The §3.1 bug (Linearize_early, Return): the explorer, with crash
+     branching, must hit the reader-observed-then-erased window without
+     any seed luck. *)
   let module H = Onll_histcheck.Histcheck.Make (Cs) in
   let violation = ref false in
   let mk () =
     let sim = Sim.create ~max_processes:2 () in
     let module M = (val Sim.machine sim) in
-    let module B = Onll_baselines.Broken_early.Make (M) (Cs) in
-    let obj = B.create ~log_capacity:4096 () in
+    let module B = Onll_baselines.Linearize_early.Make (M) (Cs) in
+    let obj =
+      B.create ~log_capacity:4096 Onll_baselines.Linearize_early.Return
+    in
     let recorder = H.Recorder.create () in
     let procs =
       [|

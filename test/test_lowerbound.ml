@@ -18,8 +18,8 @@ let onll n =
 let por n =
   let sim = Sim.create ~max_processes:n () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   ( sim,
     Array.init n (fun _ -> fun _ -> ignore (P.update obj Cs.Increment)) )
 

@@ -1115,6 +1115,41 @@ let test_recovery_report_gap_and_dropped () =
   check Alcotest.bool "the next update takes a fresh identity" true
     (C.was_linearized obj (id 6))
 
+(* Recovery counts an entry that does not decode and moves on; a
+   snapshot counts it as 0 operations, before and after the checkpoint
+   that drops it (its key comes from the record header). *)
+let test_undecodable_entry_snapshot () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Test_support.Poisoned_kv) in
+  let obj = C.make Onll_core.Onll.Config.default in
+  let put k = ignore (C.update obj (Onll_specs.Kv.Put (k, "v"))) in
+  let recover_failures () =
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    (C.recover_report obj).Onll_core.Onll.Recovery_report.decode_failures
+  in
+  let logged_ops after =
+    match C.snapshot obj with
+    | { Onll_core.Onll.Snapshot.logs = [ l ]; _ } ->
+        List.fold_left ( + ) 0 l.Onll_core.Onll.Snapshot.ops_per_entry
+    | _ -> Alcotest.failf "snapshot after %s: one log expected" after
+  in
+  List.iter put [ "a"; "poison"; "b" ];
+  check Alcotest.int "recovery counts the entry" 1 (recover_failures ());
+  check Alcotest.int "snapshot after recovery" 2 (logged_ops "recovery");
+  ignore (C.checkpoint obj);
+  check Alcotest.int "snapshot after a checkpoint" 1
+    (logged_ops "checkpoint");
+  put "c";
+  check Alcotest.int "snapshot after an update" 2 (logged_ops "update");
+  ignore (C.checkpoint obj);
+  check Alcotest.int "snapshot after the dropping checkpoint" 2
+    (logged_ops "second checkpoint");
+  check Alcotest.int "the dropped entry is gone" 0 (recover_failures ());
+  check Alcotest.int "snapshot after the second recovery" 2
+    (logged_ops "second recovery")
+
 let test_recovery_corrupt_on_forged_gap () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
@@ -1204,6 +1239,8 @@ let () =
             test_recovery_corrupt_on_forged_gap;
           Alcotest.test_case "gap and dropped reported" `Quick
             test_recovery_report_gap_and_dropped;
+          Alcotest.test_case "undecodable entry in snapshots" `Quick
+            test_undecodable_entry_snapshot;
         ] );
       ( "detectability",
         [

@@ -1,8 +1,9 @@
 (** End-to-end validation of the durable-linearizability oracle against a
-    {e deliberately broken} implementation ({!Onll_baselines.Broken_early}):
-    the §3.1 case analysis says that if an update is linearized before it is
-    persisted and readers neither wait nor help, a reader can observe an
-    update that a crash then erases. The oracle must catch exactly that —
+    {e deliberately broken} implementation
+    ({!Onll_baselines.Linearize_early}, [Return]): the §3.1 case analysis
+    says that if an update is linearized before it is persisted and readers
+    neither wait nor help, a reader can observe an update that a crash then
+    erases. The oracle must catch exactly that —
     and must accept the same schedule when the object is real ONLL. *)
 
 open Onll_machine
@@ -52,8 +53,8 @@ let drive_scenario ~update ~read ~recover =
 let test_broken_implementation_rejected () =
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module B = Onll_baselines.Broken_early.Make (M) (Cs) in
-  let obj = B.create () in
+  let module B = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = B.create Onll_baselines.Linearize_early.Return in
   let _, _, _, go =
     drive_scenario
       ~update:(fun () -> B.update obj Cs.Increment)
@@ -106,8 +107,8 @@ let test_persist_on_read_accepted_same_schedule () =
      fenced before responding, the update survives the crash. *)
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (Cs) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (Cs) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   let _, _, _, go =
     drive_scenario
       ~update:(fun () -> P.update obj Cs.Increment)
@@ -136,8 +137,8 @@ let test_broken_fuzz_campaign_finds_violations () =
   for seed = 1 to 60 do
     let sim = Sim.create ~max_processes:3 () in
     let module M = (val Sim.machine sim) in
-    let module B = Onll_baselines.Broken_early.Make (M) (Cs) in
-    let obj = B.create () in
+    let module B = Onll_baselines.Linearize_early.Make (M) (Cs) in
+    let obj = B.create Onll_baselines.Linearize_early.Return in
     let recorder = H.Recorder.create () in
     let proc p _ =
       for k = 1 to 3 do

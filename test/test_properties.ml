@@ -131,8 +131,8 @@ let por_driver (type s u r v)
        and type value = v) _seed : (u -> v) * (r -> v) =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module P = Onll_baselines.Persist_on_read.Make (M) (S) in
-  let obj = P.create () in
+  let module P = Onll_baselines.Linearize_early.Make (M) (S) in
+  let obj = P.create Onll_baselines.Linearize_early.Help in
   (P.update obj, P.read obj)
 
 let prop_por_stack =
