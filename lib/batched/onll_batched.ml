@@ -4,6 +4,7 @@ open Onll_core
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
   module L = Onll_plog.Plog.Make (M)
+  module Lock = Onll_machine.Spinlock.Make (M)
 
   type state = S.state
   type update_op = S.update_op
@@ -84,7 +85,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
             after the batch's fence *)
 
   type t = {
-    lock : bool M.Tvar.t;  (** leader election: CAS false->true *)
+    lock : Lock.t;  (** leader election *)
     slots : slot M.Tvar.t array;  (** per-process announce slots *)
     log : L.t;  (** ONE shared log for all processes *)
     mirror : istate M.Tvar.t;
@@ -118,7 +119,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     let sink = cfg.Onll.Config.sink in
     let registry = Onll_obs.Sink.registry sink in
     {
-      lock = M.Tvar.make false;
+      lock = Lock.make ();
       slots = Array.init M.max_processes (fun _ -> M.Tvar.make Empty);
       log =
         L.create ~sink ~replicas:cfg.Onll.Config.replicas ~key:record_key
@@ -148,15 +149,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
   module A = Attribution.Make (M)
 
   let attributed t record f = A.attributed t.ostats record f
-
-  (* Test-and-test-and-set: spinners read the lock (shared cache state)
-     and only attempt the CAS when it was observed free, so waiters do
-     not steal the line from the leader on every pause. *)
-  let try_lock t =
-    (not (M.Tvar.get t.lock))
-    && M.Tvar.cas t.lock ~expected:false ~desired:true
-
-  let unlock t = M.Tvar.set t.lock false
 
   let typed_full t f =
     try f () with Onll_plog.Plog.Full -> raise (Onll.Log_full (L.name t.log))
@@ -304,9 +296,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
               M.Tvar.set t.slots.(p) Empty;
               d_value
           | Done _ | Empty | Req _ ->
-              if try_lock t then begin
-                combine t ~proc:p;
-                unlock t;
+              if Lock.try_acquire t.lock then begin
+                Lock.held t.lock (fun () -> combine t ~proc:p);
                 wait ()
               end
               else begin
@@ -418,7 +409,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     t.next_idx <- upto + 1;
     M.Tvar.set t.mirror !state;
     M.Tvar.set t.durable upto;
-    M.Tvar.set t.lock false;
+    Lock.release t.lock;
     Array.iter (fun s -> M.Tvar.set s Empty) t.slots;
     t.batches <- 0;
     t.batched_ops <- 0;
@@ -430,6 +421,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     let report = { report with decode_failures = !failures; salvage } in
     if hardened && Onll.Recovery_report.detected_loss report then
       t.degraded <- true;
+    (* as the core construction: stranded batches leave the log *)
+    if hardened && report.dropped <> [] then
+      L.truncate t.log ~from:(fun p ->
+          match Onll_util.Codec.decode record_codec p with
+          | Batch { start_idx; _ } -> start_idx > upto
+          | Checkpoint _ | (exception _) -> false);
     report
 
   let recover_report t = recover_core t ~hardened:true
@@ -460,25 +457,17 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 §8: checkpointing and compaction} *)
 
-  let rec with_lock t f =
-    if try_lock t then
-      Fun.protect ~finally:(fun () -> unlock t) f
-    else begin
-      M.yield ();
-      with_lock t f
-    end
-
   let checkpoint t =
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        with_lock t (fun () ->
+        Lock.with_lock t.lock (fun () ->
             typed_full t (fun () -> Option.get (checkpoint_body t ~worth:always))))
 
   let compact t =
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        with_lock t (fun () ->
+        Lock.with_lock t.lock (fun () ->
             typed_full t (fun () -> Option.get (compact_body t ~worth:always))))
 
-  let prune t ~below = with_lock t (fun () -> prune_body t ~below)
+  let prune t ~below = Lock.with_lock t.lock (fun () -> prune_body t ~below)
 
   (* {2 Introspection} *)
 

@@ -782,6 +782,20 @@ module Make_generic
        it is admitted, stickily, until the object is rebuilt. *)
     if hardened && Recovery_report.detected_loss report then
       t.degraded <- true;
+    (* Dropped operations must leave the logs before the next update
+       reuses their indices, or a later recovery adopts them back or keeps
+       them over it. A log holds its records in index order, so they are
+       its suffix. *)
+    if hardened && report.dropped <> [] then begin
+      let upto = base_idx + report.recovered_ops in
+      Array.iter
+        (fun l ->
+          L.truncate l ~from:(fun p ->
+              match Onll_util.Codec.decode record_codec p with
+              | Ops { exec_idx; _ } -> exec_idx > upto
+              | Checkpoint _ | (exception _) -> false))
+        t.logs
+    end;
     (report, List.rev !txns)
 
   let recover_txn t ~extra = recover_core t ~hardened:true ~extra

@@ -154,7 +154,9 @@ module Adoption : sig
       and when no log copy carries their identity. The array is [floors]
       bumped past every identity kept, adopted or not, so no
       post-recovery update can reuse a pre-crash identity and
-      [was_linearized] can answer for every identity recovery saw. *)
+      [was_linearized] can answer for every identity recovery saw. A
+      caller removes the [dropped] operations' entries before its next
+      append, as core and group commit do. *)
 end
 
 (** Construction-time configuration — the one record every instantiation's
@@ -296,13 +298,15 @@ module type CONSTRUCTION = sig
       (quarantining interior corruption, truncating torn tails — see
       {!Onll_plog.Plog.Make.recover}), then adopts the longest contiguous
       history prefix above the deepest surviving checkpoint, and reports
-      exactly what was lost instead of raising. Idempotent and
-      re-entrant: interrupted by a crash at any durable operation, a
-      re-run converges — every repair it performs is idempotent, and a
-      final uninterrupted run yields the same adopted history. Sequence
-      allocation is bumped past {e every} identity seen in any log —
-      including unadoptable ones — so post-recovery updates never reuse a
-      pre-crash id. *)
+      exactly what was lost instead of raising. The operations it drops
+      leave every log ({!Onll_plog.Plog.Make.truncate}) before it returns,
+      so none comes back at an index a new update reuses; a clean
+      recovery pays nothing for this. Idempotent and re-entrant:
+      interrupted by a crash at any durable operation, a re-run converges
+      — every repair it performs is idempotent, and a final uninterrupted
+      run yields the same adopted history. Sequence allocation is bumped
+      past {e every} identity seen in any log — including unadoptable
+      ones — so post-recovery updates never reuse a pre-crash id. *)
 
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: per-log truncating scan, first-wins on

@@ -831,6 +831,16 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     if n > 0 then drop_first t span n;
     n
 
+  let truncate t ~from =
+    let es, _ = scan t t.head in
+    match List.find_opt (fun (payload, _) -> from payload) es with
+    | None -> ()
+    | Some (_, cut) ->
+        (* zeroed, not just forgotten: recovery looks past a log's end *)
+        zero_span t ~off:cut ~len:(t.tail - cut);
+        t.tail <- cut;
+        t.offs_valid <- false
+
   let used_bytes t = t.tail - header_size
   let live_bytes t = t.tail - t.head
   let free_bytes t = log_end t - t.tail

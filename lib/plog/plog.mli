@@ -237,6 +237,12 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       the one header fence of {!set_head} when it discards anything, and
       nothing otherwise. *)
 
+  val truncate : t -> from:(string -> bool) -> unit
+  (** [truncate t ~from] durably discards the first live entry whose
+      payload satisfies [from] and every one after it: zeroed in every
+      replica under one fence, so no later {!recover} finds them. Reads
+      the live entries back once; no fence when none satisfies [from]. *)
+
   val entry_count : t -> int
   (** Number of valid entries from the head, read from the live-entry
       account: O(1) while the account is valid (after an append, a

@@ -14,43 +14,51 @@ module Make_over
          and type read_op = S.read_op
          and type value = S.value) =
 struct
-  module L = Onll_plog.Plog.Make (M)
   module A = Onll_core.Attribution.Make (M)
+  module Lock = Onll_machine.Spinlock.Make (M)
 
   (* {2 The drain record}
 
-     One CRC-framed entry in the drainer's coordinator log: every
-     operation of the drained tail with its identity and the execution
-     index it was staged at. Exactly the E19 commit-record shape with the
-     whole tail as one "transaction": recovery feeds the indices to
+     One CRC-framed entry in the drainer's coordinator log
+     ({!Onll_core.Coord_log}): every operation of the drained tail with
+     its identity and the execution index it was staged at, on the one
+     shard 0. Recovery feeds the indices to
      {!Onll.TXN_CAPABLE.recover_txn} as the oracle, so a drained
      operation whose trace node never reached a per-process log is
      adopted in place rather than reported as a gap. *)
 
-  type sub = { d_proc : int; d_seq : int; d_idx : int; d_op : S.update_op }
+  module Drain = struct
+    type t = S.update_op Onll_core.Coord_log.sub list
 
-  let sub_codec =
-    let open Onll_util.Codec in
-    map
-      (fun ((d_proc, d_seq, d_idx), d_op) -> { d_proc; d_seq; d_idx; d_op })
-      (fun { d_proc; d_seq; d_idx; d_op } -> ((d_proc, d_seq, d_idx), d_op))
-      (pair (triple int int int) S.update_codec)
+    let kind = "relaxcoord"
 
-  let drain_codec = Onll_util.Codec.list sub_codec
+    let codec =
+      let open Onll_util.Codec in
+      list
+        (map
+           (fun ((id_proc, id_seq, idx), op) ->
+             let id = { Onll.id_proc; id_seq } in
+             { Onll_core.Coord_log.shard = 0; id; idx; op })
+           (fun { Onll_core.Coord_log.id; idx; op; _ } ->
+             ((id.Onll.id_proc, id.Onll.id_seq, idx), op))
+           (pair (triple int int int) S.update_codec))
+
+    let subs = Fun.id
+  end
+
+  module Coord = Onll_core.Coord_log.Make (M) (S) (C) (Drain)
 
   (* An acknowledged-but-possibly-unfenced operation: its sole durable
      hope is the next drain (or an incidental checkpoint). *)
   type pending = {
-    p_id : Onll.op_id;
-    p_idx : int;
-    p_op : S.update_op;
+    p_sub : S.update_op Onll_core.Coord_log.sub;  (** at its staged index *)
     p_at : int64;  (** stamp from [now_ns] at ack time; 0 without a clock *)
     p_budget : int;  (** the staleness bound this op was acked under *)
   }
 
   type t = {
     obj : C.t;
-    coord : L.t array;  (** per process; the lazy-fence durability point *)
+    coord : Coord.t;  (** per process; the lazy-fence durability point *)
     budget_ops : int;  (** default k: max acked-unfenced operations *)
     budget_ns : int64 option;  (** max age of the oldest unfenced ack *)
     now_ns : (unit -> int64) option;
@@ -58,7 +66,7 @@ struct
         (** external identity allocator (e.g. the serve layer's durable
             object-sequence allocator) shared with other update paths on
             the same process; [None] = the object's own cursor *)
-    lock : bool M.Tvar.t;
+    lock : Lock.t;
         (** serialises tail manipulation and drains across processes; the
             tail is one global suffix, never per-process (see the prefix
             argument in the mli) *)
@@ -78,33 +86,23 @@ struct
     g_peak : Metrics.gauge;  (** deepest tail ever = worst-case ops at risk *)
   }
 
-  let instances = ref 0
-
   let attach ?(max_unfenced_ops = 8) ?max_unfenced_ns ?now_ns ?alloc
       (cfg : Onll.Config.t) obj =
     if max_unfenced_ops < 1 then
       invalid_arg "Onll_relaxed.attach: max_unfenced_ops must be >= 1";
     let sink = cfg.Onll.Config.sink in
-    let n = !instances in
-    incr instances;
     let reg =
       if Onll_obs.Sink.active sink then Onll_obs.Sink.registry sink
       else Metrics.create ()
     in
     {
       obj;
-      coord =
-        Array.init M.max_processes (fun p ->
-            L.create ~sink ~replicas:cfg.Onll.Config.replicas
-              ~name:
-                (Printf.sprintf "%s%s.%d.relaxcoord.%d" S.name
-                   cfg.Onll.Config.region_suffix n p)
-              ~capacity:cfg.Onll.Config.log_capacity ());
+      coord = Coord.create cfg;
       budget_ops = max_unfenced_ops;
       budget_ns = max_unfenced_ns;
       now_ns;
       alloc;
-      lock = M.Tvar.make false;
+      lock = Lock.make ();
       tail = [];
       acked = Hashtbl.create 64;
       last_lost = [];
@@ -121,66 +119,22 @@ struct
   let risk_peak t = t.peak
   let lost_acked t = t.last_lost
 
-  (* Test-and-test-and-set, as the group-commit construction does. *)
-  let lock t =
-    while
-      not
-        ((not (M.Tvar.get t.lock))
-        && M.Tvar.cas t.lock ~expected:false ~desired:true)
-    do
-      M.yield ()
-    done
+  (* {2 The one compaction}
 
-  let unlock t = M.Tvar.set t.lock false
-
-  (* No blanket [Fun.protect]: releasing the lock is a machine step, and
-     a simulated process being killed by a crash must not step while
-     unwinding (the scheduler forbids it) — the kill passes through with
-     the lock held, and {!recover_report} resets it. Every {e other}
-     escaping exception (a sticky fsync degradation, a transient fault, a
-     caller error) is one the caller may catch and keep serving past, so
-     the lock must be released on the way out: leaking it would wedge
-     every later update, flush and quiesce on the object in the lock's
-     busy-wait. *)
-  let recoverable = function Onll_sched.Sched.Preempted -> false | _ -> true
-
-  let with_lock t f =
-    lock t;
-    match f () with
-    | v ->
-        unlock t;
-        v
-    | exception e when recoverable e ->
-        unlock t;
-        raise e
-
-  (* {2 Coordinator-log space} *)
-
-  (* A checkpoint of the inner object summarises everything available —
+     A compaction of the inner object summarises everything available —
      which includes the whole tail, since acked operations are available
      the moment they are acked. Afterwards every drain record is covered
-     and the tail itself is durable, so both are dropped. Must hold the
-     lock. *)
+     and the tail itself is durable, so both are dropped. {!checkpoint}
+     and a drain's full-log retry both run it. Must hold the lock. *)
   let prune_acked t pendings =
-    List.iter (fun pd -> Hashtbl.remove t.acked pd.p_id) pendings
+    List.iter (fun pd -> Hashtbl.remove t.acked pd.p_sub.id) pendings
 
   let compact_locked t =
-    ignore (C.checkpoint t.obj);
-    Array.iter
-      (fun l ->
-        L.set_head l (L.entry_count l);
-        L.relocate l)
-      t.coord;
+    let upto = C.compact t.obj in
+    Coord.trim t.coord;
     prune_acked t t.tail;
-    t.tail <- []
-
-  let append_coord t p payload =
-    let log = t.coord.(p) in
-    try L.append log payload
-    with Onll_plog.Plog.Full -> (
-      compact_locked t;
-      try L.append log payload
-      with Onll_plog.Plog.Full -> raise (Onll.Log_full (L.name log)))
+    t.tail <- [];
+    upto
 
   (* {2 The lazy fence} *)
 
@@ -191,19 +145,9 @@ struct
     match t.tail with
     | [] -> ()
     | tail ->
-        let subs =
-          List.map
-            (fun pd ->
-              {
-                d_proc = pd.p_id.Onll.id_proc;
-                d_seq = pd.p_id.Onll.id_seq;
-                d_idx = pd.p_idx;
-                d_op = pd.p_op;
-              })
-            tail
-        in
-        append_coord t (M.self ())
-          (Onll_util.Codec.encode drain_codec subs);
+        Coord.append t.coord
+          ~compact:(fun () -> ignore (compact_locked t))
+          (List.map (fun pd -> pd.p_sub) tail);
         Metrics.incr t.c_drains;
         (* fenced = durable: a drained op can never appear in lost_acked,
            so it leaves the ledger here *)
@@ -236,7 +180,7 @@ struct
           min b t.budget_ops
     in
     A.attributed t.ostats Onll_obs.Opstats.update_done (fun () ->
-        with_lock t (fun () ->
+        Lock.with_lock t.lock (fun () ->
             let seq =
               match t.alloc with
               | None -> C.reserve_seq t.obj
@@ -254,22 +198,14 @@ struct
                   s
             in
             let id = { Onll.id_proc = M.self (); id_seq = seq } in
-            let payload =
-              Onll_util.Codec.encode drain_codec
-                [ { d_proc = id.Onll.id_proc; d_seq = seq; d_idx = -1; d_op = op } ]
+            let sub = { Onll_core.Coord_log.shard = 0; id; idx = -1; op } in
+            let st =
+              C.stage_txn t.obj ~seq
+                ~payload:(Onll_util.Codec.encode Drain.codec [ sub ])
+                op
             in
-            let st = C.stage_txn t.obj ~seq ~payload op in
-            t.tail <-
-              t.tail
-              @ [
-                  {
-                    p_id = id;
-                    p_idx = C.staged_idx st;
-                    p_op = op;
-                    p_at = now t;
-                    p_budget = k;
-                  };
-                ];
+            let p_sub = { sub with idx = C.staged_idx st } in
+            t.tail <- t.tail @ [ { p_sub; p_at = now t; p_budget = k } ];
             let depth = List.length t.tail in
             if depth > t.peak then begin
               t.peak <- depth;
@@ -303,15 +239,9 @@ struct
      durability work, like a checkpoint. *)
   let flush t =
     A.attributed t.ostats Onll_obs.Opstats.checkpoint_done (fun () ->
-        with_lock t (fun () -> drain_locked t))
+        Lock.with_lock t.lock (fun () -> drain_locked t))
 
-  let checkpoint t =
-    with_lock t (fun () ->
-        let upto = C.checkpoint t.obj in
-        (* the checkpoint summarised every available op — tail included *)
-        prune_acked t t.tail;
-        t.tail <- [];
-        upto)
+  let checkpoint t = Lock.with_lock t.lock (fun () -> compact_locked t)
 
   let was_linearized t id = C.was_linearized t.obj id
   let current_state t = C.current_state t.obj
@@ -320,52 +250,23 @@ struct
 
   (* Hardened recovery: salvage the coordinator logs, recover the inner
      object with the drained indices as the oracle, re-apply any drained
-     operation the rebuilt trace could not place, then settle the ledger:
-     every at-risk ack (drained acks left the ledger when fenced — they
-     are durable by construction) is either linearized now or named in
-     [lost_acked]. The lost set is, by construction, the unfenced suffix
-     at the crash (minus anything an incidental checkpoint saved). *)
+     operation the rebuilt trace could not place (in staging order), then
+     settle the ledger: every at-risk ack (drained acks left the ledger
+     when fenced — they are durable by construction) is either
+     linearized now or named in [lost_acked]. The lost set is, by
+     construction, the unfenced suffix at the crash (minus anything an
+     incidental checkpoint saved). *)
   let recover_report t =
-    M.Tvar.set t.lock false;
+    Lock.release t.lock;
     let failures = ref 0 in
-    let recovered = Array.to_list (Array.map L.recover t.coord) in
-    let coord_salvage =
-      List.map2
-        (fun l (r, _) -> (L.name l, r))
-        (Array.to_list t.coord) recovered
+    let shards = [| t.obj |] in
+    let rc = Coord.recover t.coord shards ~failures in
+    let injected =
+      Coord.reapply shards
+        (List.stable_sort
+           (fun (a : _ Onll_core.Coord_log.sub) b -> Int.compare a.idx b.idx)
+           (List.concat rc.Coord.records))
     in
-    let drained =
-      List.concat_map
-        (fun (_, payloads) ->
-          Onll_util.Codec.decode_tolerant drain_codec ~failures payloads)
-        recovered
-      |> List.concat
-    in
-    let extra =
-      List.filter_map
-        (fun s ->
-          if s.d_idx >= 0 then
-            Some (s.d_idx, { Onll.id_proc = s.d_proc; id_seq = s.d_seq }, s.d_op)
-          else None)
-        drained
-    in
-    let r, _helper_payloads = C.recover_txn t.obj ~extra in
-    (* Drained ops stranded above a hole (their oracle index unreachable)
-       are re-applied exactly-once, in staging order, and made durable. *)
-    let seen = Hashtbl.create 16 in
-    let missing =
-      List.sort (fun a b -> compare a.d_idx b.d_idx) drained
-      |> List.filter_map (fun s ->
-             let id = { Onll.id_proc = s.d_proc; id_seq = s.d_seq } in
-             if Hashtbl.mem seen id || C.was_linearized t.obj id then None
-             else begin
-               Hashtbl.replace seen id ();
-               Some (id, s.d_op)
-             end)
-    in
-    let injected = List.length (C.inject_txn_run t.obj missing) in
-    (* Settle the ledger: an acked op that is still not linearized was
-       lost with the volatile tail. *)
     let lost =
       Hashtbl.fold
         (fun id () acc ->
@@ -378,53 +279,25 @@ struct
     t.last_lost <- lost;
     t.tail <- [];
     Hashtbl.reset t.acked;
-    {
-      r with
-      Report.recovered_ops = r.Report.recovered_ops + injected;
-      decode_failures = r.Report.decode_failures + !failures;
-      salvage = coord_salvage @ r.Report.salvage;
-      lost_acked = lost @ r.Report.lost_acked;
-    }
+    let r = Coord.report rc ~failures:!failures ~injected in
+    { r with Report.lost_acked = lost @ r.Report.lost_acked }
 
   (* The calibration baseline: forgets the drain records and the ledger,
      exactly the mistake the checker and the chaos audits must catch. *)
   let recover_unhardened t =
-    M.Tvar.set t.lock false;
+    Lock.release t.lock;
     t.tail <- [];
     t.last_lost <- [];
     Hashtbl.reset t.acked;
     C.recover_unhardened t.obj;
-    Array.iter L.recover_unhardened t.coord
+    Coord.recover_unhardened t.coord
 
-  let scrub t =
-    let r = C.scrub t.obj in
-    Array.fold_left
-      (fun acc l -> Onll_plog.Plog.add_scrub acc (L.scrub l))
-      r t.coord
-
+  let scrub t = Coord.scrub t.coord (C.scrub t.obj)
   let degraded t = C.degraded t.obj
 
   let snapshot t =
     let s = C.snapshot t.obj in
-    let coord_logs =
-      Array.to_list t.coord
-      |> List.map (fun l ->
-             let ops_per_entry =
-               List.map
-                 (fun e ->
-                   match Onll_util.Codec.decode drain_codec e with
-                   | subs -> List.length subs
-                   | exception _ -> 0)
-                 (L.entries l)
-             in
-             {
-               Onll.Snapshot.log_name = L.name l;
-               live_bytes = L.live_bytes l;
-               used_bytes = L.used_bytes l;
-               entry_count = List.length ops_per_entry;
-               ops_per_entry;
-             })
-    in
+    let coord_logs = Coord.snapshot_rows t.coord in
     { s with Onll.Snapshot.logs = s.Onll.Snapshot.logs @ coord_logs }
 end
 

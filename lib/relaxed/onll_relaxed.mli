@@ -6,11 +6,11 @@
     update is acknowledged {b fence-free} into a volatile tail bounded by
     a {b risk budget} — at most [max_unfenced_ops] acked operations (and,
     with a clock, at most [max_unfenced_ns] of age) may be unfenced at
-    any moment. A single lazy fence (one CRC-framed coordinator record,
-    the E19 commit-record mechanism) drains the whole tail when the
-    budget fills, when a strict update piggybacks on it, or on an
-    explicit {!Make_over.flush}. Steady-state cost is therefore
-    [1/k] fences per update instead of 1.
+    any moment. A single lazy fence (one CRC-framed drain record in the
+    coordinator log {!Onll_core.Coord_log}, which E19's commit records
+    share) drains the whole tail when the budget fills, when a strict
+    update piggybacks on it, or on an explicit {!Make_over.flush}.
+    Steady-state cost is therefore [1/k] fences per update instead of 1.
 
     What a crash may cost is exactly the budget: the unfenced {e suffix}
     of the linearization, never more, never an interior operation.
@@ -106,19 +106,20 @@ module Make_over
   (** Deepest tail ever observed; never exceeds the effective budget. *)
 
   val checkpoint : t -> int
-  (** Checkpoint the inner object. The summary covers the tail (acked
-      operations are available), so the tail is durable afterwards and
-      cleared. *)
+  (** The wrapper's one compaction, which a drain's full-log retry runs
+      too: compact the inner object (its checkpoint covers the tail,
+      since acked operations are available), drop every drain record and
+      clear the tail. Returns the summarised index. *)
 
   val recover_report : t -> Report.t
-  (** Hardened recovery: salvage coordinator logs, recover the inner
-      object with the drain records as the committed-operation oracle,
-      re-apply stranded drained operations exactly-once, then settle the
-      acknowledgement ledger — every operation acked since the last
-      recovery is either linearized in the rebuilt state or listed in
-      [lost_acked]. [lost_acked] is always the unfenced suffix at the
-      crash, at most the budget deep (minus operations an incidental
-      checkpoint made durable). *)
+  (** Hardened recovery: the coordinator log's
+      ({!Onll_core.Coord_log}) — the inner object recovered with the
+      drain records as its oracle, stranded drained operations re-applied
+      exactly once in staging order — then the acknowledgement ledger
+      settled: every operation acked since the last recovery is either
+      linearized in the rebuilt state or listed in [lost_acked], which is
+      always the unfenced suffix at the crash, at most the budget deep
+      (minus operations an incidental checkpoint made durable). *)
 
   val recover_unhardened : t -> unit
   (** Calibration baseline: ignores drain records and the ledger.

@@ -173,12 +173,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
           recover_report = (fun () -> R.recover_report r);
           recover_unhardened = (fun () -> R.recover_unhardened r);
           scrub = (fun () -> ignore (R.scrub r));
-          compact =
-            (fun () ->
-              (* the wrapper's checkpoint covers the tail and clears it;
-                 the inner compaction usually finds no progress to record *)
-              ignore (R.checkpoint r : int);
-              ignore (C.compact inner : int));
+          (* the wrapper's one compaction: the inner object's, which
+             covers the tail, then the drain records it makes redundant *)
+          compact = (fun () -> ignore (R.checkpoint r : int));
           relaxed =
             Some
               {

@@ -109,8 +109,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     log_fill : unit -> float;  (** the fullest object log's fill, O(1) *)
     compact : unit -> unit;
         (** {!Onll_core.Onll.CONSTRUCTION.compact} of the calling
-            process's logs (after the relaxed wrapper's checkpoint, which
-            covers its tail, over the relaxed front) *)
+            process's logs (over the relaxed front, the wrapper's
+            checkpoint: the inner compaction, which covers the tail, then
+            the drain records dropped) *)
     alloc : (unit -> int) option;  (** the identity allocator built with *)
     relaxed : relaxed option;
         (** [Some] over the relaxed front — under a session only when

@@ -31,15 +31,15 @@
     + {b finish} (linearize): each staged node is set available and its
       return value computed from the trace prefix. No further fences.
 
-    Recovery composes: coordinator logs are salvaged and decoded first
-    (the {e sweep} precedes any new submission); each shard then recovers
-    with the committed transactions as an oracle
-    ({!Onll_core.Onll.TXN_CAPABLE.recover_txn}) so a sub-operation whose
-    only durable copy is the commit record is re-adopted in place; the
-    payloads found riding in shard logs add the helper-committed
-    transactions; finally any committed sub-operation still missing is
-    idempotently re-applied ({e exactly-once}, keyed by its per-shard
-    identity) and durably re-logged. A crash at any point therefore
+    Recovery composes, through the coordinator log {!Onll_core.Coord_log}
+    that E20's drain records share: coordinator logs are salvaged and
+    decoded first (the {e sweep} precedes any new submission); each shard
+    then recovers with the committed transactions as an oracle, so a
+    sub-operation whose only durable copy is the commit record is
+    re-adopted in place; the payloads found riding in shard logs add the
+    helper-committed transactions; finally any committed sub-operation
+    still missing is re-applied {e exactly once}, keyed by its per-shard
+    identity, and durably re-logged. A crash at any point therefore
     leaves no partial transaction visible: either the commit record (or a
     helper's record) survived — recovery replays the transaction in
     full — or neither did and no sub-operation was ever durable.
@@ -144,14 +144,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   (** {1 Crash recovery} *)
 
   val recover_report : t -> Onll_core.Onll.Recovery_report.t
-  (** Hardened composed recovery, in coordinator-sweep-before-submission
-      order: salvage + decode the coordinator logs (committed set C1);
-      recover each shard with C1's staged indices as oracle; union in the
-      helper-committed payloads shard logs carried (C2); rebuild the
-      committed table and bump transaction sequence allocation; then
-      sweep — idempotently re-apply (and durably re-log, one fenced
-      append per affected shard) every committed sub-operation recovery
-      could not place. The report composes the per-shard reports as
+  (** Hardened composed recovery, as the header describes: commit
+      records (C1) as the shards' oracle, helper-carried payloads (C2)
+      added, the committed table and transaction sequence allocation
+      rebuilt, then the sweep (one fenced re-apply run per affected
+      shard). The report composes the per-shard reports as
       {!Onll_sharded.SHARDED.recover_report} does, prepends the
       coordinator logs' salvage entries, counts undecodable commit
       records as [decode_failures] and swept re-applies in

@@ -269,12 +269,12 @@ let test_compaction_preserves_detectability () =
 
 (* {1 An entry recovery cannot decode} *)
 
-(* kv whose update codec refuses to decode one key: a CRC-valid entry that
-   nevertheless fails to decode. *)
 (* Recovery counts the undecodable batch and moves on; later checkpoints
    must not decode the log again, and the entry keys to [max_int], so no
    checkpoint drops it and the next recovery reports it again. A snapshot
-   counts it as 0 operations at every step. *)
+   counts it as 0 operations at every step. The first recovery also drops
+   [b], stranded above the entry's hole, from the log: [c] then takes
+   index 2 and [b] never comes back. *)
 let test_undecodable_entry_kept () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
@@ -294,19 +294,94 @@ let test_undecodable_entry_kept () =
   in
   List.iter put [ "a"; "poison"; "b" ];
   check Alcotest.int "recovery counts the entry" 1 (recover_failures ());
-  check Alcotest.int "snapshot after recovery" 2 (logged_ops "recovery");
+  check Alcotest.int "snapshot after recovery" 1 (logged_ops "recovery");
   ignore (C.checkpoint obj);
-  check Alcotest.int "snapshot after a checkpoint" 1
+  check Alcotest.int "snapshot after a checkpoint" 0
     (logged_ops "checkpoint");
   put "c";
-  check Alcotest.int "snapshot after an update" 2 (logged_ops "update");
+  check Alcotest.int "snapshot after an update" 1 (logged_ops "update");
   ignore (C.checkpoint obj);
-  check Alcotest.int "snapshot after a second checkpoint" 2
+  check Alcotest.int "snapshot after a second checkpoint" 1
     (logged_ops "second checkpoint");
   check Alcotest.int "a second recovery still reports it" 1
     (recover_failures ());
-  check Alcotest.int "snapshot after the second recovery" 2
-    (logged_ops "second recovery")
+  check Alcotest.int "snapshot after the second recovery" 1
+    (logged_ops "second recovery");
+  check Alcotest.bool "b stays dropped" true
+    (C.read obj (Onll_specs.Kv.Get "b") = Onll_specs.Kv.Found None);
+  check Alcotest.bool "c survives" true
+    (C.read obj (Onll_specs.Kv.Get "c") = Onll_specs.Kv.Found (Some "v"))
+
+(* {1 The combiner lock across an escaping fault or a crash} *)
+
+(* A flush storm on every region: the leader's batch fence times out and
+   the fault escapes the update with the lock held. The lock must be
+   released on the way out, or the next update spins in the busy-wait
+   for good. *)
+let test_escaping_fault_releases_lock () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_batched.Make (M) (Cs) in
+  let obj = C.make (cfg ()) in
+  let run body =
+    match
+      Sim.run ~max_steps:200_000 sim Onll_sched.Sched.Strategy.round_robin
+        [| body |]
+    with
+    | Onll_sched.Sched.World.Completed -> ()
+    | _ -> Alcotest.fail "simulated body did not complete"
+  in
+  let storm =
+    Onll_faults.Faults.install (Sim.memory sim)
+      {
+        Onll_faults.Faults.Plan.none with
+        seed = 7;
+        flush_fail_prob = 1.0;
+        max_consecutive_transients = 1_000_000;
+      }
+  in
+  run (fun _ ->
+      match C.update obj Cs.Increment with
+      | _ -> Alcotest.fail "the storm never bit"
+      | exception Onll_nvm.Memory.Transient_fault _ -> ());
+  Onll_faults.Faults.remove storm;
+  run (fun _ ->
+      check Alcotest.int "the next update completes" 1
+        (C.update obj Cs.Increment))
+
+(* A crash just before a checkpoint's first persistent fence kills the
+   process inside the lock: the kill must pass through untouched (no
+   release step while unwinding), and recovery resets the lock. *)
+let test_crash_inside_checkpoint () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_batched.Make (M) (Cs) in
+  let module Strategy = Onll_sched.Sched.Strategy in
+  let obj = C.make (cfg ()) in
+  let body _ =
+    for _ = 1 to 3 do
+      ignore (C.update obj Cs.Increment)
+    done
+  in
+  (match Sim.run sim Strategy.round_robin [| body |] with
+  | Onll_sched.Sched.World.Completed -> ()
+  | _ -> Alcotest.fail "updates did not complete");
+  (match
+     Sim.run sim
+       (Strategy.script [ Strategy.run_until_pfence 0; Strategy.Crash_here ])
+       [| (fun _ -> ignore (C.checkpoint obj)) |]
+   with
+  | Onll_sched.Sched.World.Crashed -> ()
+  | _ -> Alcotest.fail "the crash inside the checkpoint did not land");
+  ignore (C.recover_report obj);
+  check Alcotest.int "recovery restores the value" 3 (C.read obj Cs.Get);
+  (match
+     Sim.run ~max_steps:200_000 sim Strategy.round_robin
+       [| (fun _ -> ignore (C.update obj Cs.Increment)) |]
+   with
+  | Onll_sched.Sched.World.Completed -> ()
+  | _ -> Alcotest.fail "update after recovery did not complete");
+  check Alcotest.int "and the object serves on" 4 (C.read obj Cs.Get)
 
 (* {1 The chaos arms (media faults, nested recovery crashes)} *)
 
@@ -364,6 +439,13 @@ let () =
         [
           Alcotest.test_case "an undecodable entry survives checkpoints"
             `Quick test_undecodable_entry_kept;
+        ] );
+      ( "lock",
+        [
+          Alcotest.test_case "an escaping fault releases the lock" `Quick
+            test_escaping_fault_releases_lock;
+          Alcotest.test_case "a crash inside a checkpoint" `Quick
+            test_crash_inside_checkpoint;
         ] );
       ( "chaos",
         [

@@ -1117,7 +1117,9 @@ let test_recovery_report_gap_and_dropped () =
 
 (* Recovery counts an entry that does not decode and moves on; a
    snapshot counts it as 0 operations, before and after the checkpoint
-   that drops it (its key comes from the record header). *)
+   that drops it (its key comes from the record header). The recovery
+   also drops [b], stranded above the entry's hole, from the log, so [c]
+   is the only operation logged after it. *)
 let test_undecodable_entry_snapshot () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
@@ -1137,18 +1139,53 @@ let test_undecodable_entry_snapshot () =
   in
   List.iter put [ "a"; "poison"; "b" ];
   check Alcotest.int "recovery counts the entry" 1 (recover_failures ());
-  check Alcotest.int "snapshot after recovery" 2 (logged_ops "recovery");
+  check Alcotest.int "snapshot after recovery" 1 (logged_ops "recovery");
   ignore (C.checkpoint obj);
-  check Alcotest.int "snapshot after a checkpoint" 1
+  check Alcotest.int "snapshot after a checkpoint" 0
     (logged_ops "checkpoint");
   put "c";
-  check Alcotest.int "snapshot after an update" 2 (logged_ops "update");
+  check Alcotest.int "snapshot after an update" 1 (logged_ops "update");
   ignore (C.checkpoint obj);
-  check Alcotest.int "snapshot after the dropping checkpoint" 2
+  check Alcotest.int "snapshot after the dropping checkpoint" 0
     (logged_ops "second checkpoint");
   check Alcotest.int "the dropped entry is gone" 0 (recover_failures ());
-  check Alcotest.int "snapshot after the second recovery" 2
+  check Alcotest.int "snapshot after the second recovery" 0
     (logged_ops "second recovery")
+
+(* A degraded recovery drops [b], stranded above the undecodable entry's
+   hole. Its entry must leave the log: otherwise [d] reuses its index 3
+   after the restart, and the next recovery keeps the older copy, brings
+   [b] back and loses the acknowledged [d]. *)
+let test_dropped_entry_stays_dropped () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Test_support.Poisoned_kv) in
+  let module Kv = Onll_specs.Kv in
+  let obj = C.make Onll_core.Onll.Config.default in
+  let put k = fst (C.update_with_id obj (Kv.Put (k, "v"))) in
+  let crash_recover () =
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    C.recover_report obj
+  in
+  let b = List.nth (List.map put [ "a"; "poison"; "b" ]) 2 in
+  let r = crash_recover () in
+  check Alcotest.int "b is dropped" 1
+    (List.length r.Onll_core.Onll.Recovery_report.dropped);
+  let d = List.nth (List.map put [ "c"; "d" ]) 1 in
+  let r = crash_recover () in
+  let module R = Onll_core.Onll.Recovery_report in
+  check Alcotest.(pair int int) "no gap, drop or disagreement left" (0, 0)
+    ( List.length r.R.gap_indices + List.length r.R.dropped,
+      List.length r.R.disagreements );
+  check Alcotest.int "the undecodable entry is still counted" 1
+    r.R.decode_failures;
+  check Alcotest.bool "b stays dropped" true
+    (C.read obj (Kv.Get "b") = Kv.Found None);
+  check Alcotest.bool "b is not linearized" false (C.was_linearized obj b);
+  check Alcotest.bool "the acknowledged d survives" true
+    (C.read obj (Kv.Get "d") = Kv.Found (Some "v"));
+  check Alcotest.bool "d is linearized" true (C.was_linearized obj d)
 
 let test_recovery_corrupt_on_forged_gap () =
   let sim = Sim.create ~max_processes:1 () in
@@ -1241,6 +1278,8 @@ let () =
             test_recovery_report_gap_and_dropped;
           Alcotest.test_case "undecodable entry in snapshots" `Quick
             test_undecodable_entry_snapshot;
+          Alcotest.test_case "a dropped entry stays dropped" `Quick
+            test_dropped_entry_stays_dropped;
         ] );
       ( "detectability",
         [

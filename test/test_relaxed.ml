@@ -176,6 +176,62 @@ let test_checkpoint_covers_the_tail () =
   check Alcotest.int "nothing lost" 0 (List.length r.Report.lost_acked);
   check Alcotest.int "summarised ops survive" 3 (R.read obj Cs.Get)
 
+(* {1 The re-apply sweep}
+
+   Over the serve stack a second update path shares the inner object:
+   [update_detectable] runs beside the wrapper, as [Onll_stack] builds
+   it. Process 1 stages its update at index 1 and is crashed before its
+   fence; process 0's strict update is staged at index 2 and drained.
+   Index 1 is gone, so the drain record's oracle cannot place the drained
+   operation in place: the sweep must re-apply it, exactly once. *)
+
+let test_sweep_reapplies_a_stranded_drain () =
+  let sim = Sim.create ~max_processes:2 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let module R = Onll_relaxed.Make_over (M) (Cs) (C) in
+  let inner = C.make default in
+  let obj = R.attach default inner in
+  let drained = ref None in
+  let strategy =
+    Sched.Strategy.(
+      script
+        [
+          Run_until (1, fun l -> l = Sched.Pfence);
+          Run_to_completion 0;
+          Crash_here;
+        ])
+  in
+  (match
+     Sim.run sim strategy
+       [|
+         (fun _ -> drained := Some (fst (R.update_strict obj Cs.Increment)));
+         (fun _ -> ignore (C.update_detectable inner ~seq:0 Cs.Increment));
+       |]
+   with
+  | Sched.World.Crashed -> ()
+  | _ -> Alcotest.fail "the crash did not land");
+  let drained = Option.get !drained in
+  check Alcotest.int "drained at index 2, above the crashed update" 2
+    (R.snapshot obj).Onll_core.Onll.Snapshot.latest_available_idx;
+  let r = R.recover_report obj in
+  check Alcotest.int "re-applied once" 1 r.Report.recovered_ops;
+  check Alcotest.(list int) "at the first free index" [ 1 ]
+    (List.map snd (C.recovered_ops inner));
+  check Alcotest.int "applied exactly once" 1 (R.read obj Cs.Get);
+  check Alcotest.bool "the drained op is linearized" true
+    (R.was_linearized obj drained);
+  check Alcotest.bool "the crashed op is not" false
+    (R.was_linearized obj { Onll_core.Onll.id_proc = 1; id_seq = 0 });
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let r = R.recover_report obj in
+  check Alcotest.bool "a second recovery is clean" true (Report.clean r);
+  check Alcotest.int "and re-applies nothing" 1 r.Report.recovered_ops;
+  check Alcotest.int "the value holds" 1 (R.read obj Cs.Get);
+  check Alcotest.bool "the drained op stays linearized" true
+    (R.was_linearized obj drained)
+
 (* {1 Recoverable faults release the lock}
 
    A degraded store or a transient fault escapes the wrapper to the
@@ -318,6 +374,11 @@ let () =
             test_checkpoint_covers_the_tail;
           Alcotest.test_case "unhardened calibration" `Quick
             test_unhardened_recovery_loses_silently;
+        ] );
+      ( "re-apply sweep",
+        [
+          Alcotest.test_case "a stranded drain is re-applied once" `Quick
+            test_sweep_reapplies_a_stranded_drain;
         ] );
       ( "fault containment",
         [
