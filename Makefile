@@ -39,8 +39,8 @@ gate:
 # group commit under --sharded), durable
 # client sessions (E15), cross-shard transactions (E19: all-or-nothing
 # across a crash sweep, plain and mirrored), a kill -9 slice of the E17
-# file-backend campaign (real files, real fsync, SIGKILLed subprocess
-# workers), a slice of the E18 service campaign (`onll serve`
+# file-backend campaign (real files, real fsync, every epoch a forked
+# child SIGKILLed mid-fence), a slice of the E18 service campaign (`onll serve`
 # subprocesses over real sockets, audited for exactly-once), and the E20
 # bounded-staleness campaign (risk-budgeted lazy fences; crash loss must
 # be the budgeted suffix, exactly reported — plain and mirrored).

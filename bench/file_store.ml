@@ -16,16 +16,16 @@
       the far end of that axis, which is what makes group commit and
       sharding earn their keep on real media.
 
-   3. The out-of-process kill -9 campaign, driven through `onll store
-      worker` subprocesses when the CLI binary is reachable (skipped
-      with a note otherwise — e.g. when the bench runs from an
-      installed tree).
+   3. The kill -9 campaign: the same restart and media-fault arms with
+      every epoch in a forked child that SIGKILLs itself at the seeded
+      fence, plain and mirrored.
 
    Arms 2 and 3 are measurements/campaigns, keyed [e17t.*] / [e17c.*] —
-   outside the gate's [e17.] prefix, so wall-clock noise and subprocess
+   outside the gate's [e17.] prefix, so wall-clock noise and process
    scheduling never break CI determinism. *)
 
 module Fchaos = Test_support.File_chaos
+module Campaign = Test_support.Campaign
 module Metrics = Onll_obs.Metrics
 module Fmem = Onll_nvm.File_memory
 module Fm = Onll_machine.File_machine
@@ -42,7 +42,7 @@ let median a =
   a.(Array.length a / 2)
 
 let raw_fence_ns () =
-  let dir = Fchaos.fresh_dir () in
+  let dir = Test_support.Temp_dir.fresh ~prefix:"onll-e17" in
   let fm = Fmem.create ~dir ~max_processes:1 () in
   let r = Fmem.region fm ~name:"probe" ~size:4096 in
   let samples = 64 in
@@ -61,7 +61,7 @@ let raw_fence_ns () =
   median ns
 
 let update_ns ~replicas =
-  let dir = Fchaos.fresh_dir () in
+  let dir = Test_support.Temp_dir.fresh ~prefix:"onll-e17" in
   let fmach = Fm.create ~dir ~max_processes:1 () in
   ignore (Fm.register fmach);
   let module M = (val Fm.machine fmach) in
@@ -116,36 +116,25 @@ let fence_timing reg =
     (float_of_int pf_plain /. float_of_int updates)
     (float_of_int pf_mirr /. float_of_int updates)
 
-(* {1 Arm 3: the subprocess kill -9 campaign} *)
-
-let find_cli () =
-  match Sys.getenv_opt "ONLL_CLI" with
-  | Some p when Sys.file_exists p -> Some p
-  | _ ->
-      let candidate = "_build/default/bin/onll_cli.exe" in
-      if Sys.file_exists candidate then Some candidate else None
+(* {1 Arm 3: the kill -9 campaign} *)
 
 let campaign reg =
-  match find_cli () with
-  | None ->
-      print_endline
-        "e17 campaign: onll CLI binary not found (set $ONLL_CLI); \
-         skipping the subprocess arm"
-  | Some worker ->
-      let seeds =
-        match Sys.getenv_opt "ONLL_E17_SEEDS" with
-        | Some s -> int_of_string s
-        | None -> 25
-      in
-      let dir = Fchaos.fresh_dir () in
-      let cam = Fchaos.run_campaign ~worker ~dir ~seeds ~target:8 in
-      Format.printf "e17 campaign: %a@." Fchaos.pp_campaign cam;
-      List.iter
-        (Printf.eprintf "e17 campaign violation: %s\n")
-        (Fchaos.campaign_violations cam);
-      Fchaos.campaign_to_metrics reg cam;
-      Test_support.Temp_dir.rm_rf dir;
-      assert (Fchaos.campaign_violations cam = [])
+  let seeds =
+    match Sys.getenv_opt "ONLL_E17_SEEDS" with
+    | Some s -> int_of_string s
+    | None -> 25
+  in
+  let rows =
+    Test_support.Temp_dir.with_fresh ~prefix:"onll-e17" (fun dir ->
+        Fchaos.run_campaign ~dir ~seeds ~target:8)
+  in
+  Fchaos.print_rows rows;
+  List.iter
+    (fun (r : Campaign.row) ->
+      ignore (Campaign.to_metrics ~reg ~prefix:("e17c." ^ r.name) r))
+    rows;
+  assert (List.for_all (fun (r : Campaign.row) -> r.violations = []) rows);
+  assert (Campaign.total "kills" rows > 0)
 
 let run () =
   let reg = Metrics.create () in
@@ -160,7 +149,7 @@ let run () =
   assert (Metrics.counter_value reg "e17.enospc.violations" = 0);
   print_endline "== fence cost on real media ==";
   fence_timing reg;
-  print_endline "== kill -9 subprocess campaign ==";
+  print_endline "== kill -9 campaign (forked epochs) ==";
   campaign reg;
   let path = Harness.write_snapshot ~experiment:"e17" reg in
   Printf.printf "snapshot: %s\n" path

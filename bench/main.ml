@@ -42,6 +42,26 @@ let experiments =
     ("f2", "Figure 2 / Prop 5.2: fuzzy-window bound", Fuzzy_window.run);
   ]
 
+(* Experiments whose campaigns fork. OCaml refuses [Unix.fork] in a
+   process that has ever spawned a domain, and the native experiments
+   do; so next to other experiments these run in a fresh process of
+   this harness. *)
+let forking = [ "e17"; "e18" ]
+
+let run_alone id =
+  flush stdout;
+  match
+    Unix.waitpid []
+      (Unix.create_process Sys.executable_name
+         [| Sys.executable_name; id |]
+         Unix.stdin Unix.stdout Unix.stderr)
+  with
+  | _, Unix.WEXITED 0 -> ()
+  | _, st ->
+      failwith
+        (Printf.sprintf "%s in its own process: %s" id
+           (Test_support.Campaign.status_to_string st))
+
 let () =
   let requested =
     match Array.to_list Sys.argv with
@@ -51,6 +71,8 @@ let () =
   List.iter
     (fun id ->
       match List.find_opt (fun (id', _, _) -> id = id') experiments with
+      | Some _ when List.mem id forking && List.length requested > 1 ->
+          run_alone id
       | Some (_, descr, run) ->
           Printf.printf "\n################ %s — %s ################\n%!" id
             descr;

@@ -20,6 +20,7 @@
       one cross-pass exactly-once audit, keyed [e18c.*]. *)
 
 module Schaos = Test_support.Service_chaos
+module Campaign = Test_support.Campaign
 module Loadgen = Onll_serve.Loadgen
 module Metrics = Onll_obs.Metrics
 
@@ -132,15 +133,17 @@ let campaign reg = function
          the subprocess arm"
   | Some worker ->
       let seeds = env_int "ONLL_E18_SEEDS" 8 in
-      let dir = Schaos.fresh_dir () in
-      let cam = Schaos.run_campaign ~worker ~dir ~seeds in
-      Format.printf "e18 campaign: %a@." Schaos.pp_campaign cam;
+      let rows =
+        Test_support.Temp_dir.with_fresh ~prefix:"onll-e18" (fun dir ->
+            Schaos.run_campaign ~worker ~dir ~seeds)
+      in
+      Schaos.print_rows rows;
       List.iter
-        (Printf.eprintf "e18 campaign violation: %s\n")
-        (Schaos.campaign_violations cam);
-      Schaos.campaign_to_metrics reg cam;
-      Test_support.Temp_dir.rm_rf dir;
-      assert (Schaos.campaign_violations cam = [])
+        (fun (r : Campaign.row) ->
+          ignore (Campaign.to_metrics ~reg ~prefix:("e18c." ^ r.name) r))
+        rows;
+      assert (List.for_all (fun (r : Campaign.row) -> r.violations = []) rows);
+      assert (Campaign.total "kills" rows > 0)
 
 let run () =
   let reg = Metrics.create () in

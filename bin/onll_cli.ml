@@ -162,11 +162,12 @@ let fuzz_cmd =
    calibration (the deliberately broken arm was never caught) exits 1. *)
 let exit_violations = 4
 
-(* A hardened arm: print its row unless [--quiet]; any violation exits
+(* Hardened arms: print their rows unless [--quiet]; any violation exits
    with the violation code. *)
-let hardened_arm ~quiet ~print row =
-  if not quiet then print [ row ];
-  if row.Test_support.Campaign.violations <> [] then exit exit_violations
+let hardened_arm ~quiet ~print rows =
+  if not quiet then print rows;
+  if List.exists (fun r -> r.Test_support.Campaign.violations <> []) rows
+  then exit exit_violations
 
 (* A calibration arm: [caught] of [seeds] deliberately broken runs were
    flagged; a detector that never fired exits 1. *)
@@ -210,7 +211,7 @@ let txn_chaos seeds unhardened mirrored quiet =
       else (Txn_chaos.plan_of_seed, "kv/txn")
     in
     hardened_arm ~quiet ~print:Txn_chaos.print_rows
-      (Txn_chaos.arm ~plan_of ~name ~seeds ())
+      [ Txn_chaos.arm ~plan_of ~name ~seeds () ]
 
 (* [--relaxed]: the E20 bounded-staleness campaign — seeded crashes cut
    the risk-budgeted tail at swept depths (plain or mirrored), audited
@@ -232,7 +233,7 @@ let relaxed_chaos seeds unhardened mirrored quiet =
       else (Relaxed_chaos.plan_of_seed, "kv/relaxed")
     in
     hardened_arm ~quiet ~print:Relaxed_chaos.print_rows
-      (Relaxed_chaos.arm ~plan_of ~name ~seeds ())
+      [ Relaxed_chaos.arm ~plan_of ~name ~seeds () ]
 
 (* The E12/E13/E14/E16 grids on one object: [--unhardened] runs the
    calibration, which must be caught; hardened runs must be clean, and a
@@ -272,7 +273,7 @@ let object_chaos spec seeds unhardened mirrored sharded batched quiet =
            ~title:
              (Printf.sprintf "chaos %s (violations must be 0%s)" name
                 (if mirrored then "; mirrored: no loss either" else "")))
-      row;
+      [ row ];
     if mirrored && Chaos_harness.lost [ row ] > 0 then begin
       if not quiet then
         print_endline
@@ -1117,171 +1118,43 @@ let rationale_cmd =
   Cmd.v (Cmd.info "rationale" ~doc)
     Term.(const Onll_scenarios.Rationale.print_all $ const ())
 
-(* {1 store: the file-backed store and its kill -9 harness (E17)} *)
+(* {1 store / service campaign: the kill campaigns (E17, E18)} *)
 
-module Fchaos = Test_support.File_chaos
-
-let store_worker dir target replicas kill_at_fence kill_after_sectors
-    fsync_eio_from fsync_eio_count enospc_at_write short_write_prob seed
-    retry_budget backoff_ns =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    Printf.eprintf "store directory %S does not exist\n" dir;
-    exit 2
-  end;
-  let fplan =
-    if
-      kill_at_fence = 0 && fsync_eio_from = 0 && enospc_at_write = 0
-      && short_write_prob = 0. && seed = 0
-    then None
-    else
-      Some
-        {
-          Onll_faults.Faults.File_plan.base =
-            { Onll_faults.Faults.Plan.none with seed };
-          kill_at_fence;
-          kill_after_sectors;
-          fsync_eio_from;
-          fsync_eio_count;
-          drop_pages_on_eio = true;
-          enospc_at_write;
-          short_write_prob;
-          kill_mode = Onll_faults.Faults.File_plan.Sigkill;
-        }
-  in
-  let emit line =
-    print_string line;
-    print_newline ();
-    flush stdout
-  in
-  match
-    Fchaos.run_epoch ?fplan ~retry_budget ~backoff_ns ~emit ~dir ~replicas
-      ~target ()
-  with
-  | Fchaos.Done _ -> exit 0
-  | Fchaos.Degraded _ -> exit 3
-  | Fchaos.Failed _ -> exit 4
-  | Fchaos.Crashed ->
-      (* Raise mode is never selected here; Sigkill never returns *)
-      exit 5
-
-let store_worker_cmd =
-  let doc =
-    "(harness internal) Run one epoch of the E17 counter workload against \
-     a file-backed store: open the store, recover, resolve the in-doubt \
-     session operation, submit increments to the target, narrating \
-     RESOLUTION/ACK/DONE lines on stdout. The kill/fault flags arm the \
-     file fault injector; with a kill armed the process SIGKILLs itself \
-     mid-fence and the supervisor audits what the files hold."
-  in
-  let dir =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR" ~doc:"store directory (must exist)")
-  in
-  let target =
-    Arg.(
-      value & opt int 8
-      & info [ "target" ] ~docv:"N" ~doc:"counter value to reach")
-  in
-  let replicas =
-    Arg.(
-      value & opt int 1
-      & info [ "replicas" ] ~docv:"R" ~doc:"mirror logs over R files")
-  in
-  let kill_at_fence =
-    Arg.(
-      value & opt int 0
-      & info [ "kill-at-fence" ] ~docv:"N"
-          ~doc:"SIGKILL self at the N-th persistent fence (0 = never)")
-  in
-  let kill_after_sectors =
-    Arg.(
-      value & opt int 0
-      & info [ "kill-after-sectors" ] ~docv:"K"
-          ~doc:
-            "where inside that fence: 0 before any write, K>0 after K \
-             sector writes, -1 at the fsync point")
-  in
-  let fsync_eio_from =
-    Arg.(
-      value & opt int 0
-      & info [ "fsync-eio-from" ] ~docv:"N"
-          ~doc:"first fsync (1-based) to fail with EIO (0 = never)")
-  in
-  let fsync_eio_count =
-    Arg.(
-      value & opt int 1
-      & info [ "fsync-eio-count" ] ~docv:"N"
-          ~doc:"how many consecutive fsyncs fail")
-  in
-  let enospc_at_write =
-    Arg.(
-      value & opt int 0
-      & info [ "enospc-at-write" ] ~docv:"N"
-          ~doc:"the N-th sector write raises ENOSPC (0 = never)")
-  in
-  let short_write_prob =
-    Arg.(
-      value & opt float 0.
-      & info [ "short-write-prob" ] ~docv:"P"
-          ~doc:"per-sector short (torn) write probability")
-  in
-  let seed =
-    Arg.(
-      value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"injector seed")
-  in
-  let retry_budget =
-    Arg.(
-      value & opt int 8
-      & info [ "retry-budget" ] ~docv:"N"
-          ~doc:"fence write-back attempts before sticky degradation")
-  in
-  let backoff_ns =
-    Arg.(
-      value & opt int 0
-      & info [ "backoff-ns" ] ~docv:"NS" ~doc:"base retry backoff (ns)")
-  in
-  Cmd.v (Cmd.info "worker" ~doc)
-    Term.(
-      const store_worker $ dir $ target $ replicas $ kill_at_fence
-      $ kill_after_sectors $ fsync_eio_from $ fsync_eio_count
-      $ enospc_at_write $ short_write_prob $ seed $ retry_budget $ backoff_ns)
-
-let store_campaign seeds target dir keep =
+(* A kill campaign over a scratch directory ([--dir], created if missing,
+   or a fresh one under $TMPDIR; removed after unless [--keep]). Its rows
+   exit as hardened arms do, and a campaign in which no epoch was killed
+   proves nothing: it exits 1, as a calibration that never fired does. *)
+let kill_campaign ~prefix ~print dir keep run =
+  let open Test_support in
   let base =
     match dir with
     | Some d ->
         if not (Sys.file_exists d) then Unix.mkdir d 0o755;
         d
-    | None ->
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "onll-e17-campaign-%d" (Unix.getpid ()))
-        in
-        Unix.mkdir d 0o755;
-        d
+    | None -> Temp_dir.fresh ~prefix
   in
-  let cam =
-    Fchaos.run_campaign ~worker:Sys.executable_name ~dir:base ~seeds ~target
-  in
-  Format.printf "e17 campaign: %a@." Fchaos.pp_campaign cam;
-  List.iter
-    (Printf.eprintf "violation: %s\n")
-    (Fchaos.campaign_violations cam);
-  if not keep then Test_support.Temp_dir.rm_rf base;
-  if Fchaos.campaign_violations cam <> [] then exit 1
+  let rows = run base in
+  if not keep then Temp_dir.rm_rf base;
+  hardened_arm ~quiet:false ~print rows;
+  if Campaign.total "kills" rows = 0 then begin
+    print_endline "NO EPOCH WAS KILLED — campaign proves nothing";
+    exit 1
+  end
+
+let store_campaign seeds target dir keep =
+  let open Test_support in
+  kill_campaign ~prefix:"onll-e17-campaign" ~print:File_chaos.print_rows dir
+    keep (fun dir -> File_chaos.run_campaign ~dir ~seeds ~target)
 
 let store_campaign_cmd =
   let doc =
-    "The E17 kill -9 crash campaign: spawn `onll store worker` \
-     subprocesses against file-backed stores (plain and mirrored), \
-     SIGKILL them at seeded fence points — before, during and after the \
-     sector write-backs and at the fsync itself — rerun recovery in the \
-     next spawn, and audit exactly-once: no acked update lost, no update \
-     applied twice, fsync-EIO arms never ack past a failed fence. Exits \
-     non-zero on any violation."
+    "The E17 kill -9 crash campaign: run every epoch in a forked child \
+     against file-backed stores (plain and mirrored), SIGKILL it at \
+     seeded fence points — before, during and after the sector \
+     write-backs and at the fsync itself — rerun recovery in the next \
+     epoch, and audit exactly-once: no acked update lost, no update \
+     applied twice, fsync-fault arms never ack past a failed fence. Exits \
+     4 on any violation, 1 when no epoch was killed."
   in
   let seeds =
     Arg.(
@@ -1311,10 +1184,9 @@ let store_campaign_cmd =
 let store_cmd =
   let doc =
     "The real file-backed store (E17): regions are files, a persistent \
-     fence is fsync. Subcommands run one worker epoch or the full kill -9 \
-     crash campaign."
+     fence is fsync. The subcommand runs the kill -9 crash campaign."
   in
-  Cmd.group (Cmd.info "store" ~doc) [ store_worker_cmd; store_campaign_cmd ]
+  Cmd.group (Cmd.info "store" ~doc) [ store_campaign_cmd ]
 
 (* {1 serve / load: the crash-tolerant network front-end (E18)} *)
 
@@ -1730,30 +1602,11 @@ let load_cmd =
       $ backoff_cap_ms $ churn_every_ms $ churn_frac $ connect_timeout_ms
       $ tier $ base $ no_audit $ json_out)
 
-module Schaos = Test_support.Service_chaos
-
 let service_campaign seeds dir keep =
-  let base =
-    match dir with
-    | Some d ->
-        if not (Sys.file_exists d) then Unix.mkdir d 0o755;
-        d
-    | None ->
-        let d =
-          Filename.concat
-            (Filename.get_temp_dir_name ())
-            (Printf.sprintf "onll-e18-campaign-%d" (Unix.getpid ()))
-        in
-        Unix.mkdir d 0o755;
-        d
-  in
-  let cam = Schaos.run_campaign ~worker:Sys.executable_name ~dir:base ~seeds in
-  Format.printf "e18 campaign: %a@." Schaos.pp_campaign cam;
-  List.iter
-    (Printf.eprintf "violation: %s\n")
-    (Schaos.campaign_violations cam);
-  if not keep then Test_support.Temp_dir.rm_rf base;
-  if Schaos.campaign_violations cam <> [] then exit 1
+  let open Test_support in
+  kill_campaign ~prefix:"onll-e18-campaign" ~print:Service_chaos.print_rows
+    dir keep (fun dir ->
+      Service_chaos.run_campaign ~worker:Sys.executable_name ~dir ~seeds)
 
 let service_campaign_cmd =
   let doc =
@@ -1763,8 +1616,8 @@ let service_campaign_cmd =
      (plain and mirrored), flood it with disconnect/reattach churn, land \
      SIGTERM mid-load, and drill sticky media degradation — then resolve \
      every in-doubt operation against a clean restart and audit \
-     exactly-once: 0 duplicate applies, 0 lost acks. Exits non-zero on \
-     any violation."
+     exactly-once: 0 duplicate applies, 0 lost acks. Exits 4 on any \
+     violation, 1 when no server was killed."
   in
   let seeds =
     Arg.(

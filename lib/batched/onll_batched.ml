@@ -59,20 +59,23 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
             Checkpoint { upto_idx; state }
         | n -> raise (Decode_error (Printf.sprintf "record: bad tag %d" n)))
 
-  (* The drop key of an encoded record: a batch's last execution index, a
-     checkpoint's [upto_idx + 1] — a checkpoint at [upto] makes redundant
-     every record whose key is [<= upto], and keys are non-decreasing
-     along the log. A checkpoint's key is read from its header (the
-     [tagged] frame, then [upto_idx]), so its state is never decoded for
-     it; a batch is decoded, and one that does not decode keys to
-     [max_int]: it is never dropped, so every recovery still reports it. *)
+  (* The drop key of an encoded record, read from its header as core's
+     [record_key] does — the [tagged] frame (tag, body length), then the
+     body's leading fields: a batch's last execution index ([start_idx]
+     plus the envelope count, minus one), a checkpoint's [upto_idx + 1].
+     A checkpoint at [upto] makes redundant every record whose key is
+     [<= upto], and keys are non-decreasing along the log. No envelope is
+     decoded, so a batch whose envelopes do not decode is dropped like any
+     other; only a malformed header keys to [max_int]. *)
   let record_key payload =
-    if String.length payload >= 24 && String.get_int64_le payload 0 = 1L then
-      Int64.to_int (String.get_int64_le payload 16) + 1
+    let n = String.length payload in
+    let field off = Int64.to_int (String.get_int64_le payload off) in
+    if n < 24 || field 8 <> n - 16 then max_int
     else
-      match Onll_util.Codec.decode record_codec payload with
-      | Batch { start_idx; envs } -> start_idx + List.length envs - 1
-      | Checkpoint _ | (exception _) -> max_int
+      match field 0 with
+      | 0 when n >= 32 -> field 16 + field 24 - 1
+      | 1 when field 16 < max_int -> field 16 + 1
+      | _ -> max_int
 
   type slot =
     | Empty

@@ -1,6 +1,6 @@
-(** The one campaign loop behind the seeded simulator crash campaigns
-    (E12–E16, E19, E20): seed → run → audit → sum a row, a calibration
-    counter, one table printer and one metrics fold.
+(** The one campaign loop behind the seeded crash campaigns (E12–E20):
+    seed → run → audit → sum a row, a calibration counter, one table
+    printer and one metrics fold.
 
     A campaign supplies its per-seed plan grid, its [run] and a projection
     of its result onto named counts ([media_faults], [acked], …); the
@@ -119,3 +119,34 @@ let summary_metrics ?(reg = Onll_obs.Metrics.create ()) ~prefix s =
   add ".calibration.runs" s.cal_runs;
   add ".calibration.caught" s.cal_caught;
   reg
+
+(** {1 Tallies}
+
+    A run that counts as it goes — a subprocess campaign's multi-epoch
+    scenario (E17, E18) — bumps named counts and records violations in a
+    tally; {!tally_arm} sums its seeds' tallies into a row. *)
+
+type tally = {
+  tallied : (string, int) Hashtbl.t;
+  mutable failures : string list;  (** newest first *)
+}
+
+let tally () = { tallied = Hashtbl.create 16; failures = [] }
+let count t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
+let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count t key + by)
+let fail t fmt = Printf.ksprintf (fun s -> t.failures <- s :: t.failures) fmt
+
+(** {!arm} over tallies: the row's counts are [keys], in order, and a run
+    crashed when its ["kills"] count is above 0. *)
+let tally_arm ~name ~seeds ~keys run =
+  arm ~name ~seeds
+    ~crashed:(fun t -> count t "kills" > 0)
+    ~violations:(fun t -> List.rev t.failures)
+    ~counts:(fun t -> List.map (fun k -> (k, count t k)) keys)
+    run
+
+(** How a child process ended, for a violation message. *)
+let status_to_string = function
+  | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s

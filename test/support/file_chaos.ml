@@ -5,9 +5,7 @@
    resolve the in-doubt operation, then submit increments until the
    counter reaches [target]. The epoch narrates itself through a tiny
    line protocol (RESOLUTION / NEXT_SEQ / V0 / ACK / APPLIED / DONE /
-   DEGRADED) emitted through a callback — the subprocess worker prints
-   and flushes each line (so everything acked before a SIGKILL reaches
-   the supervisor), while the in-process gate slice just collects them.
+   DEGRADED) emitted through a callback.
 
    The AUDIT consumes those lines across epochs and checks the
    exactly-once / no-lost-ack invariants:
@@ -21,32 +19,31 @@
    - the final epoch's APPLIED scan (was_linearized over every seq) must
      contain every confirmed seq and agree with the final value.
 
-   Crashes come in two flavours, selected by the fault plan's kill mode:
-   [Sigkill] for the out-of-process campaign (the supervisor spawns
-   `onll store worker` and expects WSIGNALED), [Raise] for the
-   deterministic in-process slice the bench gate replays (the injected
-   crash is caught here, the store closed unfsynced, and the next epoch
-   reopens the directory). *)
+   One SCENARIO is one loop of epochs over one store directory
+   ({!scenario}). What differs is how an epoch runs, the scenario's
+   RUNNER: {!in_process} runs it here with [Raise] kills (the injected
+   crash is caught, the store closed unfsynced, and the next epoch
+   reopens the directory — deterministic, so the bench gate replays
+   it); {!forked} runs it in a forked child with [Sigkill] kills, whose
+   lines come back over a pipe (each flushed, so everything acked
+   before the kill reaches the audit) and whose wait status becomes the
+   epoch's outcome — the kill -9 campaign. *)
 
 module Faults = Onll_faults.Faults
 module Fm = Onll_machine.File_machine
 module File_memory = Onll_nvm.File_memory
 module Cs = Onll_specs.Counter
-module Metrics = Onll_obs.Metrics
 
 type outcome =
-  | Done of int  (** reached target; final value *)
-  | Crashed  (** in-process injected crash (Raise mode) *)
+  | Done  (** reached the target *)
+  | Crashed  (** killed: an injected crash in process, SIGKILL in a child *)
   | Degraded of string  (** fail-stop: fsync retry budget exhausted *)
   | Failed of string  (** a submission returned an error *)
 
 (* {1 One epoch} *)
 
-let run_epoch ?(log_capacity = 1 lsl 14) ?(retry_budget = 8) ?(backoff_ns = 0)
-    ?(sector_size = 512) ?fplan ~emit ~dir ~replicas ~target () =
-  let fmach =
-    Fm.create ~sector_size ~retry_budget ~backoff_ns ~dir ~max_processes:1 ()
-  in
+let run_epoch ?fplan ~emit ~dir ~replicas ~target () =
+  let fmach = Fm.create ~backoff_ns:0 ~dir ~max_processes:1 () in
   let inj =
     Option.map (fun p -> Faults.install_file (Fm.memory fmach) p) fplan
   in
@@ -62,7 +59,7 @@ let run_epoch ?(log_capacity = 1 lsl 14) ?(retry_budget = 8) ?(backoff_ns = 0)
   try
     let obj =
       B.build { Onll_stack.plain with replicas }
-        { Onll_core.Onll.Config.default with log_capacity }
+        { Onll_core.Onll.Config.default with log_capacity = 1 lsl 14 }
     in
     ignore (obj.B.recover_report ());
     let backend = B.backend obj in
@@ -114,7 +111,7 @@ let run_epoch ?(log_capacity = 1 lsl 14) ?(retry_budget = 8) ?(backoff_ns = 0)
                 (List.map (fun s -> " " ^ string_of_int s) applied)));
         let vf = Sess.read sess Cs.Get in
         emit (Printf.sprintf "DONE %d" vf);
-        finish (Done vf)
+        finish Done
   with
   | Onll_nvm.Memory.Injected_crash -> finish Crashed
   | File_memory.Degraded msg ->
@@ -225,410 +222,273 @@ let audit_done a ~target =
    The n-th epoch of a scenario is killed at a fence index that grows
    with n, so every epoch durably out-runs the previous one and the
    scenario converges; the cut lands before any write, mid-write, or at
-   the fsync point, round-robin over the seed. *)
+   the fsync point, round-robin over the seed. The runner sets the kill
+   mode. *)
 
-let kill_plan ~mode ~seed ~epoch =
+let kill_plan ~seed ~epoch =
   {
     Faults.File_plan.none with
     base = { Onll_faults.Faults.Plan.none with seed };
     kill_at_fence = 2 + (2 * epoch) + (seed mod 3);
     kill_after_sectors = [| 0; 1; 3; -1 |].((seed + epoch) mod 4);
-    kill_mode = mode;
   }
 
-(* {1 The deterministic in-process slice (bench gate + tests)}
+(* {1 Epoch runners} *)
 
-   Kill mode [Raise]: the injected crash is an exception caught by
-   [run_epoch], the store is closed without fsync and the next epoch
-   reopens the same directory — fully deterministic, no subprocesses, so
-   the counters below are gate-golden material. *)
+let with_kill_mode kill_mode =
+  Option.map (fun p -> { p with Faults.File_plan.kill_mode })
 
-type slice_totals = {
-  mutable t_scenarios : int;
-  mutable t_epochs : int;
-  mutable t_kills : int;
-  mutable t_acks : int;
-  mutable t_confirmed : int;
-  mutable t_adopted : int;
-  mutable t_reacked : int;
-  mutable t_violations : int;
+let in_process ~fplan ~emit ~dir ~replicas ~target =
+  run_epoch
+    ?fplan:(with_kill_mode Faults.File_plan.Raise fplan)
+    ~emit ~dir ~replicas ~target ()
+
+(* The child exits 0 when done and 3 when degraded; a kill is SIGKILL. *)
+let forked ~fplan ~emit ~dir ~replicas ~target =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close r;
+      let oc = Unix.out_channel_of_descr w in
+      let emit line =
+        output_string oc line;
+        output_char oc '\n';
+        flush oc
+      in
+      Unix._exit
+        (match
+           run_epoch
+             ?fplan:(with_kill_mode Faults.File_plan.Sigkill fplan)
+             ~emit ~dir ~replicas ~target ()
+         with
+        | Done -> 0
+        | Degraded _ -> 3
+        | Crashed | Failed _ -> 4
+        | exception e ->
+            prerr_endline (Printexc.to_string e);
+            2)
+  | pid -> (
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      (try
+         while true do
+           emit (input_line ic)
+         done
+       with End_of_file -> ());
+      close_in ic;
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> Done
+      | Unix.WSIGNALED s when s = Sys.sigkill -> Crashed
+      | Unix.WEXITED 3 -> Degraded "the child exited 3"
+      | st -> Failed ("the child ended with " ^ Campaign.status_to_string st))
+
+(* {1 The epoch loop} *)
+
+(* A scenario's counts, in table order: [acks_before] is what was
+   confirmed before a clean epoch, [value] the final counter value. *)
+let counts =
+  [
+    "epochs"; "kills"; "degraded"; "acks"; "acks_before"; "confirmed";
+    "adopted"; "reacked"; "value";
+  ]
+
+(* Epochs run under [plan epoch] until one reaches [target]; a killed
+   epoch is followed by the next. A degraded epoch — expected only when
+   [degrades] — or a failed one ends the faulted run, as does running out
+   of epochs, and one clean epoch must then finish: to [target], or past
+   what a degraded store confirmed by two. *)
+let scenario ~runner ?(degrades = false) ~dir ~replicas ~target plan =
+  let t = Campaign.tally () in
+  let a = audit_create () in
+  let epoch ~fplan ~target =
+    Campaign.bump t "epochs";
+    runner ~fplan ~emit:(audit_line a) ~dir ~replicas ~target
+  in
+  let max_epochs = (3 * target) + 8 in
+  let rec faulted e =
+    e < max_epochs
+    &&
+    match epoch ~fplan:(Some (plan e)) ~target with
+    | Done ->
+        if degrades then violation a "completed despite endless fsync EIO";
+        true
+    | Crashed ->
+        Campaign.bump t "kills";
+        faulted (e + 1)
+    | Degraded m ->
+        Campaign.bump t "degraded";
+        if not degrades then violation a "unexpected degradation: %s" m;
+        false
+    | Failed m ->
+        violation a "unexpected failure: %s" m;
+        false
+  in
+  let target =
+    try
+      if faulted 0 then target
+      else begin
+        let confirmed = Hashtbl.length a.confirmed in
+        Campaign.bump t "acks_before" ~by:confirmed;
+        let target = if degrades then confirmed + 2 else target in
+        if epoch ~fplan:None ~target <> Done then
+          violation a "the clean epoch did not complete";
+        target
+      end
+    with e ->
+      violation a "scenario raised %s" (Printexc.to_string e);
+      target
+  in
+  audit_done a ~target;
+  List.iter
+    (fun (k, by) -> Campaign.bump t k ~by)
+    [
+      ("acks", a.acks);
+      ("confirmed", Hashtbl.length a.confirmed);
+      ("adopted", a.adopted);
+      ("reacked", a.reacked);
+      ("value", Option.value ~default:0 a.done_value);
+    ];
+  List.iter (Campaign.fail t "%s") (List.rev a.violations);
+  t
+
+(* {1 Arms} *)
+
+(* Seeds [0, seeds) of the seeded kill schedule, each scenario in its own
+   directory under [dir]. *)
+let restart_arm ~runner ~dir ~name ~replicas ~target ~seeds =
+  Campaign.tally_arm ~name ~seeds ~keys:counts (fun seed ->
+      let seed = seed - 1 in
+      scenario ~runner
+        ~dir:(Temp_dir.sub dir (Printf.sprintf "%s-%d" name seed))
+        ~replicas ~target
+        (fun epoch -> kill_plan ~seed ~epoch))
+
+type fault_arm = {
+  name : string;
+  plan : Faults.File_plan.t;
+  target : int;
+  degrades : bool;  (** the expected outcome: sticky degradation *)
+  gated : string list;  (** the row's keys in the bench gate *)
 }
 
-let fresh_dir () = Temp_dir.fresh ~prefix:"onll-e17"
-
-let run_restart_scenario ~replicas ~target ~seed totals =
-  let dir = fresh_dir () in
-  let a = audit_create () in
-  let max_epochs = (3 * target) + 8 in
-  (try
-     let finished = ref false in
-     let epoch = ref 0 in
-     while (not !finished) && !epoch < max_epochs do
-       let fplan =
-         kill_plan ~mode:Faults.File_plan.Raise ~seed ~epoch:!epoch
-       in
-       let outcome =
-         run_epoch ~fplan ~emit:(audit_line a) ~dir ~replicas ~target ()
-       in
-       totals.t_epochs <- totals.t_epochs + 1;
-       (match outcome with
-       | Done _ -> finished := true
-       | Crashed -> totals.t_kills <- totals.t_kills + 1
-       | Degraded m -> violation a "unexpected degradation: %s" m
-       | Failed m -> violation a "unexpected failure: %s" m);
-       incr epoch
-     done
-   with e ->
-     violation a "scenario raised %s" (Printexc.to_string e));
-  audit_done a ~target;
-  totals.t_scenarios <- totals.t_scenarios + 1;
-  totals.t_acks <- totals.t_acks + a.acks;
-  totals.t_confirmed <- totals.t_confirmed + Hashtbl.length a.confirmed;
-  totals.t_adopted <- totals.t_adopted + a.adopted;
-  totals.t_reacked <- totals.t_reacked + a.reacked;
-  totals.t_violations <- totals.t_violations + List.length a.violations;
-  List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  Temp_dir.rm_rf dir
-
-let slice_to_metrics reg ~prefix t =
-  let c name v = Metrics.add (Metrics.counter reg (prefix ^ "." ^ name)) v in
-  c "scenarios" t.t_scenarios;
-  c "runs" t.t_epochs;
-  c "kills" t.t_kills;
-  c "acks" t.t_acks;
-  c "confirmed" t.t_confirmed;
-  c "adopted" t.t_adopted;
-  c "reacked" t.t_reacked;
-  c "violations" t.t_violations
-
-(* fsync-failure slices: bounded-retry success, then the sticky
-   fail-stop. Both deterministic (backoff 0, fixed injection sites). *)
-let run_eio_slices reg =
-  let c name v = Metrics.add (Metrics.counter reg name) v in
-  (* EIO within the retry budget: the fence re-writes and lands; every
-     submission acks; nothing degrades. *)
-  let dir = fresh_dir () in
-  let a = audit_create () in
-  let fplan =
+(* The media-fault arms, one epoch each (two when it degrades):
+   - EIO within the retry budget: the fence re-writes and lands; every
+     submission acks; nothing degrades;
+   - EIO past the budget, with fsyncgate page loss on every attempt: the
+     fence never succeeds, the store degrades sticky, the in-flight
+     update is never acked — and the clean epoch still sees every update
+     that WAS acked before the first EIO;
+   - short writes: torn sectors at pwrite granularity, healed by the
+     bounded re-write retry;
+   - disk full: one injected ENOSPC fails the attempt, the retry lands.
+   Deterministic in process (backoff 0, fixed injection sites). *)
+let fault_arms =
+  let open Faults.File_plan in
+  [
     {
-      Faults.File_plan.none with
-      fsync_eio_from = 2;
-      fsync_eio_count = 2;
-      drop_pages_on_eio = true;
-    }
-  in
-  let target = 6 in
-  (match run_epoch ~fplan ~emit:(audit_line a) ~dir ~replicas:1 ~target () with
-  | Done v -> if v <> target then violation a "retry arm: %d != target" v
-  | Crashed -> violation a "retry arm crashed"
-  | Degraded m -> violation a "retry arm degraded within budget: %s" m
-  | Failed m -> violation a "retry arm failed: %s" m);
-  audit_done a ~target;
-  c "e17.eio.retry.acks" a.acks;
-  c "e17.eio.retry.violations" (List.length a.violations);
-  List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  Temp_dir.rm_rf dir;
-  (* EIO past the budget: fsyncgate page loss on every attempt. The fence
-     must never succeed, the store must degrade sticky, the epoch must not
-     ack the in-flight update — and a clean restart must still see every
-     update that WAS acked before the first EIO. *)
-  let dir = fresh_dir () in
-  let a = audit_create () in
-  let fplan =
+      name = "eio.retry";
+      plan =
+        {
+          none with
+          fsync_eio_from = 2;
+          fsync_eio_count = 2;
+          drop_pages_on_eio = true;
+        };
+      target = 6;
+      degrades = false;
+      gated = [ "acks"; "violations" ];
+    };
     {
-      Faults.File_plan.none with
-      fsync_eio_from = 4;
-      fsync_eio_count = 10_000;
-      drop_pages_on_eio = true;
-    }
-  in
-  let degraded_seen = ref 0 in
-  (match run_epoch ~fplan ~emit:(audit_line a) ~dir ~replicas:1 ~target:40 ()
-   with
-  | Degraded _ -> incr degraded_seen
-  | Done _ -> violation a "sticky arm completed despite unbounded EIO"
-  | Crashed -> violation a "sticky arm crashed"
-  | Failed m -> violation a "sticky arm failed oddly: %s" m);
-  let acked_before = a.acks + a.reacked in
-  (* clean restart over the same directory: recovery + the audit's V0
-     checks prove no acked update was lost and the failed fence's update
-     was never acked *)
-  let target = acked_before + 2 in
-  (match run_epoch ~emit:(audit_line a) ~dir ~replicas:1 ~target () with
-  | Done _ -> ()
-  | Crashed | Degraded _ | Failed _ ->
-      violation a "sticky arm: clean restart did not complete");
-  audit_done a ~target;
-  c "e17.eio.sticky.degraded" !degraded_seen;
-  c "e17.eio.sticky.acks_before" acked_before;
-  c "e17.eio.sticky.violations" (List.length a.violations);
-  List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  Temp_dir.rm_rf dir;
-  (* short writes: torn sectors at pwrite granularity, healed by the
-     bounded re-write retry — all acks land, zero violations *)
-  let dir = fresh_dir () in
-  let a = audit_create () in
-  let fplan =
+      name = "eio.sticky";
+      plan =
+        {
+          none with
+          fsync_eio_from = 4;
+          fsync_eio_count = 10_000;
+          drop_pages_on_eio = true;
+        };
+      target = 40;
+      degrades = true;
+      gated = [ "degraded"; "acks_before"; "violations" ];
+    };
     {
-      Faults.File_plan.none with
-      base = { Onll_faults.Faults.Plan.none with seed = 11 };
-      short_write_prob = 0.2;
-    }
-  in
-  let target = 8 in
-  (match run_epoch ~fplan ~emit:(audit_line a) ~dir ~replicas:1 ~target () with
-  | Done _ -> ()
-  | Crashed -> violation a "short-write arm crashed"
-  | Degraded m -> violation a "short-write arm degraded: %s" m
-  | Failed m -> violation a "short-write arm failed: %s" m);
-  audit_done a ~target;
-  c "e17.shortw.acks" a.acks;
-  c "e17.shortw.violations" (List.length a.violations);
-  List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  Temp_dir.rm_rf dir;
-  (* disk-full: one injected ENOSPC fails the attempt, the retry lands *)
-  let dir = fresh_dir () in
-  let a = audit_create () in
-  let fplan =
-    { Faults.File_plan.none with enospc_at_write = 3 }
-  in
-  let target = 5 in
-  (match run_epoch ~fplan ~emit:(audit_line a) ~dir ~replicas:1 ~target () with
-  | Done _ -> ()
-  | Crashed -> violation a "enospc arm crashed"
-  | Degraded m -> violation a "enospc arm degraded: %s" m
-  | Failed m -> violation a "enospc arm failed: %s" m);
-  audit_done a ~target;
-  c "e17.enospc.acks" a.acks;
-  c "e17.enospc.violations" (List.length a.violations);
-  List.iter (Printf.eprintf "e17 violation: %s\n%!") (List.rev a.violations);
-  Temp_dir.rm_rf dir
+      name = "shortw";
+      plan =
+        {
+          none with
+          base = { Onll_faults.Faults.Plan.none with seed = 11 };
+          short_write_prob = 0.2;
+        };
+      target = 8;
+      degrades = false;
+      gated = [ "acks"; "violations" ];
+    };
+    {
+      name = "enospc";
+      plan = { none with enospc_at_write = 3 };
+      target = 5;
+      degrades = false;
+      gated = [ "acks"; "violations" ];
+    };
+  ]
+
+let fault_row ~runner ~dir ~name ~replicas f =
+  Campaign.tally_arm ~name ~seeds:1 ~keys:counts (fun _ ->
+      scenario ~runner ~degrades:f.degrades ~dir:(Temp_dir.sub dir name)
+        ~replicas ~target:f.target (fun _ -> f.plan))
+
+(* {1 The deterministic in-process slices (bench gate + tests)} *)
 
 let gate_slices reg =
-  let plain =
-    {
-      t_scenarios = 0;
-      t_epochs = 0;
-      t_kills = 0;
-      t_acks = 0;
-      t_confirmed = 0;
-      t_adopted = 0;
-      t_reacked = 0;
-      t_violations = 0;
-    }
-  in
-  for seed = 0 to 2 do
-    run_restart_scenario ~replicas:1 ~target:6 ~seed plain
-  done;
-  slice_to_metrics reg ~prefix:"e17.restart.plain" plain;
-  let mirrored =
-    {
-      t_scenarios = 0;
-      t_epochs = 0;
-      t_kills = 0;
-      t_acks = 0;
-      t_confirmed = 0;
-      t_adopted = 0;
-      t_reacked = 0;
-      t_violations = 0;
-    }
-  in
-  for seed = 0 to 2 do
-    run_restart_scenario ~replicas:2 ~target:6 ~seed mirrored
-  done;
-  slice_to_metrics reg ~prefix:"e17.restart.mirrored" mirrored;
-  run_eio_slices reg
-
-(* {1 The out-of-process campaign (kill -9)}
-
-   The real thing: spawn `onll store worker` subprocesses, SIGKILL them
-   at seeded fence points via the fault layer, rerun recovery in the
-   next spawn, audit the same line protocol off the worker's stdout. *)
-
-type campaign = {
-  mutable c_scenarios : int;
-  mutable c_runs : int;
-  mutable c_sigkills : int;
-  mutable c_degraded : int;
-  mutable c_acks : int;
-  mutable c_confirmed : int;
-  mutable c_violations : string list;
-}
-
-let worker_args ~dir ~replicas ~target (fplan : Faults.File_plan.t option) =
-  (* single-token --flag=value form: a bare "-1" operand would parse as
-     an option *)
-  let base =
-    [
-      "store"; "worker"; "--dir=" ^ dir;
-      Printf.sprintf "--target=%d" target;
-      Printf.sprintf "--replicas=%d" replicas;
-    ]
-  in
-  match fplan with
-  | None -> base
-  | Some p ->
-      let open Faults.File_plan in
-      base
-      @ (if p.kill_at_fence > 0 then
-           [
-             Printf.sprintf "--kill-at-fence=%d" p.kill_at_fence;
-             Printf.sprintf "--kill-after-sectors=%d" p.kill_after_sectors;
-           ]
-         else [])
-      @ (if p.fsync_eio_from > 0 then
-           [
-             Printf.sprintf "--fsync-eio-from=%d" p.fsync_eio_from;
-             Printf.sprintf "--fsync-eio-count=%d" p.fsync_eio_count;
-           ]
-         else [])
-      @ (if p.short_write_prob > 0. then
-           [ Printf.sprintf "--short-write-prob=%f" p.short_write_prob ]
-         else [])
-      @
-      if p.base.Onll_faults.Faults.Plan.seed <> 0 then
-        [ Printf.sprintf "--seed=%d" p.base.Onll_faults.Faults.Plan.seed ]
-      else []
-
-let spawn_worker ~worker args =
-  let r, w = Unix.pipe () in
-  let pid =
-    Unix.create_process worker
-      (Array.of_list (worker :: args))
-      Unix.stdin w Unix.stderr
-  in
-  Unix.close w;
-  let ic = Unix.in_channel_of_descr r in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  let _, status = Unix.waitpid [] pid in
-  (List.rev !lines, status)
-
-let campaign_scenario cam ~worker ~dir ~replicas ~target ~seed =
-  let a = audit_create () in
-  let max_epochs = (3 * target) + 8 in
-  let finished = ref false in
-  let epoch = ref 0 in
-  while (not !finished) && !epoch < max_epochs do
-    let fplan =
-      kill_plan ~mode:Faults.File_plan.Sigkill ~seed ~epoch:!epoch
-    in
-    let lines, status =
-      spawn_worker ~worker (worker_args ~dir ~replicas ~target (Some fplan))
-    in
-    cam.c_runs <- cam.c_runs + 1;
-    List.iter (audit_line a) lines;
-    (match status with
-    | Unix.WSIGNALED s when s = Sys.sigkill ->
-        cam.c_sigkills <- cam.c_sigkills + 1
-    | Unix.WEXITED 0 -> finished := true
-    | Unix.WEXITED n -> violation a "worker exited %d" n
-    | Unix.WSIGNALED s -> violation a "worker died on signal %d" s
-    | Unix.WSTOPPED _ -> violation a "worker stopped");
-    incr epoch
-  done;
-  if not !finished then begin
-    (* the armed kill never let it finish in time; one clean run must *)
-    let lines, status =
-      spawn_worker ~worker (worker_args ~dir ~replicas ~target None)
-    in
-    cam.c_runs <- cam.c_runs + 1;
-    List.iter (audit_line a) lines;
-    match status with
-    | Unix.WEXITED 0 -> ()
-    | _ -> violation a "clean final worker did not complete"
-  end;
-  audit_done a ~target;
-  cam.c_scenarios <- cam.c_scenarios + 1;
-  cam.c_acks <- cam.c_acks + a.acks;
-  cam.c_confirmed <- cam.c_confirmed + Hashtbl.length a.confirmed;
-  cam.c_violations <- List.rev_append a.violations cam.c_violations
-
-let campaign_eio cam ~worker ~dir ~replicas ~target =
-  let a = audit_create () in
-  (* sticky fail-stop under endless EIO: worker must exit 3 (degraded) *)
-  let sticky =
-    {
-      Faults.File_plan.none with
-      fsync_eio_from = 4;
-      fsync_eio_count = 10_000;
-    }
-  in
-  let lines, status =
-    spawn_worker ~worker (worker_args ~dir ~replicas ~target (Some sticky))
-  in
-  cam.c_runs <- cam.c_runs + 1;
-  List.iter (audit_line a) lines;
-  (match status with
-  | Unix.WEXITED 3 -> cam.c_degraded <- cam.c_degraded + 1
-  | Unix.WEXITED 0 -> violation a "eio worker completed despite endless EIO"
-  | _ -> violation a "eio worker died unexpectedly");
-  (* clean rerun: everything acked before the EIO storm must be there,
-     the update whose fence failed must not *)
-  let target = Hashtbl.length a.confirmed + 2 in
-  let lines, status =
-    spawn_worker ~worker (worker_args ~dir ~replicas ~target None)
-  in
-  cam.c_runs <- cam.c_runs + 1;
-  List.iter (audit_line a) lines;
-  (match status with
-  | Unix.WEXITED 0 -> ()
-  | _ -> violation a "clean rerun after EIO did not complete");
-  audit_done a ~target;
-  cam.c_scenarios <- cam.c_scenarios + 1;
-  cam.c_acks <- cam.c_acks + a.acks;
-  cam.c_confirmed <- cam.c_confirmed + Hashtbl.length a.confirmed;
-  cam.c_violations <- List.rev_append a.violations cam.c_violations
-
-let run_campaign ~worker ~dir ~seeds ~target =
-  let cam =
-    {
-      c_scenarios = 0;
-      c_runs = 0;
-      c_sigkills = 0;
-      c_degraded = 0;
-      c_acks = 0;
-      c_confirmed = 0;
-      c_violations = [];
-    }
+  Temp_dir.with_fresh ~prefix:"onll-e17" @@ fun dir ->
+  let emit keys (row : Campaign.row) =
+    List.iter (Printf.eprintf "e17 violation: %s\n%!") row.violations;
+    ignore (Campaign.to_metrics ~reg ~keys ~prefix:("e17." ^ row.name) row)
   in
   List.iter
-    (fun (arm, replicas) ->
-      for seed = 0 to seeds - 1 do
-        let sdir = Filename.concat dir (Printf.sprintf "%s-%d" arm seed) in
-        Unix.mkdir sdir 0o755;
-        campaign_scenario cam ~worker ~dir:sdir ~replicas ~target ~seed
-      done)
-    [ ("plain", 1); ("mirrored", 2) ];
+    (fun (name, replicas) ->
+      emit
+        [
+          "runs"; "epochs"; "kills"; "acks"; "confirmed"; "adopted";
+          "reacked"; "violations";
+        ]
+        (restart_arm ~runner:in_process ~dir ~name ~replicas ~target:6
+           ~seeds:3))
+    [ ("restart.plain", 1); ("restart.mirrored", 2) ];
   List.iter
-    (fun (arm, replicas) ->
-      let sdir = Filename.concat dir ("eio-" ^ arm) in
-      Unix.mkdir sdir 0o755;
-      campaign_eio cam ~worker ~dir:sdir ~replicas ~target:30)
-    [ ("plain", 1); ("mirrored", 2) ];
-  cam
+    (fun f ->
+      emit f.gated
+        (fault_row ~runner:in_process ~dir ~name:f.name ~replicas:1 f))
+    fault_arms
 
-let campaign_to_metrics reg cam =
-  let c name v = Metrics.add (Metrics.counter reg name) v in
-  c "e17c.campaign.scenarios" cam.c_scenarios;
-  c "e17c.campaign.runs" cam.c_runs;
-  c "e17c.campaign.sigkills" cam.c_sigkills;
-  c "e17c.campaign.degraded" cam.c_degraded;
-  c "e17c.campaign.acks" cam.c_acks;
-  c "e17c.campaign.confirmed" cam.c_confirmed;
-  c "e17c.campaign.violations" (List.length cam.c_violations)
+(* {1 The kill -9 campaign}
 
-let pp_campaign ppf cam =
-  Format.fprintf ppf
-    "scenarios=%d runs=%d sigkills=%d degraded=%d acks=%d confirmed=%d \
-     violations=%d"
-    cam.c_scenarios cam.c_runs cam.c_sigkills cam.c_degraded cam.c_acks
-    cam.c_confirmed
-    (List.length cam.c_violations)
+   The same arms with every epoch in a forked child: the seeded kill
+   schedules and each media-fault arm, over plain and mirrored stores. *)
 
-let campaign_violations cam = cam.c_violations
+let run_campaign ~dir ~seeds ~target =
+  List.concat_map
+    (fun (store, replicas) ->
+      restart_arm ~runner:forked ~dir ~name:("restart." ^ store) ~replicas
+        ~target ~seeds
+      :: List.map
+           (fun f ->
+             fault_row ~runner:forked ~dir ~name:(f.name ^ "." ^ store)
+               ~replicas f)
+           fault_arms)
+    [ ("plain", 1); ("mirrored", 2) ]
+
+let print_rows =
+  Campaign.print
+    ~title:
+      "E17 — kill -9 campaign on file-backed stores (every epoch a forked \
+       child; exactly-once across SIGKILLs and fsync faults; violations \
+       must be 0)"
+    ~header:"arm"
+    ~columns:
+      (List.map
+         (fun k -> (k, k))
+         [
+           "runs"; "crashed"; "epochs"; "kills"; "degraded"; "acks";
+           "confirmed"; "adopted"; "reacked"; "violations";
+         ])

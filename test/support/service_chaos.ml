@@ -1,6 +1,6 @@
 (* E18: the network front-end crash harness.
 
-   Two layers, mirroring the E17 store harness (file_chaos.ml):
+   Two layers, like the E17 store harness (file_chaos.ml):
 
    - IN-PROCESS, DETERMINISTIC (gate material): drive
      {!Onll_serve.Service.Make.handle} directly over a file-backed
@@ -20,7 +20,9 @@
      read. Arms: seeded SIGKILL storms (plain and mirrored),
      disconnect/reattach floods with SIGTERM-mid-load drain, and a
      degraded-media drill. The audit's verdict is the tentpole claim:
-     0 duplicate applies, 0 lost acks, every in-doubt op resolved. *)
+     0 duplicate applies, 0 lost acks, every in-doubt op resolved.
+
+   Both layers count into {!Campaign} tallies and sum into its rows. *)
 
 module Faults = Onll_faults.Faults
 module Fm = Onll_machine.File_machine
@@ -45,56 +47,25 @@ let kill_point ~seed ~epoch =
 
 (* {1 In-process deterministic slices (Raise mode)} *)
 
-type slice_totals = {
-  mutable t_scenarios : int;
-  mutable t_epochs : int;
-  mutable t_kills : int;
-  mutable t_acks : int;
-  mutable t_confirmed : int;
-  mutable t_adopted : int;
-  mutable t_reinvoked : int;
-  mutable t_violations : int;
-}
-
-let new_totals () =
-  {
-    t_scenarios = 0;
-    t_epochs = 0;
-    t_kills = 0;
-    t_acks = 0;
-    t_confirmed = 0;
-    t_adopted = 0;
-    t_reinvoked = 0;
-    t_violations = 0;
-  }
-
-let slice_to_metrics reg ~prefix t =
-  let c name v = Metrics.add (Metrics.counter reg (prefix ^ "." ^ name)) v in
-  c "scenarios" t.t_scenarios;
-  c "epochs" t.t_epochs;
-  c "kills" t.t_kills;
-  c "acks" t.t_acks;
-  c "confirmed" t.t_confirmed;
-  c "adopted" t.t_adopted;
-  c "reinvoked" t.t_reinvoked;
-  c "violations" t.t_violations
+(* A restart scenario's counts: with [runs] and [violations], its rows'
+   gated keys. *)
+let restart_counts =
+  [ "epochs"; "kills"; "acks"; "confirmed"; "adopted"; "reinvoked" ]
 
 (* One scenario: a few protocol clients increment the shared counter to
    [target] acknowledgements across as many crash-restart epochs as the
    seeded kill schedule forces. *)
-let run_restart_scenario ~construction ~target ~seed totals =
+let run_restart_scenario ~construction ~target ~seed =
+  let t = Campaign.tally () in
   let dir = fresh_dir () in
   let nclients = 3 in
   let confirmed : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
   let confirm ~client ~seq =
-    if Hashtbl.mem confirmed (client, seq) then begin
-      Printf.eprintf "e18 violation: client %d seq %d confirmed twice\n%!"
-        client seq;
-      totals.t_violations <- totals.t_violations + 1
-    end
+    if Hashtbl.mem confirmed (client, seq) then
+      Campaign.fail t "client %d seq %d confirmed twice" client seq
     else begin
       Hashtbl.replace confirmed (client, seq) ();
-      totals.t_confirmed <- totals.t_confirmed + 1
+      Campaign.bump t "confirmed"
     end
   in
   (* the seq each client was last seen attempting (in doubt on crash) *)
@@ -124,7 +95,7 @@ let run_restart_scenario ~construction ~target ~seed totals =
       Faults.remove_file inj;
       Fm.close fmach
     in
-    totals.t_epochs <- totals.t_epochs + 1;
+    Campaign.bump t "epochs";
     (try
        let svc =
          Srv.make
@@ -149,33 +120,27 @@ let run_restart_scenario ~construction ~target ~seed totals =
                  if not (Hashtbl.mem confirmed (i, s)) then begin
                    confirm ~client:i ~seq:s;
                    match resolution with
-                   | Protocol.W_reinvoked _ ->
-                       totals.t_reinvoked <- totals.t_reinvoked + 1
-                   | _ -> totals.t_adopted <- totals.t_adopted + 1
+                   | Protocol.W_reinvoked _ -> Campaign.bump t "reinvoked"
+                   | _ -> Campaign.bump t "adopted"
                  end;
                  attempt.(i) <- -1
              | Protocol.W_refused _ -> attempt.(i) <- -1
              | Protocol.W_unresolved _ ->
-                 Printf.eprintf
-                   "e18 violation: unresolved under Raise faults\n%!";
-                 totals.t_violations <- totals.t_violations + 1;
+                 Campaign.fail t "unresolved under Raise faults";
                  attempt.(i) <- -1
              | Protocol.W_none ->
                  if attempt.(i) >= 0 && attempt.(i) < next_seq then begin
                    (* applied and session-acked; the crash ate the ack *)
                    confirm ~client:i ~seq:attempt.(i);
-                   totals.t_adopted <- totals.t_adopted + 1;
+                   Campaign.bump t "adopted";
                    attempt.(i) <- -1
                  end
                  (* else: never durable — resubmitted below under the
                     session's cursor *))
-         | resp ->
-             Printf.eprintf "e18 violation: hello answered %s\n%!"
-               (match resp with
-               | Protocol.Refused r ->
-                   Format.asprintf "%a" Protocol.pp_refusal r
-               | _ -> "non-attach");
-             totals.t_violations <- totals.t_violations + 1
+         | Protocol.Refused r ->
+             Campaign.fail t "hello answered %s"
+               (Format.asprintf "%a" Protocol.pp_refusal r)
+         | _ -> Campaign.fail t "hello answered non-attach"
        done;
        let i = ref 0 in
        while Hashtbl.length confirmed < target do
@@ -189,40 +154,36 @@ let run_restart_scenario ~construction ~target ~seed totals =
           with
          | Protocol.Acked { seq = s; value = _ } ->
              confirm ~client:c ~seq:s;
-             totals.t_acks <- totals.t_acks + 1;
+             Campaign.bump t "acks";
              next.(c) <- s + 1;
              attempt.(c) <- -1
          | Protocol.Refused (Protocol.R_bad_seq expected) ->
              next.(c) <- expected;
              attempt.(c) <- -1
          | Protocol.Refused r ->
-             Printf.eprintf "e18 violation: submit refused: %s\n%!"
+             Campaign.fail t "submit refused: %s"
                (Format.asprintf "%a" Protocol.pp_refusal r);
-             totals.t_violations <- totals.t_violations + 1;
              attempt.(c) <- -1
-         | _ ->
-             Printf.eprintf "e18 violation: submit got a non-ack\n%!";
-             totals.t_violations <- totals.t_violations + 1)
+         | _ -> Campaign.fail t "submit got a non-ack")
        done;
        let v = Srv.counter_value svc in
-       if v <> Hashtbl.length confirmed then begin
-         Printf.eprintf "e18 violation: counter %d, confirmed %d\n%!" v
+       if v <> Hashtbl.length confirmed then
+         Campaign.fail t "counter %d, confirmed %d" v
            (Hashtbl.length confirmed);
-         totals.t_violations <- totals.t_violations + 1
-       end;
        finished := true;
        finish ()
      with Onll_nvm.Memory.Injected_crash ->
-       totals.t_kills <- totals.t_kills + 1;
+       Campaign.bump t "kills";
        finish ());
     incr epoch
   done;
-  if not !finished then begin
-    Printf.eprintf "e18 violation: scenario never completed\n%!";
-    totals.t_violations <- totals.t_violations + 1
-  end;
-  totals.t_scenarios <- totals.t_scenarios + 1;
-  Temp_dir.rm_rf dir
+  if not !finished then Campaign.fail t "scenario never completed";
+  Temp_dir.rm_rf dir;
+  t
+
+let restart_arm ~name ~construction ~seeds =
+  Campaign.tally_arm ~name ~seeds ~keys:restart_counts (fun seed ->
+      run_restart_scenario ~construction ~target:6 ~seed:(seed - 1))
 
 (* Protocol policy surface, deterministically: refusals, injectivity,
    drain semantics — no faults, one epoch. *)
@@ -342,37 +303,29 @@ let run_oseq_slice reg =
   Temp_dir.rm_rf dir
 
 let gate_slices reg =
-  let plain = new_totals () in
-  for seed = 0 to 2 do
-    run_restart_scenario ~construction:Service.Plain ~target:6 ~seed plain
-  done;
-  slice_to_metrics reg ~prefix:"e18.restart.plain" plain;
-  let mirrored = new_totals () in
-  for seed = 0 to 2 do
-    run_restart_scenario ~construction:Service.Mirrored ~target:6 ~seed
-      mirrored
-  done;
-  slice_to_metrics reg ~prefix:"e18.restart.mirrored" mirrored;
+  List.iter
+    (fun (name, construction) ->
+      let row = restart_arm ~name ~construction ~seeds:3 in
+      List.iter (Printf.eprintf "e18 violation: %s\n%!") row.violations;
+      ignore
+        (Campaign.to_metrics ~reg
+           ~keys:(("runs" :: restart_counts) @ [ "violations" ])
+           ~prefix:("e18." ^ name) row))
+    [
+      ("restart.plain", Service.Plain);
+      ("restart.mirrored", Service.Mirrored);
+    ];
   run_policy_slice reg;
   run_oseq_slice reg
 
 (* {1 The out-of-process campaign (kill -9 over sockets)} *)
 
-type campaign = {
-  mutable c_scenarios : int;
-  mutable c_spawns : int;
-  mutable c_passes : int;
-  mutable c_sigkills : int;
-  mutable c_drains : int;
-  mutable c_degraded : int;
-  mutable c_confirmed : int;
-  mutable c_sheds : int;
-  mutable c_reconnects : int;
-  mutable c_violations : string list;
-}
-
-let violation cam fmt =
-  Printf.ksprintf (fun s -> cam.c_violations <- s :: cam.c_violations) fmt
+(* A socket scenario's counts, in table order. *)
+let campaign_counts =
+  [
+    "spawns"; "passes"; "kills"; "drains"; "degraded"; "confirmed"; "sheds";
+    "reconnects";
+  ]
 
 let server_args ~dir ~socket ~construction extra =
   [
@@ -384,7 +337,8 @@ let server_args ~dir ~socket ~construction extra =
   ]
   @ extra
 
-let spawn_server ~worker args =
+let spawn_server t ~worker args =
+  Campaign.bump t "spawns";
   let r, w = Unix.pipe () in
   let pid =
     Unix.create_process worker
@@ -413,22 +367,19 @@ let reap (pid, ic) =
   close_in ic;
   st
 
-let stop cam ~expect_exit (pid, ic) =
+let stop t ~expect_exit (pid, ic) =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  (match reap (pid, ic) with
-  | Unix.WEXITED n when n = expect_exit -> cam.c_drains <- cam.c_drains + 1
+  match reap (pid, ic) with
+  | Unix.WEXITED n when n = expect_exit -> Campaign.bump t "drains"
   | st ->
-      violation cam "server drain: expected exit %d, got %s" expect_exit
-        (match st with
-        | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-        | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-        | Unix.WSTOPPED _ -> "stopped"))
+      Campaign.fail t "server drain: expected exit %d, got %s" expect_exit
+        (Campaign.status_to_string st)
 
-let fold_pass cam (rep : Loadgen.report) =
-  cam.c_passes <- cam.c_passes + 1;
-  cam.c_confirmed <- cam.c_confirmed + rep.Loadgen.r_confirmed;
-  cam.c_sheds <- cam.c_sheds + rep.Loadgen.r_shed;
-  cam.c_reconnects <- cam.c_reconnects + rep.Loadgen.r_reconnects
+let fold_pass t (rep : Loadgen.report) =
+  Campaign.bump t "passes";
+  Campaign.bump t "confirmed" ~by:rep.Loadgen.r_confirmed;
+  Campaign.bump t "sheds" ~by:rep.Loadgen.r_shed;
+  Campaign.bump t "reconnects" ~by:rep.Loadgen.r_reconnects
 
 let pass_cfg ~socket ~seed ~duration_ms ~clients =
   {
@@ -447,12 +398,11 @@ let pass_cfg ~socket ~seed ~duration_ms ~clients =
 (* Close a scenario: clean server, resolve-only pass (every in-doubt op
    adopted / re-invoked / definitively resubmitted), direct counter read,
    the audit's verdict. *)
-let final_resolve cam ~worker ~dir ~socket ~construction ~audit ~seed =
-  let h = spawn_server ~worker (server_args ~dir ~socket ~construction []) in
-  cam.c_spawns <- cam.c_spawns + 1;
+let final_resolve t ~worker ~dir ~socket ~construction ~audit ~seed =
+  let h = spawn_server t ~worker (server_args ~dir ~socket ~construction []) in
   match wait_ready h with
   | `Died _ ->
-      violation cam "final clean server died before READY";
+      Campaign.fail t "final clean server died before READY";
       ignore (reap h)
   | `Ready -> (
       (* span every client that might still hold an in-doubt op (the
@@ -464,16 +414,16 @@ let final_resolve cam ~worker ~dir ~socket ~construction ~audit ~seed =
         Loadgen.run ~audit
           (pass_cfg ~socket ~seed:(seed + 9000) ~duration_ms:0 ~clients)
       in
-      fold_pass cam rep;
-      stop cam ~expect_exit:0 h;
+      fold_pass t rep;
+      stop t ~expect_exit:0 h;
       match rep.Loadgen.r_final_value with
-      | None -> violation cam "final pass read no counter value"
+      | None -> Campaign.fail t "final pass read no counter value"
       | Some v ->
           List.iter
-            (fun s -> violation cam "%s" s)
+            (Campaign.fail t "%s")
             (Loadgen.Audit.check_final audit ~counter_value:v))
 
-let scenario_kill cam ~worker ~dir ~construction ~seed =
+let scenario_kill t ~worker ~dir ~construction ~seed =
   let socket = Filename.concat dir "srv.sock" in
   let audit = Loadgen.Audit.create () in
   let survived = ref false in
@@ -483,7 +433,7 @@ let scenario_kill cam ~worker ~dir ~construction ~seed =
       kill_point ~seed ~epoch:!epoch
     in
     let h =
-      spawn_server ~worker
+      spawn_server t ~worker
         (server_args ~dir ~socket ~construction
            [
              Printf.sprintf "--kill-at-fence=%d" kill_at_fence;
@@ -491,16 +441,13 @@ let scenario_kill cam ~worker ~dir ~construction ~seed =
              Printf.sprintf "--seed=%d" (seed + 1);
            ])
     in
-    cam.c_spawns <- cam.c_spawns + 1;
     (match wait_ready h with
     | `Died (Unix.WSIGNALED s) when s = Sys.sigkill ->
-        cam.c_sigkills <- cam.c_sigkills + 1;
+        Campaign.bump t "kills";
         close_in (snd h)
     | `Died st ->
-        violation cam "armed server died oddly before READY (%s)"
-          (match st with
-          | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-          | _ -> "signal");
+        Campaign.fail t "armed server died oddly before READY (%s)"
+          (Campaign.status_to_string st);
         close_in (snd h)
     | `Ready -> (
         let rep =
@@ -509,37 +456,33 @@ let scenario_kill cam ~worker ~dir ~construction ~seed =
                ~seed:((seed * 131) + !epoch)
                ~duration_ms:500 ~clients:6)
         in
-        fold_pass cam rep;
+        fold_pass t rep;
         match Unix.waitpid [ Unix.WNOHANG ] (fst h) with
         | 0, _ ->
             (* the armed kill never fired inside this pass *)
-            stop cam ~expect_exit:0 h;
+            stop t ~expect_exit:0 h;
             survived := true
         | _, Unix.WSIGNALED s when s = Sys.sigkill ->
-            cam.c_sigkills <- cam.c_sigkills + 1;
+            Campaign.bump t "kills";
             close_in (snd h)
         | _, st ->
-            violation cam "armed server ended oddly mid-pass (%s)"
-              (match st with
-              | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-              | _ -> "signal");
+            Campaign.fail t "armed server ended oddly mid-pass (%s)"
+              (Campaign.status_to_string st);
             close_in (snd h)));
     incr epoch
   done;
-  final_resolve cam ~worker ~dir ~socket ~construction ~audit ~seed;
-  cam.c_scenarios <- cam.c_scenarios + 1
+  final_resolve t ~worker ~dir ~socket ~construction ~audit ~seed
 
 (* Disconnect/reattach flood, then SIGTERM lands mid-load: every client
    is either answered or definitively refused R_draining — never left
    half-acked. *)
-let scenario_flood cam ~worker ~dir ~construction ~seed =
+let scenario_flood t ~worker ~dir ~construction ~seed =
   let socket = Filename.concat dir "srv.sock" in
   let audit = Loadgen.Audit.create () in
-  let h = spawn_server ~worker (server_args ~dir ~socket ~construction []) in
-  cam.c_spawns <- cam.c_spawns + 1;
+  let h = spawn_server t ~worker (server_args ~dir ~socket ~construction []) in
   (match wait_ready h with
   | `Died _ ->
-      violation cam "flood server died before READY";
+      Campaign.fail t "flood server died before READY";
       ignore (reap h)
   | `Ready ->
       let rep =
@@ -550,7 +493,7 @@ let scenario_flood cam ~worker ~dir ~construction ~seed =
             churn_frac = 0.4;
           }
       in
-      fold_pass cam rep;
+      fold_pass t rep;
       (* drain under load: a forked sibling SIGTERMs the server while
          this process is mid-pass *)
       let killer = Unix.fork () in
@@ -563,108 +506,76 @@ let scenario_flood cam ~worker ~dir ~construction ~seed =
         Loadgen.run ~audit
           (pass_cfg ~socket ~seed:(seed + 77) ~duration_ms:900 ~clients:12)
       in
-      fold_pass cam rep2;
+      fold_pass t rep2;
       ignore (Unix.waitpid [] killer);
       (match reap h with
-      | Unix.WEXITED 0 -> cam.c_drains <- cam.c_drains + 1
+      | Unix.WEXITED 0 -> Campaign.bump t "drains"
       | st ->
-          violation cam "flood server drain failed (%s)"
-            (match st with
-            | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-            | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-            | _ -> "stopped")));
-  final_resolve cam ~worker ~dir ~socket ~construction ~audit ~seed;
-  cam.c_scenarios <- cam.c_scenarios + 1
+          Campaign.fail t "flood server drain failed (%s)"
+            (Campaign.status_to_string st)));
+  final_resolve t ~worker ~dir ~socket ~construction ~audit ~seed
 
 (* Sticky degradation mid-traffic: fsync EIO exhausts the retry budget,
    every later write is refused R_degraded (a protocol error, not a
    reset), the failed fence is never acked, and the server still drains
    (exit 3). A clean restart then resolves every in-doubt op. *)
-let scenario_degraded cam ~worker ~dir ~construction ~seed =
+let scenario_degraded t ~worker ~dir ~construction ~seed =
   let socket = Filename.concat dir "srv.sock" in
   let audit = Loadgen.Audit.create () in
   let h =
-    spawn_server ~worker
+    spawn_server t ~worker
       (server_args ~dir ~socket ~construction
          [ "--fsync-eio-from=6"; "--fsync-eio-count=10000" ])
   in
-  cam.c_spawns <- cam.c_spawns + 1;
   (match wait_ready h with
   | `Died _ ->
-      violation cam "degraded-arm server died before READY";
+      Campaign.fail t "degraded-arm server died before READY";
       ignore (reap h)
   | `Ready ->
       let rep =
         Loadgen.run ~audit
           (pass_cfg ~socket ~seed ~duration_ms:600 ~clients:6)
       in
-      fold_pass cam rep;
+      fold_pass t rep;
       (try Unix.kill (fst h) Sys.sigterm with Unix.Unix_error _ -> ());
       (match reap h with
-      | Unix.WEXITED 3 -> cam.c_degraded <- cam.c_degraded + 1
+      | Unix.WEXITED 3 -> Campaign.bump t "degraded"
       | Unix.WEXITED 0 ->
           (* the EIO storm may start only after the traffic stopped *)
-          cam.c_drains <- cam.c_drains + 1
+          Campaign.bump t "drains"
       | st ->
-          violation cam "degraded server ended oddly (%s)"
-            (match st with
-            | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-            | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-            | _ -> "stopped")));
-  final_resolve cam ~worker ~dir ~socket ~construction ~audit ~seed;
-  cam.c_scenarios <- cam.c_scenarios + 1
+          Campaign.fail t "degraded server ended oddly (%s)"
+            (Campaign.status_to_string st)));
+  final_resolve t ~worker ~dir ~socket ~construction ~audit ~seed
 
+(* Seeds [0, seeds) of the kill arms over plain and mirrored stores, and
+   up to two of the flood and degraded drills; each scenario in its own
+   directory under [dir]. *)
 let run_campaign ~worker ~dir ~seeds =
-  let cam =
-    {
-      c_scenarios = 0;
-      c_spawns = 0;
-      c_passes = 0;
-      c_sigkills = 0;
-      c_drains = 0;
-      c_degraded = 0;
-      c_confirmed = 0;
-      c_sheds = 0;
-      c_reconnects = 0;
-      c_violations = [];
-    }
+  let arm name scenario construction ~seeds =
+    Campaign.tally_arm ~name ~seeds ~keys:campaign_counts (fun seed ->
+        let seed = seed - 1 in
+        let t = Campaign.tally () in
+        scenario t ~worker
+          ~dir:(Temp_dir.sub dir (Printf.sprintf "%s-%d" name seed))
+          ~construction ~seed;
+        t)
   in
-  let scenario name f construction seed =
-    let sdir = Filename.concat dir (Printf.sprintf "%s-%d" name seed) in
-    Unix.mkdir sdir 0o755;
-    f cam ~worker ~dir:sdir ~construction ~seed
-  in
-  List.iter
-    (fun (arm, construction) ->
-      for seed = 0 to seeds - 1 do
-        scenario ("kill-" ^ arm) scenario_kill construction seed
-      done)
-    [ ("plain", Service.Plain); ("mirrored", Service.Mirrored) ];
-  for seed = 0 to min 1 (seeds - 1) do
-    scenario "flood" scenario_flood Service.Mirrored seed;
-    scenario "degraded" scenario_degraded Service.Plain seed
-  done;
-  cam
+  [
+    arm "kill.plain" scenario_kill Service.Plain ~seeds;
+    arm "kill.mirrored" scenario_kill Service.Mirrored ~seeds;
+    arm "flood" scenario_flood Service.Mirrored ~seeds:(min 2 seeds);
+    arm "degraded" scenario_degraded Service.Plain ~seeds:(min 2 seeds);
+  ]
 
-let campaign_violations cam = List.rev cam.c_violations
-
-let campaign_to_metrics reg cam =
-  let c name v = Metrics.add (Metrics.counter reg name) v in
-  c "e18c.campaign.scenarios" cam.c_scenarios;
-  c "e18c.campaign.spawns" cam.c_spawns;
-  c "e18c.campaign.passes" cam.c_passes;
-  c "e18c.campaign.sigkills" cam.c_sigkills;
-  c "e18c.campaign.drains" cam.c_drains;
-  c "e18c.campaign.degraded" cam.c_degraded;
-  c "e18c.campaign.confirmed" cam.c_confirmed;
-  c "e18c.campaign.sheds" cam.c_sheds;
-  c "e18c.campaign.reconnects" cam.c_reconnects;
-  c "e18c.campaign.violations" (List.length cam.c_violations)
-
-let pp_campaign ppf cam =
-  Format.fprintf ppf
-    "scenarios=%d spawns=%d passes=%d sigkills=%d drains=%d degraded=%d \
-     confirmed=%d sheds=%d reconnects=%d violations=%d"
-    cam.c_scenarios cam.c_spawns cam.c_passes cam.c_sigkills cam.c_drains
-    cam.c_degraded cam.c_confirmed cam.c_sheds cam.c_reconnects
-    (List.length cam.c_violations)
+let print_rows =
+  Campaign.print
+    ~title:
+      "E18 — fault-storm campaign over sockets (SIGKILL storms, reattach \
+       floods, SIGTERM mid-load, sticky degradation; 0 duplicate applies, \
+       0 lost acks)"
+    ~header:"arm"
+    ~columns:
+      (List.map
+         (fun k -> (k, k))
+         (("runs" :: "crashed" :: campaign_counts) @ [ "violations" ]))

@@ -23,3 +23,14 @@ let rm_rf dir =
     else Sys.remove p
   in
   if Sys.file_exists dir then go dir
+
+(** [f] over a {!fresh} directory, removed after. *)
+let with_fresh ~prefix f =
+  let d = fresh ~prefix in
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+
+(** A new empty directory [<base>/<name>]: one scenario's store. *)
+let sub base name =
+  let d = Filename.concat base name in
+  Unix.mkdir d 0o755;
+  d

@@ -232,34 +232,40 @@ let test_short_writes_healed_by_retry () =
   done;
   Fmem.close fm2
 
-(* {1 Exactly-once sessions over crash-restarts (in-process slice)} *)
+(* {1 Exactly-once sessions over crash-restarts} *)
+
+module Fc = Test_support.File_chaos
+module Campaign = Test_support.Campaign
+
+let restart_row ~runner ~replicas ~target ~seeds =
+  Test_support.Temp_dir.with_fresh ~prefix:"onll-test-e17" (fun dir ->
+      Fc.restart_arm ~runner ~dir ~name:"restart" ~replicas ~target ~seeds)
 
 let test_session_exactly_once_restart_grid () =
-  let module Fc = Test_support.File_chaos in
   List.iter
     (fun replicas ->
-      let t =
-        {
-          Fc.t_scenarios = 0;
-          t_epochs = 0;
-          t_kills = 0;
-          t_acks = 0;
-          t_confirmed = 0;
-          t_adopted = 0;
-          t_reacked = 0;
-          t_violations = 0;
-        }
+      let row =
+        restart_row ~runner:Fc.in_process ~replicas ~target:5 ~seeds:4
       in
-      for seed = 0 to 3 do
-        Fc.run_restart_scenario ~replicas ~target:5 ~seed t
-      done;
-      check Alcotest.int
+      check
+        Alcotest.(list string)
         (Printf.sprintf "replicas=%d: zero violations" replicas)
-        0 t.Fc.t_violations;
+        [] row.Campaign.violations;
       check Alcotest.bool
         (Printf.sprintf "replicas=%d: kills actually fired" replicas)
-        true (t.Fc.t_kills > 0))
+        true
+        (Campaign.get row "kills" > 0))
     [ 1; 2 ]
+
+(* The kill -9 path: every epoch a forked child that SIGKILLs itself at
+   the seeded fence; recovery runs in the next child. *)
+let test_forked_kill_scenario replicas () =
+  let target = 5 in
+  let row = restart_row ~runner:Fc.forked ~replicas ~target ~seeds:1 in
+  check Alcotest.bool "at least one SIGKILL" true
+    (Campaign.get row "kills" > 0);
+  check Alcotest.(list string) "zero violations" [] row.Campaign.violations;
+  check Alcotest.int "final value = target" target (Campaign.get row "value")
 
 let () =
   Alcotest.run "file_memory"
@@ -295,5 +301,9 @@ let () =
         [
           Alcotest.test_case "exactly-once restart grid" `Quick
             test_session_exactly_once_restart_grid;
+          Alcotest.test_case "kill -9 scenario, one replica" `Quick
+            (test_forked_kill_scenario 1);
+          Alcotest.test_case "kill -9 scenario, two replicas" `Quick
+            (test_forked_kill_scenario 2);
         ] );
     ]
