@@ -30,219 +30,10 @@
     allocation survive even when the operations themselves have been
     reclaimed. *)
 
-module Metrics = Onll_obs.Metrics
-
-type op_id = { id_proc : int; id_seq : int }
-
-let pp_op_id ppf { id_proc; id_seq } =
-  Format.fprintf ppf "p%d#%d" id_proc id_seq
-
-exception Recovery_corrupt of string
-(** Raised when the durable logs are mutually inconsistent (which the
-    correctness argument of Prop. 5.10 rules out for crash-consistent logs,
-    so this indicates actual corruption or a bug). *)
-
-exception Log_full of string
-(** Raised (with the log's region name) when an update or checkpoint record
-    cannot be made durable even after auto-compaction: the live history
-    alone exceeds the log's capacity. Unlike {!Onll_plog.Plog.Full}, this
-    is terminal for the configured capacity. *)
-
-(* What a hardened recovery found and did; see onll.mli. *)
-module Recovery_report = struct
-  type t = {
-    recovered_ops : int;
-    base_idx : int;
-    gap_indices : int list;
-    dropped : op_id list;
-    disagreements : int list;
-    decode_failures : int;
-    salvage : (string * Onll_plog.Plog.salvage_report) list;
-    lost_acked : op_id list;
-  }
-
-  let detected_loss r =
-    r.gap_indices <> [] || r.dropped <> [] || r.disagreements <> []
-    || r.decode_failures > 0
-    || List.exists
-         (fun (_, s) -> s.Onll_plog.Plog.quarantined_spans > 0)
-         r.salvage
-
-  let clean r = not (detected_loss r)
-
-  let check r =
-    match (r.disagreements, r.gap_indices) with
-    | d :: _, _ ->
-        raise
-          (Recovery_corrupt
-             (Printf.sprintf "logs disagree on operation at index %d" d))
-    | [], g :: _ ->
-        raise
-          (Recovery_corrupt
-             (Printf.sprintf "operation at index %d missing from all logs" g))
-    | [], [] ->
-        if r.decode_failures > 0 then
-          raise (Recovery_corrupt "undecodable log entry")
-
-  let merge rs =
-    let sum f = List.fold_left (fun a r -> a + f r) 0 rs in
-    {
-      recovered_ops = sum (fun r -> r.recovered_ops);
-      base_idx = sum (fun r -> r.base_idx);
-      gap_indices = List.concat_map (fun r -> r.gap_indices) rs;
-      dropped = List.concat_map (fun r -> r.dropped) rs;
-      disagreements = List.concat_map (fun r -> r.disagreements) rs;
-      decode_failures = sum (fun r -> r.decode_failures);
-      salvage = List.concat_map (fun r -> r.salvage) rs;
-      lost_acked = List.concat_map (fun r -> r.lost_acked) rs;
-    }
-
-  let pp ppf r =
-    Format.fprintf ppf
-      "@[<v>recovered_ops=%d base_idx=%d gaps=%d dropped=%d disagreements=%d \
-       decode_failures=%d lost_acked=%d@,"
-      r.recovered_ops r.base_idx
-      (List.length r.gap_indices)
-      (List.length r.dropped)
-      (List.length r.disagreements)
-      r.decode_failures
-      (List.length r.lost_acked);
-    List.iter
-      (fun (name, s) ->
-        if s <> Onll_plog.Plog.clean_report then
-          Format.fprintf ppf "%s: %a@," name Onll_plog.Plog.pp_salvage_report
-            s)
-      r.salvage;
-    Format.fprintf ppf "detected_loss=%b@]" (detected_loss r)
-
-  let to_metrics ?(prefix = "recovery.") reg r =
-    let c name v = Metrics.add (Metrics.counter reg (prefix ^ name)) v in
-    let g name v = Metrics.set (Metrics.gauge reg (prefix ^ name)) v in
-    c "recovered_ops" r.recovered_ops;
-    c "gaps" (List.length r.gap_indices);
-    c "dropped" (List.length r.dropped);
-    c "disagreements" (List.length r.disagreements);
-    c "decode_failures" r.decode_failures;
-    c "lost_acked" (List.length r.lost_acked);
-    g "base_idx" (float_of_int r.base_idx);
-    g "detected_loss" (if detected_loss r then 1. else 0.);
-    let torn, quarantined, lost_bytes, repaired, repaired_bytes =
-      List.fold_left
-        (fun (t, q, lb, re, rb) (_, s) ->
-          ( t + s.Onll_plog.Plog.torn_tail_bytes,
-            q + s.Onll_plog.Plog.quarantined_spans,
-            lb + Onll_plog.Plog.report_lost s,
-            re + s.Onll_plog.Plog.repaired_entries,
-            rb + s.Onll_plog.Plog.repaired_bytes ))
-        (0, 0, 0, 0, 0) r.salvage
-    in
-    c "salvage.torn_tail_bytes" torn;
-    c "salvage.quarantined_spans" quarantined;
-    c "salvage.bytes_lost" lost_bytes;
-    c "salvage.repaired_entries" repaired;
-    c "salvage.repaired_bytes" repaired_bytes
-
-  let to_json ?(meta = []) r =
-    let reg = Metrics.create () in
-    to_metrics reg r;
-    Onll_obs.Export.json ~meta:(("report", "recovery") :: meta) reg
-end
-
-(* Listing 5's one decision — which logged operations recovery adopts;
-   see onll.mli. *)
-module Adoption = struct
-  type 'e entry = {
-    idx : int;
-    proc : int;
-    seq : int;
-    env : 'e;
-    resident : bool;
-  }
-
-  (* By index, log-resident copies before oracle ones. *)
-  let index_order a b =
-    match Int.compare a.idx b.idx with
-    | 0 -> Bool.compare b.resident a.resident
-    | c -> c
-
-  let run ~base_idx ~floors entries ~adopt =
-    (* Sorted stably, so the earlier copy of an index comes first, and
-       swept once, keeping the first copy of each index. *)
-    let a = Array.of_list entries in
-    Array.stable_sort index_order a;
-    (* The highest index with a log-resident copy: the horizon below
-       which a missing index is reportable loss. *)
-    let rec log_max i =
-      if i < 0 then base_idx
-      else if a.(i).resident then max base_idx a.(i).idx
-      else log_max (i - 1)
-    in
-    let log_max = log_max (Array.length a - 1) in
-    (* An oracle entry counts only above the base and when its identity
-       has no first log copy: a sub-operation an earlier sweep re-applied
-       (and logged) at a relocated index would otherwise collide with its
-       own commit record's stale staging index. *)
-    let counts =
-      if Array.for_all (fun e -> e.resident) a then fun _ -> true
-      else begin
-        let ids = Hashtbl.create (Array.length a) in
-        Array.iteri
-          (fun i e ->
-            if e.resident && (i = 0 || a.(i - 1).idx <> e.idx) then
-              Hashtbl.replace ids (e.proc, e.seq) ())
-          a;
-        fun e ->
-          e.resident
-          || (e.idx > base_idx && not (Hashtbl.mem ids (e.proc, e.seq)))
-      end
-    in
-    let seqs = Array.copy floors in
-    let gaps = ref [] and dropped = ref [] and disagreements = ref [] in
-    let kept_idx = ref min_int and kept_proc = ref 0 and kept_seq = ref 0 in
-    let upto = ref base_idx and next = ref (base_idx + 1) in
-    Array.iter
-      (fun e ->
-        if not (counts e) then ()
-        else if e.idx = !kept_idx then begin
-          (* Duplicates are fine (helping stores the same operation in
-             several logs); they must agree on the operation id. *)
-          if e.proc <> !kept_proc || e.seq <> !kept_seq then
-            disagreements := e.idx :: !disagreements
-        end
-        else begin
-          kept_idx := e.idx;
-          kept_proc := e.proc;
-          kept_seq := e.seq;
-          if e.seq >= seqs.(e.proc) then seqs.(e.proc) <- e.seq + 1;
-          if e.idx > base_idx then begin
-            for missing = !next to min (e.idx - 1) log_max do
-              gaps := missing :: !gaps
-            done;
-            next := e.idx + 1;
-            if e.idx = !upto + 1 then begin
-              adopt e;
-              upto := e.idx
-            end
-            else if e.resident then
-              dropped := { id_proc = e.proc; id_seq = e.seq } :: !dropped
-          end
-        end)
-      a;
-    for missing = !next to log_max do
-      gaps := missing :: !gaps
-    done;
-    ( {
-        Recovery_report.recovered_ops = !upto - base_idx;
-        base_idx;
-        gap_indices = List.rev !gaps;
-        dropped = List.rev !dropped;
-        disagreements = List.sort_uniq compare !disagreements;
-        decode_failures = 0;
-        salvage = [];
-        lost_acked = [];
-      },
-      seqs )
-end
+(* The identity, report, adoption and snapshot types live with the record
+   log both engines share; onll.mli documents them. Its [Make] is
+   shadowed by the construction's below. *)
+include Record_log
 
 (* Construction-time knobs; see onll.mli. *)
 module Config = struct
@@ -262,24 +53,6 @@ module Config = struct
       region_suffix = "";
       sink = Onll_obs.Sink.null;
     }
-end
-
-(* One-call introspection bundle; see onll.mli. *)
-module Snapshot = struct
-  type log = {
-    log_name : string;
-    live_bytes : int;
-    used_bytes : int;
-    entry_count : int;
-    ops_per_entry : int list;
-  }
-
-  type t = {
-    latest_available_idx : int;
-    max_fuzzy_window : int;
-    degraded : bool;
-    logs : log list;
-  }
 end
 
 (* Duplicated (condensed) from onll.mli, which carries the documentation. *)
@@ -350,87 +123,14 @@ module Make_generic
      and type update_op = S.update_op
      and type read_op = S.read_op
      and type value = S.value = struct
-  module L = Onll_plog.Plog.Make (M)
-
   type state = S.state
   type update_op = S.update_op
   type read_op = S.read_op
   type value = S.value
 
-  (* [e_txn]: when this operation is a sub-operation of a cross-shard
-     transaction (E19, {!Onll_txn}) that has been staged but whose
-     coordinator record is not yet known durable, it carries the encoded
-     commit payload. Any process that persists such an envelope (helping,
-     Listing 3) thereby makes the whole transaction durable: recovery
-     treats a payload found in any log as a committed transaction. *)
-  type envelope = {
-    e_proc : int;
-    e_seq : int;
-    e_op : S.update_op;
-    e_txn : string option;
-  }
-
-  let envelope_id e = { id_proc = e.e_proc; id_seq = e.e_seq }
-  let envelope_op e = e.e_op
-
-  module I = Istate.Make (M) (S)
-
-  type istate = I.t = { st : S.state; floors : int array }
-
-  let initial_istate = I.initial
-  let apply_env is env = I.apply is ~proc:env.e_proc ~seq:env.e_seq env.e_op
-
-  (* What goes into the persistent log. [Ops] is Listing 1's recordEntry:
-     the helped envelopes, newest first, with contiguous execution indices
-     descending from [exec_idx]. [Checkpoint] summarises the history up to
-     [upto_idx] for compaction (§8). *)
-  type record =
-    | Ops of { exec_idx : int; envs : envelope list }
-    | Checkpoint of { upto_idx : int; state : istate }
-
-  let envelope_codec =
-    let open Onll_util.Codec in
-    map
-      (fun ((e_proc, e_seq, e_op), e_txn) -> { e_proc; e_seq; e_op; e_txn })
-      (fun { e_proc; e_seq; e_op; e_txn } -> ((e_proc, e_seq, e_op), e_txn))
-      (pair (triple int int S.update_codec) (option string))
-
-  let record_codec =
-    let open Onll_util.Codec in
-    let ops_c = pair int (list envelope_codec) in
-    let ckpt_c = pair int I.codec in
-    tagged
-      (function
-        | Ops { exec_idx; envs } -> (0, encode ops_c (exec_idx, envs))
-        | Checkpoint { upto_idx; state } ->
-            (1, encode ckpt_c (upto_idx, state)))
-      (fun tag body ->
-        match tag with
-        | 0 ->
-            let exec_idx, envs = decode ops_c body in
-            Ops { exec_idx; envs }
-        | 1 ->
-            let upto_idx, state = decode ckpt_c body in
-            Checkpoint { upto_idx; state }
-        | n -> raise (Decode_error (Printf.sprintf "record: bad tag %d" n)))
-
-  (* The drop key of an encoded record, read from its 24-byte header —
-     the [tagged] frame (tag, body length) and the first field of the body,
-     which is [exec_idx] for Ops and [upto_idx] for a Checkpoint. A
-     checkpoint that summarises up to [upto] makes redundant every Ops
-     record with [exec_idx <= upto] and every Checkpoint with
-     [upto_idx < upto], so both keys are compared with [<= upto]. A
-     malformed header keys to [max_int]: such an entry is never dropped. *)
-  let record_key payload =
-    let n = String.length payload in
-    if n < 24 || Int64.to_int (String.get_int64_le payload 8) <> n - 16 then
-      max_int
-    else
-      let idx = Int64.to_int (String.get_int64_le payload 16) in
-      match Int64.to_int (String.get_int64_le payload 0) with
-      | 0 -> idx
-      | 1 when idx < max_int -> idx + 1
-      | _ -> max_int
+  (* The envelope and record formats, the recovery driver and the
+     detectability rule, shared with group commit. *)
+  include Record_log.Make (M) (S)
 
   type t = {
     mutable trace : (envelope, istate) T.t;
@@ -537,11 +237,6 @@ module Make_generic
     let base, delta = T.delta_from ?floor t.trace node in
     List.fold_left (fun is (_, env) -> fst (apply_env is env)) base delta
 
-  (* Run [f] on process [p]'s log, turning the log's transient [Full]
-     into the typed, terminal [Log_full]. *)
-  let typed_full t p f =
-    try f () with Onll_plog.Plog.Full -> raise (Log_full (L.name t.logs.(p)))
-
   (* Summarise the history up to the newest available operation into
      process [p]'s log and drop what that makes redundant, by
      [record_key] ([Plog.checkpoint]). The state comes from [compute]:
@@ -549,10 +244,8 @@ module Make_generic
      folded. *)
   let checkpoint_body t p ~worth =
     let node = T.latest_available t.trace in
-    let upto = T.idx node in
-    L.checkpoint t.logs.(p) ~upto ~worth (fun () ->
-        Onll_util.Codec.encode record_codec
-          (Checkpoint { upto_idx = upto; state = fst (compute t node) }))
+    checkpoint_log t.logs.(p) ~upto:(T.idx node) ~worth (fun () ->
+        fst (compute t node))
 
   let prune t ~below =
     T.prune t.trace ~below ~state_before:(fun node -> istate_at t node)
@@ -570,13 +263,11 @@ module Make_generic
         upto)
       (checkpoint_body t p ~worth)
 
-  let always _ = true
-
   (* Persist-stage append, compacting first when the log says so
      ([Plog.append_compacting]); the update pays that compaction's
      fences. *)
   let append_record t p payload =
-    typed_full t p (fun () ->
+    typed_full t.logs.(p) (fun () ->
         L.append_compacting t.logs.(p)
           ~compact:(fun ~worth -> ignore (compact_body t p ~worth))
           payload)
@@ -622,19 +313,9 @@ module Make_generic
     attributed t Onll_obs.Opstats.update_done (fun () ->
         update_env_body t env)
 
-  let next_id t =
-    let p = M.self () in
-    let seq = t.seqs.(p) in
-    t.seqs.(p) <- seq + 1;
-    { id_proc = p; id_seq = seq }
-
   let update_with_id t op =
-    let id = next_id t in
-    let v =
-      update_env t
-        { e_proc = id.id_proc; e_seq = id.id_seq; e_op = op; e_txn = None }
-    in
-    (id, v)
+    let id = next_id t.seqs in
+    (id, update_env t (envelope id op))
 
   let update t op = snd (update_with_id t op)
 
@@ -642,11 +323,8 @@ module Make_generic
      number, so it can ask {!was_linearized} about this exact operation
      after a crash, even though the call itself never returned. *)
   let update_detectable t ~seq op =
-    let p = M.self () in
-    if seq < t.seqs.(p) then
-      invalid_arg "Onll.update_detectable: sequence number reused";
-    t.seqs.(p) <- seq + 1;
-    update_env t { e_proc = p; e_seq = seq; e_op = op; e_txn = None }
+    update_env t
+      (envelope (claim_id t.seqs ~who:"Onll.update_detectable" ~seq) op)
 
   (* Listing 4. *)
   let read t rop =
@@ -659,144 +337,26 @@ module Make_generic
 
   (* {2 Recovery — Listing 5, hardened} *)
 
-  (* The one recovery routine. [hardened] selects the log-level recovery
-     (salvaging vs. silently truncating); the trace rebuild is tolerant in
-     both cases — {!Adoption.run} adopts the longest contiguous prefix
-     above the deepest checkpoint — and the report says exactly what could
-     not be adopted. A CRC-valid entry whose payload nevertheless fails to
-     decode (forged or astronomically unlucky bytes) is dropped and
-     counted. The strict [recover] entry point turns a lossy report into
-     [Recovery_corrupt]; the unhardened one discards it (the calibration
-     baseline the chaos campaign must catch).
-
-     [extra] (E19) is the committed-transaction oracle: sub-operations
-     whose sole durable copy is a coordinator's commit record, keyed by
-     the execution index assigned when they were staged. They join the
-     adoption as non-resident entries, so a hole a shard log alone cannot
-     account for (a staged sub-operation overwritten only in the
-     coordinator region) is filled rather than reported as loss. Indices
-     reachable only through the oracle that cannot be adopted in place
-     are re-applied by the coordinator sweep ({!Onll_txn}).
-
-     Also returns every transaction commit payload found riding in a
-     logged envelope ([e_txn]) — the helper-committed transactions. *)
+  (* Listing 5 through the shared driver ({!Record_log.Make.recover_logs}):
+     the trace restarts at the deepest checkpoint and takes every adopted
+     envelope as an available node. *)
   let recover_core t ~hardened ~extra =
-    (* Each log is salvaged and decoded before the next is read, so only
-       one log's payloads are held at a time. *)
-    let failures = ref 0 in
-    let decode l =
-      L.decode_recovered l record_codec ~failures ~checkpoint:(function
-        | Checkpoint _ -> true
-        | Ops _ -> false)
-    in
-    let salvage, by_log =
-      if hardened then
-        let rs =
-          Array.map
-            (fun l ->
-              let r, payloads = L.recover l in
-              ((L.name l, r), decode l payloads))
-            t.logs
-        in
-        (Array.to_list (Array.map fst rs), Array.map snd rs)
-      else begin
-        Array.iter L.recover_unhardened t.logs;
-        ([], Array.map (fun l -> decode l (L.entries l)) t.logs)
-      end
-    in
-    let records = List.concat (Array.to_list by_log) in
-    (* Best checkpoint = deepest summarised prefix. *)
-    let base_idx, base_state =
-      List.fold_left
-        (fun ((bi, _) as best) r ->
-          match r with
-          | Checkpoint { upto_idx; state } when upto_idx > bi ->
-              (upto_idx, state)
-          | Checkpoint _ | Ops _ -> best)
-        (0, initial_istate ())
-        records
-    in
-    let entry idx env resident =
-      { Adoption.idx; proc = env.e_proc; seq = env.e_seq; env; resident }
-    in
-    let logged =
-      List.concat_map
-        (function
-          | Checkpoint _ -> []
-          | Ops { exec_idx; envs } ->
-              List.mapi (fun k env -> entry (exec_idx - k) env true) envs)
-        records
-    in
-    (* Every transaction commit payload riding in a logged envelope,
-       first sighting first. *)
-    let txns = ref [] in
-    let seen_txns = Hashtbl.create 8 in
-    List.iter
-      (fun { Adoption.env; _ } ->
-        match env.e_txn with
-        | Some p when not (Hashtbl.mem seen_txns p) ->
-            Hashtbl.replace seen_txns p ();
-            txns := p :: !txns
-        | Some _ | None -> ())
-      logged;
-    let entries =
-      List.fold_right
-        (fun (idx, id, op) acc ->
-          entry idx
-            { e_proc = id.id_proc; e_seq = id.id_seq; e_op = op; e_txn = None }
-            false
-          :: acc)
-        extra logged
-    in
-    let trace =
-      T.create ~sink:(Onll_obs.Opstats.sink t.ostats) ~base_idx ~base_state ()
-    in
-    (* a table grows past two bindings per bucket, so half as many
-       buckets as bindings take them all without a resize *)
-    t.recovered <- Hashtbl.create (List.length logged / 2);
-    let report, seqs =
-      Adoption.run ~base_idx ~floors:base_state.floors entries
+    let sink = sink t in
+    let r =
+      recover_logs t.logs ~sink ~hardened ~extra
+        ~reset:(fun base_idx base_state ->
+          t.trace <- T.create ~sink ~base_idx ~base_state ())
         ~adopt:(fun e ->
-          let node = T.insert trace e.env in
+          let node = T.insert t.trace e.env in
           assert (T.idx node = e.idx);
-          T.set_available node;
-          Hashtbl.replace t.recovered
-            { id_proc = e.proc; id_seq = e.seq }
-            e.idx)
+          T.set_available node)
+        ~seqs:t.seqs
+        ~degraded:(fun () -> t.degraded <- true)
     in
-    Array.blit seqs 0 t.seqs 0 M.max_processes;
+    t.recovered <- r.recovered;
     Array.fill t.views 0 (Array.length t.views) None;
     Array.fill t.prev_views 0 (Array.length t.prev_views) None;
-    t.trace <- trace;
-    if Onll_obs.Opstats.active t.ostats then
-      Onll_obs.Sink.emit
-        (Onll_obs.Opstats.sink t.ostats)
-        ~proc:(M.self ())
-        (Onll_obs.Event.Recovery { ops = report.recovered_ops });
-    (* Only a relaxed-mode wrapper ({!Onll_relaxed}) knows which acked
-       operations were still unfenced at the crash; the core cannot
-       distinguish a lost unfenced suffix from operations that were
-       simply never invoked, so it reports none. *)
-    let report = { report with decode_failures = !failures; salvage } in
-    (* The degraded-mode policy: detected loss never stops the object, but
-       it is admitted, stickily, until the object is rebuilt. *)
-    if hardened && Recovery_report.detected_loss report then
-      t.degraded <- true;
-    (* Dropped operations must leave the logs before the next update
-       reuses their indices, or a later recovery adopts them back or keeps
-       them over it. A log holds its records in index order, so they are
-       its suffix. *)
-    if hardened && report.dropped <> [] then begin
-      let upto = base_idx + report.recovered_ops in
-      Array.iter
-        (fun l ->
-          L.truncate l ~from:(fun p ->
-              match Onll_util.Codec.decode record_codec p with
-              | Ops { exec_idx; _ } -> exec_idx > upto
-              | Checkpoint _ | (exception _) -> false))
-        t.logs
-    end;
-    (report, List.rev !txns)
+    (r.report, r.txns)
 
   let recover_txn t ~extra = recover_core t ~hardened:true ~extra
   let recover_report t = fst (recover_core t ~hardened:true ~extra:[])
@@ -806,32 +366,20 @@ module Make_generic
   let recover_unhardened t =
     ignore (recover_core t ~hardened:false ~extra:[])
 
-  (* Online self-healing (cooperative step): CRC-walk every process's log
-     across its replicas, repairing divergence in place and quarantining
-     double-fault spans. Fences are attributed to ["fences.scrub"], never
-     to the per-update Theorem 5.1 accounting. *)
+  (* Fences are attributed to ["fences.scrub"], never to the per-update
+     Theorem 5.1 accounting. *)
   let scrub t =
     attributed t Onll_obs.Opstats.scrub_done (fun () ->
-        let r =
-          Array.fold_left
-            (fun acc l -> Onll_plog.Plog.add_scrub acc (L.scrub l))
-            Onll_plog.Plog.clean_scrub t.logs
-        in
-        if r.Onll_plog.Plog.unrepairable_spans > 0 then t.degraded <- true;
-        r)
+        scrub_logs t.logs ~degraded:(fun () -> t.degraded <- true))
 
   let degraded t = t.degraded
 
   (* {2 Detectable execution} *)
 
-  let recovered_ops t =
-    Hashtbl.fold (fun id idx acc -> (id, idx) :: acc) t.recovered []
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
+  let recovered_ops t = by_index t.recovered
 
   let was_linearized t id =
-    Hashtbl.mem t.recovered id
-    || (let _, base = T.base_of t.trace in
-        id.id_seq < base.floors.(id.id_proc))
+    linearized t.recovered id ~base:(fun () -> snd (T.base_of t.trace))
     || List.exists
          (fun (_, _, env) ->
            match env with
@@ -856,11 +404,7 @@ module Make_generic
      encoding the commit payload that embeds them. The number counts as
      used — [update_detectable] will refuse it — exactly as if an update
      had consumed it. *)
-  let reserve_seq t =
-    let p = M.self () in
-    let seq = t.seqs.(p) in
-    t.seqs.(p) <- seq + 1;
-    seq
+  let reserve_seq t = (next_id t.seqs).id_seq
 
   let stage_txn t ~seq ~payload op =
     let p = M.self () in
@@ -895,14 +439,7 @@ module Make_generic
         let envs_idx =
           List.map
             (fun (id, op) ->
-              let env =
-                {
-                  e_proc = id.id_proc;
-                  e_seq = id.id_seq;
-                  e_op = op;
-                  e_txn = None;
-                }
-              in
+              let env = envelope id op in
               let node = T.insert t.trace env in
               T.set_available node;
               if id.id_seq >= t.seqs.(id.id_proc) then
@@ -928,12 +465,12 @@ module Make_generic
   let checkpoint t =
     let p = M.self () in
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        typed_full t p (fun () -> Option.get (checkpoint_body t p ~worth:always)))
+        forced t.logs.(p) (checkpoint_body t p))
 
   let compact t =
     let p = M.self () in
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        typed_full t p (fun () -> Option.get (compact_body t p ~worth:always)))
+        forced t.logs.(p) (compact_body t p))
 
   (* {2 Introspection (tests, figures, reports)} *)
 
@@ -945,44 +482,15 @@ module Make_generic
 
   let current_state t = (istate_at t (T.latest_available t.trace)).st
 
-  (* One durable scan per log: entries are decoded once and every derived
-     statistic (counts, sizes, helping profile) comes from that pass. An
-     entry that does not decode counts 0 operations, as recovery adopted
-     none from it. *)
   let snapshot t =
-    let logs =
-      Array.to_list t.logs
-      |> List.map (fun l ->
-             let ops_per_entry =
-               List.map
-                 (fun e ->
-                   match Onll_util.Codec.decode record_codec e with
-                   | Ops { envs; _ } -> List.length envs
-                   | Checkpoint _ | (exception _) -> 0)
-                 (L.entries l)
-             in
-             {
-               Snapshot.log_name = L.name l;
-               live_bytes = L.live_bytes l;
-               used_bytes = L.used_bytes l;
-               entry_count = List.length ops_per_entry;
-               ops_per_entry;
-             })
-    in
     {
       Snapshot.latest_available_idx = T.idx (T.latest_available t.trace);
       max_fuzzy_window = t.max_fuzzy;
       degraded = t.degraded;
-      logs;
+      logs = Array.to_list (Array.map snapshot_log t.logs);
     }
 
-  (* From the logs' in-memory accounts: no durable load. *)
-  let log_fill t =
-    Array.fold_left
-      (fun acc l ->
-        Float.max acc
-          (float_of_int (L.live_bytes l) /. float_of_int (L.capacity l)))
-      0. t.logs
+  let log_fill t = fill t.logs
 end
 
 (** The paper's construction: ONLL over the lock-free Listing 2 trace. *)

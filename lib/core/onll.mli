@@ -20,7 +20,7 @@
     operations carry client-visible identities and {!was_linearized}
     answers, post-recovery, whether a given operation took effect. *)
 
-type op_id = { id_proc : int; id_seq : int }
+type op_id = Record_log.op_id = { id_proc : int; id_seq : int }
 (** Identity of an update: the invoking process and a per-process sequence
     number (chosen by the client with {!Make.update_detectable}, or
     allocated automatically). *)
@@ -45,7 +45,7 @@ exception Log_full of string
 (** What a hardened recovery found and did — the precise detected-loss
     set the chaos campaign (E12) audits against. *)
 module Recovery_report : sig
-  type t = {
+  type t = Record_log.Recovery_report.t = {
     recovered_ops : int;  (** operations replayed into the trace *)
     base_idx : int;  (** deepest surviving checkpoint *)
     gap_indices : int list;
@@ -116,7 +116,7 @@ end
     §3.1 baselines ({!Onll_baselines.Linearize_early}) decode their logs
     and hand the entries here. *)
 module Adoption : sig
-  type 'e entry = {
+  type 'e entry = 'e Record_log.Adoption.entry = {
     idx : int;  (** execution index *)
     proc : int;  (** identity: process ... *)
     seq : int;  (** ... and its sequence number *)
@@ -197,7 +197,7 @@ end
 (** Everything the old one-question-per-call introspection functions
     answered, gathered by a single durable scan per log. *)
 module Snapshot : sig
-  type log = {
+  type log = Record_log.Snapshot.log = {
     log_name : string;  (** persistent region name *)
     live_bytes : int;
     used_bytes : int;
@@ -208,7 +208,7 @@ module Snapshot : sig
             helping *)
   }
 
-  type t = {
+  type t = Record_log.Snapshot.t = {
     latest_available_idx : int;
     max_fuzzy_window : int;
         (** largest fuzzy window observed at any persist step (Prop. 5.2
