@@ -187,7 +187,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
           ([], start_idx) (List.rev !requests)
       in
       M.Tvar.set t.durable (start_idx + k - 1);
-      M.Tvar.set t.mirror { st = !st; floors };
+      M.Tvar.set t.mirror { base_is with st = !st; floors };
       List.iter
         (fun (env, v) ->
           M.Tvar.set t.slots.(env.e_proc)
@@ -269,7 +269,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         ~seqs:t.seqs
         ~degraded:(fun () -> t.degraded <- true)
     in
-    let upto = fst t.base + r.report.recovered_ops in
+    let upto = r.upto in
     t.recovered <- r.recovered;
     t.next_idx <- upto + 1;
     M.Tvar.set t.mirror !state;

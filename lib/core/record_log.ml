@@ -276,11 +276,19 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
   (* Materialised state (§8): the specification state plus, per process,
      how many of its operations are included ([floors.(p)] = 1 + highest
      included sequence number), so detectability and sequence allocation
-     survive compaction. Immutable; [floors] is copied on write. *)
-  type istate = { st : S.state; floors : int array }
+     survive compaction. [dropped] lists the floors' exceptions: the
+     identities a degraded recovery saw above its base but could not
+     adopt. A later operation of the same process raises the floor past
+     them, yet they were never applied; applying one removes it.
+     Immutable; [floors] is copied on write. *)
+  type istate = {
+    st : S.state;
+    floors : int array;
+    dropped : (int * int) list;  (** (process, sequence) *)
+  }
 
   let initial_istate () =
-    { st = S.initial; floors = Array.make M.max_processes 0 }
+    { st = S.initial; floors = Array.make M.max_processes 0; dropped = [] }
 
   let apply_env is env =
     let st, v = S.apply is.st env.e_op in
@@ -292,13 +300,36 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       end
       else is.floors
     in
-    ({ st; floors }, v)
+    let dropped =
+      match is.dropped with
+      | [] -> []
+      | l -> List.filter (( <> ) (env.e_proc, env.e_seq)) l
+    in
+    ({ st; floors; dropped }, v)
 
+  (* The exceptions ride after the floors, as (process, sequence) pairs,
+     so a state without any encodes exactly as before they existed. *)
   let istate_codec =
     let open Onll_util.Codec in
+    let n = M.max_processes in
+    let pairs l = Array.of_list (List.concat_map (fun (p, q) -> [ p; q ]) l) in
     map
-      (fun (st, floors) -> { st; floors })
-      (fun { st; floors } -> (st, floors))
+      (fun (st, a) ->
+        let extra = Array.length a - n in
+        if extra <= 0 then { st; floors = a; dropped = [] }
+        else if extra mod 2 <> 0 then raise (Decode_error "istate: dropped")
+        else
+          {
+            st;
+            floors = Array.sub a 0 n;
+            dropped =
+              List.init (extra / 2) (fun i ->
+                  (a.(n + (2 * i)), a.(n + (2 * i) + 1)));
+          })
+      (fun { st; floors; dropped } ->
+        match dropped with
+        | [] -> (st, floors)
+        | l -> (st, Array.append floors (pairs l)))
       (pair S.state_codec (array int))
 
   (* What goes into the persistent log. [Ops] is Listing 1's recordEntry:
@@ -400,6 +431,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   type recovery = {
     report : Recovery_report.t;
+    upto : int;  (** the adopted prefix ends here *)
     recovered : (op_id, int) Hashtbl.t;  (** adopted id -> execution index *)
     txns : string list;
         (** every transaction commit payload riding in a logged envelope,
@@ -427,9 +459,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
      The engine rebuilds its own structures: [reset base_idx state] starts
      them at the deepest checkpoint, then [adopt] receives the adopted
-     entries in index order. [seqs] gets each process's next sequence
-     number, past every identity seen. Detected loss marks the engine
-     [degraded]. *)
+     entries in index order; a recovery that seals a drop (below) runs
+     both again, from the sealed state. [seqs] gets each process's next
+     sequence number, past every identity seen. Detected loss marks the
+     engine [degraded]. *)
   let recover_logs logs ~sink ~hardened ~extra ~reset ~adopt ~seqs ~degraded
       =
     (* Each log is salvaged and decoded before the next is read, so only
@@ -456,13 +489,24 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       end
     in
     let records = List.concat (Array.to_list by_log) in
-    (* Best checkpoint = deepest summarised prefix. *)
+    (* Best checkpoint = deepest summarised prefix, with the floors'
+       exceptions of every checkpoint there (a recovery's seal, below). *)
     let base_idx, base_state =
       List.fold_left
-        (fun ((bi, _) as best) r ->
+        (fun ((bi, bs) as best) r ->
           match r with
           | Checkpoint { upto_idx; state } when upto_idx > bi ->
               (upto_idx, state)
+          | Checkpoint { upto_idx; state } when upto_idx = bi ->
+              ( bi,
+                {
+                  bs with
+                  dropped =
+                    bs.dropped
+                    @ List.filter
+                        (fun d -> not (List.mem d bs.dropped))
+                        state.dropped;
+                } )
           | Checkpoint _ | Ops _ -> best)
         (0, initial_istate ())
         records
@@ -500,10 +544,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     (* a table grows past two bindings per bucket, so half as many
        buckets as bindings take them all without a resize *)
     let recovered = Hashtbl.create (List.length logged / 2) in
+    let adopted = ref [] in
     let report, next =
       Adoption.run ~base_idx ~floors:base_state.floors entries
         ~adopt:(fun e ->
           adopt e;
+          adopted := e :: !adopted;
           Hashtbl.replace recovered (envelope_id e.env) e.idx)
     in
     Array.blit next 0 seqs 0 M.max_processes;
@@ -518,21 +564,64 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     (* The degraded-mode policy: detected loss never stops the object, but
        it is admitted, stickily, until the object is rebuilt. *)
     if hardened && Recovery_report.detected_loss report then degraded ();
-    (* Dropped operations must leave the logs before the next update
-       reuses their indices, or a later recovery adopts them back or keeps
-       them over it. A log holds its records in index order, so they are
-       its suffix. *)
+    (* Dropped operations must not come back: a later recovery would adopt
+       them back, or keep them over the update that reuses their index.
+       Nor may a later operation's floor vouch for them. So the drop is
+       sealed, in every log holding a record above the adopted prefix: a
+       checkpoint at the base whose state names every identity this
+       recovery saw above the base without adopting it as an exception to
+       the floors, appended and fenced before the records it replaces
+       vanish behind a skip marker ([Plog.excise]). The engine restarts
+       from that state and readopts the prefix. *)
+    let upto = base_idx + report.recovered_ops in
     if hardened && report.dropped <> [] then begin
-      let upto = base_idx + report.recovered_ops in
-      Array.iter
-        (fun l ->
-          L.truncate l ~from:(fun p ->
-              match Onll_util.Codec.decode record_codec p with
-              | Ops { exec_idx; _ } -> exec_idx > upto
-              | Checkpoint _ | (exception _) -> false))
-        logs
+      let seen = Hashtbl.create 8 in
+      List.iter (fun d -> Hashtbl.replace seen d ()) base_state.dropped;
+      let unadopted =
+        List.filter_map
+          (fun (e : _ Adoption.entry) ->
+            let d = (e.proc, e.seq) in
+            if
+              e.idx <= base_idx
+              || Hashtbl.mem recovered (envelope_id e.env)
+              || Hashtbl.mem seen d
+            then None
+            else begin
+              Hashtbl.replace seen d ();
+              Some d
+            end)
+          entries
+      in
+      let state =
+        { base_state with dropped = base_state.dropped @ unadopted }
+      in
+      let seal =
+        Onll_util.Codec.encode record_codec
+          (Checkpoint { upto_idx = base_idx; state })
+      in
+      let stranded = function
+        | Ops { exec_idx; _ } -> exec_idx > upto
+        | Checkpoint _ -> false
+      in
+      Array.iteri
+        (fun i l ->
+          if List.exists stranded by_log.(i) then begin
+            typed_full l (fun () ->
+                try L.append l seal
+                with Onll_plog.Plog.Full ->
+                  L.relocate l;
+                  L.append l seal);
+            L.note_checkpoint l seal;
+            L.excise l ~from:(fun p ->
+                match Onll_util.Codec.decode record_codec p with
+                | r -> stranded r
+                | exception _ -> false)
+          end)
+        logs;
+      reset base_idx state;
+      List.iter adopt (List.rev !adopted)
     end;
-    { report; recovered; txns = List.rev !txns }
+    { report; upto; recovered; txns = List.rev !txns }
 
   (* Online self-healing (cooperative step): CRC-walk every log across
      its replicas, repairing divergence in place and quarantining
@@ -556,9 +645,14 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
   (* The one detectability rule: an identity took effect iff [table]
      (adopted by recovery or applied since) names it, or it lies below
      its process's floor in [base ()], the deepest state the engine holds
-     (read only when the table has no answer). *)
+     (read only when the table has no answer), and is not one of the
+     floor's exceptions. *)
   let linearized table ~base id =
-    Hashtbl.mem table id || id.id_seq < (base ()).floors.(id.id_proc)
+    Hashtbl.mem table id
+    ||
+    let b = base () in
+    id.id_seq < b.floors.(id.id_proc)
+    && not (List.mem (id.id_proc, id.id_seq) b.dropped)
 
   (* {2 Introspection} *)
 

@@ -831,15 +831,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     if n > 0 then drop_first t span n;
     n
 
-  let truncate t ~from =
+  let excise t ~from =
     let es, _ = scan t t.head in
-    match List.find_opt (fun (payload, _) -> from payload) es with
-    | None -> ()
-    | Some (_, cut) ->
-        (* zeroed, not just forgotten: recovery looks past a log's end *)
-        zero_span t ~off:cut ~len:(t.tail - cut);
-        t.tail <- cut;
-        t.offs_valid <- false
+    match List.rev es with
+    | [] -> ()
+    | (_, last) :: _ -> (
+        match
+          List.find_opt (fun (payload, off) -> off < last && from payload) es
+        with
+        | None -> ()
+        | Some (_, cut) ->
+            (* one marker over whole records: each is >= 17 bytes *)
+            write_skip_marker t ~off:cut ~span:(last - cut);
+            t.offs_valid <- false)
 
   let used_bytes t = t.tail - header_size
   let live_bytes t = t.tail - t.head

@@ -237,11 +237,15 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       the one header fence of {!set_head} when it discards anything, and
       nothing otherwise. *)
 
-  val truncate : t -> from:(string -> bool) -> unit
-  (** [truncate t ~from] durably discards the first live entry whose
-      payload satisfies [from] and every one after it: zeroed in every
-      replica under one fence, so no later {!recover} finds them. Reads
-      the live entries back once; no fence when none satisfies [from]. *)
+  val excise : t -> from:(string -> bool) -> unit
+  (** [excise t ~from] durably hides the live entries from the first whose
+      payload satisfies [from] up to the newest entry, which stays: one
+      skip marker over them, in every replica under one fence, so no scan
+      or {!recover} returns them again. A caller appends the record that
+      must outlive them first, so a crash at any point leaves that record
+      durable; a marker torn by the crash is quarantined by the next
+      {!recover}. Reads the live entries back once; no fence when no entry
+      but the newest satisfies [from]. *)
 
   val entry_count : t -> int
   (** Number of valid entries from the head, read from the live-entry

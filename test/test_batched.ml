@@ -312,6 +312,52 @@ let test_undecodable_entry_kept () =
   check Alcotest.bool "c survives" true
     (C.read obj (Onll_specs.Kv.Get "c") = Onll_specs.Kv.Found (Some "v"))
 
+(* A degraded recovery drops [b] (p0 seq 2), stranded above the
+   undecodable entry's hole. A checkpoint that covers [c] (seq 3) then
+   raises p0's floor past [b], which must still answer as not linearized,
+   also after a further crash and recovery. Both engines share the rule,
+   so the probe runs over each. *)
+module type KV_CONSTRUCTION =
+  Onll_core.Onll.CONSTRUCTION
+    with type update_op = Onll_specs.Kv.update_op
+     and type read_op = Onll_specs.Kv.read_op
+     and type value = Onll_specs.Kv.value
+
+let test_dropped_op_stays_unlinearized () =
+  let probe name build =
+    let sim = Sim.create ~max_processes:1 () in
+    let module M = (val Sim.machine sim) in
+    let module C = (val build (module M : Machine_sig.S) : KV_CONSTRUCTION) in
+    let module Kv = Onll_specs.Kv in
+    let obj = C.make (cfg ()) in
+    let put k = fst (C.update_with_id obj (Kv.Put (k, "v"))) in
+    let crash_recover () =
+      Onll_nvm.Memory.crash (Sim.memory sim)
+        ~policy:Onll_nvm.Crash_policy.Drop_all;
+      ignore (C.recover_report obj)
+    in
+    let b = List.nth (List.map put [ "a"; "poison"; "b" ]) 2 in
+    crash_recover ();
+    ignore (C.checkpoint obj);
+    let c = put "c" in
+    ignore (C.checkpoint obj);
+    check Alcotest.bool (name ^ ": b not linearized past the floor") false
+      (C.was_linearized obj b);
+    crash_recover ();
+    check Alcotest.bool (name ^ ": b stays dropped") true
+      (C.read obj (Kv.Get "b") = Kv.Found None);
+    check Alcotest.bool (name ^ ": b not linearized after a recovery") false
+      (C.was_linearized obj b);
+    check Alcotest.bool (name ^ ": c is linearized") true
+      (C.was_linearized obj c)
+  in
+  probe "core" (fun (module M : Machine_sig.S) ->
+      (module Onll_core.Onll.Make (M) (Test_support.Poisoned_kv)
+      : KV_CONSTRUCTION));
+  probe "group commit" (fun (module M : Machine_sig.S) ->
+      (module Onll_batched.Make (M) (Test_support.Poisoned_kv)
+      : KV_CONSTRUCTION))
+
 (* The undecodable batch keys to its last index like any other, so the
    auto-compaction after it drops it and the log keeps making room: 50
    log capacities of updates (every batch record is longer than its
@@ -459,6 +505,8 @@ let () =
             `Quick test_undecodable_entry_kept;
           Alcotest.test_case "an undecodable entry does not stall compaction"
             `Quick test_undecodable_entry_compacted;
+          Alcotest.test_case "a dropped operation stays unlinearized" `Quick
+            test_dropped_op_stays_unlinearized;
         ] );
       ( "lock",
         [
