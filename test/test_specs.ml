@@ -383,6 +383,44 @@ let state_roundtrip (type s u)
          S.equal_state !st
            (Codec.decode S.state_codec (Codec.encode S.state_codec !st))))
 
+(* The pre-encoded path of the engines' record log: an [Ops] record built
+   from envelopes encoded one at a time (group commit's submitters encode
+   their own, the leader concatenates) is byte for byte the record codec's
+   encoding, and keys to its newest execution index. Runs of 1 to
+   [max_processes] envelopes, each with or without a transaction
+   payload. *)
+let ops_preencoded (type u)
+    (module S : Onll_core.Spec.S with type update_op = u) gen =
+  let sim = Onll_machine.Sim.create ~max_processes:4 () in
+  let module M = (val Onll_machine.Sim.machine sim) in
+  let module R = Onll_core.Record_log.Make (M) (S) in
+  qcheck
+    (QCheck.Test.make
+       ~name:(S.name ^ " pre-encoded Ops record = the record codec's")
+       ~count:150 QCheck.small_nat
+       (fun seed ->
+         let rng = Splitmix.create seed in
+         let n = 1 + Splitmix.int rng M.max_processes in
+         let exec_idx = n + Splitmix.int rng 1000 in
+         let envs =
+           List.init n (fun _ ->
+               {
+                 R.e_proc = Splitmix.int rng M.max_processes;
+                 e_seq = Splitmix.int rng 1000;
+                 e_op = gen rng;
+                 e_txn =
+                   (if Splitmix.bool rng then
+                      Some (string_of_int (Splitmix.int rng 1_000_000))
+                    else None);
+               })
+         in
+         let bytes =
+           R.encode_ops ~exec_idx
+             (List.map (Codec.encode R.envelope_codec) envs)
+         in
+         bytes = Codec.encode R.record_codec (R.Ops { exec_idx; envs })
+         && R.record_key bytes = exec_idx))
+
 let () =
   Alcotest.run "specs"
     [
@@ -392,12 +430,16 @@ let () =
           prop_counter_codec;
           state_roundtrip (module Onll_specs.Counter)
             Test_support.Gen.Counter.update;
+          ops_preencoded (module Onll_specs.Counter)
+            Test_support.Gen.Counter.update;
         ] );
       ( "register",
         [
           Alcotest.test_case "semantics" `Quick test_register_semantics;
           prop_register_codec;
           state_roundtrip (module Onll_specs.Register)
+            Test_support.Gen.Register.update;
+          ops_preencoded (module Onll_specs.Register)
             Test_support.Gen.Register.update;
         ] );
       ( "queue",
@@ -409,12 +451,16 @@ let () =
           prop_queue_codec;
           state_roundtrip (module Onll_specs.Queue_spec)
             Test_support.Gen.Queue.update;
+          ops_preencoded (module Onll_specs.Queue_spec)
+            Test_support.Gen.Queue.update;
         ] );
       ( "stack",
         [
           Alcotest.test_case "semantics" `Quick test_stack_semantics;
           prop_stack_codec;
           state_roundtrip (module Onll_specs.Stack_spec)
+            Test_support.Gen.Stack.update;
+          ops_preencoded (module Onll_specs.Stack_spec)
             Test_support.Gen.Stack.update;
         ] );
       ( "kv",
@@ -423,6 +469,7 @@ let () =
           prop_kv_matches_assoc;
           prop_kv_codec;
           state_roundtrip (module Onll_specs.Kv) Test_support.Gen.Kv.update;
+          ops_preencoded (module Onll_specs.Kv) Test_support.Gen.Kv.update;
           Alcotest.test_case "map state codecs = the list codec" `Quick
             test_map_state_codecs;
         ] );
@@ -432,6 +479,8 @@ let () =
           prop_set_codec;
           state_roundtrip (module Onll_specs.Set_spec)
             Test_support.Gen.Set_g.update;
+          ops_preencoded (module Onll_specs.Set_spec)
+            Test_support.Gen.Set_g.update;
         ] );
       ( "ledger",
         [
@@ -440,6 +489,8 @@ let () =
           prop_ledger_conserves_money;
           prop_ledger_codec;
           state_roundtrip (module Onll_specs.Ledger)
+            Test_support.Gen.Ledger.update;
+          ops_preencoded (module Onll_specs.Ledger)
             Test_support.Gen.Ledger.update;
         ] );
       ( "pqueue",
@@ -451,12 +502,16 @@ let () =
           prop_pqueue_codec;
           state_roundtrip (module Onll_specs.Pqueue)
             Test_support.Gen.Pqueue.update;
+          ops_preencoded (module Onll_specs.Pqueue)
+            Test_support.Gen.Pqueue.update;
         ] );
       ( "deque",
         [
           Alcotest.test_case "semantics" `Quick test_deque_semantics;
           prop_deque_codec;
           state_roundtrip (module Onll_specs.Deque)
+            Test_support.Gen.Deque.update;
+          ops_preencoded (module Onll_specs.Deque)
             Test_support.Gen.Deque.update;
         ] );
     ]
