@@ -1123,7 +1123,9 @@ let rationale_cmd =
 (* A kill campaign over a scratch directory ([--dir], created if missing,
    or a fresh one under $TMPDIR; removed after unless [--keep]). Its rows
    exit as hardened arms do, and a campaign in which no epoch was killed
-   proves nothing: it exits 1, as a calibration that never fired does. *)
+   proves nothing: it exits 1, as a calibration that never fired does. A
+   [--dir] that already holds a kept campaign's stores is a usage error
+   (exit 1) and is left as it is. *)
 let kill_campaign ~prefix ~print dir keep run =
   let open Test_support in
   let base =
@@ -1133,7 +1135,15 @@ let kill_campaign ~prefix ~print dir keep run =
         d
     | None -> Temp_dir.fresh ~prefix
   in
-  let rows = run base in
+  let rows =
+    try run base
+    with Temp_dir.Exists d ->
+      Printf.eprintf
+        "%s already holds a campaign's stores (%s): remove it or pass \
+         another --dir\n"
+        base d;
+      exit 1
+  in
   if not keep then Temp_dir.rm_rf base;
   hardened_arm ~quiet:false ~print rows;
   if Campaign.total "kills" rows = 0 then begin

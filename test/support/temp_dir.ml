@@ -29,8 +29,14 @@ let with_fresh ~prefix f =
   let d = fresh ~prefix in
   Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
-(** A new empty directory [<base>/<name>]: one scenario's store. *)
+exception Exists of string
+(** A scenario directory was already there: a kept campaign's store. *)
+
+(** A new empty directory [<base>/<name>]: one scenario's store.
+    @raise Exists (with its path) if it is already there, so a campaign
+    never runs over an earlier one's kept stores. *)
 let sub base name =
   let d = Filename.concat base name in
-  Unix.mkdir d 0o755;
+  (try Unix.mkdir d 0o755
+   with Unix.Unix_error (Unix.EEXIST, _, _) -> raise (Exists d));
   d

@@ -257,6 +257,21 @@ let test_session_exactly_once_restart_grid () =
         (Campaign.get row "kills" > 0))
     [ 1; 2 ]
 
+(* A campaign over a kept directory must not run over the stores an
+   earlier run left: the second scenario directory of one name under one
+   base is refused, naming it, and the first is left as it was. *)
+let test_scenario_dir_reuse_refused () =
+  Test_support.Temp_dir.with_fresh ~prefix:"onll-test-sub" (fun base ->
+      let d = Test_support.Temp_dir.sub base "plain-0" in
+      Out_channel.with_open_bin (Filename.concat d "store") (fun oc ->
+          output_string oc "kept");
+      (match Test_support.Temp_dir.sub base "plain-0" with
+      | _ -> Alcotest.fail "a second scenario directory of one name"
+      | exception Test_support.Temp_dir.Exists p ->
+          check Alcotest.string "names the directory" d p);
+      check Alcotest.bool "the kept store is untouched" true
+        (Sys.file_exists (Filename.concat d "store")))
+
 (* The kill -9 path: every epoch a forked child that SIGKILLs itself at
    the seeded fence; recovery runs in the next child. *)
 let test_forked_kill_scenario replicas () =
@@ -305,5 +320,7 @@ let () =
             (test_forked_kill_scenario 1);
           Alcotest.test_case "kill -9 scenario, two replicas" `Quick
             (test_forked_kill_scenario 2);
+          Alcotest.test_case "a kept scenario directory is refused" `Quick
+            test_scenario_dir_reuse_refused;
         ] );
     ]
