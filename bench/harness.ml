@@ -37,6 +37,30 @@ let write_snapshot ~experiment ?(meta = []) registry =
   Onll_obs.Export.write_file ~path json;
   path
 
+(** The [onll] CLI binary the socket arms (E18, E20) start as a server:
+    [$ONLL_CLI], else [bin/onll_cli.exe] in the build tree this bench
+    runs from ([_build/default/bench/main.exe] sits beside
+    [_build/default/bin/]), whatever the working directory.
+    @raise Failure naming what to build when neither exists. *)
+let onll_cli () =
+  match Sys.getenv_opt "ONLL_CLI" with
+  | Some p when p <> "" ->
+      if Sys.file_exists p then p
+      else failwith (Printf.sprintf "$ONLL_CLI=%s does not exist" p)
+  | _ ->
+      let p =
+        Filename.concat
+          (Filename.dirname (Filename.dirname Sys.executable_name))
+          (Filename.concat "bin" "onll_cli.exe")
+      in
+      if Sys.file_exists p then p
+      else
+        failwith
+          (Printf.sprintf
+             "the socket arms need the onll CLI at %s: build it (dune build \
+              bin/onll_cli.exe) or set $ONLL_CLI"
+             p)
+
 (** A sim-driven workload: [procs] processes, each performing
     [updates_per_proc] updates (and optionally reads) against closures that
     hide the concrete object. Returns persistent fences consumed. *)

@@ -201,13 +201,6 @@ let native_throughput summary =
    gated). The exactly-once pass keeps its cross-pass audit; the relaxed
    tiers waive server-side dedup, so they run audit-free. *)
 
-let find_cli () =
-  match Sys.getenv_opt "ONLL_CLI" with
-  | Some p when Sys.file_exists p -> Some p
-  | _ ->
-      let candidate = "_build/default/bin/onll_cli.exe" in
-      if Sys.file_exists candidate then Some candidate else None
-
 let tier_slo_pass summary ~worker =
   let module Loadgen = Onll_serve.Loadgen in
   let module Protocol = Onll_serve.Protocol in
@@ -309,14 +302,6 @@ let tier_slo_pass summary ~worker =
   | Unix.WEXITED 0 -> ()
   | _ -> failwith "e20 tier slo: server did not drain cleanly"
 
-let tier_slo summary =
-  match find_cli () with
-  | None ->
-      print_endline
-        "e20 tier slo: onll CLI binary not found (set $ONLL_CLI); skipping \
-         the socket arm"
-  | Some worker -> tier_slo_pass summary ~worker
-
 let run () =
   let summary = Onll_obs.Metrics.create () in
   fence_accounting summary;
@@ -337,7 +322,7 @@ let run () =
   ignore (Test_support.Relaxed_chaos.to_metrics ~reg:summary s);
   native_throughput summary;
   print_endline "== per-session durability tiers over a real socket ==";
-  tier_slo summary;
+  tier_slo_pass summary ~worker:(Harness.onll_cli ());
   let path =
     Harness.write_snapshot ~experiment:"e20"
       ~meta:

@@ -28,13 +28,6 @@ let gate_slices = Schaos.gate_slices
 
 (* {1 Arm 2: fault-storm SLOs at a 4-digit client population} *)
 
-let find_cli () =
-  match Sys.getenv_opt "ONLL_CLI" with
-  | Some p when Sys.file_exists p -> Some p
-  | _ ->
-      let candidate = "_build/default/bin/onll_cli.exe" in
-      if Sys.file_exists candidate then Some candidate else None
-
 let env_int name default =
   match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
 
@@ -114,36 +107,26 @@ let slo_pass reg ~worker ~construction =
   | Unix.WEXITED 0 -> ()
   | _ -> failwith "e18 slo: server did not drain cleanly"
 
-let slo reg = function
-  | None ->
-      print_endline
-        "e18 slo: onll CLI binary not found (set $ONLL_CLI); skipping the \
-         socket arm"
-  | Some worker ->
-      List.iter
-        (fun construction -> slo_pass reg ~worker ~construction)
-        [ "plain"; "batched" ]
+let slo reg worker =
+  List.iter
+    (fun construction -> slo_pass reg ~worker ~construction)
+    [ "plain"; "batched" ]
 
 (* {1 Arm 3: the fault-storm campaign} *)
 
-let campaign reg = function
-  | None ->
-      print_endline
-        "e18 campaign: onll CLI binary not found (set $ONLL_CLI); skipping \
-         the subprocess arm"
-  | Some worker ->
-      let seeds = env_int "ONLL_E18_SEEDS" 8 in
-      let rows =
-        Test_support.Temp_dir.with_fresh ~prefix:"onll-e18" (fun dir ->
-            Schaos.run_campaign ~worker ~dir ~seeds)
-      in
-      Schaos.print_rows rows;
-      List.iter
-        (fun (r : Campaign.row) ->
-          ignore (Campaign.to_metrics ~reg ~prefix:("e18c." ^ r.name) r))
-        rows;
-      assert (List.for_all (fun (r : Campaign.row) -> r.violations = []) rows);
-      assert (Campaign.total "kills" rows > 0)
+let campaign reg worker =
+  let seeds = env_int "ONLL_E18_SEEDS" 8 in
+  let rows =
+    Test_support.Temp_dir.with_fresh ~prefix:"onll-e18" (fun dir ->
+        Schaos.run_campaign ~worker ~dir ~seeds)
+  in
+  Schaos.print_rows rows;
+  List.iter
+    (fun (r : Campaign.row) ->
+      ignore (Campaign.to_metrics ~reg ~prefix:("e18c." ^ r.name) r))
+    rows;
+  assert (List.for_all (fun (r : Campaign.row) -> r.violations = []) rows);
+  assert (Campaign.total "kills" rows > 0)
 
 let run () =
   let reg = Metrics.create () in
@@ -153,7 +136,7 @@ let run () =
   assert (Metrics.counter_value reg "e18.restart.mirrored.violations" = 0);
   assert (Metrics.counter_value reg "e18.restart.plain.kills" > 0);
   assert (Metrics.counter_value reg "e18.oseq.reused" = 0);
-  let cli = find_cli () in
+  let cli = Harness.onll_cli () in
   print_endline "== fault-storm SLOs over a real socket ==";
   slo reg cli;
   print_endline "== SIGKILL / flood / degraded campaign ==";
