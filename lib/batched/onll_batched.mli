@@ -16,8 +16,9 @@
       detectable [(process, sequence)] identity) in a per-process slot.
     - {b Combine}: whoever wins a CAS lock becomes the {e leader},
       collects every announced operation into one batch with contiguous
-      execution indices, appends one [Batch] record to the {e shared}
-      persistent log and issues the batch's one fence.
+      execution indices, appends one [Ops] record (the core
+      construction's format, {!Onll_core.Record_log}, newest first) to
+      the {e shared} persistent log and issues the batch's one fence.
     - {b Publish}: only after the fence does the leader advance the
       durable watermark, apply the batch to the in-memory state and
       publish each waiter's result. A waiter therefore {e never} returns
@@ -49,8 +50,10 @@
     {!Onll_stack.Make.backend}) and shards ({!Onll_sharded.Make_over})
     stack on top unchanged.
 
-    Recovery adopts through the same rule as the core construction
-    ({!Onll_core.Onll.Adoption.run}). *)
+    Recovery, snapshots and [was_linearized] go through the core
+    construction's record log ({!Onll_core.Record_log.Make}): the same
+    driver, adoption rule ({!Onll_core.Onll.Adoption.run}) and
+    detectability rule. *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   include

@@ -155,8 +155,8 @@ module Adoption : sig
       bumped past every identity kept, adopted or not, so no
       post-recovery update can reuse a pre-crash identity and
       [was_linearized] can answer for every identity recovery saw. A
-      caller removes the [dropped] operations' entries before its next
-      append, as core and group commit do. *)
+      caller seals the [dropped] operations before its next append, as
+      core and group commit do ({!Record_log.Make.recover_logs}). *)
 end
 
 (** Construction-time configuration — the one record every instantiation's
@@ -299,8 +299,11 @@ module type CONSTRUCTION = sig
       {!Onll_plog.Plog.Make.recover}), then adopts the longest contiguous
       history prefix above the deepest surviving checkpoint, and reports
       exactly what was lost instead of raising. The operations it drops
-      leave every log ({!Onll_plog.Plog.Make.truncate}) before it returns,
-      so none comes back at an index a new update reuses; a clean
+      are sealed before it returns: a checkpoint at the base naming them
+      as exceptions to the sequence floors is fenced into every log that
+      holds one, then their records vanish behind a skip marker
+      ({!Onll_plog.Plog.Make.excise}). So none comes back at an index a
+      new update reuses, and no later floor answers for one; a clean
       recovery pays nothing for this. Idempotent and re-entrant:
       interrupted by a crash at any durable operation, a re-run converges
       — every repair it performs is idempotent, and a final uninterrupted
@@ -338,7 +341,9 @@ module type CONSTRUCTION = sig
   (** Detectable execution: did this operation take effect? For operations
       older than the deepest checkpoint the answer comes from the per-process
       sequence floors carried by materialised states, so compaction does not
-      lose detectability. *)
+      lose detectability. A floor's exceptions, the identities a degraded
+      recovery dropped, stay [false] after a later operation raises the
+      floor past them, across checkpoints and recoveries. *)
 
   val recovered_ops : t -> (op_id * int) list
   (** The operations recovery re-inserted, with their execution indices,
