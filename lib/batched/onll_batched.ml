@@ -269,7 +269,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         ~seqs:t.seqs
         ~degraded:(fun () -> t.degraded <- true)
     in
-    let upto = r.upto in
+    let upto = fst t.base + r.report.recovered_ops in
     t.recovered <- r.recovered;
     t.next_idx <- upto + 1;
     M.Tvar.set t.mirror !state;

@@ -238,6 +238,7 @@ end
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
   module L = Onll_plog.Plog.Make (M)
+
   (* [e_txn]: when this operation is a sub-operation of a cross-shard
      transaction (E19, {!Onll_txn}) that has been staged but whose
      coordinator record is not yet known durable, it carries the encoded
@@ -431,7 +432,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   type recovery = {
     report : Recovery_report.t;
-    upto : int;  (** the adopted prefix ends here *)
     recovered : (op_id, int) Hashtbl.t;  (** adopted id -> execution index *)
     txns : string list;
         (** every transaction commit payload riding in a logged envelope,
@@ -621,7 +621,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       reset base_idx state;
       List.iter adopt (List.rev !adopted)
     end;
-    { report; upto; recovered; txns = List.rev !txns }
+    { report; recovered; txns = List.rev !txns }
 
   (* Online self-healing (cooperative step): CRC-walk every log across
      its replicas, repairing divergence in place and quarantining

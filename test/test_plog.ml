@@ -671,6 +671,31 @@ let test_drop_upto_by_key () =
   check Alcotest.int "default key drops everything at 0" 2
     (P.drop_upto plain 0)
 
+(* [excise] hides the entries from the first match up to the newest one,
+   which stays, under one fence in every replica; the hidden span stays
+   hidden across a crash and recovery, which counts its marker without
+   reporting loss. Only the newest entry matching costs nothing. *)
+let test_excise_keeps_newest () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~replicas:2 ~name:"l" ~capacity:4096 () in
+  List.iter (P.append log) [ "a"; "b"; "c"; "seal" ];
+  let f0 = M.persistent_fences () in
+  P.excise log ~from:(fun p -> p = "seal");
+  check Alcotest.int "only the newest matches: no fence" f0
+    (M.persistent_fences ());
+  P.excise log ~from:(fun p -> p = "b" || p = "c");
+  check Alcotest.int "one fence" (f0 + 1) (M.persistent_fences ());
+  check Alcotest.(list string) "b and c hidden" [ "a"; "seal" ] (P.entries log);
+  check Alcotest.int "the account agrees" 2 (P.entry_count log);
+  P.append log "d";
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let r, payloads = P.recover log in
+  check Alcotest.(list string) "durable" [ "a"; "seal"; "d" ] payloads;
+  check Alcotest.(pair int int) "one marker, no quarantine" (1, 0)
+    (r.Onll_plog.Plog.skip_markers, r.Onll_plog.Plog.quarantined_spans)
+
 (* [drop_upto] against the rule it replaced in ONLL's checkpoint: read the
    live entries back, count the prefix whose key is <= k, and [set_head]
    that many. Seeded sequences of appends (keys roughly increasing, not
@@ -1296,6 +1321,8 @@ let () =
             test_drop_upto_matches_entries_rule;
           Alcotest.test_case "entry_count reads nothing" `Quick
             test_entry_count_reads_nothing;
+          Alcotest.test_case "excise keeps the newest entry" `Quick
+            test_excise_keeps_newest;
         ] );
       ( "mirror",
         [
