@@ -469,9 +469,9 @@ let () =
           prop_kv_matches_assoc;
           prop_kv_codec;
           state_roundtrip (module Onll_specs.Kv) Test_support.Gen.Kv.update;
-          ops_preencoded (module Onll_specs.Kv) Test_support.Gen.Kv.update;
           Alcotest.test_case "map state codecs = the list codec" `Quick
             test_map_state_codecs;
+          ops_preencoded (module Onll_specs.Kv) Test_support.Gen.Kv.update;
         ] );
       ( "set",
         [
