@@ -10,7 +10,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
   type read_op = S.read_op
   type value = S.value
 
-  (* The core construction's envelope and record formats, recovery driver
+  (* The core construction's envelope and record formats, recovery routine
      and detectability rule: one [Ops] record per batch, newest first. *)
   include Onll_core.Record_log.Make (M) (S)
 
@@ -247,7 +247,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 Recovery} *)
 
-  (* Through the core construction's driver
+  (* Through the core construction's recovery routine
      ({!Onll_core.Record_log.Make.recover_logs}): the mirror restarts at
      the deepest checkpoint and folds every adopted batch above it. A batch
      whose fence did not complete is a torn tail record: its CRC frame

@@ -52,7 +52,7 @@
 
     Recovery, snapshots and [was_linearized] go through the core
     construction's record log ({!Onll_core.Record_log.Make}): the same
-    driver, adoption rule ({!Onll_core.Onll.Adoption.run}) and
+    routine, adoption rule ({!Onll_core.Onll.Adoption.run}) and
     detectability rule. *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig

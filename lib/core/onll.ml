@@ -128,7 +128,7 @@ module Make_generic
   type read_op = S.read_op
   type value = S.value
 
-  (* The envelope and record formats, the recovery driver and the
+  (* The envelope and record formats, the recovery routine and the
      detectability rule, shared with group commit. *)
   include Record_log.Make (M) (S)
 
@@ -337,7 +337,7 @@ module Make_generic
 
   (* {2 Recovery — Listing 5, hardened} *)
 
-  (* Listing 5 through the shared driver ({!Record_log.Make.recover_logs}):
+  (* Listing 5 through the shared routine ({!Record_log.Make.recover_logs}):
      the trace restarts at the deepest checkpoint and takes every adopted
      envelope as an available node. *)
   let recover_core t ~hardened ~extra =

@@ -1,6 +1,6 @@
 (* The durable record log of the ONLL engines: the core construction
    ({!Onll.Make}) and group commit ({!Onll_batched}) write the same
-   records, recover through the same driver and answer [was_linearized]
+   records, recover through the same routine and answer [was_linearized]
    by the same rule. {!Onll} re-exports the identity, report, adoption and
    snapshot types below and documents them in onll.mli. *)
 
@@ -438,7 +438,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
             first sighting first: the helper-committed transactions *)
   }
 
-  (* The one recovery driver. [hardened] selects the log-level recovery
+  (* The one recovery routine. [hardened] selects the log-level recovery
      (salvaging vs. silently truncating); the rebuild is tolerant in both
      cases — {!Adoption.run} adopts the longest contiguous prefix above the
      deepest checkpoint — and the report says exactly what could not be
