@@ -12,8 +12,9 @@
       in-memory machine with emulated fences), drive it with the
       open-loop generator at a four-digit client population — beyond
       select(2)'s FD_SETSIZE, which is why the front-end polls — and
-      report p50/p99/p999 arrival-to-confirm latency, shed rate and
-      goodput, keyed [e18t.*] (never gated: wall-clock).
+      report p50/p99/p999 arrival-to-confirm latency, shed rate, goodput
+      and the server's CPU time per confirmed op, keyed [e18t.*] (never
+      gated: wall-clock).
 
    3. The out-of-process campaign: seeded SIGKILL storms, reattach floods
       with SIGTERM landing mid-load, and the degraded-media drill, under
@@ -30,6 +31,27 @@ let gate_slices = Schaos.gate_slices
 
 let env_int name default =
   match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+
+(* The CPU time, user + system, that process [pid] has used so far in
+   µs, from /proc/<pid>/stat (fields 14 and 15, in USER_HZ ticks: 100 a
+   second on Linux); [None] without a readable /proc. *)
+let cpu_us pid =
+  match open_in (Printf.sprintf "/proc/%d/stat" pid) with
+  | exception Sys_error _ -> None
+  | ic ->
+      let line =
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> input_line ic)
+      in
+      (* the command name may hold spaces: count from after its ')' *)
+      let from = String.rindex line ')' + 2 in
+      let fields =
+        Array.of_list
+          (String.split_on_char ' '
+             (String.sub line from (String.length line - from)))
+      in
+      (* fields.(0) is field 3 *)
+      Some
+        ((int_of_string fields.(11) + int_of_string fields.(12)) * 10_000)
 
 let slo_pass reg ~worker ~construction =
   let clients = env_int "ONLL_E18_CLIENTS" 1200 in
@@ -75,7 +97,9 @@ let slo_pass reg ~worker ~construction =
           connect_timeout_ms = 10_000;
         }
       in
+      let cpu_before = cpu_us pid in
       let rep = Loadgen.run ~audit cfg in
+      let cpu_after = cpu_us pid in
       let g name v =
         Metrics.set
           (Metrics.gauge reg (Printf.sprintf "e18t.%s.%s" construction name))
@@ -90,6 +114,15 @@ let slo_pass reg ~worker ~construction =
       g "shed_rate" rep.Loadgen.r_shed_rate;
       Format.printf "e18 slo (%s, %d clients): %a@." construction clients
         Loadgen.pp_report rep;
+      (match (cpu_before, cpu_after) with
+      | Some t0, Some t1 when rep.Loadgen.r_confirmed > 0 ->
+          let per_op =
+            float_of_int (t1 - t0) /. float_of_int rep.Loadgen.r_confirmed
+          in
+          g "server_cpu_us_per_op" per_op;
+          Format.printf "e18 slo (%s): server cpu %.1f us per confirmed op@."
+            construction per_op
+      | _ -> ());
       assert (rep.Loadgen.r_confirmed > 0);
       (* deadline-exhausted clients legitimately end the pass with an op in
          doubt; a quiet re-attach pass must resolve every one of them *)

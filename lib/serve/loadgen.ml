@@ -4,8 +4,6 @@ module Splitmix = Onll_util.Splitmix
 
 let now_ns () = Int64.to_int (Onll_machine.Native.monotonic_ns ())
 
-external fd_int : Unix.file_descr -> int = "%identity"
-
 (* {1 The cross-pass exactly-once audit} *)
 
 module Audit = struct
@@ -228,6 +226,8 @@ type client = {
   mutable conn_started_ns : int;  (* first failed connect of this outage *)
   mutable reader : bool;  (* performs the final counter read *)
   mutable got_value : int option;
+  mutable slot : int;  (* index in the poll set; -1 while it has no fd *)
+  mutable interest : int;  (* the interest bits registered at [slot] *)
 }
 
 type totals = {
@@ -311,15 +311,26 @@ let run ?audit cfg =
           conn_started_ns = 0;
           reader = i = 0;
           got_value = None;
+          slot = -1;
+          interest = 0;
         })
   in
-  let by_fd : (int, client) Hashtbl.t = Hashtbl.create (cfg.clients * 2) in
+  (* The poll set holds one entry per client with an fd; [polled.(i)] is
+     the client at index [i]. *)
+  let poll = Netpoll.create ~initial:(cfg.clients + 4) () in
+  let polled = Array.copy clients in
   let out_pending c = Buffer.length c.out - c.out_off in
   let send c codec msg = Protocol.write_frame c.out codec msg in
   let close_fd c =
     (match c.fd with
     | Some fd ->
-        Hashtbl.remove by_fd (fd_int fd);
+        (* swap-remove, mirroring [Netpoll.remove] *)
+        let last = Netpoll.length poll - 1 in
+        Netpoll.remove poll c.slot;
+        let moved = polled.(last) in
+        polled.(c.slot) <- moved;
+        moved.slot <- c.slot;
+        c.slot <- -1;
         (try Unix.close fd with Unix.Unix_error _ -> ())
     | None -> ());
     c.fd <- None;
@@ -396,7 +407,10 @@ let run ?audit cfg =
     let fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
     Unix.set_nonblock fd;
     c.fd <- Some fd;
-    Hashtbl.replace by_fd (fd_int fd) c;
+    c.slot <- Netpoll.length poll;
+    c.interest <- 0;
+    polled.(c.slot) <- c;
+    Netpoll.add poll fd 0;
     match Unix.connect fd (ADDR_UNIX cfg.socket_path) with
     | () ->
         send c Protocol.req_codec
@@ -609,7 +623,23 @@ let run ?audit cfg =
               else reconnect ~delay_ns:(backoff_ns c 1) c
         end
   in
-  let poll = Netpoll.create ~initial:(cfg.clients + 4) () in
+  (* Interest bits change in place, only when they differ from the
+     registered ones. *)
+  let arm c =
+    if c.slot >= 0 then begin
+      let interest =
+        match c.phase with
+        | Connecting -> Netpoll.pollout
+        | _ ->
+            Netpoll.pollin
+            lor if out_pending c > 0 then Netpoll.pollout else 0
+      in
+      if interest <> c.interest then begin
+        c.interest <- interest;
+        Netpoll.set_interest poll c.slot interest
+      end
+    end
+  in
   let last_churn = ref start_ns in
   let churn_rng = Splitmix.create (cfg.seed lxor 0xc4212) in
   let all_done = ref false in
@@ -666,25 +696,11 @@ let run ?audit cfg =
             end
             else if not issuing then wind_down c
         | _ -> ());
-        flush_client c)
+        flush_client c;
+        arm c)
       clients;
     (* poll *)
-    Netpoll.clear poll;
-    let polled = ref 0 in
-    Array.iter
-      (fun c ->
-        match (c.fd, c.phase) with
-        | Some fd, Connecting ->
-            Netpoll.add poll fd Netpoll.pollout;
-            incr polled
-        | Some fd, _ ->
-            Netpoll.add poll fd
-              (Netpoll.pollin
-              lor if out_pending c > 0 then Netpoll.pollout else 0);
-            incr polled
-        | None, _ -> ())
-      clients;
-    if !polled > 0 then begin
+    if Netpoll.length poll > 0 then begin
       (* an arrival is due only at an idle client; the others act on
          socket readiness *)
       let due =
@@ -700,39 +716,37 @@ let run ?audit cfg =
         (Netpoll.wait poll ~timeout_ms:(poll_timeout_ms ~now:(now_ns ()) ~due)
           : int);
       let now = now_ns () in
-      Netpoll.ready poll (fun fd revents ->
-          match Hashtbl.find_opt by_fd (fd_int fd) with
-          | None -> ()
-          | Some c -> (
-              match c.phase with
-              | Connecting ->
-                  if revents land (Netpoll.pollout lor Netpoll.pollerr) <> 0
-                  then begin
-                    match Unix.getsockopt_error fd with
-                    | None ->
-                        send c Protocol.req_codec
-                          (Protocol.Hello { client = c.id; token = cfg.token; tier = cfg.tier });
-                        c.phase <- Hello_wait;
-                        flush_client c
-                    | Some _ ->
-                        close_fd c;
-                        c.conn_attempts <- c.conn_attempts + 1;
-                        c.phase <-
-                          Sleeping (now + backoff_ns c c.conn_attempts)
-                  end
-              | _ ->
-                  if revents land Netpoll.pollerr <> 0 then begin
-                    if c.phase = Bye_wait then begin
-                      close_fd c;
-                      c.phase <- Finished
-                    end
-                    else reconnect ~delay_ns:(backoff_ns c 1) c
-                  end
-                  else begin
-                    if revents land Netpoll.pollin <> 0 then
-                      read_client c now;
-                    if revents land Netpoll.pollout <> 0 then flush_client c
-                  end))
+      (* a callback may close only its own client, which Netpoll.ready
+         allows *)
+      Netpoll.ready poll (fun i revents ->
+          let c = polled.(i) in
+          match (c.phase, c.fd) with
+          | Connecting, Some fd ->
+              if revents land (Netpoll.pollout lor Netpoll.pollerr) <> 0
+              then begin
+                match Unix.getsockopt_error fd with
+                | None ->
+                    send c Protocol.req_codec
+                      (Protocol.Hello { client = c.id; token = cfg.token; tier = cfg.tier });
+                    c.phase <- Hello_wait;
+                    flush_client c
+                | Some _ ->
+                    close_fd c;
+                    c.conn_attempts <- c.conn_attempts + 1;
+                    c.phase <- Sleeping (now + backoff_ns c c.conn_attempts)
+              end
+          | _ ->
+              if revents land Netpoll.pollerr <> 0 then begin
+                if c.phase = Bye_wait then begin
+                  close_fd c;
+                  c.phase <- Finished
+                end
+                else reconnect ~delay_ns:(backoff_ns c 1) c
+              end
+              else begin
+                if revents land Netpoll.pollin <> 0 then read_client c now;
+                if revents land Netpoll.pollout <> 0 then flush_client c
+              end)
     end
     else Unix.sleepf 0.002;
     (* end conditions *)

@@ -2,11 +2,12 @@
 
    Unix.select is FD_SETSIZE-bound (1024 on glibc) regardless of the
    process's rlimit, so a server or load generator holding thousands of
-   connections cannot use it. This stub polls a caller-owned triple of
-   int arrays (fds / interest / revents), so the per-iteration cost is
-   one C array build and no OCaml allocation. Interest and result bits
-   are our own, stable encoding: 1 = readable, 2 = writable, 4 = error
-   or hangup (POLLERR | POLLHUP | POLLNVAL). */
+   connections cannot use it. This stub polls a caller-owned pair of int
+   arrays (fds / interest) and writes back only the entries that are
+   ready, as (index, result bits) pairs, so the caller's ready pass costs
+   per ready descriptor rather than per registered one. Interest and
+   result bits are our own, stable encoding: 1 = readable, 2 = writable,
+   4 = error or hangup (POLLERR | POLLHUP | POLLNVAL). */
 
 #include <poll.h>
 #include <stdlib.h>
@@ -21,29 +22,33 @@
 #define ONLL_POLL_OUT 2
 #define ONLL_POLL_ERR 4
 
-CAMLprim value onll_poll(value vfds, value vevents, value vrevents, value vn,
+/* Sets up to this size poll from the stack; larger ones malloc. */
+#define ONLL_POLL_STACK 64
+
+CAMLprim value onll_poll(value vfds, value vevents, value vready, value vn,
                          value vtimeout_ms)
 {
-  CAMLparam5(vfds, vevents, vrevents, vn, vtimeout_ms);
+  CAMLparam5(vfds, vevents, vready, vn, vtimeout_ms);
   int n = Int_val(vn);
   int timeout = Int_val(vtimeout_ms);
-  struct pollfd *pfds = NULL;
-  int i, r;
+  struct pollfd small[ONLL_POLL_STACK];
+  struct pollfd *pfds = small;
+  int i, r, k;
 
   if (n < 0 || n > Wosize_val(vfds) || n > Wosize_val(vevents) ||
-      n > Wosize_val(vrevents))
+      2 * n > Wosize_val(vready))
     caml_invalid_argument("Netpoll.poll: n out of bounds");
 
-  if (n > 0) {
+  if (n > ONLL_POLL_STACK) {
     pfds = malloc((size_t)n * sizeof *pfds);
     if (pfds == NULL) caml_raise_out_of_memory();
-    for (i = 0; i < n; i++) {
-      int ev = Int_val(Field(vevents, i));
-      pfds[i].fd = Int_val(Field(vfds, i));
-      pfds[i].events = (short)(((ev & ONLL_POLL_IN) ? POLLIN : 0) |
-                               ((ev & ONLL_POLL_OUT) ? POLLOUT : 0));
-      pfds[i].revents = 0;
-    }
+  }
+  for (i = 0; i < n; i++) {
+    int ev = Int_val(Field(vevents, i));
+    pfds[i].fd = Int_val(Field(vfds, i));
+    pfds[i].events = (short)(((ev & ONLL_POLL_IN) ? POLLIN : 0) |
+                             ((ev & ONLL_POLL_OUT) ? POLLOUT : 0));
+    pfds[i].revents = 0;
   }
 
   caml_release_runtime_system();
@@ -52,18 +57,26 @@ CAMLprim value onll_poll(value vfds, value vevents, value vrevents, value vn,
 
   if (r < 0) {
     int e = errno;
-    free(pfds);
+    if (pfds != small) free(pfds);
     if (e == EINTR) CAMLreturn(Val_int(-1)); /* interrupted: caller rechecks */
     caml_failwith("Netpoll.poll: poll(2) failed");
   }
 
-  for (i = 0; i < n; i++) {
+  /* poll returns how many entries have non-zero revents: stop once all
+     of them have been seen */
+  for (i = 0, k = 0; i < n && r > 0; i++) {
     short re = pfds[i].revents;
-    int out = ((re & POLLIN) ? ONLL_POLL_IN : 0) |
-              ((re & POLLOUT) ? ONLL_POLL_OUT : 0) |
-              ((re & (POLLERR | POLLHUP | POLLNVAL)) ? ONLL_POLL_ERR : 0);
-    Store_field(vrevents, i, Val_int(out));
+    int out;
+    if (re == 0) continue;
+    r--;
+    out = ((re & POLLIN) ? ONLL_POLL_IN : 0) |
+          ((re & POLLOUT) ? ONLL_POLL_OUT : 0) |
+          ((re & (POLLERR | POLLHUP | POLLNVAL)) ? ONLL_POLL_ERR : 0);
+    if (out == 0) continue;
+    Store_field(vready, 2 * k, Val_int(i));
+    Store_field(vready, 2 * k + 1, Val_int(out));
+    k++;
   }
-  free(pfds);
-  CAMLreturn(Val_int(r));
+  if (pfds != small) free(pfds);
+  CAMLreturn(Val_int(k));
 }

@@ -11,7 +11,18 @@
     if already durable, refused with {!Protocol.refusal.R_draining}
     otherwise), every response buffer is flushed, a final fence runs, and
     {!Make.run} returns. Nothing is ever acknowledged after a refused
-    fence: the final fence is the last durable action before exit. *)
+    fence: the final fence is the last durable action before exit.
+
+    Cost per loop iteration: one [poll(2)] over a persistent
+    {!Netpoll} set (O(open connections), in the kernel and in building
+    its argument), then work only for the connections it reports ready.
+    Connections live in a dense table indexed like the poll set; a
+    connection's interest bits change only when its pending output
+    crosses zero, and closes are queued and applied after the ready
+    pass. Idle connections are looked for on a coarse cadence, every
+    [max 100 (idle_timeout_ms / 10)] ms, so one is reaped at most that
+    long after its timeout; with no traffic the loop wakes every
+    100 ms. *)
 
 val request_drain : unit -> unit
 (** Signal-handler-safe: ask the running server to drain. {!Make.run}

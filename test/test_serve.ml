@@ -1,8 +1,10 @@
 (* Deterministic unit tests for the `onll serve` front-end (E18): wire
    framing, the region-naming audit, the service's protocol policy over
    an in-memory machine, the identity allocator's never-reuse contract
-   across a file-machine restart, recovery-complete serving, and the
-   SIGTERM drain over a real socket (plain and mirrored). The
+   across a file-machine restart, recovery-complete serving, the
+   persistent poll set, the socket loop over a forked server (churn, idle
+   reaping, the connection cap, a pipelined backlog, a hung-up peer), and
+   the SIGTERM drain over a real socket (plain and mirrored). The
    randomized/adversarial coverage lives in the E18 chaos campaign
    ([test_support/service_chaos.ml]); these are the pinned specimens. *)
 
@@ -13,6 +15,7 @@ module Codec = Onll_util.Codec
 module Protocol = Onll_serve.Protocol
 module Service = Onll_serve.Service
 module Server = Onll_serve.Server
+module Netpoll = Onll_serve.Netpoll
 module Faults = Onll_faults.Faults
 
 let check = Alcotest.check
@@ -293,6 +296,69 @@ let test_poll_timeout () =
   check Alcotest.int "capped" 10 (wait (now + (25 * ms)));
   check Alcotest.int "nothing due" 10 (wait max_int)
 
+(* {1 The persistent poll set} *)
+
+let reported poll =
+  let seen = ref [] in
+  Netpoll.ready poll (fun i bits -> seen := (i, bits) :: !seen);
+  List.rev !seen
+
+let ready_list = Alcotest.(list (pair int int))
+
+(* A wait interrupted by a signal stores no result bits: the following
+   ready pass must report nothing, not replay the previous wait's events
+   (left unreported here on purpose). *)
+let test_netpoll_eintr () =
+  let r, w = Unix.pipe () in
+  let poll = Netpoll.create () in
+  Netpoll.add poll r Netpoll.pollin;
+  ignore (Unix.write w (Bytes.make 1 'x') 0 1);
+  check Alcotest.int "the pipe is ready" 1 (Netpoll.wait poll ~timeout_ms:1000);
+  ignore (Unix.read r (Bytes.create 1) 0 1);
+  let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle ignore) in
+  let disarm () =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = 0.; it_value = 0. });
+    Sys.set_signal Sys.sigalrm prev
+  in
+  Fun.protect ~finally:disarm (fun () ->
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.; it_value = 0.05 });
+      check Alcotest.int "the wait on the empty pipe is interrupted" (-1)
+        (Netpoll.wait poll ~timeout_ms:5000));
+  check ready_list "nothing replayed" [] (reported poll);
+  List.iter Unix.close [ r; w ]
+
+(* Entries keep their index until removed; removal moves the last entry
+   into the hole; the ready pass runs in descending index order, and the
+   entry it reports may remove itself. *)
+let test_netpoll_swap_remove () =
+  let pipes = Array.init 3 (fun _ -> Unix.pipe ()) in
+  let poll = Netpoll.create ~initial:1 () in
+  Array.iter (fun (r, _) -> Netpoll.add poll r Netpoll.pollin) pipes;
+  let poke k = ignore (Unix.write (snd pipes.(k)) (Bytes.make 1 'x') 0 1) in
+  poke 0;
+  poke 2;
+  check Alcotest.int "two ready" 2 (Netpoll.wait poll ~timeout_ms:1000);
+  let seen = ref [] in
+  Netpoll.ready poll (fun i bits ->
+      seen := (i, bits) :: !seen;
+      if i = 0 then Netpoll.remove poll i);
+  check ready_list "descending, each once"
+    [ (2, Netpoll.pollin); (0, Netpoll.pollin) ]
+    (List.rev !seen);
+  check Alcotest.int "one removed" 2 (Netpoll.length poll);
+  (* pipe 2 moved into index 0, pipe 1 kept index 1 *)
+  Netpoll.set_interest poll 0 0;
+  poke 1;
+  ignore (Netpoll.wait poll ~timeout_ms:1000);
+  check ready_list "pipe 1 keeps its index; pipe 2 is no longer asked"
+    [ (1, Netpoll.pollin) ] (reported poll);
+  check ready_list "a second pass reports nothing" [] (reported poll);
+  Array.iter (fun (r, w) -> List.iter Unix.close [ r; w ]) pipes
+
 (* {1 No compaction past an in-doubt identity} *)
 
 let test_guard_in_doubt () =
@@ -488,11 +554,10 @@ let recv_resp fd inbuf =
   in
   go ()
 
-(* A server child over the native machine; SIGTERM lands while the parent
-   is mid-submit. Every in-flight op must be finished (Acked) or cleanly
-   refused (R_draining / connection closed after a flush) — never left
-   half-acked — and the child must exit 0 through the drain path. *)
-let drain_scenario construction =
+(* Fork a server child over the native machine and return its pid and
+   socket path once it listens. The child exits 0 after a clean drain. *)
+let fork_server ?(construction = Service.Plain) ?(idle_timeout_ms = 30_000)
+    ?(max_conns = 12_000) () =
   let dir = fresh_dir () in
   let socket = Filename.concat dir "srv.sock" in
   let ready_r, ready_w = Unix.pipe () in
@@ -509,7 +574,9 @@ let drain_scenario construction =
         let scfg =
           {
             (Server.default_config ~socket_path:socket) with
-            Server.on_ready =
+            Server.idle_timeout_ms;
+            max_conns;
+            on_ready =
               (fun () ->
                 ignore (Unix.write ready_w (Bytes.make 1 'R') 0 1);
                 Unix.close ready_w);
@@ -524,6 +591,20 @@ let drain_scenario construction =
   Unix.close ready_w;
   check Alcotest.int "server came up" 1 (Unix.read ready_r (Bytes.create 1) 0 1);
   Unix.close ready_r;
+  (child, socket)
+
+let expect_clean_exit child =
+  match Unix.waitpid [] child with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED n -> Alcotest.failf "server exited %d" n
+  | _, _ -> Alcotest.fail "server killed by signal"
+
+(* A server child; SIGTERM lands while the parent is mid-submit. Every
+   in-flight op must be finished (Acked) or cleanly refused (R_draining /
+   connection closed after a flush) — never left half-acked — and the
+   child must exit 0 through the drain path. *)
+let drain_scenario construction =
+  let child, socket = fork_server ~construction () in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   let inbuf = Protocol.Inbuf.create () in
@@ -554,10 +635,7 @@ let drain_scenario construction =
     incr i
   done;
   Unix.close fd;
-  (match Unix.waitpid [] child with
-  | _, Unix.WEXITED 0 -> ()
-  | _, Unix.WEXITED n -> Alcotest.failf "server exited %d" n
-  | _, _ -> Alcotest.fail "server killed by signal");
+  expect_clean_exit child;
   check Alcotest.bool "durable work happened before the drain" true
     (!acked > 0);
   check Alcotest.bool "the drain answered or cleanly closed" true
@@ -574,6 +652,255 @@ let test_drain_mirrored () =
   let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
   @@ fun () -> drain_scenario Service.Mirrored
+
+(* {1 The socket loop over a forked server} *)
+
+(* Run [f socket] against a forked server, then drain it; the server is
+   killed if [f] fails. SIGPIPE is ignored so that a write to a closed
+   connection surfaces as EPIPE. *)
+let with_server ?idle_timeout_ms ?max_conns f =
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+  @@ fun () ->
+  let child, socket = fork_server ?idle_timeout_ms ?max_conns () in
+  let reaped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !reaped then begin
+        (try Unix.kill child Sys.sigkill with Unix.Unix_error _ -> ());
+        ignore (Unix.waitpid [] child)
+      end)
+  @@ fun () ->
+  f socket;
+  Unix.kill child Sys.sigterm;
+  reaped := true;
+  expect_clean_exit child
+
+type client = { fd : Unix.file_descr; inbuf : Protocol.Inbuf.t }
+
+let connect socket =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  { fd; inbuf = Protocol.Inbuf.create () }
+
+let request c req =
+  send_req c.fd req;
+  match recv_resp c.fd c.inbuf with
+  | Some r -> r
+  | None -> Alcotest.fail "connection closed before the response"
+
+let attach c ~client =
+  match
+    request c
+      (Protocol.Hello { client; token = "onll"; tier = Protocol.T_exactly_once })
+  with
+  | Protocol.Attached { next_seq; _ } -> next_seq
+  | _ -> Alcotest.failf "client %d: hello refused" client
+
+let pong c =
+  match request c Protocol.Ping with
+  | Protocol.Pong -> ()
+  | _ -> Alcotest.fail "ping not answered with pong"
+
+(* Whether the server closed [c] within [secs]: its end reads EOF. *)
+let closed_within c secs =
+  match Unix.select [ c.fd ] [] [] secs with
+  | [], _, _ -> false
+  | _ -> (
+      match Unix.read c.fd (Bytes.create 64) 0 64 with
+      | 0 -> true
+      | _ -> false
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+
+(* Three rounds of 64 connections that attach, submit and close, so fds
+   and connection slots are reused. Connection k submits k mod 4 + 1 ops
+   per round, pipelined; its acks must carry exactly its own session's
+   sequence numbers (a response crossing connections would not). Half
+   the connections close (by Bye or abruptly) in a shuffled order while
+   the other half then submit once more. *)
+let test_churn () =
+  with_server @@ fun socket ->
+  let rng = Random.State.make [| 26 |] in
+  let per k = (k mod 4) + 1 in
+  let acks = ref 0 in
+  let submit_all c ~seq n =
+    for i = 0 to n - 1 do
+      send_req c.fd
+        (Protocol.Submit { seq = seq + i; deadline_ns = 0; op = incr_op })
+    done;
+    for i = 0 to n - 1 do
+      match recv_resp c.fd c.inbuf with
+      | Some (Protocol.Acked { seq = s; _ }) ->
+          check Alcotest.int "an ack of this session, in order" (seq + i) s;
+          incr acks
+      | _ -> Alcotest.fail "submit not acked"
+    done
+  in
+  let close k c =
+    if k mod 4 < 2 then begin
+      (match request c Protocol.Bye with
+      | Protocol.Gone -> ()
+      | _ -> Alcotest.fail "bye not answered with gone");
+      check Alcotest.bool "closed after gone" true (closed_within c 5.0)
+    end;
+    Unix.close c.fd
+  in
+  for round = 0 to 2 do
+    let conns = Array.init 64 (fun _ -> connect socket) in
+    let cursor =
+      Array.mapi
+        (fun k c ->
+          let next = attach c ~client:k in
+          check Alcotest.int "the session cursor survives reattach"
+            (round * (per k + 1)) next;
+          next)
+        conns
+    in
+    Array.iteri (fun k c -> submit_all c ~seq:cursor.(k) (per k)) conns;
+    let order = Array.init 64 Fun.id in
+    for i = 63 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- t
+    done;
+    Array.iter (fun k -> if k mod 2 = 0 then close k conns.(k)) order;
+    Array.iter
+      (fun k ->
+        if k mod 2 = 1 then begin
+          submit_all conns.(k) ~seq:(cursor.(k) + per k) 1;
+          close k conns.(k)
+        end)
+      order;
+    (* the even connections submitted [per k] ops: pad their cursor *)
+    Array.iteri
+      (fun k _ ->
+        if k mod 2 = 0 then begin
+          let c = connect socket in
+          ignore (attach c ~client:k);
+          submit_all c ~seq:(cursor.(k) + per k) 1;
+          Unix.close c.fd
+        end)
+      conns
+  done;
+  let c = connect socket in
+  ignore (attach c ~client:0);
+  (match request c (Protocol.Fetch { op = "" }) with
+  | Protocol.Got v -> check Alcotest.int "the counter equals the acks" !acks v
+  | _ -> Alcotest.fail "fetch not answered");
+  Unix.close c.fd
+
+(* With a 50 ms idle timeout the idle connection is closed while the busy
+   one, pinging every 2 ms, is still answered. *)
+let test_idle_reaping () =
+  with_server ~idle_timeout_ms:50 @@ fun socket ->
+  let idle = connect socket and busy = connect socket in
+  ignore (attach idle ~client:0);
+  ignore (attach busy ~client:1);
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let reaped = ref false in
+  while (not !reaped) && Unix.gettimeofday () < deadline do
+    pong busy;
+    reaped := closed_within idle 0.002
+  done;
+  check Alcotest.bool "the idle connection was closed" true !reaped;
+  pong busy;
+  Unix.close idle.fd;
+  Unix.close busy.fd
+
+(* With [max_conns = 4], a fifth connection is closed at once and the
+   first four still answer. *)
+let test_connection_cap () =
+  with_server ~max_conns:4 @@ fun socket ->
+  let four = Array.init 4 (fun _ -> connect socket) in
+  Array.iteri (fun k c -> ignore (attach c ~client:k)) four;
+  let fifth = connect socket in
+  check Alcotest.bool "the fifth connection is closed" true
+    (closed_within fifth 5.0);
+  Unix.close fifth.fd;
+  Array.iter pong four;
+  Array.iter (fun c -> Unix.close c.fd) four
+
+(* 2,000 Fetch frames are pipelined before anything is read. After each
+   frame a Ping round trip on a second connection makes sure the server
+   has answered that frame in a write of its own, so the unread answers
+   outgrow the socket buffer and the server must finish them through
+   [pollout]. A Submit after every 100th Fetch steps the counter, so every
+   answer's value fixes its place in the order. *)
+let test_backlog () =
+  with_server @@ fun socket ->
+  let c = connect socket and pacer = connect socket in
+  ignore (attach c ~client:0);
+  ignore (attach pacer ~client:1);
+  let send req =
+    send_req c.fd req;
+    pong pacer
+  in
+  for i = 0 to 1999 do
+    send (Protocol.Fetch { op = "" });
+    if i mod 100 = 99 then
+      send (Protocol.Submit { seq = i / 100; deadline_ns = 0; op = incr_op })
+  done;
+  for i = 0 to 1999 do
+    (match recv_resp c.fd c.inbuf with
+    | Some (Protocol.Got v) -> check Alcotest.int "fetch answered in order" (i / 100) v
+    | _ -> Alcotest.failf "fetch %d not answered" i);
+    if i mod 100 = 99 then
+      match recv_resp c.fd c.inbuf with
+      | Some (Protocol.Acked { seq; _ }) ->
+          check Alcotest.int "submit answered in order" (i / 100) seq
+      | _ -> Alcotest.failf "submit after fetch %d not acked" i
+  done;
+  pong c;
+  Unix.close c.fd;
+  Unix.close pacer.fd
+
+(* A peer that hangs up with answers still unread is dropped at once, not
+   kept (and reported ready on every poll) until the idle timeout: with
+   [max_conns = 1], the next client gets in. The pacer that fills the
+   hung-up connection's socket (as in [test_backlog]) must itself leave
+   first, so the cap is 2 while it runs. *)
+let test_hangup_with_backlog () =
+  with_server ~max_conns:2 @@ fun socket ->
+  let c = connect socket and pacer = connect socket in
+  ignore (attach c ~client:0);
+  ignore (attach pacer ~client:1);
+  for _ = 1 to 1000 do
+    send_req c.fd (Protocol.Fetch { op = "" });
+    pong pacer
+  done;
+  Unix.close pacer.fd;
+  Unix.close c.fd;
+  (* two fresh connections: one more than a kept dead connection allows *)
+  let attached client =
+    let c = connect socket in
+    match
+      send_req c.fd
+        (Protocol.Hello { client; token = "onll"; tier = Protocol.T_exactly_once });
+      recv_resp c.fd c.inbuf
+    with
+    | Some (Protocol.Attached _) -> Some c
+    | _ | (exception Unix.Unix_error _) ->
+        Unix.close c.fd;
+        None
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec join () =
+    match (attached 2, attached 3) with
+    | Some a, Some b -> (a, b)
+    | a, b ->
+        Option.iter (fun c -> Unix.close c.fd) a;
+        Option.iter (fun c -> Unix.close c.fd) b;
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the hung-up connection still holds its slot";
+        Unix.sleepf 0.01;
+        join ()
+  in
+  let a, b = join () in
+  pong a;
+  pong b;
+  Unix.close a.fd;
+  Unix.close b.fd
 
 let () =
   Alcotest.run "serve"
@@ -601,6 +928,13 @@ let () =
           Alcotest.test_case "poll waits for the earliest due event" `Quick
             test_poll_timeout;
         ] );
+      ( "netpoll",
+        [
+          Alcotest.test_case "an interrupted wait reports nothing" `Quick
+            test_netpoll_eintr;
+          Alcotest.test_case "swap-remove keeps the other indices" `Quick
+            test_netpoll_swap_remove;
+        ] );
       ( "regions",
         [
           Alcotest.test_case "10k region names are injective" `Quick
@@ -612,6 +946,19 @@ let () =
             test_oseq_restart_never_reuses;
           Alcotest.test_case "recovery-complete serving after restart" `Quick
             test_recovery_complete_restart;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "3 x 64 connections churn, no crossed response"
+            `Quick test_churn;
+          Alcotest.test_case "idle connection reaped, busy one answered"
+            `Quick test_idle_reaping;
+          Alcotest.test_case "connection cap closes the fifth" `Quick
+            test_connection_cap;
+          Alcotest.test_case "2000 pipelined fetches answered in order"
+            `Quick test_backlog;
+          Alcotest.test_case "a hung-up peer with unread answers is dropped"
+            `Quick test_hangup_with_backlog;
         ] );
       ( "drain",
         [
