@@ -227,7 +227,6 @@ type client = {
   mutable reader : bool;  (* performs the final counter read *)
   mutable got_value : int option;
   mutable slot : int;  (* index in the poll set; -1 while it has no fd *)
-  mutable interest : int;  (* the interest bits registered at [slot] *)
 }
 
 type totals = {
@@ -312,7 +311,6 @@ let run ?audit cfg =
           reader = i = 0;
           got_value = None;
           slot = -1;
-          interest = 0;
         })
   in
   (* The poll set holds one entry per client with an fd; [polled.(i)] is
@@ -408,7 +406,6 @@ let run ?audit cfg =
     Unix.set_nonblock fd;
     c.fd <- Some fd;
     c.slot <- Netpoll.length poll;
-    c.interest <- 0;
     polled.(c.slot) <- c;
     Netpoll.add poll fd 0;
     match Unix.connect fd (ADDR_UNIX cfg.socket_path) with
@@ -623,22 +620,15 @@ let run ?audit cfg =
               else reconnect ~delay_ns:(backoff_ns c 1) c
         end
   in
-  (* Interest bits change in place, only when they differ from the
-     registered ones. *)
+  (* Interest bits change in place at the client's index. *)
   let arm c =
-    if c.slot >= 0 then begin
-      let interest =
-        match c.phase with
+    if c.slot >= 0 then
+      Netpoll.set_interest poll c.slot
+        (match c.phase with
         | Connecting -> Netpoll.pollout
         | _ ->
             Netpoll.pollin
-            lor if out_pending c > 0 then Netpoll.pollout else 0
-      in
-      if interest <> c.interest then begin
-        c.interest <- interest;
-        Netpoll.set_interest poll c.slot interest
-      end
-    end
+            lor if out_pending c > 0 then Netpoll.pollout else 0)
   in
   let last_churn = ref start_ns in
   let churn_rng = Splitmix.create (cfg.seed lxor 0xc4212) in

@@ -22,33 +22,29 @@
 #define ONLL_POLL_OUT 2
 #define ONLL_POLL_ERR 4
 
-/* Sets up to this size poll from the stack; larger ones malloc. */
-#define ONLL_POLL_STACK 64
-
 CAMLprim value onll_poll(value vfds, value vevents, value vready, value vn,
                          value vtimeout_ms)
 {
   CAMLparam5(vfds, vevents, vready, vn, vtimeout_ms);
   int n = Int_val(vn);
   int timeout = Int_val(vtimeout_ms);
-  struct pollfd small[ONLL_POLL_STACK];
-  struct pollfd *pfds = small;
+  struct pollfd *pfds = NULL;
   int i, r, k;
 
   if (n < 0 || n > Wosize_val(vfds) || n > Wosize_val(vevents) ||
       2 * n > Wosize_val(vready))
     caml_invalid_argument("Netpoll.poll: n out of bounds");
 
-  if (n > ONLL_POLL_STACK) {
+  if (n > 0) {
     pfds = malloc((size_t)n * sizeof *pfds);
     if (pfds == NULL) caml_raise_out_of_memory();
-  }
-  for (i = 0; i < n; i++) {
-    int ev = Int_val(Field(vevents, i));
-    pfds[i].fd = Int_val(Field(vfds, i));
-    pfds[i].events = (short)(((ev & ONLL_POLL_IN) ? POLLIN : 0) |
-                             ((ev & ONLL_POLL_OUT) ? POLLOUT : 0));
-    pfds[i].revents = 0;
+    for (i = 0; i < n; i++) {
+      int ev = Int_val(Field(vevents, i));
+      pfds[i].fd = Int_val(Field(vfds, i));
+      pfds[i].events = (short)(((ev & ONLL_POLL_IN) ? POLLIN : 0) |
+                               ((ev & ONLL_POLL_OUT) ? POLLOUT : 0));
+      pfds[i].revents = 0;
+    }
   }
 
   caml_release_runtime_system();
@@ -57,7 +53,7 @@ CAMLprim value onll_poll(value vfds, value vevents, value vready, value vn,
 
   if (r < 0) {
     int e = errno;
-    if (pfds != small) free(pfds);
+    free(pfds);
     if (e == EINTR) CAMLreturn(Val_int(-1)); /* interrupted: caller rechecks */
     caml_failwith("Netpoll.poll: poll(2) failed");
   }
@@ -77,6 +73,6 @@ CAMLprim value onll_poll(value vfds, value vevents, value vready, value vn,
     Store_field(vready, 2 * k + 1, Val_int(out));
     k++;
   }
-  if (pfds != small) free(pfds);
+  free(pfds);
   CAMLreturn(Val_int(k));
 }

@@ -857,9 +857,9 @@ let test_backlog () =
 
 (* A peer that hangs up with answers still unread is dropped at once, not
    kept (and reported ready on every poll) until the idle timeout: with
-   [max_conns = 1], the next client gets in. The pacer that fills the
-   hung-up connection's socket (as in [test_backlog]) must itself leave
-   first, so the cap is 2 while it runs. *)
+   [max_conns = 2], two fresh clients must both attach once the hung-up
+   connection and the pacer that filled its socket (as in [test_backlog])
+   have left. *)
 let test_hangup_with_backlog () =
   with_server ~max_conns:2 @@ fun socket ->
   let c = connect socket and pacer = connect socket in
