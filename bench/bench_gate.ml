@@ -203,7 +203,7 @@ let () =
   assert (
     Onll_obs.Metrics.counter_value e18 "e18.restart.mirrored.violations" = 0);
   assert (Onll_obs.Metrics.counter_value e18 "e18.restart.plain.kills" > 0);
-  assert (Onll_obs.Metrics.counter_value e18 "e18.oseq.reused" = 0);
+  Test_support.Service_chaos.assert_dedup e18;
   ignore (Harness.write_snapshot ~experiment:"e18" e18);
   Printf.printf "== E19 deterministic transaction slices ==\n%!";
   let e19 = Onll_obs.Metrics.create () in

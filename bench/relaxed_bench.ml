@@ -220,6 +220,8 @@ let tier_slo_pass summary ~worker =
           "--socket=" ^ socket;
           "--construction=plain";
           "--max-conns=" ^ string_of_int (clients + 64);
+          (* one id range per tier *)
+          "--max-clients=" ^ string_of_int (3 * clients);
           (* storage-class fence: the regime where the tiers differ —
              strict pays it per op, staleness-k pays ~1/k *)
           "--fence-ns=20000";

@@ -5,8 +5,9 @@
    1. The deterministic service crash slices ({!gate_slices}, shared with
       the bench gate): in-process restart scenarios driving the protocol
       state machine ([Service.Make.handle]) over file-backed stores with
-      Raise-mode kills, plus the policy-surface and allocator-restart
-      slices — all counters golden-able under the [e18.] prefix.
+      Raise-mode kills, plus the policy-surface slice and the dedup slice
+      (an op cut at its fence, a restart, compactions, the client's
+      return) — all counters golden-able under the [e18.] prefix.
 
    2. The fault-storm SLO measurement: spawn a real `onll serve` (socket,
       in-memory machine with emulated fences), drive it with the
@@ -70,6 +71,7 @@ let slo_pass reg ~worker ~construction =
           "--socket=" ^ socket;
           "--construction=" ^ construction;
           "--max-conns=" ^ string_of_int (clients + 64);
+          "--max-clients=" ^ string_of_int clients;
         |]
         Unix.stdin w Unix.stderr
     in
@@ -168,7 +170,7 @@ let run () =
   assert (Metrics.counter_value reg "e18.restart.plain.violations" = 0);
   assert (Metrics.counter_value reg "e18.restart.mirrored.violations" = 0);
   assert (Metrics.counter_value reg "e18.restart.plain.kills" > 0);
-  assert (Metrics.counter_value reg "e18.oseq.reused" = 0);
+  Schaos.assert_dedup reg;
   let cli = Harness.onll_cli () in
   print_endline "== fault-storm SLOs over a real socket ==";
   slo reg cli;

@@ -1208,7 +1208,7 @@ let parse_construction s =
         "unknown construction %S (plain|mirrored|sharded|batched)\n" s;
       exit 2
 
-let serve socket dir construction token max_clients oseq_block log_capacity
+let serve socket dir construction token max_clients log_capacity
     idle_timeout_ms max_conns drain_grace_ms fence_ns retry_budget backoff_ns
     kill_at_fence kill_after_sectors fsync_eio_from fsync_eio_count
     enospc_at_write short_write_prob seed stats_out =
@@ -1247,8 +1247,7 @@ let serve socket dir construction token max_clients oseq_block log_capacity
       let module M = (val Native.machine nat) in
       let module Srv = Onll_serve.Server.Make (M) in
       let svc =
-        Srv.Svc.make ~sink ~token ~max_clients ~oseq_block ?log_capacity
-          construction
+        Srv.Svc.make ~sink ~token ~max_clients ?log_capacity construction
       in
       Srv.run svc scfg;
       finish ~degraded:false
@@ -1291,8 +1290,7 @@ let serve socket dir construction token max_clients oseq_block log_capacity
       let module M = (val File_machine.machine fmach) in
       let module Srv = Onll_serve.Server.Make (M) in
       let svc =
-        Srv.Svc.make ~sink ~token ~max_clients ~oseq_block ?log_capacity
-          construction
+        Srv.Svc.make ~sink ~token ~max_clients ?log_capacity construction
       in
       Srv.run svc scfg;
       let degraded = Srv.Svc.degraded svc in
@@ -1302,9 +1300,10 @@ let serve socket dir construction token max_clients oseq_block log_capacity
 
 let serve_cmd =
   let doc =
-    "Serve the shared durable counter over a Unix-domain socket: one \
-     durable session (exactly-once, single-fence) per authenticated \
-     client, over any of the four constructions, on the in-memory machine \
+    "Serve the shared durable counter over a Unix-domain socket: \
+     exactly-once updates at one persistent fence each, deduplicated by a \
+     per-client table in the object's own state, over any of the four \
+     constructions, on the in-memory machine \
      (SLO experiments) or the file-backed store (--dir; fsync fences, \
      crash-recoverable). Prints READY once listening; SIGTERM drains \
      gracefully — stop accepting, answer in-flight requests (refusing \
@@ -1338,20 +1337,18 @@ let serve_cmd =
   in
   let max_clients =
     Arg.(
-      value & opt int 10_000
-      & info [ "max-clients" ] ~docv:"N" ~doc:"served client-id range")
-  in
-  let oseq_block =
-    Arg.(
       value & opt int 1024
-      & info [ "oseq-block" ] ~docv:"N"
-          ~doc:"object-seq identities reserved per allocator fence")
+      & info [ "max-clients" ] ~docv:"N"
+          ~doc:
+            "served client-id range (the object log adds room for three \
+             checkpoints of a full client table, 48 bytes per client)")
   in
   let log_capacity =
     Arg.(
       value
       & opt (some int) None
-      & info [ "log-capacity" ] ~docv:"N" ~doc:"shared object log capacity")
+      & info [ "log-capacity" ] ~docv:"N"
+          ~doc:"shared object log room for updates between compactions")
   in
   let idle_timeout_ms =
     Arg.(
@@ -1439,7 +1436,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ socket $ dir $ construction $ token $ max_clients
-      $ oseq_block $ log_capacity $ idle_timeout_ms $ max_conns
+      $ log_capacity $ idle_timeout_ms $ max_conns
       $ drain_grace_ms $ fence_ns $ retry_budget $ backoff_ns $ kill_at_fence
       $ kill_after_sectors $ fsync_eio_from $ fsync_eio_count
       $ enospc_at_write $ short_write_prob $ seed $ stats_out)

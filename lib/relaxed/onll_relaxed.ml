@@ -62,10 +62,6 @@ struct
     budget_ops : int;  (** default k: max acked-unfenced operations *)
     budget_ns : int64 option;  (** max age of the oldest unfenced ack *)
     now_ns : (unit -> int64) option;
-    alloc : (unit -> int) option;
-        (** external identity allocator (e.g. the serve layer's durable
-            object-sequence allocator) shared with other update paths on
-            the same process; [None] = the object's own cursor *)
     lock : Lock.t;
         (** serialises tail manipulation and drains across processes; the
             tail is one global suffix, never per-process (see the prefix
@@ -86,7 +82,7 @@ struct
     g_peak : Metrics.gauge;  (** deepest tail ever = worst-case ops at risk *)
   }
 
-  let attach ?(max_unfenced_ops = 8) ?max_unfenced_ns ?now_ns ?alloc
+  let attach ?(max_unfenced_ops = 8) ?max_unfenced_ns ?now_ns
       (cfg : Onll.Config.t) obj =
     if max_unfenced_ops < 1 then
       invalid_arg "Onll_relaxed.attach: max_unfenced_ops must be >= 1";
@@ -101,7 +97,6 @@ struct
       budget_ops = max_unfenced_ops;
       budget_ns = max_unfenced_ns;
       now_ns;
-      alloc;
       lock = Lock.make ();
       tail = [];
       acked = Hashtbl.create 64;
@@ -181,22 +176,7 @@ struct
     in
     A.attributed t.ostats Onll_obs.Opstats.update_done (fun () ->
         Lock.with_lock t.lock (fun () ->
-            let seq =
-              match t.alloc with
-              | None -> C.reserve_seq t.obj
-              | Some f ->
-                  (* a shared monotone allocator: every consumer on this
-                     process uses allocator identities, so the object's
-                     cursor trails the allocated value. Burn the cursor
-                     up to it — identities passed over were drawn and
-                     abandoned (dead by the allocator's never-reuse
-                     contract), never live. *)
-                  let s = f () in
-                  while C.reserve_seq t.obj < s do
-                    ()
-                  done;
-                  s
-            in
+            let seq = C.reserve_seq t.obj in
             let id = { Onll.id_proc = M.self (); id_seq = seq } in
             let sub = { Onll_core.Coord_log.shard = 0; id; idx = -1; op } in
             let st =
@@ -306,6 +286,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   module R = Make_over (M) (S) (C)
   include R
 
-  let make ?max_unfenced_ops ?max_unfenced_ns ?now_ns ?alloc cfg =
-    attach ?max_unfenced_ops ?max_unfenced_ns ?now_ns ?alloc cfg (C.make cfg)
+  let make ?max_unfenced_ops ?max_unfenced_ns ?now_ns cfg =
+    attach ?max_unfenced_ops ?max_unfenced_ns ?now_ns cfg (C.make cfg)
 end

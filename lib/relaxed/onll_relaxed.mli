@@ -56,7 +56,6 @@ module Make_over
     ?max_unfenced_ops:int ->
     ?max_unfenced_ns:int64 ->
     ?now_ns:(unit -> int64) ->
-    ?alloc:(unit -> int) ->
     Onll_core.Onll.Config.t ->
     C.t ->
     t
@@ -65,15 +64,7 @@ module Make_over
       adds an age bound checked lazily at operation boundaries (no
       background thread — an idle object holds its tail until the next
       update or {!flush}). [cfg] sizes and names the per-process
-      coordinator logs ([<spec><suffix>.<n>.relaxcoord.<p>]).
-
-      [alloc] supplies each relaxed update's sequence identity from an
-      external monotone never-reuse allocator instead of the object's
-      own cursor. Pass it when another update path on the same process
-      (e.g. the serve layer's detectable-execution sessions, which draw
-      from a durable object-sequence allocator) shares the object:
-      routing both paths through one allocator keeps their identities
-      disjoint, which the core's reuse guard requires. *)
+      coordinator logs ([<spec><suffix>.<n>.relaxcoord.<p>]). *)
 
   val update :
     ?budget:int -> t -> S.update_op -> Onll_core.Onll.op_id * S.value
@@ -159,7 +150,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     ?max_unfenced_ops:int ->
     ?max_unfenced_ns:int64 ->
     ?now_ns:(unit -> int64) ->
-    ?alloc:(unit -> int) ->
     Onll_core.Onll.Config.t ->
     t
 end

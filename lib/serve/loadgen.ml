@@ -463,12 +463,11 @@ let run ?audit cfg =
         | None -> ()
         | Some op when op.seq < 0 -> ()  (* never submitted; Ready submits *)
         | Some op -> (
-            (* the resolved in-doubt operation is the session's last
-               durable intent, i.e. session seq [next_seq - 1]. A
-               resolution about any OTHER (older, already-acked) op must
-               not be trusted for ours: recovery re-reports [W_applied]
-               for an op applied but not yet durably acked, and blindly
-               adopting it would phantom-confirm our newer op *)
+            (* a resolution is about the client's last applied op, seq
+               [next_seq - 1]. One about any OTHER (older, already-acked)
+               op must not be trusted for ours: every Hello reports
+               [W_applied] for the last applied op, and blindly adopting
+               it would phantom-confirm our newer op *)
             let names_op = op.seq = next_seq - 1 in
             match resolution with
             | Protocol.W_applied _ when names_op ->
@@ -485,8 +484,7 @@ let run ?audit cfg =
                 if op.attempts >= cfg.max_attempts then give_up c
             | _ ->
                 if op.seq < next_seq then
-                  (* applied and session-acked; only the protocol ack was
-                     lost *)
+                  (* applied; only the protocol ack was lost *)
                   finish_op c ~confirm_kind:`Adopted
                 else if op.abort_on_resolve then abort_op c
                 else op.seq <- next_seq (* resubmitted by Ready below *)))

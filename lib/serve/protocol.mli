@@ -3,36 +3,41 @@
     Every message is a 4-byte big-endian payload length followed by a
     {!Onll_util.Codec}-encoded payload. The protocol carries exactly what
     the durable-session contract needs at a network boundary: the client
-    id and a token ({!req.Hello}), the client's intent sequence number and
-    a deadline ({!req.Submit}), and — the crash half — a reattach response
-    ({!resp.Attached}) that tells the returning client its durable cursors
+    id and a token ({!req.Hello}), the client's sequence number and a
+    deadline ({!req.Submit}), and — the crash half — a reattach response
+    ({!resp.Attached}) that tells the returning client its durable cursor
     {e and} the fate of its one in-doubt operation, so a client that
     disconnected mid-operation (or outlived a server crash) can resolve it
     without ever re-submitting blindly.
 
     The client-side resolution rule, given [Attached { next_seq; resolution; _ }]
     and an outstanding operation at sequence [s]. A non-[W_none]
-    resolution is always about the session's {e last durable intent},
-    session sequence [next_seq - 1] (the payloads carry object sequences,
-    which the client never sees otherwise); recovery may re-report an op
-    that was applied but not yet durably acknowledged, so a resolution
-    only binds the client's op when [s = next_seq - 1]:
+    resolution is always about the client's {e last applied} operation,
+    sequence [next_seq - 1], so it only binds the client's op when
+    [s = next_seq - 1]:
     {ul
     {- [s = next_seq - 1] and [resolution] is not [W_none] — trust it
-       (adopted / re-invoked / refused / still unresolved);}
-    {- otherwise, [s < next_seq] — the operation was applied: it was
-       acknowledged durably, or the server resolved it while the client
-       was away (before a compaction), and only the protocol
-       acknowledgement got lost. Confirm it, do not resubmit;}
-    {- otherwise [s >= next_seq] — the intent never became durable;
-       resubmit under [next_seq].}} *)
+       (applied / re-invoked / refused / still unresolved);}
+    {- otherwise, [s < next_seq] — the operation was applied, and only
+       the protocol acknowledgement got lost. Confirm it, do not
+       resubmit;}
+    {- otherwise [s >= next_seq] — the operation never took effect;
+       resubmit under [next_seq].}}
+
+    The server ({!Service}) sends [W_none] (the client never applied an
+    operation), [W_applied] (its last applied one) and, while a failed
+    update cannot yet be made durable, [W_unresolved]. It never sends
+    [W_reinvoked] or [W_refused]: it re-invokes nothing, since the
+    client resubmits under [next_seq]. Both stay in the wire type for
+    the clients that match on them. *)
 
 (** The durability tier a session asks for at [Hello] (E20). The server
     refuses combinations it cannot honour with {!refusal.R_bad_tier}. *)
 type tier =
   | T_exactly_once
-      (** the default: exactly-once durable acks through the session
-          machinery (intent record + Theorem 5.1 fence) *)
+      (** the default: exactly-once durable acks, deduplicated by the
+          client table in the object's state (the Theorem 5.1 fence, and
+          no other) *)
   | T_strict
       (** classic durable linearizability, no dedup: exactly one fence
           per update ({!Onll_relaxed}'s piggybacking strict path — it
@@ -69,15 +74,13 @@ type req =
 type refusal =
   | R_overloaded
       (** watermark admission shed it: the object's log was still at the
-          watermark after a compaction (or compaction was withheld while
-          another session's op could not be resolved). The op did no
-          durable work. *)
+          watermark after a compaction. The op did no durable work. *)
   | R_timeout
       (** deadline passed (before work: definite) or the durable path
           timed out (indeterminate: reattach to resolve) *)
   | R_degraded  (** sticky degraded policy refuses writes *)
   | R_draining  (** server is draining (SIGTERM); reconnect elsewhere *)
-  | R_bad_seq of int  (** wrong intent seq; payload = expected next seq *)
+  | R_bad_seq of int  (** wrong seq; payload = expected next seq *)
   | R_bad_token
   | R_bad_client  (** client id out of the served range *)
   | R_not_attached  (** Submit/Fetch before Hello *)
@@ -86,15 +89,19 @@ type refusal =
       (** tier the server cannot honour: relaxed tiers on a sharded or
           batched construction, or a staleness bound out of range *)
 
-(** The in-doubt resolution carried on {!resp.Attached}, mirroring
-    {!Onll_session.Make.resolution} with object-sequence payloads. *)
+(** The resolution carried on {!resp.Attached} (see the module doc for
+    which ones the server sends). *)
 type wire_resolution =
   | W_none
-  | W_applied of int  (** in-doubt op (object seq) is in the history *)
+  | W_applied of int  (** the client's last applied seq *)
   | W_reinvoked of int * int * int
-      (** (old object seq, fresh object seq, value) *)
-  | W_refused of int  (** degradation policy withheld re-invocation *)
-  | W_unresolved of int  (** still in doubt (faults raging); retry Hello *)
+      (** (old seq, fresh seq, value): not sent by the server *)
+  | W_refused of int
+      (** degradation policy withheld re-invocation: not sent by the
+          server *)
+  | W_unresolved of int
+      (** the last applied seq as read, not yet known durable (faults
+          raging); retry Hello *)
 
 (** Server → client. *)
 type resp =

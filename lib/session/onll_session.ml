@@ -44,31 +44,18 @@ let default_config =
    before every object invocation: the sequence number it consumes, the
    ack watermark as of that moment (the previous operation's durable
    acknowledgement piggybacks here — no extra fence), and the encoded
-   operation so recovery can re-invoke it. [Intent_at] is the same record
-   for sessions whose backend allocates a distinct object identity
-   ([b_alloc]): the chosen object sequence number rides in the intent, so
-   the (client seq -> object seq) mapping is exactly as durable as the
-   intent itself — recovery can interrogate [was_linearized] about the
-   precise identity the invocation would have used. Sessions without an
-   allocator keep writing byte-identical [Intent] records. [Summary]
-   replaces the whole prefix at compaction. *)
+   operation so recovery can re-invoke it. [Summary] replaces the whole
+   prefix at compaction. *)
 type record =
   | Intent of int * int * string  (* seq, acked_below, encoded op *)
   | Summary of int * int  (* next_seq, acked_below *)
-  | Intent_at of int * int * int * string
-      (* seq, object seq, acked_below, encoded op *)
 
 let record_codec =
   Codec.tagged
     (function
       | Intent (seq, ack, op) ->
           (0, Codec.encode Codec.(triple int int string) (seq, ack, op))
-      | Summary (next, ack) -> (1, Codec.encode Codec.(pair int int) (next, ack))
-      | Intent_at (seq, oseq, ack, op) ->
-          ( 2,
-            Codec.encode
-              Codec.(pair (pair int int) (pair int string))
-              ((seq, oseq), (ack, op)) ))
+      | Summary (next, ack) -> (1, Codec.encode Codec.(pair int int) (next, ack)))
     (fun tag payload ->
       match tag with
       | 0 ->
@@ -79,13 +66,6 @@ let record_codec =
       | 1 ->
           let next, ack = Codec.decode Codec.(pair int int) payload in
           Summary (next, ack)
-      | 2 ->
-          let (seq, oseq), (ack, op) =
-            Codec.decode
-              Codec.(pair (pair int int) (pair int string))
-              payload
-          in
-          Intent_at (seq, oseq, ack, op)
       | _ -> raise (Codec.Decode_error "Onll_session: unknown record tag"))
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
@@ -97,36 +77,21 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     b_read : S.read_op -> S.value;
     b_degraded : unit -> bool;
     b_pressure : unit -> float;
-    b_compact : unit -> bool;
-    b_alloc : (unit -> int) option;
-        (* When several sessions share one object through the same client
-           identity (a server hosting many clients on one machine process),
-           their private sequence counters would collide as object
-           identities. [b_alloc] draws each invocation's object sequence
-           number from a shared allocator instead; [None] keeps the
-           session's own counter (the single-tenant default). Allocated
-           numbers must never repeat across crashes — a reused number can
-           impersonate an old operation under [was_linearized]. *)
+    b_compact : unit -> unit;
   }
 
   type t = {
     cfg : config;
     sink : Sink.t;
-    t_client : int;
-    proc : int;  (* machine process running this session's durable work *)
+    t_client : int;  (* also the machine process running its durable work *)
     backend : backend;
     log : L.t;
     lname : string;
     rng : Splitmix.t;
     mutable next : int;  (* next fresh sequence number *)
     mutable acked : int;  (* every seq below this is resolved *)
-    mutable pend : (int * int * S.update_op) option;
-        (* durable in-doubt op: session seq, object seq, op *)
-    mutable last_pressure : float;
-    mutable stuck_fill : float;
-        (* fill left by the last compaction that could not get below the
-           watermark; admission does not compact again until the fill
-           grows past it *)
+    mutable pend : (int * S.update_op) option;  (* durable in-doubt op *)
+    admission : Onll_core.Admission.t;
     mutable attempts : Onll_core.Onll.op_id list;  (* newest first *)
     (* metric handles, resolved once *)
     m_retries : Metrics.counter;
@@ -165,7 +130,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   let emit_outcome t ~seq outcome =
     if Sink.active t.sink then
-      Sink.emit t.sink ~proc:t.proc
+      Sink.emit t.sink ~proc:t.t_client
         (Event.Session { client = t.t_client; seq; outcome })
 
   let observe t hist t0 =
@@ -187,13 +152,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
             if seq >= t.next then t.next <- seq + 1;
             if ack > t.acked then t.acked <- ack;
             (match Codec.decode S.update_codec opb with
-            | op -> t.pend <- Some (seq, seq, op)
-            | exception Codec.Decode_error _ -> ())
-        | Intent_at (seq, oseq, ack, opb) ->
-            if seq >= t.next then t.next <- seq + 1;
-            if ack > t.acked then t.acked <- ack;
-            (match Codec.decode S.update_codec opb with
-            | op -> t.pend <- Some (seq, oseq, op)
+            | op -> t.pend <- Some (seq, op)
             | exception Codec.Decode_error _ -> ())
         | Summary (next, ack) ->
             if next > t.next then t.next <- next;
@@ -201,16 +160,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         | exception Codec.Decode_error _ -> ())
       payloads;
     match t.pend with
-    | Some (seq, _, _) when seq < t.acked -> t.pend <- None
+    | Some (seq, _) when seq < t.acked -> t.pend <- None
     | _ -> ()
 
-  let attach ?(config = default_config) ?(sink = Sink.null) ?name ?proc
-      ~client backend =
-    if client < 0 then
+  let attach ?(config = default_config) ?(sink = Sink.null) ?name ~client
+      backend =
+    if client < 0 || client >= M.max_processes then
       invalid_arg "Onll_session.attach: client out of range";
-    let proc = match proc with Some p -> p | None -> client in
-    if proc < 0 || proc >= M.max_processes then
-      invalid_arg "Onll_session.attach: proc out of range";
     let lname =
       match name with
       | Some n -> n
@@ -226,7 +182,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         cfg = config;
         sink;
         t_client = client;
-        proc;
         backend;
         log;
         lname;
@@ -240,8 +195,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         next = 0;
         acked = 0;
         pend = None;
-        last_pressure = 0.;
-        stuck_fill = Float.neg_infinity;
+        admission =
+          Onll_core.Admission.create ~watermark:config.high_watermark;
         attempts = [];
         m_retries = Metrics.counter reg "session.retries";
         m_indoubt = Metrics.counter reg "session.indoubt";
@@ -267,16 +222,16 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   let pending t =
     match t.pend with
     | None -> None
-    | Some (_, oseq, op) ->
-        Some ({ Onll_core.Onll.id_proc = t.proc; id_seq = oseq }, op)
+    | Some (seq, op) ->
+        Some ({ Onll_core.Onll.id_proc = t.t_client; id_seq = seq }, op)
 
   let last_attempt_ids t = List.rev t.attempts
-  let pressure t = t.last_pressure
+  let pressure t = Onll_core.Admission.last t.admission
   let log_name t = t.lname
 
   let check_owner t fn =
     let p = M.self () in
-    if p <> t.proc then
+    if p <> t.t_client then
       invalid_arg
         (Printf.sprintf "Onll_session.%s: process %d on client %d's session"
            fn p t.t_client)
@@ -290,7 +245,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   let maybe_compact t ~need =
     if L.free_bytes t.log < need + summary_slack then begin
-      let pf0 = M.persistent_fences_by ~proc:t.proc in
+      let pf0 = M.persistent_fences_by ~proc:t.t_client in
       let summary = Codec.encode record_codec (Summary (t.next, t.acked)) in
       L.append t.log summary;
       let n = L.entry_count t.log in
@@ -299,28 +254,22 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       if Sink.active t.sink then begin
         Metrics.incr t.m_compactions;
         Metrics.add t.m_compact_fences
-          (M.persistent_fences_by ~proc:t.proc - pf0)
+          (M.persistent_fences_by ~proc:t.t_client - pf0)
       end
     end
 
   (* Durably append the intent record: the one persistent fence the
      session adds per submission, attributed to fences.session/ops.session
-     (never to the object's per-update accounting). The tag-0 [Intent]
-     byte layout is kept whenever the object seq equals the session seq,
-     so single-tenant session logs are unchanged on media. *)
-  let append_intent t ~seq ~oseq opb =
-    let record =
-      if oseq = seq then Intent (seq, t.acked, opb)
-      else Intent_at (seq, oseq, t.acked, opb)
-    in
-    let bytes = Codec.encode record_codec record in
+     (never to the object's per-update accounting). *)
+  let append_intent t ~seq opb =
+    let bytes = Codec.encode record_codec (Intent (seq, t.acked, opb)) in
     maybe_compact t ~need:(String.length bytes + 16);
-    let pf0 = M.persistent_fences_by ~proc:t.proc in
+    let pf0 = M.persistent_fences_by ~proc:t.t_client in
     L.append t.log bytes;
     if Sink.active t.sink then begin
       Metrics.incr t.m_session_ops;
       Metrics.add t.m_session_fences
-        (M.persistent_fences_by ~proc:t.proc - pf0)
+        (M.persistent_fences_by ~proc:t.t_client - pf0)
     end
 
   (* Bounded exponential backoff with deterministic jitter. Returns [true]
@@ -338,7 +287,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       else begin
         if Sink.active t.sink then begin
           Metrics.incr t.m_retries;
-          Sink.emit t.sink ~proc:t.proc (Event.Retry { site; attempt })
+          Sink.emit t.sink ~proc:t.t_client (Event.Retry { site; attempt })
         end;
         for _ = 1 to delay do
           M.pause ()
@@ -355,38 +304,30 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   let invoke t op =
     let opb = Codec.encode S.update_codec op in
     let budget = ref 0 in
-    let rec attempt_intent n =
-      let seq = t.next in
-      let oseq =
-        match t.backend.b_alloc with Some f -> f () | None -> seq
-      in
-      attempt_intent_at n seq oseq
-    and attempt_intent_at n seq oseq =
-      match append_intent t ~seq ~oseq opb with
+    let rec attempt_intent n = attempt_intent_at n t.next
+    and attempt_intent_at n seq =
+      match append_intent t ~seq opb with
       | () ->
           t.next <- seq + 1;
-          t.pend <- Some (seq, oseq, op);
-          attempt_invoke n seq oseq
+          t.pend <- Some (seq, op);
+          attempt_invoke n seq
       | exception Onll_nvm.Memory.Transient_fault _ ->
-          (* The append did not advance the log's cursor, and [oseq] never
+          (* The append did not advance the log's cursor, and [seq] never
              reached the object — but the bytes may still reach media (a
              crash can flush them), so the operation is in-doubt under
-             this identity from here on. Retry under the SAME seq and
-             oseq: the failed append never advanced the tail, so the
-             retried record overwrites the same offset and carries the
-             same identity — at most one intent for it can ever be
-             durable, and either one refolds to the same cursors. Keeping
-             the allocator dense here matters: identities are burned only
-             when the object itself is in doubt, never by client-record
-             churn. *)
-          t.pend <- Some (seq, oseq, op);
+             this identity from here on. Retry under the SAME seq: the
+             failed append never advanced the tail, so the retried record
+             overwrites the same offset and carries the same identity —
+             at most one intent for it can ever be durable, and either
+             one refolds to the same cursors. *)
+          t.pend <- Some (seq, op);
           if backoff t ~site:"session.intent" ~attempt:n budget then
-            attempt_intent_at (n + 1) seq oseq
+            attempt_intent_at (n + 1) seq
           else Error Timeout
-    and attempt_invoke n seq oseq =
-      let id = { Onll_core.Onll.id_proc = t.proc; id_seq = oseq } in
+    and attempt_invoke n seq =
+      let id = { Onll_core.Onll.id_proc = t.t_client; id_seq = seq } in
       t.attempts <- id :: t.attempts;
-      match t.backend.b_update_detectable ~seq:oseq op with
+      match t.backend.b_update_detectable ~seq op with
       | v ->
           t.acked <- seq + 1;
           t.pend <- None;
@@ -406,46 +347,16 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     in
     attempt_intent 1
 
-  (* Admission control: sample the backend's log fill, and at the
-     watermark compact and sample again, so that only what compaction
-     cannot reclaim is shed. A compaction that left the fill at or above
-     the watermark (or raised [Log_full]: nothing to reclaim) is not
-     retried until the fill grows past that level, so genuine overload
-     stays a cheap refusal. A compaction the backend declined, or that a
-     transient fault cut short, leaves no such mark. *)
+  (* Admission control ({!Onll_core.Admission}) over the backend's log
+     fill and compaction. *)
   let admit t =
-    let hw = t.cfg.high_watermark in
-    let below () =
-      t.last_pressure <- t.backend.b_pressure ();
-      t.last_pressure < hw
-    in
-    if hw >= 1.0 then true
-    else if below () then begin
-      t.stuck_fill <- Float.neg_infinity;
-      true
-    end
-    else if t.last_pressure <= t.stuck_fill then false
-    else begin
-      let ran =
-        match t.backend.b_compact () with
-        | ran -> ran
-        | exception Onll_core.Onll.Log_full _ -> true
-        | exception Onll_nvm.Memory.Transient_fault _ -> false
-      in
-      if below () then begin
-        t.stuck_fill <- Float.neg_infinity;
-        true
-      end
-      else begin
-        if ran then t.stuck_fill <- t.last_pressure;
-        false
-      end
-    end
+    Onll_core.Admission.admit t.admission ~fill:t.backend.b_pressure
+      ~compact:t.backend.b_compact
 
   let submit t op =
     check_owner t "submit";
     (match t.pend with
-    | Some (seq, _, _) when seq >= t.acked ->
+    | Some (seq, _) when seq >= t.acked ->
         invalid_arg
           (Printf.sprintf
              "Onll_session.submit: operation seq=%d is unresolved (call \
@@ -476,7 +387,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
             Ok v
         | Error e ->
             let seq =
-              match t.pend with Some (s, _, _) -> s | None -> t.next
+              match t.pend with Some (s, _) -> s | None -> t.next
             in
             emit_outcome t ~seq Sess_timeout;
             observe t t.h_timeout t0;
@@ -490,8 +401,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     refold t payloads;
     match t.pend with
     | None -> No_pending
-    | Some (seq, oseq, op) -> (
-        let old_id = { Onll_core.Onll.id_proc = t.proc; id_seq = oseq } in
+    | Some (seq, op) -> (
+        let old_id = { Onll_core.Onll.id_proc = t.t_client; id_seq = seq } in
         if t.backend.b_was_linearized op old_id then begin
           (* Exactly-once, applied half: the in-doubt operation is in the
              adopted history — never re-invoke it. *)

@@ -150,46 +150,18 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             submission, so it must be O(1) and load nothing durable.
             Right after {!b_compact} it is the fraction compaction cannot
             reclaim. *)
-    b_compact : unit -> bool;
+    b_compact : unit -> unit;
         (** Compact the backend
             ({!Onll_core.Onll.CONSTRUCTION.compact}); admission control
-            calls it when {!b_pressure} reaches the watermark. [false]
-            means the backend declined and compacted nothing: admission
-            then sheds as if compaction could not help, but asks again
-            on the next submission. A multi-tenant backend must not
-            checkpoint past a session's in-doubt operation whose identity
-            may never have reached the object: the checkpoint's
-            per-process floor would pass that identity, and
-            {!Onll_core.Onll.CONSTRUCTION.was_linearized} would then
-            vouch for an operation that never ran. It resolves such
-            operations first ({!recover}, on the backend's process) and
-            declines while one stays in doubt. *)
-    b_alloc : (unit -> int) option;
-        (** Object-identity allocator for {e multi-tenant} backends. When
-            one machine process hosts many client sessions over the same
-            object (a server front-end), each session's private sequence
-            counter would collide with the others' as object identities
-            — and a collision is not a crash, it is a {e wrong answer}:
-            {!Onll_core.Onll.CONSTRUCTION.was_linearized} would vouch for
-            another client's operation. [Some alloc] draws every
-            invocation's object sequence number from the shared
-            allocator; the drawn number is made durable inside the intent
-            record itself, so recovery interrogates the exact identity
-            the invocation would have used. The allocator must be
-            monotone {e across crashes} (persist a watermark). [None]
-            keeps the session's own counter — the
-            single-tenant default, byte-identical on media to E15. *)
+            calls it when {!b_pressure} reaches the watermark. *)
   }
 
   type t
   (** One client's durable session. Owned by a single process: {!submit}
-      and {!recover} must be called by the machine process given to
-      {!attach} as [?proc] (default: the client id). Operation identities
-      embed [proc] — the construction's per-process tables are sized by
-      its [max_processes], so [proc] must be a machine process id, never
-      a raw client id; what keeps many clients on one process
-      collision-free is the shared allocator's globally unique object
-      sequence ({!backend.b_alloc}). *)
+      and {!recover} must be called by the machine process whose id is
+      the client id. Operation identities are that process and the
+      session's own sequence numbers, so one process hosts one session
+      over a given object. *)
 
   (** How {!recover} disposed of the in-doubt operation. *)
   type resolution =
@@ -215,23 +187,15 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     ?config:config ->
     ?sink:Onll_obs.Sink.t ->
     ?name:string ->
-    ?proc:int ->
     client:int ->
     backend ->
     t
   (** Open client [client]'s session over [backend], creating (or, after
       a restart over surviving media, re-reading) the durable client
       record log named [name] (default ["<spec>.session.c<client>"]).
-      [proc] is the machine process that runs the session's durable work
-      (default [client], the single-tenant case where client ids {e are}
-      process ids); a server hosting many clients passes its own process
-      id, freeing [client] to range over the whole authenticated
-      population. Operation identities embed [proc] plus the object
-      sequence drawn from {!backend.b_alloc} (durable inside the intent
-      record), so a client's exactly-once history survives being
-      re-homed, provided the new home attaches with the {e same} [proc]
-      — recovery rebuilds the identity from the current [proc] and the
-      recorded sequence. [sink] receives the session's events and
+      [client] is also the machine process that runs the session's
+      durable work, so it must be below the machine's [max_processes].
+      [sink] receives the session's events and
       hosts its counters and per-outcome latency histograms; install the
       same sink as the machine's and the object's for one interleaved
       stream. Attaching performs no object operations — call {!recover}
@@ -289,9 +253,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
       {!backend.b_compact} and sample again. [true] admits. A compaction
       that could not get below the watermark is not retried until the
       fill grows past the level it left, so repeated refusals under
-      genuine overload cost one O(1) sample each. Exposed for
-      front-ends that run other update paths over the same backend
-      under the same policy. *)
+      genuine overload cost one O(1) sample each. *)
 
   val pressure : t -> float
   (** The backend pressure sample admission control last acted on. *)

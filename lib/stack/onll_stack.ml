@@ -49,9 +49,6 @@ let pp ppf s =
   if s.replicas > 1 then Format.fprintf ppf " x%d" s.replicas;
   if s.views then Format.pp_print_string ppf " +views"
 
-let without_session s =
-  match s.top with Session f -> { s with top = Direct f } | _ -> s
-
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   module Sess = Onll_session.Make (M) (S)
 
@@ -95,7 +92,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     degraded : unit -> bool;
     log_fill : unit -> float;
     compact : unit -> unit;
-    alloc : (unit -> int) option;
     relaxed : relaxed option;
   }
 
@@ -109,7 +105,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         let module T = (val txn_capable e) in
         (module T)
 
-  let over (type a) (module C : C with type t = a) (obj : a) alloc =
+  let over (type a) (module C : C with type t = a) (obj : a) =
     {
       update = C.update obj;
       update_detectable = C.update_detectable obj;
@@ -123,11 +119,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       degraded = (fun () -> C.degraded obj);
       log_fill = (fun () -> C.log_fill obj);
       compact = (fun () -> ignore (C.compact obj : int));
-      alloc;
       relaxed = None;
     }
 
-  let over_sharded (type a) (module Sh : SH with type t = a) (obj : a) alloc =
+  let over_sharded (type a) (module Sh : SH with type t = a) (obj : a) =
     {
       update = Sh.update obj;
       update_detectable = Sh.update_detectable obj;
@@ -142,25 +137,24 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       degraded = (fun () -> Sh.degraded obj);
       log_fill = (fun () -> Sh.log_fill obj);
       compact = (fun () -> ignore (Sh.compact obj : int));
-      alloc;
       relaxed = None;
     }
 
-  let build_front ?alloc cfg = function
+  let build_front cfg = function
     | Bare e ->
         let module C = (val engine e) in
-        over (module C) (C.make cfg) alloc
+        over (module C) (C.make cfg)
     | Sharded (e, shards) ->
         let module C = (val engine e) in
         let module Sh = Onll_sharded.Make_over (M) (S) (C) in
-        over_sharded (module Sh) (Sh.make ~shards cfg) alloc
+        over_sharded (module Sh) (Sh.make ~shards cfg)
     | Relaxed (e, k) ->
         let module C = (val txn_capable e) in
         let inner = C.make cfg in
         let module R = Onll_relaxed.Make_over (M) (S) (C) in
-        let r = R.attach ~max_unfenced_ops:k ?alloc cfg inner in
+        let r = R.attach ~max_unfenced_ops:k cfg inner in
         {
-          (over (module C) inner alloc) with
+          (over (module C) inner) with
           update = (fun op -> snd (R.update r op));
           update_detectable =
             (fun ~seq op ->
@@ -192,11 +186,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       b_read = o.read;
       b_degraded = o.degraded;
       b_pressure = o.log_fill;
-      b_compact =
-        (fun () ->
-          o.compact ();
-          true);
-      b_alloc = o.alloc;
+      b_compact = o.compact;
     }
 
   (* Per-process sessions for a single-tenant stack: shedding off, so
@@ -208,7 +198,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       high_watermark = 1.0;
     }
 
-  let build ?alloc stack cfg =
+  let build stack cfg =
     let cfg =
       {
         cfg with
@@ -217,9 +207,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       }
     in
     match stack.top with
-    | Direct f -> build_front ?alloc cfg f
+    | Direct f -> build_front cfg f
     | Session f ->
-        let o = build_front ?alloc cfg f in
+        let o = build_front cfg f in
         let b = backend o in
         let sessions =
           Array.init M.max_processes (fun client ->
@@ -228,7 +218,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         in
         {
           o with
-          relaxed = (if alloc = None then None else o.relaxed);
+          (* the tiers would draw identities from the object's cursor,
+             which the sessions' own sequence numbers collide with *)
+          relaxed = None;
           update =
             (fun op ->
               match Sess.submit sessions.(M.self ()) op with
@@ -242,7 +234,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         let module Tx = Onll_txn.Make (M) (S) in
         let obj = Tx.make ~shards cfg in
         {
-          (over_sharded (module Tx.Sh) (Tx.sharded obj) alloc) with
+          (over_sharded (module Tx.Sh) (Tx.sharded obj)) with
           (* a one-operation transaction takes the sharded fast path *)
           update = (fun op -> List.hd (Tx.txn obj [ op ]));
           recover_report = (fun () -> Tx.recover_report obj);

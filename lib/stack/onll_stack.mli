@@ -69,10 +69,6 @@ val legal : t list
 val pp : Format.formatter -> t -> unit
 (** One short line, e.g. ["session/relaxed(plain,k=64) x2 +views"]. *)
 
-val without_session : t -> t
-(** The stack with its session layer removed — what a front-end that
-    attaches its own sessions to {!Make.backend} builds. *)
-
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   (** The relaxed front's two acknowledgement tiers and its drain. *)
   type relaxed = {
@@ -112,24 +108,21 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             process's logs (over the relaxed front, the wrapper's
             checkpoint: the inner compaction, which covers the tail, then
             the drain records dropped) *)
-    alloc : (unit -> int) option;  (** the identity allocator built with *)
     relaxed : relaxed option;
-        (** [Some] over the relaxed front — under a session only when
-            built with [alloc]: the tiers and the sessions then update one
-            object, so they must draw from one identity space *)
+        (** [Some] over a direct relaxed front. Under a session it is
+            [None]: the tiers would take identities from the object's
+            cursor, and the sessions' sequence numbers would collide
+            with them. *)
   }
 
-  val build : ?alloc:(unit -> int) -> t -> Onll_core.Onll.Config.t -> obj
+  val build : t -> Onll_core.Onll.Config.t -> obj
   (** Create the stack's regions, bottom layer first, and return it.
       [cfg] supplies log capacity, region suffix and sink; the stack
-      supplies [replicas] and [local_views]. [alloc] hands out object
-      sequence numbers for every update path that takes one — the
-      relaxed wrapper's and, through {!backend}, the sessions' — so the
-      paths sharing one object share one identity space. A session stack
-      attaches one session per machine process, client [p] on process
-      [p], after the object's regions. *)
+      supplies [replicas] and [local_views]. A session stack attaches one
+      session per machine process, client [p] on process [p], after the
+      object's regions. *)
 
   val backend : obj -> Onll_session.Make(M)(S).backend
   (** The object as a session backend: [b_pressure] is [log_fill],
-      [b_compact] is [compact], [b_alloc] is [alloc]. *)
+      [b_compact] is [compact]. *)
 end

@@ -37,10 +37,10 @@ let fresh_dir () = Temp_dir.fresh ~prefix:"onll-e18"
 let inc_op = Onll_util.Codec.encode Cs.update_codec Cs.Increment
 
 (* Where to kill inside the epoch's fence sequence. The server fences at
-   startup (recovery, allocator reservation, session attach) and once per
-   served update, so small quotas die during attach storms and larger
-   ones mid-serving; quotas grow with the epoch so recovery's own fences
-   (which grow with the surviving log) eventually fit under them. *)
+   startup (recovery) and once per served update, so small quotas die
+   early in the epoch and larger ones mid-serving; quotas grow with the
+   epoch so recovery's own fences (which grow with the surviving log)
+   eventually fit under them. *)
 let kill_point ~seed ~epoch =
   ( 3 + (3 * epoch) + (seed mod 5),
     [| 0; 1; 3; -1 |].((seed + epoch) mod 4) )
@@ -49,8 +49,7 @@ let kill_point ~seed ~epoch =
 
 (* A restart scenario's counts: with [runs] and [violations], its rows'
    gated keys. *)
-let restart_counts =
-  [ "epochs"; "kills"; "acks"; "confirmed"; "adopted"; "reinvoked" ]
+let restart_counts = [ "epochs"; "kills"; "acks"; "confirmed"; "adopted" ]
 
 (* One scenario: a few protocol clients increment the shared counter to
    [target] acknowledgements across as many crash-restart epochs as the
@@ -97,46 +96,26 @@ let run_restart_scenario ~construction ~target ~seed =
     in
     Campaign.bump t "epochs";
     (try
-       let svc =
-         Srv.make
-           ~session:{ Onll_session.default_config with log_capacity = 4096 }
-           ~log_capacity:4096 ~oseq_block:32 construction
-       in
+       let svc = Srv.make ~log_capacity:4096 construction in
        let conns = Array.init nclients (fun _ -> Srv.conn ()) in
        for i = 0 to nclients - 1 do
          match
            Srv.handle svc conns.(i)
              (Protocol.Hello { client = i; token = "onll"; tier = Protocol.T_exactly_once })
          with
-         | Protocol.Attached { next_seq; acked = _; resolution } -> (
+         | Protocol.Attached { next_seq; acked = _; resolution } ->
              next.(i) <- next_seq;
-             match resolution with
-             | Protocol.W_applied _ | Protocol.W_reinvoked _ ->
-                 (* the resolved intent is session seq [next_seq - 1]; the
-                    session re-reports it whenever its durable acked-cursor
-                    lags the acks we actually received, so an already
-                    confirmed seq is benign redelivery, not a new apply *)
-                 let s = next_seq - 1 in
-                 if not (Hashtbl.mem confirmed (i, s)) then begin
-                   confirm ~client:i ~seq:s;
-                   match resolution with
-                   | Protocol.W_reinvoked _ -> Campaign.bump t "reinvoked"
-                   | _ -> Campaign.bump t "adopted"
-                 end;
-                 attempt.(i) <- -1
-             | Protocol.W_refused _ -> attempt.(i) <- -1
-             | Protocol.W_unresolved _ ->
-                 Campaign.fail t "unresolved under Raise faults";
-                 attempt.(i) <- -1
-             | Protocol.W_none ->
-                 if attempt.(i) >= 0 && attempt.(i) < next_seq then begin
-                   (* applied and session-acked; the crash ate the ack *)
-                   confirm ~client:i ~seq:attempt.(i);
-                   Campaign.bump t "adopted";
-                   attempt.(i) <- -1
-                 end
-                 (* else: never durable — resubmitted below under the
-                    session's cursor *))
+             (match resolution with
+             | Protocol.W_none | Protocol.W_applied _ -> ()
+             | _ -> Campaign.fail t "unresolved under Raise faults");
+             (* the protocol's rule: an attempt below [next_seq] was
+                applied and the crash ate its ack; one at or above it
+                never was, and is resubmitted below under [next_seq] *)
+             if attempt.(i) >= 0 && attempt.(i) < next_seq then begin
+               confirm ~client:i ~seq:attempt.(i);
+               Campaign.bump t "adopted"
+             end;
+             attempt.(i) <- -1
          | Protocol.Refused r ->
              Campaign.fail t "hello answered %s"
                (Format.asprintf "%a" Protocol.pp_refusal r)
@@ -195,9 +174,7 @@ let run_policy_slice reg =
   let module M = (val Fm.machine fmach) in
   let module Srv = Service.Make (M) in
   let svc =
-    Srv.make
-      ~session:{ Onll_session.default_config with log_capacity = 4096 }
-      ~log_capacity:4096 ~token:"sesame" ~max_clients:100 Service.Plain
+    Srv.make ~log_capacity:4096 ~token:"sesame" ~max_clients:100 Service.Plain
   in
   let refusal conn req =
     match Srv.handle svc conn req with
@@ -237,7 +214,7 @@ let run_policy_slice reg =
   | Protocol.Got 1 -> incr hits
   | _ -> ());
   expect (Srv.handle svc conn Protocol.Ping = Protocol.Pong);
-  (* a small population: every client its own region, shared counter *)
+  (* a small population: every client its own table entry, one counter *)
   for client = 2 to 41 do
     let cn = Srv.conn () in
     (match
@@ -265,42 +242,121 @@ let run_policy_slice reg =
   c "e18.policy.checks" !hits;
   c "e18.policy.value" (Srv.counter_value svc);
   c "e18.policy.sessions" (Srv.sessions svc);
-  c "e18.policy.region_bytes" (Srv.region_bytes svc);
   Fm.close fmach;
   Temp_dir.rm_rf dir
 
-(* The allocator across a restart: the unused tail of a reserved block
-   is abandoned, never re-handed. *)
-let run_oseq_slice reg =
+(* Exactly-once across a restart and later compactions. Client A's
+   second submit is cut at its fence — before any write, and again at
+   the fsync point after every write — the service restarts, client B
+   submits until at least 3 compactions have run, and A re-attaches and
+   resubmits under the [next_seq] it was given; a retry of the same seq
+   after that must be refused. Every confirmation is counted once: the
+   counter must equal them, with no duplicate and no lost ack. *)
+let run_dedup_slice reg =
   let c name v = Metrics.add (Metrics.counter reg name) v in
-  let dir = fresh_dir () in
-  let first_run =
-    let fmach = Fm.create ~dir ~max_processes:1 () in
-    ignore (Fm.register fmach);
-    let module M = (val Fm.machine fmach) in
-    let module Srv = Service.Make (M) in
-    let alloc = Srv.Oseq.create ~block:8 () in
-    Srv.Oseq.recover alloc;
-    let ids = List.init 5 (fun _ -> Srv.Oseq.next alloc) in
-    let wm = Srv.Oseq.watermark alloc in
-    Fm.close fmach;
-    (ids, wm)
-  in
-  let ids, wm1 = first_run in
-  let fmach = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fmach);
-  let module M = (val Fm.machine fmach) in
-  let module Srv = Service.Make (M) in
-  let alloc = Srv.Oseq.create ~block:8 () in
-  Srv.Oseq.recover alloc;
-  let after = Srv.Oseq.next alloc in
-  let reused = if List.mem after ids || after < wm1 then 1 else 0 in
-  c "e18.oseq.handed" (List.length ids);
-  c "e18.oseq.watermark" wm1;
-  c "e18.oseq.restart_first" after;
-  c "e18.oseq.reused" reused;
-  Fm.close fmach;
-  Temp_dir.rm_rf dir
+  let eo = Protocol.T_exactly_once in
+  List.iter
+    (fun kill_after_sectors ->
+      let dir = fresh_dir () in
+      let confirmed = Hashtbl.create 256 and duplicates = ref 0 in
+      let confirm ~client ~seq =
+        if Hashtbl.mem confirmed (client, seq) then incr duplicates
+        else Hashtbl.replace confirmed (client, seq) ()
+      in
+      let open_store () =
+        let fmach = Fm.create ~dir ~max_processes:1 () in
+        ignore (Fm.register fmach);
+        fmach
+      in
+      (* life 1: A's seq 0 is acked, its seq 1 cut at the fence *)
+      let fmach = open_store () in
+      (let module M = (val Fm.machine fmach) in
+       let module Srv = Service.Make (M) in
+       let svc = Srv.make ~log_capacity:4096 ~max_clients:8 Service.Plain in
+       let a = Srv.conn () in
+       let req = Srv.handle svc a in
+       ignore (req (Protocol.Hello { client = 0; token = "onll"; tier = eo }));
+       (match req (Protocol.Submit { seq = 0; deadline_ns = 0; op = inc_op }) with
+       | Protocol.Acked { seq; _ } -> confirm ~client:0 ~seq
+       | _ -> failwith "dedup slice: A's first submit not acked");
+       let inj =
+         Faults.install_file (Fm.memory fmach)
+           {
+             Faults.File_plan.none with
+             kill_at_fence = 1;
+             kill_after_sectors;
+             kill_mode = Faults.File_plan.Raise;
+           }
+       in
+       match req (Protocol.Submit { seq = 1; deadline_ns = 0; op = inc_op }) with
+       | _ -> failwith "dedup slice: A's second submit was not cut"
+       | exception Onll_nvm.Memory.Injected_crash -> Faults.remove_file inj);
+      Fm.close fmach;
+      (* life 2: B drives compactions, then A comes back *)
+      let fmach = open_store () in
+      let module M = (val Fm.machine fmach) in
+      let module Srv = Service.Make (M) in
+      let registry = Metrics.create () in
+      let svc =
+        Srv.make ~sink:(Onll_obs.Sink.make ~registry ()) ~log_capacity:4096
+          ~max_clients:8 Service.Plain
+      in
+      let compactions () = Metrics.counter_value registry "checkpoints" in
+      let b = Srv.conn () in
+      ignore
+        (Srv.handle svc b (Protocol.Hello { client = 1; token = "onll"; tier = eo }));
+      let seq = ref 0 in
+      while compactions () < 3 && !seq < 5_000 do
+        (match
+           Srv.handle svc b
+             (Protocol.Submit { seq = !seq; deadline_ns = 0; op = inc_op })
+         with
+        | Protocol.Acked { seq; _ } -> confirm ~client:1 ~seq
+        | _ -> failwith "dedup slice: B's submit not acked");
+        incr seq
+      done;
+      let a = Srv.conn () in
+      let submit seq =
+        Srv.handle svc a (Protocol.Submit { seq; deadline_ns = 0; op = inc_op })
+      in
+      (match
+         Srv.handle svc a (Protocol.Hello { client = 0; token = "onll"; tier = eo })
+       with
+      | Protocol.Attached { next_seq; _ } when 1 < next_seq ->
+          (* the cut op was applied: its ack is the re-attach *)
+          confirm ~client:0 ~seq:1;
+          c "e18.dedup.adopted" 1
+      | Protocol.Attached { next_seq; _ } -> (
+          match submit next_seq with
+          | Protocol.Acked { seq; _ } ->
+              confirm ~client:0 ~seq;
+              c "e18.dedup.resubmitted" 1
+          | _ -> failwith "dedup slice: A's resubmit not acked")
+      | _ -> failwith "dedup slice: A's hello refused");
+      (match submit 1 with
+      | Protocol.Refused (Protocol.R_bad_seq 2) -> ()
+      | Protocol.Acked _ -> incr duplicates
+      | _ -> failwith "dedup slice: A's retry not refused");
+      let value = Srv.counter_value svc and n = Hashtbl.length confirmed in
+      c "e18.dedup.runs" 1;
+      c "e18.dedup.compactions" (compactions ());
+      c "e18.dedup.confirmed" n;
+      c "e18.dedup.value" value;
+      c "e18.dedup.duplicates" (!duplicates + max 0 (value - n));
+      c "e18.dedup.lost" (max 0 (n - value));
+      Fm.close fmach;
+      Temp_dir.rm_rf dir)
+    [ 0; -1 ]
+
+(* The dedup slice's verdict: both cuts confirmed once each, nothing
+   duplicated or lost, and the counter equal to the confirmations. *)
+let assert_dedup reg =
+  let v k = Metrics.counter_value reg ("e18.dedup." ^ k) in
+  assert (v "runs" = 2);
+  assert (v "duplicates" = 0);
+  assert (v "lost" = 0);
+  assert (v "value" = v "confirmed");
+  assert (v "compactions" >= 6)
 
 let gate_slices reg =
   List.iter
@@ -316,7 +372,7 @@ let gate_slices reg =
       ("restart.mirrored", Service.Mirrored);
     ];
   run_policy_slice reg;
-  run_oseq_slice reg
+  run_dedup_slice reg
 
 (* {1 The out-of-process campaign (kill -9 over sockets)} *)
 

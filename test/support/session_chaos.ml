@@ -210,8 +210,7 @@ module Make (S : Onll_core.Spec.S) = struct
               b_read = C.read obj;
               b_degraded = (fun () -> C.degraded obj);
               b_pressure = (fun () -> C.log_fill obj);
-              b_compact = (fun () -> ignore (C.compact obj : int); true);
-              b_alloc = None;
+              b_compact = (fun () -> ignore (C.compact obj : int));
             },
             (fun () -> ignore (C.recover_report obj)),
             fun () ->
@@ -233,8 +232,7 @@ module Make (S : Onll_core.Spec.S) = struct
               b_read = C.read obj;
               b_degraded = (fun () -> C.degraded obj);
               b_pressure = (fun () -> C.log_fill obj);
-              b_compact = (fun () -> ignore (C.compact obj : int); true);
-              b_alloc = None;
+              b_compact = (fun () -> ignore (C.compact obj : int));
             },
             (fun () -> ignore (C.recover_report obj)),
             fun () ->

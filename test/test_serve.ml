@@ -1,12 +1,13 @@
 (* Deterministic unit tests for the `onll serve` front-end (E18): wire
-   framing, the region-naming audit, the service's protocol policy over
-   an in-memory machine, the identity allocator's never-reuse contract
-   across a file-machine restart, recovery-complete serving, the
-   persistent poll set, the socket loop over a forked server (churn, idle
-   reaping, the connection cap, a pipelined backlog, a hung-up peer), and
-   the SIGTERM drain over a real socket (plain and mirrored). The
-   randomized/adversarial coverage lives in the E18 chaos campaign
-   ([test_support/service_chaos.ml]); these are the pinned specimens. *)
+   framing, the service's protocol policy over an in-memory machine, its
+   fence cost on every construction, the client table it serves (a
+   qcheck property, its codec, its routing), exactly-once across crashes
+   and later compactions, the persistent poll set, the socket loop over a
+   forked server (churn, idle reaping, the connection cap, a pipelined
+   backlog, a hung-up peer), and the SIGTERM drain over a real socket
+   (plain and mirrored). The randomized/adversarial coverage lives in
+   the E18 chaos campaign ([test_support/service_chaos.ml]); these are
+   the pinned specimens. *)
 
 open Onll_machine
 module Fm = Onll_machine.File_machine
@@ -75,20 +76,6 @@ let test_framing () =
     | exception Protocol.Inbuf.Oversized_frame -> true
     | _ -> false)
 
-(* {1 Region naming: injective across the whole client-id range} *)
-
-let test_region_names_injective () =
-  let seen = Hashtbl.create 20_000 in
-  for client = 0 to 9_999 do
-    let name = Service.region_name ~client in
-    (match Hashtbl.find_opt seen name with
-    | Some other ->
-        Alcotest.failf "clients %d and %d share region %S" other client name
-    | None -> ());
-    Hashtbl.replace seen name client
-  done;
-  check Alcotest.int "10k distinct region names" 10_000 (Hashtbl.length seen)
-
 (* {1 Protocol policy over an in-memory machine} *)
 
 let test_handle_policy () =
@@ -109,18 +96,13 @@ let test_handle_policy () =
   check Alcotest.bool "submit before hello refused" true
     (h (Protocol.Submit { seq = 0; deadline_ns = 0; op = incr_op })
     = Protocol.Refused Protocol.R_not_attached);
-  (* the session-region accounting moves exactly once per client *)
-  let rb0 = Svc.region_bytes t in
+  (* a client with no entry starts at seq 0 with nothing to resolve *)
   (match h (Protocol.Hello { client = 1; token = "secret"; tier = Protocol.T_exactly_once }) with
   | Protocol.Attached { next_seq = 0; resolution = Protocol.W_none; _ } -> ()
   | r -> Alcotest.failf "hello: %s" (match r with
       | Protocol.Refused ref ->
           Format.asprintf "refused %a" Protocol.pp_refusal ref
       | _ -> "unexpected response shape"));
-  let rb1 = Svc.region_bytes t in
-  check Alcotest.bool "attach reserves session-region bytes" true (rb1 > rb0);
-  ignore (h (Protocol.Hello { client = 1; token = "secret"; tier = Protocol.T_exactly_once }) : Protocol.resp);
-  check Alcotest.int "re-attach reserves nothing new" rb1 (Svc.region_bytes t);
   (* the exactly-once submit path *)
   check Alcotest.bool "first submit acks value 1" true
     (h (Protocol.Submit { seq = 0; deadline_ns = 0; op = incr_op })
@@ -134,6 +116,10 @@ let test_handle_policy () =
   check Alcotest.bool "read sees the one applied op" true
     (h (Protocol.Fetch { op = "" }) = Protocol.Got 1);
   check Alcotest.int "counter agrees" 1 (Svc.counter_value t);
+  check Alcotest.bool "a re-attach reads the applied seq" true
+    (h (Protocol.Hello { client = 1; token = "secret"; tier = Protocol.T_exactly_once })
+    = Protocol.Attached { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
+  check Alcotest.int "one client in the table" 1 (Svc.sessions t);
   (* drain policy *)
   Svc.drain t;
   check Alcotest.bool "hello while draining refused" true
@@ -240,14 +226,15 @@ let hello_ok h ~client =
 
 let test_no_cliff () =
   (* Two exactly-once clients, 5000 submits each, on the default 64 KiB
-     object log: far past the ~700 updates the log holds. Admission
-     compacts whenever the fill reaches the watermark, so nothing is
-     shed and the counter equals the acks. *)
+     object log (a two-client table adds a few hundred bytes): far past
+     the ~700 updates the log holds. Admission compacts whenever the fill reaches
+     the watermark, so nothing is shed and the counter equals the
+     acks. *)
   let nat = Native.create ~fence_ns:0 ~max_processes:1 () in
   ignore (Native.register nat);
   let module M = (val Native.machine nat) in
   let module Svc = Service.Make (M) in
-  let t = Svc.make Service.Plain in
+  let t = Svc.make ~max_clients:2 Service.Plain in
   let conns = Array.init 2 (fun _ -> Svc.conn ()) in
   Array.iteri
     (fun client conn -> ignore (hello_ok (Svc.handle t conn) ~client))
@@ -359,172 +346,319 @@ let test_netpoll_swap_remove () =
   check ready_list "a second pass reports nothing" [] (reported poll);
   Array.iter (fun (r, w) -> List.iter Unix.close [ r; w ]) pipes
 
-(* {1 No compaction past an in-doubt identity} *)
+(* {1 One persistent fence per exactly-once submit} *)
 
-let test_guard_in_doubt () =
-  (* Client 1's intent append meets failing fences until its session
-     times out: the intent (object identity X) stays queued and the next
-     fence, client 2's, makes it durable, but X never reached the object.
-     Client 1 then stays away while client 2 drives the object log past
-     the watermark again and again. Compacting with X in doubt would
-     checkpoint a floor above X, and any later resolution would vouch
-     for X as applied: a lost update. So before it compacts the service
-     resolves X itself (X is denied, the op re-invoked under a fresh
-     identity); nothing is shed, and client 1 finds its op applied
-     exactly once, live and after a crash. *)
-  let dir = fresh_dir () in
-  let log_capacity = 4096 in
-  let fm = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fm);
-  let module M1 = (val Fm.machine fm) in
-  let module S1 = Service.Make (M1) in
-  let registry1 = Onll_obs.Metrics.create () in
-  let t1 =
-    S1.make ~sink:(Onll_obs.Sink.make ~registry:registry1 ()) ~log_capacity
-      Service.Plain
+(* On each construction, solo and well below the admission watermark:
+   an exactly-once Submit costs exactly the object's one persistent
+   fence (Theorem 5.1), and a Hello or a Fetch costs none. *)
+let test_fences () =
+  List.iter
+    (fun construction ->
+      let nat = Native.create ~fence_ns:0 ~max_processes:1 () in
+      ignore (Native.register nat);
+      let module M = (val Native.machine nat) in
+      let module Svc = Service.Make (M) in
+      let t = Svc.make construction in
+      let conn = Svc.conn () in
+      let name = Service.construction_name construction in
+      let fences what req expected =
+        let f0 = M.persistent_fences () in
+        ignore (Svc.handle t conn req : Protocol.resp);
+        check Alcotest.int
+          (Printf.sprintf "%s: %s" name what)
+          expected
+          (M.persistent_fences () - f0)
+      in
+      let hello =
+        Protocol.Hello
+          { client = 3; token = "onll"; tier = Protocol.T_exactly_once }
+      in
+      fences "hello" hello 0;
+      for seq = 0 to 9 do
+        fences "submit" (Protocol.Submit { seq; deadline_ns = 0; op = incr_op }) 1;
+        fences "fetch" (Protocol.Fetch { op = "" }) 0
+      done;
+      fences "re-attach" hello 0;
+      check Alcotest.int (name ^ ": every submit applied once") 10
+        (Svc.counter_value t))
+    [ Service.Plain; Service.Mirrored; Service.Sharded; Service.Batched ]
+
+(* {1 The client table} *)
+
+module Kv = Onll_specs.Kv
+module Table = Onll_serve.Client_table.Make (Kv)
+
+(* A stream of tracked updates from four clients, a third of them
+   retries of a seq the client already used, against the inner
+   specification applied to the stream with every retry removed: the
+   same values in order (a retry answers [Duplicate]) and the same final
+   state. *)
+let prop_table_dedups =
+  QCheck.Test.make ~name:"tracked updates = the deduplicated stream"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let rng = Onll_util.Splitmix.create (seed + 1) in
+      let next = Array.make 4 0 in
+      let last = Array.make 4 (-1) in
+      let st = ref Table.initial and model = ref Kv.initial in
+      for _ = 1 to 60 do
+        let client = Onll_util.Splitmix.int rng 4 in
+        let seq =
+          if Onll_util.Splitmix.int rng 3 = 0 then
+            Onll_util.Splitmix.int rng (next.(client) + 1)
+          else next.(client)
+        in
+        next.(client) <- max next.(client) (seq + 1);
+        let op = Test_support.Gen.Kv.update rng in
+        let st', v = Table.apply !st (Table.Tracked { client; seq; op }) in
+        st := st';
+        let expected =
+          if seq > last.(client) then begin
+            last.(client) <- seq;
+            let m, v = Kv.apply !model op in
+            model := m;
+            Table.Value v
+          end
+          else Table.Duplicate
+        in
+        if not (Table.equal_value v expected) then
+          QCheck.Test.fail_reportf "client %d seq %d: %a, wanted %a" client
+            seq Table.pp_value v Table.pp_value expected
+      done;
+      Kv.equal_state !st.Table.inner !model
+      && Array.for_all2
+           (fun l c ->
+             Table.read !st (Table.Last c)
+             = Table.Last_seq (if l < 0 then None else Some l))
+           last [| 0; 1; 2; 3 |])
+
+let test_table_codec () =
+  let st =
+    List.fold_left
+      (fun st u -> fst (Table.apply st u))
+      Table.initial
+      [
+        Table.Tracked { client = 7; seq = 0; op = Kv.Put ("a", "1") };
+        Table.Untracked (Kv.Put ("b", "2"));
+        Table.Tracked { client = 9_999; seq = 41; op = Kv.Delete "a" };
+        Table.Tracked { client = 7; seq = 3; op = Kv.Put ("c", "3") };
+      ]
   in
-  let submit conn seq =
-    S1.handle t1 conn (Protocol.Submit { seq; deadline_ns = 0; op = incr_op })
+  let bytes = Codec.encode Table.state_codec st in
+  check Alcotest.bool "the state round-trips" true
+    (Table.equal_state st (Codec.decode Table.state_codec bytes));
+  check Alcotest.bool "a differing seq is a differing state" false
+    (Table.equal_state st
+       (fst
+          (Table.apply st
+             (Table.Tracked { client = 7; seq = 4; op = Kv.Put ("c", "3") }))));
+  check Alcotest.int "two entries cost what the bound says"
+    (Table.checkpoint_bytes ~clients:2)
+    (String.length bytes
+    - String.length (Codec.encode Kv.state_codec st.Table.inner));
+  List.iter
+    (fun u ->
+      check Alcotest.bool "an update round-trips" true
+        (Codec.decode Table.update_codec (Codec.encode Table.update_codec u)
+        = u))
+    [
+      Table.Tracked { client = 2; seq = 5; op = Kv.Delete "k" };
+      Table.Untracked (Kv.Put ("k", "v"));
+    ]
+
+(* A tracked update goes where its inner operation goes; the table read
+   fans out and merges by max, whatever shard a client's updates hit. *)
+let test_table_routing () =
+  let rng = Onll_util.Splitmix.create 5 in
+  for _ = 1 to 200 do
+    let op = Test_support.Gen.Kv.update rng in
+    List.iter
+      (fun shards ->
+        let inner = Kv.shard_of_update ~shards op in
+        check Alcotest.int "tracked" inner
+          (Table.shard_of_update ~shards
+             (Table.Tracked { client = 1; seq = 0; op }));
+        check Alcotest.int "untracked" inner
+          (Table.shard_of_update ~shards (Table.Untracked op)))
+      [ 1; 4; 7 ]
+  done;
+  check Alcotest.bool "the table read is global" true
+    (Table.shard_of_read ~shards:4 (Table.Last 1) = None);
+  check Alcotest.bool "merged by max" true
+    (Table.merge_read (Table.Last 1)
+       [ Table.Last_seq (Some 3); Table.Last_seq None; Table.Last_seq (Some 8) ]
+    = Table.Last_seq (Some 8))
+
+(* {1 Exactly-once across a crash and later compactions} *)
+
+(* The same machine, with a region created again by name handed back as
+   it stands: a second service over it is the restart after a crash. *)
+module Reopening (M : Machine_sig.S) = struct
+  include M
+
+  module Pm = struct
+    include M.Pm
+
+    let regions = Hashtbl.create 16
+
+    let create ~name ~size =
+      match Hashtbl.find_opt regions name with
+      | Some r -> r
+      | None ->
+          let r = M.Pm.create ~name ~size in
+          Hashtbl.replace regions name r;
+          r
+  end
+end
+
+let hello_eo ~client =
+  Protocol.Hello { client; token = "onll"; tier = Protocol.T_exactly_once }
+
+let submit_req seq = Protocol.Submit { seq; deadline_ns = 0; op = incr_op }
+
+(* Client A's second op is cut just before its persistent fence, and the
+   machine crashes under [policy]. After the restart client B submits
+   until its updates have forced three compactions, whose checkpoints
+   summarise everything below them — a phantom apply would surface here.
+   A's Hello must agree with the counter: [next_seq] past the op exactly
+   when the op survived. Returns whether it did. *)
+let phantom_scenario construction policy =
+  let sim = Sim.create ~crash_policy:policy ~max_processes:1 () in
+  let module Base = (val Sim.machine sim) in
+  let module M = Reopening (Base) in
+  let module S1 = Service.Make (M) in
+  let t1 = S1.make ~max_clients:4 ~log_capacity:4096 construction in
+  let a = S1.conn () in
+  ignore (S1.handle t1 a (hello_eo ~client:0) : Protocol.resp);
+  check Alcotest.bool "A's first op acks" true
+    (S1.handle t1 a (submit_req 0) = Protocol.Acked { seq = 0; value = 1 });
+  let cut =
+    Sim.run sim
+      (Onll_sched.Sched.Strategy.script
+         [ Onll_sched.Sched.Strategy.run_until_pfence 0; Crash_here ])
+      [| (fun _ -> ignore (S1.handle t1 a (submit_req 1) : Protocol.resp)) |]
   in
-  let ca = S1.conn () and cb = S1.conn () in
-  ignore (hello_ok (S1.handle t1 ca) ~client:1);
-  ignore (hello_ok (S1.handle t1 cb) ~client:2);
-  check Alcotest.bool "client 1's first op acks" true
-    (submit ca 0 = Protocol.Acked { seq = 0; value = 1 });
-  let inj =
-    Faults.install_file (Fm.memory fm)
+  check Alcotest.bool "A's second op is in flight at the crash" true
+    (cut = Onll_sched.Sched.World.Crashed);
+  let registry = Onll_obs.Metrics.create () in
+  let module S2 = Service.Make (M) in
+  let t2 =
+    S2.make ~sink:(Onll_obs.Sink.make ~registry ()) ~max_clients:4
+      ~log_capacity:4096 construction
+  in
+  let b = S2.conn () in
+  ignore (S2.handle t2 b (hello_eo ~client:1) : Protocol.resp);
+  let acks = ref 0 in
+  while Onll_obs.Metrics.counter_value registry "checkpoints" < 3 do
+    match S2.handle t2 b (submit_req !acks) with
+    | Protocol.Acked _ -> incr acks
+    | _ -> Alcotest.failf "B's submit %d not acked" !acks
+  done;
+  let a = S2.conn () in
+  match S2.handle t2 a (hello_eo ~client:0) with
+  | Protocol.Attached { next_seq; resolution; _ } ->
+      let survived = next_seq = 2 in
+      check Alcotest.bool "the resolution names A's last applied op" true
+        (resolution = Protocol.W_applied (next_seq - 1));
+      check Alcotest.int "Hello agrees with the counter"
+        (1 + !acks + if survived then 1 else 0)
+        (S2.counter_value t2);
+      if not survived then
+        check Alcotest.bool "the lost op is resubmitted once" true
+          (match S2.handle t2 a (submit_req 1) with
+          | Protocol.Acked _ -> S2.counter_value t2 = 2 + !acks
+          | _ -> false);
+      check Alcotest.bool "a retry is refused, never applied" true
+        (S2.handle t2 a (submit_req 1) = Protocol.Refused (Protocol.R_bad_seq 2));
+      survived
+  | _ -> Alcotest.fail "A's hello refused"
+
+let test_phantom_apply () =
+  List.iter
+    (fun construction ->
+      let name = Service.construction_name construction in
+      check Alcotest.bool (name ^ ": Drop_all loses the unfenced op") false
+        (phantom_scenario construction Onll_nvm.Crash_policy.Drop_all);
+      check Alcotest.bool (name ^ ": Persist_all keeps it") true
+        (phantom_scenario construction Onll_nvm.Crash_policy.Persist_all))
+    [ Service.Plain; Service.Mirrored; Service.Sharded; Service.Batched ]
+
+(* An exactly-once op whose drain failed stays staged in the staleness
+   tail, and a later staleness ack makes it visible. A Hello that then
+   reports it applied must first have made it durable: it survives a
+   Drop_all crash, as the Hello said. *)
+let test_failed_op_durable_before_hello () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module Base = (val Sim.machine sim) in
+  let module M = Reopening (Base) in
+  let module S1 = Service.Make (M) in
+  let t1 = S1.make ~max_staleness:8 Service.Plain in
+  let a = S1.conn () and stale = S1.conn () in
+  ignore (S1.handle t1 a (hello_eo ~client:0) : Protocol.resp);
+  ignore
+    (S1.handle t1 stale
+       (Protocol.Hello
+          { client = 1; token = "onll"; tier = Protocol.T_staleness 8 })
+      : Protocol.resp);
+  let storm =
+    Faults.install (Sim.memory sim)
       {
-        Faults.File_plan.none with
-        base =
-          {
-            Faults.Plan.none with
-            seed = 3;
-            fence_fail_prob = 1.0;
-            max_consecutive_transients = 1_000_000;
-          };
+        Faults.Plan.none with
+        seed = 3;
+        flush_fail_prob = 1.0;
+        max_consecutive_transients = 1_000_000;
+        target =
+          (fun region ->
+            List.mem "relaxcoord" (String.split_on_char '.' region));
       }
   in
-  check Alcotest.bool "client 1's second op times out in doubt" true
-    (submit ca 1 = Protocol.Refused Protocol.R_timeout);
-  Faults.remove_file inj;
-  let acks_b = ref 0 and sheds = ref 0 in
-  for i = 1 to 400 do
-    match submit cb !acks_b with
-    | Protocol.Acked _ -> incr acks_b
-    | Protocol.Refused Protocol.R_overloaded -> incr sheds
-    | _ -> Alcotest.failf "client 2, submit %d: unexpected response" i
-  done;
-  check Alcotest.int "an absent client's in-doubt op does not stop compaction"
-    0 !sheds;
-  check Alcotest.int "the server re-invoked the in-doubt op once" 1
-    (Onll_obs.Metrics.counter_value registry1 "serve.resolved.reinvoked");
-  check Alcotest.int "live: counter = acks + the resolved op"
-    (2 + !acks_b) (S1.counter_value t1);
-  (* client 1 comes back: nothing is pending, and [next_seq] past its
-     op tells it the op was applied (the protocol's resolution rule) *)
-  let ca' = S1.conn () in
-  (match
-     S1.handle t1 ca'
+  check Alcotest.bool "A's drain fails: indeterminate" true
+    (S1.handle t1 a (submit_req 0) = Protocol.Refused Protocol.R_timeout);
+  Faults.remove storm;
+  check Alcotest.bool "a staleness ack counts A's staged op" true
+    (S1.handle t1 stale (submit_req 0) = Protocol.Acked { seq = 0; value = 2 });
+  check Alcotest.bool "A's Hello reports its op applied" true
+    (S1.handle t1 (S1.conn ()) (hello_eo ~client:0)
+    = Protocol.Attached
+        { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let module S2 = Service.Make (M) in
+  let t2 = S2.make ~max_staleness:8 Service.Plain in
+  check Alcotest.bool "after a crash, A's op is still applied" true
+    (S2.handle t2 (S2.conn ()) (hello_eo ~client:0)
+    = Protocol.Attached
+        { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
+  check Alcotest.int "and counted once" 2 (S2.counter_value t2)
+
+(* A staleness-tier ack, then an exactly-once ack, then a Drop_all
+   crash: the exactly-once update's fence drains the staleness tail
+   ahead of it, so both survive — otherwise the crash would lose the
+   earlier op and keep the later one, an interior op, not a suffix. *)
+let test_stale_then_exactly_once () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module Base = (val Sim.machine sim) in
+  let module M = Reopening (Base) in
+  let module S1 = Service.Make (M) in
+  let t1 = S1.make ~max_staleness:8 Service.Plain in
+  let stale = S1.conn () and eo = S1.conn () in
+  ignore
+    (S1.handle t1 stale
        (Protocol.Hello
-          { client = 1; token = "onll"; tier = Protocol.T_exactly_once })
-   with
-  | Protocol.Attached { next_seq; resolution = Protocol.W_none; _ } ->
-      check Alcotest.bool "op 1 is behind the session's next_seq" true
-        (1 < next_seq)
-  | _ -> Alcotest.fail "client 1: re-attach should report nothing pending");
-  (* crash: close the store with nothing more fenced *)
-  Fm.close fm;
-  let registry = Onll_obs.Metrics.create () in
-  let sink = Onll_obs.Sink.make ~registry () in
-  let fm2 = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fm2);
-  let module M2 = (val Fm.machine fm2) in
-  let module S2 = Service.Make (M2) in
-  let t2 = S2.make ~sink ~log_capacity Service.Plain in
-  let next_seq = hello_ok (S2.handle t2 (S2.conn ())) ~client:1 in
-  check Alcotest.bool "after restart, op 1 still reads as applied" true
-    (1 < next_seq);
-  check Alcotest.int "nothing left to re-invoke at restart" 0
-    (Onll_obs.Metrics.counter_value registry "serve.resolved.reinvoked");
-  check Alcotest.int "exactly once: counter = acks + the resolved op"
-    (2 + !acks_b) (S2.counter_value t2);
-  Fm.close fm2
-
-(* {1 The identity allocator never re-hands an identity across restart} *)
-
-let test_oseq_restart_never_reuses () =
-  let dir = fresh_dir () in
-  let drawn = ref [] in
-  (* life 1: draw from a block of 8, then die with the tail unused *)
-  let fm = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fm);
-  let module M1 = (val Fm.machine fm) in
-  let module S1 = Service.Make (M1) in
-  let o1 = S1.Oseq.create ~block:8 () in
-  S1.Oseq.recover o1;
-  for _ = 1 to 5 do
-    drawn := S1.Oseq.next o1 :: !drawn
-  done;
-  check Alcotest.int "block reservation is durable up front" 8
-    (S1.Oseq.watermark o1);
-  Fm.close fm;
-  (* life 2: the unused tail of the block is abandoned, never re-handed *)
-  let fm2 = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fm2);
-  let module M2 = (val Fm.machine fm2) in
-  let module S2 = Service.Make (M2) in
-  let o2 = S2.Oseq.create ~block:8 () in
-  S2.Oseq.recover o2;
-  check Alcotest.bool "restart resumes at the durable watermark" true
-    (S2.Oseq.watermark o2 >= 8);
-  for _ = 1 to 10 do
-    let id = S2.Oseq.next o2 in
-    if List.mem id !drawn then
-      Alcotest.failf "identity %d re-handed after restart" id
-  done;
-  Fm.close fm2
-
-(* {1 Recovery-complete serving across a file-machine restart} *)
-
-let test_recovery_complete_restart () =
-  let dir = fresh_dir () in
-  (* life 1: client 7 attaches and applies one op *)
-  let fm = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fm);
-  let module M1 = (val Fm.machine fm) in
-  let module S1 = Service.Make (M1) in
-  let t1 = S1.make Service.Plain in
-  let c1 = S1.conn () in
-  (match S1.handle t1 c1 (Protocol.Hello { client = 7; token = "onll"; tier = Protocol.T_exactly_once }) with
-  | Protocol.Attached _ -> ()
-  | _ -> Alcotest.fail "life-1 hello refused");
-  (match
-     S1.handle t1 c1 (Protocol.Submit { seq = 0; deadline_ns = 0; op = incr_op })
-   with
-  | Protocol.Acked { value = 1; _ } -> ()
-  | _ -> Alcotest.fail "life-1 submit not acked");
-  S1.quiesce t1;
-  Fm.close fm;
-  (* life 2: [make] must re-attach the directory's clients before serving
-     — an in-doubt identity resolved lazily would be unsound, see the
-     directory comment in [Service] *)
-  let fm2 = Fm.create ~dir ~max_processes:1 () in
-  ignore (Fm.register fm2);
-  let module M2 = (val Fm.machine fm2) in
-  let module S2 = Service.Make (M2) in
-  let t2 = S2.make Service.Plain in
-  check Alcotest.bool "directory re-attached client 7 before serving" true
-    (S2.sessions t2 >= 1);
-  check Alcotest.int "the applied op survived the restart" 1
+          { client = 0; token = "onll"; tier = Protocol.T_staleness 8 })
+      : Protocol.resp);
+  ignore (S1.handle t1 eo (hello_eo ~client:1) : Protocol.resp);
+  check Alcotest.bool "the staleness ack" true
+    (S1.handle t1 stale (submit_req 0) = Protocol.Acked { seq = 0; value = 1 });
+  check Alcotest.bool "the exactly-once ack" true
+    (S1.handle t1 eo (submit_req 0) = Protocol.Acked { seq = 0; value = 2 });
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let module S2 = Service.Make (M) in
+  let t2 = S2.make ~max_staleness:8 Service.Plain in
+  check Alcotest.int "both acknowledged updates survive" 2
     (S2.counter_value t2);
-  (* and the client's cursors came back with it *)
-  let c2 = S2.conn () in
-  (match S2.handle t2 c2 (Protocol.Hello { client = 7; token = "onll"; tier = Protocol.T_exactly_once }) with
-  | Protocol.Attached { next_seq = 1; _ } -> ()
-  | Protocol.Attached { next_seq; _ } ->
-      Alcotest.failf "life-2 next_seq = %d, wanted 1" next_seq
-  | _ -> Alcotest.fail "life-2 hello refused");
-  Fm.close fm2
+  check Alcotest.bool "the exactly-once client reads its op applied" true
+    (S2.handle t2 (S2.conn ()) (hello_eo ~client:1)
+    = Protocol.Attached
+        { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 })
 
 (* {1 SIGTERM drain over a real socket} *)
 
@@ -913,13 +1047,21 @@ let () =
             test_handle_policy;
           Alcotest.test_case "durability tiers: strict / staleness-k" `Quick
             test_tiers;
+          Alcotest.test_case "1 fence per exactly-once submit, 0 per read"
+            `Quick test_fences;
+        ] );
+      ( "table",
+        [
+          QCheck_alcotest.to_alcotest prop_table_dedups;
+          Alcotest.test_case "state and update codecs round-trip" `Quick
+            test_table_codec;
+          Alcotest.test_case "routes as the inner operation" `Quick
+            test_table_routing;
         ] );
       ( "admission",
         [
           Alcotest.test_case "2 x 5000 exactly-once submits, none shed"
             `Quick test_no_cliff;
-          Alcotest.test_case "no compaction past an in-doubt identity" `Quick
-            test_guard_in_doubt;
           Alcotest.test_case "exactly-once heap stays flat" `Quick
             test_heap_flat;
         ] );
@@ -935,17 +1077,14 @@ let () =
           Alcotest.test_case "swap-remove keeps the other indices" `Quick
             test_netpoll_swap_remove;
         ] );
-      ( "regions",
-        [
-          Alcotest.test_case "10k region names are injective" `Quick
-            test_region_names_injective;
-        ] );
       ( "restart",
         [
-          Alcotest.test_case "oseq never re-hands an identity" `Quick
-            test_oseq_restart_never_reuses;
-          Alcotest.test_case "recovery-complete serving after restart" `Quick
-            test_recovery_complete_restart;
+          Alcotest.test_case "an in-flight op across crash and compactions"
+            `Quick test_phantom_apply;
+          Alcotest.test_case "staleness then exactly-once, both survive"
+            `Quick test_stale_then_exactly_once;
+          Alcotest.test_case "a failed op is durable before Hello reports it"
+            `Quick test_failed_op_durable_before_hello;
         ] );
       ( "server",
         [

@@ -415,7 +415,7 @@ let jitter_world ~rng_seed =
   let config =
     { Sess_t.default_config with rng_seed; max_attempts = 64; deadline = 0 }
   in
-  let s = Sess.attach ~config ~sink ~proc:0 ~client:3 (B.backend obj) in
+  let s = Sess.attach ~config ~sink ~client:0 (B.backend obj) in
   (* storm only the session's own log: every intent/ack append punches
      through the plog budget once (9 failures), backs off with jitter,
      and lands on the retry — the object itself stays clean, so every

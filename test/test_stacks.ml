@@ -13,6 +13,7 @@ module Svc = Onll_serve.Service
 
 let check = Alcotest.check
 let solo_updates = 100 (* more than any stack's relaxed tail *)
+let concurrent_updates = 25 (* per process: 75 also outgrow every tail *)
 
 (* Every constructor a stack is made of, by an exhaustive match: a new
    constructor does not compile here until [legal] is checked for it. *)
@@ -100,7 +101,7 @@ let solo stack () =
 
 let concurrent stack () =
   let r =
-    run_stack stack ~procs:3 ~updates:10
+    run_stack stack ~procs:3 ~updates:concurrent_updates
       ~strategy:(Onll_sched.Sched.Strategy.random ~seed:5)
   in
   let pu = per_op r ~fences:"fences.update" ~ops:"ops.update" in
@@ -108,50 +109,12 @@ let concurrent stack () =
   check (Alcotest.float 0.) "0 pf/read" 0.
     (per_op r ~fences:"fences.read" ~ops:"ops.read")
 
-(* The seam rules every session-over-relaxed stack gets from the
-   builder: both update paths draw from the one allocator (or the
-   session's identity would collide with the tier's), and an exactly-once
-   update first drains the staleness tail, or a crash after it would keep
-   the exactly-once update and lose the earlier staleness ack — an
-   interior operation, not a suffix. *)
-let seam stack () =
-  let sim = Sim.create ~max_processes:1 () in
-  let module M = (val Sim.machine sim) in
-  let module Cs = Onll_specs.Counter in
-  let module B = Onll_stack.Make (M) (Cs) in
-  let next = ref 0 in
-  let alloc () =
-    incr next;
-    !next
-  in
-  let o = B.build ~alloc stack Onll_core.Onll.Config.default in
-  let r = Option.get o.B.relaxed in
-  let run body =
-    check Alcotest.bool "the run completes" true
-      (Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |]
-      = Onll_sched.Sched.World.Completed)
-  in
-  run (fun _ ->
-      ignore (r.B.update_stale ~budget:8 Cs.Increment);
-      ignore (o.B.update Cs.Increment));
-  Onll_nvm.Memory.crash (Sim.memory sim)
-    ~policy:Onll_nvm.Crash_policy.Drop_all;
-  ignore (o.B.recover_report ());
-  run (fun _ ->
-      check Alcotest.int "both acknowledged updates survive" 2
-        (o.B.read Cs.Get))
-
 let cases name stack =
   let label = Format.asprintf "%s%a" name Onll_stack.pp stack in
   [
     Alcotest.test_case (label ^ " solo") `Quick (solo stack);
     Alcotest.test_case (label ^ " 3 procs") `Quick (concurrent stack);
   ]
-  @
-  match stack.Onll_stack.top with
-  | Onll_stack.Session (Onll_stack.Relaxed _) ->
-      [ Alcotest.test_case (label ^ " seam") `Quick (seam stack) ]
-  | _ -> []
 
 let served =
   List.concat_map
