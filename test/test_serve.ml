@@ -660,6 +660,47 @@ let test_stale_then_exactly_once () =
     = Protocol.Attached
         { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 })
 
+(* {1 Recovery-complete serving across a file-machine restart} *)
+
+let test_recovery_complete_restart () =
+  let dir = fresh_dir () in
+  (* life 1: client 7 attaches and applies one op *)
+  let fm = Fm.create ~dir ~max_processes:1 () in
+  ignore (Fm.register fm);
+  let module M1 = (val Fm.machine fm) in
+  let module S1 = Service.Make (M1) in
+  let t1 = S1.make Service.Plain in
+  let c1 = S1.conn () in
+  (match S1.handle t1 c1 (hello_eo ~client:7) with
+  | Protocol.Attached _ -> ()
+  | _ -> Alcotest.fail "life-1 hello refused");
+  (match S1.handle t1 c1 (submit_req 0) with
+  | Protocol.Acked { value = 1; _ } -> ()
+  | _ -> Alcotest.fail "life-1 submit not acked");
+  S1.quiesce t1;
+  Fm.close fm;
+  (* life 2: [make] recovers the object, and the client table with it,
+     before serving — nothing about client 7 is resolved lazily *)
+  let fm2 = Fm.create ~dir ~max_processes:1 () in
+  ignore (Fm.register fm2);
+  let module M2 = (val Fm.machine fm2) in
+  let module S2 = Service.Make (M2) in
+  let t2 = S2.make Service.Plain in
+  check Alcotest.int "the table came back with client 7's entry" 1
+    (S2.sessions t2);
+  check Alcotest.int "the applied op survived the restart" 1
+    (S2.counter_value t2);
+  (* and the client's cursor came back with it *)
+  (match S2.handle t2 (S2.conn ()) (hello_eo ~client:7) with
+  | Protocol.Attached { next_seq = 1; resolution = Protocol.W_applied 0; _ }
+    ->
+      ()
+  | Protocol.Attached { next_seq; _ } ->
+      Alcotest.failf "life-2 next_seq = %d, wanted 1 with op 0 applied"
+        next_seq
+  | _ -> Alcotest.fail "life-2 hello refused");
+  Fm.close fm2
+
 (* {1 SIGTERM drain over a real socket} *)
 
 (* Blocking client-side framing helpers (tests only). *)
@@ -1085,6 +1126,8 @@ let () =
             `Quick test_stale_then_exactly_once;
           Alcotest.test_case "a failed op is durable before Hello reports it"
             `Quick test_failed_op_durable_before_hello;
+          Alcotest.test_case "recovery-complete serving after restart" `Quick
+            test_recovery_complete_restart;
         ] );
       ( "server",
         [

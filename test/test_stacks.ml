@@ -109,12 +109,58 @@ let concurrent stack () =
   check (Alcotest.float 0.) "0 pf/read" 0.
     (per_op r ~fences:"fences.read" ~ops:"ops.read")
 
+(* The seam between a session and the relaxed front beneath it. The
+   session stack exposes no staleness tier: the tiers would take
+   identities from the object's cursor, which the sessions' own sequence
+   numbers collide with. And the exactly-once path a session invokes,
+   [update_detectable], first drains the front's staleness tail, or a
+   crash after it would keep the exactly-once update and lose an earlier
+   staleness ack — an interior operation, not a suffix. *)
+let seam stack () =
+  let front =
+    match stack.Onll_stack.top with
+    | Onll_stack.Session f -> f
+    | _ -> invalid_arg "seam: not a session stack"
+  in
+  let module Cs = Onll_specs.Counter in
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let run body =
+    check Alcotest.bool "the run completes" true
+      (Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |]
+      = Onll_sched.Sched.World.Completed)
+  in
+  check Alcotest.bool "the session stack exposes no staleness tier" true
+    ((B.build stack Onll_core.Onll.Config.default).B.relaxed = None);
+  let o =
+    B.build
+      { stack with top = Onll_stack.Direct front }
+      { Onll_core.Onll.Config.default with region_suffix = ".front" }
+  in
+  let r = Option.get o.B.relaxed in
+  run (fun _ ->
+      ignore (r.B.update_stale ~budget:8 Cs.Increment);
+      (* the staleness ack took the process's first identity, 0 *)
+      ignore (o.B.update_detectable ~seq:1 Cs.Increment));
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  ignore (o.B.recover_report ());
+  run (fun _ ->
+      check Alcotest.int "both acknowledged updates survive" 2
+        (o.B.read Cs.Get))
+
 let cases name stack =
   let label = Format.asprintf "%s%a" name Onll_stack.pp stack in
   [
     Alcotest.test_case (label ^ " solo") `Quick (solo stack);
     Alcotest.test_case (label ^ " 3 procs") `Quick (concurrent stack);
   ]
+  @
+  match stack.Onll_stack.top with
+  | Onll_stack.Session (Onll_stack.Relaxed _) ->
+      [ Alcotest.test_case (label ^ " seam") `Quick (seam stack) ]
+  | _ -> []
 
 let served =
   List.concat_map
