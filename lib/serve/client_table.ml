@@ -11,13 +11,12 @@ module Make (S : Onll_core.Spec.S) = struct
     | Tracked of { client : int; seq : int; op : S.update_op }
     | Untracked of S.update_op
 
-  type read_op = Inner of S.read_op | Last of int | Count
+  type read_op = Inner of S.read_op | Last of int
 
   type value =
     | Value of S.value
     | Duplicate
     | Last_seq of int option
-    | Entries of int
 
   (* the inner name keeps the object's region names *)
   let name = S.name
@@ -37,14 +36,13 @@ module Make (S : Onll_core.Spec.S) = struct
   let read st = function
     | Inner r -> Value (S.read st.inner r)
     | Last client -> Last_seq (Clients.find_opt client st.last)
-    | Count -> Entries (Clients.cardinal st.last)
 
   let inner_op = function Tracked { op; _ } | Untracked op -> op
   let shard_of_update ~shards u = S.shard_of_update ~shards (inner_op u)
 
   let shard_of_read ~shards = function
     | Inner r -> S.shard_of_read ~shards r
-    | Last _ | Count -> None
+    | Last _ -> None
 
   (* A client's updates may land on several shards: its last seq is the
      largest any shard recorded. *)
@@ -63,12 +61,6 @@ module Make (S : Onll_core.Spec.S) = struct
                | Last_seq s -> max s acc  (* [None] below every [Some] *)
                | _ -> invalid_arg "merge_read")
              None values)
-    | Count ->
-        Entries
-          (List.fold_left
-             (fun acc -> function
-               | Entries n -> acc + n | _ -> invalid_arg "merge_read")
-             0 values)
 
   let update_codec =
     Codec.tagged
@@ -109,8 +101,7 @@ module Make (S : Onll_core.Spec.S) = struct
     | Value a, Value b -> S.equal_value a b
     | Duplicate, Duplicate -> true
     | Last_seq a, Last_seq b -> Option.equal Int.equal a b
-    | Entries a, Entries b -> a = b
-    | (Value _ | Duplicate | Last_seq _ | Entries _), _ -> false
+    | (Value _ | Duplicate | Last_seq _), _ -> false
 
   let pp_update ppf = function
     | Tracked { client; seq; op } ->
@@ -120,12 +111,10 @@ module Make (S : Onll_core.Spec.S) = struct
   let pp_read ppf = function
     | Inner r -> S.pp_read ppf r
     | Last client -> Format.fprintf ppf "last(c%d)" client
-    | Count -> Format.pp_print_string ppf "clients"
 
   let pp_value ppf = function
     | Value v -> S.pp_value ppf v
     | Duplicate -> Format.pp_print_string ppf "duplicate"
     | Last_seq None -> Format.pp_print_string ppf "last=none"
     | Last_seq (Some s) -> Format.fprintf ppf "last=%d" s
-    | Entries n -> Format.fprintf ppf "clients=%d" n
 end

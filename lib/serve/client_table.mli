@@ -31,13 +31,11 @@ module Make (S : Onll_core.Spec.S) : sig
   type read_op =
     | Inner of S.read_op
     | Last of int  (** the client's last applied seq *)
-    | Count  (** table entries (summed over shards) *)
 
   type value =
     | Value of S.value  (** an applied update's, or an inner read's *)
     | Duplicate  (** a tracked update at or below its client's seq *)
     | Last_seq of int option  (** [None]: the client never applied one *)
-    | Entries of int
 
   include
     Onll_core.Spec.S

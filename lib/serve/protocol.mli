@@ -21,8 +21,10 @@
     {- otherwise, [s < next_seq] — the operation was applied, and only
        the protocol acknowledgement got lost. Confirm it, do not
        resubmit;}
-    {- otherwise [s >= next_seq] — the operation never took effect;
-       resubmit under [next_seq].}}
+    {- otherwise [s >= next_seq] — the operation has not taken effect;
+       resubmit it under [next_seq]. If the earlier attempt takes effect
+       after the [Hello] (a later update persists it), the resubmission
+       is acknowledged without a second apply.}}
 
     The server ({!Service}) sends [W_none] (the client never applied an
     operation), [W_applied] (its last applied one) and, while a failed
@@ -57,9 +59,11 @@ type req =
       (** Authenticate and attach (or re-attach) the client's durable
           session at [tier]. Answered by {!resp.Attached} or a refusal. *)
   | Submit of { seq : int; deadline_ns : int; op : string }
-      (** One exactly-once update: [seq] must equal the session's next
-          sequence number (stale or future values are refused with
-          {!refusal.R_bad_seq} carrying the expected one). [deadline_ns]
+      (** One exactly-once update under the client's sequence number
+          [seq]. A [seq] past the session's next one is refused with
+          {!refusal.R_bad_seq} carrying the expected one; one at or below
+          the client's last applied seq is a resubmission, acknowledged
+          (once durable) without being applied again. [deadline_ns]
           is an absolute [CLOCK_MONOTONIC] deadline stamped by the client
           ([0] = none); the server sheds the request without durable work
           once it has passed. [op] is the {!Onll_specs.Counter} update,
@@ -80,7 +84,7 @@ type refusal =
           timed out (indeterminate: reattach to resolve) *)
   | R_degraded  (** sticky degraded policy refuses writes *)
   | R_draining  (** server is draining (SIGTERM); reconnect elsewhere *)
-  | R_bad_seq of int  (** wrong seq; payload = expected next seq *)
+  | R_bad_seq of int  (** seq past the next one; payload = the next seq *)
   | R_bad_token
   | R_bad_client  (** client id out of the served range *)
   | R_not_attached  (** Submit/Fetch before Hello *)

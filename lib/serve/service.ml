@@ -251,9 +251,15 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                   Some (r.B.update_stale ~budget:k (Ct.Untracked op))
               | Protocol.T_exactly_once -> assert false)
 
+  (* Only a seq past the client's next is refused. One at or below its
+     last applied seq is a resubmission: an op that failed mid-way can
+     become applied after the Hello that gave its seq (a later update
+     persists it), so the update runs as usual, the table answers
+     [Duplicate] without applying it again, and its fence makes the
+     earlier apply durable before the ack. *)
   let submit_exactly_once t ~client ~seq ~op =
     let next = next_seq t client in
-    if seq <> next then begin
+    if seq > next then begin
       Metrics.incr t.m_bad_seq;
       Protocol.Refused (Protocol.R_bad_seq next)
     end
@@ -313,7 +319,4 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Option.iter (fun r -> r.B.flush ()) t.obj.B.relaxed;
       M.fence ()
     with Onll_nvm.File_memory.Degraded _ -> ()
-
-  let sessions t =
-    match t.obj.B.read Ct.Count with Ct.Entries n -> n | _ -> assert false
 end

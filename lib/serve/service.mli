@@ -17,7 +17,11 @@
     [Hello] reads the client's entry, fence-free, and that entry is the
     whole of the client's durable session: clients join at run time, and
     no operation stays in doubt across a restart or a compaction,
-    because the state itself says whether it was applied. *)
+    because the state itself says whether it was applied. A [Submit] at
+    or below the entry is a resubmission, answered without a second
+    apply, so resubmitting a failed operation under the [next_seq] a
+    [Hello] gave is safe even when that operation takes effect after the
+    [Hello]. *)
 
 (** Which construction serves the shared counter. All four compose with
     either machine backend (sim or file). *)
@@ -87,7 +91,10 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       exactly-once [Submit] whose update fails mid-way is refused
       indeterminate ({!Protocol.refusal.R_timeout}, or
       {!Protocol.refusal.R_degraded} on a sticky-degraded store): the
-      client's next [Hello] says whether it was applied. *)
+      client's next [Hello] says whether it was applied yet, and a
+      resubmission under the [next_seq] it gives is deduplicated by the
+      table should the failed update still take effect. Only a seq past
+      [next_seq] is refused ({!Protocol.refusal.R_bad_seq}). *)
 
   val drain : t -> unit
   (** Enter drain: every subsequent [Hello]/[Submit] is refused with
@@ -103,10 +110,6 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   (** {1 Introspection (audits, stats)} *)
 
   val counter_value : t -> int  (** direct read of the shared object *)
-
-  val sessions : t -> int
-  (** clients with an entry in the table: every client that ever had an
-      exactly-once operation applied *)
 
   val degraded : t -> bool
   (** Sticky: true once the object's fence exhausted its write-back

@@ -2,7 +2,8 @@
    framing, the service's protocol policy over an in-memory machine, its
    fence cost on every construction, the client table it serves (a
    qcheck property, its codec, its routing), exactly-once across crashes
-   and later compactions, the persistent poll set, the socket loop over a
+   and later compactions and across a resubmission after a live fault,
+   the persistent poll set, the socket loop over a
    forked server (churn, idle reaping, the connection cap, a pipelined
    backlog, a hung-up peer), and the SIGTERM drain over a real socket
    (plain and mirrored). The randomized/adversarial coverage lives in
@@ -107,8 +108,11 @@ let test_handle_policy () =
   check Alcotest.bool "first submit acks value 1" true
     (h (Protocol.Submit { seq = 0; deadline_ns = 0; op = incr_op })
     = Protocol.Acked { seq = 0; value = 1 });
-  check Alcotest.bool "stale seq refused with the expected one" true
+  check Alcotest.bool "a retried seq acks without a second apply" true
     (h (Protocol.Submit { seq = 0; deadline_ns = 0; op = incr_op })
+    = Protocol.Acked { seq = 0; value = 1 });
+  check Alcotest.bool "a future seq refused with the expected one" true
+    (h (Protocol.Submit { seq = 5; deadline_ns = 0; op = incr_op })
     = Protocol.Refused (Protocol.R_bad_seq 1));
   check Alcotest.bool "undecodable op refused" true
     (h (Protocol.Submit { seq = 1; deadline_ns = 0; op = "\xff\xff\xff" })
@@ -119,7 +123,10 @@ let test_handle_policy () =
   check Alcotest.bool "a re-attach reads the applied seq" true
     (h (Protocol.Hello { client = 1; token = "secret"; tier = Protocol.T_exactly_once })
     = Protocol.Attached { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
-  check Alcotest.int "one client in the table" 1 (Svc.sessions t);
+  check Alcotest.bool "a client with no applied op has no entry" true
+    (Svc.handle t (Svc.conn ())
+       (Protocol.Hello { client = 2; token = "secret"; tier = Protocol.T_exactly_once })
+    = Protocol.Attached { next_seq = 0; acked = 0; resolution = Protocol.W_none });
   (* drain policy *)
   Svc.drain t;
   check Alcotest.bool "hello while draining refused" true
@@ -567,8 +574,9 @@ let phantom_scenario construction policy =
           (match S2.handle t2 a (submit_req 1) with
           | Protocol.Acked _ -> S2.counter_value t2 = 2 + !acks
           | _ -> false);
-      check Alcotest.bool "a retry is refused, never applied" true
-        (S2.handle t2 a (submit_req 1) = Protocol.Refused (Protocol.R_bad_seq 2));
+      let value = S2.counter_value t2 in
+      check Alcotest.bool "a retry acks, never applied twice" true
+        (S2.handle t2 a (submit_req 1) = Protocol.Acked { seq = 1; value });
       survived
   | _ -> Alcotest.fail "A's hello refused"
 
@@ -660,6 +668,92 @@ let test_stale_then_exactly_once () =
     = Protocol.Attached
         { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 })
 
+(* Client A's second op fails at its fence under a flush storm and stays
+   pending; A's Hello, still in the storm, cannot see it applied. Once
+   the storm ends, client B's update persists the pending op, and A
+   resubmits under the [next_seq] its Hello gave, following [R_bad_seq]
+   the way a client does. The resubmission must be acknowledged without
+   a second apply: the counter equals the confirmed ops, before and
+   after a Drop_all crash. B is a staleness client where the relaxed
+   tiers exist, whose ack makes the staged op visible. *)
+let test_resubmit_after_a_pending_op () =
+  List.iter
+    (fun construction ->
+      let name = Service.construction_name construction in
+      (* a plain shard keeps the failed op in its trace, where the core
+         bounds each update's window of not-yet-available ops by the
+         process count: one process more than the server runs lets B's
+         update persist A's op beside its own *)
+      let procs = if construction = Service.Sharded then 2 else 1 in
+      let sim = Sim.create ~max_processes:procs () in
+      let module Base = (val Sim.machine sim) in
+      let module M = Reopening (Base) in
+      let module S1 = Service.Make (M) in
+      let t1 = S1.make ~max_staleness:8 construction in
+      let a = S1.conn () and b = S1.conn () in
+      ignore (S1.handle t1 a (hello_eo ~client:0) : Protocol.resp);
+      let b_tier =
+        match construction with
+        | Service.Plain | Service.Mirrored -> Protocol.T_staleness 8
+        | Service.Sharded | Service.Batched -> Protocol.T_exactly_once
+      in
+      ignore
+        (S1.handle t1 b
+           (Protocol.Hello { client = 1; token = "onll"; tier = b_tier })
+          : Protocol.resp);
+      check Alcotest.bool (name ^ ": A's first op acks") true
+        (S1.handle t1 a (submit_req 0) = Protocol.Acked { seq = 0; value = 1 });
+      let storm =
+        Faults.install (Sim.memory sim)
+          {
+            Faults.Plan.none with
+            seed = 5;
+            flush_fail_prob = 1.0;
+            max_consecutive_transients = 1_000_000;
+            target =
+              (fun region ->
+                let parts = String.split_on_char '.' region in
+                List.mem "plog" parts || List.mem "relaxcoord" parts);
+          }
+      in
+      check Alcotest.bool (name ^ ": A's second op is indeterminate") true
+        (S1.handle t1 a (submit_req 1) = Protocol.Refused Protocol.R_timeout);
+      let a = S1.conn () in
+      let next_seq =
+        match S1.handle t1 a (hello_eo ~client:0) with
+        | Protocol.Attached { next_seq; _ } -> next_seq
+        | _ -> Alcotest.failf "%s: A's hello refused" name
+      in
+      check Alcotest.int (name ^ ": the pending op is not yet applied") 1
+        next_seq;
+      Faults.remove storm;
+      check Alcotest.bool (name ^ ": B's op acks") true
+        (match S1.handle t1 b (submit_req 0) with
+        | Protocol.Acked _ -> true
+        | _ -> false);
+      let rec resubmit seq =
+        match S1.handle t1 a (submit_req seq) with
+        | Protocol.Acked _ -> ()
+        | Protocol.Refused (Protocol.R_bad_seq expected) when expected <> seq
+          ->
+            resubmit expected
+        | _ -> Alcotest.failf "%s: A's resubmit %d not acked" name seq
+      in
+      resubmit next_seq;
+      check Alcotest.int (name ^ ": counter = confirmed ops") 3
+        (S1.counter_value t1);
+      Onll_nvm.Memory.crash (Sim.memory sim)
+        ~policy:Onll_nvm.Crash_policy.Drop_all;
+      let module S2 = Service.Make (M) in
+      let t2 = S2.make ~max_staleness:8 construction in
+      check Alcotest.int (name ^ ": every confirmed op survives, once") 3
+        (S2.counter_value t2);
+      check Alcotest.bool (name ^ ": A's Hello reads its op applied") true
+        (S2.handle t2 (S2.conn ()) (hello_eo ~client:0)
+        = Protocol.Attached
+            { next_seq = 2; acked = 2; resolution = Protocol.W_applied 1 }))
+    [ Service.Plain; Service.Mirrored; Service.Sharded; Service.Batched ]
+
 (* {1 Recovery-complete serving across a file-machine restart} *)
 
 let test_recovery_complete_restart () =
@@ -686,8 +780,6 @@ let test_recovery_complete_restart () =
   let module M2 = (val Fm.machine fm2) in
   let module S2 = Service.Make (M2) in
   let t2 = S2.make Service.Plain in
-  check Alcotest.int "the table came back with client 7's entry" 1
-    (S2.sessions t2);
   check Alcotest.int "the applied op survived the restart" 1
     (S2.counter_value t2);
   (* and the client's cursor came back with it *)
@@ -1126,6 +1218,8 @@ let () =
             `Quick test_stale_then_exactly_once;
           Alcotest.test_case "a failed op is durable before Hello reports it"
             `Quick test_failed_op_durable_before_hello;
+          Alcotest.test_case "a resubmitted pending op applies once" `Quick
+            test_resubmit_after_a_pending_op;
           Alcotest.test_case "recovery-complete serving after restart" `Quick
             test_recovery_complete_restart;
         ] );
