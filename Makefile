@@ -36,7 +36,7 @@ gate:
 # primary-only faults must cost nothing, the same pair against the
 # 4-shard partitioned construction, the group-commit object with the
 # crash landing mid-batch (alone, composed with --mirrored, and sharded
-# group commit under --sharded), durable
+# group commit under --sharded), exactly-once
 # client sessions (E15), cross-shard transactions (E19: all-or-nothing
 # across a crash sweep, plain and mirrored), a kill -9 slice of the E17
 # file-backend campaign (real files, real fsync, every epoch a forked
@@ -69,7 +69,6 @@ chaos -s kv --relaxed --mirrored --seeds 10
 store campaign --seeds 4
 service campaign --seeds 2
 scrub
-session
 endef
 export CHAOS_SMOKE_SLICES
 
@@ -118,6 +117,7 @@ examples:
 	dune exec examples/bank_ledger.exe
 	dune exec examples/durable_queue.exe
 	dune exec examples/task_scheduler.exe
+	dune exec examples/exactly_once.exe
 	dune exec examples/disk_persistence.exe -- write /tmp/onll-demo.img
 	dune exec examples/disk_persistence.exe -- recover /tmp/onll-demo.img
 

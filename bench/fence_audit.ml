@@ -67,14 +67,6 @@ module Audit (S : Onll_core.Spec.S) = struct
         (Onll_obs.Sink.registry h.sink)
         ~fences:"fences.update" ~ops:"ops.update"
     in
-    (* The session layer's own durable cost: its client-record append,
-       attributed to fences.session/ops.session — zero for every other
-       implementation (they never touch those counters). *)
-    let per_session =
-      per_op
-        (Onll_obs.Sink.registry h.sink)
-        ~fences:"fences.session" ~ops:"ops.session"
-    in
     (* Phase M: mixed, on a fresh object (so histories are comparable). *)
     let h = build ~gen_update ~gen_read ~seed:2 impl in
     let outcome =
@@ -91,14 +83,12 @@ module Audit (S : Onll_core.Spec.S) = struct
         (Onll_obs.Sink.registry h.sink)
         ~fences:"fences.read" ~ops:"ops.read"
     in
-    (per_update, per_read, per_session)
+    (per_update, per_read)
 
   let rows ~summary ~gen_update ~gen_read =
     List.map
       (fun impl ->
-        let per_update, per_read, per_session =
-          measure ~gen_update ~gen_read impl
-        in
+        let per_update, per_read = measure ~gen_update ~gen_read impl in
         Onll_obs.Metrics.set
           (Onll_obs.Metrics.gauge summary
              (Printf.sprintf "pf_update.%s.%s" S.name impl))
@@ -107,17 +97,11 @@ module Audit (S : Onll_core.Spec.S) = struct
           (Onll_obs.Metrics.gauge summary
              (Printf.sprintf "pf_read.%s.%s" S.name impl))
           per_read;
-        if impl = "onll-session" then
-          Onll_obs.Metrics.set
-            (Onll_obs.Metrics.gauge summary
-               (Printf.sprintf "pf_session.%s.%s" S.name impl))
-            per_session;
         [
           S.name;
           impl;
           Onll_util.Table.fmt_float per_update;
           Onll_util.Table.fmt_float per_read;
-          Onll_util.Table.fmt_float per_session;
         ])
       Onll_baselines.Registry.names
 end
@@ -152,51 +136,48 @@ let run () =
       "E1 — persistent fences per operation (Theorem 5.1: ONLL = 1 per \
        update, 0 per read)"
     ~header:
-      [ "object"; "implementation"; "pf/update"; "pf/read"; "pf/session" ]
+      [ "object"; "implementation"; "pf/update"; "pf/read" ]
     rows;
   (* Hard assertions for the headline claim. *)
   List.iter
     (fun row ->
       match row with
-      | [ _; impl; pu; pr; ps ]
+      | [ _; impl; pu; pr ]
         when impl = "onll" || impl = "onll+views" || impl = "onll-wait-free"
              || impl = "onll-mirrored" || impl = "onll-sharded"
-             || impl = "onll-txn" ->
+             || impl = "onll-session" || impl = "onll-txn" ->
           (* onll-txn included: single updates take the fast path — a
              plain sharded update, so the transaction layer adds nothing
-             to Theorem 5.1's per-operation cost. *)
-          assert (pu = "1" && pr = "0" && ps = "0")
-      | [ _; "onll-session"; pu; pr; ps ] ->
-          (* Theorem 5.1 per layer: the object still pays exactly 1
-             pf/update and 0 pf/read; the session adds exactly 1 pf for
-             its client-record append and nothing else. *)
-          assert (pu = "1" && pr = "0" && ps = "1")
-      | [ _; "onll-relaxed"; pu; pr; ps ] ->
+             to Theorem 5.1's per-operation cost. onll-session too: a
+             submission is one update of the object over the client
+             table, and the session owns no region to fence. *)
+          assert (pu = "1" && pr = "0")
+      | [ _; "onll-relaxed"; pu; pr ] ->
           (* Risk-budgeted lazy fences (E20): one fence drains a full
              k-deep tail, so strictly below 1 pf/update in steady state —
              and strictly positive (durability is deferred, never
              skipped); reads stay free. *)
           let pu = float_of_string pu in
-          assert (pu < 1.0 && pu > 0. && pr = "0" && ps = "0")
-      | [ _; "onll-batched"; pu; pr; ps ] ->
+          assert (pu < 1.0 && pu > 0. && pr = "0")
+      | [ _; "onll-batched"; pu; pr ] ->
           (* Group commit amortises the fence across concurrent
              submitters: at most 1 pf/update (Thm 6.3 — never beaten
              without concurrency to share it), strictly positive (the
              fence is real), still 0 per read. *)
           let pu = float_of_string pu in
-          assert (pu <= 1.0 && pu > 0. && pr = "0" && ps = "0")
+          assert (pu <= 1.0 && pu > 0. && pr = "0")
       | _ -> ())
     rows;
   print_endline
     "(asserted: every onll row reads exactly 1 pf/update, 0 pf/read — \
      mirroring included: both replica flushes drain under one fence; \
      sharding included: an update runs on exactly one shard, and global \
-     reads fan out fence-free; sessions included: exactly-once submission \
-     adds exactly 1 pf for the durable client record and 0 to the \
-     object\'s update path; batching included: the shared batch fence \
-     amortises to at most 1 pf/update and reads stay free; relaxed mode \
-     included: the risk-budgeted lazy fence lands strictly below 1 \
-     pf/update by deferring — not skipping — durability)";
+     reads fan out fence-free; sessions included: an exactly-once \
+     submission is one update of the object over the client table; \
+     batching included: the shared batch fence amortises to at most 1 \
+     pf/update and reads stay free; relaxed mode included: the \
+     risk-budgeted lazy fence lands strictly below 1 pf/update by \
+     deferring — not skipping — durability)";
   let path =
     Harness.write_snapshot ~experiment:"e1"
       ~meta:

@@ -1,14 +1,14 @@
-(** E15 — exactly-once durable client sessions.
+(** E15 — exactly-once client sessions.
 
     The {!Test_support.Session_chaos} campaign: per-client
     {!Onll_session} sessions over the plain, mirrored and sharded
-    constructions, crash-fuzzed (transient flush/fence storms, crash
-    policies, nested recovery crashes; primary-scoped media faults on the
-    mirrored arm) and audited at the identity level on
+    constructions of a client table, crash-fuzzed (transient flush/fence
+    storms, crash policies, nested recovery crashes; primary-scoped media
+    faults on the mirrored arm) and audited from the table on
     duplicate-sensitive objects (counter, ledger). The session arms must
     show {e zero} duplicates and {e zero} lost acks; the naive
-    at-least-once arm — volatile sequence numbers, blind re-invocation —
-    is the calibration and must duplicate, or the zeros prove nothing. *)
+    at-least-once arm — untracked updates, blind re-invocation — is the
+    calibration and must duplicate, or the zeros prove nothing. *)
 
 open Test_support
 

@@ -12,7 +12,6 @@
                                        (counter+ledger x all backends +
                                        the naive calibration arm)
    onll scrub                          online rot healed live by the scrubber
-   onll session                        exactly-once crash-restart, narrated
    onll fences -s kv                   fence audit for one object
    onll stats -s counter -n 4          run a workload, print a JSON snapshot
    onll stats -i onll-sharded --shards 8   ... against an 8-shard object
@@ -336,8 +335,8 @@ let chaos_cmd =
      sharded group commit. Which object stacks exist is the type \
      Onll_stack.t; each of these flags picks one. \
      With $(b,--session), run the E15 exactly-once session grid instead \
-     (counter and ledger workloads through durable client sessions over \
-     the plain, mirrored and sharded backends, plus the naive \
+     (counter and ledger workloads through exactly-once client sessions \
+     over the plain, mirrored and sharded backends, plus the naive \
      at-least-once calibration arm, $(i,SEEDS) seeds per arm). With \
      $(b,--txn), run the E19 cross-shard transaction atomicity campaign \
      instead: seeded kv transfers cut by crashes at swept schedule \
@@ -395,7 +394,7 @@ let chaos_cmd =
       value & flag
       & info [ "session" ]
           ~doc:
-            "run the E15 exactly-once durable-session grid (all arms, \
+            "run the E15 exactly-once session grid (all arms, \
              SEEDS seeds each) instead")
   in
   let txn =
@@ -637,164 +636,6 @@ let txn_cmd =
      single commit record)."
   in
   Cmd.v (Cmd.info "txn" ~doc) Term.(const txn_demo $ const ())
-
-(* {1 session} *)
-
-(* A deterministic end-to-end narration of exactly-once submission (E15):
-   one client driving a durable session over a plain counter, crashed
-   twice. Crash 1 lands after the last update linearized but before its
-   acknowledgement became durable — recovery must answer Was_applied and
-   must NOT re-invoke (an at-least-once client re-invokes here and double
-   counts). Crash 2 cuts a submission that a transient-flush storm pinned
-   to the object's regions kept from ever reaching the object — the
-   intent is durable, the operation is not, and recovery must re-invoke
-   it under a fresh identity. The final value is checked against
-   exactly-once counting. *)
-let session_demo updates seed =
-  let updates = max 1 updates in
-  let registry = Onll_obs.Metrics.create () in
-  let sink = Onll_obs.Sink.make ~registry () in
-  let sim = Sim.create ~sink ~max_processes:1 () in
-  let mem = Sim.memory sim in
-  let module M = (val Sim.machine sim) in
-  let module B = Onll_stack.Make (M) (Cs) in
-  let obj = B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink } in
-  let module Sess = Onll_session.Make (M) (Cs) in
-  let session = Sess.attach ~sink ~client:0 (B.backend obj) in
-  let run body =
-    match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |] with
-    | Onll_sched.Sched.World.Completed -> ()
-    | _ -> assert false
-  in
-  let pp_id = Onll_core.Onll.pp_op_id in
-  let failed = ref false in
-  Format.printf
-    "era 1: %d increments through the durable session (each submission: 1 \
-     fence for the intent record, 1 for the update)@."
-    updates;
-  run (fun _ ->
-      for k = 1 to updates do
-        match Sess.submit session Cs.Increment with
-        | Ok v -> Format.printf "  submit #%d -> ok, counter = %d@." k v
-        | Error e ->
-            Format.printf "  submit #%d -> %a@." k Onll_session.pp_error e;
-            failed := true
-      done);
-  Format.printf
-    "@.crash 1: power loss after update #%d linearized, before its \
-     acknowledgement became durable@."
-    updates;
-  Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Persist_all;
-  ignore (obj.B.recover_report ());
-  run (fun _ ->
-      (match Sess.recover session with
-      | Sess.Was_applied id ->
-          Format.printf
-            "  recover -> Was_applied %a: the in-doubt operation is in the \
-             adopted history; NOT re-invoked@."
-            pp_id id
-      | r ->
-          Format.printf "  recover -> %a (unexpected)@." Sess.pp_resolution r;
-          failed := true);
-      Format.printf
-        "  counter = %d  (an at-least-once client re-invokes here: %d)@."
-        (Sess.read session Cs.Get) (updates + 1));
-  (* A flush storm pinned to the object's plog regions (fence faults are
-     machine-global, so only flushes are scoped): the client record stays
-     writable, the intent append succeeds, and the object invocation is
-     what times out — the interesting in-doubt shape. *)
-  let storm =
-    Onll_faults.Faults.install mem
-      {
-        Onll_faults.Faults.Plan.none with
-        seed;
-        flush_fail_prob = 1.0;
-        max_consecutive_transients = 1_000_000;
-        target = (fun n -> n <> Sess.log_name session);
-      }
-  in
-  Format.printf
-    "@.era 2: a transient flush storm pinned to the object's regions@.";
-  run (fun _ ->
-      match Sess.submit session Cs.Increment with
-      | Error Onll_session.Timeout -> (
-          match Sess.pending session with
-          | Some (id, _) ->
-              Format.printf
-                "  submit -> Timeout after bounded backoff; in doubt as %a \
-                 (intent durable, object never reached)@."
-                pp_id id
-          | None ->
-              Format.printf "  submit -> Timeout with no durable intent@.";
-              failed := true)
-      | Ok v ->
-          Format.printf "  submit -> ok %d (storm never bit?)@." v;
-          failed := true
-      | Error e ->
-          Format.printf "  submit -> %a@." Onll_session.pp_error e;
-          failed := true);
-  Onll_faults.Faults.remove storm;
-  Format.printf
-    "@.crash 2: restart, losing everything the storm kept from \
-     persisting@.";
-  (* Drop_all, not Persist_all: the storm-blocked log record is sitting
-     unfenced in the volatile buffer, and a Persist_all crash would
-     persist it — turning the in-doubt operation into a survivor. *)
-  Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
-  ignore (obj.B.recover_report ());
-  let final = ref 0 in
-  run (fun _ ->
-      (match Sess.recover session with
-      | Sess.Reinvoked (old_id, fresh, v) ->
-          Format.printf
-            "  recover -> Reinvoked: %a never linearized; re-invoked as %a, \
-             counter = %d@."
-            pp_id old_id pp_id fresh v
-      | r ->
-          Format.printf "  recover -> %a (unexpected)@." Sess.pp_resolution r;
-          failed := true);
-      for _ = 1 to 2 do
-        match Sess.submit session Cs.Increment with
-        | Ok v -> Format.printf "  submit -> ok, counter = %d@." v
-        | Error e ->
-            Format.printf "  submit -> %a@." Onll_session.pp_error e;
-            failed := true
-      done;
-      final := Sess.read session Cs.Get);
-  let expect = updates + 3 in
-  Format.printf
-    "@.final: counter = %d, expected %d — %d logical operations, each \
-     applied exactly once across both crashes@."
-    !final expect expect;
-  Format.printf
-    "sequence numbers 0..%d were allocated and never reused; resolutions: \
-     %d applied-without-reinvoke, %d reinvoked@."
-    (Sess.next_seq session - 1)
-    (Onll_obs.Metrics.counter_value registry "session.resolved.applied")
-    (Onll_obs.Metrics.counter_value registry "session.resolved.reinvoked");
-  if !final <> expect || !failed then begin
-    Format.printf "FAILED: the narration above diverged from exactly-once@.";
-    exit 1
-  end;
-  Format.printf "exactly-once held@."
-
-let session_cmd =
-  let doc =
-    "Narrate exactly-once submission end to end: a durable client session \
-     over a counter, crashed once after an unacknowledged update (recovery \
-     detects it survived and does not re-invoke) and once mid-submission \
-     under a transient-flush storm (recovery re-invokes under a fresh \
-     identity), with the final value checked against exactly-once counting."
-  in
-  let updates =
-    Arg.(
-      value & opt int 4
-      & info [ "u"; "updates" ] ~docv:"N" ~doc:"era-1 updates to run")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"storm seed")
-  in
-  Cmd.v (Cmd.info "session" ~doc) Term.(const session_demo $ updates $ seed)
 
 (* {1 fences} *)
 
@@ -1740,7 +1581,6 @@ let () =
             chaos_cmd;
             scrub_cmd;
             txn_cmd;
-            session_cmd;
             fences_cmd;
             stats_cmd;
             store_cmd;

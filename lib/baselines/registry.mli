@@ -6,9 +6,10 @@
     ["onll-sharded"] (alias ["sharded"]; the E14 partitioned construction —
     each op routed to one of [shards] independent ONLL instances, still one
     fence per update), ["onll-session"] (alias ["session"]; the plain
-    construction driven through per-client {!Onll_session} exactly-once
-    sessions — one extra fence per update for the durable client record,
-    attributed to ["fences.session"], none added to the object's path),
+    construction over a client table, driven through per-client
+    {!Onll_session} exactly-once sessions — still one fence per update:
+    a submission is the object's one update, and the session owns no
+    region),
     ["onll-batched"] (alias ["batched"]; the E16 group-commit construction —
     concurrent updates share one batch fence, amortised below 1 pf/update,
     degenerating to exactly 1 solo), ["onll-txn"] (alias ["txn"]; the E19

@@ -2,7 +2,7 @@
 
 module Codec = Onll_util.Codec
 
-module Make (S : Onll_core.Spec.S) = struct
+module Make (S : Spec.S) = struct
   module Clients = Map.Make (Int)
 
   type state = { inner : S.state; last : int Clients.t }

@@ -17,7 +17,7 @@
     is a global read whose per-shard answers merge by [max], so a sharded
     object answers correctly whatever the inner routing. *)
 
-module Make (S : Onll_core.Spec.S) : sig
+module Make (S : Spec.S) : sig
   module Clients : Map.S with type key = int
 
   type state = { inner : S.state; last : int Clients.t }
@@ -38,7 +38,7 @@ module Make (S : Onll_core.Spec.S) : sig
     | Last_seq of int option  (** [None]: the client never applied one *)
 
   include
-    Onll_core.Spec.S
+    Spec.S
       with type state := state
        and type update_op := update_op
        and type read_op := read_op

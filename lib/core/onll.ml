@@ -145,6 +145,9 @@ module Make_generic
             node; owner-only. A checkpoint leaves the view at the newest
             node, and the prune after it needs the state one below. *)
     use_views : bool;
+    failed : (envelope, istate) T.node option array;
+        (** per process: its node whose persist a transient fault cut
+            short, finished by the process's next update; owner-only *)
     mutable recovered : (op_id, int) Hashtbl.t;
         (** op id -> execution index, rebuilt by recovery *)
     mutable max_fuzzy : int;
@@ -176,6 +179,7 @@ module Make_generic
       views = Array.make M.max_processes None;
       prev_views = Array.make M.max_processes None;
       use_views = cfg.Config.local_views;
+      failed = Array.make M.max_processes None;
       recovered = Hashtbl.create 64;
       max_fuzzy = 0;
       degraded = false;
@@ -272,8 +276,37 @@ module Make_generic
           ~compact:(fun ~worth -> ignore (compact_body t p ~worth))
           payload)
 
+  (* Persist [node]'s fuzzy window, then linearize it; a transient fault
+     escaping the append leaves the node to [finish_failed]. *)
+  let persist_and_linearize t p node payload =
+    (try append_record t p payload
+     with Onll_nvm.Memory.Transient_fault _ as e ->
+       t.failed.(p) <- Some node;
+       raise e);
+    T.set_available node
+
+  (* A node whose persist failed is neither available nor abandoned: it
+     stays ordered in the trace, and Prop 5.2's window bound counts one
+     such node per process. So before its next update a process finishes
+     it: a later available node already persisted it in its window (no
+     fence), else the process re-appends the node's window itself. Only
+     this fault path pays that fence. *)
+  let finish_failed t p =
+    match t.failed.(p) with
+    | None -> ()
+    | Some node ->
+        if T.idx (T.latest_available t.trace) > T.idx node then
+          T.set_available node
+        else
+          persist_and_linearize t p node
+            (Onll_util.Codec.encode record_codec
+               (Ops
+                  { exec_idx = T.idx node; envs = T.fuzzy_envs t.trace node }));
+        t.failed.(p) <- None
+
   (* Listing 3. *)
   let update_env_body t env =
+    finish_failed t env.e_proc;
     let node = T.insert t.trace env in
     let fuzzy = T.fuzzy_envs t.trace node in
     let fuzzy_len = List.length fuzzy in
@@ -301,8 +334,7 @@ module Make_generic
       Onll_util.Codec.encode record_codec
         (Ops { exec_idx = T.idx node; envs = fuzzy })
     in
-    append_record t env.e_proc payload;
-    T.set_available node;
+    persist_and_linearize t env.e_proc node payload;
     let _, value = compute t node in
     M.return_point ();
     match value with
@@ -354,6 +386,7 @@ module Make_generic
         ~degraded:(fun () -> t.degraded <- true)
     in
     t.recovered <- r.recovered;
+    Array.fill t.failed 0 (Array.length t.failed) None;
     Array.fill t.views 0 (Array.length t.views) None;
     Array.fill t.prev_views 0 (Array.length t.prev_views) None;
     (r.report, r.txns)

@@ -252,6 +252,10 @@ module type CONSTRUCTION = sig
       short of room for its next checkpoint
       ({!Onll_plog.Plog.Make.append_compacting}), the update first runs
       {!compact}, whose fences it pays.
+      @raise Onll_nvm.Memory.Transient_fault when a fault escapes the
+      log's bounded retry during the persist stage: the operation is
+      ordered but not yet durable, and the process's next update first
+      persists it (one more fence, only on this path).
       @raise Onll.Log_full when even that cannot make room (the live
       history alone exceeds the log's capacity). *)
 
@@ -273,8 +277,9 @@ module type CONSTRUCTION = sig
       logs and the reused identity's {!was_linearized} answer are
       untouched. Detectability depends on identities being unique, so
       the construction refuses rather than guesses. Pinned by
-      [test/test_onll.ml]; {!Onll_session} builds the exactly-once retry
-      protocol this guarantee makes possible.
+      [test/test_onll.ml]. {!Onll_core.Client_table} keeps the same
+      answer in the object's state instead, which is what
+      {!Onll_session} and [onll serve] build on.
       @raise Invalid_argument on reuse, with no state change. *)
 
   val read : t -> read_op -> value

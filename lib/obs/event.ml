@@ -12,17 +12,17 @@
     single sink installed across components yields one totally ordered
     event stream. *)
 
-(** How a durable client session (E15) disposed of a submission or of the
-    post-crash in-doubt resolution. *)
+(** How an exactly-once client session (E15) disposed of a submission. *)
 type session_outcome =
-  | Sess_ok  (** submission acknowledged *)
-  | Sess_timeout  (** deadline expired retrying transients; in doubt *)
+  | Sess_ok  (** applied and acknowledged *)
+  | Sess_duplicate
+      (** the client table answered duplicate: an earlier try of this
+          sequence number had applied; not applied again *)
+  | Sess_in_doubt
+      (** a transient fault escaped the object's update; resubmit under
+          the same sequence number *)
   | Sess_shed  (** admission control refused before any durable work *)
-  | Sess_refused  (** degradation policy refused the write path *)
-  | Sess_applied  (** recovery found the in-doubt op applied; not re-run *)
-  | Sess_reinvoked
-      (** recovery found the in-doubt op lost and re-invoked it under a
-          fresh identity *)
+  | Sess_refused  (** the object is degraded; writes are refused *)
 
 type kind =
   | Fence of { persistent : bool }
@@ -86,11 +86,10 @@ type t = {
 
 let session_outcome_label = function
   | Sess_ok -> "ok"
-  | Sess_timeout -> "timeout"
+  | Sess_duplicate -> "duplicate"
+  | Sess_in_doubt -> "in_doubt"
   | Sess_shed -> "shed"
   | Sess_refused -> "refused"
-  | Sess_applied -> "applied"
-  | Sess_reinvoked -> "reinvoked"
 
 let kind_label = function
   | Fence { persistent } -> if persistent then "pfence" else "fence"

@@ -39,11 +39,10 @@ type t = {
   c_routes_global : Metrics.counter;
   c_session_ops : Metrics.counter;
   c_session_ok : Metrics.counter;
-  c_session_timeouts : Metrics.counter;
+  c_session_duplicates : Metrics.counter;
+  c_session_in_doubt : Metrics.counter;
   c_session_sheds : Metrics.counter;
   c_session_refused : Metrics.counter;
-  c_session_applied : Metrics.counter;
-  c_session_reinvoked : Metrics.counter;
   c_txns : Metrics.counter;
   c_txn_subops : Metrics.counter;
 }
@@ -87,12 +86,10 @@ let build ~active ~registry ~handler =
     c_routes_global = Metrics.counter registry "routes.global";
     c_session_ops = Metrics.counter registry "session.ops";
     c_session_ok = Metrics.counter registry "session.ok";
-    c_session_timeouts = Metrics.counter registry "session.timeouts";
+    c_session_duplicates = Metrics.counter registry "session.duplicates";
+    c_session_in_doubt = Metrics.counter registry "session.in_doubt";
     c_session_sheds = Metrics.counter registry "session.sheds";
     c_session_refused = Metrics.counter registry "session.refused";
-    c_session_applied = Metrics.counter registry "session.resolved.applied";
-    c_session_reinvoked =
-      Metrics.counter registry "session.resolved.reinvoked";
     c_txns = Metrics.counter registry "txns";
     c_txn_subops = Metrics.counter registry "txn.subops";
   }
@@ -159,11 +156,10 @@ let emit t ~proc kind =
         Metrics.incr t.c_session_ops;
         match outcome with
         | Event.Sess_ok -> Metrics.incr t.c_session_ok
-        | Event.Sess_timeout -> Metrics.incr t.c_session_timeouts
+        | Event.Sess_duplicate -> Metrics.incr t.c_session_duplicates
+        | Event.Sess_in_doubt -> Metrics.incr t.c_session_in_doubt
         | Event.Sess_shed -> Metrics.incr t.c_session_sheds
-        | Event.Sess_refused -> Metrics.incr t.c_session_refused
-        | Event.Sess_applied -> Metrics.incr t.c_session_applied
-        | Event.Sess_reinvoked -> Metrics.incr t.c_session_reinvoked)
+        | Event.Sess_refused -> Metrics.incr t.c_session_refused)
     | Event.Txn { ops; _ } ->
         Metrics.incr t.c_txns;
         Metrics.add t.c_txn_subops ops);

@@ -14,9 +14,8 @@
     ["repair.bytes"], scrub → ["scrubs"]/["scrub.entries"]/
     ["scrub.repaired"]/["scrub.unrepairable"], route → ["routes"]/
     ["routes.global"], session → ["session.ops"] plus one of
-    ["session.ok"]/["session.timeouts"]/["session.sheds"]/
-    ["session.refused"]/["session.resolved.applied"]/
-    ["session.resolved.reinvoked"]), and optionally a handler that receives the
+    ["session.ok"]/["session.duplicates"]/["session.in_doubt"]/
+    ["session.sheds"]/["session.refused"]), and optionally a handler that receives the
     full structured stream. Events are stamped with a per-sink logical
     clock, so one sink threaded through several components yields a
     single totally ordered history.

@@ -195,8 +195,6 @@ type pending = {
   mutable seq : int;  (* -1 until first submitted *)
   arrival_ns : int;  (* 0 for ops carried over from a previous pass *)
   mutable attempts : int;
-  mutable abort_on_resolve : bool;
-      (* degraded refusal: resolve the fate, then stop retrying *)
 }
 
 type phase =
@@ -227,6 +225,9 @@ type client = {
   mutable reader : bool;  (* performs the final counter read *)
   mutable got_value : int option;
   mutable slot : int;  (* index in the poll set; -1 while it has no fd *)
+  mutable degraded : bool;
+      (* refused [R_degraded]: the store is sticky-degraded, so once the
+         op in flight is resolved the client writes nothing more *)
 }
 
 type totals = {
@@ -299,9 +300,7 @@ let run ?audit cfg =
           op =
             (match Hashtbl.find_opt audit.Audit.outstanding id with
             | Some seq ->
-                Some
-                  { seq; arrival_ns = 0; attempts = 0;
-                    abort_on_resolve = false }
+                Some { seq; arrival_ns = 0; attempts = 0 }
             | None -> None);
           arrivals = Queue.create ();
           next_arrival_ns =
@@ -311,6 +310,7 @@ let run ?audit cfg =
           reader = i = 0;
           got_value = None;
           slot = -1;
+          degraded = false;
         })
   in
   (* The poll set holds one entry per client with an fd; [polled.(i)] is
@@ -486,7 +486,7 @@ let run ?audit cfg =
                 if op.seq < next_seq then
                   (* applied; only the protocol ack was lost *)
                   finish_op c ~confirm_kind:`Adopted
-                else if op.abort_on_resolve then abort_op c
+                else if c.degraded then abort_op c
                 else op.seq <- next_seq (* resubmitted by Ready below *)))
     | Protocol.Acked { seq; value = _ } ->
         c.next_seq <- seq + 1;
@@ -519,10 +519,10 @@ let run ?audit cfg =
             | _ -> c.phase <- Ready)
         | Protocol.R_degraded ->
             t.degraded <- t.degraded + 1;
+            c.degraded <- true;
             (match c.op with
             | Some op when op.seq >= 0 ->
-                (* fate unknown; resolve once, then stop writing *)
-                op.abort_on_resolve <- true;
+                (* fate unknown; resolve once by re-attaching *)
                 reconnect ~delay_ns:(backoff_ns c 1) c
             | _ ->
                 abort_op c;
@@ -670,16 +670,10 @@ let run ?audit cfg =
         | Backoff_submit at when now >= at -> submit_op c
         | Ready ->
             if c.op <> None then submit_op c
-            else if not (Queue.is_empty c.arrivals) then begin
+            else if (not c.degraded) && not (Queue.is_empty c.arrivals) then
+            begin
               let arrival = Queue.pop c.arrivals in
-              c.op <-
-                Some
-                  {
-                    seq = -1;
-                    arrival_ns = arrival;
-                    attempts = 0;
-                    abort_on_resolve = false;
-                  };
+              c.op <- Some { seq = -1; arrival_ns = arrival; attempts = 0 };
               submit_op c
             end
             else if not issuing then wind_down c

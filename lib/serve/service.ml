@@ -36,7 +36,7 @@ let stack ?(max_staleness = 64) construction =
     views = true;
   }
 
-module Ct = Client_table.Make (Cs)
+module Ct = Onll_core.Client_table.Make (Cs)
 
 module Make (M : Onll_machine.Machine_sig.S) = struct
   module B = Onll_stack.Make (M) (Ct)

@@ -7,7 +7,7 @@
     resolution holds for the served protocol byte-for-byte.
 
     {b Identity model.} The served object is the counter inside a
-    {!Client_table}: its state holds, beside the counter, each client's
+    {!Onll_core.Client_table}: its state holds, beside the counter, each client's
     last applied sequence number. An exactly-once [Submit] is one tracked
     update [(client, seq, op)] through the object's strict path, so it
     costs the object's one persistent fence and nothing else, and the

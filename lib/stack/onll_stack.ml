@@ -49,9 +49,9 @@ let pp ppf s =
   if s.replicas > 1 then Format.fprintf ppf " x%d" s.replicas;
   if s.views then Format.pp_print_string ppf " +views"
 
-module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
-  module Sess = Onll_session.Make (M) (S)
-
+(* One front over any specification: a session stack builds its front
+   over the client table around the caller's. *)
+module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   module type C =
     Onll_core.Onll.CONSTRUCTION
       with type state = S.state
@@ -179,23 +179,91 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
               };
         }
 
+  (* The front as a session backend: its durable update returns only
+     after its fence (on the relaxed front, the strict tier). *)
   let backend o =
     {
-      Sess.b_update_detectable = o.update_detectable;
-      b_was_linearized = o.was_linearized;
+      Onll_session.b_update =
+        (match o.relaxed with Some r -> r.update_strict | None -> o.update);
       b_read = o.read;
       b_degraded = o.degraded;
       b_pressure = o.log_fill;
       b_compact = o.compact;
     }
+end
 
-  (* Per-process sessions for a single-tenant stack: shedding off, so
-     every submission reaches the exactly-once machinery. *)
-  let session_config =
+module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
+  include Front (M) (S)
+  module Ct = Onll_core.Client_table.Make (S)
+  module Tf = Front (M) (Ct)
+  module Sess = Onll_session.Make (S)
+
+  let inner_value = function
+    | Ct.Value v -> v
+    | Ct.Duplicate | Ct.Last_seq _ -> invalid_arg "Onll_stack: not a value"
+
+  (* A session stack: the front over the client table, seen as an object
+     over [S]. Each process submits through its own session, attached (one
+     fence-free read of its entry) at its first submission after the
+     build, a recovery or a detectable update that moved its entry. *)
+  let session_stack cfg f =
+    let o = Tf.build_front cfg f in
+    let b = Tf.backend o in
+    let sessions = Array.make M.max_processes None in
+    let session p =
+      match sessions.(p) with
+      | Some s -> s
+      | None ->
+          let s =
+            Sess.attach ~config:{ high_watermark = 1.0 }
+              ~sink:cfg.Onll_core.Onll.Config.sink ~client:p b
+          in
+          sessions.(p) <- Some s;
+          s
+    in
+    let detach f () =
+      Array.fill sessions 0 M.max_processes None;
+      f ()
+    in
     {
-      Onll_session.default_config with
-      log_capacity = 16384;
-      high_watermark = 1.0;
+      update =
+        (fun op ->
+          match Sess.submit (session (M.self ())) op with
+          | Ok (Sess.Applied v) -> v
+          | Ok Sess.Duplicate ->
+              failwith
+                "Onll_stack: an earlier in-doubt submission had applied; \
+                 this one was not"
+          | Error e ->
+              failwith
+                (Format.asprintf "Onll_stack: session refused (%a)"
+                   Onll_session.pp_error e));
+      update_detectable =
+        (fun ~seq op ->
+          let p = M.self () in
+          sessions.(p) <- None;
+          match
+            b.Onll_session.b_update (Ct.Tracked { client = p; seq; op })
+          with
+          | Ct.Value v -> v
+          | Ct.Duplicate | Ct.Last_seq _ ->
+              invalid_arg
+                "Onll_stack.update_detectable: sequence number reused");
+      read = (fun r -> inner_value (o.Tf.read (Ct.Inner r)));
+      was_linearized =
+        (fun _ id ->
+          match o.Tf.read (Ct.Last id.Onll_core.Onll.id_proc) with
+          | Ct.Last_seq (Some last) -> id.Onll_core.Onll.id_seq <= last
+          | Ct.Last_seq None | Ct.Value _ | Ct.Duplicate -> false);
+      shard_of = (fun op -> o.Tf.shard_of (Ct.Untracked op));
+      recover_report = detach o.Tf.recover_report;
+      recover_unhardened = detach o.Tf.recover_unhardened;
+      recovered_ops = o.Tf.recovered_ops;
+      scrub = o.Tf.scrub;
+      degraded = o.Tf.degraded;
+      log_fill = o.Tf.log_fill;
+      compact = o.Tf.compact;
+      relaxed = None;
     }
 
   let build stack cfg =
@@ -208,28 +276,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     in
     match stack.top with
     | Direct f -> build_front cfg f
-    | Session f ->
-        let o = build_front cfg f in
-        let b = backend o in
-        let sessions =
-          Array.init M.max_processes (fun client ->
-              Sess.attach ~config:session_config
-                ~sink:cfg.Onll_core.Onll.Config.sink ~client b)
-        in
-        {
-          o with
-          (* the tiers would draw identities from the object's cursor,
-             which the sessions' own sequence numbers collide with *)
-          relaxed = None;
-          update =
-            (fun op ->
-              match Sess.submit sessions.(M.self ()) op with
-              | Ok v -> v
-              | Error e ->
-                  failwith
-                    (Format.asprintf "Onll_stack: session refused (%a)"
-                       Onll_session.pp_error e));
-        }
+    | Session f -> session_stack cfg f
     | Txn shards ->
         let module Tx = Onll_txn.Make (M) (S) in
         let obj = Tx.make ~shards cfg in

@@ -12,9 +12,10 @@
     {b The layer contract.} Each layer, given a durably linearizable
     object below it, yields a durably linearizable object (buffered
     durably linearizable, for the relaxed front) and adds a fixed,
-    stated fence cost: a session one fence per submission on its own
-    client record, sharding and the transaction fast path none, the
-    relaxed front {e fewer} than one per update. That durable
+    stated fence cost: a session, sharding and the transaction fast path
+    none (a session's submission is one update of the front beneath it,
+    built over {!Onll_core.Client_table}), the relaxed front {e fewer}
+    than one per update. That durable
     linearizability composes this way, layer by layer and across
     disjoint objects, is the argument of D'Osualdo, Raad and Vafeiadis,
     "The Path to Durable Linearizability" (PAPERS.md); it is why
@@ -49,7 +50,8 @@ type front =
 type top =
   | Direct of front  (** callers update the front itself *)
   | Session of front
-      (** every update is an exactly-once session submission *)
+      (** the front over the client table around the specification;
+          every update is an exactly-once session submission *)
   | Txn of int  (** the transaction coordinator over that many plain shards *)
 
 type t = {
@@ -84,15 +86,22 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     update : S.update_op -> S.value;
         (** the stack's update — on a session stack, a submission through
             the calling process's session
-            @raise Failure if the session refuses it *)
+            @raise Failure if the session refuses it, or answers that an
+            earlier in-doubt submission of the process had applied (this
+            one then was not) *)
     update_detectable : seq:int -> S.update_op -> S.value;
         (** the front's detectable update, under a caller-chosen sequence
             number; over the relaxed front it first drains the staleness
-            tail, so the tail stays a suffix of the linearization *)
+            tail, so the tail stays a suffix of the linearization. On a
+            session stack, the calling process's tracked update.
+            @raise Invalid_argument if the sequence number is not above
+            every one the process used *)
     read : S.read_op -> S.value;
     was_linearized : S.update_op -> Onll_core.Onll.op_id -> bool;
         (** identities are per shard, so the question carries the
-            operation that routes it; unsharded stacks ignore it *)
+            operation that routes it; unsharded stacks ignore it. On a
+            session stack, a fence-free read of the process's table
+            entry. *)
     shard_of : S.update_op -> int;  (** [0] unsharded *)
     recover_report : unit -> Onll_core.Onll.Recovery_report.t;
     recover_unhardened : unit -> unit;
@@ -110,19 +119,19 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             the drain records dropped) *)
     relaxed : relaxed option;
         (** [Some] over a direct relaxed front. Under a session it is
-            [None]: the tiers would take identities from the object's
-            cursor, and the sessions' sequence numbers would collide
-            with them. *)
+            [None]: every update there is an exactly-once submission,
+            acknowledged only once durable, and a staleness ack is not. *)
   }
 
   val build : t -> Onll_core.Onll.Config.t -> obj
   (** Create the stack's regions, bottom layer first, and return it.
       [cfg] supplies log capacity, region suffix and sink; the stack
-      supplies [replicas] and [local_views]. A session stack attaches one
-      session per machine process, client [p] on process [p], after the
-      object's regions. *)
+      supplies [replicas] and [local_views]. *)
 
-  val backend : obj -> Onll_session.Make(M)(S).backend
-  (** The object as a session backend: [b_pressure] is [log_fill],
-      [b_compact] is [compact]. *)
+  val backend : obj -> (S.update_op, S.read_op, S.value) Onll_session.backend
+  (** The object as a session backend: [b_update] is its durable update
+      (the strict tier over the relaxed front), [b_pressure] is
+      [log_fill], [b_compact] is [compact]. Over
+      [Onll_core.Client_table.Make (S')] it is what
+      [Onll_session.Make (S').attach] takes. *)
 end

@@ -1,23 +1,21 @@
 (* E17: the file-backend crash harness.
 
    One EPOCH is one process lifetime against a store directory: open the
-   file-backed machine, run hardened recovery, attach a durable session,
-   resolve the in-doubt operation, then submit increments until the
-   counter reaches [target]. The epoch narrates itself through a tiny
-   line protocol (RESOLUTION / NEXT_SEQ / V0 / ACK / APPLIED / DONE /
-   DEGRADED) emitted through a callback.
+   file-backed machine, run hardened recovery, attach the client's
+   session over the client table (one fence-free read of its entry),
+   resubmit the operation the previous epoch left unanswered under its
+   seq, then submit increments until the counter reaches [target]. The
+   epoch narrates itself through a tiny line protocol (LAST / V0 /
+   SUBMIT / ACK / DUP / DONE / DEGRADED) emitted through a callback.
 
-   The AUDIT consumes those lines across epochs and checks the
-   exactly-once / no-lost-ack invariants:
-   - a sequence number is confirmed (ACKed, adopted or re-acked) at most
-     once — a second confirmation is a duplicate;
-   - the recovered value V0 never exceeds NEXT_SEQ (more applied
-     increments than intents ever created = a duplicated apply);
-   - V0 never falls below the number of confirmed seqs, nor below the
-     highest acked value (either would be an acked update the media
-     lost);
-   - the final epoch's APPLIED scan (was_linearized over every seq) must
-     contain every confirmed seq and agree with the final value.
+   The AUDIT consumes those lines across epochs and checks exactly-once
+   against the table, the one client's last applied seq:
+   - every acknowledged seq is at or below the recorded last (no lost
+     ack), and the last is no seq that was never submitted;
+   - the counter is last + 1 at every epoch start, after every ACK and
+     at the end: each seq applied once, none twice;
+   - a seq is confirmed (ACKed, or answered DUP on resubmission) at most
+     once.
 
    One SCENARIO is one loop of epochs over one store directory
    ({!scenario}). What differs is how an epoch runs, the scenario's
@@ -33,6 +31,8 @@ module Faults = Onll_faults.Faults
 module Fm = Onll_machine.File_machine
 module File_memory = Onll_nvm.File_memory
 module Cs = Onll_specs.Counter
+module Ct = Onll_core.Client_table.Make (Cs)
+module Sess = Onll_session.Make (Cs)
 
 type outcome =
   | Done  (** reached the target *)
@@ -42,15 +42,14 @@ type outcome =
 
 (* {1 One epoch} *)
 
-let run_epoch ?fplan ~emit ~dir ~replicas ~target () =
+let run_epoch ?fplan ~emit ~dir ~replicas ~resubmit ~target () =
   let fmach = Fm.create ~backoff_ns:0 ~dir ~max_processes:1 () in
   let inj =
     Option.map (fun p -> Faults.install_file (Fm.memory fmach) p) fplan
   in
   ignore (Fm.register fmach);
   let module M = (val Fm.machine fmach) in
-  let module B = Onll_stack.Make (M) (Cs) in
-  let module Sess = Onll_session.Make (M) (Cs) in
+  let module B = Onll_stack.Make (M) (Ct) in
   let finish outcome =
     Option.iter Faults.remove_file inj;
     Fm.close fmach;
@@ -62,56 +61,33 @@ let run_epoch ?fplan ~emit ~dir ~replicas ~target () =
         { Onll_core.Onll.Config.default with log_capacity = 1 lsl 14 }
     in
     ignore (obj.B.recover_report ());
-    let backend = B.backend obj in
-    let config = { Onll_session.default_config with replicas } in
-    let sess = Sess.attach ~config ~client:0 backend in
-    (match Sess.recover sess with
-    | Sess.No_pending -> emit "RESOLUTION none"
-    | Sess.Was_applied id ->
-        emit (Printf.sprintf "RESOLUTION adopted %d" id.Onll_core.Onll.id_seq)
-    | Sess.Reinvoked (_old, fresh, v) ->
-        emit
-          (Printf.sprintf "RESOLUTION reacked %d %d"
-             fresh.Onll_core.Onll.id_seq v)
-    | Sess.Refused id ->
-        emit (Printf.sprintf "RESOLUTION refused %d" id.Onll_core.Onll.id_seq)
-    | Sess.Unresolved (id, _) ->
-        emit
-          (Printf.sprintf "RESOLUTION unresolved %d"
-             id.Onll_core.Onll.id_seq));
-    emit (Printf.sprintf "NEXT_SEQ %d" (Sess.next_seq sess));
-    let v0 = Sess.read sess Cs.Get in
-    emit (Printf.sprintf "V0 %d" v0);
-    let v = ref v0 in
-    let failed = ref None in
-    while !failed = None && !v < target do
-      let seq = Sess.next_seq sess in
-      match Sess.submit sess Cs.Increment with
-      | Ok v' ->
-          emit (Printf.sprintf "ACK %d %d" seq v');
-          v := v'
-      | Error e ->
-          failed := Some (Format.asprintf "%a" Onll_session.pp_error e)
-    done;
-    match !failed with
-    | Some msg ->
-        emit ("ERR " ^ msg);
-        finish (Failed msg)
-    | None ->
-        let applied =
-          List.filter
-            (fun s ->
-              obj.B.was_linearized Cs.Increment
-                { Onll_core.Onll.id_proc = 0; id_seq = s })
-            (List.init (Sess.next_seq sess) Fun.id)
-        in
-        emit
-          (Printf.sprintf "APPLIED %d%s" (List.length applied)
-             (String.concat ""
-                (List.map (fun s -> " " ^ string_of_int s) applied)));
-        let vf = Sess.read sess Cs.Get in
-        emit (Printf.sprintf "DONE %d" vf);
-        finish Done
+    let sess = Sess.attach ~client:0 (B.backend obj) in
+    emit (Printf.sprintf "LAST %d" (Sess.next_seq sess - 1));
+    emit (Printf.sprintf "V0 %d" (Sess.read sess Cs.Get));
+    let submit seq =
+      emit (Printf.sprintf "SUBMIT %d" seq);
+      match Sess.submit ~seq sess Cs.Increment with
+      | Ok (Sess.Applied v) ->
+          emit (Printf.sprintf "ACK %d %d" seq v);
+          None
+      | Ok Sess.Duplicate ->
+          emit (Printf.sprintf "DUP %d" seq);
+          None
+      | Error e -> Some (Format.asprintf "%a" Onll_session.pp_error e)
+    in
+    let rec loop = function
+      | Some msg ->
+          emit ("ERR " ^ msg);
+          finish (Failed msg)
+      | None when Sess.read sess Cs.Get < target ->
+          loop (submit (Sess.next_seq sess))
+      | None ->
+          emit
+            (Printf.sprintf "DONE %d %d" (Sess.read sess Cs.Get)
+               (Sess.next_seq sess - 1));
+          finish Done
+    in
+    loop (Option.bind resubmit submit)
   with
   | Onll_nvm.Memory.Injected_crash -> finish Crashed
   | File_memory.Degraded msg ->
@@ -121,13 +97,14 @@ let run_epoch ?fplan ~emit ~dir ~replicas ~target () =
 (* {1 The audit} *)
 
 type audit = {
-  confirmed : (int, unit) Hashtbl.t;  (* seqs acked/adopted, ever *)
-  mutable max_acked : int;  (* highest counter value ever acked *)
-  mutable next_seq_seen : int;
-  mutable last_applied : int;
+  confirmed : (int, unit) Hashtbl.t;  (* seqs acked or answered DUP, ever *)
+  mutable last : int;  (* the table's last applied seq, as last read *)
+  mutable submitted : int;  (* the highest seq ever submitted *)
+  mutable inflight : int option;  (* submitted, not yet answered *)
+  mutable carried : int option;  (* unanswered when the epoch began *)
   mutable acks : int;
-  mutable adopted : int;
-  mutable reacked : int;
+  mutable adopted : int;  (* resubmissions answered DUP *)
+  mutable resubmitted : int;  (* resubmissions that applied *)
   mutable degraded_epochs : int;
   mutable done_value : int option;
   mutable violations : string list;
@@ -136,12 +113,13 @@ type audit = {
 let audit_create () =
   {
     confirmed = Hashtbl.create 64;
-    max_acked = 0;
-    next_seq_seen = 0;
-    last_applied = 0;
+    last = -1;
+    submitted = -1;
+    inflight = None;
+    carried = None;
     acks = 0;
     adopted = 0;
-    reacked = 0;
+    resubmitted = 0;
     degraded_epochs = 0;
     done_value = None;
     violations = [];
@@ -153,60 +131,53 @@ let violation a fmt =
 let confirm a seq =
   if Hashtbl.mem a.confirmed seq then
     violation a "seq %d confirmed twice (duplicate)" seq
-  else Hashtbl.replace a.confirmed seq ()
+  else Hashtbl.replace a.confirmed seq ();
+  if a.inflight = Some seq then a.inflight <- None
+
+(* The counter must count each applied seq once: last + 1. *)
+let check_value a what v =
+  if v <> a.last + 1 then
+    violation a "%s value %d but the table's last seq is %d" what v a.last
 
 let audit_line a line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ "RESOLUTION"; "none" ] -> ()
-  | [ "RESOLUTION"; "adopted"; s ] ->
-      (* Was_applied is idempotent confirmation, not a second apply: the
-         op may have been acked already, with the ack record not yet
-         durable when the crash hit. *)
-      a.adopted <- a.adopted + 1;
-      Hashtbl.replace a.confirmed (int_of_string s) ()
-  | [ "RESOLUTION"; "reacked"; s; v ] ->
-      a.reacked <- a.reacked + 1;
-      confirm a (int_of_string s);
-      let v = int_of_string v in
-      if v <= a.max_acked then
-        violation a "reacked value %d not above %d" v a.max_acked
-      else a.max_acked <- v
-  | [ "RESOLUTION"; "refused"; _ ] -> ()
-  | [ "RESOLUTION"; "unresolved"; s ] ->
-      violation a "seq %s left unresolved by recovery" s
-  | [ "NEXT_SEQ"; n ] -> a.next_seq_seen <- int_of_string n
-  | [ "V0"; v ] ->
-      let v = int_of_string v in
-      if v > a.next_seq_seen then
-        violation a "value %d exceeds %d intents ever created (duplicate)" v
-          a.next_seq_seen;
-      if v < Hashtbl.length a.confirmed then
-        violation a "value %d below %d confirmed updates (lost ack)" v
-          (Hashtbl.length a.confirmed);
-      if v < a.max_acked then
-        violation a "value %d below highest acked value %d (lost data)" v
-          a.max_acked
-  | [ "ACK"; s; v ] ->
-      a.acks <- a.acks + 1;
-      confirm a (int_of_string s);
-      let v = int_of_string v in
-      if v <= a.max_acked then
-        violation a "acked value %d not above %d" v a.max_acked
-      else a.max_acked <- v
-  | "APPLIED" :: n :: seqs ->
-      let applied = List.map int_of_string seqs in
-      a.last_applied <- int_of_string n;
+  | [ "LAST"; l ] ->
+      let l = int_of_string l in
       Hashtbl.iter
         (fun seq () ->
-          if not (List.mem seq applied) then
-            violation a "confirmed seq %d not applied (lost ack)" seq)
-        a.confirmed
-  | [ "DONE"; v ] ->
+          if seq > l then
+            violation a "confirmed seq %d above the table's last %d (lost ack)"
+              seq l)
+        a.confirmed;
+      if l > a.submitted then
+        violation a "the table's last %d was never submitted" l;
+      a.last <- l;
+      a.carried <- a.inflight
+  | [ "V0"; v ] -> check_value a "recovered" (int_of_string v)
+  | [ "SUBMIT"; s ] ->
+      let s = int_of_string s in
+      if a.inflight <> None && a.inflight <> Some s then
+        violation a "seq %d submitted while another is unanswered" s;
+      a.submitted <- max a.submitted s;
+      a.inflight <- Some s
+  | [ "ACK"; s; v ] ->
+      let s = int_of_string s in
+      if a.carried = Some s then a.resubmitted <- a.resubmitted + 1;
+      a.acks <- a.acks + 1;
+      confirm a s;
+      a.last <- max a.last s;
+      check_value a "acked" (int_of_string v)
+  | [ "DUP"; s ] ->
+      let s = int_of_string s in
+      a.adopted <- a.adopted + 1;
+      if a.carried <> Some s then
+        violation a "DUP for seq %d, which no epoch left unanswered" s;
+      confirm a s
+  | [ "DONE"; v; l ] ->
       let v = int_of_string v in
       a.done_value <- Some v;
-      if v <> a.last_applied then
-        violation a "final value %d != %d applied operations" v
-          a.last_applied
+      a.last <- int_of_string l;
+      check_value a "final" v
   | "DEGRADED" :: _ -> a.degraded_epochs <- a.degraded_epochs + 1
   | "ERR" :: rest ->
       violation a "submission error: %s" (String.concat " " rest)
@@ -215,7 +186,8 @@ let audit_line a line =
 let audit_done a ~target =
   match a.done_value with
   | None -> violation a "scenario never completed"
-  | Some v -> if v <> target then violation a "final value %d != target %d" v target
+  | Some v ->
+      if v <> target then violation a "final value %d != target %d" v target
 
 (* {1 Seeded kill schedules}
 
@@ -238,13 +210,13 @@ let kill_plan ~seed ~epoch =
 let with_kill_mode kill_mode =
   Option.map (fun p -> { p with Faults.File_plan.kill_mode })
 
-let in_process ~fplan ~emit ~dir ~replicas ~target =
+let in_process ~fplan ~emit ~dir ~replicas ~resubmit ~target =
   run_epoch
     ?fplan:(with_kill_mode Faults.File_plan.Raise fplan)
-    ~emit ~dir ~replicas ~target ()
+    ~emit ~dir ~replicas ~resubmit ~target ()
 
 (* The child exits 0 when done and 3 when degraded; a kill is SIGKILL. *)
-let forked ~fplan ~emit ~dir ~replicas ~target =
+let forked ~fplan ~emit ~dir ~replicas ~resubmit ~target =
   let r, w = Unix.pipe () in
   match Unix.fork () with
   | 0 ->
@@ -259,7 +231,7 @@ let forked ~fplan ~emit ~dir ~replicas ~target =
         (match
            run_epoch
              ?fplan:(with_kill_mode Faults.File_plan.Sigkill fplan)
-             ~emit ~dir ~replicas ~target ()
+             ~emit ~dir ~replicas ~resubmit ~target ()
          with
         | Done -> 0
         | Degraded _ -> 3
@@ -289,7 +261,7 @@ let forked ~fplan ~emit ~dir ~replicas ~target =
 let counts =
   [
     "epochs"; "kills"; "degraded"; "acks"; "acks_before"; "confirmed";
-    "adopted"; "reacked"; "value";
+    "adopted"; "resubmitted"; "value";
   ]
 
 (* Epochs run under [plan epoch] until one reaches [target]; a killed
@@ -302,7 +274,8 @@ let scenario ~runner ?(degrades = false) ~dir ~replicas ~target plan =
   let a = audit_create () in
   let epoch ~fplan ~target =
     Campaign.bump t "epochs";
-    runner ~fplan ~emit:(audit_line a) ~dir ~replicas ~target
+    runner ~fplan ~emit:(audit_line a) ~dir ~replicas ~resubmit:a.inflight
+      ~target
   in
   let max_epochs = (3 * target) + 8 in
   let rec faulted e =
@@ -345,7 +318,7 @@ let scenario ~runner ?(degrades = false) ~dir ~replicas ~target plan =
       ("acks", a.acks);
       ("confirmed", Hashtbl.length a.confirmed);
       ("adopted", a.adopted);
-      ("reacked", a.reacked);
+      ("resubmitted", a.resubmitted);
       ("value", Option.value ~default:0 a.done_value);
     ];
   List.iter (Campaign.fail t "%s") (List.rev a.violations);
@@ -450,7 +423,7 @@ let gate_slices reg =
       emit
         [
           "runs"; "epochs"; "kills"; "acks"; "confirmed"; "adopted";
-          "reacked"; "violations";
+          "resubmitted"; "violations";
         ]
         (restart_arm ~runner:in_process ~dir ~name ~replicas ~target:6
            ~seeds:3))
@@ -490,5 +463,5 @@ let print_rows =
          (fun k -> (k, k))
          [
            "runs"; "crashed"; "epochs"; "kills"; "degraded"; "acks";
-           "confirmed"; "adopted"; "reacked"; "violations";
+           "confirmed"; "adopted"; "resubmitted"; "violations";
          ])

@@ -1226,6 +1226,45 @@ let test_recovery_corrupt_on_forged_gap () =
     | exception Onll_core.Onll.Recovery_corrupt _ -> true
     | () -> false)
 
+(* {1 A transient fault escaping an update's persist} *)
+
+(* A total flush storm makes one update's append exhaust the log's retry
+   budget, so the fault escapes with the node ordered but not available.
+   The same process's next update must finish that node first (Prop
+   5.2's window holds one in-flight node per process), and both updates
+   then survive a crash that drops everything unfenced. *)
+let test_update_after_escaped_fault () =
+  let sim = Sim.create ~max_processes:1 () in
+  let mem = Sim.memory sim in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let obj = C.make Onll_core.Onll.Config.default in
+  let run body =
+    check Alcotest.bool "the run completes" true
+      (Sim.run sim Sched.Strategy.round_robin [| body |]
+      = Sched.World.Completed)
+  in
+  let storm =
+    Onll_faults.Faults.install mem
+      {
+        Onll_faults.Faults.Plan.none with
+        seed = 7;
+        flush_fail_prob = 1.0;
+        max_consecutive_transients = 1_000_000;
+      }
+  in
+  run (fun _ ->
+      match C.update obj Cs.Increment with
+      | exception Onll_nvm.Memory.Transient_fault _ -> ()
+      | _ -> Alcotest.fail "the storm never bit");
+  Onll_faults.Faults.remove storm;
+  run (fun _ ->
+      check Alcotest.int "the next update applies after the failed one" 2
+        (C.update obj Cs.Increment));
+  Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
+  C.recover obj;
+  check Alcotest.int "both survive the crash" 2 (C.read obj Cs.Get)
+
 let () =
   Alcotest.run "onll"
     [
@@ -1329,5 +1368,10 @@ let () =
             test_log_full_auto_compacts;
           Alcotest.test_case "Log_full when terminal" `Quick
             test_log_full_terminal_when_checkpoint_cannot_fit;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "an update after an escaped persist fault"
+            `Quick test_update_after_escaped_fault;
         ] );
     ]

@@ -393,7 +393,7 @@ let test_fences () =
 (* {1 The client table} *)
 
 module Kv = Onll_specs.Kv
-module Table = Onll_serve.Client_table.Make (Kv)
+module Table = Onll_core.Client_table.Make (Kv)
 
 (* A stream of tracked updates from four clients, a third of them
    retries of a seq the client already used, against the inner
@@ -680,12 +680,9 @@ let test_resubmit_after_a_pending_op () =
   List.iter
     (fun construction ->
       let name = Service.construction_name construction in
-      (* a plain shard keeps the failed op in its trace, where the core
-         bounds each update's window of not-yet-available ops by the
-         process count: one process more than the server runs lets B's
-         update persist A's op beside its own *)
-      let procs = if construction = Service.Sharded then 2 else 1 in
-      let sim = Sim.create ~max_processes:procs () in
+      (* one machine process, as the server runs: a plain shard keeps
+         the failed op in its trace, and B's update finishes it first *)
+      let sim = Sim.create ~max_processes:1 () in
       let module Base = (val Sim.machine sim) in
       let module M = Reopening (Base) in
       let module S1 = Service.Make (M) in

@@ -312,6 +312,51 @@ let test_recovered_ops_shard_major_after_cross_shard_crash () =
         (C.was_linearized obj op id))
     !ids
 
+(* {1 A transient fault escaping an update's persist} *)
+
+(* One machine process, as `onll serve` runs: a flush storm fails an
+   update on one shard, an update on another shard goes through, and the
+   next update on the failed shard must finish the failed node first
+   instead of tripping Prop 5.2's window bound. All three survive a crash
+   that drops everything unfenced. *)
+let test_update_after_escaped_fault () =
+  let sim = Sim.create ~max_processes:1 () in
+  let mem = Sim.memory sim in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_sharded.Make (M) (Kv) in
+  let obj = C.create ~shards:4 () in
+  let k0 = key_for (C.shard_of_update obj) 0
+  and k1 = key_for (C.shard_of_update obj) 1 in
+  let run body =
+    check Alcotest.bool "the run completes" true
+      (Sim.run sim Sched.Strategy.round_robin [| body |]
+      = Sched.World.Completed)
+  in
+  let storm =
+    Faults.install mem
+      {
+        Faults.Plan.none with
+        seed = 7;
+        flush_fail_prob = 1.0;
+        max_consecutive_transients = 1_000_000;
+      }
+  in
+  run (fun _ ->
+      match C.update obj (Kv.Put (k0, "a")) with
+      | exception Onll_nvm.Memory.Transient_fault _ -> ()
+      | _ -> Alcotest.fail "the storm never bit");
+  Faults.remove storm;
+  run (fun _ ->
+      ignore (C.update obj (Kv.Put (k1, "b")));
+      check Alcotest.bool "the failed put is seen by the next on its shard"
+        true
+        (C.update obj (Kv.Put (k0, "c")) = Kv.Previous (Some "a")));
+  Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
+  ignore (C.recover_report obj);
+  check Alcotest.bool "both shards survive the crash" true
+    (C.read obj (Kv.Get k0) = Kv.Found (Some "c")
+    && C.read obj (Kv.Get k1) = Kv.Found (Some "b"))
+
 let () =
   Alcotest.run "sharded"
     [
@@ -334,6 +379,11 @@ let () =
         [
           Alcotest.test_case "flag aggregates as OR over shards" `Quick
             test_degraded_flag_is_or_over_shards;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "an update after an escaped persist fault"
+            `Quick test_update_after_escaped_fault;
         ] );
       ( "detectable",
         [

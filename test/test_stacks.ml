@@ -2,8 +2,8 @@
    [Onll_stack.legal], and each stack [onll serve] ships, is built through
    the registry's ["onll"] entry and driven on the simulated machine. Solo,
    an update costs exactly one object fence (fewer on the relaxed front,
-   once the run outgrows its tail), a session adds exactly one fence per
-   submission, and reads cost none. Under a random three-process schedule
+   once the run outgrows its tail), a session's submission costs
+   exactly that one object fence, and reads cost none. Under a random three-process schedule
    an update costs at most one object fence and a read none. *)
 
 open Onll_machine
@@ -94,9 +94,11 @@ let solo stack () =
     (per_op r ~fences:"fences.read" ~ops:"ops.read");
   if session stack.Onll_stack.top then begin
     check Alcotest.int "every update was a submission" solo_updates
-      (Onll_obs.Metrics.counter_value r "ops.session");
-    check (Alcotest.float 0.) "1 session pf/submit" 1.
-      (per_op r ~fences:"fences.session" ~ops:"ops.session")
+      (Onll_obs.Metrics.counter_value r "session.ok");
+    check (Alcotest.float 0.) "exactly 1 object pf per submit" 1.
+      (per_op r ~fences:"fences.update" ~ops:"session.ok");
+    check Alcotest.int "0 fences.session" 0
+      (Onll_obs.Metrics.counter_value r "fences.session")
   end
 
 let concurrent stack () =
@@ -110,12 +112,12 @@ let concurrent stack () =
     (per_op r ~fences:"fences.read" ~ops:"ops.read")
 
 (* The seam between a session and the relaxed front beneath it. The
-   session stack exposes no staleness tier: the tiers would take
-   identities from the object's cursor, which the sessions' own sequence
-   numbers collide with. And the exactly-once path a session invokes,
-   [update_detectable], first drains the front's staleness tail, or a
-   crash after it would keep the exactly-once update and lose an earlier
-   staleness ack — an interior operation, not a suffix. *)
+   session stack exposes no staleness tier: every update there is an
+   exactly-once submission, acknowledged only once durable, and a
+   staleness ack is not. And the front's exactly-once path,
+   [update_detectable], first drains its staleness tail, or a crash after
+   it would keep the exactly-once update and lose an earlier staleness
+   ack — an interior operation, not a suffix. *)
 let seam stack () =
   let front =
     match stack.Onll_stack.top with
