@@ -68,7 +68,6 @@ chaos -s kv --relaxed --seeds 10
 chaos -s kv --relaxed --mirrored --seeds 10
 store campaign --seeds 4
 service campaign --seeds 2
-scrub
 endef
 export CHAOS_SMOKE_SLICES
 
@@ -118,6 +117,8 @@ examples:
 	dune exec examples/durable_queue.exe
 	dune exec examples/task_scheduler.exe
 	dune exec examples/exactly_once.exe
+	dune exec examples/self_healing.exe
+	dune exec examples/atomic_transfer.exe
 	dune exec examples/disk_persistence.exe -- write /tmp/onll-demo.img
 	dune exec examples/disk_persistence.exe -- recover /tmp/onll-demo.img
 

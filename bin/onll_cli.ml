@@ -11,7 +11,6 @@
    onll chaos --session --seeds 40     the E15 exactly-once session grid
                                        (counter+ledger x all backends +
                                        the naive calibration arm)
-   onll scrub                          online rot healed live by the scrubber
    onll fences -s kv                   fence audit for one object
    onll stats -s counter -n 4          run a workload, print a JSON snapshot
    onll stats -i onll-sharded --shards 8   ... against an 8-shard object
@@ -426,216 +425,6 @@ let chaos_cmd =
     Term.(
       const chaos $ spec $ seeds $ unhardened $ mirrored $ sharded $ batched
       $ session $ txn $ relaxed $ quiet)
-
-(* {1 scrub} *)
-
-(* A deterministic end-to-end demonstration of online self-healing: a
-   mirrored kv object under continuous bit rot confined to the primary
-   replica, scrubbed every [interval] updates, then crashed and recovered
-   — the recovery must come back clean because every rotted byte had an
-   intact mirror copy (healed live by the scrubber, or at recovery for rot
-   landing after the last scrub). *)
-let scrub_demo updates interval seed =
-  let registry = Onll_obs.Metrics.create () in
-  let sink = Onll_obs.Sink.make ~registry () in
-  let sim = Sim.create ~sink ~max_processes:1 () in
-  let mem = Sim.memory sim in
-  let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
-  let obj =
-    C.make { Onll_core.Onll.Config.default with sink; replicas = 2 }
-  in
-  let fault =
-    {
-      Onll_faults.Faults.Plan.none with
-      seed;
-      rot_ops_interval = 25;
-      media_window = 2048;
-      target = (fun n -> not (Onll_plog.Plog.is_mirror_region n));
-    }
-  in
-  let handle = Onll_faults.Faults.install mem fault in
-  let rng = Onll_util.Splitmix.create seed in
-  let total = ref Onll_plog.Plog.clean_scrub in
-  let body _ =
-    for k = 1 to updates do
-      ignore (C.update obj (Test_support.Gen.Kv.update rng));
-      if k mod interval = 0 then
-        total := Onll_plog.Plog.add_scrub !total (C.scrub obj)
-    done
-  in
-  (match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |] with
-  | Onll_sched.Sched.World.Completed -> ()
-  | _ -> assert false);
-  Onll_faults.Faults.set_rot handle false;
-  Format.printf "workload: %d mirrored kv updates, scrub every %d@." updates
-    interval;
-  Format.printf "injected: %a@." Onll_faults.Faults.pp_counters
-    (Onll_faults.Faults.counters handle);
-  Format.printf "scrubs:   %a@." Onll_plog.Plog.pp_scrub_report !total;
-  Format.printf "degraded: %b@." (C.degraded obj);
-  Format.printf
-    "scrub fences: %d across %d passes (attributed to fences.scrub, never \
-     to updates: pf/update stays %g)@."
-    (Onll_obs.Metrics.counter_value registry "fences.scrub")
-    (Onll_obs.Metrics.counter_value registry "ops.scrub")
-    (float_of_int (Onll_obs.Metrics.counter_value registry "fences.update")
-    /. float_of_int
-         (max 1 (Onll_obs.Metrics.counter_value registry "ops.update")));
-  Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = C.recover_report obj in
-  Onll_faults.Faults.remove handle;
-  Format.printf "post-crash recovery: %a@."
-    Onll_core.Onll.Recovery_report.pp r;
-  if not (Onll_core.Onll.Recovery_report.clean r) then begin
-    Format.printf
-      "FAILED: primary-only rot should always be repairable from the \
-       mirror@.";
-    exit 1
-  end;
-  Format.printf
-    "clean: every rotted byte was healed (online by the scrubber, or from \
-     the mirror at recovery)@."
-
-let scrub_cmd =
-  let doc =
-    "Demonstrate online self-healing: a mirrored object under continuous \
-     primary-replica bit rot, CRC-scrubbed while live, then crashed — \
-     recovery must come back loss-free."
-  in
-  let updates =
-    Arg.(
-      value & opt int 200
-      & info [ "u"; "updates" ] ~docv:"N" ~doc:"updates to run")
-  in
-  let interval =
-    Arg.(
-      value & opt int 10
-      & info [ "every" ] ~docv:"N" ~doc:"scrub every N updates")
-  in
-  let seed =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"rot seed")
-  in
-  Cmd.v (Cmd.info "scrub" ~doc)
-    Term.(const scrub_demo $ updates $ interval $ seed)
-
-(* {1 txn} *)
-
-(* A deterministic end-to-end narration of cross-shard atomic commit
-   (E19): a transfer between accounts on different shards of a 4-shard kv
-   object, paid for with ONE coordinator fence (2PC would pay one
-   force-write per participant plus a decision); then a crash parked
-   before the commit fence (nothing of the transfer may survive), and a
-   crash after it (all of it must). *)
-let txn_demo () =
-  let registry = Onll_obs.Metrics.create () in
-  let sink = Onll_obs.Sink.make ~registry () in
-  let sim = Sim.create ~sink ~max_processes:1 () in
-  let mem = Sim.memory sim in
-  let module M = (val Sim.machine sim) in
-  let module Tx = Onll_txn.Make (M) (Onll_specs.Kv) in
-  let module Kv = Onll_specs.Kv in
-  let obj = Tx.make ~shards:4 { Onll_core.Onll.Config.default with sink } in
-  let route op = Tx.Sh.shard_of_update (Tx.sharded obj) op in
-  let key_for s =
-    let rec go i =
-      let k = Printf.sprintf "acct-%d" i in
-      if route (Kv.Put (k, "")) = s then k else go (i + 1)
-    in
-    go 0
-  in
-  let alice = key_for 0 and bob = key_for 1 in
-  let balance k =
-    match Tx.read obj (Kv.Get k) with
-    | Kv.Found (Some v) -> v
-    | _ -> "(absent)"
-  in
-  let run1 body =
-    match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |] with
-    | Onll_sched.Sched.World.Completed -> ()
-    | _ -> assert false
-  in
-  Format.printf
-    "a 4-shard kv object; %s lives on shard 0, %s on shard 1@." alice bob;
-  run1 (fun _ ->
-      ignore (Tx.update obj (Kv.Put (alice, "100")));
-      ignore (Tx.update obj (Kv.Put (bob, "100"))));
-  Format.printf "funded both accounts: 2 updates, %d fences@."
-    (M.persistent_fences ());
-  let before = M.persistent_fences () in
-  run1 (fun _ ->
-      ignore
-        (Tx.txn_detectable obj ~seq:0
-           [ Kv.Put (alice, "60"); Kv.Put (bob, "140") ]));
-  Format.printf
-    "transfer 40 (%s -> %s), both shards atomically: %d fence (2PC would \
-     pay 3: one prepare force-write per shard + a decision)@."
-    alice bob
-    (M.persistent_fences () - before);
-  Format.printf "balances: %s=%s %s=%s@." alice (balance alice) bob
-    (balance bob);
-  (* crash parked BEFORE the commit fence: the staged transfer must
-     vanish whole *)
-  let script =
-    Onll_sched.Sched.Strategy.script
-      [
-        Onll_sched.Sched.Strategy.run_until_pfence 0;
-        Onll_sched.Sched.Strategy.Crash_here;
-      ]
-  in
-  (match
-     Sim.run sim script
-       [|
-         (fun _ ->
-           ignore
-             (Tx.txn_detectable obj ~seq:1
-                [ Kv.Put (alice, "0"); Kv.Put (bob, "200") ]));
-       |]
-   with
-  | Onll_sched.Sched.World.Crashed -> ()
-  | _ -> assert false);
-  Format.printf
-    "@.crash parked before the commit fence of a second transfer...@.";
-  let r = Tx.recover_report obj in
-  Format.printf "recovery: %a@." Onll_core.Onll.Recovery_report.pp r;
-  Format.printf
-    "txn seq 1 committed? %b — and the books show it: %s=%s %s=%s \
-     (all-or-nothing: nothing of it survived)@."
-    (Tx.txn_was_committed obj { Onll_txn.txn_proc = 0; txn_seq = 1 })
-    alice (balance alice) bob (balance bob);
-  (* the same transfer run to completion, then a crash: all of it must
-     survive, replayed from the one commit record *)
-  run1 (fun _ ->
-      ignore
-        (Tx.txn_detectable obj ~seq:1
-           [ Kv.Put (alice, "0"); Kv.Put (bob, "200") ]));
-  Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
-  Format.printf "@.the same transfer completed, then a crash...@.";
-  let r = Tx.recover_report obj in
-  Format.printf "recovery: %a@." Onll_core.Onll.Recovery_report.pp r;
-  Format.printf
-    "txn seq 1 committed? %b — %s=%s %s=%s (replayed in full from the one \
-     commit record; %d sub-ops swept back in)@."
-    (Tx.txn_was_committed obj { Onll_txn.txn_proc = 0; txn_seq = 1 })
-    alice (balance alice) bob (balance bob)
-    (Onll_obs.Metrics.counter_value registry "txn.sweep.injected");
-  if balance alice <> "0" || balance bob <> "200" then begin
-    Format.printf "FAILED: the committed transfer did not survive@.";
-    exit 1
-  end;
-  Format.printf
-    "@.fences.txn=%d over ops.txn=%d — one fence per transaction@."
-    (Onll_obs.Metrics.counter_value registry "fences.txn")
-    (Onll_obs.Metrics.counter_value registry "ops.txn")
-
-let txn_cmd =
-  let doc =
-    "Narrate a cross-shard atomic transaction (E19): a two-shard transfer \
-     committed under ONE coordinator fence, crashed before the fence \
-     (nothing survives) and after it (everything does, replayed from the \
-     single commit record)."
-  in
-  Cmd.v (Cmd.info "txn" ~doc) Term.(const txn_demo $ const ())
 
 (* {1 fences} *)
 
@@ -1579,8 +1368,6 @@ let () =
             lowerbound_cmd;
             fuzz_cmd;
             chaos_cmd;
-            scrub_cmd;
-            txn_cmd;
             fences_cmd;
             stats_cmd;
             store_cmd;

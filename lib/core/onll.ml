@@ -139,11 +139,13 @@ module Make_generic
     seqs : int array;  (** next per-process op sequence number; owner-only *)
     views : ((envelope, istate) T.node * istate) option array;
         (** per-process local view (§8): an available node and the state at
-            it; owner-only *)
+            it; written by its owner, and dropped by a prune that passes
+            it *)
     prev_views : ((envelope, istate) T.node * istate) option array;
         (** the view each local view replaced when it moved to another
-            node; owner-only. A checkpoint leaves the view at the newest
-            node, and the prune after it needs the state one below. *)
+            node; kept as [views] is. A checkpoint leaves the view at the
+            newest node, and the prune after it needs the state one
+            below. *)
     use_views : bool;
     failed : (envelope, istate) T.node option array;
         (** per process: its node whose persist a transient fault cut
@@ -209,7 +211,7 @@ module Make_generic
     in
     if t.use_views then begin
       (match t.views.(p) with
-      | Some (n, _) as v when n != node -> t.prev_views.(p) <- v
+      | Some (n, _) as v when T.idx n <> T.idx node -> t.prev_views.(p) <- v
       | Some _ | None -> ());
       t.views.(p) <- Some (node, state)
     end;
@@ -251,18 +253,30 @@ module Make_generic
     checkpoint_log t.logs.(p) ~upto:(T.idx node) ~worth (fun () ->
         fst (compute t node))
 
+  (* Prune the trace, then drop every local view below its new base. No
+     walk reads such a view (the backward walk meets the base first, the
+     forward one starts at a base at least as new), and on the wait-free
+     trace its node would pin every newer one while its process idles. *)
   let prune t ~below =
-    T.prune t.trace ~below ~state_before:(fun node -> istate_at t node)
+    T.prune t.trace ~below ~state_before:(fun node -> istate_at t node);
+    let base = fst (T.base_of t.trace) in
+    let drop views =
+      Array.iteri
+        (fun q -> function
+          | Some (n, _) when T.idx n < base -> views.(q) <- None
+          | Some _ | None -> ())
+        views
+    in
+    drop t.views;
+    drop t.prev_views
 
   (* The one compaction: checkpoint, prune the trace below it, relocate.
-     A concurrent compaction that pruned deeper first (unlinking the node
-     at [upto]) had our goal, so the lost race is success; the wait-free
-     trace cannot prune. *)
+     A concurrent compaction that pruned deeper first makes the prune a
+     no-op. *)
   let compact_body t p ~worth =
     Option.map
       (fun upto ->
-        (try prune t ~below:upto
-         with Invalid_argument _ | Trace_intf.Unsupported _ -> ());
+        prune t ~below:upto;
         L.relocate t.logs.(p);
         upto)
       (checkpoint_body t p ~worth)
@@ -530,7 +544,7 @@ end
 module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
   Make_generic (M) (Trace_adapter.Backward (M)) (S)
 
-(** §8 extension: the same construction over the wait-free trace. Pruning
-    is unsupported on this variant (see {!Wf_trace}). *)
+(** §8 extension: the same construction over the wait-free trace, which
+    prunes as the lock-free one does (see {!Wf_trace}). *)
 module Make_wait_free (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
   Make_generic (M) (Wf_trace.Make (M)) (S)

@@ -378,9 +378,10 @@ module type CONSTRUCTION = sig
       {!prune} below the checkpoint, then move the caller's live log span
       to the front of its log ({!Onll_plog.Plog.Make.relocate}) so the
       dropped bytes take appends again. The state is encoded at most once.
-      A prune that lost a race to a deeper concurrent one counts as done;
-      the wait-free variant skips the prune, so its trace keeps growing.
-      Returns the summarised execution index, as {!checkpoint} does.
+      Both traces prune, so the trace keeps only the operations since the
+      checkpoint and the ones in flight; a deeper concurrent prune makes
+      this one a no-op. Returns the summarised execution index, as
+      {!checkpoint} does.
       @raise Onll.Log_full if the checkpoint record cannot fit. *)
 
   val prune : t -> below:int -> unit
@@ -390,7 +391,11 @@ module type CONSTRUCTION = sig
       caller's view (or the view that one replaced) when it lies at or
       below [below - 1], so [prune t ~below:(checkpoint t)] applies no
       operation; otherwise it is folded from the trace's current base.
-      @raise Trace_intf.Unsupported on the wait-free variant. *)
+      A prune at or below the current base is a no-op. Every local view
+      below the new base is dropped. A node obtained before the prune
+      passed it still computes ({!Wf_trace} keeps each node's base).
+      @raise Invalid_argument if the node at [below] does not exist or is
+      not available. *)
 
   (** {1 Introspection (tests, scenarios, reports)} *)
 
@@ -505,7 +510,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) :
      and type value = S.value
 
 (** §8: the same construction over the Kogan–Petrank-style wait-free trace
-    ({!Wf_trace}); {!CONSTRUCTION.prune} is unsupported. *)
+    ({!Wf_trace}), with the same checkpoints, pruning and compaction. *)
 module Make_wait_free (M : Onll_machine.Machine_sig.S) (S : Spec.S) :
   TXN_CAPABLE
     with type state = S.state

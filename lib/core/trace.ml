@@ -149,24 +149,27 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   (* §8 pruning: make nodes with index < [below] unreachable by installing a
      base summarising them. Requires the node at [below] to exist and be
      available (so no fuzzy-window or latest-available walk can need the
-     pruned prefix), and a state function to materialise the summary. *)
+     pruned prefix), and a state function to materialise the summary. A
+     prune at or below the current base is a no-op, as after a deeper
+     concurrent prune. *)
   let prune t ~below ~state_before =
     let rec find curr =
       if curr.idx = below then Some curr
-      else if curr.idx < below then None
+      else if curr.idx < below then
+        invalid_arg "Trace.prune: no node at index"
       else
         match M.Tvar.get curr.next with
         | Older older -> find older
         | Base _ -> None
     in
     match find (tail t) with
-    | None -> invalid_arg "Trace.prune: no node at index"
+    | None -> ()
     | Some node -> (
-        if not (M.Tvar.get node.available) then
-          invalid_arg "Trace.prune: node not yet available";
         match M.Tvar.get node.next with
-        | Base _ -> ()  (* already pruned here (or further) *)
+        | Base _ | Older { env = None; _ } ->
+            ()  (* the base is already at [below - 1] *)
         | Older older ->
-            let s = state_before older in
-            M.Tvar.set node.next (Base (node.idx - 1, s)))
+            if not (M.Tvar.get node.available) then
+              invalid_arg "Trace.prune: node not yet available";
+            M.Tvar.set node.next (Base (node.idx - 1, state_before older)))
 end

@@ -6,10 +6,6 @@
     remark that the trace is the only non-wait-free component and can be
     swapped for a wait-free one without touching the fence argument. *)
 
-exception Unsupported of string
-(** Raised by optional operations an implementation does not provide
-    (e.g. pruning on the wait-free trace). *)
-
 module type S = sig
   type ('env, 'state) t
   type ('env, 'state) node
@@ -59,5 +55,10 @@ module type S = sig
     below:int ->
     state_before:(('env, 'state) node -> 'state) ->
     unit
-  (** Reclaim nodes with index < [below] (§8). May raise {!Unsupported}. *)
+  (** Reclaim nodes with index < [below] (§8): install a base at
+      [below - 1] whose state is [state_before] the node there. A node
+      obtained before the prune passed it still answers {!delta_from}.
+      A prune at or below the current base is a no-op.
+      @raise Invalid_argument if the node at [below] does not exist or is
+      not available. *)
 end

@@ -11,23 +11,33 @@
 
     Differences from the backward trace dictated by wait-freedom:
     {ul
-    {- links point {e forward} (insertion is a CAS on the last node's [next]
+    {- links point {e forward} (insertion is a CAS on the last cell's [next]
        from [Null], which helpers can perform for a stalled announcer
        without the write-after-publication races a backward [next] would
        need);}
-    {- traversals therefore start from an older {e available} node and walk
+    {- traversals therefore start from an older {e available} cell and walk
        forward. The trace keeps a per-process cursor (the newest available
-       node that process has seen) so steady-state scans cover only the
+       cell that process has seen) so steady-state scans cover only the
        delta; execution indices are recomputed while walking, because a
-       node's stored index is only guaranteed once the node is available
+       cell's stored index is only guaranteed once the cell is available
        (or owned by the caller);}
-    {- pruning is not supported ({!Trace_intf.Unsupported}) — combining
-       Kogan–Petrank helping with §8 reclamation is future work, as in the
-       paper.}} *)
+    {- pruning (§8) installs a new {e base}: a fresh sentinel at
+       [below - 1], linked forward to the cell at [below] and carrying the
+       state before it. Nothing is unlinked — the garbage collector is the
+       safe memory reclamation — so helpers, stale cursors and parked
+       announcers can still walk forward from whatever cells they hold.
+       Two rules make that correct and bounded. A node handed to a caller
+       ([insert], [latest_available]) carries the base read {e before} its
+       cell was obtained, and [delta_from] starts from the newer of the
+       current base and that one, so a cell a prune passed stays
+       computable while no base ever links to an older one. And nothing
+       the trace keeps per process pins an old cell: a finished request
+       slot drops its cell, and a prune clamps every cursor below the new
+       base to it.}} *)
 
 module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
-  type ('env, 'state) node = {
-    env : 'env option;  (* None only for the head sentinel *)
+  type ('env, 'state) cell = {
+    env : 'env option;  (* None only for a base sentinel *)
     mutable idx : int;
         (* written (with the same value) by every finishing helper, before
            the owner's announcement is released *)
@@ -36,41 +46,54 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     owner : int;  (* announcing process, for claim resolution *)
   }
 
-  and ('env, 'state) link = Null | Node of ('env, 'state) node
+  and ('env, 'state) link = Null | Node of ('env, 'state) cell
+
+  (* A sentinel and the object state after the operations up to its
+     index; every cell after it links forward from it. *)
+  type ('env, 'state) base = {
+    b_cell : ('env, 'state) cell;
+    b_state : 'state;
+  }
+
+  (* A cell with the base that was current before the caller obtained it,
+     so the cell stays computable after a prune passes it. Only callers
+     hold nodes: no base is reachable from another. *)
+  type ('env, 'state) node = {
+    cell : ('env, 'state) cell;
+    n_base : ('env, 'state) base;
+  }
 
   (* A pending insertion request (Kogan–Petrank "operation descriptor").
      Slots are replaced wholesale and compared physically by CAS. *)
   type ('env, 'state) desc = {
     phase : int;
-    req : ('env, 'state) node option;
+    req : ('env, 'state) cell option;
     pending : bool;
   }
 
   type ('env, 'state) t = {
-    head : ('env, 'state) node;
-    base_idx : int;
-    base_state : 'state;
-    tail : ('env, 'state) node M.Tvar.t;  (* may lag by one link *)
+    base : ('env, 'state) base M.Tvar.t;  (* moves forward only *)
+    tail : ('env, 'state) cell M.Tvar.t;  (* may lag by one link *)
     state : ('env, 'state) desc M.Tvar.t array;  (* per process *)
-    cursors : ('env, 'state) node array;
-        (* per process: newest available node it has observed; owner-only *)
+    cursors : ('env, 'state) cell array;
+        (* per process: newest available cell it has observed; written by
+           its owner and clamped by prunes *)
     sink : Onll_obs.Sink.t;
   }
 
-  let create ?(sink = Onll_obs.Sink.null) ~base_idx ~base_state () =
-    let head =
-      {
-        env = None;
-        idx = base_idx;
-        available = M.Tvar.make true;
-        next = M.Tvar.make Null;
-        owner = -1;
-      }
-    in
+  let sentinel idx next =
     {
-      head;
-      base_idx;
-      base_state;
+      env = None;
+      idx;
+      available = M.Tvar.make true;
+      next = M.Tvar.make next;
+      owner = -1;
+    }
+
+  let create ?(sink = Onll_obs.Sink.null) ~base_idx ~base_state () =
+    let head = sentinel base_idx Null in
+    {
+      base = M.Tvar.make { b_cell = head; b_state = base_state };
       tail = M.Tvar.make head;
       state =
         Array.init M.max_processes (fun _ ->
@@ -79,9 +102,9 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
       sink;
     }
 
-  let idx n = n.idx
-  let is_available n = M.Tvar.get n.available
-  let set_available n = M.Tvar.set n.available true
+  let idx n = n.cell.idx
+  let is_available n = M.Tvar.get n.cell.available
+  let set_available n = M.Tvar.set n.cell.available true
 
   (* {2 Kogan–Petrank insertion} *)
 
@@ -98,26 +121,26 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     let d = M.Tvar.get t.state.(q) in
     d.pending && d.phase <= phase
 
-  (* Complete the link at the tail: fix the new node's index, release its
+  (* Complete the link at the tail: fix the new cell's index, release its
      owner's announcement, swing the tail. All three writes are idempotent
      or CAS-guarded, so any number of helpers may run this concurrently. *)
   let help_finish t =
     let last = M.Tvar.get t.tail in
     match M.Tvar.get last.next with
     | Null -> ()
-    | Node node ->
-        node.idx <- last.idx + 1;
-        let q = node.owner in
+    | Node cell ->
+        cell.idx <- last.idx + 1;
+        let q = cell.owner in
         if q >= 0 then begin
           let d = M.Tvar.get t.state.(q) in
           match d.req with
-          | Some n when n == node && d.pending ->
+          | Some c when c == cell && d.pending ->
               ignore
                 (M.Tvar.cas t.state.(q) ~expected:d
                    ~desired:{ d with pending = false })
           | Some _ | None -> ()
         end;
-        ignore (M.Tvar.cas t.tail ~expected:last ~desired:node)
+        ignore (M.Tvar.cas t.tail ~expected:last ~desired:cell)
 
   let help_insert t q phase =
     let continue_ = ref (is_pending t q phase) in
@@ -130,8 +153,8 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
             if is_pending t q phase then begin
               let d = M.Tvar.get t.state.(q) in
               match d.req with
-              | Some node when d.pending ->
-                  if M.Tvar.cas last.next ~expected:Null ~desired:(Node node)
+              | Some cell when d.pending ->
+                  if M.Tvar.cas last.next ~expected:Null ~desired:(Node cell)
                   then begin
                     help_finish t;
                     continue_ := false
@@ -161,7 +184,8 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
 
   let insert t env =
     let p = M.self () in
-    let node =
+    let n_base = M.Tvar.get t.base in
+    let cell =
       {
         env = Some env;
         idx = 0;
@@ -171,19 +195,22 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
       }
     in
     let phase = max_phase t + 1 in
-    M.Tvar.set t.state.(p) { phase; req = Some node; pending = true };
+    M.Tvar.set t.state.(p) { phase; req = Some cell; pending = true };
     help t phase;
     help_finish t;
-    (* pending = false implies help_finish assigned our index *)
-    node
+    (* pending = false implies help_finish assigned our index; the slot
+       drops the cell, which would otherwise pin every newer one for as
+       long as this process stays idle *)
+    M.Tvar.set t.state.(p) { phase; req = None; pending = false };
+    { cell; n_base }
 
   (* {2 Forward traversals}
 
-     All scans start from an available node (a per-process cursor or the
-     head) and recompute indices while walking, so they never read the
-     mutable [idx] of a node that is not yet finished. *)
+     All scans start from an available cell (a per-process cursor or a
+     base) and recompute indices while walking, so they never read the
+     mutable [idx] of a cell that is not yet finished. *)
 
-  (* Fold [f] over the nodes strictly after [start], oldest first, carrying
+  (* Fold [f] over the cells strictly after [start], oldest first, carrying
      the running index. *)
   let fold_forward start start_idx ~init ~f =
     let rec go curr curr_idx acc =
@@ -195,27 +222,29 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     in
     go start start_idx init
 
-  (* The caller's scan start: its cursor (always an available node). *)
-  let cursor t =
-    let p = M.self () in
-    t.cursors.(p)
+  (* The caller's scan start: its cursor (always an available cell),
+     clamped to [base]. *)
+  let cursor t base =
+    let c = t.cursors.(M.self ()) in
+    if c.idx < base.b_cell.idx then base.b_cell else c
 
-  let advance_cursor t node =
+  let advance_cursor t cell =
     let p = M.self () in
-    if node.idx > t.cursors.(p).idx then t.cursors.(p) <- node
+    if cell.idx > t.cursors.(p).idx then t.cursors.(p) <- cell
 
   let latest_available t =
-    let start = cursor t in
+    let n_base = M.Tvar.get t.base in
+    let start = cursor t n_base in
     let best =
       fold_forward start start.idx ~init:start ~f:(fun best n _ ->
           if M.Tvar.get n.available then n else best)
     in
     advance_cursor t best;
-    best
+    { cell = best; n_base }
 
   let fuzzy_envs t node =
-    let start = cursor t in
-    (* newest available node <= node, then the suffix after it up to node *)
+    let node = node.cell and start = cursor t node.n_base in
+    (* newest available cell <= node, then the suffix after it up to node *)
     let _, suffix_rev =
       fold_forward start start.idx ~init:(start, [])
         ~f:(fun (last_avail, suffix) n n_idx ->
@@ -225,7 +254,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     in
     match suffix_rev with
     | [] ->
-        (* shielded: some available node at or above us already covers the
+        (* shielded: some available cell at or above us already covers the
            prefix; persist just ourselves (contiguity trivially holds) *)
         [ (match node.env with Some e -> e | None -> assert false) ]
     | suffix ->
@@ -234,42 +263,80 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
             match n.env with Some e -> e | None -> assert false)
           suffix
 
+  (* From the newest known state at or below [node]: the floor, the
+     current base or the node's own base. A candidate is usable strictly
+     below the node's cell, or at the cell itself; the current base may
+     not be (a prune may have passed the cell), the node's own base
+     always is. *)
   let delta_from ?floor t node =
-    let start, start_idx, state =
-      match floor with
-      | Some (fnode, fstate) when fnode.idx <= node.idx ->
-          (fnode, fnode.idx, fstate)
-      | Some _ | None -> (t.head, t.base_idx, t.base_state)
+    let target = node.cell in
+    (* [c, s] replaces [best] when it is usable and newer *)
+    let pick ((b, _) as best) ((c, _) as cand) =
+      if (c.idx < target.idx || c == target) && c.idx > b.idx then cand
+      else best
     in
-    if start == node then (state, [])
+    let cur = M.Tvar.get t.base in
+    let start, state =
+      pick (node.n_base.b_cell, node.n_base.b_state) (cur.b_cell, cur.b_state)
+    in
+    let start, state =
+      match floor with
+      | Some (f, fstate) -> pick (start, state) (f.cell, fstate)
+      | None -> (start, state)
+    in
+    if start == target then (state, [])
     else
       let rec collect curr curr_idx acc =
         match M.Tvar.get curr.next with
         | Null ->
-            (* [node] must be reachable from any valid floor *)
+            (* [target] is reachable from any cell at or below it *)
             assert false
         | Node n ->
             let n_idx = curr_idx + 1 in
             let acc =
-              match n.env with
-              | Some e -> (n_idx, e) :: acc
-              | None -> acc
+              match n.env with Some e -> (n_idx, e) :: acc | None -> acc
             in
-            if n == node then List.rev acc else collect n n_idx acc
+            if n == target then List.rev acc else collect n n_idx acc
       in
-      (state, collect start start_idx [])
+      (state, collect start start.idx [])
 
   let to_list t =
-    fold_forward t.head t.base_idx
-      ~init:[ (t.base_idx, M.Tvar.get t.head.available, t.head.env) ]
+    let b = (M.Tvar.get t.base).b_cell in
+    fold_forward b b.idx
+      ~init:[ (b.idx, M.Tvar.get b.available, b.env) ]
       ~f:(fun acc n n_idx -> (n_idx, M.Tvar.get n.available, n.env) :: acc)
     |> List.rev
 
-  let base_of t = (t.base_idx, t.base_state)
+  let base_of t =
+    let b = M.Tvar.get t.base in
+    (b.b_cell.idx, b.b_state)
 
-  let prune _t ~below:_ ~state_before:_ =
-    raise
-      (Trace_intf.Unsupported
-         "Wf_trace.prune: reclamation on the wait-free trace is not \
-          supported (see DESIGN.md §7)")
+  (* §8 pruning: a new base at [below - 1] whose sentinel links to the
+     cell at [below], which must exist and be available. A prune at or
+     below the current base is a no-op (a deeper concurrent one got
+     there first). Cursors below the new base are clamped to it. *)
+  let prune t ~below ~state_before =
+    let rec attempt () =
+      let b = M.Tvar.get t.base in
+      if below - 1 > b.b_cell.idx then begin
+        (* the cells at [below - 1] and [below] *)
+        let rec find curr curr_idx =
+          match M.Tvar.get curr.next with
+          | Null -> invalid_arg "Wf_trace.prune: no node at index"
+          | Node n when curr_idx + 1 = below -> (curr, n)
+          | Node n -> find n (curr_idx + 1)
+        in
+        let before, at = find b.b_cell b.b_cell.idx in
+        if not (M.Tvar.get at.available) then
+          invalid_arg "Wf_trace.prune: node not yet available";
+        let b_state = state_before { cell = before; n_base = b } in
+        let nb = { b_cell = sentinel (below - 1) (Node at); b_state } in
+        if M.Tvar.cas t.base ~expected:b ~desired:nb then
+          Array.iteri
+            (fun q c -> if c.idx < below - 1 then t.cursors.(q) <- nb.b_cell)
+            t.cursors
+        else attempt ()
+      end
+    in
+    attempt ()
 end

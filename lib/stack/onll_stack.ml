@@ -4,7 +4,7 @@ type engine = [ `Plain | `Wait_free | `Batched ]
 
 type front =
   | Bare of engine
-  | Sharded of [ `Plain | `Batched ] * int
+  | Sharded of engine * int
   | Relaxed of [ `Plain | `Wait_free ] * int
 
 type top = Direct of front | Session of front | Txn of int
@@ -29,7 +29,11 @@ let legal =
       [ { top; replicas = 1; views = false }; { top; replicas = 2; views = true } ])
     (List.map (fun f -> Direct f) fronts
     @ List.map (fun f -> Session f) fronts
-    @ [ Txn 4 ])
+    @ [ Txn 4 ]
+    (* last, so every other stack keeps its position in the list (the
+       test suites number their cases by it) *)
+    @ [ Direct (Sharded (`Wait_free, 4)); Session (Sharded (`Wait_free, 4)) ]
+    )
 
 let engine_name = function
   | `Plain -> "plain"

@@ -23,12 +23,8 @@
     per read — holds for every value of {!t}, which
     [test/test_stacks.ml] checks over {!legal}.
 
-    {b What is not a stack.} Three compositions have no constructor, so
+    {b What is not a stack.} Two compositions have no constructor, so
     asking for one is a type error rather than a run-time refusal:
-    - wait-free shards: sharding exists so that a compaction leaves each
-      shard's trace [1/S] of the history (E14), and the wait-free trace
-      cannot prune ([Wf_trace.prune] raises [Trace_intf.Unsupported], so
-      the wait-free [compact] skips it);
     - relaxed over batched: {!Onll_relaxed.Make_over} stages through
       {!Onll_core.Onll.TXN_CAPABLE}, which group commit is not;
     - a session over the transaction coordinator: a session submits
@@ -42,7 +38,7 @@ type engine = [ `Plain | `Wait_free | `Batched ]
 (** The layer an object's updates enter. *)
 type front =
   | Bare of engine
-  | Sharded of [ `Plain | `Batched ] * int
+  | Sharded of engine * int
       (** that many key-routed instances of the engine *)
   | Relaxed of [ `Plain | `Wait_free ] * int
       (** acks fence-free into a tail of at most that many operations *)

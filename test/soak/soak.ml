@@ -37,7 +37,7 @@ let () =
     if r.Fuzz.failures <> [] || not r.Fuzz.verdict_ok then incr lf
   done;
   Printf.printf "ledger soak: 300 runs, %d failures\n%!" !lf;
-  (* 3. exhaustive wf 2x2 with crashes *)
+  (* 3. exhaustive wf 2x2 with crashes; p1 compacts between its updates *)
   let module E = Onll_explore.Explore in
   let mk () =
     let sim = Onll_machine.Sim.create ~max_processes:2 () in
@@ -45,10 +45,11 @@ let () =
     let module C = Onll_core.Onll.Make_wait_free (M) (Onll_specs.Counter) in
     let obj = C.make { Onll_core.Onll.Config.default with log_capacity = 8192 } in
     let completed = ref 0 in
-    let procs = Array.init 2 (fun _ -> fun _ ->
+    let procs = Array.init 2 (fun p -> fun _ ->
       for k = 0 to 1 do
         ignore (C.update_detectable obj ~seq:k Onll_specs.Counter.Increment);
-        incr completed
+        incr completed;
+        if p = 1 && k = 0 then ignore (C.compact obj)
       done) in
     (sim, procs, fun outcome ->
       match outcome with
@@ -89,4 +90,18 @@ let () =
         at_200k at_50k;
       assert (2 * at_200k <= 3 * at_50k)
   | _ -> assert false);
+  (* 6. a wait-free counter with one idle process, views off and on: the
+     live heap after 80k updates stays within 1.5x of the heap after 20k *)
+  List.iter
+    (fun local_views ->
+      match P.idle_wait_free_live_words ~local_views [ 20_000; 80_000 ] with
+      | [ at_20k; at_80k ] ->
+          Printf.printf
+            "wait-free%s, one idle process, 80k updates: %d live words (%d \
+             at 20k)\n%!"
+            (if local_views then "+views" else "")
+            at_80k at_20k;
+          assert (2 * at_80k <= 3 * at_20k)
+      | _ -> assert false)
+    [ false; true ];
   print_endline "SOAK CLEAN"

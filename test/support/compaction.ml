@@ -7,12 +7,13 @@
    - state encodes <= compactions + one per log (a log with no checkpoint
      yet measures the state once before its first compaction);
    - reachable trace nodes <= operations since the last checkpoint +
-     [procs], checked between rounds (the wait-free trace cannot prune,
-     so that engine runs with local views to keep its updates cheap);
+     [procs], checked between rounds;
    - [was_linearized] holds for every acknowledged id, live and after a
      crash and recovery.
    [run] raises [Failure] naming the first violation; [served_live_words]
-   measures the heap of a server running the same compaction. *)
+   measures the heap of a server running the same compaction, and
+   [idle_wait_free_live_words] that of a wait-free object with an idle
+   process. *)
 
 open Onll_machine
 module Onll = Onll_core.Onll
@@ -130,7 +131,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
       {
         Onll.Config.default with
         log_capacity = capacity;
-        local_views = engine = Plain_views || engine = Wait_free;
+        local_views = engine = Plain_views;
         sink;
       }
   in
@@ -152,15 +153,13 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
     | Onll_sched.Sched.World.Completed -> ()
     | _ -> failf "%s: a round did not complete" what);
     Option.iter (failf "%s: %s" what) !failure;
-    if engine <> Wait_free then begin
-      let nodes =
-        List.length
-          (List.filter (fun (_, _, e) -> e <> None) (C.trace_nodes obj))
-      in
-      if nodes > !next - !last_upto + procs then
-        failf "%s: %d trace nodes after %d updates, last checkpoint at %d"
-          what nodes !next !last_upto
-    end
+    let nodes =
+      List.length
+        (List.filter (fun (_, _, e) -> e <> None) (C.trace_nodes obj))
+    in
+    if nodes > !next - !last_upto + procs then
+      failf "%s: %d trace nodes after %d updates, last checkpoint at %d"
+        what nodes !next !last_upto
   done;
   if !compactions = 0 then failf "%s: no compaction ran" what;
   if !S.encodes > !compactions + logs then
@@ -175,11 +174,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
             stage)
       ids
   in
-  (* a live answer walks the trace, which on the wait-free engine keeps
-     every node: there the live check covers the newest thousand ids *)
-  all_linearized "live"
-    (if engine = Wait_free then List.filteri (fun i _ -> i < 1000) !acked
-     else !acked);
+  all_linearized "live" !acked;
   Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
   C.recover obj;
   all_linearized "after recovery" !acked
@@ -237,4 +232,45 @@ let served_live_words upto =
   if Svc.counter_value t <> 2 * !next then
     failf "served: counter %d after %d submits" (Svc.counter_value t)
       (2 * !next);
+  words
+
+(* The heap half on the wait-free engine, with an idle process: process 0
+   makes one update and then idles while process 1 updates up to every
+   count in [upto] (ascending), in rounds of a thousand on the simulated
+   machine, and the live words after a heap compaction are returned for
+   each. Nothing process 0 left behind — its request slot, its trace
+   cursor, its local views — may pin the trace from its one node on. The
+   counter must equal every update. *)
+let idle_wait_free_live_words ~local_views upto =
+  let module Cs = Onll_specs.Counter in
+  let sim = Sim.create ~max_processes:2 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll.Make_wait_free (M) (Cs) in
+  let obj = C.make { Onll.Config.default with local_views } in
+  let run p0 p1 =
+    match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| p0; p1 |] with
+    | Onll_sched.Sched.World.Completed -> ()
+    | _ -> failf "idle wait-free: a round did not complete"
+  in
+  let idle _ = () in
+  run (fun _ -> ignore (C.update obj Cs.Increment)) idle;
+  let next = ref 0 in
+  let words =
+    List.map
+      (fun n ->
+        while !next < n do
+          let k = min 1000 (n - !next) in
+          run idle (fun _ ->
+              for _ = 1 to k do
+                ignore (C.update obj Cs.Increment)
+              done);
+          next := !next + k
+        done;
+        Gc.compact ();
+        (Gc.stat ()).Gc.live_words)
+      upto
+  in
+  if C.read obj Cs.Get <> 1 + !next then
+    failf "idle wait-free: counter %d after %d updates" (C.read obj Cs.Get)
+      (1 + !next);
   words

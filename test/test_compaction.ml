@@ -1,9 +1,9 @@
 (* The compaction property (Test_support.Compaction) on its tier-1 slice:
    counter and kv over 50 keys, ten log capacities' worth of updates, on
    every engine. The full grid — four specifications, four key counts,
-   fifty capacities — runs in the soak target. Then every legal stack
-   over kv-50 absorbs ten capacities' worth with no explicit
-   checkpoint. *)
+   fifty capacities — runs in the soak target. Then the heap of a
+   wait-free object with an idle process, and every legal stack over
+   kv-50 absorbing ten capacities' worth with no explicit checkpoint. *)
 
 module P = Test_support.Compaction
 
@@ -11,6 +11,18 @@ let property engine w () =
   match P.run ~capacities:10 engine w with
   | () -> ()
   | exception Failure msg -> Alcotest.fail msg
+
+(* The heap half on the wait-free engine: with process 0 idle after one
+   update, the live heap after 10k more stays within 1.5x of the heap
+   after 2k. Anything that pins the idle process's node grows it by ~19
+   words an update. *)
+let idle_heap local_views () =
+  match P.idle_wait_free_live_words ~local_views [ 2_000; 10_000 ] with
+  | [ at_2k; at_10k ] ->
+      if 2 * at_10k > 3 * at_2k then
+        Alcotest.failf "%d live words after 10k updates, %d after 2k" at_10k
+          at_2k
+  | _ -> assert false
 
 let test_every_stack () =
   let w = P.kv 50 in
@@ -68,6 +80,13 @@ let () =
                   `Quick (property engine w))
               [ P.counter; P.kv 50 ])
           P.engines );
+      ( "heap",
+        [
+          Alcotest.test_case "wait-free, an idle process" `Quick
+            (idle_heap false);
+          Alcotest.test_case "wait-free+views, an idle process" `Quick
+            (idle_heap true);
+        ] );
       ( "stacks",
         [
           Alcotest.test_case "every legal stack over kv-50" `Quick

@@ -255,20 +255,34 @@ let test_onll_same_program_no_violation () =
   check Alcotest.bool "no violation anywhere" false !violation
 
 let test_wait_free_onll_explored () =
-  (* The wait-free variant under exhaustive small-space exploration. *)
+  (* The wait-free variant under exhaustive small-space exploration, with
+     p1 compacting after its update: every interleaving of the prune with
+     p0's announcement, helping and persist, and every crash point. *)
   let mk () =
     let sim = Sim.create ~max_processes:2 () in
     let module M = (val Sim.machine sim) in
     let module C = Onll_core.Onll.Make_wait_free (M) (Cs) in
     let obj = C.make { Onll_core.Onll.Config.default with log_capacity = 4096 } in
+    let returned = Array.make 2 0 in
+    let update p = returned.(p) <- C.update_detectable obj ~seq:0 Cs.Increment in
     ( sim,
-      Array.init 2 (fun _ -> fun _ -> ignore (C.update obj Cs.Increment)),
+      [| (fun _ -> update 0); (fun _ -> update 1; ignore (C.compact obj)) |],
       fun outcome ->
         match outcome with
-        | Onll_sched.Sched.World.Completed -> assert (C.read obj Cs.Get = 2)
+        | Onll_sched.Sched.World.Completed ->
+            assert (C.read obj Cs.Get = 2);
+            assert (List.sort compare (Array.to_list returned) = [ 1; 2 ])
         | Onll_sched.Sched.World.Crashed ->
             C.recover obj;
-            assert (C.read obj Cs.Get <= 2)
+            let v = C.read obj Cs.Get in
+            (* every returned update survives, and detectability agrees *)
+            Array.iter (fun r -> assert (r <= v)) returned;
+            let lin = ref 0 in
+            for p = 0 to 1 do
+              if C.was_linearized obj { Onll_core.Onll.id_proc = p; id_seq = 0 }
+              then incr lin
+            done;
+            assert (v = !lin)
         | Onll_sched.Sched.World.Stopped _ -> assert false )
   in
   let stats = E.run ~max_preemptions:1 ~with_crashes:true ~mk () in

@@ -35,8 +35,8 @@ let constructors s =
 
 let test_legal_reaches_every_constructor () =
   let shapes = List.sort_uniq compare (List.map constructors Onll_stack.legal) in
-  (* 7 engine/front pairs, each direct and under a session, plus txn *)
-  check Alcotest.int "every top over every front and engine" 15
+  (* 8 engine/front pairs, each direct and under a session, plus txn *)
+  check Alcotest.int "every top over every front and engine" 17
     (List.length shapes);
   check Alcotest.bool "mirrored and unmirrored" true
     (List.exists (fun s -> s.Onll_stack.replicas > 1) Onll_stack.legal

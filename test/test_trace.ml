@@ -136,50 +136,6 @@ let test_to_list () =
     [ (0, true, None); (1, false, Some 10); (2, true, Some 20) ]
     l
 
-let test_prune () =
-  let sim = Sim.create ~max_processes:4 () in
-  let module M = (val Sim.machine sim) in
-  let module T = Onll_core.Trace.Make (M) in
-  let t = T.create ~base_idx:0 ~base_state:"s0" () in
-  let n1 = T.insert t 10 in
-  let n2 = T.insert t 20 in
-  let n3 = T.insert t 30 in
-  M.Tvar.set n1.T.available true;
-  M.Tvar.set n2.T.available true;
-  M.Tvar.set n3.T.available true;
-  (* state_before receives the predecessor node; summarise as a string *)
-  let state_before older =
-    let base, delta = T.delta_from older in
-    List.fold_left (fun acc (_, e) -> acc ^ "+" ^ string_of_int e) base delta
-  in
-  T.prune t ~below:2 ~state_before;
-  check Alcotest.bool "base moved" true (T.base_of t = (1, "s0+10"));
-  check Alcotest.int "only 2 nodes reachable" 2 (List.length (T.to_list t));
-  (* delta from the tail now starts at the materialised base *)
-  let base, delta = T.delta_from n3 in
-  check Alcotest.string "pruned base" "s0+10" base;
-  check Alcotest.(list (pair int int)) "remaining ops" [ (2, 20); (3, 30) ]
-    delta;
-  (* pruning at the same point again is a no-op *)
-  T.prune t ~below:2 ~state_before;
-  check Alcotest.bool "idempotent" true (T.base_of t = (1, "s0+10"))
-
-let test_prune_errors () =
-  let sim = Sim.create ~max_processes:4 () in
-  let module M = (val Sim.machine sim) in
-  let module T = Onll_core.Trace.Make (M) in
-  let t = T.create ~base_idx:0 ~base_state:"s0" () in
-  let n1 = T.insert t 10 in
-  check Alcotest.bool "unavailable node rejected" true
-    (match T.prune t ~below:1 ~state_before:(fun _ -> "x") with
-    | exception Invalid_argument _ -> true
-    | () -> false);
-  M.Tvar.set n1.T.available true;
-  check Alcotest.bool "missing index rejected" true
-    (match T.prune t ~below:7 ~state_before:(fun _ -> "x") with
-    | exception Invalid_argument _ -> true
-    | () -> false)
-
 (* {1 Concurrent insertion under the scheduler} *)
 
 let test_concurrent_inserts_dense_and_complete () =
@@ -281,11 +237,6 @@ let () =
         [
           Alcotest.test_case "from scratch" `Quick test_delta_from;
           Alcotest.test_case "with floor" `Quick test_delta_from_floor;
-        ] );
-      ( "prune",
-        [
-          Alcotest.test_case "prune" `Quick test_prune;
-          Alcotest.test_case "prune errors" `Quick test_prune_errors;
         ] );
       ( "concurrency",
         [

@@ -163,6 +163,97 @@ module Suite (F : FACTORY) = struct
         (List.length (List.sort_uniq compare envs))
     done
 
+  (* {2 Pruning (§8)} A pruned wait-free trace starts at a fresh
+     sentinel, the backward one at its oldest kept node: the two agree on
+     the operations, the entries that carry an envelope. *)
+
+  let test_prune () =
+    let sim = Sim.create ~max_processes:4 () in
+    let module M = (val Sim.machine sim) in
+    let module T = F.Make (M) in
+    let t = T.create ~base_idx:0 ~base_state:"s0" () in
+    let nodes = List.map (T.insert t) [ "a"; "b"; "c" ] in
+    List.iter T.set_available nodes;
+    (* the state before a node: its base plus the delta up to it *)
+    let state_before node =
+      let base, delta = T.delta_from t node in
+      List.fold_left (fun acc (_, e) -> acc ^ "+" ^ e) base delta
+    in
+    T.prune t ~below:2 ~state_before;
+    check Alcotest.bool "base moved" true (T.base_of t = (1, "s0+a"));
+    check
+      Alcotest.(list (triple int bool (option string)))
+      "operations kept"
+      [ (2, true, Some "b"); (3, true, Some "c") ]
+      (List.filter (fun (_, _, e) -> e <> None) (T.to_list t));
+    let base, delta = T.delta_from t (List.nth nodes 2) in
+    check Alcotest.string "delta from the pruned base" "s0+a" base;
+    check
+      Alcotest.(list (pair int string))
+      "remaining ops" [ (2, "b"); (3, "c") ] delta;
+    T.prune t ~below:2 ~state_before;
+    check Alcotest.bool "idempotent" true (T.base_of t = (1, "s0+a"))
+
+  let test_prune_errors () =
+    let sim = Sim.create ~max_processes:4 () in
+    let module M = (val Sim.machine sim) in
+    let module T = F.Make (M) in
+    let t = T.create ~base_idx:0 ~base_state:"s0" () in
+    let n1 = T.insert t "a" in
+    let _ = T.insert t "b" in
+    T.set_available n1;
+    let raises below =
+      match T.prune t ~below ~state_before:(fun _ -> "x") with
+      | exception Invalid_argument _ -> true
+      | () -> false
+    in
+    check Alcotest.bool "unavailable node rejected" true (raises 2);
+    check Alcotest.bool "index past the tail rejected" true (raises 7);
+    check Alcotest.bool "nothing pruned" true (T.base_of t = (0, "s0"))
+
+  let test_prune_below_base_noop () =
+    let sim = Sim.create ~max_processes:4 () in
+    let module M = (val Sim.machine sim) in
+    let module T = F.Make (M) in
+    let t = T.create ~base_idx:0 ~base_state:"s0" () in
+    let nodes = List.map (T.insert t) [ "a"; "b"; "c"; "d" ] in
+    (* the first node is left unavailable: a no-op does not look at it *)
+    List.iter T.set_available (List.tl nodes);
+    T.prune t ~below:1 ~state_before:(fun _ -> "x");
+    check Alcotest.bool "at the initial base" true (T.base_of t = (0, "s0"));
+    T.prune t ~below:3 ~state_before:(fun _ -> "s2");
+    List.iter
+      (fun below ->
+        T.prune t ~below ~state_before:(fun _ -> "x");
+        check Alcotest.bool
+          (Printf.sprintf "prune below %d is a no-op" below)
+          true
+          (T.base_of t = (2, "s2")))
+      [ 3; 2; 1; 0 ]
+
+  let test_node_passed_by_prune () =
+    let sim = Sim.create ~max_processes:4 () in
+    let module M = (val Sim.machine sim) in
+    let module T = F.Make (M) in
+    let t = T.create ~base_idx:0 ~base_state:"S" () in
+    let nodes = List.map (T.insert t) [ "a"; "b"; "c"; "d" ] in
+    let n2 = List.nth nodes 1 in
+    T.set_available (List.hd nodes);
+    T.set_available n2;
+    let latest = T.latest_available t in
+    List.iter T.set_available nodes;
+    T.prune t ~below:4 ~state_before:(fun _ -> "S+a+b+c");
+    let expect what node =
+      let base, delta = T.delta_from t node in
+      check Alcotest.string (what ^ ": base") "S" base;
+      check
+        Alcotest.(list (pair int string))
+        (what ^ ": delta") [ (1, "a"); (2, "b") ] delta
+    in
+    expect "an inserted node" n2;
+    expect "a latest-available node" latest;
+    check Alcotest.int "the latest-available node" 2 (T.idx latest)
+
   let tests =
     [
       Alcotest.test_case (F.name ^ ": base and indices") `Quick
@@ -181,6 +272,12 @@ module Suite (F : FACTORY) = struct
       Alcotest.test_case (F.name ^ ": to_list") `Quick test_to_list;
       Alcotest.test_case (F.name ^ ": concurrent inserts") `Quick
         test_concurrent_inserts;
+      Alcotest.test_case (F.name ^ ": prune") `Quick test_prune;
+      Alcotest.test_case (F.name ^ ": prune errors") `Quick test_prune_errors;
+      Alcotest.test_case (F.name ^ ": prune below the base") `Quick
+        test_prune_below_base_noop;
+      Alcotest.test_case (F.name ^ ": a node a prune passed") `Quick
+        test_node_passed_by_prune;
     ]
 end
 

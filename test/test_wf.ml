@@ -113,25 +113,6 @@ let test_crash_recovery () =
   check Alcotest.bool "prefix recovered" true (v >= 15 && v <= 30);
   check Alcotest.int "continues" (v + 1) (C.update obj Cs.Increment)
 
-let test_checkpoint_works_prune_unsupported () =
-  let sim = Sim.create ~max_processes:1 () in
-  let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make_wait_free (M) (Cs) in
-  let obj = C.make Onll_core.Onll.Config.default in
-  for _ = 1 to 10 do
-    ignore (C.update obj Cs.Increment)
-  done;
-  (* log compaction via checkpoints still works *)
-  check Alcotest.int "checkpoint" 10 (C.checkpoint obj);
-  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
-  C.recover obj;
-  check Alcotest.int "recovered from checkpoint" 10 (C.read obj Cs.Get);
-  (* trace pruning is documented as unsupported on this variant *)
-  check Alcotest.bool "prune raises Unsupported" true
-    (match C.prune obj ~below:5 with
-    | exception Onll_core.Trace_intf.Unsupported _ -> true
-    | () -> false)
-
 (* {1 The wait-freedom property itself} *)
 
 (* Park p0 immediately after it announces its insertion (its very first
@@ -240,6 +221,54 @@ let test_parked_announcer_resumes_cleanly () =
   check Alcotest.int "p1 returned 2" 2 !p1_value;
   check Alcotest.int "exactly two increments applied" 2 (C.read obj Cs.Get)
 
+(* The same park, but p1 compacts past p0's node before p0 resumes: the
+   prune installs a base above the node p0 is still inserting. p0 must
+   still compute its own position from the base it read before its node
+   was linked, and recovery must agree with what both returned. *)
+let test_parked_announcer_across_prune () =
+  let sim = Sim.create ~max_processes:2 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make_wait_free (M) (Cs) in
+  let obj = C.make Onll_core.Onll.Config.default in
+  let p0_value = ref 0 and p1_values = ref [] and upto = ref 0 in
+  let procs =
+    [|
+      (fun _ -> p0_value := C.update_detectable obj ~seq:0 Cs.Increment);
+      (fun _ ->
+        for seq = 0 to 2 do
+          p1_values := C.update_detectable obj ~seq Cs.Increment :: !p1_values
+        done;
+        upto := C.compact obj);
+    |]
+  in
+  let script =
+    Sched.Strategy.script
+      [
+        Sched.Strategy.Run_until (0, fun l -> l = Sched.Prim "tvar.set");
+        Sched.Strategy.Run_steps (0, 1);
+        Sched.Strategy.Run_to_completion 1;
+        Sched.Strategy.Run_to_completion 0;
+      ]
+  in
+  check Alcotest.bool "completed" true
+    (Sim.run sim script procs = Sched.World.Completed);
+  check Alcotest.int "p1 compacted at its last update" 4 !upto;
+  check Alcotest.int "the base passed p0's node" 3
+    (fst (C.trace_base obj));
+  check Alcotest.int "p0 returned its own position" 1 !p0_value;
+  check Alcotest.(list int) "p1 ordered after p0" [ 4; 3; 2 ] !p1_values;
+  check Alcotest.int "four increments" 4 (C.read obj Cs.Get);
+  Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
+  C.recover obj;
+  check Alcotest.int "recovery agrees" 4 (C.read obj Cs.Get);
+  List.iter
+    (fun (id_proc, id_seq) ->
+      check Alcotest.bool
+        (Printf.sprintf "p%d seq %d linearized" id_proc id_seq)
+        true
+        (C.was_linearized obj { Onll_core.Onll.id_proc; id_seq }))
+    [ (0, 0); (1, 0); (1, 1); (1, 2) ]
+
 let test_lower_bound_holds_for_wf () =
   let module Lb = Onll_lowerbound.Lowerbound in
   let setup n =
@@ -321,8 +350,6 @@ let () =
       ( "recovery",
         [
           Alcotest.test_case "crash recovery" `Quick test_crash_recovery;
-          Alcotest.test_case "checkpoint / prune" `Quick
-            test_checkpoint_works_prune_unsupported;
         ] );
       ( "wait-freedom",
         [
@@ -332,6 +359,8 @@ let () =
             test_parked_insert_durable_across_crash;
           Alcotest.test_case "announcer resumes cleanly" `Quick
             test_parked_announcer_resumes_cleanly;
+          Alcotest.test_case "parked announcer across a prune" `Quick
+            test_parked_announcer_across_prune;
           Alcotest.test_case "lower bound holds" `Quick
             test_lower_bound_holds_for_wf;
         ] );
