@@ -5,9 +5,12 @@
     the size of the rebuilt execution trace. Expected shape: without
     checkpoints everything is O(H); with a checkpoint every k updates, all
     three collapse to O(k). A second table holds H and the checkpoint
-    interval fixed and varies the log's capacity: what remains is the
-    clean-end check over the log's free remainder, a per-capacity term
-    paid at memory speed.
+    interval fixed and varies the log's capacity. The log's header records
+    a written bound, at most 64 KiB past its last append, and recovery's
+    clean-end check stops there, so the table is flat: the same number of
+    loads at 64 KiB, 4 MiB and 64 MiB, of the same bytes wherever the
+    bound lies below the log end (a 64 KiB log's end cuts the reserve
+    short, so it loads fewer). The run asserts it.
 
     Each run observes its own crash/recovery through an {!Onll_obs.Sink.t}:
     the machine emits the crash event, [recover] emits a recovery event
@@ -15,9 +18,8 @@
     cross-checked against the rebuilt trace size. Every run also records
     the recovery's durable loads and asserts its load accounting: each
     live log byte loaded exactly once, and no load longer than the 64 KiB
-    chunk of the clean-end check — so a free remainder is never loaded
-    whole, and a walk that loads records twice fails here, not as a
-    timing. *)
+    chunk of the clean-end check — so a walk that loads records twice
+    fails here, not as a timing. *)
 
 open Onll_machine
 module Cs = Onll_specs.Counter
@@ -28,6 +30,8 @@ type sample = {
   trace_nodes : int;
   replayed_ops : int;  (** from the sink's ["recovery.ops"] counter *)
   value : int;
+  loads : int;  (** durable loads the recovery made *)
+  loaded_bytes : int;  (** bytes those loads covered *)
 }
 
 let run_one ~log_capacity ~history ~checkpoint_every =
@@ -81,6 +85,8 @@ let run_one ~log_capacity ~history ~checkpoint_every =
     trace_nodes = List.length (C.trace_nodes obj);
     replayed_ops = Onll_obs.Metrics.counter_value reg "recovery.ops";
     value = C.read obj Cs.Get;
+    loads = List.length spans;
+    loaded_bytes = List.fold_left (fun n (_, len) -> n + len) 0 spans;
   }
 
 let run () =
@@ -125,7 +131,7 @@ let run () =
         "trace nodes"; "replayed ops" ]
     rows;
   let history = 1_000 and every = 200 in
-  let rows =
+  let samples =
     List.map
       (fun (label, log_capacity) ->
         let s = run_one ~log_capacity ~history ~checkpoint_every:every in
@@ -135,13 +141,39 @@ let run () =
              (Printf.sprintf "recovery.ms.h%d.ckpt%d.cap%d" history every
                 log_capacity))
           s.recovery_ms;
+        (label, log_capacity, s))
+      [ ("64 KiB", 1 lsl 16); ("4 MiB", 1 lsl 22); ("64 MiB", 1 lsl 26) ]
+  in
+  (* Recovery reads what the log wrote, up to its written bound, whatever
+     the capacity: as many loads at every size, of the same bytes wherever
+     the bound lies below the log end. A 64 KiB log's end cuts the 64 KiB
+     reserve past its last append short, so it loads fewer. *)
+  let _, _, largest = List.nth samples (List.length samples - 1) in
+  List.iter
+    (fun (label, log_capacity, s) ->
+      if
+        s.loads <> largest.loads
+        || s.loaded_bytes > largest.loaded_bytes
+        || (s.loaded_bytes < largest.loaded_bytes && log_capacity > 1 lsl 16)
+      then
+        failwith
+          (Printf.sprintf
+             "E6: recovery at %s loads %d times, %d bytes; at the largest \
+              capacity %d times, %d bytes"
+             label s.loads s.loaded_bytes largest.loads largest.loaded_bytes))
+    samples;
+  let rows =
+    List.map
+      (fun (label, _, s) ->
         [
           label;
           Onll_util.Table.fmt_float s.recovery_ms;
           string_of_int s.live_log_bytes;
           string_of_int s.replayed_ops;
+          string_of_int s.loads;
+          string_of_int s.loaded_bytes;
         ])
-      [ ("64 KiB", 1 lsl 16); ("4 MiB", 1 lsl 22); ("64 MiB", 1 lsl 26) ]
+      samples
   in
   Onll_util.Table.print
     ~title:
@@ -149,7 +181,15 @@ let run () =
          "E6 — checkpointed recovery vs log capacity (H = %d, checkpoint \
           every %d)"
          history every)
-    ~header:[ "log capacity"; "recovery ms"; "live log bytes"; "replayed ops" ]
+    ~header:
+      [
+        "log capacity";
+        "recovery ms";
+        "live log bytes";
+        "replayed ops";
+        "loads";
+        "loaded bytes";
+      ]
     rows;
   let path = Harness.write_snapshot ~experiment:"e6" summary in
   Printf.printf "snapshot: %s\n" path

@@ -3,7 +3,7 @@ open Onll_util
 let header_size = 64
 let slot_a = 0
 let slot_b = 32
-let slot_bytes = 24
+let slot_bytes = 32
 
 (* Salvage skip markers: a 16-byte pseudo-entry [neg_span:int64
    crc32(neg_span‖magic):int64] written over the start of a quarantined
@@ -29,11 +29,11 @@ let replica_region_name name r =
 
 let is_mirror_region name = String.contains name mirror_sep
 
-let crc_of_int64s a b =
-  let buf = Bytes.create 16 in
-  Bytes.set_int64_le buf 0 a;
-  Bytes.set_int64_le buf 8 b;
-  Crc32.bytes buf ~pos:0 ~len:16
+let crc_of_int64s a b = Crc32.int64 ~init:(Crc32.int64 a) b
+
+(* A header slot's checksum: over seq, head and bound. *)
+let slot_crc seq head bound =
+  Crc32.int64 ~init:(crc_of_int64s seq head) bound
 
 let crc_to_int64 c = Int64.logand (Int64.of_int32 c) 0xFFFFFFFFL
 
@@ -84,7 +84,9 @@ let last_nonzero s =
   match byte (String.length s - 1) whole with -1 -> block (whole - 8) | i -> i
 
 (* Recovery's clean-end check loads a free remainder in pieces of at most
-   [zero_chunk] bytes (see [classify]). *)
+   [zero_chunk] bytes (see [classify]), and a header's written bound runs
+   this far past the bytes the log has written (see [next_bound]), so the
+   check of a healthy log is one such piece. *)
 let zero_chunk = 1 lsl 16
 
 (* The CRC of [n] zero bytes, continuing [init]. *)
@@ -162,6 +164,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     mutable tail : int;  (* next append offset (absolute) *)
     mutable head : int;  (* first live entry offset (absolute) *)
     mutable header_seq : int64;
+    mutable bound : int;
+        (* the written bound of the durable header: the one slot
+           [header_seq] holds, the log end while no slot holds one *)
+    mutable written_upto : int;
+        (* the furthest byte this log may have left nonzero *)
     key : string -> int;  (* the caller's per-record key, see [drop_upto] *)
     offs : live Queue.t;
         (* the live entries in log order, rebuilt by [recover]'s walk and
@@ -196,17 +203,20 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Retry { site; attempt })
 
-  (* Make [off, off+len) durable in every replica: flush each replica's
-     range, then ONE fence — pending write-backs are per process, so all
-     replica flushes drain under the same persistent fence and mirroring
-     never costs an extra one. Transient faults retry the whole sequence:
-     a failed flush queued nothing, a failed fence left the pending set
-     intact, and re-flushing re-queues snapshots of the same dirty lines,
-     so the retry is idempotent. *)
-  let persist t ~site ~off ~len =
+  (* Make the [(off, len)] ranges durable in every replica: flush each
+     replica's ranges, then ONE fence — pending write-backs are per
+     process, so all replica flushes drain under the same persistent fence
+     and neither mirroring nor a second range ever costs an extra one.
+     Transient faults retry the whole sequence: a failed flush queued
+     nothing, a failed fence left the pending set intact, and re-flushing
+     re-queues snapshots of the same dirty lines, so the retry is
+     idempotent. *)
+  let persist t ~site ranges =
     let rec go attempt =
       match
-        Array.iter (fun r -> M.Pm.flush r ~off ~len) t.regions;
+        Array.iter
+          (fun r -> List.iter (fun (off, len) -> M.Pm.flush r ~off ~len) ranges)
+          t.regions;
         M.fence ()
       with
       | () -> ()
@@ -223,34 +233,88 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let store_int64_all t ~off v =
     Array.iter (fun r -> M.Pm.store_int64 r ~off v) t.regions
 
-  (* Read one header slot of one replica; [Some (seq, head)] if its
-     checksum validates and the head is in range. *)
+  (* The slot header [seq] lives in: the two alternate, so a torn header
+     write leaves the other slot intact. *)
+  let slot_of seq = if Int64.rem seq 2L = 0L then slot_a else slot_b
+
+  let int64_pair a b =
+    let buf = Bytes.create 16 in
+    Bytes.set_int64_le buf 0 (Int64.of_int a);
+    Bytes.set_int64_le buf 8 (Int64.of_int b);
+    Bytes.unsafe_to_string buf
+
+  (* Store header slot [seq] in one replica: three stores, the head and
+     the bound as one. *)
+  let store_slot region ~seq ~head ~bound =
+    let off = slot_of seq in
+    M.Pm.store_int64 region ~off seq;
+    M.Pm.store region ~off:(off + 8) (int64_pair head bound);
+    M.Pm.store_int64 region ~off:(off + 24)
+      (crc_to_int64 (slot_crc seq (Int64.of_int head) (Int64.of_int bound)))
+
+  (* Read one header slot of one replica, with three loads; [Some (seq,
+     head, bound)] if its checksum validates and the head and bound are in
+     range. A slot that fails its checksum but holds, where the bound is,
+     the checksum of its seq and head alone was written before slots
+     carried a bound: nothing bounds what that log wrote, so it reads as
+     [log_end]. *)
   let read_slot t region off =
     let seq = M.Pm.load_int64 region ~off in
-    let head = M.Pm.load_int64 region ~off:(off + 8) in
-    let crc = M.Pm.load_int64 region ~off:(off + 16) in
+    let pair = M.Pm.load region ~off:(off + 8) ~len:16 in
+    let crc = M.Pm.load_int64 region ~off:(off + 24) in
+    let head = String.get_int64_le pair 0 and bound = String.get_int64_le pair 8 in
+    let stop = Int64.of_int (log_end t) in
+    let bound =
+      if crc = crc_to_int64 (slot_crc seq head bound) then bound
+      else if bound = crc_to_int64 (crc_of_int64s seq head) then stop
+      else -1L
+    in
     if
-      crc = crc_to_int64 (crc_of_int64s seq head)
+      seq > 0L
       && head >= Int64.of_int header_size
-      && head <= Int64.of_int (log_end t)
-      && seq > 0L
-    then Some (seq, Int64.to_int head)
+      && head <= bound && bound <= stop
+    then Some (seq, Int64.to_int head, Int64.to_int bound)
     else None
+
+  let no_header t = (0L, header_size, log_end t)
 
   let read_header_of t region =
     match (read_slot t region slot_a, read_slot t region slot_b) with
-    | None, None -> (0L, header_size)
-    | Some (s, h), None | None, Some (s, h) -> (s, h)
-    | Some (sa, ha), Some (sb, hb) ->
-        if sa >= sb then (sa, ha) else (sb, hb)
+    | None, None -> no_header t
+    | Some h, None | None, Some h -> h
+    | Some ((sa, _, _) as a), Some ((sb, _, _) as b) -> if sa >= sb then a else b
 
   (* The newest valid header across every replica and both slots. *)
   let read_header t =
     Array.fold_left
-      (fun ((bs, _) as best) region ->
-        let s, h = read_header_of t region in
-        if s > bs then (s, h) else best)
-      (0L, header_size) t.regions
+      (fun ((bs, _, _) as best) region ->
+        let (s, _, _) as h = read_header_of t region in
+        if s > bs then h else best)
+      (no_header t) t.regions
+
+  (* The written bound a header stored now records: the reserve past every
+     byte the log may have left nonzero. *)
+  let next_bound t = min (log_end t) (t.written_upto + zero_chunk)
+
+  (* Store the next header slot — the next seq, [head] and the bound now
+     due — in every replica, field by field across the replicas, and
+     return the seq, the bound and the range to persist. *)
+  let store_next_header t ~head =
+    let seq = Int64.add t.header_seq 1L and bound = next_bound t in
+    let off = slot_of seq in
+    store_int64_all t ~off seq;
+    store_all t ~off:(off + 8) (int64_pair head bound);
+    store_int64_all t ~off:(off + 24)
+      (crc_to_int64 (slot_crc seq (Int64.of_int head) (Int64.of_int bound)));
+    (seq, bound, (off, slot_bytes))
+
+  (* Durably switch the header to (next seq, [head], the bound now due). *)
+  let write_header t ~site ~head =
+    let seq, bound, range = store_next_header t ~head in
+    persist t ~site [ range ];
+    t.header_seq <- seq;
+    t.head <- head;
+    t.bound <- bound
 
   (* The valid record one replica holds at [pos], if any, read with two
      loads for the 16-byte record header and, for an entry, one load of
@@ -344,7 +408,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     if !stale <> [] then begin
       let bytes = record_bytes canon in
       List.iter (fun i -> M.Pm.store t.regions.(i) ~off bytes) !stale;
-      persist t ~site:"plog.repair" ~off ~len:(String.length bytes)
+      persist t ~site:"plog.repair" [ (off, String.length bytes) ]
     end;
     List.length !stale
 
@@ -359,26 +423,23 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       | Some ((_, canon) as c) -> (Some canon, heal t ~off:pos reads c)
       | None -> (None, 0)
 
-  (* Re-converge replica headers on the merged (seq, head): rewrite the
-     canonical slot of every replica whose slot disagrees. The replicas
-     holding the merged header are never written, so the merged header
-     survives a crash mid-heal; rewriting is byte-identical, hence
+  (* Re-converge replica headers on the merged (seq, head, bound):
+     rewrite the canonical slot of every replica whose slot disagrees. The
+     replicas holding the merged header are never written, so the merged
+     header survives a crash mid-heal; rewriting is byte-identical, hence
      idempotent. *)
-  let heal_headers t ~seq ~head =
+  let heal_headers t ~seq ~head ~bound =
     if seq > 0L then begin
-      let slot = if Int64.rem seq 2L = 0L then slot_a else slot_b in
+      let slot = slot_of seq in
       let dirty = ref false in
       Array.iter
         (fun r ->
-          if read_slot t r slot <> Some (seq, head) then begin
-            M.Pm.store_int64 r ~off:slot seq;
-            M.Pm.store_int64 r ~off:(slot + 8) (Int64.of_int head);
-            M.Pm.store_int64 r ~off:(slot + 16)
-              (crc_to_int64 (crc_of_int64s seq (Int64.of_int head)));
+          if read_slot t r slot <> Some (seq, head, bound) then begin
+            store_slot r ~seq ~head ~bound;
             dirty := true
           end)
         t.regions;
-      if !dirty then persist t ~site:"plog.repair" ~off:slot ~len:slot_bytes
+      if !dirty then persist t ~site:"plog.repair" [ (slot, slot_bytes) ]
     end
 
   (* Scan the valid entries from [head] in the primary, transparently
@@ -413,6 +474,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       tail = header_size;
       head = header_size;
       header_seq = 0L;
+      bound = header_size + capacity;
+      written_upto = header_size;
       key;
       offs = Queue.create ();
       offs_valid = true;
@@ -424,9 +487,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     t.ckpt_key <- None;
     t.footprint <- 0
 
-  (* What lies at the end of the valid prefix [pos], judged across EVERY
-     replica:
-     - [Clean]: zeros to the end of each replica — a well-formed log end.
+  (* What lies at the end of the valid prefix [pos] below the written
+     bound [stop], judged across EVERY replica:
+     - [Clean]: zeros up to the bound in each replica — a well-formed log
+       end.
      - [Torn n]: [n] bytes of garbage with no valid entry anywhere after,
        in any replica — a torn final write (every replica's tail tore,
        because no copy of the unacknowledged append was ever fenced), or
@@ -482,11 +546,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       else false
 
   (* A replica's bytes from [pos] up to and including its last nonzero
-     byte before the log end ([""] if they are all zero). The zero check
-     runs backward in chunks of at most [zero_chunk] bytes, so a healthy
-     log's check never holds more than one chunk of its free remainder,
-     and the nonzero prefix is loaded only when some byte is nonzero. *)
-  let nonzero_prefix t region pos =
+     byte before [stop] ([""] if they are all zero). The zero check runs
+     backward in chunks of at most [zero_chunk] bytes, so the check never
+     holds more than one chunk, and the nonzero prefix is loaded only when
+     some byte is nonzero. *)
+  let nonzero_prefix region ~pos ~stop =
     let rec down hi =
       if hi <= pos then ""
       else
@@ -497,17 +561,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         | i when lo = pos -> String.sub chunk 0 (i + 1)
         | i -> M.Pm.load region ~off:pos ~len:(lo - pos + i + 1)
     in
-    down (log_end t)
+    down stop
 
-  (* The verdict on the free remainder [pos, log end), from each replica's
-     nonzero prefix. The last nonzero byte across replicas bounds the
-     search: an entry has a nonzero length field, so none can start in
-     the all-zero suffix. *)
-  let classify t pos =
-    let stop = log_end t in
+  (* The verdict on [pos, stop), from each replica's nonzero prefix. The
+     last nonzero byte across replicas bounds the search: an entry has a
+     nonzero length field, so none can start in the all-zero suffix. No
+     acknowledged byte lies at or past the written bound [stop], so no
+     record worth a resync can either. *)
+  let classify t ~pos ~stop =
     if pos >= stop then Clean
     else begin
-      let rests = Array.map (fun r -> nonzero_prefix t r pos) t.regions in
+      let rests =
+        Array.map (fun r -> nonzero_prefix r ~pos ~stop) t.regions
+      in
       let last_nz =
         Array.fold_left
           (fun m rest -> max m (String.length rest - 1))
@@ -559,11 +625,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     store_int64_all t ~off len64;
     store_int64_all t ~off:(off + 8)
       (crc_to_int64 (crc_of_int64s len64 skip_magic));
-    persist t ~site:"plog.salvage" ~off ~len:16
+    persist t ~site:"plog.salvage" [ (off, 16) ]
 
   let zero_span t ~off ~len =
     store_all t ~off (String.make len '\000');
-    persist t ~site:"plog.salvage" ~off ~len
+    persist t ~site:"plog.salvage" [ (off, len) ]
 
   (* A Salvage event for bytes recovery is about to discard, emitted
      before the discard is made durable: a recovery that crashes after
@@ -575,10 +641,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (Onll_obs.Event.Salvage { log = t.log_name; quarantined; bytes_lost })
 
   let recover t =
-    let seq, head = read_header t in
-    heal_headers t ~seq ~head;
+    let seq, head, bound = read_header t in
+    heal_headers t ~seq ~head ~bound;
     t.header_seq <- seq;
     t.head <- head;
+    t.bound <- bound;
     (* the walk rebuilds the account; it is valid once the walk is done *)
     Queue.clear t.offs;
     t.offs_valid <- false;
@@ -598,7 +665,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
        as lost. Every repair is idempotent — healing copies CRC-valid
        canonical bytes, rewriting a marker is byte-identical and
        re-zeroing zeros is a no-op — so a crash at any point during
-       salvage converges on the next recovery. *)
+       salvage converges on the next recovery. The walk itself runs to
+       the log end — an unacknowledged append can land whole past the
+       bound — but the clean-end check and the resync search stop at the
+       bound. *)
     let stop = log_end t in
     let rec walk pos =
       if pos + 16 > stop then pos
@@ -618,7 +688,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             incr markers;
             walk (pos + span)
         | None, _ -> (
-            match classify t pos with
+            match classify t ~pos ~stop:bound with
             | Clean -> pos
             | Torn n ->
                 salvaged t ~quarantined:0 ~bytes_lost:n;
@@ -634,6 +704,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                 walk (pos + span))
     in
     t.tail <- walk head;
+    t.written_upto <- t.tail;
+    (* an unacknowledged append the walk found past the bound is now a
+       live entry: raise the bound over it before anything relies on it *)
+    if t.tail > bound then write_header t ~site:"plog.recover" ~head;
     t.offs_valid <- true;
     if !repaired > 0 && Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
@@ -655,7 +729,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      losing interior entries. *)
   let recover_unhardened t =
     let region = primary t in
-    let seq, head = read_header_of t region in
+    let seq, head, bound = read_header_of t region in
     let stop = log_end t in
     let rec loop pos =
       if pos + 16 > stop then pos
@@ -670,7 +744,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     t.header_seq <- seq;
     t.head <- head;
+    t.bound <- bound;
     t.tail <- loop head;
+    t.written_upto <- t.tail;
     t.offs_valid <- false;
     forget_checkpoint t
 
@@ -683,7 +759,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      letting a later crash find it). Fences are paid only for actual
      repairs. *)
   let scrub t =
-    heal_headers t ~seq:t.header_seq ~head:t.head;
+    heal_headers t ~seq:t.header_seq ~head:t.head ~bound:t.bound;
     (* quarantine can rewrite record boundaries in place *)
     t.offs_valid <- false;
     let scrubbed = ref 0 and repaired = ref 0 and rep_bytes = ref 0 in
@@ -740,11 +816,24 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     let need = 16 + len in
     if t.tail + need > log_end t then raise Full;
     let off = t.tail in
+    let fin = off + need in
+    t.written_upto <- max t.written_upto fin;
+    (* An append that would pass the written bound raises it: the next
+       header slot, stored before the record and drained with it under
+       the append's one fence. *)
+    let raised =
+      if fin > t.bound then Some (store_next_header t ~head:t.head) else None
+    in
     store_int64_all t ~off (Int64.of_int len);
     store_int64_all t ~off:(off + 8) (crc_to_int64 (entry_crc payload));
     store_all t ~off:(off + 16) payload;
-    persist t ~site:"plog.append" ~off ~len:need;
-    t.tail <- off + need;
+    (match raised with
+    | None -> persist t ~site:"plog.append" [ (off, need) ]
+    | Some (seq, bound, range) ->
+        persist t ~site:"plog.append" [ (off, need); range ];
+        t.header_seq <- seq;
+        t.bound <- bound);
+    t.tail <- fin;
     if t.offs_valid then
       Queue.push { l_off = off; l_key = t.key payload } t.offs;
     if Onll_obs.Sink.active t.sink then
@@ -754,17 +843,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let entries t = List.map fst (fst (scan t t.head))
 
   let advance_head t ~new_head ~dropped =
-    let seq = Int64.add t.header_seq 1L in
-    (* Alternate slots so a torn header write leaves the other slot
-       intact. *)
-    let slot = if Int64.rem seq 2L = 0L then slot_a else slot_b in
-    store_int64_all t ~off:slot seq;
-    store_int64_all t ~off:(slot + 8) (Int64.of_int new_head);
-    store_int64_all t ~off:(slot + 16)
-      (crc_to_int64 (crc_of_int64s seq (Int64.of_int new_head)));
-    persist t ~site:"plog.set_head" ~off:slot ~len:slot_bytes;
-    t.header_seq <- seq;
-    t.head <- new_head;
+    write_header t ~site:"plog.set_head" ~head:new_head;
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Log_compact { log = t.log_name; dropped })
@@ -907,31 +986,26 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                 copy upto
         in
         copy t.head;
-        persist t ~site:"plog.relocate" ~off:header_size ~len:live
+        persist t ~site:"plog.relocate" [ (header_size, live) ]
       end;
-      let seq = Int64.add t.header_seq 1L in
-      let slot = if Int64.rem seq 2L = 0L then slot_a else slot_b in
-      store_int64_all t ~off:slot seq;
-      store_int64_all t ~off:(slot + 8) (Int64.of_int header_size);
-      store_int64_all t ~off:(slot + 16)
-        (crc_to_int64 (crc_of_int64s seq (Int64.of_int header_size)));
-      persist t ~site:"plog.relocate" ~off:slot ~len:slot_bytes;
-      let old_tail = t.tail in
+      let shift = t.head - header_size in
+      (* The switch keeps the bound over the old span: until its zeroing
+         is durable, a crash leaves those bytes for recovery to judge. *)
+      write_header t ~site:"plog.relocate" ~head:header_size;
       (* every record moved by the same distance, so a valid account
          stays valid shifted — unless a quarantine redrew a boundary *)
       if !quarantined = 0 then
-        Queue.iter (fun l -> l.l_off <- l.l_off - (t.head - header_size)) t.offs
+        Queue.iter (fun l -> l.l_off <- l.l_off - shift) t.offs
       else begin
         t.offs_valid <- false;
         forget_checkpoint t
       end;
-      t.header_seq <- seq;
-      t.head <- header_size;
       t.tail <- header_size + live;
-      let stale = old_tail - t.tail in
+      let stale = t.written_upto - t.tail in
       if stale > 0 then begin
         store_all t ~off:t.tail (String.make stale '\000');
-        persist t ~site:"plog.relocate" ~off:t.tail ~len:stale
+        persist t ~site:"plog.relocate" [ (t.tail, stale) ];
+        t.written_upto <- t.tail
       end;
       if !quarantined > 0 && Onll_obs.Sink.active t.sink then
         Onll_obs.Sink.emit t.sink ~proc:(M.self ())

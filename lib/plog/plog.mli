@@ -50,14 +50,35 @@
     process step) that heals cross-replica divergence {e before} a crash
     forces recovery to, and quarantines double-fault spans it cannot.
 
+    {b The written bound.} Each header slot also records a {e written
+    bound}: every byte an acknowledged append, a relocation or a salvage
+    wrote lies below the durable bound. Above it there can only be the
+    bytes of an append that was never acknowledged, or media rot; neither
+    holds a record recovery must find, and a later append overwrites them.
+    A header write stores the log end or, if lower, 64 KiB past the
+    furthest byte the log may have left nonzero. That extent falls only
+    once a relocation's zeroing of the old span is durable, never in the
+    relocation's switch header. An append that would pass the bound
+    stores the next header slot (next seq, same head, raised bound) beside
+    its record and flushes both ranges in every replica under its one
+    fence, so the fence count per append is unchanged and an append that
+    does not pass the bound writes nothing extra. A log writes its first
+    header at its first head update; until then, and for a store whose
+    slots were written before slots carried a bound, the bound is the log
+    end.
+
     Layout (byte offsets within each replica region; replicas are
     byte-identical when healthy):
     {v
-    0   header slot A: seq:int64  head:int64  crc32(seq‖head):int64
+    0   header slot A: seq:int64  head:int64  bound:int64
+                       crc32(seq‖head‖bound):int64
     32  header slot B: same
     64  entries: [len:int64  crc32(len‖payload):int64  payload] ...
         skip marker: [-span:int64  crc32(-span‖magic):int64]  (16 bytes)
-    v} *)
+    v}
+    A slot that fails its checksum but holds [crc32(seq‖head)] where the
+    bound is was written before slots carried a bound; it reads as a
+    header whose bound is the log end. *)
 
 exception Full
 (** Raised by [append] when a log's entries area is exhausted. The
@@ -71,7 +92,7 @@ val entry_crc : string -> int32
 val last_nonzero : string -> int
 (** The index of the last nonzero byte of a string, or [-1] if every byte
     is zero. Recovery's clean-end check runs it over each 64 KiB chunk of
-    a replica's free remainder (see {!Make.recover}). *)
+    a replica's span up to the written bound (see {!Make.recover}). *)
 
 val replica_region_name : string -> int -> string
 (** [replica_region_name name r] is the NVM region name of replica [r] of a
@@ -168,6 +189,8 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   (** Append a payload and make it durable in every replica: store to all
       replicas, flush all, one fence — exactly one persistent fence
       regardless of the replica count (transient fault retries excepted).
+      An append that would pass the written bound also stores the next
+      header slot, raising the bound, and drains it under the same fence.
       @raise Full if the entries area is exhausted (compact or resize). *)
 
   val entries : t -> string list
@@ -189,22 +212,24 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       recovery that itself crashes mid-repair converges when re-run: every
       repair is idempotent.
 
-      Cost: one walk that reads each live record once per replica — two
-      8-byte loads for its header, one load of its payload, one CRC — heals
-      the other replicas from those bytes (comparing them only when there
-      are several) and rebuilds the live-entry account as it goes, so the
-      first {!drop_upto}, {!set_head} or {!entry_count} after it reads
-      nothing. Then a clean-end check of the free remainder past the valid
-      prefix: each replica's remainder is zero-checked backward in loads
-      of at most 64 KiB, a word at a time, and only when a nonzero byte
-      turns up are its bytes up to that byte loaded for the resync search
-      (the damaged case). A healthy log still pays the check for its whole
-      free remainder, at memory speed, but never holds more than one chunk
-      of it. The check stays because a zeroed length field under a media
-      fault ends the valid prefix early and can hide intact records behind
-      it, which only a look past the end finds. A durable high-water mark
-      would bound it by the bytes ever written, but it changes the log
-      format and the salvage counters. *)
+      Cost: O(written bytes), whatever the capacity. One walk reads each
+      live record once per replica — two 8-byte loads for its header, one
+      load of its payload, one CRC — heals the other replicas from those
+      bytes (comparing them only when there are several) and rebuilds the
+      live-entry account as it goes, so the first {!drop_upto},
+      {!set_head} or {!entry_count} after it reads nothing. The walk runs
+      to the log end, so an unacknowledged append that landed whole is
+      found past the bound; the bound is then raised over it (one fence).
+      Then a clean-end check of the span from the end of the valid prefix
+      up to the newest header's written bound: each replica's span is
+      zero-checked backward in loads of at most 64 KiB, a word at a time,
+      and only when a nonzero byte turns up are its bytes up to that byte
+      loaded for the resync search (the damaged case), which the bound
+      limits too. The check stays because a zeroed length field under a
+      media fault ends the valid prefix early and can hide intact records
+      behind it; none lies past the bound. A healthy log with a header
+      pays the check for at most one 64 KiB chunk past its last append.
+      A log without one pays it for its whole free remainder. *)
 
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: truncate the primary at the first invalid

@@ -196,14 +196,17 @@ let resp_codec =
 
 let max_frame = 1 lsl 16
 
+(* The payload is encoded into a buffer each domain reuses, so a frame
+   allocates no string: its length is known only once it is encoded, and
+   the prefix goes first. *)
+let payload_scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
+
 let write_frame buf codec v =
-  let payload = Codec.encode codec v in
-  let len = String.length payload in
-  Buffer.add_char buf (Char.chr ((len lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((len lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((len lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (len land 0xff));
-  Buffer.add_string buf payload
+  let payload = Domain.DLS.get payload_scratch in
+  Buffer.clear payload;
+  Codec.write codec payload v;
+  Buffer.add_int32_be buf (Int32.of_int (Buffer.length payload));
+  Buffer.add_buffer buf payload
 
 module Inbuf = struct
   (* A byte deque specialised for framing: bytes arrive at [len], frames
@@ -246,10 +249,22 @@ module Inbuf = struct
       if flen > max_frame then raise Oversized_frame;
       if t.len < 4 + flen then None
       else begin
-        let payload = Bytes.sub_string t.data (t.start + 4) flen in
-        t.start <- t.start + 4 + flen;
+        (* decoded where it lies: the frame is consumed either way, and a
+           payload whose encoding does not end exactly at the frame's end
+           is malformed *)
+        let pos = t.start + 4 in
+        let stop = pos + flen in
+        t.start <- stop;
         t.len <- t.len - 4 - flen;
-        Some (Onll_util.Codec.decode codec payload)
+        let v, next =
+          Onll_util.Codec.read codec (Bytes.unsafe_to_string t.data) ~pos
+        in
+        if next <> stop then
+          raise
+            (Onll_util.Codec.Decode_error
+               (Printf.sprintf "frame: %d bytes decoded of %d" (next - pos)
+                  flen));
+        Some v
       end
     end
 end

@@ -33,38 +33,45 @@ let tables =
 (* Little-endian 32-bit word at [i] as a non-negative int. *)
 let word b i = Int32.to_int (Bytes.get_int32_le b i) land mask32
 
+(* One slicing-by-8 step: fold the 8 bytes whose little-endian halves are
+   [lo] and [hi] into [crc] (the running register, pre-inverted). *)
+let[@inline] step8 t crc lo hi =
+  let lo = crc lxor lo in
+  Array.unsafe_get t ((7 lsl 8) lor (lo land 0xFF))
+  lxor Array.unsafe_get t ((6 lsl 8) lor ((lo lsr 8) land 0xFF))
+  lxor Array.unsafe_get t ((5 lsl 8) lor ((lo lsr 16) land 0xFF))
+  lxor Array.unsafe_get t ((4 lsl 8) lor (lo lsr 24))
+  lxor Array.unsafe_get t ((3 lsl 8) lor (hi land 0xFF))
+  lxor Array.unsafe_get t ((2 lsl 8) lor ((hi lsr 8) land 0xFF))
+  lxor Array.unsafe_get t ((1 lsl 8) lor ((hi lsr 16) land 0xFF))
+  lxor Array.unsafe_get t (hi lsr 24)
+
 let bytes ?(init = 0l) b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32.bytes: range out of bounds";
   let t = Lazy.force tables in
-  let tbl k i = Array.unsafe_get t ((k lsl 8) lor i) in
   let crc = ref (Int32.to_int init land mask32 lxor mask32) in
   let i = ref pos in
   let stop = pos + len in
   while !i + 8 <= stop do
-    let lo = !crc lxor word b !i and hi = word b (!i + 4) in
-    crc :=
-      tbl 7 (lo land 0xFF)
-      lxor tbl 6 ((lo lsr 8) land 0xFF)
-      lxor tbl 5 ((lo lsr 16) land 0xFF)
-      lxor tbl 4 (lo lsr 24)
-      lxor tbl 3 (hi land 0xFF)
-      lxor tbl 2 ((hi lsr 8) land 0xFF)
-      lxor tbl 1 ((hi lsr 16) land 0xFF)
-      lxor tbl 0 (hi lsr 24);
+    crc := step8 t !crc (word b !i) (word b (!i + 4));
     i := !i + 8
   done;
   for j = !i to stop - 1 do
     let c = !crc in
     crc :=
-      tbl 0 ((c lxor Char.code (Bytes.unsafe_get b j)) land 0xFF) lxor (c lsr 8)
+      Array.unsafe_get t ((c lxor Char.code (Bytes.unsafe_get b j)) land 0xFF)
+      lxor (c lsr 8)
   done;
   Int32.of_int (!crc lxor mask32)
 
 let string ?init s =
   bytes ?init (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
-let int64 ?init x =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 x;
-  bytes ?init b ~pos:0 ~len:8
+(* The 8 bytes folded straight from the int's halves: no frame buffer. *)
+let int64 ?(init = 0l) x =
+  let lo = Int64.to_int x land mask32
+  and hi = Int64.to_int (Int64.shift_right_logical x 32) land mask32 in
+  Int32.of_int
+    (step8 (Lazy.force tables) (Int32.to_int init land mask32 lxor mask32) lo hi
+    lxor mask32)

@@ -13,4 +13,5 @@ val bytes : ?init:int32 -> Bytes.t -> pos:int -> len:int -> int32
     @raise Invalid_argument if the range is out of bounds. *)
 
 val int64 : ?init:int32 -> int64 -> int32
-(** [int64 x] checksums the 8 little-endian bytes of [x]. *)
+(** [int64 x] checksums the 8 little-endian bytes of [x], folded from the
+    int itself with no buffer allocated. *)

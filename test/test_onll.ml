@@ -713,11 +713,13 @@ let live_entries region =
   in
   let stop = R.size region in
   let slot off =
-    let seq = ld off and head = Int64.to_int (ld (off + 8)) in
+    let seq = ld off and head = ld (off + 8) and bound = ld (off + 16) in
     if
-      seq > 0L && head >= 64 && head <= stop
-      && ld (off + 16) = crc (le64 seq ^ le64 (Int64.of_int head))
-    then Some (seq, head)
+      seq > 0L
+      && Int64.to_int head >= 64
+      && Int64.to_int head <= stop
+      && ld (off + 24) = crc (le64 seq ^ le64 head ^ le64 bound)
+    then Some (seq, Int64.to_int head)
     else None
   in
   let head =

@@ -948,45 +948,98 @@ let test_recover_load_counts () =
   check Alcotest.int "torn tail" 16 (loads_of `Torn_tail);
   check Alcotest.int "interior corruption" 18 (loads_of `Interior)
 
-(* {1 The chunked clean-end check}
+(* {1 The written bound and the clean-end check}
 
-   Recovery zero-checks the free remainder backward in chunks of at most
-   64 KiB and loads the bytes up to the last nonzero one only when one
-   turns up; the verdict must be the one a whole-remainder load gives.
-   Each case damages a log whose free remainder spans 32 chunks and
-   states the report a whole-remainder load gives. Damage placed relative
-   to the end of the valid prefix is also applied to the same contents on
-   a log whose remainder is one chunk, and the two reports must agree. *)
+   Every header slot records a written bound: no byte an acknowledged
+   append, a relocation or a salvage wrote lies at or past it. Recovery's
+   clean-end check and resync search cover the span from the end of the
+   valid prefix up to the bound, zero-checking it backward in chunks of
+   at most 64 KiB and loading the bytes up to the last nonzero one only
+   when one turns up. A log's first head update writes its first header;
+   a log with none has no bound, and its check covers the whole free
+   remainder.
+
+   Damage within the written span gets the verdict a whole-remainder
+   load gives: each case damages a log whose free remainder spans 32
+   chunks, once with a bound and once with no header (so its check walks
+   all 32 chunks), and a log whose remainder is one chunk, and the three
+   reports must agree. Damage past the bound is not looked at: those logs
+   recover Clean with every entry. *)
 
 let big_capacity = (2 lsl 20) + 13 (* 32 chunks and a partial one *)
 let small_capacity = (48 lsl 10) + 13
 
-(* Append [payloads] to a log of [capacity] with [replicas], apply
-   [damage region ~prefix_end ~log_end] to the named replica regions'
-   durable bytes, crash and recover. Returns the report and the payloads
-   recovery returned, having checked that they are what [entries] reads
-   and that a second recovery is clean. *)
-let salvage ?(replicas = 1) ~capacity payloads damage =
+(* The bound the newest header slot of a region's durable bytes records —
+   a slot is [seq | head | bound | crc32(seq, head, bound)], each an
+   int64 — or [log_end] when no slot validates as one. *)
+let durable_bound region ~log_end =
+  let s = Onll_nvm.Memory.Region.durable_snapshot region in
+  let slot off =
+    let seq = String.get_int64_le s off in
+    let crc = Onll_util.Crc32.string (String.sub s off 24) in
+    if
+      seq > 0L
+      && String.get_int64_le s (off + 24)
+         = Int64.logand (Int64.of_int32 crc) 0xFFFFFFFFL
+    then Some (seq, Int64.to_int (String.get_int64_le s (off + 16)))
+    else None
+  in
+  match (slot 0, slot 32) with
+  | None, None -> log_end
+  | Some (_, b), None | None, Some (_, b) -> b
+  | Some (sa, ba), Some (sb, bb) -> if sa >= sb then ba else bb
+
+let is_clean (r : Onll_plog.Plog.salvage_report) =
+  r = { Onll_plog.Plog.clean_report with skip_markers = r.skip_markers }
+
+(* Where the payloads of a log built by [salvage] start: after a dropped
+   8-byte record when it has a header, at the front when it has none. *)
+let first_with_header = 64 + 24
+
+(* Append [payloads] to a log of [capacity] with [replicas] — after one
+   record dropped by a head update, which writes the log's header and its
+   bound, unless [header] is false — apply [damage region ~first
+   ~prefix_end ~log_end] to the named replica regions' durable bytes,
+   crash and recover. Returns the report and the payloads recovery
+   returned, having checked that they are what [entries] reads, that a
+   second recovery is clean, and that a further append survives a crash
+   into a third recovery, which is clean too. *)
+let salvage ?(replicas = 1) ?(header = true) ~capacity payloads damage =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
   let module P = Onll_plog.Plog.Make (M) in
   let log = P.create ~name:"l" ~capacity ~replicas () in
+  if header then begin
+    P.append log "dropped!";
+    P.set_head log 1
+  end;
   List.iter (P.append log) payloads;
-  let region name =
-    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) name)
+  let region r =
+    Option.get
+      (Onll_nvm.Memory.find_region (Sim.memory sim)
+         (Onll_plog.Plog.replica_region_name "l" r))
   in
-  damage
-    (fun r -> region (Onll_plog.Plog.replica_region_name "l" r))
+  damage region
+    ~first:(if header then first_with_header else 64)
     ~prefix_end:(64 + P.used_bytes log) ~log_end:(64 + capacity);
-  Onll_nvm.Memory.crash (Sim.memory sim)
-    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let crash () =
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all
+  in
+  crash ();
   let report, recovered = P.recover log in
   check Alcotest.(list string) "recover returns what entries reads"
     (P.entries log) recovered;
-  let again, _ = P.recover log in
   check Alcotest.bool "a second recovery is clean" true
-    (again
-    = { Onll_plog.Plog.clean_report with skip_markers = again.skip_markers });
+    (is_clean (fst (P.recover log)));
+  P.append log "further";
+  crash ();
+  let third, again = P.recover log in
+  check Alcotest.bool "a recovery after a further append is clean" true
+    (is_clean third);
+  check Alcotest.(list string) "the further append survives"
+    (recovered @ [ "further" ])
+    again;
   (report, recovered)
 
 let set_byte region ~off c =
@@ -995,13 +1048,21 @@ let set_byte region ~off c =
 let pp_report = Fmt.to_to_string Onll_plog.Plog.pp_salvage_report
 let abc = [ "aaaaaaaa"; "bbbbbbbb"; "cccccccc" ]
 
-(* Same report and entries from a 32-chunk and a one-chunk remainder. *)
+(* Same report and entries from a 32-chunk remainder under its bound, the
+   same remainder checked whole, and a one-chunk remainder. *)
 let both ?replicas payloads damage =
   let big = salvage ?replicas ~capacity:big_capacity payloads damage in
-  let small = salvage ?replicas ~capacity:small_capacity payloads damage in
-  check Alcotest.string "32 chunks report = one chunk report"
-    (pp_report (fst small)) (pp_report (fst big));
-  check Alcotest.(list string) "same entries" (snd small) (snd big);
+  List.iter
+    (fun (what, (report, entries)) ->
+      check Alcotest.string (what ^ " report = bounded report")
+        (pp_report (fst big)) (pp_report report);
+      check Alcotest.(list string) (what ^ ": same entries") (snd big) entries)
+    [
+      ( "32 chunks, no header",
+        salvage ?replicas ~header:false ~capacity:big_capacity payloads damage
+      );
+      ("one chunk", salvage ?replicas ~capacity:small_capacity payloads damage);
+    ];
   big
 
 let torn n = { Onll_plog.Plog.clean_report with torn_tail_bytes = n }
@@ -1012,20 +1073,24 @@ let expect what report entries (got, recovered) =
 
 let test_chunked_clean_log () =
   expect "clean" Onll_plog.Plog.clean_report abc
-    (both abc (fun _ ~prefix_end:_ ~log_end:_ -> ()))
+    (both abc (fun _ ~first:_ ~prefix_end:_ ~log_end:_ -> ()))
 
 let test_chunked_last_bytes () =
   for k = 0 to 7 do
-    expect
-      (Printf.sprintf "nonzero byte %d from the end" (k + 1))
+    let damage region ~first:_ ~prefix_end:_ ~log_end =
+      set_byte (region 0) ~off:(log_end - 1 - k) '\001'
+    in
+    let what = Printf.sprintf "nonzero byte %d from the end" (k + 1) in
+    expect (what ^ ", past the bound") Onll_plog.Plog.clean_report abc
+      (salvage ~capacity:big_capacity abc damage);
+    expect (what ^ ", no header")
       (torn (64 + big_capacity - k - (64 + 72)))
       abc
-      (salvage ~capacity:big_capacity abc (fun region ~prefix_end:_ ~log_end ->
-           set_byte (region 0) ~off:(log_end - 1 - k) '\001'))
+      (salvage ~header:false ~capacity:big_capacity abc damage)
   done
 
 let test_chunked_boundary () =
-  let log_end = 64 + big_capacity and prefix_end = 64 + 72 in
+  let log_end = 64 + big_capacity in
   List.iter
     (fun j ->
       (* [b] starts a chunk of the backward check; [b - 1] ends the next *)
@@ -1033,13 +1098,22 @@ let test_chunked_boundary () =
       List.iter
         (fun (what, offs) ->
           let last = List.fold_left max 0 offs in
-          expect
-            (Printf.sprintf "chunk boundary %d: %s" j what)
-            (torn (last + 1 - prefix_end))
+          let damage region ~first:_ ~prefix_end:_ ~log_end:_ =
+            List.iter (fun off -> set_byte (region 0) ~off '\255') offs
+          in
+          let what = Printf.sprintf "chunk boundary %d: %s" j what in
+          expect (what ^ ", no header")
+            (torn (last + 1 - (64 + 72)))
             abc
-            (salvage ~capacity:big_capacity abc
-               (fun region ~prefix_end:_ ~log_end:_ ->
-                 List.iter (fun off -> set_byte (region 0) ~off '\255') offs)))
+            (salvage ~header:false ~capacity:big_capacity abc damage);
+          (* the head update wrote the bound: 64 KiB past the dropped
+             record, the only one written then *)
+          let bound = first_with_header + 65536 in
+          expect (what ^ ", with a bound")
+            (if last < bound then torn (last + 1 - (first_with_header + 72))
+             else Onll_plog.Plog.clean_report)
+            abc
+            (salvage ~capacity:big_capacity abc damage))
         [
           ("straddling", [ b - 1; b ]);
           ("its first byte", [ b ]);
@@ -1050,7 +1124,7 @@ let test_chunked_boundary () =
 let test_chunked_torn_append () =
   (* a header claiming 100 payload bytes, and 50 of them *)
   expect "torn append" (torn (16 + 50)) abc
-    (both abc (fun region ~prefix_end ~log_end:_ ->
+    (both abc (fun region ~first:_ ~prefix_end ~log_end:_ ->
          let r = region 0 in
          set_byte r ~off:prefix_end '\100';
          set_byte r ~off:(prefix_end + 8) '\042';
@@ -1067,8 +1141,8 @@ let test_chunked_interior_span () =
       skip_markers = 1;
     }
     [ "aaaaaaaa"; "cccccccc" ]
-    (both abc (fun region ~prefix_end:_ ~log_end:_ ->
-         flip (region 0) ~off:(88 + 16 + 3)));
+    (both abc (fun region ~first ~prefix_end:_ ~log_end:_ ->
+         flip (region 0) ~off:(first + 24 + 16 + 3)));
   (* the record the resync finds ends past the last nonzero byte *)
   let zeros_last = "cc" ^ String.make 30 '\000' in
   expect "interior span, then a record ending in zeros"
@@ -1081,29 +1155,34 @@ let test_chunked_interior_span () =
     [ "aaaaaaaa"; zeros_last ]
     (both
        [ "aaaaaaaa"; "bbbbbbbb"; zeros_last ]
-       (fun region ~prefix_end:_ ~log_end:_ ->
-         flip (region 0) ~off:(88 + 16 + 3)))
+       (fun region ~first ~prefix_end:_ ~log_end:_ ->
+         flip (region 0) ~off:(first + 24 + 16 + 3)))
 
 let test_chunked_mirrored_dirty_replica () =
   (* garbage in the mirror's free remainder only: the primary's check
      passes, the mirror's sends its nonzero prefix to the resync search *)
   expect "dirty mirror" (torn 20_001) abc
-    (both ~replicas:2 abc (fun region ~prefix_end ~log_end:_ ->
+    (both ~replicas:2 abc (fun region ~first:_ ~prefix_end ~log_end:_ ->
          set_byte (region 1) ~off:(prefix_end + 20_000) '\001'));
-  let log_end = 64 + big_capacity and prefix_end = 64 + 72 in
-  expect "dirty mirror, far from the prefix"
-    (torn (log_end - 70_000 + 1 - prefix_end))
+  let log_end = 64 + big_capacity in
+  let far region ~first:_ ~prefix_end:_ ~log_end =
+    set_byte (region 1) ~off:(log_end - 70_000) '\001'
+  in
+  expect "dirty mirror, far from the prefix, no header"
+    (torn (log_end - 70_000 + 1 - (64 + 72)))
     abc
-    (salvage ~replicas:2 ~capacity:big_capacity abc
-       (fun region ~prefix_end:_ ~log_end ->
-         set_byte (region 1) ~off:(log_end - 70_000) '\001'))
+    (salvage ~replicas:2 ~header:false ~capacity:big_capacity abc far);
+  expect "dirty mirror, past the bound" Onll_plog.Plog.clean_report abc
+    (salvage ~replicas:2 ~capacity:big_capacity abc far)
 
 (* Recover a single-replica log of [capacity] holding [payloads], the
    first [dropped] of them behind the head, counting its loads. Checks
-   that every live byte and every free byte past the 8-byte zero length
-   that ends the walk (which the clean-end check loads again) is loaded
-   exactly once, and that no load is longer than [max_load]. Returns the
-   report and the payloads recovered. *)
+   that every live byte is loaded exactly once; that every byte past the
+   8-byte zero length that ends the walk (which the clean-end check loads
+   again), up to the written bound, is loaded exactly once; that no load
+   reaches the bound but that length; and that no load is longer than
+   [max_load]. Returns the report, the payloads recovered, the tail and
+   the bound. *)
 let recover_counting_loads ~capacity ~dropped ~max_load payloads =
   let sim = Sim.create ~max_processes:1 () in
   let module M0 = (val Sim.machine sim) in
@@ -1114,25 +1193,40 @@ let recover_counting_loads ~capacity ~dropped ~max_load payloads =
   P.set_head log dropped;
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let bound =
+    durable_bound
+      (Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l"))
+      ~log_end:(64 + capacity)
+  in
   M.spans := [];
-  let result = P.recover log in
+  let report, recovered = P.recover log in
   let spans = !M.spans in
   let tail = 64 + P.used_bytes log in
   let head = tail - P.live_bytes log in
+  let past_bound =
+    List.filter_map
+      (fun (off, len) ->
+        if off + len > bound && (off, len) <> (tail, 8) then
+          Some
+            (Printf.sprintf "a load of %d bytes at %d reaches the bound %d" len
+               off bound)
+        else None)
+      spans
+  in
   let complaints =
     Test_support.Machine_wrap.not_loaded_once ~lo:head ~hi:tail spans
-    @ Test_support.Machine_wrap.not_loaded_once ~lo:(tail + 8)
-        ~hi:(64 + capacity) spans
+    @ Test_support.Machine_wrap.not_loaded_once ~lo:(tail + 8) ~hi:bound spans
+    @ past_bound
     @ Test_support.Machine_wrap.loads_over ~max_load spans
   in
   check Alcotest.(list string) "load accounting" [] complaints;
-  result
+  (report, recovered, tail, bound)
 
 (* Each live byte is loaded once — the header of each record, then its
    payload — and only a payload load may exceed the 64 KiB chunk. *)
 let test_recover_load_accounting () =
   let large = String.make (3 lsl 19) 'L' in
-  let _, recovered =
+  let _, recovered, _, bound =
     recover_counting_loads ~capacity:(4 lsl 20) ~dropped:2
       ~max_load:(String.length large)
       ([ "dropped-1"; "dropped-2" ]
@@ -1140,19 +1234,345 @@ let test_recover_load_accounting () =
       @ [ large ]
       @ List.init 50 (Printf.sprintf "after-%d"))
   in
-  check Alcotest.int "every live entry returned" 101 (List.length recovered)
+  check Alcotest.int "every live entry returned" 101 (List.length recovered);
+  check Alcotest.bool "the bound is below the log end" true
+    (bound < 64 + (4 lsl 20))
 
 (* A healthy log with a free remainder of more than 4 MiB recovers Clean
-   without ever holding more than one 64 KiB chunk of it. *)
+   loading at most one 64 KiB chunk of it: its bound, written by a head
+   update, runs at most that far past its tail. *)
 let test_large_remainder_in_chunks () =
   let payloads = List.init 40 (Printf.sprintf "entry-%d") in
-  let report, recovered =
-    recover_counting_loads ~capacity:((4 lsl 20) + 65536 + 13) ~dropped:0
-      ~max_load:65536 payloads
+  let report, recovered, tail, bound =
+    recover_counting_loads ~capacity:((4 lsl 20) + 65536 + 13) ~dropped:1
+      ~max_load:65536 ("dropped" :: payloads)
   in
   check Alcotest.string "clean" (pp_report Onll_plog.Plog.clean_report)
     (pp_report report);
-  check Alcotest.(list string) "every entry" payloads recovered
+  check Alcotest.(list string) "every entry" payloads recovered;
+  check Alcotest.bool "the bound is at most one chunk past the tail" true
+    (tail <= bound && bound <= tail + 65536)
+
+(* A log writes no header until its first head update, which writes the
+   first bound. From then on, an append that passes the bound raises it
+   under its one fence, in every replica: after each append the durable
+   bound covers the tail and runs at most one 64 KiB reserve past it, the
+   fences equal the appends, and an append that does not pass the bound
+   leaves the header bytes as they were. *)
+let test_crossing_append_one_fence () =
+  List.iter
+    (fun replicas ->
+      let sim = Sim.create ~max_processes:1 () in
+      let module M = (val Sim.machine sim) in
+      let module P = Onll_plog.Plog.Make (M) in
+      let capacity = 1 lsl 20 in
+      let log = P.create ~name:"l" ~capacity ~replicas () in
+      let regions =
+        List.init replicas (fun r ->
+            Option.get
+              (Onll_nvm.Memory.find_region (Sim.memory sim)
+                 (Onll_plog.Plog.replica_region_name "l" r)))
+      in
+      let header r =
+        String.sub (Onll_nvm.Memory.Region.durable_snapshot r) 0 64
+      in
+      P.append log "dropped";
+      check Alcotest.(list string) "no header before a head update"
+        (List.map (fun _ -> String.make 64 '\000') regions)
+        (List.map header regions);
+      P.set_head log 1;
+      let raised = ref 0 and bound = ref (64 + 23 + 65536) in
+      check Alcotest.(list int) "the head update's bound"
+        (List.map (fun _ -> !bound) regions)
+        (List.map (durable_bound ~log_end:(64 + capacity)) regions);
+      for i = 1 to 40 do
+        let before = List.map header regions in
+        P.append log (String.make (1 + (i * 997 mod 20_000)) 'x');
+        check Alcotest.int "fences = appends" (i + 2) (M.persistent_fences ());
+        let tail = 64 + P.used_bytes log in
+        List.iter
+          (fun r ->
+            let b = durable_bound r ~log_end:(64 + capacity) in
+            check Alcotest.bool "the bound covers the tail" true (tail <= b);
+            check Alcotest.bool "the bound is within a reserve of the tail"
+              true (b <= tail + 65536))
+          regions;
+        if tail <= !bound then
+          check Alcotest.(list string) "an append below the bound" before
+            (List.map header regions)
+        else incr raised;
+        bound := durable_bound (List.hd regions) ~log_end:(64 + capacity)
+      done;
+      check Alcotest.bool "the appends raised the bound several times" true
+        (!raised >= 4))
+    [ 1; 2 ]
+
+(* A store written before header slots carried a bound — its slot is
+   [seq | head | crc32(seq, head)] — recovers as it did then: its check
+   covers the whole free remainder, so a nonzero byte by the log end is a
+   torn tail. Its first head update writes a slot with a bound, and from
+   then on the same damage is past the bound. *)
+let test_v1_header_full_scan () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~name:"l" ~capacity:big_capacity () in
+  List.iter (P.append log) abc;
+  let region =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l")
+  in
+  let log_end = 64 + big_capacity and prefix_end = 64 + 72 in
+  let v1 = Bytes.make 64 '\000' in
+  Bytes.set_int64_le v1 32 1L;
+  Bytes.set_int64_le v1 40 64L;
+  Bytes.set_int64_le v1 48
+    (Int64.logand
+       (Int64.of_int32 (Onll_util.Crc32.bytes v1 ~pos:32 ~len:16))
+       0xFFFFFFFFL);
+  Onll_nvm.Memory.Region.corrupt region ~off:0 ~len:64 ~f:(fun i _ ->
+      Bytes.get v1 i);
+  set_byte region ~off:(log_end - 1) '\001';
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  expect "a v1 header: the whole remainder checked"
+    (torn (log_end - prefix_end))
+    abc (P.recover log);
+  P.set_head log 1;
+  check Alcotest.bool "the head update wrote a bound" true
+    (durable_bound region ~log_end < log_end);
+  set_byte region ~off:(log_end - 2) '\001';
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  expect "then the damage is past the bound" Onll_plog.Plog.clean_report
+    [ "bbbbbbbb"; "cccccccc" ] (P.recover log)
+
+(* A rotted bound fails its slot's checksum, and recovery falls back to
+   the other slot — the head update's, with the bound it wrote — rather
+   than trusting the rotted value: here one far too low to reach the next
+   record, which would truncate every entry after a rotted one. *)
+let test_rotted_bound_falls_back () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~name:"l" ~capacity:(1 lsl 20) () in
+  P.append log "first";
+  P.set_head log 1;
+  let es = List.init 30 (fun i -> Printf.sprintf "%02d" i ^ String.make 4000 'e') in
+  List.iter (P.append log) es;
+  let region =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l")
+  in
+  let snap = Onll_nvm.Memory.Region.durable_snapshot region in
+  let newest = if String.get_int64_le snap 0 > String.get_int64_le snap 32 then 0 else 32 in
+  check Alcotest.bool "the appends wrote a newer slot" true
+    (String.get_int64_le snap newest >= 2L);
+  (* entry 5 starts after "first" and five entries of 4018 bytes *)
+  let e5 = 64 + 21 + (5 * 4018) in
+  let low = Bytes.create 8 in
+  Bytes.set_int64_le low 0 (Int64.of_int (e5 + 40));
+  Onll_nvm.Memory.Region.corrupt region ~off:(newest + 16) ~len:8
+    ~f:(fun i _ -> Bytes.get low i);
+  flip region ~off:(e5 + 16 + 3);
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  expect "the other slot's head and bound"
+    {
+      Onll_plog.Plog.clean_report with
+      quarantined_spans = 1;
+      quarantined_bytes = 4018;
+      skip_markers = 1;
+    }
+    (List.filteri (fun i _ -> i <> 5) es)
+    (P.recover log)
+
+(* An append that passed the bound landed whole, but the crash lost its
+   header slot: recovery's walk still finds it, and raises the bound over
+   it, so a rot in the record before it cannot later hide it from the
+   resync search. *)
+let test_found_past_bound_raises_it () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let capacity = 1 lsl 20 in
+  let log = P.create ~name:"l" ~capacity () in
+  let region =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l")
+  in
+  let crash () =
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all
+  in
+  P.append log "dropped";
+  P.set_head log 1;
+  let filler = String.make 60_000 'f' and big = String.make 8_000 'u' in
+  P.append log filler;
+  let last = 64 + P.used_bytes log in
+  P.append log "last";
+  let header = String.sub (Onll_nvm.Memory.Region.durable_snapshot region) 0 64 in
+  let bound = durable_bound region ~log_end:(64 + capacity) in
+  P.append log big;
+  check Alcotest.bool "the append passed the bound" true
+    (64 + P.used_bytes log > bound);
+  Onll_nvm.Memory.Region.corrupt region ~off:0 ~len:64 ~f:(fun i _ ->
+      header.[i]);
+  crash ();
+  check Alcotest.(list string) "the walk finds it" [ filler; "last"; big ]
+    (snd (P.recover log));
+  check Alcotest.bool "recovery raised the bound over it" true
+    (durable_bound region ~log_end:(64 + capacity) >= 64 + P.used_bytes log);
+  flip region ~off:(last + 16 + 1);
+  crash ();
+  expect "a rot before it"
+    {
+      Onll_plog.Plog.clean_report with
+      quarantined_spans = 1;
+      quarantined_bytes = 20;
+      skip_markers = 1;
+    }
+    [ filler; big ] (P.recover log)
+
+(* Property: a crash anywhere in a run of appends that pass the written
+   bound several times, on a log of 4 MiB whose first header a head update
+   wrote. Recovery returns what [entries] reads, every acknowledged append
+   and nothing that was not appended; with one rotted byte in the
+   acknowledged span it still returns every other acknowledged entry
+   (every one, when only the primary of a mirrored log rotted); and a
+   second recovery is clean. *)
+let prop_crossing_appends_recover =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"crossing appends: crash anywhere, rot -> acked entries kept"
+       ~count:60
+       QCheck.(quad small_nat (int_bound 300) (int_bound 1_000_000) bool)
+       (fun (seed, crash_at, rot, mirrored) ->
+         let rng = Random.State.make [| seed |] in
+         let all =
+           List.init 24 (fun i ->
+               Printf.sprintf "%02d" i
+               ^ String.make (1 + Random.State.int rng 24_000) 'p')
+         in
+         let replicas = if mirrored then 2 else 1 in
+         let run ~rotted =
+           let sim =
+             Sim.create ~max_processes:1
+               ~crash_policy:
+                 (if seed mod 2 = 0 then Onll_nvm.Crash_policy.Drop_all
+                  else Onll_nvm.Crash_policy.Persist_all)
+               ()
+           in
+           let module M = (val Sim.machine sim) in
+           let module P = Onll_plog.Plog.Make (M) in
+           let log = P.create ~name:"l" ~capacity:(4 lsl 20) ~replicas () in
+           P.append log "dropped";
+           P.set_head log 1;
+           let completed = ref 0 in
+           ignore
+             (Sim.run sim
+                (Sched.Strategy.random_with_crash ~seed ~crash_at_step:crash_at)
+                [|
+                  (fun _ ->
+                    List.iter
+                      (fun e ->
+                        P.append log e;
+                        incr completed)
+                      all);
+                |]);
+           Onll_nvm.Memory.crash (Sim.memory sim)
+             ~policy:Onll_nvm.Crash_policy.Drop_all;
+           let acked = List.filteri (fun i _ -> i < !completed) all in
+           let span = List.fold_left (fun n e -> n + 16 + String.length e) 0 acked in
+           let victim =
+             if rotted && span > 0 then begin
+               let off = rot mod span in
+               flip
+                 (Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l"))
+                 ~off:(64 + 23 + off);
+               (* the acknowledged entry the byte lies in *)
+               let rec find i at = function
+                 | e :: rest ->
+                     let n = 16 + String.length e in
+                     if off < at + n then Some i else find (i + 1) (at + n) rest
+                 | [] -> None
+               in
+               find 0 0 acked
+             end
+             else None
+           in
+           let report, recovered = P.recover log in
+           if recovered <> P.entries log then
+             QCheck.Test.fail_report "recover differs from entries";
+           let kept =
+             if mirrored then acked
+             else List.filteri (fun i _ -> Some i <> victim) acked
+           in
+           if not (List.for_all (fun e -> List.mem e recovered) kept) then
+             QCheck.Test.fail_reportf
+               "an acknowledged entry was lost (%d acked, %d recovered, %a)"
+               (List.length acked) (List.length recovered)
+               Onll_plog.Plog.pp_salvage_report report;
+           if not (List.for_all (fun e -> List.mem e all) recovered) then
+             QCheck.Test.fail_report "recovery fabricated an entry";
+           if victim = None && not mirrored then begin
+             let n = List.length recovered in
+             if List.filteri (fun i _ -> i < n) all <> recovered then
+               QCheck.Test.fail_report "recovered is not a prefix"
+           end;
+           if not (is_clean (fst (P.recover log))) then
+             QCheck.Test.fail_report "a second recovery is not clean"
+         in
+         run ~rotted:false;
+         run ~rotted:true;
+         true))
+
+(* A crash at every step of a relocation, then two appends and a second
+   crash: the second recovery returns what the first returned and the two
+   appends — no record the first recovery left out comes back. The span
+   the relocation zeroes, 300 KB of dead records, reaches well past one
+   64 KiB reserve beyond the new tail, and under the Random policy part
+   of its zeroing lands. A bound lowered before the zeroing is durable
+   would leave stale records past it; the two appends, 72 KB, pass such a
+   bound, and the bound they raise would uncover them. *)
+let test_relocate_crash_no_stale_record () =
+  let dead = List.init 6000 (Printf.sprintf "dead-%029d") in
+  let after = List.map (fun a -> a ^ String.make 36_000 'x') [ "1"; "2" ] in
+  let live = [ "live-a"; "live-bb"; "live-ccc" ] in
+  List.iter
+    (fun policy ->
+      let crash_at = ref 0 and finished = ref false in
+      while not !finished do
+        let sim = Sim.create ~max_processes:1 ~crash_policy:policy () in
+        let module M = (val Sim.machine sim) in
+        let module P = Onll_plog.Plog.Make (M) in
+        let log = P.create ~name:"l" ~capacity:(1 lsl 20) () in
+        List.iter (P.append log) (dead @ live);
+        P.set_head log (List.length dead);
+        let outcome =
+          Sim.run sim
+            (Sched.Strategy.random_with_crash ~seed:0 ~crash_at_step:!crash_at)
+            [| (fun _ -> P.relocate log) |]
+        in
+        finished := outcome = Sched.World.Completed;
+        Onll_nvm.Memory.crash (Sim.memory sim)
+          ~policy:Onll_nvm.Crash_policy.Drop_all;
+        let what =
+          Printf.sprintf "%s, crash at step %d"
+            (Onll_nvm.Crash_policy.to_string policy)
+            !crash_at
+        in
+        let _, first = P.recover log in
+        check Alcotest.(list string) (what ^ ": the live entries lead") live
+          (List.filteri (fun i _ -> i < 3) first);
+        List.iter (P.append log) after;
+        Onll_nvm.Memory.crash (Sim.memory sim)
+          ~policy:Onll_nvm.Crash_policy.Drop_all;
+        let report, second = P.recover log in
+        check Alcotest.(list string) (what ^ ": no stale record comes back")
+          (first @ after) second;
+        check Alcotest.bool (what ^ ": the second recovery is clean") true
+          (is_clean report);
+        incr crash_at
+      done)
+    Onll_nvm.Crash_policy.[ Drop_all; Persist_all; Random 1; Random 2 ]
 
 (* A recovery reports the bytes it discards before it discards them: one
    that crashes right after zeroing a torn tail leaves the next recovery
@@ -1388,5 +1808,19 @@ let () =
             test_chunked_interior_span;
           Alcotest.test_case "mirrored, one dirty replica" `Quick
             test_chunked_mirrored_dirty_replica;
+        ] );
+      ( "written bound",
+        [
+          Alcotest.test_case "a crossing append is one fence" `Quick
+            test_crossing_append_one_fence;
+          Alcotest.test_case "a v1 header checks the whole remainder" `Quick
+            test_v1_header_full_scan;
+          Alcotest.test_case "a rotted bound falls back to the other slot"
+            `Quick test_rotted_bound_falls_back;
+          Alcotest.test_case "an append found past the bound raises it"
+            `Quick test_found_past_bound_raises_it;
+          Alcotest.test_case "relocate crash: no stale record comes back"
+            `Quick test_relocate_crash_no_stale_record;
+          prop_crossing_appends_recover;
         ] );
     ]

@@ -77,6 +77,86 @@ let test_framing () =
     | exception Protocol.Inbuf.Oversized_frame -> true
     | _ -> false)
 
+(* Frames are decoded where they lie in the input buffer. A stream of
+   request frames and one of response frames, each fed in as two pieces
+   split at every byte, decode to the originals with nothing left over; a
+   frame whose payload runs short of its length prefix, or past it into
+   the next frame, raises [Decode_error], and an oversized prefix still
+   raises [Oversized_frame]. *)
+let test_framing_in_place () =
+  let stream codec msgs =
+    let buf = Buffer.create 256 in
+    List.iter (fun m -> Protocol.write_frame buf codec m) msgs;
+    Buffer.contents buf
+  in
+  let pop_all inbuf codec =
+    let rec go acc =
+      match Protocol.Inbuf.pop inbuf codec with
+      | Some m -> go (m :: acc)
+      | None -> acc
+    in
+    go []
+  in
+  let every_split what codec msgs =
+    let raw = stream codec msgs in
+    for k = 0 to String.length raw do
+      let inbuf = Protocol.Inbuf.create () in
+      Protocol.Inbuf.add inbuf (Bytes.of_string (String.sub raw 0 k)) k;
+      let early = pop_all inbuf codec in
+      let rest = String.length raw - k in
+      Protocol.Inbuf.add inbuf (Bytes.of_string (String.sub raw k rest)) rest;
+      let got = List.rev (pop_all inbuf codec @ early) in
+      check Alcotest.bool
+        (Printf.sprintf "%s split at %d decodes as before" what k)
+        true (got = msgs);
+      check Alcotest.int "no residue" 0 (Protocol.Inbuf.pending inbuf)
+    done
+  in
+  every_split "requests" Protocol.req_codec
+    [
+      Protocol.Hello { client = 3; token = "t"; tier = Protocol.T_staleness 4 };
+      Protocol.Submit { seq = 9; deadline_ns = 0; op = String.make 300 'o' };
+      Protocol.Ping;
+      Protocol.Fetch { op = "f" };
+      Protocol.Bye;
+    ];
+  every_split "responses" Protocol.resp_codec
+    [
+      Protocol.Attached
+        { next_seq = 5; acked = 4; resolution = Protocol.W_reinvoked (4, 1, 7) };
+      Protocol.Acked { seq = 5; value = -1 };
+      Protocol.Refused (Protocol.R_bad_seq 6);
+      Protocol.Got 42;
+      Protocol.Pong;
+      Protocol.Gone;
+    ];
+  let raises_decode_error what raw =
+    let inbuf = Protocol.Inbuf.create () in
+    Protocol.Inbuf.add inbuf (Bytes.of_string raw) (String.length raw);
+    check Alcotest.bool what true
+      (match Protocol.Inbuf.pop inbuf Protocol.req_codec with
+      | exception Codec.Decode_error _ -> true
+      | _ -> false)
+  in
+  let frame = stream Protocol.req_codec [ Protocol.Fetch { op = "abc" } ] in
+  let flen = String.length frame - 4 in
+  let prefix n =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int n);
+    Bytes.to_string b
+  in
+  raises_decode_error "a payload shorter than its prefix"
+    (prefix (flen + 1) ^ String.sub frame 4 flen ^ "\000");
+  raises_decode_error "a prefix cutting its payload short"
+    (prefix (flen - 1) ^ String.sub frame 4 flen ^ frame);
+  let inbuf = Protocol.Inbuf.create () in
+  let evil = prefix (Protocol.max_frame + 1) in
+  Protocol.Inbuf.add inbuf (Bytes.of_string evil) 4;
+  check Alcotest.bool "oversized prefix raises" true
+    (match Protocol.Inbuf.pop inbuf Protocol.req_codec with
+    | exception Protocol.Inbuf.Oversized_frame -> true
+    | _ -> false)
+
 (* {1 Protocol policy over an in-memory machine} *)
 
 let test_handle_policy () =
@@ -1173,6 +1253,8 @@ let () =
         [
           Alcotest.test_case "framing roundtrip + oversized prefix" `Quick
             test_framing;
+          Alcotest.test_case "frames decoded in place at every split" `Quick
+            test_framing_in_place;
           Alcotest.test_case "handle policy: auth, seq, drain, reads" `Quick
             test_handle_policy;
           Alcotest.test_case "durability tiers: strict / staleness-k" `Quick

@@ -89,6 +89,19 @@ let prop_crc_detects_single_bit_flip =
       Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
       Crc32.string s <> Crc32.string (Bytes.to_string b))
 
+(* [Crc32.int64] folds the int's bytes without a frame buffer: it must
+   equal [Crc32.bytes] over the 8 little-endian bytes, from any running
+   checksum. *)
+let prop_crc_int64_is_bytes =
+  QCheck.Test.make ~name:"int64 = bytes over its 8 little-endian bytes"
+    ~count:1000
+    QCheck.(pair int64 int32)
+    (fun (x, init) ->
+      let b = Bytes.create 8 in
+      Bytes.set_int64_le b 0 x;
+      Crc32.int64 ~init x = Crc32.bytes ~init b ~pos:0 ~len:8
+      && Crc32.int64 x = Crc32.bytes b ~pos:0 ~len:8)
+
 (* {1 SplitMix} *)
 
 let test_splitmix_deterministic () =
@@ -297,6 +310,7 @@ let () =
           Alcotest.test_case "matches the byte-wise loop" `Quick
             test_crc_matches_bytewise;
           qcheck prop_crc_detects_single_bit_flip;
+          qcheck prop_crc_int64_is_bytes;
         ] );
       ( "splitmix",
         [
