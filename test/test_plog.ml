@@ -1809,7 +1809,7 @@ let () =
           Alcotest.test_case "mirrored, one dirty replica" `Quick
             test_chunked_mirrored_dirty_replica;
         ] );
-      ( "written bound",
+      ( "end bound",
         [
           Alcotest.test_case "a crossing append is one fence" `Quick
             test_crossing_append_one_fence;

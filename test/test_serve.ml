@@ -1253,14 +1253,14 @@ let () =
         [
           Alcotest.test_case "framing roundtrip + oversized prefix" `Quick
             test_framing;
-          Alcotest.test_case "frames decoded in place at every split" `Quick
-            test_framing_in_place;
           Alcotest.test_case "handle policy: auth, seq, drain, reads" `Quick
             test_handle_policy;
           Alcotest.test_case "durability tiers: strict / staleness-k" `Quick
             test_tiers;
           Alcotest.test_case "1 fence per exactly-once submit, 0 per read"
             `Quick test_fences;
+          Alcotest.test_case "frames decoded in place at every split" `Quick
+            test_framing_in_place;
         ] );
       ( "table",
         [
