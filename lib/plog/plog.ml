@@ -168,7 +168,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (* the written bound of the durable header: the one slot
            [header_seq] holds, the log end while no slot holds one *)
     mutable written_upto : int;
-        (* the furthest byte this log may have left nonzero *)
+        (* the furthest byte this log may have left nonzero since its last
+           recovery; a crashed append's bytes above the bound, which
+           recovery does not look at, are not counted (see the
+           interface) *)
     key : string -> int;  (* the caller's per-record key, see [drop_upto] *)
     offs : live Queue.t;
         (* the live entries in log order, rebuilt by [recover]'s walk and
@@ -243,14 +246,19 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     Bytes.set_int64_le buf 8 (Int64.of_int b);
     Bytes.unsafe_to_string buf
 
-  (* Store header slot [seq] in one replica: three stores, the head and
-     the bound as one. *)
-  let store_slot region ~seq ~head ~bound =
+  (* Store header slot [seq] — [seq | head | bound | crc32(seq, head,
+     bound)], little-endian int64s — in [regions], field by field across
+     them, in three stores: the seq, the head and bound as one, the
+     checksum. *)
+  let store_slot regions ~seq ~head ~bound =
     let off = slot_of seq in
-    M.Pm.store_int64 region ~off seq;
-    M.Pm.store region ~off:(off + 8) (int64_pair head bound);
-    M.Pm.store_int64 region ~off:(off + 24)
-      (crc_to_int64 (slot_crc seq (Int64.of_int head) (Int64.of_int bound)))
+    let head_bound = int64_pair head bound in
+    let crc =
+      crc_to_int64 (slot_crc seq (Int64.of_int head) (Int64.of_int bound))
+    in
+    Array.iter (fun r -> M.Pm.store_int64 r ~off seq) regions;
+    Array.iter (fun r -> M.Pm.store r ~off:(off + 8) head_bound) regions;
+    Array.iter (fun r -> M.Pm.store_int64 r ~off:(off + 24) crc) regions
 
   (* Read one header slot of one replica, with three loads; [Some (seq,
      head, bound)] if its checksum validates and the head and bound are in
@@ -278,35 +286,39 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   let no_header t = (0L, header_size, log_end t)
 
-  let read_header_of t region =
-    match (read_slot t region slot_a, read_slot t region slot_b) with
+  (* Both slots of one replica, read once. *)
+  let read_slots t region =
+    (read_slot t region slot_a, read_slot t region slot_b)
+
+  let newest_of t = function
     | None, None -> no_header t
     | Some h, None | None, Some h -> h
     | Some ((sa, _, _) as a), Some ((sb, _, _) as b) -> if sa >= sb then a else b
 
-  (* The newest valid header across every replica and both slots. *)
-  let read_header t =
-    Array.fold_left
-      (fun ((bs, _, _) as best) region ->
-        let (s, _, _) as h = read_header_of t region in
-        if s > bs then h else best)
-      (no_header t) t.regions
+  let read_header_of t region = newest_of t (read_slots t region)
 
-  (* The written bound a header stored now records: the reserve past every
-     byte the log may have left nonzero. *)
+  (* The newest valid header across every replica and both slots, and
+     each replica's two slots as read. *)
+  let read_header t =
+    let slots = Array.map (read_slots t) t.regions in
+    ( Array.fold_left
+        (fun ((bs, _, _) as best) pair ->
+          let (s, _, _) as h = newest_of t pair in
+          if s > bs then h else best)
+        (no_header t) slots,
+      slots )
+
+  (* The written bound a header stored now records: the reserve past
+     [written_upto]. *)
   let next_bound t = min (log_end t) (t.written_upto + zero_chunk)
 
   (* Store the next header slot — the next seq, [head] and the bound now
-     due — in every replica, field by field across the replicas, and
-     return the seq, the bound and the range to persist. *)
+     due — in every replica, and return the seq, the bound and the range
+     to persist. *)
   let store_next_header t ~head =
     let seq = Int64.add t.header_seq 1L and bound = next_bound t in
-    let off = slot_of seq in
-    store_int64_all t ~off seq;
-    store_all t ~off:(off + 8) (int64_pair head bound);
-    store_int64_all t ~off:(off + 24)
-      (crc_to_int64 (slot_crc seq (Int64.of_int head) (Int64.of_int bound)));
-    (seq, bound, (off, slot_bytes))
+    store_slot t.regions ~seq ~head ~bound;
+    (seq, bound, (slot_of seq, slot_bytes))
 
   (* Durably switch the header to (next seq, [head], the bound now due). *)
   let write_header t ~site ~head =
@@ -424,22 +436,28 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       | None -> (None, 0)
 
   (* Re-converge replica headers on the merged (seq, head, bound):
-     rewrite the canonical slot of every replica whose slot disagrees. The
-     replicas holding the merged header are never written, so the merged
-     header survives a crash mid-heal; rewriting is byte-identical, hence
-     idempotent. *)
-  let heal_headers t ~seq ~head ~bound =
+     rewrite the canonical slot of every replica whose slot disagrees —
+     as [slots] read it, when the caller has just read every replica's
+     slots, else read now. The replicas holding the merged header are
+     never written, so the merged header survives a crash mid-heal;
+     rewriting is byte-identical, hence idempotent. *)
+  let heal_headers ?slots t ~seq ~head ~bound =
     if seq > 0L then begin
       let slot = slot_of seq in
-      let dirty = ref false in
-      Array.iter
-        (fun r ->
-          if read_slot t r slot <> Some (seq, head, bound) then begin
-            store_slot r ~seq ~head ~bound;
-            dirty := true
-          end)
-        t.regions;
-      if !dirty then persist t ~site:"plog.repair" [ (slot, slot_bytes) ]
+      let held i r =
+        match slots with
+        | Some slots -> (if slot = slot_a then fst else snd) slots.(i)
+        | None -> read_slot t r slot
+      in
+      let dirty =
+        List.filteri
+          (fun i r -> held i r <> Some (seq, head, bound))
+          (Array.to_list t.regions)
+      in
+      if dirty <> [] then begin
+        store_slot (Array.of_list dirty) ~seq ~head ~bound;
+        persist t ~site:"plog.repair" [ (slot, slot_bytes) ]
+      end
     end
 
   (* Scan the valid entries from [head] in the primary, transparently
@@ -641,8 +659,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (Onll_obs.Event.Salvage { log = t.log_name; quarantined; bytes_lost })
 
   let recover t =
-    let seq, head, bound = read_header t in
-    heal_headers t ~seq ~head ~bound;
+    let (seq, head, bound), slots = read_header t in
+    heal_headers ~slots t ~seq ~head ~bound;
     t.header_seq <- seq;
     t.head <- head;
     t.bound <- bound;
@@ -704,6 +722,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                 walk (pos + span))
     in
     t.tail <- walk head;
+    (* everything from the tail up to the bound is zero now *)
     t.written_upto <- t.tail;
     (* an unacknowledged append the walk found past the bound is now a
        live entry: raise the bound over it before anything relies on it *)

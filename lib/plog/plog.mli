@@ -56,16 +56,29 @@
     bytes of an append that was never acknowledged, or media rot; neither
     holds a record recovery must find, and a later append overwrites them.
     A header write stores the log end or, if lower, 64 KiB past the
-    furthest byte the log may have left nonzero. That extent falls only
-    once a relocation's zeroing of the old span is durable, never in the
-    relocation's switch header. An append that would pass the bound
-    stores the next header slot (next seq, same head, raised bound) beside
-    its record and flushes both ranges in every replica under its one
-    fence, so the fence count per append is unchanged and an append that
-    does not pass the bound writes nothing extra. A log writes its first
-    header at its first head update; until then, and for a store whose
-    slots were written before slots carried a bound, the bound is the log
-    end.
+    furthest byte the log has written since its last recovery. That extent
+    falls only once a relocation's zeroing of the old span is durable,
+    never in the relocation's switch header. An append that would pass
+    the bound stores the next header slot (next seq, same head, raised
+    bound) beside its record and flushes both ranges in every replica
+    under its one fence, so the fence count per append is unchanged and
+    an append that does not pass the bound writes nothing extra. A log
+    writes its first header at its first head update; until then, and
+    for a store whose slots were written before slots carried a bound,
+    the bound is the log end, and recovery checks the whole free
+    remainder as it always did. So a log that never advances its head
+    gains nothing from the bound; writing its first slot at its first
+    append was tried and left out (DESIGN.md says why).
+
+    A crash can leave bytes of an unacknowledged append above the bound
+    when that append was raising the bound and its slot did not survive
+    (each cache line survives a crash on its own). Recovery does not look
+    there, so they stay; if a later append's raised bound covers them
+    before anything overwrites them, the next recovery finds them past
+    the valid prefix and reports them as a torn tail. That loses nothing
+    and quarantines nothing: it is the same report the unacknowledged
+    append would have earned had recovery checked the whole remainder,
+    made one recovery later.
 
     Layout (byte offsets within each replica region; replicas are
     byte-identical when healthy):
@@ -229,7 +242,9 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       media fault ends the valid prefix early and can hide intact records
       behind it; none lies past the bound. A healthy log with a header
       pays the check for at most one 64 KiB chunk past its last append.
-      A log without one pays it for its whole free remainder. *)
+      A log without one pays it for its whole free remainder. The header
+      is read once per replica, and those reads also decide which
+      replicas' headers to heal. *)
 
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: truncate the primary at the first invalid

@@ -257,7 +257,8 @@ module Inbuf = struct
         t.start <- stop;
         t.len <- t.len - 4 - flen;
         let v, next =
-          Onll_util.Codec.read codec (Bytes.unsafe_to_string t.data) ~pos
+          Onll_util.Codec.read codec ~stop (Bytes.unsafe_to_string t.data)
+            ~pos
         in
         if next <> stop then
           raise

@@ -2,16 +2,17 @@ exception Decode_error of string
 
 type 'a t = {
   write : Buffer.t -> 'a -> unit;
-  read : string -> pos:int -> 'a * int;
+  read : string -> pos:int -> stop:int -> 'a * int;
+      (* decodes from [pos], reading nothing at or past [stop] *)
   width : int;  (* the fewest input bytes one value takes *)
 }
 
 let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
-let check_space s pos need what =
-  if pos < 0 || pos + need > String.length s then
+let check_space ~stop pos need what =
+  if pos < 0 || pos + need > stop then
     fail "%s: truncated input (need %d bytes at offset %d, have %d)" what need
-      pos (String.length s - pos)
+      pos (stop - pos)
 
 let encode c v =
   let b = Buffer.create 64 in
@@ -19,9 +20,9 @@ let encode c v =
   Buffer.contents b
 
 let decode c s =
-  let v, stop = c.read s ~pos:0 in
-  if stop <> String.length s then
-    fail "decode: %d trailing bytes" (String.length s - stop);
+  let v, next = c.read s ~pos:0 ~stop:(String.length s) in
+  if next <> String.length s then
+    fail "decode: %d trailing bytes" (String.length s - next);
   v
 
 let decode_tolerant c ~failures =
@@ -33,17 +34,26 @@ let decode_tolerant c ~failures =
           None)
 
 let write c buf v = c.write buf v
-let read c s ~pos = c.read s ~pos
+let read c ?stop s ~pos =
+  let stop =
+    match stop with
+    | None -> String.length s
+    | Some stop ->
+        if stop > String.length s then
+          invalid_arg "Codec.read: stop past the input";
+        stop
+  in
+  c.read s ~pos ~stop
 
 let unit =
-  { write = (fun _ () -> ()); read = (fun _ ~pos -> ((), pos)); width = 0 }
+  { write = (fun _ () -> ()); read = (fun _ ~pos ~stop:_ -> ((), pos)); width = 0 }
 
 let char =
   {
     write = (fun b c -> Buffer.add_char b c);
     read =
-      (fun s ~pos ->
-        check_space s pos 1 "char";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 1 "char";
         (s.[pos], pos + 1));
     width = 1;
   }
@@ -52,8 +62,8 @@ let bool =
   {
     write = (fun b v -> Buffer.add_char b (if v then '\001' else '\000'));
     read =
-      (fun s ~pos ->
-        check_space s pos 1 "bool";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 1 "bool";
         (match s.[pos] with
         | '\000' -> (false, pos + 1)
         | '\001' -> (true, pos + 1)
@@ -65,8 +75,8 @@ let int64 =
   {
     write = (fun b v -> Buffer.add_int64_le b v);
     read =
-      (fun s ~pos ->
-        check_space s pos 8 "int64";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 8 "int64";
         (String.get_int64_le s pos, pos + 8));
     width = 8;
   }
@@ -75,8 +85,8 @@ let int =
   {
     write = (fun b v -> Buffer.add_int64_le b (Int64.of_int v));
     read =
-      (fun s ~pos ->
-        check_space s pos 8 "int";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 8 "int";
         (Int64.to_int (String.get_int64_le s pos), pos + 8));
     width = 8;
   }
@@ -85,8 +95,8 @@ let int32 =
   {
     write = (fun b v -> Buffer.add_int32_le b v);
     read =
-      (fun s ~pos ->
-        check_space s pos 4 "int32";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 4 "int32";
         (String.get_int32_le s pos, pos + 4));
     width = 4;
   }
@@ -95,8 +105,8 @@ let float =
   {
     write = (fun b v -> Buffer.add_int64_le b (Int64.bits_of_float v));
     read =
-      (fun s ~pos ->
-        check_space s pos 8 "float";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 8 "float";
         (Int64.float_of_bits (String.get_int64_le s pos), pos + 8));
     width = 8;
   }
@@ -108,11 +118,11 @@ let string =
         Buffer.add_int64_le b (Int64.of_int (String.length v));
         Buffer.add_string b v);
     read =
-      (fun s ~pos ->
-        check_space s pos 8 "string length";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 8 "string length";
         let len = Int64.to_int (String.get_int64_le s pos) in
         if len < 0 then fail "string: negative length %d" len;
-        check_space s (pos + 8) len "string body";
+        check_space ~stop (pos + 8) len "string body";
         (String.sub s (pos + 8) len, pos + 8 + len));
     width = 8;
   }
@@ -124,9 +134,9 @@ let pair ca cb =
         ca.write b x;
         cb.write b y);
     read =
-      (fun s ~pos ->
-        let x, pos = ca.read s ~pos in
-        let y, pos = cb.read s ~pos in
+      (fun s ~pos ~stop ->
+        let x, pos = ca.read s ~pos ~stop in
+        let y, pos = cb.read s ~pos ~stop in
         ((x, y), pos));
     width = ca.width + cb.width;
   }
@@ -139,10 +149,10 @@ let triple ca cb cc =
         cb.write b y;
         cc.write b z);
     read =
-      (fun s ~pos ->
-        let x, pos = ca.read s ~pos in
-        let y, pos = cb.read s ~pos in
-        let z, pos = cc.read s ~pos in
+      (fun s ~pos ~stop ->
+        let x, pos = ca.read s ~pos ~stop in
+        let y, pos = cb.read s ~pos ~stop in
+        let z, pos = cc.read s ~pos ~stop in
         ((x, y, z), pos));
     width = ca.width + cb.width + cc.width;
   }
@@ -151,11 +161,11 @@ let triple ca cb cc =
    [n] elements of at least [width] bytes each must fit, so a forged count
    fails here, before anything is allocated for it. Zero-width elements
    take no input, so any count of them fits. *)
-let read_count s ~pos ~width what =
-  check_space s pos 8 (what ^ " length");
+let read_count s ~pos ~stop ~width what =
+  check_space ~stop pos 8 (what ^ " length");
   let n = Int64.to_int (String.get_int64_le s pos) in
   if n < 0 then fail "%s: negative length %d" what n;
-  let left = String.length s - pos - 8 in
+  let left = stop - pos - 8 in
   if width > 0 && n > left / width then
     fail "%s: %d elements of at least %d bytes in %d bytes" what n width left;
   (n, pos + 8)
@@ -167,12 +177,12 @@ let list c =
         Buffer.add_int64_le b (Int64.of_int (List.length l));
         List.iter (c.write b) l);
     read =
-      (fun s ~pos ->
-        let n, pos = read_count s ~pos ~width:c.width "list" in
+      (fun s ~pos ~stop ->
+        let n, pos = read_count s ~pos ~stop ~width:c.width "list" in
         let rec loop acc pos k =
           if k = 0 then (List.rev acc, pos)
           else
-            let v, pos = c.read s ~pos in
+            let v, pos = c.read s ~pos ~stop in
             loop (v :: acc) pos (k - 1)
         in
         loop [] pos n);
@@ -186,15 +196,15 @@ let array c =
         Buffer.add_int64_le b (Int64.of_int (Array.length a));
         Array.iter (c.write b) a);
     read =
-      (fun s ~pos ->
-        let n, pos = read_count s ~pos ~width:c.width "array" in
+      (fun s ~pos ~stop ->
+        let n, pos = read_count s ~pos ~stop ~width:c.width "array" in
         if n = 0 then ([||], pos)
         else
-          let first, pos = c.read s ~pos in
+          let first, pos = c.read s ~pos ~stop in
           let a = Array.make n first in
           let pos = ref pos in
           for k = 1 to n - 1 do
-            let v, next = c.read s ~pos:!pos in
+            let v, next = c.read s ~pos:!pos ~stop in
             a.(k) <- v;
             pos := next
           done;
@@ -211,12 +221,12 @@ let option c =
             Buffer.add_char b '\001';
             c.write b v);
     read =
-      (fun s ~pos ->
-        check_space s pos 1 "option tag";
+      (fun s ~pos ~stop ->
+        check_space ~stop pos 1 "option tag";
         match s.[pos] with
         | '\000' -> (None, pos + 1)
         | '\001' ->
-            let v, pos = c.read s ~pos:(pos + 1) in
+            let v, pos = c.read s ~pos:(pos + 1) ~stop in
             (Some v, pos)
         | ch -> fail "option: invalid tag %d" (Char.code ch));
     width = 1;
@@ -226,8 +236,8 @@ let map of_a to_a c =
   {
     write = (fun b v -> c.write b (to_a v));
     read =
-      (fun s ~pos ->
-        let v, pos = c.read s ~pos in
+      (fun s ~pos ~stop ->
+        let v, pos = c.read s ~pos ~stop in
         (of_a v, pos));
     width = c.width;
   }
@@ -237,8 +247,8 @@ let tagged to_tag of_tag =
   {
     write = (fun b v -> payload.write b (to_tag v));
     read =
-      (fun s ~pos ->
-        let (tag, body), pos = payload.read s ~pos in
+      (fun s ~pos ~stop ->
+        let (tag, body), pos = payload.read s ~pos ~stop in
         (of_tag tag body, pos));
     width = payload.width;
   }
@@ -255,9 +265,9 @@ module Map_bindings (M : Map.S) = struct
               value.write b v)
             m);
       read =
-        (fun s ~pos ->
+        (fun s ~pos ~stop ->
           let n, pos =
-            read_count s ~pos ~width:(key.width + value.width) "map"
+            read_count s ~pos ~stop ~width:(key.width + value.width) "map"
           in
           let pos = ref pos in
           (* [build n] reads the next [n] bindings, the left half first.
@@ -267,8 +277,8 @@ module Map_bindings (M : Map.S) = struct
           let rec build = function
             | 0 -> M.empty
             | 1 ->
-                let k, next = key.read s ~pos:!pos in
-                let v, next = value.read s ~pos:next in
+                let k, next = key.read s ~pos:!pos ~stop in
+                let v, next = value.read s ~pos:next ~stop in
                 pos := next;
                 M.singleton k v
             | n ->

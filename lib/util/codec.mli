@@ -74,6 +74,10 @@ end
 (** {1 Low-level interface for incremental encoding} *)
 
 val write : 'a t -> Buffer.t -> 'a -> unit
-val read : 'a t -> string -> pos:int -> 'a * int
-(** [read c s ~pos] decodes at offset [pos], returning the value and the
-    offset one past its encoding. *)
+val read : 'a t -> ?stop:int -> string -> pos:int -> 'a * int
+(** [read c ?stop s ~pos] decodes at offset [pos], returning the value and
+    the offset one past its encoding. It reads nothing at or past [stop]
+    (default: the end of [s]): an encoding that would run past it raises
+    {!Decode_error}, and so does a length or count that claims more bytes
+    than lie before it, before anything is allocated for them.
+    @raise Invalid_argument if [stop] is past the end of [s]. *)

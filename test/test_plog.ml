@@ -992,6 +992,29 @@ let durable_bound region ~log_end =
 let is_clean (r : Onll_plog.Plog.salvage_report) =
   r = { Onll_plog.Plog.clean_report with skip_markers = r.skip_markers }
 
+(* Rewrite [region]'s durable header as a store written before header
+   slots carried a bound holds it: the newest slot's seq and head in a
+   slot [seq | head | crc32(seq, head)], the other slot zero. Nothing
+   bounds that log. *)
+let unbound_header region =
+  let s = Onll_nvm.Memory.Region.durable_snapshot region in
+  let seq, head =
+    let newest =
+      if String.get_int64_le s 0 > String.get_int64_le s 32 then 0 else 32
+    in
+    (String.get_int64_le s newest, String.get_int64_le s (newest + 8))
+  in
+  let off = if Int64.rem seq 2L = 0L then 0 else 32 in
+  let v1 = Bytes.make 64 '\000' in
+  Bytes.set_int64_le v1 off seq;
+  Bytes.set_int64_le v1 (off + 8) head;
+  Bytes.set_int64_le v1 (off + 16)
+    (Int64.logand
+       (Int64.of_int32 (Onll_util.Crc32.bytes v1 ~pos:off ~len:16))
+       0xFFFFFFFFL);
+  Onll_nvm.Memory.Region.corrupt region ~off:0 ~len:64 ~f:(fun i _ ->
+      Bytes.get v1 i)
+
 (* Where the payloads of a log built by [salvage] start: after a dropped
    8-byte record when it has a header, at the front when it has none. *)
 let first_with_header = 64 + 24
@@ -1176,14 +1199,16 @@ let test_chunked_mirrored_dirty_replica () =
     (salvage ~replicas:2 ~capacity:big_capacity abc far)
 
 (* Recover a single-replica log of [capacity] holding [payloads], the
-   first [dropped] of them behind the head, counting its loads. Checks
-   that every live byte is loaded exactly once; that every byte past the
-   8-byte zero length that ends the walk (which the clean-end check loads
-   again), up to the written bound, is loaded exactly once; that no load
-   reaches the bound but that length; and that no load is longer than
-   [max_load]. Returns the report, the payloads recovered, the tail and
-   the bound. *)
-let recover_counting_loads ~capacity ~dropped ~max_load payloads =
+   first [dropped] of them behind the head, counting its loads — with the
+   header the head update wrote rewritten as one with no bound unless
+   [bound]. Checks that every live byte is loaded exactly once; that
+   every byte past the 8-byte zero length that ends the walk (which the
+   clean-end check loads again), up to the written bound — the log end
+   when there is none — is loaded exactly once; that no load reaches the
+   bound but that length; and that no load is longer than [max_load].
+   Returns the report, the payloads recovered, the tail and the bound. *)
+let recover_counting_loads ?(bound = true) ~capacity ~dropped ~max_load
+    payloads =
   let sim = Sim.create ~max_processes:1 () in
   let module M0 = (val Sim.machine sim) in
   let module M = Test_support.Machine_wrap.Counting_loads (M0) in
@@ -1191,13 +1216,13 @@ let recover_counting_loads ~capacity ~dropped ~max_load payloads =
   let log = P.create ~name:"l" ~capacity () in
   List.iter (P.append log) payloads;
   P.set_head log dropped;
+  let region =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l")
+  in
+  if not bound then unbound_header region;
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let bound =
-    durable_bound
-      (Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l"))
-      ~log_end:(64 + capacity)
-  in
+  let bound = durable_bound region ~log_end:(64 + capacity) in
   M.spans := [];
   let report, recovered = P.recover log in
   let spans = !M.spans in
@@ -1223,25 +1248,51 @@ let recover_counting_loads ~capacity ~dropped ~max_load payloads =
   (report, recovered, tail, bound)
 
 (* Each live byte is loaded once — the header of each record, then its
-   payload — and only a payload load may exceed the 64 KiB chunk. *)
+   payload — and only a payload load may exceed the 64 KiB chunk: with no
+   bound in the header, every free byte of the 2.5 MiB remainder is
+   loaded once, in chunks; with the bound, the free bytes up to it are,
+   and it lies below the log end. *)
 let test_recover_load_accounting () =
   let large = String.make (3 lsl 19) 'L' in
+  let payloads =
+    [ "dropped-1"; "dropped-2" ]
+    @ List.init 50 (Printf.sprintf "small-%d")
+    @ [ large ]
+    @ List.init 50 (Printf.sprintf "after-%d")
+  in
   let _, recovered, _, bound =
-    recover_counting_loads ~capacity:(4 lsl 20) ~dropped:2
-      ~max_load:(String.length large)
-      ([ "dropped-1"; "dropped-2" ]
-      @ List.init 50 (Printf.sprintf "small-%d")
-      @ [ large ]
-      @ List.init 50 (Printf.sprintf "after-%d"))
+    recover_counting_loads ~bound:false ~capacity:(4 lsl 20) ~dropped:2
+      ~max_load:(String.length large) payloads
   in
   check Alcotest.int "every live entry returned" 101 (List.length recovered);
+  check Alcotest.int "no bound: the check runs to the log end"
+    (64 + (4 lsl 20))
+    bound;
+  let _, recovered, _, bound =
+    recover_counting_loads ~capacity:(4 lsl 20) ~dropped:2
+      ~max_load:(String.length large) payloads
+  in
+  check Alcotest.int "every live entry returned, with a bound" 101
+    (List.length recovered);
   check Alcotest.bool "the bound is below the log end" true
     (bound < 64 + (4 lsl 20))
 
 (* A healthy log with a free remainder of more than 4 MiB recovers Clean
-   loading at most one 64 KiB chunk of it: its bound, written by a head
-   update, runs at most that far past its tail. *)
+   without ever holding more than one 64 KiB chunk of it. *)
 let test_large_remainder_in_chunks () =
+  let payloads = List.init 40 (Printf.sprintf "entry-%d") in
+  let report, recovered, _, _ =
+    recover_counting_loads ~capacity:((4 lsl 20) + 65536 + 13) ~dropped:0
+      ~max_load:65536 payloads
+  in
+  check Alcotest.string "clean" (pp_report Onll_plog.Plog.clean_report)
+    (pp_report report);
+  check Alcotest.(list string) "every entry" payloads recovered
+
+(* The same log after a head update, which writes its header and bound,
+   recovers Clean loading at most one 64 KiB chunk of its free remainder:
+   the bound runs at most that far past its tail. *)
+let test_bounded_remainder_one_chunk () =
   let payloads = List.init 40 (Printf.sprintf "entry-%d") in
   let report, recovered, tail, bound =
     recover_counting_loads ~capacity:((4 lsl 20) + 65536 + 13) ~dropped:1
@@ -1523,6 +1574,123 @@ let prop_crossing_appends_recover =
          run ~rotted:false;
          run ~rotted:true;
          true))
+
+(* A crash under the Random policy at step [crash_at] of a run of appends
+   that pass the bound, on a log whose head update wrote its header. Each
+   line of an unacknowledged append, and the header line of the slot
+   raising the bound, survives or not on its own, so an append can leave
+   record lines past the durable bound while its slot is lost; recovery
+   does not look past the bound, so those bytes stay. Then appends of
+   2 KB until one passes the bound — the bound it raises can cover such
+   bytes without overwriting them — a Drop_all crash and a second
+   recovery. Checks that the first recovery keeps every acknowledged
+   append and fabricates none, that the second returns what the first
+   returned and the further appends and quarantines nothing, and that a
+   third recovery is clean. Returns the nonzero bytes past the bound
+   after the first recovery and the second's report. *)
+let random_crash_then_crossing ~seed ~crash_at ~mirrored =
+  let rng = Random.State.make [| seed |] in
+  let all =
+    List.init 16 (fun i ->
+        Printf.sprintf "%02d" i
+        ^ String.make (1 + Random.State.int rng 30_000) 'p')
+  in
+  let sim =
+    Sim.create ~max_processes:1
+      ~crash_policy:(Onll_nvm.Crash_policy.Random seed) ()
+  in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let capacity = 1 lsl 20 in
+  let log =
+    P.create ~name:"l" ~capacity ~replicas:(if mirrored then 2 else 1) ()
+  in
+  P.append log "first";
+  P.set_head log 1;
+  let completed = ref 0 in
+  ignore
+    (Sim.run sim
+       (Sched.Strategy.random_with_crash ~seed ~crash_at_step:crash_at)
+       [|
+         (fun _ ->
+           List.iter
+             (fun e ->
+               P.append log e;
+               incr completed)
+             all);
+       |]);
+  let crash () =
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all
+  in
+  let what = Printf.sprintf "seed %d, crash at step %d" seed crash_at in
+  crash ();
+  let _, first = P.recover log in
+  let acked = List.filteri (fun i _ -> i < !completed) all in
+  check Alcotest.(list string) (what ^ ": every acknowledged append") acked
+    (List.filteri (fun i _ -> i < List.length acked) first);
+  check Alcotest.bool (what ^ ": nothing fabricated") true
+    (List.for_all (fun e -> List.mem e all) first);
+  let region =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory sim) "l")
+  in
+  let bound () = durable_bound region ~log_end:(64 + capacity) in
+  let before = bound () in
+  let stale = ref 0 in
+  String.iteri
+    (fun i c -> if i >= before && c <> '\000' then incr stale)
+    (Onll_nvm.Memory.Region.durable_snapshot region);
+  let rec further i =
+    let e = Printf.sprintf "x%02d" i ^ String.make 2000 'x' in
+    P.append log e;
+    if bound () = before && i < 40 then e :: further (i + 1) else [ e ]
+  in
+  let further = further 0 in
+  crash ();
+  let report, second = P.recover log in
+  check Alcotest.(list string) (what ^ ": the second recovery")
+    (first @ further) second;
+  check Alcotest.int (what ^ ": nothing quarantined") 0
+    report.Onll_plog.Plog.quarantined_spans;
+  check Alcotest.bool (what ^ ": a third recovery is clean") true
+    (is_clean (fst (P.recover log)));
+  (!stale, report)
+
+let prop_random_crash_then_crossing =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"random crash past the bound, then crossing appends: no loss"
+       ~count:60
+       QCheck.(triple small_nat (int_bound 150) bool)
+       (fun (seed, crash_at, mirrored) ->
+         ignore (random_crash_then_crossing ~seed ~crash_at ~mirrored);
+         true))
+
+(* The case the property above reaches only now and then, found by a
+   sweep: record lines an unacknowledged append left past the bound, the
+   slot that raised it lost, are not looked at by the first recovery; a
+   later append's raised bound covers them, and the next recovery reports
+   them as a torn tail past every entry — a loss of nothing, reported
+   late. *)
+let test_stale_bytes_past_the_bound () =
+  let found = ref 0 in
+  List.iter
+    (fun seed ->
+      for crash_at = 25 to 60 do
+        let stale, report =
+          random_crash_then_crossing ~seed ~crash_at ~mirrored:false
+        in
+        if stale > 0 then begin
+          incr found;
+          check Alcotest.bool
+            (Printf.sprintf "seed %d, crash at step %d: a torn tail" seed
+               crash_at)
+            true
+            (report.Onll_plog.Plog.torn_tail_bytes > 0)
+        end
+      done)
+    [ 2; 5 ];
+  check Alcotest.bool "the sweep leaves bytes past the bound" true (!found > 0)
 
 (* A crash at every step of a relocation, then two appends and a second
    crash: the second recovery returns what the first returned and the two
@@ -1822,5 +1990,10 @@ let () =
           Alcotest.test_case "relocate crash: no stale record comes back"
             `Quick test_relocate_crash_no_stale_record;
           prop_crossing_appends_recover;
+          Alcotest.test_case "a bounded remainder loads one chunk" `Quick
+            test_bounded_remainder_one_chunk;
+          prop_random_crash_then_crossing;
+          Alcotest.test_case "stale bytes past the bound: a later torn tail"
+            `Quick test_stale_bytes_past_the_bound;
         ] );
     ]

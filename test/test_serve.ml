@@ -149,6 +149,25 @@ let test_framing_in_place () =
     (prefix (flen + 1) ^ String.sub frame 4 flen ^ "\000");
   raises_decode_error "a prefix cutting its payload short"
     (prefix (flen - 1) ^ String.sub frame 4 flen ^ frame);
+  (* A short frame whose body claims 50,000 bytes, followed in the buffer
+     by a frame that long: the decode stops at the short frame's end, so
+     it raises before it allocates the bytes claimed. *)
+  let forged = Bytes.of_string frame in
+  Bytes.set_int64_le forged (4 + 8) 50_000L;
+  let raw =
+    Bytes.to_string forged
+    ^ stream Protocol.req_codec
+        [ Protocol.Fetch { op = String.make 60_000 'n' } ]
+  in
+  let inbuf = Protocol.Inbuf.create () in
+  Protocol.Inbuf.add inbuf (Bytes.of_string raw) (String.length raw);
+  let before = Gc.allocated_bytes () in
+  check Alcotest.bool "a length past the frame's end raises" true
+    (match Protocol.Inbuf.pop inbuf Protocol.req_codec with
+    | exception Codec.Decode_error _ -> true
+    | _ -> false);
+  check Alcotest.bool "and allocates less than it claims" true
+    (Gc.allocated_bytes () -. before < 10_000.);
   let inbuf = Protocol.Inbuf.create () in
   let evil = prefix (Protocol.max_frame + 1) in
   Protocol.Inbuf.add inbuf (Bytes.of_string evil) 4;
