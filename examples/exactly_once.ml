@@ -56,13 +56,14 @@ let () =
   in
   (* After a restart the client re-attaches: its cursor is one past the
      last seq the recovered table recorded. *)
+  let admission = Onll_core.Admission.create ~watermark:0.85 in
   let reattach () =
     ignore (obj.B.recover_report ());
-    let s = Sess.attach ~client:0 (B.backend obj) in
+    let s = Sess.attach ~admission ~client:0 (B.backend obj) in
     Printf.printf "  attach -> the table's next seq is %d\n" (Sess.next_seq s);
     s
   in
-  let s = Sess.attach ~client:0 (B.backend obj) in
+  let s = Sess.attach ~admission ~client:0 (B.backend obj) in
   Printf.printf
     "era 1: %d increments through the session (each one update, one fence)\n"
     updates;

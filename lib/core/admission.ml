@@ -1,11 +1,12 @@
-(* Admission that compacts before it sheds, shared by a session and by
-   `onll serve`: sample the fullest object log's fill, and at the
-   watermark compact and sample again, so that only what compaction
-   cannot reclaim is refused. A compaction that left the fill at or
-   above the watermark (or raised [Log_full]: nothing to reclaim) is not
-   retried until the fill grows past that level, so genuine overload
-   stays a cheap refusal; one that a transient fault cut short leaves no
-   such mark. A watermark of [1.0] or more admits everything unsampled. *)
+(* Admission that compacts before it sheds, one per object, shared by
+   every session over it (and by `onll serve`'s relaxed tiers): sample
+   the fullest object log's fill, and at the watermark compact and
+   sample again, so that only what compaction cannot reclaim is
+   refused. A compaction that left the fill at or above the watermark
+   (or raised [Log_full]: nothing to reclaim) is not retried until the
+   fill grows past that level, so genuine overload stays a cheap
+   refusal; one that a transient fault cut short leaves no such mark. A
+   watermark of [1.0] or more admits everything unsampled. *)
 
 type t = {
   watermark : float;

@@ -111,7 +111,6 @@ type report = {
   r_confirmed : int;
   r_acked : int;
   r_adopted : int;
-  r_reinvoked : int;
   r_shed : int;
   r_timeouts : int;
   r_degraded : int;
@@ -133,11 +132,11 @@ type report = {
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "sent=%d confirmed=%d (acked=%d adopted=%d reinvoked=%d) shed=%d \
+    "sent=%d confirmed=%d (acked=%d adopted=%d) shed=%d \
      timeouts=%d degraded=%d draining=%d bad_seq=%d aborted=%d dropped=%d \
      reconnects=%d conn_failures=%d unresolved=%d wall=%dms p50=%dus \
      p99=%dus p999=%dus goodput=%.1f/s shed_rate=%.4f%s"
-    r.r_sent r.r_confirmed r.r_acked r.r_adopted r.r_reinvoked r.r_shed
+    r.r_sent r.r_confirmed r.r_acked r.r_adopted r.r_shed
     r.r_timeouts r.r_degraded r.r_draining r.r_bad_seq r.r_aborted
     r.r_dropped_arrivals r.r_reconnects r.r_conn_failures r.r_unresolved
     r.r_wall_ms r.r_p50_us r.r_p99_us r.r_p999_us r.r_goodput r.r_shed_rate
@@ -156,7 +155,6 @@ let report_to_json r =
   field "confirmed" (string_of_int r.r_confirmed);
   field "acked" (string_of_int r.r_acked);
   field "adopted" (string_of_int r.r_adopted);
-  field "reinvoked" (string_of_int r.r_reinvoked);
   field "shed" (string_of_int r.r_shed);
   field "timeouts" (string_of_int r.r_timeouts);
   field "degraded" (string_of_int r.r_degraded);
@@ -234,7 +232,6 @@ type totals = {
   mutable sent : int;
   mutable acked : int;
   mutable adopted : int;
-  mutable reinvoked : int;
   mutable shed : int;
   mutable timeouts : int;
   mutable degraded : int;
@@ -258,7 +255,7 @@ let run ?audit cfg =
   let audit = match audit with Some a -> a | None -> Audit.create () in
   let t =
     {
-      sent = 0; acked = 0; adopted = 0; reinvoked = 0; shed = 0;
+      sent = 0; acked = 0; adopted = 0; shed = 0;
       timeouts = 0; degraded = 0; draining = 0; bad_seq = 0; aborted = 0;
       dropped = 0; reconnects = 0; conn_failures = 0;
       confirmed_this_pass = 0;
@@ -367,8 +364,7 @@ let run ?audit cfg =
         t.confirmed_this_pass <- t.confirmed_this_pass + 1;
         (match confirm_kind with
         | `Acked -> t.acked <- t.acked + 1
-        | `Adopted -> t.adopted <- t.adopted + 1
-        | `Reinvoked -> t.reinvoked <- t.reinvoked + 1);
+        | `Adopted -> t.adopted <- t.adopted + 1);
         if op.arrival_ns > 0 then record_latency (now_ns () - op.arrival_ns));
     c.op <- None
   in
@@ -455,7 +451,7 @@ let run ?audit cfg =
   in
   let on_resp c now (resp : Protocol.resp) =
     match resp with
-    | Protocol.Attached { next_seq; acked = _; resolution } -> (
+    | Protocol.Attached { next_seq; resolution } -> (
         c.next_seq <- next_seq;
         c.conn_attempts <- 0;
         c.phase <- Ready;
@@ -472,11 +468,6 @@ let run ?audit cfg =
             match resolution with
             | Protocol.W_applied _ when names_op ->
                 finish_op c ~confirm_kind:`Adopted
-            | Protocol.W_reinvoked _ when names_op ->
-                finish_op c ~confirm_kind:`Reinvoked
-            | Protocol.W_refused _ when names_op ->
-                (* degradation policy withheld it: definitely not applied *)
-                abort_op c
             | Protocol.W_unresolved _ when names_op ->
                 (* still in doubt (faults raging); re-attach later *)
                 reconnect ~delay_ns:(backoff_ns c (op.attempts + 1)) c;
@@ -770,7 +761,6 @@ let run ?audit cfg =
     r_confirmed = t.confirmed_this_pass;
     r_acked = t.acked;
     r_adopted = t.adopted;
-    r_reinvoked = t.reinvoked;
     r_shed = t.shed;
     r_timeouts = t.timeouts;
     r_degraded = t.degraded;

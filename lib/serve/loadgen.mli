@@ -84,7 +84,6 @@ type report = {
   r_confirmed : int;  (** ops confirmed during this pass *)
   r_acked : int;  (** direct protocol acks among them *)
   r_adopted : int;  (** confirmed via reattach resolution/cursor *)
-  r_reinvoked : int;
   r_shed : int;  (** R_overloaded refusals *)
   r_timeouts : int;
   r_degraded : int;

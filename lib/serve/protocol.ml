@@ -52,7 +52,7 @@ type wire_resolution =
   | W_unresolved of int
 
 type resp =
-  | Attached of { next_seq : int; acked : int; resolution : wire_resolution }
+  | Attached of { next_seq : int; resolution : wire_resolution }
   | Acked of { seq : int; value : int }
   | Refused of refusal
   | Got of int
@@ -165,11 +165,11 @@ let resolution_codec =
 let resp_codec =
   Codec.tagged
     (function
-      | Attached { next_seq; acked; resolution } ->
+      | Attached { next_seq; resolution } ->
           ( 0,
             Codec.encode
-              Codec.(triple int int resolution_codec)
-              (next_seq, acked, resolution) )
+              Codec.(pair int resolution_codec)
+              (next_seq, resolution) )
       | Acked { seq; value } ->
           (1, Codec.encode Codec.(pair int int) (seq, value))
       | Refused r -> (2, Codec.encode refusal_codec r)
@@ -179,10 +179,10 @@ let resp_codec =
     (fun tag payload ->
       match tag with
       | 0 ->
-          let next_seq, acked, resolution =
-            Codec.decode Codec.(triple int int resolution_codec) payload
+          let next_seq, resolution =
+            Codec.decode Codec.(pair int resolution_codec) payload
           in
-          Attached { next_seq; acked; resolution }
+          Attached { next_seq; resolution }
       | 1 ->
           let seq, value = Codec.decode Codec.(pair int int) payload in
           Acked { seq; value }

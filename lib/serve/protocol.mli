@@ -10,14 +10,14 @@
     disconnected mid-operation (or outlived a server crash) can resolve it
     without ever re-submitting blindly.
 
-    The client-side resolution rule, given [Attached { next_seq; resolution; _ }]
+    The client-side resolution rule, given [Attached { next_seq; resolution }]
     and an outstanding operation at sequence [s]. A non-[W_none]
     resolution is always about the client's {e last applied} operation,
     sequence [next_seq - 1], so it only binds the client's op when
     [s = next_seq - 1]:
     {ul
     {- [s = next_seq - 1] and [resolution] is not [W_none] — trust it
-       (applied / re-invoked / refused / still unresolved);}
+       (applied / still unresolved);}
     {- otherwise, [s < next_seq] — the operation was applied, and only
        the protocol acknowledgement got lost. Confirm it, do not
        resubmit;}
@@ -30,8 +30,10 @@
     operation), [W_applied] (its last applied one) and, while a failed
     update cannot yet be made durable, [W_unresolved]. It never sends
     [W_reinvoked] or [W_refused]: it re-invokes nothing, since the
-    client resubmits under [next_seq]. Both stay in the wire type for
-    the clients that match on them. *)
+    client resubmits under [next_seq]. Both stay in the wire type only
+    because the repository benchmark's client ([perfbench/duegen.ml])
+    matches on them, and the benchmark's files change only with the
+    benchmark: dropping them is left to a change of the benchmark. *)
 
 (** The durability tier a session asks for at [Hello] (E20). The server
     refuses combinations it cannot honour with {!refusal.R_bad_tier}. *)
@@ -109,7 +111,7 @@ type wire_resolution =
 
 (** Server → client. *)
 type resp =
-  | Attached of { next_seq : int; acked : int; resolution : wire_resolution }
+  | Attached of { next_seq : int; resolution : wire_resolution }
   | Acked of { seq : int; value : int }  (** durably applied; the ack *)
   | Refused of refusal
   | Got of int  (** read result *)

@@ -40,26 +40,29 @@ module Ct = Onll_core.Client_table.Make (Cs)
 
 module Make (M : Onll_machine.Machine_sig.S) = struct
   module B = Onll_stack.Make (M) (Ct)
+  module Sess = Onll_session.Make (Cs)
 
   type t = {
     token : string;
     max_clients : int;
     max_staleness : int;
+    sink : Sink.t;
     (* the built stack; its [relaxed] tiers (Plain|Mirrored only) are
        [T_strict] — exactly one piggybacking fence — and
        [T_staleness k], fence-free within the budget, plus the flush
        that drains the shared tail *)
     obj : B.obj;
-    (* the exactly-once path: the wrapper's strict update, whose one
-       fence also drains the staleness tail ahead of it, or the
-       object's own update *)
-    update_strict : Ct.update_op -> Ct.value;
+    (* what every exactly-once session runs over: the object's strict
+       update (whose one fence also drains the staleness tail ahead of
+       it), with the service's sticky degraded flag *)
+    backend : Sess.backend;
     mutable drain_flag : bool;
     (* sticky: a fence exhausted its write-back budget somewhere in the
        store, not only in the object's own attempts *)
-    mutable went_degraded : bool;
+    went_degraded : bool ref;
     (* an update failed mid-way since the staleness tail last drained *)
     mutable in_doubt : bool;
+    (* the object's one admission, shared by every tier *)
     admission : Onll_core.Admission.t;
     m_ok : Metrics.counter;
     m_shed : Metrics.counter;
@@ -92,18 +95,21 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         { Onll_core.Onll.Config.default with log_capacity; sink }
     in
     ignore (obj.B.recover_report () : Onll_core.Onll.Recovery_report.t);
+    let went_degraded = ref false in
     let reg = Sink.registry sink in
     {
       token;
       max_clients;
       max_staleness;
+      sink;
       obj;
-      update_strict =
-        (match obj.B.relaxed with
-        | Some r -> r.B.update_strict
-        | None -> obj.B.update);
+      backend =
+        {
+          (B.backend obj) with
+          b_degraded = (fun () -> !went_degraded || obj.B.degraded ());
+        };
       drain_flag = false;
-      went_degraded = false;
+      went_degraded;
       in_doubt = false;
       admission = Onll_core.Admission.create ~watermark:0.85;
       m_ok = Metrics.counter reg "serve.submit.ok";
@@ -125,20 +131,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     | Ct.Value v -> v
     | _ -> assert false
 
-  let last_seq t client =
-    match t.obj.B.read (Ct.Last client) with
-    | Ct.Last_seq s -> s
-    | _ -> assert false
-
-  let next_seq t client =
-    match last_seq t client with Some s -> s + 1 | None -> 0
-
-  let degraded t = t.went_degraded || t.obj.B.degraded ()
-
-  (* Admission compacts the object before it sheds. *)
-  let admit t =
-    Onll_core.Admission.admit t.admission ~fill:t.obj.B.log_fill
-      ~compact:t.obj.B.compact
+  let degraded t = t.backend.b_degraded ()
 
   (* An update that failed mid-way over the relaxed wrapper stays staged
      in the staleness tail, where a later acknowledged update can make
@@ -151,9 +144,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       t.in_doubt <- false
     end
 
-  type conn = { mutable client : int option; mutable tier : Protocol.tier }
+  type link = Unattached | Exactly_once of Sess.t | Tiered of Protocol.tier
+  type conn = link ref
 
-  let conn () = { client = None; tier = Protocol.T_exactly_once }
+  let conn () = ref Unattached
 
   let tier_ok t = function
     | Protocol.T_exactly_once -> true
@@ -182,118 +176,123 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Protocol.Refused Protocol.R_bad_tier
     end
     else begin
-      conn.client <- Some client;
-      conn.tier <- tier;
       let settled =
         match settle t with
         | () -> true
         | exception Onll_nvm.File_memory.Degraded _ ->
-            t.went_degraded <- true;
+            t.went_degraded := true;
             false
         | exception Onll_nvm.Memory.Transient_fault _ -> false
       in
-      let last = last_seq t client in
-      let resolution =
-        match last with
-        | None -> Protocol.W_none
-        | Some s when settled -> Protocol.W_applied s
-        | Some s ->
-            Metrics.incr t.m_unresolved;
-            Protocol.W_unresolved s
+      let s =
+        Sess.attach ~sink:t.sink ~admission:t.admission ~client t.backend
       in
-      let next_seq = match last with Some s -> s + 1 | None -> 0 in
-      Protocol.Attached { next_seq; acked = next_seq; resolution }
+      conn :=
+        (match tier with
+        | Protocol.T_exactly_once -> Exactly_once s
+        | _ -> Tiered tier);
+      let next_seq = Sess.next_seq s in
+      let resolution =
+        if next_seq = 0 then Protocol.W_none
+        else if settled then Protocol.W_applied (next_seq - 1)
+        else begin
+          Metrics.incr t.m_unresolved;
+          Protocol.W_unresolved (next_seq - 1)
+        end
+      in
+      Protocol.Attached { next_seq; resolution }
     end
 
-  (* Run one durable update. A failure mid-way is indeterminate: the
-     client's next Hello reads its fate from the table. A duplicate (an
-     in-doubt operation that was applied before its resubmission)
-     answers the counter as it stands. *)
-  let durable t ~seq update =
-    match update () with
-    | None ->
-        Metrics.incr t.m_shed;
-        Protocol.Refused Protocol.R_overloaded
-    | Some v ->
-        Metrics.incr t.m_ok;
-        let value =
-          match v with Ct.Value v -> v | _ -> counter_value t
-        in
-        Protocol.Acked { seq; value }
-    | exception Onll_nvm.File_memory.Degraded _ ->
-        t.went_degraded <- true;
-        t.in_doubt <- true;
-        Metrics.incr t.m_degraded;
-        Protocol.Refused Protocol.R_degraded
-    | exception Onll_nvm.Memory.Transient_fault _ ->
-        t.in_doubt <- true;
-        Metrics.incr t.m_timeout;
-        Protocol.Refused Protocol.R_timeout
+  (* An update that failed mid-way is indeterminate: the client's next
+     Hello reads its fate from the table. *)
+  let in_doubt_timeout t =
+    t.in_doubt <- true;
+    Metrics.incr t.m_timeout;
+    Protocol.Refused Protocol.R_timeout
+
+  let in_doubt_degraded t =
+    t.went_degraded := true;
+    t.in_doubt <- true;
+    Metrics.incr t.m_degraded;
+    Protocol.Refused Protocol.R_degraded
 
   (* Relaxed tiers (E20): no dedup, the wrapper's ack path, priced
      exactly one fence (strict) or 1/k (staleness). [seq] is echoed, not
      checked: retrying an indeterminate submit may double-apply; that is
      the tier's stated trade. *)
-  let submit_tiered t ~seq ~op tier =
+  let submit_tiered t ~seq tier op =
+    let r = Option.get t.obj.B.relaxed in
+    let update () =
+      match tier with
+      | Protocol.T_strict ->
+          Metrics.incr t.m_tier_strict;
+          r.B.update_strict (Ct.Untracked op)
+      | Protocol.T_staleness k ->
+          Metrics.incr t.m_tier_relaxed;
+          r.B.update_stale ~budget:k (Ct.Untracked op)
+      | Protocol.T_exactly_once -> assert false
+    in
+    match
+      if
+        Onll_core.Admission.admit t.admission ~fill:t.obj.B.log_fill
+          ~compact:t.obj.B.compact
+      then Some (update ())
+      else None
+    with
+    | Some v ->
+        Metrics.incr t.m_ok;
+        let value = match v with Ct.Value v -> v | _ -> counter_value t in
+        Protocol.Acked { seq; value }
+    | None ->
+        Metrics.incr t.m_shed;
+        Protocol.Refused Protocol.R_overloaded
+    | exception Onll_nvm.File_memory.Degraded _ -> in_doubt_degraded t
+    | exception Onll_nvm.Memory.Transient_fault _ -> in_doubt_timeout t
+
+  (* The session answers an exactly-once submit. A duplicate (an
+     in-doubt operation that was applied before its resubmission)
+     answers the counter as it stands. The session lets a degraded
+     store's exception through. *)
+  let submit_exactly_once t s ~seq op =
+    match Sess.submit ~seq s op with
+    | Ok (Sess.Applied value) ->
+        Metrics.incr t.m_ok;
+        Protocol.Acked { seq; value }
+    | Ok Sess.Duplicate ->
+        Metrics.incr t.m_ok;
+        Protocol.Acked { seq; value = counter_value t }
+    | Error Onll_session.Overloaded ->
+        Metrics.incr t.m_shed;
+        Protocol.Refused Protocol.R_overloaded
+    | Error Onll_session.Degraded ->
+        Metrics.incr t.m_degraded;
+        Protocol.Refused Protocol.R_degraded
+    | Error Onll_session.In_doubt -> in_doubt_timeout t
+    | exception Onll_nvm.File_memory.Degraded _ -> in_doubt_degraded t
+
+  let decoded op f =
     match Codec.decode Cs.update_codec op with
     | exception Codec.Decode_error _ -> Protocol.Refused Protocol.R_bad_op
-    | op ->
-        let r = Option.get t.obj.B.relaxed in
-        durable t ~seq (fun () ->
-            if not (admit t) then None
-            else
-              match tier with
-              | Protocol.T_strict ->
-                  Metrics.incr t.m_tier_strict;
-                  Some (r.B.update_strict (Ct.Untracked op))
-              | Protocol.T_staleness k ->
-                  Metrics.incr t.m_tier_relaxed;
-                  Some (r.B.update_stale ~budget:k (Ct.Untracked op))
-              | Protocol.T_exactly_once -> assert false)
+    | op -> f op
 
-  (* Only a seq past the client's next is refused. One at or below its
-     last applied seq is a resubmission: an op that failed mid-way can
-     become applied after the Hello that gave its seq (a later update
-     persists it), so the update runs as usual, the table answers
-     [Duplicate] without applying it again, and its fence makes the
-     earlier apply durable before the ack. *)
-  let submit_exactly_once t ~client ~seq ~op =
-    let next = next_seq t client in
-    if seq > next then begin
-      Metrics.incr t.m_bad_seq;
-      Protocol.Refused (Protocol.R_bad_seq next)
-    end
-    else
-      match Codec.decode Cs.update_codec op with
-      | exception Codec.Decode_error _ -> Protocol.Refused Protocol.R_bad_op
-      | op ->
-          if degraded t then begin
-            (* a sticky-degraded store takes no new writes *)
-            Metrics.incr t.m_degraded;
-            Protocol.Refused Protocol.R_degraded
-          end
-          else
-            durable t ~seq (fun () ->
-                if admit t then
-                  Some (t.update_strict (Ct.Tracked { client; seq; op }))
-                else None)
-
+  (* Only a seq past the session's cursor is refused: one at or below it
+     is a resubmission, which the session answers. *)
   let submit t conn ~seq ~op =
-    match conn.client with
-    | None -> Protocol.Refused Protocol.R_not_attached
-    | Some client ->
-        if t.drain_flag then begin
-          Metrics.incr t.m_drained;
-          Protocol.Refused Protocol.R_draining
-        end
-        else if conn.tier = Protocol.T_exactly_once then
-          submit_exactly_once t ~client ~seq ~op
-        else submit_tiered t ~seq ~op conn.tier
+    match !conn with
+    | Unattached -> Protocol.Refused Protocol.R_not_attached
+    | _ when t.drain_flag ->
+        Metrics.incr t.m_drained;
+        Protocol.Refused Protocol.R_draining
+    | Exactly_once s when seq > Sess.next_seq s ->
+        Metrics.incr t.m_bad_seq;
+        Protocol.Refused (Protocol.R_bad_seq (Sess.next_seq s))
+    | Exactly_once s -> decoded op (submit_exactly_once t s ~seq)
+    | Tiered tier -> decoded op (submit_tiered t ~seq tier)
 
   let fetch t conn =
-    match conn.client with
-    | None -> Protocol.Refused Protocol.R_not_attached
-    | Some _ ->
+    match !conn with
+    | Unattached -> Protocol.Refused Protocol.R_not_attached
+    | Exactly_once _ | Tiered _ ->
         Metrics.incr t.m_reads;
         Protocol.Got (counter_value t)
 
@@ -305,7 +304,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     | Protocol.Fetch _ -> fetch t conn
     | Protocol.Ping -> Protocol.Pong
     | Protocol.Bye ->
-        conn.client <- None;
+        conn := Unattached;
         Protocol.Gone
 
   let drain t = t.drain_flag <- true

@@ -7,21 +7,26 @@
     resolution holds for the served protocol byte-for-byte.
 
     {b Identity model.} The served object is the counter inside a
-    {!Onll_core.Client_table}: its state holds, beside the counter, each client's
-    last applied sequence number. An exactly-once [Submit] is one tracked
-    update [(client, seq, op)] through the object's strict path, so it
-    costs the object's one persistent fence and nothing else, and the
-    update records [seq] in the same [apply] that applies [op]. The
-    table is therefore durable exactly where the object is: in each
-    update's log record, in every checkpoint and in every recovery. A
-    [Hello] reads the client's entry, fence-free, and that entry is the
-    whole of the client's durable session: clients join at run time, and
-    no operation stays in doubt across a restart or a compaction,
-    because the state itself says whether it was applied. A [Submit] at
-    or below the entry is a resubmission, answered without a second
-    apply, so resubmitting a failed operation under the [next_seq] a
-    [Hello] gave is safe even when that operation takes effect after the
-    [Hello]. *)
+    {!Onll_core.Client_table}: its state holds, beside the counter, each
+    client's last applied sequence number. The exactly-once protocol is
+    {!Onll_session}'s, and the service runs it: a [Hello] at the
+    exactly-once tier attaches a session for the connection (one
+    fence-free read of the client's entry, which gives [next_seq]), and
+    each [Submit] is that session's submission, one tracked update
+    [(client, seq, op)] through the object's strict path. It costs the
+    object's one persistent fence and nothing else, and records [seq] in
+    the same [apply] that applies [op], so the table is durable exactly
+    where the object is: in each update's log record, in every
+    checkpoint and in every recovery. The entry is the whole of the
+    client's durable session: clients join at run time, and no operation
+    stays in doubt across a restart or a compaction, because the state
+    itself says whether it was applied. A [Submit] at or below the
+    session's cursor is a resubmission, answered without a second apply,
+    so resubmitting a failed operation under the [next_seq] a [Hello]
+    gave is safe even when that operation takes effect after the
+    [Hello]. What stays here is the wire: authentication, the relaxed
+    tiers, drain, decoding, the relaxed tail's drain before a [Hello]
+    answers, and the mapping of each answer to a response. *)
 
 (** Which construction serves the shared counter. All four compose with
     either machine backend (sim or file). *)
@@ -65,16 +70,18 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       On [Sharded]/[Batched] every relaxed tier is refused with
       {!Protocol.refusal.R_bad_tier}.
 
-      Admission (every tier) compacts the object before it sheds: at
-      0.85 of the fullest object log, {!Onll_core.Onll.CONSTRUCTION.compact}
+      Admission is the object's, one {!Onll_core.Admission.t} shared by
+      every tier and every session, and compacts the object before it
+      sheds: at 0.85 of the fullest object log,
+      {!Onll_core.Onll.CONSTRUCTION.compact}
       (behind the relaxed wrapper's checkpoint on [Plain]/[Mirrored], so
       the staleness tail stays a suffix), and a refusal
       ({!Protocol.refusal.R_overloaded}) only while what compaction
       cannot reclaim still reaches the watermark. *)
 
   type conn
-  (** Per-connection authentication state (which client, if any, this
-      connection speaks for, and at which tier). Owned by the shell. *)
+  (** Per-connection state: unattached, an exactly-once session, or the
+      relaxed tier it attached at. Owned by the shell. *)
 
   val conn : unit -> conn
 
@@ -94,7 +101,10 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       client's next [Hello] says whether it was applied yet, and a
       resubmission under the [next_seq] it gives is deduplicated by the
       table should the failed update still take effect. Only a seq past
-      [next_seq] is refused ({!Protocol.refusal.R_bad_seq}). *)
+      the connection's cursor (the [next_seq] its [Hello] gave, moved
+      past each answered submit) is refused
+      ({!Protocol.refusal.R_bad_seq}). Each exactly-once submit also
+      emits the session's outcome event into [make]'s [sink]. *)
 
   val drain : t -> unit
   (** Enter drain: every subsequent [Hello]/[Submit] is refused with

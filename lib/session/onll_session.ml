@@ -11,10 +11,6 @@ let pp_error ppf = function
   | Overloaded -> Format.pp_print_string ppf "overloaded"
   | Degraded -> Format.pp_print_string ppf "degraded"
 
-type config = { high_watermark : float }
-
-let default_config = { high_watermark = 0.85 }
-
 type ('update, 'read, 'value) backend = {
   b_update : 'update -> 'value;
   b_read : 'read -> 'value;
@@ -38,27 +34,16 @@ module Make (S : Onll_core.Spec.S) = struct
 
   type answer = Applied of S.value | Duplicate
 
-  let attach ?(config = default_config) ?(sink = Sink.null) ~client backend =
+  let attach ?(sink = Sink.null) ~admission ~client backend =
     let next =
       match backend.b_read (T.Last client) with
       | T.Last_seq (Some last) -> last + 1
       | T.Last_seq None -> 0
       | T.Value _ | T.Duplicate -> invalid_arg "Onll_session.attach"
     in
-    {
-      sink;
-      t_client = client;
-      backend;
-      admission = Onll_core.Admission.create ~watermark:config.high_watermark;
-      next;
-    }
+    { sink; t_client = client; backend; admission; next }
 
   let next_seq t = t.next
-  let pressure t = Onll_core.Admission.last t.admission
-
-  let admit t =
-    Onll_core.Admission.admit t.admission ~fill:t.backend.b_pressure
-      ~compact:t.backend.b_compact
 
   let emit t ~seq outcome =
     if Sink.active t.sink then
@@ -73,7 +58,11 @@ module Make (S : Onll_core.Spec.S) = struct
            t.next);
     let outcome, r =
       if t.backend.b_degraded () then (Event.Sess_refused, Error Degraded)
-      else if not (admit t) then (Event.Sess_shed, Error Overloaded)
+      else if
+        not
+          (Onll_core.Admission.admit t.admission ~fill:t.backend.b_pressure
+             ~compact:t.backend.b_compact)
+      then (Event.Sess_shed, Error Overloaded)
       else
         match
           t.backend.b_update (T.Tracked { client = t.t_client; seq; op })

@@ -10,7 +10,8 @@
     is answerable from recovered state alone: {!attach} reads the
     client's entry and sets the cursor past it.
 
-    The protocol is the one [onll serve] serves:
+    [onll serve] runs each exactly-once connection through a session
+    ([Onll_serve.Service]), so this is the protocol it serves:
     {ul
     {- {b one sequence number per operation} — {!submit} takes the
        cursor's [seq] and advances the cursor only on an answer, so a
@@ -22,11 +23,13 @@
        under the [seq] it used ([?seq]); the table decides whether it
        applies now or had applied before;}
     {- {b the log is compacted before anything is shed} — admission
-       control samples the backend's log fill on every submission (an
-       O(1) read of the logs' in-memory accounts, [b_pressure]),
-       compacts at the watermark ([b_compact]), and refuses the
-       submission ({!error.Overloaded}) only when what compaction cannot
-       reclaim still reaches the watermark;}
+       belongs to the object, not to a client: every session over one
+       object shares its {!Onll_core.Admission.t}, which samples the
+       backend's log fill on every submission (an O(1) read of the logs'
+       in-memory accounts, [b_pressure]), compacts at its watermark
+       ([b_compact]), and refuses the submission ({!error.Overloaded})
+       only when what compaction cannot reclaim still reaches the
+       watermark;}
     {- {b degraded media refuses writes} — when the backend's sticky
        degraded flag is up, submissions answer {!error.Degraded}. Reads
        are always served.}}
@@ -51,16 +54,6 @@ type error =
           session writes nothing over it. Not applied. *)
 
 val pp_error : Format.formatter -> error -> unit
-
-type config = {
-  high_watermark : float;
-      (** admission control: at this fill of any backend log (live bytes
-          over capacity) compact the backend, and shed submissions while
-          the fill compaction leaves still reaches it (default 0.85;
-          [>= 1.0] disables admission control) *)
-}
-
-val default_config : config
 
 (** What a session needs from its object: a record of closures, so one
     session type composes with every stack below it.
@@ -100,16 +93,24 @@ module Make (S : Onll_core.Spec.S) : sig
             had applied, and nothing was applied now *)
 
   val attach :
-    ?config:config -> ?sink:Onll_obs.Sink.t -> client:int -> backend -> t
+    ?sink:Onll_obs.Sink.t ->
+    admission:Onll_core.Admission.t ->
+    client:int ->
+    backend ->
+    t
   (** Open client [client]'s session: one fence-free read of its table
       entry, which sets the cursor just past it. Attach again after the
-      backend's recovery. [sink] receives the session's outcome
-      events. *)
+      backend's recovery. [admission] is the object's: create one per
+      object ({!Onll_core.Admission.create}; a watermark of [1.0] or more
+      admits everything) and pass it to every session over it. [sink]
+      receives the session's outcome events. *)
 
   val submit : ?seq:int -> t -> S.update_op -> (answer, error) result
   (** Exactly-once submission under [seq] (default {!next_seq}): one
       tracked update. The cursor moves past [seq] on an answer, and on an
-      error stays where it was.
+      error stays where it was. Any exception from [b_update] other than
+      a transient fault (for instance [Onll_nvm.File_memory.Degraded])
+      reaches the caller, the cursor unmoved.
       @raise Invalid_argument if [seq] is above {!next_seq}: the table
       only accepts a client's sequence numbers in order. *)
 
@@ -117,13 +118,4 @@ module Make (S : Onll_core.Spec.S) : sig
   (** Fence-free, never refused. *)
 
   val next_seq : t -> int  (** one past the client's last applied seq *)
-
-  val admit : t -> bool
-  (** The admission step {!submit} runs first: sample [b_pressure]; at
-      the watermark call [b_compact] and sample again. [true] admits. A
-      compaction that could not get below the watermark is not retried
-      until the fill grows past the level it left. *)
-
-  val pressure : t -> float
-  (** The backend pressure sample admission control last acted on. *)
 end

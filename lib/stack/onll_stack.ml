@@ -214,14 +214,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     let o = Tf.build_front cfg f in
     let b = Tf.backend o in
     let sessions = Array.make M.max_processes None in
+    let admission = Onll_core.Admission.create ~watermark:1.0 in
+    let sink = cfg.Onll_core.Onll.Config.sink in
     let session p =
       match sessions.(p) with
       | Some s -> s
       | None ->
-          let s =
-            Sess.attach ~config:{ high_watermark = 1.0 }
-              ~sink:cfg.Onll_core.Onll.Config.sink ~client:p b
-          in
+          let s = Sess.attach ~sink ~admission ~client:p b in
           sessions.(p) <- Some s;
           s
     in

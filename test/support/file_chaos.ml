@@ -61,7 +61,8 @@ let run_epoch ?fplan ~emit ~dir ~replicas ~resubmit ~target () =
         { Onll_core.Onll.Config.default with log_capacity = 1 lsl 14 }
     in
     ignore (obj.B.recover_report ());
-    let sess = Sess.attach ~client:0 (B.backend obj) in
+    let admission = Onll_core.Admission.create ~watermark:0.85 in
+    let sess = Sess.attach ~admission ~client:0 (B.backend obj) in
     emit (Printf.sprintf "LAST %d" (Sess.next_seq sess - 1));
     emit (Printf.sprintf "V0 %d" (Sess.read sess Cs.Get));
     let submit seq =

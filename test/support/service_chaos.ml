@@ -103,7 +103,7 @@ let run_restart_scenario ~construction ~target ~seed =
            Srv.handle svc conns.(i)
              (Protocol.Hello { client = i; token = "onll"; tier = Protocol.T_exactly_once })
          with
-         | Protocol.Attached { next_seq; acked = _; resolution } ->
+         | Protocol.Attached { next_seq; resolution } ->
              next.(i) <- next_seq;
              (match resolution with
              | Protocol.W_none | Protocol.W_applied _ -> ()

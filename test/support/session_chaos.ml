@@ -197,9 +197,8 @@ module Make (S : Onll_core.Spec.S) = struct
     in
     (* Shedding off: admission control has its own deterministic test;
        here every submission must reach the table. *)
-    let attach p =
-      Sess.attach ~config:{ high_watermark = 1.0 } ~sink ~client:p backend
-    in
+    let admission = Onll_core.Admission.create ~watermark:1.0 in
+    let attach p = Sess.attach ~sink ~admission ~client:p backend in
     let sessions = Array.init plan.n_procs attach in
     (* Plain OCaml state, not simulated NVM, so it survives simulated
        crashes exactly like a client's own bookkeeping: the next logical

@@ -120,16 +120,26 @@ let test_framing_in_place () =
       Protocol.Fetch { op = "f" };
       Protocol.Bye;
     ];
+  (* every resolution and every refusal the server sends *)
   every_split "responses" Protocol.resp_codec
-    [
-      Protocol.Attached
-        { next_seq = 5; acked = 4; resolution = Protocol.W_reinvoked (4, 1, 7) };
-      Protocol.Acked { seq = 5; value = -1 };
-      Protocol.Refused (Protocol.R_bad_seq 6);
-      Protocol.Got 42;
-      Protocol.Pong;
-      Protocol.Gone;
-    ];
+    ([
+       Protocol.Attached
+         { next_seq = 5; resolution = Protocol.W_reinvoked (4, 1, 7) };
+       Protocol.Attached { next_seq = 0; resolution = Protocol.W_none };
+       Protocol.Attached { next_seq = 3; resolution = Protocol.W_applied 2 };
+       Protocol.Attached { next_seq = 9; resolution = Protocol.W_unresolved 8 };
+       Protocol.Acked { seq = 5; value = -1 };
+       Protocol.Got 42;
+       Protocol.Pong;
+       Protocol.Gone;
+     ]
+    @ List.map
+        (fun r -> Protocol.Refused r)
+        Protocol.
+          [
+            R_overloaded; R_timeout; R_degraded; R_draining; R_bad_seq 6;
+            R_bad_token; R_bad_client; R_not_attached; R_bad_op; R_bad_tier;
+          ]);
   let raises_decode_error what raw =
     let inbuf = Protocol.Inbuf.create () in
     Protocol.Inbuf.add inbuf (Bytes.of_string raw) (String.length raw);
@@ -221,11 +231,21 @@ let test_handle_policy () =
   check Alcotest.int "counter agrees" 1 (Svc.counter_value t);
   check Alcotest.bool "a re-attach reads the applied seq" true
     (h (Protocol.Hello { client = 1; token = "secret"; tier = Protocol.T_exactly_once })
-    = Protocol.Attached { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
+    = Protocol.Attached { next_seq = 1; resolution = Protocol.W_applied 0 });
   check Alcotest.bool "a client with no applied op has no entry" true
     (Svc.handle t (Svc.conn ())
        (Protocol.Hello { client = 2; token = "secret"; tier = Protocol.T_exactly_once })
-    = Protocol.Attached { next_seq = 0; acked = 0; resolution = Protocol.W_none });
+    = Protocol.Attached { next_seq = 0; resolution = Protocol.W_none });
+  (* a resubmission below the next seq leaves it where it was *)
+  check Alcotest.bool "the next seq applies" true
+    (h (Protocol.Submit { seq = 1; deadline_ns = 0; op = incr_op })
+    = Protocol.Acked { seq = 1; value = 2 });
+  check Alcotest.bool "an older seq acks the counter as it stands" true
+    (h (Protocol.Submit { seq = 0; deadline_ns = 0; op = incr_op })
+    = Protocol.Acked { seq = 0; value = 2 });
+  check Alcotest.bool "and leaves the next seq where it was" true
+    (h (Protocol.Submit { seq = 3; deadline_ns = 0; op = incr_op })
+    = Protocol.Refused (Protocol.R_bad_seq 2));
   (* drain policy *)
   Svc.drain t;
   check Alcotest.bool "hello while draining refused" true
@@ -235,7 +255,7 @@ let test_handle_policy () =
     (h (Protocol.Submit { seq = 1; deadline_ns = 0; op = incr_op })
     = Protocol.Refused Protocol.R_draining);
   check Alcotest.bool "reads still answer while draining" true
-    (h (Protocol.Fetch { op = "" }) = Protocol.Got 1);
+    (h (Protocol.Fetch { op = "" }) = Protocol.Got 2);
   check Alcotest.bool "bye answers gone" true (h Protocol.Bye = Protocol.Gone)
 
 (* {1 Per-session durability tiers (E20)} *)
@@ -726,14 +746,14 @@ let test_failed_op_durable_before_hello () =
   check Alcotest.bool "A's Hello reports its op applied" true
     (S1.handle t1 (S1.conn ()) (hello_eo ~client:0)
     = Protocol.Attached
-        { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
+        { next_seq = 1; resolution = Protocol.W_applied 0 });
   Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
   let module S2 = Service.Make (M) in
   let t2 = S2.make ~max_staleness:8 Service.Plain in
   check Alcotest.bool "after a crash, A's op is still applied" true
     (S2.handle t2 (S2.conn ()) (hello_eo ~client:0)
     = Protocol.Attached
-        { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 });
+        { next_seq = 1; resolution = Protocol.W_applied 0 });
   check Alcotest.int "and counted once" 2 (S2.counter_value t2)
 
 (* A staleness-tier ack, then an exactly-once ack, then a Drop_all
@@ -765,7 +785,7 @@ let test_stale_then_exactly_once () =
   check Alcotest.bool "the exactly-once client reads its op applied" true
     (S2.handle t2 (S2.conn ()) (hello_eo ~client:1)
     = Protocol.Attached
-        { next_seq = 1; acked = 1; resolution = Protocol.W_applied 0 })
+        { next_seq = 1; resolution = Protocol.W_applied 0 })
 
 (* Client A's second op fails at its fence under a flush storm and stays
    pending; A's Hello, still in the storm, cannot see it applied. Once
@@ -847,8 +867,97 @@ let test_resubmit_after_a_pending_op () =
       check Alcotest.bool (name ^ ": A's Hello reads its op applied") true
         (S2.handle t2 (S2.conn ()) (hello_eo ~client:0)
         = Protocol.Attached
-            { next_seq = 2; acked = 2; resolution = Protocol.W_applied 1 }))
+            { next_seq = 2; resolution = Protocol.W_applied 1 }))
     [ Service.Plain; Service.Mirrored; Service.Sharded; Service.Batched ]
+
+(* Client A's second op fails under a flush storm, its drain with it.
+   While the storm lasts the relaxed tail cannot drain, so a new
+   connection's Hello cannot know that the entry it reads is durable: it
+   answers [W_unresolved] with the last applied seq and counts it. Once
+   the storm ends, the next Hello drains the tail and answers
+   [W_applied]. *)
+let test_unresolved_hello () =
+  List.iter
+    (fun construction ->
+      let name = Service.construction_name construction in
+      let sim = Sim.create ~max_processes:1 () in
+      let module M = (val Sim.machine sim) in
+      let module S = Service.Make (M) in
+      let registry = Onll_obs.Metrics.create () in
+      let t = S.make ~sink:(Onll_obs.Sink.make ~registry ()) construction in
+      let unresolved () =
+        Onll_obs.Metrics.counter_value registry "serve.resolved.unresolved"
+      in
+      let a = S.conn () in
+      ignore (S.handle t a (hello_eo ~client:0) : Protocol.resp);
+      check Alcotest.bool (name ^ ": A's first op acks") true
+        (S.handle t a (submit_req 0) = Protocol.Acked { seq = 0; value = 1 });
+      let storm =
+        Faults.install (Sim.memory sim)
+          {
+            Faults.Plan.none with
+            seed = 5;
+            flush_fail_prob = 1.0;
+            max_consecutive_transients = 1_000_000;
+            target =
+              (fun region ->
+                let parts = String.split_on_char '.' region in
+                List.mem "plog" parts || List.mem "relaxcoord" parts);
+          }
+      in
+      check Alcotest.bool (name ^ ": A's second op is indeterminate") true
+        (S.handle t a (submit_req 1) = Protocol.Refused Protocol.R_timeout);
+      check Alcotest.bool (name ^ ": a Hello in the storm is unresolved") true
+        (S.handle t (S.conn ()) (hello_eo ~client:0)
+        = Protocol.Attached
+            { next_seq = 1; resolution = Protocol.W_unresolved 0 });
+      check Alcotest.int (name ^ ": and counted") 1 (unresolved ());
+      Faults.remove storm;
+      (match S.handle t (S.conn ()) (hello_eo ~client:0) with
+      | Protocol.Attached { next_seq; resolution = Protocol.W_applied last }
+        when last = next_seq - 1 ->
+          ()
+      | _ -> Alcotest.failf "%s: the Hello after the storm is not applied" name);
+      check Alcotest.int (name ^ ": counted once") 1 (unresolved ()))
+    [ Service.Plain; Service.Mirrored ]
+
+(* A store whose every fsync fails goes sticky-degraded at the first
+   exactly-once submit that fences, which is refused [R_degraded]. From
+   then on the session refuses writes before it runs them: another
+   client's submit is refused too, counted as the session's refusal, and
+   applies nowhere. Reads still answer. *)
+let test_degraded_store () =
+  let dir = fresh_dir () in
+  let fm = Fm.create ~retry_budget:1 ~backoff_ns:0 ~dir ~max_processes:1 () in
+  ignore (Fm.register fm);
+  let module M = (val Fm.machine fm) in
+  let module S = Service.Make (M) in
+  let registry = Onll_obs.Metrics.create () in
+  let t = S.make ~sink:(Onll_obs.Sink.make ~registry ()) Service.Plain in
+  let a = S.conn () and b = S.conn () in
+  ignore (S.handle t a (hello_eo ~client:0) : Protocol.resp);
+  ignore (S.handle t b (hello_eo ~client:1) : Protocol.resp);
+  let inj =
+    Faults.install_file (Fm.memory fm)
+      {
+        Faults.File_plan.none with
+        fsync_eio_from = 1;
+        fsync_eio_count = 1_000_000;
+      }
+  in
+  check Alcotest.bool "the failed fence is refused degraded" true
+    (S.handle t a (submit_req 0) = Protocol.Refused Protocol.R_degraded);
+  check Alcotest.bool "the store is sticky-degraded" true (S.degraded t);
+  let v = S.counter_value t in
+  check Alcotest.bool "a later write is refused" true
+    (S.handle t b (submit_req 0) = Protocol.Refused Protocol.R_degraded);
+  check Alcotest.int "by the session, before it runs" 1
+    (Onll_obs.Metrics.counter_value registry "session.refused");
+  check Alcotest.int "and applied nowhere" v (S.counter_value t);
+  check Alcotest.bool "reads still answer" true
+    (S.handle t b (Protocol.Fetch { op = "" }) = Protocol.Got v);
+  Faults.remove_file inj;
+  Fm.close fm
 
 (* {1 Recovery-complete serving across a file-machine restart} *)
 
@@ -1280,6 +1389,8 @@ let () =
             `Quick test_fences;
           Alcotest.test_case "frames decoded in place at every split" `Quick
             test_framing_in_place;
+          Alcotest.test_case "a degraded store takes no exactly-once write"
+            `Quick test_degraded_store;
         ] );
       ( "table",
         [
@@ -1320,6 +1431,8 @@ let () =
             test_resubmit_after_a_pending_op;
           Alcotest.test_case "recovery-complete serving after restart" `Quick
             test_recovery_complete_restart;
+          Alcotest.test_case "a Hello during a flush storm is unresolved"
+            `Quick test_unresolved_hello;
         ] );
       ( "server",
         [

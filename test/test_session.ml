@@ -13,6 +13,9 @@ module Faults = Onll_faults.Faults
 
 let check = Alcotest.check
 
+(* The watermark `onll serve` admits at. *)
+let watermark = 0.85
+
 let run sim body =
   match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| body |] with
   | Onll_sched.Sched.World.Completed -> ()
@@ -52,7 +55,8 @@ let test_crash_applied () =
   let obj =
     B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink }
   in
-  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+  let admission = Onll_core.Admission.create ~watermark in
+  let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
   run sim (fun _ ->
       for k = 1 to 4 do
         check answer "submit" (Ok (Sess.Applied k))
@@ -61,13 +65,17 @@ let test_crash_applied () =
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Persist_all;
   ignore (obj.B.recover_report ());
   run sim (fun _ ->
-      let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+      let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
       check Alcotest.int "the table shows seq 3 applied" 4 (Sess.next_seq s);
       check answer "its resubmission is a duplicate" (Ok Sess.Duplicate)
         (Sess.submit ~seq:3 s Cs.Increment);
       check Alcotest.int "not applied again" 4 (Sess.read s Cs.Get);
       check answer "the next op applies once" (Ok (Sess.Applied 5))
-        (Sess.submit s Cs.Increment))
+        (Sess.submit s Cs.Increment);
+      check answer "an older seq is a duplicate too" (Ok Sess.Duplicate)
+        (Sess.submit ~seq:3 s Cs.Increment);
+      check Alcotest.int "and leaves the cursor past the newest" 5
+        (Sess.next_seq s))
 
 let test_crash_lost () =
   (* A storm keeps a submission from persisting: it is in doubt, and a
@@ -81,7 +89,8 @@ let test_crash_lost () =
   let obj =
     B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink }
   in
-  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+  let admission = Onll_core.Admission.create ~watermark in
+  let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
   run sim (fun _ ->
       for k = 1 to 2 do
         check answer "submit" (Ok (Sess.Applied k))
@@ -96,7 +105,7 @@ let test_crash_lost () =
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
   ignore (obj.B.recover_report ());
   run sim (fun _ ->
-      let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+      let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
       check Alcotest.int "the table shows seq 2 absent" 2 (Sess.next_seq s);
       check answer "its resubmission applies it once" (Ok (Sess.Applied 3))
         (Sess.submit ~seq:2 s Cs.Increment);
@@ -119,7 +128,8 @@ let test_in_doubt_resubmit () =
   let obj =
     B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink }
   in
-  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+  let admission = Onll_core.Admission.create ~watermark in
+  let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
   let h = storm mem in
   run sim (fun _ ->
       check answer "in doubt" (Error Onll_session.In_doubt)
@@ -138,7 +148,7 @@ let test_in_doubt_resubmit () =
   Onll_nvm.Memory.crash mem ~policy:Onll_nvm.Crash_policy.Drop_all;
   ignore (obj.B.recover_report ());
   run sim (fun _ ->
-      let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+      let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
       check Alcotest.int "the op survives, once" 1 (Sess.read s Cs.Get);
       check Alcotest.int "the table agrees" 1 (Sess.next_seq s))
 
@@ -146,62 +156,45 @@ let test_in_doubt_resubmit () =
 
 let test_overloaded () =
   (* Admission control: a watermark below any live history sheds the next
-     submission, after one compaction that cannot help. Client 0
-     (default watermark) seeds one update; client 1, against an
-     impossible watermark, compacts once, is refused without the counter
-     moving, and on its second refusal does not compact again: nothing
-     grew since the compaction that could not help. *)
+     submission, after one compaction that cannot help. Admission is the
+     object's, shared by its sessions: once client 1's shed found that
+     compaction cannot help, client 2's shed does not compact again,
+     since nothing grew in between. *)
   let registry = Onll_obs.Metrics.create () in
   let sink = Onll_obs.Sink.make ~registry () in
-  let sim = Sim.create ~sink ~max_processes:2 () in
+  let sim = Sim.create ~sink ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
   let module B = Onll_stack.Make (M) (Ct) in
   let obj =
     B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink }
   in
   let backend = B.backend obj in
-  let s0 = Sess.attach ~sink ~client:0 backend in
-  let shed_cfg = { Onll_session.high_watermark = 1e-9 } in
-  let s1 = Sess.attach ~config:shed_cfg ~sink ~client:1 backend in
+  let admission = Onll_core.Admission.create ~watermark:1e-9 in
   let checkpoints () = Onll_obs.Metrics.counter_value registry "checkpoints" in
-  let shed () =
-    match Sess.submit s1 Cs.Increment with
+  let shed s =
+    match Sess.submit s Cs.Increment with
     | Error Onll_session.Overloaded ->
         check Alcotest.bool "pressure sample exceeded the watermark" true
-          (Sess.pressure s1 > shed_cfg.Onll_session.high_watermark)
+          (Onll_core.Admission.last admission > 1e-9)
     | Ok _ -> Alcotest.fail "an impossible watermark admitted a write"
     | Error e ->
         Alcotest.failf "expected Overloaded, got %a" Onll_session.pp_error e
   in
-  let outcome =
-    Sim.run sim Onll_sched.Sched.Strategy.round_robin
-      [|
-        (fun _ ->
-          match Sess.submit s0 Cs.Increment with
-          | Ok _ -> ()
-          | Error e ->
-              Alcotest.failf "seed submit: %a" Onll_session.pp_error e);
-        (fun _ ->
-          (* yield until client 0's update is live, then get shed *)
-          let tries = ref 0 in
-          while Sess.read s1 Cs.Get = 0 && !tries < 10_000 do
-            incr tries
-          done;
-          check Alcotest.bool "client 0's update is live" true
-            (Sess.read s1 Cs.Get = 1);
-          let c0 = checkpoints () in
-          shed ();
-          check Alcotest.int "the first shed compacted once" (c0 + 1)
-            (checkpoints ());
-          shed ();
-          check Alcotest.int "the second shed did not compact again" (c0 + 1)
-            (checkpoints ()));
-      |]
-  in
-  check Alcotest.bool "completed" true
-    (outcome = Onll_sched.Sched.World.Completed);
-  check Alcotest.int "shed with no durable work for the op: value unchanged"
-    1 (Sess.read s0 Cs.Get);
+  run sim (fun _ ->
+      (* one live update, written past admission *)
+      ignore (backend.b_update (Ct.Untracked Cs.Increment) : Ct.value);
+      let s1 = Sess.attach ~sink ~admission ~client:1 backend in
+      let s2 = Sess.attach ~sink ~admission ~client:2 backend in
+      let c0 = checkpoints () in
+      shed s1;
+      check Alcotest.int "the first shed compacted once" (c0 + 1)
+        (checkpoints ());
+      shed s2;
+      check Alcotest.int "the second shed did not compact again" (c0 + 1)
+        (checkpoints ());
+      check Alcotest.int
+        "shed with no durable work for the op: value unchanged" 1
+        (Sess.read s1 Cs.Get));
   check Alcotest.int "both sheds were counted" 2
     (Onll_obs.Metrics.counter_value registry "session.sheds")
 
@@ -220,7 +213,8 @@ let test_compacts_before_shedding () =
     B.build Onll_stack.plain
       { Onll_core.Onll.Config.default with sink; log_capacity = 4096 }
   in
-  let s = Sess.attach ~sink ~client:0 (B.backend obj) in
+  let admission = Onll_core.Admission.create ~watermark in
+  let s = Sess.attach ~sink ~admission ~client:0 (B.backend obj) in
   let n = 600 in
   run sim (fun _ ->
       for _ = 1 to n do
@@ -234,7 +228,7 @@ let test_compacts_before_shedding () =
   check Alcotest.bool "admission compacted" true
     (Onll_obs.Metrics.counter_value registry "checkpoints" > 0);
   check Alcotest.bool "the fill stays below the watermark" true
-    (obj.B.log_fill () < Onll_session.default_config.high_watermark)
+    (obj.B.log_fill () < watermark)
 
 (* {1 Admission sampling loads nothing durable} *)
 
@@ -244,7 +238,9 @@ let test_admission_loads_nothing () =
   let module M = Test_support.Machine_wrap.Counting_loads (M0) in
   let module B = Onll_stack.Make (M) (Ct) in
   let obj = B.build Onll_stack.plain Onll_core.Onll.Config.default in
-  let s = Sess.attach ~client:0 (B.backend obj) in
+  let admission = Onll_core.Admission.create ~watermark in
+  let backend = B.backend obj in
+  let s = Sess.attach ~admission ~client:0 backend in
   for _ = 1 to 200 do
     match Sess.submit s Cs.Increment with
     | Ok _ -> ()
@@ -252,12 +248,15 @@ let test_admission_loads_nothing () =
   done;
   let before = !M.loads in
   for _ = 1 to 1000 do
-    check Alcotest.bool "admitted" true (Sess.admit s)
+    check Alcotest.bool "admitted" true
+      (Onll_core.Admission.admit admission ~fill:backend.b_pressure
+         ~compact:backend.b_compact)
   done;
   check Alcotest.int "1000 admission samples, 0 durable loads" 0
     (!M.loads - before);
+  let last = Onll_core.Admission.last admission in
   check Alcotest.bool "the sample is the object's fill" true
-    (Sess.pressure s = obj.B.log_fill () && Sess.pressure s > 0.)
+    (last = obj.B.log_fill () && last > 0.)
 
 (* {1 Degraded media} *)
 
@@ -274,11 +273,12 @@ let test_degraded_refuses_writes () =
   let obj =
     B.build Onll_stack.plain { Onll_core.Onll.Config.default with sink }
   in
+  let admission = Onll_core.Admission.create ~watermark in
   let degraded = ref false in
   let backend =
     { (B.backend obj) with Onll_session.b_degraded = (fun () -> !degraded) }
   in
-  let s = Sess.attach ~sink ~client:0 backend in
+  let s = Sess.attach ~sink ~admission ~client:0 backend in
   run sim (fun _ ->
       check answer "healthy submit" (Ok (Sess.Applied 1))
         (Sess.submit s Cs.Increment);
@@ -289,6 +289,50 @@ let test_degraded_refuses_writes () =
       check Alcotest.int "reads are served" 1 (Sess.read s Cs.Get);
       check Alcotest.int "the refusal was counted" 1
         (Onll_obs.Metrics.counter_value registry "session.refused"))
+
+(* {1 A fault that crosses the session boundary} *)
+
+(* The backend's update raises [File_memory.Degraded] after the object
+   applied the op, as a fence that exhausted its write-back budget does.
+   The session does not catch it: it reaches the caller, and the cursor
+   stays on the op's seq. Reads still answer, and once the backend's
+   degraded flag is up the next submission is refused without reaching
+   [b_update]. *)
+let test_degraded_mid_submit () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module B = Onll_stack.Make (M) (Ct) in
+  let obj = B.build Onll_stack.plain Onll_core.Onll.Config.default in
+  let base = B.backend obj in
+  let degraded = ref false and updates = ref 0 in
+  let backend =
+    {
+      base with
+      Onll_session.b_update =
+        (fun u ->
+          incr updates;
+          let v = base.b_update u in
+          if !updates = 2 then
+            raise (Onll_nvm.File_memory.Degraded "write-back budget spent");
+          v);
+      b_degraded = (fun () -> !degraded);
+    }
+  in
+  let admission = Onll_core.Admission.create ~watermark in
+  let s = Sess.attach ~admission ~client:0 backend in
+  run sim (fun _ ->
+      check answer "healthy submit" (Ok (Sess.Applied 1))
+        (Sess.submit s Cs.Increment);
+      check Alcotest.bool "the fault reaches the caller" true
+        (match Sess.submit s Cs.Increment with
+        | exception Onll_nvm.File_memory.Degraded _ -> true
+        | _ -> false);
+      check Alcotest.int "the cursor stays on its seq" 1 (Sess.next_seq s);
+      check Alcotest.int "reads still answer" 2 (Sess.read s Cs.Get);
+      degraded := true;
+      check answer "the degraded flag refuses the next write"
+        (Error Onll_session.Degraded) (Sess.submit s Cs.Increment);
+      check Alcotest.int "without calling the backend's update" 2 !updates)
 
 let () =
   Alcotest.run "session"
@@ -315,5 +359,7 @@ let () =
         [
           Alcotest.test_case "a degraded object refuses writes" `Quick
             test_degraded_refuses_writes;
+          Alcotest.test_case "a degraded fault mid-submit reaches the caller"
+            `Quick test_degraded_mid_submit;
         ] );
     ]
