@@ -38,7 +38,8 @@ gate:
 # crash landing mid-batch (alone, composed with --mirrored, and sharded
 # group commit under --sharded), exactly-once
 # client sessions (E15), cross-shard transactions (E19: all-or-nothing
-# across a crash sweep, plain and mirrored), a kill -9 slice of the E17
+# across a crash sweep, plain and mirrored, and the no-sweep calibration
+# on both), a kill -9 slice of the E17
 # file-backend campaign (real files, real fsync, every epoch a forked
 # child SIGKILLed mid-fence), a slice of the E18 service campaign (`onll serve`
 # subprocesses over real sockets, audited for exactly-once), and the E20
@@ -64,6 +65,7 @@ chaos --session --seeds 10
 chaos -s kv --txn --seeds 10
 chaos -s kv --txn --mirrored --seeds 10
 chaos -s kv --txn --unhardened --seeds 8
+chaos -s kv --txn --mirrored --unhardened --seeds 8
 chaos -s kv --relaxed --seeds 10
 chaos -s kv --relaxed --mirrored --seeds 10
 store campaign --seeds 4
@@ -106,6 +108,15 @@ chaos-smoke:
 	    exit 1; \
 	  fi; \
 	  echo "chaos --session --unhardened refused with code 1 (asserted)"
+	@# --session reads no -s either: its grid is counter and ledger (two
+	@# seeds, where the grid itself would pass: only the refusal exits 1).
+	@st=0; $(ONLL_CLI) chaos --session -s queue --quiet --seeds 2 \
+	  2>/dev/null || st=$$?; \
+	  if [ "$$st" -ne 1 ]; then \
+	    echo "chaos-smoke: expected exit 1 from --session -s queue, got $$st"; \
+	    exit 1; \
+	  fi; \
+	  echo "chaos --session -s queue refused with code 1 (asserted)"
 
 bench:
 	dune exec bench/main.exe

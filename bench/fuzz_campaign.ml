@@ -22,13 +22,14 @@ module Campaign (S : Onll_core.Spec.S) = struct
           n_procs = 3;
           ops_per_proc = 3;
           crash_at = Some (8 + (seed * 13 mod 150));
-          policy =
-            (match seed mod 3 with
-            | 0 -> Onll_nvm.Crash_policy.Persist_all
-            | 1 -> Onll_nvm.Crash_policy.Drop_all
-            | _ -> Onll_nvm.Crash_policy.Random seed);
-          local_views = seed mod 2 = 0;
-          wait_free = seed mod 5 = 0;
+          policy = Crash_world.policy_of_seed seed;
+          stack =
+            {
+              Onll_stack.plain with
+              top =
+                Direct (Bare (if seed mod 5 = 0 then `Wait_free else `Plain));
+              views = seed mod 2 = 0;
+            };
         }
       in
       let r = F.run ~plan ~gen_update ~gen_read () in

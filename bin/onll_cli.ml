@@ -75,23 +75,24 @@ let lowerbound_cmd =
 
 (* {1 fuzz} *)
 
+(* Exit 1 naming the [known] specifications unless [spec] is one. *)
+let known_spec ~known spec =
+  if not (List.mem spec known) then begin
+    Printf.eprintf "unknown spec %S (try %s)\n" spec (String.concat ", " known);
+    exit 1
+  end
+
 let fuzz spec seeds crash_window =
   let open Test_support in
-  let campaign (type u r) run gen_update gen_read =
+  let campaign run gen_update gen_read =
     let failures = ref 0 and crashes = ref 0 in
-    ignore (gen_update : Onll_util.Splitmix.t -> u);
-    ignore (gen_read : Onll_util.Splitmix.t -> r);
     for seed = 1 to seeds do
       let plan =
         {
           Fuzz.default_plan with
           seed;
           crash_at = Some (5 + (seed * 17 mod crash_window));
-          policy =
-            (match seed mod 3 with
-            | 0 -> Onll_nvm.Crash_policy.Persist_all
-            | 1 -> Onll_nvm.Crash_policy.Drop_all
-            | _ -> Onll_nvm.Crash_policy.Random seed);
+          policy = Crash_world.policy_of_seed seed;
         }
       in
       let r = run ~plan ~gen_update ~gen_read () in
@@ -107,29 +108,10 @@ let fuzz spec seeds crash_window =
       !failures;
     if !failures > 0 then exit 1
   in
-  match spec with
-  | "counter" ->
-      let module F = Fuzz.Make (Onll_specs.Counter) in
-      campaign F.run Gen.Counter.update Gen.Counter.read
-  | "queue" ->
-      let module F = Fuzz.Make (Onll_specs.Queue_spec) in
-      campaign F.run Gen.Queue.update Gen.Queue.read
-  | "kv" ->
-      let module F = Fuzz.Make (Onll_specs.Kv) in
-      campaign F.run Gen.Kv.update Gen.Kv.read
-  | "stack" ->
-      let module F = Fuzz.Make (Onll_specs.Stack_spec) in
-      campaign F.run Gen.Stack.update Gen.Stack.read
-  | "set" ->
-      let module F = Fuzz.Make (Onll_specs.Set_spec) in
-      campaign F.run Gen.Set_g.update Gen.Set_g.read
-  | "ledger" ->
-      let module F = Fuzz.Make (Onll_specs.Ledger) in
-      campaign F.run Gen.Ledger.update Gen.Ledger.read
-  | other ->
-      Printf.eprintf
-        "unknown spec %S (try counter, queue, kv, stack, set, ledger)\n" other;
-      exit 1
+  known_spec ~known:[ "counter"; "queue"; "kv"; "stack"; "set"; "ledger" ] spec;
+  let (module G : Gen.S) = List.assoc spec Gen.by_name in
+  let module F = Fuzz.Make (G.Spec) in
+  campaign F.run G.update G.read
 
 let fuzz_cmd =
   let doc =
@@ -167,196 +149,182 @@ let hardened_arm ~quiet ~print rows =
   if List.exists (fun r -> r.Test_support.Campaign.violations <> []) rows
   then exit exit_violations
 
-(* A calibration arm: [caught] of [seeds] deliberately broken runs were
-   flagged; a detector that never fired exits 1. *)
-let calibration_arm ~quiet ~print ~seeds caught =
-  if not quiet then
-    print
-      {
-        Test_support.Campaign.rows = [];
-        cal_runs = seeds;
-        cal_caught = caught;
-      };
-  if caught = 0 then exit 1
+(* One arm of the chaos command and its calibration, whichever campaign
+   it belongs to: the hardened row, how many calibration runs were
+   caught, and the campaign's printers. *)
+type campaign = {
+  row : unit -> Test_support.Campaign.row;
+  calibrate : unit -> int;
+  print_rows : Test_support.Campaign.row list -> unit;
+  print_calibration : Test_support.Campaign.summary -> unit;
+}
 
-(* [--session]: the E15 grid instead — every (spec, arm) campaign of the
-   exactly-once session audit, [seeds] seeds per arm. The session arms
-   must be perfect; the naive at-least-once arm must duplicate, or the
-   detector proved nothing. *)
-let session_chaos seeds quiet =
+(* The one dispatch. [--session] runs the E15 grid, which reads no other
+   flag: its session arms must be perfect and its naive at-least-once arm
+   must duplicate, or the detector proved nothing. Otherwise one arm runs:
+   [--txn] the E19 cross-shard transfers and [--relaxed] the E20
+   bounded-staleness tail, each a kv workload that reads [--mirrored] and
+   [--unhardened] only; by default the E12/E13/E14/E16 grids on [-s]'s
+   object, where [--mirrored], [--sharded] and [--batched] pick the stack.
+   [--unhardened] runs the arm's calibration, which must be caught; a
+   hardened arm must be clean, and a mirrored object arm must also lose
+   nothing — primary-only faults against a mirror cost NOTHING. The
+   relaxed calibration's violations are its expected outcome: caught, it
+   exits with the violation code (the Makefile smoke asserts exactly
+   that, under [--quiet]). *)
+let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
+    quiet =
   let open Test_support in
-  let s = Session_chaos.run_e15 ~seeds_per_arm:seeds in
-  if not quiet then Session_chaos.print s;
-  if
-    Session_chaos.e15_violations s > 0
-    || Session_chaos.e15_session_duplicates s > 0
-    || Session_chaos.e15_session_lost_acks s > 0
-  then exit exit_violations;
-  if Session_chaos.e15_naive_duplicates s = 0 then exit 1
-
-(* [--txn]: the E19 cross-shard transaction atomicity campaign — seeded
-   kv transfers cut by crashes, audited all-or-nothing (plain or
-   mirrored); [--unhardened] runs the no-sweep calibration, which must be
-   caught tearing or losing committed transfers. *)
-let txn_chaos seeds unhardened mirrored quiet =
-  let open Test_support in
-  if unhardened then
-    calibration_arm ~quiet ~print:Txn_chaos.print_calibration ~seeds
-      (Txn_chaos.calibrate ~seeds)
-  else
-    let plan_of, name =
-      if mirrored then (Txn_chaos.mirrored_plan_of_seed, "kv/txn/mirrored")
-      else (Txn_chaos.plan_of_seed, "kv/txn")
-    in
-    hardened_arm ~quiet ~print:Txn_chaos.print_rows
-      [ Txn_chaos.arm ~plan_of ~name ~seeds () ]
-
-(* [--relaxed]: the E20 bounded-staleness campaign — seeded crashes cut
-   the risk-budgeted tail at swept depths (plain or mirrored), audited
-   for quantified suffix-only loss. [--unhardened] runs the ledger-free
-   calibration, whose violations are the expected outcome: it exits with
-   the distinct violation code when caught (the Makefile smoke asserts
-   exactly that, under [--quiet]) and 1 when the detector never fired. *)
-let relaxed_chaos seeds unhardened mirrored quiet =
-  let open Test_support in
-  if unhardened then begin
-    calibration_arm ~quiet ~print:Relaxed_chaos.print_calibration ~seeds
-      (Relaxed_chaos.calibrate ~seeds);
-    exit exit_violations
-  end
-  else
-    let plan_of, name =
-      if mirrored then
-        (Relaxed_chaos.mirrored_plan_of_seed, "kv/relaxed/mirrored")
-      else (Relaxed_chaos.plan_of_seed, "kv/relaxed")
-    in
-    hardened_arm ~quiet ~print:Relaxed_chaos.print_rows
-      [ Relaxed_chaos.arm ~plan_of ~name ~seeds () ]
-
-(* The E12/E13/E14/E16 grids on one object: [--unhardened] runs the
-   calibration, which must be caught; hardened runs must be clean, and a
-   mirrored one must also lose nothing — primary-only faults against a
-   mirror cost NOTHING. *)
-let object_chaos spec seeds unhardened mirrored sharded batched quiet =
-  let open Test_support in
-  if not (List.mem_assoc spec Chaos_harness.objects) then begin
-    Printf.eprintf "unknown spec %S (try counter, queue, kv, stack)\n" spec;
-    exit 1
-  end;
-  let plan_of =
-    let base =
-      if mirrored then Chaos_harness.mirrored_plan_of_seed
-      else Chaos_harness.plan_of_seed
-    in
-    match (sharded, batched) with
-    | false, false -> base
-    | false, true -> Chaos_harness.over Onll_stack.(Bare `Batched) base
-    | true, false -> Chaos_harness.over Onll_stack.(Sharded (`Plain, 4)) base
-    | true, true -> Chaos_harness.over Onll_stack.(Sharded (`Batched, 4)) base
+  let usage fmt = Printf.kfprintf (fun _ -> exit 1) stderr fmt in
+  let kv_workload flag ~workload ~also =
+    if sharded || batched || also then
+      usage "chaos: %s composes with --mirrored only\n" flag;
+    if Option.value spec ~default:"kv" <> "kv" then
+      usage "chaos: %s runs the kv %s workload (use -s kv)\n" flag workload
   in
-  if unhardened then
-    calibration_arm ~quiet ~print:Chaos_harness.print_calibration ~seeds
-      (Chaos_harness.calibrate ~plan_of ~obj:spec ~seeds ())
+  let mirror plain m = if mirrored then m else plain in
+  if session then begin
+    if unhardened || mirrored || sharded || batched || txn || relaxed then
+      usage "chaos: --session composes with no other campaign flag\n";
+    if spec <> None then
+      usage "chaos: --session runs its own counter and ledger grid (drop -s)\n";
+    let s = Session_chaos.run_e15 ~seeds_per_arm:seeds in
+    if not quiet then Session_chaos.print s;
+    if
+      Session_chaos.e15_violations s > 0
+      || Session_chaos.e15_session_duplicates s > 0
+      || Session_chaos.e15_session_lost_acks s > 0
+    then exit exit_violations;
+    if Session_chaos.e15_naive_duplicates s = 0 then exit 1
+  end
   else begin
-    let name =
-      spec
-      ^ (if sharded then "/sharded" else "")
-      ^ (if batched then "/batched" else "")
-      ^ if mirrored then "+mirrored" else ""
+    let c =
+      if relaxed then begin
+        kv_workload "--relaxed" ~workload:"staleness" ~also:txn;
+        let plan_of =
+          mirror Relaxed_chaos.plan_of_seed Relaxed_chaos.mirrored_plan_of_seed
+        in
+        let name = mirror "kv/relaxed" "kv/relaxed/mirrored" in
+        {
+          row = (fun () -> Relaxed_chaos.arm ~plan_of ~name ~seeds ());
+          calibrate = (fun () -> Relaxed_chaos.calibrate ~plan_of ~seeds ());
+          print_rows = Relaxed_chaos.print_rows;
+          print_calibration = Relaxed_chaos.print_calibration;
+        }
+      end
+      else if txn then begin
+        kv_workload "--txn" ~workload:"transfer" ~also:false;
+        let plan_of =
+          mirror Txn_chaos.plan_of_seed Txn_chaos.mirrored_plan_of_seed
+        in
+        let name = mirror "kv/txn" "kv/txn/mirrored" in
+        {
+          row = (fun () -> Txn_chaos.arm ~plan_of ~name ~seeds ());
+          calibrate = (fun () -> Txn_chaos.calibrate ~plan_of ~seeds ());
+          print_rows = Txn_chaos.print_rows;
+          print_calibration = Txn_chaos.print_calibration;
+        }
+      end
+      else begin
+        let obj = Option.value spec ~default:"kv" in
+        known_spec ~known:(List.map fst Chaos_harness.objects) obj;
+        let plan_of =
+          let base =
+            mirror Chaos_harness.plan_of_seed
+              Chaos_harness.mirrored_plan_of_seed
+          in
+          match (sharded, batched) with
+          | false, false -> base
+          | false, true -> Chaos_harness.over Onll_stack.(Bare `Batched) base
+          | true, false ->
+              Chaos_harness.over Onll_stack.(Sharded (`Plain, 4)) base
+          | true, true ->
+              Chaos_harness.over Onll_stack.(Sharded (`Batched, 4)) base
+        in
+        let name =
+          obj
+          ^ (if sharded then "/sharded" else "")
+          ^ (if batched then "/batched" else "")
+          ^ mirror "" "+mirrored"
+        in
+        {
+          row = (fun () -> Chaos_harness.arm ~plan_of ~obj ~name ~seeds ());
+          calibrate =
+            (fun () -> Chaos_harness.calibrate ~plan_of ~obj ~seeds ());
+          print_rows =
+            Chaos_harness.print_rows
+              ~title:
+                (Printf.sprintf "chaos %s (violations must be 0%s)" name
+                   (mirror "" "; mirrored: no loss either"));
+          print_calibration = Chaos_harness.print_calibration;
+        }
+      end
     in
-    let row = Chaos_harness.arm ~plan_of ~obj:spec ~name ~seeds () in
-    hardened_arm ~quiet
-      ~print:
-        (Chaos_harness.print_rows
-           ~title:
-             (Printf.sprintf "chaos %s (violations must be 0%s)" name
-                (if mirrored then "; mirrored: no loss either" else "")))
-      [ row ];
-    if mirrored && Chaos_harness.lost [ row ] > 0 then begin
+    if unhardened then begin
+      let caught = c.calibrate () in
       if not quiet then
-        print_endline
-          "MIRRORED LOSS: every reported-lost and tail-ambiguous update \
-           should have been repaired from the intact replica";
-      exit exit_violations
+        c.print_calibration
+          { Campaign.rows = []; cal_runs = seeds; cal_caught = caught };
+      (* a detector that never fired *)
+      if caught = 0 then exit 1;
+      if relaxed then exit exit_violations
+    end
+    else begin
+      let row = c.row () in
+      hardened_arm ~quiet ~print:c.print_rows [ row ];
+      if mirrored && (not (txn || relaxed)) && Chaos_harness.lost [ row ] > 0
+      then begin
+        if not quiet then
+          print_endline
+            "MIRRORED LOSS: every reported-lost and tail-ambiguous update \
+             should have been repaired from the intact replica";
+        exit exit_violations
+      end
     end
   end
 
-let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
-    quiet =
-  if session then begin
-    if unhardened || mirrored || sharded || batched || txn || relaxed then begin
-      Printf.eprintf
-        "chaos: --session composes with no other campaign flag\n";
-      exit 1
-    end;
-    session_chaos seeds quiet
-  end
-  else if relaxed then begin
-    if sharded || batched || txn then begin
-      Printf.eprintf "chaos: --relaxed composes with --mirrored only\n";
-      exit 1
-    end;
-    if spec <> "kv" then begin
-      Printf.eprintf
-        "chaos: --relaxed runs the kv staleness workload (use -s kv)\n";
-      exit 1
-    end;
-    relaxed_chaos seeds unhardened mirrored quiet
-  end
-  else if txn then begin
-    if sharded || batched then begin
-      Printf.eprintf "chaos: --txn composes with --mirrored only\n";
-      exit 1
-    end;
-    if spec <> "kv" then begin
-      Printf.eprintf
-        "chaos: --txn runs the kv transfer workload (use -s kv)\n";
-      exit 1
-    end;
-    txn_chaos seeds unhardened mirrored quiet
-  end
-  else object_chaos spec seeds unhardened mirrored sharded batched quiet
-
 let chaos_cmd =
   let doc =
-    "Chaos-fuzz an ONLL object: crashes with media faults (bit flips, torn \
-     spans), transient flush/fence failures, and nested crashes during \
-     recovery — auditing that recovery is durably linearizable or reports \
-     the exact loss. With $(b,--unhardened), run the calibration baseline \
-     instead, which must be caught losing data. With $(b,--mirrored), run \
-     the E13 grid: two-way replicated logs with faults confined to \
-     primaries plus online rot and periodic scrubs — where loss of any \
-     kind (even reported) is a failure, since every fault has an intact \
-     mirror copy. With $(b,--sharded), the same grids run against the E14 \
-     partitioned construction (4 shards). With $(b,--batched), they run \
-     against the E16 group-commit construction — the crash grid lands \
-     mid-batch, before or after the shared fence — and with both, against \
-     sharded group commit. Which object stacks exist is the type \
-     Onll_stack.t; each of these flags picks one. \
-     With $(b,--session), run the E15 exactly-once session grid instead \
-     (counter and ledger workloads through exactly-once client sessions \
-     over the plain, mirrored and sharded backends, plus the naive \
-     at-least-once calibration arm, $(i,SEEDS) seeds per arm). With \
-     $(b,--txn), run the E19 cross-shard transaction atomicity campaign \
-     instead: seeded kv transfers cut by crashes at swept schedule \
-     points, audited all-or-nothing with balanced books \
-     ($(b,--unhardened) runs its no-sweep calibration). With \
-     $(b,--relaxed), run the E20 bounded-staleness campaign instead: \
-     seeded crashes cut the risk-budgeted volatile tail at swept depths, \
-     audited for quantified suffix-only loss, idempotent recovery and \
-     convergence. These three campaigns take $(b,--mirrored) and no \
-     other object flag; $(b,--session) takes none. The relaxed \
-     $(b,--unhardened) calibration \
-     exits with the violation code when the ledger-free recovery is \
-     caught (the expected outcome). Any campaign that records \
-     violations exits with code 4 — also under $(b,--quiet), which \
-     suppresses all output — so scripts can assert on the exit code \
-     alone (1 is reserved for usage errors and calibrations whose \
-     detector never fired)."
+    "Run one seeded chaos campaign and audit it. Every campaign reads \
+     $(b,--seeds) and $(b,--quiet); each reads its own flags beside them, \
+     and any other flag is a usage error (exit 1). By default, the E12 \
+     grid on the $(b,-s) object (counter, queue, kv or stack): crashes with \
+     media faults (bit flips, torn spans), transient flush/fence failures \
+     and nested crashes during recovery, audited for durably linearizable \
+     recovery or an exactly reported loss. It reads $(b,-s), \
+     $(b,--unhardened), $(b,--mirrored), $(b,--sharded) and \
+     $(b,--batched); the last three pick the object stack (the type \
+     Onll_stack.t). $(b,--mirrored) runs the E13 grid: two-way replicated \
+     logs with faults confined to primaries plus online rot and periodic \
+     scrubs, where loss of any kind (even reported) is a failure, since \
+     every fault has an intact mirror copy. $(b,--sharded) runs against the \
+     E14 partitioned construction (4 shards), $(b,--batched) against the \
+     E16 group commit, where the crash lands mid-batch, before or after the \
+     shared fence, and both against sharded group commit. $(b,--session) \
+     runs the E15 exactly-once session grid instead: counter and ledger \
+     workloads through exactly-once client sessions over the plain, \
+     mirrored and sharded stacks, plus the naive at-least-once calibration \
+     arm, $(i,SEEDS) seeds per arm. It reads no other flag, $(b,-s) \
+     included. $(b,--txn) runs the E19 cross-shard transaction atomicity \
+     campaign: seeded kv transfers cut by crashes at swept schedule points, \
+     audited all-or-nothing with balanced books. $(b,--relaxed) runs the \
+     E20 bounded-staleness campaign: seeded crashes cut the risk-budgeted \
+     volatile tail at swept depths, audited for quantified suffix-only \
+     loss, idempotent recovery and convergence. These two are kv \
+     workloads and read $(b,-s kv), $(b,--mirrored) and $(b,--unhardened) \
+     only. $(b,--unhardened) runs the campaign's calibration instead \
+     (E12's truncating recovery, E19's no-sweep recovery, E20's \
+     ledger-free recovery), which must be caught; the E20 calibration, \
+     caught, exits with the violation code, its expected outcome. Any \
+     campaign that records violations exits with code 4 — also under \
+     $(b,--quiet), which suppresses all output — so scripts can assert on \
+     the exit code alone (1 is reserved for usage errors and calibrations \
+     whose detector never fired)."
   in
   let spec =
     Arg.(
-      value & opt string "kv"
+      value
+      & opt (some ~none:"kv" string) None
       & info [ "s"; "spec" ] ~docv:"SPEC" ~doc:"object specification")
   in
   let seeds =
@@ -565,48 +533,14 @@ let stats spec impl shards procs updates seed scrub_every crash_at csv
         Onll_obs.Export.write_file ~path rendered;
         Printf.printf "wrote %s\n" path
   in
-  match spec with
-  | "counter" ->
-      let module W = Stats_run (Onll_specs.Counter) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Counter.update ~gen_read:Gen.Counter.read)
-  | "register" ->
-      let module W = Stats_run (Onll_specs.Register) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Register.update ~gen_read:Gen.Register.read)
-  | "queue" ->
-      let module W = Stats_run (Onll_specs.Queue_spec) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Queue.update ~gen_read:Gen.Queue.read)
-  | "kv" ->
-      let module W = Stats_run (Onll_specs.Kv) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read)
-  | "stack" ->
-      let module W = Stats_run (Onll_specs.Stack_spec) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Stack.update ~gen_read:Gen.Stack.read)
-  | "set" ->
-      let module W = Stats_run (Onll_specs.Set_spec) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Set_g.update ~gen_read:Gen.Set_g.read)
-  | "ledger" ->
-      let module W = Stats_run (Onll_specs.Ledger) in
-      finish
-        (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
-           ~gen_update:Gen.Ledger.update ~gen_read:Gen.Ledger.read)
-  | other ->
-      Printf.eprintf
-        "unknown spec %S (try counter, register, queue, kv, stack, set, \
-         ledger)\n"
-        other;
-      exit 1
+  known_spec
+    ~known:[ "counter"; "register"; "queue"; "kv"; "stack"; "set"; "ledger" ]
+    spec;
+  let (module G : Gen.S) = List.assoc spec Gen.by_name in
+  let module W = Stats_run (G.Spec) in
+  finish
+    (W.go ~impl ~shards ~procs ~updates ~seed ~scrub_every ~crash_at
+       ~gen_update:G.update ~gen_read:G.read)
 
 let stats_cmd =
   let doc =

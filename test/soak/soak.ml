@@ -10,12 +10,10 @@ let () =
                  n_procs = 4; ops_per_proc = 4;
                  crash_at = Some (5 + (seed * 31) mod 250);
                  use_pct = seed mod 2 = 0;
-                 wait_free = seed mod 3 = 0;
-                 local_views = seed mod 5 = 0;
-                 policy = (match seed mod 3 with
-                           | 0 -> Onll_nvm.Crash_policy.Persist_all
-                           | 1 -> Onll_nvm.Crash_policy.Drop_all
-                           | _ -> Onll_nvm.Crash_policy.Random seed) } in
+                 stack = { Onll_stack.plain with
+                           top = Direct (Bare (if seed mod 3 = 0 then `Wait_free else `Plain));
+                           views = seed mod 5 = 0 };
+                 policy = Crash_world.policy_of_seed seed } in
     let r = F.run ~plan ~gen_update:Gen.Counter.update ~gen_read:Gen.Counter.read () in
     if r.Fuzz.failures <> [] || not r.Fuzz.verdict_ok then begin
       incr failures;
@@ -31,7 +29,8 @@ let () =
   for seed = 1 to 300 do
     let plan = { Fuzz.default_plan with seed; n_procs = 3; ops_per_proc = 4;
                  crash_at = Some (8 + (seed * 17) mod 200);
-                 wait_free = seed mod 4 = 0;
+                 stack = { Onll_stack.plain with
+                           top = Direct (Bare (if seed mod 4 = 0 then `Wait_free else `Plain)) };
                  policy = Onll_nvm.Crash_policy.Random seed } in
     let r = FL.run ~plan ~gen_update:Gen.Ledger.update ~gen_read:Gen.Ledger.read () in
     if r.Fuzz.failures <> [] || not r.Fuzz.verdict_ok then incr lf

@@ -134,7 +134,7 @@ type tally = {
 let tally () = { tallied = Hashtbl.create 16; failures = [] }
 let count t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
 let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count t key + by)
-let fail t fmt = Printf.ksprintf (fun s -> t.failures <- s :: t.failures) fmt
+let fail t fmt = Format.kasprintf (fun s -> t.failures <- s :: t.failures) fmt
 
 (** {!arm} over tallies: the row's counts are [keys], in order, and a run
     crashed when its ["kills"] count is above 0. *)

@@ -42,14 +42,12 @@
     their losses must still be named by the report. *)
 
 open Onll_util
-open Onll_machine
 module Faults = Onll_faults.Faults
 
 type plan = {
   seed : int;
   n_procs : int;
   ops_per_proc : int;
-  read_ratio : float;
   crash_at : int;  (** scheduler step of the crash *)
   policy : Onll_nvm.Crash_policy.t;
   stack : Onll_stack.t;
@@ -59,18 +57,14 @@ type plan = {
           whole unfenced tail-batch must vanish with no acknowledged op in
           it) or between the fence and the acknowledgements (every batched
           update must recover exactly once) *)
-  log_capacity : int;
   fault_scope : [ `All | `Primary_only ];
-      (** which replicas media faults may hit; [`Primary_only] composes
-          [Plog.is_mirror_region] into the fault plan's target, modelling
-          independent media (mirrors provably heal) *)
+      (** which replicas media faults may hit ({!Crash_world.scoped}) *)
   scrub_every : int;
       (** run an online scrub step every [n] operations per process
           (0 = never) *)
   fault : Faults.Plan.t;  (** media/transient fault plan *)
   nested_crashes : int;  (** nested crashes armed during recovery *)
   hardened : bool;  (** hardened recovery vs. calibration baseline *)
-  post_ops : int;  (** single-process operations after recovery *)
 }
 
 let default_plan =
@@ -78,23 +72,18 @@ let default_plan =
     seed = 1;
     n_procs = 3;
     ops_per_proc = 4;
-    read_ratio = 0.25;
     crash_at = 60;
     policy = Onll_nvm.Crash_policy.Drop_all;
     stack = Onll_stack.plain;
-    log_capacity = 1 lsl 16;
     fault_scope = `All;
     scrub_every = 0;
     fault = Faults.Plan.none;
     nested_crashes = 0;
     hardened = true;
-    post_ops = 4;
   }
 
 type result = {
   crashed : bool;
-  completed : int;  (** updates that responded pre-crash *)
-  recovered : int;  (** operations in the final recovered history *)
   lost_reported : int;  (** completed ops covered by the loss report *)
   tail_ambiguous : int;  (** completed ops excused by torn-tail salvage *)
   nested_fired : int;  (** nested crashes that actually interrupted *)
@@ -125,23 +114,10 @@ let tracked_counters =
 
 module Make (S : Onll_core.Spec.S) = struct
   let run ~plan ~gen_update ~gen_read () =
-    let registry = Onll_obs.Metrics.create () in
-    let sink = Onll_obs.Sink.make ~registry () in
-    let sim =
-      Sim.create ~sink ~max_processes:(max plan.n_procs 1)
-        ~crash_policy:plan.policy ()
-    in
-    let mem = Sim.memory sim in
-    let module M = (val Sim.machine sim) in
+    let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
+    let module M = (val Crash_world.machine w) in
     let module B = Onll_stack.Make (M) (S) in
-    let obj =
-      B.build plan.stack
-        {
-          Onll_core.Onll.Config.default with
-          log_capacity = plan.log_capacity;
-          sink;
-        }
-    in
+    let obj = B.build plan.stack (Crash_world.config w) in
     (* The audit interrogates detectability by id alone, but sharded
        identities are per shard: remember each id's routing operation. A
        volatile (non-simulated-NVM) table, so it survives simulated
@@ -167,19 +143,10 @@ module Make (S : Onll_core.Spec.S) = struct
       | Some op -> obj.B.shard_of op
       | None -> -1
     in
-    let fault_plan =
-      match plan.fault_scope with
-      | `All -> plan.fault
-      | `Primary_only ->
-          let base = plan.fault.Faults.Plan.target in
-          {
-            plan.fault with
-            Faults.Plan.target =
-              (fun n ->
-                base n && not (Onll_plog.Plog.is_mirror_region n));
-          }
+    let handle =
+      Faults.install (Crash_world.memory w)
+        (Crash_world.scoped plan.fault_scope plan.fault)
     in
-    let handle = Faults.install mem fault_plan in
     (* Real-time bookkeeping: ids with invocation/response stamps from a
        logical clock. Plain refs mutated inside simulated processes — not
        shared variables, so not scheduling points. *)
@@ -194,7 +161,8 @@ module Make (S : Onll_core.Spec.S) = struct
       let rng = Splitmix.create ((plan.seed * 1_000_003) + p) in
       let seq = ref 0 in
       for k = 1 to plan.ops_per_proc do
-        if Splitmix.float rng 1.0 < plan.read_ratio then
+        (* one operation in four reads *)
+        if Splitmix.float rng 1.0 < 0.25 then
           ignore (obj.B.read (gen_read rng))
         else begin
           let op = gen_update rng in
@@ -211,21 +179,11 @@ module Make (S : Onll_core.Spec.S) = struct
           obj.B.scrub ()
       done
     in
-    let strategy =
-      let base = Onll_sched.Sched.Strategy.random ~seed:plan.seed in
-      fun view ->
-        if view.Onll_sched.Sched.Strategy.steps () >= plan.crash_at then
-          Onll_sched.Sched.Strategy.Crash_now
-        else base view
+    let crashed =
+      Crash_world.run_to_crash w ~seed:plan.seed ~crash_at:plan.crash_at
+        (Array.init plan.n_procs (fun p -> mk_proc p))
     in
-    let outcome =
-      Sim.run sim strategy (Array.init plan.n_procs (fun p -> mk_proc p))
-    in
-    let crashed = outcome = Onll_sched.Sched.World.Crashed in
-    let violations = ref [] in
-    let fail fmt =
-      Format.kasprintf (fun s -> violations := s :: !violations) fmt
-    in
+    let fail fmt = Crash_world.fail w fmt in
     let lost_reported = ref 0 in
     let tail_ambiguous = ref 0 in
     let nested_fired = ref 0 in
@@ -234,12 +192,6 @@ module Make (S : Onll_core.Spec.S) = struct
          recovery/audit phase (recovery adversity is modelled by crash-time
          corruption, transients and nested crashes instead). *)
       Faults.set_rot handle false;
-      (* Recover under chaos: nested crashes are armed to fire a random
-         number of durable-memory operations into the attempt; each firing
-         is followed by a real crash (media may corrupt again, per the
-         plan) and a fresh attempt. The budget bounds the loop; the last
-         attempt runs unarmed. *)
-      let rng = Splitmix.create (plan.seed lxor 0x5EED) in
       let recover_once () =
         if plan.hardened then Some (obj.B.recover_report ())
         else begin
@@ -247,23 +199,13 @@ module Make (S : Onll_core.Spec.S) = struct
           None
         end
       in
-      let rec go budget =
-        (* Recovery performs a few dozen durable-memory operations (salvage
-           batches its log reads), so a short fuse is what actually lands
-           mid-attempt. *)
-        if budget > 0 && plan.nested_crashes > 0 then
-          Faults.arm_recovery_crash handle ~at_op:(Splitmix.int rng 24)
-        else Faults.disarm handle;
-        match recover_once () with
-        | r ->
-            Faults.disarm handle;
-            r
-        | exception Onll_nvm.Memory.Injected_crash ->
-            incr nested_fired;
-            Onll_nvm.Memory.crash mem ~policy:plan.policy;
-            go (budget - 1)
+      (* Recover under chaos: nested crashes interrupt the attempts. *)
+      let report, fired =
+        Crash_world.recover_nested w handle
+          ~rng_seed:(plan.seed lxor 0x5EED) ~budget:plan.nested_crashes
+          recover_once
       in
-      let report = go plan.nested_crashes in
+      nested_fired := fired;
       (* Idempotence: an immediate re-recovery must adopt the same
          history. *)
       let ops1 = obj.B.recovered_ops () in
@@ -278,7 +220,8 @@ module Make (S : Onll_core.Spec.S) = struct
         || plan.fault.Faults.Plan.torn_spans_per_crash > 0
       in
       let salvaged_bytes =
-        Onll_obs.Metrics.counter_value registry "salvage.bytes_lost"
+        Onll_obs.Metrics.counter_value w.Crash_world.registry
+          "salvage.bytes_lost"
       in
       (* The torn-tail excuse only stands while it is genuinely ambiguous:
          with faults allowed into every replica (or no mirror at all) a
@@ -336,33 +279,18 @@ module Make (S : Onll_core.Spec.S) = struct
             !invoked)
         !completed;
       (* Audit 4: the recovered object is alive. *)
-      if plan.post_ops > 0 then begin
-        let prng = Splitmix.create (plan.seed + 777) in
-        let post _ =
-          for k = 1 to plan.post_ops do
-            if k mod 2 = 0 then ignore (obj.B.read (gen_read prng))
-            else ignore (obj.B.update (gen_update prng))
-          done
-        in
-        match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| post |] with
-        | Onll_sched.Sched.World.Completed -> ()
-        | _ -> fail "post-crash era did not complete"
-      end
+      Crash_world.post_era w ~seed:plan.seed ~ops:4
+        ~update:(fun rng -> ignore (obj.B.update (gen_update rng)))
+        ~read:(fun rng -> ignore (obj.B.read (gen_read rng)))
     end;
     Faults.remove handle;
     {
       crashed;
-      completed = List.length !completed;
-      recovered =
-        (if crashed then List.length (obj.B.recovered_ops ()) else 0);
       lost_reported = !lost_reported;
       tail_ambiguous = !tail_ambiguous;
       nested_fired = !nested_fired;
       faults = Faults.counters handle;
-      violations = List.rev !violations;
-      metrics =
-        List.map
-          (fun k -> (k, Onll_obs.Metrics.counter_value registry k))
-          tracked_counters;
+      violations = Crash_world.violations w;
+      metrics = Crash_world.counters w tracked_counters;
     }
 end

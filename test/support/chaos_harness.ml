@@ -41,11 +41,7 @@ let plan_of_seed seed =
     n_procs = 3;
     ops_per_proc = 4;
     crash_at = 20 + (seed * 17 mod 160);
-    policy =
-      (match seed mod 3 with
-      | 0 -> Onll_nvm.Crash_policy.Persist_all
-      | 1 -> Onll_nvm.Crash_policy.Drop_all
-      | _ -> Onll_nvm.Crash_policy.Random seed);
+    policy = Crash_world.policy_of_seed seed;
     stack =
       {
         Onll_stack.plain with
@@ -112,27 +108,12 @@ let batched_mirrored_plan_of_seed = over (Bare `Batched) mirrored_plan_of_seed
 (* The four objects every E12/E13 arm drives, by name: one {!Chaos.Make}
    instance each, closed over its generators. *)
 let objects =
-  let module Counter = Chaos.Make (Onll_specs.Counter) in
-  let module Queue = Chaos.Make (Onll_specs.Queue_spec) in
-  let module Kv = Chaos.Make (Onll_specs.Kv) in
-  let module Stack = Chaos.Make (Onll_specs.Stack_spec) in
-  [
-    ( "counter",
-      fun plan ->
-        Counter.run ~plan ~gen_update:Gen.Counter.update
-          ~gen_read:Gen.Counter.read () );
-    ( "queue",
-      fun plan ->
-        Queue.run ~plan ~gen_update:Gen.Queue.update ~gen_read:Gen.Queue.read
-          () );
-    ( "kv",
-      fun plan ->
-        Kv.run ~plan ~gen_update:Gen.Kv.update ~gen_read:Gen.Kv.read () );
-    ( "stack",
-      fun plan ->
-        Stack.run ~plan ~gen_update:Gen.Stack.update ~gen_read:Gen.Stack.read
-          () );
-  ]
+  List.map
+    (fun name ->
+      let (module G : Gen.S) = List.assoc name Gen.by_name in
+      let module C = Chaos.Make (G.Spec) in
+      (name, fun plan -> C.run ~plan ~gen_update:G.update ~gen_read:G.read ()))
+    [ "counter"; "queue"; "kv"; "stack" ]
 
 (* The counts projection: injected faults, nested crashes and loss
    accounting, then the summed sink counters. *)

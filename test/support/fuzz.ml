@@ -14,7 +14,6 @@
     Every run is reproducible from its integer seed. *)
 
 open Onll_util
-open Onll_machine
 
 type plan = {
   seed : int;
@@ -25,11 +24,10 @@ type plan = {
   use_pct : bool;
       (** schedule with PCT (depth 3) instead of uniform random *)
   policy : Onll_nvm.Crash_policy.t;
-  local_views : bool;
-  wait_free : bool;  (** use the Kogan–Petrank wait-free trace (§8) *)
-  post_ops : int;  (** single-process operations appended after recovery *)
-  log_capacity : int;
-  check_history : bool;  (** run the exhaustive checker when small enough *)
+  stack : Onll_stack.t;
+      (** the object under test, a bare stack: the precedence audit
+          compares execution indices across every identity, so one index
+          space ([`Wait_free] is the Kogan–Petrank trace of §8) *)
 }
 
 let default_plan =
@@ -41,129 +39,72 @@ let default_plan =
     crash_at = None;
     use_pct = false;
     policy = Onll_nvm.Crash_policy.Drop_all;
-    local_views = false;
-    wait_free = false;
-    post_ops = 2;
-    log_capacity = 1 lsl 16;
-    check_history = true;
+    stack = Onll_stack.plain;
   }
 
 type result = {
   crashed : bool;
-  recovered_count : int;  (** operations in the post-crash history *)
-  completed_count : int;  (** updates that responded pre-crash *)
   verdict : string option;  (** checker verdict, when run *)
   verdict_ok : bool;  (** true when the checker passed or was skipped *)
   failures : string list;  (** audit failures; empty = pass *)
-  total_ops : int;
 }
 
 module Make (S : Onll_core.Spec.S) = struct
   module H = Onll_histcheck.Histcheck.Make (S)
 
-  (* The object under test behind closures, so the same driver covers both
-     the lock-free and the wait-free construction. *)
-  type obj = {
-    o_update : S.update_op -> S.value;
-    o_update_detectable : seq:int -> S.update_op -> S.value;
-    o_read : S.read_op -> S.value;
-    o_recover : unit -> unit;
-    o_was_linearized : Onll_core.Onll.op_id -> bool;
-    o_recovered_ops : unit -> (Onll_core.Onll.op_id * int) list;
-  }
-
-  let make_obj (module M : Onll_machine.Machine_sig.S) plan =
-    if plan.wait_free then begin
-      let module C = Onll_core.Onll.Make_wait_free (M) (S) in
-      let obj =
-        C.make { Onll_core.Onll.Config.default with log_capacity = plan.log_capacity; local_views = plan.local_views }
-      in
-      {
-        o_update = C.update obj;
-        o_update_detectable = (fun ~seq op -> C.update_detectable obj ~seq op);
-        o_read = C.read obj;
-        o_recover = (fun () -> C.recover obj);
-        o_was_linearized = C.was_linearized obj;
-        o_recovered_ops = (fun () -> C.recovered_ops obj);
-      }
-    end
-    else begin
-      let module C = Onll_core.Onll.Make (M) (S) in
-      let obj =
-        C.make { Onll_core.Onll.Config.default with log_capacity = plan.log_capacity; local_views = plan.local_views }
-      in
-      {
-        o_update = C.update obj;
-        o_update_detectable = (fun ~seq op -> C.update_detectable obj ~seq op);
-        o_read = C.read obj;
-        o_recover = (fun () -> C.recover obj);
-        o_was_linearized = C.was_linearized obj;
-        o_recovered_ops = (fun () -> C.recovered_ops obj);
-      }
-    end
-
   let run ~plan ~gen_update ~gen_read () =
-    let sim =
-      Sim.create ~max_processes:(max plan.n_procs 1)
-        ~crash_policy:plan.policy ()
-    in
-    let obj = make_obj (Sim.machine sim) plan in
+    let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
+    let module M = (val Crash_world.machine w) in
+    let module B = Onll_stack.Make (M) (S) in
+    let obj = B.build plan.stack (Crash_world.config w) in
     let recorder = H.Recorder.create () in
-    (* (uid, op_id) of updates, as they are invoked / as they respond.
+    (* (uid, op_id, op) of updates, as they are invoked / as they respond.
        Mutated from inside simulated processes — plain refs, not shared
        variables, so the mutation is not a scheduling point. *)
     let invoked = ref [] in
     let completed = ref [] in
+    let read p rng =
+      let rop = gen_read rng in
+      let uid = H.Recorder.invoke recorder ~proc:p (H.Read rop) in
+      H.Recorder.return_ recorder uid (obj.B.read rop)
+    in
     let mk_proc p _ =
       let rng = Splitmix.create ((plan.seed * 1_000_003) + p) in
       let seq = ref 0 in
       for _ = 1 to plan.ops_per_proc do
-        if Splitmix.float rng 1.0 < plan.read_ratio then begin
-          let rop = gen_read rng in
-          let uid = H.Recorder.invoke recorder ~proc:p (H.Read rop) in
-          let v = obj.o_read rop in
-          H.Recorder.return_ recorder uid v
-        end
+        if Splitmix.float rng 1.0 < plan.read_ratio then read p rng
         else begin
           let op = gen_update rng in
           let uid = H.Recorder.invoke recorder ~proc:p (H.Update op) in
           let id = { Onll_core.Onll.id_proc = p; id_seq = !seq } in
-          invoked := (uid, id) :: !invoked;
-          let v = obj.o_update_detectable ~seq:!seq op in
+          invoked := (uid, id, op) :: !invoked;
+          let v = obj.B.update_detectable ~seq:!seq op in
           incr seq;
           H.Recorder.return_ recorder uid v;
-          completed := (uid, id) :: !completed
+          completed := (uid, id, op) :: !completed
         end
       done
     in
-    let strategy =
-      let base =
-        if plan.use_pct then
-          Onll_sched.Sched.Strategy.pct ~seed:plan.seed ~depth:3
-            ~expected_steps:(plan.n_procs * plan.ops_per_proc * 30)
-        else Onll_sched.Sched.Strategy.random ~seed:plan.seed
-      in
-      match plan.crash_at with
-      | None -> base
-      | Some k ->
-          fun view ->
-            if view.Onll_sched.Sched.Strategy.steps () >= k then
-              Onll_sched.Sched.Strategy.Crash_now
-            else base view
+    let base =
+      if plan.use_pct then
+        Some
+          (Onll_sched.Sched.Strategy.pct ~seed:plan.seed ~depth:3
+             ~expected_steps:(plan.n_procs * plan.ops_per_proc * 30))
+      else None
     in
-    let outcome =
-      Sim.run sim strategy (Array.init plan.n_procs (fun p -> mk_proc p))
+    let crashed =
+      Crash_world.run_to_crash ?base w ~seed:plan.seed
+        ~crash_at:(Option.value plan.crash_at ~default:max_int)
+        (Array.init plan.n_procs (fun p -> mk_proc p))
     in
-    let crashed = outcome = Onll_sched.Sched.World.Crashed in
-    let failures = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
+    let fail fmt = Crash_world.fail w fmt in
     if crashed then begin
       H.Recorder.crash recorder;
-      obj.o_recover ();
+      Onll_core.Onll.Recovery_report.check (obj.B.recover_report ());
       (* Audit 1: completed updates survive. *)
       List.iter
-        (fun (_, id) ->
-          if not (obj.o_was_linearized id) then
+        (fun (_, id, op) ->
+          if not (obj.B.was_linearized op id) then
             fail "completed update %a lost by recovery"
               Onll_core.Onll.pp_op_id id)
         !completed;
@@ -181,11 +122,11 @@ module Make (S : Onll_core.Spec.S) = struct
       let recovered_idx = Hashtbl.create 32 in
       List.iter
         (fun (id, idx) -> Hashtbl.replace recovered_idx id idx)
-        (obj.o_recovered_ops ());
+        (obj.B.recovered_ops ());
       List.iter
-        (fun (uid1, id1) ->
+        (fun (uid1, id1, _) ->
           List.iter
-            (fun (uid2, id2) ->
+            (fun (uid2, id2, _) ->
               match
                 ( Hashtbl.find_opt times uid1,
                   Hashtbl.find_opt times uid2,
@@ -203,28 +144,11 @@ module Make (S : Onll_core.Spec.S) = struct
         !invoked;
       (* Post-crash era: a single fresh process exercises the recovered
          object; its recorded values let the checker validate durability. *)
-      if plan.post_ops > 0 then begin
-        let rng = Splitmix.create (plan.seed + 777) in
-        let post _ =
-          for k = 1 to plan.post_ops do
-            if k mod 2 = 0 then begin
-              let rop = gen_read rng in
-              let uid = H.Recorder.invoke recorder ~proc:0 (H.Read rop) in
-              let v = obj.o_read rop in
-              H.Recorder.return_ recorder uid v
-            end
-            else begin
-              let op = gen_update rng in
-              let uid = H.Recorder.invoke recorder ~proc:0 (H.Update op) in
-              let v = obj.o_update op in
-              H.Recorder.return_ recorder uid v
-            end
-          done
-        in
-        match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| post |] with
-        | Onll_sched.Sched.World.Completed -> ()
-        | _ -> fail "post-crash era did not complete"
-      end
+      Crash_world.post_era w ~seed:plan.seed ~ops:2 ~read:(read 0)
+        ~update:(fun rng ->
+          let op = gen_update rng in
+          let uid = H.Recorder.invoke recorder ~proc:0 (H.Update op) in
+          H.Recorder.return_ recorder uid (obj.B.update op))
     end;
     let history = H.Recorder.history recorder in
     let total_ops =
@@ -232,7 +156,7 @@ module Make (S : Onll_core.Spec.S) = struct
         (List.filter (function H.Invoke _ -> true | _ -> false) history)
     in
     let verdict, verdict_ok =
-      if plan.check_history && total_ops <= 14 then
+      if total_ops <= 14 then
         match H.check history with
         | H.Durably_linearizable w as v ->
             (* cross-check the searcher with the independent validator *)
@@ -248,12 +172,8 @@ module Make (S : Onll_core.Spec.S) = struct
     in
     {
       crashed;
-      recovered_count =
-        (if crashed then List.length (obj.o_recovered_ops ()) else 0);
-      completed_count = List.length !completed;
       verdict;
       verdict_ok;
-      failures = List.rev !failures;
-      total_ops;
+      failures = Crash_world.violations w;
     }
 end

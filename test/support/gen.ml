@@ -105,3 +105,35 @@ module Deque = struct
   let read rng =
     match Splitmix.int rng 3 with 0 -> Front | 1 -> Back | _ -> Length
 end
+
+(** A specification with its generators, for drivers that pick one by
+    name. *)
+module type S = sig
+  module Spec : Onll_core.Spec.S
+
+  val update : Splitmix.t -> Spec.update_op
+  val read : Splitmix.t -> Spec.read_op
+end
+
+let pack (type u r)
+    (module Spec : Onll_core.Spec.S
+      with type update_op = u
+       and type read_op = r) update read =
+  (module struct
+    module Spec = Spec
+
+    let update = update
+    let read = read
+  end : S)
+
+let by_name =
+  [
+    ("counter", pack (module Onll_specs.Counter) Counter.update Counter.read);
+    ( "register",
+      pack (module Onll_specs.Register) Register.update Register.read );
+    ("queue", pack (module Onll_specs.Queue_spec) Queue.update Queue.read);
+    ("kv", pack (module Onll_specs.Kv) Kv.update Kv.read);
+    ("stack", pack (module Onll_specs.Stack_spec) Stack.update Stack.read);
+    ("set", pack (module Onll_specs.Set_spec) Set_g.update Set_g.read);
+    ("ledger", pack (module Onll_specs.Ledger) Ledger.update Ledger.read);
+  ]

@@ -48,7 +48,6 @@
     vanish with nothing admitted, and the audits — and on checked
     windows the buffered checker — {e must} flag it. *)
 
-open Onll_machine
 module Kv = Onll_specs.Kv
 module Report = Onll_core.Onll.Recovery_report
 
@@ -77,11 +76,7 @@ let plan_of_seed seed =
     (* a fine sweep of the crash step walks the tail through every depth
        from 0 to the budget across the campaign *)
     crash_at = 4 + (seed * 7 mod 160);
-    policy =
-      (match seed mod 3 with
-      | 0 -> Onll_nvm.Crash_policy.Persist_all
-      | 1 -> Onll_nvm.Crash_policy.Drop_all
-      | _ -> Onll_nvm.Crash_policy.Random seed);
+    policy = Crash_world.policy_of_seed seed;
     replicas = 1;
     hardened = true;
     checked = n_procs = 1 && updates_per_proc <= 6;
@@ -125,23 +120,13 @@ type result = {
 }
 
 let run ~plan () =
-  let registry = Onll_obs.Metrics.create () in
-  let sink = Onll_obs.Sink.make ~registry () in
-  let sim =
-    Sim.create ~sink ~max_processes:plan.n_procs ~crash_policy:plan.policy ()
-  in
-  let module M = (val Sim.machine sim) in
+  let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
+  let module M = (val Crash_world.machine w) in
   let module R = Onll_relaxed.Make (M) (Kv) in
   let module H = Onll_histcheck.Histcheck.Make (Kv) in
   let obj =
     R.make ~max_unfenced_ops:plan.budget
-      {
-        Onll_core.Onll.Config.log_capacity = 1 lsl 16;
-        replicas = plan.replicas;
-        local_views = false;
-        region_suffix = "";
-        sink;
-      }
+      { (Crash_world.config w) with replicas = plan.replicas }
   in
   let recorder = if plan.checked then Some (H.Recorder.create ()) else None in
   let scripts = Array.init plan.n_procs (fun p -> script_of ~plan p) in
@@ -170,25 +155,15 @@ let run ~plan () =
         acked.(p) <- (t, id) :: acked.(p))
       actions
   in
-  let strategy =
-    let base = Onll_sched.Sched.Strategy.random ~seed:plan.seed in
-    fun view ->
-      if view.Onll_sched.Sched.Strategy.steps () >= plan.crash_at then
-        Onll_sched.Sched.Strategy.Crash_now
-      else base view
+  let crashed =
+    Crash_world.run_to_crash w ~seed:plan.seed ~crash_at:plan.crash_at
+      (Array.init plan.n_procs (fun p -> mk_proc p))
   in
-  let outcome =
-    Sim.run sim strategy (Array.init plan.n_procs (fun p -> mk_proc p))
-  in
-  let crashed = outcome = Onll_sched.Sched.World.Crashed in
   (* The tail is wrapper (host-side) state, so its depth at the crash is
      still readable — that is the ops-at-risk figure the histogram
      buckets. *)
   let depth_at_crash = if crashed then R.pending_ops obj else 0 in
-  let violations = ref [] in
-  let fail fmt =
-    Format.kasprintf (fun s -> violations := s :: !violations) fmt
-  in
+  let fail fmt = Crash_world.fail w fmt in
   let converge_steps = ref 0 in
   let lost_count = ref 0 in
   (* surviving prefix length per process, from the prefix audit *)
@@ -273,12 +248,10 @@ let run ~plan () =
         done;
         !ok
       in
-      let rec longest k =
-        if k < 0 then None
-        else if state_matches k then Some k
-        else longest (k - 1)
-      in
-      (match longest (Array.length states - 1) with
+      (match
+         Crash_world.longest_prefix ~matches:state_matches
+           (Array.length states - 1)
+       with
       | None ->
           fail "proc %d: recovered state matches NO prefix of its script" p
       | Some k ->
@@ -374,16 +347,14 @@ let run ~plan () =
         incr converge_steps;
         Onll_sched.Sched.Strategy.round_robin view
       in
-      (match Sim.run sim counting (Array.init plan.n_procs post) with
-      | Onll_sched.Sched.World.Completed -> ()
-      | _ -> fail "post-crash era did not complete");
+      Crash_world.era w ~strategy:counting (Array.init plan.n_procs post);
       if R.pending_ops obj <> 0 then
         fail "flush left %d operations at risk" (R.pending_ops obj);
       for p = 0 to plan.n_procs - 1 do
         if value (key p 0) <> Some "post" then
           fail "proc %d: post-crash update not visible" p
       done;
-      Onll_nvm.Memory.crash (Sim.memory sim)
+      Onll_nvm.Memory.crash (Crash_world.memory w)
         ~policy:Onll_nvm.Crash_policy.Drop_all;
       let r3 = R.recover_report obj in
       if r3.Report.lost_acked <> [] then
@@ -412,10 +383,12 @@ let run ~plan () =
     completed = Array.fold_left (fun a l -> a + List.length l) 0 acked;
     lost = !lost_count;
     depth_at_crash;
-    drains = Onll_obs.Metrics.counter_value registry "fences.drains";
-    deferred = Onll_obs.Metrics.counter_value registry "fences.deferred";
+    drains =
+      Onll_obs.Metrics.counter_value w.Crash_world.registry "fences.drains";
+    deferred =
+      Onll_obs.Metrics.counter_value w.Crash_world.registry "fences.deferred";
     converge_steps = !converge_steps;
-    violations = List.rev !violations;
+    violations = Crash_world.violations w;
   }
 
 (* {2 Campaign aggregation} *)
@@ -444,11 +417,12 @@ let arm ?(plan_of = plan_of_seed) ?hist ~name ~seeds () =
       | _ -> ());
       r)
 
-(* The ledger-free calibration: caught when a crash run is flagged. *)
-let calibrate ~seeds =
+(* The ledger-free calibration over [plan_of]'s grid: caught when a
+   crash run is flagged. *)
+let calibrate ?(plan_of = plan_of_seed) ~seeds () =
   Campaign.calibrate ~seeds
     ~caught:(fun r -> r.crashed && r.violations <> [])
-    (fun seed -> run ~plan:{ (plan_of_seed seed) with hardened = false } ())
+    (fun seed -> run ~plan:{ (plan_of seed) with hardened = false } ())
 
 (* The summary, and the measured ops-at-risk distribution: (tail depth at
    the crash, crashed runs at that depth), bounded by the budget. *)
@@ -464,7 +438,7 @@ let run_campaign ~seeds ~calibration_seeds =
   ( {
       Campaign.rows;
       cal_runs = calibration_seeds;
-      cal_caught = calibrate ~seeds:calibration_seeds;
+      cal_caught = calibrate ~seeds:calibration_seeds ();
     },
     List.sort compare (Hashtbl.fold (fun d n acc -> (d, n) :: acc) h []) )
 

@@ -2,10 +2,10 @@
     client protocol and audit it from the client table.
 
     One run is: [n_procs] clients, each driving its own session over a
-    shared object over {!Onll_core.Client_table} (plain, mirrored or
-    sharded), submitting a deterministic per-client workload under a
-    seeded random schedule with transient flush/fence faults — cut by a
-    crash, recovered under nested-crash adversity, resumed (every client
+    shared object over {!Onll_core.Client_table} (any {!Onll_stack.t}),
+    submitting a deterministic per-client workload under a seeded random
+    schedule with transient flush/fence faults — cut by a crash,
+    recovered under nested-crash adversity, resumed (every client
     re-attaches, resubmits its unanswered operation under the sequence
     number it had, then finishes its workload) and audited:
 
@@ -21,7 +21,7 @@
     - {b attach is a read}: attaching twice gives the same cursor;
     - {b liveness}: the post-crash era completes.
 
-    The {!arm.Naive} arm is the calibration: the same workload driven as
+    The naive arm is the calibration: the same workload driven as
     {e at-least-once} — untracked updates, blindly re-invoked after a
     restart. Its duplicates (applied operations beyond the logical ones)
     are counted, not flagged: a campaign in which the naive arm never
@@ -32,18 +32,7 @@
     bounded retry), exercising the in-run half of the protocol: an
     in-doubt submission resubmitted in place. *)
 
-open Onll_util
-open Onll_machine
 module Faults = Onll_faults.Faults
-
-(** Which object the sessions drive — or the at-least-once baseline. *)
-type arm = Plain | Mirrored | Sharded | Naive
-
-let arm_label = function
-  | Plain -> "plain"
-  | Mirrored -> "mirrored"
-  | Sharded -> "sharded"
-  | Naive -> "naive"
 
 type plan = {
   seed : int;
@@ -52,22 +41,22 @@ type plan = {
   post_ops : int;  (** additional logical ops per process after recovery *)
   crash_at : int;  (** scheduler step of the crash; [max_int] = no crash *)
   policy : Onll_nvm.Crash_policy.t;
-  arm : arm;
-  log_capacity : int;  (** object log capacity (per process, per shard) *)
+  stack : Onll_stack.t;  (** the object the sessions drive *)
   fault : Faults.Plan.t;
   fault_scope : [ `All | `Primary_only ];
   nested_crashes : int;
 }
 
-(* The per-seed grid: every knob a pure function of (arm, seed). Storm
+(* The per-seed grid: every knob a pure function of (stack, seed). Storm
    seeds ([seed mod 5 = 0]) trade the crash for transient-fault runs long
    enough ([max_consecutive_transients] above the log layer's retry
    budget) that faults escape into the session as in-doubt answers; all
    other seeds crash mid-era under mild transients. Media corruption is
-   reserved for the mirrored arm and confined to primaries — the scope
+   reserved for mirrored stacks and confined to primaries — the scope
    mirrors provably heal — so the exactly-once bar stays at zero across
    every session arm. *)
-let plan_of_seed ?(arm = Plain) seed =
+let plan_of_seed ?(stack = Onll_stack.plain) seed =
+  let mirrored = stack.Onll_stack.replicas > 1 in
   let storm = seed mod 5 = 0 in
   let fault =
     {
@@ -81,17 +70,16 @@ let plan_of_seed ?(arm = Plain) seed =
     }
   in
   let fault =
-    match arm with
-    | Mirrored ->
-        {
-          fault with
-          Faults.Plan.bit_flips_per_crash = 1 + (seed mod 2);
-          torn_spans_per_crash = (if seed mod 4 = 0 then 1 else 0);
-          torn_span_max_bytes = 40;
-          media_window = 512;
-          media_fault_crashes = 2;
-        }
-    | Plain | Sharded | Naive -> fault
+    if mirrored then
+      {
+        fault with
+        Faults.Plan.bit_flips_per_crash = 1 + (seed mod 2);
+        torn_spans_per_crash = (if seed mod 4 = 0 then 1 else 0);
+        torn_span_max_bytes = 40;
+        media_window = 512;
+        media_fault_crashes = 2;
+      }
+    else fault
   in
   {
     seed;
@@ -99,15 +87,10 @@ let plan_of_seed ?(arm = Plain) seed =
     ops_per_proc = 6;
     post_ops = 2;
     crash_at = (if storm then max_int else 20 + (seed * 13 mod 150));
-    policy =
-      (match seed mod 3 with
-      | 0 -> Onll_nvm.Crash_policy.Persist_all
-      | 1 -> Onll_nvm.Crash_policy.Drop_all
-      | _ -> Onll_nvm.Crash_policy.Random seed);
-    arm;
-    log_capacity = 1 lsl 16;
+    policy = Crash_world.policy_of_seed seed;
+    stack;
     fault;
-    fault_scope = (match arm with Mirrored -> `Primary_only | _ -> `All);
+    fault_scope = (if mirrored then `Primary_only else `All);
     nested_crashes = seed mod 2;
   }
 
@@ -151,54 +134,25 @@ module Make (S : Onll_core.Spec.S) = struct
   (* [op_of ~proc ~k] is the deterministic logical workload — logical op
      [k] of client [proc]. [applied ~read ~n_procs] counts the operations
      the object's state shows applied (a counter's value; a ledger's
-     opens and deposits), which the audit compares with the table. *)
-  let run ~plan ~op_of ~applied () =
-    let registry = Onll_obs.Metrics.create () in
-    let sink = Onll_obs.Sink.make ~registry () in
-    let sim =
-      Sim.create ~sink ~max_processes:(max plan.n_procs 1)
-        ~crash_policy:plan.policy ()
-    in
-    let mem = Sim.memory sim in
-    let module M = (val Sim.machine sim) in
+     opens and deposits), which the audit compares with the table.
+     [~naive] drives the workload at-least-once instead of through
+     sessions. *)
+  let run ~naive ~plan ~op_of ~applied () =
+    let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
+    let mem = Crash_world.memory w in
+    let module M = (val Crash_world.machine w) in
     let module B = Onll_stack.Make (M) (Ct) in
-    let obj =
-      B.build
-        (match plan.arm with
-        | Sharded ->
-            {
-              Onll_stack.plain with
-              top = Onll_stack.Direct (Onll_stack.Sharded (`Plain, 4));
-            }
-        | Mirrored -> { Onll_stack.plain with replicas = 2 }
-        | Plain | Naive -> Onll_stack.plain)
-        {
-          Onll_core.Onll.Config.default with
-          log_capacity = plan.log_capacity;
-          sink;
-        }
-    in
+    let obj = B.build plan.stack (Crash_world.config w) in
     let backend = B.backend obj in
-    let fault_plan =
-      match plan.fault_scope with
-      | `All -> plan.fault
-      | `Primary_only ->
-          let base = plan.fault.Faults.Plan.target in
-          {
-            plan.fault with
-            Faults.Plan.target =
-              (fun n -> base n && not (Onll_plog.Plog.is_mirror_region n));
-          }
-    in
+    let fault_plan = Crash_world.scoped plan.fault_scope plan.fault in
     let handle = Faults.install mem fault_plan in
-    let violations = ref [] in
-    let fail fmt =
-      Format.kasprintf (fun s -> violations := s :: !violations) fmt
-    in
+    let fail fmt = Crash_world.fail w fmt in
     (* Shedding off: admission control has its own deterministic test;
        here every submission must reach the table. *)
     let admission = Onll_core.Admission.create ~watermark:1.0 in
-    let attach p = Sess.attach ~sink ~admission ~client:p backend in
+    let attach p =
+      Sess.attach ~sink:w.Crash_world.sink ~admission ~client:p backend
+    in
     let sessions = Array.init plan.n_procs attach in
     (* Plain OCaml state, not simulated NVM, so it survives simulated
        crashes exactly like a client's own bookkeeping: the next logical
@@ -249,9 +203,7 @@ module Make (S : Onll_core.Spec.S) = struct
           `Done
       | exception Onll_nvm.Memory.Transient_fault _ -> `Stall
     in
-    let one_op p k =
-      if plan.arm = Naive then naive_op p k else session_op p k
-    in
+    let one_op p k = if naive then naive_op p k else session_op p k in
     let era_to p limit =
       let continue = ref true in
       while !continue && kcur.(p) <= limit do
@@ -261,19 +213,10 @@ module Make (S : Onll_core.Spec.S) = struct
         | `Stall -> continue := false
       done
     in
-    let strategy =
-      let base = Onll_sched.Sched.Strategy.random ~seed:plan.seed in
-      fun view ->
-        if view.Onll_sched.Sched.Strategy.steps () >= plan.crash_at then
-          Onll_sched.Sched.Strategy.Crash_now
-        else base view
-    in
-    let outcome =
-      Sim.run sim strategy
+    let crashed =
+      Crash_world.run_to_crash w ~seed:plan.seed ~crash_at:plan.crash_at
         (Array.init plan.n_procs (fun p _ -> era_to p plan.ops_per_proc))
     in
-    let crashed = outcome = Onll_sched.Sched.World.Crashed in
-    let nested_fired = ref 0 in
     (* Era boundary: the storm grid must not rage through recovery — a
        transient run longer than the log layer's bounded retry would abort
        the recovery attempt itself, which is outside the protocol being
@@ -297,28 +240,16 @@ module Make (S : Onll_core.Spec.S) = struct
        instead, so the audit always exercises a restart. *)
     if not crashed then Onll_nvm.Memory.crash mem ~policy:plan.policy;
     Faults.set_rot handle false;
-    (* Recovery under nested-crash adversity, chaos-style: each armed
-       firing is a real crash (media may corrupt again, per plan)
-       followed by a fresh attempt; the last attempt runs unarmed. *)
-    let rng = Splitmix.create (plan.seed lxor 0x5E55) in
-    let rec recover budget =
-      if budget > 0 && plan.nested_crashes > 0 then
-        Faults.arm_recovery_crash handle ~at_op:(Splitmix.int rng 24)
-      else Faults.disarm handle;
-      match obj.B.recover_report () with
-      | _ -> Faults.disarm handle
-      | exception Onll_nvm.Memory.Injected_crash ->
-          incr nested_fired;
-          Onll_nvm.Memory.crash mem ~policy:plan.policy;
-          recover (budget - 1)
+    let _report, nested_fired =
+      Crash_world.recover_nested w handle ~rng_seed:(plan.seed lxor 0x5E55)
+        ~budget:plan.nested_crashes obj.B.recover_report
     in
-    recover plan.nested_crashes;
     (* Era 2: every client re-attaches (twice: attaching is a read),
        resubmits its unanswered op, then finishes its workload plus
        [post_ops] more. *)
     let total = plan.ops_per_proc + plan.post_ops in
     let post p _ =
-      if plan.arm <> Naive then begin
+      if not naive then begin
         sessions.(p) <- attach p;
         if Sess.next_seq (attach p) <> Sess.next_seq sessions.(p) then
           fail "client %d: a second attach moved the cursor" p
@@ -335,12 +266,7 @@ module Make (S : Onll_core.Spec.S) = struct
       in
       if resumed then era_to p total
     in
-    (match
-       Sim.run sim Onll_sched.Sched.Strategy.round_robin
-         (Array.init plan.n_procs post)
-     with
-    | Onll_sched.Sched.World.Completed -> ()
-    | _ -> fail "post-crash era did not complete");
+    Crash_world.era w (Array.init plan.n_procs post);
     (* The audit. A session client applied its seqs 0..last, each once;
        the naive client applied each logical op it started at least
        once. *)
@@ -351,11 +277,11 @@ module Make (S : Onll_core.Spec.S) = struct
     in
     let expected =
       List.init plan.n_procs (fun p ->
-          if plan.arm = Naive then kcur.(p) - 1 else last p + 1)
+          if naive then kcur.(p) - 1 else last p + 1)
       |> List.fold_left ( + ) 0
     in
     let lost = ref 0 in
-    if plan.arm <> Naive then
+    if not naive then
       for p = 0 to plan.n_procs - 1 do
         let l = last p in
         List.iter
@@ -372,7 +298,7 @@ module Make (S : Onll_core.Spec.S) = struct
       | Ct.Duplicate | Ct.Last_seq _ -> invalid_arg "session_chaos: read"
     in
     let excess = applied ~read ~n_procs:plan.n_procs - expected in
-    if plan.arm <> Naive && excess <> 0 then
+    if (not naive) && excess <> 0 then
       fail "value: the state shows %d applied operations, the table %d"
         (excess + expected) expected;
     Faults.remove handle;
@@ -386,7 +312,7 @@ module Make (S : Onll_core.Spec.S) = struct
       acked = Array.fold_left (fun n l -> n + List.length l) 0 acked;
       duplicates = max 0 excess;
       lost_acks = !lost;
-      nested_fired = !nested_fired;
+      nested_fired;
       faults =
         (let a = era1_faults and b = Faults.counters handle in
          Faults.
@@ -398,11 +324,8 @@ module Make (S : Onll_core.Spec.S) = struct
              fence_transients = a.fence_transients + b.fence_transients;
              recovery_crashes = a.recovery_crashes + b.recovery_crashes;
            });
-      violations = List.rev !violations;
-      metrics =
-        List.map
-          (fun k -> (k, Onll_obs.Metrics.counter_value registry k))
-          tracked_counters;
+      violations = Crash_world.violations w;
+      metrics = Crash_world.counters w tracked_counters;
     }
 end
 
@@ -451,29 +374,36 @@ let ledger_applied ~read ~n_procs =
       | _ -> 0)
   |> List.fold_left ( + ) 0
 
+(* The session arms, by label: the stacks the sessions drive. *)
+let stacks =
+  [
+    ("plain", Onll_stack.plain);
+    ("mirrored", { Onll_stack.plain with replicas = 2 });
+    ( "sharded",
+      { Onll_stack.plain with top = Direct (Sharded (`Plain, 4)) } );
+  ]
+
+(* Every session arm, then the naive calibration over the plain stack;
+   each runs both workloads, as rows "<spec>/<label>". *)
 let run_e15 ~seeds_per_arm =
   let module Counter = Make (Onll_specs.Counter) in
   let module Ledger = Make (Onll_specs.Ledger) in
-  let arm ~spec run arm =
-    Campaign.arm
-      ~name:(Printf.sprintf "%s/%s" spec (arm_label arm))
-      ~seeds:seeds_per_arm
-      ~crashed:(fun r -> r.crashed)
-      ~violations:(fun r -> r.violations)
-      ~counts
-      (fun seed -> run ~plan:(plan_of_seed ~arm seed) ())
+  let arm (label, stack, naive) =
+    let row spec run =
+      Campaign.arm ~name:(spec ^ "/" ^ label) ~seeds:seeds_per_arm
+        ~crashed:(fun r -> r.crashed)
+        ~violations:(fun r -> r.violations)
+        ~counts
+        (fun seed -> run ~naive ~plan:(plan_of_seed ~stack seed) ())
+    in
+    [
+      row "counter" (Counter.run ~op_of:counter_op ~applied:counter_applied);
+      row "ledger" (Ledger.run ~op_of:ledger_op ~applied:ledger_applied);
+    ]
   in
-  List.concat_map
-    (fun a ->
-      [
-        arm ~spec:"counter"
-          (Counter.run ~op_of:counter_op ~applied:counter_applied)
-          a;
-        arm ~spec:"ledger"
-          (Ledger.run ~op_of:ledger_op ~applied:ledger_applied)
-          a;
-      ])
-    [ Plain; Mirrored; Sharded; Naive ]
+  List.concat_map arm
+    (List.map (fun (l, s) -> (l, s, false)) stacks
+    @ [ ("naive", Onll_stack.plain, true) ])
 
 let print s =
   Campaign.print

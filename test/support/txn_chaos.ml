@@ -49,7 +49,6 @@
     proves nothing. *)
 
 open Onll_util
-open Onll_machine
 module Kv = Onll_specs.Kv
 
 type plan = {
@@ -68,11 +67,7 @@ let plan_of_seed seed =
     n_procs = 2 + (seed mod 2);
     actions_per_proc = 4 + (seed mod 3);
     crash_at = 10 + (seed * 13 mod 170);
-    policy =
-      (match seed mod 3 with
-      | 0 -> Onll_nvm.Crash_policy.Persist_all
-      | 1 -> Onll_nvm.Crash_policy.Drop_all
-      | _ -> Onll_nvm.Crash_policy.Random seed);
+    policy = Crash_world.policy_of_seed seed;
     replicas = 1;
     hardened = true;
   }
@@ -146,22 +141,12 @@ let tracked_counters =
   [ "txns"; "txn.subops"; "txn.fast_path"; "txn.sweep.injected"; "crashes" ]
 
 let run ~plan () =
-  let registry = Onll_obs.Metrics.create () in
-  let sink = Onll_obs.Sink.make ~registry () in
-  let sim =
-    Sim.create ~sink ~max_processes:plan.n_procs ~crash_policy:plan.policy ()
-  in
-  let module M = (val Sim.machine sim) in
+  let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
+  let module M = (val Crash_world.machine w) in
   let module Tx = Onll_txn.Make (M) (Kv) in
   let obj =
     Tx.make ~shards:4
-      {
-        Onll_core.Onll.Config.log_capacity = 1 lsl 16;
-        replicas = plan.replicas;
-        local_views = false;
-        region_suffix = "";
-        sink;
-      }
+      { (Crash_world.config w) with replicas = plan.replicas }
   in
   let scripts = Array.init plan.n_procs (fun p -> script_of ~plan p) in
   (* Plain refs mutated inside simulated processes: bookkeeping, not
@@ -180,21 +165,11 @@ let run ~plan () =
         done_actions.(p) <- done_actions.(p) + 1)
       actions
   in
-  let strategy =
-    let base = Onll_sched.Sched.Strategy.random ~seed:plan.seed in
-    fun view ->
-      if view.Onll_sched.Sched.Strategy.steps () >= plan.crash_at then
-        Onll_sched.Sched.Strategy.Crash_now
-      else base view
+  let crashed =
+    Crash_world.run_to_crash w ~seed:plan.seed ~crash_at:plan.crash_at
+      (Array.init plan.n_procs (fun p -> mk_proc p))
   in
-  let outcome =
-    Sim.run sim strategy (Array.init plan.n_procs (fun p -> mk_proc p))
-  in
-  let crashed = outcome = Onll_sched.Sched.World.Crashed in
-  let violations = ref [] in
-  let fail fmt =
-    Format.kasprintf (fun s -> violations := s :: !violations) fmt
-  in
+  let fail fmt = Crash_world.fail w fmt in
   if crashed then begin
     (if plan.hardened then begin
        let r = Tx.recover_report obj in
@@ -211,6 +186,17 @@ let run ~plan () =
       | Kv.Found (Some s) -> int_of_string s
       | _ -> 0
     in
+    (* What the transfer accounts net to, summed over every process and
+       shard: transfers move value, never mint it. *)
+    let net () =
+      let sum = ref 0 in
+      for p = 0 to plan.n_procs - 1 do
+        for i = 0 to n_accts - 1 do
+          sum := !sum + balance (acct_key p i)
+        done
+      done;
+      !sum
+    in
     for p = 0 to plan.n_procs - 1 do
       let actions, states = scripts.(p) in
       let state_matches k =
@@ -220,10 +206,10 @@ let run ~plan () =
              (Array.init n_accts (fun i -> balance (acct_key p i)))
              bal
       in
-      (* The longest matching prefix — with pairwise-distinct prefix
-         states there is at most one, so scan from the newest. *)
-      let rec longest k = if k < 0 then None else if state_matches k then Some k else longest (k - 1) in
-      (match longest (List.length actions) with
+      (match
+         Crash_world.longest_prefix ~matches:state_matches
+           (List.length actions)
+       with
       | None ->
           fail
             "proc %d: recovered state matches NO prefix of its script — a \
@@ -256,16 +242,7 @@ let run ~plan () =
             p s
       done
     done;
-    (* Balance: transfers move value, never mint it. *)
-    let total =
-      let sum = ref 0 in
-      for p = 0 to plan.n_procs - 1 do
-        for i = 0 to n_accts - 1 do
-          sum := !sum + balance (acct_key p i)
-        done
-      done;
-      !sum
-    in
+    let total = net () in
     if total <> 0 then
       fail "shard sums do not balance: transfer accounts net %d, want 0" total;
     (* Idempotence (hardened only: the calibration baseline neither
@@ -287,21 +264,9 @@ let run ~plan () =
              Kv.Put (acct_key p 1, string_of_int (dst + 7));
            ])
     in
-    (match
-       Sim.run sim Onll_sched.Sched.Strategy.round_robin
-         (Array.init plan.n_procs (fun p -> post p))
-     with
-    | Onll_sched.Sched.World.Completed -> ()
-    | _ -> fail "post-crash transfer era did not complete");
-    let total' =
-      let sum = ref 0 in
-      for p = 0 to plan.n_procs - 1 do
-        for i = 0 to n_accts - 1 do
-          sum := !sum + balance (acct_key p i)
-        done
-      done;
-      !sum
-    in
+    Crash_world.era w ~what:"post-crash transfer era"
+      (Array.init plan.n_procs (fun p -> post p));
+    let total' = net () in
     if total' <> 0 then
       fail "books unbalanced after the post-crash era: net %d" total'
   end;
@@ -309,12 +274,11 @@ let run ~plan () =
     crashed;
     completed = Array.fold_left ( + ) 0 done_actions;
     committed = List.length (Tx.committed_txns obj);
-    swept = Onll_obs.Metrics.counter_value registry "txn.sweep.injected";
-    violations = List.rev !violations;
-    metrics =
-      List.map
-        (fun k -> (k, Onll_obs.Metrics.counter_value registry k))
-        tracked_counters;
+    swept =
+      Onll_obs.Metrics.counter_value w.Crash_world.registry
+        "txn.sweep.injected";
+    violations = Crash_world.violations w;
+    metrics = Crash_world.counters w tracked_counters;
   }
 
 (* {2 Campaign aggregation} *)
@@ -329,11 +293,12 @@ let arm ?(plan_of = plan_of_seed) ~name ~seeds () =
     ~counts
     (fun seed -> run ~plan:(plan_of seed) ())
 
-(* The no-sweep calibration: caught when a crash run is flagged. *)
-let calibrate ~seeds =
+(* The no-sweep calibration over [plan_of]'s grid: caught when a crash
+   run is flagged. *)
+let calibrate ?(plan_of = plan_of_seed) ~seeds () =
   Campaign.calibrate ~seeds
     ~caught:(fun r -> r.crashed && r.violations <> [])
-    (fun seed -> run ~plan:{ (plan_of_seed seed) with hardened = false } ())
+    (fun seed -> run ~plan:{ (plan_of seed) with hardened = false } ())
 
 let run_campaign ~seeds ~calibration_seeds =
   {
@@ -343,7 +308,7 @@ let run_campaign ~seeds ~calibration_seeds =
         arm ~plan_of:mirrored_plan_of_seed ~name:"txn/mirrored" ~seeds ();
       ];
     cal_runs = calibration_seeds;
-    cal_caught = calibrate ~seeds:calibration_seeds;
+    cal_caught = calibrate ~seeds:calibration_seeds ();
   }
 
 let print_rows rows =

@@ -24,10 +24,7 @@ let assert_clean name (r : Fuzz.result) =
     Alcotest.fail
       (name ^ ": checker verdict: " ^ Option.value ~default:"?" r.Fuzz.verdict)
 
-let policies seed =
-  if seed mod 3 = 0 then Onll_nvm.Crash_policy.Persist_all
-  else if seed mod 3 = 1 then Onll_nvm.Crash_policy.Drop_all
-  else Onll_nvm.Crash_policy.Random seed
+let policies = Crash_world.policy_of_seed
 
 (* {1 Crash-free campaigns: plain linearizability} *)
 
@@ -113,7 +110,7 @@ let test_crashing_counter_with_views () =
         ops_per_proc = 3;
         crash_at = Some (15 + (seed * 11 mod 100));
         policy = policies seed;
-        local_views = true;
+        stack = { Onll_stack.plain with views = true };
       }
     in
     let r =

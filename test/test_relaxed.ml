@@ -358,6 +358,25 @@ let test_history_buffered_checkable () =
       Alcotest.fail "an under-declaring report must be rejected"
   | H.Buffered_violation _ | H.Buffered_budget_exhausted -> ()
 
+(* {1 The E20 campaign} *)
+
+(* A slice of the E20 campaign: plain and mirrored crash sweeps lose only
+   the budgeted, reported suffix, and each arm's ledger-free calibration
+   is caught. *)
+let test_e20_campaign_slice () =
+  let module Rc = Test_support.Relaxed_chaos in
+  List.iter
+    (fun (name, plan_of) ->
+      let row = Rc.arm ~plan_of ~name ~seeds:6 () in
+      check Alcotest.(list string) (name ^ ": no violations") []
+        row.Test_support.Campaign.violations;
+      check Alcotest.bool (name ^ ": calibration caught") true
+        (Rc.calibrate ~plan_of ~seeds:8 () > 0))
+    [
+      ("relaxed", Rc.plan_of_seed);
+      ("relaxed/mirrored", Rc.mirrored_plan_of_seed);
+    ]
+
 let () =
   Alcotest.run "relaxed"
     [
@@ -379,6 +398,8 @@ let () =
             test_checkpoint_covers_the_tail;
           Alcotest.test_case "unhardened calibration" `Quick
             test_unhardened_recovery_loses_silently;
+          Alcotest.test_case "E20 campaign slice: clean, calibration caught"
+            `Quick test_e20_campaign_slice;
         ] );
       ( "re-apply sweep",
         [

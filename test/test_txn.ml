@@ -312,6 +312,21 @@ let test_compact_truncates_covered_commit_records () =
     (got (Tx.read obj (Kv.Get a)) = Some "8"
     && got (Tx.read obj (Kv.Get b)) = Some "-8")
 
+(* {1 The E19 campaign} *)
+
+(* A slice of the E19 campaign: plain and mirrored crash sweeps stay
+   all-or-nothing, and each arm's no-sweep calibration is caught. *)
+let test_e19_campaign_slice () =
+  let module Tc = Test_support.Txn_chaos in
+  List.iter
+    (fun (name, plan_of) ->
+      let row = Tc.arm ~plan_of ~name ~seeds:6 () in
+      check Alcotest.(list string) (name ^ ": no violations") []
+        row.Test_support.Campaign.violations;
+      check Alcotest.bool (name ^ ": calibration caught") true
+        (Tc.calibrate ~plan_of ~seeds:8 () > 0))
+    [ ("txn", Tc.plan_of_seed); ("txn/mirrored", Tc.mirrored_plan_of_seed) ]
+
 let () =
   Alcotest.run "txn"
     [
@@ -335,6 +350,8 @@ let () =
             test_crash_at_every_step_plain;
           Alcotest.test_case "all-or-nothing at every step (mirrored)" `Quick
             test_crash_at_every_step_mirrored;
+          Alcotest.test_case "E19 campaign slice: clean, calibration caught"
+            `Quick test_e19_campaign_slice;
         ] );
       ( "helping",
         [

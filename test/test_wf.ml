@@ -297,7 +297,7 @@ let test_wf_crash_fuzz () =
       {
         Test_support.Fuzz.default_plan with
         seed;
-        wait_free = true;
+        stack = { Onll_stack.plain with top = Direct (Bare `Wait_free) };
         crash_at = Some (10 + (seed * 9 mod 120));
         policy =
           (if seed mod 2 = 0 then Onll_nvm.Crash_policy.Persist_all
