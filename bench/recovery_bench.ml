@@ -89,6 +89,79 @@ let run_one ~log_capacity ~history ~checkpoint_every =
     loaded_bytes = List.fold_left (fun n (_, len) -> n + len) 0 spans;
   }
 
+(* The kv row: a checkpointed kv object of [kv_keys] keys on the native
+   machine, whose recovery is mostly the decode of its checkpointed
+   state. *)
+module Kv = Onll_specs.Kv
+
+let kv_keys = 100_000
+let kv_recoveries = 3
+
+(* The earlier decode, which joined halves with [Map.union], allocated
+   73.5 words per binding for these bindings (its split/join calls
+   rebuild spines); the bottom-up build allocates about 19: the key and
+   value strings, one node, two array slots and the codec's
+   (value, offset) pairs. *)
+let kv_decode_words_max = 30.
+
+type kv_sample = {
+  kv_recovery_ms : float;  (** median of [kv_recoveries] *)
+  state_bytes : int;
+  decode_words : float;  (** per binding *)
+}
+
+let run_kv () =
+  let key k = Printf.sprintf "key%07d" k and value k = "v" ^ string_of_int k in
+  let nat = Native.create ~max_processes:1 () in
+  ignore (Native.register nat);
+  let module M = (val Native.machine nat) in
+  let module C = Onll_core.Onll.Make (M) (Kv) in
+  let obj =
+    C.make
+      {
+        Onll_core.Onll.Config.default with
+        log_capacity = 32 lsl 20;
+        local_views = true;
+      }
+  in
+  for k = 0 to kv_keys - 1 do
+    ignore (C.update obj (Kv.Put (key k, value k)) : Kv.value)
+  done;
+  C.prune obj ~below:(C.checkpoint obj);
+  let times =
+    List.init kv_recoveries (fun _ ->
+        let (), dt = Harness.time_it (fun () -> C.recover obj) in
+        dt *. 1e3)
+  in
+  assert (C.read obj Kv.Size = Kv.Count kv_keys);
+  List.iter
+    (fun k -> assert (C.read obj (Kv.Get (key k)) = Kv.Found (Some (value k))))
+    [ 0; kv_keys / 2; kv_keys - 1 ];
+  (* The state decode alone, words allocated per binding. *)
+  let bytes =
+    Onll_util.Codec.encode Kv.state_codec
+      (Kv.Keys.of_arrays (Array.init kv_keys key) (Array.init kv_keys value))
+  in
+  let before = Gc.allocated_bytes () in
+  let st = Onll_util.Codec.decode Kv.state_codec bytes in
+  let words =
+    (Gc.allocated_bytes () -. before)
+    /. float_of_int (Sys.word_size / 8)
+    /. float_of_int kv_keys
+  in
+  assert (Kv.Keys.cardinal st = kv_keys);
+  if words > kv_decode_words_max then
+    failwith
+      (Printf.sprintf
+         "E6 kv: the state decode allocated %.1f words per binding (at most \
+          %.0f)"
+         words kv_decode_words_max);
+  {
+    kv_recovery_ms = List.nth (List.sort compare times) (kv_recoveries / 2);
+    state_bytes = String.length bytes;
+    decode_words = words;
+  }
+
 let run () =
   let histories = [ 200; 500; 1_000; 2_000; 4_000 ] in
   let summary = Onll_obs.Metrics.create () in
@@ -191,5 +264,29 @@ let run () =
         "loaded bytes";
       ]
     rows;
+  let kv = run_kv () in
+  Onll_obs.Metrics.set
+    (Onll_obs.Metrics.gauge summary
+       (Printf.sprintf "e6t.kv%d.recovery_ms" kv_keys))
+    kv.kv_recovery_ms;
+  Onll_obs.Metrics.set
+    (Onll_obs.Metrics.gauge summary
+       (Printf.sprintf "e6t.kv%d.decode_words_per_binding" kv_keys))
+    kv.decode_words;
+  Onll_util.Table.print
+    ~title:
+      (Printf.sprintf
+         "E6 — checkpointed kv recovery (native machine, %d keys, median of \
+          %d; the state decode asserted at most %.0f words per binding)"
+         kv_keys kv_recoveries kv_decode_words_max)
+    ~header:[ "keys"; "recovery ms"; "state bytes"; "decode words/binding" ]
+    [
+      [
+        string_of_int kv_keys;
+        Onll_util.Table.fmt_float kv.kv_recovery_ms;
+        string_of_int kv.state_bytes;
+        Printf.sprintf "%.1f" kv.decode_words;
+      ];
+    ];
   let path = Harness.write_snapshot ~experiment:"e6" summary in
   Printf.printf "snapshot: %s\n" path

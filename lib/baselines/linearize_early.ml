@@ -156,7 +156,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     let report, seqs =
       Onll_core.Onll.Adoption.run ~base_idx:0
         ~floors:(Array.make M.max_processes 0)
-        entries
+        (Array.of_list entries)
         ~adopt:(fun e -> M.Tvar.set (T.insert trace e.env).T.available true)
     in
     if t.reader <> Return then Onll_core.Onll.Recovery_report.check report;

@@ -3,7 +3,7 @@
 module Codec = Onll_util.Codec
 
 module Make (S : Spec.S) = struct
-  module Clients = Map.Make (Int)
+  module Clients = Onll_util.Ordered_map.Make (Int)
 
   type state = { inner : S.state; last : int Clients.t }
 
@@ -84,11 +84,10 @@ module Make (S : Spec.S) = struct
               (Codec.Decode_error (Printf.sprintf "client table: tag %d" n)))
 
   let state_codec =
-    let module B = Codec.Map_bindings (Clients) in
     Codec.map
       (fun (inner, last) -> { inner; last })
       (fun { inner; last } -> (inner, last))
-      (Codec.pair S.state_codec (B.codec Codec.int Codec.int))
+      (Codec.pair S.state_codec (Clients.codec Codec.int Codec.int))
 
   (* the count, then an 8-byte client and an 8-byte seq per entry *)
   let checkpoint_bytes ~clients = 8 + (16 * clients)

@@ -18,7 +18,7 @@
     object answers correctly whatever the inner routing. *)
 
 module Make (S : Spec.S) : sig
-  module Clients : Map.S with type key = int
+  module Clients : Onll_util.Ordered_map.S with type key = int
 
   type state = { inner : S.state; last : int Clients.t }
 

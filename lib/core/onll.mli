@@ -130,13 +130,13 @@ module Adoption : sig
   val run :
     base_idx:int ->
     floors:int array ->
-    'e entry list ->
+    'e entry array ->
     adopt:('e entry -> unit) ->
     Recovery_report.t * int array
   (** [run ~base_idx ~floors entries ~adopt] rebuilds the history above a
       base checkpoint at [base_idx] whose per-process sequence floors are
       [floors]. It keeps the first copy of each index (log copies first,
-      in list order) and records the indices whose copies name different
+      in array order) and records the indices whose copies name different
       operations: helping stores one operation in several logs, and its
       copies must agree. It calls [adopt] on the longest contiguous run of
       indices above the base, in index order: anything above the first
@@ -154,7 +154,9 @@ module Adoption : sig
       and when no log copy carries their identity. The array is [floors]
       bumped past every identity kept, adopted or not, so no
       post-recovery update can reuse a pre-crash identity and
-      [was_linearized] can answer for every identity recovery saw. A
+      [was_linearized] can answer for every identity recovery saw.
+      [entries] is left sorted by index, log copies first, stably: an
+      array already in that order is not sorted again. A
       caller seals the [dropped] operations before its next append, as
       core and group commit do ({!Record_log.Make.recover_logs}). *)
 end

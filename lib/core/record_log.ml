@@ -139,11 +139,15 @@ module Adoption = struct
     | 0 -> Bool.compare b.resident a.resident
     | c -> c
 
-  let run ~base_idx ~floors entries ~adopt =
+  let run ~base_idx ~floors a ~adopt =
     (* Sorted stably, so the earlier copy of an index comes first, and
-       swept once, keeping the first copy of each index. *)
-    let a = Array.of_list entries in
-    Array.stable_sort index_order a;
+       swept once, keeping the first copy of each index. Entries already
+       in that order, as one log's are, skip the sort. *)
+    let rec sorted i =
+      i >= Array.length a
+      || (index_order a.(i - 1) a.(i) <= 0 && sorted (i + 1))
+    in
+    if not (sorted 1) then Array.stable_sort index_order a;
     (* The highest index with a log-resident copy: the horizon below
        which a missing index is reportable loss. *)
     let rec log_max i =
@@ -350,22 +354,24 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       (fun { e_proc; e_seq; e_op; e_txn } -> ((e_proc, e_seq, e_op), e_txn))
       (pair (triple int int S.update_codec) (option string))
 
+  (* A body is decoded where it lies in the payload: a checkpoint's is
+     the whole encoded state, and recovery reads it without a copy. *)
   let record_codec =
     let open Onll_util.Codec in
     let ops_c = pair int (list envelope_codec) in
     let ckpt_c = pair int istate_codec in
-    tagged
+    tagged_in_place
       (function
         | Ops { exec_idx; envs } -> (0, encode ops_c (exec_idx, envs))
         | Checkpoint { upto_idx; state } ->
             (1, encode ckpt_c (upto_idx, state)))
-      (fun tag body ->
+      (fun tag s ~pos ~stop ->
         match tag with
         | 0 ->
-            let exec_idx, envs = decode ops_c body in
+            let exec_idx, envs = decode_range ops_c s ~pos ~stop in
             Ops { exec_idx; envs }
         | 1 ->
-            let upto_idx, state = decode ckpt_c body in
+            let upto_idx, state = decode_range ckpt_c s ~pos ~stop in
             Checkpoint { upto_idx; state }
         | n -> raise (Decode_error (Printf.sprintf "record: bad tag %d" n)))
 
@@ -488,62 +494,77 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         ([], Array.map (fun l -> decode l (L.entries l)) logs)
       end
     in
-    let records = List.concat (Array.to_list by_log) in
     (* Best checkpoint = deepest summarised prefix, with the floors'
        exceptions of every checkpoint there (a recovery's seal, below). *)
     let base_idx, base_state =
-      List.fold_left
-        (fun ((bi, bs) as best) r ->
-          match r with
-          | Checkpoint { upto_idx; state } when upto_idx > bi ->
-              (upto_idx, state)
-          | Checkpoint { upto_idx; state } when upto_idx = bi ->
-              ( bi,
-                {
-                  bs with
-                  dropped =
-                    bs.dropped
-                    @ List.filter
-                        (fun d -> not (List.mem d bs.dropped))
-                        state.dropped;
-                } )
-          | Checkpoint _ | Ops _ -> best)
+      Array.fold_left
+        (List.fold_left (fun ((bi, bs) as best) r ->
+             match r with
+             | Checkpoint { upto_idx; state } when upto_idx > bi ->
+                 (upto_idx, state)
+             | Checkpoint { upto_idx; state } when upto_idx = bi ->
+                 ( bi,
+                   {
+                     bs with
+                     dropped =
+                       bs.dropped
+                       @ List.filter
+                           (fun d -> not (List.mem d bs.dropped))
+                           state.dropped;
+                   } )
+             | Checkpoint _ | Ops _ -> best))
         (0, initial_istate ())
-        records
+        by_log
     in
     let entry idx env resident =
       { Adoption.idx; proc = env.e_proc; seq = env.e_seq; env; resident }
     in
-    (* Every transaction commit payload riding in a logged envelope is
-       collected on the way, first sighting first. *)
+    (* One array of every logged envelope, then the oracle's: each
+       record's envelopes, newest first in the record, land oldest first,
+       so one log's entries arrive in index order. Every transaction
+       commit payload riding in a logged envelope is collected on the
+       way, first sighting first. *)
+    let n =
+      Array.fold_left
+        (List.fold_left (fun n -> function
+           | Ops { envs; _ } -> n + List.length envs
+           | Checkpoint _ -> n))
+        (List.length extra) by_log
+    in
+    let entries = ref [||] in
+    let put i e =
+      if Array.length !entries = 0 then entries := Array.make n e;
+      !entries.(i) <- e
+    in
     let seen_txns = Hashtbl.create 8 and txns = ref [] in
-    let logged =
-      List.concat_map
-        (function
-          | Checkpoint _ -> []
-          | Ops { exec_idx; envs } ->
-              List.mapi
-                (fun k env ->
-                  Option.iter
-                    (fun p ->
-                      if not (Hashtbl.mem seen_txns p) then begin
-                        Hashtbl.replace seen_txns p ();
-                        txns := p :: !txns
-                      end)
-                    env.e_txn;
-                  entry (exec_idx - k) env true)
-                envs)
-        records
-    in
-    let entries =
-      List.fold_right
-        (fun (idx, id, op) acc -> entry idx (envelope id op) false :: acc)
-        extra logged
-    in
+    let logged = ref 0 in
+    Array.iter
+      (List.iter (function
+        | Checkpoint _ -> ()
+        | Ops { exec_idx; envs } ->
+            let last = !logged + List.length envs - 1 in
+            List.iteri
+              (fun k env ->
+                Option.iter
+                  (fun p ->
+                    if not (Hashtbl.mem seen_txns p) then begin
+                      Hashtbl.replace seen_txns p ();
+                      txns := p :: !txns
+                    end)
+                  env.e_txn;
+                put (last - k) (entry (exec_idx - k) env true))
+              envs;
+            logged := last + 1))
+      by_log;
+    List.iteri
+      (fun k (idx, id, op) ->
+        put (!logged + k) (entry idx (envelope id op) false))
+      extra;
+    let entries = !entries in
     reset base_idx base_state;
     (* a table grows past two bindings per bucket, so half as many
        buckets as bindings take them all without a resize *)
-    let recovered = Hashtbl.create (List.length logged / 2) in
+    let recovered = Hashtbl.create (!logged / 2) in
     let adopted = ref [] in
     let report, next =
       Adoption.run ~base_idx ~floors:base_state.floors entries
@@ -590,7 +611,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
               Hashtbl.replace seen d ();
               Some d
             end)
-          entries
+          (Array.to_list entries)
       in
       let state =
         { base_state with dropped = base_state.dropped @ unadopted }

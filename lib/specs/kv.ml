@@ -2,22 +2,22 @@
     NVM data-structure work targets (§7). [Put]/[Delete] return the previous
     binding, so clients can detect replays. *)
 
-module Smap = Map.Make (String)
+module Keys = Onll_util.Ordered_map.Make (String)
 
-type state = string Smap.t
+type state = string Keys.t
 type update_op = Put of string * string | Delete of string
 type read_op = Get of string | Size
 type value = Previous of string option | Found of string option | Count of int
 
 let name = "kv"
-let initial = Smap.empty
+let initial = Keys.empty
 
-(* One walk of the tree per update: [Smap.update] hands over the previous
+(* One walk of the tree per update: [Keys.update] hands over the previous
    binding on its way to the key. *)
 let apply st op =
   let prev = ref None in
   let set k b =
-    Smap.update k
+    Keys.update k
       (fun old ->
         prev := old;
         b)
@@ -29,8 +29,8 @@ let apply st op =
   (st, Previous !prev)
 
 let read st = function
-  | Get k -> Found (Smap.find_opt k st)
-  | Size -> Count (Smap.cardinal st)
+  | Get k -> Found (Keys.find_opt k st)
+  | Size -> Count (Keys.cardinal st)
 
 (* Partitioning (E14): every operation on key [k] — updates and [Get]s —
    routes to [k]'s shard, so disjoint-key workloads touch disjoint shards.
@@ -65,11 +65,9 @@ let update_codec =
       | 1 -> Delete (decode string body)
       | n -> raise (Decode_error (Printf.sprintf "kv op: bad tag %d" n)))
 
-let state_codec =
-  let module C = Onll_util.Codec.Map_bindings (Smap) in
-  C.codec Onll_util.Codec.string Onll_util.Codec.string
+let state_codec = Keys.codec Onll_util.Codec.string Onll_util.Codec.string
 
-let equal_state = Smap.equal String.equal
+let equal_state = Keys.equal String.equal
 let equal_value (a : value) b = a = b
 
 let pp_update ppf = function

@@ -3,9 +3,9 @@
     responded (money reported moved), no crash may un-move it, and no crash
     may ever duplicate or lose money mid-transfer. *)
 
-module Smap = Map.Make (String)
+module Balances = Onll_util.Ordered_map.Make (String)
 
-type state = int Smap.t
+type state = int Balances.t
 type update_op =
   | Open of string  (** create an account with balance 0 *)
   | Deposit of string * int
@@ -20,41 +20,41 @@ type value =
   | Names of string list
 
 let name = "ledger"
-let initial = Smap.empty
+let initial = Balances.empty
 
 let apply st = function
   | Open a ->
-      if Smap.mem a st then (st, Rejected "exists")
-      else (Smap.add a 0 st, Ok_v)
+      if Balances.mem a st then (st, Rejected "exists")
+      else (Balances.add a 0 st, Ok_v)
   | Deposit (a, amt) -> (
       if amt <= 0 then (st, Rejected "non-positive amount")
       else
-        match Smap.find_opt a st with
+        match Balances.find_opt a st with
         | None -> (st, Rejected "no such account")
-        | Some bal -> (Smap.add a (bal + amt) st, Ok_v))
+        | Some bal -> (Balances.add a (bal + amt) st, Ok_v))
   | Withdraw (a, amt) -> (
       if amt <= 0 then (st, Rejected "non-positive amount")
       else
-        match Smap.find_opt a st with
+        match Balances.find_opt a st with
         | None -> (st, Rejected "no such account")
         | Some bal ->
             if bal < amt then (st, Rejected "insufficient funds")
-            else (Smap.add a (bal - amt) st, Ok_v))
+            else (Balances.add a (bal - amt) st, Ok_v))
   | Transfer (a, b, amt) -> (
       if amt <= 0 then (st, Rejected "non-positive amount")
       else if a = b then (st, Rejected "same account")
       else
-        match (Smap.find_opt a st, Smap.find_opt b st) with
+        match (Balances.find_opt a st, Balances.find_opt b st) with
         | None, _ | _, None -> (st, Rejected "no such account")
         | Some ba, Some bb ->
             if ba < amt then (st, Rejected "insufficient funds")
             else
-              (Smap.add a (ba - amt) (Smap.add b (bb + amt) st), Ok_v))
+              (Balances.add a (ba - amt) (Balances.add b (bb + amt) st), Ok_v))
 
 let read st = function
-  | Balance a -> Amount (Smap.find_opt a st)
-  | Total -> Amount (Some (Smap.fold (fun _ v acc -> acc + v) st 0))
-  | Accounts -> Names (List.map fst (Smap.bindings st))
+  | Balance a -> Amount (Balances.find_opt a st)
+  | Total -> Amount (Some (Balances.fold (fun _ v acc -> acc + v) st 0))
+  | Accounts -> Names (List.map fst (Balances.bindings st))
 
 let update_codec =
   let open Onll_util.Codec in
@@ -79,11 +79,9 @@ let update_codec =
           Transfer (a, b, amt)
       | n -> raise (Decode_error (Printf.sprintf "ledger op: bad tag %d" n)))
 
-let state_codec =
-  let module C = Onll_util.Codec.Map_bindings (Smap) in
-  C.codec Onll_util.Codec.string Onll_util.Codec.int
+let state_codec = Balances.codec Onll_util.Codec.string Onll_util.Codec.int
 
-let equal_state = Smap.equal Int.equal
+let equal_state = Balances.equal Int.equal
 let equal_value (a : value) b = a = b
 
 let pp_update ppf = function

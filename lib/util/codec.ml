@@ -111,6 +111,15 @@ let float =
     width = 8;
   }
 
+(* The length of the length-prefixed string at [pos], whose body lies
+   at [pos + 8, pos + 8 + len). *)
+let string_length s ~pos ~stop =
+  check_space ~stop pos 8 "string length";
+  let len = Int64.to_int (String.get_int64_le s pos) in
+  if len < 0 then fail "string: negative length %d" len;
+  check_space ~stop (pos + 8) len "string body";
+  len
+
 let string =
   {
     write =
@@ -119,10 +128,7 @@ let string =
         Buffer.add_string b v);
     read =
       (fun s ~pos ~stop ->
-        check_space ~stop pos 8 "string length";
-        let len = Int64.to_int (String.get_int64_le s pos) in
-        if len < 0 then fail "string: negative length %d" len;
-        check_space ~stop (pos + 8) len "string body";
+        let len = string_length s ~pos ~stop in
         (String.sub s (pos + 8) len, pos + 8 + len));
     width = 8;
   }
@@ -242,52 +248,59 @@ let map of_a to_a c =
     width = c.width;
   }
 
-let tagged to_tag of_tag =
+let decode_range c s ~pos ~stop =
+  if stop > String.length s then
+    invalid_arg "Codec.decode_range: stop past the input";
+  let v, next = c.read s ~pos ~stop in
+  if next <> stop then fail "decode: %d trailing bytes" (stop - next);
+  v
+
+(* [tagged]'s frame: an [int] tag, then the body as a [string]. *)
+let tagged_in_place to_tag of_body =
   let payload = pair int string in
   {
     write = (fun b v -> payload.write b (to_tag v));
     read =
       (fun s ~pos ~stop ->
-        let (tag, body), pos = payload.read s ~pos ~stop in
-        (of_tag tag body, pos));
+        let tag, pos = int.read s ~pos ~stop in
+        let len = string_length s ~pos ~stop in
+        let stop = pos + 8 + len in
+        (of_body tag s ~pos:(pos + 8) ~stop, stop));
     width = payload.width;
   }
 
-module Map_bindings (M : Map.S) = struct
-  let codec key value =
-    {
-      write =
-        (fun b m ->
-          Buffer.add_int64_le b (Int64.of_int (M.cardinal m));
-          M.iter
-            (fun k v ->
-              key.write b k;
-              value.write b v)
-            m);
-      read =
-        (fun s ~pos ~stop ->
-          let n, pos =
-            read_count s ~pos ~stop ~width:(key.width + value.width) "map"
-          in
+let tagged to_tag of_tag =
+  tagged_in_place to_tag (fun tag s ~pos ~stop ->
+      of_tag tag (String.sub s pos (stop - pos)))
+
+let bindings ~cardinal ~iter ~of_arrays key value =
+  {
+    write =
+      (fun b m ->
+        Buffer.add_int64_le b (Int64.of_int (cardinal m));
+        iter
+          (fun k v ->
+            key.write b k;
+            value.write b v)
+          m);
+    read =
+      (fun s ~pos ~stop ->
+        let n, pos =
+          read_count s ~pos ~stop ~width:(key.width + value.width) "map"
+        in
+        if n = 0 then (of_arrays [||] [||], pos)
+        else
+          let k, pos = key.read s ~pos ~stop in
+          let v, pos = value.read s ~pos ~stop in
+          let keys = Array.make n k and values = Array.make n v in
           let pos = ref pos in
-          (* [build n] reads the next [n] bindings, the left half first.
-             Halves of sorted input are disjoint key ranges, and joining
-             two such maps costs O(log^2 n), so the whole build is linear,
-             where adding the bindings one by one is O(n log n). *)
-          let rec build = function
-            | 0 -> M.empty
-            | 1 ->
-                let k, next = key.read s ~pos:!pos ~stop in
-                let v, next = value.read s ~pos:next ~stop in
-                pos := next;
-                M.singleton k v
-            | n ->
-                let left = build (n / 2) in
-                let right = build (n - (n / 2)) in
-                M.union (fun _ _ later -> Some later) left right
-          in
-          let m = build n in
-          (m, !pos));
-      width = 8;
-    }
-end
+          for i = 1 to n - 1 do
+            let k, next = key.read s ~pos:!pos ~stop in
+            let v, next = value.read s ~pos:next ~stop in
+            keys.(i) <- k;
+            values.(i) <- v;
+            pos := next
+          done;
+          (of_arrays keys values, !pos));
+    width = 8;
+  }

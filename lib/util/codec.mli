@@ -60,16 +60,25 @@ val tagged : ('a -> int * string) -> (int -> string -> 'a) -> 'a t
     constructor tag and an encoded payload; [of_tag tag payload] rebuilds the
     value (raising {!Decode_error} on an unknown tag). *)
 
-module Map_bindings (M : Map.S) : sig
-  val codec : M.key t -> 'v t -> 'v M.t t
-  (** A map as its bindings in key order: the bytes
-      [list (pair key value)] writes for [M.bindings m], written straight
-      from [M.iter]. Decoding builds the map by joining halves with
-      [M.union], in time linear in the bindings on the sorted input an
-      encoding holds. Unsorted or duplicate-key input still decodes to
-      what adding the bindings in order gives, the last binding of a key
-      winning. *)
-end
+val tagged_in_place :
+  ('a -> int * string) -> (int -> string -> pos:int -> stop:int -> 'a) -> 'a t
+(** The bytes {!tagged} writes, decoded without copying the body:
+    [of_body tag s ~pos ~stop] rebuilds the value from the body lying at
+    [pos, stop) of [s], typically with {!decode_range}. *)
+
+val bindings :
+  cardinal:('m -> int) ->
+  iter:(('k -> 'v -> unit) -> 'm -> unit) ->
+  of_arrays:('k array -> 'v array -> 'm) ->
+  'k t ->
+  'v t ->
+  'm t
+(** A map as its bindings in key order: the bytes [list (pair key value)]
+    writes for them, written straight from [iter]. Decoding reads the
+    keys and the values into two arrays, in input order, and hands them
+    to [of_arrays]. A count the remaining input cannot hold raises
+    {!Decode_error} before anything is allocated for it.
+    {!Ordered_map.S.codec} is this codec. *)
 
 (** {1 Low-level interface for incremental encoding} *)
 
@@ -80,4 +89,9 @@ val read : 'a t -> ?stop:int -> string -> pos:int -> 'a * int
     (default: the end of [s]): an encoding that would run past it raises
     {!Decode_error}, and so does a length or count that claims more bytes
     than lie before it, before anything is allocated for them.
+    @raise Invalid_argument if [stop] is past the end of [s]. *)
+
+val decode_range : 'a t -> string -> pos:int -> stop:int -> 'a
+(** [decode] of the range [pos, stop) of [s], read where it lies:
+    bytes left before [stop] are a {!Decode_error}.
     @raise Invalid_argument if [stop] is past the end of [s]. *)

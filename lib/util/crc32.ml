@@ -30,8 +30,13 @@ let tables =
      done;
      t)
 
-(* Little-endian 32-bit word at [i] as a non-negative int. *)
-let word b i = Int32.to_int (Bytes.get_int32_le b i) land mask32
+(* The little-endian 64-bit word at [i], loaded without a bounds check:
+   [bytes] checks its whole range once, before its loop. *)
+external unsafe_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] word64 b i =
+  if Sys.big_endian then swap64 (unsafe_get64 b i) else unsafe_get64 b i
 
 (* One slicing-by-8 step: fold the 8 bytes whose little-endian halves are
    [lo] and [hi] into [crc] (the running register, pre-inverted). *)
@@ -54,7 +59,11 @@ let bytes ?(init = 0l) b ~pos ~len =
   let i = ref pos in
   let stop = pos + len in
   while !i + 8 <= stop do
-    crc := step8 t !crc (word b !i) (word b (!i + 4));
+    let w = word64 b !i in
+    crc :=
+      step8 t !crc
+        (Int64.to_int w land mask32)
+        (Int64.to_int (Int64.shift_right_logical w 32));
     i := !i + 8
   done;
   for j = !i to stop - 1 do

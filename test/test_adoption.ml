@@ -143,11 +143,36 @@ let prop_matches_reference =
     (QCheck.make ~print gen) (fun (base_idx, floors, entries) ->
       let adopted = ref [] in
       let report, seqs =
-        A.run ~base_idx ~floors entries ~adopt:(fun e ->
+        A.run ~base_idx ~floors (Array.of_list entries) ~adopt:(fun e ->
             adopted := e :: !adopted)
       in
       let report', seqs', adopted' = reference ~base_idx ~floors entries in
       report = report' && seqs = seqs' && List.rev !adopted = adopted')
+
+(* Entries already in index order, log copies first (one log's, as
+   recovery builds them), skip the sort and adopt as the same entries in
+   any order do. *)
+let prop_sorted_input =
+  QCheck.Test.make ~name:"adoption of sorted entries = of shuffled ones"
+    ~count:500 (QCheck.make ~print gen) (fun (base_idx, floors, entries) ->
+      let run a =
+        let adopted = ref [] in
+        let report, seqs =
+          A.run ~base_idx ~floors a ~adopt:(fun e -> adopted := e :: !adopted)
+        in
+        (report, seqs, !adopted)
+      in
+      let shuffled = Array.of_list entries in
+      let sorted = Array.copy shuffled in
+      Array.stable_sort
+        (fun (a : entry) b ->
+          match Int.compare a.idx b.idx with
+          | 0 -> Bool.compare b.resident a.resident
+          | c -> c)
+        sorted;
+      let before = Array.copy sorted in
+      let result = run sorted in
+      result = run shuffled && sorted = before && shuffled = before)
 
 (* The base's floors are never lowered, and the caller's array is left
    alone. *)
@@ -155,7 +180,7 @@ let test_floors_kept () =
   let floors = [| 5; 0 |] in
   let _, seqs =
     A.run ~base_idx:3 ~floors
-      [ { A.idx = 4; proc = 0; seq = 1; env = (); resident = true } ]
+      [| { A.idx = 4; proc = 0; seq = 1; env = (); resident = true } |]
       ~adopt:ignore
   in
   Alcotest.(check (array int)) "floors kept" [| 5; 0 |] seqs;
@@ -168,5 +193,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_matches_reference;
           Alcotest.test_case "floors kept" `Quick test_floors_kept;
+          QCheck_alcotest.to_alcotest prop_sorted_input;
         ] );
     ]

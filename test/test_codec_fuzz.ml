@@ -147,6 +147,58 @@ let test_forged_counts () =
        (Codec.decode (Codec.array Codec.unit)
           (Codec.encode (Codec.array Codec.unit) (Array.make 5 ()))))
 
+(* A record's body is decoded where it lies in the payload, bounded by
+   its frame: every truncation and every single-bit flip of a kv Ops
+   record and of a kv checkpoint still fails typed, and the honest
+   encodings round-trip. *)
+let test_record_bodies_in_place () =
+  let module M = (val Sim.machine (Sim.create ~max_processes:2 ())) in
+  let module Kv = Onll_specs.Kv in
+  let module R = Onll_core.Record_log.Make (M) (Kv) in
+  let id id_proc id_seq = { Onll_core.Record_log.id_proc; id_seq } in
+  let st =
+    List.fold_left
+      (fun st k -> fst (Kv.apply st (Kv.Put (k, k ^ "!"))))
+      Kv.initial [ "b"; "a"; "c" ]
+  in
+  let records =
+    [
+      R.Ops
+        {
+          exec_idx = 9;
+          envs =
+            [
+              R.envelope (id 1 4) (Kv.Put ("k", "v"));
+              { (R.envelope (id 0 2) (Kv.Delete "a")) with e_txn = Some "tx" };
+            ];
+        };
+      R.Checkpoint
+        {
+          upto_idx = 7;
+          state = { R.st; floors = [| 3; 5 |]; dropped = [ (1, 2) ] };
+        };
+    ]
+  in
+  List.iter
+    (fun r ->
+      let enc = Codec.encode R.record_codec r in
+      check Alcotest.string "honest roundtrip" enc
+        (Codec.encode R.record_codec (Codec.decode R.record_codec enc));
+      for len = 0 to String.length enc - 1 do
+        decode_is_typed "record prefix" R.record_codec (String.sub enc 0 len)
+      done;
+      String.iteri
+        (fun i c ->
+          for bit = 0 to 7 do
+            decode_is_typed "record bit flip" R.record_codec
+              (String.mapi
+                 (fun j d ->
+                   if i = j then Char.chr (Char.code c lxor (1 lsl bit)) else d)
+                 enc)
+          done)
+        enc)
+    records
+
 (* {1 Plog salvage under arbitrary corruption} *)
 
 (* Property: whatever bytes media damage leaves in the regions — headers
@@ -262,6 +314,8 @@ let () =
             test_roundtrip_still_holds;
           Alcotest.test_case "forged counts -> typed errors" `Quick
             test_forged_counts;
+          Alcotest.test_case "record bodies in place -> typed errors" `Quick
+            test_record_bodies_in_place;
         ] );
       ( "salvage",
         [

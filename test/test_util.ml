@@ -79,6 +79,32 @@ let test_crc_matches_bytewise () =
     done
   done
 
+(* Random contents, offsets and lengths up to 4 KiB, and one multi-MiB
+   buffer: the word loop's unchecked loads against the byte-wise
+   reference. *)
+let test_crc_random_ranges () =
+  let rng = Random.State.make [| 0xC3C |] in
+  let b = Bytes.init 8192 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  for trial = 1 to 2000 do
+    let len = Random.State.int rng 4097 in
+    let pos = Random.State.int rng 4096 in
+    let init = Random.State.bits32 rng in
+    check Alcotest.int32
+      (Printf.sprintf "trial %d: pos %d len %d" trial pos len)
+      (crc_bytewise ~init b ~pos ~len)
+      (Crc32.bytes ~init b ~pos ~len)
+  done;
+  let big =
+    Bytes.init ((3 lsl 20) + 5) (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  List.iter
+    (fun pos ->
+      let len = Bytes.length big - pos in
+      check Alcotest.int32
+        (Printf.sprintf "multi-MiB pos %d" pos)
+        (crc_bytewise big ~pos ~len) (Crc32.bytes big ~pos ~len))
+    [ 0; 3 ]
+
 let prop_crc_detects_single_bit_flip =
   QCheck.Test.make ~name:"crc detects any single bit flip" ~count:200
     QCheck.(pair (string_of_size Gen.(1 -- 64)) (pair small_nat small_nat))
@@ -298,6 +324,148 @@ let test_fmt_float () =
   check Alcotest.string "mid" "2.50" (Table.fmt_float 2.5);
   check Alcotest.string "big" "123.4" (Table.fmt_float 123.42)
 
+(* {1 Ordered_map} *)
+
+(* The map against Stdlib [Map] as its model, over one key type. *)
+module Map_model (K : sig
+  include Map.OrderedType
+
+  val name : string
+  val gen : t QCheck.Gen.t
+  val print : t -> string
+  val codec : t Codec.t
+end) =
+struct
+  module O = Ordered_map.Make (K)
+  module R = Map.Make (K)
+
+  type op =
+    | Add of K.t * int
+    | Update of K.t * int option  (** [None] removes *)
+    | Find of K.t
+    | Mem of K.t
+
+  let print_op = function
+    | Add (k, v) -> Printf.sprintf "add %s %d" (K.print k) v
+    | Update (k, v) ->
+        Printf.sprintf "update %s %s" (K.print k)
+          (Option.fold ~none:"remove" ~some:string_of_int v)
+    | Find k -> "find " ^ K.print k
+    | Mem k -> "mem " ^ K.print k
+
+  let ops =
+    let open QCheck.Gen in
+    let op =
+      frequency
+        [
+          (3, map2 (fun k v -> Add (k, v)) K.gen small_nat);
+          (3, map2 (fun k v -> Update (k, v)) K.gen (opt small_nat));
+          (1, map (fun k -> Find k) K.gen);
+          (1, map (fun k -> Mem k) K.gen);
+        ]
+    in
+    QCheck.make
+      ~print:(fun l -> String.concat "; " (List.map print_op l))
+      (list_size (0 -- 300) op)
+
+  (* Every answer agrees with the model's, the invariant holds after each
+     step, [equal] to the previous map answers as the model's does, and
+     the final map iterates, folds, counts and lists as the model. *)
+  let prop_model =
+    QCheck.Test.make ~name:(K.name ^ " keys: Stdlib Map model") ~count:300
+      ops (fun ops ->
+        let o = ref O.empty and r = ref R.empty in
+        let step op =
+          let o0 = !o and r0 = !r in
+          let answers_agree =
+            match op with
+            | Add (k, v) ->
+                o := O.add k v !o;
+                r := R.add k v !r;
+                true
+            | Update (k, v) ->
+                (* the new binding depends on the old one *)
+                let f old =
+                  Option.map (fun v -> v + Option.value old ~default:0) v
+                in
+                o := O.update k f !o;
+                r := R.update k f !r;
+                true
+            | Find k -> O.find_opt k !o = R.find_opt k !r
+            | Mem k -> O.mem k !o = R.mem k !r
+          in
+          answers_agree && O.invariant !o
+          && O.equal Int.equal o0 !o = R.equal Int.equal r0 !r
+        in
+        List.for_all step ops
+        &&
+        let o = !o and r = !r in
+        let visited = ref [] in
+        O.iter (fun k v -> visited := (k, v) :: !visited) o;
+        List.rev !visited = R.bindings r
+        && O.bindings o = R.bindings r
+        && O.fold (fun k v acc -> (k, v) :: acc) o []
+           = R.fold (fun k v acc -> (k, v) :: acc) r []
+        && O.cardinal o = R.cardinal r)
+
+  let arrays =
+    QCheck.(
+      make
+        ~print:(fun l ->
+          String.concat "; "
+            (List.map (fun (k, v) -> Printf.sprintf "%s=%d" (K.print k) v) l))
+        Gen.(list_size (0 -- 300) (pair K.gen small_nat)))
+
+  let of_list l = List.fold_left (fun m (k, v) -> O.add k v m) O.empty l
+
+  (* Sorted distinct keys take the bottom-up build: it must equal adding
+     the bindings in order, and be a valid AVL tree. *)
+  let prop_sorted_build =
+    QCheck.Test.make ~name:(K.name ^ " keys: bottom-up build = adds")
+      ~count:300 arrays (fun l ->
+        let l = List.sort_uniq (fun (a, _) (b, _) -> K.compare a b) l in
+        let m =
+          O.of_arrays
+            (Array.of_list (List.map fst l))
+            (Array.of_list (List.map snd l))
+        in
+        O.invariant m && O.equal Int.equal m (of_list l) && O.bindings m = l)
+
+  (* The codec writes the bytes the list codec writes for the bindings,
+     and reads any list of bindings — unsorted, with duplicate keys — back
+     as adding them in order, the last binding of a key winning. *)
+  let prop_codec =
+    QCheck.Test.make ~name:(K.name ^ " keys: codec = the list codec")
+      ~count:300 arrays (fun l ->
+        let list = Codec.(list (pair K.codec int)) in
+        let map = O.codec K.codec Codec.int in
+        let m = Codec.decode map (Codec.encode list l) in
+        let r = List.fold_left (fun r (k, v) -> R.add k v r) R.empty l in
+        O.invariant m
+        && O.bindings m = R.bindings r
+        && Codec.encode map m = Codec.encode list (O.bindings m))
+
+  let tests = List.map qcheck [ prop_model; prop_sorted_build; prop_codec ]
+end
+
+module String_model = Map_model (struct
+  include String
+
+  let name = "string"
+  let gen = QCheck.Gen.(string_size ~gen:(char_range 'a' 'e') (0 -- 3))
+  let print = Printf.sprintf "%S"
+  let codec = Codec.string
+end)
+
+module Int_model = Map_model (struct
+  include Int
+
+  let name = "int"
+  let gen = QCheck.Gen.int_range (-60) 60
+  let print = string_of_int
+  let codec = Codec.int
+end)
+
 let () =
   Alcotest.run "util"
     [
@@ -311,6 +479,8 @@ let () =
             test_crc_matches_bytewise;
           qcheck prop_crc_detects_single_bit_flip;
           qcheck prop_crc_int64_is_bytes;
+          Alcotest.test_case "random ranges match the byte-wise loop" `Quick
+            test_crc_random_ranges;
         ] );
       ( "splitmix",
         [
@@ -336,6 +506,7 @@ let () =
           qcheck prop_codec_list_roundtrip;
           qcheck prop_codec_canonical;
         ] );
+      ("map", String_model.tests @ Int_model.tests);
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
