@@ -1112,10 +1112,20 @@ let load_cmd =
   in
   let backoff_base_ms =
     Arg.(
-      value & opt int 1 & info [ "backoff-base-ms" ] ~docv:"MS" ~doc:"")
+      value & opt int 1
+      & info [ "backoff-base-ms" ] ~docv:"MS"
+          ~doc:
+            "base of the shed-retry backoff: retry $(i,n) of a shed op \
+             waits this times 2^($(i,n)-1), at most $(b,--backoff-cap-ms), \
+             plus up to as much again at random")
   in
   let backoff_cap_ms =
-    Arg.(value & opt int 64 & info [ "backoff-cap-ms" ] ~docv:"MS" ~doc:"")
+    Arg.(
+      value & opt int 64
+      & info [ "backoff-cap-ms" ] ~docv:"MS"
+          ~doc:
+            "cap of the shed-retry backoff: the doubled wait grows no \
+             further (the random part adds up to as much again)")
   in
   let churn_every_ms =
     Arg.(

@@ -63,25 +63,14 @@ module Make (S : Spec.S) = struct
              None values)
 
   let update_codec =
-    Codec.tagged
-      (function
-        | Tracked { client; seq; op } ->
-            ( 0,
-              Codec.encode
-                Codec.(triple int int S.update_codec)
-                (client, seq, op) )
-        | Untracked op -> (1, Codec.encode S.update_codec op))
-      (fun tag body ->
-        match tag with
-        | 0 ->
-            let client, seq, op =
-              Codec.decode Codec.(triple int int S.update_codec) body
-            in
-            Tracked { client; seq; op }
-        | 1 -> Untracked (Codec.decode S.update_codec body)
-        | n ->
-            raise
-              (Codec.Decode_error (Printf.sprintf "client table: tag %d" n)))
+    let open Codec in
+    let tracked =
+      case 0 (triple int int S.update_codec) (fun (client, seq, op) ->
+          Tracked { client; seq; op })
+    and untracked = case 1 S.update_codec (fun op -> Untracked op) in
+    variant "client table" [ Case tracked; Case untracked ] (function
+      | Tracked { client; seq; op } -> Is (tracked, (client, seq, op))
+      | Untracked op -> Is (untracked, op))
 
   let state_codec =
     Codec.map

@@ -354,67 +354,58 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       (fun { e_proc; e_seq; e_op; e_txn } -> ((e_proc, e_seq, e_op), e_txn))
       (pair (triple int int S.update_codec) (option string))
 
-  (* A body is decoded where it lies in the payload: a checkpoint's is
-     the whole encoded state, and recovery reads it without a copy. *)
+  (* A record is one {!Onll_util.Codec.variant} frame. Its two cases,
+     over what follows the index in the body: the record codec decodes
+     it, where it lies (a checkpoint's is the whole encoded state), and
+     the drop key skips it. *)
+  let ops_case rest inj = Onll_util.Codec.(case 0 (pair int rest) inj)
+  let checkpoint_case rest inj = Onll_util.Codec.(case 1 (pair int rest) inj)
+
   let record_codec =
     let open Onll_util.Codec in
-    let ops_c = pair int (list envelope_codec) in
-    let ckpt_c = pair int istate_codec in
-    tagged_in_place
-      (function
-        | Ops { exec_idx; envs } -> (0, encode ops_c (exec_idx, envs))
-        | Checkpoint { upto_idx; state } ->
-            (1, encode ckpt_c (upto_idx, state)))
-      (fun tag s ~pos ~stop ->
-        match tag with
-        | 0 ->
-            let exec_idx, envs = decode_range ops_c s ~pos ~stop in
-            Ops { exec_idx; envs }
-        | 1 ->
-            let upto_idx, state = decode_range ckpt_c s ~pos ~stop in
-            Checkpoint { upto_idx; state }
-        | n -> raise (Decode_error (Printf.sprintf "record: bad tag %d" n)))
+    let ops =
+      ops_case (list envelope_codec) (fun (exec_idx, envs) ->
+          Ops { exec_idx; envs })
+    and checkpoint =
+      checkpoint_case istate_codec (fun (upto_idx, state) ->
+          Checkpoint { upto_idx; state })
+    in
+    variant "record" [ Case ops; Case checkpoint ] (function
+      | Ops { exec_idx; envs } -> Is (ops, (exec_idx, envs))
+      | Checkpoint { upto_idx; state } -> Is (checkpoint, (upto_idx, state)))
 
-  (* The drop key of an encoded record, read from its 24-byte header —
-     the [tagged] frame (tag, body length) and the first field of the body,
-     which is [exec_idx] for Ops and [upto_idx] for a Checkpoint. A
-     checkpoint that summarises up to [upto] makes redundant every Ops
-     record with [exec_idx <= upto] and every Checkpoint with
-     [upto_idx < upto], so both keys are compared with [<= upto]. No
-     envelope is decoded, so a record whose envelopes do not decode is
-     dropped like any other; only a malformed header keys to [max_int],
-     and such an entry is never dropped. *)
-  let record_key payload =
-    let n = String.length payload in
-    if n < 24 || Int64.to_int (String.get_int64_le payload 8) <> n - 16 then
-      max_int
-    else
-      let idx = Int64.to_int (String.get_int64_le payload 16) in
-      match Int64.to_int (String.get_int64_le payload 0) with
-      | 0 -> idx
-      | 1 when idx < max_int -> idx + 1
-      | _ -> max_int
+  (* The drop key of an encoded record, read from its frame and the first
+     field of its body, which is [exec_idx] for Ops and [upto_idx] for a
+     Checkpoint; the rest of the body is skipped. A checkpoint that
+     summarises up to [upto] makes redundant every Ops record with
+     [exec_idx <= upto] and every Checkpoint with [upto_idx < upto], so
+     both keys are compared with [<= upto]. No envelope is decoded, so a
+     record whose envelopes do not decode is dropped like any other; only
+     a malformed frame keys to [max_int], and such an entry is never
+     dropped. (A key encodes as an Ops frame holding only the key.) *)
+  let record_key =
+    let open Onll_util.Codec in
+    let ops = ops_case skip fst
+    and checkpoint =
+      checkpoint_case skip (fun (upto, ()) ->
+          if upto < max_int then upto + 1 else max_int)
+    in
+    let key =
+      variant "record key" [ Case ops; Case checkpoint ] (fun k ->
+          Is (ops, (k, ())))
+    in
+    fun payload ->
+      match decode key payload with k -> k | exception Decode_error _ -> max_int
 
   (* An [Ops] record from envelopes already encoded with
-     [envelope_codec], newest first — byte-identical to
-     [encode record_codec (Ops { exec_idx; envs })] ([tagged] frames the
-     body as an [int] tag plus a length-prefixed [string]; the body is
-     [pair int (list envelope_codec)]), but the caller's share of the
-     serialisation is a concatenation. Group commit's submitters encode
-     their own envelopes, so the leader only concatenates. *)
-  let encode_ops ~exec_idx pre =
-    let count, body_len =
-      List.fold_left
-        (fun (n, l) s -> (n + 1, l + String.length s))
-        (0, 16) pre
-    in
-    let b = Buffer.create (body_len + 16) in
-    Buffer.add_int64_le b 0L (* tag: Ops *);
-    Buffer.add_int64_le b (Int64.of_int body_len);
-    Buffer.add_int64_le b (Int64.of_int exec_idx);
-    Buffer.add_int64_le b (Int64.of_int count);
-    List.iter (Buffer.add_string b) pre;
-    Buffer.contents b
+     [envelope_codec], newest first, spliced into the frame as they are.
+     Group commit's submitters encode their own envelopes, so the
+     leader's critical section copies bytes. *)
+  let encode_ops =
+    let open Onll_util.Codec in
+    let ops = ops_case (list (encoded envelope_codec)) Fun.id in
+    let c = variant "record" [ Case ops ] (fun r -> Is (ops, r)) in
+    fun ~exec_idx pre -> encode c (exec_idx, pre)
 
   (* Run [f] on [log], turning the log's transient [Full] into the typed,
      terminal [Log_full]. *)

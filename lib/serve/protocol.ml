@@ -74,139 +74,120 @@ let pp_refusal ppf r =
     | R_bad_tier -> "bad-tier")
 
 let tier_codec =
-  Codec.tagged
+  let open Codec in
+  let exactly_once = const 0 T_exactly_once
+  and strict = const 1 T_strict
+  and staleness = case 2 int (fun k -> T_staleness k) in
+  variant "Protocol tier" [ Case exactly_once; Case strict; Case staleness ]
     (function
-      | T_exactly_once -> (0, "")
-      | T_strict -> (1, "")
-      | T_staleness k -> (2, Codec.encode Codec.int k))
-    (fun tag payload ->
-      match tag with
-      | 0 -> T_exactly_once
-      | 1 -> T_strict
-      | 2 -> T_staleness (Codec.decode Codec.int payload)
-      | _ -> raise (Codec.Decode_error "Protocol: unknown tier tag"))
+      | T_exactly_once -> Is (exactly_once, ())
+      | T_strict -> Is (strict, ())
+      | T_staleness k -> Is (staleness, k))
 
 let req_codec =
-  Codec.tagged
+  let open Codec in
+  let hello =
+    case 0 (triple int string tier_codec) (fun (client, token, tier) ->
+        Hello { client; token; tier })
+  and submit =
+    case 1 (triple int int string) (fun (seq, deadline_ns, op) ->
+        Submit { seq; deadline_ns; op })
+  and fetch = case 2 string (fun op -> Fetch { op })
+  and ping = const 3 Ping
+  and bye = const 4 Bye in
+  variant "Protocol request"
+    [ Case hello; Case submit; Case fetch; Case ping; Case bye ]
     (function
-      | Hello { client; token; tier } ->
-          (0, Codec.encode Codec.(triple int string tier_codec) (client, token, tier))
-      | Submit { seq; deadline_ns; op } ->
-          (1, Codec.encode Codec.(triple int int string) (seq, deadline_ns, op))
-      | Fetch { op } -> (2, Codec.encode Codec.string op)
-      | Ping -> (3, "")
-      | Bye -> (4, ""))
-    (fun tag payload ->
-      match tag with
-      | 0 ->
-          let client, token, tier =
-            Codec.decode Codec.(triple int string tier_codec) payload
-          in
-          Hello { client; token; tier }
-      | 1 ->
-          let seq, deadline_ns, op =
-            Codec.decode Codec.(triple int int string) payload
-          in
-          Submit { seq; deadline_ns; op }
-      | 2 -> Fetch { op = Codec.decode Codec.string payload }
-      | 3 -> Ping
-      | 4 -> Bye
-      | _ -> raise (Codec.Decode_error "Protocol: unknown request tag"))
+      | Hello { client; token; tier } -> Is (hello, (client, token, tier))
+      | Submit { seq; deadline_ns; op } -> Is (submit, (seq, deadline_ns, op))
+      | Fetch { op } -> Is (fetch, op)
+      | Ping -> Is (ping, ())
+      | Bye -> Is (bye, ()))
 
 let refusal_codec =
-  Codec.tagged
+  let open Codec in
+  let overloaded = const 0 R_overloaded
+  and timeout = const 1 R_timeout
+  and degraded = const 2 R_degraded
+  and draining = const 3 R_draining
+  and bad_seq = case 4 int (fun n -> R_bad_seq n)
+  and bad_token = const 5 R_bad_token
+  and bad_client = const 6 R_bad_client
+  and not_attached = const 7 R_not_attached
+  and bad_op = const 8 R_bad_op
+  and bad_tier = const 9 R_bad_tier in
+  variant "Protocol refusal"
+    [
+      Case overloaded;
+      Case timeout;
+      Case degraded;
+      Case draining;
+      Case bad_seq;
+      Case bad_token;
+      Case bad_client;
+      Case not_attached;
+      Case bad_op;
+      Case bad_tier;
+    ]
     (function
-      | R_overloaded -> (0, "")
-      | R_timeout -> (1, "")
-      | R_degraded -> (2, "")
-      | R_draining -> (3, "")
-      | R_bad_seq n -> (4, Codec.encode Codec.int n)
-      | R_bad_token -> (5, "")
-      | R_bad_client -> (6, "")
-      | R_not_attached -> (7, "")
-      | R_bad_op -> (8, "")
-      | R_bad_tier -> (9, ""))
-    (fun tag payload ->
-      match tag with
-      | 0 -> R_overloaded
-      | 1 -> R_timeout
-      | 2 -> R_degraded
-      | 3 -> R_draining
-      | 4 -> R_bad_seq (Codec.decode Codec.int payload)
-      | 5 -> R_bad_token
-      | 6 -> R_bad_client
-      | 7 -> R_not_attached
-      | 8 -> R_bad_op
-      | 9 -> R_bad_tier
-      | _ -> raise (Codec.Decode_error "Protocol: unknown refusal tag"))
+      | R_overloaded -> Is (overloaded, ())
+      | R_timeout -> Is (timeout, ())
+      | R_degraded -> Is (degraded, ())
+      | R_draining -> Is (draining, ())
+      | R_bad_seq n -> Is (bad_seq, n)
+      | R_bad_token -> Is (bad_token, ())
+      | R_bad_client -> Is (bad_client, ())
+      | R_not_attached -> Is (not_attached, ())
+      | R_bad_op -> Is (bad_op, ())
+      | R_bad_tier -> Is (bad_tier, ()))
 
 let resolution_codec =
-  Codec.tagged
+  let open Codec in
+  let none = const 0 W_none
+  and applied = case 1 int (fun s -> W_applied s)
+  and reinvoked =
+    case 2 (triple int int int) (fun (old_s, fresh, v) ->
+        W_reinvoked (old_s, fresh, v))
+  and refused = case 3 int (fun s -> W_refused s)
+  and unresolved = case 4 int (fun s -> W_unresolved s) in
+  variant "Protocol resolution"
+    [ Case none; Case applied; Case reinvoked; Case refused; Case unresolved ]
     (function
-      | W_none -> (0, "")
-      | W_applied s -> (1, Codec.encode Codec.int s)
-      | W_reinvoked (old_s, fresh, v) ->
-          (2, Codec.encode Codec.(triple int int int) (old_s, fresh, v))
-      | W_refused s -> (3, Codec.encode Codec.int s)
-      | W_unresolved s -> (4, Codec.encode Codec.int s))
-    (fun tag payload ->
-      match tag with
-      | 0 -> W_none
-      | 1 -> W_applied (Codec.decode Codec.int payload)
-      | 2 ->
-          let old_s, fresh, v =
-            Codec.decode Codec.(triple int int int) payload
-          in
-          W_reinvoked (old_s, fresh, v)
-      | 3 -> W_refused (Codec.decode Codec.int payload)
-      | 4 -> W_unresolved (Codec.decode Codec.int payload)
-      | _ -> raise (Codec.Decode_error "Protocol: unknown resolution tag"))
+      | W_none -> Is (none, ())
+      | W_applied s -> Is (applied, s)
+      | W_reinvoked (old_s, fresh, v) -> Is (reinvoked, (old_s, fresh, v))
+      | W_refused s -> Is (refused, s)
+      | W_unresolved s -> Is (unresolved, s))
 
 let resp_codec =
-  Codec.tagged
+  let open Codec in
+  let attached =
+    case 0 (pair int resolution_codec) (fun (next_seq, resolution) ->
+        Attached { next_seq; resolution })
+  and acked = case 1 (pair int int) (fun (seq, value) -> Acked { seq; value })
+  and refused = case 2 refusal_codec (fun r -> Refused r)
+  and got = case 3 int (fun v -> Got v)
+  and pong = const 4 Pong
+  and gone = const 5 Gone in
+  variant "Protocol response"
+    [ Case attached; Case acked; Case refused; Case got; Case pong; Case gone ]
     (function
       | Attached { next_seq; resolution } ->
-          ( 0,
-            Codec.encode
-              Codec.(pair int resolution_codec)
-              (next_seq, resolution) )
-      | Acked { seq; value } ->
-          (1, Codec.encode Codec.(pair int int) (seq, value))
-      | Refused r -> (2, Codec.encode refusal_codec r)
-      | Got v -> (3, Codec.encode Codec.int v)
-      | Pong -> (4, "")
-      | Gone -> (5, ""))
-    (fun tag payload ->
-      match tag with
-      | 0 ->
-          let next_seq, resolution =
-            Codec.decode Codec.(pair int resolution_codec) payload
-          in
-          Attached { next_seq; resolution }
-      | 1 ->
-          let seq, value = Codec.decode Codec.(pair int int) payload in
-          Acked { seq; value }
-      | 2 -> Refused (Codec.decode refusal_codec payload)
-      | 3 -> Got (Codec.decode Codec.int payload)
-      | 4 -> Pong
-      | 5 -> Gone
-      | _ -> raise (Codec.Decode_error "Protocol: unknown response tag"))
+          Is (attached, (next_seq, resolution))
+      | Acked { seq; value } -> Is (acked, (seq, value))
+      | Refused r -> Is (refused, r)
+      | Got v -> Is (got, v)
+      | Pong -> Is (pong, ())
+      | Gone -> Is (gone, ()))
 
 (* {1 Framing} *)
 
 let max_frame = 1 lsl 16
 
-(* The payload is encoded into a buffer each domain reuses, so a frame
-   allocates no string: its length is known only once it is encoded, and
-   the prefix goes first. *)
-let payload_scratch = Domain.DLS.new_key (fun () -> Buffer.create 256)
-
 let write_frame buf codec v =
-  let payload = Domain.DLS.get payload_scratch in
-  Buffer.clear payload;
-  Codec.write codec payload v;
-  Buffer.add_int32_be buf (Int32.of_int (Buffer.length payload));
-  Buffer.add_buffer buf payload
+  let payload = Codec.encode codec v in
+  Buffer.add_int32_be buf (Int32.of_int (String.length payload));
+  Buffer.add_string buf payload
 
 module Inbuf = struct
   (* A byte deque specialised for framing: bytes arrive at [len], frames
@@ -253,19 +234,11 @@ module Inbuf = struct
            payload whose encoding does not end exactly at the frame's end
            is malformed *)
         let pos = t.start + 4 in
-        let stop = pos + flen in
-        t.start <- stop;
+        t.start <- pos + flen;
         t.len <- t.len - 4 - flen;
-        let v, next =
-          Onll_util.Codec.read codec ~stop (Bytes.unsafe_to_string t.data)
-            ~pos
-        in
-        if next <> stop then
-          raise
-            (Onll_util.Codec.Decode_error
-               (Printf.sprintf "frame: %d bytes decoded of %d" (next - pos)
-                  flen));
-        Some v
+        Some
+          (Codec.decode_range codec (Bytes.unsafe_to_string t.data) ~pos
+             ~stop:(pos + flen))
       end
     end
 end

@@ -17,15 +17,10 @@ let read st Get = st
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
-    (function
-      | Increment -> (0, "")
-      | Add k -> (1, encode int k))
-    (fun tag body ->
-      match tag with
-      | 0 -> Increment
-      | 1 -> Add (decode int body)
-      | n -> raise (Decode_error (Printf.sprintf "counter op: bad tag %d" n)))
+  let increment = const 0 Increment and add = case 1 int (fun k -> Add k) in
+  variant "counter op" [ Case increment; Case add ] (function
+    | Increment -> Is (increment, ())
+    | Add k -> Is (add, k))
 
 let state_codec = Onll_util.Codec.int
 let equal_state = Int.equal

@@ -27,19 +27,17 @@ let read st = function
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
+  let push_front = case 0 int (fun x -> Push_front x)
+  and push_back = case 1 int (fun x -> Push_back x)
+  and pop_front = const 2 Pop_front
+  and pop_back = const 3 Pop_back in
+  variant "deque op"
+    [ Case push_front; Case push_back; Case pop_front; Case pop_back ]
     (function
-      | Push_front x -> (0, encode int x)
-      | Push_back x -> (1, encode int x)
-      | Pop_front -> (2, "")
-      | Pop_back -> (3, ""))
-    (fun tag body ->
-      match tag with
-      | 0 -> Push_front (decode int body)
-      | 1 -> Push_back (decode int body)
-      | 2 -> Pop_front
-      | 3 -> Pop_back
-      | n -> raise (Decode_error (Printf.sprintf "deque op: bad tag %d" n)))
+      | Push_front x -> Is (push_front, x)
+      | Push_back x -> Is (push_back, x)
+      | Pop_front -> Is (pop_front, ())
+      | Pop_back -> Is (pop_back, ()))
 
 let state_codec = Onll_util.Codec.(list int)
 let equal_state (a : state) b = a = b

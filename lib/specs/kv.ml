@@ -53,17 +53,11 @@ let merge_read _ values =
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
-    (function
-      | Put (k, v) -> (0, encode (pair string string) (k, v))
-      | Delete k -> (1, encode string k))
-    (fun tag body ->
-      match tag with
-      | 0 ->
-          let k, v = decode (pair string string) body in
-          Put (k, v)
-      | 1 -> Delete (decode string body)
-      | n -> raise (Decode_error (Printf.sprintf "kv op: bad tag %d" n)))
+  let put = case 0 (pair string string) (fun (k, v) -> Put (k, v))
+  and delete = case 1 string (fun k -> Delete k) in
+  variant "kv op" [ Case put; Case delete ] (function
+    | Put (k, v) -> Is (put, (k, v))
+    | Delete k -> Is (delete, k))
 
 let state_codec = Keys.codec Onll_util.Codec.string Onll_util.Codec.string
 

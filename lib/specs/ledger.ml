@@ -58,26 +58,19 @@ let read st = function
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
+  let open_ = case 0 string (fun a -> Open a)
+  and deposit = case 1 (pair string int) (fun (a, amt) -> Deposit (a, amt))
+  and withdraw = case 2 (pair string int) (fun (a, amt) -> Withdraw (a, amt))
+  and transfer =
+    case 3 (triple string string int) (fun (a, b, amt) -> Transfer (a, b, amt))
+  in
+  variant "ledger op"
+    [ Case open_; Case deposit; Case withdraw; Case transfer ]
     (function
-      | Open a -> (0, encode string a)
-      | Deposit (a, amt) -> (1, encode (pair string int) (a, amt))
-      | Withdraw (a, amt) -> (2, encode (pair string int) (a, amt))
-      | Transfer (a, b, amt) ->
-          (3, encode (triple string string int) (a, b, amt)))
-    (fun tag body ->
-      match tag with
-      | 0 -> Open (decode string body)
-      | 1 ->
-          let a, amt = decode (pair string int) body in
-          Deposit (a, amt)
-      | 2 ->
-          let a, amt = decode (pair string int) body in
-          Withdraw (a, amt)
-      | 3 ->
-          let a, b, amt = decode (triple string string int) body in
-          Transfer (a, b, amt)
-      | n -> raise (Decode_error (Printf.sprintf "ledger op: bad tag %d" n)))
+      | Open a -> Is (open_, a)
+      | Deposit (a, amt) -> Is (deposit, (a, amt))
+      | Withdraw (a, amt) -> Is (withdraw, (a, amt))
+      | Transfer (a, b, amt) -> Is (transfer, (a, b, amt)))
 
 let state_codec = Balances.codec Onll_util.Codec.string Onll_util.Codec.int
 

@@ -45,17 +45,11 @@ let read st = function
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
-    (function
-      | Insert (p, x) -> (0, encode (pair int int) (p, x))
-      | Extract_min -> (1, ""))
-    (fun tag body ->
-      match tag with
-      | 0 ->
-          let p, x = decode (pair int int) body in
-          Insert (p, x)
-      | 1 -> Extract_min
-      | n -> raise (Decode_error (Printf.sprintf "pqueue op: bad tag %d" n)))
+  let insert = case 0 (pair int int) (fun (p, x) -> Insert (p, x))
+  and extract_min = const 1 Extract_min in
+  variant "pqueue op" [ Case insert; Case extract_min ] (function
+    | Insert (p, x) -> Is (insert, (p, x))
+    | Extract_min -> Is (extract_min, ()))
 
 let state_codec =
   let open Onll_util.Codec in

@@ -36,15 +36,10 @@ let to_list (front, back) = front @ List.rev back
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
-    (function
-      | Enqueue v -> (0, encode int v)
-      | Dequeue -> (1, ""))
-    (fun tag body ->
-      match tag with
-      | 0 -> Enqueue (decode int body)
-      | 1 -> Dequeue
-      | n -> raise (Decode_error (Printf.sprintf "queue op: bad tag %d" n)))
+  let enqueue = case 0 int (fun v -> Enqueue v) and dequeue = const 1 Dequeue in
+  variant "queue op" [ Case enqueue; Case dequeue ] (function
+    | Enqueue v -> Is (enqueue, v)
+    | Dequeue -> Is (dequeue, ()))
 
 let state_codec =
   let open Onll_util.Codec in

@@ -42,15 +42,11 @@ let merge_read _ values =
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
-    (function
-      | Insert x -> (0, encode int x)
-      | Remove x -> (1, encode int x))
-    (fun tag body ->
-      match tag with
-      | 0 -> Insert (decode int body)
-      | 1 -> Remove (decode int body)
-      | n -> raise (Decode_error (Printf.sprintf "set op: bad tag %d" n)))
+  let insert = case 0 int (fun x -> Insert x)
+  and remove = case 1 int (fun x -> Remove x) in
+  variant "set op" [ Case insert; Case remove ] (function
+    | Insert x -> Is (insert, x)
+    | Remove x -> Is (remove, x))
 
 let state_codec =
   let open Onll_util.Codec in

@@ -21,15 +21,10 @@ let read st = function
 
 let update_codec =
   let open Onll_util.Codec in
-  tagged
-    (function
-      | Push v -> (0, encode int v)
-      | Pop -> (1, ""))
-    (fun tag body ->
-      match tag with
-      | 0 -> Push (decode int body)
-      | 1 -> Pop
-      | n -> raise (Decode_error (Printf.sprintf "stack op: bad tag %d" n)))
+  let push = case 0 int (fun v -> Push v) and pop = const 1 Pop in
+  variant "stack op" [ Case push; Case pop ] (function
+    | Push v -> Is (push, v)
+    | Pop -> Is (pop, ()))
 
 let state_codec = Onll_util.Codec.(list int)
 let equal_state (a : state) b = a = b

@@ -1,29 +1,105 @@
 exception Decode_error of string
 
+(* The input one decode reads: [pos] advances as values are read, and
+   nothing at or past [stop] is read. A variant narrows [stop] to its
+   body while it reads the body. *)
+type cursor = { s : string; mutable pos : int; mutable stop : int }
+
+(* The output of one encode: filled chunks, then the chunk being
+   written. A chunk is never grown, so a long encoding is copied once,
+   into the result; chunks double from 256 bytes up to 64 KiB, so the
+   slack past the last byte is small next to a long encoding. *)
+type writer = {
+  mutable buf : Bytes.t;  (* the chunk being written *)
+  mutable pos : int;  (* its first free byte *)
+  mutable full : (Bytes.t * int) list;
+      (* earlier chunks with the bytes used in each, newest first *)
+  mutable before : int;  (* the bytes used in [full] *)
+}
+
+let max_chunk = 1 lsl 16
+
+(* Start a chunk with room for at least [need] bytes. *)
+let next_chunk w need =
+  w.full <- (w.buf, w.pos) :: w.full;
+  w.before <- w.before + w.pos;
+  w.buf <- Bytes.create (max need (min max_chunk (2 * Bytes.length w.buf)));
+  w.pos <- 0
+
+let ensure w need = if Bytes.length w.buf - w.pos < need then next_chunk w need
+let written w = w.before + w.pos
+
 type 'a t = {
-  write : Buffer.t -> 'a -> unit;
-  read : string -> pos:int -> stop:int -> 'a * int;
-      (* decodes from [pos], reading nothing at or past [stop] *)
+  write : writer -> 'a -> unit;
+  read : cursor -> 'a;
   width : int;  (* the fewest input bytes one value takes *)
 }
 
 let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
-let check_space ~stop pos need what =
-  if pos < 0 || pos + need > stop then
+(* The offset of the next [need] bytes, which the cursor then passes. *)
+let take (c : cursor) need what =
+  let pos = c.pos in
+  if need > c.stop - pos then
     fail "%s: truncated input (need %d bytes at offset %d, have %d)" what need
-      pos (stop - pos)
+      pos (c.stop - pos);
+  c.pos <- pos + need;
+  pos
+
+(* Every int goes out as 8 bytes little-endian and comes back only from
+   the int64s an int can be: one outside OCaml's 63-bit range would lose
+   its top bit, and two inputs would decode to the same value. *)
+let put_int w v =
+  ensure w 8;
+  Bytes.set_int64_le w.buf w.pos (Int64.of_int v);
+  w.pos <- w.pos + 8
+
+let get_int c what =
+  let v = String.get_int64_le c.s (take c 8 what) in
+  let n = Int64.to_int v in
+  if Int64.of_int n <> v then fail "%s: %Ld is not an int" what v;
+  n
+
+(* A length or element count: a non-negative int. *)
+let get_length c what =
+  let n = get_int c what in
+  if n < 0 then fail "%s: negative length %d" what n;
+  n
+
+(* An element count, checked against the input left after it: [n]
+   elements of at least [width] bytes each must fit, so a forged count
+   fails here, before anything is allocated for it. Zero-width elements
+   take no input, so any count of them fits. *)
+let get_count (c : cursor) ~width what =
+  let n = get_length c what in
+  let left = c.stop - c.pos in
+  if width > 0 && n > left / width then
+    fail "%s: %d elements of at least %d bytes in %d bytes" what n width left;
+  n
 
 let encode c v =
-  let b = Buffer.create 64 in
-  c.write b v;
-  Buffer.contents b
+  let w = { buf = Bytes.create 256; pos = 0; full = []; before = 0 } in
+  c.write w v;
+  let out = Bytes.create (written w) in
+  ignore
+    (List.fold_left
+       (fun stop (b, used) ->
+         Bytes.blit b 0 out (stop - used) used;
+         stop - used)
+       (written w)
+       ((w.buf, w.pos) :: w.full)
+      : int);
+  Bytes.unsafe_to_string out
 
-let decode c s =
-  let v, next = c.read s ~pos:0 ~stop:(String.length s) in
-  if next <> String.length s then
-    fail "decode: %d trailing bytes" (String.length s - next);
+let decode_range c s ~pos ~stop =
+  if pos < 0 || stop > String.length s then
+    invalid_arg "Codec.decode_range: range outside the input";
+  let cur = { s; pos; stop } in
+  let v = c.read cur in
+  if cur.pos <> stop then fail "decode: %d trailing bytes" (stop - cur.pos);
   v
+
+let decode c s = decode_range c s ~pos:0 ~stop:(String.length s)
 
 let decode_tolerant c ~failures =
   List.filter_map (fun s ->
@@ -33,274 +109,235 @@ let decode_tolerant c ~failures =
           incr failures;
           None)
 
-let write c buf v = c.write buf v
-let read c ?stop s ~pos =
-  let stop =
-    match stop with
-    | None -> String.length s
-    | Some stop ->
-        if stop > String.length s then
-          invalid_arg "Codec.read: stop past the input";
-        stop
-  in
-  c.read s ~pos ~stop
-
-let unit =
-  { write = (fun _ () -> ()); read = (fun _ ~pos ~stop:_ -> ((), pos)); width = 0 }
-
-let char =
+(* A codec of [n] bytes per value. *)
+let fixed n what put get =
   {
-    write = (fun b c -> Buffer.add_char b c);
-    read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 1 "char";
-        (s.[pos], pos + 1));
-    width = 1;
+    write =
+      (fun w v ->
+        ensure w n;
+        put w.buf w.pos v;
+        w.pos <- w.pos + n);
+    read = (fun (c : cursor) -> get c.s (take c n what));
+    width = n;
   }
+
+let unit = { write = (fun _ () -> ()); read = ignore; width = 0 }
+let skip =
+  { write = (fun _ () -> ()); read = (fun c -> c.pos <- c.stop); width = 0 }
+let char = fixed 1 "char" Bytes.set String.get
+
+let byte_bool what s p =
+  match s.[p] with
+  | '\000' -> false
+  | '\001' -> true
+  | ch -> fail "%s: invalid byte %d" what (Char.code ch)
 
 let bool =
-  {
-    write = (fun b v -> Buffer.add_char b (if v then '\001' else '\000'));
-    read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 1 "bool";
-        (match s.[pos] with
-        | '\000' -> (false, pos + 1)
-        | '\001' -> (true, pos + 1)
-        | c -> fail "bool: invalid byte %d" (Char.code c)));
-    width = 1;
-  }
+  fixed 1 "bool"
+    (fun b p v -> Bytes.set b p (if v then '\001' else '\000'))
+    (byte_bool "bool")
 
-let int64 =
-  {
-    write = (fun b v -> Buffer.add_int64_le b v);
-    read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 8 "int64";
-        (String.get_int64_le s pos, pos + 8));
-    width = 8;
-  }
-
-let int =
-  {
-    write = (fun b v -> Buffer.add_int64_le b (Int64.of_int v));
-    read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 8 "int";
-        (Int64.to_int (String.get_int64_le s pos), pos + 8));
-    width = 8;
-  }
-
-let int32 =
-  {
-    write = (fun b v -> Buffer.add_int32_le b v);
-    read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 4 "int32";
-        (String.get_int32_le s pos, pos + 4));
-    width = 4;
-  }
+let int64 = fixed 8 "int64" Bytes.set_int64_le String.get_int64_le
+let int32 = fixed 4 "int32" Bytes.set_int32_le String.get_int32_le
 
 let float =
-  {
-    write = (fun b v -> Buffer.add_int64_le b (Int64.bits_of_float v));
-    read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 8 "float";
-        (Int64.float_of_bits (String.get_int64_le s pos), pos + 8));
-    width = 8;
-  }
+  fixed 8 "float"
+    (fun b p v -> Bytes.set_int64_le b p (Int64.bits_of_float v))
+    (fun s p -> Int64.float_of_bits (String.get_int64_le s p))
 
-(* The length of the length-prefixed string at [pos], whose body lies
-   at [pos + 8, pos + 8 + len). *)
-let string_length s ~pos ~stop =
-  check_space ~stop pos 8 "string length";
-  let len = Int64.to_int (String.get_int64_le s pos) in
-  if len < 0 then fail "string: negative length %d" len;
-  check_space ~stop (pos + 8) len "string body";
-  len
+let int = { write = put_int; read = (fun c -> get_int c "int"); width = 8 }
+
+(* A long string is copied in pieces, into the chunks as they come. *)
+let rec put_string w v off =
+  let k = min (String.length v - off) (Bytes.length w.buf - w.pos) in
+  Bytes.blit_string v off w.buf w.pos k;
+  w.pos <- w.pos + k;
+  if off + k < String.length v then begin
+    next_chunk w 1;
+    put_string w v (off + k)
+  end
 
 let string =
   {
     write =
-      (fun b v ->
-        Buffer.add_int64_le b (Int64.of_int (String.length v));
-        Buffer.add_string b v);
+      (fun w v ->
+        put_int w (String.length v);
+        put_string w v 0);
     read =
-      (fun s ~pos ~stop ->
-        let len = string_length s ~pos ~stop in
-        (String.sub s (pos + 8) len, pos + 8 + len));
+      (fun c ->
+        let n = get_length c "string length" in
+        String.sub c.s (take c n "string body") n);
     width = 8;
   }
 
 let pair ca cb =
   {
     write =
-      (fun b (x, y) ->
-        ca.write b x;
-        cb.write b y);
+      (fun w (x, y) ->
+        ca.write w x;
+        cb.write w y);
     read =
-      (fun s ~pos ~stop ->
-        let x, pos = ca.read s ~pos ~stop in
-        let y, pos = cb.read s ~pos ~stop in
-        ((x, y), pos));
+      (fun c ->
+        let x = ca.read c in
+        let y = cb.read c in
+        (x, y));
     width = ca.width + cb.width;
   }
 
 let triple ca cb cc =
   {
     write =
-      (fun b (x, y, z) ->
-        ca.write b x;
-        cb.write b y;
-        cc.write b z);
+      (fun w (x, y, z) ->
+        ca.write w x;
+        cb.write w y;
+        cc.write w z);
     read =
-      (fun s ~pos ~stop ->
-        let x, pos = ca.read s ~pos ~stop in
-        let y, pos = cb.read s ~pos ~stop in
-        let z, pos = cc.read s ~pos ~stop in
-        ((x, y, z), pos));
+      (fun c ->
+        let x = ca.read c in
+        let y = cb.read c in
+        let z = cc.read c in
+        (x, y, z));
     width = ca.width + cb.width + cc.width;
   }
 
-(* An element count at [pos], checked against the input left after it:
-   [n] elements of at least [width] bytes each must fit, so a forged count
-   fails here, before anything is allocated for it. Zero-width elements
-   take no input, so any count of them fits. *)
-let read_count s ~pos ~stop ~width what =
-  check_space ~stop pos 8 (what ^ " length");
-  let n = Int64.to_int (String.get_int64_le s pos) in
-  if n < 0 then fail "%s: negative length %d" what n;
-  let left = stop - pos - 8 in
-  if width > 0 && n > left / width then
-    fail "%s: %d elements of at least %d bytes in %d bytes" what n width left;
-  (n, pos + 8)
-
+(* [List.init] and [Array.init] call [f] on ascending indices, so the
+   elements are read in input order. *)
 let list c =
   {
     write =
-      (fun b l ->
-        Buffer.add_int64_le b (Int64.of_int (List.length l));
-        List.iter (c.write b) l);
+      (fun w l ->
+        put_int w (List.length l);
+        List.iter (c.write w) l);
     read =
-      (fun s ~pos ~stop ->
-        let n, pos = read_count s ~pos ~stop ~width:c.width "list" in
-        let rec loop acc pos k =
-          if k = 0 then (List.rev acc, pos)
-          else
-            let v, pos = c.read s ~pos ~stop in
-            loop (v :: acc) pos (k - 1)
-        in
-        loop [] pos n);
+      (fun cur ->
+        let n = get_count cur ~width:c.width "list" in
+        List.init n (fun _ -> c.read cur));
     width = 8;
   }
 
 let array c =
   {
     write =
-      (fun b a ->
-        Buffer.add_int64_le b (Int64.of_int (Array.length a));
-        Array.iter (c.write b) a);
+      (fun w a ->
+        put_int w (Array.length a);
+        Array.iter (c.write w) a);
     read =
-      (fun s ~pos ~stop ->
-        let n, pos = read_count s ~pos ~stop ~width:c.width "array" in
-        if n = 0 then ([||], pos)
-        else
-          let first, pos = c.read s ~pos ~stop in
-          let a = Array.make n first in
-          let pos = ref pos in
-          for k = 1 to n - 1 do
-            let v, next = c.read s ~pos:!pos ~stop in
-            a.(k) <- v;
-            pos := next
-          done;
-          (a, !pos));
+      (fun cur ->
+        let n = get_count cur ~width:c.width "array" in
+        Array.init n (fun _ -> c.read cur));
     width = 8;
   }
 
 let option c =
   {
     write =
-      (fun b -> function
-        | None -> Buffer.add_char b '\000'
+      (fun w -> function
+        | None -> bool.write w false
         | Some v ->
-            Buffer.add_char b '\001';
-            c.write b v);
+            bool.write w true;
+            c.write w v);
     read =
-      (fun s ~pos ~stop ->
-        check_space ~stop pos 1 "option tag";
-        match s.[pos] with
-        | '\000' -> (None, pos + 1)
-        | '\001' ->
-            let v, pos = c.read s ~pos:(pos + 1) ~stop in
-            (Some v, pos)
-        | ch -> fail "option: invalid tag %d" (Char.code ch));
+      (fun cur ->
+        if byte_bool "option tag" cur.s (take cur 1 "option tag") then
+          Some (c.read cur)
+        else None);
     width = 1;
+  }
+
+let encoded c =
+  {
+    write = (fun w s -> put_string w s 0);
+    read =
+      (fun cur ->
+        let start = cur.pos in
+        ignore (c.read cur);
+        String.sub cur.s start (cur.pos - start));
+    width = c.width;
   }
 
 let map of_a to_a c =
   {
-    write = (fun b v -> c.write b (to_a v));
-    read =
-      (fun s ~pos ~stop ->
-        let v, pos = c.read s ~pos ~stop in
-        (of_a v, pos));
+    write = (fun w v -> c.write w (to_a v));
+    read = (fun cur -> of_a (c.read cur));
     width = c.width;
   }
 
-let decode_range c s ~pos ~stop =
-  if stop > String.length s then
-    invalid_arg "Codec.decode_range: stop past the input";
-  let v, next = c.read s ~pos ~stop in
-  if next <> stop then fail "decode: %d trailing bytes" (stop - next);
-  v
+type ('a, 'b) case = { tag : int; body : 'b t; inj : 'b -> 'a }
+type 'a any_case = Case : ('a, 'b) case -> 'a any_case
+type 'a choice = Is : ('a, 'b) case * 'b -> 'a choice
 
-(* [tagged]'s frame: an [int] tag, then the body as a [string]. *)
-let tagged_in_place to_tag of_body =
-  let payload = pair int string in
-  {
-    write = (fun b v -> payload.write b (to_tag v));
-    read =
-      (fun s ~pos ~stop ->
-        let tag, pos = int.read s ~pos ~stop in
-        let len = string_length s ~pos ~stop in
-        let stop = pos + 8 + len in
-        (of_body tag s ~pos:(pos + 8) ~stop, stop));
-    width = payload.width;
-  }
+let case tag body inj =
+  if tag < 0 then invalid_arg "Codec.case: negative tag";
+  { tag; body; inj }
 
-let tagged to_tag of_tag =
-  tagged_in_place to_tag (fun tag s ~pos ~stop ->
-      of_tag tag (String.sub s pos (stop - pos)))
+let const tag v = case tag unit (fun () -> v)
 
-let bindings ~cardinal ~iter ~of_arrays key value =
+(* The frame: the tag, the body's length, the body. The header is kept
+   in one chunk, and the length is written into it once the body's end
+   is known. *)
+let variant name cases choose =
+  let cases =
+    let top = List.fold_left (fun m (Case c) -> max m c.tag) (-1) cases in
+    let a = Array.make (top + 1) None in
+    List.iter
+      (fun (Case c as k) ->
+        if Option.is_some a.(c.tag) then
+          invalid_arg "Codec.variant: tag reused";
+        a.(c.tag) <- Some k)
+      cases;
+    a
+  in
+  let body_what = name ^ " body" in
   {
     write =
-      (fun b m ->
-        Buffer.add_int64_le b (Int64.of_int (cardinal m));
+      (fun w v ->
+        match choose v with
+        | Is (c, x) ->
+            ensure w 16;
+            let head = w.buf and at = w.pos in
+            Bytes.set_int64_le head at (Int64.of_int c.tag);
+            w.pos <- at + 16;
+            let start = written w in
+            c.body.write w x;
+            Bytes.set_int64_le head (at + 8)
+              (Int64.of_int (written w - start)));
+    read =
+      (fun cur ->
+        let tag = get_int cur name in
+        let n = get_length cur name in
+        let start = take cur n body_what and outer = cur.stop in
+        let case =
+          if 0 <= tag && tag < Array.length cases then cases.(tag) else None
+        in
+        match case with
+        | None -> fail "%s: unknown tag %d" name tag
+        | Some (Case c) ->
+            cur.pos <- start;
+            cur.stop <- start + n;
+            let v = c.inj (c.body.read cur) in
+            if cur.pos <> cur.stop then
+              fail "%s: %d trailing bytes in the body" name
+                (cur.stop - cur.pos);
+            cur.stop <- outer;
+            v);
+    width = 16;
+  }
+
+let bindings ~cardinal ~iter ~of_reader key value =
+  {
+    write =
+      (fun w m ->
+        put_int w (cardinal m);
         iter
           (fun k v ->
-            key.write b k;
-            value.write b v)
+            key.write w k;
+            value.write w v)
           m);
     read =
-      (fun s ~pos ~stop ->
-        let n, pos =
-          read_count s ~pos ~stop ~width:(key.width + value.width) "map"
-        in
-        if n = 0 then (of_arrays [||] [||], pos)
-        else
-          let k, pos = key.read s ~pos ~stop in
-          let v, pos = value.read s ~pos ~stop in
-          let keys = Array.make n k and values = Array.make n v in
-          let pos = ref pos in
-          for i = 1 to n - 1 do
-            let k, next = key.read s ~pos:!pos ~stop in
-            let v, next = value.read s ~pos:next ~stop in
-            keys.(i) <- k;
-            values.(i) <- v;
-            pos := next
-          done;
-          (of_arrays keys values, !pos));
+      (fun c ->
+        let n = get_count c ~width:(key.width + value.width) "map" in
+        of_reader n
+          ~key:(fun () -> key.read c)
+          ~value:(fun () -> value.read c));
     width = 8;
   }

@@ -10,7 +10,9 @@ type 'a t
 (** A codec: a value of type ['a] to/from bytes. *)
 
 exception Decode_error of string
-(** Raised by [decode]/readers on malformed or truncated input. *)
+(** Raised by [decode] on malformed or truncated input. A length or count
+    that claims more bytes than the input holds raises it before anything
+    is allocated for them. *)
 
 val encode : 'a t -> 'a -> string
 val decode : 'a t -> string -> 'a
@@ -27,7 +29,10 @@ val unit : unit t
 val bool : bool t
 
 val int : int t
-(** 63-bit OCaml int, 8 bytes little-endian. *)
+(** 63-bit OCaml int, 8 bytes little-endian. An int64 outside the int
+    range is a {!Decode_error}, so every decodable input is the
+    encoding of what it decodes to; the same holds for the lengths and
+    counts below. *)
 
 val int32 : int32 t
 val int64 : int64 t
@@ -55,43 +60,65 @@ val map : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
 (** [map of_a to_a c] converts codec [c] via an isomorphism:
     [of_a] decodes, [to_a] encodes. *)
 
-val tagged : ('a -> int * string) -> (int -> string -> 'a) -> 'a t
-(** [tagged to_tag of_tag] builds a variant codec: [to_tag v] yields a
-    constructor tag and an encoded payload; [of_tag tag payload] rebuilds the
-    value (raising {!Decode_error} on an unknown tag). *)
+val encoded : 'a t -> string t
+(** [encoded c]: an ['a] already encoded with [c], as its bytes, written
+    as they are and read as the bytes one ['a] spans. Over values encoded
+    with [c], [list (encoded c)] writes the bytes [list c] writes over
+    the values themselves. *)
 
-val tagged_in_place :
-  ('a -> int * string) -> (int -> string -> pos:int -> stop:int -> 'a) -> 'a t
-(** The bytes {!tagged} writes, decoded without copying the body:
-    [of_body tag s ~pos ~stop] rebuilds the value from the body lying at
-    [pos, stop) of [s], typically with {!decode_range}. *)
+val skip : unit t
+(** Reads the rest of the enclosing variant body (or of the input) and
+    writes nothing: the last field of a codec that reads a prefix of a
+    value, such as a key, without decoding the remainder. *)
+
+(** {1 Variants}
+
+    The frame of a variant value is its case's tag as an int64 (LE), the
+    body's length in bytes as an int64 (LE), and the body, which is the
+    case's codec's encoding. The body is written once, straight into the
+    output (its length is filled in after it), and decoded where it
+    lies; its decoder must consume exactly its length. This is the frame
+    of every specification update, every wire message and every record
+    in the logs. *)
+
+type ('a, 'b) case
+(** One case of a variant of ['a]: a tag and a codec for its body ['b]. *)
+
+val case : int -> 'b t -> ('b -> 'a) -> ('a, 'b) case
+(** [case tag body inj]: the case [tag], whose body decodes through
+    [body] and is turned into the variant's value by [inj].
+    @raise Invalid_argument on a negative tag. *)
+
+val const : int -> 'a -> ('a, unit) case
+(** A case without a body, decoding to the given value. *)
+
+type 'a any_case = Case : ('a, 'b) case -> 'a any_case
+type 'a choice = Is : ('a, 'b) case * 'b -> 'a choice
+
+val variant : string -> 'a any_case list -> ('a -> 'a choice) -> 'a t
+(** [variant name cases choose]: encoding [v] writes the case and body
+    [choose v] names. Decoding a tag no case has raises {!Decode_error}
+    (with [name] in its message).
+    @raise Invalid_argument if two cases share a tag. *)
 
 val bindings :
   cardinal:('m -> int) ->
   iter:(('k -> 'v -> unit) -> 'm -> unit) ->
-  of_arrays:('k array -> 'v array -> 'm) ->
+  of_reader:(int -> key:(unit -> 'k) -> value:(unit -> 'v) -> 'm) ->
   'k t ->
   'v t ->
   'm t
 (** A map as its bindings in key order: the bytes [list (pair key value)]
-    writes for them, written straight from [iter]. Decoding reads the
-    keys and the values into two arrays, in input order, and hands them
-    to [of_arrays]. A count the remaining input cannot hold raises
-    {!Decode_error} before anything is allocated for it.
-    {!Ordered_map.S.codec} is this codec. *)
+    writes for them, written straight from [iter]. Decoding hands
+    [of_reader] the count and two readers, which it calls [key] then
+    [value] for each binding, in input order. A count the remaining
+    input cannot hold raises {!Decode_error} before anything is
+    allocated for it. {!Ordered_map.S.codec} is this codec. *)
 
-(** {1 Low-level interface for incremental encoding} *)
-
-val write : 'a t -> Buffer.t -> 'a -> unit
-val read : 'a t -> ?stop:int -> string -> pos:int -> 'a * int
-(** [read c ?stop s ~pos] decodes at offset [pos], returning the value and
-    the offset one past its encoding. It reads nothing at or past [stop]
-    (default: the end of [s]): an encoding that would run past it raises
-    {!Decode_error}, and so does a length or count that claims more bytes
-    than lie before it, before anything is allocated for them.
-    @raise Invalid_argument if [stop] is past the end of [s]. *)
+(** {1 Reading in place} *)
 
 val decode_range : 'a t -> string -> pos:int -> stop:int -> 'a
-(** [decode] of the range [pos, stop) of [s], read where it lies:
-    bytes left before [stop] are a {!Decode_error}.
-    @raise Invalid_argument if [stop] is past the end of [s]. *)
+(** [decode] of the range [pos, stop) of [s], read where it lies: nothing
+    at or past [stop] is read, and bytes left before [stop] are a
+    {!Decode_error}.
+    @raise Invalid_argument if the range lies outside [s]. *)

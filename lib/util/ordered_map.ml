@@ -1,5 +1,5 @@
 (* Stdlib [Map]'s AVL trees (see ordered_map.mli), cut to what the
-   durable states use, plus [of_arrays]: the decoder's build. *)
+   durable states use, plus [of_reader]: the decoder's build. *)
 
 module type S = sig
   type key
@@ -166,31 +166,41 @@ module Make (Ord : Map.OrderedType) = struct
     in
     go (descend m1 End) (descend m2 End)
 
-  (* The middle binding of [lo, hi) at the root and each half built the
-     same way below it: the halves' sizes differ by at most one, so their
-     heights do too, and every node is allocated once, in its place. *)
-  let of_sorted keys values =
-    let rec build lo hi =
-      if lo >= hi then Empty
+  (* [n] bindings, read in input order by calling [key] then [value] for
+     each. The middle binding at the root and each half built the same
+     way below it, so the halves' sizes differ by at most one, their
+     heights do too, and every node is allocated once, in its place;
+     reading the left half first reads the bindings in order. Unless the
+     keys strictly increase the result is no search tree, and its
+     bindings, in order, are added to an empty map instead. *)
+  let of_reader n ~key ~value =
+    let sorted = ref true and last = ref None in
+    let rec build n =
+      if n = 0 then Empty
       else
-        let mid = (lo + hi) lsr 1 in
-        create (build lo mid) keys.(mid) values.(mid) (build (mid + 1) hi)
+        let l = build (n / 2) in
+        let k = key () in
+        let d = value () in
+        (match !last with
+        | Some p when Ord.compare p k >= 0 -> sorted := false
+        | _ -> ());
+        last := Some k;
+        create l k d (build (n - 1 - (n / 2)))
     in
-    build 0 (Array.length keys)
+    let m = build n in
+    if !sorted then m else fold add m Empty
 
   let of_arrays keys values =
-    let n = Array.length keys in
-    if Array.length values <> n then invalid_arg "Ordered_map.of_arrays";
-    let rec sorted i =
-      i >= n || (Ord.compare keys.(i - 1) keys.(i) < 0 && sorted (i + 1))
-    in
-    if sorted 1 then of_sorted keys values
-    else
-      let m = ref Empty in
-      Array.iteri (fun i k -> m := add k values.(i) !m) keys;
-      !m
+    if Array.length values <> Array.length keys then
+      invalid_arg "Ordered_map.of_arrays";
+    let i = ref (-1) in
+    of_reader (Array.length keys)
+      ~key:(fun () ->
+        incr i;
+        keys.(!i))
+      ~value:(fun () -> values.(!i))
 
-  let codec key value = Codec.bindings ~cardinal ~iter ~of_arrays key value
+  let codec key value = Codec.bindings ~cardinal ~iter ~of_reader key value
 
   let invariant m =
     (* the subtree's height when it is an AVL tree whose keys lie strictly

@@ -28,9 +28,9 @@ module type S = sig
 
   val of_arrays : key array -> 'a array -> 'a t
   (** [of_arrays keys values] binds [keys.(i)] to [values.(i)]. Strictly
-      increasing keys are built bottom up, one node per binding; any other
-      input gives what adding the bindings in order gives, the last
-      binding of a key winning.
+      increasing keys are built in place, one node per binding, as the
+      decoder builds them; any other input gives what adding the
+      bindings in order gives, the last binding of a key winning.
       @raise Invalid_argument if the arrays differ in length. *)
 
   val codec : key Codec.t -> 'a Codec.t -> 'a t Codec.t

@@ -13,36 +13,123 @@ module Sm = Onll_util.Splitmix
 let check = Alcotest.check
 let rand_bytes rng len = String.init len (fun _ -> Char.chr (Sm.int rng 256))
 
-(* The codec battery: every primitive and combinator, plus the codecs the
-   object specifications actually persist through the logs. *)
-type packed = P : string * 'a Codec.t -> packed
+(* The codec battery: every primitive and combinator, the codecs the
+   object specifications persist through the logs, the record codec
+   those logs hold, and the wire protocol's, which read bytes from
+   sockets. Each comes with sample values, whose encodings the mutation
+   tests start from. [canonical] says whether every input that decodes
+   is the encoding of its value: not for map states, which accept
+   bindings in any order and store them sorted, nor for the set state,
+   which accepts duplicates. *)
+type packed =
+  | P : {
+      name : string;
+      codec : 'a Codec.t;
+      samples : 'a list;
+      canonical : bool;
+    }
+      -> packed
+
+let p ?(canonical = true) name codec samples =
+  P { name; codec; samples; canonical }
+
+(* A specification's update codec with the given updates, and its state
+   codec with the state those updates build. *)
+let spec (type u) ?canonical
+    (module S : Onll_core.Spec.S with type update_op = u) (ops : u list) =
+  let st = List.fold_left (fun st op -> fst (S.apply st op)) S.initial ops in
+  [
+    p (S.name ^ "-update") S.update_codec ops;
+    p ?canonical (S.name ^ "-state") S.state_codec [ S.initial; st ];
+  ]
+
+(* The record codec over a simulated machine, for counter updates. *)
+let record =
+  let module M = (val Sim.machine (Sim.create ~max_processes:2 ())) in
+  let module R = Onll_core.Record_log.Make (M) (Onll_specs.Counter) in
+  let id id_proc id_seq = { Onll_core.Record_log.id_proc; id_seq } in
+  let module C = Onll_specs.Counter in
+  p "record" R.record_codec
+    [
+      R.Ops
+        {
+          exec_idx = 9;
+          envs =
+            [
+              R.envelope (id 1 4) (C.Add 7);
+              { (R.envelope (id 0 2) C.Increment) with e_txn = Some "tx" };
+            ];
+        };
+      R.Checkpoint
+        {
+          upto_idx = 7;
+          state = { R.st = 5; floors = [| 3; 5 |]; dropped = [ (1, 2) ] };
+        };
+    ]
+
+let client_table =
+  let module Ct = Onll_core.Client_table.Make (Onll_specs.Counter) in
+  p "client-table-update" Ct.update_codec
+    Ct.
+      [
+        Tracked { client = 3; seq = 8; op = Onll_specs.Counter.Add (-2) };
+        Untracked Onll_specs.Counter.Increment;
+      ]
 
 let codecs =
+  let open Onll_specs in
+  let module Pr = Onll_serve.Protocol in
   [
-    P ("unit", Codec.unit);
-    P ("bool", Codec.bool);
-    P ("int", Codec.int);
-    P ("int32", Codec.int32);
-    P ("int64", Codec.int64);
-    P ("float", Codec.float);
-    P ("char", Codec.char);
-    P ("string", Codec.string);
-    P ("pair", Codec.pair Codec.int Codec.string);
-    P ("triple", Codec.triple Codec.bool Codec.int Codec.string);
-    P ("list", Codec.list Codec.string);
-    P ("array", Codec.array Codec.int);
-    P ("option", Codec.option Codec.string);
-    P ("counter-update", Onll_specs.Counter.update_codec);
-    P ("counter-state", Onll_specs.Counter.state_codec);
-    P ("queue-update", Onll_specs.Queue_spec.update_codec);
-    P ("queue-state", Onll_specs.Queue_spec.state_codec);
-    P ("kv-update", Onll_specs.Kv.update_codec);
-    P ("kv-state", Onll_specs.Kv.state_codec);
-    P ("stack-update", Onll_specs.Stack_spec.update_codec);
-    P ("set-update", Onll_specs.Set_spec.update_codec);
-    P ("ledger-update", Onll_specs.Ledger.update_codec);
-    P ("ledger-state", Onll_specs.Ledger.state_codec);
+    p "unit" Codec.unit [ () ];
+    p "bool" Codec.bool [ true; false ];
+    p "int" Codec.int [ 12345678; -1; max_int; min_int ];
+    p "int32" Codec.int32 [ 7l; Int32.min_int ];
+    p "int64" Codec.int64 [ 7L; Int64.min_int ];
+    p "float" Codec.float [ 1.5; -0. ];
+    p "char" Codec.char [ 'x' ];
+    p "string" Codec.string [ "the quick brown fox"; "" ];
+    p "pair" (Codec.pair Codec.int Codec.string) [ (42, "payload") ];
+    p "triple"
+      (Codec.triple Codec.bool Codec.int Codec.string)
+      [ (true, 3, "three") ];
+    p "list" (Codec.list Codec.string) [ [ "a"; "bb"; "ccc" ]; [] ];
+    p "array" (Codec.array Codec.int) [ [| 1; 2; 3; 4 |] ];
+    p "option" (Codec.option Codec.string) [ Some "present"; None ];
+    record;
+    client_table;
+    p "protocol-req" Pr.req_codec
+      Pr.
+        [
+          Hello { client = 1; token = "tok"; tier = T_staleness 4 };
+          Hello { client = 2; token = ""; tier = T_exactly_once };
+          Submit { seq = 3; deadline_ns = 100; op = "op" };
+          Fetch { op = "f" };
+          Ping;
+          Bye;
+        ];
+    p "protocol-resp" Pr.resp_codec
+      Pr.
+        [
+          Attached { next_seq = 4; resolution = W_reinvoked (1, 2, 3) };
+          Attached { next_seq = 1; resolution = W_none };
+          Acked { seq = 2; value = -5 };
+          Refused (R_bad_seq 9);
+          Refused R_overloaded;
+          Got 3;
+          Pong;
+          Gone;
+        ];
   ]
+  @ spec (module Counter) Counter.[ Increment; Add 5 ]
+  @ spec (module Queue_spec) Queue_spec.[ Enqueue 1; Enqueue 2; Dequeue ]
+  @ spec ~canonical:false (module Kv)
+      Kv.[ Put ("key", "value"); Delete "k"; Put ("a", "") ]
+  @ spec (module Stack_spec) Stack_spec.[ Push 1; Push 2; Pop ]
+  @ spec ~canonical:false (module Set_spec) Set_spec.[ Insert 4; Remove 2 ]
+  @ spec ~canonical:false (module Ledger)
+      Ledger.[ Open "acct"; Deposit ("acct", 100); Transfer ("acct", "b", 5) ]
+  @ spec (module Deque) Deque.[ Push_front 1; Push_back 2; Pop_front; Pop_back ]
+  @ spec (module Pqueue) Pqueue.[ Insert (3, 4); Insert (1, 2); Extract_min ]
 
 let decode_is_typed name c s =
   match Codec.decode c s with
@@ -55,47 +142,63 @@ let decode_is_typed name c s =
 let test_decode_arbitrary_bytes () =
   let rng = Sm.create 0xC0DEC in
   List.iter
-    (fun (P (name, c)) ->
+    (fun (P { name; codec; _ }) ->
       for _ = 1 to 400 do
-        decode_is_typed name c (rand_bytes rng (Sm.int rng 64))
+        decode_is_typed name codec (rand_bytes rng (Sm.int rng 64))
       done)
     codecs
 
+(* Harder inputs than pure noise: REAL encodings (as a torn or rotted log
+   entry or a garbled frame would leave them), truncated, extended or
+   bit-flipped. *)
+let mutate rng s =
+  match Sm.int rng 3 with
+  | 0 -> String.sub s 0 (Sm.int rng (String.length s + 1)) (* truncate *)
+  | 1 -> s ^ rand_bytes rng (1 + Sm.int rng 8) (* trailing garbage *)
+  | _ ->
+      if s = "" then s
+      else
+        let i = Sm.int rng (String.length s) and bit = Sm.int rng 8 in
+        String.mapi
+          (fun j c ->
+            if i = j then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+          s
+
+let mutated rng (P { codec; samples; _ }) =
+  List.concat_map
+    (fun v ->
+      let enc = Codec.encode codec v in
+      List.init 200 (fun _ -> mutate rng enc))
+    samples
+
 let test_decode_mutated_valid_encodings () =
-  (* Harder inputs than pure noise: start from REAL encodings (as a torn or
-     rotted log entry would) and truncate, extend or bit-flip them. *)
   let rng = Sm.create 0xBADF00D in
-  let mutate s =
-    match Sm.int rng 3 with
-    | 0 -> String.sub s 0 (Sm.int rng (String.length s + 1)) (* truncate *)
-    | 1 -> s ^ rand_bytes rng (1 + Sm.int rng 8) (* trailing garbage *)
-    | _ ->
-        if s = "" then s
-        else
-          String.mapi
-            (fun i c ->
-              if i = Sm.int rng (String.length s) then
-                Char.chr (Char.code c lxor (1 lsl Sm.int rng 8))
-              else c)
-            s
-  in
-  let exercise : type a. string -> a Codec.t -> a -> unit =
-   fun name c v ->
-    let enc = Codec.encode c v in
-    for _ = 1 to 200 do
-      decode_is_typed name c (mutate enc)
-    done
-  in
-  exercise "int" Codec.int 12345678;
-  exercise "string" Codec.string "the quick brown fox";
-  exercise "pair" (Codec.pair Codec.int Codec.string) (42, "payload");
-  exercise "list" (Codec.list Codec.string) [ "a"; "bb"; "ccc" ];
-  exercise "array" (Codec.array Codec.int) [| 1; 2; 3; 4 |];
-  exercise "option" (Codec.option Codec.string) (Some "present");
-  exercise "kv-update" Onll_specs.Kv.update_codec
-    (Onll_specs.Kv.Put ("key", "value"));
-  exercise "ledger-update" Onll_specs.Ledger.update_codec
-    (Onll_specs.Ledger.Deposit ("acct", 100))
+  List.iter
+    (fun (P { name; codec; _ } as pk) ->
+      List.iter (decode_is_typed name codec) (mutated rng pk))
+    codecs
+
+(* Whatever decodes re-encodes to the bytes it was decoded from: no two
+   inputs decode to the same value, so a frame from a socket or a log
+   means one thing. Over arbitrary bytes and mutated encodings. *)
+let prop_canonical =
+  let canonical = List.filter (fun (P { canonical; _ }) -> canonical) codecs in
+  QCheck.Test.make ~name:"decodes re-encode to the same bytes" ~count:40
+    QCheck.small_nat (fun seed ->
+      let rng = Sm.create seed in
+      List.for_all
+        (fun (P { name; codec; _ } as pk) ->
+          List.for_all
+            (fun s ->
+              match Codec.decode codec s with
+              | exception Codec.Decode_error _ -> true
+              | v ->
+                  Codec.encode codec v = s
+                  || QCheck.Test.fail_reportf "%s: %S decodes, re-encodes as %S"
+                       name s (Codec.encode codec v))
+            (List.init 50 (fun _ -> rand_bytes rng (Sm.int rng 40))
+            @ mutated rng pk))
+        canonical)
 
 let test_roundtrip_still_holds () =
   (* the fuzz must not have been vacuous: honest encodings still decode *)
@@ -316,6 +419,7 @@ let () =
             test_forged_counts;
           Alcotest.test_case "record bodies in place -> typed errors" `Quick
             test_record_bodies_in_place;
+          QCheck_alcotest.to_alcotest prop_canonical;
         ] );
       ( "salvage",
         [

@@ -749,7 +749,7 @@ let live_entries region =
 let record_header payload =
   let open Onll_util.Codec in
   let tag, body = decode (pair int string) payload in
-  (tag, fst (read int body ~pos:0))
+  (tag, fst (decode (pair int skip) body))
 
 (* The drop rule checkpoints used before the log kept record keys: decode
    the live entries and count the leading ones a checkpoint up to [upto]
@@ -1196,7 +1196,8 @@ let test_recovery_corrupt_on_forged_gap () =
   let obj = C.make Onll_core.Onll.Config.default in
   let open Onll_util in
   (* envelope (proc 0, seq 0, Increment); the operation is encoded inline
-     (not length-prefixed) and Increment = tagged (0, "") *)
+     (not length-prefixed) and Increment is the frame of tag 0 with an
+     empty body *)
   let env_c = Codec.(triple int int (pair int string)) in
   let ops_body =
     Codec.encode Codec.(pair int (list env_c)) (3, [ (0, 0, (0, "")) ])

@@ -382,10 +382,11 @@ let state_roundtrip (type s u)
 
 (* The pre-encoded path of the engines' record log: an [Ops] record built
    from envelopes encoded one at a time (group commit's submitters encode
-   their own, the leader concatenates) is byte for byte the record codec's
-   encoding, and keys to its newest execution index. Runs of 1 to
-   [max_processes] envelopes, each with or without a transaction
-   payload. *)
+   their own, the leader splices them in) is byte for byte the record
+   codec's encoding, and keys to its newest execution index; a
+   [Checkpoint] of a state built by random updates keys to one past its
+   index. Runs of 1 to [max_processes] envelopes, each with or without a
+   transaction payload. *)
 let ops_preencoded (type u)
     (module S : Onll_core.Spec.S with type update_op = u) gen =
   let sim = Onll_machine.Sim.create ~max_processes:4 () in
@@ -415,8 +416,27 @@ let ops_preencoded (type u)
            R.encode_ops ~exec_idx
              (List.map (Codec.encode R.envelope_codec) envs)
          in
+         let st = ref S.initial in
+         for _ = 1 to Splitmix.int rng 20 do
+           st := fst (S.apply !st (gen rng))
+         done;
+         let ckpt =
+           R.Checkpoint
+             {
+               upto_idx = exec_idx;
+               state =
+                 {
+                   R.st = !st;
+                   floors =
+                     Array.init M.max_processes (fun _ -> Splitmix.int rng 50);
+                   dropped =
+                     (if Splitmix.bool rng then [] else [ (1, 7); (0, 3) ]);
+                 };
+             }
+         in
          bytes = Codec.encode R.record_codec (R.Ops { exec_idx; envs })
-         && R.record_key bytes = exec_idx))
+         && R.record_key bytes = exec_idx
+         && R.record_key (Codec.encode R.record_codec ckpt) = exec_idx + 1))
 
 let () =
   Alcotest.run "specs"

@@ -220,7 +220,12 @@ let test_codec_combinators () =
   check Alcotest.bool "empty list" true (roundtrip (list int) []);
   check Alcotest.bool "nested" true
     (roundtrip (list (pair string (option int))) [ ("a", Some 1); ("b", None) ]);
-  check Alcotest.bool "array" true (roundtrip (array int) [| 9; 8 |])
+  check Alcotest.bool "array" true (roundtrip (array int) [| 9; 8 |]);
+  check Alcotest.bool "encoded: the bytes one value spans" true
+    (roundtrip (list (encoded (pair int string)))
+       [ encode (pair int string) (1, "x"); encode (pair int string) (2, "") ]);
+  check Alcotest.bool "skip: the rest of the input" true
+    (decode (pair int skip) (encode int 3 ^ "rest") = (3, ()))
 
 let test_codec_errors () =
   let open Codec in
@@ -239,21 +244,48 @@ let test_codec_errors () =
     (is_decode_error (fun () -> decode (option int) "\007"));
   check Alcotest.bool "string length beyond input" true
     (is_decode_error (fun () ->
-         decode string "\255\255\255\255\255\255\255\000abc"))
+         decode string "\255\255\255\255\255\255\255\000abc"));
+  (* an int64 outside the int range would decode with its top bit lost *)
+  let le64 n = encode int64 (Int64.logor Int64.min_int (Int64.of_int n)) in
+  check Alcotest.bool "int outside the int range" true
+    (is_decode_error (fun () -> decode int (le64 5)));
+  check Alcotest.bool "string length outside the int range" true
+    (is_decode_error (fun () -> decode string (le64 3 ^ "xxx")));
+  check Alcotest.bool "variant body length outside the int range" true
+    (is_decode_error (fun () ->
+         decode Onll_specs.Kv.update_codec
+           (encode int 0 ^ le64 18 ^ encode string "k" ^ encode string "v")))
 
 let test_codec_tagged () =
   let open Codec in
-  let c =
-    tagged
-      (function `A n -> (0, encode int n) | `B s -> (1, encode string s))
-      (fun tag body ->
-        match tag with
-        | 0 -> `A (decode int body)
-        | 1 -> `B (decode string body)
-        | n -> raise (Decode_error (Printf.sprintf "bad tag %d" n)))
+  let a = case 0 int (fun n -> `A n)
+  and b = case 1 string (fun s -> `B s)
+  and c = const 3 `C in
+  let v =
+    variant "ab" [ Case a; Case b; Case c ] (function
+      | `A n -> Is (a, n)
+      | `B s -> Is (b, s)
+      | `C -> Is (c, ()))
   in
-  check Alcotest.bool "tag A" true (roundtrip c (`A 4));
-  check Alcotest.bool "tag B" true (roundtrip c (`B "hey"))
+  check Alcotest.bool "tag A" true (roundtrip v (`A 4));
+  check Alcotest.bool "tag B" true (roundtrip v (`B "hey"));
+  check Alcotest.bool "bodiless tag" true (roundtrip v `C);
+  check Alcotest.string "the frame: tag, body length, body"
+    (encode int 1 ^ encode int 11 ^ encode string "hey")
+    (encode v (`B "hey"));
+  let is_decode_error s =
+    match decode v s with exception Decode_error _ -> true | _ -> false
+  in
+  check Alcotest.bool "unknown tag" true
+    (is_decode_error (encode int 2 ^ encode int 0));
+  check Alcotest.bool "negative tag" true
+    (is_decode_error (encode int (-1) ^ encode int 0));
+  check Alcotest.bool "body longer than its case" true
+    (is_decode_error (encode int 0 ^ encode int 9 ^ encode int 4 ^ "x"));
+  check Alcotest.bool "tag reused" true
+    (match variant "cc" [ Case c; Case c ] (fun _ -> Is (c, ())) with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 let prop_codec_int_roundtrip =
   QCheck.Test.make ~name:"int codec roundtrips" ~count:500 QCheck.int
