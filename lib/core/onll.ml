@@ -99,10 +99,11 @@ module type TXN_CAPABLE = sig
 
   type staged
 
-  val reserve_seq : t -> int
-  val stage_txn : t -> seq:int -> payload:string -> update_op -> staged
+  val reserve_seq : ?seq:int -> t -> int
+  val stage_txn : ?payload:string -> t -> seq:int -> update_op -> staged
   val staged_idx : staged -> int
   val finish_txn : t -> staged -> value
+  val persist_staged : t -> staged list -> unit
   val inject_txn_run : t -> (op_id * update_op) list -> int list
 
   val recover_txn :
@@ -434,34 +435,38 @@ module Make_generic
            | None -> false)
          (T.to_list t.trace)
 
-  (* {2 E19: cross-shard transaction support ({!Onll_txn})}
+  (* {2 E19 and E20: staged updates ({!Onll_txn}, {!Onll_relaxed})}
 
      The order/persist/linearize split of a single update, exposed so a
-     coordinator can run each stage across several shard objects:
-     [stage_txn] orders a sub-operation (insert, not yet available, no
-     durable write), the coordinator then persists the whole transaction
-     with one fence in its own region, and [finish_txn] linearizes each
-     staged node. [inject_txn_run] is the recovery-side idempotent
-     re-apply for committed sub-operations no log or oracle could place. *)
+     caller can run each stage itself: [stage_txn] orders an operation
+     (insert, not yet available, no durable write), [persist_staged]
+     writes a run of staged operations as one fenced Ops record (a
+     relaxed drain), and [finish_txn] linearizes a staged node. A
+     transaction persists its sub-operations with one fence in its
+     coordinator's region instead, and [inject_txn_run] is the
+     recovery-side idempotent re-apply for committed sub-operations no
+     log or oracle could place. *)
 
-  type staged = { st_node : (envelope, istate) T.node }
+  type staged = {
+    st_node : (envelope, istate) T.node;
+    st_env : envelope;
+  }
 
   (* Allocate the next per-process sequence number without running an
-     update: the coordinator fixes every sub-operation's identity before
-     encoding the commit payload that embeds them. The number counts as
-     used — [update_detectable] will refuse it — exactly as if an update
-     had consumed it. *)
-  let reserve_seq t = (next_id t.seqs).id_seq
+     update, or claim the caller's [seq] as [update_detectable] does. The
+     number counts as used — [update_detectable] will refuse it — exactly
+     as if an update had consumed it. *)
+  let reserve_seq ?seq t =
+    match seq with
+    | None -> (next_id t.seqs).id_seq
+    | Some seq -> (claim_id t.seqs ~who:"Onll.reserve_seq" ~seq).id_seq
 
-  let stage_txn t ~seq ~payload op =
+  let stage_txn ?payload t ~seq op =
     let p = M.self () in
     if seq >= t.seqs.(p) then
       invalid_arg "Onll.stage_txn: sequence number was not reserved";
-    {
-      st_node =
-        T.insert t.trace
-          { e_proc = p; e_seq = seq; e_op = op; e_txn = Some payload };
-    }
+    let env = { e_proc = p; e_seq = seq; e_op = op; e_txn = payload } in
+    { st_node = T.insert t.trace env; st_env = env }
 
   let staged_idx s = T.idx s.st_node
 
@@ -472,37 +477,42 @@ module Make_generic
     | Some v -> v
     | None -> assert false (* the staged node's own op is in the delta *)
 
-  (* Insert, linearize and durably log a run of committed sub-operations
-     during the coordinator sweep. One fenced Ops append covers the whole
-     run (the inserts are back-to-back under one process, so the indices
-     are contiguous as the record format requires); afterwards the
-     operations are ordinary log residents and the next recovery adopts
-     them without the oracle. The payload tag is dropped — the
-     transaction is already known committed. *)
+  (* One fenced Ops record in the calling process's log for a run of
+     envelopes at contiguous execution indices, given oldest first with
+     their indices: the record Listing 3 writes for a fuzzy window. *)
+  let append_run t run =
+    match List.rev run with
+    | [] -> ()
+    | (_, exec_idx) :: _ as newest_first ->
+        List.iteri (fun k (_, idx) -> assert (idx = exec_idx - k)) newest_first;
+        append_record t (M.self ())
+          (Onll_util.Codec.encode record_codec
+             (Ops { exec_idx; envs = List.map fst newest_first }))
+
+  let persist_staged t staged =
+    append_run t (List.map (fun s -> (s.st_env, T.idx s.st_node)) staged)
+
+  (* Insert and linearize a run of committed sub-operations during the
+     coordinator sweep, then log it as one run (the inserts are
+     back-to-back under one process, so the indices are contiguous);
+     afterwards the operations are ordinary log residents and the next
+     recovery adopts them without the oracle. The payload tag is dropped
+     — the transaction is already known committed. *)
   let inject_txn_run t subs =
-    match subs with
-    | [] -> []
-    | _ ->
-        let envs_idx =
-          List.map
-            (fun (id, op) ->
-              let env = envelope id op in
-              let node = T.insert t.trace env in
-              T.set_available node;
-              if id.id_seq >= t.seqs.(id.id_proc) then
-                t.seqs.(id.id_proc) <- id.id_seq + 1;
-              Hashtbl.replace t.recovered id (T.idx node);
-              (env, T.idx node))
-            subs
-        in
-        let newest_first = List.rev envs_idx in
-        let exec_idx = snd (List.hd newest_first) in
-        let payload =
-          Onll_util.Codec.encode record_codec
-            (Ops { exec_idx; envs = List.map fst newest_first })
-        in
-        append_record t (M.self ()) payload;
-        List.map snd envs_idx
+    let run =
+      List.map
+        (fun (id, op) ->
+          let env = envelope id op in
+          let node = T.insert t.trace env in
+          T.set_available node;
+          if id.id_seq >= t.seqs.(id.id_proc) then
+            t.seqs.(id.id_proc) <- id.id_seq + 1;
+          Hashtbl.replace t.recovered id (T.idx node);
+          (env, T.idx node))
+        subs
+    in
+    append_run t run;
+    List.map snd run
 
   (* {2 §8: checkpointing, log compaction, trace pruning} *)
 

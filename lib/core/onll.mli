@@ -429,34 +429,42 @@ module type CONSTRUCTION = sig
       sample it on every submission. *)
 end
 
-(** {!CONSTRUCTION} plus the hooks a cross-shard transaction coordinator
-    ({!Onll_txn}, E19) needs: the update's order/persist/linearize stages
-    exposed separately, so the coordinator can order a sub-operation in
-    each participant shard, persist the {e whole} transaction with one
-    fence in its own region, and only then linearize the staged nodes —
+(** {!CONSTRUCTION} plus the update's order/persist/linearize stages
+    exposed separately, for a caller that runs the persist stage itself,
     and a recovery variant that accepts a committed-transaction oracle.
 
-    A staged envelope carries the encoded commit payload, so any
-    concurrent update that helps persist it (Listing 3's fuzzy window)
-    thereby durably commits the whole transaction — that is what keeps a
-    staged-but-uncommitted node from ever becoming durable {e without}
-    its transaction. *)
+    A cross-shard transaction coordinator ({!Onll_txn}, E19) orders a
+    sub-operation in each participant shard, persists the {e whole}
+    transaction with one fence in its own region, and only then
+    linearizes the staged nodes. A staged envelope carries the encoded
+    commit payload, so any concurrent update that helps persist it
+    (Listing 3's fuzzy window) thereby durably commits the whole
+    transaction — that is what keeps a staged-but-uncommitted node from
+    ever becoming durable {e without} its transaction.
+
+    The relaxed wrapper ({!Onll_relaxed}, E20) stages without a payload,
+    linearizes at once, and persists a run of staged operations later,
+    with one fence, through {!persist_staged}. *)
 module type TXN_CAPABLE = sig
   include CONSTRUCTION
 
   type staged
-  (** An ordered-but-not-yet-linearized sub-operation: a trace node that
-      is not available and has no durable copy of its own yet. *)
+  (** An ordered-but-not-yet-linearized operation: a trace node that is
+      not available and has no durable copy of its own yet. *)
 
-  val reserve_seq : t -> int
+  val reserve_seq : ?seq:int -> t -> int
   (** Allocate (and consume) the calling process's next sequence number
       without running an update, so the coordinator can fix every
-      sub-operation's identity before encoding the commit payload. *)
+      sub-operation's identity before encoding the commit payload. With
+      [seq], claim that number instead, as
+      {!CONSTRUCTION.update_detectable} does.
+      @raise Invalid_argument if [seq] is not above every number the
+      process used; nothing is consumed then. *)
 
-  val stage_txn : t -> seq:int -> payload:string -> update_op -> staged
-  (** Order stage only: insert the sub-operation into the trace, tagged
-      with the transaction's commit [payload], not yet available, nothing
-      written durably. [seq] must come from {!reserve_seq}.
+  val stage_txn : ?payload:string -> t -> seq:int -> update_op -> staged
+  (** Order stage only: insert the operation into the trace, tagged with
+      the transaction's commit [payload] when given, not yet available,
+      nothing written durably. [seq] must come from {!reserve_seq}.
       @raise Invalid_argument if [seq] was never reserved. *)
 
   val staged_idx : staged -> int
@@ -466,16 +474,23 @@ module type TXN_CAPABLE = sig
   val finish_txn : t -> staged -> value
   (** Linearize stage: set the staged node available and compute its
       return value from the trace prefix. No fences. Call only after the
-      transaction's commit record is durable. *)
+      transaction's commit record is durable (a relaxed ack may call it
+      before {!persist_staged}: that is its risk budget). *)
+
+  val persist_staged : t -> staged list -> unit
+  (** Persist stage for a run of staged operations at contiguous
+      execution indices, oldest first: one fenced [Ops] record in the
+      calling process's log — the record Listing 3 writes for a fuzzy
+      window, compacting first when the log says so — which recovery
+      adopts like any other. *)
 
   val inject_txn_run : t -> (op_id * update_op) list -> int list
   (** Recovery-side re-apply for committed sub-operations absent from the
       rebuilt trace: insert each (oldest first), linearize it, and make
-      the whole run durable in the calling process's log with one fenced
-      append, returning the assigned execution indices. Identities are
-      registered with {!CONSTRUCTION.recovered_ops} /
-      {!CONSTRUCTION.was_linearized} and sequence allocation is bumped
-      past them. *)
+      the whole run durable as {!persist_staged} does, returning the
+      assigned execution indices. Identities are registered with
+      {!CONSTRUCTION.recovered_ops} / {!CONSTRUCTION.was_linearized} and
+      sequence allocation is bumped past them. *)
 
   val recover_txn :
     t ->

@@ -17,48 +17,17 @@ struct
   module A = Onll_core.Attribution.Make (M)
   module Lock = Onll_machine.Spinlock.Make (M)
 
-  (* {2 The drain record}
-
-     One CRC-framed entry in the drainer's coordinator log
-     ({!Onll_core.Coord_log}): every operation of the drained tail with
-     its identity and the execution index it was staged at, on the one
-     shard 0. Recovery feeds the indices to
-     {!Onll.TXN_CAPABLE.recover_txn} as the oracle, so a drained
-     operation whose trace node never reached a per-process log is
-     adopted in place rather than reported as a gap. *)
-
-  module Drain = struct
-    type t = S.update_op Onll_core.Coord_log.sub list
-
-    let kind = "relaxcoord"
-
-    let codec =
-      let open Onll_util.Codec in
-      list
-        (map
-           (fun ((id_proc, id_seq, idx), op) ->
-             let id = { Onll.id_proc; id_seq } in
-             { Onll_core.Coord_log.shard = 0; id; idx; op })
-           (fun { Onll_core.Coord_log.id; idx; op; _ } ->
-             ((id.Onll.id_proc, id.Onll.id_seq, idx), op))
-           (pair (triple int int int) S.update_codec))
-
-    let subs = Fun.id
-  end
-
-  module Coord = Onll_core.Coord_log.Make (M) (S) (C) (Drain)
-
   (* An acknowledged-but-possibly-unfenced operation: its sole durable
      hope is the next drain (or an incidental checkpoint). *)
   type pending = {
-    p_sub : S.update_op Onll_core.Coord_log.sub;  (** at its staged index *)
+    p_staged : C.staged;  (** its trace node, at its execution index *)
+    p_id : Onll.op_id;
     p_at : int64;  (** stamp from [now_ns] at ack time; 0 without a clock *)
     p_budget : int;  (** the staleness bound this op was acked under *)
   }
 
   type t = {
     obj : C.t;
-    coord : Coord.t;  (** per process; the lazy-fence durability point *)
     budget_ops : int;  (** default k: max acked-unfenced operations *)
     budget_ns : int64 option;  (** max age of the oldest unfenced ack *)
     now_ns : (unit -> int64) option;
@@ -66,7 +35,9 @@ struct
         (** serialises tail manipulation and drains across processes; the
             tail is one global suffix, never per-process (see the prefix
             argument in the mli) *)
-    mutable tail : pending list;  (** oldest first; the ops at risk *)
+    mutable tail : pending list;
+        (** oldest first, at contiguous execution indices: every insert
+            into the trace is a staging under the lock; the ops at risk *)
     acked : (Onll.op_id, unit) Hashtbl.t;
         (** every acked operation still at risk — drains and checkpoints
             prune what they made durable, so the ledger stays bounded by
@@ -93,7 +64,6 @@ struct
     in
     {
       obj;
-      coord = Coord.create cfg;
       budget_ops = max_unfenced_ops;
       budget_ns = max_unfenced_ns;
       now_ns;
@@ -118,31 +88,33 @@ struct
 
      A compaction of the inner object summarises everything available —
      which includes the whole tail, since acked operations are available
-     the moment they are acked. Afterwards every drain record is covered
-     and the tail itself is durable, so both are dropped. {!checkpoint}
-     and a drain's full-log retry both run it. Must hold the lock. *)
+     the moment they are acked — so the tail is durable and dropped. Only
+     a staged node a failed drain left unavailable, newest, stays in it
+     for the next drain. {!checkpoint} runs it. Must hold the lock. *)
   let prune_acked t pendings =
-    List.iter (fun pd -> Hashtbl.remove t.acked pd.p_sub.id) pendings
+    List.iter (fun pd -> Hashtbl.remove t.acked pd.p_id) pendings
 
   let compact_locked t =
     let upto = C.compact t.obj in
-    Coord.trim t.coord;
-    prune_acked t t.tail;
-    t.tail <- [];
+    let covered, rest =
+      List.partition (fun pd -> C.staged_idx pd.p_staged <= upto) t.tail
+    in
+    prune_acked t covered;
+    t.tail <- rest;
     upto
 
   (* {2 The lazy fence} *)
 
-  (* ONE fenced coordinator append covering the whole tail. Draining the
-     whole tail (never a sub-range) is what keeps the durable set a
-     prefix of the linearization at all times. Must hold the lock. *)
+  (* ONE fenced Ops record in the calling process's engine log covering
+     the whole tail: one window of operations under one fence, as
+     Listing 3 writes it. Draining the whole tail (never a sub-range) is
+     what keeps the durable set a prefix of the linearization at all
+     times. Must hold the lock. *)
   let drain_locked t =
     match t.tail with
     | [] -> ()
     | tail ->
-        Coord.append t.coord
-          ~compact:(fun () -> ignore (compact_locked t))
-          (List.map (fun pd -> pd.p_sub) tail);
+        C.persist_staged t.obj (List.map (fun pd -> pd.p_staged) tail);
         Metrics.incr t.c_drains;
         (* fenced = durable: a drained op can never appear in lost_acked,
            so it leaves the ledger here *)
@@ -162,8 +134,9 @@ struct
      but the tail (including it) is drained before the ack, so it costs
      exactly the one fence of Theorem 5.1 and lazily covers every
      deferred predecessor (piggybacking). Relaxed: the ack is fence-free
-     unless it fills the risk budget. *)
-  let update_impl t ~strict ?budget op =
+     unless it fills the risk budget. [seq]: the caller's identity, as
+     for a detectable update. *)
+  let update_impl t ~strict ?seq ?budget op =
     (* validate before touching the lock, like {!attach} does: a bad
        argument is a recoverable caller error, never a wedged object *)
     let k =
@@ -176,16 +149,12 @@ struct
     in
     A.attributed t.ostats Onll_obs.Opstats.update_done (fun () ->
         Lock.with_lock t.lock (fun () ->
-            let seq = C.reserve_seq t.obj in
+            let seq = C.reserve_seq ?seq t.obj in
             let id = { Onll.id_proc = M.self (); id_seq = seq } in
-            let sub = { Onll_core.Coord_log.shard = 0; id; idx = -1; op } in
-            let st =
-              C.stage_txn t.obj ~seq
-                ~payload:(Onll_util.Codec.encode Drain.codec [ sub ])
-                op
-            in
-            let p_sub = { sub with idx = C.staged_idx st } in
-            t.tail <- t.tail @ [ { p_sub; p_at = now t; p_budget = k } ];
+            let st = C.stage_txn t.obj ~seq op in
+            t.tail <-
+              t.tail
+              @ [ { p_staged = st; p_id = id; p_at = now t; p_budget = k } ];
             let depth = List.length t.tail in
             if depth > t.peak then begin
               t.peak <- depth;
@@ -209,6 +178,9 @@ struct
   let update ?budget t op = update_impl t ~strict:false ?budget op
   let update_strict t op = update_impl t ~strict:true op
 
+  let update_detectable t ~seq op =
+    snd (update_impl t ~strict:true ~seq op)
+
   let read t op =
     (* Reads see the acked-volatile frontier — that is the relaxed
        contract. Still zero fences, zero shared writes. *)
@@ -228,25 +200,15 @@ struct
 
   (* {2 Recovery} *)
 
-  (* Hardened recovery: salvage the coordinator logs, recover the inner
-     object with the drained indices as the oracle, re-apply any drained
-     operation the rebuilt trace could not place (in staging order), then
-     settle the ledger: every at-risk ack (drained acks left the ledger
-     when fenced — they are durable by construction) is either
-     linearized now or named in [lost_acked]. The lost set is, by
-     construction, the unfenced suffix at the crash (minus anything an
-     incidental checkpoint saved). *)
+  (* Hardened recovery: the inner object's own, since every drain is one
+     of its records, then settle the ledger: every at-risk ack (drained
+     acks left the ledger when fenced — they are durable by
+     construction) is either linearized now or named in [lost_acked].
+     The lost set is, by construction, the unfenced suffix at the crash
+     (minus anything an incidental checkpoint saved). *)
   let recover_report t =
     Lock.release t.lock;
-    let failures = ref 0 in
-    let shards = [| t.obj |] in
-    let rc = Coord.recover t.coord shards ~failures in
-    let injected =
-      Coord.reapply shards
-        (List.stable_sort
-           (fun (a : _ Onll_core.Coord_log.sub) b -> Int.compare a.idx b.idx)
-           (List.concat rc.Coord.records))
-    in
+    let r = C.recover_report t.obj in
     let lost =
       Hashtbl.fold
         (fun id () acc ->
@@ -259,26 +221,21 @@ struct
     t.last_lost <- lost;
     t.tail <- [];
     Hashtbl.reset t.acked;
-    let r = Coord.report rc ~failures:!failures ~injected in
-    { r with Report.lost_acked = lost @ r.Report.lost_acked }
+    { r with Report.lost_acked = lost }
 
-  (* The calibration baseline: forgets the drain records and the ledger,
-     exactly the mistake the checker and the chaos audits must catch. *)
+  (* The calibration baseline: the inner object's unhardened recovery,
+     with the ledger forgotten — exactly the mistake the checker and the
+     chaos audits must catch. *)
   let recover_unhardened t =
     Lock.release t.lock;
     t.tail <- [];
     t.last_lost <- [];
     Hashtbl.reset t.acked;
-    C.recover_unhardened t.obj;
-    Coord.recover_unhardened t.coord
+    C.recover_unhardened t.obj
 
-  let scrub t = Coord.scrub t.coord (C.scrub t.obj)
+  let scrub t = C.scrub t.obj
   let degraded t = C.degraded t.obj
-
-  let snapshot t =
-    let s = C.snapshot t.obj in
-    let coord_logs = Coord.snapshot_rows t.coord in
-    { s with Onll.Snapshot.logs = s.Onll.Snapshot.logs @ coord_logs }
+  let snapshot t = C.snapshot t.obj
 end
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct

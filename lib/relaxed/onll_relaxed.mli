@@ -6,11 +6,14 @@
     update is acknowledged {b fence-free} into a volatile tail bounded by
     a {b risk budget} — at most [max_unfenced_ops] acked operations (and,
     with a clock, at most [max_unfenced_ns] of age) may be unfenced at
-    any moment. A single lazy fence (one CRC-framed drain record in the
-    coordinator log {!Onll_core.Coord_log}, which E19's commit records
-    share) drains the whole tail when the budget fills, when a strict
-    update piggybacks on it, or on an explicit {!Make_over.flush}.
-    Steady-state cost is therefore [1/k] fences per update instead of 1.
+    any moment. A single lazy fence drains the whole tail when the
+    budget fills, when a strict update piggybacks on it, or on an
+    explicit {!Make_over.flush}: one window of operations under one
+    fence, which is what Listing 3's [Ops] record already is, so a drain
+    is one such record in the draining process's own engine log, at the
+    operations' execution indices, and recovery adopts it like any
+    other. Steady-state cost is therefore [1/k] fences per update
+    instead of 1.
 
     What a crash may cost is exactly the budget: the unfenced {e suffix}
     of the linearization, never more, never an interior operation.
@@ -63,8 +66,8 @@ module Make_over
       be >= 1) is the risk budget k; [max_unfenced_ns] with [now_ns]
       adds an age bound checked lazily at operation boundaries (no
       background thread — an idle object holds its tail until the next
-      update or {!flush}). [cfg] sizes and names the per-process
-      coordinator logs ([<spec><suffix>.<n>.relaxcoord.<p>]). *)
+      update or {!flush}). [cfg] supplies the sink whose registry takes
+      the wrapper's counters. *)
 
   val update :
     ?budget:int -> t -> S.update_op -> Onll_core.Onll.op_id * S.value
@@ -79,6 +82,15 @@ module Make_over
   (** Classic durable-linearizability ack: exactly one fence (the
       Theorem 5.1 cost), which also drains every deferred predecessor —
       the piggybacked lazy fence. *)
+
+  val update_detectable : t -> seq:int -> S.update_op -> S.value
+  (** {!update_strict} under the caller's sequence number, so the caller
+      can ask {!was_linearized} about this exact operation after a crash
+      ({!Onll_core.Onll.CONSTRUCTION.update_detectable}). It drains the
+      tail under the same lock that orders it, so no other process's
+      fence-free ack can land below it unfenced.
+      @raise Invalid_argument if the sequence number is not above every
+      one the process used *)
 
   val read : t -> S.read_op -> S.value
   (** Zero fences. Sees the acked-volatile frontier: that is the relaxed
@@ -97,24 +109,22 @@ module Make_over
   (** Deepest tail ever observed; never exceeds the effective budget. *)
 
   val checkpoint : t -> int
-  (** The wrapper's one compaction, which a drain's full-log retry runs
-      too: compact the inner object (its checkpoint covers the tail,
-      since acked operations are available), drop every drain record and
-      clear the tail. Returns the summarised index. *)
+  (** The wrapper's one compaction: compact the inner object (its
+      checkpoint covers the tail, since acked operations are available)
+      and clear the tail. Returns the summarised index. *)
 
   val recover_report : t -> Report.t
-  (** Hardened recovery: the coordinator log's
-      ({!Onll_core.Coord_log}) — the inner object recovered with the
-      drain records as its oracle, stranded drained operations re-applied
-      exactly once in staging order — then the acknowledgement ledger
-      settled: every operation acked since the last recovery is either
-      linearized in the rebuilt state or listed in [lost_acked], which is
-      always the unfenced suffix at the crash, at most the budget deep
-      (minus operations an incidental checkpoint made durable). *)
+  (** Hardened recovery: the inner object's own
+      ({!Onll_core.Onll.CONSTRUCTION.recover_report}), which adopts every
+      drain record, then the acknowledgement ledger settled: every
+      operation acked since the last recovery is either linearized in
+      the rebuilt state or listed in [lost_acked], which is always the
+      unfenced suffix at the crash, at most the budget deep (minus
+      operations an incidental checkpoint made durable). *)
 
   val recover_unhardened : t -> unit
-  (** Calibration baseline: ignores drain records and the ledger.
-      Silently loses drained (fenced!) operations and reports no
+  (** Calibration baseline: the inner object's unhardened recovery, with
+      the ledger ignored. Silently loses the unfenced tail and reports no
       [lost_acked] — the behaviour the E20 chaos campaign and the
       buffered checker must catch. *)
 

@@ -160,19 +160,14 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         {
           (over (module C) inner) with
           update = (fun op -> snd (R.update r op));
-          update_detectable =
-            (fun ~seq op ->
-              (* an exactly-once update fences its own fuzzy window,
-                 which skips the acked-available tail: earlier staleness
-                 acks go durable first, or a crash would lose an interior
-                 operation. Free when the tail is empty. *)
-              R.flush r;
-              C.update_detectable inner ~seq op);
+          (* the wrapper's strict update under the caller's seq: it
+             drains the staleness tail under the lock that orders it,
+             so the tail stays a suffix of the linearization *)
+          update_detectable = R.update_detectable r;
           recover_report = (fun () -> R.recover_report r);
           recover_unhardened = (fun () -> R.recover_unhardened r);
-          scrub = (fun () -> ignore (R.scrub r));
           (* the wrapper's one compaction: the inner object's, which
-             covers the tail, then the drain records it makes redundant *)
+             covers the tail *)
           compact = (fun () -> ignore (R.checkpoint r : int));
           relaxed =
             Some

@@ -87,8 +87,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             one then was not) *)
     update_detectable : seq:int -> S.update_op -> S.value;
         (** the front's detectable update, under a caller-chosen sequence
-            number; over the relaxed front it first drains the staleness
-            tail, so the tail stays a suffix of the linearization. On a
+            number; over the relaxed front, the wrapper's strict update,
+            which drains the staleness tail under the lock that orders
+            it, so the tail stays a suffix of the linearization. On a
             session stack, the calling process's tracked update.
             @raise Invalid_argument if the sequence number is not above
             every one the process used *)
@@ -112,7 +113,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
         (** {!Onll_core.Onll.CONSTRUCTION.compact} of the calling
             process's logs (over the relaxed front, the wrapper's
             checkpoint: the inner compaction, which covers the tail, then
-            the drain records dropped) *)
+            the tail cleared) *)
     relaxed : relaxed option;
         (** [Some] over a direct relaxed front. Under a session it is
             [None]: every update there is an exactly-once submission,

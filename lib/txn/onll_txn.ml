@@ -18,47 +18,41 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   (* {2 The commit record}
 
-     One CRC-framed entry in the coordinator's log
-     ({!Onll_core.Coord_log}): the transaction id plus every sub-operation
-     with its shard, per-shard identity and the execution index it was
-     staged at. The staged payload carried by in-trace envelopes is the
-     same encoding with indices -1 (unknown at staging time); recovery
-     never needs indices from helper-carried payloads — helper-committed
-     sub-operations are log-resident. *)
+     One CRC-framed entry in the coordinator's own log region: the
+     transaction id plus every sub-operation with its shard, per-shard
+     identity and the execution index it was staged at, which recovery
+     feeds to {!Onll.TXN_CAPABLE.recover_txn} as the oracle. The staged
+     payload carried by in-trace envelopes is the same encoding with
+     indices -1 (unknown at staging time); recovery never needs indices
+     from helper-carried payloads — helper-committed sub-operations are
+     log-resident. *)
 
-  type sub = S.update_op Onll_core.Coord_log.sub
+  type sub = { shard : int; id : Onll.op_id; idx : int; op : S.update_op }
   type commit = { cm_proc : int; cm_seq : int; cm_subs : sub list }
 
-  module Commit = struct
-    type t = commit
-
-    let kind = "txncoord"
-
-    let codec =
-      let open Onll_util.Codec in
-      let sub =
-        map
-          (fun ((shard, id_proc, id_seq), (idx, op)) ->
-            let id = { Onll.id_proc; id_seq } in
-            { Onll_core.Coord_log.shard; id; idx; op })
-          (fun { Onll_core.Coord_log.shard; id; idx; op } ->
-            ((shard, id.Onll.id_proc, id.Onll.id_seq), (idx, op)))
-          (pair (triple int int int) (pair int S.update_codec))
-      in
+  let commit_codec =
+    let open Onll_util.Codec in
+    let sub =
       map
-        (fun ((cm_proc, cm_seq), cm_subs) -> { cm_proc; cm_seq; cm_subs })
-        (fun { cm_proc; cm_seq; cm_subs } -> ((cm_proc, cm_seq), cm_subs))
-        (pair (pair int int) (list sub))
+        (fun ((shard, id_proc, id_seq), (idx, op)) ->
+          { shard; id = { Onll.id_proc; id_seq }; idx; op })
+        (fun { shard; id; idx; op } ->
+          ((shard, id.Onll.id_proc, id.Onll.id_seq), (idx, op)))
+        (pair (triple int int int) (pair int S.update_codec))
+    in
+    map
+      (fun ((cm_proc, cm_seq), cm_subs) -> { cm_proc; cm_seq; cm_subs })
+      (fun { cm_proc; cm_seq; cm_subs } -> ((cm_proc, cm_seq), cm_subs))
+      (pair (pair int int) (list sub))
 
-    let subs cm = cm.cm_subs
-  end
-
-  module Coord = Onll_core.Coord_log.Make (M) (S) (C) (Commit)
+  module L = Onll_plog.Plog.Make (M)
 
   type t = {
     sh : Sh.t;
     n : int;
-    coord : Coord.t;  (** per process; the transaction durability point *)
+    coord : L.t array;
+        (** per process: the coordinator's own region, the transaction
+            durability point *)
     txn_seqs : int array;  (** next per-process txn sequence; owner-only *)
     committed : (txn_id, sub list) Hashtbl.t;
         (** txn id -> sub-operations; live submissions plus whatever the
@@ -74,8 +68,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     c_swept : Metrics.counter;
   }
 
+  let instances = ref 0
+
   let make ~shards cfg =
     let sink = cfg.Onll.Config.sink in
+    let n = !instances in
+    incr instances;
     let reg =
       if Onll_obs.Sink.active sink then Onll_obs.Sink.registry sink
       else Metrics.create ()
@@ -83,7 +81,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     {
       sh = Sh.make ~shards cfg;
       n = shards;
-      coord = Coord.create cfg;
+      coord =
+        Array.init M.max_processes (fun p ->
+            L.create ~sink ~replicas:cfg.Onll.Config.replicas
+              ~name:
+                (Printf.sprintf "%s%s.%d.txncoord.%d" S.name
+                   cfg.Onll.Config.region_suffix n p)
+              ~capacity:cfg.Onll.Config.log_capacity ());
       txn_seqs = Array.make M.max_processes 0;
       committed = Hashtbl.create 32;
       applied = Hashtbl.create 32;
@@ -118,7 +122,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     Hashtbl.fold (fun id _ acc -> id :: acc) t.committed []
     |> List.sort compare
 
-  let coordinator_entries t = Coord.entries t.coord
+  let coordinator_entries t =
+    Array.fold_left (fun acc l -> acc + L.entry_count l) 0 t.coord
 
   (* {2 Reclamation} *)
 
@@ -127,18 +132,37 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
      checkpoint-summarised (-1) or at an index at or below its shard's
      fresh checkpoint. Commit records the applied table does not vouch
      for — another process's in-flight transaction — stop the prefix. *)
+  let covered t uptos cm =
+    match
+      Hashtbl.find_opt t.applied { txn_proc = cm.cm_proc; txn_seq = cm.cm_seq }
+    with
+    | None -> false
+    | Some placed ->
+        List.for_all
+          (fun (shard, idx) -> idx = -1 || idx <= uptos.(shard))
+          placed
+
   let compact t =
     let uptos = Array.init t.n (fun i -> C.compact (Sh.shard t.sh i)) in
-    Coord.trim t.coord ~covered:(fun cm ->
-        match
-          Hashtbl.find_opt t.applied
-            { txn_proc = cm.cm_proc; txn_seq = cm.cm_seq }
-        with
-        | None -> false
-        | Some placed ->
-            List.for_all
-              (fun (shard, idx) -> idx = -1 || idx <= uptos.(shard))
-              placed)
+    Array.iter
+      (fun log ->
+        (* a record that does not decode stops the prefix *)
+        let rec count n = function
+          | e :: rest when
+              (match Onll_util.Codec.decode commit_codec e with
+              | cm -> covered t uptos cm
+              | exception _ -> false) ->
+              count (n + 1) rest
+          | _ -> n
+        in
+        let n = count 0 (L.entries log) in
+        if n > 0 then begin
+          L.set_head log n;
+          (* set_head only advances the head pointer; relocating
+             physically reclaims the dead pre-head bytes for appends *)
+          L.relocate log
+        end)
+      t.coord
 
   (* {2 The commit path} *)
 
@@ -152,19 +176,14 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
             (fun op ->
               let shard = Sh.shard_of_update t.sh op in
               let id_seq = C.reserve_seq (Sh.shard t.sh shard) in
-              {
-                Onll_core.Coord_log.shard;
-                id = { Onll.id_proc = p; id_seq };
-                idx = -1;
-                op;
-              })
+              { shard; id = { Onll.id_proc = p; id_seq }; idx = -1; op })
             ops
         in
         (* Stage (order): insert each sub-operation, unavailable, tagged
            with the payload — from here on, any helper that persists one
            of these nodes durably commits the whole transaction. *)
         let payload0 =
-          Onll_util.Codec.encode Commit.codec
+          Onll_util.Codec.encode commit_codec
             { cm_proc = p; cm_seq = id.txn_seq; cm_subs = subs }
         in
         let staged =
@@ -179,11 +198,19 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
             subs
         in
         (* Commit: ONE fenced append in the coordinator's own region —
-           the transaction's durability point. *)
+           the transaction's durability point. A full log compacts and
+           retries once; still full is terminal. *)
         let subs = List.map fst staged in
-        Coord.append t.coord
-          ~compact:(fun () -> compact t)
-          { cm_proc = p; cm_seq = id.txn_seq; cm_subs = subs };
+        let log = t.coord.(M.self ()) in
+        let record =
+          Onll_util.Codec.encode commit_codec
+            { cm_proc = p; cm_seq = id.txn_seq; cm_subs = subs }
+        in
+        (try L.append log record
+         with Onll_plog.Plog.Full -> (
+           compact t;
+           try L.append log record
+           with Onll_plog.Plog.Full -> raise (Onll.Log_full (L.name log))));
         Hashtbl.replace t.committed id subs;
         Hashtbl.replace t.applied id
           (List.map (fun (sub : sub) -> (sub.shard, sub.idx)) subs);
@@ -239,15 +266,36 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     Array.fill t.txn_seqs 0 M.max_processes 0;
     let failures = ref 0 in
     let shards = Array.init t.n (Sh.shard t.sh) in
-    (* 1-2. Coordinator logs: salvage, then the committed set C1; then
+    (* 1-2. Coordinator logs: salvage and decode (an undecodable record
+       is counted in [failures] and skipped), the committed set C1; then
        per-shard recovery with C1's staged indices as the oracle. *)
-    let rc = Coord.recover t.coord shards ~failures in
+    let recovered = Array.map L.recover t.coord in
+    let salvage =
+      Array.to_list
+        (Array.map2 (fun l (r, _) -> (L.name l, r)) t.coord recovered)
+    in
     if
       List.exists
         (fun (_, s) -> s.Onll_plog.Plog.quarantined_spans > 0)
-        rc.Coord.salvage
+        salvage
     then t.c_degraded <- true;
-    let c1 = rc.Coord.records in
+    let c1 =
+      Array.to_list recovered
+      |> List.concat_map (fun (_, payloads) ->
+             Onll_util.Codec.decode_tolerant commit_codec ~failures payloads)
+    in
+    let extras = Array.make t.n [] in
+    List.iter
+      (fun cm ->
+        List.iter
+          (fun s -> extras.(s.shard) <- (s.idx, s.id, s.op) :: extras.(s.shard))
+          cm.cm_subs)
+      c1;
+    let reports =
+      Array.mapi
+        (fun i c -> C.recover_txn c ~extra:(List.rev extras.(i)))
+        shards
+    in
     (* 3. Helper-committed transactions: payloads found riding in shard
        logs (C2), deduplicated against C1 and each other. *)
     let seen = Hashtbl.create 16 in
@@ -257,9 +305,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     in
     List.iter (fun cm -> ignore (first cm)) c1;
     let c2 =
-      Array.to_list rc.Coord.shards
+      Array.to_list reports
       |> List.concat_map snd
-      |> Onll_util.Codec.decode_tolerant Commit.codec ~failures
+      |> Onll_util.Codec.decode_tolerant commit_codec ~failures
       |> List.filter first
       |> List.sort (fun a b ->
              compare (a.cm_proc, a.cm_seq) (b.cm_proc, b.cm_seq))
@@ -275,9 +323,31 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
           t.txn_seqs.(cm.cm_proc) <- cm.cm_seq + 1)
       all;
     (* 5. The sweep: every committed sub-operation the rebuilt traces do
-       not contain is re-applied exactly-once and made durable. *)
+       not contain is re-applied once (keyed by shard and identity), in
+       commit order, and made durable by one fenced run per shard in the
+       calling process's log. *)
+    let swept = Hashtbl.create 16 in
+    let missing = Array.make t.n [] in
+    List.iter
+      (fun cm ->
+        List.iter
+          (fun s ->
+            if
+              not
+                (Hashtbl.mem swept (s.shard, s.id)
+                || C.was_linearized shards.(s.shard) s.id)
+            then begin
+              Hashtbl.replace swept (s.shard, s.id) ();
+              missing.(s.shard) <- (s.id, s.op) :: missing.(s.shard)
+            end)
+          cm.cm_subs)
+      all;
     let injected =
-      Coord.reapply shards (List.concat_map (fun cm -> cm.cm_subs) all)
+      Array.fold_left ( + ) 0
+        (Array.mapi
+           (fun i run ->
+             List.length (C.inject_txn_run shards.(i) (List.rev run)))
+           missing)
     in
     Metrics.add t.c_swept injected;
     (* 6. Applied indices, for coordinator truncation. A committed sub
@@ -298,8 +368,18 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
                    (Hashtbl.find_opt maps.(sub.shard) sub.id) ))
              subs))
       t.committed;
-    (* 7. Composed report: shards as Onll_sharded composes them. *)
-    Coord.report rc ~failures:!failures ~injected
+    (* 7. Composed report: shards as Onll_sharded composes them, the
+       coordinator salvage first, undecodable records as decode failures
+       and re-applies as recovered operations. *)
+    let r =
+      Onll.Recovery_report.merge (Array.to_list (Array.map fst reports))
+    in
+    {
+      r with
+      recovered_ops = r.recovered_ops + injected;
+      decode_failures = r.decode_failures + !failures;
+      salvage = salvage @ r.salvage;
+    }
 
   let recover t = Onll.Recovery_report.check (recover_report t)
 
@@ -307,10 +387,14 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     Hashtbl.reset t.committed;
     Hashtbl.reset t.applied;
     Sh.recover_unhardened t.sh;
-    Coord.recover_unhardened t.coord
+    Array.iter L.recover_unhardened t.coord
 
   let scrub t =
-    let r = Coord.scrub t.coord (Sh.scrub t.sh) in
+    let r =
+      Array.fold_left
+        (fun acc l -> Onll_plog.Plog.add_scrub acc (L.scrub l))
+        (Sh.scrub t.sh) t.coord
+    in
     if r.Onll_plog.Plog.unrepairable_spans > 0 then t.c_degraded <- true;
     r
 
@@ -320,7 +404,29 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     let s = Sh.snapshot t.sh in
     {
       s with
-      Onll.Snapshot.logs = s.Onll.Snapshot.logs @ Coord.snapshot_rows t.coord;
+      Onll.Snapshot.logs =
+        s.Onll.Snapshot.logs
+        @ Array.to_list
+            (Array.map
+               (fun l ->
+                 (* a record that does not decode counts 0
+                    sub-operations, as recovery adopted none from it *)
+                 let ops_per_entry =
+                   List.map
+                     (fun e ->
+                       match Onll_util.Codec.decode commit_codec e with
+                       | cm -> List.length cm.cm_subs
+                       | exception _ -> 0)
+                     (L.entries l)
+                 in
+                 {
+                   Onll.Snapshot.log_name = L.name l;
+                   live_bytes = L.live_bytes l;
+                   used_bytes = L.used_bytes l;
+                   entry_count = List.length ops_per_entry;
+                   ops_per_entry;
+                 })
+               t.coord);
       degraded = s.Onll.Snapshot.degraded || t.c_degraded;
     }
 end

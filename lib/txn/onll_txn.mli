@@ -31,8 +31,7 @@
     + {b finish} (linearize): each staged node is set available and its
       return value computed from the trace prefix. No further fences.
 
-    Recovery composes, through the coordinator log {!Onll_core.Coord_log}
-    that E20's drain records share: coordinator logs are salvaged and
+    Recovery composes: coordinator logs are salvaged and
     decoded first (the {e sweep} precedes any new submission); each shard
     then recovers with the committed transactions as an oracle, so a
     sub-operation whose only durable copy is the commit record is

@@ -43,10 +43,12 @@
     subsets), where fenced drain records never vanish.
 
     The calibration arm re-runs the same plans against
-    {!Onll_relaxed.Make.recover_unhardened} (drain records and the
-    acknowledgement ledger both ignored): fenced, drained operations
-    vanish with nothing admitted, and the audits — and on checked
-    windows the buffered checker — {e must} flag it. *)
+    {!Onll_relaxed.Make.recover_unhardened} (the engine's truncating
+    recovery, the acknowledgement ledger ignored): the unfenced tail
+    vanishes with nothing admitted, and the audits — and on checked
+    windows the buffered checker — {e must} flag it. A crash that hit an
+    empty tail loses nothing, so only crashes that cut acknowledged
+    operations are caught. *)
 
 module Kv = Onll_specs.Kv
 module Report = Onll_core.Onll.Recovery_report
@@ -82,10 +84,11 @@ let plan_of_seed seed =
     checked = n_procs = 1 && updates_per_proc <= 6;
   }
 
-(* The mirrored arm: object and coordinator logs two-way replicated, all
-   copies drained under the same lazy fences. The invariants are
-   identical; what is being checked is that mirroring composes with the
-   deferred-drain protocol without widening the loss window. *)
+(* The mirrored arm: the object's logs, drain records included, two-way
+   replicated, all copies written under the same lazy fences. The
+   invariants are identical; what is being checked is that mirroring
+   composes with the deferred-drain protocol without widening the loss
+   window. *)
 let mirrored_plan_of_seed seed = { (plan_of_seed seed) with replicas = 2 }
 
 let n_keys = 3

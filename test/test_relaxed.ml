@@ -176,61 +176,47 @@ let test_checkpoint_covers_the_tail () =
   check Alcotest.int "nothing lost" 0 (List.length r.Report.lost_acked);
   check Alcotest.int "summarised ops survive" 3 (R.read obj Cs.Get)
 
-(* {1 The re-apply sweep}
+(* {1 A drain is an engine record}
 
-   Over the serve stack a second update path shares the inner object:
-   [update_detectable] runs beside the wrapper, as [Onll_stack] builds
-   it. Process 1 stages its update at index 1 and is crashed before its
-   fence; process 0's strict update is staged at index 2 and drained.
-   Index 1 is gone, so the drain record's oracle cannot place the drained
-   operation in place: the sweep must re-apply it, exactly once. *)
+   The tail drains as one Ops record in the draining process's own
+   engine log, at the operations' execution indices, so the inner
+   object's own recovery — no oracle, no wrapper — adopts every drained
+   operation, and the object has no region besides its engine logs. *)
 
-let test_sweep_reapplies_a_stranded_drain () =
-  let sim = Sim.create ~max_processes:2 () in
+let test_drains_are_engine_records () =
+  let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module C = Onll_core.Onll.Make (M) (Cs) in
-  let module R = Onll_relaxed.Make_over (M) (Cs) (C) in
-  let inner = C.make default in
-  let obj = R.attach default inner in
-  let drained = ref None in
-  let strategy =
-    Sched.Strategy.(
-      script
-        [
-          Run_until (1, fun l -> l = Sched.Pfence);
-          Run_to_completion 0;
-          Crash_here;
-        ])
-  in
-  (match
-     Sim.run sim strategy
-       [|
-         (fun _ -> drained := Some (fst (R.update_strict obj Cs.Increment)));
-         (fun _ -> ignore (C.update_detectable inner ~seq:0 Cs.Increment));
-       |]
-   with
-  | Sched.World.Crashed -> ()
-  | _ -> Alcotest.fail "the crash did not land");
-  let drained = Option.get !drained in
-  check Alcotest.int "drained at index 2, above the crashed update" 2
-    (R.snapshot obj).Onll_core.Onll.Snapshot.latest_available_idx;
-  let r = R.recover_report obj in
-  check Alcotest.int "re-applied once" 1 r.Report.recovered_ops;
-  check Alcotest.(list int) "at the first free index" [ 1 ]
-    (List.map snd (C.recovered_ops inner));
-  check Alcotest.int "applied exactly once" 1 (R.read obj Cs.Get);
-  check Alcotest.bool "the drained op is linearized" true
-    (R.was_linearized obj drained);
-  check Alcotest.bool "the crashed op is not" false
-    (R.was_linearized obj { Onll_core.Onll.id_proc = 1; id_seq = 0 });
+  let module R = Onll_relaxed.Make (M) (Cs) in
+  let obj = R.make ~max_unfenced_ops:4 default in
+  let ids = ref [] in
+  run1 sim (fun _ ->
+      for _ = 1 to 8 do
+        ids := fst (R.update obj Cs.Increment) :: !ids
+      done);
+  check Alcotest.int "two full drains, nothing at risk" 0 (R.pending_ops obj);
+  let logs = (R.snapshot obj).Onll_core.Onll.Snapshot.logs in
+  check
+    Alcotest.(list (list int))
+    "one engine log, one record per drain" [ [ 4; 4 ] ]
+    (List.map (fun l -> l.Onll_core.Onll.Snapshot.ops_per_entry) logs);
+  check Alcotest.bool "every log is an engine log" true
+    (List.for_all
+       (fun l ->
+         List.mem "plog"
+           (String.split_on_char '.' l.Onll_core.Onll.Snapshot.log_name))
+       logs);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
-  let r = R.recover_report obj in
-  check Alcotest.bool "a second recovery is clean" true (Report.clean r);
-  check Alcotest.int "and re-applies nothing" 1 r.Report.recovered_ops;
-  check Alcotest.int "the value holds" 1 (R.read obj Cs.Get);
-  check Alcotest.bool "the drained op stays linearized" true
-    (R.was_linearized obj drained)
+  let inner = R.inner obj in
+  let r = R.C.recover_report inner in
+  check Alcotest.bool "the inner recovery is clean" true (Report.clean r);
+  check Alcotest.int "and adopts every drained op" 8 r.Report.recovered_ops;
+  List.iter
+    (fun id ->
+      check Alcotest.bool "drained op linearized" true
+        (R.C.was_linearized inner id))
+    !ids;
+  run1 sim (fun _ -> check Alcotest.int "value" 8 (R.C.read inner Cs.Get))
 
 (* {1 Recoverable faults release the lock}
 
@@ -274,6 +260,46 @@ let test_escaping_fault_releases_lock () =
       R.flush obj;
       check Alcotest.int "flush still drains" 0 (R.pending_ops obj))
 
+(* A strict update whose drain failed stays staged, unavailable, in the
+   tail. A checkpoint then cannot cover it (it summarises up to the
+   newest available operation), so the op stays in the tail and the next
+   drain writes it, below the op that counted it. *)
+let test_failed_drain_survives_a_checkpoint () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module R = Onll_relaxed.Make (M) (Cs) in
+  let obj = R.make ~max_unfenced_ops:4 default in
+  let storm =
+    Onll_faults.Faults.install (Sim.memory sim)
+      {
+        Onll_faults.Faults.Plan.none with
+        seed = 7;
+        flush_fail_prob = 1.0;
+        max_consecutive_transients = 1_000_000;
+      }
+  in
+  ignore
+    (Sim.run ~max_steps:200_000 sim Sched.Strategy.round_robin
+       [|
+         (fun _ ->
+           match R.update_strict obj Cs.Increment with
+           | _ -> Alcotest.fail "the storm never bit"
+           | exception Onll_nvm.Memory.Transient_fault _ -> ());
+       |]
+      : Sched.World.outcome);
+  Onll_faults.Faults.remove storm;
+  run1 sim (fun _ ->
+      ignore (R.checkpoint obj);
+      check Alcotest.int "the failed op stays in the tail" 1
+        (R.pending_ops obj);
+      let _, v = R.update_strict obj Cs.Increment in
+      check Alcotest.int "and counts first" 2 v);
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  let r = R.recover_report obj in
+  check Alcotest.bool "clean" true (Report.clean r);
+  check Alcotest.int "both survive" 2 (R.read obj Cs.Get)
+
 let test_bad_budget_is_recoverable () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
@@ -296,22 +322,21 @@ let test_unhardened_recovery_loses_silently () =
   let obj = R.make ~max_unfenced_ops:2 default in
   let ids = ref [] in
   run1 sim (fun _ ->
-      for _ = 1 to 2 do
+      for _ = 1 to 3 do
         ids := fst (R.update obj Cs.Increment) :: !ids
       done);
-  check Alcotest.int "drained (durable) at depth 2" 0 (R.pending_ops obj);
+  check Alcotest.int "drained at depth 2, one ack at risk" 1
+    (R.pending_ops obj);
   Onll_nvm.Memory.crash (Sim.memory sim)
     ~policy:Onll_nvm.Crash_policy.Drop_all;
   R.recover_unhardened obj;
-  (* both acks were fenced, yet the unhardened path forgets the drain
-     records — and admits nothing *)
-  check Alcotest.int "drained acks silently gone" 0 (R.read obj Cs.Get);
+  (* the drained pair is durable, but the unfenced ack is gone — and the
+     unhardened path, with the ledger forgotten, admits nothing *)
+  check Alcotest.int "the unfenced ack silently gone" 2 (R.read obj Cs.Get);
   check Alcotest.(list int) "and no loss admitted" []
     (List.map (fun id -> id.Onll_core.Onll.id_seq) (R.lost_acked obj));
-  List.iter
-    (fun id ->
-      check Alcotest.bool "not linearized" false (R.was_linearized obj id))
-    !ids
+  check Alcotest.bool "not linearized" false
+    (R.was_linearized obj (List.hd !ids))
 
 (* {1 The checker dual closes the loop on a real history} *)
 
@@ -401,10 +426,10 @@ let () =
           Alcotest.test_case "E20 campaign slice: clean, calibration caught"
             `Quick test_e20_campaign_slice;
         ] );
-      ( "re-apply sweep",
+      ( "drain records",
         [
-          Alcotest.test_case "a stranded drain is re-applied once" `Quick
-            test_sweep_reapplies_a_stranded_drain;
+          Alcotest.test_case "the inner recovery adopts every drain" `Quick
+            test_drains_are_engine_records;
         ] );
       ( "fault containment",
         [
@@ -412,6 +437,8 @@ let () =
             test_escaping_fault_releases_lock;
           Alcotest.test_case "bad budget is recoverable" `Quick
             test_bad_budget_is_recoverable;
+          Alcotest.test_case "a failed drain survives a checkpoint" `Quick
+            test_failed_drain_survives_a_checkpoint;
         ] );
       ( "checker",
         [

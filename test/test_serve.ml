@@ -734,8 +734,7 @@ let test_failed_op_durable_before_hello () =
         flush_fail_prob = 1.0;
         max_consecutive_transients = 1_000_000;
         target =
-          (fun region ->
-            List.mem "relaxcoord" (String.split_on_char '.' region));
+          (fun region -> List.mem "plog" (String.split_on_char '.' region));
       }
   in
   check Alcotest.bool "A's drain fails: indeterminate" true
@@ -828,8 +827,7 @@ let test_resubmit_after_a_pending_op () =
             max_consecutive_transients = 1_000_000;
             target =
               (fun region ->
-                let parts = String.split_on_char '.' region in
-                List.mem "plog" parts || List.mem "relaxcoord" parts);
+                List.mem "plog" (String.split_on_char '.' region));
           }
       in
       check Alcotest.bool (name ^ ": A's second op is indeterminate") true
@@ -901,8 +899,7 @@ let test_unresolved_hello () =
             max_consecutive_transients = 1_000_000;
             target =
               (fun region ->
-                let parts = String.split_on_char '.' region in
-                List.mem "plog" parts || List.mem "relaxcoord" parts);
+                List.mem "plog" (String.split_on_char '.' region));
           }
       in
       check Alcotest.bool (name ^ ": A's second op is indeterminate") true

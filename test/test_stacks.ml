@@ -118,12 +118,13 @@ let concurrent stack () =
    [update_detectable], first drains its staleness tail, or a crash after
    it would keep the exactly-once update and lose an earlier staleness
    ack — an interior operation, not a suffix. *)
+let front_of stack =
+  match stack.Onll_stack.top with
+  | Onll_stack.Session f -> f
+  | _ -> invalid_arg "seam: not a session stack"
+
 let seam stack () =
-  let front =
-    match stack.Onll_stack.top with
-    | Onll_stack.Session f -> f
-    | _ -> invalid_arg "seam: not a session stack"
-  in
+  let front = front_of stack in
   let module Cs = Onll_specs.Counter in
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
@@ -152,6 +153,55 @@ let seam stack () =
       check Alcotest.int "both acknowledged updates survive" 2
         (o.B.read Cs.Get))
 
+(* The same seam under two processes: p0's detectable updates against
+   p1's staleness acks, crashed at a swept step. A staleness ack that
+   lands below a detectable update without being drained with it is lost
+   in the crash, and the detectable update above that gap with it. *)
+let seam_two_procs stack () =
+  let front = front_of stack in
+  let module Cs = Onll_specs.Counter in
+  for seed = 0 to 99 do
+    let sim = Sim.create ~max_processes:2 () in
+    let module M = (val Sim.machine sim) in
+    let module B = Onll_stack.Make (M) (Cs) in
+    let o =
+      B.build
+        { stack with top = Onll_stack.Direct front }
+        Onll_core.Onll.Config.default
+    in
+    let r = Option.get o.B.relaxed in
+    let returned = ref [] in
+    ignore
+      (Sim.run sim
+         (Onll_sched.Sched.Strategy.random_with_crash ~seed
+            ~crash_at_step:(50 + (37 * seed mod 900)))
+         [|
+           (fun _ ->
+             for seq = 0 to 5 do
+               ignore (o.B.update_detectable ~seq Cs.Increment);
+               returned := seq :: !returned
+             done);
+           (fun _ ->
+             for _ = 1 to 41 do
+               ignore (r.B.update_stale ~budget:8 Cs.Increment)
+             done);
+         |]
+        : Onll_sched.Sched.World.outcome);
+    Onll_nvm.Memory.crash (Sim.memory sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all;
+    ignore (o.B.recover_report ());
+    List.iter
+      (fun id_seq ->
+        if
+          not
+            (o.B.was_linearized Cs.Increment
+               { Onll_core.Onll.id_proc = 0; id_seq })
+        then
+          Alcotest.failf "seed %d: returned detectable update %d was lost"
+            seed id_seq)
+      !returned
+  done
+
 let cases name stack =
   let label = Format.asprintf "%s%a" name Onll_stack.pp stack in
   [
@@ -177,4 +227,16 @@ let () =
           test_legal_reaches_every_constructor
         :: List.concat_map (cases "") Onll_stack.legal );
       ("served", served);
+      (* its own group, so the cases above keep their numbers *)
+      ( "seam",
+        List.filter_map
+          (fun stack ->
+            match stack.Onll_stack.top with
+            | Onll_stack.Session (Onll_stack.Relaxed _) ->
+                Some
+                  (Alcotest.test_case
+                     (Format.asprintf "%a, 2 procs" Onll_stack.pp stack)
+                     `Quick (seam_two_procs stack))
+            | _ -> None)
+          Onll_stack.legal );
     ]
