@@ -41,7 +41,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     applied : (Onll.op_id, int) Hashtbl.t;
         (** id -> execution index for every durable operation above the
             base floors; leader-owned writes *)
-    mutable recovered : (Onll.op_id, int) Hashtbl.t;
+    mutable recovered : Record_log.Recovered.t;
         (** rebuilt by recovery *)
     mutable batches : int;  (** batch fences paid since build/recovery *)
     mutable batched_ops : int;  (** updates those fences covered *)
@@ -75,7 +75,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       base = (0, initial_istate ());
       hist = [];
       applied = Hashtbl.create 64;
-      recovered = Hashtbl.create 64;
+      recovered = Record_log.Recovered.create 0;
       batches = 0;
       batched_ops = 0;
       max_occupancy = 0;
@@ -126,10 +126,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         upto)
       (checkpoint_body t ~worth)
 
-  (* Compacting first when the log says so ([Plog.append_compacting]). *)
-  let append_record t payload =
+  (* Compacting first when the log says so ([Plog.append_compacting]).
+     [exec_idx] is the record's drop key ([record_key]). *)
+  let append_record t ~exec_idx payload =
     typed_full t.log (fun () ->
-        L.append_compacting t.log
+        L.append_compacting ~key:exec_idx t.log
           ~compact:(fun ~worth -> ignore (compact_body t ~worth))
           payload)
 
@@ -148,12 +149,11 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       let start_idx = t.next_idx in
       (* the batch in slot order takes indices ascending from [start_idx];
          its record lists them newest first *)
-      let payload =
-        encode_ops ~exec_idx:(start_idx + k - 1) (List.map snd !requests)
-      in
+      let exec_idx = start_idx + k - 1 in
+      let payload = encode_ops ~exec_idx (List.map snd !requests) in
       (* One persistent fence covers the whole batch (and, with replicated
          logs, every replica's copy of it — Plog drains them together). *)
-      append_record t payload;
+      append_record t ~exec_idx payload;
       t.batches <- t.batches + 1;
       t.batched_ops <- t.batched_ops + k;
       if k > t.max_occupancy then t.max_occupancy <- k;
@@ -294,9 +294,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 Detectable execution} *)
 
-  let recovered_ops t = by_index t.recovered
+  let recovered_ops t = Record_log.Recovered.by_index t.recovered
 
-  let was_linearized t id = linearized t.applied id ~base:(fun () -> snd t.base)
+  let was_linearized t id =
+    linearized ~mem:(Hashtbl.mem t.applied) id ~base:(fun () -> snd t.base)
 
   (* {2 §8: checkpointing and compaction} *)
 

@@ -151,7 +151,7 @@ module Make_generic
     failed : (envelope, istate) T.node option array;
         (** per process: its node whose persist a transient fault cut
             short, finished by the process's next update; owner-only *)
-    mutable recovered : (op_id, int) Hashtbl.t;
+    mutable recovered : Recovered.t;
         (** op id -> execution index, rebuilt by recovery *)
     mutable max_fuzzy : int;
         (** largest fuzzy window observed at any persist step (Prop 5.2
@@ -183,7 +183,7 @@ module Make_generic
       prev_views = Array.make M.max_processes None;
       use_views = cfg.Config.local_views;
       failed = Array.make M.max_processes None;
-      recovered = Hashtbl.create 64;
+      recovered = Recovered.create 0;
       max_fuzzy = 0;
       degraded = false;
       ostats = Onll_obs.Opstats.make sink;
@@ -197,26 +197,27 @@ module Make_generic
 
   (* State of the object at [node] (after applying node's operation), plus
      the return value of node's own operation if it contributed to the
-     delta. Maintains the caller's local view when enabled. *)
+     delta. Maintains the caller's local view when enabled; a view
+     already at [node] is the answer, with no delta built (a read that
+     finds nothing newer than its last one). *)
   let compute t node =
     let p = M.self () in
-    let floor = if t.use_views then t.views.(p) else None in
-    let base, delta = T.delta_from ?floor t.trace node in
-    let state, last_value =
-      List.fold_left
-        (fun (is, _) (_, env) ->
-          let is', v = apply_env is env in
-          (is', Some v))
-        (base, None)
-        delta
-    in
-    if t.use_views then begin
-      (match t.views.(p) with
-      | Some (n, _) as v when T.idx n <> T.idx node -> t.prev_views.(p) <- v
-      | Some _ | None -> ());
-      t.views.(p) <- Some (node, state)
-    end;
-    (state, last_value)
+    match if t.use_views then t.views.(p) else None with
+    | Some (n, state) when T.idx n = T.idx node -> (state, None)
+    | floor ->
+        let base, delta = T.delta_from ?floor t.trace node in
+        let state, last_value =
+          List.fold_left
+            (fun (is, _) (_, env) ->
+              let is', v = apply_env is env in
+              (is', Some v))
+            (base, None) delta
+        in
+        if t.use_views then begin
+          if Option.is_some floor then t.prev_views.(p) <- floor;
+          t.views.(p) <- Some (node, state)
+        end;
+        (state, last_value)
 
   (* A state the calling process holds at or below [node]: its local
      view, else the view that one replaced. [None] when neither is at or
@@ -282,19 +283,20 @@ module Make_generic
         upto)
       (checkpoint_body t p ~worth)
 
-  (* Persist-stage append, compacting first when the log says so
-     ([Plog.append_compacting]); the update pays that compaction's
-     fences. *)
-  let append_record t p payload =
+  (* Persist-stage append of the Ops record at [exec_idx], compacting
+     first when the log says so ([Plog.append_compacting]); the update
+     pays that compaction's fences. [exec_idx] is the record's drop key
+     ([record_key]). *)
+  let append_record t p ~exec_idx payload =
     typed_full t.logs.(p) (fun () ->
-        L.append_compacting t.logs.(p)
+        L.append_compacting ~key:exec_idx t.logs.(p)
           ~compact:(fun ~worth -> ignore (compact_body t p ~worth))
           payload)
 
   (* Persist [node]'s fuzzy window, then linearize it; a transient fault
      escaping the append leaves the node to [finish_failed]. *)
   let persist_and_linearize t p node payload =
-    (try append_record t p payload
+    (try append_record t p ~exec_idx:(T.idx node) payload
      with Onll_nvm.Memory.Transient_fault _ as e ->
        t.failed.(p) <- Some node;
        raise e);
@@ -424,10 +426,11 @@ module Make_generic
 
   (* {2 Detectable execution} *)
 
-  let recovered_ops t = by_index t.recovered
+  let recovered_ops t = Recovered.by_index t.recovered
 
   let was_linearized t id =
-    linearized t.recovered id ~base:(fun () -> snd (T.base_of t.trace))
+    linearized ~mem:(Recovered.mem t.recovered) id
+      ~base:(fun () -> snd (T.base_of t.trace))
     || List.exists
          (fun (_, _, env) ->
            match env with
@@ -485,7 +488,7 @@ module Make_generic
     | [] -> ()
     | (_, exec_idx) :: _ as newest_first ->
         List.iteri (fun k (_, idx) -> assert (idx = exec_idx - k)) newest_first;
-        append_record t (M.self ())
+        append_record t (M.self ()) ~exec_idx
           (Onll_util.Codec.encode record_codec
              (Ops { exec_idx; envs = List.map fst newest_first }))
 
@@ -507,7 +510,8 @@ module Make_generic
           T.set_available node;
           if id.id_seq >= t.seqs.(id.id_proc) then
             t.seqs.(id.id_proc) <- id.id_seq + 1;
-          Hashtbl.replace t.recovered id (T.idx node);
+          Recovered.add t.recovered ~proc:id.id_proc ~seq:id.id_seq
+            ~idx:(T.idx node);
           (env, T.idx node))
         subs
     in

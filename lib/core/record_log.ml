@@ -222,6 +222,55 @@ module Adoption = struct
       seqs )
 end
 
+(* The identities recovery adopted (and a transaction sweep re-applied)
+   with their execution indices. Recovery only appends to it — three ints
+   per operation into one flat array, which allocates nothing per
+   operation — and the by-identity table {!was_linearized} and
+   [recovered_ops] read is built on the first question. *)
+module Recovered = struct
+  type t = {
+    mutable ids : int array;  (** process, sequence, index, ... *)
+    mutable len : int;  (** ints used *)
+    mutable table : (op_id, int) Hashtbl.t option;
+  }
+
+  let create n = { ids = Array.make (3 * max n 1) 0; len = 0; table = None }
+
+  let add t ~proc ~seq ~idx =
+    if t.len + 3 > Array.length t.ids then begin
+      let ids = Array.make (2 * Array.length t.ids) 0 in
+      Array.blit t.ids 0 ids 0 t.len;
+      t.ids <- ids
+    end;
+    t.ids.(t.len) <- proc;
+    t.ids.(t.len + 1) <- seq;
+    t.ids.(t.len + 2) <- idx;
+    t.len <- t.len + 3;
+    Option.iter
+      (fun table -> Hashtbl.replace table { id_proc = proc; id_seq = seq } idx)
+      t.table
+
+  let table t =
+    match t.table with
+    | Some table -> table
+    | None ->
+        let table = Hashtbl.create (t.len / 3) in
+        for i = 0 to (t.len / 3) - 1 do
+          Hashtbl.replace table
+            { id_proc = t.ids.(3 * i); id_seq = t.ids.((3 * i) + 1) }
+            t.ids.((3 * i) + 2)
+        done;
+        t.table <- Some table;
+        table
+
+  let mem t id = Hashtbl.mem (table t) id
+
+  (* The bindings, oldest first. *)
+  let by_index t =
+    Hashtbl.fold (fun id idx acc -> (id, idx) :: acc) (table t) []
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
+end
+
 (* One-call introspection bundle; see onll.mli. *)
 module Snapshot = struct
   type log = {
@@ -397,6 +446,12 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     fun payload ->
       match decode key payload with k -> k | exception Decode_error _ -> max_int
 
+  (* [record_key] of a decoded record. *)
+  let key_of_record = function
+    | Ops { exec_idx; _ } -> exec_idx
+    | Checkpoint { upto_idx; _ } ->
+        if upto_idx < max_int then upto_idx + 1 else max_int
+
   (* An [Ops] record from envelopes already encoded with
      [envelope_codec], newest first, spliced into the frame as they are.
      Group commit's submitters encode their own envelopes, so the
@@ -429,7 +484,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   type recovery = {
     report : Recovery_report.t;
-    recovered : (op_id, int) Hashtbl.t;  (** adopted id -> execution index *)
+    recovered : Recovered.t;
     txns : string list;
         (** every transaction commit payload riding in a logged envelope,
             first sighting first: the helper-committed transactions *)
@@ -462,27 +517,31 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
      engine [degraded]. *)
   let recover_logs logs ~sink ~hardened ~extra ~reset ~adopt ~seqs ~degraded
       =
-    (* Each log is salvaged and decoded before the next is read, so only
-       one log's payloads are held at a time. *)
+    (* Each payload is decoded as its log's recovery walk finds it, so
+       none is held past its decode. *)
     let failures = ref 0 in
-    let decode l =
-      L.decode_recovered l record_codec ~failures ~checkpoint:(function
-        | Checkpoint _ -> true
-        | Ops _ -> false)
-    in
+    let checkpoint = function Checkpoint _ -> true | Ops _ -> false in
     let salvage, by_log =
       if hardened then
         let rs =
           Array.map
             (fun l ->
-              let r, payloads = L.recover l in
-              ((L.name l, r), decode l payloads))
+              let r, records =
+                L.recover_decoded l record_codec ~key:key_of_record ~checkpoint
+                  ~failures
+              in
+              ((L.name l, r), records))
             logs
         in
         (Array.to_list (Array.map fst rs), Array.map snd rs)
       else begin
         Array.iter L.recover_unhardened logs;
-        ([], Array.map (fun l -> decode l (L.entries l)) logs)
+        ( [],
+          Array.map
+            (fun l ->
+              L.decode_recovered l record_codec ~failures ~checkpoint
+                (L.entries l))
+            logs )
       end
     in
     (* Best checkpoint = deepest summarised prefix, with the floors'
@@ -528,41 +587,42 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       !entries.(i) <- e
     in
     let seen_txns = Hashtbl.create 8 and txns = ref [] in
-    let logged = ref 0 in
-    Array.iter
-      (List.iter (function
-        | Checkpoint _ -> ()
-        | Ops { exec_idx; envs } ->
-            let last = !logged + List.length envs - 1 in
-            List.iteri
-              (fun k env ->
-                Option.iter
-                  (fun p ->
-                    if not (Hashtbl.mem seen_txns p) then begin
-                      Hashtbl.replace seen_txns p ();
-                      txns := p :: !txns
-                    end)
-                  env.e_txn;
-                put (last - k) (entry (exec_idx - k) env true))
-              envs;
-            logged := last + 1))
-      by_log;
+    let txn p =
+      if not (Hashtbl.mem seen_txns p) then begin
+        Hashtbl.replace seen_txns p ();
+        txns := p :: !txns
+      end
+    in
+    (* [i] is the slot of the record's newest envelope, at [idx] *)
+    let rec put_ops i idx = function
+      | [] -> ()
+      | env :: older ->
+          Option.iter txn env.e_txn;
+          put i (entry idx env true);
+          put_ops (i - 1) (idx - 1) older
+    in
+    let logged =
+      Array.fold_left
+        (List.fold_left (fun logged -> function
+           | Checkpoint _ -> logged
+           | Ops { exec_idx; envs } ->
+               let k = List.length envs in
+               put_ops (logged + k - 1) exec_idx envs;
+               logged + k))
+        0 by_log
+    in
     List.iteri
       (fun k (idx, id, op) ->
-        put (!logged + k) (entry idx (envelope id op) false))
+        put (logged + k) (entry idx (envelope id op) false))
       extra;
     let entries = !entries in
     reset base_idx base_state;
-    (* a table grows past two bindings per bucket, so half as many
-       buckets as bindings take them all without a resize *)
-    let recovered = Hashtbl.create (!logged / 2) in
-    let adopted = ref [] in
+    let recovered = Recovered.create (Array.length entries) in
     let report, next =
       Adoption.run ~base_idx ~floors:base_state.floors entries
         ~adopt:(fun e ->
           adopt e;
-          adopted := e :: !adopted;
-          Hashtbl.replace recovered (envelope_id e.env) e.idx)
+          Recovered.add recovered ~proc:e.proc ~seq:e.seq ~idx:e.idx)
     in
     Array.blit next 0 seqs 0 M.max_processes;
     if Onll_obs.Sink.active sink then
@@ -595,7 +655,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
             let d = (e.proc, e.seq) in
             if
               e.idx <= base_idx
-              || Hashtbl.mem recovered (envelope_id e.env)
+              || Recovered.mem recovered (envelope_id e.env)
               || Hashtbl.mem seen d
             then None
             else begin
@@ -619,10 +679,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         (fun i l ->
           if List.exists stranded by_log.(i) then begin
             typed_full l (fun () ->
-                try L.append l seal
+                try L.append ~key:(base_idx + 1) l seal
                 with Onll_plog.Plog.Full ->
                   L.relocate l;
-                  L.append l seal);
+                  L.append ~key:(base_idx + 1) l seal);
             L.note_checkpoint l seal;
             L.excise l ~from:(fun p ->
                 match Onll_util.Codec.decode record_codec p with
@@ -630,8 +690,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
                 | exception _ -> false)
           end)
         logs;
+      (* [entries] is sorted now, and adoption is a function of it and
+         the floors: the same run adopts the same prefix again *)
       reset base_idx state;
-      List.iter adopt (List.rev !adopted)
+      ignore (Adoption.run ~base_idx ~floors:base_state.floors entries ~adopt)
     end;
     { report; recovered; txns = List.rev !txns }
 
@@ -649,18 +711,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* {2 Detectable execution} *)
 
-  (* A recovered table's bindings, oldest first. *)
-  let by_index table =
-    Hashtbl.fold (fun id idx acc -> (id, idx) :: acc) table []
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-
-  (* The one detectability rule: an identity took effect iff [table]
+  (* The one detectability rule: an identity took effect iff [mem]
      (adopted by recovery or applied since) names it, or it lies below
      its process's floor in [base ()], the deepest state the engine holds
-     (read only when the table has no answer), and is not one of the
-     floor's exceptions. *)
-  let linearized table ~base id =
-    Hashtbl.mem table id
+     (read only when [mem] has no answer), and is not one of the floor's
+     exceptions. *)
+  let linearized ~mem ~base id =
+    mem id
     ||
     let b = base () in
     id.id_seq < b.floors.(id.id_proc)

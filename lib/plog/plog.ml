@@ -658,7 +658,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Salvage { log = t.log_name; quarantined; bytes_lost })
 
-  let recover t =
+  (* The one recovery walk; [entry] is given each live payload in log
+     order and returns its key for the account. *)
+  let recover_walk t ~entry =
     let (seq, head, bound), slots = read_header t in
     heal_headers ~slots t ~seq ~head ~bound;
     t.header_seq <- seq;
@@ -671,7 +673,6 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     let torn = ref 0 and qspans = ref 0 and qbytes = ref 0 in
     let repaired = ref 0 and rep_bytes = ref 0 in
     let markers = ref 0 in
-    let payloads = ref [] in
     (* Settle the log in one walk: read each record once per replica,
        heal replica divergence from a copy that checked valid,
        quarantine spans corrupt everywhere, truncate a tail no replica
@@ -698,8 +699,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
               repaired := !repaired + healed;
               rep_bytes := !rep_bytes + (healed * len)
             end;
-            Queue.push { l_off = pos; l_key = t.key payload } t.offs;
-            payloads := payload :: !payloads;
+            Queue.push { l_off = pos; l_key = entry payload } t.offs;
             walk (pos + len)
         | Some (Skip span), _ ->
             (* propagating the marker is not a data repair *)
@@ -732,15 +732,23 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Repair
            { log = t.log_name; entries = !repaired; bytes = !rep_bytes });
-    ( {
-        torn_tail_bytes = !torn;
-        quarantined_spans = !qspans;
-        quarantined_bytes = !qbytes;
-        skip_markers = !markers;
-        repaired_entries = !repaired;
-        repaired_bytes = !rep_bytes;
-      },
-      List.rev !payloads )
+    {
+      torn_tail_bytes = !torn;
+      quarantined_spans = !qspans;
+      quarantined_bytes = !qbytes;
+      skip_markers = !markers;
+      repaired_entries = !repaired;
+      repaired_bytes = !rep_bytes;
+    }
+
+  let recover t =
+    let payloads = ref [] in
+    let r =
+      recover_walk t ~entry:(fun p ->
+          payloads := p :: !payloads;
+          t.key p)
+    in
+    (r, List.rev !payloads)
 
   (* The pre-hardening recovery: truncate the primary at the first invalid
      entry — no resync, no mirror consultation, no repair, no report. Kept
@@ -829,7 +837,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       unrepairable_spans = !unrep;
     }
 
-  let append t payload =
+  let append ?key t payload =
     let len = String.length payload in
     if len = 0 then invalid_arg "Plog.append: empty payload";
     let need = 16 + len in
@@ -853,8 +861,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         t.header_seq <- seq;
         t.bound <- bound);
     t.tail <- fin;
-    if t.offs_valid then
-      Queue.push { l_off = off; l_key = t.key payload } t.offs;
+    if t.offs_valid then begin
+      let l_key = match key with Some k -> k | None -> t.key payload in
+      Queue.push { l_off = off; l_key } t.offs
+    end;
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Log_append { log = t.log_name; bytes = need })
@@ -1043,9 +1053,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      the interface). Before any footprint is known, the live span bounds
      the checkpoint that summarises it. *)
 
-  let note_checkpoint t payload =
-    t.ckpt_key <- Some (t.key payload);
+  let note_keyed_checkpoint t ~key payload =
+    t.ckpt_key <- Some key;
     t.footprint <- 16 + String.length payload
+
+  let note_checkpoint t payload =
+    note_keyed_checkpoint t ~key:(t.key payload) payload
 
   let decode_recovered t codec ~checkpoint ~failures payloads =
     List.filter_map
@@ -1060,6 +1073,25 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             None)
       payloads
 
+  (* Each payload is decoded as the walk finds it, so it is garbage before
+     the next is read, and a decoded one gives its key without a second
+     decode. *)
+  let recover_decoded t codec ~key ~checkpoint ~failures =
+    let records = ref [] in
+    let r =
+      recover_walk t ~entry:(fun p ->
+          match Codec.decode codec p with
+          | r ->
+              let k = key r in
+              if checkpoint r then note_keyed_checkpoint t ~key:k p;
+              records := r :: !records;
+              k
+          | exception _ ->
+              incr failures;
+              t.key p)
+    in
+    (r, List.rev !records)
+
   let checkpoint t ~upto ~worth record =
     match t.ckpt_key with
     | Some key when key - 1 >= upto -> Some (key - 1)
@@ -1067,12 +1099,13 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         let payload = record () in
         if not (worth payload) then None
         else begin
-          (try append t payload
+          let key = upto + 1 in
+          (try append ~key t payload
            with Full ->
              (* an earlier drop may have left dead bytes to reclaim *)
              relocate t;
-             append t payload);
-          note_checkpoint t payload;
+             append ~key t payload);
+          note_keyed_checkpoint t ~key payload;
           ignore (drop_upto t upto);
           if Onll_obs.Sink.active t.sink then
             Onll_obs.Sink.emit t.sink ~proc:(M.self ())
@@ -1080,7 +1113,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           Some upto
         end
 
-  let append_compacting t ~compact payload =
+  let append_compacting ?key t ~compact payload =
     let short reserve = free_bytes t < 16 + String.length payload + reserve in
     let known = t.footprint > 0 in
     if short (if known then 2 * t.footprint else live_bytes t) then begin
@@ -1093,5 +1126,5 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       in
       try compact ~worth with Full -> ()
     end;
-    append t payload
+    append ?key t payload
 end

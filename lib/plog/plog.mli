@@ -198,10 +198,13 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   val region_names : t -> string list
   (** The replica region names, primary first. *)
 
-  val append : t -> string -> unit
+  val append : ?key:int -> t -> string -> unit
   (** Append a payload and make it durable in every replica: store to all
       replicas, flush all, one fence — exactly one persistent fence
       regardless of the replica count (transient fault retries excepted).
+      [key] is the payload's key (see [create]) when the caller already
+      knows it, which spares decoding the payload again; it must be what
+      [create]'s [key] maps the payload to.
       An append that would pass the written bound also stores the next
       header slot, raising the bound, and drains it under the same fence.
       @raise Full if the entries area is exhausted (compact or resize). *)
@@ -331,7 +334,9 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       emits a [Checkpoint] event — [Some upto], two fences — or returns
       [None] when [worth] declines the encoded record. When the newest
       live checkpoint already covers [upto], it appends and encodes
-      nothing and returns that checkpoint's index. The log remembers the
+      nothing and returns that checkpoint's index. The record is taken
+      to key to [upto + 1], as the headroom rule requires, so it is not
+      decoded again for its key. The log remembers the
       checkpoint until {!recover} or {!recover_unhardened} reloads it, or
       a {!scrub} or {!relocate} rewrites or quarantines a span.
       @raise Full if the record does not fit. *)
@@ -352,10 +357,27 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       that do not decode, and {!note_checkpoint} the newest one that
       [checkpoint] recognises. *)
 
+  val recover_decoded :
+    t ->
+    'a Onll_util.Codec.t ->
+    key:('a -> int) ->
+    checkpoint:('a -> bool) ->
+    failures:int ref ->
+    salvage_report * 'a list
+  (** {!recover}, then {!decode_recovered} of its payloads, in one walk:
+      each payload is decoded as the walk finds it, so none outlives its
+      decode, and the account takes a decoded payload's key from [key]
+      of its value, which must be what [create]'s [key] maps the payload
+      to (a payload that does not decode is keyed by [create]'s [key]). *)
+
   val append_compacting :
-    t -> compact:(worth:(string -> bool) -> unit) -> string -> unit
-  (** [append], first running [compact] — {!checkpoint} with [worth], then
-      prune and {!relocate} if it wrote one — when the free space is below
+    ?key:int ->
+    t ->
+    compact:(worth:(string -> bool) -> unit) ->
+    string ->
+    unit
+  (** [append ?key], first running [compact] — {!checkpoint} with [worth],
+      then prune and {!relocate} if it wrote one — when the free space is below
       the record plus twice the newest checkpoint's footprint. A log that
       knows no footprint asks once the free space is below the record plus
       its live bytes, and [worth] then only measures the record unless the

@@ -174,6 +174,8 @@ module Make (Ord : Map.OrderedType) = struct
      keys strictly increase the result is no search tree, and its
      bindings, in order, are added to an empty map instead. *)
   let of_reader n ~key ~value =
+    (* The previous key sits in one cell made at the first key, so the
+       check allocates nothing per binding. *)
     let sorted = ref true and last = ref None in
     let rec build n =
       if n = 0 then Empty
@@ -182,9 +184,10 @@ module Make (Ord : Map.OrderedType) = struct
         let k = key () in
         let d = value () in
         (match !last with
-        | Some p when Ord.compare p k >= 0 -> sorted := false
-        | _ -> ());
-        last := Some k;
+        | None -> last := Some (ref k)
+        | Some p ->
+            if Ord.compare !p k >= 0 then sorted := false;
+            p := k);
         create l k d (build (n - 1 - (n / 2)))
     in
     let m = build n in

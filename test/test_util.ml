@@ -128,6 +128,53 @@ let prop_crc_int64_is_bytes =
       Crc32.int64 ~init x = Crc32.bytes ~init b ~pos:0 ~len:8
       && Crc32.int64 x = Crc32.bytes b ~pos:0 ~len:8)
 
+(* The CRC by its definition, one bit at a time: no table, no fold. Both
+   paths of [Crc32] are held to it, the fold's lane edges crossed: two
+   lengths in three are drawn next to a multiple of 16 or of 64. The table
+   path is checked at every length too, through [Crc32.bytes_table], so
+   a host whose CPU takes the fold still tests what one without it
+   runs. *)
+let crc_bitwise ?(init = 0l) b ~pos ~len =
+  let crc = ref (Int32.to_int init land 0xFFFFFFFF lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      crc := (!crc lsr 1) lxor (if !crc land 1 <> 0 then 0xEDB88320 else 0)
+    done
+  done;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+let prop_crc_paths_match_bitwise =
+  let check_value = Bytes.of_string "123456789" in
+  let len =
+    let near m ~upto =
+      QCheck.Gen.(
+        map2
+          (fun k d -> max 0 ((k * m) + d))
+          (int_range 0 upto) (int_range (-1) 1))
+    in
+    QCheck.Gen.(
+      oneof [ int_range 0 4096; near 16 ~upto:256; near 64 ~upto:64 ])
+  in
+  QCheck.Test.make ~name:"fold and table paths = the bitwise CRC" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (len, pos, init, seed) ->
+          Printf.sprintf "len %d pos %d init %ld seed %d" len pos init seed)
+        Gen.(quad len (int_range 0 63) int32 int))
+    (fun (len, pos, init, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let b =
+        Bytes.init (pos + len + 7) (fun _ ->
+            Char.chr (Random.State.int rng 256))
+      in
+      let expect = crc_bitwise ~init b ~pos ~len in
+      crc_bitwise check_value ~pos:0 ~len:9 = 0xCBF43926l
+      && Crc32.bytes check_value ~pos:0 ~len:9 = 0xCBF43926l
+      && Crc32.bytes_table check_value ~pos:0 ~len:9 = 0xCBF43926l
+      && Crc32.bytes ~init b ~pos ~len = expect
+      && Crc32.bytes_table ~init b ~pos ~len = expect)
+
 (* {1 SplitMix} *)
 
 let test_splitmix_deterministic () =
@@ -511,6 +558,7 @@ let () =
             test_crc_matches_bytewise;
           qcheck prop_crc_detects_single_bit_flip;
           qcheck prop_crc_int64_is_bytes;
+          qcheck prop_crc_paths_match_bitwise;
           Alcotest.test_case "random ranges match the byte-wise loop" `Quick
             test_crc_random_ranges;
         ] );
