@@ -35,7 +35,7 @@ gate:
 # too), a mirrored slice where
 # primary-only faults must cost nothing, the same pair against the
 # 4-shard partitioned construction, the group-commit object with the
-# crash landing mid-batch (alone, composed with --mirrored, and sharded
+# crash landing mid-window (alone, composed with --mirrored, and sharded
 # group commit under --sharded), exactly-once
 # client sessions (E15), cross-shard transactions (E19: all-or-nothing
 # across a crash sweep, plain and mirrored, and the no-sweep calibration

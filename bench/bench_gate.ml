@@ -8,8 +8,9 @@
     faults must cost nothing), a deterministic E15 session slice
     (exactly-once under crash-fuzz; the naive arm must duplicate) and the
     deterministic E16 slices (group-commit amortisation below 1/2
-    pf/update, the solo adversary pinned at exactly 1 pf/update, batched
-    chaos incl. crash-mid-batch over mirrored logs, zero violations) —
+    pf/update, the solo adversary pinned at exactly 1 pf/update,
+    group-commit chaos incl. crash-mid-window over mirrored logs, zero
+    violations) —
     then diffs the freshly produced snapshots against the committed
     goldens in [bench/snapshots/]:
 

@@ -161,9 +161,10 @@ let run () =
           assert (pu < 1.0 && pu > 0. && pr = "0")
       | [ _; "onll-batched"; pu; pr ] ->
           (* Group commit amortises the fence across concurrent
-             submitters: at most 1 pf/update (Thm 6.3 — never beaten
-             without concurrency to share it), strictly positive (the
-             fence is real), still 0 per read. *)
+             updates: an update another persist covers pays none, so at
+             most 1 pf/update (Thm 6.3 — never beaten without concurrency
+             to share it), strictly positive (the fence is real), still 0
+             per read. *)
           let pu = float_of_string pu in
           assert (pu <= 1.0 && pu > 0. && pr = "0")
       | _ -> ())
@@ -174,8 +175,8 @@ let run () =
      sharding included: an update runs on exactly one shard, and global \
      reads fan out fence-free; sessions included: an exactly-once \
      submission is one update of the object over the client table; \
-     batching included: the shared batch fence amortises to at most 1 \
-     pf/update and reads stay free; relaxed mode included: the \
+     group commit included: a covered update shares its window's fence, \
+     at most 1 pf/update, and reads stay free; relaxed mode included: the \
      risk-budgeted lazy fence lands strictly below 1 pf/update by \
      deferring — not skipping — durability)";
   let path =

@@ -1,39 +1,47 @@
-(** E16 — fence batching / group commit ({!Onll_batched}).
+(** E16 — group commit: the construction under the combining persist
+    policy ({!Onll_core.Onll.Make_combining}).
 
     Thm 5.1/6.3 bound the {e per-process} fence cost of detectable
-    objects at 1 pf/update — but concurrent waiters can share one fence.
-    The group-commit construction orders concurrent updates into a shared
-    batch made durable under a single persistent fence; this experiment
-    measures what that buys and pins what it cannot beat. Three
-    deterministic, gated parts plus a native grid:
+    objects at 1 pf/update — but concurrent updates can share one fence.
+    Under the combining policy an update whose trace node is not the
+    newest waits a bounded number of its own steps for the newer node's
+    persist, whose Listing 3 window holds it, to mark it available; only
+    an update whose bound runs out pays a fence of its own. This
+    experiment measures what that buys and pins what it cannot beat.
+    Three deterministic, gated parts plus a native grid:
 
     - {b amortisation accounting (sim, deterministic)}: the
       ["onll-batched"] registry entry under a round-robin schedule with 6
-      concurrent submitters — every process announces before the first
-      wins the combiner lock, so batches fill. Asserted: amortised fences
-      per update strictly below 1/2 (the acceptance bar at >= 4
-      submitters), and reads still cost zero fences.
+      concurrent submitters — nodes are inserted before the newest one
+      persists, so windows fill. Read from the core's own attribution
+      ([fences.update] over [ops.update]) and its [fuzzy.window]
+      histogram (one observation per persist: the updates its fence
+      covered). Asserted: amortised fences per update strictly below 1/2
+      (the acceptance bar at >= 4 submitters), and reads still cost zero
+      fences.
     - {b the Thm 6.3 degeneration (sim, deterministic)}: the adversarial
-      schedule is simply {e solo} — a single process has nobody to share
-      the fence with, every batch is a singleton, and the cost is pinned
-      at {e exactly} 1 pf/update. Batching amortises the bound; it never
-      beats it.
-    - {b batched chaos slices (sim, deterministic)}: the E12 fault grid
-      against the group-commit object, where the crash lands {e
-      mid-batch} — before the shared fence (the whole unfenced tail-batch
-      must vanish with nothing acknowledged in it) or after it (every
-      batched update recovers exactly once). Zero violations required;
-      the E13 no-excuse arm composed with batching (mirrored shared log,
+      schedule is simply {e solo} — a single process always holds the
+      newest node, every window holds one update, and the cost is pinned
+      at {e exactly} 1 pf/update. Combining amortises the bound; it
+      never beats it.
+    - {b group-commit chaos slices (sim, deterministic)}: the E12 fault
+      grid against the combining object, where the crash lands between a
+      window's insertions and its fence (the whole unfenced window must
+      vanish with nothing acknowledged in it) or after it (every covered
+      update recovers exactly once). Zero violations required; the E13
+      no-excuse arm composed with group commit (mirrored logs,
       primary-scoped faults) must additionally lose nothing at all.
-    - {b native throughput grid}: disjoint-key kv updates, domains x
-      fence latency (0/500/2000 ns plus a 50 us fsync-class point),
-      aggregate Mops/s and per-domain goodput. The E14 grid showed the
-      unbatched construction {e collapsing} when a second domain arrives
-      (s1.d2 well below half of s1.d1); group commit must turn that
-      second domain into throughput. Asserted: d2 no longer collapses at
-      the 500 ns point, and d2 >= 1.5x d1 at the fsync-class point —
-      group commit's home regime, where the per-batch persistence cost
-      dominates and sharing it is the whole game. *)
+    - {b native throughput grid}: disjoint-key kv updates with local
+      views, domains x fence latency (0/500/2000 ns plus a 50 us
+      fsync-class point), aggregate Mops/s and per-domain goodput.
+      Asserted: a second domain does not collapse throughput at the
+      500 ns point (d2 >= 0.7x d1), and adds >= 1.5x at the fsync-class
+      point. On the native machine a fence is a busy-wait of the calling
+      domain, so the two domains' fences overlap: the second domain's
+      throughput comes from per-process logs, not from sharing. An update
+      is covered only when another one was inserted between its insert
+      and its check, so natively most updates pay their own fence; the
+      fences per update at d2 are printed and recorded for both points. *)
 
 open Onll_machine
 module Kv = Onll_specs.Kv
@@ -72,6 +80,14 @@ let build_batched ~sink ~max_processes ~rng =
   | Some h -> h
   | None -> assert false
 
+(* The core's fuzzy-window histogram: (persists, updates they covered,
+   largest window). *)
+let windows registry =
+  match Onll_obs.Metrics.find registry "fuzzy.window" with
+  | Some (Onll_obs.Metrics.Summary s) ->
+      Onll_obs.Metrics.(s.hs_count, s.hs_sum, s.hs_max)
+  | _ -> (0, 0, 0)
+
 let amortization summary =
   let registry = Onll_obs.Metrics.create () in
   let sink = Onll_obs.Sink.make ~registry () in
@@ -88,12 +104,14 @@ let amortization summary =
   assert (outcome = Onll_sched.Sched.World.Completed);
   let c name = Onll_obs.Metrics.counter_value registry name in
   (* The acceptance bar: strictly below 1/2 pf/update with >= 4
-     concurrent submitters — the shared fence is really shared. *)
+     concurrent submitters — the fence is really shared. *)
   assert (c "ops.update" > 0);
   assert (2 * c "fences.update" < c "ops.update");
   assert (c "fences.read" = 0 && c "ops.read" > 0);
-  (* Every fence the construction paid is a batch fence. *)
-  assert (c "fences.batched" > 0);
+  (* Every update fence is one persist, and some window held several
+     updates. *)
+  let persists, covered, widest = windows registry in
+  assert (persists = c "fences.update" && widest >= 2);
   let add name v =
     Onll_obs.Metrics.add (Onll_obs.Metrics.counter summary name) v
   in
@@ -101,13 +119,17 @@ let amortization summary =
   add "e16.amort.fences.update" (c "fences.update");
   add "e16.amort.ops.read" (c "ops.read");
   add "e16.amort.fences.read" (c "fences.read");
-  add "e16.amort.fences.batched" (c "fences.batched");
+  add "e16.amort.windows" persists;
+  add "e16.amort.window_ops" covered;
+  add "e16.amort.window_max" widest;
   Printf.printf
     "amortisation (sim, %d submitters, round-robin): %d updates over %d \
-     batch fences = %.2f pf/update (< 0.5 asserted); %d reads = 0 fences\n"
+     fences = %.2f pf/update (< 0.5 asserted); windows hold %.2f updates \
+     (max %d); %d reads = 0 fences\n"
     amort_procs (c "ops.update") (c "fences.update")
     (float_of_int (c "fences.update") /. float_of_int (c "ops.update"))
-    (c "ops.read")
+    (float_of_int covered /. float_of_int persists)
+    widest (c "ops.read")
 
 (* {2 Part 2 — the Thm 6.3 degeneration (deterministic, gated)} *)
 
@@ -130,24 +152,25 @@ let adversarial summary =
   in
   assert (outcome = Onll_sched.Sched.World.Completed);
   let c name = Onll_obs.Metrics.counter_value registry name in
-  (* Pinned at exactly 1 pf/update: solo, every batch is a singleton —
-     the adversary that never offers concurrency recovers Thm 6.3's
+  (* Pinned at exactly 1 pf/update: solo, every window holds one update
+     — the adversary that never offers concurrency recovers Thm 6.3's
      bound verbatim. *)
   assert (c "ops.update" = adversary_ops);
   assert (c "fences.update" = adversary_ops);
-  assert (c "fences.batched" = adversary_ops);
+  let persists, covered, widest = windows registry in
+  assert (persists = adversary_ops && covered = adversary_ops && widest = 1);
   let add name v =
     Onll_obs.Metrics.add (Onll_obs.Metrics.counter summary name) v
   in
   add "e16.adversary.ops.update" (c "ops.update");
   add "e16.adversary.fences.update" (c "fences.update");
-  add "e16.adversary.fences.batched" (c "fences.batched");
+  add "e16.adversary.windows" persists;
   Printf.printf
     "adversarial degeneration (sim, solo): %d updates = %d fences — \
      exactly 1 pf/update, asserted\n"
     (c "ops.update") (c "fences.update")
 
-(* {2 Part 3 — batched chaos slices (deterministic, gated)} *)
+(* {2 Part 3 — group-commit chaos slices (deterministic, gated)} *)
 
 let chaos_slices summary =
   let open Test_support in
@@ -160,19 +183,20 @@ let chaos_slices summary =
   in
   Campaign.print
     ~title:
-      "E16 chaos slices — crash mid-batch, before or after the shared \
-       fence (violations must be 0; the mirrored arm additionally loses \
+      "E16 chaos slices — crash mid-window, before or after its fence \
+       (violations must be 0; the mirrored arm additionally loses \
        nothing)"
     ~header:"arm" ~columns:Chaos_harness.slice_columns [ plain; mirrored ];
   assert (Campaign.total "violations" [ plain; mirrored ] = 0);
   print_endline
     "(asserted: zero durable-linearizability violations — and zero \
      duplicate acks, which the chaos audit folds into violations — \
-     across both batched chaos arms)";
+     across both group-commit chaos arms)";
   assert (Chaos_harness.lost [ mirrored ] = 0);
   print_endline
-    "(asserted: batched + mirrored + primary-scoped faults cost nothing \
-     — the mirror copy of the batch drained under the same single fence)";
+    "(asserted: group commit + mirrored + primary-scoped faults cost \
+     nothing — the mirror copy of each window drained under the same \
+     fence)";
   let record prefix r =
     ignore
       (Campaign.to_metrics ~reg:summary
@@ -186,13 +210,21 @@ let chaos_slices summary =
 
 (* Disjoint-key kv updates, exactly the E14 workload shape (64 private
    keys per domain, a checkpoint every [checkpoint_every] ops) so the
-   batched grid reads against the sharded/unbatched one. *)
+   group-commit grid reads against the sharded one. Local views on:
+   without them every operation folds the trace from its base. Returns
+   ops/s and the machine's fences per update (checkpoint fences
+   included: 2 per [checkpoint_every] ops). *)
 let run_native ~domains ~fence_ns ~total_ops =
   let native = Native.create ~max_processes:domains ~fence_ns () in
   let module M = (val Native.machine native) in
-  let module C = Onll_batched.Make (M) (Kv) in
+  let module C = Onll_core.Onll.Make_combining (M) (Kv) in
   let obj =
-    C.make { Onll_core.Onll.Config.default with log_capacity = 1 lsl 20 }
+    C.make
+      {
+        Onll_core.Onll.Config.default with
+        log_capacity = 1 lsl 20;
+        local_views = true;
+      }
   in
   let per = total_ops / domains in
   let t0 = Unix.gettimeofday () in
@@ -206,7 +238,9 @@ let run_native ~domains ~fence_ns ~total_ops =
                     (Kv.Put (Printf.sprintf "d%d.k%d" d (j land 63), "v")));
                if j mod checkpoint_every = 0 then ignore (C.checkpoint obj)
              done)));
-  Harness.ops_per_sec (per * domains) (Unix.gettimeofday () -. t0)
+  let rate = Harness.ops_per_sec (per * domains) (Unix.gettimeofday () -. t0) in
+  let fences = Native.persistent_fences native in
+  (rate, float_of_int fences /. float_of_int (per * domains))
 
 let throughput_grid summary =
   let total_ops = 20_000 in
@@ -214,7 +248,7 @@ let throughput_grid summary =
     List.filter (fun d -> d <= available_domains) [ 1; 2; 4; 8 ]
   in
   let rate ~domains ~fence_ns =
-    Harness.best_of 2 (fun () -> run_native ~domains ~fence_ns ~total_ops)
+    Harness.best_of 2 (fun () -> fst (run_native ~domains ~fence_ns ~total_ops))
   in
   let curves =
     List.map
@@ -228,8 +262,8 @@ let throughput_grid summary =
   Onll_util.Table.series
     ~title:
       (Printf.sprintf
-         "E16 — batched disjoint-key kv throughput vs domains, by fence \
-          latency (Mops/s aggregate, checkpoint every %d ops)"
+         "E16 — group-commit disjoint-key kv throughput vs domains, by \
+          fence latency (Mops/s aggregate, checkpoint every %d ops)"
          checkpoint_every)
     ~x_label:"domains" curves;
   (* Aggregate Mops and per-domain goodput, both as gauges: goodput is
@@ -250,46 +284,47 @@ let throughput_grid summary =
             (mops /. float_of_int d))
         points)
     curves;
-  (* The acceptance points: where E14's unbatched grid showed a second
-     domain destroying throughput (s1.d2 = 0.4x s1.d1), the group commit
-     must (a) stop the collapse on CPU-adjacent NVM and (b) turn the
-     second domain into real speedup where the fence dominates.
+  (* The acceptance points: a second domain must not destroy throughput
+     on CPU-adjacent NVM, and must add real speedup where the fence
+     dominates.
 
      Each ratio comes from back-to-back d1/d2 pairs (median of three):
      the absolute rates on a shared host drift with CPU contention, but
      a pair measured in the same window shares the drift, so the ratio
-     is stable where individual grid cells are not. *)
+     is stable where individual grid cells are not. The d2 fences per
+     update are the median over the same three d2 runs. *)
   let ratio ns =
     let pair () =
-      let d1 = run_native ~domains:1 ~fence_ns:ns ~total_ops in
-      let d2 = run_native ~domains:2 ~fence_ns:ns ~total_ops in
-      d2 /. d1
+      let d1, _ = run_native ~domains:1 ~fence_ns:ns ~total_ops in
+      let d2, pf = run_native ~domains:2 ~fence_ns:ns ~total_ops in
+      (d2 /. d1, pf)
     in
-    let rs = List.sort compare [ pair (); pair (); pair () ] in
-    List.nth rs 1
+    let pairs = [ pair (); pair (); pair () ] in
+    let median l = List.nth (List.sort compare l) 1 in
+    (median (List.map fst pairs), median (List.map snd pairs))
   in
-  let held = ratio fence_ns_default in
+  let held, pf_held = ratio fence_ns_default in
   Printf.printf
-    "batched d2 vs d1 at %dns fence: %.2fx (>= 0.7x asserted; the \
-     unbatched E14 grid collapsed to ~0.4x here)\n"
-    fence_ns_default held;
+    "group commit d2 vs d1 at %dns fence: %.2fx (>= 0.7x asserted); d2 \
+     pays %.3f pf/update\n"
+    fence_ns_default held pf_held;
+  let speedup, pf_fsync = ratio fence_ns_fsync in
+  Printf.printf
+    "group commit d2 vs d1 at the fsync-class point (%dns): %.2fx \
+     (threshold 1.5x); d2 pays %.3f pf/update\n"
+    fence_ns_fsync speedup pf_fsync;
+  let gauge name v =
+    Onll_obs.Metrics.set (Onll_obs.Metrics.gauge summary name) v
+  in
+  gauge "speedup.batched.d2_over_d1" speedup;
+  gauge "speedup.batched.d2_over_d1.ns500" held;
+  gauge "pf_update.batched.d2.ns500" pf_held;
+  gauge "pf_update.batched.d2.ns50000" pf_fsync;
   assert (held >= 0.7);
-  let speedup = ratio fence_ns_fsync in
-  Printf.printf
-    "batched d2 vs d1 at the fsync-class point (%dns): %.2fx (threshold \
-     1.5x)\n"
-    fence_ns_fsync speedup;
   assert (speedup >= 1.5);
   print_endline
-    "(asserted: a second domain adds >= 1.5x throughput under group \
-     commit where the shared fence dominates, and no longer destroys \
-     throughput anywhere on the grid)";
-  Onll_obs.Metrics.set
-    (Onll_obs.Metrics.gauge summary "speedup.batched.d2_over_d1")
-    speedup;
-  Onll_obs.Metrics.set
-    (Onll_obs.Metrics.gauge summary "speedup.batched.d2_over_d1.ns500")
-    held
+    "(asserted: a second domain adds >= 1.5x throughput where the fence \
+     dominates, and no longer destroys throughput anywhere on the grid)"
 
 let run () =
   let summary = Onll_obs.Metrics.create () in

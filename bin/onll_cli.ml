@@ -299,8 +299,8 @@ let chaos_cmd =
      scrubs, where loss of any kind (even reported) is a failure, since \
      every fault has an intact mirror copy. $(b,--sharded) runs against the \
      E14 partitioned construction (4 shards), $(b,--batched) against the \
-     E16 group commit, where the crash lands mid-batch, before or after the \
-     shared fence, and both against sharded group commit. $(b,--session) \
+     E16 group commit, where the crash lands mid-window, before or after \
+     the fence that covers it, and both against sharded group commit. $(b,--session) \
      runs the E15 exactly-once session grid instead: counter and ledger \
      workloads through exactly-once client sessions over the plain, \
      mirrored and sharded stacks, plus the naive at-least-once calibration \
@@ -354,7 +354,7 @@ let chaos_cmd =
       & info [ "batched" ]
           ~doc:
             "run against the E16 group-commit construction (crash lands \
-             mid-batch)")
+             mid-window)")
   in
   let session =
     Arg.(

@@ -10,9 +10,10 @@
     {!Onll_session} exactly-once sessions — still one fence per update:
     a submission is the object's one update, and the session owns no
     region),
-    ["onll-batched"] (alias ["batched"]; the E16 group-commit construction —
-    concurrent updates share one batch fence, amortised below 1 pf/update,
-    degenerating to exactly 1 solo), ["onll-txn"] (alias ["txn"]; the E19
+    ["onll-batched"] (alias ["batched"]; E16 group commit, the construction
+    under the combining persist policy — an update another process's
+    persist covers pays no fence, so concurrent updates amortise below 1
+    pf/update, degenerating to exactly 1 solo), ["onll-txn"] (alias ["txn"]; the E19
     cross-shard transaction coordinator over 4 shards — multi-shard
     transactions commit under one coordinator fence, single updates take
     the sharded fast path), ["onll-relaxed"] (alias ["relaxed"]; the E20

@@ -112,12 +112,31 @@ module type TXN_CAPABLE = sig
     Recovery_report.t * string list
 end
 
+(* How an update's persist stage shares fences; see onll.mli. *)
+module type PERSIST_POLICY = sig
+  val gather_steps : int
+  val wait_steps : int
+end
+
+module Listing3 = struct
+  let gather_steps = 0
+  let wait_steps = 0
+end
+
+module Combining = struct
+  let gather_steps = 2
+  let wait_steps = 256
+end
+
 (* The construction is generic in the trace implementation (see
-   Trace_intf): [Make] uses the paper's lock-free trace, [Make_wait_free]
-   the Kogan–Petrank-style wait-free one (§8). *)
+   Trace_intf) and the persist policy: [Make] uses the paper's lock-free
+   trace, [Make_wait_free] the Kogan–Petrank-style wait-free one (§8),
+   both under Listing 3; [Make_combining] the lock-free trace under the
+   combining policy. *)
 module Make_generic
     (M : Onll_machine.Machine_sig.S)
     (T : Trace_intf.S)
+    (P : PERSIST_POLICY)
     (S : Spec.S) :
   TXN_CAPABLE
     with type state = S.state
@@ -293,13 +312,17 @@ module Make_generic
           ~compact:(fun ~worth -> ignore (compact_body t p ~worth))
           payload)
 
-  (* Persist [node]'s fuzzy window, then linearize it; a transient fault
-     escaping the append leaves the node to [finish_failed]. *)
+  (* Persist [node]'s fuzzy window; a transient fault escaping the append
+     leaves the node to [finish_failed]. *)
+  let persist t p node payload =
+    try append_record t p ~exec_idx:(T.idx node) payload
+    with Onll_nvm.Memory.Transient_fault _ as e ->
+      t.failed.(p) <- Some node;
+      raise e
+
+  (* ... then linearize it. *)
   let persist_and_linearize t p node payload =
-    (try append_record t p ~exec_idx:(T.idx node) payload
-     with Onll_nvm.Memory.Transient_fault _ as e ->
-       t.failed.(p) <- Some node;
-       raise e);
+    persist t p node payload;
     T.set_available node
 
   (* A node whose persist failed is neither available nor abandoned: it
@@ -321,11 +344,9 @@ module Make_generic
                   { exec_idx = T.idx node; envs = T.fuzzy_envs t.trace node }));
         t.failed.(p) <- None
 
-  (* Listing 3. *)
-  let update_env_body t env =
-    finish_failed t env.e_proc;
-    let node = T.insert t.trace env in
-    let fuzzy = T.fuzzy_envs t.trace node in
+  (* The persist stage's bookkeeping for a window [fuzzy] that process
+     [p] is about to persist. *)
+  let observe_window t p fuzzy =
     let fuzzy_len = List.length fuzzy in
     (* Prop 5.2 bounds the window by MAX-PROCESSES counting at most one
        in-flight operation per process; staged transaction sub-operations
@@ -344,14 +365,70 @@ module Make_generic
       if fuzzy_len > 1 then
         Onll_obs.Sink.emit
           (Onll_obs.Opstats.sink t.ostats)
-          ~proc:env.e_proc
+          ~proc:p
           (Onll_obs.Event.Help { helped = fuzzy_len - 1 })
-    end;
-    let payload =
-      Onll_util.Codec.encode record_codec
-        (Ops { exec_idx = T.idx node; envs = fuzzy })
+    end
+
+  (* Combining: a node that is not the newest lies in a newer node's
+     window. Wait up to [P.wait_steps] of the caller's own steps for a
+     persist that wrote it to mark it available: the first
+     [P.gather_steps] in any case, so newer nodes can join the window,
+     then only while the node is not the newest. The node's own flag is
+     the proof, not [latest_available]: a staged node [finish_txn] made
+     available may sit above it with no window written. *)
+  let covered t node =
+    let rec wait k =
+      T.is_available node
+      || k > 0
+         && (if P.wait_steps - k < P.gather_steps then (M.pause (); true)
+             else if T.is_newest t.trace node then false
+             else (M.yield (); true))
+         && wait (k - 1)
     in
-    persist_and_linearize t env.e_proc node payload;
+    wait P.wait_steps
+
+  (* Combining: persist [node]'s window under one fence, then mark every
+     node in it available but a transaction's staged sub-operation, which
+     only its coordinator linearizes. An empty window means a newer
+     persist marked the node meanwhile. *)
+  let persist_window t p node window =
+    match window with
+    | [] -> ()
+    | window ->
+        let fuzzy = List.map snd window in
+        observe_window t p fuzzy;
+        persist t p node
+          (Onll_util.Codec.encode record_codec
+             (Ops { exec_idx = T.idx node; envs = fuzzy }));
+        List.iter
+          (fun (n, e) -> if Option.is_none e.e_txn then T.set_available n)
+          window
+
+  (* Combining: a newest node whose window holds no other process's node
+     has nobody to share its fence with, and persists at once (a solo
+     process always does). Any other waits to be covered. *)
+  let combine t p node =
+    match T.fuzzy_nodes t.trace node with
+    | [ _ ] as window when T.is_newest t.trace node ->
+        persist_window t p node window
+    | _ ->
+        if not (covered t node) then
+          persist_window t p node (T.fuzzy_nodes t.trace node)
+
+  (* Listing 3, or its combining variant. *)
+  let update_env_body t env =
+    finish_failed t env.e_proc;
+    let node = T.insert t.trace env in
+    if P.wait_steps = 0 then begin
+      let fuzzy = T.fuzzy_envs t.trace node in
+      observe_window t env.e_proc fuzzy;
+      let payload =
+        Onll_util.Codec.encode record_codec
+          (Ops { exec_idx = T.idx node; envs = fuzzy })
+      in
+      persist_and_linearize t env.e_proc node payload
+    end
+    else combine t env.e_proc node;
     let _, value = compute t node in
     M.return_point ();
     match value with
@@ -556,9 +633,13 @@ end
 
 (** The paper's construction: ONLL over the lock-free Listing 2 trace. *)
 module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
-  Make_generic (M) (Trace_adapter.Backward (M)) (S)
+  Make_generic (M) (Trace_adapter.Backward (M)) (Listing3) (S)
 
 (** §8 extension: the same construction over the wait-free trace, which
     prunes as the lock-free one does (see {!Wf_trace}). *)
 module Make_wait_free (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
-  Make_generic (M) (Wf_trace.Make (M)) (S)
+  Make_generic (M) (Wf_trace.Make (M)) (Listing3) (S)
+
+(** §8's group commit: the lock-free trace under the combining policy. *)
+module Make_combining (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
+  Make_generic (M) (Trace_adapter.Backward (M)) (Combining) (S)

@@ -5,7 +5,9 @@
     produces a lock-free durably linearizable implementation of the object
     that issues {e at most one persistent fence per update operation and
     none per read-only operation} (Theorem 5.1). {!Make_wait_free} is the
-    §8 variant over a Kogan–Petrank-style wait-free execution trace.
+    §8 variant over a Kogan–Petrank-style wait-free execution trace, and
+    {!Make_combining} §8's group commit: the same construction under a
+    persist policy where concurrent updates share fences.
 
     An update runs the paper's three stages — {b order} (append a
     descriptor to the transient execution trace, fixing the linearization
@@ -112,9 +114,9 @@ module Recovery_report : sig
 end
 
 (** Listing 5's one decision: which logged operations a restarted object
-    adopts. The core construction, group commit ({!Onll_batched}) and the
-    §3.1 baselines ({!Onll_baselines.Linearize_early}) decode their logs
-    and hand the entries here. *)
+    adopts. The construction and the §3.1 baselines
+    ({!Onll_baselines.Linearize_early}) decode their logs and hand the
+    entries here. *)
 module Adoption : sig
   type 'e entry = 'e Record_log.Adoption.entry = {
     idx : int;  (** execution index *)
@@ -508,9 +510,64 @@ module type TXN_CAPABLE = sig
       coordinator. *)
 end
 
+(** How an update's persist stage treats the other processes' nodes in
+    its fuzzy window. The policy is a functor argument of
+    {!Make_generic}, fixed when the construction is built.
+
+    {b Listing 3} ({!Listing3}): every update persists its own window
+    under one fence and linearizes its own node. The construction is
+    lock-free, and the paper's bounds are tight for it: at most one
+    persistent fence per update (Theorem 5.1), and at least one in some
+    execution (Theorem 6.3).
+
+    {b Combining} ({!Combining}; §8's alternative in which "waiting
+    processes pay the fence cost without issuing fences"). A persist
+    marks every node of the window it wrote available after its fence,
+    except a transaction's staged sub-operation. After the insert, an
+    update whose node is not the newest in the trace lies in a newer
+    node's window: it waits up to [wait_steps] of its own steps
+    ([M.yield]) for its node's available flag, and returns without a
+    fence of its own when the flag is set in time. The newest node waits
+    too, at most [gather_steps], while other processes' nodes below it
+    are in flight, so newer nodes can join its window; a newest node
+    with nothing in flight below it persists at once. An update whose
+    bound runs out persists its own window. The flag is the proof of
+    durability, not {!Snapshot.t.latest_available_idx}: a staged node
+    that {!TXN_CAPABLE.finish_txn} made available may sit above an older
+    node with no window written.
+
+    Every update still pays at most one fence (Theorem 5.1), and a solo
+    process, whose node is always the newest with nothing below it in
+    flight, pays exactly one. The waits are bounded, so the engine stays
+    lock-free: a stalled process delays another by at most [wait_steps]
+    of that one's steps and then costs it one fence. Theorem 6.3 covers
+    lock-free implementations, so it still applies: some execution (solo,
+    or a schedule that never lets a node be covered within the bound)
+    pays one fence per update. Concurrent updates pay fewer, counted by
+    the [fences.update] and [ops.update] attribution and the
+    [fuzzy.window] histogram (each persist's window is the number of
+    updates its fence covered). *)
+module type PERSIST_POLICY = sig
+  val gather_steps : int
+  (** Steps the newest node waits for newer nodes to join its window. *)
+
+  val wait_steps : int
+  (** Steps an update waits in all to be covered by another persist;
+      [0] selects Listing 3. *)
+end
+
+module Listing3 : PERSIST_POLICY
+(** [gather_steps = wait_steps = 0]. *)
+
+module Combining : PERSIST_POLICY
+(** [gather_steps = 2], [wait_steps = 256]: on the native machine a
+    step is a [sched_yield], well under a microsecond, so the bound
+    outlasts a 50 µs fsync-class fence. *)
+
 module Make_generic
     (M : Onll_machine.Machine_sig.S)
     (T : Trace_intf.S)
+    (P : PERSIST_POLICY)
     (S : Spec.S) :
   TXN_CAPABLE
     with type state = S.state
@@ -529,6 +586,16 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) :
 (** §8: the same construction over the Kogan–Petrank-style wait-free trace
     ({!Wf_trace}), with the same checkpoints, pruning and compaction. *)
 module Make_wait_free (M : Onll_machine.Machine_sig.S) (S : Spec.S) :
+  TXN_CAPABLE
+    with type state = S.state
+     and type update_op = S.update_op
+     and type read_op = S.read_op
+     and type value = S.value
+
+(** Group commit (§8, E16): the lock-free trace under the {!Combining}
+    policy. Recovery, compaction, detectability and the
+    {!TXN_CAPABLE} stages are the construction's own. *)
+module Make_combining (M : Onll_machine.Machine_sig.S) (S : Spec.S) :
   TXN_CAPABLE
     with type state = S.state
      and type update_op = S.update_op

@@ -1,8 +1,7 @@
-(* The durable record log of the ONLL engines: the core construction
-   ({!Onll.Make}) and group commit ({!Onll_batched}) write the same
-   records, recover through the same routine and answer [was_linearized]
-   by the same rule. {!Onll} re-exports the identity, report, adoption and
-   snapshot types below and documents them in onll.mli. *)
+(* The durable record log of the ONLL construction ({!Onll.Make_generic},
+   under either persist policy): its records, its recovery routine and its
+   [was_linearized] rule. {!Onll} re-exports the identity, report,
+   adoption and snapshot types below and documents them in onll.mli. *)
 
 module Metrics = Onll_obs.Metrics
 
@@ -297,8 +296,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
      coordinator record is not yet known durable, it carries the encoded
      commit payload. Any process that persists such an envelope (helping,
      Listing 3) thereby makes the whole transaction durable: recovery
-     treats a payload found in any log as a committed transaction. Group
-     commit never stages, so its envelopes carry [None]. *)
+     treats a payload found in any log as a committed transaction. A
+     combining persist never marks such a node available: only its
+     coordinator linearizes it. *)
   type envelope = {
     e_proc : int;
     e_seq : int;
@@ -388,8 +388,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
 
   (* What goes into the persistent log. [Ops] is Listing 1's recordEntry:
      envelopes newest first, with contiguous execution indices descending
-     from [exec_idx] (the core's helped fuzzy window, or one group-commit
-     batch). [Checkpoint] summarises the history up to [upto_idx] for
+     from [exec_idx] (a helped fuzzy window, or a relaxed drain's run).
+     [Checkpoint] summarises the history up to [upto_idx] for
      compaction (§8). One CRC frame per record makes a torn record
      all-or-nothing on recovery. *)
   type record =
@@ -453,9 +453,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
         if upto_idx < max_int then upto_idx + 1 else max_int
 
   (* An [Ops] record from envelopes already encoded with
-     [envelope_codec], newest first, spliced into the frame as they are.
-     Group commit's submitters encode their own envelopes, so the
-     leader's critical section copies bytes. *)
+     [envelope_codec], newest first, spliced into the frame as they are:
+     the same bytes [record_codec] writes. *)
   let encode_ops =
     let open Onll_util.Codec in
     let ops = ops_case (list (encoded envelope_codec)) Fun.id in

@@ -107,6 +107,20 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     walk node []
 
+  (* The same window with each envelope's node. *)
+  let fuzzy_nodes node =
+    let rec walk curr acc =
+      if M.Tvar.get curr.available then List.rev acc
+      else
+        let acc =
+          match curr.env with Some e -> (curr, e) :: acc | None -> acc
+        in
+        match M.Tvar.get curr.next with
+        | Older older -> walk older acc
+        | Base _ -> assert false
+    in
+    walk node []
+
   (* Operations strictly newer than [floor] needed to reach [node]'s state:
      returns the starting state and the envelopes to apply, oldest first.
      [floor], when given, is a (index, state) pair the caller already

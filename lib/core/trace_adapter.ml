@@ -14,6 +14,8 @@ module Backward (M : Onll_machine.Machine_sig.S) :
   let set_available n = M.Tvar.set n.T.available true
   let latest_available = T.latest_available
   let fuzzy_envs _t node = T.fuzzy_envs node
+  let fuzzy_nodes _t node = T.fuzzy_nodes node
+  let is_newest t node = T.tail t == node
 
   let delta_from ?floor _t node =
     let floor =

@@ -35,6 +35,13 @@ module type S = sig
   (** [node]'s envelope plus the not-yet-available operations preceding it,
       newest first, with contiguous descending execution indices. *)
 
+  val fuzzy_nodes :
+    ('env, 'state) t -> ('env, 'state) node -> (('env, 'state) node * 'env) list
+  (** {!fuzzy_envs} with each envelope's node. *)
+
+  val is_newest : ('env, 'state) t -> ('env, 'state) node -> bool
+  (** No operation was inserted after [node] (when the call returns). *)
+
   val delta_from :
     ?floor:('env, 'state) node * 'state ->
     ('env, 'state) t ->

@@ -242,9 +242,10 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     advance_cursor t best;
     { cell = best; n_base }
 
-  let fuzzy_envs t node =
+  (* The cells after the newest available one at or below [node], up to
+     [node], newest first with their indices. *)
+  let window t node =
     let node = node.cell and start = cursor t node.n_base in
-    (* newest available cell <= node, then the suffix after it up to node *)
     let _, suffix_rev =
       fold_forward start start.idx ~init:(start, [])
         ~f:(fun (last_avail, suffix) n n_idx ->
@@ -252,16 +253,29 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
           else if M.Tvar.get n.available then (n, [])
           else (last_avail, (n_idx, n) :: suffix))
     in
-    match suffix_rev with
-    | [] ->
-        (* shielded: some available cell at or above us already covers the
-           prefix; persist just ourselves (contiguity trivially holds) *)
-        [ (match node.env with Some e -> e | None -> assert false) ]
+    suffix_rev
+
+  let env n = match n.env with Some e -> e | None -> assert false
+
+  (* An empty window is shielded: some available cell at or above the
+     node already covers the prefix, so the node persists just itself
+     (contiguity trivially holds). *)
+  let fuzzy_envs t node =
+    match window t node with
+    | [] -> [ env node.cell ]
+    | suffix -> List.map (fun (_, n) -> env n) suffix
+
+  let fuzzy_nodes t node =
+    match window t node with
+    | [] -> [ (node, env node.cell) ]
     | suffix ->
         List.map
-          (fun (_, n) ->
-            match n.env with Some e -> e | None -> assert false)
+          (fun (_, n) -> ({ cell = n; n_base = node.n_base }, env n))
           suffix
+
+  (* A cell links forward once a newer one is inserted after it. *)
+  let is_newest _t node =
+    match M.Tvar.get node.cell.next with Null -> true | Node _ -> false
 
   (* From the newest known state at or below [node]: the floor, the
      current base or the node's own base. A candidate is usable strictly

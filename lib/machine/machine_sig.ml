@@ -74,9 +74,9 @@ module type S = sig
       the native machine [pause] is a CPU relax hint (right when the peer
       is running on another core) while [yield] surrenders the OS
       timeslice (required when processes outnumber cores, where a spinning
-      waiter would otherwise burn the slice the lock holder needs). The
-      group-commit construction yields after announcing an update so
-      concurrent submitters get to join the batch. *)
+      waiter would otherwise burn the slice the lock holder needs). Under
+      the combining persist policy an update yields while it waits for
+      another process's persist to cover it. *)
 
   (** {1 Accounting} *)
 

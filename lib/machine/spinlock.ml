@@ -1,5 +1,5 @@
 (* A test-and-test-and-set spin lock in a machine's transient memory: the
-   group-commit leader election and the relaxed tail lock. *)
+   relaxed tail lock. *)
 
 module Make (M : Machine_sig.S) = struct
   type t = bool M.Tvar.t

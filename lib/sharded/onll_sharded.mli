@@ -160,9 +160,9 @@ module Make_over
             and type read_op = S.read_op
             and type value = S.value) : SHARDED with module Shard = C
 (** Shard any construction that speaks the standard surface — in
-    particular [Make_over (M) (S) (Onll_batched.Make (M) (S))] is the
-    sharded group-commit object (E16 composes it this way): each shard
-    keeps its own leader lock and shared log, so disjoint-key traffic
+    particular [Make_over (M) (S) (Onll_core.Onll.Make_combining (M) (S))]
+    is the sharded group-commit object (E16 composes it this way): each
+    shard combines its own concurrent updates, so disjoint-key traffic
     scales with shards {e and} amortises fences within each shard. *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) :

@@ -2,10 +2,7 @@
 
 type engine = [ `Plain | `Wait_free | `Batched ]
 
-type front =
-  | Bare of engine
-  | Sharded of engine * int
-  | Relaxed of [ `Plain | `Wait_free ] * int
+type front = Bare of engine | Sharded of engine * int | Relaxed of engine * int
 
 type top = Direct of front | Session of front | Txn of int
 type t = { top : top; replicas : int; views : bool }
@@ -33,7 +30,7 @@ let legal =
     (* last, so every other stack keeps its position in the list (the
        test suites number their cases by it) *)
     @ [ Direct (Sharded (`Wait_free, 4)); Session (Sharded (`Wait_free, 4)) ]
-    )
+    @ [ Direct (Relaxed (`Batched, 8)); Session (Relaxed (`Batched, 8)) ])
 
 let engine_name = function
   | `Plain -> "plain"
@@ -57,13 +54,6 @@ let pp ppf s =
    over the client table around the caller's. *)
 module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   module type C =
-    Onll_core.Onll.CONSTRUCTION
-      with type state = S.state
-       and type update_op = S.update_op
-       and type read_op = S.read_op
-       and type value = S.value
-
-  module type TC =
     Onll_core.Onll.TXN_CAPABLE
       with type state = S.state
        and type update_op = S.update_op
@@ -99,15 +89,10 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     relaxed : relaxed option;
   }
 
-  let txn_capable : [< `Plain | `Wait_free ] -> (module TC) = function
+  let engine : engine -> (module C) = function
     | `Plain -> (module Onll_core.Onll.Make (M) (S))
     | `Wait_free -> (module Onll_core.Onll.Make_wait_free (M) (S))
-
-  let engine : [< engine ] -> (module C) = function
-    | `Batched -> (module Onll_batched.Make (M) (S))
-    | (`Plain | `Wait_free) as e ->
-        let module T = (val txn_capable e) in
-        (module T)
+    | `Batched -> (module Onll_core.Onll.Make_combining (M) (S))
 
   let over (type a) (module C : C with type t = a) (obj : a) =
     {
@@ -153,7 +138,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         let module Sh = Onll_sharded.Make_over (M) (S) (C) in
         over_sharded (module Sh) (Sh.make ~shards cfg)
     | Relaxed (e, k) ->
-        let module C = (val txn_capable e) in
+        let module C = (val engine e) in
         let inner = C.make cfg in
         let module R = Onll_relaxed.Make_over (M) (S) (C) in
         let r = R.attach ~max_unfenced_ops:k cfg inner in

@@ -2,8 +2,9 @@
 
     Every durable object this repository builds is a stack of layers over
     one {e engine}: the paper's construction ([`Plain]), its wait-free
-    trace variant ([`Wait_free]) or group commit ([`Batched],
-    {!Onll_batched}). Above the engine sits one {e front} — nothing,
+    trace variant ([`Wait_free]) or group commit ([`Batched], the
+    construction under the combining persist policy,
+    {!Onll_core.Onll.Make_combining}). Above the engine sits one {e front} — nothing,
     key-routed shards ({!Onll_sharded}) or the bounded-staleness wrapper
     ({!Onll_relaxed}) — and above the front, optionally, per-client
     exactly-once sessions ({!Onll_session}). The cross-shard transaction
@@ -23,15 +24,12 @@
     per read — holds for every value of {!t}, which
     [test/test_stacks.ml] checks over {!legal}.
 
-    {b What is not a stack.} Two compositions have no constructor, so
-    asking for one is a type error rather than a run-time refusal:
-    - relaxed over batched: {!Onll_relaxed.Make_over} stages through
-      {!Onll_core.Onll.TXN_CAPABLE}, which group commit is not;
-    - a session over the transaction coordinator: a session submits
-      single operations, which the coordinator hands straight to its
-      shards (a session over plain shards is that stack), and an
-      exactly-once transaction needs [txn_detectable] and
-      [txn_was_committed], which a session backend does not carry. *)
+    {b What is not a stack.} A session over the transaction coordinator
+    has no constructor, so asking for one is a type error rather than a
+    run-time refusal: a session submits single operations, which the
+    coordinator hands straight to its shards (a session over plain shards
+    is that stack), and an exactly-once transaction needs [txn_detectable]
+    and [txn_was_committed], which a session backend does not carry. *)
 
 type engine = [ `Plain | `Wait_free | `Batched ]
 
@@ -40,7 +38,7 @@ type front =
   | Bare of engine
   | Sharded of engine * int
       (** that many key-routed instances of the engine *)
-  | Relaxed of [ `Plain | `Wait_free ] * int
+  | Relaxed of engine * int
       (** acks fence-free into a tail of at most that many operations *)
 
 type top =

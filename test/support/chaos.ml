@@ -53,9 +53,9 @@ type plan = {
   stack : Onll_stack.t;
       (** the object under test — any legal stack; the E14 arms shard it,
           the E16 arms put it on group commit, so the crash can land {e
-          mid-batch}: between the announce and the shared fence (the
-          whole unfenced tail-batch must vanish with no acknowledged op in
-          it) or between the fence and the acknowledgements (every batched
+          mid-window}: between the inserts and the window's fence (the
+          whole unfenced window must vanish with no acknowledged op in
+          it) or between the fence and the acknowledgements (every covered
           update must recover exactly once) *)
   fault_scope : [ `All | `Primary_only ];
       (** which replicas media faults may hit ({!Crash_world.scoped}) *)

@@ -95,13 +95,12 @@ let over front plan_of seed =
 let sharded_plan_of_seed = over (Sharded (`Plain, 4)) plan_of_seed
 let sharded_mirrored_plan_of_seed = over (Sharded (`Plain, 4)) mirrored_plan_of_seed
 
-(* The E16 arms: the group-commit construction, where the crash grid
-   sweeps over the batch protocol itself — before the shared fence (the
-   whole unfenced tail-batch must vanish with no acknowledged op in it)
-   or after it (every batched update must recover exactly once). Over
-   mirrored logs with primary-scoped faults, a primary-only fault on the
-   shared batch log must cost nothing, because the mirror drained under
-   the same single batch fence. *)
+(* The E16 arms: group commit, where the crash grid sweeps over the
+   combining protocol itself — before a window's fence (the whole
+   unfenced window must vanish with no acknowledged op in it) or after it
+   (every covered update must recover exactly once). Over mirrored logs
+   with primary-scoped faults, a primary-only fault on a log must cost
+   nothing, because the mirror drained under the same fence. *)
 let batched_plan_of_seed = over (Bare `Batched) plan_of_seed
 let batched_mirrored_plan_of_seed = over (Bare `Batched) mirrored_plan_of_seed
 

@@ -122,7 +122,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
     (val match engine with
          | Plain | Plain_views -> (module Onll.Make (M) (S))
          | Wait_free -> (module Onll.Make_wait_free (M) (S))
-         | Batched -> (module Onll_batched.Make (M) (S))
+         | Batched -> (module Onll.Make_combining (M) (S))
         : Onll.CONSTRUCTION
         with type update_op = S.update_op)
   in
@@ -135,7 +135,6 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
         sink;
       }
   in
-  let logs = match engine with Batched -> 1 | _ -> procs in
   let next = ref 0 and acked = ref [] and failure = ref None in
   let body _ =
     for _ = 1 to 8 do
@@ -148,7 +147,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
             failure := Some (Printf.sprintf "Log_full on %s after %d updates" log k)
     done
   in
-  while !appended < capacities * capacity * logs && !failure = None do
+  while !appended < capacities * capacity * procs && !failure = None do
     (match Sim.run sim Onll_sched.Sched.Strategy.round_robin (Array.make procs body) with
     | Onll_sched.Sched.World.Completed -> ()
     | _ -> failf "%s: a round did not complete" what);
@@ -162,7 +161,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
         what nodes !next !last_upto
   done;
   if !compactions = 0 then failf "%s: no compaction ran" what;
-  if !S.encodes > !compactions + logs then
+  if !S.encodes > !compactions + procs then
     failf "%s: %d state encodes for %d compactions" what !S.encodes
       !compactions;
   let all_linearized stage ids =
