@@ -37,6 +37,8 @@ let experiments =
      Txn_bench.run);
     ("e20", "bounded staleness: risk-budgeted lazy fences + quantified crash loss",
      Relaxed_bench.run);
+    ("e21", "allocation per update and read, asserted ceilings",
+     Alloc_budget.run);
     ("f1", "Figure 1: the four counter executions, replayed",
      Onll_scenarios.Figure1.print_all);
     ("f2", "Figure 2 / Prop 5.2: fuzzy-window bound", Fuzzy_window.run);

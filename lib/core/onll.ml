@@ -238,6 +238,31 @@ module Make_generic
         end;
         (state, last_value)
 
+  (* The state at [node], maintaining the caller's local view as
+     [compute] does: a view already at [node] is the answer. *)
+  let state_at t node =
+    match if t.use_views then t.views.(M.self ()) else None with
+    | Some (n, state) when T.idx n = T.idx node -> state
+    | Some _ | None -> fst (compute t node)
+
+  (* The value of the caller's own update at the available [node], whose
+     envelope is [env]. A local view one index below [node] is the state
+     [env] applies to, so it is applied there directly and the view moves
+     up to [node], with no delta built; otherwise [compute] folds the
+     delta. *)
+  let own_value t node env =
+    let p = M.self () in
+    match if t.use_views then t.views.(p) else None with
+    | Some (n, state) as floor when T.idx n = T.idx node - 1 ->
+        let state, v = apply_env state env in
+        t.prev_views.(p) <- floor;
+        t.views.(p) <- Some (node, state);
+        v
+    | Some _ | None -> (
+        match compute t node with
+        | _, Some v -> v
+        | _, None -> assert false (* node's own op is always in the delta *))
+
   (* A state the calling process holds at or below [node]: its local
      view, else the view that one replaced. [None] when neither is at or
      below [node], or when the caller is not a registered process (a
@@ -272,7 +297,7 @@ module Make_generic
   let checkpoint_body t p ~worth =
     let node = T.latest_available t.trace in
     checkpoint_log t.logs.(p) ~upto:(T.idx node) ~worth (fun () ->
-        fst (compute t node))
+        state_at t node)
 
   (* Prune the trace, then drop every local view below its new base. No
      walk reads such a view (the backward walk meets the base first, the
@@ -429,21 +454,22 @@ module Make_generic
       persist_and_linearize t env.e_proc node payload
     end
     else combine t env.e_proc node;
-    let _, value = compute t node in
+    let value = own_value t node env in
     M.return_point ();
-    match value with
-    | Some v -> v
-    | None -> assert false  (* node's own op is always in the delta *)
+    value
 
+  (* No closure is built for the attribution while the sink is off. *)
   let update_env t env =
-    attributed t Onll_obs.Opstats.update_done (fun () ->
-        update_env_body t env)
+    if Onll_obs.Opstats.active t.ostats then
+      attributed t Onll_obs.Opstats.update_done (fun () ->
+          update_env_body t env)
+    else update_env_body t env
 
   let update_with_id t op =
     let id = next_id t.seqs in
     (id, update_env t (envelope id op))
 
-  let update t op = snd (update_with_id t op)
+  let update t op = update_env t (next_envelope t.seqs op)
 
   (* Detectable-execution entry point: the caller chooses the sequence
      number, so it can ask {!was_linearized} about this exact operation
@@ -453,13 +479,15 @@ module Make_generic
       (envelope (claim_id t.seqs ~who:"Onll.update_detectable" ~seq) op)
 
   (* Listing 4. *)
+  let read_body t rop =
+    let v = S.read (state_at t (T.latest_available t.trace)).st rop in
+    M.return_point ();
+    v
+
   let read t rop =
-    attributed t Onll_obs.Opstats.read_done (fun () ->
-        let node = T.latest_available t.trace in
-        let state, _ = compute t node in
-        let v = S.read state.st rop in
-        M.return_point ();
-        v)
+    if Onll_obs.Opstats.active t.ostats then
+      attributed t Onll_obs.Opstats.read_done (fun () -> read_body t rop)
+    else read_body t rop
 
   (* {2 Recovery — Listing 5, hardened} *)
 
@@ -552,10 +580,7 @@ module Make_generic
 
   let finish_txn t s =
     T.set_available s.st_node;
-    let _, value = compute t s.st_node in
-    match value with
-    | Some v -> v
-    | None -> assert false (* the staged node's own op is in the delta *)
+    own_value t s.st_node s.st_env
 
   (* One fenced Ops record in the calling process's log for a run of
      envelopes at contiguous execution indices, given oldest first with

@@ -319,6 +319,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     seqs.(p) <- seq + 1;
     { id_proc = p; id_seq = seq }
 
+  (* [envelope (next_id seqs) op], with no identity built apart. *)
+  let next_envelope seqs op =
+    let p = M.self () in
+    let seq = seqs.(p) in
+    seqs.(p) <- seq + 1;
+    { e_proc = p; e_seq = seq; e_op = op; e_txn = None }
+
   (* A client-chosen identity for the calling process, refused before any
      effect when its sequence number is not fresh. *)
   let claim_id seqs ~who ~seq =
@@ -451,15 +458,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     | Ops { exec_idx; _ } -> exec_idx
     | Checkpoint { upto_idx; _ } ->
         if upto_idx < max_int then upto_idx + 1 else max_int
-
-  (* An [Ops] record from envelopes already encoded with
-     [envelope_codec], newest first, spliced into the frame as they are:
-     the same bytes [record_codec] writes. *)
-  let encode_ops =
-    let open Onll_util.Codec in
-    let ops = ops_case (list (encoded envelope_codec)) Fun.id in
-    let c = variant "record" [ Case ops ] (fun r -> Is (ops, r)) in
-    fun ~exec_idx pre -> encode c (exec_idx, pre)
 
   (* Run [f] on [log], turning the log's transient [Full] into the typed,
      terminal [Log_full]. *)

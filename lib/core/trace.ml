@@ -91,21 +91,17 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   (* Listing 2, [getFuzzyOps]: the envelopes of [node] and of the
      not-yet-available operations preceding it, newest first. Indices are
      contiguous and descending from [node.idx]. Bounded by MAX-PROCESSES
-     (Proposition 5.2). *)
-  let fuzzy_envs node =
-    let rec walk curr acc =
-      if M.Tvar.get curr.available then List.rev acc
-      else
-        let acc =
-          match curr.env with
-          | Some e -> e :: acc
-          | None -> acc
-        in
+     (Proposition 5.2), so the list is built on the way back, with no
+     reversal. *)
+  let rec fuzzy_envs curr =
+    if M.Tvar.get curr.available then []
+    else
+      let older =
         match M.Tvar.get curr.next with
-        | Older older -> walk older acc
+        | Older older -> fuzzy_envs older
         | Base _ -> assert false
-    in
-    walk node []
+      in
+      match curr.env with Some e -> e :: older | None -> older
 
   (* The same window with each envelope's node. *)
   let fuzzy_nodes node =

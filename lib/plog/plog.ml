@@ -4,6 +4,7 @@ let header_size = 64
 let slot_a = 0
 let slot_b = 32
 let slot_bytes = 32
+let no_slot = -1
 
 (* Salvage skip markers: a 16-byte pseudo-entry [neg_span:int64
    crc32(neg_span‖magic):int64] written over the start of a quarantined
@@ -39,16 +40,13 @@ let crc_to_int64 c = Int64.logand (Int64.of_int32 c) 0xFFFFFFFFL
 
 exception Full
 
-(* An entry's checksum covers [len:int64 ‖ payload]. The length's CRC
-   seeds the payload's, so neither is copied into a frame buffer; the
-   [_in] form checksums a payload lying at [pos] of a larger buffer in
-   place. *)
-let entry_crc_in s ~pos ~len =
-  Crc32.bytes
-    ~init:(Crc32.int64 (Int64.of_int len))
-    (Bytes.unsafe_of_string s) ~pos ~len
+(* An entry's checksum covers [len:int64 ‖ payload], taken in one call
+   with no frame built, as an int: the stored int64 is compared with it
+   unboxed. *)
+let entry_crc_int payload =
+  Crc32.length_prefixed payload ~pos:0 ~len:(String.length payload)
 
-let entry_crc payload = entry_crc_in payload ~pos:0 ~len:(String.length payload)
+let entry_crc payload = Int32.of_int (entry_crc_int payload)
 
 (* A native-endian int64 load with no bounds check. Only whether a word is
    zero matters below, so the byte order does not. *)
@@ -59,29 +57,31 @@ external get64u : string -> int -> int64 = "%caml_string_get64u"
    at a time (four words OR-ed together) while a whole block remains, a
    word at a time below that, finishing inside the first nonzero word
    byte by byte. Every load is at [0, whole - 8], inside [s]. *)
+let rec last_nonzero_byte s i lo =
+  if i < lo then -1
+  else if String.unsafe_get s i <> '\000' then i
+  else last_nonzero_byte s (i - 1) lo
+
+let rec last_nonzero_word s w =
+  if w < 0 then -1
+  else if get64u s w <> 0L then last_nonzero_byte s (w + 7) w
+  else last_nonzero_word s (w - 8)
+
+let rec last_nonzero_block s w =
+  if w < 24 then last_nonzero_word s w
+  else if
+    Int64.logor
+      (Int64.logor (get64u s w) (get64u s (w - 8)))
+      (Int64.logor (get64u s (w - 16)) (get64u s (w - 24)))
+    <> 0L
+  then last_nonzero_word s w
+  else last_nonzero_block s (w - 32)
+
 let last_nonzero s =
-  let rec byte i lo =
-    if i < lo then -1
-    else if String.unsafe_get s i <> '\000' then i
-    else byte (i - 1) lo
-  in
-  let rec word w =
-    if w < 0 then -1
-    else if get64u s w <> 0L then byte (w + 7) w
-    else word (w - 8)
-  in
-  let rec block w =
-    if w < 24 then word w
-    else if
-      Int64.logor
-        (Int64.logor (get64u s w) (get64u s (w - 8)))
-        (Int64.logor (get64u s (w - 16)) (get64u s (w - 24)))
-      <> 0L
-    then word w
-    else block (w - 32)
-  in
   let whole = String.length s land lnot 7 in
-  match byte (String.length s - 1) whole with -1 -> block (whole - 8) | i -> i
+  match last_nonzero_byte s (String.length s - 1) whole with
+  | -1 -> last_nonzero_block s (whole - 8)
+  | i -> i
 
 (* Recovery's clean-end check loads a free remainder in pieces of at most
    [zero_chunk] bytes (see [classify]), and a header's written bound runs
@@ -155,6 +155,65 @@ let pp_scrub_report ppf r =
     "@[<h>scrubbed=%d repaired=%d (%dB) unrepairable=%d@]" r.scrubbed_entries
     r.scrub_repaired_entries r.scrub_repaired_bytes r.unrepairable_spans
 
+(* A log's live entries in log order, each as its offset and its
+   record's key, in a ring of two arrays. Clearing it keeps the arrays,
+   and a push allocates only when the ring is full, so appends and
+   recovery walks that refill it allocate nothing for it; a drop that
+   leaves a large ring less than an eighth full shrinks it to a
+   quarter, so a log that dropped most of its entries does not keep the
+   arrays it needed then. *)
+module Account = struct
+  type t = {
+    mutable offs : int array;
+    mutable keys : int array;  (* capacity a power of two, at least 16 *)
+    mutable first : int;
+    mutable len : int;
+  }
+
+  let create () =
+    { offs = Array.make 16 0; keys = Array.make 16 0; first = 0; len = 0 }
+
+  let length a = a.len
+  let clear a =
+    a.first <- 0;
+    a.len <- 0
+
+  (* The slot of the [i]th live entry. *)
+  let slot a i = (a.first + i) land (Array.length a.offs - 1)
+  let off a i = a.offs.(slot a i)
+  let key a i = a.keys.(slot a i)
+
+  let resize a cap =
+    let offs = Array.make cap 0 and keys = Array.make cap 0 in
+    for i = 0 to a.len - 1 do
+      offs.(i) <- off a i;
+      keys.(i) <- key a i
+    done;
+    a.offs <- offs;
+    a.keys <- keys;
+    a.first <- 0
+
+  let push a ~off ~key =
+    if a.len = Array.length a.offs then resize a (2 * a.len);
+    let i = slot a a.len in
+    a.offs.(i) <- off;
+    a.keys.(i) <- key;
+    a.len <- a.len + 1
+
+  (* Drop the oldest [n] entries, [n <= length a]. *)
+  let drop a n =
+    a.first <- slot a n;
+    a.len <- a.len - n;
+    let cap = Array.length a.offs in
+    if cap > 1024 && a.len < cap / 8 then resize a (cap / 4)
+
+  let shift a by =
+    for i = 0 to a.len - 1 do
+      let j = slot a i in
+      a.offs.(j) <- a.offs.(j) + by
+    done
+end
+
 module Make (M : Onll_machine.Machine_sig.S) = struct
   type t = {
     regions : M.Pm.t array;  (* replica 0 is the primary *)
@@ -173,7 +232,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
            recovery does not look at, are not counted (see the
            interface) *)
     key : string -> int;  (* the caller's per-record key, see [drop_upto] *)
-    offs : live Queue.t;
+    offs : Account.t;
         (* the live entries in log order, rebuilt by [recover]'s walk and
            maintained incrementally by [append] and [relocate], so neither
            [set_head], [drop_upto] nor [entry_count] pays a CRC-validating
@@ -188,8 +247,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
            while unknown *)
   }
 
-  (* One live entry of the account: its offset and its record's key. *)
-  and live = { mutable l_off : int; l_key : int }
+  (* One live entry found by a scan: its offset and its record's key. *)
+  type live = { l_off : int; l_key : int }
 
   let name t = t.log_name
   let capacity t = t.log_capacity
@@ -206,35 +265,42 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Retry { site; attempt })
 
-  (* Make the [(off, len)] ranges durable in every replica: flush each
-     replica's ranges, then ONE fence — pending write-backs are per
-     process, so all replica flushes drain under the same persistent fence
-     and neither mirroring nor a second range ever costs an extra one.
-     Transient faults retry the whole sequence: a failed flush queued
-     nothing, a failed fence left the pending set intact, and re-flushing
-     re-queues snapshots of the same dirty lines, so the retry is
-     idempotent. *)
-  let persist t ~site ranges =
-    let rec go attempt =
-      match
-        Array.iter
-          (fun r -> List.iter (fun (off, len) -> M.Pm.flush r ~off ~len) ranges)
-          t.regions;
-        M.fence ()
-      with
-      | () -> ()
-      | exception Onll_nvm.Memory.Transient_fault _
-        when attempt <= retry_budget ->
-          emit_retry t ~site ~attempt;
-          go (attempt + 1)
-    in
-    go 1
+  (* Make [off, off+len) durable in every replica, and with it the header
+     slot at [slot] unless that is [no_slot]: flush each replica's
+     ranges, then ONE fence — pending write-backs are per process, so all
+     replica flushes drain under the same persistent fence and neither
+     mirroring nor a second range ever costs an extra one. Transient
+     faults retry the whole sequence: a failed flush queued nothing, a
+     failed fence left the pending set intact, and re-flushing re-queues
+     snapshots of the same dirty lines, so the retry is idempotent. *)
+  let rec persist_attempt t ~site ~off ~len ~slot attempt =
+    match
+      for r = 0 to Array.length t.regions - 1 do
+        M.Pm.flush t.regions.(r) ~off ~len;
+        if slot <> no_slot then
+          M.Pm.flush t.regions.(r) ~off:slot ~len:slot_bytes
+      done;
+      M.fence ()
+    with
+    | () -> ()
+    | exception Onll_nvm.Memory.Transient_fault _ when attempt <= retry_budget
+      ->
+        emit_retry t ~site ~attempt;
+        persist_attempt t ~site ~off ~len ~slot (attempt + 1)
+
+  let persist ?(slot = no_slot) t ~site ~off ~len =
+    persist_attempt t ~site ~off ~len ~slot 1
 
   (* Store the same bytes at [off] in every replica. *)
-  let store_all t ~off s = Array.iter (fun r -> M.Pm.store r ~off s) t.regions
+  let store_all t ~off s =
+    for r = 0 to Array.length t.regions - 1 do
+      M.Pm.store t.regions.(r) ~off s
+    done
 
   let store_int64_all t ~off v =
-    Array.iter (fun r -> M.Pm.store_int64 r ~off v) t.regions
+    for r = 0 to Array.length t.regions - 1 do
+      M.Pm.store_int64 t.regions.(r) ~off v
+    done
 
   (* The slot header [seq] lives in: the two alternate, so a torn header
      write leaves the other slot intact. *)
@@ -313,61 +379,82 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let next_bound t = min (log_end t) (t.written_upto + zero_chunk)
 
   (* Store the next header slot — the next seq, [head] and the bound now
-     due — in every replica, and return the seq, the bound and the range
-     to persist. *)
+     due — in every replica, and return the bound; the slot to persist is
+     [slot_of] the next seq. *)
   let store_next_header t ~head =
-    let seq = Int64.add t.header_seq 1L and bound = next_bound t in
-    store_slot t.regions ~seq ~head ~bound;
-    (seq, bound, (slot_of seq, slot_bytes))
+    let bound = next_bound t in
+    store_slot t.regions ~seq:(Int64.add t.header_seq 1L) ~head ~bound;
+    bound
+
+  (* The next header slot stored and persisted (under its own fence
+     here, or with an append's record under the append's): it is now the
+     durable header. *)
+  let next_header_durable t ~bound =
+    t.header_seq <- Int64.add t.header_seq 1L;
+    t.bound <- bound
 
   (* Durably switch the header to (next seq, [head], the bound now due). *)
   let write_header t ~site ~head =
-    let seq, bound, range = store_next_header t ~head in
-    persist t ~site [ range ];
-    t.header_seq <- seq;
-    t.head <- head;
-    t.bound <- bound
+    let bound = store_next_header t ~head in
+    let slot = slot_of (Int64.add t.header_seq 1L) in
+    persist t ~site ~off:slot ~len:slot_bytes;
+    next_header_durable t ~bound;
+    t.head <- head
 
-  (* The valid record one replica holds at [pos], if any, read with two
-     loads for the 16-byte record header and, for an entry, one load of
-     its payload, checked once. The record returned is the bytes checked:
-     media rot can strike between two loads of the same record (the
-     scrubber runs under active rot), so a copy made from a later load
-     could spread fresh damage onto the intact replicas — turning a
-     repairable single-copy fault into an unrepairable all-copy one.
-     Working only from these bytes closes that window. The length checks
-     are written so a forged length cannot overflow them. *)
-  type record =
-    | Entry of int64 * string  (* stored CRC, payload *)
-    | Skip of int  (* quarantined span *)
-
-  let read_at t region pos =
+  (* The valid record one replica holds at [pos], read with two loads for
+     the 16-byte record header and, for an entry, one load of its
+     payload, checked once: a valid entry's span, its payload then in
+     [found]; minus a valid skip marker's span; 0 when the replica holds
+     neither. An entry's read allocates only the payload and the two
+     header words the machine returns boxed. The payload handed back is
+     the bytes checked: media rot can strike between two loads of the
+     same record (the scrubber runs under active rot), so a copy made
+     from a later load could spread fresh damage onto the intact replicas
+     — turning a repairable single-copy fault into an unrepairable
+     all-copy one. Working only from these bytes closes that window. The
+     length checks are written so a forged length cannot overflow
+     them. *)
+  let read_at t region pos found =
     let room = log_end t - pos in
-    if room < 16 then None
+    if room < 16 then 0
     else
       let len64 = M.Pm.load_int64 region ~off:pos in
-      if len64 = 0L then None
+      if len64 = 0L then 0
       else
         let stored = M.Pm.load_int64 region ~off:(pos + 8) in
         let len = Int64.to_int len64 in
         if len >= 1 then
-          if len > room - 16 then None
+          if len > room - 16 then 0
           else
             let payload = M.Pm.load region ~off:(pos + 16) ~len in
-            if stored = crc_to_int64 (entry_crc payload) then
-              Some (Entry (stored, payload))
-            else None
+            if stored = Int64.of_int (entry_crc_int payload) then begin
+              found := payload;
+              16 + len
+            end
+            else 0
         else
           let span = Int64.to_int (Int64.neg len64) in
           if
             stored = crc_to_int64 (crc_of_int64s len64 skip_magic)
             && span >= 16 && span <= room
-          then Some (Skip span)
-          else None
+          then -span
+          else 0
+
+  (* A valid record, as the replicas' reads are compared. *)
+  type record =
+    | Entry of string  (* payload *)
+    | Skip of int  (* quarantined span *)
+
+  let read_record t region pos =
+    let found = ref "" in
+    match read_at t region pos found with
+    | 0 -> None
+    | span when span > 0 -> Some (Entry !found)
+    | span -> Some (Skip (-span))
 
   (* The byte length of a record in the log. *)
   let record_span = function
-    | Entry (_, payload) -> 16 + String.length payload
+    | Entry payload -> 16 + String.length payload
     | Skip span -> span
 
   (* The bytes a record occupies at its offset: a skip marker covers only
@@ -375,8 +462,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let record_bytes r =
     let len64, stored, payload =
       match r with
-      | Entry (stored, payload) ->
-          (Int64.of_int (String.length payload), stored, payload)
+      | Entry payload ->
+          ( Int64.of_int (String.length payload),
+            Int64.of_int (entry_crc_int payload),
+            payload )
       | Skip span ->
           let len64 = Int64.neg (Int64.of_int span) in
           (len64, crc_to_int64 (crc_of_int64s len64 skip_magic), "")
@@ -388,7 +477,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     Bytes.unsafe_to_string b
 
   (* One [read_at] per replica, primary first. *)
-  let read_all t pos = Array.map (fun r -> read_at t r pos) t.regions
+  let read_all t pos = Array.map (fun r -> read_record t r pos) t.regions
 
   (* The canonical record at [pos] and the replica it came from: the first
      valid entry, else the first valid skip marker, else none — the caller
@@ -420,20 +509,31 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     if !stale <> [] then begin
       let bytes = record_bytes canon in
       List.iter (fun i -> M.Pm.store t.regions.(i) ~off bytes) !stale;
-      persist t ~site:"plog.repair" [ (off, String.length bytes) ]
+      persist t ~site:"plog.repair" ~off ~len:(String.length bytes)
     end;
     List.length !stale
 
-  (* The canonical record at [pos], every replica healed to it, and how
-     many replica ranges that rewrote. A single replica is its own
-     canonical copy, so nothing is compared. *)
-  let settle t pos =
-    if Array.length t.regions = 1 then (read_at t t.regions.(0) pos, 0)
+  (* The canonical record at [pos], every replica healed to it, as
+     [read_at] gives it: its span (negative for a skip marker), an
+     entry's payload in [found]. The replica ranges healing an entry
+     rewrote, and their bytes, are added to [repaired] and [rep_bytes];
+     propagating a marker is not a data repair. A single replica is its
+     own canonical copy, so nothing is compared. *)
+  let settle t pos found ~repaired ~rep_bytes =
+    if Array.length t.regions = 1 then read_at t t.regions.(0) pos found
     else
       let reads = read_all t pos in
       match canonical reads with
-      | Some ((_, canon) as c) -> (Some canon, heal t ~off:pos reads c)
-      | None -> (None, 0)
+      | None -> 0
+      | Some ((_, Skip span) as c) ->
+          ignore (heal t ~off:pos reads c : int);
+          -span
+      | Some ((_, (Entry payload as canon)) as c) ->
+          let healed = heal t ~off:pos reads c and span = record_span canon in
+          repaired := !repaired + healed;
+          rep_bytes := !rep_bytes + (healed * span);
+          found := payload;
+          span
 
   (* Re-converge replica headers on the merged (seq, head, bound):
      rewrite the canonical slot of every replica whose slot disagrees —
@@ -456,7 +556,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       in
       if dirty <> [] then begin
         store_slot (Array.of_list dirty) ~seq ~head ~bound;
-        persist t ~site:"plog.repair" [ (slot, slot_bytes) ]
+        persist t ~site:"plog.repair" ~off:slot ~len:slot_bytes
       end
     end
 
@@ -466,13 +566,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      primary is canonical after any recovery/scrub, so the ordinary read
      path never consults mirrors. *)
   let scan t head =
-    let region = primary t in
+    let region = primary t and found = ref "" in
     let rec loop pos acc =
-      match read_at t region pos with
-      | Some (Entry (_, payload) as r) ->
-          loop (pos + record_span r) ((payload, pos) :: acc)
-      | Some (Skip span) -> loop (pos + span) acc
-      | None -> (List.rev acc, pos)
+      match read_at t region pos found with
+      | 0 -> (List.rev acc, pos)
+      | span when span > 0 -> loop (pos + span) ((!found, pos) :: acc)
+      | span -> loop (pos - span) acc
     in
     loop head []
 
@@ -495,7 +594,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       bound = header_size + capacity;
       written_upto = header_size;
       key;
-      offs = Queue.create ();
+      offs = Account.create ();
       offs_valid = true;
       ckpt_key = None;
       footprint = 0;
@@ -643,11 +742,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     store_int64_all t ~off len64;
     store_int64_all t ~off:(off + 8)
       (crc_to_int64 (crc_of_int64s len64 skip_magic));
-    persist t ~site:"plog.salvage" [ (off, 16) ]
+    persist t ~site:"plog.salvage" ~off ~len:16
 
   let zero_span t ~off ~len =
     store_all t ~off (String.make len '\000');
-    persist t ~site:"plog.salvage" [ (off, len) ]
+    persist t ~site:"plog.salvage" ~off ~len
 
   (* A Salvage event for bytes recovery is about to discard, emitted
      before the discard is made durable: a recovery that crashes after
@@ -667,7 +766,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     t.head <- head;
     t.bound <- bound;
     (* the walk rebuilds the account; it is valid once the walk is done *)
-    Queue.clear t.offs;
+    Account.clear t.offs;
     t.offs_valid <- false;
     forget_checkpoint t;
     let torn = ref 0 and qspans = ref 0 and qbytes = ref 0 in
@@ -689,23 +788,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
        bound — but the clean-end check and the resync search stop at the
        bound. *)
     let stop = log_end t in
+    let found = ref "" in
     let rec walk pos =
       if pos + 16 > stop then pos
       else
-        match settle t pos with
-        | Some (Entry (_, payload) as r), healed ->
-            let len = record_span r in
-            if healed > 0 then begin
-              repaired := !repaired + healed;
-              rep_bytes := !rep_bytes + (healed * len)
-            end;
-            Queue.push { l_off = pos; l_key = entry payload } t.offs;
-            walk (pos + len)
-        | Some (Skip span), _ ->
-            (* propagating the marker is not a data repair *)
-            incr markers;
-            walk (pos + span)
-        | None, _ -> (
+        match settle t pos found ~repaired ~rep_bytes with
+        | 0 -> (
             match classify t ~pos ~stop:bound with
             | Clean -> pos
             | Torn n ->
@@ -720,6 +808,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                 incr markers;
                 qbytes := !qbytes + span;
                 walk (pos + span))
+        | span when span > 0 ->
+            Account.push t.offs ~off:pos ~key:(entry !found);
+            walk (pos + span)
+        | span ->
+            incr markers;
+            walk (pos - span)
     in
     t.tail <- walk head;
     (* everything from the tail up to the bound is zero now *)
@@ -766,7 +860,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         else
           let stored = M.Pm.load_int64 region ~off:(pos + 8) in
           let payload = M.Pm.load region ~off:(pos + 16) ~len in
-          if stored <> crc_to_int64 (entry_crc payload) then pos
+          if stored <> Int64.of_int (entry_crc_int payload) then pos
           else loop (pos + 16 + len)
     in
     t.header_seq <- seq;
@@ -791,20 +885,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     t.offs_valid <- false;
     let scrubbed = ref 0 and repaired = ref 0 and rep_bytes = ref 0 in
     let unrep = ref 0 in
+    let found = ref "" in
     let rec walk pos =
       if pos >= t.tail then ()
       else
-        match settle t pos with
-        | Some (Entry _ as r), healed ->
-            let len = record_span r in
-            incr scrubbed;
-            if healed > 0 then begin
-              repaired := !repaired + healed;
-              rep_bytes := !rep_bytes + (healed * len)
-            end;
-            walk (pos + len)
-        | Some (Skip span), _ -> walk (pos + span)
-        | None, _ ->
+        match settle t pos found ~repaired ~rep_bytes with
+        | 0 ->
             (* Corrupt in every replica: resync at the next offset some
                replica holds a valid record (bounded by the live tail),
                else the rest of the live span is gone. Either way the span
@@ -817,6 +903,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             write_skip_marker t ~off:pos ~span:(upto - pos);
             incr unrep;
             walk upto
+        | span when span > 0 ->
+            incr scrubbed;
+            walk (pos + span)
+        | span -> walk (pos - span)
     in
     walk t.head;
     (* a rewritten or quarantined span may have held the checkpoint *)
@@ -848,23 +938,21 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     (* An append that would pass the written bound raises it: the next
        header slot, stored before the record and drained with it under
        the append's one fence. *)
-    let raised =
-      if fin > t.bound then Some (store_next_header t ~head:t.head) else None
-    in
+    let raised = fin > t.bound in
+    let bound = if raised then store_next_header t ~head:t.head else t.bound in
     store_int64_all t ~off (Int64.of_int len);
-    store_int64_all t ~off:(off + 8) (crc_to_int64 (entry_crc payload));
+    store_int64_all t ~off:(off + 8) (Int64.of_int (entry_crc_int payload));
     store_all t ~off:(off + 16) payload;
-    (match raised with
-    | None -> persist t ~site:"plog.append" [ (off, need) ]
-    | Some (seq, bound, range) ->
-        persist t ~site:"plog.append" [ (off, need); range ];
-        t.header_seq <- seq;
-        t.bound <- bound);
+    if raised then begin
+      persist t ~site:"plog.append" ~off ~len:need
+        ~slot:(slot_of (Int64.add t.header_seq 1L));
+      next_header_durable t ~bound
+    end
+    else persist t ~site:"plog.append" ~off ~len:need;
     t.tail <- fin;
-    if t.offs_valid then begin
-      let l_key = match key with Some k -> k | None -> t.key payload in
-      Queue.push { l_off = off; l_key } t.offs
-    end;
+    if t.offs_valid then
+      Account.push t.offs ~off
+        ~key:(match key with Some k -> k | None -> t.key payload);
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Log_append { log = t.log_name; bytes = need })
@@ -895,8 +983,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           (fun (payload, off) -> { l_off = off; l_key = t.key payload })
           es
       in
-      Queue.clear t.offs;
-      List.iter (fun l -> Queue.push l t.offs) live;
+      Account.clear t.offs;
+      List.iter (fun l -> Account.push t.offs ~off:l.l_off ~key:l.l_key) live;
       t.offs_valid <- tail_off = t.tail;
       if t.offs_valid then Account else Scanned (live, tail_off)
     end
@@ -905,16 +993,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let drop_first t span n =
     let new_head =
       match span with
-      | Account -> (
-          for _ = 1 to n do ignore (Queue.pop t.offs) done;
-          match Queue.peek_opt t.offs with Some l -> l.l_off | None -> t.tail)
+      | Account ->
+          let a = t.offs in
+          let head = if n < Account.length a then Account.off a n else t.tail in
+          Account.drop a n;
+          head
       | Scanned (live, stop) -> (
           match List.nth_opt live n with Some l -> l.l_off | None -> stop)
     in
     advance_head t ~new_head ~dropped:n
 
   let span_length t = function
-    | Account -> Queue.length t.offs
+    | Account -> Account.length t.offs
     | Scanned (live, _) -> List.length live
 
   let entry_count t = span_length t (live_span t)
@@ -930,12 +1020,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   let drop_upto t k =
     let span = live_span t in
-    let live =
+    let n =
       match span with
-      | Account -> Queue.to_seq t.offs
-      | Scanned (live, _) -> List.to_seq live
+      | Account ->
+          let a = t.offs in
+          let rec count i =
+            if i < Account.length a && Account.key a i <= k then count (i + 1)
+            else i
+          in
+          count 0
+      | Scanned (live, _) ->
+          Seq.length (Seq.take_while (fun l -> l.l_key <= k) (List.to_seq live))
     in
-    let n = Seq.length (Seq.take_while (fun l -> l.l_key <= k) live) in
     if n > 0 then drop_first t span n;
     n
 
@@ -1015,7 +1111,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
                 copy upto
         in
         copy t.head;
-        persist t ~site:"plog.relocate" [ (header_size, live) ]
+        persist t ~site:"plog.relocate" ~off:header_size ~len:live
       end;
       let shift = t.head - header_size in
       (* The switch keeps the bound over the old span: until its zeroing
@@ -1024,7 +1120,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       (* every record moved by the same distance, so a valid account
          stays valid shifted — unless a quarantine redrew a boundary *)
       if !quarantined = 0 then
-        Queue.iter (fun l -> l.l_off <- l.l_off - shift) t.offs
+        Account.shift t.offs (-shift)
       else begin
         t.offs_valid <- false;
         forget_checkpoint t
@@ -1033,7 +1129,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       let stale = t.written_upto - t.tail in
       if stale > 0 then begin
         store_all t ~off:t.tail (String.make stale '\000');
-        persist t ~site:"plog.relocate" [ (t.tail, stale) ];
+        persist t ~site:"plog.relocate" ~off:t.tail ~len:stale;
         t.written_upto <- t.tail
       end;
       if !quarantined > 0 && Onll_obs.Sink.active t.sink then

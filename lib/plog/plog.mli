@@ -249,6 +249,15 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       is read once per replica, and those reads also decide which
       replicas' headers to heal. *)
 
+  val recover_walk : t -> entry:(string -> int) -> salvage_report
+  (** {!recover}'s walk, which {!recover_decoded} runs too: [entry] is
+      given each live payload in log order, as the walk finds it, and
+      returns its key (what [create]'s [key] maps it to) for the live-entry
+      account. Apart from [entry]'s own allocation, an entry costs the walk
+      its payload copy and the two header words the machine returns boxed:
+      the live-entry account keeps its storage across walks, and a
+      record's checksum is taken and compared unboxed. *)
+
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: truncate the primary at the first invalid
       entry — silently dropping every entry after an interior corruption,

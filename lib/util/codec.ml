@@ -7,26 +7,37 @@ type cursor = { s : string; mutable pos : int; mutable stop : int }
 
 (* The output of one encode: filled chunks, then the chunk being
    written. A chunk is never grown, so a long encoding is copied once,
-   into the result; chunks double from 256 bytes up to 64 KiB, so the
-   slack past the last byte is small next to a long encoding. *)
+   into the result. The chunks, all of [max_chunk] bytes, are the
+   calling domain's, kept from one encode to the next (see [encode]);
+   the slack past the last byte is small next to a long encoding. *)
 type writer = {
   mutable buf : Bytes.t;  (* the chunk being written *)
   mutable pos : int;  (* its first free byte *)
   mutable full : (Bytes.t * int) list;
       (* earlier chunks with the bytes used in each, newest first *)
   mutable before : int;  (* the bytes used in [full] *)
+  mutable spare : Bytes.t list;  (* kept chunks not written yet *)
+  mutable fresh : Bytes.t list;  (* chunks this encode allocated *)
 }
 
 let max_chunk = 1 lsl 16
 
-(* Start a chunk with room for at least [need] bytes. *)
-let next_chunk w need =
+(* Start a chunk: a kept one, else a fresh one. (What [ensure] asks for
+   is at most 16 bytes.) *)
+let next_chunk w =
   w.full <- (w.buf, w.pos) :: w.full;
   w.before <- w.before + w.pos;
-  w.buf <- Bytes.create (max need (min max_chunk (2 * Bytes.length w.buf)));
+  (match w.spare with
+  | c :: rest ->
+      w.buf <- c;
+      w.spare <- rest
+  | [] ->
+      let c = Bytes.create max_chunk in
+      w.buf <- c;
+      w.fresh <- c :: w.fresh);
   w.pos <- 0
 
-let ensure w need = if Bytes.length w.buf - w.pos < need then next_chunk w need
+let ensure w need = if Bytes.length w.buf - w.pos < need then next_chunk w
 let written w = w.before + w.pos
 
 type 'a t = {
@@ -77,19 +88,62 @@ let get_count (c : cursor) ~width what =
     fail "%s: %d elements of at least %d bytes in %d bytes" what n width left;
   n
 
+(* A domain's chunks: [first] and [spare] ones, all of [max_chunk]
+   bytes, which its encodes write into instead of allocating, and which
+   grow to its longest encoding. [busy] while an encode runs: a codec
+   that encodes inside its own write takes the [inner] pool, one per
+   depth of nesting. *)
+type pool = {
+  first : Bytes.t;
+  mutable spare : Bytes.t list;
+  mutable busy : bool;
+  mutable inner : pool option;
+}
+
+let new_pool () =
+  { first = Bytes.create max_chunk; spare = []; busy = false; inner = None }
+
+let pools = Domain.DLS.new_key new_pool
+
+let rec free_pool p =
+  if not p.busy then p
+  else
+    match p.inner with
+    | Some q -> free_pool q
+    | None ->
+        let q = new_pool () in
+        p.inner <- Some q;
+        q
+
 let encode c v =
-  let w = { buf = Bytes.create 256; pos = 0; full = []; before = 0 } in
-  c.write w v;
-  let out = Bytes.create (written w) in
-  ignore
-    (List.fold_left
-       (fun stop (b, used) ->
-         Bytes.blit b 0 out (stop - used) used;
-         stop - used)
-       (written w)
-       ((w.buf, w.pos) :: w.full)
-      : int);
-  Bytes.unsafe_to_string out
+  let p = free_pool (Domain.DLS.get pools) in
+  let w =
+    { buf = p.first; pos = 0; full = []; before = 0; spare = p.spare; fresh = [] }
+  in
+  p.busy <- true;
+  (match c.write w v with
+  | () -> ()
+  | exception e ->
+      p.busy <- false;
+      raise e);
+  let out =
+    match w.full with
+    | [] -> Bytes.sub_string w.buf 0 w.pos
+    | full ->
+        let out = Bytes.create (written w) in
+        Bytes.blit w.buf 0 out w.before w.pos;
+        ignore
+          (List.fold_left
+             (fun stop (b, used) ->
+               Bytes.blit b 0 out (stop - used) used;
+               stop - used)
+             w.before full
+            : int);
+        Bytes.unsafe_to_string out
+  in
+  if w.fresh <> [] then p.spare <- List.rev_append w.fresh p.spare;
+  p.busy <- false;
+  out
 
 let decode_range c s ~pos ~stop =
   if pos < 0 || stop > String.length s then
@@ -147,22 +201,31 @@ let float =
 
 let int = { write = put_int; read = (fun c -> get_int c "int"); width = 8 }
 
-(* A long string is copied in pieces, into the chunks as they come. *)
 let rec put_string w v off =
   let k = min (String.length v - off) (Bytes.length w.buf - w.pos) in
   Bytes.blit_string v off w.buf w.pos k;
   w.pos <- w.pos + k;
   if off + k < String.length v then begin
-    next_chunk w 1;
+    next_chunk w;
     put_string w v (off + k)
   end
 
+(* A string whose length and body fit in the chunk is written in one
+   step; any other is copied in pieces, into the chunks as they come. *)
 let string =
   {
     write =
       (fun w v ->
-        put_int w (String.length v);
-        put_string w v 0);
+        let n = String.length v and pos = w.pos in
+        if Bytes.length w.buf - pos >= 8 + n then begin
+          Bytes.set_int64_le w.buf pos (Int64.of_int n);
+          Bytes.unsafe_blit_string v 0 w.buf (pos + 8) n;
+          w.pos <- pos + 8 + n
+        end
+        else begin
+          put_int w n;
+          put_string w v 0
+        end);
     read =
       (fun c ->
         let n = get_length c "string length" in
@@ -200,6 +263,12 @@ let triple ca cb cc =
     width = ca.width + cb.width + cc.width;
   }
 
+let rec write_all write w = function
+  | [] -> ()
+  | x :: l ->
+      write w x;
+      write_all write w l
+
 (* [List.init] and [Array.init] call [f] on ascending indices, so the
    elements are read in input order. *)
 let list c =
@@ -207,7 +276,7 @@ let list c =
     write =
       (fun w l ->
         put_int w (List.length l);
-        List.iter (c.write w) l);
+        write_all c.write w l);
     read =
       (fun cur ->
         let n = get_count cur ~width:c.width "list" in
@@ -220,7 +289,9 @@ let array c =
     write =
       (fun w a ->
         put_int w (Array.length a);
-        Array.iter (c.write w) a);
+        for i = 0 to Array.length a - 1 do
+          c.write w a.(i)
+        done);
     read =
       (fun cur ->
         let n = get_count cur ~width:c.width "array" in
@@ -242,17 +313,6 @@ let option c =
           Some (c.read cur)
         else None);
     width = 1;
-  }
-
-let encoded c =
-  {
-    write = (fun w s -> put_string w s 0);
-    read =
-      (fun cur ->
-        let start = cur.pos in
-        ignore (c.read cur);
-        String.sub cur.s start (cur.pos - start));
-    width = c.width;
   }
 
 let map of_a to_a c =
@@ -323,16 +383,24 @@ let variant name cases choose =
     width = 16;
   }
 
-let bindings ~cardinal ~iter ~of_reader key value =
+(* The count is written as a placeholder and patched once the walk has
+   counted the bindings, as a variant's body length is: the placeholder
+   stays in its chunk, retired or not. *)
+let bindings ~iter ~of_reader key value =
   {
     write =
       (fun w m ->
-        put_int w (cardinal m);
+        ensure w 8;
+        let head = w.buf and at = w.pos in
+        w.pos <- at + 8;
+        let n = ref 0 in
         iter
           (fun k v ->
+            incr n;
             key.write w k;
             value.write w v)
-          m);
+          m;
+        Bytes.set_int64_le head at (Int64.of_int !n));
     read =
       (fun c ->
         let n = get_count c ~width:(key.width + value.width) "map" in

@@ -15,6 +15,12 @@ exception Decode_error of string
     is allocated for them. *)
 
 val encode : 'a t -> 'a -> string
+(** The bytes of a value, written into 64 KiB chunks and copied once
+    into the result. The calling domain keeps its chunks from one encode
+    to the next (as many as its longest encoding filled, per depth of
+    encodes nested in a codec's write), so an encode allocates its result,
+    one small record and only the chunks its domain never had. *)
+
 val decode : 'a t -> string -> 'a
 (** [decode c s] decodes [s] entirely; trailing bytes are a
     {!Decode_error}. *)
@@ -40,7 +46,8 @@ val float : float t
 val char : char t
 
 val string : string t
-(** Length-prefixed. *)
+(** Length-prefixed. A string whose length and body fit in the encode's
+    current chunk is written in one step. *)
 
 (** {1 Combinators} *)
 
@@ -59,12 +66,6 @@ val option : 'a t -> 'a option t
 val map : ('a -> 'b) -> ('b -> 'a) -> 'a t -> 'b t
 (** [map of_a to_a c] converts codec [c] via an isomorphism:
     [of_a] decodes, [to_a] encodes. *)
-
-val encoded : 'a t -> string t
-(** [encoded c]: an ['a] already encoded with [c], as its bytes, written
-    as they are and read as the bytes one ['a] spans. Over values encoded
-    with [c], [list (encoded c)] writes the bytes [list c] writes over
-    the values themselves. *)
 
 val skip : unit t
 (** Reads the rest of the enclosing variant body (or of the input) and
@@ -102,16 +103,17 @@ val variant : string -> 'a any_case list -> ('a -> 'a choice) -> 'a t
     @raise Invalid_argument if two cases share a tag. *)
 
 val bindings :
-  cardinal:('m -> int) ->
   iter:(('k -> 'v -> unit) -> 'm -> unit) ->
   of_reader:(int -> key:(unit -> 'k) -> value:(unit -> 'v) -> 'm) ->
   'k t ->
   'v t ->
   'm t
 (** A map as its bindings in key order: the bytes [list (pair key value)]
-    writes for them, written straight from [iter]. Decoding hands
-    [of_reader] the count and two readers, which it calls [key] then
-    [value] for each binding, in input order. A count the remaining
+    writes for them, written in one walk of [iter]. The count comes
+    first in those bytes; it is written as a placeholder and filled in
+    once the walk is done, so the map is never counted apart. Decoding
+    hands [of_reader] the count and two readers, which it calls [key]
+    then [value] for each binding, in input order. A count the remaining
     input cannot hold raises {!Decode_error} before anything is
     allocated for it. {!Ordered_map.S.codec} is this codec. *)
 

@@ -1,7 +1,7 @@
 (* The computation is C (crc32_stubs.c): a table loop everywhere, and a
    carry-less-multiply fold for long ranges where the CPU has one. The
    stubs take and return CRC values in untagged ints and allocate
-   nothing; only the [int32] result is boxed. *)
+   nothing; only an [int32] result is boxed. *)
 
 external init_tables : unit -> unit = "onll_crc32_init"
 
@@ -21,6 +21,11 @@ external crc_int64 : (int[@untagged]) -> (int64[@unboxed]) -> (int[@untagged])
   = "onll_crc32_int64_byte" "onll_crc32_int64"
 [@@noalloc]
 
+external crc_length_prefixed :
+  string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "onll_crc32_length_prefixed_byte" "onll_crc32_length_prefixed"
+[@@noalloc]
+
 let check_range b ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length b - len then
     invalid_arg "Crc32.bytes: range out of bounds"
@@ -37,3 +42,7 @@ let string ?init s =
   bytes ?init (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let int64 ?(init = 0l) x = Int32.of_int (crc_int64 (Int32.to_int init) x)
+
+let length_prefixed s ~pos ~len =
+  check_range (Bytes.unsafe_of_string s) ~pos ~len;
+  crc_length_prefixed s pos len

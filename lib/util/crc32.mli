@@ -6,7 +6,7 @@
     marker" is needed (the checksum is the commit marker).
 
     {b Implementation.} One C stub per entry point, [noalloc] and over
-    unboxed ints, so a call allocates only its [int32] result. Two paths
+    unboxed ints, so a call allocates at most its [int32] result. Two paths
     compute the same function:
     - {e the fold}: on x86-64, when CPUID reports PCLMULQDQ, a range of at
       least 64 bytes is folded 64 bytes at a time in four 128-bit lanes by
@@ -35,6 +35,14 @@ val bytes : ?init:int32 -> Bytes.t -> pos:int -> len:int -> int32
 val int64 : ?init:int32 -> int64 -> int32
 (** [int64 x] checksums the 8 little-endian bytes of [x], folded from the
     int itself with no buffer allocated. *)
+
+val length_prefixed : string -> pos:int -> len:int -> int
+(** [length_prefixed s ~pos ~len] is the CRC-32 of [len] as 8
+    little-endian bytes followed by the range [pos, pos+len) of [s], as an
+    int in [0, 2{^32}): a log entry's checksum, in one call that allocates
+    nothing. [Int32.of_int] of it is [bytes ~init:(int64 (Int64.of_int
+    len))] of that range.
+    @raise Invalid_argument if the range is out of bounds. *)
 
 val bytes_table : ?init:int32 -> Bytes.t -> pos:int -> len:int -> int32
 (** [bytes] on the table path alone, whatever the CPU: what a host without

@@ -180,6 +180,17 @@ intnat onll_crc32_int64(intnat init, int64_t x)
          & 0xFFFFFFFFu;
 }
 
+/* The 8 little-endian bytes of [len], then the [len] bytes at [pos] of
+   [s]: one call for a log entry's checksum, so its frame is never built
+   and its length is not checksummed through a call of its own. */
+intnat onll_crc32_length_prefixed(value s, intnat pos, intnat len)
+{
+  uint64_t u = (uint64_t)len;
+  uint32_t crc = step8(~0u, (uint32_t)u, (uint32_t)(u >> 32));
+  const unsigned char *p = (const unsigned char *)String_val(s) + pos;
+  return ~crc_update(crc, p, (size_t)len) & 0xFFFFFFFFu;
+}
+
 /* Bytecode entry points: the same functions over boxed arguments. */
 value onll_crc32_bytes_byte(value init, value b, value pos, value len)
 {
@@ -191,6 +202,11 @@ value onll_crc32_bytes_table_byte(value init, value b, value pos, value len)
 {
   return Val_long(onll_crc32_bytes_table(Long_val(init), b, Long_val(pos),
                                          Long_val(len)));
+}
+
+value onll_crc32_length_prefixed_byte(value s, value pos, value len)
+{
+  return Val_long(onll_crc32_length_prefixed(s, Long_val(pos), Long_val(len)));
 }
 
 value onll_crc32_int64_byte(value init, value x)

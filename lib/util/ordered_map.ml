@@ -203,7 +203,7 @@ module Make (Ord : Map.OrderedType) = struct
         keys.(!i))
       ~value:(fun () -> values.(!i))
 
-  let codec key value = Codec.bindings ~cardinal ~iter ~of_reader key value
+  let codec key value = Codec.bindings ~iter ~of_reader key value
 
   let invariant m =
     (* the subtree's height when it is an AVL tree whose keys lie strictly

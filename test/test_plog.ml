@@ -696,6 +696,45 @@ let test_excise_keeps_newest () =
   check Alcotest.(pair int int) "one marker, no quarantine" (1, 0)
     (r.Onll_plog.Plog.skip_markers, r.Onll_plog.Plog.quarantined_spans)
 
+(* The live-entry account is a ring that grows, wraps and shrinks. Rounds
+   of up to 3000 appends, each followed by a drop of a seeded share of the
+   live entries (often all but a few, which shrinks a large ring), and a
+   relocation whenever the log runs short: every drop must agree with the
+   entries read back, and the count with the survivors; one more drop of
+   a single entry then reads the new head from the ring as it is. *)
+let test_account_ring_sizes () =
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module P = Onll_plog.Plog.Make (M) in
+  let log = P.create ~key:key_of ~name:"l" ~capacity:(1 lsl 18) () in
+  let rng = Random.State.make [| 7 |] and next = ref 0 in
+  for round = 1 to 16 do
+    for _ = 1 to Random.State.int rng 3000 do
+      incr next;
+      if P.free_bytes log < 64 then P.relocate log;
+      P.append log (keyed !next)
+    done;
+    let before = P.entries log in
+    let k = !next - Random.State.int rng (1 + (List.length before / 4)) in
+    let expect = List.length (List.filter (fun e -> key_of e <= k) before) in
+    let what = Printf.sprintf "round %d, %d live" round (List.length before) in
+    check Alcotest.int (what ^ ": dropped") expect (P.drop_upto log k);
+    let after = P.entries log in
+    check Alcotest.(list string) (what ^ ": survivors")
+      (List.filteri (fun i _ -> i >= expect) before)
+      after;
+    check Alcotest.int (what ^ ": count") (List.length after)
+      (P.entry_count log);
+    (* one more, so the new head is read from the ring as it is now *)
+    match after with
+    | first :: rest ->
+        check Alcotest.int (what ^ ": one more") 1
+          (P.drop_upto log (key_of first));
+        check Alcotest.(list string) (what ^ ": after one more") rest
+          (P.entries log)
+    | [] -> ()
+  done
+
 (* [drop_upto] against the rule it replaced in ONLL's checkpoint: read the
    live entries back, count the prefix whose key is <= k, and [set_head]
    that many. Seeded sequences of appends (keys roughly increasing, not
@@ -1909,6 +1948,8 @@ let () =
             test_drop_upto_matches_entries_rule;
           Alcotest.test_case "entry_count reads nothing" `Quick
             test_entry_count_reads_nothing;
+          Alcotest.test_case "account ring grows, wraps and shrinks" `Quick
+            test_account_ring_sizes;
           Alcotest.test_case "excise keeps the newest entry" `Quick
             test_excise_keeps_newest;
         ] );

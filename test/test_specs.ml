@@ -380,13 +380,12 @@ let state_roundtrip (type s u)
          S.equal_state !st
            (Codec.decode S.state_codec (Codec.encode S.state_codec !st))))
 
-(* The pre-encoded path of the engines' record log: an [Ops] record built
-   from envelopes encoded one at a time (group commit's submitters encode
-   their own, the leader splices them in) is byte for byte the record
-   codec's encoding, and keys to its newest execution index; a
-   [Checkpoint] of a state built by random updates keys to one past its
-   index. Runs of 1 to [max_processes] envelopes, each with or without a
-   transaction payload. *)
+(* The engines' record log: an [Ops] record is byte for byte its
+   envelopes encoded one at a time and spliced into the record frame
+   (tag 0, body length, [exec_idx], count, the envelopes), and keys to
+   its newest execution index; a [Checkpoint] of a state built by random
+   updates keys to one past its index. Runs of 1 to [max_processes]
+   envelopes, each with or without a transaction payload. *)
 let ops_preencoded (type u)
     (module S : Onll_core.Spec.S with type update_op = u) gen =
   let sim = Onll_machine.Sim.create ~max_processes:4 () in
@@ -412,9 +411,15 @@ let ops_preencoded (type u)
                     else None);
                })
          in
-         let bytes =
-           R.encode_ops ~exec_idx
-             (List.map (Codec.encode R.envelope_codec) envs)
+         let body =
+           Codec.encode Codec.int exec_idx
+           ^ Codec.encode Codec.int n
+           ^ String.concat "" (List.map (Codec.encode R.envelope_codec) envs)
+         in
+         let spliced =
+           Codec.encode Codec.int 0
+           ^ Codec.encode Codec.int (String.length body)
+           ^ body
          in
          let st = ref S.initial in
          for _ = 1 to Splitmix.int rng 20 do
@@ -434,8 +439,8 @@ let ops_preencoded (type u)
                  };
              }
          in
-         bytes = Codec.encode R.record_codec (R.Ops { exec_idx; envs })
-         && R.record_key bytes = exec_idx
+         spliced = Codec.encode R.record_codec (R.Ops { exec_idx; envs })
+         && R.record_key spliced = exec_idx
          && R.record_key (Codec.encode R.record_codec ckpt) = exec_idx + 1))
 
 let () =

@@ -175,6 +175,30 @@ let prop_crc_paths_match_bitwise =
       && Crc32.bytes ~init b ~pos ~len = expect
       && Crc32.bytes_table ~init b ~pos ~len = expect)
 
+(* [Crc32.length_prefixed] is a log entry's checksum in one call: it
+   must equal the two-call form, the length's 8 little-endian bytes
+   seeding the checksum of the range, at every length from 0 to 300
+   (the table path below 64 bytes, the fold above where the CPU has
+   it) and at several offsets. *)
+let prop_crc_length_prefixed =
+  QCheck.Test.make ~name:"length_prefixed = int64 length, then bytes"
+    ~count:20
+    QCheck.(pair (int_range 0 7) int)
+    (fun (pos, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let s =
+        String.init (pos + 300) (fun _ -> Char.chr (Random.State.int rng 256))
+      in
+      List.for_all
+        (fun len ->
+          let two_calls =
+            Crc32.bytes
+              ~init:(Crc32.int64 (Int64.of_int len))
+              (Bytes.of_string s) ~pos ~len
+          in
+          Int32.of_int (Crc32.length_prefixed s ~pos ~len) = two_calls)
+        (List.init 301 Fun.id))
+
 (* {1 SplitMix} *)
 
 let test_splitmix_deterministic () =
@@ -268,9 +292,6 @@ let test_codec_combinators () =
   check Alcotest.bool "nested" true
     (roundtrip (list (pair string (option int))) [ ("a", Some 1); ("b", None) ]);
   check Alcotest.bool "array" true (roundtrip (array int) [| 9; 8 |]);
-  check Alcotest.bool "encoded: the bytes one value spans" true
-    (roundtrip (list (encoded (pair int string)))
-       [ encode (pair int string) (1, "x"); encode (pair int string) (2, "") ]);
   check Alcotest.bool "skip: the rest of the input" true
     (decode (pair int skip) (encode int 3 ^ "rest") = (3, ()))
 
@@ -354,6 +375,85 @@ let prop_codec_canonical =
     (fun (a, b) ->
       let open Codec in
       (a = b) = (encode (list int) a = encode (list int) b))
+
+(* An encode writes into chunks of 64 KiB. A string whose length and
+   body exactly fill what is left of a chunk, or overflow it by one
+   byte, is the bytes the definition gives (length, then body) and
+   decodes back, whether it starts a chunk or follows other bytes. *)
+let test_codec_string_at_chunk_end () =
+  let open Codec in
+  let chunk = 1 lsl 16 in
+  let le64 n =
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 (Int64.of_int n);
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (before, over) ->
+      let first = String.make before 'a' in
+      let room = chunk - (if before = 0 then 0 else 8 + before) in
+      let body = String.init (room - 8 + over) (fun i -> Char.chr (i land 255)) in
+      let expect =
+        (if before = 0 then "" else le64 before ^ first)
+        ^ le64 (String.length body) ^ body
+      in
+      let got =
+        if before = 0 then encode string body
+        else encode (pair string string) (first, body)
+      in
+      let what = Printf.sprintf "after %d bytes, %+d past the chunk" before over in
+      check Alcotest.bool (what ^ ": bytes") true (got = expect);
+      check Alcotest.bool (what ^ ": roundtrip") true
+        (if before = 0 then decode string got = body
+         else decode (pair string string) got = (first, body)))
+    [ (0, 0); (0, 1); (100, 0); (100, 1); (chunk - 200, 0); (chunk - 200, 1) ]
+
+(* A codec that encodes inside its own write gets chunks of its own:
+   the outer encoding is not overwritten. *)
+let test_codec_nested_encode () =
+  let open Codec in
+  let inner = list string in
+  let nested = map (decode inner) (encode inner) string in
+  let v = List.init 50 (fun i -> String.make (i * 40) (Char.chr (65 + (i mod 26)))) in
+  check Alcotest.bool "nested roundtrip" true
+    (decode (pair nested nested) (encode (pair nested nested) (v, List.rev v))
+    = (v, List.rev v));
+  check Alcotest.bool "nested = the string of the inner encoding" true
+    (encode nested v = encode string (encode inner v))
+
+(* [bindings] writes its count as a placeholder and patches it after one
+   walk: the bytes must be those [list (pair key value)] writes over the
+   bindings, for the empty map, for maps within one chunk, and for maps
+   whose encoding crosses one or several 64 KiB chunk boundaries, where
+   the patched count sits in a chunk already filled. *)
+module Smap = Ordered_map.Make (String)
+
+let prop_codec_bindings_once =
+  let smap = Smap.codec Codec.string Codec.string in
+  let list = Codec.(list (pair string string)) in
+  QCheck.Test.make ~name:"bindings = list of pairs, across chunks" ~count:30
+    QCheck.(pair (int_range 0 2) int)
+    (fun (size, seed) ->
+      let rng = Random.State.make [| seed |] in
+      (* at most 2 bindings, ~100 KiB or ~400 KiB of them *)
+      let n, vlen =
+        match size with
+        | 0 -> (Random.State.int rng 3, 10)
+        | 1 -> (100, 1000)
+        | _ -> (400, 1000)
+      in
+      let m =
+        List.fold_left
+          (fun m i ->
+            Smap.add
+              (Printf.sprintf "k%d.%d" (Random.State.int rng 1000) i)
+              (String.make vlen (Char.chr (97 + Random.State.int rng 26)))
+              m)
+          Smap.empty (List.init n Fun.id)
+      in
+      let bytes = Codec.encode smap m in
+      bytes = Codec.encode list (Smap.bindings m)
+      && Smap.bindings (Codec.decode smap bytes) = Smap.bindings m)
 
 (* {1 Table} *)
 
@@ -561,6 +661,7 @@ let () =
           qcheck prop_crc_paths_match_bitwise;
           Alcotest.test_case "random ranges match the byte-wise loop" `Quick
             test_crc_random_ranges;
+          qcheck prop_crc_length_prefixed;
         ] );
       ( "splitmix",
         [
@@ -585,6 +686,11 @@ let () =
           qcheck prop_codec_string_roundtrip;
           qcheck prop_codec_list_roundtrip;
           qcheck prop_codec_canonical;
+          Alcotest.test_case "string at a chunk's end" `Quick
+            test_codec_string_at_chunk_end;
+          Alcotest.test_case "encode inside a write" `Quick
+            test_codec_nested_encode;
+          qcheck prop_codec_bindings_once;
         ] );
       ("map", String_model.tests @ Int_model.tests);
       ( "table",
