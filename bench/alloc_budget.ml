@@ -49,7 +49,8 @@ let served =
    closures and an update its delta list, and after: plain +views 343 ->
    161.4, batched +views 354 -> 180.4, served 436 -> 273.9; per read 16,
    16 and 20 -> 4, 4 and 8. [plain +views] updates are held to 200, every
-   other count to its figure now plus 10%. *)
+   other count to its figure then plus 10%. Served updates fell to 252.9
+   once the relaxed tail kept its depth and bound. *)
 let ceilings =
   [
     { key = "plain_views"; stack = plain_views; update_max = 200.; read_max = 4.4 };

@@ -5,10 +5,11 @@
     [onll gate]:
 
     - {b fence accounting (sim, deterministic)}: the same update
-      workload through {!Onll_relaxed} in relaxed mode (budget k = 8)
-      and in strict mode. Strict must cost {e exactly} one persistent
-      fence per update (the wrapper adds nothing to Theorem 5.1);
-      relaxed must land strictly below 1 — and a {e solo-after-quiesce}
+      workload through the relaxed front ({!Onll_relaxed}, built as the
+      stack [relaxed(plain,k=8)]) in relaxed mode and in strict mode.
+      Strict must cost {e exactly} one persistent fence per update (the
+      wrapper adds nothing to Theorem 5.1); relaxed must land strictly
+      below 1 — and a {e solo-after-quiesce}
       run pins the floor: from an empty tail, k solo updates cost
       exactly one fence, 1/k per update, the best any k-budgeted
       schedule can do.
@@ -35,37 +36,50 @@ let budget = 8
 let env_int name default =
   match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
 
+(* relaxed(plain,k=budget), with or without local views *)
+let stack ~views =
+  { Onll_stack.top = Direct (Relaxed (`Plain, budget)); replicas = 1; views }
+
 (* {2 Part 1 — fence accounting (deterministic, gated)} *)
+
+(* [procs] simulated processes under [strategy], each through [updates]
+   counter increments, all strict or all staleness-k: the run's update
+   fences and updates, and the operations still at risk at its end. *)
+let sim_arm ~procs ~updates ~strategy ~strict =
+  let registry = Onll_obs.Metrics.create () in
+  let sink = Onll_obs.Sink.make ~registry () in
+  let sim = Sim.create ~sink ~max_processes:procs () in
+  let module M = (val Sim.machine sim) in
+  let module B = Onll_stack.Make (M) (Cs) in
+  let obj =
+    B.build (stack ~views:false)
+      { Onll_core.Onll.Config.default with sink; log_capacity = 1 lsl 18 }
+  in
+  let r = Option.get obj.B.relaxed in
+  let outcome =
+    Sim.run sim strategy
+      (Array.init procs (fun _ _ ->
+           for _ = 1 to updates do
+             ignore
+               (if strict then r.B.update_strict Cs.Increment
+                else r.B.update_stale ~budget Cs.Increment)
+           done))
+  in
+  assert (outcome = Onll_sched.Sched.World.Completed);
+  assert (obj.B.read Cs.Get = procs * updates);
+  ( Onll_obs.Metrics.counter_value registry "fences.update",
+    Onll_obs.Metrics.counter_value registry "ops.update",
+    r.B.pending_ops () )
 
 let fence_accounting summary =
   let total = n_procs * updates_per_proc in
   let arm ~strict =
-    let registry = Onll_obs.Metrics.create () in
-    let sink = Onll_obs.Sink.make ~registry () in
-    let sim = Sim.create ~sink ~max_processes:n_procs () in
-    let module M = (val Sim.machine sim) in
-    let module R = Onll_relaxed.Make (M) (Cs) in
-    let obj =
-      R.make ~max_unfenced_ops:budget
-        { Onll_core.Onll.Config.default with sink; log_capacity = 1 lsl 18 }
-    in
-    let outcome =
-      Sim.run sim
-        (Onll_sched.Sched.Strategy.random ~seed:42)
-        (Array.init n_procs (fun _ _ ->
-             for _ = 1 to updates_per_proc do
-               ignore
-                 (if strict then R.update_strict obj Cs.Increment
-                  else R.update obj Cs.Increment)
-             done))
-    in
-    assert (outcome = Onll_sched.Sched.World.Completed);
-    assert (R.read obj Cs.Get = total);
-    ( Onll_obs.Metrics.counter_value registry "fences.update",
-      Onll_obs.Metrics.counter_value registry "ops.update" )
+    sim_arm ~procs:n_procs ~updates:updates_per_proc
+      ~strategy:(Onll_sched.Sched.Strategy.random ~seed:42)
+      ~strict
   in
-  let relaxed_fences, relaxed_ops = arm ~strict:false in
-  let strict_fences, strict_ops = arm ~strict:true in
+  let relaxed_fences, relaxed_ops, _ = arm ~strict:false in
+  let strict_fences, strict_ops, _ = arm ~strict:true in
   assert (relaxed_ops = total && strict_ops = total);
   (* The wrapper adds nothing to the strict price: exactly 1 pf/update. *)
   assert (strict_fences = total);
@@ -74,30 +88,11 @@ let fence_accounting summary =
   assert (relaxed_fences > 0 && relaxed_fences < total);
   (* Solo-after-quiesce pins the budgeted floor: from an empty tail, k
      solo updates cost exactly one fence — 1/k per update. *)
-  let solo_fences, solo_ops =
-    let registry = Onll_obs.Metrics.create () in
-    let sink = Onll_obs.Sink.make ~registry () in
-    let sim = Sim.create ~sink ~max_processes:1 () in
-    let module M = (val Sim.machine sim) in
-    let module R = Onll_relaxed.Make (M) (Cs) in
-    let obj =
-      R.make ~max_unfenced_ops:budget
-        { Onll_core.Onll.Config.default with sink; log_capacity = 1 lsl 18 }
-    in
-    let outcome =
-      Sim.run sim Onll_sched.Sched.Strategy.round_robin
-        [|
-          (fun _ ->
-            for _ = 1 to budget do
-              ignore (R.update obj Cs.Increment)
-            done);
-        |]
-    in
-    assert (outcome = Onll_sched.Sched.World.Completed);
-    assert (R.pending_ops obj = 0);
-    ( Onll_obs.Metrics.counter_value registry "fences.update",
-      Onll_obs.Metrics.counter_value registry "ops.update" )
+  let solo_fences, solo_ops, solo_pending =
+    sim_arm ~procs:1 ~updates:budget
+      ~strategy:Onll_sched.Sched.Strategy.round_robin ~strict:false
   in
+  assert (solo_pending = 0);
   assert (solo_ops = budget && solo_fences = 1);
   let add name v =
     Onll_obs.Metrics.add (Onll_obs.Metrics.counter summary name) v
@@ -149,18 +144,15 @@ let native_throughput summary =
   let run_arm strict =
     let native = Native.create ~max_processes:1 ~fence_ns () in
     let module M = (val Native.machine native) in
-    let module R = Onll_relaxed.Make (M) (Cs) in
+    let module B = Onll_stack.Make (M) (Cs) in
     let obj =
-      R.make ~max_unfenced_ops:budget
-        (* local views, as in E3/E5: without them every update replays
-           the whole history and O(n^2) CPU swamps the fence bill this
-           experiment is about *)
-        {
-          Onll_core.Onll.Config.default with
-          log_capacity = 1 lsl 24;
-          local_views = true;
-        }
+      (* local views, as in E3/E5: without them every update replays the
+         whole history and O(n^2) CPU swamps the fence bill this
+         experiment is about *)
+      B.build (stack ~views:true)
+        { Onll_core.Onll.Config.default with log_capacity = 1 lsl 24 }
     in
+    let r = Option.get obj.B.relaxed in
     let t0 = Unix.gettimeofday () in
     ignore
       (Native.run_workers native
@@ -168,12 +160,12 @@ let native_throughput summary =
            (fun _ ->
              for k = 1 to total do
                ignore
-                 (if strict then R.update_strict obj Cs.Increment
-                  else R.update obj Cs.Increment);
-               if k mod 512 = 0 then ignore (R.checkpoint obj)
+                 (if strict then r.B.update_strict Cs.Increment
+                  else r.B.update_stale ~budget Cs.Increment);
+               if k mod 512 = 0 then obj.B.compact ()
              done;
              (* read from a registered domain: every update landed *)
-             assert (R.read obj Cs.Get = total));
+             assert (obj.B.read Cs.Get = total));
          ]);
     let dt = Unix.gettimeofday () -. t0 in
     Harness.ops_per_sec total dt

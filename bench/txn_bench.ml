@@ -35,6 +35,10 @@ let txns_per_proc = 12
 let env_int name default =
   match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
 
+(* The ONLL arms: the transaction coordinator over [n_shards] plain
+   shards. *)
+let stack = { Onll_stack.plain with top = Txn n_shards }
+
 (* {2 The naive 2PC baseline}
 
    Over the SAME sharded construction, so the comparison isolates the
@@ -95,20 +99,20 @@ let fence_accounting summary =
   let sink = Onll_obs.Sink.make ~registry () in
   let sim = Sim.create ~sink ~max_processes:n_procs () in
   let module M = (val Sim.machine sim) in
-  let module Tx = Onll_txn.Make (M) (Kv) in
+  let module B = Onll_stack.Make (M) (Kv) in
   let obj =
-    Tx.make ~shards:n_shards
+    B.build stack
       { Onll_core.Onll.Config.default with sink; log_capacity = 1 lsl 18 }
   in
-  let route op = Tx.Sh.shard_of_update (Tx.sharded obj) op in
+  let tx = Option.get obj.B.txn in
   let outcome =
     Sim.run sim
       (Onll_sched.Sched.Strategy.random ~seed:42)
       (Array.init n_procs (fun p _ ->
-           let keys = shard_keys route p in
+           let keys = shard_keys obj.B.shard_of p in
            for k = 1 to txns_per_proc do
              ignore
-               (Tx.txn obj
+               (tx.B.txn
                   (List.init n_shards (fun s ->
                        Kv.Put (keys.(s), string_of_int k))))
            done))
@@ -197,10 +201,10 @@ let native_throughput summary =
     let dt =
       match which with
       | `Onll ->
-          let module Tx = Onll_txn.Make (M) (Kv) in
-          let obj = Tx.make ~shards:n_shards cfg in
-          let route op = Tx.Sh.shard_of_update (Tx.sharded obj) op in
-          let keys = shard_keys route 0 in
+          let module B = Onll_stack.Make (M) (Kv) in
+          let obj = B.build stack cfg in
+          let tx = Option.get obj.B.txn in
+          let keys = shard_keys obj.B.shard_of 0 in
           let t0 = Unix.gettimeofday () in
           ignore
             (Native.run_workers native
@@ -208,10 +212,10 @@ let native_throughput summary =
                  (fun _ ->
                    for k = 1 to total_txns do
                      ignore
-                       (Tx.txn obj
+                       (tx.B.txn
                           (List.init n_shards (fun s ->
                                Kv.Put (keys.(s), string_of_int (k land 63)))));
-                     if k mod 256 = 0 then Tx.compact obj
+                     if k mod 256 = 0 then obj.B.compact ()
                    done);
                ]);
           Unix.gettimeofday () -. t0

@@ -22,22 +22,23 @@ struct
   type pending = {
     p_staged : C.staged;  (** its trace node, at its execution index *)
     p_id : Onll.op_id;
-    p_at : int64;  (** stamp from [now_ns] at ack time; 0 without a clock *)
     p_budget : int;  (** the staleness bound this op was acked under *)
   }
 
   type t = {
     obj : C.t;
     budget_ops : int;  (** default k: max acked-unfenced operations *)
-    budget_ns : int64 option;  (** max age of the oldest unfenced ack *)
-    now_ns : (unit -> int64) option;
     lock : Lock.t;
         (** serialises tail manipulation and drains across processes; the
             tail is one global suffix, never per-process (see the prefix
             argument in the mli) *)
     mutable tail : pending list;
-        (** oldest first, at contiguous execution indices: every insert
+        (** newest first, at contiguous execution indices: every insert
             into the trace is a staging under the lock; the ops at risk *)
+    mutable depth : int;  (** [List.length tail] *)
+    mutable bound : int;
+        (** the tightest budget any op in the tail was acked under;
+            [max_int] when the tail is empty *)
     acked : (Onll.op_id, unit) Hashtbl.t;
         (** every acked operation still at risk — drains and checkpoints
             prune what they made durable, so the ledger stays bounded by
@@ -45,7 +46,6 @@ struct
             transient bookkeeping — it deliberately survives a simulated
             crash, so recovery can name exactly which acks the crash
             voided. *)
-    mutable last_lost : Onll.op_id list;
     mutable peak : int;
     ostats : Onll_obs.Opstats.t;
     c_deferred : Metrics.counter;  (** acks that paid no fence *)
@@ -53,8 +53,7 @@ struct
     g_peak : Metrics.gauge;  (** deepest tail ever = worst-case ops at risk *)
   }
 
-  let attach ?(max_unfenced_ops = 8) ?max_unfenced_ns ?now_ns
-      (cfg : Onll.Config.t) obj =
+  let attach ?(max_unfenced_ops = 8) (cfg : Onll.Config.t) obj =
     if max_unfenced_ops < 1 then
       invalid_arg "Onll_relaxed.attach: max_unfenced_ops must be >= 1";
     let sink = cfg.Onll.Config.sink in
@@ -65,12 +64,11 @@ struct
     {
       obj;
       budget_ops = max_unfenced_ops;
-      budget_ns = max_unfenced_ns;
-      now_ns;
       lock = Lock.make ();
       tail = [];
+      depth = 0;
+      bound = max_int;
       acked = Hashtbl.create 64;
-      last_lost = [];
       peak = 0;
       ostats = Onll_obs.Opstats.make sink;
       c_deferred = Metrics.counter reg "fences.deferred";
@@ -79,10 +77,14 @@ struct
     }
 
   let inner t = t.obj
-  let sink t = Onll_obs.Opstats.sink t.ostats
-  let pending_ops t = List.length t.tail
+  let pending_ops t = t.depth
   let risk_peak t = t.peak
-  let lost_acked t = t.last_lost
+
+  (* The tail set to [tail], with its depth and bound. *)
+  let set_tail t tail =
+    t.tail <- tail;
+    t.depth <- List.length tail;
+    t.bound <- List.fold_left (fun m pd -> min m pd.p_budget) max_int tail
 
   (* {2 The one compaction}
 
@@ -91,8 +93,11 @@ struct
      the moment they are acked — so the tail is durable and dropped. Only
      a staged node a failed drain left unavailable, newest, stays in it
      for the next drain. {!checkpoint} runs it. Must hold the lock. *)
-  let prune_acked t pendings =
-    List.iter (fun pd -> Hashtbl.remove t.acked pd.p_id) pendings
+  let rec prune_acked t = function
+    | [] -> ()
+    | pd :: rest ->
+        Hashtbl.remove t.acked pd.p_id;
+        prune_acked t rest
 
   let compact_locked t =
     let upto = C.compact t.obj in
@@ -100,42 +105,64 @@ struct
       List.partition (fun pd -> C.staged_idx pd.p_staged <= upto) t.tail
     in
     prune_acked t covered;
-    t.tail <- rest;
+    set_tail t rest;
     upto
 
   (* {2 The lazy fence} *)
 
+  (* The staged nodes of a newest-first tail, oldest first. *)
+  let rec oldest_first acc = function
+    | [] -> acc
+    | pd :: rest -> oldest_first (pd.p_staged :: acc) rest
+
   (* ONE fenced Ops record in the calling process's engine log covering
-     the whole tail: one window of operations under one fence, as
-     Listing 3 writes it. Draining the whole tail (never a sub-range) is
-     what keeps the durable set a prefix of the linearization at all
-     times. Must hold the lock. *)
+     the whole tail, oldest first: one window of operations under one
+     fence, as Listing 3 writes it. Draining the whole tail (never a
+     sub-range) is what keeps the durable set a prefix of the
+     linearization at all times. Must hold the lock. *)
   let drain_locked t =
     match t.tail with
     | [] -> ()
     | tail ->
-        C.persist_staged t.obj (List.map (fun pd -> pd.p_staged) tail);
+        C.persist_staged t.obj (oldest_first [] tail);
         Metrics.incr t.c_drains;
         (* fenced = durable: a drained op can never appear in lost_acked,
            so it leaves the ledger here *)
         prune_acked t tail;
-        t.tail <- []
-
-  let now t = match t.now_ns with None -> 0L | Some f -> f ()
-
-  let over_time_budget t =
-    match (t.budget_ns, t.tail) with
-    | Some limit, oldest :: _ ->
-        Int64.sub (now t) oldest.p_at >= limit
-    | _ -> false
+        set_tail t []
 
   (* Shared ack path. [strict]: the caller wants classic durable
      linearizability for this operation — it is staged like the others
      but the tail (including it) is drained before the ack, so it costs
      exactly the one fence of Theorem 5.1 and lazily covers every
      deferred predecessor (piggybacking). Relaxed: the ack is fence-free
-     unless it fills the risk budget. [seq]: the caller's identity, as
-     for a detectable update. *)
+     unless it fills the risk budget. [seq]: the caller's identity, if
+     any, as for a detectable update. [k]: the staleness bound the op is
+     acked under. *)
+  let ack t ~strict seq k op =
+    Lock.with_lock t.lock (fun () ->
+        let seq = C.reserve_seq ?seq t.obj in
+        let id = { Onll.id_proc = M.self (); id_seq = seq } in
+        let st = C.stage_txn t.obj ~seq op in
+        t.tail <- { p_staged = st; p_id = id; p_budget = k } :: t.tail;
+        t.depth <- t.depth + 1;
+        (* The tightest bound any pending op was acked under governs the
+           whole tail: an op promised staleness <= k must never sit in a
+           deeper unfenced suffix. *)
+        t.bound <- min t.bound k;
+        if t.depth > t.peak then begin
+          t.peak <- t.depth;
+          Metrics.set t.g_peak (float_of_int t.peak)
+        end;
+        let drained = strict || t.depth >= t.bound in
+        if drained then drain_locked t else Metrics.incr t.c_deferred;
+        let v = C.finish_txn t.obj st in
+        (* a drained op is already durable — only unfenced acks enter the
+           ledger (drain_locked prunes the rest) *)
+        if not drained then Hashtbl.replace t.acked id ();
+        M.return_point ();
+        (id, v))
+
   let update_impl t ~strict ?seq ?budget op =
     (* validate before touching the lock, like {!attach} does: a bad
        argument is a recoverable caller error, never a wedged object *)
@@ -147,33 +174,11 @@ struct
             invalid_arg "Onll_relaxed.update: budget must be >= 1";
           min b t.budget_ops
     in
-    A.attributed t.ostats Onll_obs.Opstats.update_done (fun () ->
-        Lock.with_lock t.lock (fun () ->
-            let seq = C.reserve_seq ?seq t.obj in
-            let id = { Onll.id_proc = M.self (); id_seq = seq } in
-            let st = C.stage_txn t.obj ~seq op in
-            t.tail <-
-              t.tail
-              @ [ { p_staged = st; p_id = id; p_at = now t; p_budget = k } ];
-            let depth = List.length t.tail in
-            if depth > t.peak then begin
-              t.peak <- depth;
-              Metrics.set t.g_peak (float_of_int t.peak)
-            end;
-            (* The tightest bound any pending op was acked under governs
-               the whole tail: an op promised staleness <= k must never
-               sit in a deeper unfenced suffix. *)
-            let threshold =
-              List.fold_left (fun m pd -> min m pd.p_budget) max_int t.tail
-            in
-            let drained = strict || depth >= threshold || over_time_budget t in
-            if drained then drain_locked t else Metrics.incr t.c_deferred;
-            let v = C.finish_txn t.obj st in
-            (* a drained op is already durable — only unfenced acks enter
-               the ledger (drain_locked prunes the rest) *)
-            if not drained then Hashtbl.replace t.acked id ();
-            M.return_point ();
-            (id, v)))
+    (* No closure is built for the attribution while the sink is off. *)
+    if Onll_obs.Opstats.active t.ostats then
+      A.attributed t.ostats Onll_obs.Opstats.update_done (fun () ->
+          ack t ~strict seq k op)
+    else ack t ~strict seq k op
 
   let update ?budget t op = update_impl t ~strict:false ?budget op
   let update_strict t op = update_impl t ~strict:true op
@@ -196,7 +201,6 @@ struct
   let checkpoint t = Lock.with_lock t.lock (fun () -> compact_locked t)
 
   let was_linearized t id = C.was_linearized t.obj id
-  let current_state t = C.current_state t.obj
 
   (* {2 Recovery} *)
 
@@ -218,8 +222,7 @@ struct
              compare (a.Onll.id_proc, a.Onll.id_seq)
                (b.Onll.id_proc, b.Onll.id_seq))
     in
-    t.last_lost <- lost;
-    t.tail <- [];
+    set_tail t [];
     Hashtbl.reset t.acked;
     { r with Report.lost_acked = lost }
 
@@ -228,21 +231,9 @@ struct
      chaos audits must catch. *)
   let recover_unhardened t =
     Lock.release t.lock;
-    t.tail <- [];
-    t.last_lost <- [];
+    set_tail t [];
     Hashtbl.reset t.acked;
     C.recover_unhardened t.obj
 
-  let scrub t = C.scrub t.obj
-  let degraded t = C.degraded t.obj
   let snapshot t = C.snapshot t.obj
-end
-
-module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
-  module C = Onll.Make (M) (S)
-  module R = Make_over (M) (S) (C)
-  include R
-
-  let make ?max_unfenced_ops ?max_unfenced_ns ?now_ns cfg =
-    attach ?max_unfenced_ops ?max_unfenced_ns ?now_ns cfg (C.make cfg)
 end

@@ -4,16 +4,17 @@
     fence per update. This wrapper relaxes the contract to {e buffered}
     durable linearizability ("The Path to Durable Linearizability"): an
     update is acknowledged {b fence-free} into a volatile tail bounded by
-    a {b risk budget} — at most [max_unfenced_ops] acked operations (and,
-    with a clock, at most [max_unfenced_ns] of age) may be unfenced at
-    any moment. A single lazy fence drains the whole tail when the
-    budget fills, when a strict update piggybacks on it, or on an
-    explicit {!Make_over.flush}: one window of operations under one
+    a {b risk budget} — at most [max_unfenced_ops] acked operations may
+    be unfenced at any moment. A single lazy fence drains the whole tail
+    when the budget fills, when a strict update piggybacks on it, or on
+    an explicit {!Make_over.flush}: one window of operations under one
     fence, which is what Listing 3's [Ops] record already is, so a drain
     is one such record in the draining process's own engine log, at the
     operations' execution indices, and recovery adopts it like any
     other. Steady-state cost is therefore [1/k] fences per update
-    instead of 1.
+    instead of 1. An idle object holds its tail until the next update,
+    {!Make_over.flush} or {!Make_over.checkpoint}: there is no clock and
+    no background drain.
 
     What a crash may cost is exactly the budget: the unfenced {e suffix}
     of the linearization, never more, never an interior operation.
@@ -32,6 +33,11 @@
     {!Histcheck.Make.check_buffered}) forbids. Every drain therefore
     covers the whole tail, and every fenced ack piggybacks on its
     deferred predecessors.
+
+    The wrapper is the relaxed front of {!Onll_stack}: callers build it
+    as [Onll_stack.Make (M) (S)] over [Direct (Relaxed (engine, k))],
+    which attaches it to the engine it creates. {!Make_over} stays public
+    for tests that reach the engine beneath it.
 
     Observability: the wrapper registers [fences.deferred] (acks that
     paid no fence), [fences.drains] and [risk.peak] (deepest tail ever =
@@ -55,19 +61,10 @@ module Make_over
          and type value = S.value) : sig
   type t
 
-  val attach :
-    ?max_unfenced_ops:int ->
-    ?max_unfenced_ns:int64 ->
-    ?now_ns:(unit -> int64) ->
-    Onll_core.Onll.Config.t ->
-    C.t ->
-    t
+  val attach : ?max_unfenced_ops:int -> Onll_core.Onll.Config.t -> C.t -> t
   (** [attach cfg obj] wraps [obj]. [max_unfenced_ops] (default 8, must
-      be >= 1) is the risk budget k; [max_unfenced_ns] with [now_ns]
-      adds an age bound checked lazily at operation boundaries (no
-      background thread — an idle object holds its tail until the next
-      update or {!flush}). [cfg] supplies the sink whose registry takes
-      the wrapper's counters. *)
+      be >= 1) is the risk budget k. [cfg] supplies the sink whose
+      registry takes the wrapper's counters. *)
 
   val update :
     ?budget:int -> t -> S.update_op -> Onll_core.Onll.op_id * S.value
@@ -129,37 +126,9 @@ module Make_over
       buffered checker must catch. *)
 
   val was_linearized : t -> Onll_core.Onll.op_id -> bool
-  val lost_acked : t -> Onll_core.Onll.op_id list
-  (** The [lost_acked] set of the most recent {!recover_report}. *)
-
-  val current_state : t -> S.state
-  val scrub : t -> Onll_plog.Plog.scrub_report
-  val degraded : t -> bool
   val snapshot : t -> Onll_core.Onll.Snapshot.t
-  val sink : t -> Onll_obs.Sink.t
 
   val inner : t -> C.t
   (** The wrapped object — for reads and introspection only; updating it
       directly voids the prefix guarantee. *)
-end
-
-(** The self-contained construction: {!Make_over} over a fresh
-    {!Onll_core.Onll.Make} object it creates itself — what the registry
-    exposes as [onll-relaxed]. *)
-module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
-  module C :
-    Onll_core.Onll.TXN_CAPABLE
-      with type state = S.state
-       and type update_op = S.update_op
-       and type read_op = S.read_op
-       and type value = S.value
-
-  include module type of Make_over (M) (S) (C)
-
-  val make :
-    ?max_unfenced_ops:int ->
-    ?max_unfenced_ns:int64 ->
-    ?now_ns:(unit -> int64) ->
-    Onll_core.Onll.Config.t ->
-    t
 end

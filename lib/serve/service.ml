@@ -226,10 +226,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       match tier with
       | Protocol.T_strict ->
           Metrics.incr t.m_tier_strict;
-          r.B.update_strict (Ct.Untracked op)
+          snd (r.B.update_strict (Ct.Untracked op))
       | Protocol.T_staleness k ->
           Metrics.incr t.m_tier_relaxed;
-          r.B.update_stale ~budget:k (Ct.Untracked op)
+          snd (r.B.update_stale ~budget:k (Ct.Untracked op))
       | Protocol.T_exactly_once -> assert false
     in
     match

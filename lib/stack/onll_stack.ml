@@ -68,9 +68,17 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
        and type Shard.value = S.value
 
   type relaxed = {
-    update_strict : S.update_op -> S.value;
-    update_stale : budget:int -> S.update_op -> S.value;
+    update_strict : S.update_op -> Onll_core.Onll.op_id * S.value;
+    update_stale : budget:int -> S.update_op -> Onll_core.Onll.op_id * S.value;
     flush : unit -> unit;
+    pending_ops : unit -> int;
+  }
+
+  type txn = {
+    txn : S.update_op list -> S.value list;
+    txn_detectable : seq:int -> S.update_op list -> S.value list;
+    txn_was_committed : Onll_txn.txn_id -> bool;
+    committed_txns : unit -> Onll_txn.txn_id list;
   }
 
   type obj = {
@@ -87,6 +95,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     log_fill : unit -> float;
     compact : unit -> unit;
     relaxed : relaxed option;
+    txn : txn option;
   }
 
   let engine : engine -> (module C) = function
@@ -109,6 +118,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       log_fill = (fun () -> C.log_fill obj);
       compact = (fun () -> ignore (C.compact obj : int));
       relaxed = None;
+      txn = None;
     }
 
   let over_sharded (type a) (module Sh : SH with type t = a) (obj : a) =
@@ -127,6 +137,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       log_fill = (fun () -> Sh.log_fill obj);
       compact = (fun () -> ignore (Sh.compact obj : int));
       relaxed = None;
+      txn = None;
     }
 
   let build_front cfg = function
@@ -157,9 +168,10 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
           relaxed =
             Some
               {
-                update_strict = (fun op -> snd (R.update_strict r op));
-                update_stale = (fun ~budget op -> snd (R.update ~budget r op));
+                update_strict = R.update_strict r;
+                update_stale = (fun ~budget op -> R.update ~budget r op);
                 flush = (fun () -> R.flush r);
+                pending_ops = (fun () -> R.pending_ops r);
               };
         }
 
@@ -168,7 +180,9 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
   let backend o =
     {
       Onll_session.b_update =
-        (match o.relaxed with Some r -> r.update_strict | None -> o.update);
+        (match o.relaxed with
+        | Some r -> fun op -> snd (r.update_strict op)
+        | None -> o.update);
       b_read = o.read;
       b_degraded = o.degraded;
       b_pressure = o.log_fill;
@@ -247,6 +261,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       log_fill = o.Tf.log_fill;
       compact = o.Tf.compact;
       relaxed = None;
+      txn = None;
     }
 
   let build stack cfg =
@@ -272,5 +287,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
           scrub = (fun () -> ignore (Tx.scrub obj));
           degraded = (fun () -> Tx.degraded obj);
           compact = (fun () -> Tx.compact obj);
+          txn =
+            Some
+              {
+                txn = Tx.txn obj;
+                txn_detectable = Tx.txn_detectable obj;
+                txn_was_committed = Tx.txn_was_committed obj;
+                committed_txns = (fun () -> Tx.committed_txns obj);
+              };
         }
 end

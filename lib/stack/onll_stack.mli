@@ -24,6 +24,13 @@
     per read — holds for every value of {!t}, which
     [test/test_stacks.ml] checks over {!legal}.
 
+    {b One builder.} {!Make.build} is the only way the benches and the
+    test harnesses build a layered object: a transactional object is a
+    [Txn] stack, reached through its [txn] field, and a relaxed one a
+    [Direct (Relaxed _)] stack, reached through its [relaxed] field. So
+    every audit that applies to a shape runs on every legal stack of
+    that shape.
+
     {b What is not a stack.} A session over the transaction coordinator
     has no constructor, so asking for one is a type error rather than a
     run-time refusal: a session submits single operations, which the
@@ -66,13 +73,30 @@ val pp : Format.formatter -> t -> unit
 (** One short line, e.g. ["session/relaxed(plain,k=64) x2 +views"]. *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
-  (** The relaxed front's two acknowledgement tiers and its drain. *)
+  (** The relaxed front's two acknowledgement tiers and its drain. Each
+      acknowledgement returns the operation's durable identity with its
+      value, so a caller can ask [was_linearized] after a crash. *)
   type relaxed = {
-    update_strict : S.update_op -> S.value;
+    update_strict : S.update_op -> Onll_core.Onll.op_id * S.value;
         (** one fence, which also drains the tail *)
-    update_stale : budget:int -> S.update_op -> S.value;
-        (** fence-free while the tail stays within [budget] *)
+    update_stale : budget:int -> S.update_op -> Onll_core.Onll.op_id * S.value;
+        (** fence-free while the tail stays within [budget] (which can
+            only tighten the stack's [k]) *)
     flush : unit -> unit;  (** drain the tail now *)
+    pending_ops : unit -> int;
+        (** the tail's depth: acknowledged operations at risk now *)
+  }
+
+  (** The transaction coordinator's own surface ({!Onll_txn.Make}). *)
+  type txn = {
+    txn : S.update_op list -> S.value list;
+        (** one atomic transaction, one fence however many shards *)
+    txn_detectable : seq:int -> S.update_op list -> S.value list;
+        (** under a caller-chosen transaction sequence number, at least
+            two operations
+            @raise Invalid_argument on reuse or fewer operations *)
+    txn_was_committed : Onll_txn.txn_id -> bool;
+    committed_txns : unit -> Onll_txn.txn_id list;  (** ascending *)
   }
 
   (** A built stack: everything its callers reach it through. *)
@@ -99,6 +123,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             entry. *)
     shard_of : S.update_op -> int;  (** [0] unsharded *)
     recover_report : unit -> Onll_core.Onll.Recovery_report.t;
+        (** hardened recovery; over the relaxed front its [lost_acked]
+            names every acknowledgement the crash voided *)
     recover_unhardened : unit -> unit;
         (** the calibration baseline recovery *)
     recovered_ops : unit -> (Onll_core.Onll.op_id * int) list;
@@ -116,6 +142,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
         (** [Some] over a direct relaxed front. Under a session it is
             [None]: every update there is an exactly-once submission,
             acknowledged only once durable, and a staleness ack is not. *)
+    txn : txn option;
+        (** [Some] exactly on a [Txn _] stack, whose [update] is a
+            one-operation transaction (the sharded fast path) *)
   }
 
   val build : t -> Onll_core.Onll.Config.t -> obj

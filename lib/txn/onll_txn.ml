@@ -108,8 +108,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         replicas = Option.value replicas ~default:d.Onll.Config.replicas;
       }
 
-  let shards t = t.n
-  let sink t = Sh.sink t.sh
   let sharded t = t.sh
   let participants t ops = Sh.participants t.sh ops
   let update t op = Sh.update t.sh op
@@ -381,8 +379,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       salvage = salvage @ r.salvage;
     }
 
-  let recover t = Onll.Recovery_report.check (recover_report t)
-
   let recover_unhardened t =
     Hashtbl.reset t.committed;
     Hashtbl.reset t.applied;
@@ -399,34 +395,4 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     r
 
   let degraded t = Sh.degraded t.sh || t.c_degraded
-
-  let snapshot t =
-    let s = Sh.snapshot t.sh in
-    {
-      s with
-      Onll.Snapshot.logs =
-        s.Onll.Snapshot.logs
-        @ Array.to_list
-            (Array.map
-               (fun l ->
-                 (* a record that does not decode counts 0
-                    sub-operations, as recovery adopted none from it *)
-                 let ops_per_entry =
-                   List.map
-                     (fun e ->
-                       match Onll_util.Codec.decode commit_codec e with
-                       | cm -> List.length cm.cm_subs
-                       | exception _ -> 0)
-                     (L.entries l)
-                 in
-                 {
-                   Onll.Snapshot.log_name = L.name l;
-                   live_bytes = L.live_bytes l;
-                   used_bytes = L.used_bytes l;
-                   entry_count = List.length ops_per_entry;
-                   ops_per_entry;
-                 })
-               t.coord);
-      degraded = s.Onll.Snapshot.degraded || t.c_degraded;
-    }
 end

@@ -84,9 +84,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     ?shards:int -> ?log_capacity:int -> ?replicas:int -> unit -> t
   (** [make] with {!Onll_core.Onll.Config.default} (4 shards). *)
 
-  val shards : t -> int
-  val sink : t -> Onll_obs.Sink.t
-
   val sharded : t -> Sh.t
   (** The underlying sharded object (shared state — single updates
       through it are visible to transactions and vice versa). *)
@@ -154,11 +151,6 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
       [recovered_ops]. Idempotent: a second run (or a crash-interrupted
       run re-run) adopts the same history and injects nothing new. *)
 
-  val recover : t -> unit
-  (** Strict recovery: {!recover_report}, then insist nothing was lost.
-      @raise Onll_core.Onll.Recovery_corrupt on gaps, disagreements or
-      decode failures. *)
-
   val recover_unhardened : t -> unit
   (** The deliberately broken calibration baseline: unhardened per-shard
       and coordinator-log recovery, {b no} oracle, {b no} sweep — so
@@ -193,8 +185,4 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   val coordinator_entries : t -> int
   (** Total commit records currently live across the coordinator logs
       (the fast-path regression test pins this at zero). *)
-
-  val snapshot : t -> Onll_core.Onll.Snapshot.t
-  (** The sharded snapshot with the coordinator logs appended
-      ([ops_per_entry] = sub-operations per commit record). *)
 end

@@ -3,13 +3,14 @@
     volatile tail is hit at every depth from empty to the full budget —
     and recovery is audited for {e quantified, suffix-only} loss.
 
-    Each simulated process runs a deterministic script of single-key kv
+    The object is a [Direct (Relaxed (engine, k))] {!Onll_stack.t}, built
+    by {!Onll_stack.Make}, so the campaign runs over any engine. Each
+    simulated process runs a deterministic script of single-key kv
     writes against its own keys, mostly through the fence-free
-    {!Onll_relaxed.Make.update} path with occasional
-    {!Onll_relaxed.Make.update_strict} piggybacks. Values are strictly
-    increasing per step, which makes the state after every prefix of a
-    process's script pairwise distinct — "which prefix survived?" has
-    exactly one answer.
+    [update_stale] tier with occasional [update_strict] piggybacks.
+    Values are strictly increasing per step, which makes the state after
+    every prefix of a process's script pairwise distinct — "which prefix
+    survived?" has exactly one answer.
 
     Post-crash, hardened recovery must satisfy, per process:
 
@@ -42,8 +43,8 @@
     crash policies ([Drop_all]/[Persist_all]/[Random] pending-line
     subsets), where fenced drain records never vanish.
 
-    The calibration arm re-runs the same plans against
-    {!Onll_relaxed.Make.recover_unhardened} (the engine's truncating
+    The calibration arm re-runs the same plans against the stack's
+    [recover_unhardened] (the engine's truncating
     recovery, the acknowledgement ledger ignored): the unfenced tail
     vanishes with nothing admitted, and the audits — and on checked
     windows the buffered checker — {e must} flag it. A crash that hit an
@@ -57,15 +58,22 @@ type plan = {
   seed : int;
   n_procs : int;
   updates_per_proc : int;
-  budget : int;  (** risk budget k: max acked-unfenced operations *)
   crash_at : int;  (** scheduler step of the crash *)
   policy : Onll_nvm.Crash_policy.t;
-  replicas : int;
+  stack : Onll_stack.t;
+      (** a direct relaxed front; its [k] is the risk budget, the most
+          acked-unfenced operations *)
   hardened : bool;
   checked : bool;
       (** run the buffered-checker dual on this window (single-process
           plans only — the checker is exponential in concurrency) *)
 }
+
+(* The plan's risk budget: the [k] of its relaxed front. *)
+let budget plan =
+  match plan.stack.Onll_stack.top with
+  | Onll_stack.Direct (Onll_stack.Relaxed (_, k)) -> k
+  | _ -> invalid_arg "Relaxed_chaos: the stack is not a direct relaxed front"
 
 let plan_of_seed seed =
   let n_procs = 1 + (seed mod 3) in
@@ -74,12 +82,15 @@ let plan_of_seed seed =
     seed;
     n_procs;
     updates_per_proc;
-    budget = 1 lsl (seed mod 4);
     (* a fine sweep of the crash step walks the tail through every depth
        from 0 to the budget across the campaign *)
     crash_at = 4 + (seed * 7 mod 160);
     policy = Crash_world.policy_of_seed seed;
-    replicas = 1;
+    stack =
+      {
+        Onll_stack.plain with
+        top = Direct (Relaxed (`Plain, 1 lsl (seed mod 4)));
+      };
     hardened = true;
     checked = n_procs = 1 && updates_per_proc <= 6;
   }
@@ -89,7 +100,15 @@ let plan_of_seed seed =
    invariants are identical; what is being checked is that mirroring
    composes with the deferred-drain protocol without widening the loss
    window. *)
-let mirrored_plan_of_seed seed = { (plan_of_seed seed) with replicas = 2 }
+let mirrored_plan_of_seed seed =
+  let p = plan_of_seed seed in
+  { p with stack = { p.stack with replicas = 2 } }
+
+(* The same per-seed adversity over another engine, keeping the seed's
+   budget, replicas and views. *)
+let over engine plan_of seed =
+  let p = plan_of seed in
+  { p with stack = { p.stack with top = Direct (Relaxed (engine, budget p)) } }
 
 let n_keys = 3
 let key p i = Printf.sprintf "r.%d.%d" p i
@@ -125,12 +144,11 @@ type result = {
 let run ~plan () =
   let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
   let module M = (val Crash_world.machine w) in
-  let module R = Onll_relaxed.Make (M) (Kv) in
+  let module B = Onll_stack.Make (M) (Kv) in
   let module H = Onll_histcheck.Histcheck.Make (Kv) in
-  let obj =
-    R.make ~max_unfenced_ops:plan.budget
-      { (Crash_world.config w) with replicas = plan.replicas }
-  in
+  let budget = budget plan in
+  let obj = B.build plan.stack (Crash_world.config w) in
+  let r = Option.get obj.B.relaxed in
   let recorder = if plan.checked then Some (H.Recorder.create ()) else None in
   let scripts = Array.init plan.n_procs (fun p -> script_of ~plan p) in
   (* Plain refs mutated inside simulated processes: bookkeeping, not
@@ -141,7 +159,7 @@ let run ~plan () =
     List.iteri
       (fun t (op, strict) ->
         let submit op =
-          if strict then R.update_strict obj op else R.update obj op
+          if strict then r.B.update_strict op else r.B.update_stale ~budget op
         in
         let id =
           match recorder with
@@ -165,7 +183,7 @@ let run ~plan () =
   (* The tail is wrapper (host-side) state, so its depth at the crash is
      still readable — that is the ops-at-risk figure the histogram
      buckets. *)
-  let depth_at_crash = if crashed then R.pending_ops obj else 0 in
+  let depth_at_crash = if crashed then r.B.pending_ops () else 0 in
   let fail fmt = Crash_world.fail w fmt in
   let converge_steps = ref 0 in
   let lost_count = ref 0 in
@@ -173,26 +191,28 @@ let run ~plan () =
   let survived_prefix = Array.make plan.n_procs 0 in
   if crashed then begin
     Option.iter H.Recorder.crash recorder;
-    (if plan.hardened then begin
-       let r = R.recover_report obj in
-       (* Pure crash chaos: budgeted loss is admitted in [lost_acked],
-          everything else must be spotless. *)
-       if not (Report.clean r) then
-         fail "recovery not clean under pure crash: %a" Report.pp r;
-       if List.length r.Report.lost_acked > plan.budget then
-         fail "budget exceeded: %d acked operations lost, budget %d"
-           (List.length r.Report.lost_acked)
-           plan.budget;
-       if List.length r.Report.lost_acked > depth_at_crash then
-         fail "loss deeper than the tail: %d lost, %d pending at the crash"
-           (List.length r.Report.lost_acked)
-           depth_at_crash
-     end
-     else R.recover_unhardened obj);
-    let lost = R.lost_acked obj in
+    (* the unhardened baseline admits no loss *)
+    let lost =
+      if plan.hardened then begin
+        let rep = obj.B.recover_report () in
+        let lost = rep.Report.lost_acked in
+        (* Pure crash chaos: budgeted loss is admitted in [lost_acked],
+           everything else must be spotless. *)
+        if not (Report.clean rep) then
+          fail "recovery not clean under pure crash: %a" Report.pp rep;
+        if List.length lost > budget then
+          fail "budget exceeded: %d acked operations lost, budget %d"
+            (List.length lost) budget;
+        if List.length lost > depth_at_crash then
+          fail "loss deeper than the tail: %d lost, %d pending at the crash"
+            (List.length lost) depth_at_crash;
+        lost
+      end
+      else (obj.B.recover_unhardened (); [])
+    in
     lost_count := List.length lost;
     let value k =
-      match R.read obj (Kv.Get k) with Kv.Found v -> v | _ -> None
+      match obj.B.read (Kv.Get k) with Kv.Found v -> v | _ -> None
     in
     for p = 0 to plan.n_procs - 1 do
       let acks = List.rev acked.(p) (* oldest first *) in
@@ -202,9 +222,10 @@ let run ~plan () =
       in
       (* Accounting: every acknowledged operation is linearized xor
          reported lost. *)
+      let actions = Array.of_list (fst scripts.(p)) in
       List.iter
         (fun (t, id) ->
-          let linearized = R.was_linearized obj id in
+          let linearized = obj.B.was_linearized (fst actions.(t)) id in
           let reported = List.mem id lost_p in
           if linearized && reported then
             fail "proc %d: update %d both linearized and reported lost" p t;
@@ -294,7 +315,7 @@ let run ~plan () =
           ignore
             (H.Recorder.run_read rc ~proc:0
                (Kv.Get (key 0 i))
-               (fun op -> R.read obj op))
+               obj.B.read)
         done;
         let h = H.Recorder.history rc in
         let completed = List.length acked.(0) in
@@ -312,7 +333,7 @@ let run ~plan () =
             lost
         in
         (match
-           H.check_buffered ~staleness:plan.budget ~declared_lost:declared h
+           H.check_buffered ~staleness:budget ~declared_lost:declared h
          with
         | H.Buffered_linearizable _ | H.Buffered_budget_exhausted -> ()
         | H.Buffered_violation msg ->
@@ -335,7 +356,7 @@ let run ~plan () =
             List.init n_keys (fun i -> value (key p i)))
       in
       let before = snap () in
-      let r2 = R.recover_report obj in
+      let r2 = obj.B.recover_report () in
       if r2.Report.lost_acked <> [] then
         fail "second recovery reported fresh loss";
       if before <> snap () then fail "second recovery changed the state";
@@ -343,23 +364,23 @@ let run ~plan () =
          at risk; a further crash then loses nothing and resurrects
          nothing. [converge_steps] is the time-to-converge figure. *)
       let post p _ =
-        ignore (R.update obj (Kv.Put (key p 0, "post")));
-        R.flush obj
+        ignore (obj.B.update (Kv.Put (key p 0, "post")));
+        r.B.flush ()
       in
       let counting view =
         incr converge_steps;
         Onll_sched.Sched.Strategy.round_robin view
       in
       Crash_world.era w ~strategy:counting (Array.init plan.n_procs post);
-      if R.pending_ops obj <> 0 then
-        fail "flush left %d operations at risk" (R.pending_ops obj);
+      if r.B.pending_ops () <> 0 then
+        fail "flush left %d operations at risk" (r.B.pending_ops ());
       for p = 0 to plan.n_procs - 1 do
         if value (key p 0) <> Some "post" then
           fail "proc %d: post-crash update not visible" p
       done;
       Onll_nvm.Memory.crash (Crash_world.memory w)
         ~policy:Onll_nvm.Crash_policy.Drop_all;
-      let r3 = R.recover_report obj in
+      let r3 = obj.B.recover_report () in
       if r3.Report.lost_acked <> [] then
         fail "a fully flushed object lost acknowledgements in a second crash";
       for p = 0 to plan.n_procs - 1 do

@@ -6,10 +6,10 @@
     cross-process data races muddy the oracle) plus one "note" key, and
     runs a deterministic action script: mostly two-operation {e transfers}
     between two of its accounts on (usually) different shards, submitted
-    with {!Onll_txn.Make.txn_detectable}, interleaved with plain
-    single-key updates — the latter both exercise the fast path and give
-    concurrent fuzzy windows a chance to {e helper-commit} a neighbour's
-    staged transaction. Every action writes {e absolute} values drawn
+    with [txn_detectable], interleaved with plain single-key updates —
+    the latter both exercise the fast path and give concurrent fuzzy
+    windows a chance to {e helper-commit} a neighbour's staged
+    transaction. Every action writes {e absolute} values drawn
     from a per-action power of two, which makes the state after every
     prefix of a process's script pairwise distinct — so "which prefix
     survived?" has exactly one answer and a partial transaction matches
@@ -42,9 +42,11 @@
     - {b liveness}: the recovered object completes a post-crash transfer
       era and the books still balance.
 
-    The calibration arm re-runs a slice of the same plans against
-    {!Onll_txn.Make.recover_unhardened} (no coordinator sweep, no
-    oracle): completed transfers become invisible or half-applied, and
+    The object is a [Txn _] {!Onll_stack.t}, built by {!Onll_stack.Make}
+    and driven through its [txn] field, so the campaign runs over any
+    transaction stack. The calibration arm re-runs a slice of the same
+    plans against the stack's [recover_unhardened] (no coordinator sweep,
+    no oracle): completed transfers become invisible or half-applied, and
     the audit {e must} flag it — a campaign whose detector never fires
     proves nothing. *)
 
@@ -57,7 +59,7 @@ type plan = {
   actions_per_proc : int;
   crash_at : int;  (** scheduler step of the crash *)
   policy : Onll_nvm.Crash_policy.t;
-  replicas : int;
+  stack : Onll_stack.t;  (** a [Txn _] stack *)
   hardened : bool;
 }
 
@@ -68,7 +70,7 @@ let plan_of_seed seed =
     actions_per_proc = 4 + (seed mod 3);
     crash_at = 10 + (seed * 13 mod 170);
     policy = Crash_world.policy_of_seed seed;
-    replicas = 1;
+    stack = { Onll_stack.plain with top = Txn 4 };
     hardened = true;
   }
 
@@ -77,7 +79,11 @@ let plan_of_seed seed =
    invariants are identical; what is being checked is that mirroring
    composes with the commit protocol without adding fences or races. *)
 let mirrored_plan_of_seed seed =
-  { (plan_of_seed seed) with replicas = 2 }
+  let p = plan_of_seed seed in
+  { p with stack = { p.stack with replicas = 2 } }
+
+(* The same per-seed adversity over another transaction stack. *)
+let over stack plan_of seed = { (plan_of seed) with stack }
 
 (* One process's deterministic script: the action list and the model
    state (accounts, note) after every prefix. Account values are signed
@@ -134,20 +140,14 @@ type result = {
   committed : int;  (** transactions committed per the recovered table *)
   swept : int;  (** sub-operations recovery had to re-apply *)
   violations : string list;
-  metrics : (string * int) list;
 }
-
-let tracked_counters =
-  [ "txns"; "txn.subops"; "txn.fast_path"; "txn.sweep.injected"; "crashes" ]
 
 let run ~plan () =
   let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
   let module M = (val Crash_world.machine w) in
-  let module Tx = Onll_txn.Make (M) (Kv) in
-  let obj =
-    Tx.make ~shards:4
-      { (Crash_world.config w) with replicas = plan.replicas }
-  in
+  let module B = Onll_stack.Make (M) (Kv) in
+  let obj = B.build plan.stack (Crash_world.config w) in
+  let tx = Option.get obj.B.txn in
   let scripts = Array.init plan.n_procs (fun p -> script_of ~plan p) in
   (* Plain refs mutated inside simulated processes: bookkeeping, not
      shared state, hence not scheduling points. *)
@@ -159,9 +159,9 @@ let run ~plan () =
       (fun a ->
         (match a with
         | Transfer { t_seq; ops } ->
-            ignore (Tx.txn_detectable obj ~seq:t_seq ops);
+            ignore (tx.B.txn_detectable ~seq:t_seq ops);
             done_txn_seq.(p) <- t_seq
-        | Note op -> ignore (Tx.update obj op));
+        | Note op -> ignore (obj.B.update op));
         done_actions.(p) <- done_actions.(p) + 1)
       actions
   in
@@ -172,7 +172,7 @@ let run ~plan () =
   let fail fmt = Crash_world.fail w fmt in
   if crashed then begin
     (if plan.hardened then begin
-       let r = Tx.recover_report obj in
+       let r = obj.B.recover_report () in
        (* Pure crash chaos: nothing fenced can vanish, so recovery must
           be spotless — any gap, disagreement or decode failure is a
           protocol bug, not an excuse. *)
@@ -180,9 +180,9 @@ let run ~plan () =
          fail "recovery not clean under pure crash: %a"
            Onll_core.Onll.Recovery_report.pp r
      end
-     else Tx.recover_unhardened obj);
+     else obj.B.recover_unhardened ());
     let balance key =
-      match Tx.read obj (Kv.Get key) with
+      match obj.B.read (Kv.Get key) with
       | Kv.Found (Some s) -> int_of_string s
       | _ -> 0
     in
@@ -228,13 +228,13 @@ let run ~plan () =
         List.filter_map
           (fun (id : Onll_txn.txn_id) ->
             if id.txn_proc = p then Some id.txn_seq else None)
-          (Tx.committed_txns obj)
+          (tx.B.committed_txns ())
       in
       let sorted = List.sort compare committed_seqs in
       if sorted <> List.init (List.length sorted) (fun i -> i) then
         fail "proc %d: committed transaction seqs are not a gapless prefix" p;
       for s = 0 to done_txn_seq.(p) do
-        if not (Tx.txn_was_committed obj { Onll_txn.txn_proc = p; txn_seq = s })
+        if not (tx.B.txn_was_committed { Onll_txn.txn_proc = p; txn_seq = s })
         then
           fail
             "proc %d: transfer seq %d returned before the crash but is not \
@@ -248,9 +248,9 @@ let run ~plan () =
     (* Idempotence (hardened only: the calibration baseline neither
        sweeps nor reports, so re-running it proves nothing). *)
     if plan.hardened then begin
-      let ops1 = Tx.recovered_ops obj in
-      ignore (Tx.recover_report obj);
-      if ops1 <> Tx.recovered_ops obj then
+      let ops1 = obj.B.recovered_ops () in
+      ignore (obj.B.recover_report ());
+      if ops1 <> obj.B.recovered_ops () then
         fail "second recovery adopted a different operation set"
     end;
     (* Liveness: a post-crash delta transfer per process, then the books
@@ -258,7 +258,7 @@ let run ~plan () =
     let post p _ =
       let src = balance (acct_key p 0) and dst = balance (acct_key p 1) in
       ignore
-        (Tx.txn obj
+        (tx.B.txn
            [
              Kv.Put (acct_key p 0, string_of_int (src - 7));
              Kv.Put (acct_key p 1, string_of_int (dst + 7));
@@ -273,12 +273,11 @@ let run ~plan () =
   {
     crashed;
     completed = Array.fold_left ( + ) 0 done_actions;
-    committed = List.length (Tx.committed_txns obj);
+    committed = List.length (tx.B.committed_txns ());
     swept =
       Onll_obs.Metrics.counter_value w.Crash_world.registry
         "txn.sweep.injected";
     violations = Crash_world.violations w;
-    metrics = Crash_world.counters w tracked_counters;
   }
 
 (* {2 Campaign aggregation} *)

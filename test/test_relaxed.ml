@@ -13,13 +13,23 @@ let default = Onll_core.Onll.Config.default
 
 let run1 sim f = ignore (Sim.run sim Sched.Strategy.round_robin [| f |])
 
+(* The wrapper over the paper's construction, built by hand so a test can
+   reach the engine beneath it ([C]). *)
+module Relaxed (M : Machine_sig.S) = struct
+  module C = Onll_core.Onll.Make (M) (Cs)
+  include Onll_relaxed.Make_over (M) (Cs) (C)
+
+  let make ~max_unfenced_ops =
+    attach ~max_unfenced_ops default (C.make default)
+end
+
 (* {1 Fence accounting} *)
 
 let test_budgeted_fences () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:4 in
   run1 sim (fun _ ->
       for i = 1 to 3 do
         let _, v = R.update obj Cs.Increment in
@@ -45,8 +55,8 @@ let test_budgeted_fences () =
 let test_strict_piggyback () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:8 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:8 in
   run1 sim (fun _ ->
       ignore (R.update obj Cs.Increment);
       ignore (R.update obj Cs.Increment);
@@ -68,8 +78,8 @@ let test_strict_piggyback () =
 let test_budget_override_tightens () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:8 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:8 in
   run1 sim (fun _ ->
       ignore (R.update ~budget:2 obj Cs.Increment);
       check Alcotest.int "below the tight budget" 0 (M.persistent_fences ());
@@ -80,31 +90,13 @@ let test_budget_override_tightens () =
         (M.persistent_fences ());
       check Alcotest.int "drained" 0 (R.pending_ops obj))
 
-let test_time_budget () =
-  let sim = Sim.create ~max_processes:1 () in
-  let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let clock = ref 0L in
-  let obj =
-    R.make ~max_unfenced_ops:100 ~max_unfenced_ns:1_000L
-      ~now_ns:(fun () -> !clock)
-      default
-  in
-  run1 sim (fun _ ->
-      ignore (R.update obj Cs.Increment);
-      check Alcotest.int "young tail unfenced" 0 (M.persistent_fences ());
-      clock := 2_000L;
-      ignore (R.update obj Cs.Increment);
-      check Alcotest.int "aged tail drained" 1 (M.persistent_fences ());
-      check Alcotest.int "empty" 0 (R.pending_ops obj))
-
 (* {1 Crash loss is the budgeted suffix, precisely reported} *)
 
 let test_crash_loses_exactly_the_unfenced_suffix () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:4 in
   let ids = ref [] in
   run1 sim (fun _ ->
       for _ = 1 to 6 do
@@ -130,9 +122,9 @@ let test_crash_loses_exactly_the_unfenced_suffix () =
   let ops1 =
     List.filter (fun id -> R.was_linearized obj id) ids
   in
-  ignore (R.recover_report obj);
+  let r2 = R.recover_report obj in
   check Alcotest.(list int) "idempotent re-recovery, no new loss" []
-    (List.map (fun id -> id.Onll_core.Onll.id_seq) (R.lost_acked obj));
+    (List.map (fun id -> id.Onll_core.Onll.id_seq) r2.Report.lost_acked);
   check Alcotest.bool "same adopted set" true
     (ops1 = List.filter (fun id -> R.was_linearized obj id) ids);
   run1 sim (fun _ ->
@@ -142,8 +134,8 @@ let test_crash_loses_exactly_the_unfenced_suffix () =
 let test_flush_empties_the_risk_window () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:8 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:8 in
   run1 sim (fun _ ->
       ignore (R.update obj Cs.Increment);
       ignore (R.update obj Cs.Increment);
@@ -161,8 +153,8 @@ let test_flush_empties_the_risk_window () =
 let test_checkpoint_covers_the_tail () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:8 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:8 in
   run1 sim (fun _ ->
       for _ = 1 to 3 do
         ignore (R.update obj Cs.Increment)
@@ -186,8 +178,8 @@ let test_checkpoint_covers_the_tail () =
 let test_drains_are_engine_records () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:4 in
   let ids = ref [] in
   run1 sim (fun _ ->
       for _ = 1 to 8 do
@@ -229,8 +221,8 @@ let test_drains_are_engine_records () =
 let test_escaping_fault_releases_lock () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:4 in
   let run body =
     check Alcotest.bool "the run completes" true
       (Sim.run ~max_steps:200_000 sim Sched.Strategy.round_robin [| body |]
@@ -267,8 +259,8 @@ let test_escaping_fault_releases_lock () =
 let test_failed_drain_survives_a_checkpoint () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:4 in
   let storm =
     Onll_faults.Faults.install (Sim.memory sim)
       {
@@ -303,8 +295,8 @@ let test_failed_drain_survives_a_checkpoint () =
 let test_bad_budget_is_recoverable () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:4 in
   run1 sim (fun _ ->
       (match R.update ~budget:0 obj Cs.Increment with
       | _ -> Alcotest.fail "budget 0 must be rejected"
@@ -318,8 +310,8 @@ let test_bad_budget_is_recoverable () =
 let test_unhardened_recovery_loses_silently () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
-  let obj = R.make ~max_unfenced_ops:2 default in
+  let module R = Relaxed (M) in
+  let obj = R.make ~max_unfenced_ops:2 in
   let ids = ref [] in
   run1 sim (fun _ ->
       for _ = 1 to 3 do
@@ -331,10 +323,9 @@ let test_unhardened_recovery_loses_silently () =
     ~policy:Onll_nvm.Crash_policy.Drop_all;
   R.recover_unhardened obj;
   (* the drained pair is durable, but the unfenced ack is gone — and the
-     unhardened path, with the ledger forgotten, admits nothing *)
+     unhardened path, with the ledger forgotten, has no report to admit
+     it in *)
   check Alcotest.int "the unfenced ack silently gone" 2 (R.read obj Cs.Get);
-  check Alcotest.(list int) "and no loss admitted" []
-    (List.map (fun id -> id.Onll_core.Onll.id_seq) (R.lost_acked obj));
   check Alcotest.bool "not linearized" false
     (R.was_linearized obj (List.hd !ids))
 
@@ -343,9 +334,9 @@ let test_unhardened_recovery_loses_silently () =
 let test_history_buffered_checkable () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
-  let module R = Onll_relaxed.Make (M) (Cs) in
+  let module R = Relaxed (M) in
   let module H = Onll_histcheck.Histcheck.Make (Cs) in
-  let obj = R.make ~max_unfenced_ops:4 default in
+  let obj = R.make ~max_unfenced_ops:4 in
   let rec_ = H.Recorder.create () in
   run1 sim (fun _ ->
       for _ = 1 to 6 do
@@ -412,7 +403,6 @@ let () =
           Alcotest.test_case "strict piggyback" `Quick test_strict_piggyback;
           Alcotest.test_case "budget override tightens" `Quick
             test_budget_override_tightens;
-          Alcotest.test_case "time budget" `Quick test_time_budget;
         ] );
       ( "crash loss",
         [

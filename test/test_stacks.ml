@@ -202,6 +202,49 @@ let seam_two_procs stack () =
       !returned
   done
 
+(* The optional fields name the shape: [relaxed] is [Some] exactly on a
+   direct relaxed front, [txn] exactly on the transaction top. *)
+let test_fields_follow_the_shape () =
+  let module Cs = Onll_specs.Counter in
+  List.iter
+    (fun stack ->
+      let sim = Sim.create ~max_processes:1 () in
+      let module M = (val Sim.machine sim) in
+      let module B = Onll_stack.Make (M) (Cs) in
+      let o = B.build stack Onll_core.Onll.Config.default in
+      let label = Format.asprintf "%a" Onll_stack.pp stack in
+      check Alcotest.bool (label ^ ": relaxed") (o.B.relaxed <> None)
+        (match stack.Onll_stack.top with
+        | Onll_stack.Direct (Onll_stack.Relaxed _) -> true
+        | _ -> false);
+      check Alcotest.bool (label ^ ": txn") (o.B.txn <> None)
+        (match stack.Onll_stack.top with Onll_stack.Txn _ -> true | _ -> false))
+    Onll_stack.legal
+
+(* The E19 and E20 audits are stack-generic: a small-seed slice of each
+   over stacks their own campaigns do not drive, with no violations, and
+   the calibration caught on the same stacks. *)
+let clean_and_caught row ~caught =
+  check Alcotest.(list string) "no violations" []
+    row.Test_support.Campaign.violations;
+  check Alcotest.bool "calibration caught" true (caught > 0)
+
+let relaxed_audit engine () =
+  let module Rc = Test_support.Relaxed_chaos in
+  let plan_of = Rc.over engine Rc.plan_of_seed in
+  (* the calibration is caught only where the crash cut a nonempty
+     tail: over the wait-free engine, on none of seeds 1-8 *)
+  clean_and_caught
+    (Rc.arm ~plan_of ~name:"relaxed" ~seeds:6 ())
+    ~caught:(Rc.calibrate ~plan_of ~seeds:20 ())
+
+let txn_audit stack () =
+  let module Tc = Test_support.Txn_chaos in
+  let plan_of = Tc.over stack Tc.plan_of_seed in
+  clean_and_caught
+    (Tc.arm ~plan_of ~name:"txn" ~seeds:6 ())
+    ~caught:(Tc.calibrate ~plan_of ~seeds:8 ())
+
 let cases name stack =
   let label = Format.asprintf "%s%a" name Onll_stack.pp stack in
   [
@@ -239,4 +282,18 @@ let () =
                      `Quick (seam_two_procs stack))
             | _ -> None)
           Onll_stack.legal );
+      ( "fields",
+        [
+          Alcotest.test_case "relaxed and txn follow the shape" `Quick
+            test_fields_follow_the_shape;
+        ] );
+      ( "audits",
+        [
+          Alcotest.test_case "E20 relaxed(batched,k)" `Quick
+            (relaxed_audit `Batched);
+          Alcotest.test_case "E20 relaxed(wait-free,k)" `Quick
+            (relaxed_audit `Wait_free);
+          Alcotest.test_case "E19 txn(4) x2 +views" `Quick
+            (txn_audit { Onll_stack.top = Txn 4; replicas = 2; views = true });
+        ] );
     ]
