@@ -89,7 +89,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     shard_of : S.update_op -> int;
     recover_report : unit -> Onll_core.Onll.Recovery_report.t;
     recover_unhardened : unit -> unit;
-    recovered_ops : unit -> (Onll_core.Onll.op_id * int) list;
+    recovered_ops : unit -> (int * Onll_core.Onll.op_id * int) list;
     scrub : unit -> unit;
     degraded : unit -> bool;
     log_fill : unit -> float;
@@ -112,7 +112,9 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       shard_of = (fun _ -> 0);
       recover_report = (fun () -> C.recover_report obj);
       recover_unhardened = (fun () -> C.recover_unhardened obj);
-      recovered_ops = (fun () -> C.recovered_ops obj);
+      recovered_ops =
+        (fun () ->
+          List.map (fun (id, idx) -> (0, id, idx)) (C.recovered_ops obj));
       scrub = (fun () -> ignore (C.scrub obj));
       degraded = (fun () -> C.degraded obj);
       log_fill = (fun () -> C.log_fill obj);
@@ -130,8 +132,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       shard_of = Sh.shard_of_update obj;
       recover_report = (fun () -> Sh.recover_report obj);
       recover_unhardened = (fun () -> Sh.recover_unhardened obj);
-      recovered_ops =
-        (fun () -> List.map (fun (_, id, idx) -> (id, idx)) (Sh.recovered_ops obj));
+      recovered_ops = (fun () -> Sh.recovered_ops obj);
       scrub = (fun () -> ignore (Sh.scrub obj));
       degraded = (fun () -> Sh.degraded obj);
       log_fill = (fun () -> Sh.log_fill obj);

@@ -127,9 +127,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             names every acknowledgement the crash voided *)
     recover_unhardened : unit -> unit;
         (** the calibration baseline recovery *)
-    recovered_ops : unit -> (Onll_core.Onll.op_id * int) list;
-        (** recovery's re-inserted operations with their execution
-            indices (per shard, shard-major, when sharded) *)
+    recovered_ops : unit -> (int * Onll_core.Onll.op_id * int) list;
+        (** recovery's re-inserted operations as [(shard, id, index)],
+            shard-major; identities and indices are per shard, so the
+            shard is part of an operation's name ([0] unsharded) *)
     scrub : unit -> unit;  (** one cooperative scrub step *)
     degraded : unit -> bool;
     log_fill : unit -> float;  (** the fullest object log's fill, O(1) *)

@@ -252,14 +252,23 @@ module Make (S : Onll_core.Spec.S) = struct
                 fail "silent loss: completed update %a gone, nothing reported"
                   Onll_core.Onll.pp_op_id id)
         !completed;
-      (* Audit 2: no fabrication. *)
+      (* Audit 2: no fabrication, and every operation recovered on the
+         shard it was routed to. *)
       List.iter
-        (fun (id, _) ->
+        (fun (s, id, _) ->
           if not (List.mem_assoc id !invoked) then
-            fail "recovery fabricated operation %a" Onll_core.Onll.pp_op_id id)
+            fail "recovery fabricated operation %a" Onll_core.Onll.pp_op_id id
+          else if s <> shard_of id then
+            fail "recovery adopted %a on shard %d, routed to shard %d"
+              Onll_core.Onll.pp_op_id id s (shard_of id))
         ops2;
       (* Audit 3: recovered order extends real-time precedence. *)
-      let idx_of id = List.assoc_opt id ops2 in
+      let idx_of id =
+        List.find_map
+          (fun (s, id', idx) ->
+            if id' = id && s = shard_of id then Some idx else None)
+          ops2
+      in
       List.iter
         (fun (id1, _, ret1) ->
           List.iter

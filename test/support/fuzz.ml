@@ -121,7 +121,7 @@ module Make (S : Onll_core.Spec.S) = struct
         (H.Recorder.history recorder);
       let recovered_idx = Hashtbl.create 32 in
       List.iter
-        (fun (id, idx) -> Hashtbl.replace recovered_idx id idx)
+        (fun (_, id, idx) -> Hashtbl.replace recovered_idx id idx)
         (obj.B.recovered_ops ());
       List.iter
         (fun (uid1, id1, _) ->

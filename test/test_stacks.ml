@@ -221,6 +221,48 @@ let test_fields_follow_the_shape () =
         (match stack.Onll_stack.top with Onll_stack.Txn _ -> true | _ -> false))
     Onll_stack.legal
 
+(* [recovered_ops] names an operation by its shard as well as its id:
+   identities and indices are per shard. After a crash every completed
+   update comes back on the shard it routed to, and [0] unsharded. *)
+let test_recovered_ops_name_the_shard stack () =
+  let module Kv = Onll_specs.Kv in
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module B = Onll_stack.Make (M) (Kv) in
+  let o = B.build stack Onll_core.Onll.Config.default in
+  let ops = List.init 12 (fun i -> Kv.Put (Printf.sprintf "key-%d" i, "v")) in
+  let ids = ref [] in
+  check Alcotest.bool "completed" true
+    (Sim.run sim Onll_sched.Sched.Strategy.round_robin
+       [|
+         (fun _ ->
+           List.iteri
+             (fun seq op ->
+               ignore (o.B.update_detectable ~seq op);
+               let id = { Onll_core.Onll.id_proc = M.self (); id_seq = seq } in
+               ids := (o.B.shard_of op, id) :: !ids)
+             ops);
+       |]
+    = Onll_sched.Sched.World.Completed);
+  Onll_nvm.Memory.crash (Sim.memory sim)
+    ~policy:Onll_nvm.Crash_policy.Drop_all;
+  ignore (o.B.recover_report ());
+  let ro = o.B.recovered_ops () in
+  check Alcotest.int "every completed update recovered" (List.length ops)
+    (List.length ro);
+  List.iter
+    (fun (s, id) ->
+      check Alcotest.bool "on the shard it routed to" true
+        (List.exists (fun (s', id', _) -> s' = s && id' = id) ro))
+    !ids;
+  let sharded =
+    match stack.Onll_stack.top with
+    | Onll_stack.Direct (Onll_stack.Sharded _) -> true
+    | _ -> false
+  in
+  check Alcotest.bool "more than one shard" sharded
+    (List.length (List.sort_uniq compare (List.map fst !ids)) > 1)
+
 (* The E19 and E20 audits are stack-generic: a small-seed slice of each
    over stacks their own campaigns do not drive, with no violations, and
    the calibration caught on the same stacks. *)
@@ -286,6 +328,16 @@ let () =
         [
           Alcotest.test_case "relaxed and txn follow the shape" `Quick
             test_fields_follow_the_shape;
+          Alcotest.test_case "recovered_ops names the shard, unsharded"
+            `Quick
+            (test_recovered_ops_name_the_shard Onll_stack.plain);
+          Alcotest.test_case "recovered_ops names the shard, sharded(4)"
+            `Quick
+            (test_recovered_ops_name_the_shard
+               {
+                 Onll_stack.plain with
+                 top = Direct (Sharded (`Plain, 4));
+               });
         ] );
       ( "audits",
         [
