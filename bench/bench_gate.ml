@@ -152,6 +152,11 @@ let () =
   let tmp = Filename.temp_file "onll-gate" "" in
   Sys.remove tmp;
   Unix.mkdir tmp 0o755;
+  (* the fresh snapshots are kept only when the gate fails *)
+  let remove_tmp () =
+    Array.iter (fun f -> Sys.remove (Filename.concat tmp f)) (Sys.readdir tmp);
+    Sys.rmdir tmp
+  in
   Unix.putenv "ONLL_BENCH_DIR" tmp;
   print_endline "bench gate: re-running asserted invariants (sim only)";
   Printf.printf "== E1 fence bounds ==\n%!";
@@ -255,6 +260,7 @@ let () =
         Printf.printf "regenerated %s\n" dst)
       gated_experiments;
     print_endline "bench gate: goldens regenerated (review the diff)";
+    remove_tmp ();
     exit 0
   end;
   (* 2. Diff fresh vs golden on the gated keys. *)
@@ -316,8 +322,10 @@ let () =
   match List.rev !failures with
   | [] ->
       print_endline "bench gate: PASS";
+      remove_tmp ();
       exit 0
   | fs ->
       List.iter (fun f -> Printf.printf "bench gate: FAIL: %s\n" f) fs;
-      Printf.printf "bench gate: %d regression(s)\n" (List.length fs);
+      Printf.printf "bench gate: %d regression(s); fresh snapshots in %s\n"
+        (List.length fs) tmp;
       exit 1

@@ -3,7 +3,7 @@
 module Codec = Onll_util.Codec
 
 module Make (S : Spec.S) = struct
-  module Clients = Onll_util.Ordered_map.Make (Int)
+  module Clients = Onll_util.Ordered_map.Make (Onll_util.Ordered_map.Int_key)
 
   type state = { inner : S.state; last : int Clients.t }
 

@@ -3,6 +3,27 @@ external monotonic_ns : unit -> (int64[@unboxed])
   = "onll_monotonic_ns" "onll_monotonic_ns_unboxed"
 [@@noalloc]
 
+(* A persistent-memory region's bytes, mapped outside the OCaml heap
+   (region_stubs.c): the GC neither scans nor counts them, and unmaps
+   them when it finalizes the region. *)
+type region =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+external region_create : int -> region = "onll_region_create"
+
+external region_store : region -> int -> string -> int -> unit
+  = "onll_region_store"
+[@@noalloc]
+
+external region_load : region -> int -> bytes -> int -> unit
+  = "onll_region_load"
+[@@noalloc]
+
+external region_get64 : region -> int -> int64 = "%caml_bigstring_get64u"
+external region_set64 : region -> int -> int64 -> unit
+  = "%caml_bigstring_set64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
 type proc_slot = {
   mutable pending : int;  (* flushed-but-unfenced line count *)
   mutable pfences : int;
@@ -102,7 +123,7 @@ end) : Machine_sig.S = struct
   end
 
   module Pm = struct
-    type t = { buf : Bytes.t; pm_size : int }
+    type t = region
 
     let line_size = 64
 
@@ -114,29 +135,33 @@ end) : Machine_sig.S = struct
       Mutex.unlock n.names_lock;
       if dup then
         invalid_arg (Printf.sprintf "Native.Pm.create: duplicate region %S" name);
-      { buf = Bytes.make size '\000'; pm_size = size }
+      region_create size
 
-    let size r = r.pm_size
+    let size = Bigarray.Array1.dim
 
     let check r off len what =
-      if off < 0 || len < 0 || off + len > r.pm_size then
+      if off < 0 || len < 0 || off + len > size r then
         invalid_arg (Printf.sprintf "Native.Pm.%s: range out of bounds" what)
 
     let store r ~off data =
       check r off (String.length data) "store";
-      Bytes.blit_string data 0 r.buf off (String.length data)
+      region_store r off data (String.length data)
 
     let load r ~off ~len =
       check r off len "load";
-      Bytes.sub_string r.buf off len
+      let b = Bytes.create len in
+      region_load r off b len;
+      Bytes.unsafe_to_string b
 
+    (* little-endian on every host *)
     let store_int64 r ~off v =
       check r off 8 "store_int64";
-      Bytes.set_int64_le r.buf off v
+      region_set64 r off (if Sys.big_endian then swap64 v else v)
 
     let load_int64 r ~off =
       check r off 8 "load_int64";
-      Bytes.get_int64_le r.buf off
+      let v = region_get64 r off in
+      if Sys.big_endian then swap64 v else v
 
     let flush r ~off ~len =
       check r off len "flush";

@@ -2,7 +2,7 @@
     NVM data-structure work targets (§7). [Put]/[Delete] return the previous
     binding, so clients can detect replays. *)
 
-module Keys = Onll_util.Ordered_map.Make (String)
+module Keys = Onll_util.Ordered_map.Make (Onll_util.Ordered_map.String_key)
 
 type state = string Keys.t
 type update_op = Put of string * string | Delete of string

@@ -3,7 +3,7 @@
     responded (money reported moved), no crash may un-move it, and no crash
     may ever duplicate or lose money mid-transfer. *)
 
-module Balances = Onll_util.Ordered_map.Make (String)
+module Balances = Onll_util.Ordered_map.Make (Onll_util.Ordered_map.String_key)
 
 type state = int Balances.t
 type update_op =

@@ -181,6 +181,33 @@ let test_native_detectable_ids () =
   check Alcotest.int "distinct ids" 2
     (List.length (List.sort_uniq compare ids))
 
+(* A region lives outside the OCaml heap: 64 MiB of it grows the heap by
+   less than 1 MiB. It starts zeroed, and its first and last 8 bytes read
+   back what was stored, as bytes and as little-endian words. *)
+let test_native_region_off_heap () =
+  let native = Native.create ~max_processes:1 () in
+  let module M = (val Native.machine native) in
+  let size = 64 lsl 20 in
+  let heap_bytes () = (Gc.quick_stat ()).heap_words * (Sys.word_size / 8) in
+  let before = heap_bytes () in
+  let r = M.Pm.create ~name:"big" ~size in
+  check Alcotest.bool "heap grows by less than 1 MiB" true
+    (heap_bytes () - before < 1 lsl 20);
+  List.iter
+    (fun off ->
+      check Alcotest.string "zeroed" (String.make 8 '\000')
+        (M.Pm.load r ~off ~len:8);
+      M.Pm.store r ~off "\001\002\003\004\005\006\007\008";
+      check Alcotest.string "bytes" "\001\002\003\004\005\006\007\008"
+        (M.Pm.load r ~off ~len:8);
+      check Alcotest.int64 "little-endian word" 0x0807060504030201L
+        (M.Pm.load_int64 r ~off);
+      M.Pm.store_int64 r ~off (-2L);
+      check Alcotest.int64 "word" (-2L) (M.Pm.load_int64 r ~off);
+      check Alcotest.string "word bytes" "\254\255\255\255\255\255\255\255"
+        (M.Pm.load r ~off ~len:8))
+    [ 0; size - 8 ]
+
 let () =
   Alcotest.run "native"
     [
@@ -205,4 +232,9 @@ let () =
       ( "detectability",
         [ Alcotest.test_case "ids distinct" `Quick test_native_detectable_ids ]
       );
+      ( "regions",
+        [
+          Alcotest.test_case "off the OCaml heap" `Quick
+            test_native_region_off_heap;
+        ] );
     ]

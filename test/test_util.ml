@@ -426,7 +426,7 @@ let test_codec_nested_encode () =
    bindings, for the empty map, for maps within one chunk, and for maps
    whose encoding crosses one or several 64 KiB chunk boundaries, where
    the patched count sits in a chunk already filled. *)
-module Smap = Ordered_map.Make (String)
+module Smap = Ordered_map.Make (Ordered_map.String_key)
 
 let prop_codec_bindings_once =
   let smap = Smap.codec Codec.string Codec.string in
@@ -508,6 +508,7 @@ let test_fmt_float () =
 (* The map against Stdlib [Map] as its model, over one key type. *)
 module Map_model (K : sig
   include Map.OrderedType
+  include Ordered_map.Key with type t := t
 
   val name : string
   val gen : t QCheck.Gen.t
@@ -598,7 +599,7 @@ struct
   let of_list l = List.fold_left (fun m (k, v) -> O.add k v m) O.empty l
 
   (* Sorted distinct keys take the bottom-up build: it must equal adding
-     the bindings in order, and be a valid AVL tree. *)
+     the bindings in order, and hold the trie's invariant. *)
   let prop_sorted_build =
     QCheck.Test.make ~name:(K.name ^ " keys: bottom-up build = adds")
       ~count:300 arrays (fun l ->
@@ -627,20 +628,56 @@ struct
   let tests = List.map qcheck [ prop_model; prop_sorted_build; prop_codec ]
 end
 
+(* Keys over every byte, the extremes and the nibble boundaries most,
+   and chains of keys that are prefixes of each other: a key's end sorts
+   before any byte, [\000] included. *)
 module String_model = Map_model (struct
-  include String
+  let compare = String.compare
+
+  include Ordered_map.String_key
 
   let name = "string"
-  let gen = QCheck.Gen.(string_size ~gen:(char_range 'a' 'e') (0 -- 3))
+
+  let gen =
+    let open QCheck.Gen in
+    let edge =
+      oneofl
+        [
+          '\000'; '\001'; '\015'; '\016'; 'a'; 'b'; '\127'; '\128'; '\254';
+          '\255';
+        ]
+    in
+    frequency
+      [
+        (3, string_size ~gen:edge (0 -- 3));
+        (1, string_size ~gen:char (0 -- 3));
+        ( 2,
+          oneofl
+            [ ""; "a"; "a\000"; "a\000\000"; "a\255"; "ab"; "abc"; "b" ] );
+      ]
+
   let print = Printf.sprintf "%S"
   let codec = Codec.string
 end)
 
+(* Small ints collide often; the extremes, -1 and 0 sit where the sign
+   flip orders them, and the others span every nibble. *)
 module Int_model = Map_model (struct
-  include Int
+  let compare = Int.compare
+
+  include Ordered_map.Int_key
 
   let name = "int"
-  let gen = QCheck.Gen.int_range (-60) 60
+
+  let gen =
+    let open QCheck.Gen in
+    frequency
+      [
+        (3, int_range (-60) 60);
+        (2, oneofl [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]);
+        (1, int);
+      ]
+
   let print = string_of_int
   let codec = Codec.int
 end)
