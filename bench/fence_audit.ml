@@ -143,7 +143,7 @@ let run () =
     (fun row ->
       match row with
       | [ _; impl; pu; pr ]
-        when impl = "onll" || impl = "onll+views" || impl = "onll-wait-free"
+        when impl = "onll" || impl = "onll-wait-free"
              || impl = "onll-mirrored" || impl = "onll-sharded"
              || impl = "onll-session" || impl = "onll-txn" ->
           (* onll-txn included: single updates take the fast path — a

@@ -28,7 +28,6 @@ module Campaign (S : Onll_core.Spec.S) = struct
               Onll_stack.plain with
               top =
                 Direct (Bare (if seed mod 5 = 0 then `Wait_free else `Plain));
-              views = seed mod 2 = 0;
             };
         }
       in

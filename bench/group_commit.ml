@@ -31,8 +31,8 @@
       update recovers exactly once). Zero violations required; the E13
       no-excuse arm composed with group commit (mirrored logs,
       primary-scoped faults) must additionally lose nothing at all.
-    - {b native throughput grid}: disjoint-key kv updates with local
-      views, domains x fence latency (0/500/2000 ns plus a 50 us
+    - {b native throughput grid}: disjoint-key kv updates, domains x
+      fence latency (0/500/2000 ns plus a 50 us
       fsync-class point), aggregate Mops/s and per-domain goodput.
       Asserted: a second domain does not collapse throughput at the
       500 ns point (d2 >= 0.7x d1), and adds >= 1.5x at the fsync-class
@@ -208,23 +208,37 @@ let chaos_slices summary =
 
 (* {2 Part 4 — native throughput grid} *)
 
+(* Kv counting its applies, each domain in a cache line of its own, so
+   the count adds no shared write to the timed runs. *)
+module Counted_kv = struct
+  include Kv
+
+  let stride = 16
+  let counts = Array.make (64 * stride) 0
+
+  let apply s op =
+    let i = stride * ((Domain.self () :> int) land 63) in
+    counts.(i) <- counts.(i) + 1;
+    Kv.apply s op
+
+  let total () = Array.fold_left ( + ) 0 counts
+  let reset () = Array.fill counts 0 (Array.length counts) 0
+end
+
 (* Disjoint-key kv updates, exactly the E14 workload shape (64 private
    keys per domain, a checkpoint every [checkpoint_every] ops) so the
-   group-commit grid reads against the sharded one. Local views on:
-   without them every operation folds the trace from its base. Returns
-   ops/s and the machine's fences per update (checkpoint fences
-   included: 2 per [checkpoint_every] ops). *)
+   group-commit grid reads against the sharded one. Returns ops/s, the
+   machine's fences per update (checkpoint fences included: 2 per
+   [checkpoint_every] ops) and the specification's applies per update
+   (one: the first fold through a trace node publishes its state, §8). *)
 let run_native ~domains ~fence_ns ~total_ops =
   let native = Native.create ~max_processes:domains ~fence_ns () in
   let module M = (val Native.machine native) in
-  let module C = Onll_core.Onll.Make_combining (M) (Kv) in
+  let module C = Onll_core.Onll.Make_combining (M) (Counted_kv) in
+  Counted_kv.reset ();
   let obj =
     C.make
-      {
-        Onll_core.Onll.Config.default with
-        log_capacity = 1 lsl 20;
-        local_views = true;
-      }
+      { Onll_core.Onll.Config.default with log_capacity = 1 lsl 20 }
   in
   let per = total_ops / domains in
   let t0 = Unix.gettimeofday () in
@@ -239,8 +253,10 @@ let run_native ~domains ~fence_ns ~total_ops =
                if j mod checkpoint_every = 0 then ignore (C.checkpoint obj)
              done)));
   let rate = Harness.ops_per_sec (per * domains) (Unix.gettimeofday () -. t0) in
-  let fences = Native.persistent_fences native in
-  (rate, float_of_int fences /. float_of_int (per * domains))
+  let updates = float_of_int (per * domains) in
+  ( rate,
+    float_of_int (Native.persistent_fences native) /. updates,
+    float_of_int (Counted_kv.total ()) /. updates )
 
 let throughput_grid summary =
   let total_ops = 20_000 in
@@ -248,7 +264,9 @@ let throughput_grid summary =
     List.filter (fun d -> d <= available_domains) [ 1; 2; 4; 8 ]
   in
   let rate ~domains ~fence_ns =
-    Harness.best_of 2 (fun () -> fst (run_native ~domains ~fence_ns ~total_ops))
+    Harness.best_of 2 (fun () ->
+        let rate, _, _ = run_native ~domains ~fence_ns ~total_ops in
+        rate)
   in
   let curves =
     List.map
@@ -291,28 +309,30 @@ let throughput_grid summary =
      Each ratio comes from back-to-back d1/d2 pairs (median of three):
      the absolute rates on a shared host drift with CPU contention, but
      a pair measured in the same window shares the drift, so the ratio
-     is stable where individual grid cells are not. The d2 fences per
-     update are the median over the same three d2 runs. *)
+     is stable where individual grid cells are not. The d2 fences and
+     applies per update are the medians over the same three d2 runs. *)
   let ratio ns =
     let pair () =
-      let d1, _ = run_native ~domains:1 ~fence_ns:ns ~total_ops in
-      let d2, pf = run_native ~domains:2 ~fence_ns:ns ~total_ops in
-      (d2 /. d1, pf)
+      let d1, _, _ = run_native ~domains:1 ~fence_ns:ns ~total_ops in
+      let d2, pf, applies = run_native ~domains:2 ~fence_ns:ns ~total_ops in
+      (d2 /. d1, pf, applies)
     in
     let pairs = [ pair (); pair (); pair () ] in
-    let median l = List.nth (List.sort compare l) 1 in
-    (median (List.map fst pairs), median (List.map snd pairs))
+    let median f = List.nth (List.sort compare (List.map f pairs)) 1 in
+    ( median (fun (r, _, _) -> r),
+      median (fun (_, pf, _) -> pf),
+      median (fun (_, _, a) -> a) )
   in
-  let held, pf_held = ratio fence_ns_default in
+  let held, pf_held, applies_held = ratio fence_ns_default in
   Printf.printf
     "group commit d2 vs d1 at %dns fence: %.2fx (>= 0.7x asserted); d2 \
-     pays %.3f pf/update\n"
-    fence_ns_default held pf_held;
-  let speedup, pf_fsync = ratio fence_ns_fsync in
+     pays %.3f pf/update, %.3f applies/update\n"
+    fence_ns_default held pf_held applies_held;
+  let speedup, pf_fsync, applies_fsync = ratio fence_ns_fsync in
   Printf.printf
     "group commit d2 vs d1 at the fsync-class point (%dns): %.2fx \
-     (threshold 1.5x); d2 pays %.3f pf/update\n"
-    fence_ns_fsync speedup pf_fsync;
+     (threshold 1.5x); d2 pays %.3f pf/update, %.3f applies/update\n"
+    fence_ns_fsync speedup pf_fsync applies_fsync;
   let gauge name v =
     Onll_obs.Metrics.set (Onll_obs.Metrics.gauge summary name) v
   in
@@ -320,6 +340,8 @@ let throughput_grid summary =
   gauge "speedup.batched.d2_over_d1.ns500" held;
   gauge "pf_update.batched.d2.ns500" pf_held;
   gauge "pf_update.batched.d2.ns50000" pf_fsync;
+  gauge "applies_update.batched.d2.ns500" applies_held;
+  gauge "applies_update.batched.d2.ns50000" applies_fsync;
   assert (held >= 0.7);
   assert (speedup >= 1.5);
   print_endline

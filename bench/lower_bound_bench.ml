@@ -11,11 +11,6 @@ module Lb = Onll_lowerbound.Lowerbound
 module Cs = Onll_specs.Counter
 module R = Onll_baselines.Registry.Make (Cs)
 
-(* "onll+views" is excluded: local views only change the read path, which
-   the adversary never exercises. *)
-let impls =
-  List.filter (fun i -> i <> "onll+views") Onll_baselines.Registry.names
-
 let setup impl n =
   match
     R.build ~max_processes:n
@@ -83,7 +78,7 @@ let run () =
                  | _ -> "NO");
             ])
           [ 2; 4; 8 ])
-      impls
+      Onll_baselines.Registry.names
   in
   Onll_util.Table.print
     ~title:

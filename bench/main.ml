@@ -10,7 +10,7 @@ let experiments =
      Fence_audit.run);
     ("e2", "lower-bound adversary schedules (Thm 6.3)", Lower_bound_bench.run);
     ("e3", "throughput vs domains, native machine", Throughput.run_e3);
-    ("e4", "read cost vs history: local views (§8)", Read_cost.run);
+    ("e4", "read cost vs history: published states (§8)", Read_cost.run);
     ("e5", "throughput vs fence latency, native machine", Throughput.run_e5);
     ("e6", "recovery cost and reclamation (§8)", Recovery_bench.run);
     ("e7", "substrate micro-benchmarks (bechamel)", Micro.run);

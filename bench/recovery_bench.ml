@@ -145,11 +145,7 @@ let run_kv () =
   let module C = Onll_core.Onll.Make (M) (Kv) in
   let obj =
     C.make
-      {
-        Onll_core.Onll.Config.default with
-        log_capacity = 32 lsl 20;
-        local_views = true;
-      }
+      { Onll_core.Onll.Config.default with log_capacity = 32 lsl 20 }
   in
   for k = 0 to kv_keys - 1 do
     ignore (C.update obj (Kv.Put (key k, value k)) : Kv.value)

@@ -36,9 +36,8 @@ let budget = 8
 let env_int name default =
   match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
 
-(* relaxed(plain,k=budget), with or without local views *)
-let stack ~views =
-  { Onll_stack.top = Direct (Relaxed (`Plain, budget)); replicas = 1; views }
+(* relaxed(plain,k=budget) *)
+let stack = { Onll_stack.top = Direct (Relaxed (`Plain, budget)); replicas = 1 }
 
 (* {2 Part 1 — fence accounting (deterministic, gated)} *)
 
@@ -52,7 +51,7 @@ let sim_arm ~procs ~updates ~strategy ~strict =
   let module M = (val Sim.machine sim) in
   let module B = Onll_stack.Make (M) (Cs) in
   let obj =
-    B.build (stack ~views:false)
+    B.build stack
       { Onll_core.Onll.Config.default with sink; log_capacity = 1 lsl 18 }
   in
   let r = Option.get obj.B.relaxed in
@@ -146,10 +145,7 @@ let native_throughput summary =
     let module M = (val Native.machine native) in
     let module B = Onll_stack.Make (M) (Cs) in
     let obj =
-      (* local views, as in E3/E5: without them every update replays the
-         whole history and O(n^2) CPU swamps the fence bill this
-         experiment is about *)
-      B.build (stack ~views:true)
+      B.build stack
         { Onll_core.Onll.Config.default with log_capacity = 1 lsl 24 }
     in
     let r = Option.get obj.B.relaxed in

@@ -134,8 +134,7 @@ let chaos_slices summary =
 
 (* Disjoint-key kv updates: domain [d] cycles over 64 keys of its own,
    with a compact (checkpoint + per-shard trace prune) every
-   [compact_every] ops. No local views — the point is the replay path the
-   partitioning shortens. *)
+   [compact_every] ops. *)
 let run_native ~shards ~domains ~fence_ns ~total_ops =
   let native = Native.create ~max_processes:domains ~fence_ns () in
   let module M = (val Native.machine native) in

@@ -23,11 +23,11 @@ let counter_impls : (string * (domains:int -> fence_ns:int -> total_ops:int -> f
     ignore (Native.run_workers native work);
     Unix.gettimeofday () -. t0
   in
-  let onll ~views ~domains ~fence_ns ~total_ops =
+  let onll ~domains ~fence_ns ~total_ops =
     let native = Native.create ~max_processes:domains ~fence_ns () in
     let module M = (val Native.machine native) in
     let module C = Onll_core.Onll.Make (M) (Cs) in
-    let obj = C.make { Onll_core.Onll.Config.default with local_views = views; log_capacity = (1 lsl 24) } in
+    let obj = C.make { Onll_core.Onll.Config.default with log_capacity = (1 lsl 24) } in
     let per = total_ops / domains in
     let elapsed =
       measure native
@@ -89,16 +89,16 @@ let counter_impls : (string * (domains:int -> fence_ns:int -> total_ops:int -> f
   in
   [
     ("volatile", fun ~domains ~fence_ns ~total_ops -> volatile ~domains ~fence_ns ~total_ops);
-    ("onll+views", fun ~domains ~fence_ns ~total_ops -> onll ~views:true ~domains ~fence_ns ~total_ops);
+    ("onll", fun ~domains ~fence_ns ~total_ops -> onll ~domains ~fence_ns ~total_ops);
     ("shadow", fun ~domains ~fence_ns ~total_ops -> shadow ~domains ~fence_ns ~total_ops);
     ("flat-combining", fun ~domains ~fence_ns ~total_ops -> fc ~domains ~fence_ns ~total_ops);
   ]
 
-let queue_impl ~views ~domains ~fence_ns ~total_ops =
+let queue_impl ~domains ~fence_ns ~total_ops =
   let native = Native.create ~max_processes:domains ~fence_ns () in
   let module M = (val Native.machine native) in
   let module C = Onll_core.Onll.Make (M) (Onll_specs.Queue_spec) in
-  let obj = C.make { Onll_core.Onll.Config.default with local_views = views; log_capacity = (1 lsl 24) } in
+  let obj = C.make { Onll_core.Onll.Config.default with log_capacity = (1 lsl 24) } in
   let per = total_ops / domains in
   let t0 = Unix.gettimeofday () in
   ignore
@@ -154,11 +154,11 @@ let run_e3 () =
   (* queue: same shape on a structurally richer object *)
   let qcurves =
     [
-      ( "onll+views",
+      ( "onll",
         List.map
           (fun d ->
             ( float_of_int d,
-              queue_impl ~views:true ~domains:d ~fence_ns
+              queue_impl ~domains:d ~fence_ns
                 ~total_ops:20_000
               /. 1e6 ))
           domain_counts );

@@ -29,7 +29,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     reader : reader;
     (* In this trace, a node's [available] flag means "persistent". Nodes
        are visible (linearized) as soon as they are inserted. *)
-    mutable trace : (envelope, unit) T.t;
+    mutable trace : (envelope, unit, unit) T.t;
     logs : L.t array;
     seqs : int array;
     mutable read_fences : int;  (** reads that had to fence (statistics) *)

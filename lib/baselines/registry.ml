@@ -37,7 +37,6 @@ let default_options =
 let names =
   [
     "onll";
-    "onll+views";
     "onll-wait-free";
     "onll-mirrored";
     "onll-sharded";
@@ -56,7 +55,6 @@ let family ?(shards = 4) name =
   let direct front = { plain with top = Direct front } in
   match name with
   | "onll" -> Some plain
-  | "onll+views" | "views" -> Some { plain with views = true }
   | "onll-wait-free" | "wait-free" -> Some (direct (Bare `Wait_free))
   | "onll-mirrored" | "mirrored" -> Some { plain with replicas = 2 }
   | "onll-sharded" | "sharded" -> Some (direct (Sharded (`Plain, shards)))

@@ -1,7 +1,6 @@
 (** Name-indexed construction of every benchmarked implementation.
 
-    One place that knows how to build ["onll"], ["onll+views"],
-    ["onll-wait-free"] (alias ["wait-free"]), ["onll-mirrored"] (alias
+    One place that knows how to build ["onll"], ["onll-wait-free"] (alias ["wait-free"]), ["onll-mirrored"] (alias
     ["mirrored"]; two-way replicated logs, still one fence per update),
     ["onll-sharded"] (alias ["sharded"]; the E14 partitioned construction —
     each op routed to one of [shards] independent ONLL instances, still one

@@ -15,15 +15,17 @@
       visible to readers; compute the return value from the trace prefix.
 
     Reads find the newest available node and compute against that prefix;
-    they never write shared memory or NVM.
+    they write no NVM, and the only shared memory they write is the trace
+    node's volatile slot when they are the first to compute its state.
 
     Recovery (Listing 5) rebuilds the trace from the per-process logs in
     execution-index order. The construction is {e detectable} [15]: every
     update carries a [(process, sequence)] id and {!Make.was_linearized}
     answers, after recovery, whether it took effect before the crash.
 
-    §8 extensions implemented here: per-process local views (read
-    acceleration), trace pruning and log compaction via checkpoints. To keep
+    §8 extensions implemented here: read acceleration (the paper's local
+    views, realised as one published state per trace node, {!Slot}),
+    trace pruning and log compaction via checkpoints. To keep
     operation identities meaningful across compaction, materialised states
     internally carry a per-process sequence floor (the number of that
     process's operations already summarised), so detectability and sequence
@@ -40,7 +42,7 @@ module Config = struct
   type t = {
     log_capacity : int;
     replicas : int;
-    local_views : bool;
+    local_views : bool;  (* read by nothing; see onll.mli *)
     region_suffix : string;
     sink : Onll_obs.Sink.t;
   }
@@ -153,21 +155,11 @@ module Make_generic
   include Record_log.Make (M) (S)
 
   type t = {
-    mutable trace : (envelope, istate) T.t;
+    mutable trace : (envelope, istate, value) T.t;
         (** replaced wholesale by recovery *)
     logs : L.t array;  (** per process; the durable state *)
     seqs : int array;  (** next per-process op sequence number; owner-only *)
-    views : ((envelope, istate) T.node * istate) option array;
-        (** per-process local view (§8): an available node and the state at
-            it; written by its owner, and dropped by a prune that passes
-            it *)
-    prev_views : ((envelope, istate) T.node * istate) option array;
-        (** the view each local view replaced when it moved to another
-            node; kept as [views] is. A checkpoint leaves the view at the
-            newest node, and the prune after it needs the state one
-            below. *)
-    use_views : bool;
-    failed : (envelope, istate) T.node option array;
+    failed : (envelope, istate, value) T.node option array;
         (** per process: its node whose persist a transient fault cut
             short, finished by the process's next update; owner-only *)
     mutable recovered : Recovered.t;
@@ -198,9 +190,6 @@ module Make_generic
                    cfg.Config.region_suffix n p)
               ~capacity:cfg.Config.log_capacity ());
       seqs = Array.make M.max_processes 0;
-      views = Array.make M.max_processes None;
-      prev_views = Array.make M.max_processes None;
-      use_views = cfg.Config.local_views;
       failed = Array.make M.max_processes None;
       recovered = Recovered.create 0;
       max_fuzzy = 0;
@@ -214,118 +203,41 @@ module Make_generic
 
   let attributed t record f = A.attributed t.ostats record f
 
-  (* State of the object at [node] (after applying node's operation), plus
-     the return value of node's own operation if it contributed to the
-     delta. Maintains the caller's local view when enabled; a view
-     already at [node] is the answer, with no delta built (a read that
-     finds nothing newer than its last one). *)
-  let compute t node =
-    let p = M.self () in
-    match if t.use_views then t.views.(p) else None with
-    | Some (n, state) when T.idx n = T.idx node -> (state, None)
-    | floor ->
-        let base, delta = T.delta_from ?floor t.trace node in
-        let state, last_value =
-          List.fold_left
-            (fun (is, _) (_, env) ->
-              let is', v = apply_env is env in
-              (is', Some v))
-            (base, None) delta
-        in
-        if t.use_views then begin
-          if Option.is_some floor then t.prev_views.(p) <- floor;
-          t.views.(p) <- Some (node, state)
-        end;
-        (state, last_value)
-
-  (* The state at [node], maintaining the caller's local view as
-     [compute] does: a view already at [node] is the answer. *)
-  let state_at t node =
-    match if t.use_views then t.views.(M.self ()) else None with
-    | Some (n, state) when T.idx n = T.idx node -> state
-    | Some _ | None -> fst (compute t node)
-
-  (* The value of the caller's own update at the available [node], whose
-     envelope is [env]. A local view one index below [node] is the state
-     [env] applies to, so it is applied there directly and the view moves
-     up to [node], with no delta built; otherwise [compute] folds the
-     delta. *)
-  let own_value t node env =
-    let p = M.self () in
-    match if t.use_views then t.views.(p) else None with
-    | Some (n, state) as floor when T.idx n = T.idx node - 1 ->
-        let state, v = apply_env state env in
-        t.prev_views.(p) <- floor;
-        t.views.(p) <- Some (node, state);
-        v
-    | Some _ | None -> (
-        match compute t node with
-        | _, Some v -> v
-        | _, None -> assert false (* node's own op is always in the delta *))
-
-  (* A state the calling process holds at or below [node]: its local
-     view, else the view that one replaced. [None] when neither is at or
-     below [node], or when the caller is not a registered process (a
-     native domain that never registered, e.g. the main one reading the
-     final state). *)
-  let held_floor t node =
-    match M.self () with
-    | exception Failure _ -> None
-    | p -> (
-        let at_or_below = function
-          | Some (n, _) as v when T.idx n <= T.idx node -> v
-          | Some _ | None -> None
-        in
-        match at_or_below t.views.(p) with
-        | Some _ as v -> v
-        | None -> at_or_below t.prev_views.(p))
-
-  (* State after [node] without moving local views (pruning and
-     introspection). It folds from a state the caller already holds at or
-     below [node], so a prune just below a checkpoint's node applies
-     nothing. *)
-  let istate_at t node =
-    let floor = if t.use_views then held_floor t node else None in
-    let base, delta = T.delta_from ?floor t.trace node in
-    List.fold_left (fun is (_, env) -> fst (apply_env is env)) base delta
+  (* The state after [node] and the value of the operation at [node], each
+     read from the node's published slot or folded from the newest state
+     published below it (§8, {!Slot}). *)
+  let state_at t node = T.state_at t.trace node ~apply:apply_env
+  let own_value t node = T.value_at t.trace node ~apply:apply_env
 
   (* Summarise the history up to the newest available operation into
      process [p]'s log and drop what that makes redundant, by
-     [record_key] ([Plog.checkpoint]). The state comes from [compute]:
-     with local views on, only the operations since the view are
-     folded. *)
-  let checkpoint_body t p ~worth =
+     [record_key] ([Plog.checkpoint]). [held] receives the node and the
+     state the checkpoint encoded. *)
+  let checkpoint_body t p ~held ~worth =
     let node = T.latest_available t.trace in
     checkpoint_log t.logs.(p) ~upto:(T.idx node) ~worth (fun () ->
-        state_at t node)
+        let state = state_at t node in
+        held := Some (node, state);
+        state)
 
-  (* Prune the trace, then drop every local view below its new base. No
-     walk reads such a view (the backward walk meets the base first, the
-     forward one starts at a base at least as new), and on the wait-free
-     trace its node would pin every newer one while its process idles. *)
   let prune t ~below =
-    T.prune t.trace ~below ~state_before:(fun node -> istate_at t node);
-    let base = fst (T.base_of t.trace) in
-    let drop views =
-      Array.iteri
-        (fun q -> function
-          | Some (n, _) when T.idx n < base -> views.(q) <- None
-          | Some _ | None -> ())
-        views
-    in
-    drop t.views;
-    drop t.prev_views
+    T.prune t.trace ~below ~state_before:(fun node -> state_at t node)
 
-  (* The one compaction: checkpoint, prune the trace below it, relocate.
-     A concurrent compaction that pruned deeper first makes the prune a
-     no-op. *)
+  (* The one compaction: checkpoint, make the checkpoint's node the trace
+     base ([T.rebase], which needs no fold), relocate. A checkpoint
+     already live in the log encodes nothing, and the trace is pruned
+     below it instead. A concurrent compaction that pruned deeper first
+     makes the prune a no-op. *)
   let compact_body t p ~worth =
+    let held = ref None in
     Option.map
       (fun upto ->
-        prune t ~below:upto;
+        (match !held with
+        | Some (node, state) -> T.rebase t.trace node state
+        | None -> prune t ~below:upto);
         L.relocate t.logs.(p);
         upto)
-      (checkpoint_body t p ~worth)
+      (checkpoint_body t p ~held ~worth)
 
   (* Persist-stage append of the Ops record at [exec_idx], compacting
      first when the log says so ([Plog.append_compacting]); the update
@@ -454,7 +366,7 @@ module Make_generic
       persist_and_linearize t env.e_proc node payload
     end
     else combine t env.e_proc node;
-    let value = own_value t node env in
+    let value = own_value t node in
     M.return_point ();
     value
 
@@ -509,8 +421,6 @@ module Make_generic
     in
     t.recovered <- r.recovered;
     Array.fill t.failed 0 (Array.length t.failed) None;
-    Array.fill t.views 0 (Array.length t.views) None;
-    Array.fill t.prev_views 0 (Array.length t.prev_views) None;
     (r.report, r.txns)
 
   let recover_txn t ~extra = recover_core t ~hardened:true ~extra
@@ -556,7 +466,7 @@ module Make_generic
      log or oracle could place. *)
 
   type staged = {
-    st_node : (envelope, istate) T.node;
+    st_node : (envelope, istate, value) T.node;
     st_env : envelope;
   }
 
@@ -580,7 +490,7 @@ module Make_generic
 
   let finish_txn t s =
     T.set_available s.st_node;
-    own_value t s.st_node s.st_env
+    own_value t s.st_node
 
   (* One fenced Ops record in the calling process's log for a run of
      envelopes at contiguous execution indices, given oldest first with
@@ -628,7 +538,7 @@ module Make_generic
   let checkpoint t =
     let p = M.self () in
     attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
-        forced t.logs.(p) (checkpoint_body t p))
+        forced t.logs.(p) (checkpoint_body t p ~held:(ref None)))
 
   let compact t =
     let p = M.self () in
@@ -643,7 +553,7 @@ module Make_generic
     let i, is = T.base_of t.trace in
     (i, is.st)
 
-  let current_state t = (istate_at t (T.latest_available t.trace)).st
+  let current_state t = (state_at t (T.latest_available t.trace)).st
 
   let snapshot t =
     {

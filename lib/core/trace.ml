@@ -11,26 +11,31 @@
     {!link.Base} summarising the pruned prefix as a materialised state, which
     both bounds traversal cost and lets the garbage collector reclaim old
     nodes. A [Base (i, s)] asserts that [s] is the object state after the
-    operations with indices [.. i]; any node whose [next] is a base has
-    index [i + 1] (the sentinel, which carries no operation, has index [i]).
+    operations with indices [.. i]; a node whose [next] is a base has index
+    [i + 1] (a {!prune}), or index [i] when its own operation is inside the
+    base (the sentinel, which carries none, and a {!rebase}).
+
+    Each node's {!Slot} holds what the first fold through it computed, so
+    a fold walks back only to the newest published state.
 
     This module is deliberately dumb about operation payloads — it stores
     ['env] envelopes — so the same trace serves every specification. *)
 
 module Make (M : Onll_machine.Machine_sig.S) = struct
-  type ('env, 'state) node = {
+  type ('env, 'state, 'value) node = {
     env : 'env option;  (** [None] only for the sentinel *)
     mutable idx : int;  (** fixed once the node is published *)
     available : bool M.Tvar.t;
-    next : ('env, 'state) link M.Tvar.t;  (** towards older operations *)
+    next : ('env, 'state, 'value) link M.Tvar.t;  (** towards older operations *)
+    mutable slot : ('state, 'value) Slot.t;
   }
 
-  and ('env, 'state) link =
-    | Older of ('env, 'state) node
+  and ('env, 'state, 'value) link =
+    | Older of ('env, 'state, 'value) node
     | Base of int * 'state
 
-  type ('env, 'state) t = {
-    tail : ('env, 'state) node M.Tvar.t;
+  type ('env, 'state, 'value) t = {
+    tail : ('env, 'state, 'value) node M.Tvar.t;
     tr_sink : Onll_obs.Sink.t;
   }
 
@@ -41,6 +46,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         idx = base_idx;
         available = M.Tvar.make true;
         next = M.Tvar.make (Base (base_idx, base_state));
+        slot = Slot.Empty;
       }
     in
     { tail = M.Tvar.make sentinel; tr_sink = sink }
@@ -66,6 +72,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         idx = ltail.idx + 1;
         available = M.Tvar.make false;
         next = M.Tvar.make (Older ltail);
+        slot = Slot.Empty;
       }
     in
     if M.Tvar.cas t.tail ~expected:ltail ~desired:node then node
@@ -86,7 +93,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           (* Unreachable: a node whose [next] is a base is available. *)
           assert false
 
-  let latest_available t = latest_available_from (tail t)
+  (* A node whose state left its slot has newer published nodes, and
+     under the construction a newer available one: the walk starts over
+     while it finds a newer node, rather than hand out one a fold would
+     have to reach from far below. *)
+  let rec settle t node =
+    match node.slot with
+    | Slot.Published { state = None; _ } ->
+        let newer = latest_available_from (tail t) in
+        if newer == node then node else settle t newer
+    | Slot.Published { state = Some _; _ } | Slot.Empty -> node
+
+  let latest_available t = settle t (latest_available_from (tail t))
 
   (* Listing 2, [getFuzzyOps]: the envelopes of [node] and of the
      not-yet-available operations preceding it, newest first. Indices are
@@ -117,24 +135,77 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     walk node []
 
-  (* Operations strictly newer than [floor] needed to reach [node]'s state:
-     returns the starting state and the envelopes to apply, oldest first.
-     [floor], when given, is a (index, state) pair the caller already
-     knows (a local view, §8); the walk stops there if reached before the
-     chain's base. *)
-  let delta_from ?floor node =
-    let rec walk curr acc =
-      match floor with
-      | Some (fi, fs) when curr.idx <= fi -> (fs, acc)
-      | _ -> (
-          let acc =
-            match curr.env with Some e -> (curr.idx, e) :: acc | None -> acc
-          in
-          match M.Tvar.get curr.next with
-          | Base (_, bstate) -> (bstate, acc)
-          | Older older -> walk older acc)
+  (* The starting state and the (index, envelope) list, oldest first,
+     whose application yields the state at [node] inclusive: from the
+     newest state published at or below [node], the base's at worst. *)
+  let delta_from node =
+    let rec walk curr above =
+      match (curr.slot, M.Tvar.get curr.next) with
+      | Slot.Published { state = Some s; _ }, _ -> (s, above)
+      | _, Base (i, s) when i = curr.idx -> (s, above)
+      | _, Base (_, s) -> (s, (curr.idx, Option.get curr.env) :: above)
+      | _, Older older -> walk older ((curr.idx, Option.get curr.env) :: above)
     in
     walk node []
+
+  (* A walk from an unpublished node met one whose state left its slot:
+     the nodes it passed were published since. *)
+  exception Passed
+
+  (* §8: the state after [curr], from the newest state published at or
+     below it (the base's at worst), publishing every node applied on the
+     way back up (see {!Slot}). A node a concurrent fold published while
+     this one walked lends its state instead: a walk that meets a node
+     whose state left its slot ([Passed]) resumes at the newest node it
+     passed that holds one. Only a [deep] fold, to a node whose own state
+     left its slot, folds through such nodes. *)
+  let rec fold ~deep ~apply curr =
+    match curr.slot with
+    | Slot.Published { state = Some s; _ } -> s
+    | Slot.Published { state = None; _ } when not deep -> raise Passed
+    | Slot.Published { state = None; _ } | Slot.Empty -> (
+        match M.Tvar.get curr.next with
+        | Base (i, s) when i = curr.idx -> s
+        | Base (_, s) -> publish ~deep ~apply curr s Slot.Empty
+        | Older older ->
+            let s =
+              try fold ~deep ~apply older
+              with Passed -> (
+                match older.slot with
+                | Slot.Published { state = Some s; _ } -> s
+                | Slot.Published { state = None; _ } | Slot.Empty ->
+                    raise Passed)
+            in
+            publish ~deep ~apply curr s older.slot)
+
+  and publish ~deep ~apply curr s below =
+    match curr.slot with
+    | Slot.Published { state = Some s; _ } -> s
+    | Slot.Published { state = None; _ } when not deep -> raise Passed
+    | Slot.Published { state = None; _ } -> fst (apply s (Option.get curr.env))
+    | Slot.Empty ->
+        let s, v = apply s (Option.get curr.env) in
+        curr.slot <- Slot.publish ~below s v;
+        s
+
+  (* Under the construction a [Passed] walk always resumes below its
+     node; one that reaches it folds through. *)
+  let state_at node ~apply =
+    match node.slot with
+    | Slot.Published { state = Some s; _ } -> s
+    | Slot.Published { state = None; _ } -> fold ~deep:true ~apply node
+    | Slot.Empty -> (
+        try fold ~deep:false ~apply node
+        with Passed -> fold ~deep:true ~apply node)
+
+  (* The value needs no state: a node published while the walk was away
+     answers at once, even if its state has left its slot since. *)
+  let rec value_at ?(deep = false) node ~apply =
+    match Slot.take node.slot with
+    | Some v -> v
+    | None ->
+        (try ignore (fold ~deep ~apply node : _) with Passed -> ());
+        value_at ~deep:true node ~apply
 
   (* All reachable nodes, oldest first, for recovery checks and tests. *)
   let to_list t =
@@ -176,10 +247,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     | None -> ()
     | Some node -> (
         match M.Tvar.get node.next with
-        | Base _ | Older { env = None; _ } ->
-            ()  (* the base is already at [below - 1] *)
-        | Older older ->
-            if not (M.Tvar.get node.available) then
-              invalid_arg "Trace.prune: node not yet available";
-            M.Tvar.set node.next (Base (node.idx - 1, state_before older)))
+        | Base _ -> ()
+        | Older older -> (
+            match M.Tvar.get older.next with
+            | Base (i, _) when i = older.idx ->
+                ()  (* the base is already at [below - 1] *)
+            | Base _ | Older _ ->
+                if not (M.Tvar.get node.available) then
+                  invalid_arg "Trace.prune: node not yet available";
+                M.Tvar.set node.next (Base (node.idx - 1, state_before older))))
+
+  (* §8 compaction: [node] holds the base itself. Unconditional: on a node
+     a deeper prune or rebase already passed, the link is unreachable from
+     the tail and only shortens that node's own folds. *)
+  let rebase node state = M.Tvar.set node.next (Base (node.idx, state))
 end

@@ -4,8 +4,8 @@ module Backward (M : Onll_machine.Machine_sig.S) :
   Trace_intf.S = struct
   module T = Trace.Make (M)
 
-  type ('env, 'state) t = ('env, 'state) T.t
-  type ('env, 'state) node = ('env, 'state) T.node
+  type ('env, 'state, 'value) t = ('env, 'state, 'value) T.t
+  type ('env, 'state, 'value) node = ('env, 'state, 'value) T.node
 
   let create = T.create
   let insert = T.insert
@@ -17,16 +17,11 @@ module Backward (M : Onll_machine.Machine_sig.S) :
   let fuzzy_nodes _t node = T.fuzzy_nodes node
   let is_newest t node = T.tail t == node
 
-  let delta_from ?floor _t node =
-    let floor =
-      match floor with
-      | Some (fnode, fstate) when fnode.T.idx <= node.T.idx ->
-          Some (fnode.T.idx, fstate)
-      | Some _ | None -> None
-    in
-    T.delta_from ?floor node
+  let state_at _t node ~apply = T.state_at node ~apply
+  let value_at _t node ~apply = T.value_at node ~apply
 
   let to_list = T.to_list
   let base_of = T.base_of
   let prune = T.prune
+  let rebase _t node state = T.rebase node state
 end

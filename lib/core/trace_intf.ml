@@ -4,68 +4,98 @@
     (Listing 2, {!Trace} via {!Trace_adapter.Backward}) and a wait-free
     variant in the Kogan–Petrank style ({!Wf_trace}), realising the §8
     remark that the trace is the only non-wait-free component and can be
-    swapped for a wait-free one without touching the fence argument. *)
+    swapped for a wait-free one without touching the fence argument.
+
+    Every node carries a {!Slot}: the state after it and the value of its
+    own operation, published by the first fold through it. *)
 
 module type S = sig
-  type ('env, 'state) t
-  type ('env, 'state) node
+  type ('env, 'state, 'value) t
+  type ('env, 'state, 'value) node
 
   val create :
     ?sink:Onll_obs.Sink.t ->
     base_idx:int ->
     base_state:'state ->
     unit ->
-    ('env, 'state) t
+    ('env, 'state, 'value) t
   (** [sink] (default {!Onll_obs.Sink.null}) receives [Cas_retry] events
       (and, on helping traces, [Help] events). *)
 
-  val insert : ('env, 'state) t -> 'env -> ('env, 'state) node
+  val insert : ('env, 'state, 'value) t -> 'env -> ('env, 'state, 'value) node
   (** Append an operation, assigning it the next execution index. *)
 
-  val idx : ('env, 'state) node -> int
+  val idx : ('env, 'state, 'value) node -> int
   (** Only meaningful for nodes the caller inserted or that were observed
       available. *)
 
-  val is_available : ('env, 'state) node -> bool
-  val set_available : ('env, 'state) node -> unit
+  val is_available : ('env, 'state, 'value) node -> bool
+  val set_available : ('env, 'state, 'value) node -> unit
 
-  val latest_available : ('env, 'state) t -> ('env, 'state) node
+  val latest_available :
+    ('env, 'state, 'value) t -> ('env, 'state, 'value) node
+  (** The newest available node. One whose state left its slot
+      ({!Slot}) has newer published nodes — under the construction, newer
+      available ones — so the walk starts over while it finds a newer
+      node, each retry following another process's progress. *)
 
-  val fuzzy_envs : ('env, 'state) t -> ('env, 'state) node -> 'env list
+  val fuzzy_envs :
+    ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'env list
   (** [node]'s envelope plus the not-yet-available operations preceding it,
       newest first, with contiguous descending execution indices. *)
 
   val fuzzy_nodes :
-    ('env, 'state) t -> ('env, 'state) node -> (('env, 'state) node * 'env) list
+    ('env, 'state, 'value) t ->
+    ('env, 'state, 'value) node ->
+    (('env, 'state, 'value) node * 'env) list
   (** {!fuzzy_envs} with each envelope's node. *)
 
-  val is_newest : ('env, 'state) t -> ('env, 'state) node -> bool
+  val is_newest :
+    ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> bool
   (** No operation was inserted after [node] (when the call returns). *)
 
-  val delta_from :
-    ?floor:('env, 'state) node * 'state ->
-    ('env, 'state) t ->
-    ('env, 'state) node ->
-    'state * (int * 'env) list
-  (** Starting state and the (index, envelope) list — oldest first — whose
-      application yields the state at [node] inclusive. [floor] is a
-      previously observed {e available} node with its known state; an
-      unusable floor (newer than [node]) is ignored. *)
+  val state_at :
+    ('env, 'state, 'value) t ->
+    ('env, 'state, 'value) node ->
+    apply:('state -> 'env -> 'state * 'value) ->
+    'state
+  (** The state after [node]: its published state, else the newest
+      published state at or below it (a base's at worst) with the
+      operations above that applied in order, each published as it is
+      applied. *)
 
-  val to_list : ('env, 'state) t -> (int * bool * 'env option) list
+  val value_at :
+    ('env, 'state, 'value) t ->
+    ('env, 'state, 'value) node ->
+    apply:('state -> 'env -> 'state * 'value) ->
+    'value
+  (** The value of [node]'s own operation: the published one, else
+      {!state_at}'s. For the node's owner, who asks once: the slot drops
+      the value ({!Slot.take}). [node] must carry an operation. *)
+
+  val to_list : ('env, 'state, 'value) t -> (int * bool * 'env option) list
   (** All reachable nodes, oldest first, for tests and recovery checks. *)
 
-  val base_of : ('env, 'state) t -> int * 'state
+  val base_of : ('env, 'state, 'value) t -> int * 'state
 
   val prune :
-    ('env, 'state) t ->
+    ('env, 'state, 'value) t ->
     below:int ->
-    state_before:(('env, 'state) node -> 'state) ->
+    state_before:(('env, 'state, 'value) node -> 'state) ->
     unit
   (** Reclaim nodes with index < [below] (§8): install a base at
       [below - 1] whose state is [state_before] the node there. A node
-      obtained before the prune passed it still answers {!delta_from}.
+      obtained before the prune passed it still answers {!state_at}.
       A prune at or below the current base is a no-op.
       @raise Invalid_argument if the node at [below] does not exist or is
       not available. *)
+
+  val rebase :
+    ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'state -> unit
+  (** Compaction's prune (§8): make [node], an available node whose state
+      is the one given, the trace's base, its own operation included, so
+      the nodes below it become unreachable — no fold needed, as a
+      checkpoint at [node] already holds its state. A no-op when the base
+      is already at or above [node]; a node obtained before still answers
+      {!state_at}. *)
 end

@@ -16,11 +16,12 @@
        without the write-after-publication races a backward [next] would
        need);}
     {- traversals therefore start from an older {e available} cell and walk
-       forward. The trace keeps a per-process cursor (the newest available
-       cell that process has seen) so steady-state scans cover only the
-       delta; execution indices are recomputed while walking, because a
-       cell's stored index is only guaranteed once the cell is available
-       (or owned by the caller);}
+       forward. The trace keeps a per-process cursor (the available cell
+       that process last computed a state at) so steady-state scans cover
+       only the delta, and a fold finds the newest published state (see
+       {!Slot}) scanning forward from it; execution indices are
+       recomputed while walking, because a cell's stored index is only
+       guaranteed once the cell is available (or owned by the caller);}
     {- pruning (§8) installs a new {e base}: a fresh sentinel at
        [below - 1], linked forward to the cell at [below] and carrying the
        state before it. Nothing is unlinked — the garbage collector is the
@@ -28,7 +29,7 @@
        announcers can still walk forward from whatever cells they hold.
        Two rules make that correct and bounded. A node handed to a caller
        ([insert], [latest_available]) carries the base read {e before} its
-       cell was obtained, and [delta_from] starts from the newer of the
+       cell was obtained, and [state_at] falls back on the newer of the
        current base and that one, so a cell a prune passed stays
        computable while no base ever links to an older one. And nothing
        the trace keeps per process pins an old cell: a finished request
@@ -36,48 +37,49 @@
        base to it.}} *)
 
 module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
-  type ('env, 'state) cell = {
+  type ('env, 'state, 'value) cell = {
     env : 'env option;  (* None only for a base sentinel *)
     mutable idx : int;
         (* written (with the same value) by every finishing helper, before
            the owner's announcement is released *)
     available : bool M.Tvar.t;
-    next : ('env, 'state) link M.Tvar.t;  (* towards NEWER operations *)
+    next : ('env, 'state, 'value) link M.Tvar.t;  (* towards NEWER operations *)
     owner : int;  (* announcing process, for claim resolution *)
+    mutable slot : ('state, 'value) Slot.t;
   }
 
-  and ('env, 'state) link = Null | Node of ('env, 'state) cell
+  and ('env, 'state, 'value) link = Null | Node of ('env, 'state, 'value) cell
 
   (* A sentinel and the object state after the operations up to its
      index; every cell after it links forward from it. *)
-  type ('env, 'state) base = {
-    b_cell : ('env, 'state) cell;
+  type ('env, 'state, 'value) base = {
+    b_cell : ('env, 'state, 'value) cell;
     b_state : 'state;
   }
 
   (* A cell with the base that was current before the caller obtained it,
      so the cell stays computable after a prune passes it. Only callers
      hold nodes: no base is reachable from another. *)
-  type ('env, 'state) node = {
-    cell : ('env, 'state) cell;
-    n_base : ('env, 'state) base;
+  type ('env, 'state, 'value) node = {
+    cell : ('env, 'state, 'value) cell;
+    n_base : ('env, 'state, 'value) base;
   }
 
   (* A pending insertion request (Kogan–Petrank "operation descriptor").
      Slots are replaced wholesale and compared physically by CAS. *)
-  type ('env, 'state) desc = {
+  type ('env, 'state, 'value) desc = {
     phase : int;
-    req : ('env, 'state) cell option;
+    req : ('env, 'state, 'value) cell option;
     pending : bool;
   }
 
-  type ('env, 'state) t = {
-    base : ('env, 'state) base M.Tvar.t;  (* moves forward only *)
-    tail : ('env, 'state) cell M.Tvar.t;  (* may lag by one link *)
-    state : ('env, 'state) desc M.Tvar.t array;  (* per process *)
-    cursors : ('env, 'state) cell array;
-        (* per process: newest available cell it has observed; written by
-           its owner and clamped by prunes *)
+  type ('env, 'state, 'value) t = {
+    base : ('env, 'state, 'value) base M.Tvar.t;  (* moves forward only *)
+    tail : ('env, 'state, 'value) cell M.Tvar.t;  (* may lag by one link *)
+    state : ('env, 'state, 'value) desc M.Tvar.t array;  (* per process *)
+    cursors : ('env, 'state, 'value) cell array;
+        (* per process: the available cell it last computed a state at;
+           written by its owner and clamped by prunes *)
     sink : Onll_obs.Sink.t;
   }
 
@@ -88,6 +90,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
       available = M.Tvar.make true;
       next = M.Tvar.make next;
       owner = -1;
+      slot = Slot.Empty;
     }
 
   let create ?(sink = Onll_obs.Sink.null) ~base_idx ~base_state () =
@@ -192,6 +195,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
         available = M.Tvar.make false;
         next = M.Tvar.make Null;
         owner = p;
+        slot = Slot.Empty;
       }
     in
     let phase = max_phase t + 1 in
@@ -232,15 +236,26 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     let p = M.self () in
     if cell.idx > t.cursors.(p).idx then t.cursors.(p) <- cell
 
+  (* As on the lock-free trace, a cell whose state left its slot sends
+     the scan round again while it finds a newer one. *)
   let latest_available t =
-    let n_base = M.Tvar.get t.base in
-    let start = cursor t n_base in
-    let best =
-      fold_forward start start.idx ~init:start ~f:(fun best n _ ->
-          if M.Tvar.get n.available then n else best)
+    let scan () =
+      let n_base = M.Tvar.get t.base in
+      let start = cursor t n_base in
+      let best =
+        fold_forward start start.idx ~init:start ~f:(fun best n _ ->
+            if M.Tvar.get n.available then n else best)
+      in
+      { cell = best; n_base }
     in
-    advance_cursor t best;
-    { cell = best; n_base }
+    let rec settle node =
+      match node.cell.slot with
+      | Slot.Published { state = None; _ } ->
+          let newer = scan () in
+          if newer.cell == node.cell then node else settle newer
+      | Slot.Published { state = Some _; _ } | Slot.Empty -> node
+    in
+    settle (scan ())
 
   (* The cells after the newest available one at or below [node], up to
      [node], newest first with their indices. *)
@@ -277,42 +292,82 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
   let is_newest _t node =
     match M.Tvar.get node.cell.next with Null -> true | Node _ -> false
 
-  (* From the newest known state at or below [node]: the floor, the
-     current base or the node's own base. A candidate is usable strictly
-     below the node's cell, or at the cell itself; the current base may
-     not be (a prune may have passed the cell), the node's own base
-     always is. *)
-  let delta_from ?floor t node =
+  (* The newest published state at or below [node]'s cell, the slot
+     holding it, and the cells above it up to the target, oldest first.
+     The scan starts at the caller's cursor, which lies at or below every
+     published cell when the target is unpublished (the caller published
+     its cursor's cell, and nothing above an unpublished target is
+     published); when the cursor lies above the target, or a racing
+     prune or fold left nothing published on the way, it starts at the
+     newer of the current base and the node's own base, which always
+     reaches the target (a cursor on a base sentinel starts there too). *)
+  let start_of t node =
     let target = node.cell in
-    (* [c, s] replaces [best] when it is usable and newer *)
-    let pick ((b, _) as best) ((c, _) as cand) =
-      if (c.idx < target.idx || c == target) && c.idx > b.idx then cand
-      else best
-    in
-    let cur = M.Tvar.get t.base in
-    let start, state =
-      pick (node.n_base.b_cell, node.n_base.b_state) (cur.b_cell, cur.b_state)
-    in
-    let start, state =
-      match floor with
-      | Some (f, fstate) -> pick (start, state) (f.cell, fstate)
-      | None -> (start, state)
-    in
-    if start == target then (state, [])
-    else
-      let rec collect curr curr_idx acc =
+    let scan from state below =
+      let rec go curr state below above =
         match M.Tvar.get curr.next with
-        | Null ->
-            (* [target] is reachable from any cell at or below it *)
-            assert false
+        | Null -> assert false (* [target] lies ahead of [from] *)
         | Node n ->
-            let n_idx = curr_idx + 1 in
-            let acc =
-              match n.env with Some e -> (n_idx, e) :: acc | None -> acc
+            let state, below, above =
+              match n.slot with
+              | Slot.Published { state = Some s; _ } as p -> (Some s, p, [])
+              | Slot.Published { state = None; _ } | Slot.Empty ->
+                  (state, below, n :: above)
             in
-            if n == target then List.rev acc else collect n n_idx acc
+            if n == target then (state, below, List.rev above)
+            else go n state below above
       in
-      (state, collect start start.idx [])
+      go from state below []
+    in
+    let from_base () =
+      let cur = M.Tvar.get t.base in
+      let b =
+        if
+          cur.b_cell == target
+          || cur.b_cell.idx < target.idx
+             && cur.b_cell.idx > node.n_base.b_cell.idx
+        then cur
+        else node.n_base
+      in
+      if b.b_cell == target then (b.b_state, Slot.Empty, [])
+      else
+        match scan b.b_cell (Some b.b_state) Slot.Empty with
+        | Some s, below, above -> (s, below, above)
+        | None, _, _ -> assert false
+    in
+    let c = cursor t node.n_base in
+    if c.env = None || c.idx >= target.idx then from_base ()
+    else
+      match scan c (Slot.state c.slot) c.slot with
+      | Some s, below, above -> (s, below, above)
+      | None, _, _ -> from_base ()
+
+  let slot n = n.slot
+  let set n p = n.slot <- p
+  let env n = Option.get n.env
+
+  (* The caller's cursor moves to an available target: the next fold and
+     scan start there. *)
+  let state_at t node ~apply =
+    let target = node.cell in
+    let state =
+      match target.slot with
+      | Slot.Published { state = Some s; _ } -> s
+      | Slot.Published { state = None; _ } | Slot.Empty ->
+          let s, below, above = start_of t node in
+          Slot.replay ~slot ~set ~env ~apply s below above
+    in
+    if M.Tvar.get target.available then advance_cursor t target;
+    state
+
+  let value_at t node ~apply =
+    match Slot.take node.cell.slot with
+    | Some v ->
+        advance_cursor t node.cell;
+        v
+    | None ->
+        ignore (state_at t node ~apply);
+        Option.get (Slot.take node.cell.slot)
 
   let to_list t =
     let b = (M.Tvar.get t.base).b_cell in
@@ -351,6 +406,22 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
             t.cursors
         else attempt ()
       end
+    in
+    attempt ()
+
+  (* §8 compaction: the base is the available cell itself, with its
+     state; cursors below it are clamped to it. *)
+  let rebase t node b_state =
+    let cell = node.cell in
+    let rec attempt () =
+      let b = M.Tvar.get t.base in
+      if cell.idx > b.b_cell.idx then
+        if M.Tvar.cas t.base ~expected:b ~desired:{ b_cell = cell; b_state }
+        then
+          Array.iteri
+            (fun q c -> if c.idx < cell.idx then t.cursors.(q) <- cell)
+            t.cursors
+        else attempt ()
     in
     attempt ()
 end

@@ -21,15 +21,13 @@ module Counter (M : Machine_sig.S) = struct
 
   type t = Lf_obj of Lf.t | Wf_obj of Wf.t
 
-  let create ?(wait_free = false) ?log_capacity ?local_views () =
+  let create ?(wait_free = false) ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     let cfg =
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
     in
     if wait_free then Wf_obj (Wf.make cfg) else Lf_obj (Lf.make cfg)
@@ -60,15 +58,13 @@ module Kv (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity ?local_views () =
+  let create ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     C.make
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let put t k v =
@@ -102,15 +98,13 @@ module Queue (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity ?local_views () =
+  let create ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     C.make
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let enqueue t x =
@@ -143,15 +137,13 @@ module Stack (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity ?local_views () =
+  let create ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     C.make
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let push t x =
@@ -183,15 +175,13 @@ module Set (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity ?local_views () =
+  let create ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     C.make
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let insert t x =
@@ -223,15 +213,13 @@ module Pqueue (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity ?local_views () =
+  let create ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     C.make
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let insert t ~prio x =
@@ -265,15 +253,13 @@ module Ledger (M : Machine_sig.S) = struct
 
   exception Rejected of string
 
-  let create ?log_capacity ?local_views () =
+  let create ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     C.make
       {
         d with
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let lift = function

@@ -15,7 +15,7 @@ module Counter (M : Machine_sig.S) : sig
   type t
 
   val create :
-    ?wait_free:bool -> ?log_capacity:int -> ?local_views:bool -> unit -> t
+    ?wait_free:bool -> ?log_capacity:int -> unit -> t
 
   val incr : t -> int
   (** Increment; returns the new value. *)
@@ -30,7 +30,7 @@ end
 module Kv (M : Machine_sig.S) : sig
   type t
 
-  val create : ?log_capacity:int -> ?local_views:bool -> unit -> t
+  val create : ?log_capacity:int -> unit -> t
 
   val put : t -> string -> string -> string option
   (** Returns the previous binding. *)
@@ -47,7 +47,7 @@ end
 module Queue (M : Machine_sig.S) : sig
   type t
 
-  val create : ?log_capacity:int -> ?local_views:bool -> unit -> t
+  val create : ?log_capacity:int -> unit -> t
   val enqueue : t -> int -> unit
   val dequeue : t -> int option
   val peek : t -> int option
@@ -60,7 +60,7 @@ end
 module Stack (M : Machine_sig.S) : sig
   type t
 
-  val create : ?log_capacity:int -> ?local_views:bool -> unit -> t
+  val create : ?log_capacity:int -> unit -> t
   val push : t -> int -> unit
   val pop : t -> int option
   val top : t -> int option
@@ -72,7 +72,7 @@ end
 module Set (M : Machine_sig.S) : sig
   type t
 
-  val create : ?log_capacity:int -> ?local_views:bool -> unit -> t
+  val create : ?log_capacity:int -> unit -> t
 
   val insert : t -> int -> bool
   (** True iff the element was new. *)
@@ -87,7 +87,7 @@ end
 module Pqueue (M : Machine_sig.S) : sig
   type t
 
-  val create : ?log_capacity:int -> ?local_views:bool -> unit -> t
+  val create : ?log_capacity:int -> unit -> t
   val insert : t -> prio:int -> int -> unit
   val extract_min : t -> (int * int) option
   val find_min : t -> (int * int) option
@@ -103,7 +103,7 @@ module Ledger (M : Machine_sig.S) : sig
 
   exception Rejected of string
 
-  val create : ?log_capacity:int -> ?local_views:bool -> unit -> t
+  val create : ?log_capacity:int -> unit -> t
   val open_account : t -> string -> (unit, string) result
   val deposit : t -> string -> int -> (unit, string) result
   val withdraw : t -> string -> int -> (unit, string) result

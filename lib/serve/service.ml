@@ -29,11 +29,6 @@ let stack ?(max_staleness = 64) construction =
         | Sharded -> Onll_stack.Sharded (`Plain, 4)
         | Batched -> Onll_stack.Bare `Batched);
     replicas = (if construction = Mirrored then 2 else 1);
-    (* local views (§8, E4): a server applies every client's updates
-       from one process, so without them each update replays the whole
-       history — O(n²) CPU over a pass. Volatile read acceleration only:
-       fence accounting and recovery are unchanged. *)
-    views = true;
   }
 
 module Ct = Onll_core.Client_table.Make (Cs)

@@ -38,8 +38,7 @@ val construction_name : construction -> string
 val stack : ?max_staleness:int -> construction -> Onll_stack.t
 (** The layer stack a construction serves: the relaxed wrapper (risk
     budget [max_staleness], default 64) on [Plain] and [Mirrored] (two
-    replicas), 4 plain shards on [Sharded], group commit on [Batched] —
-    all with local views. *)
+    replicas), 4 plain shards on [Sharded], group commit on [Batched]. *)
 
 module Make (M : Onll_machine.Machine_sig.S) : sig
   type t

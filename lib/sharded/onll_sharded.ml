@@ -10,7 +10,7 @@ module type SHARDED = sig
   val make : shards:int -> Onll_core.Onll.Config.t -> t
 
   val create :
-    ?shards:int -> ?log_capacity:int -> ?local_views:bool -> unit -> t
+    ?shards:int -> ?log_capacity:int -> unit -> t
 
   val shards : t -> int
   val sink : t -> Onll_obs.Sink.t
@@ -76,7 +76,7 @@ struct
               (Printf.sprintf "shard.%d.ops" i));
     }
 
-  let create ?(shards = 4) ?log_capacity ?local_views () =
+  let create ?(shards = 4) ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     make ~shards
       {
@@ -84,9 +84,6 @@ struct
         Onll_core.Onll.Config.log_capacity =
           Option.value log_capacity
             ~default:d.Onll_core.Onll.Config.log_capacity;
-        local_views =
-          Option.value local_views
-            ~default:d.Onll_core.Onll.Config.local_views;
       }
 
   let shards t = t.n

@@ -54,8 +54,7 @@ module type SHARDED = sig
       which is what E1 asserts against.
       @raise Invalid_argument if [shards < 1]. *)
 
-  val create : ?shards:int -> ?log_capacity:int -> ?local_views:bool ->
-    unit -> t
+  val create : ?shards:int -> ?log_capacity:int -> unit -> t
   (** [make] with {!Onll_core.Onll.Config.default} (4 shards). *)
 
   val shards : t -> int

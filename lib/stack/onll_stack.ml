@@ -5,9 +5,9 @@ type engine = [ `Plain | `Wait_free | `Batched ]
 type front = Bare of engine | Sharded of engine * int | Relaxed of engine * int
 
 type top = Direct of front | Session of front | Txn of int
-type t = { top : top; replicas : int; views : bool }
+type t = { top : top; replicas : int }
 
-let plain = { top = Direct (Bare `Plain); replicas = 1; views = false }
+let plain = { top = Direct (Bare `Plain); replicas = 1 }
 
 let legal =
   let fronts =
@@ -22,8 +22,7 @@ let legal =
     ]
   in
   List.concat_map
-    (fun top ->
-      [ { top; replicas = 1; views = false }; { top; replicas = 2; views = true } ])
+    (fun top -> [ { top; replicas = 1 }; { top; replicas = 2 } ])
     (List.map (fun f -> Direct f) fronts
     @ List.map (fun f -> Session f) fronts
     @ [ Txn 4 ]
@@ -47,8 +46,7 @@ let pp ppf s =
   | Direct f -> pp_front ppf f
   | Session f -> Format.fprintf ppf "session/%a" pp_front f
   | Txn n -> Format.fprintf ppf "txn(%d)" n);
-  if s.replicas > 1 then Format.fprintf ppf " x%d" s.replicas;
-  if s.views then Format.pp_print_string ppf " +views"
+  if s.replicas > 1 then Format.fprintf ppf " x%d" s.replicas
 
 (* One front over any specification: a session stack builds its front
    over the client table around the caller's. *)
@@ -266,13 +264,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
     }
 
   let build stack cfg =
-    let cfg =
-      {
-        cfg with
-        Onll_core.Onll.Config.replicas = stack.replicas;
-        local_views = stack.views;
-      }
-    in
+    let cfg = { cfg with Onll_core.Onll.Config.replicas = stack.replicas } in
     match stack.top with
     | Direct f -> build_front cfg f
     | Session f -> session_stack cfg f

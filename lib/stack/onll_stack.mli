@@ -58,19 +58,17 @@ type top =
 type t = {
   top : top;
   replicas : int;  (** copies of every log, drained under one fence *)
-  views : bool;  (** §8 local views: volatile read acceleration *)
 }
 
 val plain : t
-(** The paper's construction, bare, unmirrored, without views. *)
+(** The paper's construction, bare and unmirrored. *)
 
 val legal : t list
 (** Every top over every front and engine, each once unmirrored and once
-    mirrored with views: 4 shards, 4 transaction shards, a relaxed tail
-    of 8. *)
+    mirrored: 4 shards, 4 transaction shards, a relaxed tail of 8. *)
 
 val pp : Format.formatter -> t -> unit
-(** One short line, e.g. ["session/relaxed(plain,k=64) x2 +views"]. *)
+(** One short line, e.g. ["session/relaxed(plain,k=64) x2"]. *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   (** The relaxed front's two acknowledgement tiers and its drain. Each
@@ -151,7 +149,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
   val build : t -> Onll_core.Onll.Config.t -> obj
   (** Create the stack's regions, bottom layer first, and return it.
       [cfg] supplies log capacity, region suffix and sink; the stack
-      supplies [replicas] and [local_views]. *)
+      supplies [replicas]. *)
 
   val backend : obj -> (S.update_op, S.read_op, S.value) Onll_session.backend
   (** The object as a session backend: [b_update] is its durable update

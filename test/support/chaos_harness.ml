@@ -46,7 +46,6 @@ let plan_of_seed seed =
       {
         Onll_stack.plain with
         top = Direct (Bare (if seed mod 5 = 0 then `Wait_free else `Plain));
-        views = seed mod 2 = 0;
       };
     fault;
     nested_crashes = seed mod 3;
@@ -80,7 +79,7 @@ let dual_fault_plan_of_seed seed =
   { (mirrored_plan_of_seed seed) with Chaos.fault_scope = `All }
 
 (* The same per-seed adversity against another front, keeping the seed's
-   replicas and views. *)
+   replicas. *)
 let over front plan_of seed =
   let p = plan_of seed in
   { p with Chaos.stack = { p.Chaos.stack with top = Direct front } }

@@ -18,13 +18,12 @@
 open Onll_machine
 module Onll = Onll_core.Onll
 
-type engine = Plain | Plain_views | Wait_free | Batched
+type engine = Plain | Wait_free | Batched
 
-let engines = [ Plain; Plain_views; Wait_free; Batched ]
+let engines = [ Plain; Wait_free; Batched ]
 
 let engine_name = function
   | Plain -> "plain"
-  | Plain_views -> "plain+views"
   | Wait_free -> "wait-free"
   | Batched -> "batched"
 
@@ -120,7 +119,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
   let module M = (val Sim.machine sim) in
   let module C =
     (val match engine with
-         | Plain | Plain_views -> (module Onll.Make (M) (S))
+         | Plain -> (module Onll.Make (M) (S))
          | Wait_free -> (module Onll.Make_wait_free (M) (S))
          | Batched -> (module Onll.Make_combining (M) (S))
         : Onll.CONSTRUCTION
@@ -128,12 +127,7 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
   in
   let obj =
     C.make
-      {
-        Onll.Config.default with
-        log_capacity = capacity;
-        local_views = engine = Plain_views;
-        sink;
-      }
+      { Onll.Config.default with log_capacity = capacity; sink }
   in
   let next = ref 0 and acked = ref [] and failure = ref None in
   let body _ =
@@ -238,21 +232,27 @@ let served_live_words upto =
    count in [upto] (ascending), in rounds of a thousand on the simulated
    machine, and the live words after a heap compaction are returned for
    each. Nothing process 0 left behind — its request slot, its trace
-   cursor, its local views — may pin the trace from its one node on. The
-   counter must equal every update. *)
-let idle_wait_free_live_words ~local_views upto =
+   cursor, the state it published — may pin the trace from its one node
+   on; with [~reads], process 0 also reads once before it idles, so its
+   cursor sits on the cell it computed a state at. The counter must equal
+   every update. *)
+let idle_wait_free_live_words ~reads upto =
   let module Cs = Onll_specs.Counter in
   let sim = Sim.create ~max_processes:2 () in
   let module M = (val Sim.machine sim) in
   let module C = Onll.Make_wait_free (M) (Cs) in
-  let obj = C.make { Onll.Config.default with local_views } in
+  let obj = C.make Onll.Config.default in
   let run p0 p1 =
     match Sim.run sim Onll_sched.Sched.Strategy.round_robin [| p0; p1 |] with
     | Onll_sched.Sched.World.Completed -> ()
     | _ -> failf "idle wait-free: a round did not complete"
   in
   let idle _ = () in
-  run (fun _ -> ignore (C.update obj Cs.Increment)) idle;
+  run
+    (fun _ ->
+      ignore (C.update obj Cs.Increment);
+      if reads then ignore (C.read obj Cs.Get))
+    idle;
   let next = ref 0 in
   let words =
     List.map

@@ -105,7 +105,7 @@ let mirrored_plan_of_seed seed =
   { p with stack = { p.stack with replicas = 2 } }
 
 (* The same per-seed adversity over another engine, keeping the seed's
-   budget, replicas and views. *)
+   budget and replicas. *)
 let over engine plan_of seed =
   let p = plan_of seed in
   { p with stack = { p.stack with top = Direct (Relaxed (engine, budget p)) } }

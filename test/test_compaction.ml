@@ -13,11 +13,12 @@ let property engine w () =
   | exception Failure msg -> Alcotest.fail msg
 
 (* The heap half on the wait-free engine: with process 0 idle after one
-   update, the live heap after 10k more stays within 1.5x of the heap
-   after 2k. Anything that pins the idle process's node grows it by ~19
-   words an update. *)
-let idle_heap local_views () =
-  match P.idle_wait_free_live_words ~local_views [ 2_000; 10_000 ] with
+   update (and, in the [+views] case, one read: the state it computed is
+   its view of the object), the live heap after 10k more stays within
+   1.5x of the heap after 2k. Anything that pins the idle process's node
+   grows it by ~19 words an update. *)
+let idle_heap reads () =
+  match P.idle_wait_free_live_words ~reads [ 2_000; 10_000 ] with
   | [ at_2k; at_10k ] ->
       if 2 * at_10k > 3 * at_2k then
         Alcotest.failf "%d live words after 10k updates, %d after 2k" at_10k

@@ -98,7 +98,11 @@ let test_crashing_pqueue =
 let test_crashing_deque =
   run_crashing Fuzz_deque.run Gen.Deque.update Gen.Deque.read "deque"
 
-(* {1 Local views under fuzz} *)
+(* {1 Local views under fuzz}
+
+   §8's read acceleration — one published state per trace node — across
+   crashes, on the wait-free trace, whose folds start at the per-process
+   cursors that recovery resets. *)
 
 let test_crashing_counter_with_views () =
   for seed = 1 to 25 do
@@ -110,7 +114,7 @@ let test_crashing_counter_with_views () =
         ops_per_proc = 3;
         crash_at = Some (15 + (seed * 11 mod 100));
         policy = policies seed;
-        stack = { Onll_stack.plain with views = true };
+        stack = { Onll_stack.plain with top = Direct (Bare `Wait_free) };
       }
     in
     let r =

@@ -38,7 +38,7 @@ let test_parallel_mixed_reads () =
   let native = Native.create ~max_processes:(n_domains + 1) ~fence_ns:0 () in
   let module M = (val Native.machine native) in
   let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with log_capacity = (1 lsl 20); local_views = true } in
+  let obj = C.make { Onll_core.Onll.Config.default with log_capacity = (1 lsl 20) } in
   ignore (Native.register native);
   let per_domain = 100 in
   let monotone =
@@ -139,7 +139,7 @@ let test_parallel_queue_conservation () =
   let native = Native.create ~max_processes:(n_domains + 1) ~fence_ns:0 () in
   let module M = (val Native.machine native) in
   let module C = Onll_core.Onll.Make (M) (Onll_specs.Queue_spec) in
-  let obj = C.make { Onll_core.Onll.Config.default with log_capacity = (1 lsl 22); local_views = true } in
+  let obj = C.make { Onll_core.Onll.Config.default with log_capacity = (1 lsl 22) } in
   ignore (Native.register native);
   let producers = n_domains / 2 and consumers = n_domains - (n_domains / 2) in
   let per = 80 in

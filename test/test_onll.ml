@@ -466,33 +466,33 @@ let test_seq_numbers_advance_past_recovery () =
   let id2, _ = C.update_with_id obj Cs.Increment in
   check Alcotest.bool "new id differs from recovered id" true (id1 <> id2)
 
-(* {1 Local views (§8)} *)
+(* {1 Local views (§8)}
+
+   The paper's per-process local views are realised as one published
+   state per trace node: reads and updates compute from the newest one. *)
 
 let test_local_views_same_results () =
-  (* Views change how many shared reads a compute performs, so concurrent
-     schedules legitimately diverge; equivalence is therefore asserted on a
-     single process (identical sequential results) and, concurrently, on
-     schedule-independent facts: increments return a permutation of 1..n and
-     the final value is n. *)
-  let sequential ~local_views =
-    let sim = Sim.create ~max_processes:1 () in
-    let module M = (val Sim.machine sim) in
-    let module C = Onll_core.Onll.Make (M) (Cs) in
-    let obj = C.make { Onll_core.Onll.Config.default with local_views } in
-    List.concat_map
-      (fun _ -> [ C.update obj Cs.Increment; C.read obj Cs.Get ])
-      (List.init 10 Fun.id)
-  in
+  (* Checked against the model: sequentially, each result is the counter's;
+     concurrently, on schedule-independent facts: increments return a
+     permutation of 1..n and the final value is n. *)
+  let sim = Sim.create ~max_processes:1 () in
+  let module M = (val Sim.machine sim) in
+  let module C = Onll_core.Onll.Make (M) (Cs) in
+  let obj = C.make Onll_core.Onll.Config.default in
   check
     Alcotest.(list int)
-    "sequential results identical"
-    (sequential ~local_views:false)
-    (sequential ~local_views:true);
+    "sequential results = the model's"
+    (List.concat_map (fun i -> [ i; i ]) (List.init 10 succ))
+    (List.concat_map
+       (fun _ ->
+         let u = C.update obj Cs.Increment in
+         [ u; C.read obj Cs.Get ])
+       (List.init 10 Fun.id));
   for seed = 1 to 8 do
     let sim = Sim.create ~max_processes:3 () in
     let module M = (val Sim.machine sim) in
     let module C = Onll_core.Onll.Make (M) (Cs) in
-    let obj = C.make { Onll_core.Onll.Config.default with local_views = true } in
+    let obj = C.make Onll_core.Onll.Config.default in
     let results = ref [] in
     let procs =
       Array.init 3 (fun _ ->
@@ -515,13 +515,14 @@ let test_local_views_survive_crash_reset () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
   let module C = Onll_core.Onll.Make (M) (Cs) in
-  let obj = C.make { Onll_core.Onll.Config.default with local_views = true } in
+  let obj = C.make Onll_core.Onll.Config.default in
   for _ = 1 to 5 do
     ignore (C.update obj Cs.Increment)
   done;
   ignore (C.read obj Cs.Get);
   Onll_nvm.Memory.crash (Sim.memory sim) ~policy:Onll_nvm.Crash_policy.Drop_all;
   C.recover obj;
+  (* the published states lived in the volatile trace recovery replaced *)
   check Alcotest.int "views reset, state correct" 5 (C.read obj Cs.Get);
   check Alcotest.int "updates continue" 6 (C.update obj Cs.Increment)
 
@@ -833,7 +834,6 @@ let test_checkpoint_drop_matches_old_rule () =
           Onll_core.Onll.Config.default with
           log_capacity = 700;
           replicas = 2;
-          local_views = seed mod 2 = 0;
           sink = Onll_obs.Sink.make ~handler ();
         }
     in
@@ -948,7 +948,7 @@ let test_checkpoint_reads_no_log () =
   let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
   let obj =
     C.make
-      { Onll_core.Onll.Config.default with replicas = 2; local_views = true }
+      { Onll_core.Onll.Config.default with replicas = 2 }
   in
   let puts n =
     for i = 1 to n do
@@ -1036,18 +1036,22 @@ module Counting_counter = struct
     Cs.apply s op
 end
 
+module type COUNTED_COUNTER =
+  Onll_core.Onll.CONSTRUCTION
+    with type state = Cs.state
+     and type update_op = Cs.update_op
+     and type read_op = Cs.read_op
+     and type value = Cs.value
+
 (* [prune ~below:(checkpoint t)] needs the state just below the
-   checkpoint's node. With local views the caller already holds it — the
-   view its last move replaced — so the prune applies no operation; with
-   views off it refolds everything since the last prune, as before. *)
+   checkpoint's node. The fold that published the checkpoint's state left
+   the one below it in its slot, so the prune applies no operation, on
+   either trace. *)
 let test_prune_after_checkpoint_applies_nothing () =
-  let prune_applies ~local_views =
-    let sim = Sim.create ~max_processes:1 () in
-    let module M = (val Sim.machine sim) in
-    let module C = Onll_core.Onll.Make (M) (Counting_counter) in
-    let obj = C.make { Onll_core.Onll.Config.default with local_views } in
+  let prune_applies (module C : COUNTED_COUNTER) =
     List.map
       (fun updates ->
+        let obj = C.make Onll_core.Onll.Config.default in
         for _ = 1 to updates do
           ignore (C.update obj Cs.Increment)
         done;
@@ -1064,10 +1068,133 @@ let test_prune_after_checkpoint_applies_nothing () =
         applied)
       [ 20; 20; 1 ]
   in
-  check Alcotest.(list int) "views on" [ 0; 0; 0 ]
-    (prune_applies ~local_views:true);
-  check Alcotest.(list int) "views off: unchanged" [ 19; 20; 1 ]
-    (prune_applies ~local_views:false)
+  let sim () = Sim.create ~max_processes:1 () in
+  let lock_free =
+    let module M = (val Sim.machine (sim ())) in
+    (module Onll_core.Onll.Make (M) (Counting_counter) : COUNTED_COUNTER)
+  in
+  let wait_free =
+    let module M = (val Sim.machine (sim ())) in
+    (module Onll_core.Onll.Make_wait_free (M) (Counting_counter)
+    : COUNTED_COUNTER)
+  in
+  check Alcotest.(list int) "lock-free trace" [ 0; 0; 0 ]
+    (prune_applies lock_free);
+  check Alcotest.(list int) "wait-free trace" [ 0; 0; 0 ]
+    (prune_applies wait_free)
+
+(* Kv, counting its [apply] calls. *)
+module Counting_kv = struct
+  include Onll_specs.Kv
+
+  let applies = ref 0
+
+  let apply s op =
+    incr applies;
+    Onll_specs.Kv.apply s op
+end
+
+module type COUNTED_KV =
+  Onll_core.Onll.CONSTRUCTION
+    with type update_op = Onll_specs.Kv.update_op
+     and type read_op = Onll_specs.Kv.read_op
+     and type value = Onll_specs.Kv.value
+
+(* One apply per update (§8): the first fold through a trace node
+   publishes the state after it and its operation's value, so an update
+   whose predecessor is published applies only its own operation, an
+   owner whose node another process folded (a combining window) applies
+   nothing, and so does a read whose node is published. [procs] processes
+   run [per] updates each under a seeded random schedule, and every 64th
+   update compacts (checkpoint + prune). Returns the applies per update
+   and the applies of a read after the run. *)
+let applies_per_update ~batched ~procs ~seed =
+  let per = 96 in
+  let sim = Sim.create ~max_processes:procs () in
+  let module M = (val Sim.machine sim) in
+  let module C =
+    (val if batched then
+           (module Onll_core.Onll.Make_combining (M) (Counting_kv) : COUNTED_KV)
+         else (module Onll_core.Onll.Make (M) (Counting_kv) : COUNTED_KV))
+  in
+  let obj = C.make Onll_core.Onll.Config.default in
+  let updates = ref 0 in
+  let body p _ =
+    for k = 1 to per do
+      let key = Printf.sprintf "k%d" (((p * 31) + k) mod 50) in
+      ignore (C.update obj (Onll_specs.Kv.Put (key, string_of_int k)));
+      incr updates;
+      if !updates mod 64 = 0 then ignore (C.compact obj)
+    done
+  in
+  Counting_kv.applies := 0;
+  check Alcotest.bool "completed" true
+    (Sim.run sim (Sched.Strategy.random ~seed) (Array.init procs body)
+    = Sched.World.Completed);
+  let ratio = float_of_int !Counting_kv.applies /. float_of_int (procs * per) in
+  let before = !Counting_kv.applies in
+  ignore (C.read obj Onll_specs.Kv.Size);
+  (ratio, !Counting_kv.applies - before)
+
+let test_one_apply_per_update () =
+  List.iter
+    (fun batched ->
+      List.iter
+        (fun procs ->
+          List.iter
+            (fun seed ->
+              let ratio, read = applies_per_update ~batched ~procs ~seed in
+              let what =
+                Printf.sprintf "%s, %d procs, seed %d: %.3f applies/update"
+                  (if batched then "combining" else "plain")
+                  procs seed ratio
+              in
+              if procs = 1 then
+                check (Alcotest.float 0.) (what ^ " = 1") 1. ratio
+              else check Alcotest.bool (what ^ " <= 1.1") true (ratio <= 1.1);
+              check Alcotest.int (what ^ ": a read at a published node") 0 read)
+            [ 1; 2; 3; 4; 5 ])
+        [ 1; 2; 4 ])
+    [ false; true ]
+
+(* Published states cost no memory per operation: a [Config.default] kv
+   object's minor words per update hold flat from 2,000 to 8,000 updates
+   (a fold from the trace base grew with every update), and agree between
+   64 KiB and 1 MiB logs (a longer trace between compactions). Native
+   machine, one domain, free fence, 64 keys. *)
+let test_words_per_update_flat () =
+  let words_per_update ~log_capacity =
+    let native = Native.create ~max_processes:1 ~fence_ns:0 () in
+    let module M = (val Native.machine native) in
+    let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
+    ignore (Native.register native);
+    let obj = C.make { Onll_core.Onll.Config.default with log_capacity } in
+    let puts =
+      Array.init 8_000 (fun i ->
+          Onll_specs.Kv.Put (Printf.sprintf "key%02d" (i * 7 mod 64), "v"))
+    in
+    let words lo hi =
+      Gc.minor ();
+      let before = Gc.minor_words () in
+      for i = lo to hi - 1 do
+        ignore (C.update obj puts.(i))
+      done;
+      (Gc.minor_words () -. before) /. float_of_int (hi - lo)
+    in
+    let early = words 0 2_000 in
+    let late = words 2_000 8_000 in
+    (early, late)
+  in
+  let early, late = words_per_update ~log_capacity:(1 lsl 16) in
+  let _, late_1m = words_per_update ~log_capacity:(1 lsl 20) in
+  let within what a b =
+    check Alcotest.bool
+      (Printf.sprintf "%s: %.1f vs %.1f words/update" what a b)
+      true
+      (a <= 1.2 *. b && b <= 1.2 *. a)
+  in
+  within "2k vs 8k updates, 64 KiB" early late;
+  within "64 KiB vs 1 MiB logs" late late_1m
 
 (* Forge a log entry claiming execution index 3 with no entries for 1..2:
    recovery must refuse (Prop 5.10 says such logs cannot be produced by the
@@ -1362,6 +1489,10 @@ let () =
             test_prune_after_checkpoint_applies_nothing;
           Alcotest.test_case "checkpoint without progress appends nothing"
             `Quick test_checkpoint_without_progress;
+          Alcotest.test_case "one apply per update" `Quick
+            test_one_apply_per_update;
+          Alcotest.test_case "words per update flat" `Quick
+            test_words_per_update_flat;
         ] );
       ( "misc",
         [

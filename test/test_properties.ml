@@ -43,18 +43,18 @@ let onll_driver (type s u r v)
       with type state = s
        and type update_op = u
        and type read_op = r
-       and type value = v) ~wait_free ~local_views _seed : (u -> v) * (r -> v)
+       and type value = v) ~wait_free _seed : (u -> v) * (r -> v)
     =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
   if wait_free then begin
     let module C = Onll_core.Onll.Make_wait_free (M) (S) in
-    let obj = C.make { Onll_core.Onll.Config.default with local_views } in
+    let obj = C.make Onll_core.Onll.Config.default in
     (C.update obj, C.read obj)
   end
   else begin
     let module C = Onll_core.Onll.Make (M) (S) in
-    let obj = C.make { Onll_core.Onll.Config.default with local_views } in
+    let obj = C.make Onll_core.Onll.Config.default in
     (C.update obj, C.read obj)
   end
 
@@ -73,15 +73,14 @@ let equiv_test (type s u r v) name ~driver
 
 let prop_onll_counter =
   equiv_test "onll counter = model"
-    ~driver:(onll_driver (module Cs) ~wait_free:false ~local_views:false)
+    ~driver:(onll_driver (module Cs) ~wait_free:false)
     (module Cs)
     ~gen_update:Test_support.Gen.Counter.update
     ~gen_read:Test_support.Gen.Counter.read
 
-let prop_onll_views_kv =
-  equiv_test "onll+views kv = model"
-    ~driver:
-      (onll_driver (module Onll_specs.Kv) ~wait_free:false ~local_views:true)
+let prop_onll_kv =
+  equiv_test "onll kv = model"
+    ~driver:(onll_driver (module Onll_specs.Kv) ~wait_free:false)
     (module Onll_specs.Kv)
     ~gen_update:Test_support.Gen.Kv.update ~gen_read:Test_support.Gen.Kv.read
 
@@ -90,16 +89,14 @@ let prop_onll_wf_queue =
     ~driver:
       (onll_driver
          (module Onll_specs.Queue_spec)
-         ~wait_free:true ~local_views:false)
+         ~wait_free:true)
     (module Onll_specs.Queue_spec)
     ~gen_update:Test_support.Gen.Queue.update
     ~gen_read:Test_support.Gen.Queue.read
 
-let prop_onll_wf_views_ledger =
-  equiv_test "onll-wait-free+views ledger = model"
-    ~driver:
-      (onll_driver (module Onll_specs.Ledger) ~wait_free:true
-         ~local_views:true)
+let prop_onll_wf_ledger =
+  equiv_test "onll-wait-free ledger = model"
+    ~driver:(onll_driver (module Onll_specs.Ledger) ~wait_free:true)
     (module Onll_specs.Ledger)
     ~gen_update:Test_support.Gen.Ledger.update
     ~gen_read:Test_support.Gen.Ledger.read
@@ -233,8 +230,9 @@ let prop_checkpoint_anytime =
          C.recover obj;
          C.read obj Cs.Get = n))
 
-(* Pruning folds from the pruning process's local views, which random
-   interleavings leave at scattered nodes. Whatever they are, the base a
+(* Pruning folds from the newest state published at or below the prune
+   point (the paper's local views, §8), which random interleavings leave
+   at scattered nodes, some already cleared. Whatever it is, the base a
    prune installs must be the state the operations below it fold to from
    the initial state. The queue's state lists every enqueue in order, so
    the final contents (checked against every process's FIFO order) give
@@ -249,9 +247,7 @@ let prop_prune_base_is_fold =
          let sim = Sim.create ~max_processes:procs () in
          let module M = (val Sim.machine sim) in
          let module C = Onll_core.Onll.Make (M) (Q) in
-         let obj =
-           C.make { Onll_core.Onll.Config.default with local_views = true }
-         in
+         let obj = C.make Onll_core.Onll.Config.default in
          let rng = Splitmix.create seed in
          let plans =
            Array.init procs (fun _ -> Array.init per (fun _ -> Splitmix.int rng 6))
@@ -408,9 +404,9 @@ let () =
       ( "sequential equivalence",
         [
           prop_onll_counter;
-          prop_onll_views_kv;
+          prop_onll_kv;
           prop_onll_wf_queue;
-          prop_onll_wf_views_ledger;
+          prop_onll_wf_ledger;
           prop_shadow_set;
           prop_por_stack;
         ] );

@@ -287,8 +287,16 @@ let txn_audit stack () =
     (Tc.arm ~plan_of ~name:"txn" ~seeds:6 ())
     ~caught:(Tc.calibrate ~plan_of ~seeds:8 ())
 
-let cases name stack =
-  let label = Format.asprintf "%s%a" name Onll_stack.pp stack in
+(* A case's name: the stack's, with the [+views] the mirrored arm of
+   [legal] and every served stack carried while they also ran §8 local
+   views. Those became one published state per trace node on every stack;
+   the cases keep their names. *)
+let stack_name ?(served = false) stack =
+  Format.asprintf "%a%s" Onll_stack.pp stack
+    (if served || stack.Onll_stack.replicas > 1 then " +views" else "")
+
+let cases ?served name stack =
+  let label = name ^ stack_name ?served stack in
   [
     Alcotest.test_case (label ^ " solo") `Quick (solo stack);
     Alcotest.test_case (label ^ " 3 procs") `Quick (concurrent stack);
@@ -301,7 +309,10 @@ let cases name stack =
 
 let served =
   List.concat_map
-    (fun c -> cases ("serve " ^ Svc.construction_name c ^ ": ") (Svc.stack c))
+    (fun c ->
+      cases ~served:true
+        ("serve " ^ Svc.construction_name c ^ ": ")
+        (Svc.stack c))
     [ Svc.Plain; Svc.Mirrored; Svc.Sharded; Svc.Batched ]
 
 let () =
@@ -320,7 +331,7 @@ let () =
             | Onll_stack.Session (Onll_stack.Relaxed _) ->
                 Some
                   (Alcotest.test_case
-                     (Format.asprintf "%a, 2 procs" Onll_stack.pp stack)
+                     (stack_name stack ^ ", 2 procs")
                      `Quick (seam_two_procs stack))
             | _ -> None)
           Onll_stack.legal );
@@ -346,6 +357,6 @@ let () =
           Alcotest.test_case "E20 relaxed(wait-free,k)" `Quick
             (relaxed_audit `Wait_free);
           Alcotest.test_case "E19 txn(4) x2 +views" `Quick
-            (txn_audit { Onll_stack.top = Txn 4; replicas = 2; views = true });
+            (txn_audit { Onll_stack.top = Txn 4; replicas = 2 });
         ] );
     ]

@@ -104,20 +104,27 @@ let test_delta_from () =
     [ (1, 10); (2, 20); (3, 30) ]
     delta
 
+(* A fold publishes the state after every node it applies (§8), and
+   [delta_from] starts from the newest published one. *)
 let test_delta_from_floor () =
   let sim = Sim.create ~max_processes:4 () in
   let module M = (val Sim.machine sim) in
   let module T = Onll_core.Trace.Make (M) in
   let t = T.create ~base_idx:0 ~base_state:"init" () in
+  let apply s e = (Printf.sprintf "%s+%d" s e, e) in
   let _ = T.insert t 10 in
-  let _ = T.insert t 20 in
+  let n2 = T.insert t 20 in
   let n3 = T.insert t 30 in
-  let base, delta = T.delta_from ~floor:(2, "cached") n3 in
-  check Alcotest.string "floor state used" "cached" base;
+  check Alcotest.string "the fold" "init+10+20" (T.state_at n2 ~apply);
+  let base, delta = T.delta_from n3 in
+  check Alcotest.string "published state used" "init+10+20" base;
   check Alcotest.(list (pair int int)) "only newer ops" [ (3, 30) ] delta;
-  (* floor at the node itself: empty delta *)
-  let base, delta = T.delta_from ~floor:(3, "exact") n3 in
-  check Alcotest.string "exact floor" "exact" base;
+  check Alcotest.int "its value published" 20
+    (T.value_at n2 ~apply:(fun _ _ -> Alcotest.fail "applied twice"));
+  (* published at the node itself: empty delta *)
+  ignore (T.state_at n3 ~apply);
+  let base, delta = T.delta_from n3 in
+  check Alcotest.string "exact" "init+10+20+30" base;
   check Alcotest.(list (pair int int)) "empty delta" [] delta
 
 let test_to_list () =

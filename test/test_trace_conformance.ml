@@ -84,6 +84,14 @@ module Suite (F : FACTORY) = struct
     check Alcotest.bool "non-empty" true (w <> []);
     check Alcotest.string "headed by the target" "a" (List.hd w)
 
+  (* States are strings: applying an envelope appends it. [applied]
+     records what a fold applied. *)
+  let apply s e = (s ^ "+" ^ e, e)
+
+  let counting applied s e =
+    applied := !applied @ [ e ];
+    apply s e
+
   let test_delta_replay () =
     let sim = Sim.create ~max_processes:4 () in
     let module M = (val Sim.machine sim) in
@@ -92,34 +100,32 @@ module Suite (F : FACTORY) = struct
     let _ = T.insert t "a" in
     let _ = T.insert t "b" in
     let n3 = T.insert t "c" in
-    let base, delta = T.delta_from t n3 in
-    check Alcotest.string "base" "S" base;
-    check
-      Alcotest.(list (pair int string))
-      "ascending delta"
-      [ (1, "a"); (2, "b"); (3, "c") ]
-      delta
+    check Alcotest.string "from the base, ascending" "S+a+b+c"
+      (T.state_at t n3 ~apply)
 
+  (* The first fold through a node publishes its state and value; a later
+     fold starts from the newest published state, and one at a published
+     node applies nothing. *)
   let test_delta_with_floor () =
     let sim = Sim.create ~max_processes:4 () in
     let module M = (val Sim.machine sim) in
     let module T = F.Make (M) in
     let t = T.create ~base_idx:0 ~base_state:"S" () in
     let n1 = T.insert t "a" in
-    T.set_available n1;  (* floors must be available nodes *)
-    let _ = T.insert t "b" in
+    T.set_available n1;
+    let n2 = T.insert t "b" in
     let n3 = T.insert t "c" in
-    let base, delta = T.delta_from ~floor:(n1, "cached") t n3 in
-    check Alcotest.string "floor state" "cached" base;
-    check
-      Alcotest.(list (pair int string))
-      "only newer" [ (2, "b"); (3, "c") ] delta;
-    (* an unusable floor (newer than the target) is ignored *)
-    let n4 = T.insert t "d" in
-    T.set_available n4;
-    let base, delta = T.delta_from ~floor:(n4, "newer") t n3 in
-    check Alcotest.string "fallback to base" "S" base;
-    check Alcotest.int "full delta" 3 (List.length delta)
+    check Alcotest.string "published" "S+a" (T.state_at t n1 ~apply);
+    let applied = ref [] in
+    check Alcotest.string "from the published state" "S+a+b+c"
+      (T.state_at t n3 ~apply:(counting applied));
+    check Alcotest.(list string) "only newer" [ "b"; "c" ] !applied;
+    applied := [];
+    check Alcotest.string "published on the way" "b"
+      (T.value_at t n2 ~apply:(counting applied));
+    check Alcotest.string "at a published node" "S+a+b+c"
+      (T.state_at t n3 ~apply:(counting applied));
+    check Alcotest.(list string) "nothing applied" [] !applied
 
   let test_to_list () =
     let sim = Sim.create ~max_processes:4 () in
@@ -174,11 +180,8 @@ module Suite (F : FACTORY) = struct
     let t = T.create ~base_idx:0 ~base_state:"s0" () in
     let nodes = List.map (T.insert t) [ "a"; "b"; "c" ] in
     List.iter T.set_available nodes;
-    (* the state before a node: its base plus the delta up to it *)
-    let state_before node =
-      let base, delta = T.delta_from t node in
-      List.fold_left (fun acc (_, e) -> acc ^ "+" ^ e) base delta
-    in
+    (* the state before a node: its base plus the operations up to it *)
+    let state_before node = T.state_at t node ~apply in
     T.prune t ~below:2 ~state_before;
     check Alcotest.bool "base moved" true (T.base_of t = (1, "s0+a"));
     check
@@ -186,11 +189,10 @@ module Suite (F : FACTORY) = struct
       "operations kept"
       [ (2, true, Some "b"); (3, true, Some "c") ]
       (List.filter (fun (_, _, e) -> e <> None) (T.to_list t));
-    let base, delta = T.delta_from t (List.nth nodes 2) in
-    check Alcotest.string "delta from the pruned base" "s0+a" base;
-    check
-      Alcotest.(list (pair int string))
-      "remaining ops" [ (2, "b"); (3, "c") ] delta;
+    let applied = ref [] in
+    check Alcotest.string "from the pruned base" "s0+a+b+c"
+      (T.state_at t (List.nth nodes 2) ~apply:(counting applied));
+    check Alcotest.(list string) "remaining ops" [ "b"; "c" ] !applied;
     T.prune t ~below:2 ~state_before;
     check Alcotest.bool "idempotent" true (T.base_of t = (1, "s0+a"))
 
@@ -243,16 +245,38 @@ module Suite (F : FACTORY) = struct
     let latest = T.latest_available t in
     List.iter T.set_available nodes;
     T.prune t ~below:4 ~state_before:(fun _ -> "S+a+b+c");
-    let expect what node =
-      let base, delta = T.delta_from t node in
-      check Alcotest.string (what ^ ": base") "S" base;
-      check
-        Alcotest.(list (pair int string))
-        (what ^ ": delta") [ (1, "a"); (2, "b") ] delta
+    (* from the base each node was obtained under: the new one is past it *)
+    let expect what node applies =
+      let applied = ref [] in
+      check Alcotest.string (what ^ ": state") "S+a+b"
+        (T.state_at t node ~apply:(counting applied));
+      check Alcotest.(list string) (what ^ ": applied") applies !applied
     in
-    expect "an inserted node" n2;
-    expect "a latest-available node" latest;
+    expect "an inserted node" n2 [ "a"; "b" ];
+    expect "a latest-available node" latest [];
     check Alcotest.int "the latest-available node" 2 (T.idx latest)
+
+  (* A compaction makes its checkpoint's node the base, with the state
+     the checkpoint holds; the operations above it still fold from it. *)
+  let test_rebase () =
+    let sim = Sim.create ~max_processes:4 () in
+    let module M = (val Sim.machine sim) in
+    let module T = F.Make (M) in
+    let t = T.create ~base_idx:0 ~base_state:"S" () in
+    let nodes = List.map (T.insert t) [ "a"; "b"; "c" ] in
+    List.iter T.set_available nodes;
+    T.rebase t (List.nth nodes 1) "S+a+b";
+    check Alcotest.bool "base at the node" true (T.base_of t = (2, "S+a+b"));
+    let applied = ref [] in
+    check Alcotest.string "from the base" "S+a+b+c"
+      (T.state_at t (List.nth nodes 2) ~apply:(counting applied));
+    check Alcotest.(list string) "only above it" [ "c" ] !applied;
+    T.rebase t (List.hd nodes) "S+a";
+    check Alcotest.bool "an older node: no-op" true
+      (T.base_of t = (2, "S+a+b"));
+    T.prune t ~below:3 ~state_before:(fun _ -> "x");
+    check Alcotest.bool "a prune at the base: no-op" true
+      (T.base_of t = (2, "S+a+b"))
 
   let tests =
     [
@@ -278,6 +302,7 @@ module Suite (F : FACTORY) = struct
         test_prune_below_base_noop;
       Alcotest.test_case (F.name ^ ": a node a prune passed") `Quick
         test_node_passed_by_prune;
+      Alcotest.test_case (F.name ^ ": rebase") `Quick test_rebase;
     ]
 end
 
@@ -349,22 +374,23 @@ module Props (F : FACTORY) = struct
                    List.fold_left max 0 !avail
                  in
                  expect "latest available" (T.idx latest = model_latest);
-                 let base, delta =
+                 let apply s e = (s ^ "+" ^ e, e) in
+                 let state =
                    match Hashtbl.fold (fun i n acc ->
                              match acc with
                              | Some (j, _) when j >= i -> acc
                              | _ -> Some (i, n)) nodes None
                    with
-                   | Some (_, newest) -> T.delta_from t newest
-                   | None -> T.delta_from t latest
+                   | Some (_, newest) -> T.state_at t newest ~apply
+                   | None -> T.state_at t latest ~apply
                  in
-                 expect "base" (base = "B");
-                 let model_delta =
-                   List.rev !envs
-                 in
-                 (* delta from the newest node covers everything *)
-                 if Hashtbl.length nodes > 0 then
-                   expect "delta replay" (delta = model_delta)
+                 (* the state at the newest node covers everything, however
+                    much earlier folds published *)
+                 expect "replay"
+                   (state
+                   = List.fold_left
+                       (fun s (_, e) -> fst (apply s e))
+                       "B" (List.rev !envs))
            done;
            (* final full check *)
            let listing = T.to_list t in
