@@ -75,7 +75,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
      deliberately do not compact (cost comparisons only; size logs for the
      workload). *)
   let persist_window t ~proc node =
-    let fuzzy = T.fuzzy_envs node in
+    let fuzzy = T.fuzzy_envs t.trace node in
     let payload =
       Onll_util.Codec.encode record_codec
         (Ops { exec_idx = node.T.idx; envs = fuzzy })

@@ -15,8 +15,7 @@
       visible to readers; compute the return value from the trace prefix.
 
     Reads find the newest available node and compute against that prefix;
-    they write no NVM, and the only shared memory they write is the trace
-    node's volatile slot when they are the first to compute its state.
+    they write no NVM (only, when first, the node's volatile {!Slot}).
 
     Recovery (Listing 5) rebuilds the trace from the per-process logs in
     execution-index order. The construction is {e detectable} [15]: every
@@ -203,9 +202,8 @@ module Make_generic
 
   let attributed t record f = A.attributed t.ostats record f
 
-  (* The state after [node] and the value of the operation at [node], each
-     read from the node's published slot or folded from the newest state
-     published below it (§8, {!Slot}). *)
+  (* §8, {!Slot}: published, or folded from the newest state published
+     below [node]. *)
   let state_at t node = T.state_at t.trace node ~apply:apply_env
   let own_value t node = T.value_at t.trace node ~apply:apply_env
 
@@ -220,8 +218,7 @@ module Make_generic
         held := Some (node, state);
         state)
 
-  let prune t ~below =
-    T.prune t.trace ~below ~state_before:(fun node -> state_at t node)
+  let prune t ~below = T.prune t.trace ~below ~state_before:(state_at t)
 
   (* The one compaction: checkpoint, make the checkpoint's node the trace
      base ([T.rebase], which needs no fold), relocate. A checkpoint
@@ -568,7 +565,7 @@ end
 
 (** The paper's construction: ONLL over the lock-free Listing 2 trace. *)
 module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
-  Make_generic (M) (Trace_adapter.Backward (M)) (Listing3) (S)
+  Make_generic (M) (Trace.Make (M)) (Listing3) (S)
 
 (** §8 extension: the same construction over the wait-free trace, which
     prunes as the lock-free one does (see {!Wf_trace}). *)
@@ -577,4 +574,4 @@ module Make_wait_free (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
 
 (** §8's group commit: the lock-free trace under the combining policy. *)
 module Make_combining (M : Onll_machine.Machine_sig.S) (S : Spec.S) =
-  Make_generic (M) (Trace_adapter.Backward (M)) (Combining) (S)
+  Make_generic (M) (Trace.Make (M)) (Combining) (S)

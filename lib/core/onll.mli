@@ -14,14 +14,10 @@
     order), {b persist} (append the operation and every not-yet-available
     predecessor to the caller's single-fence persistent log), {b linearize}
     (set the descriptor's available flag) — and computes its return value
-    from the trace prefix. Reads never write NVM.
-
-    §8's read acceleration (the paper's per-process local views) is one
-    published state per trace node ({!Slot}): the first process to fold
-    through a node leaves there the state after it and its operation's
-    value, so every operation is applied once, an update whose
-    predecessor is published applies only its own operation, and a read
-    whose node is published applies none.
+    from the trace prefix. Reads never write NVM. §8's read acceleration
+    (the paper's local views) is one published state per trace node
+    ({!Slot}): every operation is applied once, and a read at a published
+    node applies none.
 
     The durable state {e is} the set of per-process logs; {!recover}
     rebuilds the transient trace from them after a full-system crash
@@ -187,9 +183,8 @@ module Config : sig
             recovery and {!CONSTRUCTION.scrub} repair single-replica damage
             from an intact copy instead of losing it. *)
     local_views : bool;
-        (** read by nothing: every object publishes one state per trace
-            node ({!Slot}), the read acceleration this switch used to
-            select. Kept so configurations that set it still compile. *)
+        (** read by nothing: every object publishes its trace states
+            ({!Slot}); kept so configurations that set it compile *)
     region_suffix : string;
         (** appended to the spec name in every persistent region name
             (default [""]). The sharded construction ({!Onll_sharded})
@@ -373,9 +368,8 @@ module type CONSTRUCTION = sig
   val checkpoint : t -> int
   (** Summarise the history up to the newest available operation into the
       caller's log and drop the log prefix this makes redundant. The
-      checkpoint encodes the state once (the one published at the newest
-      available node, folded only if nobody published it yet), appends
-      one record and drops the prefix
+      checkpoint encodes the state once (the newest available node's
+      published state), appends one record and drops the prefix
       from the log's in-memory account of record keys
       ({!Onll_plog.Plog.Make.drop_upto}) without reading the log back —
       except the first checkpoint after a scrub, which rebuilds that
@@ -390,30 +384,24 @@ module type CONSTRUCTION = sig
 
   val compact : t -> int
   (** The one compaction, also run by the update path: {!checkpoint},
-      then make the checkpoint's node the trace's base with the state the
-      checkpoint encoded ({!Trace_intf.S.rebase}: no fold, and the base
-      index is the checkpoint's, as after recovery), then move the
-      caller's live log span to the front of its log
-      ({!Onll_plog.Plog.Make.relocate}) so the dropped bytes take appends
-      again. The state is encoded at most once. When the caller's log
-      already holds a checkpoint at least as new, nothing is encoded and
-      the trace is {!prune}d below that checkpoint. Both traces prune, so
-      the trace keeps only the operations since the checkpoint and the
-      ones in flight; a deeper concurrent prune makes this one a
-      no-op. Returns the summarised execution index, as
-      {!checkpoint} does.
+      make the checkpoint's node the trace's base with the state it
+      encoded ({!Trace_intf.S.rebase}, no fold: the base index is the
+      checkpoint's, as after recovery; with no new checkpoint, {!prune}
+      below the live one), then move the caller's live log span to the
+      front of its log ({!Onll_plog.Plog.Make.relocate}) so the dropped
+      bytes take appends again. The state is encoded at most once. A
+      deeper concurrent prune makes the prune a no-op. Returns the
+      summarised execution index, as {!checkpoint} does.
       @raise Onll.Log_full if the checkpoint record cannot fit. *)
 
   val prune : t -> below:int -> unit
   (** Make trace nodes with execution index < [below] unreachable,
       materialising their cumulative state (the node at [below] must be
-      available). The state at [below - 1] is the one published there, or
-      is folded from the newest state published below it: the fold that
-      published a checkpoint's state left the one below it in its slot,
-      so [prune t ~below:(checkpoint t)] applies no operation. A prune
-      at or below the current base is a no-op. A node obtained before the
-      prune passed it still computes ({!Wf_trace} keeps each node's
-      base).
+      available), from the state published at [below - 1] — the fold
+      that published a checkpoint's state left the one below in its slot,
+      so [prune t ~below:(checkpoint t)] applies nothing. A prune at or
+      below the current base is a no-op. A node obtained before the prune
+      passed it still computes ({!Wf_trace} keeps each node's base).
       @raise Invalid_argument if the node at [below] does not exist or is
       not available. *)
 

@@ -1,18 +1,12 @@
-(** The write-once slot every execution-trace node carries (§8 read
-    acceleration, shared by both traces).
-
-    The first fold through a node publishes there the state after it and
-    the value of its own operation, so an operation is applied once
-    however many processes compute past it, and a read or an owner whose
-    node is already published applies nothing. The fields are plain, as
-    the per-process views they replace were: a racy reader sees either
-    nothing or the one deterministic result.
-
-    A state leaves its slot once no fold can start there any more: when
-    the node two links above is published. A published slot links to the
-    one it was folded from while that one still holds its state, so the
-    clearing walks no trace link. A value stays until the node's owner
-    takes it. *)
+(** The write-once slot of every execution-trace node (§8 read
+    acceleration). The first fold through a node publishes the state
+    after it and its operation's value there, so each operation is
+    applied once, and a read or owner at a published node applies
+    nothing. Plain fields: a racy reader sees nothing or the one
+    deterministic result. A state leaves its slot when the node two links
+    above is published (no fold starts there any more), through the link
+    each slot keeps to the one it was folded from; the value leaves when
+    the node's owner takes it. *)
 
 type ('state, 'value) t =
   | Empty
@@ -20,14 +14,12 @@ type ('state, 'value) t =
       mutable value : 'value option;  (** until the owner takes it *)
       mutable state : 'state option;
       mutable below : ('state, 'value) t;
-          (** the slot this one was folded from, until the next one up is
-              published *)
+          (** the slot this one was folded from, until the next is *)
     }
 
 let state = function Published p -> p.state | Empty -> None
 
-(* The value of the slot's operation, for its owner, who asks once: the
-   slot drops it. [None] while the slot is empty. *)
+(* The value, for the node's owner, who asks once; [None] while empty. *)
 let take = function
   | Empty -> None
   | Published p -> (
@@ -50,30 +42,19 @@ let publish ~below state value =
 
 (* Apply [nodes] (oldest first) to [state], the state published in
    [below] (or a base's, with [below] empty), publishing each node not yet
-   published. A concurrent fold may have published some of them since
-   they were collected: the newest of those that still holds its state is
-   the start instead. Returns the state after the last node. *)
-let rec replay ~slot ~set ~env ~apply state below nodes =
-  let rec from_newest state below todo = function
-    | [] -> apply_all ~slot ~set ~env ~apply state below (List.rev todo)
-    | n :: rest -> (
-        match slot n with
-        | Published { state = Some s; _ } as p -> from_newest s p [] rest
-        | Published { state = None; _ } | Empty ->
-            from_newest state below (n :: todo) rest)
-  in
-  from_newest state below [] nodes
-
-(* Only nodes below a published one can have lost their state; they are
-   applied again, not republished. *)
-and apply_all ~slot ~set ~env ~apply state below = function
+   published. A node a concurrent fold published since lends its state;
+   one whose state has left its slot since is applied again, not
+   republished. Returns the state after the last node. *)
+let rec replay ~slot ~set ~env ~apply state below = function
   | [] -> state
   | n :: rest -> (
       match slot n with
-      | Published _ as p ->
-          apply_all ~slot ~set ~env ~apply (fst (apply state (env n))) p rest
+      | Published { state = Some s; _ } as p ->
+          replay ~slot ~set ~env ~apply s p rest
+      | Published { state = None; _ } as p ->
+          replay ~slot ~set ~env ~apply (fst (apply state (env n))) p rest
       | Empty ->
           let s, v = apply state (env n) in
           let p = publish ~below s v in
           set n p;
-          apply_all ~slot ~set ~env ~apply s p rest)
+          replay ~slot ~set ~env ~apply s p rest)

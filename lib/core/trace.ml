@@ -13,14 +13,13 @@
     nodes. A [Base (i, s)] asserts that [s] is the object state after the
     operations with indices [.. i]; a node whose [next] is a base has index
     [i + 1] (a {!prune}), or index [i] when its own operation is inside the
-    base (the sentinel, which carries none, and a {!rebase}).
-
-    Each node's {!Slot} holds what the first fold through it computed, so
-    a fold walks back only to the newest published state.
+    base (the sentinel, which carries none, and a {!rebase}). Each node's
+    {!Slot} holds what the first fold through it computed.
 
     This module is deliberately dumb about operation payloads — it stores
     ['env] envelopes — so the same trace serves every specification. *)
 
+(** The trace as {!Trace_intf.S}, with its node record exposed. *)
 module Make (M : Onll_machine.Machine_sig.S) = struct
   type ('env, 'state, 'value) node = {
     env : 'env option;  (** [None] only for the sentinel *)
@@ -79,6 +78,10 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     else loop node
 
   let tail t = M.Tvar.get t.tail
+  let idx n = n.idx
+  let is_available n = M.Tvar.get n.available
+  let set_available n = M.Tvar.set n.available true
+  let is_newest t node = tail t == node
 
   (* Listing 2, [latestAvailable]: first node with a set available flag,
      walking from the given node towards older operations. Total: available
@@ -93,10 +96,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
           (* Unreachable: a node whose [next] is a base is available. *)
           assert false
 
-  (* A node whose state left its slot has newer published nodes, and
-     under the construction a newer available one: the walk starts over
-     while it finds a newer node, rather than hand out one a fold would
-     have to reach from far below. *)
+  (* A node whose state left its slot has newer published (under the
+     construction, available) nodes: look again while a newer one shows,
+     rather than hand out a node a fold would reach from far below. *)
   let rec settle t node =
     match node.slot with
     | Slot.Published { state = None; _ } ->
@@ -111,18 +113,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      contiguous and descending from [node.idx]. Bounded by MAX-PROCESSES
      (Proposition 5.2), so the list is built on the way back, with no
      reversal. *)
-  let rec fuzzy_envs curr =
+  let rec fuzzy_envs t curr =
     if M.Tvar.get curr.available then []
     else
       let older =
         match M.Tvar.get curr.next with
-        | Older older -> fuzzy_envs older
+        | Older older -> fuzzy_envs t older
         | Base _ -> assert false
       in
       match curr.env with Some e -> e :: older | None -> older
 
   (* The same window with each envelope's node. *)
-  let fuzzy_nodes node =
+  let fuzzy_nodes _t node =
     let rec walk curr acc =
       if M.Tvar.get curr.available then List.rev acc
       else
@@ -148,17 +150,15 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     walk node []
 
-  (* A walk from an unpublished node met one whose state left its slot:
-     the nodes it passed were published since. *)
+  (* A walk met a node whose state left its slot: the nodes it passed
+     were published since. *)
   exception Passed
 
   (* §8: the state after [curr], from the newest state published at or
-     below it (the base's at worst), publishing every node applied on the
-     way back up (see {!Slot}). A node a concurrent fold published while
-     this one walked lends its state instead: a walk that meets a node
-     whose state left its slot ([Passed]) resumes at the newest node it
-     passed that holds one. Only a [deep] fold, to a node whose own state
-     left its slot, folds through such nodes. *)
+     below it (the base's at worst), publishing each node applied on the
+     way back up ({!Slot}); a node a concurrent fold published meanwhile
+     lends its state. A [Passed] walk resumes at the newest node it
+     passed that holds a state; only a [deep] one folds through. *)
   let rec fold ~deep ~apply curr =
     match curr.slot with
     | Slot.Published { state = Some s; _ } -> s
@@ -188,24 +188,20 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         curr.slot <- Slot.publish ~below s v;
         s
 
-  (* Under the construction a [Passed] walk always resumes below its
-     node; one that reaches it folds through. *)
-  let state_at node ~apply =
-    match node.slot with
-    | Slot.Published { state = Some s; _ } -> s
-    | Slot.Published { state = None; _ } -> fold ~deep:true ~apply node
-    | Slot.Empty -> (
-        try fold ~deep:false ~apply node
-        with Passed -> fold ~deep:true ~apply node)
+  (* Under the construction a [Passed] walk resumes below its node; one
+     that reaches it, or a node whose own state left, folds through. *)
+  let state_at _t node ~apply =
+    try fold ~deep:false ~apply node with Passed -> fold ~deep:true ~apply node
 
-  (* The value needs no state: a node published while the walk was away
-     answers at once, even if its state has left its slot since. *)
-  let rec value_at ?(deep = false) node ~apply =
+  (* A node published while the walk was away answers at once. *)
+  let rec value_from ~deep node ~apply =
     match Slot.take node.slot with
     | Some v -> v
     | None ->
         (try ignore (fold ~deep ~apply node : _) with Passed -> ());
-        value_at ~deep:true node ~apply
+        value_from ~deep:true node ~apply
+
+  let value_at _t node ~apply = value_from ~deep:false node ~apply
 
   (* All reachable nodes, oldest first, for recovery checks and tests. *)
   let to_list t =
@@ -260,5 +256,5 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   (* §8 compaction: [node] holds the base itself. Unconditional: on a node
      a deeper prune or rebase already passed, the link is unreachable from
      the tail and only shortens that node's own folds. *)
-  let rebase node state = M.Tvar.set node.next (Base (node.idx, state))
+  let rebase _t node state = M.Tvar.set node.next (Base (node.idx, state))
 end

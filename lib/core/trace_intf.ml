@@ -1,7 +1,7 @@
 (** What the universal construction needs from an execution trace.
 
     Two implementations exist: the paper's lock-free tail-linked structure
-    (Listing 2, {!Trace} via {!Trace_adapter.Backward}) and a wait-free
+    (Listing 2, {!Trace}) and a wait-free
     variant in the Kogan–Petrank style ({!Wf_trace}), realising the §8
     remark that the trace is the only non-wait-free component and can be
     swapped for a wait-free one without touching the fence argument.
@@ -34,10 +34,8 @@ module type S = sig
 
   val latest_available :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node
-  (** The newest available node. One whose state left its slot
-      ({!Slot}) has newer published nodes — under the construction, newer
-      available ones — so the walk starts over while it finds a newer
-      node, each retry following another process's progress. *)
+  (** The newest available node, found again while the one found has a
+      newer one and its state has left its slot ({!Slot}). *)
 
   val fuzzy_envs :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'env list
@@ -59,19 +57,16 @@ module type S = sig
     ('env, 'state, 'value) node ->
     apply:('state -> 'env -> 'state * 'value) ->
     'state
-  (** The state after [node]: its published state, else the newest
-      published state at or below it (a base's at worst) with the
-      operations above that applied in order, each published as it is
-      applied. *)
+  (** The state after [node], folded from the newest state published at
+      or below it (a base's at worst), publishing each node applied. *)
 
   val value_at :
     ('env, 'state, 'value) t ->
     ('env, 'state, 'value) node ->
     apply:('state -> 'env -> 'state * 'value) ->
     'value
-  (** The value of [node]'s own operation: the published one, else
-      {!state_at}'s. For the node's owner, who asks once: the slot drops
-      the value ({!Slot.take}). [node] must carry an operation. *)
+  (** The value of [node]'s operation, for its owner, who asks once
+      ({!Slot.take}). *)
 
   val to_list : ('env, 'state, 'value) t -> (int * bool * 'env option) list
   (** All reachable nodes, oldest first, for tests and recovery checks. *)
@@ -92,10 +87,8 @@ module type S = sig
 
   val rebase :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'state -> unit
-  (** Compaction's prune (§8): make [node], an available node whose state
-      is the one given, the trace's base, its own operation included, so
-      the nodes below it become unreachable — no fold needed, as a
-      checkpoint at [node] already holds its state. A no-op when the base
-      is already at or above [node]; a node obtained before still answers
+  (** Compaction's prune (§8): the available [node], whose state is
+      given, becomes the base, its own operation included. A no-op at or
+      below the current base; a node obtained before still answers
       {!state_at}. *)
 end

@@ -236,26 +236,24 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     let p = M.self () in
     if cell.idx > t.cursors.(p).idx then t.cursors.(p) <- cell
 
-  (* As on the lock-free trace, a cell whose state left its slot sends
-     the scan round again while it finds a newer one. *)
-  let latest_available t =
-    let scan () =
-      let n_base = M.Tvar.get t.base in
-      let start = cursor t n_base in
-      let best =
-        fold_forward start start.idx ~init:start ~f:(fun best n _ ->
-            if M.Tvar.get n.available then n else best)
-      in
-      { cell = best; n_base }
+  let newest_available t =
+    let n_base = M.Tvar.get t.base in
+    let start = cursor t n_base in
+    let best =
+      fold_forward start start.idx ~init:start ~f:(fun best n _ ->
+          if M.Tvar.get n.available then n else best)
     in
-    let rec settle node =
-      match node.cell.slot with
-      | Slot.Published { state = None; _ } ->
-          let newer = scan () in
-          if newer.cell == node.cell then node else settle newer
-      | Slot.Published { state = Some _; _ } | Slot.Empty -> node
-    in
-    settle (scan ())
+    { cell = best; n_base }
+
+  (* As on the lock-free trace: look again while a newer one shows. *)
+  let rec settle t node =
+    match node.cell.slot with
+    | Slot.Published { state = None; _ } ->
+        let newer = newest_available t in
+        if newer.cell == node.cell then node else settle t newer
+    | Slot.Published { state = Some _; _ } | Slot.Empty -> node
+
+  let latest_available t = settle t (newest_available t)
 
   (* The cells after the newest available one at or below [node], up to
      [node], newest first with their indices. *)
@@ -294,53 +292,43 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
 
   (* The newest published state at or below [node]'s cell, the slot
      holding it, and the cells above it up to the target, oldest first.
-     The scan starts at the caller's cursor, which lies at or below every
-     published cell when the target is unpublished (the caller published
-     its cursor's cell, and nothing above an unpublished target is
-     published); when the cursor lies above the target, or a racing
-     prune or fold left nothing published on the way, it starts at the
-     newer of the current base and the node's own base, which always
-     reaches the target (a cursor on a base sentinel starts there too). *)
+     The scan starts at the caller's cursor, its last fold's target: when
+     the target is unpublished, nothing above it is, so the cursor lies at
+     or below the newest published cell. Else (a cursor above the target
+     or on a base, or a race that left nothing published on the way) it
+     starts at the newer of the current base and the node's own. *)
   let start_of t node =
     let target = node.cell in
-    let scan from state below =
-      let rec go curr state below above =
-        match M.Tvar.get curr.next with
-        | Null -> assert false (* [target] lies ahead of [from] *)
-        | Node n ->
-            let state, below, above =
-              match n.slot with
-              | Slot.Published { state = Some s; _ } as p -> (Some s, p, [])
-              | Slot.Published { state = None; _ } | Slot.Empty ->
-                  (state, below, n :: above)
-            in
-            if n == target then (state, below, List.rev above)
-            else go n state below above
-      in
-      go from state below []
+    let rec scan curr state below above =
+      match M.Tvar.get curr.next with
+      | Null -> assert false (* [target] lies ahead *)
+      | Node n -> (
+          let state, below, above =
+            match n.slot with
+            | Slot.Published { state = Some s; _ } as p -> (Some s, p, [])
+            | Slot.Published { state = None; _ } | Slot.Empty ->
+                (state, below, n :: above)
+          in
+          if n != target then scan n state below above
+          else Option.map (fun s -> (s, below, List.rev above)) state)
     in
     let from_base () =
-      let cur = M.Tvar.get t.base in
+      let cur = M.Tvar.get t.base and own = node.n_base in
       let b =
-        if
-          cur.b_cell == target
-          || cur.b_cell.idx < target.idx
-             && cur.b_cell.idx > node.n_base.b_cell.idx
+        if cur.b_cell == target || cur.b_cell.idx < target.idx
+           && cur.b_cell.idx > own.b_cell.idx
         then cur
-        else node.n_base
+        else own
       in
       if b.b_cell == target then (b.b_state, Slot.Empty, [])
-      else
-        match scan b.b_cell (Some b.b_state) Slot.Empty with
-        | Some s, below, above -> (s, below, above)
-        | None, _, _ -> assert false
+      else Option.get (scan b.b_cell (Some b.b_state) Slot.Empty [])
     in
     let c = cursor t node.n_base in
     if c.env = None || c.idx >= target.idx then from_base ()
     else
-      match scan c (Slot.state c.slot) c.slot with
-      | Some s, below, above -> (s, below, above)
-      | None, _, _ -> from_base ()
+      match scan c (Slot.state c.slot) c.slot [] with
+      | Some start -> start
+      | None -> from_base ()
 
   let slot n = n.slot
   let set n p = n.slot <- p
@@ -361,13 +349,9 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     state
 
   let value_at t node ~apply =
-    match Slot.take node.cell.slot with
-    | Some v ->
-        advance_cursor t node.cell;
-        v
-    | None ->
-        ignore (state_at t node ~apply);
-        Option.get (Slot.take node.cell.slot)
+    if node.cell.slot == Slot.Empty then ignore (state_at t node ~apply)
+    else advance_cursor t node.cell;
+    Option.get (Slot.take node.cell.slot)
 
   let to_list t =
     let b = (M.Tvar.get t.base).b_cell in
@@ -380,14 +364,26 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     let b = M.Tvar.get t.base in
     (b.b_cell.idx, b.b_state)
 
+  (* Move the base up to [make b] (from the current base [b]) unless it
+     already lies at or past [idx], the new base's index; cursors below
+     the new base are clamped to it. *)
+  let rec move_base t idx make =
+    let b = M.Tvar.get t.base in
+    if idx > b.b_cell.idx then begin
+      let nb = make b in
+      if M.Tvar.cas t.base ~expected:b ~desired:nb then
+        Array.iteri
+          (fun q c -> if c.idx < idx then t.cursors.(q) <- nb.b_cell)
+          t.cursors
+      else move_base t idx make
+    end
+
   (* §8 pruning: a new base at [below - 1] whose sentinel links to the
      cell at [below], which must exist and be available. A prune at or
      below the current base is a no-op (a deeper concurrent one got
-     there first). Cursors below the new base are clamped to it. *)
+     there first). *)
   let prune t ~below ~state_before =
-    let rec attempt () =
-      let b = M.Tvar.get t.base in
-      if below - 1 > b.b_cell.idx then begin
+    move_base t (below - 1) (fun b ->
         (* the cells at [below - 1] and [below] *)
         let rec find curr curr_idx =
           match M.Tvar.get curr.next with
@@ -399,29 +395,9 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
         if not (M.Tvar.get at.available) then
           invalid_arg "Wf_trace.prune: node not yet available";
         let b_state = state_before { cell = before; n_base = b } in
-        let nb = { b_cell = sentinel (below - 1) (Node at); b_state } in
-        if M.Tvar.cas t.base ~expected:b ~desired:nb then
-          Array.iteri
-            (fun q c -> if c.idx < below - 1 then t.cursors.(q) <- nb.b_cell)
-            t.cursors
-        else attempt ()
-      end
-    in
-    attempt ()
+        { b_cell = sentinel (below - 1) (Node at); b_state })
 
-  (* §8 compaction: the base is the available cell itself, with its
-     state; cursors below it are clamped to it. *)
+  (* §8 compaction: the base is the available cell itself. *)
   let rebase t node b_state =
-    let cell = node.cell in
-    let rec attempt () =
-      let b = M.Tvar.get t.base in
-      if cell.idx > b.b_cell.idx then
-        if M.Tvar.cas t.base ~expected:b ~desired:{ b_cell = cell; b_state }
-        then
-          Array.iteri
-            (fun q c -> if c.idx < cell.idx then t.cursors.(q) <- cell)
-            t.cursors
-        else attempt ()
-    in
-    attempt ()
+    move_base t node.cell.idx (fun _ -> { b_cell = node.cell; b_state })
 end

@@ -14,6 +14,11 @@
 
 open Onll_machine
 
+(* {!Onll_core.Onll.Config.default}, with the caller's log capacity. *)
+let config ?log_capacity () =
+  let d = Onll_core.Onll.Config.default in
+  { d with log_capacity = Option.value log_capacity ~default:d.log_capacity }
+
 module Counter (M : Machine_sig.S) = struct
   module Spec = Onll_specs.Counter
   module Lf = Onll_core.Onll.Make (M) (Spec)
@@ -22,14 +27,7 @@ module Counter (M : Machine_sig.S) = struct
   type t = Lf_obj of Lf.t | Wf_obj of Wf.t
 
   let create ?(wait_free = false) ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    let cfg =
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
-    in
+    let cfg = config ?log_capacity () in
     if wait_free then Wf_obj (Wf.make cfg) else Lf_obj (Lf.make cfg)
 
   let incr = function
@@ -58,14 +56,7 @@ module Kv (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    C.make
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+  let create ?log_capacity () = C.make (config ?log_capacity ())
 
   let put t k v =
     match C.update t (Spec.Put (k, v)) with
@@ -98,14 +89,7 @@ module Queue (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    C.make
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+  let create ?log_capacity () = C.make (config ?log_capacity ())
 
   let enqueue t x =
     match C.update t (Spec.Enqueue x) with
@@ -137,14 +121,7 @@ module Stack (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    C.make
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+  let create ?log_capacity () = C.make (config ?log_capacity ())
 
   let push t x =
     match C.update t (Spec.Push x) with
@@ -175,14 +152,7 @@ module Set (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    C.make
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+  let create ?log_capacity () = C.make (config ?log_capacity ())
 
   let insert t x =
     match C.update t (Spec.Insert x) with
@@ -213,14 +183,7 @@ module Pqueue (M : Machine_sig.S) = struct
 
   type t = C.t
 
-  let create ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    C.make
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+  let create ?log_capacity () = C.make (config ?log_capacity ())
 
   let insert t ~prio x =
     match C.update t (Spec.Insert (prio, x)) with
@@ -253,14 +216,7 @@ module Ledger (M : Machine_sig.S) = struct
 
   exception Rejected of string
 
-  let create ?log_capacity () =
-    let d = Onll_core.Onll.Config.default in
-    C.make
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+  let create ?log_capacity () = C.make (config ?log_capacity ())
 
   let lift = function
     | Spec.Ok_v -> Ok ()

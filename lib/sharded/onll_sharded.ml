@@ -79,12 +79,7 @@ struct
   let create ?(shards = 4) ?log_capacity () =
     let d = Onll_core.Onll.Config.default in
     make ~shards
-      {
-        d with
-        Onll_core.Onll.Config.log_capacity =
-          Option.value log_capacity
-            ~default:d.Onll_core.Onll.Config.log_capacity;
-      }
+      { d with log_capacity = Option.value log_capacity ~default:d.log_capacity }
 
   let shards t = t.n
   let sink t = t.t_sink

@@ -471,7 +471,7 @@ let test_seq_numbers_advance_past_recovery () =
    The paper's per-process local views are realised as one published
    state per trace node: reads and updates compute from the newest one. *)
 
-let test_local_views_same_results () =
+let test_published_same_results () =
   (* Checked against the model: sequentially, each result is the counter's;
      concurrently, on schedule-independent facts: increments return a
      permutation of 1..n and the final value is n. *)
@@ -511,7 +511,7 @@ let test_local_views_same_results () =
     check Alcotest.int "final value" 15 (C.read obj Cs.Get)
   done
 
-let test_local_views_survive_crash_reset () =
+let test_published_reset_by_crash () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
   let module C = Onll_core.Onll.Make (M) (Cs) in
@@ -1465,9 +1465,9 @@ let () =
         ] );
       ( "local views",
         [
-          Alcotest.test_case "same results" `Quick test_local_views_same_results;
+          Alcotest.test_case "same results" `Quick test_published_same_results;
           Alcotest.test_case "crash resets views" `Quick
-            test_local_views_survive_crash_reset;
+            test_published_reset_by_crash;
         ] );
       ( "reclamation",
         [

@@ -67,12 +67,12 @@ let test_fuzzy_envs () =
   let n3 = T.insert t 3 in
   ignore n2;
   (* window = everything after the last available node, newest first *)
-  check Alcotest.(list int) "all three fuzzy" [ 3; 2; 1 ] (T.fuzzy_envs n3);
+  check Alcotest.(list int) "all three fuzzy" [ 3; 2; 1 ] (T.fuzzy_envs t n3);
   M.Tvar.set n1.T.available true;
-  check Alcotest.(list int) "window shrinks" [ 3; 2 ] (T.fuzzy_envs n3);
+  check Alcotest.(list int) "window shrinks" [ 3; 2 ] (T.fuzzy_envs t n3);
   M.Tvar.set n3.T.available true;
   check Alcotest.(list int) "available node: empty window" []
-    (T.fuzzy_envs n3)
+    (T.fuzzy_envs t n3)
 
 let test_fuzzy_window_is_continuous () =
   (* Figure 2: an unavailable node below an available one is NOT fuzzy. *)
@@ -87,7 +87,7 @@ let test_fuzzy_window_is_continuous () =
   M.Tvar.set n2.T.available true;
   (* n1 unavailable but shielded by n2 *)
   check Alcotest.(list int) "window stops at first available" [ 4; 3 ]
-    (T.fuzzy_envs n4);
+    (T.fuzzy_envs t n4);
   ignore n3
 
 let test_delta_from () =
@@ -115,14 +115,14 @@ let test_delta_from_floor () =
   let _ = T.insert t 10 in
   let n2 = T.insert t 20 in
   let n3 = T.insert t 30 in
-  check Alcotest.string "the fold" "init+10+20" (T.state_at n2 ~apply);
+  check Alcotest.string "the fold" "init+10+20" (T.state_at t n2 ~apply);
   let base, delta = T.delta_from n3 in
   check Alcotest.string "published state used" "init+10+20" base;
   check Alcotest.(list (pair int int)) "only newer ops" [ (3, 30) ] delta;
   check Alcotest.int "its value published" 20
-    (T.value_at n2 ~apply:(fun _ _ -> Alcotest.fail "applied twice"));
+    (T.value_at t n2 ~apply:(fun _ _ -> Alcotest.fail "applied twice"));
   (* published at the node itself: empty delta *)
-  ignore (T.state_at n3 ~apply);
+  ignore (T.state_at t n3 ~apply);
   let base, delta = T.delta_from n3 in
   check Alcotest.string "exact" "init+10+20+30" base;
   check Alcotest.(list (pair int int)) "empty delta" [] delta
@@ -212,7 +212,7 @@ let test_fuzzy_bound_under_random_schedules () =
           fun _ ->
             for k = 0 to 3 do
               let n = T.insert t ((p * 10) + k) in
-              let window = List.length (T.fuzzy_envs n) in
+              let window = List.length (T.fuzzy_envs t n) in
               if window > !max_window then max_window := window;
               M.Tvar.set n.T.available true
             done)

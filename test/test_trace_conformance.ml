@@ -309,7 +309,7 @@ end
 module Backward_suite = Suite (struct
   let name = "backward"
 
-  module Make = Onll_core.Trace_adapter.Backward
+  module Make = Onll_core.Trace.Make
 end)
 
 module Wf_suite = Suite (struct
@@ -409,7 +409,7 @@ end
 module Backward_props = Props (struct
   let name = "backward"
 
-  module Make = Onll_core.Trace_adapter.Backward
+  module Make = Onll_core.Trace.Make
 end)
 
 module Wf_props = Props (struct

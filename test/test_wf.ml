@@ -74,7 +74,7 @@ let test_concurrent_permutation () =
 
 (* §8's local views, as published states on the forward trace: the
    results are the model's. *)
-let test_local_views_equivalent () =
+let test_published_equivalent () =
   let sim = Sim.create ~max_processes:1 () in
   let module M = (val Sim.machine sim) in
   let module C = Onll_core.Onll.Make_wait_free (M) (Cs) in
@@ -348,7 +348,7 @@ let () =
           Alcotest.test_case "fence counts" `Quick test_fences_one_per_update;
           Alcotest.test_case "concurrent permutation" `Quick
             test_concurrent_permutation;
-          Alcotest.test_case "local views" `Quick test_local_views_equivalent;
+          Alcotest.test_case "local views" `Quick test_published_equivalent;
         ] );
       ( "recovery",
         [
