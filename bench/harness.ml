@@ -37,7 +37,7 @@ let write_snapshot ~experiment ?(meta = []) registry =
   Onll_obs.Export.write_file ~path json;
   path
 
-(** The [onll] CLI binary the socket arms (E18, E20) start as a server:
+(** The [onll] CLI binary the socket arms (E18, E20) and E22 start:
     [$ONLL_CLI], else [bin/onll_cli.exe] in the build tree this bench
     runs from ([_build/default/bench/main.exe] sits beside
     [_build/default/bin/]), whatever the working directory.

@@ -39,6 +39,8 @@ let experiments =
      Relaxed_bench.run);
     ("e21", "allocation per update and read, asserted ceilings",
      Alloc_budget.run);
+    ("e22", "restart budget: process start to READY, four starts",
+     Restart_budget.run);
     ("f1", "Figure 1: the four counter executions, replayed",
      Onll_scenarios.Figure1.print_all);
     ("f2", "Figure 2 / Prop 5.2: fuzzy-window bound", Fuzzy_window.run);

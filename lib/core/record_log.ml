@@ -578,11 +578,10 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
            | Checkpoint _ -> n))
         (List.length extra) by_log
     in
-    let entries = ref [||] in
-    let put i e =
-      if Array.length !entries = 0 then entries := Array.make n e;
-      !entries.(i) <- e
-    in
+    (* Made over an immediate placeholder, overwritten below in every one
+       of the [n] slots: [Array.make] over a young entry forces a minor
+       collection first once [n] exceeds [Max_young_wosize]. *)
+    let entries = Array.make n (Obj.magic 0 : envelope Adoption.entry) in
     let seen_txns = Hashtbl.create 8 and txns = ref [] in
     let txn p =
       if not (Hashtbl.mem seen_txns p) then begin
@@ -595,7 +594,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
       | [] -> ()
       | env :: older ->
           Option.iter txn env.e_txn;
-          put i (entry idx env true);
+          entries.(i) <- entry idx env true;
           put_ops (i - 1) (idx - 1) older
     in
     let logged =
@@ -610,9 +609,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     in
     List.iteri
       (fun k (idx, id, op) ->
-        put (logged + k) (entry idx (envelope id op) false))
+        entries.(logged + k) <- entry idx (envelope id op) false)
       extra;
-    let entries = !entries in
     reset base_idx base_state;
     let recovered = Recovered.create (Array.length entries) in
     let report, next =

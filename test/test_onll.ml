@@ -1196,6 +1196,35 @@ let test_words_per_update_flat () =
   within "2k vs 8k updates, 64 KiB" early late;
   within "64 KiB vs 1 MiB logs" late late_1m
 
+(* Recovery gathers every logged envelope into one array. An array longer
+   than a minor-heap allocation (256 words) made over a young initial
+   value forces a minor collection first, so a recovery just past 256
+   envelopes would pay one collection more than one below. Native
+   machine, one domain, free fence, kv. *)
+let test_recover_no_forced_minor () =
+  let minors envelopes =
+    let native = Native.create ~max_processes:1 ~fence_ns:0 () in
+    let module M = (val Native.machine native) in
+    let module C = Onll_core.Onll.Make (M) (Onll_specs.Kv) in
+    ignore (Native.register native);
+    let obj = C.make Onll_core.Onll.Config.default in
+    for i = 1 to envelopes do
+      ignore (C.update obj (Onll_specs.Kv.Put (Printf.sprintf "k%d" i, "v")))
+    done;
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections in
+    C.recover obj;
+    let after = (Gc.quick_stat ()).Gc.minor_collections in
+    check Alcotest.int
+      (Printf.sprintf "%d envelopes recovered" envelopes)
+      envelopes
+      (List.length (C.recovered_ops obj));
+    after - before
+  in
+  let below = minors 250 in
+  check Alcotest.int "minor collections: 300 envelopes = 250" below
+    (minors 300)
+
 (* Forge a log entry claiming execution index 3 with no entries for 1..2:
    recovery must refuse (Prop 5.10 says such logs cannot be produced by the
    implementation, so this is corruption). The entry bytes are constructed
@@ -1449,6 +1478,8 @@ let () =
             test_undecodable_entry_snapshot;
           Alcotest.test_case "a dropped entry stays dropped" `Quick
             test_dropped_entry_stays_dropped;
+          Alcotest.test_case "no forced minor collection past 256" `Quick
+            test_recover_no_forced_minor;
         ] );
       ( "detectability",
         [
