@@ -38,14 +38,15 @@ let batched = { Onll_stack.top = Direct (Bare `Batched); replicas = 1 }
 let served = { Onll_stack.top = Session (Relaxed (`Plain, 64)); replicas = 1 }
 
 (* Words per update and per read: plain 156.2 and 4, batched 175.2 and
-   4, served 244.7 and 8. Each ceiling is the smaller of its figure plus
-   10% and the ceiling it had when the stacks ran per-process views
-   (plain 200 and 4.4, batched 188.4 and 4.4, served 264.9 and 8.8). *)
+   4, served 193.7 and 8 (244.7 while a lock ordered the relaxed front).
+   Each ceiling is the smaller of its figure plus 10% and the ceiling it
+   had when the stacks ran per-process views (plain 200 and 4.4, batched
+   188.4 and 4.4, served 264.9 and 8.8). *)
 let ceilings =
   [
     { key = "plain"; stack = plain; update_max = 171.8; read_max = 4.4 };
     { key = "batched"; stack = batched; update_max = 188.4; read_max = 4.4 };
-    { key = "served"; stack = served; update_max = 264.9; read_max = 8.8 };
+    { key = "served"; stack = served; update_max = 213.1; read_max = 8.8 };
   ]
 
 (* Minor-heap words allocated by [f ()]. *)

@@ -37,13 +37,13 @@ let make_tests () =
     Test.make ~name:"trace insert (uncontended)"
       (Staged.stage (fun () ->
            let n = T.insert t 0 in
-           M.Tvar.set n.T.available true))
+           T.set_available n))
   in
   let latest_available =
     let t = T.create ~base_idx:0 ~base_state:() () in
     (* a realistic fuzzy suffix: 7 unavailable nodes over an available one *)
     let n0 = T.insert t 0 in
-    M.Tvar.set n0.T.available true;
+    T.set_available n0;
     for k = 1 to 7 do
       ignore (T.insert t k)
     done;

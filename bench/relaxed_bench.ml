@@ -5,12 +5,12 @@
     [onll gate]:
 
     - {b fence accounting (sim, deterministic)}: the same update
-      workload through the relaxed front ({!Onll_relaxed}, built as the
-      stack [relaxed(plain,k=8)]) in relaxed mode and in strict mode.
-      Strict must cost {e exactly} one persistent fence per update (the
-      wrapper adds nothing to Theorem 5.1); relaxed must land strictly
-      below 1 — and a {e solo-after-quiesce}
-      run pins the floor: from an empty tail, k solo updates cost
+      workload through the relaxed front (the engine's stale tier, built
+      as the stack [relaxed(plain,k=8)]) in relaxed mode and in strict
+      mode. Strict must cost {e exactly} one persistent fence per update
+      (Theorem 5.1); relaxed must land strictly below 1 — and a
+      {e solo-after-quiesce}
+      run pins the floor: from an empty window, k solo updates cost
       exactly one fence, 1/k per update, the best any k-budgeted
       schedule can do.
     - {b staleness chaos slice (sim, deterministic)}: a small
@@ -59,9 +59,8 @@ let sim_arm ~procs ~updates ~strategy ~strict =
     Sim.run sim strategy
       (Array.init procs (fun _ _ ->
            for _ = 1 to updates do
-             ignore
-               (if strict then r.B.update_strict Cs.Increment
-                else r.B.update_stale ~budget Cs.Increment)
+             if strict then ignore (r.B.update_strict Cs.Increment)
+             else ignore (r.B.update_stale ~budget Cs.Increment)
            done))
   in
   assert (outcome = Onll_sched.Sched.World.Completed);
@@ -80,7 +79,7 @@ let fence_accounting summary =
   let relaxed_fences, relaxed_ops, _ = arm ~strict:false in
   let strict_fences, strict_ops, _ = arm ~strict:true in
   assert (relaxed_ops = total && strict_ops = total);
-  (* The wrapper adds nothing to the strict price: exactly 1 pf/update. *)
+  (* The strict tier is the engine's update: exactly 1 pf/update. *)
   assert (strict_fences = total);
   (* Relaxed is strictly below 1 — and strictly above 0: durability is
      deferred, never skipped. *)
@@ -155,9 +154,8 @@ let native_throughput summary =
          [
            (fun _ ->
              for k = 1 to total do
-               ignore
-                 (if strict then r.B.update_strict Cs.Increment
-                  else r.B.update_stale ~budget Cs.Increment);
+               if strict then ignore (r.B.update_strict Cs.Increment)
+               else ignore (r.B.update_stale ~budget Cs.Increment);
                if k mod 512 = 0 then obj.B.compact ()
              done;
              (* read from a registered domain: every update landed *)

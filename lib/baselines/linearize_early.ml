@@ -27,7 +27,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
 
   type t = {
     reader : reader;
-    (* In this trace, a node's [available] flag means "persistent". Nodes
+    (* In this trace, a node's durable flag means "persistent". Nodes
        are visible (linearized) as soon as they are inserted. *)
     mutable trace : (envelope, unit, unit) T.t;
     logs : L.t array;
@@ -81,7 +81,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         (Ops { exec_idx = node.T.idx; envs = fuzzy })
     in
     L.append t.logs.(proc) payload;
-    M.Tvar.set node.T.available true
+    T.set_available node
 
   let update t op =
     A.attributed t.ostats Onll_obs.Opstats.update_done (fun () ->
@@ -107,13 +107,13 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         let node = T.tail t.trace in
         (match t.reader with
         | Return -> ()
-        | (Help | Wait) when M.Tvar.get node.T.available -> ()
+        | (Help | Wait) when T.is_available node -> ()
         | Help ->
             t.read_fences <- t.read_fences + 1;
             persist_window t ~proc:(M.self ()) node
         | Wait ->
             t.reader_waits <- t.reader_waits + 1;
-            while not (M.Tvar.get node.T.available) do
+            while not (T.is_available node) do
               M.pause ()
             done);
         let st, _ = state_at node in
@@ -157,7 +157,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
       Onll_core.Onll.Adoption.run ~base_idx:0
         ~floors:(Array.make M.max_processes 0)
         (Array.of_list entries)
-        ~adopt:(fun e -> M.Tvar.set (T.insert trace e.env).T.available true)
+        ~adopt:(fun e -> T.set_available (T.insert trace e.env))
     in
     if t.reader <> Return then Onll_core.Onll.Recovery_report.check report;
     Array.blit seqs 0 t.seqs 0 M.max_processes;

@@ -11,10 +11,15 @@
     + {b persist} — append the operation {e and} every not-yet-available
       operation preceding it (the fuzzy window — helping) to the invoking
       process's persistent log, with a single persistent fence;
-    + {b linearize} — set the node's available flag, making the operation
+    + {b linearize} — set the node's flag durable, making the operation
       visible to readers; compute the return value from the trace prefix.
 
-    Reads find the newest available node and compute against that prefix;
+    A stale update ({!CONSTRUCTION.update_stale}) defers its persist stage:
+    it sets its node's flag acknowledged under its budget instead, and
+    fences only when its window (walked back to the first durable node)
+    has reached the tightest budget in it.
+
+    Reads find the newest visible node and compute against that prefix;
     they write no NVM (only, when first, the node's volatile {!Slot}).
 
     Recovery (Listing 5) rebuilds the trace from the per-process logs in
@@ -69,6 +74,10 @@ module type CONSTRUCTION = sig
   val update : t -> update_op -> value
   val update_with_id : t -> update_op -> op_id * value
   val update_detectable : t -> seq:int -> update_op -> value
+  val update_stale : t -> budget:int -> update_op -> op_id * value
+  val flush : t -> unit
+  val pending_ops : t -> int
+  val risk_peak : t -> int
   val read : t -> read_op -> value
   val recover : t -> unit
   val recover_report : t -> Recovery_report.t
@@ -85,7 +94,7 @@ module type CONSTRUCTION = sig
 
   val envelope_id : envelope -> op_id
   val envelope_op : envelope -> update_op
-  val trace_nodes : t -> (int * bool * envelope option) list
+  val trace_nodes : t -> (int * int * envelope option) list
   val trace_base : t -> int * state
   val current_state : t -> state
   val snapshot : t -> Snapshot.t
@@ -104,7 +113,6 @@ module type TXN_CAPABLE = sig
   val stage_txn : ?payload:string -> t -> seq:int -> update_op -> staged
   val staged_idx : staged -> int
   val finish_txn : t -> staged -> value
-  val persist_staged : t -> staged list -> unit
   val inject_txn_run : t -> (op_id * update_op) list -> int list
 
   val recover_txn :
@@ -153,6 +161,16 @@ module Make_generic
      detectability rule, shared with group commit. *)
   include Record_log.Make (M) (S)
 
+  (* A deferring object's metrics and high-water marks, made by its first
+     stale update: an object that never defers registers no metric. *)
+  type relaxed = {
+    c_deferred : Onll_obs.Metrics.counter;  (** acks that paid no fence *)
+    c_drains : Onll_obs.Metrics.counter;  (** stale fences and flushes *)
+    g_peak : Onll_obs.Metrics.gauge;
+    mutable peak : int;  (** deepest stale window an ack joined *)
+    mutable widest : int;  (** largest budget a stale update ran under *)
+  }
+
   type t = {
     mutable trace : (envelope, istate, value) T.t;
         (** replaced wholesale by recovery *)
@@ -171,6 +189,12 @@ module Make_generic
             not repair — it keeps serving, but with admitted loss *)
     ostats : Onll_obs.Opstats.t;
         (** per-operation fence attribution; inert without a sink *)
+    ledger : (int * op_id) list array;
+        (** per process: its acknowledged unfenced operations (execution
+            index, identity), newest first; owner-only. Transient, but it
+            outlives a simulated crash, so hardened recovery can name the
+            acknowledgements the crash voided. *)
+    mutable relaxed : relaxed option;
   }
 
   let instances = ref 0
@@ -194,6 +218,8 @@ module Make_generic
       max_fuzzy = 0;
       degraded = false;
       ostats = Onll_obs.Opstats.make sink;
+      ledger = Array.make M.max_processes [];
+      relaxed = None;
     }
 
   let sink t = Onll_obs.Opstats.sink t.ostats
@@ -205,18 +231,26 @@ module Make_generic
   (* §8, {!Slot}: published, or folded from the newest state published
      below [node]. *)
   let state_at t node = T.state_at t.trace node ~apply:apply_env
-  let own_value t node = T.value_at t.trace node ~apply:apply_env
+  let own_value t node ~durable =
+    T.value_at t.trace node ~durable ~apply:apply_env
 
-  (* Summarise the history up to the newest available operation into
+  (* Summarise the history up to the newest visible operation into
      process [p]'s log and drop what that makes redundant, by
      [record_key] ([Plog.checkpoint]). [held] receives the node and the
      state the checkpoint encoded. *)
   let checkpoint_body t p ~held ~worth =
     let node = T.latest_available t.trace in
-    checkpoint_log t.logs.(p) ~upto:(T.idx node) ~worth (fun () ->
-        let state = state_at t node in
-        held := Some (node, state);
-        state)
+    let upto =
+      checkpoint_log t.logs.(p) ~upto:(T.idx node) ~worth (fun () ->
+          let state = state_at t node in
+          held := Some (node, state);
+          state)
+    in
+    (* A deferring object's node may be only acknowledged: the checkpoint
+       made it, and every acknowledgement below it, durable. *)
+    if Option.is_some upto && Option.is_some t.relaxed then
+      T.set_available node;
+    upto
 
   let prune t ~below = T.prune t.trace ~below ~state_before:(state_at t)
 
@@ -259,18 +293,24 @@ module Make_generic
     persist t p node payload;
     T.set_available node
 
-  (* A node whose persist failed is neither available nor abandoned: it
+  (* A node whose persist failed is neither durable nor abandoned: it
      stays ordered in the trace, and Prop 5.2's window bound counts one
      such node per process. So before its next update a process finishes
-     it: a later available node already persisted it in its window (no
+     it: a later durable node already persisted it in its window (no
      fence), else the process re-appends the node's window itself. Only
-     this fault path pays that fence. *)
+     this fault path pays that fence. Without deferral the newest visible
+     node is durable; with it, the node lies below that one's window. *)
+  let persisted_above t node =
+    let v = T.latest_available t.trace in
+    T.idx v > T.idx node
+    && (Option.is_none t.relaxed || T.is_available v
+       || T.idx node <= T.idx v - List.length (T.fuzzy_nodes t.trace v))
+
   let finish_failed t p =
     match t.failed.(p) with
     | None -> ()
     | Some node ->
-        if T.idx (T.latest_available t.trace) > T.idx node then
-          T.set_available node
+        if persisted_above t node then T.set_available node
         else
           persist_and_linearize t p node
             (Onll_util.Codec.encode record_codec
@@ -284,13 +324,16 @@ module Make_generic
     let fuzzy_len = List.length fuzzy in
     (* Prop 5.2 bounds the window by MAX-PROCESSES counting at most one
        in-flight operation per process; staged transaction sub-operations
-       (E19) are exempt — one process may have several staged at once.
-       Counted in one pass that allocates nothing. *)
+       (E19) are exempt — one process may have several staged at once —
+       and a deferring object adds the acknowledged operations its
+       widest budget leaves at risk. Counted in one pass that allocates
+       nothing. *)
     assert (
       List.fold_left
         (fun n e -> match e.e_txn with None -> n + 1 | Some _ -> n)
         0 fuzzy
-      <= M.max_processes);
+      <= M.max_processes
+         + match t.relaxed with None -> 0 | Some r -> r.widest - 1);
     if fuzzy_len > t.max_fuzzy then t.max_fuzzy <- fuzzy_len;
     if Onll_obs.Opstats.active t.ostats then begin
       Onll_obs.Opstats.observe_fuzzy t.ostats fuzzy_len;
@@ -349,6 +392,11 @@ module Make_generic
         if not (covered t node) then
           persist_window t p node (T.fuzzy_nodes t.trace node)
 
+  (* Process [p]'s node is durable: so is every operation it acknowledged
+     before, all below that node. *)
+  let forget_acks t p =
+    match t.ledger.(p) with [] -> () | _ :: _ -> t.ledger.(p) <- []
+
   (* Listing 3, or its combining variant. *)
   let update_env_body t env =
     finish_failed t env.e_proc;
@@ -363,7 +411,8 @@ module Make_generic
       persist_and_linearize t env.e_proc node payload
     end
     else combine t env.e_proc node;
-    let value = own_value t node in
+    forget_acks t env.e_proc;
+    let value = own_value t node ~durable:true in
     M.return_point ();
     value
 
@@ -386,6 +435,184 @@ module Make_generic
   let update_detectable t ~seq op =
     update_env t
       (envelope (claim_id t.seqs ~who:"Onll.update_detectable" ~seq) op)
+
+  (* {2 Deferred persistence: the stale tier (E20)}
+
+     A stale update orders its node under its budget, then either
+     acknowledges it unfenced or fences its window. It acknowledges while
+     the stale nodes of its window, itself included, number fewer than the
+     tightest budget among them. That keeps every acknowledged unfenced
+     set shorter than every budget in it: the set lies above the newest
+     durable node, so the window of its newest member held all of it, each
+     member ordered under or acknowledged under its budget, and flags only
+     move forward. A fence covers the whole window below its node, so the
+     durable set is always a prefix of the linearization: buffered durable
+     linearizability ("The Path to Durable Linearizability"). *)
+
+  let relaxed t =
+    match t.relaxed with
+    | Some r -> r
+    | None ->
+        let sink = sink t in
+        let reg =
+          if Onll_obs.Sink.active sink then Onll_obs.Sink.registry sink
+          else Onll_obs.Metrics.create ()
+        in
+        let r =
+          {
+            c_deferred = Onll_obs.Metrics.counter reg "fences.deferred";
+            c_drains = Onll_obs.Metrics.counter reg "fences.drains";
+            g_peak = Onll_obs.Metrics.gauge reg "risk.peak";
+            peak = 0;
+            widest = 1;
+          }
+        in
+        t.relaxed <- Some r;
+        r
+
+  (* Over [below], the nodes under a stale update's own in its window,
+     newest first: [Some depth], the stale operations its acknowledgement
+     would join, itself included, while [depth] stays under [bound], the
+     tightest budget among them and its own; [None] when it must fence.
+     A strict node is not counted: it is never acknowledged unfenced. A
+     node found durable ends the run: everything below it is. *)
+  let rec at_risk below ~depth ~bound =
+    match below with
+    | [] -> if depth < bound then Some depth else None
+    | (n, _) :: rest ->
+        let f = T.flag n in
+        if f = Trace_intf.durable then
+          if depth < bound then Some depth else None
+        else if f = Trace_intf.ordered then at_risk rest ~depth ~bound
+        else
+          at_risk rest ~depth:(depth + 1)
+            ~bound:(min bound (Trace_intf.budget f))
+
+  (* A drain: [node]'s window under one fence, then [node] and every
+     acknowledged node below it durable (under the combining policy every
+     node of it, as any of that policy's persists marks); [p]'s own acks
+     are durable. *)
+  let drain t p node window =
+    if P.wait_steps > 0 then persist_window t p node window
+    else begin
+      let fuzzy = List.map snd window in
+      observe_window t p fuzzy;
+      persist t p node
+        (Onll_util.Codec.encode record_codec
+           (Ops { exec_idx = T.idx node; envs = fuzzy }));
+      List.iter
+        (fun (n, _) -> if T.flag n > 0 then T.set_available n)
+        (List.tl window);
+      T.set_available node
+    end;
+    forget_acks t p;
+    Onll_obs.Metrics.incr (relaxed t).c_drains
+
+  (* [acks] without those at indices [<= lo], which lie below a durable
+     node; shared when none does. *)
+  let keep_above lo acks =
+    let rec all_above = function
+      | (i, _) :: rest -> i > lo && all_above rest
+      | [] -> true
+    in
+    let rec keep = function
+      | ((i, _) as e) :: rest when i > lo -> e :: keep rest
+      | _ -> []
+    in
+    if all_above acks then acks else keep acks
+
+  (* [node] acknowledged at [depth]: into [p]'s ledger, which keeps only
+     the acks still in the node's window. *)
+  let defer t r p node id window depth =
+    Onll_obs.Metrics.incr r.c_deferred;
+    if depth > r.peak then begin
+      r.peak <- depth;
+      Onll_obs.Metrics.set r.g_peak (float_of_int depth)
+    end;
+    let lo = T.idx node - List.length window in
+    t.ledger.(p) <- (T.idx node, id) :: keep_above lo t.ledger.(p)
+
+  (* An operation in flight below, in a window: one that may yet fence
+     it. *)
+  let rec in_flight = function
+    | [] -> false
+    | (n, _) :: rest ->
+        let f = T.flag n in
+        f <> Trace_intf.durable && ((not (Trace_intf.visible f)) || in_flight rest)
+
+  (* How many of its own steps an update the budget makes fence waits
+     first while an operation is in flight below it: that one may be a
+     drain whose fence covers the window, as a lock would have made it
+     wait for. Bounded, so the tier stays lock-free. *)
+  let drain_wait = 64
+
+  let stale_body t id env ~budget =
+    let p = env.e_proc in
+    finish_failed t p;
+    let node = T.insert ~budget t.trace env in
+    let r = relaxed t in
+    if budget > r.widest then r.widest <- budget;
+    let rec decide waits =
+      match T.fuzzy_nodes t.trace node with
+      | [] -> true (* a combining persist made it durable *)
+      | _ :: below as window -> (
+          match at_risk below ~depth:1 ~bound:budget with
+          | None when waits > 0 && in_flight below ->
+              M.yield ();
+              decide (waits - 1)
+          | None ->
+              drain t p node window;
+              true
+          | Some depth when T.set_acked node ~budget ->
+              defer t r p node id window depth;
+              false
+          | Some _ -> true (* a combining persist made it durable first *))
+    in
+    let durable = decide drain_wait in
+    let value = own_value t node ~durable in
+    M.return_point ();
+    value
+
+  (* No closure is built for the attribution while the sink is off. *)
+  let update_stale t ~budget op =
+    if budget < 1 then invalid_arg "Onll.update_stale: budget must be >= 1";
+    let id = next_id t.seqs in
+    let env = envelope id op in
+    ( id,
+      if Onll_obs.Opstats.active t.ostats then
+        attributed t Onll_obs.Opstats.update_done (fun () ->
+            stale_body t id env ~budget)
+      else stale_body t id env ~budget )
+
+  (* The acknowledged unfenced operations: the window of the newest
+     visible node, when that is not durable. *)
+  let at_risk_window t =
+    let node = T.latest_available t.trace in
+    if T.is_available node then None
+    else
+      match T.fuzzy_nodes t.trace node with
+      | [] -> None
+      | window -> Some (node, window)
+
+  (* The explicit lazy fence, attributed to the checkpoint class: it is
+     maintenance durability work, never an update's. It first finishes
+     the caller's update a fault cut short. *)
+  let flush t =
+    attributed t Onll_obs.Opstats.checkpoint_done (fun () ->
+        let p = M.self () in
+        finish_failed t p;
+        Option.iter
+          (fun (node, window) -> drain t p node window)
+          (at_risk_window t))
+
+  let pending_ops t =
+    match at_risk_window t with
+    | None -> 0
+    | Some (_, window) ->
+        List.fold_left (fun n (m, _) -> if T.flag m > 0 then n + 1 else n) 0
+          window
+
+  let risk_peak t = match t.relaxed with None -> 0 | Some r -> r.peak
 
   (* Listing 4. *)
   let read_body t rop =
@@ -420,12 +647,8 @@ module Make_generic
     Array.fill t.failed 0 (Array.length t.failed) None;
     (r.report, r.txns)
 
-  let recover_txn t ~extra = recover_core t ~hardened:true ~extra
-  let recover_report t = fst (recover_core t ~hardened:true ~extra:[])
-
-  let recover t = Recovery_report.check (recover_report t)
-
   let recover_unhardened t =
+    Array.fill t.ledger 0 (Array.length t.ledger) [];
     ignore (recover_core t ~hardened:false ~extra:[])
 
   (* Fences are attributed to ["fences.scrub"], never to the per-update
@@ -450,22 +673,36 @@ module Make_generic
            | None -> false)
          (T.to_list t.trace)
 
-  (* {2 E19 and E20: staged updates ({!Onll_txn}, {!Onll_relaxed})}
+  (* Hardened recovery, then the ledger settled: every acknowledgement
+     still at risk at the crash is either linearized in the rebuilt
+     state or named in [lost_acked], by process, oldest first. *)
+  let recover_hardened t ~extra =
+    let report, txns = recover_core t ~hardened:true ~extra in
+    let lost = ref [] in
+    for p = Array.length t.ledger - 1 downto 0 do
+      List.iter
+        (fun (_, id) -> if not (was_linearized t id) then lost := id :: !lost)
+        t.ledger.(p);
+      t.ledger.(p) <- []
+    done;
+    ({ report with Recovery_report.lost_acked = !lost }, txns)
+
+  let recover_txn t ~extra = recover_hardened t ~extra
+  let recover_report t = fst (recover_hardened t ~extra:[])
+
+  let recover t = Recovery_report.check (recover_report t)
+
+  (* {2 E19: staged updates ({!Onll_txn})}
 
      The order/persist/linearize split of a single update, exposed so a
-     caller can run each stage itself: [stage_txn] orders an operation
-     (insert, not yet available, no durable write), [persist_staged]
-     writes a run of staged operations as one fenced Ops record (a
-     relaxed drain), and [finish_txn] linearizes a staged node. A
-     transaction persists its sub-operations with one fence in its
-     coordinator's region instead, and [inject_txn_run] is the
-     recovery-side idempotent re-apply for committed sub-operations no
-     log or oracle could place. *)
+     coordinator can run each stage itself: [stage_txn] orders an
+     operation (insert, not yet visible, no durable write) and
+     [finish_txn] linearizes a staged node once the transaction persisted
+     its sub-operations with one fence in the coordinator's region.
+     [inject_txn_run] is the recovery-side idempotent re-apply for
+     committed sub-operations no log or oracle could place. *)
 
-  type staged = {
-    st_node : (envelope, istate, value) T.node;
-    st_env : envelope;
-  }
+  type staged = (envelope, istate, value) T.node
 
   (* Allocate the next per-process sequence number without running an
      update, or claim the caller's [seq] as [update_detectable] does. The
@@ -481,13 +718,13 @@ module Make_generic
     if seq >= t.seqs.(p) then
       invalid_arg "Onll.stage_txn: sequence number was not reserved";
     let env = { e_proc = p; e_seq = seq; e_op = op; e_txn = payload } in
-    { st_node = T.insert t.trace env; st_env = env }
+    T.insert t.trace env
 
-  let staged_idx s = T.idx s.st_node
+  let staged_idx = T.idx
 
   let finish_txn t s =
-    T.set_available s.st_node;
-    own_value t s.st_node
+    T.set_available s;
+    own_value t s ~durable:true
 
   (* One fenced Ops record in the calling process's log for a run of
      envelopes at contiguous execution indices, given oldest first with
@@ -500,9 +737,6 @@ module Make_generic
         append_record t (M.self ()) ~exec_idx
           (Onll_util.Codec.encode record_codec
              (Ops { exec_idx; envs = List.map fst newest_first }))
-
-  let persist_staged t staged =
-    append_run t (List.map (fun s -> (s.st_env, T.idx s.st_node)) staged)
 
   (* Insert and linearize a run of committed sub-operations during the
      coordinator sweep, then log it as one run (the inserts are

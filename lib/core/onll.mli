@@ -11,10 +11,14 @@
 
     An update runs the paper's three stages — {b order} (append a
     descriptor to the transient execution trace, fixing the linearization
-    order), {b persist} (append the operation and every not-yet-available
+    order), {b persist} (append the operation and every not-yet-durable
     predecessor to the caller's single-fence persistent log), {b linearize}
-    (set the descriptor's available flag) — and computes its return value
-    from the trace prefix. Reads never write NVM. §8's read acceleration
+    (set the descriptor's flag durable) — and computes its return value
+    from the trace prefix. A stale update ({!CONSTRUCTION.update_stale})
+    defers the persist stage: it acknowledges its node unfenced under a
+    staleness budget, and an update fences its window only when it holds
+    an operation still in flight or has reached the tightest budget in
+    it. Reads never write NVM. §8's read acceleration
     (the paper's local views) is one published state per trace node
     ({!Slot}): every operation is applied once, and a read at a published
     node applies none.
@@ -67,15 +71,15 @@ module Recovery_report : sig
     salvage : (string * Onll_plog.Plog.salvage_report) list;
         (** per-log media repairs (log region name, report) *)
     lost_acked : op_id list;
-        (** E20 (relaxed mode): operations that were
-            acknowledged to their caller fence-free under a staleness
-            budget and whose sole copy was still volatile at the crash.
-            Always [[]] from the strict constructions — only a relaxed
-            wrapper ([Onll_relaxed]) can know an operation was acked, so
-            only it fills this in. Budgeted loss is admitted, precisely
-            accounted, and bounded by the configured risk budget; it does
-            {e not} flip {!detected_loss}, which reports loss of
-            {e durable} data. *)
+        (** E20 (the stale tier): operations that were acknowledged to
+            their caller fence-free under a staleness budget
+            ({!CONSTRUCTION.update_stale}) and whose sole copy was still
+            volatile at the crash, by process, oldest first. Only the
+            engine's per-process ledger of unfenced acknowledgements
+            knows an operation was acked, so an object that never
+            deferred reports [[]]. Budgeted loss is admitted, precisely
+            accounted, and bounded by the budget; it does {e not} flip
+            {!detected_loss}, which reports loss of {e durable} data. *)
   }
 
   val detected_loss : t -> bool
@@ -291,9 +295,46 @@ module type CONSTRUCTION = sig
       {!Onll_session} and [onll serve] build on.
       @raise Invalid_argument on reuse, with no state change. *)
 
+  val update_stale : t -> budget:int -> update_op -> op_id * value
+  (** Buffered durable linearizability ("The Path to Durable
+      Linearizability"), E20: the update is ordered (under [budget]) and
+      linearized as {!update}'s, and then acknowledged {e unfenced} —
+      visible to reads, durable later — unless the stale operations of
+      its window (walked back to the first durable node), this one
+      included, reach the tightest budget any of them was given. Then it
+      fences the whole window instead, as {!update} does: a {e drain},
+      after which every acknowledged node below it is durable. Before it
+      drains it waits, a bounded number of its own steps, while an
+      operation is in flight below it, whose fence may cover the window.
+      So fewer acknowledged operations than that budget are ever at risk,
+      they are always the newest ones (a crash loses a suffix, never an
+      interior operation), and a solo process pays one fence every
+      [budget] updates. {!update} and every strict update fence the
+      window too, so they cover every deferred predecessor. Returns the
+      operation's identity, which the process's ledger keeps until a
+      fence covers it.
+      @raise Invalid_argument if [budget < 1], before any effect. *)
+
+  val flush : t -> unit
+  (** Drain now: one fence if any acknowledged operation is unfenced,
+      attributed to the checkpoint class, after finishing the calling
+      process's update a fault cut short (as its next update would).
+      After [flush] returns, every previously acknowledged operation is
+      durable, and so is that update.
+      @raise Onll_nvm.Memory.Transient_fault as {!update} does. *)
+
+  val pending_ops : t -> int
+  (** The acknowledged operations at risk now (fence-free, introspection). *)
+
+  val risk_peak : t -> int
+  (** The deepest window of stale operations an acknowledgement joined,
+      itself included: a bound on the acknowledged operations ever at
+      risk at once, below the tightest budget in use. *)
+
   val read : t -> read_op -> value
   (** Apply a read-only operation: no shared-memory writes, no NVM
-      accesses, no fences. *)
+      accesses, no fences. It sees every visible operation, acknowledged
+      unfenced ones included (the stale tier's contract). *)
 
   (** {1 Crash recovery} *)
 
@@ -323,14 +364,16 @@ module type CONSTRUCTION = sig
       — every repair it performs is idempotent, and a final uninterrupted
       run yields the same adopted history. Sequence allocation is bumped
       past {e every} identity seen in any log — including unadoptable
-      ones — so post-recovery updates never reuse a pre-crash id. *)
+      ones — so post-recovery updates never reuse a pre-crash id. Last,
+      it settles the ledger of unfenced acknowledgements: each is either
+      linearized now or named in [lost_acked]. *)
 
   val recover_unhardened : t -> unit
   (** The pre-hardening recovery: per-log truncating scan, first-wins on
       disagreements, silent stop at the first gap — no salvage, no report,
       no error. The deliberately broken calibration baseline for the chaos
       campaign (E12), which must catch it silently losing data; never use
-      it otherwise. *)
+      it otherwise. It forgets the ledger of unfenced acknowledgements. *)
 
   val scrub : t -> Onll_plog.Plog.scrub_report
   (** Online self-healing (E13): CRC-walk every process's log across its
@@ -366,10 +409,11 @@ module type CONSTRUCTION = sig
   (** {1 §8 extensions: reclamation} *)
 
   val checkpoint : t -> int
-  (** Summarise the history up to the newest available operation into the
-      caller's log and drop the log prefix this makes redundant. The
-      checkpoint encodes the state once (the newest available node's
-      published state), appends one record and drops the prefix
+  (** Summarise the history up to the newest visible operation
+      (acknowledged unfenced ones included) into the caller's log and drop
+      the log prefix this makes redundant. The checkpoint encodes the
+      state once (the newest visible node's published state), appends one
+      record and drops the prefix
       from the log's in-memory account of record keys
       ({!Onll_plog.Plog.Make.drop_upto}) without reading the log back —
       except the first checkpoint after a scrub, which rebuilds that
@@ -397,13 +441,13 @@ module type CONSTRUCTION = sig
   val prune : t -> below:int -> unit
   (** Make trace nodes with execution index < [below] unreachable,
       materialising their cumulative state (the node at [below] must be
-      available), from the state published at [below - 1] — the fold
+      visible), from the state published at [below - 1] — the fold
       that published a checkpoint's state left the one below in its slot,
       so [prune t ~below:(checkpoint t)] applies nothing. A prune at or
       below the current base is a no-op. A node obtained before the prune
       passed it still computes ({!Wf_trace} keeps each node's base).
       @raise Invalid_argument if the node at [below] does not exist or is
-      not available. *)
+      not visible. *)
 
   (** {1 Introspection (tests, scenarios, reports)} *)
 
@@ -412,15 +456,17 @@ module type CONSTRUCTION = sig
   val envelope_id : envelope -> op_id
   val envelope_op : envelope -> update_op
 
-  val trace_nodes : t -> (int * bool * envelope option) list
-  (** Reachable trace nodes, oldest first: (execution index, available
-      flag, operation — [None] for the sentinel). *)
+  val trace_nodes : t -> (int * int * envelope option) list
+  (** Reachable trace nodes, oldest first: (execution index, flag —
+      {!Trace_intf.ordered}, {!Trace_intf.durable} or the budget an
+      acknowledged node was acked under — operation, [None] for the
+      sentinel). *)
 
   val trace_base : t -> int * state
   (** The trace's summarised base: index and materialised state. *)
 
   val current_state : t -> state
-  (** State at the newest available operation. *)
+  (** State at the newest visible operation. *)
 
   val snapshot : t -> Snapshot.t
   (** Every introspection statistic in one call, decoding each log once:
@@ -446,17 +492,13 @@ end
     commit payload, so any concurrent update that helps persist it
     (Listing 3's fuzzy window) thereby durably commits the whole
     transaction — that is what keeps a staged-but-uncommitted node from
-    ever becoming durable {e without} its transaction.
-
-    The relaxed wrapper ({!Onll_relaxed}, E20) stages without a payload,
-    linearizes at once, and persists a run of staged operations later,
-    with one fence, through {!persist_staged}. *)
+    ever becoming durable {e without} its transaction. *)
 module type TXN_CAPABLE = sig
   include CONSTRUCTION
 
   type staged
   (** An ordered-but-not-yet-linearized operation: a trace node that is
-      not available and has no durable copy of its own yet. *)
+      not visible and has no durable copy of its own yet. *)
 
   val reserve_seq : ?seq:int -> t -> int
   (** Allocate (and consume) the calling process's next sequence number
@@ -469,7 +511,7 @@ module type TXN_CAPABLE = sig
 
   val stage_txn : ?payload:string -> t -> seq:int -> update_op -> staged
   (** Order stage only: insert the operation into the trace, tagged with
-      the transaction's commit [payload] when given, not yet available,
+      the transaction's commit [payload] when given, not yet visible,
       nothing written durably. [seq] must come from {!reserve_seq}.
       @raise Invalid_argument if [seq] was never reserved. *)
 
@@ -478,23 +520,16 @@ module type TXN_CAPABLE = sig
       so recovery can re-adopt the sub-operation in place. *)
 
   val finish_txn : t -> staged -> value
-  (** Linearize stage: set the staged node available and compute its
+  (** Linearize stage: set the staged node durable and compute its
       return value from the trace prefix. No fences. Call only after the
-      transaction's commit record is durable (a relaxed ack may call it
-      before {!persist_staged}: that is its risk budget). *)
-
-  val persist_staged : t -> staged list -> unit
-  (** Persist stage for a run of staged operations at contiguous
-      execution indices, oldest first: one fenced [Ops] record in the
-      calling process's log — the record Listing 3 writes for a fuzzy
-      window, compacting first when the log says so — which recovery
-      adopts like any other. *)
+      transaction's commit record is durable. *)
 
   val inject_txn_run : t -> (op_id * update_op) list -> int list
   (** Recovery-side re-apply for committed sub-operations absent from the
       rebuilt trace: insert each (oldest first), linearize it, and make
-      the whole run durable as {!persist_staged} does, returning the
-      assigned execution indices. Identities are registered with
+      the whole run durable as one fenced [Ops] record in the calling
+      process's log — the record Listing 3 writes for a fuzzy window —
+      returning the assigned execution indices. Identities are registered with
       {!CONSTRUCTION.recovered_ops} / {!CONSTRUCTION.was_linearized} and
       sequence allocation is bumped past them. *)
 

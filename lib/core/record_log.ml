@@ -623,10 +623,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Spec.S) = struct
     if Onll_obs.Sink.active sink then
       Onll_obs.Sink.emit sink ~proc:(M.self ())
         (Onll_obs.Event.Recovery { ops = report.recovered_ops });
-    (* Only a relaxed-mode wrapper ({!Onll_relaxed}) knows which acked
-       operations were still unfenced at the crash; the engines cannot
-       distinguish a lost unfenced suffix from operations that were
-       simply never invoked, so they report none. *)
+    (* The logs cannot tell a lost unfenced suffix from operations that
+       were simply never invoked: the engine's ledger of unfenced
+       acknowledgements fills [lost_acked] after this. *)
     let report = { report with decode_failures = !failures; salvage } in
     (* The degraded-mode policy: detected loss never stops the object, but
        it is admitted, stickily, until the object is rebuilt. *)

@@ -2,10 +2,10 @@
 
     A lock-free, tail-linked list of the update operations applied to the
     object, newest at the tail, each node carrying a dense execution index
-    and an available flag. The suffix of nodes with unset available flags up
-    to (but not including) the newest node whose flag is set is the {e fuzzy
-    window}: operations whose durability and linearization are not yet
-    guaranteed (Figure 2). Available flags are only ever set, never cleared.
+    and a flag ({!Trace_intf}: ordered, acknowledged or durable). The
+    suffix of nodes that are not durable, up to (but not including) the
+    newest durable node, is the {e fuzzy window}: operations whose
+    durability is not yet guaranteed (Figure 2). Flags only move forward.
 
     Extension (§8): the oldest end of the chain may be terminated by a
     {!link.Base} summarising the pruned prefix as a materialised state, which
@@ -24,7 +24,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   type ('env, 'state, 'value) node = {
     env : 'env option;  (** [None] only for the sentinel *)
     mutable idx : int;  (** fixed once the node is published *)
-    available : bool M.Tvar.t;
+    flag : int M.Tvar.t;  (** {!Trace_intf.ordered}, acked or durable *)
     next : ('env, 'state, 'value) link M.Tvar.t;  (** towards older operations *)
     mutable slot : ('state, 'value) Slot.t;
   }
@@ -43,7 +43,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       {
         env = None;
         idx = base_idx;
-        available = M.Tvar.make true;
+        flag = M.Tvar.make Trace_intf.durable;
         next = M.Tvar.make (Base (base_idx, base_state));
         slot = Slot.Empty;
       }
@@ -53,7 +53,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   (* Listing 2, [insert]: assign the next execution index and CAS the node
      in at the tail. The [idx] and [next] writes happen before publication,
      so they are safe plain writes. *)
-  let insert t env =
+  let insert ?budget t env =
     let rec loop node =
       if Onll_obs.Sink.active t.tr_sink then
         Onll_obs.Sink.emit t.tr_sink ~proc:(M.self ())
@@ -69,7 +69,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       {
         env = Some env;
         idx = ltail.idx + 1;
-        available = M.Tvar.make false;
+        flag =
+          M.Tvar.make
+            (match budget with
+            | None -> Trace_intf.ordered
+            | Some b -> Trace_intf.ordered_under b);
         next = M.Tvar.make (Older ltail);
         slot = Slot.Empty;
       }
@@ -79,21 +83,27 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   let tail t = M.Tvar.get t.tail
   let idx n = n.idx
-  let is_available n = M.Tvar.get n.available
-  let set_available n = M.Tvar.set n.available true
+  let flag n = M.Tvar.get n.flag
+  let is_available n = M.Tvar.get n.flag = Trace_intf.durable
+  let set_available n = M.Tvar.set n.flag Trace_intf.durable
+
+  let set_acked n ~budget =
+    M.Tvar.cas n.flag ~expected:(Trace_intf.ordered_under budget)
+      ~desired:budget
+
   let is_newest t node = tail t == node
 
-  (* Listing 2, [latestAvailable]: first node with a set available flag,
-     walking from the given node towards older operations. Total: available
-     flags are never cleared and every chain ends in an available node (the
-     sentinel or a prune point, which is available by construction). *)
+  (* Listing 2, [latestAvailable]: first visible node (acknowledged or
+     durable), walking from the given node towards older operations.
+     Total: flags only move forward and every chain ends in a visible
+     node (the sentinel or a prune point, visible by construction). *)
   let rec latest_available_from node =
-    if M.Tvar.get node.available then node
+    if Trace_intf.visible (M.Tvar.get node.flag) then node
     else
       match M.Tvar.get node.next with
       | Older older -> latest_available_from older
       | Base _ ->
-          (* Unreachable: a node whose [next] is a base is available. *)
+          (* Unreachable: a node whose [next] is a base is visible. *)
           assert false
 
   (* A node whose state left its slot has newer published (under the
@@ -109,31 +119,37 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let latest_available t = settle t (latest_available_from (tail t))
 
   (* Listing 2, [getFuzzyOps]: the envelopes of [node] and of the
-     not-yet-available operations preceding it, newest first. Indices are
-     contiguous and descending from [node.idx]. Bounded by MAX-PROCESSES
-     (Proposition 5.2), so the list is built on the way back, with no
-     reversal. *)
+     not-yet-durable operations preceding it, newest first, down to the
+     first durable node or the base (a node whose [next] is a base at its
+     own index is inside it). Indices are contiguous and descending from
+     [node.idx]. Bounded by MAX-PROCESSES (Proposition 5.2) plus the
+     acknowledged nodes a budget allows, so the list is built on the way
+     back, with no reversal. *)
   let rec fuzzy_envs t curr =
-    if M.Tvar.get curr.available then []
+    if M.Tvar.get curr.flag = Trace_intf.durable then []
     else
-      let older =
-        match M.Tvar.get curr.next with
-        | Older older -> fuzzy_envs t older
-        | Base _ -> assert false
-      in
-      match curr.env with Some e -> e :: older | None -> older
+      match M.Tvar.get curr.next with
+      | Base (i, _) when i = curr.idx -> []
+      | link -> (
+          let older =
+            match link with Older older -> fuzzy_envs t older | Base _ -> []
+          in
+          match curr.env with Some e -> e :: older | None -> older)
 
   (* The same window with each envelope's node. *)
   let fuzzy_nodes _t node =
     let rec walk curr acc =
-      if M.Tvar.get curr.available then List.rev acc
+      if M.Tvar.get curr.flag = Trace_intf.durable then List.rev acc
       else
-        let acc =
-          match curr.env with Some e -> (curr, e) :: acc | None -> acc
-        in
         match M.Tvar.get curr.next with
-        | Older older -> walk older acc
-        | Base _ -> assert false
+        | Base (i, _) when i = curr.idx -> List.rev acc
+        | link -> (
+            let acc =
+              match curr.env with Some e -> (curr, e) :: acc | None -> acc
+            in
+            match link with
+            | Older older -> walk older acc
+            | Base _ -> List.rev acc)
     in
     walk node []
 
@@ -201,14 +217,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         (try ignore (fold ~deep ~apply node : _) with Passed -> ());
         value_from ~deep:true node ~apply
 
-  let value_at _t node ~apply = value_from ~deep:false node ~apply
+  let value_at _t node ~durable:_ ~apply = value_from ~deep:false node ~apply
 
   (* All reachable nodes, oldest first, for recovery checks and tests. *)
   let to_list t =
     let rec walk curr acc =
-      let acc =
-        (curr.idx, M.Tvar.get curr.available, curr.env) :: acc
-      in
+      let acc = (curr.idx, M.Tvar.get curr.flag, curr.env) :: acc in
       match M.Tvar.get curr.next with
       | Base _ -> acc
       | Older older -> walk older acc
@@ -225,8 +239,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   (* §8 pruning: make nodes with index < [below] unreachable by installing a
      base summarising them. Requires the node at [below] to exist and be
-     available (so no fuzzy-window or latest-available walk can need the
-     pruned prefix), and a state function to materialise the summary. A
+     visible (so no latest-available walk can need the pruned prefix, and
+     a fuzzy window stops at the base), and a state function to
+     materialise the summary. A
      prune at or below the current base is a no-op, as after a deeper
      concurrent prune. *)
   let prune t ~below ~state_before =
@@ -249,8 +264,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             | Base (i, _) when i = older.idx ->
                 ()  (* the base is already at [below - 1] *)
             | Base _ | Older _ ->
-                if not (M.Tvar.get node.available) then
-                  invalid_arg "Trace.prune: node not yet available";
+                if not (Trace_intf.visible (M.Tvar.get node.flag)) then
+                  invalid_arg "Trace.prune: node not yet visible";
                 M.Tvar.set node.next (Base (node.idx - 1, state_before older))))
 
   (* §8 compaction: [node] holds the base itself. Unconditional: on a node

@@ -7,7 +7,31 @@
     swapped for a wait-free one without touching the fence argument.
 
     Every node carries a {!Slot}: the state after it and the value of its
-    own operation, published by the first fold through it. *)
+    own operation, published by the first fold through it.
+
+    Every node also carries one flag, which moves only forward: {e ordered}
+    (inserted, invisible to reads) → {e acknowledged} unfenced under a
+    staleness budget [b >= 1] (visible to reads, not yet durable) →
+    {e durable} (visible, and every node at or below it is in some log
+    record or checkpoint). A Listing 3 update goes straight from ordered
+    to durable; only a stale update ({!Onll.CONSTRUCTION.update_stale})
+    passes through the middle state, and its node is ordered {e under}
+    its budget from its insertion on, so a window that meets it knows the
+    budget it may be acknowledged under. "Available", the paper's word,
+    is durable here. *)
+
+let ordered = 0
+let durable = -1
+
+(* Ordered, to be acknowledged under [b >= 1] if at all. *)
+let ordered_under b = -1 - b
+
+(* Acknowledged or durable. *)
+let visible f = f > 0 || f = durable
+
+(* The budget a stale node was or may be acknowledged under; [f] is
+   [ordered_under b] or [b]. *)
+let budget f = if f > 0 then f else -1 - f
 
 module type S = sig
   type ('env, 'state, 'value) t
@@ -22,25 +46,43 @@ module type S = sig
   (** [sink] (default {!Onll_obs.Sink.null}) receives [Cas_retry] events
       (and, on helping traces, [Help] events). *)
 
-  val insert : ('env, 'state, 'value) t -> 'env -> ('env, 'state, 'value) node
-  (** Append an operation, assigning it the next execution index. *)
+  val insert :
+    ?budget:int -> ('env, 'state, 'value) t -> 'env -> ('env, 'state, 'value) node
+  (** Append an operation, assigning it the next execution index, its
+      flag {!ordered}, or [ordered_under budget] when given. *)
 
   val idx : ('env, 'state, 'value) node -> int
   (** Only meaningful for nodes the caller inserted or that were observed
-      available. *)
+      visible. *)
+
+  val flag : ('env, 'state, 'value) node -> int
+  (** {!ordered}, [ordered_under b], the budget [b >= 1] the node was
+      acknowledged under, or {!durable}. *)
 
   val is_available : ('env, 'state, 'value) node -> bool
+  (** The flag is {!durable}. *)
+
   val set_available : ('env, 'state, 'value) node -> unit
+  (** Set the flag {!durable}: only once the node and every node below it
+      are in some log record or checkpoint. *)
+
+  val set_acked : ('env, 'state, 'value) node -> budget:int -> bool
+  (** Move a node ordered under [budget] to acknowledged under it (a
+      CAS); [false] if it was no longer ordered (a combining persist made
+      it durable). *)
 
   val latest_available :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node
-  (** The newest available node, found again while the one found has a
-      newer one and its state has left its slot ({!Slot}). *)
+  (** The newest visible node (acknowledged or durable), found again
+      while the one found has a newer one and its state has left its slot
+      ({!Slot}). *)
 
   val fuzzy_envs :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'env list
-  (** [node]'s envelope plus the not-yet-available operations preceding it,
-      newest first, with contiguous descending execution indices. *)
+  (** [node]'s envelope plus the not-yet-durable operations preceding it
+      (ordered or acknowledged), newest first, with contiguous descending
+      execution indices: the walk stops at the first durable node, or at
+      the base, whose operations a checkpoint holds. *)
 
   val fuzzy_nodes :
     ('env, 'state, 'value) t ->
@@ -63,13 +105,17 @@ module type S = sig
   val value_at :
     ('env, 'state, 'value) t ->
     ('env, 'state, 'value) node ->
+    durable:bool ->
     apply:('state -> 'env -> 'state * 'value) ->
     'value
   (** The value of [node]'s operation, for its owner, who asks once
-      ({!Slot.take}). *)
+      ({!Slot.take}), once the node is visible; [durable] says whether it
+      is durable (a trace that starts its walks at a node it keeps per
+      process keeps only a durable one). *)
 
-  val to_list : ('env, 'state, 'value) t -> (int * bool * 'env option) list
-  (** All reachable nodes, oldest first, for tests and recovery checks. *)
+  val to_list : ('env, 'state, 'value) t -> (int * int * 'env option) list
+  (** All reachable nodes with their flags, oldest first, for tests and
+      recovery checks. *)
 
   val base_of : ('env, 'state, 'value) t -> int * 'state
 
@@ -83,11 +129,11 @@ module type S = sig
       obtained before the prune passed it still answers {!state_at}.
       A prune at or below the current base is a no-op.
       @raise Invalid_argument if the node at [below] does not exist or is
-      not available. *)
+      not visible. *)
 
   val rebase :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'state -> unit
-  (** Compaction's prune (§8): the available [node], whose state is
+  (** Compaction's prune (§8): the visible [node], whose state is
       given, becomes the base, its own operation included. A no-op at or
       below the current base; a node obtained before still answers
       {!state_at}. *)

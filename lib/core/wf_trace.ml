@@ -15,13 +15,13 @@
        from [Null], which helpers can perform for a stalled announcer
        without the write-after-publication races a backward [next] would
        need);}
-    {- traversals therefore start from an older {e available} cell and walk
-       forward. The trace keeps a per-process cursor (the available cell
+    {- traversals therefore start from an older {e durable} cell and walk
+       forward. The trace keeps a per-process cursor (the durable cell
        that process last computed a state at) so steady-state scans cover
        only the delta, and a fold finds the newest published state (see
        {!Slot}) scanning forward from it; execution indices are
        recomputed while walking, because a cell's stored index is only
-       guaranteed once the cell is available (or owned by the caller);}
+       guaranteed once the cell is visible (or owned by the caller);}
     {- pruning (§8) installs a new {e base}: a fresh sentinel at
        [below - 1], linked forward to the cell at [below] and carrying the
        state before it. Nothing is unlinked — the garbage collector is the
@@ -42,7 +42,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     mutable idx : int;
         (* written (with the same value) by every finishing helper, before
            the owner's announcement is released *)
-    available : bool M.Tvar.t;
+    flag : int M.Tvar.t;  (* Trace_intf.ordered, acked or durable *)
     next : ('env, 'state, 'value) link M.Tvar.t;  (* towards NEWER operations *)
     owner : int;  (* announcing process, for claim resolution *)
     mutable slot : ('state, 'value) Slot.t;
@@ -78,8 +78,10 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     tail : ('env, 'state, 'value) cell M.Tvar.t;  (* may lag by one link *)
     state : ('env, 'state, 'value) desc M.Tvar.t array;  (* per process *)
     cursors : ('env, 'state, 'value) cell array;
-        (* per process: the available cell it last computed a state at;
-           written by its owner and clamped by prunes *)
+        (* per process: the durable cell it last computed a state at (or
+           a base): a window scan starts there, so it is never a cell
+           that is only acknowledged; written by its owner and clamped by
+           prunes *)
     sink : Onll_obs.Sink.t;
   }
 
@@ -87,7 +89,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     {
       env = None;
       idx;
-      available = M.Tvar.make true;
+      flag = M.Tvar.make Trace_intf.durable;
       next = M.Tvar.make next;
       owner = -1;
       slot = Slot.Empty;
@@ -106,8 +108,13 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     }
 
   let idx n = n.cell.idx
-  let is_available n = M.Tvar.get n.cell.available
-  let set_available n = M.Tvar.set n.cell.available true
+  let flag n = M.Tvar.get n.cell.flag
+  let is_available n = M.Tvar.get n.cell.flag = Trace_intf.durable
+  let set_available n = M.Tvar.set n.cell.flag Trace_intf.durable
+
+  let set_acked n ~budget =
+    M.Tvar.cas n.cell.flag ~expected:(Trace_intf.ordered_under budget)
+      ~desired:budget
 
   (* {2 Kogan–Petrank insertion} *)
 
@@ -185,14 +192,18 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
       Onll_obs.Sink.emit t.sink ~proc:p
         (Onll_obs.Event.Help { helped = !helped })
 
-  let insert t env =
+  let insert ?budget t env =
     let p = M.self () in
     let n_base = M.Tvar.get t.base in
     let cell =
       {
         env = Some env;
         idx = 0;
-        available = M.Tvar.make false;
+        flag =
+          M.Tvar.make
+            (match budget with
+            | None -> Trace_intf.ordered
+            | Some b -> Trace_intf.ordered_under b);
         next = M.Tvar.make Null;
         owner = p;
         slot = Slot.Empty;
@@ -210,9 +221,9 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
 
   (* {2 Forward traversals}
 
-     All scans start from an available cell (a per-process cursor or a
-     base) and recompute indices while walking, so they never read the
-     mutable [idx] of a cell that is not yet finished. *)
+     All scans start from a durable cell (a per-process cursor or a base)
+     and recompute indices while walking, so they never read the mutable
+     [idx] of a cell that is not yet finished. *)
 
   (* Fold [f] over the cells strictly after [start], oldest first, carrying
      the running index. *)
@@ -226,8 +237,8 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     in
     go start start_idx init
 
-  (* The caller's scan start: its cursor (always an available cell),
-     clamped to [base]. *)
+  (* The caller's scan start: its cursor (always a durable cell or a
+     base), clamped to [base]. *)
   let cursor t base =
     let c = t.cursors.(M.self ()) in
     if c.idx < base.b_cell.idx then base.b_cell else c
@@ -241,7 +252,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     let start = cursor t n_base in
     let best =
       fold_forward start start.idx ~init:start ~f:(fun best n _ ->
-          if M.Tvar.get n.available then n else best)
+          if Trace_intf.visible (M.Tvar.get n.flag) then n else best)
     in
     { cell = best; n_base }
 
@@ -255,7 +266,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
 
   let latest_available t = settle t (newest_available t)
 
-  (* The cells after the newest available one at or below [node], up to
+  (* The cells after the newest durable one at or below [node], up to
      [node], newest first with their indices. *)
   let window t node =
     let node = node.cell and start = cursor t node.n_base in
@@ -263,14 +274,14 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
       fold_forward start start.idx ~init:(start, [])
         ~f:(fun (last_avail, suffix) n n_idx ->
           if n_idx > node.idx then (last_avail, suffix)
-          else if M.Tvar.get n.available then (n, [])
+          else if M.Tvar.get n.flag = Trace_intf.durable then (n, [])
           else (last_avail, (n_idx, n) :: suffix))
     in
     suffix_rev
 
   let env n = match n.env with Some e -> e | None -> assert false
 
-  (* An empty window is shielded: some available cell at or above the
+  (* An empty window is shielded: some durable cell at or above the
      node already covers the prefix, so the node persists just itself
      (contiguity trivially holds). *)
   let fuzzy_envs t node =
@@ -334,7 +345,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
   let set n p = n.slot <- p
   let env n = Option.get n.env
 
-  (* The caller's cursor moves to an available target: the next fold and
+  (* The caller's cursor moves to a durable target: the next fold and
      scan start there. *)
   let state_at t node ~apply =
     let target = node.cell in
@@ -345,19 +356,20 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
           let s, below, above = start_of t node in
           Slot.replay ~slot ~set ~env ~apply s below above
     in
-    if M.Tvar.get target.available then advance_cursor t target;
+    if M.Tvar.get target.flag = Trace_intf.durable then
+      advance_cursor t target;
     state
 
-  let value_at t node ~apply =
+  let value_at t node ~durable ~apply =
     if node.cell.slot == Slot.Empty then ignore (state_at t node ~apply)
-    else advance_cursor t node.cell;
+    else if durable then advance_cursor t node.cell;
     Option.get (Slot.take node.cell.slot)
 
   let to_list t =
     let b = (M.Tvar.get t.base).b_cell in
     fold_forward b b.idx
-      ~init:[ (b.idx, M.Tvar.get b.available, b.env) ]
-      ~f:(fun acc n n_idx -> (n_idx, M.Tvar.get n.available, n.env) :: acc)
+      ~init:[ (b.idx, M.Tvar.get b.flag, b.env) ]
+      ~f:(fun acc n n_idx -> (n_idx, M.Tvar.get n.flag, n.env) :: acc)
     |> List.rev
 
   let base_of t =
@@ -379,7 +391,7 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
     end
 
   (* §8 pruning: a new base at [below - 1] whose sentinel links to the
-     cell at [below], which must exist and be available. A prune at or
+     cell at [below], which must exist and be visible. A prune at or
      below the current base is a no-op (a deeper concurrent one got
      there first). *)
   let prune t ~below ~state_before =
@@ -392,12 +404,12 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
           | Node n -> find n (curr_idx + 1)
         in
         let before, at = find b.b_cell b.b_cell.idx in
-        if not (M.Tvar.get at.available) then
-          invalid_arg "Wf_trace.prune: node not yet available";
+        if not (Trace_intf.visible (M.Tvar.get at.flag)) then
+          invalid_arg "Wf_trace.prune: node not yet visible";
         let b_state = state_before { cell = before; n_base = b } in
         { b_cell = sentinel (below - 1) (Node at); b_state })
 
-  (* §8 compaction: the base is the available cell itself. *)
+  (* §8 compaction: the base is the visible cell itself. *)
   let rebase t node b_state =
     move_base t node.cell.idx (fun _ -> { b_cell = node.cell; b_state })
 end

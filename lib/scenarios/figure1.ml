@@ -45,7 +45,10 @@ let execution1 () =
   {
     e1_update_returned = !upd;
     e1_read_returned = !rd;
-    e1_trace = List.map (fun (i, a, _) -> (i, a)) (C.trace_nodes obj);
+    e1_trace =
+      List.map
+        (fun (i, f, _) -> (i, f = Onll_core.Trace_intf.durable))
+        (C.trace_nodes obj);
   }
 
 (* Park an updater right after its log append's persistent fence but before

@@ -44,8 +44,8 @@ type tier =
           no other) *)
   | T_strict
       (** classic durable linearizability, no dedup: exactly one fence
-          per update ({!Onll_relaxed}'s piggybacking strict path — it
-          also drains any staleness tail ahead of it) *)
+          per update (the engine's own update, whose fence also covers
+          every unfenced acknowledgement below it) *)
   | T_staleness of int
       (** bounded staleness k: fence-free acks into the shared risk
           budget; a crash may cost at most the k-deep acked suffix,

@@ -43,19 +43,18 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     max_staleness : int;
     sink : Sink.t;
     (* the built stack; its [relaxed] tiers (Plain|Mirrored only) are
-       [T_strict] — exactly one piggybacking fence — and
-       [T_staleness k], fence-free within the budget, plus the flush
-       that drains the shared tail *)
+       [T_strict] — exactly one fence, which covers every unfenced ack
+       below it — and [T_staleness k], fence-free within the budget,
+       plus the flush that makes every ack durable *)
     obj : B.obj;
-    (* what every exactly-once session runs over: the object's strict
-       update (whose one fence also drains the staleness tail ahead of
-       it), with the service's sticky degraded flag *)
+    (* what every exactly-once session runs over: the engine's own
+       update, with the service's sticky degraded flag *)
     backend : Sess.backend;
     mutable drain_flag : bool;
     (* sticky: a fence exhausted its write-back budget somewhere in the
        store, not only in the object's own attempts *)
     went_degraded : bool ref;
-    (* an update failed mid-way since the staleness tail last drained *)
+    (* an update failed mid-way since the last flush *)
     mutable in_doubt : bool;
     (* the object's one admission, shared by every tier *)
     admission : Onll_core.Admission.t;
@@ -128,11 +127,11 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   let degraded t = t.backend.b_degraded ()
 
-  (* An update that failed mid-way over the relaxed wrapper stays staged
-     in the staleness tail, where a later acknowledged update can make
-     it visible before it is durable: drain the tail before answering
-     from the table. Elsewhere a failed update stays invisible until a
-     later update's fence persists it. *)
+  (* An update that failed mid-way stays ordered, invisible, until a
+     fence covers it. Over the relaxed front, the flush finishes it
+     before a Hello answers from the table, so the answer is final.
+     Elsewhere a failed update stays invisible until a later update's
+     fence persists it. *)
   let settle t =
     if t.in_doubt then begin
       Option.iter (fun r -> r.B.flush ()) t.obj.B.relaxed;
@@ -164,9 +163,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       Protocol.Refused Protocol.R_bad_client
     end
     else if not (tier_ok t tier) then begin
-      (* definite, pre-durable: relaxed tiers need the wrapper (plain or
-         mirrored construction) and a staleness bound within the
-         server's risk cap *)
+      (* definite, pre-durable: relaxed tiers need the relaxed front
+         (plain or mirrored construction) and a staleness bound within
+         the server's risk cap *)
       Metrics.incr t.m_bad_tier;
       Protocol.Refused Protocol.R_bad_tier
     end
@@ -211,7 +210,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     Metrics.incr t.m_degraded;
     Protocol.Refused Protocol.R_degraded
 
-  (* Relaxed tiers (E20): no dedup, the wrapper's ack path, priced
+  (* Relaxed tiers (E20): no dedup, the engine's own tiers, priced
      exactly one fence (strict) or 1/k (staleness). [seq] is echoed, not
      checked: retrying an indeterminate submit may double-apply; that is
      the tier's stated trade. *)
@@ -221,7 +220,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       match tier with
       | Protocol.T_strict ->
           Metrics.incr t.m_tier_strict;
-          snd (r.B.update_strict (Ct.Untracked op))
+          r.B.update_strict (Ct.Untracked op)
       | Protocol.T_staleness k ->
           Metrics.incr t.m_tier_relaxed;
           snd (r.B.update_stale ~budget:k (Ct.Untracked op))
@@ -306,7 +305,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let draining t = t.drain_flag
   (* A degraded store cannot fence — and needs no final one: nothing was
      acked past the failed fence that made it sticky. A healthy one
-     first drains the staleness tail: an orderly shutdown loses no
+     first flushes the unfenced acks: an orderly shutdown loses no
      acked operation, whatever its tier. *)
   let quiesce t =
     try

@@ -25,8 +25,8 @@
     so resubmitting a failed operation under the [next_seq] a [Hello]
     gave is safe even when that operation takes effect after the
     [Hello]. What stays here is the wire: authentication, the relaxed
-    tiers, drain, decoding, the relaxed tail's drain before a [Hello]
-    answers, and the mapping of each answer to a response. *)
+    tiers, drain, decoding, the flush that settles a failed update before
+    a [Hello] answers, and the mapping of each answer to a response. *)
 
 (** Which construction serves the shared counter. All four compose with
     either machine backend (sim or file). *)
@@ -36,9 +36,10 @@ val construction_of_string : string -> construction option
 val construction_name : construction -> string
 
 val stack : ?max_staleness:int -> construction -> Onll_stack.t
-(** The layer stack a construction serves: the relaxed wrapper (risk
-    budget [max_staleness], default 64) on [Plain] and [Mirrored] (two
-    replicas), 4 plain shards on [Sharded], group commit on [Batched]. *)
+(** The layer stack a construction serves: the relaxed front (the plain
+    engine with its stale tier, default budget [max_staleness], 64 unless
+    given) on [Plain] and [Mirrored] (two replicas), 4 plain shards on
+    [Sharded], group commit on [Batched]. *)
 
 module Make (M : Onll_machine.Machine_sig.S) : sig
   type t
@@ -64,8 +65,9 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       headroom rule, 48 bytes per client.
       [token] is the shared authentication secret (default ["onll"]).
       [max_staleness] (default 64) caps the staleness bound a [Hello]
-      may request ({!Protocol.tier.T_staleness}) — it is the risk budget
-      of the {!Onll_relaxed} wrapper over a [Plain] or [Mirrored] object.
+      may request ({!Protocol.tier.T_staleness}) — it is the default
+      budget of the stale tier ({!Onll_core.Onll.CONSTRUCTION.update_stale})
+      of a [Plain] or [Mirrored] object.
       On [Sharded]/[Batched] every relaxed tier is refused with
       {!Protocol.refusal.R_bad_tier}.
 
@@ -73,8 +75,8 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       every tier and every session, and compacts the object before it
       sheds: at 0.85 of the fullest object log,
       {!Onll_core.Onll.CONSTRUCTION.compact}
-      (behind the relaxed wrapper's checkpoint on [Plain]/[Mirrored], so
-      the staleness tail stays a suffix), and a refusal
+      (whose checkpoint covers every unfenced acknowledgement), and a
+      refusal
       ({!Protocol.refusal.R_overloaded}) only while what compaction
       cannot reclaim still reaches the watermark. *)
 
@@ -92,8 +94,9 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
       {!Protocol.wire_resolution.W_applied}[ last], or [next_seq = 0]
       with [W_none] when the client never applied an operation. After an
       exactly-once submit failed mid-way, the next [Hello] over the
-      relaxed wrapper first drains its tail, so that the entry it reads
-      is durable; if that drain fails it answers [W_unresolved last]. An
+      relaxed front first flushes ({!Onll_core.Onll.CONSTRUCTION.flush}),
+      which finishes the failed update, so that the entry it reads is
+      final; if that flush fails it answers [W_unresolved last]. An
       exactly-once [Submit] whose update fails mid-way is refused
       indeterminate ({!Protocol.refusal.R_timeout}, or
       {!Protocol.refusal.R_degraded} on a sticky-degraded store): the
@@ -112,7 +115,8 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   val draining : t -> bool
 
   val quiesce : t -> unit
-  (** Drain the staleness tail (E20) and fence, final, before exit — an
+  (** Flush the unfenced acknowledgements (E20) and fence, final, before
+      exit — an
       orderly shutdown loses no acked operation of any tier; nothing may
       be acked after it fails. *)
 

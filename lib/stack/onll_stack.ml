@@ -66,7 +66,7 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
        and type Shard.value = S.value
 
   type relaxed = {
-    update_strict : S.update_op -> Onll_core.Onll.op_id * S.value;
+    update_strict : S.update_op -> S.value;
     update_stale : budget:int -> S.update_op -> Onll_core.Onll.op_id * S.value;
     flush : unit -> unit;
     pending_ops : unit -> int;
@@ -149,38 +149,29 @@ module Front (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) = struct
         over_sharded (module Sh) (Sh.make ~shards cfg)
     | Relaxed (e, k) ->
         let module C = (val engine e) in
-        let inner = C.make cfg in
-        let module R = Onll_relaxed.Make_over (M) (S) (C) in
-        let r = R.attach ~max_unfenced_ops:k cfg inner in
+        let obj = C.make cfg in
         {
-          (over (module C) inner) with
-          update = (fun op -> snd (R.update r op));
-          (* the wrapper's strict update under the caller's seq: it
-             drains the staleness tail under the lock that orders it,
-             so the tail stays a suffix of the linearization *)
-          update_detectable = R.update_detectable r;
-          recover_report = (fun () -> R.recover_report r);
-          recover_unhardened = (fun () -> R.recover_unhardened r);
-          (* the wrapper's one compaction: the inner object's, which
-             covers the tail *)
-          compact = (fun () -> ignore (R.checkpoint r : int));
+          (over (module C) obj) with
+          update = (fun op -> snd (C.update_stale obj ~budget:k op));
           relaxed =
             Some
               {
-                update_strict = R.update_strict r;
-                update_stale = (fun ~budget op -> R.update ~budget r op);
-                flush = (fun () -> R.flush r);
-                pending_ops = (fun () -> R.pending_ops r);
+                update_strict = C.update obj;
+                update_stale =
+                  (fun ~budget op ->
+                    C.update_stale obj ~budget:(min budget k) op);
+                flush = (fun () -> C.flush obj);
+                pending_ops = (fun () -> C.pending_ops obj);
               };
         }
 
   (* The front as a session backend: its durable update returns only
-     after its fence (on the relaxed front, the strict tier). *)
+     after its fence (on the relaxed front, the engine's own update). *)
   let backend o =
     {
       Onll_session.b_update =
         (match o.relaxed with
-        | Some r -> fun op -> snd (r.update_strict op)
+        | Some r -> r.update_strict
         | None -> o.update);
       b_read = o.read;
       b_degraded = o.degraded;

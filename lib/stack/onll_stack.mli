@@ -5,9 +5,10 @@
     trace variant ([`Wait_free]) or group commit ([`Batched], the
     construction under the combining persist policy,
     {!Onll_core.Onll.Make_combining}). Above the engine sits one {e front} — nothing,
-    key-routed shards ({!Onll_sharded}) or the bounded-staleness wrapper
-    ({!Onll_relaxed}) — and above the front, optionally, per-client
-    exactly-once sessions ({!Onll_session}). The cross-shard transaction
+    key-routed shards ({!Onll_sharded}) or the engine's own stale tier
+    with a default staleness budget
+    ({!Onll_core.Onll.CONSTRUCTION.update_stale}) — and above the front,
+    optionally, per-client exactly-once sessions ({!Onll_session}). The cross-shard transaction
     coordinator ({!Onll_txn}) is a top of its own over plain shards.
 
     {b The layer contract.} Each layer, given a durably linearizable
@@ -46,7 +47,8 @@ type front =
   | Sharded of engine * int
       (** that many key-routed instances of the engine *)
   | Relaxed of engine * int
-      (** acks fence-free into a tail of at most that many operations *)
+      (** the engine, whose [update] is its stale tier under that default
+          budget: fence-free acks, fewer than that many ever at risk *)
 
 type top =
   | Direct of front  (** callers update the front itself *)
@@ -65,24 +67,26 @@ val plain : t
 
 val legal : t list
 (** Every top over every front and engine, each once unmirrored and once
-    mirrored: 4 shards, 4 transaction shards, a relaxed tail of 8. *)
+    mirrored: 4 shards, 4 transaction shards, a relaxed budget of 8. *)
 
 val pp : Format.formatter -> t -> unit
 (** One short line, e.g. ["session/relaxed(plain,k=64) x2"]. *)
 
 module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
-  (** The relaxed front's two acknowledgement tiers and its drain. Each
-      acknowledgement returns the operation's durable identity with its
-      value, so a caller can ask [was_linearized] after a crash. *)
+  (** The relaxed front's two acknowledgement tiers and its drain, all
+      the engine's own. A stale acknowledgement returns the operation's
+      durable identity with its value, so a caller can ask
+      [was_linearized] after a crash. *)
   type relaxed = {
-    update_strict : S.update_op -> Onll_core.Onll.op_id * S.value;
-        (** one fence, which also drains the tail *)
+    update_strict : S.update_op -> S.value;
+        (** the engine's update: one fence, which also covers every
+            unfenced acknowledgement below it *)
     update_stale : budget:int -> S.update_op -> Onll_core.Onll.op_id * S.value;
-        (** fence-free while the tail stays within [budget] (which can
-            only tighten the stack's [k]) *)
-    flush : unit -> unit;  (** drain the tail now *)
+        (** {!Onll_core.Onll.CONSTRUCTION.update_stale} under [budget],
+            which can only tighten the stack's [k] *)
+    flush : unit -> unit;  (** make every acknowledgement durable now *)
     pending_ops : unit -> int;
-        (** the tail's depth: acknowledged operations at risk now *)
+        (** the acknowledged operations at risk now *)
   }
 
   (** The transaction coordinator's own surface ({!Onll_txn.Make}). *)
@@ -107,10 +111,9 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             one then was not) *)
     update_detectable : seq:int -> S.update_op -> S.value;
         (** the front's detectable update, under a caller-chosen sequence
-            number; over the relaxed front, the wrapper's strict update,
-            which drains the staleness tail under the lock that orders
-            it, so the tail stays a suffix of the linearization. On a
-            session stack, the calling process's tracked update.
+            number: a strict update, whose fence also covers every
+            unfenced acknowledgement below it. On a session stack, the
+            calling process's tracked update.
             @raise Invalid_argument if the sequence number is not above
             every one the process used *)
     read : S.read_op -> S.value;
@@ -121,8 +124,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
             entry. *)
     shard_of : S.update_op -> int;  (** [0] unsharded *)
     recover_report : unit -> Onll_core.Onll.Recovery_report.t;
-        (** hardened recovery; over the relaxed front its [lost_acked]
-            names every acknowledgement the crash voided *)
+        (** hardened recovery; its [lost_acked] names every unfenced
+            acknowledgement the crash voided *)
     recover_unhardened : unit -> unit;
         (** the calibration baseline recovery *)
     recovered_ops : unit -> (int * Onll_core.Onll.op_id * int) list;
@@ -134,9 +137,8 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
     log_fill : unit -> float;  (** the fullest object log's fill, O(1) *)
     compact : unit -> unit;
         (** {!Onll_core.Onll.CONSTRUCTION.compact} of the calling
-            process's logs (over the relaxed front, the wrapper's
-            checkpoint: the inner compaction, which covers the tail, then
-            the tail cleared) *)
+            process's logs (its checkpoint covers every acknowledged
+            operation) *)
     relaxed : relaxed option;
         (** [Some] over a direct relaxed front. Under a session it is
             [None]: every update there is an exactly-once submission,
@@ -153,7 +155,7 @@ module Make (M : Onll_machine.Machine_sig.S) (S : Onll_core.Spec.S) : sig
 
   val backend : obj -> (S.update_op, S.read_op, S.value) Onll_session.backend
   (** The object as a session backend: [b_update] is its durable update
-      (the strict tier over the relaxed front), [b_pressure] is
+      (the engine's own over the relaxed front), [b_pressure] is
       [log_fill], [b_compact] is [compact]. Over
       [Onll_core.Client_table.Make (S')] it is what
       [Onll_session.Make (S').attach] takes. *)

@@ -7,7 +7,8 @@
     by {!Onll_stack.Make}, so the campaign runs over any engine. Each
     simulated process runs a deterministic script of single-key kv
     writes against its own keys, mostly through the fence-free
-    [update_stale] tier with occasional [update_strict] piggybacks.
+    [update_stale] tier with an occasional strict (detectable) update,
+    whose fence covers every unfenced acknowledgement below it.
     Values are strictly increasing per step, which makes the state after
     every prefix of a process's script pairwise distinct — "which prefix
     survived?" has exactly one answer.
@@ -58,7 +59,10 @@ type plan = {
   seed : int;
   n_procs : int;
   updates_per_proc : int;
-  crash_at : int;  (** scheduler step of the crash *)
+  crash_permille : int;
+      (** where the crash lands, in thousandths of the scheduler steps a
+          crash-free dry run of the same plan takes, so the sweep covers
+          every plan's whole length whatever its engine *)
   policy : Onll_nvm.Crash_policy.t;
   stack : Onll_stack.t;
       (** a direct relaxed front; its [k] is the risk budget, the most
@@ -82,9 +86,9 @@ let plan_of_seed seed =
     seed;
     n_procs;
     updates_per_proc;
-    (* a fine sweep of the crash step walks the tail through every depth
-       from 0 to the budget across the campaign *)
-    crash_at = 4 + (seed * 7 mod 160);
+    (* a fine sweep of the crash step walks the acknowledgements at risk
+       through every depth from 0 to the budget across the campaign *)
+    crash_permille = seed * 7919 mod 1000;
     policy = Crash_world.policy_of_seed seed;
     stack =
       {
@@ -131,6 +135,7 @@ let script_of ~plan p =
   (actions, Array.of_list (List.rev !states))
 
 type result = {
+  steps : int;  (** scheduler steps of the era the crash cut *)
   crashed : bool;
   completed : int;  (** updates acknowledged pre-crash, all processes *)
   lost : int;  (** acknowledgements the recovery reported lost *)
@@ -141,7 +146,7 @@ type result = {
   violations : string list;
 }
 
-let run ~plan () =
+let run_at ~plan ~crash_at =
   let w = Crash_world.create ~n_procs:plan.n_procs ~policy:plan.policy in
   let module M = (val Crash_world.machine w) in
   let module B = Onll_stack.Make (M) (Kv) in
@@ -158,8 +163,13 @@ let run ~plan () =
     let actions, _ = scripts.(p) in
     List.iteri
       (fun t (op, strict) ->
+        (* the script's [t]-th update is its process's [t]-th: a strict
+           one claims that sequence number *)
         let submit op =
-          if strict then r.B.update_strict op else r.B.update_stale ~budget op
+          if strict then
+            ( { Onll_core.Onll.id_proc = p; id_seq = t },
+              obj.B.update_detectable ~seq:t op )
+          else r.B.update_stale ~budget op
         in
         let id =
           match recorder with
@@ -177,12 +187,16 @@ let run ~plan () =
       actions
   in
   let crashed =
-    Crash_world.run_to_crash w ~seed:plan.seed ~crash_at:plan.crash_at
+    Crash_world.run_to_crash w ~seed:plan.seed ~crash_at
       (Array.init plan.n_procs (fun p -> mk_proc p))
   in
-  (* The tail is wrapper (host-side) state, so its depth at the crash is
-     still readable — that is the ops-at-risk figure the histogram
-     buckets. *)
+  let steps =
+    Onll_sched.Sched.World.steps_taken
+      (Onll_machine.Sim.world w.Crash_world.sim)
+  in
+  (* The trace is transient (host-side) state, so the acknowledgements at
+     risk at the crash are still readable — that is the figure the
+     histogram buckets. *)
   let depth_at_crash = if crashed then r.B.pending_ops () else 0 in
   let fail fmt = Crash_world.fail w fmt in
   let converge_steps = ref 0 in
@@ -236,7 +250,7 @@ let run ~plan () =
               p t)
         acks;
       (* Suffix: the lost set is the tail of the acknowledgement order.
-         An id we never booked (the crash landed between the wrapper's
+         An id we never booked (the crash landed between the engine's
          internal ack and our bookkeeping) may ride above it, never
          below. *)
       let known_lost =
@@ -403,6 +417,7 @@ let run ~plan () =
     end
   end;
   {
+    steps;
     crashed;
     completed = Array.fold_left (fun a l -> a + List.length l) 0 acked;
     lost = !lost_count;
@@ -414,6 +429,12 @@ let run ~plan () =
     converge_steps = !converge_steps;
     violations = Crash_world.violations w;
   }
+
+(* The plan crashed at its draw over the length of a crash-free dry run
+   of itself. *)
+let run ~plan () =
+  let n = (run_at ~plan ~crash_at:max_int).steps in
+  run_at ~plan ~crash_at:(1 + (plan.crash_permille * n / 1000))
 
 (* {2 Campaign aggregation} *)
 

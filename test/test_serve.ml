@@ -295,7 +295,7 @@ let test_tiers () =
   check Alcotest.bool "staleness echoes the client seq" true
     (submit ck 1 = Protocol.Acked { seq = 1; value = 2 });
   check Alcotest.int "acks are readable immediately" 2 (Svc.counter_value t);
-  (* a strict session piggybacks: its one fence drains the tail too *)
+  (* a strict session piggybacks: its one fence covers the stale acks too *)
   let cs = Svc.conn () in
   (match
      Svc.handle t cs
@@ -316,7 +316,7 @@ let test_tiers () =
     (submit ce 0 = Protocol.Acked { seq = 0; value = 4 });
   check Alcotest.int "all four updates landed" 4 (Svc.counter_value t);
   Svc.quiesce t;
-  (* relaxed tiers are a wrapper property: constructions without it
+  (* relaxed tiers are a relaxed-front property: constructions without it
      refuse them outright (fresh machine: region names are global) *)
   let nat2 = Native.create ~fence_ns:0 ~max_processes:1 () in
   ignore (Native.register nat2);
@@ -868,11 +868,11 @@ let test_resubmit_after_a_pending_op () =
             { next_seq = 2; resolution = Protocol.W_applied 1 }))
     [ Service.Plain; Service.Mirrored; Service.Sharded; Service.Batched ]
 
-(* Client A's second op fails under a flush storm, its drain with it.
-   While the storm lasts the relaxed tail cannot drain, so a new
-   connection's Hello cannot know that the entry it reads is durable: it
-   answers [W_unresolved] with the last applied seq and counts it. Once
-   the storm ends, the next Hello drains the tail and answers
+(* Client A's second op fails under a flush storm. While the storm lasts
+   the flush before a Hello cannot finish it, so a new connection's
+   Hello cannot know that the entry it reads is final: it answers
+   [W_unresolved] with the last applied seq and counts it. Once the storm
+   ends, the next Hello's flush finishes the op and answers
    [W_applied]. *)
 let test_unresolved_hello () =
   List.iter

@@ -15,7 +15,7 @@ let test_sentinel () =
   let t = T.create ~base_idx:0 ~base_state:"init" () in
   let tail = T.tail t in
   check Alcotest.int "sentinel idx" 0 tail.T.idx;
-  check Alcotest.bool "sentinel available" true (M.Tvar.get tail.T.available);
+  check Alcotest.bool "sentinel available" true (T.is_available tail);
   check Alcotest.bool "sentinel has no op" true (tail.T.env = None);
   check Alcotest.bool "base" true (T.base_of t = (0, "init"))
 
@@ -29,7 +29,7 @@ let test_insert_assigns_dense_indices () =
   let n3 = T.insert t 300 in
   check Alcotest.(list int) "indices" [ 1; 2; 3 ] [ n1.T.idx; n2.T.idx; n3.T.idx ];
   check Alcotest.bool "fresh nodes unavailable" true
-    (not (M.Tvar.get n1.T.available))
+    (not (T.is_available n1))
 
 let test_insert_respects_base_idx () =
   let sim = Sim.create ~max_processes:2 () in
@@ -49,12 +49,12 @@ let test_latest_available () =
   let n3 = T.insert t 3 in
   (* nothing available yet: the sentinel rules *)
   check Alcotest.int "sentinel" 0 (T.latest_available t).T.idx;
-  M.Tvar.set n1.T.available true;
+  T.set_available n1;
   check Alcotest.int "n1" 1 (T.latest_available t).T.idx;
   (* availability can be set out of order (Figure 2) *)
-  M.Tvar.set n3.T.available true;
+  T.set_available n3;
   check Alcotest.int "n3 wins" 3 (T.latest_available t).T.idx;
-  M.Tvar.set n2.T.available true;
+  T.set_available n2;
   check Alcotest.int "still n3" 3 (T.latest_available t).T.idx
 
 let test_fuzzy_envs () =
@@ -68,9 +68,9 @@ let test_fuzzy_envs () =
   ignore n2;
   (* window = everything after the last available node, newest first *)
   check Alcotest.(list int) "all three fuzzy" [ 3; 2; 1 ] (T.fuzzy_envs t n3);
-  M.Tvar.set n1.T.available true;
+  T.set_available n1;
   check Alcotest.(list int) "window shrinks" [ 3; 2 ] (T.fuzzy_envs t n3);
-  M.Tvar.set n3.T.available true;
+  T.set_available n3;
   check Alcotest.(list int) "available node: empty window" []
     (T.fuzzy_envs t n3)
 
@@ -84,7 +84,7 @@ let test_fuzzy_window_is_continuous () =
   let n2 = T.insert t 2 in
   let n3 = T.insert t 3 in
   let n4 = T.insert t 4 in
-  M.Tvar.set n2.T.available true;
+  T.set_available n2;
   (* n1 unavailable but shielded by n2 *)
   check Alcotest.(list int) "window stops at first available" [ 4; 3 ]
     (T.fuzzy_envs t n4);
@@ -120,7 +120,7 @@ let test_delta_from_floor () =
   check Alcotest.string "published state used" "init+10+20" base;
   check Alcotest.(list (pair int int)) "only newer ops" [ (3, 30) ] delta;
   check Alcotest.int "its value published" 20
-    (T.value_at t n2 ~apply:(fun _ _ -> Alcotest.fail "applied twice"));
+    (T.value_at t n2 ~durable:true ~apply:(fun _ _ -> Alcotest.fail "applied twice"));
   (* published at the node itself: empty delta *)
   ignore (T.state_at t n3 ~apply);
   let base, delta = T.delta_from n3 in
@@ -134,13 +134,14 @@ let test_to_list () =
   let t = T.create ~base_idx:0 ~base_state:"init" () in
   let _ = T.insert t 10 in
   let n2 = T.insert t 20 in
-  M.Tvar.set n2.T.available true;
+  T.set_available n2;
   let l = T.to_list t in
   check Alcotest.int "3 nodes incl sentinel" 3 (List.length l);
   check
-    Alcotest.(list (triple int bool (option int)))
+    Alcotest.(list (triple int int (option int)))
     "oldest first with flags"
-    [ (0, true, None); (1, false, Some 10); (2, true, Some 20) ]
+    Onll_core.Trace_intf.
+      [ (0, durable, None); (1, ordered, Some 10); (2, durable, Some 20) ]
     l
 
 (* {1 Concurrent insertion under the scheduler} *)
@@ -155,7 +156,7 @@ let test_concurrent_inserts_dense_and_complete () =
         fun _ ->
           for k = 0 to 4 do
             let n = T.insert t ((p * 10) + k) in
-            M.Tvar.set n.T.available true
+            T.set_available n
           done)
   in
   let outcome = Sim.run sim (Sched.Strategy.random ~seed:77) procs in
@@ -214,7 +215,7 @@ let test_fuzzy_bound_under_random_schedules () =
               let n = T.insert t ((p * 10) + k) in
               let window = List.length (T.fuzzy_envs t n) in
               if window > !max_window then max_window := window;
-              M.Tvar.set n.T.available true
+              T.set_available n
             done)
     in
     ignore (Sim.run sim (Sched.Strategy.random ~seed) procs)

@@ -122,7 +122,7 @@ module Suite (F : FACTORY) = struct
     check Alcotest.(list string) "only newer" [ "b"; "c" ] !applied;
     applied := [];
     check Alcotest.string "published on the way" "b"
-      (T.value_at t n2 ~apply:(counting applied));
+      (T.value_at t n2 ~durable:true ~apply:(counting applied));
     check Alcotest.string "at a published node" "S+a+b+c"
       (T.state_at t n3 ~apply:(counting applied));
     check Alcotest.(list string) "nothing applied" [] !applied
@@ -136,9 +136,10 @@ module Suite (F : FACTORY) = struct
     let _ = T.insert t "b" in
     T.set_available n1;
     check
-      Alcotest.(list (triple int bool (option string)))
+      Alcotest.(list (triple int int (option string)))
       "oldest first"
-      [ (0, true, None); (1, true, Some "a"); (2, false, Some "b") ]
+      Onll_core.Trace_intf.
+        [ (0, durable, None); (1, durable, Some "a"); (2, ordered, Some "b") ]
       (T.to_list t)
 
   let test_concurrent_inserts () =
@@ -185,9 +186,9 @@ module Suite (F : FACTORY) = struct
     T.prune t ~below:2 ~state_before;
     check Alcotest.bool "base moved" true (T.base_of t = (1, "s0+a"));
     check
-      Alcotest.(list (triple int bool (option string)))
+      Alcotest.(list (triple int int (option string)))
       "operations kept"
-      [ (2, true, Some "b"); (3, true, Some "c") ]
+      Onll_core.Trace_intf.[ (2, durable, Some "b"); (3, durable, Some "c") ]
       (List.filter (fun (_, _, e) -> e <> None) (T.to_list t));
     let applied = ref [] in
     check Alcotest.string "from the pruned base" "s0+a+b+c"
@@ -395,9 +396,13 @@ module Props (F : FACTORY) = struct
            (* final full check *)
            let listing = T.to_list t in
            let model_listing =
-             (0, true, None)
+             (0, Onll_core.Trace_intf.durable, None)
              :: List.rev_map
-                  (fun (i, e) -> (i, List.mem i !avail, Some e))
+                  (fun (i, e) ->
+                    ( i,
+                      Onll_core.Trace_intf.(
+                        if List.mem i !avail then durable else ordered),
+                      Some e ))
                   !envs
            in
            expect "to_list" (listing = model_listing);
