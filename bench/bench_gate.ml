@@ -10,9 +10,11 @@
     deterministic E16 slices (group-commit amortisation below 1/2
     pf/update, the solo adversary pinned at exactly 1 pf/update,
     group-commit chaos incl. crash-mid-window over mirrored logs, zero
-    violations) —
-    then diffs the freshly produced snapshots against the committed
-    goldens in [bench/snapshots/]:
+    violations) — then diffs the freshly produced snapshots against the
+    committed goldens in [bench/snapshots/]. Each seeded chaos slice
+    (E13, E14, E15, E16, E19, E20) is its campaign value at a small size,
+    and every requirement its {!Test_support.Campaign.verdict} names
+    unmet is a named failure:
 
     - [BENCH_e1.json]: every [pf_update.*] / [pf_read.*] key must match
       the golden {e exactly} (the sim is deterministic, so any drift in a
@@ -37,8 +39,9 @@
 
     Exit status 0 = gate passes; 1 = regression (each one named on
     stdout). [--self-test] proves the gate can fail: it re-compares
-    against a golden with one fence counter bumped and requires the
-    comparison to flag it.
+    against a golden with one fence counter bumped, and hands the
+    zero-violation rule a golden with one [.violations] key set to 1,
+    and requires each to be flagged.
 
     Usage: [bench_gate.exe [--snapshots DIR] [--self-test] [--regen]]
     (default DIR: [bench/snapshots], resolved from the repo root or
@@ -60,6 +63,12 @@ let failures = ref []
 
 let faili fmt =
   Printf.ksprintf (fun s -> failures := s :: !failures) fmt
+
+(* Every unmet requirement of a seeded campaign's slice, named. *)
+let verdict exp s =
+  List.iter
+    (fun u -> faili "%s: %s" exp (Test_support.Campaign.describe u))
+    (Test_support.Campaign.verdict s)
 
 (* {2 Snapshot comparison} *)
 
@@ -166,32 +175,26 @@ let () =
   Printf.printf "== E14 deterministic slices ==\n%!";
   let e14 = Onll_obs.Metrics.create () in
   Shard_scaling.fence_accounting e14;
-  Shard_scaling.chaos_slices e14;
+  verdict "e14" (Harness.campaign ~reg:e14 Shard_scaling.chaos);
   ignore (Harness.write_snapshot ~experiment:"e14" e14);
   Printf.printf "== E13 deterministic mirrored slice ==\n%!";
-  let e13 =
-    Test_support.Chaos_harness.run_e13 ~seeds_per_object:4 ~dual_seeds:3
-      ~unmirrored_seeds:3
-  in
-  assert (Test_support.Chaos_harness.e13_violations e13 = 0);
-  assert (Test_support.Chaos_harness.e13_mirrored_lost e13 = 0);
-  ignore
-    (Harness.write_snapshot ~experiment:"e13"
-       (Test_support.Chaos_harness.e13_to_metrics e13));
+  let e13 = Onll_obs.Metrics.create () in
+  verdict "e13"
+    (Harness.campaign ~reg:e13
+       (Test_support.Chaos_harness.e13 ~seeds_per_object:4 ~dual_seeds:3
+          ~unmirrored_seeds:3 ~calibration_seeds:40));
+  ignore (Harness.write_snapshot ~experiment:"e13" e13);
   Printf.printf "== E15 deterministic session slice ==\n%!";
-  let e15 = Test_support.Session_chaos.run_e15 ~seeds_per_arm:6 in
-  assert (Test_support.Session_chaos.e15_violations e15 = 0);
-  assert (Test_support.Session_chaos.e15_session_duplicates e15 = 0);
-  assert (Test_support.Session_chaos.e15_session_lost_acks e15 = 0);
-  assert (Test_support.Session_chaos.e15_naive_duplicates e15 > 0);
-  ignore
-    (Harness.write_snapshot ~experiment:"e15"
-       (Test_support.Session_chaos.to_metrics e15));
+  let e15 = Onll_obs.Metrics.create () in
+  verdict "e15"
+    (Harness.campaign ~reg:e15
+       (Test_support.Session_chaos.e15 ~seeds_per_arm:6));
+  ignore (Harness.write_snapshot ~experiment:"e15" e15);
   Printf.printf "== E16 deterministic slices ==\n%!";
   let e16 = Onll_obs.Metrics.create () in
   Group_commit.amortization e16;
   Group_commit.adversarial e16;
-  Group_commit.chaos_slices e16;
+  verdict "e16" (Harness.campaign ~reg:e16 Group_commit.chaos);
   ignore (Harness.write_snapshot ~experiment:"e16" e16);
   Printf.printf "== E17 deterministic file-store crash slices ==\n%!";
   let e17 = Onll_obs.Metrics.create () in
@@ -213,36 +216,16 @@ let () =
   ignore (Harness.write_snapshot ~experiment:"e18" e18);
   Printf.printf "== E19 deterministic transaction slices ==\n%!";
   let e19 = Onll_obs.Metrics.create () in
-  Txn_bench.gate_slices e19;
-  (* one coordinator fence per txn, <= (S+1)/2 of the 2PC baseline *)
-  assert (
-    Onll_obs.Metrics.counter_value e19 "e19.acct.fences.txn"
-    = Onll_obs.Metrics.counter_value e19 "e19.acct.ops.txn");
-  assert (
-    2 * Onll_obs.Metrics.counter_value e19 "e19.acct.fences.txn"
-    <= Onll_obs.Metrics.counter_value e19 "e19.acct.fences.2pc");
-  assert (Onll_obs.Metrics.counter_value e19 "e19.txn.violations" = 0);
-  assert (
-    Onll_obs.Metrics.counter_value e19 "e19.txn/mirrored.violations" = 0);
-  assert (Onll_obs.Metrics.counter_value e19 "e19.calibration.caught" > 0);
+  (* the fence accounting asserts one coordinator fence per txn, at most
+     (S+1)/2 of the 2PC baseline's *)
+  verdict "e19" (Txn_bench.gate_slices e19);
   ignore (Harness.write_snapshot ~experiment:"e19" e19);
   Printf.printf "== E20 deterministic bounded-staleness slices ==\n%!";
   let e20 = Onll_obs.Metrics.create () in
-  Relaxed_bench.gate_slices e20;
-  (* strictly below 1 pf/update relaxed, exactly 1 strict, and the
-     solo-after-quiesce floor pinned at one fence per full budget *)
-  assert (
-    Onll_obs.Metrics.counter_value e20 "e20.acct.fences.relaxed"
-    < Onll_obs.Metrics.counter_value e20 "e20.acct.ops");
-  assert (Onll_obs.Metrics.counter_value e20 "e20.acct.fences.relaxed" > 0);
-  assert (
-    Onll_obs.Metrics.counter_value e20 "e20.acct.fences.strict"
-    = Onll_obs.Metrics.counter_value e20 "e20.acct.ops");
-  assert (Onll_obs.Metrics.counter_value e20 "e20.acct.solo.fences" = 1);
-  assert (Onll_obs.Metrics.counter_value e20 "e20.relaxed.violations" = 0);
-  assert (
-    Onll_obs.Metrics.counter_value e20 "e20.relaxed/mirrored.violations" = 0);
-  assert (Onll_obs.Metrics.counter_value e20 "e20.calibration.caught" > 0);
+  (* the fence accounting asserts strictly below 1 pf/update relaxed,
+     exactly 1 strict, and the solo-after-quiesce floor of one fence per
+     full budget *)
+  verdict "e20" (Relaxed_bench.gate_slices e20);
   ignore (Harness.write_snapshot ~experiment:"e20" e20);
   (* [--regen]: adopt the fresh snapshots as the new goldens and stop. *)
   if !regen then begin
@@ -290,34 +273,39 @@ let () =
         | Some m -> zero_violations ~path m
         | None -> ())
     (try Sys.readdir snapshots_dir with Sys_error _ -> [||]);
-  (* 4. Self-test: the gate must be able to fail. Bump one golden fence
-     counter in memory and require the comparison to flag it. *)
+  (* 4. Self-test: the gate must be able to fail. Doctor a golden in
+     memory, once per rule, and require the rule to flag it: a fence
+     counter bumped by one, and a violation counter set to 1. *)
   if !self_test then begin
-    match load (golden "e1") with
+    let flags what check =
+      let before = List.length !failures in
+      check ();
+      let fresh = List.length !failures - before in
+      if fresh > 0 then begin
+        (* expected: drop the synthetic failures, record the proof *)
+        failures := List.filteri (fun i _ -> i >= fresh) !failures;
+        Printf.printf "self-test: %s was caught (the gate can fail)\n" what
+      end
+      else faili "self-test: %s was NOT caught" what
+    in
+    let doctor exp f =
+      Option.map (List.map (fun (k, v) -> (k, f k v))) (load (golden exp))
+    in
+    (match doctor "e1" (fun k v ->
+         if k = "pf_update.kv.onll-sharded" then v +. 1. else v) with
     | None -> faili "self-test: no e1 golden to perturb"
-    | Some g ->
-        let bumped =
-          List.map
-            (fun (k, v) ->
-              if k = "pf_update.kv.onll-sharded" then (k, v +. 1.) else (k, v))
-            g
-        in
-        let before = List.length !failures in
-        ignore
-          (compare_gated ~label:"self-test" ~gated:(prefixed "pf_")
-             ~golden:bumped
-             ~fresh:(Option.get (load (golden "e1"))));
-        if List.length !failures > before then begin
-          (* expected: drop the synthetic failure, record the proof *)
-          failures :=
-            List.filteri
-              (fun i _ -> i >= List.length !failures - before)
-              !failures;
-          print_endline
-            "self-test: synthetic +1 on pf_update.kv.onll-sharded was \
-             caught (the gate can fail)"
-        end
-        else faili "self-test: a bumped fence counter was NOT caught"
+    | Some bumped ->
+        flags "synthetic +1 on pf_update.kv.onll-sharded" (fun () ->
+            ignore
+              (compare_gated ~label:"self-test" ~gated:(prefixed "pf_")
+                 ~golden:bumped
+                 ~fresh:(Option.get (load (golden "e1"))))));
+    match doctor "e13" (fun k v ->
+        if k = "e13.mirrored.kv.violations" then 1. else v) with
+    | None -> faili "self-test: no e13 golden to perturb"
+    | Some doctored ->
+        flags "e13.mirrored.kv.violations set to 1" (fun () ->
+            zero_violations ~path:"self-test" doctored)
   end;
   match List.rev !failures with
   | [] ->

@@ -172,39 +172,7 @@ let adversarial summary =
 
 (* {2 Part 3 — group-commit chaos slices (deterministic, gated)} *)
 
-let chaos_slices summary =
-  let open Test_support in
-  let slice plan_of name =
-    Chaos_harness.arm ~plan_of ~obj:"kv" ~name ~seeds:40 ()
-  in
-  let plain = slice Chaos_harness.batched_plan_of_seed "kv/batched" in
-  let mirrored =
-    slice Chaos_harness.batched_mirrored_plan_of_seed "kv/batched+mirrored"
-  in
-  Campaign.print
-    ~title:
-      "E16 chaos slices — crash mid-window, before or after its fence \
-       (violations must be 0; the mirrored arm additionally loses \
-       nothing)"
-    ~header:"arm" ~columns:Chaos_harness.slice_columns [ plain; mirrored ];
-  assert (Campaign.total "violations" [ plain; mirrored ] = 0);
-  print_endline
-    "(asserted: zero durable-linearizability violations — and zero \
-     duplicate acks, which the chaos audit folds into violations — \
-     across both group-commit chaos arms)";
-  assert (Chaos_harness.lost [ mirrored ] = 0);
-  print_endline
-    "(asserted: group commit + mirrored + primary-scoped faults cost \
-     nothing — the mirror copy of each window drained under the same \
-     fence)";
-  let record prefix r =
-    ignore
-      (Campaign.to_metrics ~reg:summary
-         ~keys:(List.map snd Chaos_harness.slice_columns)
-         ~prefix r)
-  in
-  record "e16.chaos.batched" plain;
-  record "e16.chaos.batched_mirrored" mirrored
+let chaos = Test_support.Chaos_harness.e16 ~seeds:40
 
 (* {2 Part 4 — native throughput grid} *)
 
@@ -356,7 +324,7 @@ let run () =
   let summary = Onll_obs.Metrics.create () in
   amortization summary;
   adversarial summary;
-  chaos_slices summary;
+  Harness.assert_campaign ~reg:summary chaos;
   throughput_grid summary;
   let path =
     Harness.write_snapshot ~experiment:"e16"

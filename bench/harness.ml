@@ -81,3 +81,28 @@ let run_sim_workload sim ~procs ~per_proc ~seed ~(update : int -> unit)
   in
   assert (outcome = Onll_sched.Sched.World.Completed);
   (Sim.stats sim).Onll_nvm.Memory.Stats.persistent_fences
+
+(** Run a seeded campaign, print it and fold its metrics into [reg]. The
+    caller acts on the summary's {!Test_support.Campaign.verdict}. *)
+let campaign ?reg c =
+  let s = Test_support.Campaign.run c in
+  Test_support.Campaign.show s;
+  ignore (Test_support.Campaign.metrics ?reg s);
+  s
+
+(** {!campaign}, asserting its verdict: each unmet requirement is named
+    before the assertion fails, and each one that held is listed. *)
+let assert_campaign ?reg c =
+  let module C = Test_support.Campaign in
+  let s = campaign ?reg c in
+  let unmet = C.verdict s in
+  List.iter (fun u -> Printf.printf "UNMET: %s\n" (C.describe u)) unmet;
+  assert (unmet = []);
+  List.iter (Printf.printf "(asserted: %s)\n") (C.held s)
+
+(** An experiment that is one campaign: run and assert it, then write its
+    metrics as [BENCH_<experiment>.json]. *)
+let campaign_experiment experiment c () =
+  let reg = Onll_obs.Metrics.create () in
+  assert_campaign ~reg c;
+  Printf.printf "snapshot: %s\n" (write_snapshot ~experiment reg)

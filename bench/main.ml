@@ -14,19 +14,24 @@ let experiments =
     ("e5", "throughput vs fence latency, native machine", Throughput.run_e5);
     ("e6", "recovery cost and reclamation (§8)", Recovery_bench.run);
     ("e7", "substrate micro-benchmarks (bechamel)", Micro.run);
-    ("e8", "durable-linearizability crash-fuzz campaign", Fuzz_campaign.run);
+    ("e8", "durable-linearizability crash-fuzz campaign",
+     Harness.campaign_experiment "e8" (Test_support.Fuzz.e8 ~seeds:80));
     ("e9", "systematic schedule + crash-point exploration", Explore_bench.run);
     ("e10", "helping overhead vs process count (ablation)", Helping_bench.run);
     ("e11", "checkpoint-interval tuning curve (ablation)",
      Checkpoint_sweep.run);
     ("e12", "media-fault chaos campaign (hardened recovery + calibration)",
-     Chaos_campaign.run);
+     Harness.campaign_experiment "e12"
+       (Test_support.Chaos_harness.e12 ~seeds:130 ~calibration_seeds:30));
     ("e13", "mirrored logs + scrubbing: repair-aware chaos campaign",
-     Mirror_campaign.run);
+     Harness.campaign_experiment "e13"
+       (Test_support.Chaos_harness.e13 ~seeds_per_object:110 ~dual_seeds:40
+          ~unmirrored_seeds:40 ~calibration_seeds:40));
     ("e14", "shard scaling: partitioned construction, throughput + invariants",
      Shard_scaling.run);
     ("e15", "durable client sessions: exactly-once chaos campaign",
-     Session_campaign.run);
+     Harness.campaign_experiment "e15"
+       (Test_support.Session_chaos.e15 ~seeds_per_arm:40));
     ("e16", "fence batching / group commit: amortisation + degeneration",
      Group_commit.run);
     ("e17", "file-backed store: kill -9 crash harness + fsync fence cost",

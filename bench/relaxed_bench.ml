@@ -113,22 +113,12 @@ let fence_accounting summary =
 
 (* {2 Part 2 — staleness chaos slices (deterministic, gated)} *)
 
-let chaos_slices summary =
-  let open Test_support in
-  let ((c, _) as s) =
-    Relaxed_chaos.run_campaign ~seeds:12 ~calibration_seeds:8
-  in
-  Relaxed_chaos.print s;
-  assert (Campaign.total "violations" c.Campaign.rows = 0);
-  assert (c.Campaign.cal_caught > 0);
-  print_endline
-    "(asserted: zero staleness violations across both relaxed chaos arms; \
-     the ledger-free calibration was caught)";
-  ignore (Relaxed_chaos.to_metrics ~reg:summary s)
-
+(* The gate's part: the fence accounting and a printed, recorded
+   12-seed chaos slice, whose verdict the gate acts on. *)
 let gate_slices summary =
   fence_accounting summary;
-  chaos_slices summary
+  Harness.campaign ~reg:summary
+    (Test_support.Relaxed_chaos.e20 ~seeds:12 ~calibration_seeds:8)
 
 (* {2 Part 3 — seeded campaign + native throughput} *)
 
@@ -293,21 +283,10 @@ let tier_slo_pass summary ~worker =
 let run () =
   let summary = Onll_obs.Metrics.create () in
   fence_accounting summary;
-  (* The full seeded campaign: plain + mirrored arms, both spotless, the
-     measured ops-at-risk histogram bounded by the budget, and a
-     calibration arm that must be caught. *)
   let seeds = env_int "ONLL_E20_SEEDS" 200 in
-  let ((c, hist) as s) =
-    Test_support.Relaxed_chaos.run_campaign ~seeds
-      ~calibration_seeds:(max 10 (seeds / 10))
-  in
-  Test_support.Relaxed_chaos.print s;
-  assert (Test_support.Campaign.total "violations" c.rows = 0);
-  assert (c.cal_caught > 0);
-  (* every crash landed within the budget: no histogram bucket beyond
-     the deepest configured risk budget *)
-  List.iter (fun (d, _) -> assert (d <= budget)) hist;
-  ignore (Test_support.Relaxed_chaos.to_metrics ~reg:summary s);
+  Harness.assert_campaign ~reg:summary
+    (Test_support.Relaxed_chaos.e20 ~seeds
+       ~calibration_seeds:(max 10 (seeds / 10)));
   native_throughput summary;
   print_endline "== per-session durability tiers over a real socket ==";
   tier_slo_pass summary ~worker:(Harness.onll_cli ());

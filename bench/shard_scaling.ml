@@ -98,37 +98,7 @@ let fence_accounting summary =
 
 (* {2 Part 2 — sharded chaos slices (deterministic, gated)} *)
 
-let chaos_slices summary =
-  let open Test_support in
-  let slice plan_of name =
-    Chaos_harness.arm ~plan_of ~obj:"kv" ~name ~seeds:40 ()
-  in
-  let plain = slice Chaos_harness.sharded_plan_of_seed "kv/sharded" in
-  let mirrored =
-    slice Chaos_harness.sharded_mirrored_plan_of_seed "kv/sharded+mirrored"
-  in
-  Campaign.print
-    ~title:
-      "E14 chaos slices — crash mid-update on one shard while others \
-       proceed (violations must be 0; the mirrored arm additionally loses \
-       nothing)"
-    ~header:"arm" ~columns:Chaos_harness.slice_columns [ plain; mirrored ];
-  assert (Campaign.total "violations" [ plain; mirrored ] = 0);
-  print_endline
-    "(asserted: zero durable-linearizability violations across both \
-     sharded chaos arms)";
-  assert (Chaos_harness.lost [ mirrored ] = 0);
-  print_endline
-    "(asserted: sharded + mirrored + primary-scoped faults cost nothing — \
-     per-shard repair composes)";
-  let record prefix r =
-    ignore
-      (Campaign.to_metrics ~reg:summary
-         ~keys:(List.map snd Chaos_harness.slice_columns)
-         ~prefix r)
-  in
-  record "e14.chaos.sharded" plain;
-  record "e14.chaos.sharded_mirrored" mirrored
+let chaos = Test_support.Chaos_harness.e14 ~seeds:40
 
 (* {2 Part 3 — native throughput grid} *)
 
@@ -261,7 +231,7 @@ let throughput_grid summary =
 let run () =
   let summary = Onll_obs.Metrics.create () in
   fence_accounting summary;
-  chaos_slices summary;
+  Harness.assert_campaign ~reg:summary chaos;
   throughput_grid summary;
   let path =
     Harness.write_snapshot ~experiment:"e14"

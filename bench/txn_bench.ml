@@ -169,20 +169,12 @@ let fence_accounting summary =
 
 (* {2 Part 2 — atomicity chaos slices (deterministic, gated)} *)
 
-let chaos_slices summary =
-  let open Test_support in
-  let s = Txn_chaos.run_campaign ~seeds:12 ~calibration_seeds:8 in
-  Txn_chaos.print s;
-  assert (Campaign.total "violations" s.Campaign.rows = 0);
-  assert (s.Campaign.cal_caught > 0);
-  print_endline
-    "(asserted: zero atomicity violations across both transaction chaos \
-     arms; the sweep-free calibration was caught)";
-  ignore (Txn_chaos.to_metrics ~reg:summary s)
-
+(* The gate's part: the fence accounting and a printed, recorded
+   12-seed chaos slice, whose verdict the gate acts on. *)
 let gate_slices summary =
   fence_accounting summary;
-  chaos_slices summary
+  Harness.campaign ~reg:summary
+    (Test_support.Txn_chaos.e19 ~seeds:12 ~calibration_seeds:8)
 
 (* {2 Part 3 — seeded campaign + native throughput} *)
 
@@ -264,17 +256,10 @@ let native_throughput summary =
 let run () =
   let summary = Onll_obs.Metrics.create () in
   fence_accounting summary;
-  (* The full seeded campaign: plain + mirrored arms, both spotless, and
-     a calibration arm that must be caught. *)
   let seeds = env_int "ONLL_E19_SEEDS" 200 in
-  let s =
-    Test_support.Txn_chaos.run_campaign ~seeds
-      ~calibration_seeds:(max 10 (seeds / 10))
-  in
-  Test_support.Txn_chaos.print s;
-  assert (Test_support.Campaign.total "violations" s.rows = 0);
-  assert (s.cal_caught > 0);
-  ignore (Test_support.Txn_chaos.to_metrics ~reg:summary s);
+  Harness.assert_campaign ~reg:summary
+    (Test_support.Txn_chaos.e19 ~seeds
+       ~calibration_seeds:(max 10 (seeds / 10)));
   native_throughput summary;
   let path =
     Harness.write_snapshot ~experiment:"e19"

@@ -2,7 +2,7 @@
 
    onll figure1                        replay the paper's Figure 1
    onll lowerbound -n 4 -i onll        run the Theorem 6.3 adversary
-   onll fuzz -s counter --seeds 50     crash-fuzz campaign with the checker
+   onll fuzz -s counter --seeds 50     the E8 crash-fuzz grid on one object
    onll chaos -s kv --seeds 30         media-fault chaos campaign (E12)
    onll chaos -s kv --mirrored         the E13 mirrored grid: faults on
                                        primaries must cost nothing
@@ -82,41 +82,25 @@ let known_spec ~known spec =
     exit 1
   end
 
-let fuzz spec seeds crash_window =
+(* [onll fuzz -s SPEC]: the E8 arm of one object. *)
+let fuzz spec seeds =
   let open Test_support in
-  let campaign run gen_update gen_read =
-    let failures = ref 0 and crashes = ref 0 in
-    for seed = 1 to seeds do
-      let plan =
-        {
-          Fuzz.default_plan with
-          seed;
-          crash_at = Some (5 + (seed * 17 mod crash_window));
-          policy = Crash_world.policy_of_seed seed;
-        }
-      in
-      let r = run ~plan ~gen_update ~gen_read () in
-      if r.Fuzz.crashed then incr crashes;
-      if r.Fuzz.failures <> [] || not r.Fuzz.verdict_ok then begin
-        incr failures;
-        Printf.printf "seed %d FAILED:\n" seed;
-        List.iter (fun f -> Printf.printf "  %s\n" f) r.Fuzz.failures;
-        Option.iter (fun v -> Printf.printf "  %s\n" v) r.Fuzz.verdict
-      end
-    done;
-    Printf.printf "%s: %d runs, %d crashed, %d failures\n" spec seeds !crashes
-      !failures;
-    if !failures > 0 then exit 1
-  in
-  known_spec ~known:[ "counter"; "queue"; "kv"; "stack"; "set"; "ledger" ] spec;
-  let (module G : Gen.S) = List.assoc spec Gen.by_name in
-  let module F = Fuzz.Make (G.Spec) in
-  campaign F.run G.update G.read
+  let e8 = Fuzz.e8 ~seeds in
+  known_spec ~known:(List.map (fun a -> a.Campaign.name) e8.Campaign.arms) spec;
+  let s = Campaign.run ~only:(fun a -> a.Campaign.name = spec) e8 in
+  List.iter
+    (fun (_, (r : Campaign.row)) ->
+      List.iter print_endline r.violations;
+      Printf.printf "%s: %d runs, %d crashed, %d failures\n" spec r.runs
+        r.crashed (Campaign.get r "failures"))
+    s.ran;
+  if Campaign.verdict s <> [] then exit 1
 
 let fuzz_cmd =
   let doc =
-    "Crash-fuzz an ONLL object: random schedules, crash points and \
-     policies, audited by the durable-linearizability checker."
+    "Crash-fuzz an ONLL object over the E8 grid: random schedules, crash \
+     points and policies, the wait-free trace on every fifth seed, \
+     audited by the durable-linearizability checker."
   in
   let spec =
     Arg.(
@@ -126,52 +110,28 @@ let fuzz_cmd =
   let seeds =
     Arg.(value & opt int 50 & info [ "seeds" ] ~docv:"N" ~doc:"seed count")
   in
-  let window =
-    Arg.(
-      value & opt int 150
-      & info [ "crash-window" ] ~docv:"STEPS"
-          ~doc:"crash step is drawn from [5, 5+STEPS)")
-  in
-  Cmd.v (Cmd.info "fuzz" ~doc) Term.(const fuzz $ spec $ seeds $ window)
+  Cmd.v (Cmd.info "fuzz" ~doc) Term.(const fuzz $ spec $ seeds)
 
 (* {1 chaos} *)
 
 (* Exit discipline, uniform across every chaos arm: a campaign that
-   RECORDS VIOLATIONS exits with the distinct code [4] — also under
-   [--quiet], so scripts can assert on the code alone — while a failed
-   calibration (the deliberately broken arm was never caught) exits 1. *)
+   breaks a zero requirement (violations, duplicates, lost acks, mirrored
+   loss, a crash beyond the risk budget) exits with the distinct code [4]
+   — also under [--quiet], so scripts can assert on the code alone —
+   while a calibration whose detector never fired exits 1. *)
 let exit_violations = 4
 
-(* Hardened arms: print their rows unless [--quiet]; any violation exits
-   with the violation code. *)
-let hardened_arm ~quiet ~print rows =
-  if not quiet then print rows;
-  if List.exists (fun r -> r.Test_support.Campaign.violations <> []) rows
-  then exit exit_violations
-
-(* One arm of the chaos command and its calibration, whichever campaign
-   it belongs to: the hardened row, how many calibration runs were
-   caught, and the campaign's printers. *)
-type campaign = {
-  row : unit -> Test_support.Campaign.row;
-  calibrate : unit -> int;
-  print_rows : Test_support.Campaign.row list -> unit;
-  print_calibration : Test_support.Campaign.summary -> unit;
-}
-
 (* The one dispatch. [--session] runs the E15 grid, which reads no other
-   flag: its session arms must be perfect and its naive at-least-once arm
-   must duplicate, or the detector proved nothing. Otherwise one arm runs:
-   [--txn] the E19 cross-shard transfers and [--relaxed] the E20
-   bounded-staleness tail, each a kv workload that reads [--mirrored] and
-   [--unhardened] only; by default the E12/E13/E14/E16 grids on [-s]'s
-   object, where [--mirrored], [--sharded] and [--batched] pick the stack.
-   [--unhardened] runs the arm's calibration, which must be caught; a
-   hardened arm must be clean, and a mirrored object arm must also lose
-   nothing — primary-only faults against a mirror cost NOTHING. The
-   relaxed calibration's violations are its expected outcome: caught, it
-   exits with the violation code (the Makefile smoke asserts exactly
-   that, under [--quiet]). *)
+   flag. Otherwise one arm runs with its calibration: [--txn] the E19
+   cross-shard transfers and [--relaxed] the E20 bounded-staleness tail,
+   each a kv workload that reads [--mirrored] and [--unhardened] only; by
+   default the E12/E13/E14/E16 grids on [-s]'s object, where
+   [--mirrored], [--sharded] and [--batched] pick the stack.
+   [--unhardened] runs the calibration alone, the hardened arm otherwise;
+   the campaign's verdict decides the exit code. The relaxed
+   calibration's violations are its expected outcome: caught, it exits
+   with the violation code (the Makefile smoke asserts exactly that,
+   under [--quiet]). *)
 let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
     quiet =
   let open Test_support in
@@ -183,105 +143,49 @@ let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
       usage "chaos: %s runs the kv %s workload (use -s kv)\n" flag workload
   in
   let mirror plain m = if mirrored then m else plain in
-  if session then begin
-    if unhardened || mirrored || sharded || batched || txn || relaxed then
-      usage "chaos: --session composes with no other campaign flag\n";
-    if spec <> None then
-      usage "chaos: --session runs its own counter and ledger grid (drop -s)\n";
-    let s = Session_chaos.run_e15 ~seeds_per_arm:seeds in
-    if not quiet then Session_chaos.print s;
-    if
-      Session_chaos.e15_violations s > 0
-      || Session_chaos.e15_session_duplicates s > 0
-      || Session_chaos.e15_session_lost_acks s > 0
-    then exit exit_violations;
-    if Session_chaos.e15_naive_duplicates s = 0 then exit 1
-  end
-  else begin
-    let c =
-      if relaxed then begin
-        kv_workload "--relaxed" ~workload:"staleness" ~also:txn;
-        let plan_of =
-          mirror Relaxed_chaos.plan_of_seed Relaxed_chaos.mirrored_plan_of_seed
-        in
-        let name = mirror "kv/relaxed" "kv/relaxed/mirrored" in
-        {
-          row = (fun () -> Relaxed_chaos.arm ~plan_of ~name ~seeds ());
-          calibrate = (fun () -> Relaxed_chaos.calibrate ~plan_of ~seeds ());
-          print_rows = Relaxed_chaos.print_rows;
-          print_calibration = Relaxed_chaos.print_calibration;
-        }
-      end
-      else if txn then begin
-        kv_workload "--txn" ~workload:"transfer" ~also:false;
-        let plan_of =
-          mirror Txn_chaos.plan_of_seed Txn_chaos.mirrored_plan_of_seed
-        in
-        let name = mirror "kv/txn" "kv/txn/mirrored" in
-        {
-          row = (fun () -> Txn_chaos.arm ~plan_of ~name ~seeds ());
-          calibrate = (fun () -> Txn_chaos.calibrate ~plan_of ~seeds ());
-          print_rows = Txn_chaos.print_rows;
-          print_calibration = Txn_chaos.print_calibration;
-        }
-      end
-      else begin
-        let obj = Option.value spec ~default:"kv" in
-        known_spec ~known:(List.map fst Chaos_harness.objects) obj;
-        let plan_of =
-          let base =
-            mirror Chaos_harness.plan_of_seed
-              Chaos_harness.mirrored_plan_of_seed
-          in
-          match (sharded, batched) with
-          | false, false -> base
-          | false, true -> Chaos_harness.over Onll_stack.(Bare `Batched) base
-          | true, false ->
-              Chaos_harness.over Onll_stack.(Sharded (`Plain, 4)) base
-          | true, true ->
-              Chaos_harness.over Onll_stack.(Sharded (`Batched, 4)) base
-        in
-        let name =
-          obj
-          ^ (if sharded then "/sharded" else "")
-          ^ (if batched then "/batched" else "")
-          ^ mirror "" "+mirrored"
-        in
-        {
-          row = (fun () -> Chaos_harness.arm ~plan_of ~obj ~name ~seeds ());
-          calibrate =
-            (fun () -> Chaos_harness.calibrate ~plan_of ~obj ~seeds ());
-          print_rows =
-            Chaos_harness.print_rows
-              ~title:
-                (Printf.sprintf "chaos %s (violations must be 0%s)" name
-                   (mirror "" "; mirrored: no loss either"));
-          print_calibration = Chaos_harness.print_calibration;
-        }
-      end
-    in
-    if unhardened then begin
-      let caught = c.calibrate () in
-      if not quiet then
-        c.print_calibration
-          { Campaign.rows = []; cal_runs = seeds; cal_caught = caught };
-      (* a detector that never fired *)
-      if caught = 0 then exit 1;
-      if relaxed then exit exit_violations
+  let c =
+    if session then begin
+      if unhardened || mirrored || sharded || batched || txn || relaxed then
+        usage "chaos: --session composes with no other campaign flag\n";
+      if spec <> None then
+        usage
+          "chaos: --session runs its own counter and ledger grid (drop -s)\n";
+      Session_chaos.e15 ~seeds_per_arm:seeds
+    end
+    else if relaxed then begin
+      kv_workload "--relaxed" ~workload:"staleness" ~also:txn;
+      Relaxed_chaos.one
+        ~name:(mirror "kv/relaxed" "kv/relaxed/mirrored")
+        ~seeds ~calibration_seeds:seeds
+        (mirror Relaxed_chaos.plan_of_seed Relaxed_chaos.mirrored_plan_of_seed)
+    end
+    else if txn then begin
+      kv_workload "--txn" ~workload:"transfer" ~also:false;
+      Txn_chaos.one
+        ~name:(mirror "kv/txn" "kv/txn/mirrored")
+        ~seeds ~calibration_seeds:seeds
+        (mirror Txn_chaos.plan_of_seed Txn_chaos.mirrored_plan_of_seed)
     end
     else begin
-      let row = c.row () in
-      hardened_arm ~quiet ~print:c.print_rows [ row ];
-      if mirrored && (not (txn || relaxed)) && Chaos_harness.lost [ row ] > 0
-      then begin
-        if not quiet then
-          print_endline
-            "MIRRORED LOSS: every reported-lost and tail-ambiguous update \
-             should have been repaired from the intact replica";
-        exit exit_violations
-      end
+      let obj = Option.value spec ~default:"kv" in
+      known_spec ~known:(List.map fst Chaos_harness.objects) obj;
+      Chaos_harness.one ~obj ~mirrored ~sharded ~batched ~seeds
     end
-  end
+  in
+  let s =
+    Campaign.run ~only:(fun a -> Campaign.is_calibration a = unhardened) c
+  in
+  if not quiet then Campaign.show s;
+  (match Campaign.verdict s with
+  | [] -> ()
+  | unmet ->
+      if not quiet then
+        List.iter
+          (fun u -> print_endline ("UNMET: " ^ Campaign.describe u))
+          unmet;
+      exit (if List.exists Campaign.is_violation unmet then exit_violations
+            else 1));
+  if unhardened && relaxed then exit exit_violations
 
 let chaos_cmd =
   let doc =
@@ -709,7 +613,9 @@ let kill_campaign ~prefix ~print dir keep run =
       exit 1
   in
   if not keep then Temp_dir.rm_rf base;
-  hardened_arm ~quiet:false ~print rows;
+  print rows;
+  if List.exists (fun (r : Campaign.row) -> r.violations <> []) rows then
+    exit exit_violations;
   if Campaign.total "kills" rows = 0 then begin
     print_endline "NO EPOCH WAS KILLED — campaign proves nothing";
     exit 1

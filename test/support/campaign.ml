@@ -1,12 +1,25 @@
-(** The one campaign loop behind the seeded crash campaigns (E12–E20):
-    seed → run → audit → sum a row, a calibration counter, one table
-    printer and one metrics fold.
+(** The seeded crash campaigns as values: E8, E12–E16, E19 and E20 are
+    each one {!t}, and the bench, the gate, [onll chaos] and the tier-1
+    slices all read it.
 
-    A campaign supplies its per-seed plan grid, its [run] and a projection
-    of its result onto named counts ([media_faults], [acked], …); the
-    module owns everything else. A row's counts keep the projection's key
-    order, so a table column or metric key names a count, never a record
-    field. *)
+    A campaign is its arms, its table and its requirements. An {!arm} is a
+    name, a seed count and a run from a seed to an {!outcome}; the loop
+    ({!sum}) sums seeds [1..n] of it into a {!row} of named counts. A
+    {!requirement} names count keys that must sum to 0, or to at least
+    [n], over every row that carries it, so one requirement on two arms
+    (E15's two naive rows) is met by their sum. A calibration is an arm
+    too: a deliberately broken run whose catches are counted, and which
+    must be caught. It prints as one line, not as a table row.
+
+    {!verdict} names every unmet requirement of the arms that ran. Each
+    consumer runs a campaign, or a part of it ({!run}'s [only]), and acts
+    on that verdict in its own way: an assert in [bench/main.exe eNN], a
+    named failure in [bench_gate], exit code 4 (a [Zero] requirement) or
+    1 (a calibration or other [At_least]) in [onll chaos], a check in a
+    tier-1 slice. None of them compares a count itself.
+
+    The subprocess campaigns (E17, E18) fork and keep only the loop: they
+    sum {!tally} runs with {!tally_arm} and print with {!print}. *)
 
 type row = {
   name : string;
@@ -27,7 +40,7 @@ let add_counts a b =
     a b
 
 (** Run seeds [1..seeds] of one arm and sum them into a row. *)
-let arm ~name ~seeds ~crashed ~violations ~counts run =
+let sum ~name ~seeds ~crashed ~violations ~counts run =
   let rec go seed acc =
     if seed > seeds then { acc with violations = List.rev acc.violations }
     else
@@ -47,16 +60,6 @@ let arm ~name ~seeds ~crashed ~violations ~counts run =
         }
   in
   go 1 { name; runs = 0; crashed = 0; counts = []; violations = [] }
-
-(** Calibration: run seeds [1..seeds] of the deliberately broken arm and
-    count the runs the campaign's own [caught] predicate flags — which it
-    must, on at least one seed, or the campaign's zeros prove nothing. *)
-let calibrate ~seeds ~caught run =
-  let n = ref 0 in
-  for seed = 1 to seeds do
-    if caught (run seed) then incr n
-  done;
-  !n
 
 (* Every value of a row, as [(key, value)]: [runs], [crashed], the
    counts, then [violations] (their number). *)
@@ -83,18 +86,8 @@ let print ~title ~header ~columns rows =
     (fun r -> List.iter (Printf.printf "  VIOLATION %s\n") r.violations)
     rows
 
-(** A campaign with a calibration arm: its hardened rows, and how many of
-    the calibration arm's runs its detector caught. *)
-type summary = { rows : row list; cal_runs : int; cal_caught : int }
-
-let print_calibration ~arm ~verdict s =
-  Printf.printf "calibration (%s): %d/%d %s %s\n" arm s.cal_caught s.cal_runs
-    verdict
-    (if s.cal_caught > 0 then "(detector fires)"
-     else "(DETECTOR NEVER FIRED — campaign proves nothing)")
-
 (** Fold one row into [reg] as [prefix.key] counters: [runs], [crashed],
-    every count and [violations] — or exactly [keys] when given. *)
+    every count and [violations], or exactly [keys] when given. *)
 let to_metrics ?(reg = Onll_obs.Metrics.create ()) ?keys ~prefix r =
   let kvs =
     match keys with
@@ -107,17 +100,252 @@ let to_metrics ?(reg = Onll_obs.Metrics.create ()) ?keys ~prefix r =
     kvs;
   reg
 
-(** Fold a summary into [reg]: each row under [prefix.<name>], the
-    calibration arm as [prefix.calibration.runs] / [.caught]. *)
-let summary_metrics ?(reg = Onll_obs.Metrics.create ()) ~prefix s =
+(** {1 Campaign values} *)
+
+(** One seeded run, as the loop sums it. *)
+type outcome = {
+  crashed : bool;
+  counts : (string * int) list;
+      (** the same keys in the same order on every run of an arm *)
+  violations : string list;  (** audit failures; empty = pass *)
+}
+
+type need = Zero | At_least of int
+
+type requirement = {
+  what : string;  (** what holds when it is met, as a sentence *)
+  keys : string list;  (** summed over every row that carries it *)
+  need : need;
+}
+
+let zero what keys = { what; keys; need = Zero }
+let no_violations = zero "zero violations on every hardened arm" [ "violations" ]
+
+type role =
+  | Row of string
+      (** a table row, recorded as [<prefix>.<key>.*] under this key *)
+  | Calibration of { label : string; verdict : string }
+      (** one line, [calibration (<label>): <caught>/<runs> <verdict>],
+          recorded as [<prefix>.calibration.runs] and [.caught] *)
+  | Unshown  (** checked only: neither printed nor recorded *)
+
+type arm = {
+  name : string;
+  role : role;
+  seeds : int;  (** the arm runs seeds [1..seeds] *)
+  run : int -> outcome;
+  requires : requirement list;
+}
+
+(** A table row of [seeds] runs, recorded under [key] (default: its
+    name). *)
+let arm ?key ~name ~seeds ~requires run =
+  { name; role = Row (Option.value key ~default:name); seeds; run; requires }
+
+(** A calibration arm: each run of the broken recovery counts as
+    ["caught"] when [caught] flags it, and it must be caught on at least
+    [at_least] runs (default 1), or the campaign's zeros prove nothing. *)
+let calibration ?(at_least = 1) ~label ~verdict ~seeds ~caught run =
+  {
+    name = "calibration";
+    role = Calibration { label; verdict };
+    seeds;
+    run =
+      (fun seed ->
+        let o = run seed in
+        { o with counts = [ ("caught", Bool.to_int (caught o)) ] });
+    requires =
+      [
+        {
+          what =
+            (if at_least = 1 then "the calibration arm is caught"
+             else
+               Printf.sprintf "the calibration arm is caught on at least %d \
+                               of its runs" at_least);
+          keys = [ "caught" ];
+          need = At_least at_least;
+        };
+      ];
+  }
+
+type t = {
+  title : string;
+  header : string;  (** the name column's header *)
+  columns : (string * string) list;  (** [(header, count key)] *)
+  prefix : string;  (** every metric key starts [<prefix>.] *)
+  recorded : [ `Every_count | `Columns ];
+      (** which values of a row become metrics *)
+  arms : arm list;
+  footer : (summary -> string) option;  (** a line after the table *)
+  hist : (string * string) option;
+      (** [(label, key prefix)]: the counts under the key prefix are a
+          histogram, summed over the rows, printed after the table as
+          [<label>: <bucket>-><runs>, ...] and recorded per bucket *)
+}
+
+and summary = { campaign : t; ran : (arm * row) list  (** in arm order *) }
+
+let make ?(recorded = `Every_count) ?footer ?hist ~title ~header ~columns
+    ~prefix arms =
+  { title; header; columns; prefix; recorded; arms; footer; hist }
+
+let is_calibration a = match a.role with Calibration _ -> true | _ -> false
+
+(** Run the arms [only] accepts (default: all), in order. *)
+let run ?(only = fun _ -> true) c =
+  {
+    campaign = c;
+    ran =
+      List.filter_map
+        (fun a ->
+          if not (only a) then None
+          else
+            Some
+              ( a,
+                sum ~name:a.name ~seeds:a.seeds
+                  ~crashed:(fun (o : outcome) -> o.crashed)
+                  ~violations:(fun o -> o.violations)
+                  ~counts:(fun o -> o.counts)
+                  a.run ))
+        c.arms;
+  }
+
+(** What a requirement measured: its keys summed over the rows carrying
+    it. *)
+let measured s req =
+  List.fold_left
+    (fun acc (a, r) ->
+      if List.mem req a.requires then
+        List.fold_left (fun acc k -> acc + get r k) acc req.keys
+      else acc)
+    0 s.ran
+
+type unmet = { requirement : requirement; got : int; rows : string list }
+
+(* Every requirement the arms that ran carry, once, in first-carried
+   order. *)
+let requirements s =
+  List.fold_left
+    (fun acc (a, _) ->
+      acc @ List.filter (fun q -> not (List.mem q acc)) a.requires)
+    [] s.ran
+
+let met req got = match req.need with Zero -> got = 0 | At_least n -> got >= n
+
+(** Every unmet requirement of the arms that ran; [[]] = the campaign
+    holds. *)
+let verdict s =
+  List.filter_map
+    (fun req ->
+      let got = measured s req in
+      if met req got then None
+      else
+        Some
+          {
+            requirement = req;
+            got;
+            rows =
+              List.filter_map
+                (fun (a, _) ->
+                  if List.mem req a.requires then Some a.name else None)
+                s.ran;
+          })
+    (requirements s)
+
+(** A [Zero] requirement broken: a violation, not a calibration. *)
+let is_violation u = u.requirement.need = Zero
+
+let describe u =
+  Printf.sprintf "%s — %s over %s is %d, must be %s" u.requirement.what
+    (String.concat " + " u.requirement.keys)
+    (String.concat ", " u.rows) u.got
+    (match u.requirement.need with
+    | Zero -> "0"
+    | At_least n -> Printf.sprintf "at least %d" n)
+
+(** Run the whole campaign and describe every unmet requirement: what a
+    tier-1 slice checks is empty. *)
+let unmet c = List.map describe (verdict (run c))
+
+(** What the arms that ran were held to, each requirement once. *)
+let held s = List.map (fun q -> q.what) (requirements s)
+
+let table_rows s =
+  List.filter_map
+    (fun (a, r) -> match a.role with Row _ -> Some r | _ -> None)
+    s.ran
+
+(* The histogram's nonzero buckets, [(count key, runs)], in count order. *)
+let buckets s =
+  match (s.campaign.hist, table_rows s) with
+  | None, _ | _, [] -> []
+  | Some (_, p), (r :: _ as rows) ->
+      List.filter_map
+        (fun (k, _) ->
+          if not (String.starts_with ~prefix:p k) then None
+          else
+            match total k rows with 0 -> None | n -> Some (k, n))
+        r.counts
+
+(** The table of the rows that ran, its footer and histogram, then each
+    calibration line. A summary of calibrations alone prints only their
+    lines. *)
+let show s =
+  let c = s.campaign in
+  (match table_rows s with
+  | [] -> ()
+  | rows ->
+      print ~title:c.title ~header:c.header ~columns:c.columns rows;
+      Option.iter (fun f -> print_endline (f s)) c.footer;
+      Option.iter
+        (fun (label, p) ->
+          let n = String.length p in
+          Printf.printf "%s: %s\n" label
+            (String.concat ", "
+               (List.map
+                  (fun (k, runs) ->
+                    Printf.sprintf "%s->%d"
+                      (String.sub k n (String.length k - n))
+                      runs)
+                  (buckets s))))
+        c.hist);
   List.iter
-    (fun r -> ignore (to_metrics ~reg ~prefix:(prefix ^ "." ^ r.name) r))
-    s.rows;
+    (fun (a, r) ->
+      match a.role with
+      | Calibration { label; verdict } ->
+          let caught = get r "caught" in
+          Printf.printf "calibration (%s): %d/%d %s %s\n" label caught r.runs
+            verdict
+            (if caught > 0 then "(detector fires)"
+             else "(DETECTOR NEVER FIRED — campaign proves nothing)")
+      | _ -> ())
+    s.ran
+
+(** Fold a summary into [reg] under the campaign's prefix: each row as
+    [<key>.*], a calibration as [calibration.runs] and [.caught], each
+    histogram bucket under its count key. *)
+let metrics ?(reg = Onll_obs.Metrics.create ()) s =
+  let c = s.campaign in
   let add k v =
-    Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg (prefix ^ k)) v
+    Onll_obs.Metrics.add
+      (Onll_obs.Metrics.counter reg (c.prefix ^ "." ^ k))
+      v
   in
-  add ".calibration.runs" s.cal_runs;
-  add ".calibration.caught" s.cal_caught;
+  List.iter
+    (fun (a, r) ->
+      match a.role with
+      | Row key ->
+          List.iter
+            (fun (k, v) -> add (key ^ "." ^ k) v)
+            (match c.recorded with
+            | `Every_count -> fields r
+            | `Columns -> List.map (fun (_, k) -> (k, get r k)) c.columns)
+      | Calibration _ ->
+          add "calibration.runs" r.runs;
+          add "calibration.caught" (get r "caught")
+      | Unshown -> ())
+    s.ran;
+  List.iter (fun (k, n) -> add k n) (buckets s);
   reg
 
 (** {1 Tallies}
@@ -132,17 +360,17 @@ type tally = {
 }
 
 let tally () = { tallied = Hashtbl.create 16; failures = [] }
-let count t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
-let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count t key + by)
+let count_of t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
+let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count_of t key + by)
 let fail t fmt = Format.kasprintf (fun s -> t.failures <- s :: t.failures) fmt
 
-(** {!arm} over tallies: the row's counts are [keys], in order, and a run
+(** {!sum} over tallies: the row's counts are [keys], in order, and a run
     crashed when its ["kills"] count is above 0. *)
 let tally_arm ~name ~seeds ~keys run =
-  arm ~name ~seeds
-    ~crashed:(fun t -> count t "kills" > 0)
+  sum ~name ~seeds
+    ~crashed:(fun t -> count_of t "kills" > 0)
     ~violations:(fun t -> List.rev t.failures)
-    ~counts:(fun t -> List.map (fun k -> (k, count t k)) keys)
+    ~counts:(fun t -> List.map (fun k -> (k, count_of t k)) keys)
     run
 
 (** How a child process ended, for a violation message. *)

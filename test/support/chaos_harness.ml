@@ -1,5 +1,6 @@
-(** The E12/E13 chaos campaigns, shared by the bench experiments and the
-    [onll chaos] subcommand: many {!Chaos} runs per object — schedules ×
+(** The E12/E13 chaos campaigns and the E14/E16 chaos slices, each one
+    {!Campaign.t} that the bench, the gate, [onll chaos] and the tests
+    read: many {!Chaos} runs per object — schedules ×
     crash policies × media-fault plans × nested recovery crashes — plus a
     calibration pass that re-runs a slice of the same plans against the
     {e unhardened} recovery and must catch it silently losing data (a
@@ -126,112 +127,97 @@ let counts r =
   ]
   @ r.Chaos.metrics
 
-(** [seeds] runs of object [obj] over [plan_of]'s grid, as one row. *)
-let arm ?(plan_of = plan_of_seed) ~obj ?(name = obj) ~seeds () =
-  Campaign.arm ~name ~seeds
-    ~crashed:(fun r -> r.Chaos.crashed)
-    ~violations:(fun r -> r.Chaos.violations)
-    ~counts
-    (fun seed -> List.assoc obj objects (plan_of seed))
+(* {2 Campaigns} *)
 
-(** Calibration: the same plans, unhardened recovery. A run is caught when
-    the audit flags it at all — which it must, for silent truncation under
-    media faults, on at least one seed. *)
-let calibrate ?(plan_of = plan_of_seed) ~obj ~seeds () =
-  Campaign.calibrate ~seeds
-    ~caught:(fun r -> r.Chaos.violations <> [])
+let outcome r =
+  {
+    Campaign.crashed = r.Chaos.crashed;
+    counts = counts r;
+    violations = r.Chaos.violations;
+  }
+
+let loss = [ "reported_lost"; "tail_ambiguous" ]
+
+let lossless =
+  Campaign.zero
+    "primary-only faults against a mirror cost nothing: zero reported-lost \
+     and zero tail-ambiguous on every mirrored arm"
+    loss
+
+(* [seeds] runs of object [obj] over [plan_of]'s grid, hardened. Every
+   such arm must be clean; on mirrored logs with faults confined to
+   primaries it must also lose nothing, since every fault has an intact
+   mirror copy to restore. *)
+let arm ?key ~obj ~name ~seeds plan_of =
+  let p = plan_of 1 in
+  Campaign.arm ?key ~name ~seeds
+    ~requires:
+      (Campaign.no_violations
+      ::
+      (if p.Chaos.stack.Onll_stack.replicas > 1 && p.fault_scope = `Primary_only
+       then [ lossless ]
+       else []))
+    (fun seed -> outcome (List.assoc obj objects (plan_of seed)))
+
+(* The same plans against the unhardened recovery: a run is caught when
+   the audit flags it at all, which it must, for silent truncation under
+   media faults, on at least one seed. *)
+let calibration ~obj ~seeds plan_of =
+  Campaign.calibration ~label:"unhardened recovery"
+    ~verdict:"runs caught losing data" ~seeds
+    ~caught:(fun o -> o.Campaign.violations <> [])
     (fun seed ->
-      List.assoc obj objects { (plan_of seed) with Chaos.hardened = false })
+      outcome
+        (List.assoc obj objects { (plan_of seed) with Chaos.hardened = false }))
 
-(* The six columns the E14/E16 chaos slices print and gate. *)
-let slice_columns =
+let columns =
   [
     ("runs", "runs");
     ("crashed", "crashed");
     ("media", "media_faults");
+    ("transient", "transients");
+    ("nested", "nested_crashes");
     ("reported-lost", "reported_lost");
     ("tail-ambig", "tail_ambiguous");
     ("violations", "violations");
   ]
 
-let lost rows =
-  Campaign.total "reported_lost" rows + Campaign.total "tail_ambiguous" rows
-
-let run ~seeds_per_object ~calibration_seeds =
-  {
-    Campaign.rows =
-      List.map (fun (obj, _) -> arm ~obj ~seeds:seeds_per_object ()) objects;
-    cal_runs = calibration_seeds;
-    (* on the kv object: rich payloads make silent truncation bite fast *)
-    cal_caught = calibrate ~obj:"kv" ~seeds:calibration_seeds ();
-  }
-
-let print_rows
-    ?(title =
+(** E12: every object over the plain grid, and the unhardened calibration
+    on kv, whose rich payloads make silent truncation bite fast. *)
+let e12 ~seeds ~calibration_seeds =
+  Campaign.make
+    ~title:
       "E12 — chaos campaign (media faults × transient flush/fence failures \
-       × nested recovery crashes; violations must be 0)") rows =
-  Campaign.print ~title ~header:"object"
-    ~columns:
-      [
-        ("runs", "runs");
-        ("crashed", "crashed");
-        ("media", "media_faults");
-        ("transient", "transients");
-        ("nested", "nested_crashes");
-        ("reported-lost", "reported_lost");
-        ("tail-ambig", "tail_ambiguous");
-        ("violations", "violations");
-      ]
-    rows
+       × nested recovery crashes; violations must be 0)"
+    ~header:"object" ~columns ~prefix:"chaos"
+    (List.map (fun (obj, _) -> arm ~obj ~name:obj ~seeds plan_of_seed) objects
+    @ [ calibration ~obj:"kv" ~seeds:calibration_seeds plan_of_seed ])
 
-let print_calibration =
-  Campaign.print_calibration ~arm:"unhardened recovery"
-    ~verdict:"runs caught losing data"
-
-let print s =
-  print_rows s.Campaign.rows;
-  print_calibration s
-
-(* Fold a summary into the BENCH_e12.json snapshot: fault, retry, salvage
-   and recovery counters are first-class metrics. *)
-let to_metrics s = Campaign.summary_metrics ~prefix:"chaos" s
-
-(* {2 E13 — mirrored logs, scrubbing, repair-aware recovery} *)
-
-type e13_summary = {
-  mirrored : Campaign.row list;
-      (** 2-way mirrored, faults on primaries only: zero violations AND
-          zero reported-lost AND zero tail-ambiguous required *)
-  dual : Campaign.row list;
-      (** mirrored, faults on every replica: zero violations required;
-          double-fault losses reappear but must be named *)
-  unmirrored : Campaign.row list;
-      (** the E12 plans re-run hardened and unmirrored — the calibration
-          scale mirrored rows are compared against (must show losses) *)
-}
-
-let e13_violations s = Campaign.total "violations" (s.mirrored @ s.dual)
-let e13_mirrored_lost s = lost s.mirrored
-let e13_unmirrored_lost s = lost s.unmirrored
-
-let run_e13 ~seeds_per_object ~dual_seeds ~unmirrored_seeds =
-  {
-    mirrored =
-      List.map
-        (fun (obj, _) ->
-          arm ~plan_of:mirrored_plan_of_seed ~obj ~seeds:seeds_per_object ())
-        objects;
-    dual =
-      [
-        arm ~plan_of:dual_fault_plan_of_seed ~obj:"kv" ~name:"kv/dual"
-          ~seeds:dual_seeds ();
-      ];
-    unmirrored =
-      [ arm ~obj:"kv" ~name:"kv/unmirrored" ~seeds:unmirrored_seeds () ];
-  }
-
-let print_e13 s =
-  Campaign.print
+(** E13: the same adversity against mirrored logs. Three arms: mirrored
+    with faults on primaries only, on every object (lossless); dual, with
+    faults in every replica (losses reappear, named); and the E12 plans
+    re-run unmirrored on kv, the scale the mirrored rows are compared
+    against. The unmirrored plans run once more, unshown, at
+    [calibration_seeds] seeds: they must lose, or the grid stopped biting
+    and the mirrored zeros prove nothing. *)
+let e13 ~seeds_per_object ~dual_seeds ~unmirrored_seeds ~calibration_seeds =
+  let scale =
+    {
+      Campaign.what = "the unmirrored arm loses: E12-scale faults were real";
+      keys = loss;
+      need = At_least 1;
+    }
+  in
+  let footer s =
+    let unmirrored = Campaign.measured s scale in
+    Printf.sprintf
+      "mirrored losses: %d (must be 0) | unmirrored calibration losses: %d %s"
+      (Campaign.measured s lossless)
+      unmirrored
+      (if unmirrored > 0 then "(faults were real)"
+       else "(NO LOSSES UNMIRRORED — the grid stopped biting; tighten it)")
+  in
+  Campaign.make
     ~title:
       "E13 — mirrored chaos campaign (2 replicas; primary-only faults must \
        cost NOTHING: reported-lost, tail-ambig and violations all 0; the \
@@ -250,25 +236,93 @@ let print_e13 s =
         ("tail-ambig", "tail_ambiguous");
         ("violations", "violations");
       ]
-    (s.mirrored @ s.dual @ s.unmirrored);
-  Printf.printf
-    "mirrored losses: %d (must be 0) | unmirrored calibration losses: %d %s\n"
-    (e13_mirrored_lost s) (e13_unmirrored_lost s)
-    (if e13_unmirrored_lost s > 0 then "(faults were real)"
-     else "(NO LOSSES UNMIRRORED — the grid stopped biting; tighten it)")
+    ~prefix:"e13" ~footer
+    (List.map
+       (fun (obj, _) ->
+         arm ~key:("mirrored." ^ obj) ~obj ~name:obj ~seeds:seeds_per_object
+           mirrored_plan_of_seed)
+       objects
+    @ [
+        arm ~key:"dual.kv/dual" ~obj:"kv" ~name:"kv/dual" ~seeds:dual_seeds
+          dual_fault_plan_of_seed;
+        arm ~key:"unmirrored.kv/unmirrored" ~obj:"kv" ~name:"kv/unmirrored"
+          ~seeds:unmirrored_seeds plan_of_seed;
+        {
+          (arm ~obj:"kv" ~name:"kv/unmirrored scale" ~seeds:calibration_seeds
+             plan_of_seed)
+          with
+          role = Unshown;
+          requires = [ scale ];
+        };
+      ])
 
-let e13_to_metrics s =
-  let reg = Onll_obs.Metrics.create () in
-  List.iter
-    (fun (group, rows) ->
-      List.iter
-        (fun r ->
-          ignore
-            (Campaign.to_metrics ~reg
-               ~prefix:(Printf.sprintf "e13.%s.%s" group r.Campaign.name)
-               r))
-        rows)
+(* The six columns the E14/E16 chaos slices print and record. *)
+let slice_columns =
+  [
+    ("runs", "runs");
+    ("crashed", "crashed");
+    ("media", "media_faults");
+    ("reported-lost", "reported_lost");
+    ("tail-ambig", "tail_ambiguous");
+    ("violations", "violations");
+  ]
+
+(* A pair of kv slices over one construction, plain and mirrored, each
+   recorded as [<prefix>.<key>.*]. *)
+let slices ~title ~prefix ~seeds arms =
+  Campaign.make ~recorded:`Columns ~title ~header:"arm" ~columns:slice_columns
+    ~prefix
+    (List.map
+       (fun (name, key, plan_of) ->
+         arm ~key ~obj:"kv" ~name ~seeds plan_of)
+       arms)
+
+(** E14's chaos slices: the sharded construction, plain and mirrored. *)
+let e14 ~seeds =
+  slices ~prefix:"e14.chaos" ~seeds
+    ~title:
+      "E14 chaos slices — crash mid-update on one shard while others \
+       proceed (violations must be 0; the mirrored arm additionally loses \
+       nothing)"
     [
-      ("mirrored", s.mirrored); ("dual", s.dual); ("unmirrored", s.unmirrored);
-    ];
-  reg
+      ("kv/sharded", "sharded", sharded_plan_of_seed);
+      ("kv/sharded+mirrored", "sharded_mirrored", sharded_mirrored_plan_of_seed);
+    ]
+
+(** E16's chaos slices: group commit, plain and mirrored. A duplicate ack
+    is a violation of the chaos audit. *)
+let e16 ~seeds =
+  slices ~prefix:"e16.chaos" ~seeds
+    ~title:
+      "E16 chaos slices — crash mid-window, before or after its fence \
+       (violations must be 0; the mirrored arm additionally loses \
+       nothing)"
+    [
+      ("kv/batched", "batched", batched_plan_of_seed);
+      ("kv/batched+mirrored", "batched_mirrored", batched_mirrored_plan_of_seed);
+    ]
+
+(** [onll chaos]'s grid on one object: the E12 plans, or E13's mirrored
+    ones, over the stack the flags pick, with the unhardened calibration
+    over the same plans. *)
+let one ~obj ~mirrored ~sharded ~batched ~seeds =
+  let base = if mirrored then mirrored_plan_of_seed else plan_of_seed in
+  let plan_of =
+    match (sharded, batched) with
+    | false, false -> base
+    | false, true -> over (Bare `Batched) base
+    | true, false -> over (Sharded (`Plain, 4)) base
+    | true, true -> over (Sharded (`Batched, 4)) base
+  in
+  let name =
+    obj
+    ^ (if sharded then "/sharded" else "")
+    ^ (if batched then "/batched" else "")
+    ^ if mirrored then "+mirrored" else ""
+  in
+  Campaign.make
+    ~title:
+      (Printf.sprintf "chaos %s (violations must be 0%s)" name
+         (if mirrored then "; mirrored: no loss either" else ""))
+    ~header:"object" ~columns ~prefix:"chaos"
+    [ arm ~obj ~name ~seeds plan_of; calibration ~obj ~seeds plan_of ]

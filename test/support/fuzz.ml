@@ -177,3 +177,62 @@ module Make (S : Onll_core.Spec.S) = struct
       failures = Crash_world.violations w;
     }
 end
+
+(* {1 E8} *)
+
+(* The E8 grid: every knob a pure function of the seed, and the
+   Kogan–Petrank wait-free trace on every fifth seed. *)
+let plan_of_seed seed =
+  {
+    default_plan with
+    seed;
+    crash_at = Some (8 + (seed * 13 mod 150));
+    policy = Crash_world.policy_of_seed seed;
+    stack =
+      {
+        Onll_stack.plain with
+        top = Direct (Bare (if seed mod 5 = 0 then `Wait_free else `Plain));
+      };
+  }
+
+let outcome r =
+  let failed = r.failures <> [] || not r.verdict_ok in
+  {
+    Campaign.crashed = r.crashed;
+    counts =
+      [
+        ("checked", Bool.to_int (r.verdict <> None));
+        ("failures", Bool.to_int failed);
+      ];
+    violations =
+      (if failed then r.failures @ Option.to_list r.verdict else []);
+  }
+
+(** E8: [seeds] runs of the grid on each object; a run fails on an audit
+    failure or a checker verdict that does not validate. [onll fuzz]
+    runs one object's arm. *)
+let e8 ~seeds =
+  Campaign.make ~recorded:`Columns
+    ~title:
+      "E8 — crash-fuzz campaign (random schedules, crash points and \
+       policies; failures must be 0)"
+    ~header:"object"
+    ~columns:
+      [
+        ("runs", "runs");
+        ("crashed", "crashed");
+        ("checker-validated", "checked");
+        ("failures", "failures");
+      ]
+    ~prefix:"fuzz"
+    (List.map
+       (fun name ->
+         let (module G : Gen.S) = List.assoc name Gen.by_name in
+         let module F = Make (G.Spec) in
+         Campaign.arm ~name ~seeds
+           ~requires:[ Campaign.zero "zero failures on every object" [ "failures" ] ]
+           (fun seed ->
+             outcome
+               (F.run ~plan:(plan_of_seed seed) ~gen_update:G.update
+                  ~gen_read:G.read ())))
+       [ "counter"; "queue"; "kv"; "stack"; "set"; "ledger" ])

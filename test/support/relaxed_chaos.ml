@@ -436,59 +436,57 @@ let run ~plan () =
   let n = (run_at ~plan ~crash_at:max_int).steps in
   run_at ~plan ~crash_at:(1 + (plan.crash_permille * n / 1000))
 
-(* {2 Campaign aggregation} *)
+(* {2 Campaigns} *)
 
-let counts r =
-  [
-    ("acked", r.completed);
-    ("lost", r.lost);
-    ("drains", r.drains);
-    ("deferred", r.deferred);
-    ("converge_steps", r.converge_steps);
-  ]
+(* The deepest risk budget [plan_of_seed] draws, [1 lsl 3]: no crash may
+   find more operations at risk. *)
+let deepest_budget = 8
 
-(* [?hist] tallies the tail depth (ops at risk) of every crashed run. *)
-let arm ?(plan_of = plan_of_seed) ?hist ~name ~seeds () =
-  Campaign.arm ~name ~seeds
-    ~crashed:(fun r -> r.crashed)
-    ~violations:(fun r -> r.violations)
-    ~counts
-    (fun seed ->
-      let r = run ~plan:(plan_of seed) () in
-      (match hist with
-      | Some h when r.crashed ->
-          Hashtbl.replace h r.depth_at_crash
-            (1 + Option.value ~default:0 (Hashtbl.find_opt h r.depth_at_crash))
-      | _ -> ());
-      r)
-
-(* The ledger-free calibration over [plan_of]'s grid: caught when a
-   crash run is flagged. *)
-let calibrate ?(plan_of = plan_of_seed) ~seeds () =
-  Campaign.calibrate ~seeds
-    ~caught:(fun r -> r.crashed && r.violations <> [])
-    (fun seed -> run ~plan:{ (plan_of seed) with hardened = false } ())
-
-(* The summary, and the measured ops-at-risk distribution: (tail depth at
-   the crash, crashed runs at that depth), bounded by the budget. *)
-let run_campaign ~seeds ~calibration_seeds =
-  let h = Hashtbl.create 16 in
-  let rows =
-    [
-      arm ~name:"relaxed" ~hist:h ~seeds ();
-      arm ~plan_of:mirrored_plan_of_seed ~name:"relaxed/mirrored" ~hist:h
-        ~seeds ();
-    ]
+(* Each crashed run's tail depth (ops at risk when the crash hit) as one
+   histogram bucket, [risk.hist.<depth>] up to the deepest budget and
+   [risk.hist.over] beyond it. *)
+let depth_buckets r =
+  let hit =
+    if r.depth_at_crash > deepest_budget then "over"
+    else string_of_int r.depth_at_crash
   in
-  ( {
-      Campaign.rows;
-      cal_runs = calibration_seeds;
-      cal_caught = calibrate ~seeds:calibration_seeds ();
-    },
-    List.sort compare (Hashtbl.fold (fun d n acc -> (d, n) :: acc) h []) )
+  List.map
+    (fun b -> ("risk.hist." ^ b, Bool.to_int (r.crashed && b = hit)))
+    (List.init (deepest_budget + 1) string_of_int @ [ "over" ])
 
-let print_rows rows =
-  Campaign.print
+let outcome r =
+  {
+    Campaign.crashed = r.crashed;
+    counts =
+      [
+        ("acked", r.completed);
+        ("lost", r.lost);
+        ("drains", r.drains);
+        ("deferred", r.deferred);
+        ("converge_steps", r.converge_steps);
+      ]
+      @ depth_buckets r;
+    violations = r.violations;
+  }
+
+let within_budget =
+  Campaign.zero
+    (Printf.sprintf
+       "every crash found at most the deepest risk budget (%d) at risk"
+       deepest_budget)
+    [ "risk.hist.over" ]
+
+(* A staleness campaign: hardened arms [(name, plan_of, seeds)], each
+   clean and within the budget, and the ledger-free calibration over
+   [calibrate]'s grid, caught when a crash run is flagged ([at_least]
+   times). [hist] prints and records the arms' ops-at-risk histogram. *)
+let campaign ?(hist = false) ?at_least ~arms ~calibrate:(plan_of, seeds) () =
+  Campaign.make ~recorded:`Columns
+    ?hist:
+      (if hist then
+         Some ("ops at risk when the crash hit (tail depth -> runs)",
+               "risk.hist.")
+       else None)
     ~title:
       "E20 — bounded-staleness crash chaos (swept crash points; loss is \
        at most the budgeted suffix, named exactly, never resurrected; \
@@ -505,27 +503,49 @@ let print_rows rows =
         ("converge-steps", "converge_steps");
         ("violations", "violations");
       ]
-    rows
+    ~prefix:"e20"
+    (List.map
+       (fun (name, plan_of, seeds) ->
+         Campaign.arm ~name ~seeds
+           ~requires:[ Campaign.no_violations; within_budget ]
+           (fun seed -> outcome (run ~plan:(plan_of seed) ())))
+       arms
+    @ [
+        Campaign.calibration ?at_least
+          ~label:"unhardened recovery, ledger ignored"
+          ~verdict:"crashes caught losing acknowledged updates" ~seeds
+          ~caught:(fun o -> o.crashed && o.violations <> [])
+          (fun seed ->
+            outcome (run ~plan:{ (plan_of seed) with hardened = false } ()));
+      ])
 
-let print_calibration =
-  Campaign.print_calibration ~arm:"unhardened recovery, ledger ignored"
-    ~verdict:"crashes caught losing acknowledged updates"
+(** E20: the plain and mirrored arms with their ops-at-risk histogram,
+    the calibration over the plain grid. *)
+let e20 ~seeds ~calibration_seeds =
+  campaign ~hist:true
+    ~arms:
+      [
+        ("relaxed", plan_of_seed, seeds);
+        ("relaxed/mirrored", mirrored_plan_of_seed, seeds);
+      ]
+    ~calibrate:(plan_of_seed, calibration_seeds)
+    ()
 
-let print (s, hist) =
-  print_rows s.Campaign.rows;
-  Printf.printf "ops at risk when the crash hit (tail depth -> runs): %s\n"
-    (String.concat ", "
-       (List.map (fun (d, n) -> Printf.sprintf "%d->%d" d n) hist));
-  print_calibration s
+(** One arm over [plan_of]'s grid and its own calibration: [onll chaos
+    --relaxed]. *)
+let one ~name ~seeds ~calibration_seeds plan_of =
+  campaign
+    ~arms:[ (name, plan_of, seeds) ]
+    ~calibrate:(plan_of, calibration_seeds)
+    ()
 
-(* Fold into a metrics registry for the BENCH_e20.json gate slice
-   ([?reg] merges into an existing summary instead). *)
-let to_metrics ?reg (s, hist) =
-  let reg = Campaign.summary_metrics ?reg ~prefix:"e20" s in
-  List.iter
-    (fun (d, n) ->
-      Onll_obs.Metrics.add
-        (Onll_obs.Metrics.counter reg (Printf.sprintf "e20.risk.hist.%d" d))
-        n)
-    hist;
-  reg
+(** The audit over another engine ({!over}): six seeds, and a
+    calibration caught on at least half of its eight, whatever the
+    engine. The crash step is drawn from each plan's own length, so the
+    crash cuts unfenced acknowledgements on half the seeds (the two whose
+    budget is 1 never defer). *)
+let audit engine =
+  let plan_of = over engine plan_of_seed in
+  campaign ~at_least:4
+    ~arms:[ ("relaxed", plan_of, 6) ]
+    ~calibrate:(plan_of, 8) ()

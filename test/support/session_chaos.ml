@@ -346,16 +346,6 @@ let counts r =
   ]
   @ r.metrics
 
-(* The summary is the row list; rows are named "<spec>/<arm>". *)
-let is_naive r = String.ends_with ~suffix:"/naive" r.Campaign.name
-let session_rows s = List.filter (fun r -> not (is_naive r)) s
-let e15_violations s = Campaign.total "violations" s
-let e15_session_duplicates s = Campaign.total "duplicates" (session_rows s)
-let e15_session_lost_acks s = Campaign.total "lost_acks" (session_rows s)
-
-let e15_naive_duplicates s =
-  Campaign.total "duplicates" (List.filter is_naive s)
-
 (* Deterministic per-client workloads. Both specs are duplicate-sensitive:
    a counter counts every applied increment; a per-client ledger account
    counts every applied deposit, after its one open. *)
@@ -383,30 +373,65 @@ let stacks =
       { Onll_stack.plain with top = Direct (Sharded (`Plain, 4)) } );
   ]
 
-(* Every session arm, then the naive calibration over the plain stack;
-   each runs both workloads, as rows "<spec>/<label>". *)
-let run_e15 ~seeds_per_arm =
+let no_duplicates =
+  Campaign.zero "exactly-once: zero duplicates on every session arm"
+    [ "duplicates" ]
+
+let no_lost_acks =
+  Campaign.zero "exactly-once: zero lost acks on every session arm"
+    [ "lost_acks" ]
+
+(* Summed over both naive rows: one workload may duplicate where the
+   other does not. *)
+let naive_duplicates =
+  {
+    Campaign.what = "the naive at-least-once arm duplicates";
+    keys = [ "duplicates" ];
+    need = At_least 1;
+  }
+
+(** E15: every session arm, then the naive at-least-once calibration over
+    the plain stack; each runs both workloads, as rows
+    ["<spec>/<label>"] recorded as [e15.<spec>.<label>.*]. The session
+    arms must be exactly-once; the naive arm must duplicate, or their
+    zeros prove nothing. *)
+let e15 ~seeds_per_arm =
   let module Counter = Make (Onll_specs.Counter) in
   let module Ledger = Make (Onll_specs.Ledger) in
   let arm (label, stack, naive) =
     let row spec run =
-      Campaign.arm ~name:(spec ^ "/" ^ label) ~seeds:seeds_per_arm
-        ~crashed:(fun r -> r.crashed)
-        ~violations:(fun r -> r.violations)
-        ~counts
-        (fun seed -> run ~naive ~plan:(plan_of_seed ~stack seed) ())
+      Campaign.arm ~key:(spec ^ "." ^ label) ~name:(spec ^ "/" ^ label)
+        ~seeds:seeds_per_arm
+        ~requires:
+          (Campaign.no_violations
+          ::
+          (if naive then [ naive_duplicates ]
+           else [ no_duplicates; no_lost_acks ]))
+        (fun seed ->
+          let r = run ~naive ~plan:(plan_of_seed ~stack seed) () in
+          {
+            Campaign.crashed = r.crashed;
+            counts = counts r;
+            violations = r.violations;
+          })
     in
     [
       row "counter" (Counter.run ~op_of:counter_op ~applied:counter_applied);
       row "ledger" (Ledger.run ~op_of:ledger_op ~applied:ledger_applied);
     ]
   in
-  List.concat_map arm
-    (List.map (fun (l, s) -> (l, s, false)) stacks
-    @ [ ("naive", Onll_stack.plain, true) ])
-
-let print s =
-  Campaign.print
+  let footer s =
+    let naive = Campaign.measured s naive_duplicates in
+    Printf.sprintf
+      "session arms: %d duplicates, %d lost acks (both must be 0) | naive \
+       calibration: %d duplicates %s"
+      (Campaign.measured s no_duplicates)
+      (Campaign.measured s no_lost_acks)
+      naive
+      (if naive > 0 then "(detector fires)"
+       else "(NAIVE ARM NEVER DUPLICATED — campaign proves nothing)")
+  in
+  Campaign.make
     ~title:
       "E15 — exactly-once session campaign (session arms must show 0 \
        duplicates and 0 lost acks; the naive at-least-once arm is the \
@@ -426,25 +451,7 @@ let print s =
         ("lost-acks", "lost_acks");
         ("violations", "violations");
       ]
-    s;
-  Printf.printf
-    "session arms: %d duplicates, %d lost acks (both must be 0) | naive \
-     calibration: %d duplicates %s\n"
-    (e15_session_duplicates s) (e15_session_lost_acks s)
-    (e15_naive_duplicates s)
-    (if e15_naive_duplicates s > 0 then "(detector fires)"
-     else "(NAIVE ARM NEVER DUPLICATED — campaign proves nothing)")
-
-(* Fold the rows into a metrics registry for the BENCH_e15.json snapshot
-   and the deterministic gate slice; "<spec>/<arm>" keys as
-   "e15.<spec>.<arm>.*". *)
-let to_metrics s =
-  let reg = Onll_obs.Metrics.create () in
-  List.iter
-    (fun r ->
-      let name =
-        String.map (fun c -> if c = '/' then '.' else c) r.Campaign.name
-      in
-      ignore (Campaign.to_metrics ~reg ~prefix:("e15." ^ name) r))
-    s;
-  reg
+    ~prefix:"e15" ~footer
+    (List.concat_map arm
+       (List.map (fun (l, s) -> (l, s, false)) stacks
+       @ [ ("naive", Onll_stack.plain, true) ]))

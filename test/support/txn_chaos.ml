@@ -280,38 +280,25 @@ let run ~plan () =
     violations = Crash_world.violations w;
   }
 
-(* {2 Campaign aggregation} *)
+(* {2 Campaigns} *)
 
-let counts r =
-  [ ("completed", r.completed); ("committed", r.committed); ("swept", r.swept) ]
-
-let arm ?(plan_of = plan_of_seed) ~name ~seeds () =
-  Campaign.arm ~name ~seeds
-    ~crashed:(fun r -> r.crashed)
-    ~violations:(fun r -> r.violations)
-    ~counts
-    (fun seed -> run ~plan:(plan_of seed) ())
-
-(* The no-sweep calibration over [plan_of]'s grid: caught when a crash
-   run is flagged. *)
-let calibrate ?(plan_of = plan_of_seed) ~seeds () =
-  Campaign.calibrate ~seeds
-    ~caught:(fun r -> r.crashed && r.violations <> [])
-    (fun seed -> run ~plan:{ (plan_of seed) with hardened = false } ())
-
-let run_campaign ~seeds ~calibration_seeds =
+let outcome r =
   {
-    Campaign.rows =
+    Campaign.crashed = r.crashed;
+    counts =
       [
-        arm ~name:"txn" ~seeds ();
-        arm ~plan_of:mirrored_plan_of_seed ~name:"txn/mirrored" ~seeds ();
+        ("completed", r.completed);
+        ("committed", r.committed);
+        ("swept", r.swept);
       ];
-    cal_runs = calibration_seeds;
-    cal_caught = calibrate ~seeds:calibration_seeds ();
+    violations = r.violations;
   }
 
-let print_rows rows =
-  Campaign.print
+(* A transaction campaign: hardened arms [(name, plan_of, seeds)], each
+   clean, and the no-sweep calibration over [calibrate]'s grid, caught
+   when a crash run is flagged. *)
+let campaign ~arms ~calibrate:(plan_of, seeds) () =
+  Campaign.make
     ~title:
       "E19 — cross-shard transaction atomicity chaos (crash sweep; after \
        every crash a transfer is all-or-nothing and the books balance; \
@@ -326,16 +313,36 @@ let print_rows rows =
         ("swept", "swept");
         ("violations", "violations");
       ]
-    rows
+    ~prefix:"e19"
+    (List.map
+       (fun (name, plan_of, seeds) ->
+         Campaign.arm ~name ~seeds ~requires:[ Campaign.no_violations ]
+           (fun seed -> outcome (run ~plan:(plan_of seed) ())))
+       arms
+    @ [
+        Campaign.calibration ~label:"unhardened recovery, no sweep"
+          ~verdict:"crashes caught losing or tearing transactions" ~seeds
+          ~caught:(fun o -> o.crashed && o.violations <> [])
+          (fun seed ->
+            outcome (run ~plan:{ (plan_of seed) with hardened = false } ()));
+      ])
 
-let print_calibration =
-  Campaign.print_calibration ~arm:"unhardened recovery, no sweep"
-    ~verdict:"crashes caught losing or tearing transactions"
+(** E19: the plain and mirrored arms, the calibration over the plain
+    grid. *)
+let e19 ~seeds ~calibration_seeds =
+  campaign
+    ~arms:
+      [
+        ("txn", plan_of_seed, seeds);
+        ("txn/mirrored", mirrored_plan_of_seed, seeds);
+      ]
+    ~calibrate:(plan_of_seed, calibration_seeds)
+    ()
 
-let print s =
-  print_rows s.Campaign.rows;
-  print_calibration s
-
-(* Fold into a metrics registry for the BENCH_e19.json gate slice
-   ([?reg] merges into an existing summary instead). *)
-let to_metrics ?reg s = Campaign.summary_metrics ?reg ~prefix:"e19" s
+(** One arm over [plan_of]'s grid and its own calibration: [onll chaos
+    --txn], and the audit over another stack ({!over}). *)
+let one ~name ~seeds ~calibration_seeds plan_of =
+  campaign
+    ~arms:[ (name, plan_of, seeds) ]
+    ~calibrate:(plan_of, calibration_seeds)
+    ()

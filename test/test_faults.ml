@@ -264,7 +264,7 @@ let fake seed =
   }
 
 let fake_arm ?(counts = fun r -> r.f_counts) seeds =
-  Campaign.arm ~name:"fake" ~seeds
+  Campaign.sum ~name:"fake" ~seeds
     ~crashed:(fun r -> r.f_crashed)
     ~violations:(fun r -> r.f_bad)
     ~counts fake
@@ -308,15 +308,20 @@ let test_campaign_misaligned_keys_raise () =
 
 let test_campaign_calibration_predicate () =
   let seen = ref [] in
-  let caught =
-    Campaign.calibrate ~seeds:9
-      ~caught:(fun r -> r.f_bad <> [])
-      (fun seed ->
-        seen := seed :: !seen;
-        fake seed)
+  let c =
+    Campaign.make ~title:"fake" ~header:"arm" ~columns:[] ~prefix:"fake"
+      [
+        Campaign.calibration ~label:"fake" ~verdict:"caught" ~seeds:9
+          ~caught:(fun o -> o.Campaign.violations <> [])
+          (fun seed ->
+            seen := seed :: !seen;
+            let r = fake seed in
+            { Campaign.crashed = r.f_crashed; counts = []; violations = r.f_bad });
+      ]
   in
+  let s = Campaign.run c in
   check Alcotest.int "only runs the predicate accepts (seeds 3, 6, 9)" 3
-    caught;
+    (Campaign.get (snd (List.hd s.Campaign.ran)) "caught");
   check
     Alcotest.(list int)
     "every seed run once" [ 9; 8; 7; 6; 5; 4; 3; 2; 1 ] !seen
@@ -350,6 +355,144 @@ let test_campaign_metrics_keys () =
       ("p.violations", 2);
     ]
     (dump (Campaign.to_metrics ~prefix:"p" r))
+
+(* {1 The campaign values' verdicts}
+
+   Each campaign value, run at a slice size, must hold; each doctored
+   copy of its summary must have the doctored requirement named. The
+   doctored arms are picked by name here, not by the requirements they
+   carry, so an arm that lost a requirement fails the check. *)
+
+let campaigns =
+  lazy
+    (let module Ch = Test_support.Chaos_harness in
+     List.map
+       (fun (name, c) -> (name, Campaign.run c))
+       [
+         ("E8", Test_support.Fuzz.e8 ~seeds:6);
+         ("E12", Ch.e12 ~seeds:4 ~calibration_seeds:15);
+         ( "E13",
+           Ch.e13 ~seeds_per_object:4 ~dual_seeds:3 ~unmirrored_seeds:3
+             ~calibration_seeds:40 );
+         ("E14", Ch.e14 ~seeds:10);
+         ("E15", Test_support.Session_chaos.e15 ~seeds_per_arm:6);
+         ("E16", Ch.e16 ~seeds:10);
+         ("E19", Test_support.Txn_chaos.e19 ~seeds:6 ~calibration_seeds:8);
+         ("E20", Test_support.Relaxed_chaos.e20 ~seeds:6 ~calibration_seeds:8);
+       ])
+
+let summary name = List.assoc name (Lazy.force campaigns)
+
+(* [s] with [f] applied to the rows of the arms named in [arms]. *)
+let doctor s ~arms f =
+  {
+    s with
+    Campaign.ran =
+      List.map
+        (fun (a, r) ->
+          if List.mem a.Campaign.name arms then (a, f r) else (a, r))
+        s.Campaign.ran;
+  }
+
+let set key v (r : Campaign.row) =
+  {
+    r with
+    counts = List.map (fun (k, x) -> (k, if k = key then v else x)) r.counts;
+  }
+
+(* The verdict names a requirement over [key] on every arm in [arms]. *)
+let names ~what s ~arms ~key =
+  let unmet = Campaign.verdict s in
+  List.iter
+    (fun arm ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: %s named on %s" what key arm)
+        true
+        (List.exists
+           (fun u ->
+             List.mem key u.Campaign.requirement.keys
+             && List.mem arm u.Campaign.rows)
+           unmet))
+    arms
+
+let test_verdict_clean () =
+  List.iter
+    (fun (name, s) ->
+      check Alcotest.(list string) (name ^ " holds") []
+        (List.map Campaign.describe (Campaign.verdict s)))
+    (Lazy.force campaigns)
+
+let test_verdict_names_violation () =
+  List.iter
+    (fun (name, s) ->
+      List.iter
+        (fun (a, _) ->
+          match a.Campaign.role with
+          | Campaign.Row _ ->
+              let arms = [ a.Campaign.name ] in
+              let key, f =
+                if name = "E8" then ("failures", set "failures" 1)
+                else
+                  ( "violations",
+                    fun (r : Campaign.row) ->
+                      { r with violations = [ "doctored" ] } )
+              in
+              names ~what:name (doctor s ~arms f) ~arms ~key
+          | _ -> ())
+        s.Campaign.ran)
+    (Lazy.force campaigns)
+
+let test_verdict_names_calibration () =
+  List.iter
+    (fun name ->
+      let s = summary name in
+      let arms =
+        List.filter_map
+          (fun (a, _) ->
+            match a.Campaign.role with
+            | Campaign.Row _ -> None
+            | _ -> Some a.Campaign.name)
+          s.Campaign.ran
+      in
+      check Alcotest.bool (name ^ " has a calibration") true (arms <> []);
+      let uncaught (r : Campaign.row) =
+        { r with counts = List.map (fun (k, _) -> (k, 0)) r.counts }
+      in
+      let s = doctor s ~arms uncaught in
+      check Alcotest.bool (name ^ ": caught 0 is named") true
+        (List.exists
+           (fun u ->
+             List.exists (fun a -> List.mem a u.Campaign.rows) arms)
+           (Campaign.verdict s)))
+    [ "E12"; "E13"; "E19"; "E20" ]
+
+let test_verdict_names_mirrored_loss () =
+  List.iter
+    (fun (name, arms) ->
+      List.iter
+        (fun arm ->
+          let arms = [ arm ] in
+          names ~what:name
+            (doctor (summary name) ~arms (set "reported_lost" 1))
+            ~arms ~key:"reported_lost")
+        arms)
+    [
+      ("E13", [ "counter"; "queue"; "kv"; "stack" ]);
+      ("E14", [ "kv/sharded+mirrored" ]);
+      ("E16", [ "kv/batched+mirrored" ]);
+    ]
+
+let test_verdict_names_naive_without_duplicates () =
+  let arms = [ "counter/naive"; "ledger/naive" ] in
+  names ~what:"E15"
+    (doctor (summary "E15") ~arms (set "duplicates" 0))
+    ~arms ~key:"duplicates"
+
+let test_verdict_names_risk_over_budget () =
+  let arms = [ "relaxed" ] in
+  names ~what:"E20"
+    (doctor (summary "E20") ~arms (set "risk.hist.over" 1))
+    ~arms ~key:"risk.hist.over"
 
 (* {1 Scrubbing under active rot} *)
 
@@ -610,6 +753,18 @@ let () =
             test_campaign_calibration_predicate;
           Alcotest.test_case "to_metrics emits exactly the listed keys"
             `Quick test_campaign_metrics_keys;
+          Alcotest.test_case "verdict: every campaign holds at a slice"
+            `Quick test_verdict_clean;
+          Alcotest.test_case "verdict names a violation in a hardened row"
+            `Quick test_verdict_names_violation;
+          Alcotest.test_case "verdict names a calibration caught 0" `Quick
+            test_verdict_names_calibration;
+          Alcotest.test_case "verdict names a loss on a lossless mirror"
+            `Quick test_verdict_names_mirrored_loss;
+          Alcotest.test_case "verdict names E15's naive arm without dups"
+            `Quick test_verdict_names_naive_without_duplicates;
+          Alcotest.test_case "verdict names an E20 depth over the budget"
+            `Quick test_verdict_names_risk_over_budget;
         ] );
       ( "backend parity",
         [

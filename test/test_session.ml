@@ -339,17 +339,10 @@ let test_degraded_mid_submit () =
 (* A slice of the E15 grid: every session arm is exactly-once across its
    crashes and storms, and the naive at-least-once arm duplicates, or the
    session arms' zeros prove nothing. *)
-let test_e15_campaign_slice () =
-  let module Sc = Test_support.Session_chaos in
-  let rows = Sc.run_e15 ~seeds_per_arm:6 in
-  check Alcotest.(list string) "no violations" []
-    (List.concat_map (fun r -> r.Test_support.Campaign.violations) rows);
-  check Alcotest.int "no duplicates on the session arms" 0
-    (Sc.e15_session_duplicates rows);
-  check Alcotest.int "no lost acks on the session arms" 0
-    (Sc.e15_session_lost_acks rows);
-  check Alcotest.bool "the naive arm duplicates" true
-    (Sc.e15_naive_duplicates rows > 0)
+let test_session_campaign_slice () =
+  check Alcotest.(list string) "every requirement holds" []
+    (Test_support.Campaign.unmet
+       (Test_support.Session_chaos.e15 ~seeds_per_arm:6))
 
 let () =
   Alcotest.run "session"
@@ -361,7 +354,7 @@ let () =
           Alcotest.test_case "crash: the op is absent, resubmit applies it"
             `Quick test_crash_lost;
           Alcotest.test_case "E15 campaign slice: clean, naive caught" `Quick
-            test_e15_campaign_slice;
+            test_session_campaign_slice;
         ] );
       ( "faults",
         [

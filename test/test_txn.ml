@@ -320,11 +320,9 @@ let test_e19_campaign_slice () =
   let module Tc = Test_support.Txn_chaos in
   List.iter
     (fun (name, plan_of) ->
-      let row = Tc.arm ~plan_of ~name ~seeds:6 () in
-      check Alcotest.(list string) (name ^ ": no violations") []
-        row.Test_support.Campaign.violations;
-      check Alcotest.bool (name ^ ": calibration caught") true
-        (Tc.calibrate ~plan_of ~seeds:8 () > 0))
+      check Alcotest.(list string) (name ^ ": every requirement holds") []
+        (Test_support.Campaign.unmet
+           (Tc.one ~name ~seeds:6 ~calibration_seeds:8 plan_of)))
     [ ("txn", Tc.plan_of_seed); ("txn/mirrored", Tc.mirrored_plan_of_seed) ]
 
 let () =
