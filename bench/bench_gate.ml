@@ -182,7 +182,7 @@ let () =
   verdict "e13"
     (Harness.campaign ~reg:e13
        (Test_support.Chaos_harness.e13 ~seeds_per_object:4 ~dual_seeds:3
-          ~unmirrored_seeds:3 ~calibration_seeds:40));
+          ~unmirrored_seeds:3));
   ignore (Harness.write_snapshot ~experiment:"e13" e13);
   Printf.printf "== E15 deterministic session slice ==\n%!";
   let e15 = Onll_obs.Metrics.create () in

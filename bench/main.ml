@@ -26,7 +26,7 @@ let experiments =
     ("e13", "mirrored logs + scrubbing: repair-aware chaos campaign",
      Harness.campaign_experiment "e13"
        (Test_support.Chaos_harness.e13 ~seeds_per_object:110 ~dual_seeds:40
-          ~unmirrored_seeds:40 ~calibration_seeds:40));
+          ~unmirrored_seeds:40));
     ("e14", "shard scaling: partitioned construction, throughput + invariants",
      Shard_scaling.run);
     ("e15", "durable client sessions: exactly-once chaos campaign",

@@ -360,17 +360,17 @@ type tally = {
 }
 
 let tally () = { tallied = Hashtbl.create 16; failures = [] }
-let count_of t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
-let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count_of t key + by)
+let count t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
+let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count t key + by)
 let fail t fmt = Format.kasprintf (fun s -> t.failures <- s :: t.failures) fmt
 
 (** {!sum} over tallies: the row's counts are [keys], in order, and a run
     crashed when its ["kills"] count is above 0. *)
 let tally_arm ~name ~seeds ~keys run =
   sum ~name ~seeds
-    ~crashed:(fun t -> count_of t "kills" > 0)
+    ~crashed:(fun t -> count t "kills" > 0)
     ~violations:(fun t -> List.rev t.failures)
-    ~counts:(fun t -> List.map (fun k -> (k, count_of t k)) keys)
+    ~counts:(fun t -> List.map (fun k -> (k, count t k)) keys)
     run
 
 (** How a child process ended, for a violation message. *)

@@ -79,6 +79,10 @@ let budget plan =
   | Onll_stack.Direct (Onll_stack.Relaxed (_, k)) -> k
   | _ -> invalid_arg "Relaxed_chaos: the stack is not a direct relaxed front"
 
+(* The risk budgets [plan_of_seed] draws are [1 lsl 0 .. 1 lsl
+   max_log_budget]. *)
+let max_log_budget = 3
+
 let plan_of_seed seed =
   let n_procs = 1 + (seed mod 3) in
   let updates_per_proc = 4 + (seed mod 6) in
@@ -93,7 +97,7 @@ let plan_of_seed seed =
     stack =
       {
         Onll_stack.plain with
-        top = Direct (Relaxed (`Plain, 1 lsl (seed mod 4)));
+        top = Direct (Relaxed (`Plain, 1 lsl (seed mod (max_log_budget + 1))));
       };
     hardened = true;
     checked = n_procs = 1 && updates_per_proc <= 6;
@@ -438,9 +442,9 @@ let run ~plan () =
 
 (* {2 Campaigns} *)
 
-(* The deepest risk budget [plan_of_seed] draws, [1 lsl 3]: no crash may
-   find more operations at risk. *)
-let deepest_budget = 8
+(* The deepest risk budget [plan_of_seed] draws: no crash may find more
+   operations at risk. *)
+let deepest_budget = 1 lsl max_log_budget
 
 (* Each crashed run's tail depth (ops at risk when the crash hit) as one
    histogram bucket, [risk.hist.<depth>] up to the deepest budget and

@@ -371,9 +371,7 @@ let campaigns =
        [
          ("E8", Test_support.Fuzz.e8 ~seeds:6);
          ("E12", Ch.e12 ~seeds:4 ~calibration_seeds:15);
-         ( "E13",
-           Ch.e13 ~seeds_per_object:4 ~dual_seeds:3 ~unmirrored_seeds:3
-             ~calibration_seeds:40 );
+         ("E13", Ch.e13 ~seeds_per_object:4 ~dual_seeds:3 ~unmirrored_seeds:3);
          ("E14", Ch.e14 ~seeds:10);
          ("E15", Test_support.Session_chaos.e15 ~seeds_per_arm:6);
          ("E16", Ch.e16 ~seeds:10);
@@ -481,6 +479,23 @@ let test_verdict_names_mirrored_loss () =
       ("E14", [ "kv/sharded+mirrored" ]);
       ("E16", [ "kv/batched+mirrored" ]);
     ]
+
+(* At full size E13's unmirrored row carries the must-lose requirement
+   itself, with no unshown arm beside it. *)
+let test_verdict_names_unmirrored_without_loss () =
+  let module Ch = Test_support.Chaos_harness in
+  let s =
+    Campaign.run
+      (Ch.e13 ~seeds_per_object:0 ~dual_seeds:0
+         ~unmirrored_seeds:Ch.scale_seeds)
+  in
+  check Alcotest.(list string) "E13 at full unmirrored size holds" []
+    (List.map Campaign.describe (Campaign.verdict s));
+  let arms = [ "kv/unmirrored" ] in
+  names ~what:"E13"
+    (doctor s ~arms (fun r ->
+         set "tail_ambiguous" 0 (set "reported_lost" 0 r)))
+    ~arms ~key:"reported_lost"
 
 let test_verdict_names_naive_without_duplicates () =
   let arms = [ "counter/naive"; "ledger/naive" ] in
@@ -765,6 +780,8 @@ let () =
             `Quick test_verdict_names_naive_without_duplicates;
           Alcotest.test_case "verdict names an E20 depth over the budget"
             `Quick test_verdict_names_risk_over_budget;
+          Alcotest.test_case "verdict names a lossless full unmirrored row"
+            `Quick test_verdict_names_unmirrored_without_loss;
         ] );
       ( "backend parity",
         [
