@@ -12,7 +12,9 @@
     20,000 puts and 20,000 gets are counted. The operations are built
     before counting starts, so the count is the stack's alone. The exact
     counts are printed and written as ungated [e21.*] gauges: a compiler
-    change moves them. *)
+    change moves them. Then two residency rows (below): what a native
+    log holds in RAM, and the live heap, as updates grow with no
+    checkpoint. *)
 
 open Onll_machine
 module Kv = Onll_specs.Kv
@@ -88,6 +90,83 @@ let measure stack =
   let n = float_of_int counted in
   { per_update = w /. n; per_read = r /. n }
 
+(* {2 Residency}
+
+   Memory that follows what is live, on the native machine: a kv store
+   over the same 64 keys on a 64 MiB log, updated with no checkpoint (the
+   log never fills, so nothing compacts). Its log region is resident
+   only as far as appends reached it: at most the bytes written (the
+   header and every record) plus one populate step, to the page. Its
+   trace is pruned on its own cadence: the live heap grows from 5k to
+   50k updates by at most 4 words an update. What grows is the log's
+   in-memory account of its live records, two words a record in
+   power-of-two arrays (~2.5 words an update over this span); the trace
+   nodes, 32.6 words an update while they lived until a compaction, do
+   not. *)
+let residency_log = 64 lsl 20
+
+(* the bytes ahead of a log's records in its region *)
+let plog_header = 64
+let words_per_update_max = 4.0
+
+type residency = {
+  written : int;
+  resident : int;
+  live_5k : int;
+  live_50k : int;
+  checkpoints : int;
+}
+
+let residency () =
+  let checkpoints = ref 0 in
+  let sink =
+    Onll_obs.Sink.make
+      ~handler:(fun (e : Onll_obs.Event.t) ->
+        match e.Onll_obs.Event.kind with
+        | Onll_obs.Event.Checkpoint _ -> incr checkpoints
+        | _ -> ())
+      ()
+  in
+  let nat = Native.create ~fence_ns:0 ~max_processes:1 () in
+  ignore (Native.register nat);
+  let module M = (val Native.machine nat) in
+  let module C = Onll_core.Onll.Make (M) (Kv) in
+  let obj =
+    C.make
+      { Onll_core.Onll.Config.default with log_capacity = residency_log; sink }
+  in
+  let next = ref 0 in
+  let live_after n =
+    while !next < n do
+      let key = Printf.sprintf "key%02d" (!next * 7 mod keys) in
+      ignore (C.update obj (Kv.Put (key, string_of_int !next)) : Kv.value);
+      incr next
+    done;
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live_5k = live_after 5_000 in
+  let live_50k = live_after 50_000 in
+  let written =
+    List.fold_left
+      (fun acc (l : Onll_core.Onll.Snapshot.log) ->
+        acc + plog_header + l.used_bytes)
+      0 (C.snapshot obj).logs
+  in
+  {
+    written;
+    resident = Native.resident_bytes nat;
+    live_5k;
+    live_50k;
+    checkpoints = !checkpoints;
+  }
+
+let page = 4096
+let resident_max r = (r.written + Native.populate_step + page - 1) / page * page
+
+let words_per_update r =
+  float_of_int (r.live_50k - r.live_5k) /. 45_000.
+
 let run () =
   let summary = Onll_obs.Metrics.create () in
   let rows =
@@ -124,8 +203,55 @@ let run () =
            Printf.sprintf "%.1f" c.read_max;
          ])
        rows);
+  let r = residency () in
+  let g what v =
+    Onll_obs.Metrics.set
+      (Onll_obs.Metrics.gauge summary ("e21.residency." ^ what))
+      (float_of_int v)
+  in
+  g "written_bytes" r.written;
+  g "resident_bytes" r.resident;
+  g "live_words_5k" r.live_5k;
+  g "live_words_50k" r.live_50k;
+  Onll_util.Table.print
+    ~title:
+      (Printf.sprintf
+         "E21 — residency (native, kv over %d keys on a %d MiB log, no \
+          checkpoint)"
+         keys (residency_log lsr 20))
+    ~header:[ "row"; "measured"; "ceiling" ]
+    [
+      [
+        "log region resident (KiB) after 50k puts";
+        string_of_int (r.resident / 1024);
+        Printf.sprintf "%d (written %d + one %d KiB step)"
+          (resident_max r / 1024) (r.written / 1024)
+          (Native.populate_step / 1024);
+      ];
+      [
+        "live words 5k -> 50k puts";
+        Printf.sprintf "%d -> %d (%.2f/update)" r.live_5k r.live_50k
+          (words_per_update r);
+        Printf.sprintf "%.1f/update" words_per_update_max;
+      ];
+    ];
   let path = Harness.write_snapshot ~experiment:"e21" summary in
   Printf.printf "snapshot: %s\n" path;
+  if r.checkpoints > 0 then
+    failwith
+      (Printf.sprintf "E21 residency: %d checkpoints ran" r.checkpoints);
+  if r.resident > resident_max r then
+    failwith
+      (Printf.sprintf
+         "E21 residency: %d bytes of the log resident, %d written (at most \
+          %d)"
+         r.resident r.written (resident_max r));
+  if words_per_update r > words_per_update_max then
+    failwith
+      (Printf.sprintf
+         "E21 residency: the live heap grew %.2f words per update from 5k \
+          to 50k puts (at most %.1f)"
+         (words_per_update r) words_per_update_max);
   List.iter
     (fun (c, name, s) ->
       if s.per_update > c.update_max || s.per_read > c.read_max then

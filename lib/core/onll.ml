@@ -41,6 +41,9 @@
    shadowed by the construction's below. *)
 include Record_log
 
+(* See onll.mli. *)
+let prune_every = 1024
+
 (* Construction-time knobs; see onll.mli. *)
 module Config = struct
   type t = {
@@ -176,9 +179,15 @@ module Make_generic
         (** replaced wholesale by recovery *)
     logs : L.t array;  (** per process; the durable state *)
     seqs : int array;  (** next per-process op sequence number; owner-only *)
-    failed : (envelope, istate, value) T.node option array;
+    failed : (envelope, istate, value) T.node option Atomic.t array;
         (** per process: its node whose persist a transient fault cut
-            short, finished by the process's next update; owner-only *)
+            short, finished by the process's next update or by a cadence
+            prune past it; set by its owner only *)
+    staged : int array;
+        (** per process: its staged transaction sub-operations not yet
+            finished; owner-only *)
+    mutable next_prune : int;
+        (** the execution index from which an update prunes the trace *)
     mutable recovered : Recovered.t;
         (** op id -> execution index, rebuilt by recovery *)
     mutable max_fuzzy : int;
@@ -213,7 +222,9 @@ module Make_generic
                    cfg.Config.region_suffix n p)
               ~capacity:cfg.Config.log_capacity ());
       seqs = Array.make M.max_processes 0;
-      failed = Array.make M.max_processes None;
+      failed = Array.init M.max_processes (fun _ -> Atomic.make None);
+      staged = Array.make M.max_processes 0;
+      next_prune = prune_every;
       recovered = Recovered.create 0;
       max_fuzzy = 0;
       degraded = false;
@@ -285,7 +296,7 @@ module Make_generic
   let persist t p node payload =
     try append_record t p ~exec_idx:(T.idx node) payload
     with Onll_nvm.Memory.Transient_fault _ as e ->
-      t.failed.(p) <- Some node;
+      Atomic.set t.failed.(p) (Some node);
       raise e
 
   (* ... then linearize it. *)
@@ -307,7 +318,7 @@ module Make_generic
        || T.idx node <= T.idx v - List.length (T.fuzzy_nodes t.trace v))
 
   let finish_failed t p =
-    match t.failed.(p) with
+    match Atomic.get t.failed.(p) with
     | None -> ()
     | Some node ->
         if persisted_above t node then T.set_available node
@@ -316,7 +327,40 @@ module Make_generic
             (Onll_util.Codec.encode record_codec
                (Ops
                   { exec_idx = T.idx node; envs = T.fuzzy_envs t.trace node }));
-        t.failed.(p) <- None
+        Atomic.set t.failed.(p) None
+
+  (* {2 §8: trace pruning on its own cadence}
+
+     Every [prune_every] execution indices, the updater whose durable node
+     lies there makes it the trace's base, with the state its own fold
+     left in its slot ([T.rebase], as compaction does): no fence, no fold,
+     no log record. Durable means every node below is in some log record,
+     so the prune passes no unfenced acknowledgement, and it keeps the
+     durable set a prefix. It passes no staged transaction sub-operation,
+     which only its coordinator linearizes, and it finishes each failed
+     node below it: the node's persist was covered, so it is durable, and
+     its process need not pin the trace until its next update. Pruned
+     identities stay answerable from the base's floors, as after a
+     compaction. A node whose state left its slot (a newer one was
+     published two links above) or that is not durable (a stale update's
+     acknowledgement) leaves the prune to the next update. Recovery reads
+     the logs, not the trace. *)
+  let prune_on_cadence t node =
+    if T.is_available node && Array.for_all (fun n -> n = 0) t.staged then
+      match T.published node with
+      | None -> ()
+      | Some state ->
+          let idx = T.idx node in
+          T.rebase t.trace node state;
+          t.next_prune <- idx + prune_every;
+          Array.iter
+            (fun cell ->
+              match Atomic.get cell with
+              | Some failed as seen when T.idx failed < idx ->
+                  T.set_available failed;
+                  ignore (Atomic.compare_and_set cell seen None)
+              | Some _ | None -> ())
+            t.failed
 
   (* The persist stage's bookkeeping for a window [fuzzy] that process
      [p] is about to persist. *)
@@ -413,6 +457,7 @@ module Make_generic
     else combine t env.e_proc node;
     forget_acks t env.e_proc;
     let value = own_value t node ~durable:true in
+    if T.idx node >= t.next_prune then prune_on_cadence t node;
     M.return_point ();
     value
 
@@ -570,6 +615,7 @@ module Make_generic
     in
     let durable = decide drain_wait in
     let value = own_value t node ~durable in
+    if T.idx node >= t.next_prune then prune_on_cadence t node;
     M.return_point ();
     value
 
@@ -644,7 +690,8 @@ module Make_generic
         ~degraded:(fun () -> t.degraded <- true)
     in
     t.recovered <- r.recovered;
-    Array.fill t.failed 0 (Array.length t.failed) None;
+    Array.iter (fun cell -> Atomic.set cell None) t.failed;
+    Array.fill t.staged 0 (Array.length t.staged) 0;
     (r.report, r.txns)
 
   let recover_unhardened t =
@@ -718,12 +765,15 @@ module Make_generic
     if seq >= t.seqs.(p) then
       invalid_arg "Onll.stage_txn: sequence number was not reserved";
     let env = { e_proc = p; e_seq = seq; e_op = op; e_txn = payload } in
+    t.staged.(p) <- t.staged.(p) + 1;
     T.insert t.trace env
 
   let staged_idx = T.idx
 
   let finish_txn t s =
     T.set_available s;
+    let p = M.self () in
+    if t.staged.(p) > 0 then t.staged.(p) <- t.staged.(p) - 1;
     own_value t s ~durable:true
 
   (* One fenced Ops record in the calling process's log for a run of

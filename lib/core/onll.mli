@@ -170,6 +170,19 @@ module Adoption : sig
       core and group commit do ({!Record_log.Make.recover_logs}). *)
 end
 
+val prune_every : int
+(** §8's trace pruning runs on its own cadence, apart from compaction: an
+    update whose node lies [prune_every] (1024) or more execution indices
+    above the last such prune, once its node is durable and its state is
+    published, makes that node the trace's base ({!Trace_intf.S.rebase}),
+    with no fence and no fold. It passes no operation acknowledged
+    unfenced and no staged transaction sub-operation, and it finishes
+    each failed persist below it, which the durable node covers. So the
+    reachable trace, and the heap with it, follows the state rather than
+    the log's room: at most about [prune_every] nodes plus the ones in
+    flight, checkpoint or not. Pruned identities stay answerable
+    ({!CONSTRUCTION.was_linearized}) from the base's floors. *)
+
 (** Construction-time configuration — the one record every instantiation's
     {!CONSTRUCTION.make} takes. Build it by functional update of
     {!Config.default}:

@@ -209,6 +209,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let state_at _t node ~apply =
     try fold ~deep:false ~apply node with Passed -> fold ~deep:true ~apply node
 
+  let published node = Slot.state node.slot
+
   (* A node published while the walk was away answers at once. *)
   let rec value_from ~deep node ~apply =
     match Slot.take node.slot with

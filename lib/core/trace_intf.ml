@@ -102,6 +102,10 @@ module type S = sig
   (** The state after [node], folded from the newest state published at
       or below it (a base's at worst), publishing each node applied. *)
 
+  val published : ('env, 'state, 'value) node -> 'state option
+  (** The state after [node] while its slot holds it: what {!state_at}
+      returns with no fold. *)
+
   val value_at :
     ('env, 'state, 'value) t ->
     ('env, 'state, 'value) node ->
@@ -133,8 +137,8 @@ module type S = sig
 
   val rebase :
     ('env, 'state, 'value) t -> ('env, 'state, 'value) node -> 'state -> unit
-  (** Compaction's prune (§8): the visible [node], whose state is
-      given, becomes the base, its own operation included. A no-op at or
-      below the current base; a node obtained before still answers
-      {!state_at}. *)
+  (** The prune of compaction and of the update path's cadence (§8): the
+      visible [node], whose state is given, becomes the base, its own
+      operation included. A no-op at or below the current base; a node
+      obtained before still answers {!state_at}. *)
 end

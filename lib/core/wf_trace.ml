@@ -360,6 +360,8 @@ module Make (M : Onll_machine.Machine_sig.S) : Trace_intf.S = struct
       advance_cursor t target;
     state
 
+  let published node = Slot.state node.cell.slot
+
   let value_at t node ~durable ~apply =
     if node.cell.slot == Slot.Empty then ignore (state_at t node ~apply)
     else if durable then advance_cursor t node.cell;

@@ -5,24 +5,47 @@ external monotonic_ns : unit -> (int64[@unboxed])
 
 (* A persistent-memory region's bytes, mapped outside the OCaml heap
    (region_stubs.c): the GC neither scans nor counts them, and unmaps
-   them when it finalizes the region. *)
-type region =
+   them when it finalizes the mapping. *)
+type mapping =
   (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-external region_create : int -> region = "onll_region_create"
+external region_create : int -> mapping = "onll_region_create"
+external region_populate : mapping -> int -> int -> unit
+  = "onll_region_populate"
+external region_resident : mapping -> int = "onll_region_resident"
 
-external region_store : region -> int -> string -> int -> unit
+external region_store : mapping -> int -> string -> int -> unit
   = "onll_region_store"
 [@@noalloc]
 
-external region_load : region -> int -> bytes -> int -> unit
+external region_load : mapping -> int -> bytes -> int -> unit
   = "onll_region_load"
 [@@noalloc]
 
-external region_get64 : region -> int -> int64 = "%caml_bigstring_get64u"
-external region_set64 : region -> int -> int64 -> unit
+external region_get64 : mapping -> int -> int64 = "%caml_bigstring_get64u"
+external region_set64 : mapping -> int -> int64 -> unit
   = "%caml_bigstring_set64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* A region is made resident as its stores reach it, not at creation:
+   [populated] is the end of the prefix already populated (or skipped),
+   and a store ending past it populates up to one [populate_step] beyond
+   its last byte. A log whose capacity exceeds what it writes holds only
+   what it wrote; an append pays one compare, and one populate call per
+   step. *)
+type region = { map : mapping; size : int; mutable populated : int }
+
+let populate_step = 256 * 1024
+
+(* From [off], or the populated end when that lies above it: a store far
+   past the populated prefix leaves the gap to first touch. Racing
+   populates overlap harmlessly, and a lost update of [populated] costs
+   one more call. *)
+let populate r ~off ~upto =
+  let from = max off r.populated in
+  let until = min r.size (upto + populate_step) in
+  region_populate r.map from (until - from);
+  if until > r.populated then r.populated <- until
 
 type proc_slot = {
   mutable pending : int;  (* flushed-but-unfenced line count *)
@@ -37,7 +60,9 @@ type t = {
   slots : proc_slot array;
   next_id : int Atomic.t;
   key : int option Domain.DLS.key;
-  region_names : (string, unit) Hashtbl.t;
+  regions : (string, region Weak.t) Hashtbl.t;
+      (** every region made, by name; a region the GC collected reads
+          [None] *)
   names_lock : Mutex.t;
 }
 
@@ -61,7 +86,7 @@ let create ?(fence_ns = 500) ?(sink = Onll_obs.Sink.null) ~max_processes () =
           { pending = 0; pfences = 0; _pad = Array.make 14 0 });
     next_id = Atomic.make 0;
     key = Domain.DLS.new_key (fun () -> None);
-    region_names = Hashtbl.create 8;
+    regions = Hashtbl.create 8;
     names_lock = Mutex.create ();
   }
 
@@ -94,6 +119,17 @@ let reset_stats t =
       s.pending <- 0;
       s.pfences <- 0)
     t.slots
+
+let resident_bytes t =
+  Mutex.lock t.names_lock;
+  let live = Hashtbl.fold (fun _ w acc -> Weak.get w 0 :: acc) t.regions [] in
+  Mutex.unlock t.names_lock;
+  List.fold_left
+    (fun acc -> function
+      | Some r -> (
+          match region_resident r.map with -1 -> acc | b -> acc + b)
+      | None -> acc)
+    0 live
 
 let run_workers t bodies =
   let domains =
@@ -129,38 +165,44 @@ end) : Machine_sig.S = struct
 
     let create ~name ~size =
       if size <= 0 then invalid_arg "Native.Pm.create: non-positive size";
+      let w = Weak.create 1 in
       Mutex.lock n.names_lock;
-      let dup = Hashtbl.mem n.region_names name in
-      if not dup then Hashtbl.replace n.region_names name ();
+      let dup = Hashtbl.mem n.regions name in
+      if not dup then Hashtbl.replace n.regions name w;
       Mutex.unlock n.names_lock;
       if dup then
         invalid_arg (Printf.sprintf "Native.Pm.create: duplicate region %S" name);
-      region_create size
+      let r = { map = region_create size; size; populated = 0 } in
+      Weak.set w 0 (Some r);
+      r
 
-    let size = Bigarray.Array1.dim
+    let size r = r.size
 
     let check r off len what =
-      if off < 0 || len < 0 || off + len > size r then
+      if off < 0 || len < 0 || off + len > r.size then
         invalid_arg (Printf.sprintf "Native.Pm.%s: range out of bounds" what)
 
     let store r ~off data =
-      check r off (String.length data) "store";
-      region_store r off data (String.length data)
+      let len = String.length data in
+      check r off len "store";
+      if off + len > r.populated then populate r ~off ~upto:(off + len);
+      region_store r.map off data len
 
     let load r ~off ~len =
       check r off len "load";
       let b = Bytes.create len in
-      region_load r off b len;
+      region_load r.map off b len;
       Bytes.unsafe_to_string b
 
     (* little-endian on every host *)
     let store_int64 r ~off v =
       check r off 8 "store_int64";
-      region_set64 r off (if Sys.big_endian then swap64 v else v)
+      if off + 8 > r.populated then populate r ~off ~upto:(off + 8);
+      region_set64 r.map off (if Sys.big_endian then swap64 v else v)
 
     let load_int64 r ~off =
       check r off 8 "load_int64";
-      let v = region_get64 r off in
+      let v = region_get64 r.map off in
       if Sys.big_endian then swap64 v else v
 
     let flush r ~off ~len =

@@ -4,7 +4,8 @@
     parallelism: [Tvar] is [Atomic], persistent-memory regions are plain
     byte buffers, and a persistent fence is emulated by a busy-wait of
     configurable duration on the monotonic clock (modelling the CPU stall
-    while pending write-backs drain to NVM, §2.1). Flushes are free,
+    while pending write-backs drain to NVM, §2.1). A region's memory is
+    made resident as stores reach it ({!resident_bytes}). Flushes are free,
     exactly as in the cost model. Crashes are not supported on this
     machine — crash-recovery correctness is the simulator's job; the
     native machine exists to measure who wins and by how much as fence
@@ -42,6 +43,19 @@ val sink : t -> Onll_obs.Sink.t
 val set_sink : t -> Onll_obs.Sink.t -> unit
 val persistent_fences : t -> int
 val reset_stats : t -> unit
+
+val resident_bytes : t -> int
+(** The bytes of this machine's live persistent-memory regions that are
+    resident in RAM ([mincore]). A region is an anonymous mapping that
+    creation leaves untouched; a store reaching past the prefix made
+    resident so far populates the next {!populate_step} bytes beyond its
+    last byte ([MADV_POPULATE_WRITE], which writes nothing; a kernel
+    without it leaves the pages to fault in on first touch), so a region
+    holds about what was written to it, and an append rarely faults.
+    Loads populate nothing: pages never written read as zeros. *)
+
+val populate_step : int
+(** 256 KiB. *)
 
 val monotonic_ns : unit -> int64
 (** [CLOCK_MONOTONIC] in nanoseconds — immune to wall-clock (NTP) steps.

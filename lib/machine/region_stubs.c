@@ -4,9 +4,12 @@
    bigarray whose custom block unmaps it when the GC finalizes it. The
    block is allocated without charging the mapping's size to the GC: a
    log of hundreds of MiB held as heap bytes set the major GC's pace
-   against a heap it dominated. The pages are touched at creation, as
-   zero-filling heap bytes does, so a log append never takes a
-   first-touch page fault. */
+   against a heap it dominated. Creation touches no page, so a region
+   costs memory only where it is written: native.ml populates each
+   region a fixed step ahead of its highest store ([onll_region_populate]),
+   so an append rarely takes a first-touch page fault, and a log whose
+   capacity exceeds what it writes never holds the rest. Pages never
+   written read as zeros. */
 
 #define _GNU_SOURCE
 #include <caml/mlvalues.h>
@@ -14,7 +17,10 @@
 #include <caml/bigarray.h>
 #include <caml/custom.h>
 #include <caml/fail.h>
+#include <caml/signals.h>
 #include <string.h>
+#include <stdint.h>
+#include <unistd.h>
 #include <sys/mman.h>
 
 #ifndef MADV_POPULATE_WRITE
@@ -44,8 +50,6 @@ CAMLprim value onll_region_create(value vsize)
   void *data = mmap(NULL, size, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (data == MAP_FAILED) caml_raise_out_of_memory();
-  /* kernels without MADV_POPULATE_WRITE refuse it: write the zeros */
-  if (madvise(data, size, MADV_POPULATE_WRITE) != 0) memset(data, 0, size);
   value v = caml_alloc_custom(&onll_region_ops,
                               SIZEOF_BA_ARRAY + sizeof(intnat), 0, 1);
   struct caml_ba_array *b = Caml_ba_array_val(v);
@@ -55,6 +59,44 @@ CAMLprim value onll_region_create(value vsize)
   b->proxy = NULL;
   b->dim[0] = size;
   return v;
+}
+
+/* Make [off, off + len) of a region resident, as a write fault would,
+   without writing a byte: a store racing the call keeps its bytes. A
+   kernel that refuses the call (before Linux 5.14) leaves the pages to
+   fault in on first touch. The caller has checked the range; the domain
+   lock is released meanwhile, so the other domains' collections need
+   not wait for the page zeroing. */
+CAMLprim value onll_region_populate(value r, value off, value len)
+{
+  static uintptr_t page = 0;
+  if (page == 0) page = (uintptr_t)sysconf(_SC_PAGESIZE);
+  uintptr_t lo = (uintptr_t)Caml_ba_data_val(r) + Long_val(off);
+  uintptr_t hi = lo + Long_val(len);
+  lo &= ~(page - 1);
+  caml_enter_blocking_section();
+  (void)madvise((void *)lo, hi - lo, MADV_POPULATE_WRITE);
+  caml_leave_blocking_section();
+  return Val_unit;
+}
+
+/* The bytes of a region resident in RAM, page by page ([mincore]); -1
+   where the kernel cannot tell. */
+CAMLprim value onll_region_resident(value r)
+{
+  static uintptr_t page = 0;
+  if (page == 0) page = (uintptr_t)sysconf(_SC_PAGESIZE);
+  struct caml_ba_array *b = Caml_ba_array_val(r);
+  uintptr_t pages = ((uintptr_t)b->dim[0] + page - 1) / page;
+  unsigned char vec[4096];
+  intnat resident = 0;
+  for (uintptr_t first = 0; first < pages; first += sizeof vec) {
+    uintptr_t n = pages - first < sizeof vec ? pages - first : sizeof vec;
+    if (mincore((char *)b->data + first * page, n * page, vec) != 0)
+      return Val_long(-1);
+    for (uintptr_t i = 0; i < n; i++) resident += vec[i] & 1;
+  }
+  return Val_long(resident * (intnat)page);
 }
 
 /* The copies in and out of a region; the caller has checked the

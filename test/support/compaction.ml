@@ -175,19 +175,22 @@ let run ?(procs = 2) ~capacities engine (W (name, (module S0), op) as w) =
 (* The heap half, served: two exactly-once clients of an in-process
    [Service] on the native machine each submit up to every count in
    [upto] in turn (ascending), and the live words after a heap compaction
-   are returned for each. The service's client range is those two
-   clients, so its object log is about the default 64 KiB: the trace it
-   holds between compactions, and so the live words, rise and fall in a
-   sawtooth whose height scales with the log. The service stays
-   reachable until the last measurement, and its counter must equal
-   every submit. *)
-let served_live_words upto =
+   are returned for each. The service admits [max_clients] (default 2,
+   the two that submit), and its object log holds three full-table
+   checkpoints besides the default 64 KiB of room (48 B a client), so a
+   larger client range compacts the log more rarely. The trace is pruned
+   on its own cadence ({!Onll_core.Onll.prune_every}), so its share of
+   the live words follows the state; the log's in-memory account of its
+   live records still follows the log's room. The service stays reachable
+   until the last measurement, and its counter must equal every
+   submit. *)
+let served_live_words ?(max_clients = 2) upto =
   let nat = Native.create ~fence_ns:0 ~max_processes:1 () in
   ignore (Native.register nat);
   let module M = (val Native.machine nat) in
   let module Svc = Onll_serve.Service.Make (M) in
   let module Protocol = Onll_serve.Protocol in
-  let t = Svc.make ~max_clients:2 Onll_serve.Service.Plain in
+  let t = Svc.make ~max_clients Onll_serve.Service.Plain in
   let op =
     Onll_util.Codec.encode Onll_specs.Counter.update_codec
       Onll_specs.Counter.Increment

@@ -208,6 +208,103 @@ let test_native_region_off_heap () =
         (M.Pm.load r ~off ~len:8))
     [ 0; size - 8 ]
 
+(* The process's resident set in bytes ([VmRSS]), where the kernel
+   reports one. *)
+let vm_rss () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | status ->
+      List.find_map
+        (fun line -> Scanf.sscanf_opt line "VmRSS: %d kB" (fun kb -> kb * 1024))
+        (String.split_on_char '\n' status)
+  | exception Sys_error _ -> None
+
+let mib = 1 lsl 20
+let step = Native.populate_step
+
+(* A transparent huge page: a populate of one step may fault in this much
+   when the kernel gives such pages to anonymous mappings. *)
+let huge_page = 2 * mib
+
+(* A region is made resident as it is written, not at creation: a 64 MiB
+   region adds less than 1 MiB to the process's resident set, and 8 MiB
+   of sequential 128-byte stores add about 8 MiB (at most one populate
+   step and one huge page more). Linux only: elsewhere there is no
+   [VmRSS] to read. *)
+let test_native_region_populated_as_written () =
+  match vm_rss () with
+  | None -> Alcotest.skip ()
+  | Some before ->
+      let native = Native.create ~max_processes:1 () in
+      let module M = (val Native.machine native) in
+      let r = M.Pm.create ~name:"lazy" ~size:(64 * mib) in
+      let created = Option.get (vm_rss ()) in
+      check Alcotest.bool
+        (Printf.sprintf "creation adds %d KiB < 1 MiB"
+           ((created - before) / 1024))
+        true
+        (created - before < mib);
+      check Alcotest.int "no region page resident" 0
+        (Native.resident_bytes native);
+      let line = String.make 128 'x' in
+      for i = 0 to (8 * mib / 128) - 1 do
+        M.Pm.store r ~off:(i * 128) line
+      done;
+      let grown = Option.get (vm_rss ()) - created in
+      check Alcotest.bool
+        (Printf.sprintf "8 MiB of stores add %d KiB, about 8 MiB"
+           (grown / 1024))
+        true
+        (grown >= (8 * mib) - (mib / 2)
+        && grown <= (8 * mib) + step + huge_page + mib);
+      let resident = Native.resident_bytes native in
+      check Alcotest.bool
+        (Printf.sprintf "%d KiB of the region resident, about 8 MiB"
+           (resident / 1024))
+        true
+        (resident >= 8 * mib && resident <= (8 * mib) + step + huge_page);
+      check Alcotest.string "the last line reads back" line
+        (M.Pm.load r ~off:((8 * mib) - 128) ~len:128)
+
+(* Stores that straddle the populated prefix's end read back whole, a
+   store far past it leaves the gap to first touch, and loads past what
+   was written read zeros, populating nothing. *)
+let test_native_region_straddles () =
+  let native = Native.create ~max_processes:1 () in
+  let module M = (val Native.machine native) in
+  let size = 4 * mib in
+  let r = M.Pm.create ~name:"straddle" ~size in
+  M.Pm.store r ~off:0 "head";
+  (* the populated prefix now ends one step past the last byte stored *)
+  let m1 = 4 + step in
+  let sixteen = "0123456789abcdef" in
+  M.Pm.store r ~off:(m1 - 8) sixteen;
+  check Alcotest.string "a store across the mark" sixteen
+    (M.Pm.load r ~off:(m1 - 8) ~len:16);
+  let m2 = m1 + 8 + step in
+  M.Pm.store_int64 r ~off:(m2 - 3) 0x1122334455667788L;
+  check Alcotest.int64 "a word across the mark" 0x1122334455667788L
+    (M.Pm.load_int64 r ~off:(m2 - 3));
+  let m3 = m2 + 5 + step in
+  let zeros n = String.make n '\000' in
+  check Alcotest.string "past the mark: zeros" (zeros 64)
+    (M.Pm.load r ~off:(m3 + 100) ~len:64);
+  check Alcotest.string "from the old mark: the word's tail, then zeros"
+    ("\x55\x44\x33\x22\x11" ^ zeros 3)
+    (M.Pm.load r ~off:m2 ~len:8);
+  check Alcotest.string "across the mark: zeros" (zeros 16)
+    (M.Pm.load r ~off:(m3 - 8) ~len:16);
+  check Alcotest.int64 "a load past the mark reads zero" 0L
+    (M.Pm.load_int64 r ~off:(size - 8));
+  M.Pm.store r ~off:(3 * mib) "far";
+  check Alcotest.string "a store far past the mark" "far"
+    (M.Pm.load r ~off:(3 * mib) ~len:3);
+  check Alcotest.string "the gap below it reads zeros" (zeros 32)
+    (M.Pm.load r ~off:(2 * mib) ~len:32);
+  M.Pm.store_int64 r ~off:(size - 8) (-1L);
+  check Alcotest.int64 "the region's last word" (-1L)
+    (M.Pm.load_int64 r ~off:(size - 8));
+  check Alcotest.string "the head is intact" "head" (M.Pm.load r ~off:0 ~len:4)
+
 let () =
   Alcotest.run "native"
     [
@@ -236,5 +333,9 @@ let () =
         [
           Alcotest.test_case "off the OCaml heap" `Quick
             test_native_region_off_heap;
+          Alcotest.test_case "populated as written" `Quick
+            test_native_region_populated_as_written;
+          Alcotest.test_case "stores straddle the populated end" `Quick
+            test_native_region_straddles;
         ] );
     ]
