@@ -29,12 +29,12 @@
 
     §8 extensions implemented here: read acceleration (the paper's local
     views, realised as one published state per trace node, {!Slot}),
-    trace pruning and log compaction via checkpoints. To keep
-    operation identities meaningful across compaction, materialised states
-    internally carry a per-process sequence floor (the number of that
-    process's operations already summarised), so detectability and sequence
-    allocation survive even when the operations themselves have been
-    reclaimed. *)
+    trace pruning (on its own cadence, {!prune_every}) and log compaction
+    via checkpoints. To keep operation identities meaningful across
+    pruning and compaction, materialised states internally carry a
+    per-process sequence floor (the number of that process's operations
+    already summarised), so detectability and sequence allocation survive
+    even when the operations themselves have been reclaimed. *)
 
 (* The identity, report, adoption and snapshot types live with the record
    log both engines share; onll.mli documents them. Its [Make] is
