@@ -12,9 +12,10 @@
     20,000 puts and 20,000 gets are counted. The operations are built
     before counting starts, so the count is the stack's alone. The exact
     counts are printed and written as ungated [e21.*] gauges: a compiler
-    change moves them. Then two residency rows (below): what a native
+    change moves them. Then three residency rows (below): what a native
     log holds in RAM, and the live heap, as updates grow with no
-    checkpoint. *)
+    checkpoint, and what a log holds in RAM across rounds of checkpoints
+    that restart it at its front. *)
 
 open Onll_machine
 module Kv = Onll_specs.Kv
@@ -109,6 +110,13 @@ let residency_log = 64 lsl 20
 let plog_header = 64
 let words_per_update_max = 4.0
 
+(* The bytes a store's logs have written, headers included. *)
+let extent (s : Onll_core.Onll.Snapshot.t) =
+  List.fold_left
+    (fun acc (l : Onll_core.Onll.Snapshot.log) ->
+      acc + plog_header + l.used_bytes)
+    0 s.logs
+
 type residency = {
   written : int;
   resident : int;
@@ -147,14 +155,8 @@ let residency () =
   in
   let live_5k = live_after 5_000 in
   let live_50k = live_after 50_000 in
-  let written =
-    List.fold_left
-      (fun acc (l : Onll_core.Onll.Snapshot.log) ->
-        acc + plog_header + l.used_bytes)
-      0 (C.snapshot obj).logs
-  in
   {
-    written;
+    written = extent (C.snapshot obj);
     resident = Native.resident_bytes nat;
     live_5k;
     live_50k;
@@ -162,7 +164,63 @@ let residency () =
   }
 
 let page = 4096
-let resident_max r = (r.written + Native.populate_step + page - 1) / page * page
+let to_page n = (n + page - 1) / page * page
+let resident_max r = to_page (r.written + Native.populate_step)
+
+(* {2 Residency across restarts}
+
+   The same kv store on a 64 MiB native log, loaded with 20k puts and
+   checkpointed, then [rounds] rounds of 5k puts, each ending in a
+   checkpoint + prune. The first round's checkpoint finds the load's
+   records dead below the head and restarts the log at its front; from
+   then on every other checkpoint does, and the log reuses its front
+   instead of growing. So the region stays resident within the first
+   generation's extent (its bytes written up to the first round's
+   checkpoint) plus one populate step, to the page; a log that only
+   moved its head grew by each round's records and checkpoint. *)
+let rounds = 8
+
+type restarting = {
+  first_extent : int;  (* header and bytes written by the first round *)
+  per_round : int list;  (* resident bytes after each round, in order *)
+  restarts : int;
+}
+
+let restarting () =
+  let nat = Native.create ~fence_ns:0 ~max_processes:1 () in
+  ignore (Native.register nat);
+  let module M = (val Native.machine nat) in
+  let module C = Onll_core.Onll.Make (M) (Kv) in
+  let obj =
+    C.make { Onll_core.Onll.Config.default with log_capacity = residency_log }
+  in
+  let next = ref 0 in
+  let puts n =
+    for _ = 1 to n do
+      let key = Printf.sprintf "key%02d" (!next * 7 mod keys) in
+      ignore (C.update obj (Kv.Put (key, string_of_int !next)) : Kv.value);
+      incr next
+    done
+  in
+  let checkpoint () = C.prune obj ~below:(C.checkpoint obj) in
+  puts 20_000;
+  checkpoint ();
+  let first_extent = ref 0 and per_round = ref [] and restarts = ref 0 in
+  for r = 1 to rounds do
+    puts 5_000;
+    let before = extent (C.snapshot obj) in
+    if r = 1 then first_extent := before;
+    checkpoint ();
+    if extent (C.snapshot obj) < before then incr restarts;
+    per_round := Native.resident_bytes nat :: !per_round
+  done;
+  {
+    first_extent = !first_extent;
+    per_round = List.rev !per_round;
+    restarts = !restarts;
+  }
+
+let restarting_max r = to_page (r.first_extent + Native.populate_step)
 
 let words_per_update r =
   float_of_int (r.live_50k - r.live_5k) /. 45_000.
@@ -235,6 +293,28 @@ let run () =
         Printf.sprintf "%.1f/update" words_per_update_max;
       ];
     ];
+  let rr = restarting () in
+  g "restarting.first_extent_bytes" rr.first_extent;
+  g "restarting.peak_resident_bytes" (List.fold_left max 0 rr.per_round);
+  g "restarting.restarts" rr.restarts;
+  Onll_util.Table.print
+    ~title:
+      (Printf.sprintf
+         "E21 — residency across restarts (native, kv over %d keys on a %d \
+          MiB log, 20k puts, then %d rounds of 5k puts and a checkpoint + \
+          prune; %d checkpoints restarted the log)"
+         keys (residency_log lsr 20) rounds rr.restarts)
+    ~header:[ "row"; "measured"; "ceiling" ]
+    [
+      [
+        "log region resident (KiB) after each round";
+        String.concat " "
+          (List.map (fun b -> string_of_int (b / 1024)) rr.per_round);
+        Printf.sprintf "%d (first generation %d + one %d KiB step)"
+          (restarting_max rr / 1024) (rr.first_extent / 1024)
+          (Native.populate_step / 1024);
+      ];
+    ];
   let path = Harness.write_snapshot ~experiment:"e21" summary in
   Printf.printf "snapshot: %s\n" path;
   if r.checkpoints > 0 then
@@ -246,6 +326,15 @@ let run () =
          "E21 residency: %d bytes of the log resident, %d written (at most \
           %d)"
          r.resident r.written (resident_max r));
+  List.iteri
+    (fun i b ->
+      if b > restarting_max rr then
+        failwith
+          (Printf.sprintf
+             "E21 residency across restarts: %d bytes of the log resident \
+              after round %d, the first generation wrote %d (at most %d)"
+             b (i + 1) rr.first_extent (restarting_max rr)))
+    rr.per_round;
   if words_per_update r > words_per_update_max then
     failwith
       (Printf.sprintf

@@ -89,14 +89,19 @@ let last_nonzero s =
    check of a healthy log is one such piece. *)
 let zero_chunk = 1 lsl 16
 
-(* The CRC of [n] zero bytes, continuing [init]. *)
-let zero_block = Bytes.make 4096 '\000'
+(* One shared block of zeros: a span is zeroed by storing it again and
+   again ([Make.store_zeros]), and the CRC of zeros is taken over it, so
+   neither allocates in proportion to the span. *)
+let zeros = String.make zero_chunk '\000'
 
+(* The CRC of [n] zero bytes, continuing [init]. *)
 let rec crc_zeros init n =
   if n = 0 then init
   else
-    let k = min n (Bytes.length zero_block) in
-    crc_zeros (Crc32.bytes ~init zero_block ~pos:0 ~len:k) (n - k)
+    let k = min n zero_chunk in
+    crc_zeros
+      (Crc32.bytes ~init (Bytes.unsafe_of_string zeros) ~pos:0 ~len:k)
+      (n - k)
 
 type salvage_report = {
   torn_tail_bytes : int;
@@ -245,6 +250,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     mutable footprint : int;
         (* bytes of the newest checkpoint written, noted or measured; 0
            while unknown *)
+    mutable undrained : bool;
+        (* a restart's zeroing of the old live span is flushed but no fence
+           has drained it yet (see [restart]) *)
   }
 
   (* One live entry found by a scan: its offset and its record's key. *)
@@ -276,13 +284,13 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
   let rec persist_attempt t ~site ~off ~len ~slot attempt =
     match
       for r = 0 to Array.length t.regions - 1 do
-        M.Pm.flush t.regions.(r) ~off ~len;
+        if len > 0 then M.Pm.flush t.regions.(r) ~off ~len;
         if slot <> no_slot then
           M.Pm.flush t.regions.(r) ~off:slot ~len:slot_bytes
       done;
       M.fence ()
     with
-    | () -> ()
+    | () -> t.undrained <- false
     | exception Onll_nvm.Memory.Transient_fault _ when attempt <= retry_budget
       ->
         emit_retry t ~site ~attempt;
@@ -290,6 +298,20 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   let persist ?(slot = no_slot) t ~site ~off ~len =
     persist_attempt t ~site ~off ~len ~slot 1
+
+  (* Flush [off, off+len) in every replica with no fence: the log's next
+     fence drains it. Retried as [persist] is. *)
+  let rec flush_attempt t ~site ~off ~len attempt =
+    match
+      for r = 0 to Array.length t.regions - 1 do
+        M.Pm.flush t.regions.(r) ~off ~len
+      done
+    with
+    | () -> ()
+    | exception Onll_nvm.Memory.Transient_fault _ when attempt <= retry_budget
+      ->
+        emit_retry t ~site ~attempt;
+        flush_attempt t ~site ~off ~len (attempt + 1)
 
   (* Store the same bytes at [off] in every replica. *)
   let store_all t ~off s =
@@ -301,6 +323,23 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     for r = 0 to Array.length t.regions - 1 do
       M.Pm.store_int64 t.regions.(r) ~off v
     done
+
+  (* Zero [off, off+len) in every replica from the one shared block: whole
+     blocks, then a last block ending at the span's end (overlapping the
+     one before it); only a span shorter than a block stores a copy. *)
+  let store_zeros t ~off ~len =
+    if len >= zero_chunk then begin
+      let fin = off + len in
+      let rec go off =
+        if off + zero_chunk < fin then begin
+          store_all t ~off zeros;
+          go (off + zero_chunk)
+        end
+        else store_all t ~off:(fin - zero_chunk) zeros
+      in
+      go off
+    end
+    else if len > 0 then store_all t ~off (String.sub zeros 0 len)
 
   (* The slot header [seq] lives in: the two alternate, so a torn header
      write leaves the other slot intact. *)
@@ -378,10 +417,17 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
      [written_upto]. *)
   let next_bound t = min (log_end t) (t.written_upto + zero_chunk)
 
+  (* The fence that drains a restart's zeroing of the old live span, when
+     no fence has since. A header write pays it before storing its slot,
+     which overwrites the slot that lets recovery redo the zeroing. *)
+  let drain t =
+    if t.undrained then persist t ~site:"plog.drain" ~off:header_size ~len:0
+
   (* Store the next header slot — the next seq, [head] and the bound now
      due — in every replica, and return the bound; the slot to persist is
      [slot_of] the next seq. *)
   let store_next_header t ~head =
+    drain t;
     let bound = next_bound t in
     store_slot t.regions ~seq:(Int64.add t.header_seq 1L) ~head ~bound;
     bound
@@ -598,6 +644,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       offs_valid = true;
       ckpt_key = None;
       footprint = 0;
+      undrained = false;
     }
 
   let forget_checkpoint t =
@@ -744,9 +791,9 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       (crc_to_int64 (crc_of_int64s len64 skip_magic));
     persist t ~site:"plog.salvage" ~off ~len:16
 
-  let zero_span t ~off ~len =
-    store_all t ~off (String.make len '\000');
-    persist t ~site:"plog.salvage" ~off ~len
+  let zero_span ?(site = "plog.salvage") t ~off ~len =
+    store_zeros t ~off ~len;
+    persist t ~site ~off ~len
 
   (* A Salvage event for bytes recovery is about to discard, emitted
      before the discard is made durable: a recovery that crashes after
@@ -756,6 +803,33 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     if Onll_obs.Sink.active t.sink then
       Onll_obs.Sink.emit t.sink ~proc:(M.self ())
         (Onll_obs.Event.Salvage { log = t.log_name; quarantined; bytes_lost })
+
+  (* A valid slot whose head lies above the newest header's [head] was
+     written before a restart (or a relocation) switched the head back to
+     the front, and no header write has replaced it since. A restart
+     zeroes the old live span only after its switch, and drains that
+     zeroing at the log's next fence or before its next header write, so
+     the zeroing may not have landed: zero again, durably, from that
+     slot's head (the restart fenced the zeros below it), the walk's end
+     and the newest bound, up to that slot's bound, which covers every
+     byte the old span wrote. Nothing live lies there, and it runs before
+     anything appends. *)
+  let redo_restart_zeroing t slots ~head ~bound =
+    let lo = ref max_int and hi = ref 0 in
+    let older = function
+      | Some (_, h, b) when h > head ->
+          lo := min !lo h;
+          hi := max !hi b
+      | Some _ | None -> ()
+    in
+    Array.iter
+      (fun (a, b) ->
+        older a;
+        older b)
+      slots;
+    let lo = max !lo (max t.tail bound) in
+    if lo < !hi then zero_span t ~site:"plog.recover" ~off:lo ~len:(!hi - lo);
+    t.undrained <- false
 
   (* The one recovery walk; [entry] is given each live payload in log
      order and returns its key for the account. *)
@@ -816,6 +890,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
             walk (pos - span)
     in
     t.tail <- walk head;
+    redo_restart_zeroing t slots ~head ~bound;
     (* everything from the tail up to the bound is zero now *)
     t.written_upto <- t.tail;
     (* an unacknowledged append the walk found past the bound is now a
@@ -868,6 +943,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     t.bound <- bound;
     t.tail <- loop head;
     t.written_upto <- t.tail;
+    t.undrained <- false;
     t.offs_valid <- false;
     forget_checkpoint t
 
@@ -927,6 +1003,12 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       unrepairable_spans = !unrep;
     }
 
+  (* Store an entry — [len | crc | payload] — at [off] in every replica. *)
+  let store_entry t ~off payload =
+    store_int64_all t ~off (Int64.of_int (String.length payload));
+    store_int64_all t ~off:(off + 8) (Int64.of_int (entry_crc_int payload));
+    store_all t ~off:(off + 16) payload
+
   let append ?key t payload =
     let len = String.length payload in
     if len = 0 then invalid_arg "Plog.append: empty payload";
@@ -940,9 +1022,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
        the append's one fence. *)
     let raised = fin > t.bound in
     let bound = if raised then store_next_header t ~head:t.head else t.bound in
-    store_int64_all t ~off (Int64.of_int len);
-    store_int64_all t ~off:(off + 8) (Int64.of_int (entry_crc_int payload));
-    store_all t ~off:(off + 16) payload;
+    store_entry t ~off payload;
     if raised then begin
       persist t ~site:"plog.append" ~off ~len:need
         ~slot:(slot_of (Int64.add t.header_seq 1L));
@@ -1018,20 +1098,22 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       drop_first t span n
     end
 
+  (* How many leading entries of [span] key to at most [k]. *)
+  let covered t span k =
+    match span with
+    | Account ->
+        let a = t.offs in
+        let rec count i =
+          if i < Account.length a && Account.key a i <= k then count (i + 1)
+          else i
+        in
+        count 0
+    | Scanned (live, _) ->
+        Seq.length (Seq.take_while (fun l -> l.l_key <= k) (List.to_seq live))
+
   let drop_upto t k =
     let span = live_span t in
-    let n =
-      match span with
-      | Account ->
-          let a = t.offs in
-          let rec count i =
-            if i < Account.length a && Account.key a i <= k then count (i + 1)
-            else i
-          in
-          count 0
-      | Scanned (live, _) ->
-          Seq.length (Seq.take_while (fun l -> l.l_key <= k) (List.to_seq live))
-    in
+    let n = covered t span k in
     if n > 0 then drop_first t span n;
     n
 
@@ -1055,7 +1137,8 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
 
   (* Physically move the live span to the front of the entries area,
      reclaiming the dead pre-head bytes for appends (set_head only advances a
-     pointer; appends never wrap, so without this the area fills for good).
+     pointer, and appends never wrap: without this, or a checkpoint that
+     restarts the log at its front, the area fills for good).
      The copy walks the live span record by record, sourcing each record from
      whichever replica's copy checks valid as loaded ([read_all], [canonical])
      — a bulk primary-only copy would propagate a rotted primary record onto
@@ -1128,8 +1211,7 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
       t.tail <- header_size + live;
       let stale = t.written_upto - t.tail in
       if stale > 0 then begin
-        store_all t ~off:t.tail (String.make stale '\000');
-        persist t ~site:"plog.relocate" ~off:t.tail ~len:stale;
+        zero_span t ~site:"plog.relocate" ~off:t.tail ~len:stale;
         t.written_upto <- t.tail
       end;
       if !quarantined > 0 && Onll_obs.Sink.active t.sink then
@@ -1188,6 +1270,62 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
     in
     (r, List.rev !records)
 
+  (* {3 Restarting at the front}
+
+     A checkpoint that drops every live record, and whose record and one
+     [zero_chunk] fit in the dead bytes below the head ([restarts]),
+     writes its record
+     at the front of the entries area instead of at the tail, in two
+     fences, as an appended checkpoint and its head update take:
+     - F1: store the record at [header_size], zero the rest of the dead
+       prefix, fence. The head still names the old live span, which
+       nothing has touched, so a crash here loses nothing.
+     - F2: switch the header to the front, its bound the record's end
+       plus one [zero_chunk], fence. A recovery now walks the record and
+       stops at the zeros F1 made durable.
+     Then the old live span, now past the tail, is zeroed with flushed
+     stores that the log's next fence drains (an append's, normally). A
+     header write due before that fence drains them first ([drain]): it
+     would overwrite the slot naming the old head, which is how recovery
+     knows to zero the span again ([redo_restart_zeroing]). So the bytes
+     from the tail to the bound stay durably zero, and the appends that
+     follow reuse the front of the log. *)
+  let restart t ~key payload =
+    let old_head = t.head and old_end = t.written_upto in
+    let dropped = Account.length t.offs in
+    let need = 16 + String.length payload in
+    let fin = header_size + need in
+    store_entry t ~off:header_size payload;
+    store_zeros t ~off:fin ~len:(old_head - fin);
+    persist t ~site:"plog.restart" ~off:header_size
+      ~len:(old_head - header_size);
+    t.written_upto <- fin;
+    write_header t ~site:"plog.restart" ~head:header_size;
+    t.tail <- fin;
+    Account.clear t.offs;
+    Account.push t.offs ~off:header_size ~key;
+    if old_end > old_head then begin
+      store_zeros t ~off:old_head ~len:(old_end - old_head);
+      flush_attempt t ~site:"plog.restart" ~off:old_head
+        ~len:(old_end - old_head) 1;
+      t.undrained <- true
+    end;
+    if Onll_obs.Sink.active t.sink then begin
+      Onll_obs.Sink.emit t.sink ~proc:(M.self ())
+        (Onll_obs.Event.Log_append { log = t.log_name; bytes = need });
+      Onll_obs.Sink.emit t.sink ~proc:(M.self ())
+        (Onll_obs.Event.Log_compact { log = t.log_name; dropped })
+    end
+
+  (* Does a checkpoint of [payload] covering [upto] restart the log? The
+     bound it writes stays 16 bytes short of the old head, so until the
+     old span's zeroing drains, a recovery's walk stops at zeros below
+     the bound, however the appends in between fill it. *)
+  let restarts t ~upto payload =
+    t.offs_valid
+    && covered t Account upto = Account.length t.offs
+    && header_size + 16 + String.length payload + zero_chunk + 16 <= t.head
+
   let checkpoint t ~upto ~worth record =
     match t.ckpt_key with
     | Some key when key - 1 >= upto -> Some (key - 1)
@@ -1196,13 +1334,16 @@ module Make (M : Onll_machine.Machine_sig.S) = struct
         if not (worth payload) then None
         else begin
           let key = upto + 1 in
-          (try append ~key t payload
-           with Full ->
-             (* an earlier drop may have left dead bytes to reclaim *)
-             relocate t;
-             append ~key t payload);
+          if restarts t ~upto payload then restart t ~key payload
+          else begin
+            (try append ~key t payload
+             with Full ->
+               (* an earlier drop may have left dead bytes to reclaim *)
+               relocate t;
+               append ~key t payload);
+            ignore (drop_upto t upto)
+          end;
           note_keyed_checkpoint t ~key payload;
-          ignore (drop_upto t upto);
           if Onll_obs.Sink.active t.sink then
             Onll_obs.Sink.emit t.sink ~proc:(M.self ())
               (Onll_obs.Event.Checkpoint { upto });

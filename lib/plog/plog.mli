@@ -58,7 +58,8 @@
     A header write stores the log end or, if lower, 64 KiB past the
     furthest byte the log has written since its last recovery. That extent
     falls only once a relocation's zeroing of the old span is durable,
-    never in the relocation's switch header. An append that would pass
+    never in the relocation's switch header, or at a restart (below),
+    whose switch header bounds only its own record. An append that would pass
     the bound stores the next header slot (next seq, same head, raised
     bound) beside its record and flushes both ranges in every replica
     under its one fence, so the fence count per append is unchanged and
@@ -69,6 +70,29 @@
     remainder as it always did. So a log that never advances its head
     gains nothing from the bound; writing its first slot at its first
     append was tried and left out (DESIGN.md says why).
+
+    {b Restarting at the front.} Appends never wrap, and a head update
+    leaves the bytes below the head dead. A {!Make.checkpoint} that drops
+    every live record, and whose record plus one 64 KiB reserve fits in
+    that dead prefix, therefore restarts the log at the front of its
+    entries area, in the two fences an appended checkpoint and its head
+    update take. F1 stores the record at the front and zeroes the rest of
+    the dead prefix, then fences; the header still names the old live
+    span, which nothing has touched. F2 switches the header to the front,
+    its bound the record's end plus the reserve, then fences. The old live
+    span, now past the tail, is zeroed with flushed stores that the log's
+    next fence drains, normally an append's at no extra cost. A header
+    write due before that fence (a first append larger than the reserve)
+    drains them first, one fence more, because it overwrites the slot
+    that still names the old head. Recovery reads that slot: a valid slot
+    whose head lies above the newest header's means a restart's (or a
+    relocation's) zeroing may not have landed, and recovery zeroes the
+    span up to that slot's bound again, durably, before anything appends.
+    So the bytes from the tail to the bound stay durably zero across a
+    crash at any step, under any subset of flushed lines persisting, and
+    a checkpointed log reuses its front instead of growing. Zeroing
+    stores one shared 64 KiB block of zeros again and again, so it
+    allocates nothing in proportion to the span.
 
     A crash can leave bytes of an unacknowledged append above the bound
     when that append was raising the bound and its slot did not survive
@@ -318,8 +342,9 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   val relocate : t -> unit
   (** Physically move the live span (head to tail) to the front of the
       entries area in every replica, reclaiming the dead pre-head bytes for
-      appends — {!set_head} alone only advances a pointer and never frees
-      append space. Durable and crash-atomic (copy below the old head
+      appends — {!set_head} alone only advances a pointer, and appends
+      never wrap, so only this or a restarting {!checkpoint} frees append
+      space. Durable and crash-atomic (copy below the old head
       first, then switch the two-slot header, then zero the stale span).
       The copy is repair-aware: each record is sourced from whichever
       replica's copy revalidates on load, so a record rotted on the
@@ -341,7 +366,11 @@ module Make (M : Onll_machine.Machine_sig.S) : sig
   (** [checkpoint t ~upto ~worth record] appends [record ()] (relocating
       first if the log is full), drops what it covers ({!drop_upto}) and
       emits a [Checkpoint] event — [Some upto], two fences — or returns
-      [None] when [worth] declines the encoded record. When the newest
+      [None] when [worth] declines the encoded record. When the record
+      covers every live entry, and it and one 64 KiB reserve fit below the
+      head, the checkpoint restarts the log at its front instead (see the
+      module doc), in the same two fences: the dead prefix is reused, and
+      the old live span's zeroing rides on the next fence. When the newest
       live checkpoint already covers [upto], it appends and encodes
       nothing and returns that checkpoint's index. The record is taken
       to key to [upto + 1], as the headroom rule requires, so it is not

@@ -356,6 +356,125 @@ let test_served_peak () =
     Alcotest.failf "peak live words %d at ~533 KiB of log, %d at ~64 KiB"
       large small
 
+(* {1 Restarting checkpoints under crashes}
+
+   A kv object over 50 keys on a 1 MiB log, with a checkpoint + prune
+   every 200 updates: the log's dead prefix grows until a checkpoint
+   finds its record and one 64 KiB reserve there and restarts the log at
+   its front ([Plog.checkpoint]). The updates run in epochs, each cut by
+   a crash under the given policy, until 6,000 updates and three
+   restarts are done: three epochs in four crash at a seeded step, the
+   fourth a seeded 0-19 steps into the next checkpoint that finds such a
+   dead prefix, so crashes land inside restarts. After each crash the
+   recovery is clean and not degraded, every acknowledged identity is
+   linearized, and every [Get] returns what a shadow map holds (the
+   update in flight at the crash may or may not have taken effect). *)
+module Kv = Onll_specs.Kv
+
+let restart_crashes policy () =
+  let sim = Onll_machine.Sim.create ~max_processes:1 ~crash_policy:policy () in
+  let module M = (val Onll_machine.Sim.machine sim) in
+  let module C = Onll.Make (M) (Kv) in
+  let obj = C.make { Onll.Config.default with log_capacity = 1 lsl 20 } in
+  let keys = 50 and total = 6_000 and every = 200 in
+  let key k = Printf.sprintf "key%02d" k in
+  let shadow = Array.make keys None and acked = ref [] in
+  let updates = ref 0 and restarts = ref 0 in
+  let crashes = ref 0 and in_restarts = ref 0 in
+  let in_flight = ref None in
+  let rng = Random.State.make [| 47 |] in
+  (* the step to crash at, and a crash armed to land so many steps on
+     (the world counts steps across runs) *)
+  let crash_at = ref max_int and arm = ref None and armed = ref false in
+  let strategy (view : Onll_sched.Sched.Strategy.view) =
+    Option.iter
+      (fun n ->
+        crash_at := view.steps () + n;
+        arm := None)
+      !arm;
+    if view.steps () >= !crash_at then Onll_sched.Sched.Strategy.Crash_now
+    else Onll_sched.Sched.Strategy.round_robin view
+  in
+  (* The durable header's head, read from the region without a machine
+     step: the newest of the two slots [seq | head | bound | crc]. *)
+  let head () =
+    let mem = Onll_machine.Sim.memory sim in
+    let name =
+      List.find (fun n -> String.ends_with ~suffix:".plog.0" n)
+        (Onll_nvm.Memory.region_names mem)
+    in
+    let s =
+      Onll_nvm.Memory.Region.durable_snapshot
+        (Option.get (Onll_nvm.Memory.find_region mem name))
+    in
+    let slot off = (String.get_int64_le s off, String.get_int64_le s (off + 8)) in
+    let (sa, ha), (sb, hb) = (slot 0, slot 32) in
+    Int64.to_int (if sa >= sb then ha else hb)
+  in
+  let body _ =
+    while !updates < total do
+      let k = !updates * 7 mod keys and v = string_of_int !updates in
+      in_flight := Some (k, v);
+      let id, _ = C.update_with_id obj (Kv.Put (key k, v)) in
+      in_flight := None;
+      shadow.(k) <- Some v;
+      acked := id :: !acked;
+      incr updates;
+      if !updates mod every = 0 then begin
+        (* a checkpoint record here is ~1.3 KB *)
+        if !crash_at = max_int && head () - 64 >= 65_536 + 2_000 then begin
+          arm := Some (Random.State.int rng 20);
+          armed := true
+        end;
+        C.prune obj ~below:(C.checkpoint obj);
+        armed := false;
+        if head () = 64 then incr restarts
+      end
+    done
+  in
+  let what () =
+    Printf.sprintf "%s, crash %d at update %d"
+      (Onll_nvm.Crash_policy.to_string policy)
+      !crashes !updates
+  in
+  while !updates < total do
+    crash_at := max_int;
+    if !crashes mod 4 < 3 then arm := Some (Random.State.int rng 4_000);
+    match Onll_machine.Sim.run sim strategy [| body |] with
+    | Onll_sched.Sched.World.Completed -> ()
+    | Onll_sched.Sched.World.Crashed ->
+        incr crashes;
+        if !armed then incr in_restarts;
+        armed := false;
+        let report = C.recover_report obj in
+        if not (Onll.Recovery_report.clean report) then
+          Alcotest.failf "%s: the recovery is not clean" (what ());
+        check_bool (what () ^ ": not degraded") false (C.degraded obj);
+        (match !in_flight with
+        | Some (k, v) -> (
+            in_flight := None;
+            match C.read obj (Kv.Get (key k)) with
+            | Kv.Found (Some got) when got = v -> shadow.(k) <- Some v
+            | _ -> ())
+        | None -> ());
+        List.iter
+          (fun id ->
+            if not (C.was_linearized obj id) then
+              Alcotest.failf "%s: %s not linearized" (what ())
+                (Format.asprintf "%a" Onll.pp_op_id id))
+          !acked;
+        Array.iteri
+          (fun k v ->
+            if C.read obj (Kv.Get (key k)) <> Kv.Found v then
+              Alcotest.failf "%s: Get %s differs from the shadow" (what ())
+                (key k))
+          shadow
+    | _ -> Alcotest.failf "%s: the run stopped" (what ())
+  done;
+  if !restarts < 3 then Alcotest.failf "%s: %d restarts" (what ()) !restarts;
+  if !in_restarts < 3 then
+    Alcotest.failf "%s: %d crashes inside a restart" (what ()) !in_restarts
+
 let () =
   Alcotest.run "compaction"
     [
@@ -401,4 +520,12 @@ let () =
             Alcotest.test_case "served peak follows the state" `Quick
               test_served_peak;
           ] );
+      ( "restart",
+        List.map
+          (fun policy ->
+            Alcotest.test_case
+              (Printf.sprintf "kv on 1 MiB, crashes (%s)"
+                 (Onll_nvm.Crash_policy.to_string policy))
+              `Quick (restart_crashes policy))
+          Onll_nvm.Crash_policy.[ Drop_all; Persist_all; Random 1 ] );
     ]

@@ -1781,6 +1781,248 @@ let test_relocate_crash_no_stale_record () =
       done)
     Onll_nvm.Crash_policy.[ Drop_all; Persist_all; Random 1; Random 2 ]
 
+(* {1 A checkpoint that restarts the log at its front}
+
+   A keyed 1 MiB log: 1,500 dead 80-byte records (120 KB) below a
+   checkpoint, and 200 live records after it (16 KB, the old span). A
+   checkpoint covering every live record finds its record and one 64 KiB
+   reserve in the dead prefix, so it restarts the log: its record goes to
+   the front, the rest of the dead prefix is zeroed (F1), the header
+   switches to the front (F2), and the old span, now past the tail, is
+   zeroed by stores the next fence drains. *)
+module Restart (S : sig
+  val sim : Sim.t
+end)
+() =
+struct
+  module M = (val Sim.machine S.sim)
+  module P = Onll_plog.Plog.Make (M)
+
+  let capacity = 1 lsl 20
+  let dead = 1_500
+  let upto = dead + 1 + 200
+  let padded k = keyed k ^ String.make 52 'p'
+  let record = keyed (upto + 1) ^ String.make 100 'c'
+  let log = P.create ~key:key_of ~name:"l" ~capacity ()
+
+  let () =
+    for k = 1 to dead do
+      P.append log (padded k)
+    done;
+    ignore
+      (P.checkpoint log ~upto:dead ~worth:(fun _ -> true) (fun () ->
+           keyed (dead + 1) ^ "-first"));
+    for k = dead + 2 to upto do
+      P.append log (padded k)
+    done
+
+  let old_live = P.entries log
+  let old_end = 64 + P.used_bytes log
+  let old_head = old_end - P.live_bytes log
+
+  let checkpoint () =
+    ignore (P.checkpoint log ~upto ~worth:(fun _ -> true) (fun () -> record))
+
+  let crash () =
+    Onll_nvm.Memory.crash (Sim.memory S.sim)
+      ~policy:Onll_nvm.Crash_policy.Drop_all
+
+  let region () =
+    Option.get (Onll_nvm.Memory.find_region (Sim.memory S.sim) "l")
+
+  (* Nonzero durable bytes in the old span. *)
+  let stale () =
+    let s = Onll_nvm.Memory.Region.durable_snapshot (region ())
+    and n = ref 0 in
+    for i = old_head to old_end - 1 do
+      if s.[i] <> '\000' then incr n
+    done;
+    !n
+
+  (* Check a first recovery's entries: the old live span, or entries
+     led by the restart's record, with the old span durably zero. *)
+  let check_first what first =
+    if first <> old_live then begin
+      check Alcotest.(list string) (what ^ ": the record leads") [ record ]
+        (List.filteri (fun i _ -> i = 0) first);
+      check Alcotest.int (what ^ ": the old span is durably zero") 0 (stale ())
+    end
+
+  (* Append 2 KB records until the durable bound passes the old span's
+     end (stale bytes there would now lie below it), crash and recover:
+     the second recovery returns [first] and those records, and is
+     clean. *)
+  let pass_old_span what first =
+    let rec further i =
+      let e = keyed (upto + 2 + i) ^ String.make 2000 'x' in
+      P.append log e;
+      if durable_bound (region ()) ~log_end:(64 + capacity) <= old_end
+      then e :: further (i + 1)
+      else [ e ]
+    in
+    let further = further 0 in
+    crash ();
+    let report, second = P.recover log in
+    check Alcotest.(list string) (what ^ ": no stale record comes back")
+      (first @ further) second;
+    check Alcotest.bool (what ^ ": the second recovery is clean") true
+      (is_clean report)
+end
+
+let restart_policies =
+  Onll_nvm.Crash_policy.[ Drop_all; Persist_all; Random 1; Random 2 ]
+
+(* A restarting checkpoint costs two fences, as an appended checkpoint
+   and its head update do, and leaves the record alone at the front; the
+   next append drains the old span's zeroing under its own one fence. *)
+let test_restart_two_fences () =
+  let module R =
+    Restart
+      (struct
+        let sim = Sim.create ~max_processes:1 ()
+      end)
+      ()
+  in
+  check Alcotest.bool "a dead prefix to reuse" true (R.old_head > 64 + 65_536);
+  let f0 = R.M.persistent_fences () in
+  R.checkpoint ();
+  check Alcotest.int "two fences" (f0 + 2) (R.M.persistent_fences ());
+  check Alcotest.(list string) "the record alone" [ R.record ]
+    (R.P.entries R.log);
+  check Alcotest.int "at the front" (16 + String.length R.record)
+    (R.P.used_bytes R.log);
+  check Alcotest.bool "the old span's zeroing not yet durable" true
+    (R.stale () > 0);
+  R.P.append R.log "next";
+  check Alcotest.int "the next append: one fence" (f0 + 3)
+    (R.M.persistent_fences ());
+  check Alcotest.int "which drains the zeroing" 0 (R.stale ())
+
+(* A crash at every step of a restarting checkpoint, under each policy:
+   the first recovery returns the old live span or the restart's record,
+   and then the old span is durably zero; appends whose bound passes the
+   old span, a crash and a second recovery bring back no stale record. *)
+let test_restart_crash_no_stale_record () =
+  List.iter
+    (fun policy ->
+      let crash_at = ref 0 and finished = ref false in
+      while not !finished do
+        let sim = Sim.create ~max_processes:1 ~crash_policy:policy () in
+        let module R =
+          Restart
+            (struct
+              let sim = sim
+            end)
+            ()
+        in
+        let outcome =
+          Sim.run sim
+            (Sched.Strategy.random_with_crash ~seed:0 ~crash_at_step:!crash_at)
+            [| (fun _ -> R.checkpoint ()) |]
+        in
+        finished := outcome = Sched.World.Completed;
+        R.crash ();
+        let what =
+          Printf.sprintf "%s, crash at step %d"
+            (Onll_nvm.Crash_policy.to_string policy)
+            !crash_at
+        in
+        let report, first = R.P.recover R.log in
+        check Alcotest.bool (what ^ ": the first recovery is clean") true
+          (is_clean report);
+        check Alcotest.bool (what ^ ": the live entries lead") true
+          (first = R.old_live || first = [ R.record ]);
+        R.check_first what first;
+        R.pass_old_span what first;
+        incr crash_at
+      done)
+    restart_policies
+
+(* A crash right after a restart, before any fence drained the old
+   span's zeroing: under Drop_all none of it landed, under Random some.
+   The header slot naming the old head tells recovery to zero the span
+   again, durably, before anything appends. *)
+let test_restart_recovery_before_drain () =
+  List.iter
+    (fun policy ->
+      let sim = Sim.create ~max_processes:1 () in
+      let module R =
+        Restart
+          (struct
+            let sim = sim
+          end)
+          ()
+      in
+      let what = Onll_nvm.Crash_policy.to_string policy in
+      R.checkpoint ();
+      Onll_nvm.Memory.crash (Sim.memory sim) ~policy;
+      if policy = Onll_nvm.Crash_policy.Drop_all then
+        check Alcotest.bool (what ^ ": the zeroing did not land") true
+          (R.stale () > 0);
+      let report, first = R.P.recover R.log in
+      check Alcotest.bool (what ^ ": clean") true (is_clean report);
+      check Alcotest.(list string) (what ^ ": the record") [ R.record ] first;
+      R.check_first what first;
+      R.pass_old_span what first)
+    restart_policies
+
+(* A first append after a restart larger than the 64 KiB reserve raises
+   the bound, so its header write overwrites the slot naming the old
+   head: it drains the old span's zeroing first, one fence more. A crash
+   at every step of that append, under each policy: no quarantine, and
+   appends past the old span, a crash and a recovery bring back no stale
+   record. *)
+let test_restart_first_append_past_reserve () =
+  let big = keyed 9_999 ^ String.make 70_000 'b' in
+  (let module R =
+     Restart
+       (struct
+         let sim = Sim.create ~max_processes:1 ()
+       end)
+       ()
+   in
+  R.checkpoint ();
+  let f0 = R.M.persistent_fences () in
+  R.P.append R.log big;
+  check Alcotest.int "the drain and the append" (f0 + 2)
+    (R.M.persistent_fences ()));
+  List.iter
+    (fun policy ->
+      let crash_at = ref 0 and finished = ref false in
+      while not !finished do
+        let sim = Sim.create ~max_processes:1 ~crash_policy:policy () in
+        let module R =
+          Restart
+            (struct
+              let sim = sim
+            end)
+            ()
+        in
+        R.checkpoint ();
+        let outcome =
+          Sim.run sim
+            (Sched.Strategy.random_with_crash ~seed:0 ~crash_at_step:!crash_at)
+            [| (fun _ -> R.P.append R.log big) |]
+        in
+        finished := outcome = Sched.World.Completed;
+        R.crash ();
+        let what =
+          Printf.sprintf "%s, crash at step %d"
+            (Onll_nvm.Crash_policy.to_string policy)
+            !crash_at
+        in
+        let report, first = R.P.recover R.log in
+        check Alcotest.int (what ^ ": nothing quarantined") 0
+          report.Onll_plog.Plog.quarantined_spans;
+        check Alcotest.bool (what ^ ": the record, then the append if any")
+          true
+          (first = [ R.record ] || first = [ R.record; big ]);
+        R.check_first what first;
+        R.pass_old_span what first;
+        incr crash_at
+      done)
+    restart_policies
+
 (* A recovery reports the bytes it discards before it discards them: one
    that crashes right after zeroing a torn tail leaves the next recovery
    nothing to find, so a report made only at the end of the walk would
@@ -2036,5 +2278,16 @@ let () =
           prop_random_crash_then_crossing;
           Alcotest.test_case "stale bytes past the bound: a later torn tail"
             `Quick test_stale_bytes_past_the_bound;
+        ] );
+      ( "restart",
+        [
+          Alcotest.test_case "two fences, the record at the front" `Quick
+            test_restart_two_fences;
+          Alcotest.test_case "crash at every step: no stale record" `Quick
+            test_restart_crash_no_stale_record;
+          Alcotest.test_case "recovery before the zeroing drains" `Quick
+            test_restart_recovery_before_drain;
+          Alcotest.test_case "a first append past the reserve drains first"
+            `Quick test_restart_first_append_past_reserve;
         ] );
     ]
