@@ -117,6 +117,18 @@ chaos-smoke:
 	    exit 1; \
 	  fi; \
 	  echo "chaos --session -s queue refused with code 1 (asserted)"
+	@# A forked campaign in which nothing was killed proves nothing: with
+	@# no kill schedule (--seeds 0) each must exit 1, the code of an unmet
+	@# At_least, and name its kills requirement on an UNMET line.
+	@for verb in store service; do \
+	  st=0; out=$$($(ONLL_CLI) $$verb campaign --seeds 0 2>&1) || st=$$?; \
+	  if [ "$$st" -ne 1 ] || ! echo "$$out" | grep -q '^UNMET: .*kills'; then \
+	    echo "$$out"; \
+	    echo "chaos-smoke: expected exit 1 and an UNMET kills line from $$verb campaign --seeds 0, got $$st"; \
+	    exit 1; \
+	  fi; \
+	  echo "$$verb campaign --seeds 0 exited with code 1, kills UNMET (asserted)"; \
+	done
 
 bench:
 	dune exec bench/main.exe

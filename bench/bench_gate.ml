@@ -6,13 +6,14 @@
     deterministic E14 slices (sharded fence accounting + sharded chaos,
     zero violations), a deterministic E13 mirrored slice (primary-only
     faults must cost nothing), a deterministic E15 session slice
-    (exactly-once under crash-fuzz; the naive arm must duplicate) and the
+    (exactly-once under crash-fuzz; the naive arm must duplicate), the
     deterministic E16 slices (group-commit amortisation below 1/2
     pf/update, the solo adversary pinned at exactly 1 pf/update,
     group-commit chaos incl. crash-mid-window over mirrored logs, zero
-    violations) — then diffs the freshly produced snapshots against the
-    committed goldens in [bench/snapshots/]. Each seeded chaos slice
-    (E13, E14, E15, E16, E19, E20) is its campaign value at a small size,
+    violations), the in-process E17 file-store and E18 service crash
+    slices, and the E19 and E20 slices — then diffs the freshly produced
+    snapshots against the committed goldens in [bench/snapshots/]. Each
+    seeded chaos slice (E13–E20) is its campaign value at a small size,
     and every requirement its {!Test_support.Campaign.verdict} names
     unmet is a named failure:
 
@@ -172,61 +173,39 @@ let () =
   Fence_audit.run ();
   Printf.printf "== F2 fuzzy-window bound ==\n%!";
   Fuzzy_window.run ();
-  Printf.printf "== E14 deterministic slices ==\n%!";
-  let e14 = Onll_obs.Metrics.create () in
-  Shard_scaling.fence_accounting e14;
-  verdict "e14" (Harness.campaign ~reg:e14 Shard_scaling.chaos);
-  ignore (Harness.write_snapshot ~experiment:"e14" e14);
-  Printf.printf "== E13 deterministic mirrored slice ==\n%!";
-  let e13 = Onll_obs.Metrics.create () in
-  verdict "e13"
-    (Harness.campaign ~reg:e13
-       (Test_support.Chaos_harness.e13 ~seeds_per_object:4 ~dual_seeds:3
-          ~unmirrored_seeds:3));
-  ignore (Harness.write_snapshot ~experiment:"e13" e13);
-  Printf.printf "== E15 deterministic session slice ==\n%!";
-  let e15 = Onll_obs.Metrics.create () in
-  verdict "e15"
-    (Harness.campaign ~reg:e15
-       (Test_support.Session_chaos.e15 ~seeds_per_arm:6));
-  ignore (Harness.write_snapshot ~experiment:"e15" e15);
-  Printf.printf "== E16 deterministic slices ==\n%!";
-  let e16 = Onll_obs.Metrics.create () in
-  Group_commit.amortization e16;
-  Group_commit.adversarial e16;
-  verdict "e16" (Harness.campaign ~reg:e16 Group_commit.chaos);
-  ignore (Harness.write_snapshot ~experiment:"e16" e16);
-  Printf.printf "== E17 deterministic file-store crash slices ==\n%!";
-  let e17 = Onll_obs.Metrics.create () in
-  File_store.gate_slices e17;
-  assert (Onll_obs.Metrics.counter_value e17 "e17.restart.plain.violations" = 0);
-  assert (
-    Onll_obs.Metrics.counter_value e17 "e17.restart.mirrored.violations" = 0);
-  assert (Onll_obs.Metrics.counter_value e17 "e17.eio.sticky.degraded" > 0);
-  ignore (Harness.write_snapshot ~experiment:"e17" e17);
-  Printf.printf "== E18 deterministic service crash slices ==\n%!";
-  let e18 = Onll_obs.Metrics.create () in
-  Service_bench.gate_slices e18;
-  assert (
-    Onll_obs.Metrics.counter_value e18 "e18.restart.plain.violations" = 0);
-  assert (
-    Onll_obs.Metrics.counter_value e18 "e18.restart.mirrored.violations" = 0);
-  assert (Onll_obs.Metrics.counter_value e18 "e18.restart.plain.kills" > 0);
-  Test_support.Service_chaos.assert_dedup e18;
-  ignore (Harness.write_snapshot ~experiment:"e18" e18);
-  Printf.printf "== E19 deterministic transaction slices ==\n%!";
-  let e19 = Onll_obs.Metrics.create () in
+  (* One seeded slice: [slice] records into a fresh registry and returns
+     its campaign's summary, whose verdict the gate acts on; the registry
+     becomes [BENCH_<exp>.json]. *)
+  let section title exp slice =
+    Printf.printf "== %s ==\n%!" title;
+    let reg = Onll_obs.Metrics.create () in
+    verdict exp (slice reg);
+    ignore (Harness.write_snapshot ~experiment:exp reg)
+  in
+  section "E14 deterministic slices" "e14" (fun reg ->
+      Shard_scaling.fence_accounting reg;
+      Harness.campaign ~reg Shard_scaling.chaos);
+  section "E13 deterministic mirrored slice" "e13" (fun reg ->
+      Harness.campaign ~reg
+        (Test_support.Chaos_harness.e13 ~seeds_per_object:4 ~dual_seeds:3));
+  section "E15 deterministic session slice" "e15" (fun reg ->
+      Harness.campaign ~reg (Test_support.Session_chaos.e15 ~seeds_per_arm:6));
+  section "E16 deterministic slices" "e16" (fun reg ->
+      Group_commit.amortization reg;
+      Group_commit.adversarial reg;
+      Harness.campaign ~reg Group_commit.chaos);
+  section "E17 deterministic file-store crash slices" "e17" (fun reg ->
+      File_store.gated (Harness.campaign ~reg));
+  section "E18 deterministic service crash slices" "e18" (fun reg ->
+      Harness.campaign ~reg Service_bench.gated);
   (* the fence accounting asserts one coordinator fence per txn, at most
      (S+1)/2 of the 2PC baseline's *)
-  verdict "e19" (Txn_bench.gate_slices e19);
-  ignore (Harness.write_snapshot ~experiment:"e19" e19);
-  Printf.printf "== E20 deterministic bounded-staleness slices ==\n%!";
-  let e20 = Onll_obs.Metrics.create () in
+  section "E19 deterministic transaction slices" "e19" Txn_bench.gated;
   (* the fence accounting asserts strictly below 1 pf/update relaxed,
      exactly 1 strict, and the solo-after-quiesce floor of one fence per
      full budget *)
-  verdict "e20" (Relaxed_bench.gate_slices e20);
-  ignore (Harness.write_snapshot ~experiment:"e20" e20);
+  section "E20 deterministic bounded-staleness slices" "e20"
+    Relaxed_bench.gated;
   (* [--regen]: adopt the fresh snapshots as the new goldens and stop. *)
   if !regen then begin
     List.iter

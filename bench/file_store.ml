@@ -2,12 +2,12 @@
 
    Three arms:
 
-   1. The deterministic crash/fault slices ({!gate_slices}, shared with
-      the bench gate): in-process restart scenarios over plain and
-      mirrored file stores with seeded kills ([Raise] mode) at, inside
-      and around the persistent fence, plus the fsync-EIO
-      (retry-then-sticky-degraded), short-write and disk-full arms — all
-      counters golden-able.
+   1. The deterministic crash/fault slices ({!gated}, shared with the
+      bench gate): {!Test_support.File_chaos.e17} in process — restart
+      scenarios over plain and mirrored file stores with seeded kills
+      ([Raise] mode) at, inside and around the persistent fence, plus
+      the fsync-EIO (retry-then-sticky-degraded), short-write and
+      disk-full arms — all counters golden-able.
 
    2. The fence-cost measurement: the median cost of a real fsync fence
       (store + flush + fence on one region, then the full counter
@@ -16,22 +16,26 @@
       the far end of that axis, which is what makes group commit and
       sharding earn their keep on real media.
 
-   3. The kill -9 campaign: the same restart and media-fault arms with
-      every epoch in a forked child that SIGKILLs itself at the seeded
-      fence, plain and mirrored.
+   3. The kill -9 campaign: the same campaign value with every epoch in
+      a forked child that SIGKILLs itself at the seeded fence, plain and
+      mirrored.
 
-   Arms 2 and 3 are measurements/campaigns, keyed [e17t.*] / [e17c.*] —
-   outside the gate's [e17.] prefix, so wall-clock noise and process
-   scheduling never break CI determinism. *)
+   Arms 1 and 3 are asserted on their campaign's verdict. Arms 2 and 3
+   are measurements/campaigns, keyed [e17t.*] / [e17c.*] — outside the
+   gate's [e17.] prefix, so wall-clock noise and process scheduling
+   never break CI determinism. *)
 
 module Fchaos = Test_support.File_chaos
-module Campaign = Test_support.Campaign
 module Metrics = Onll_obs.Metrics
 module Fmem = Onll_nvm.File_memory
 module Fm = Onll_machine.File_machine
 module Cs = Onll_specs.Counter
 
-let gate_slices = Fchaos.gate_slices
+(* [run] on the in-process slice, over a scratch directory removed
+   after. *)
+let gated run =
+  Test_support.Temp_dir.with_fresh ~prefix:"onll-e17" (fun dir ->
+      run (Fchaos.e17 ~runner:Fchaos.In_process ~dir ~seeds:3 ~target:6))
 
 (* {1 Arm 2: measured fence cost on real media} *)
 
@@ -124,29 +128,14 @@ let campaign reg =
     | Some s -> int_of_string s
     | None -> 25
   in
-  let rows =
-    Test_support.Temp_dir.with_fresh ~prefix:"onll-e17" (fun dir ->
-        Fchaos.run_campaign ~dir ~seeds ~target:8)
-  in
-  Fchaos.print_rows rows;
-  List.iter
-    (fun (r : Campaign.row) ->
-      ignore (Campaign.to_metrics ~reg ~prefix:("e17c." ^ r.name) r))
-    rows;
-  assert (List.for_all (fun (r : Campaign.row) -> r.violations = []) rows);
-  assert (Campaign.total "kills" rows > 0)
+  Test_support.Temp_dir.with_fresh ~prefix:"onll-e17" (fun dir ->
+      Harness.assert_campaign ~reg
+        (Fchaos.e17 ~runner:Fchaos.Forked ~dir ~seeds ~target:8))
 
 let run () =
   let reg = Metrics.create () in
   print_endline "== deterministic crash/fault slices (gate material) ==";
-  gate_slices reg;
-  assert (Metrics.counter_value reg "e17.restart.plain.violations" = 0);
-  assert (Metrics.counter_value reg "e17.restart.mirrored.violations" = 0);
-  assert (Metrics.counter_value reg "e17.eio.retry.violations" = 0);
-  assert (Metrics.counter_value reg "e17.eio.sticky.violations" = 0);
-  assert (Metrics.counter_value reg "e17.eio.sticky.degraded" > 0);
-  assert (Metrics.counter_value reg "e17.shortw.violations" = 0);
-  assert (Metrics.counter_value reg "e17.enospc.violations" = 0);
+  gated (Harness.assert_campaign ~reg);
   print_endline "== fence cost on real media ==";
   fence_timing reg;
   print_endline "== kill -9 campaign (forked epochs) ==";

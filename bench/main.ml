@@ -25,8 +25,7 @@ let experiments =
        (Test_support.Chaos_harness.e12 ~seeds:130 ~calibration_seeds:30));
     ("e13", "mirrored logs + scrubbing: repair-aware chaos campaign",
      Harness.campaign_experiment "e13"
-       (Test_support.Chaos_harness.e13 ~seeds_per_object:110 ~dual_seeds:40
-          ~unmirrored_seeds:40));
+       (Test_support.Chaos_harness.e13 ~seeds_per_object:110 ~dual_seeds:40));
     ("e14", "shard scaling: partitioned construction, throughput + invariants",
      Shard_scaling.run);
     ("e15", "durable client sessions: exactly-once chaos campaign",

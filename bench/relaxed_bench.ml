@@ -115,7 +115,7 @@ let fence_accounting summary =
 
 (* The gate's part: the fence accounting and a printed, recorded
    12-seed chaos slice, whose verdict the gate acts on. *)
-let gate_slices summary =
+let gated summary =
   fence_accounting summary;
   Harness.campaign ~reg:summary
     (Test_support.Relaxed_chaos.e20 ~seeds:12 ~calibration_seeds:8)

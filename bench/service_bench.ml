@@ -2,12 +2,13 @@
 
    Three arms, mirroring the E17 layout:
 
-   1. The deterministic service crash slices ({!gate_slices}, shared with
-      the bench gate): in-process restart scenarios driving the protocol
-      state machine ([Service.Make.handle]) over file-backed stores with
-      Raise-mode kills, plus the policy-surface slice and the dedup slice
-      (an op cut at its fence, a restart, compactions, the client's
-      return) — all counters golden-able under the [e18.] prefix.
+   1. The deterministic service crash slices ({!gated}, shared with the
+      bench gate): {!Test_support.Service_chaos.e18} — in-process
+      restart scenarios driving the protocol state machine
+      ([Service.Make.handle]) over file-backed stores with Raise-mode
+      kills, plus the policy-surface slice and the dedup slice (an op
+      cut at its fence, a restart, compactions, the client's return) —
+      all counters golden-able under the [e18.] prefix.
 
    2. The fault-storm SLO measurement: spawn a real `onll serve` (socket,
       in-memory machine with emulated fences), drive it with the
@@ -17,16 +18,18 @@
       and the server's CPU time per confirmed op, keyed [e18t.*] (never
       gated: wall-clock).
 
-   3. The out-of-process campaign: seeded SIGKILL storms, reattach floods
-      with SIGTERM landing mid-load, and the degraded-media drill, under
-      one cross-pass exactly-once audit, keyed [e18c.*]. *)
+   3. The out-of-process campaign ({!Test_support.Service_chaos.e18c}):
+      seeded SIGKILL storms, reattach floods with SIGTERM landing
+      mid-load, and the degraded-media drill, under one cross-pass
+      exactly-once audit, keyed [e18c.*].
+
+   Arms 1 and 3 are asserted on their campaign's verdict. *)
 
 module Schaos = Test_support.Service_chaos
-module Campaign = Test_support.Campaign
 module Loadgen = Onll_serve.Loadgen
 module Metrics = Onll_obs.Metrics
 
-let gate_slices = Schaos.gate_slices
+let gated = Schaos.e18 ~seeds:3
 
 (* {1 Arm 2: fault-storm SLOs at a 4-digit client population} *)
 
@@ -151,26 +154,13 @@ let slo reg worker =
 
 let campaign reg worker =
   let seeds = env_int "ONLL_E18_SEEDS" 8 in
-  let rows =
-    Test_support.Temp_dir.with_fresh ~prefix:"onll-e18" (fun dir ->
-        Schaos.run_campaign ~worker ~dir ~seeds)
-  in
-  Schaos.print_rows rows;
-  List.iter
-    (fun (r : Campaign.row) ->
-      ignore (Campaign.to_metrics ~reg ~prefix:("e18c." ^ r.name) r))
-    rows;
-  assert (List.for_all (fun (r : Campaign.row) -> r.violations = []) rows);
-  assert (Campaign.total "kills" rows > 0)
+  Test_support.Temp_dir.with_fresh ~prefix:"onll-e18" (fun dir ->
+      Harness.assert_campaign ~reg (Schaos.e18c ~worker ~dir ~seeds))
 
 let run () =
   let reg = Metrics.create () in
   print_endline "== deterministic service crash slices (gate material) ==";
-  gate_slices reg;
-  assert (Metrics.counter_value reg "e18.restart.plain.violations" = 0);
-  assert (Metrics.counter_value reg "e18.restart.mirrored.violations" = 0);
-  assert (Metrics.counter_value reg "e18.restart.plain.kills" > 0);
-  Schaos.assert_dedup reg;
+  Harness.assert_campaign ~reg gated;
   let cli = Harness.onll_cli () in
   print_endline "== fault-storm SLOs over a real socket ==";
   slo reg cli;

@@ -114,12 +114,27 @@ let fuzz_cmd =
 
 (* {1 chaos} *)
 
-(* Exit discipline, uniform across every chaos arm: a campaign that
-   breaks a zero requirement (violations, duplicates, lost acks, mirrored
-   loss, a crash beyond the risk budget) exits with the distinct code [4]
-   — also under [--quiet], so scripts can assert on the code alone —
-   while a calibration whose detector never fired exits 1. *)
+(* Exit discipline, uniform across every campaign verb ([chaos], [store
+   campaign], [service campaign]): a campaign that breaks a zero
+   requirement (violations, duplicates, lost acks, mirrored loss, a crash
+   beyond the risk budget) exits with the distinct code [4] — also under
+   [--quiet], so scripts can assert on the code alone — while an unmet
+   [At_least] (a calibration whose detector never fired, a campaign in
+   which nothing was killed) exits 1. Each unmet requirement is named on
+   an [UNMET:] line unless [quiet]. *)
 let exit_violations = 4
+
+let exit_on_verdict ?(quiet = false) s =
+  let open Test_support in
+  match Campaign.verdict s with
+  | [] -> ()
+  | unmet ->
+      if not quiet then
+        List.iter
+          (fun u -> print_endline ("UNMET: " ^ Campaign.describe u))
+          unmet;
+      exit
+        (if List.exists Campaign.is_violation unmet then exit_violations else 1)
 
 (* The one dispatch. [--session] runs the E15 grid, which reads no other
    flag. Otherwise one arm runs with its calibration: [--txn] the E19
@@ -176,15 +191,7 @@ let chaos spec seeds unhardened mirrored sharded batched session txn relaxed
     Campaign.run ~only:(fun a -> Campaign.is_calibration a = unhardened) c
   in
   if not quiet then Campaign.show s;
-  (match Campaign.verdict s with
-  | [] -> ()
-  | unmet ->
-      if not quiet then
-        List.iter
-          (fun u -> print_endline ("UNMET: " ^ Campaign.describe u))
-          unmet;
-      exit (if List.exists Campaign.is_violation unmet then exit_violations
-            else 1));
+  exit_on_verdict ~quiet s;
   if unhardened && relaxed then exit exit_violations
 
 let chaos_cmd =
@@ -588,13 +595,11 @@ let rationale_cmd =
 
 (* {1 store / service campaign: the kill campaigns (E17, E18)} *)
 
-(* A kill campaign over a scratch directory ([--dir], created if missing,
-   or a fresh one under $TMPDIR; removed after unless [--keep]). Its rows
-   exit as hardened arms do, and a campaign in which no epoch was killed
-   proves nothing: it exits 1, as a calibration that never fired does. A
-   [--dir] that already holds a kept campaign's stores is a usage error
-   (exit 1) and is left as it is. *)
-let kill_campaign ~prefix ~print dir keep run =
+(* A forked campaign over a scratch directory ([--dir], created if
+   missing, or a fresh one under $TMPDIR; removed after unless [--keep]),
+   shown and exited on its verdict. A [--dir] that already holds a kept
+   campaign's stores is a usage error (exit 1) and is left as it is. *)
+let scratch_campaign ~prefix dir keep campaign =
   let open Test_support in
   let base =
     match dir with
@@ -603,8 +608,8 @@ let kill_campaign ~prefix ~print dir keep run =
         d
     | None -> Temp_dir.fresh ~prefix
   in
-  let rows =
-    try run base
+  let s =
+    try Campaign.run (campaign base)
     with Temp_dir.Exists d ->
       Printf.eprintf
         "%s already holds a campaign's stores (%s): remove it or pass \
@@ -613,18 +618,13 @@ let kill_campaign ~prefix ~print dir keep run =
       exit 1
   in
   if not keep then Temp_dir.rm_rf base;
-  print rows;
-  if List.exists (fun (r : Campaign.row) -> r.violations <> []) rows then
-    exit exit_violations;
-  if Campaign.total "kills" rows = 0 then begin
-    print_endline "NO EPOCH WAS KILLED — campaign proves nothing";
-    exit 1
-  end
+  Campaign.show s;
+  exit_on_verdict s
 
 let store_campaign seeds target dir keep =
   let open Test_support in
-  kill_campaign ~prefix:"onll-e17-campaign" ~print:File_chaos.print_rows dir
-    keep (fun dir -> File_chaos.run_campaign ~dir ~seeds ~target)
+  scratch_campaign ~prefix:"onll-e17-campaign" dir keep (fun dir ->
+      File_chaos.e17 ~runner:File_chaos.Forked ~dir ~seeds ~target)
 
 let store_campaign_cmd =
   let doc =
@@ -633,8 +633,10 @@ let store_campaign_cmd =
      seeded fence points — before, during and after the sector \
      write-backs and at the fsync itself — rerun recovery in the next \
      epoch, and audit exactly-once: no acked update lost, no update \
-     applied twice, fsync-fault arms never ack past a failed fence. Exits \
-     4 on any violation, 1 when no epoch was killed."
+     applied twice, fsync-fault arms never ack past a failed fence. Each \
+     unmet requirement prints an UNMET line; exits 4 on any violation, 1 \
+     when a restart arm killed no epoch or a sticky-EIO arm never \
+     degraded."
   in
   let seeds =
     Arg.(
@@ -1091,9 +1093,8 @@ let load_cmd =
 
 let service_campaign seeds dir keep =
   let open Test_support in
-  kill_campaign ~prefix:"onll-e18-campaign" ~print:Service_chaos.print_rows
-    dir keep (fun dir ->
-      Service_chaos.run_campaign ~worker:Sys.executable_name ~dir ~seeds)
+  scratch_campaign ~prefix:"onll-e18-campaign" dir keep (fun dir ->
+      Service_chaos.e18c ~worker:Sys.executable_name ~dir ~seeds)
 
 let service_campaign_cmd =
   let doc =
@@ -1103,8 +1104,9 @@ let service_campaign_cmd =
      (plain and mirrored), flood it with disconnect/reattach churn, land \
      SIGTERM mid-load, and drill sticky media degradation — then resolve \
      every in-doubt operation against a clean restart and audit \
-     exactly-once: 0 duplicate applies, 0 lost acks. Exits 4 on any \
-     violation, 1 when no server was killed."
+     exactly-once: 0 duplicate applies, 0 lost acks. Each unmet \
+     requirement prints an UNMET line; exits 4 on any violation, 1 when \
+     no server was killed."
   in
   let seeds =
     Arg.(

@@ -1,6 +1,6 @@
-(** The seeded crash campaigns as values: E8, E12–E16, E19 and E20 are
-    each one {!t}, and the bench, the gate, [onll chaos] and the tier-1
-    slices all read it.
+(** The seeded crash campaigns as values: E8 and E12–E20 are each one
+    {!t}, and the bench, the gate, the [onll] verbs and the tier-1 slices
+    all read it.
 
     A campaign is its arms, its table and its requirements. An {!arm} is a
     name, a seed count and a run from a seed to an {!outcome}; the loop
@@ -15,11 +15,13 @@
     consumer runs a campaign, or a part of it ({!run}'s [only]), and acts
     on that verdict in its own way: an assert in [bench/main.exe eNN], a
     named failure in [bench_gate], exit code 4 (a [Zero] requirement) or
-    1 (a calibration or other [At_least]) in [onll chaos], a check in a
-    tier-1 slice. None of them compares a count itself.
+    1 (a calibration or other [At_least]) in [onll chaos], [onll store
+    campaign] and [onll service campaign], a check in a tier-1 slice.
+    None of them compares a count itself.
 
-    The subprocess campaigns (E17, E18) fork and keep only the loop: they
-    sum {!tally} runs with {!tally_arm} and print with {!print}. *)
+    The subprocess campaigns (E17, E18) run forked epochs and [onll serve]
+    children; a run counts as it goes into a {!tally}, which {!of_tally}
+    turns into an outcome. *)
 
 type row = {
   name : string;
@@ -28,6 +30,14 @@ type row = {
   counts : (string * int) list;  (** summed per key, in projection order *)
   violations : string list;
       (** ["<name> seed <n>: <msg>"], in seed order; empty = clean *)
+}
+
+(** One seeded run, as the loop sums it. *)
+type outcome = {
+  crashed : bool;
+  counts : (string * int) list;
+      (** the same keys in the same order on every run of an arm *)
+  violations : string list;  (** audit failures; empty = pass *)
 }
 
 (* Per-key sum of two runs' counts. A run whose keys do not line up with
@@ -40,22 +50,23 @@ let add_counts a b =
     a b
 
 (** Run seeds [1..seeds] of one arm and sum them into a row. *)
-let sum ~name ~seeds ~crashed ~violations ~counts run =
-  let rec go seed acc =
+let sum ~name ~seeds run =
+  let rec go seed (acc : row) =
     if seed > seeds then { acc with violations = List.rev acc.violations }
     else
-      let r = run seed in
-      let c = counts r in
+      let (o : outcome) = run seed in
       go (seed + 1)
         {
           acc with
           runs = acc.runs + 1;
-          crashed = (acc.crashed + if crashed r then 1 else 0);
-          counts = (if seed = 1 then c else add_counts acc.counts c);
+          crashed = acc.crashed + Bool.to_int o.crashed;
+          counts =
+            (if seed = 1 then o.counts else add_counts acc.counts o.counts);
           violations =
             List.rev_append
-              (List.map (Printf.sprintf "%s seed %d: %s" name seed)
-                 (violations r))
+              (List.map
+                 (Printf.sprintf "%s seed %d: %s" name seed)
+                 o.violations)
               acc.violations;
         }
   in
@@ -63,7 +74,7 @@ let sum ~name ~seeds ~crashed ~violations ~counts run =
 
 (* Every value of a row, as [(key, value)]: [runs], [crashed], the
    counts, then [violations] (their number). *)
-let fields r =
+let fields (r : row) =
   (("runs", r.runs) :: ("crashed", r.crashed) :: r.counts)
   @ [ ("violations", List.length r.violations) ]
 
@@ -71,44 +82,7 @@ let fields r =
     arm of zero seeds). *)
 let get r key = Option.value ~default:0 (List.assoc_opt key (fields r))
 
-let total key rows = List.fold_left (fun acc r -> acc + get r key) 0 rows
-
-(** One line per row: the row name under [header], then one column per
-    [(header, key)]; every violation message follows the table. *)
-let print ~title ~header ~columns rows =
-  Onll_util.Table.print ~title
-    ~header:(header :: List.map fst columns)
-    (List.map
-       (fun r ->
-         r.name :: List.map (fun (_, k) -> string_of_int (get r k)) columns)
-       rows);
-  List.iter
-    (fun r -> List.iter (Printf.printf "  VIOLATION %s\n") r.violations)
-    rows
-
-(** Fold one row into [reg] as [prefix.key] counters: [runs], [crashed],
-    every count and [violations], or exactly [keys] when given. *)
-let to_metrics ?(reg = Onll_obs.Metrics.create ()) ?keys ~prefix r =
-  let kvs =
-    match keys with
-    | None -> fields r
-    | Some ks -> List.map (fun k -> (k, get r k)) ks
-  in
-  List.iter
-    (fun (k, v) ->
-      Onll_obs.Metrics.add (Onll_obs.Metrics.counter reg (prefix ^ "." ^ k)) v)
-    kvs;
-  reg
-
 (** {1 Campaign values} *)
-
-(** One seeded run, as the loop sums it. *)
-type outcome = {
-  crashed : bool;
-  counts : (string * int) list;
-      (** the same keys in the same order on every run of an arm *)
-  violations : string list;  (** audit failures; empty = pass *)
-}
 
 type need = Zero | At_least of int
 
@@ -119,15 +93,16 @@ type requirement = {
 }
 
 let zero what keys = { what; keys; need = Zero }
+let at_least n what keys = { what; keys; need = At_least n }
 let no_violations = zero "zero violations on every hardened arm" [ "violations" ]
 
 type role =
-  | Row of string
-      (** a table row, recorded as [<prefix>.<key>.*] under this key *)
+  | Row of { key : string; records : string list option }
+      (** a table row, recorded as [<prefix>.<key>.*]: the values named
+          in [records], or every value of the row *)
   | Calibration of { label : string; verdict : string }
       (** one line, [calibration (<label>): <caught>/<runs> <verdict>],
           recorded as [<prefix>.calibration.runs] and [.caught] *)
-  | Unshown  (** checked only: neither printed nor recorded *)
 
 type arm = {
   name : string;
@@ -138,9 +113,15 @@ type arm = {
 }
 
 (** A table row of [seeds] runs, recorded under [key] (default: its
-    name). *)
-let arm ?key ~name ~seeds ~requires run =
-  { name; role = Row (Option.value key ~default:name); seeds; run; requires }
+    name) as the values [records] names (default: every one). *)
+let arm ?key ?records ~name ~seeds ~requires run =
+  {
+    name;
+    role = Row { key = Option.value key ~default:name; records };
+    seeds;
+    run;
+    requires;
+  }
 
 (** A calibration arm: each run of the broken recovery counts as
     ["caught"] when [caught] flags it, and it must be caught on at least
@@ -173,8 +154,6 @@ type t = {
   header : string;  (** the name column's header *)
   columns : (string * string) list;  (** [(header, count key)] *)
   prefix : string;  (** every metric key starts [<prefix>.] *)
-  recorded : [ `Every_count | `Columns ];
-      (** which values of a row become metrics *)
   arms : arm list;
   footer : (summary -> string) option;  (** a line after the table *)
   hist : (string * string) option;
@@ -185,9 +164,8 @@ type t = {
 
 and summary = { campaign : t; ran : (arm * row) list  (** in arm order *) }
 
-let make ?(recorded = `Every_count) ?footer ?hist ~title ~header ~columns
-    ~prefix arms =
-  { title; header; columns; prefix; recorded; arms; footer; hist }
+let make ?footer ?hist ~title ~header ~columns ~prefix arms =
+  { title; header; columns; prefix; arms; footer; hist }
 
 let is_calibration a = match a.role with Calibration _ -> true | _ -> false
 
@@ -198,15 +176,8 @@ let run ?(only = fun _ -> true) c =
     ran =
       List.filter_map
         (fun a ->
-          if not (only a) then None
-          else
-            Some
-              ( a,
-                sum ~name:a.name ~seeds:a.seeds
-                  ~crashed:(fun (o : outcome) -> o.crashed)
-                  ~violations:(fun o -> o.violations)
-                  ~counts:(fun o -> o.counts)
-                  a.run ))
+          if only a then Some (a, sum ~name:a.name ~seeds:a.seeds a.run)
+          else None)
         c.arms;
   }
 
@@ -284,18 +255,30 @@ let buckets s =
         (fun (k, _) ->
           if not (String.starts_with ~prefix:p k) then None
           else
-            match total k rows with 0 -> None | n -> Some (k, n))
+            match List.fold_left (fun acc r -> acc + get r k) 0 rows with
+            | 0 -> None
+            | n -> Some (k, n))
         r.counts
 
-(** The table of the rows that ran, its footer and histogram, then each
-    calibration line. A summary of calibrations alone prints only their
-    lines. *)
+(** The table of the rows that ran, each violation message, the footer
+    and histogram, then each calibration line. A summary of calibrations
+    alone prints only their lines. *)
 let show s =
   let c = s.campaign in
   (match table_rows s with
   | [] -> ()
   | rows ->
-      print ~title:c.title ~header:c.header ~columns:c.columns rows;
+      Onll_util.Table.print ~title:c.title
+        ~header:(c.header :: List.map fst c.columns)
+        (List.map
+           (fun (r : row) ->
+             r.name
+             :: List.map (fun (_, k) -> string_of_int (get r k)) c.columns)
+           rows);
+      List.iter
+        (fun (r : row) ->
+          List.iter (Printf.printf "  VIOLATION %s\n") r.violations)
+        rows;
       Option.iter (fun f -> print_endline (f s)) c.footer;
       Option.iter
         (fun (label, p) ->
@@ -318,32 +301,30 @@ let show s =
             verdict
             (if caught > 0 then "(detector fires)"
              else "(DETECTOR NEVER FIRED — campaign proves nothing)")
-      | _ -> ())
+      | Row _ -> ())
     s.ran
 
 (** Fold a summary into [reg] under the campaign's prefix: each row as
     [<key>.*], a calibration as [calibration.runs] and [.caught], each
     histogram bucket under its count key. *)
 let metrics ?(reg = Onll_obs.Metrics.create ()) s =
-  let c = s.campaign in
   let add k v =
     Onll_obs.Metrics.add
-      (Onll_obs.Metrics.counter reg (c.prefix ^ "." ^ k))
+      (Onll_obs.Metrics.counter reg (s.campaign.prefix ^ "." ^ k))
       v
   in
   List.iter
     (fun (a, r) ->
       match a.role with
-      | Row key ->
+      | Row { key; records } ->
           List.iter
             (fun (k, v) -> add (key ^ "." ^ k) v)
-            (match c.recorded with
-            | `Every_count -> fields r
-            | `Columns -> List.map (fun (_, k) -> (k, get r k)) c.columns)
+            (match records with
+            | None -> fields r
+            | Some ks -> List.map (fun k -> (k, get r k)) ks)
       | Calibration _ ->
           add "calibration.runs" r.runs;
-          add "calibration.caught" (get r "caught")
-      | Unshown -> ())
+          add "calibration.caught" (get r "caught"))
     s.ran;
   List.iter (fun (k, n) -> add k n) (buckets s);
   reg
@@ -351,8 +332,8 @@ let metrics ?(reg = Onll_obs.Metrics.create ()) s =
 (** {1 Tallies}
 
     A run that counts as it goes — a subprocess campaign's multi-epoch
-    scenario (E17, E18) — bumps named counts and records violations in a
-    tally; {!tally_arm} sums its seeds' tallies into a row. *)
+    scenario (E17, E18), a sim run's audit — bumps named counts and
+    records violations in a tally. *)
 
 type tally = {
   tallied : (string, int) Hashtbl.t;
@@ -364,14 +345,14 @@ let count t key = Option.value ~default:0 (Hashtbl.find_opt t.tallied key)
 let bump ?(by = 1) t key = Hashtbl.replace t.tallied key (count t key + by)
 let fail t fmt = Format.kasprintf (fun s -> t.failures <- s :: t.failures) fmt
 
-(** {!sum} over tallies: the row's counts are [keys], in order, and a run
+(** A tallied run as an outcome: its counts under [keys], in order; it
     crashed when its ["kills"] count is above 0. *)
-let tally_arm ~name ~seeds ~keys run =
-  sum ~name ~seeds
-    ~crashed:(fun t -> count t "kills" > 0)
-    ~violations:(fun t -> List.rev t.failures)
-    ~counts:(fun t -> List.map (fun k -> (k, count t k)) keys)
-    run
+let of_tally ~keys t =
+  {
+    crashed = count t "kills" > 0;
+    counts = List.map (fun k -> (k, count t k)) keys;
+    violations = List.rev t.failures;
+  }
 
 (** How a child process ended, for a violation message. *)
 let status_to_string = function

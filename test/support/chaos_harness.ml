@@ -148,9 +148,9 @@ let lossless =
    such arm must be clean; on mirrored logs with faults confined to
    primaries it must also lose nothing, since every fault has an intact
    mirror copy to restore. *)
-let arm ?key ~obj ~name ~seeds plan_of =
+let arm ?key ?records ~obj ~name ~seeds plan_of =
   let p = plan_of 1 in
-  Campaign.arm ?key ~name ~seeds
+  Campaign.arm ?key ?records ~name ~seeds
     ~requires:
       (Campaign.no_violations
       ::
@@ -193,39 +193,30 @@ let e12 ~seeds ~calibration_seeds =
     (List.map (fun (obj, _) -> arm ~obj ~name:obj ~seeds plan_of_seed) objects
     @ [ calibration ~obj:"kv" ~seeds:calibration_seeds plan_of_seed ])
 
-(* How many of the E12 plans the unmirrored arm of E13 must run to lose
-   something: fewer can all come through whole. *)
+(* How many of the E12 plans the unmirrored arm of E13 runs: enough to
+   lose something, where fewer can all come through whole. *)
 let scale_seeds = 40
 
 (** E13: the same adversity against mirrored logs. Three arms: mirrored
     with faults on primaries only, on every object (lossless); dual, with
-    faults in every replica (losses reappear, named); and the E12 plans
-    re-run unmirrored on kv, the scale the mirrored rows are compared
-    against. Over {!scale_seeds} seeds those plans must lose, or the grid
-    stopped biting and the mirrored zeros prove nothing: the unmirrored
-    row carries that requirement when it runs as many seeds, and a
-    shorter row leaves it to an unshown arm of {!scale_seeds} seeds. *)
-let e13 ~seeds_per_object ~dual_seeds ~unmirrored_seeds =
+    faults in every replica (losses reappear, named); and {!scale_seeds}
+    of the E12 plans re-run unmirrored on kv, the scale the mirrored rows
+    are compared against. Those plans must lose, or the grid stopped
+    biting and the mirrored zeros prove nothing. *)
+let e13 ~seeds_per_object ~dual_seeds =
   let scale =
-    {
-      Campaign.what = "the unmirrored arm loses: E12-scale faults were real";
-      keys = loss;
-      need = At_least 1;
-    }
+    Campaign.at_least 1 "the unmirrored arm loses: E12-scale faults were real"
+      loss
   in
   let unmirrored =
     arm ~key:"unmirrored.kv/unmirrored" ~obj:"kv" ~name:"kv/unmirrored"
-      ~seeds:unmirrored_seeds plan_of_seed
+      ~seeds:scale_seeds plan_of_seed
   in
-  let shown = unmirrored_seeds >= scale_seeds in
   let footer s =
     let lost = Campaign.measured s scale in
     Printf.sprintf
-      "mirrored losses: %d (must be 0) | unmirrored calibration losses%s: \
-       %d %s"
+      "mirrored losses: %d (must be 0) | unmirrored calibration losses: %d %s"
       (Campaign.measured s lossless)
-      (if shown then ""
-       else Printf.sprintf " (%d unshown seeds)" scale_seeds)
       lost
       (if lost > 0 then "(faults were real)"
        else "(NO LOSSES UNMIRRORED — the grid stopped biting; tighten it)")
@@ -255,22 +246,11 @@ let e13 ~seeds_per_object ~dual_seeds ~unmirrored_seeds =
          arm ~key:("mirrored." ^ obj) ~obj ~name:obj ~seeds:seeds_per_object
            mirrored_plan_of_seed)
        objects
-    @ arm ~key:"dual.kv/dual" ~obj:"kv" ~name:"kv/dual" ~seeds:dual_seeds
-        dual_fault_plan_of_seed
-      ::
-      (if shown then
-         [ { unmirrored with requires = unmirrored.requires @ [ scale ] } ]
-       else
-         [
-           unmirrored;
-           {
-             (arm ~obj:"kv" ~name:"kv/unmirrored scale" ~seeds:scale_seeds
-                plan_of_seed)
-             with
-             role = Unshown;
-             requires = [ scale ];
-           };
-         ]))
+    @ [
+        arm ~key:"dual.kv/dual" ~obj:"kv" ~name:"kv/dual" ~seeds:dual_seeds
+          dual_fault_plan_of_seed;
+        { unmirrored with requires = unmirrored.requires @ [ scale ] };
+      ])
 
 (* The six columns the E14/E16 chaos slices print and record. *)
 let slice_columns =
@@ -286,11 +266,11 @@ let slice_columns =
 (* A pair of kv slices over one construction, plain and mirrored, each
    recorded as [<prefix>.<key>.*]. *)
 let slices ~title ~prefix ~seeds arms =
-  Campaign.make ~recorded:`Columns ~title ~header:"arm" ~columns:slice_columns
-    ~prefix
+  Campaign.make ~title ~header:"arm" ~columns:slice_columns ~prefix
     (List.map
        (fun (name, key, plan_of) ->
-         arm ~key ~obj:"kv" ~name ~seeds plan_of)
+         arm ~key ~records:(List.map snd slice_columns) ~obj:"kv" ~name ~seeds
+           plan_of)
        arms)
 
 (** E14's chaos slices: the sharded construction, plain and mirrored. *)

@@ -19,13 +19,14 @@
 
    One SCENARIO is one loop of epochs over one store directory
    ({!scenario}). What differs is how an epoch runs, the scenario's
-   RUNNER: {!in_process} runs it here with [Raise] kills (the injected
+   RUNNER: [In_process] runs it here with [Raise] kills (the injected
    crash is caught, the store closed unfsynced, and the next epoch
    reopens the directory — deterministic, so the bench gate replays
-   it); {!forked} runs it in a forked child with [Sigkill] kills, whose
+   it); [Forked] runs it in a forked child with [Sigkill] kills, whose
    lines come back over a pipe (each flushed, so everything acked
    before the kill reaches the audit) and whose wait status becomes the
-   epoch's outcome — the kill -9 campaign. *)
+   epoch's outcome — the kill -9 campaign. {!e17} builds the campaign
+   value on either runner. *)
 
 module Faults = Onll_faults.Faults
 module Fm = Onll_machine.File_machine
@@ -208,6 +209,8 @@ let kill_plan ~seed ~epoch =
 
 (* {1 Epoch runners} *)
 
+type runner = In_process | Forked
+
 let with_kill_mode kill_mode =
   Option.map (fun p -> { p with Faults.File_plan.kill_mode })
 
@@ -273,9 +276,10 @@ let counts =
 let scenario ~runner ?(degrades = false) ~dir ~replicas ~target plan =
   let t = Campaign.tally () in
   let a = audit_create () in
+  let run = match runner with In_process -> in_process | Forked -> forked in
   let epoch ~fplan ~target =
     Campaign.bump t "epochs";
-    runner ~fplan ~emit:(audit_line a) ~dir ~replicas ~resubmit:a.inflight
+    run ~fplan ~emit:(audit_line a) ~dir ~replicas ~resubmit:a.inflight
       ~target
   in
   let max_epochs = (3 * target) + 8 in
@@ -323,19 +327,9 @@ let scenario ~runner ?(degrades = false) ~dir ~replicas ~target plan =
       ("value", Option.value ~default:0 a.done_value);
     ];
   List.iter (Campaign.fail t "%s") (List.rev a.violations);
-  t
+  Campaign.of_tally ~keys:counts t
 
-(* {1 Arms} *)
-
-(* Seeds [0, seeds) of the seeded kill schedule, each scenario in its own
-   directory under [dir]. *)
-let restart_arm ~runner ~dir ~name ~replicas ~target ~seeds =
-  Campaign.tally_arm ~name ~seeds ~keys:counts (fun seed ->
-      let seed = seed - 1 in
-      scenario ~runner
-        ~dir:(Temp_dir.sub dir (Printf.sprintf "%s-%d" name seed))
-        ~replicas ~target
-        (fun epoch -> kill_plan ~seed ~epoch))
+(* {1 The campaign} *)
 
 type fault_arm = {
   name : string;
@@ -406,59 +400,78 @@ let fault_arms =
     };
   ]
 
-let fault_row ~runner ~dir ~name ~replicas f =
-  Campaign.tally_arm ~name ~seeds:1 ~keys:counts (fun _ ->
-      scenario ~runner ~degrades:f.degrades ~dir:(Temp_dir.sub dir name)
-        ~replicas ~target:f.target (fun _ -> f.plan))
+(* The keys an in-process restart row records: the gate's. *)
+let restart_gated =
+  [
+    "runs"; "epochs"; "kills"; "acks"; "confirmed"; "adopted"; "resubmitted";
+    "violations";
+  ]
 
-(* {1 The deterministic in-process slices (bench gate + tests)} *)
-
-let gate_slices reg =
-  Temp_dir.with_fresh ~prefix:"onll-e17" @@ fun dir ->
-  let emit keys (row : Campaign.row) =
-    List.iter (Printf.eprintf "e17 violation: %s\n%!") row.violations;
-    ignore (Campaign.to_metrics ~reg ~keys ~prefix:("e17." ^ row.name) row)
+(** E17 on [runner]. [In_process] is the deterministic slice the bench
+    gate replays (prefix [e17]): the restart arms over a plain and a
+    mirrored store, then each media-fault arm on a plain store, each row
+    recording its gated keys. [Forked] is the kill -9 campaign (prefix
+    [e17c]): every epoch in a forked child, the restart arm and every
+    media-fault arm per store, every value recorded. A restart arm runs
+    seeds [0, seeds) of the kill schedule up to [target]; each scenario
+    runs in its own directory under [dir]. Every arm must be clean, each
+    restart arm must have killed an epoch and each sticky-EIO arm must
+    have degraded, or the audit had nothing to check. *)
+let e17 ~runner ~dir ~seeds ~target =
+  let records keys =
+    match runner with In_process -> Some keys | Forked -> None
   in
-  List.iter
-    (fun (name, replicas) ->
-      emit
+  let restart (store, replicas) =
+    let name = "restart." ^ store in
+    Campaign.arm ~name ?records:(records restart_gated) ~seeds
+      ~requires:
         [
-          "runs"; "epochs"; "kills"; "acks"; "confirmed"; "adopted";
-          "resubmitted"; "violations";
+          Campaign.no_violations;
+          Campaign.at_least 1 (name ^ " killed an epoch") [ "kills" ];
         ]
-        (restart_arm ~runner:in_process ~dir ~name ~replicas ~target:6
-           ~seeds:3))
-    [ ("restart.plain", 1); ("restart.mirrored", 2) ];
-  List.iter
-    (fun f ->
-      emit f.gated
-        (fault_row ~runner:in_process ~dir ~name:f.name ~replicas:1 f))
-    fault_arms
-
-(* {1 The kill -9 campaign}
-
-   The same arms with every epoch in a forked child: the seeded kill
-   schedules and each media-fault arm, over plain and mirrored stores. *)
-
-let run_campaign ~dir ~seeds ~target =
-  List.concat_map
-    (fun (store, replicas) ->
-      restart_arm ~runner:forked ~dir ~name:("restart." ^ store) ~replicas
-        ~target ~seeds
-      :: List.map
-           (fun f ->
-             fault_row ~runner:forked ~dir ~name:(f.name ^ "." ^ store)
-               ~replicas f)
-           fault_arms)
-    [ ("plain", 1); ("mirrored", 2) ]
-
-let print_rows =
-  Campaign.print
-    ~title:
-      "E17 — kill -9 campaign on file-backed stores (every epoch a forked \
-       child; exactly-once across SIGKILLs and fsync faults; violations \
-       must be 0)"
-    ~header:"arm"
+      (fun seed ->
+        let seed = seed - 1 in
+        scenario ~runner
+          ~dir:(Temp_dir.sub dir (Printf.sprintf "%s-%d" name seed))
+          ~replicas ~target
+          (fun epoch -> kill_plan ~seed ~epoch))
+  in
+  let fault ~name ~replicas f =
+    Campaign.arm ~name ?records:(records f.gated) ~seeds:1
+      ~requires:
+        (Campaign.no_violations
+        ::
+        (if f.degrades then
+           [ Campaign.at_least 1 (name ^ " degraded sticky") [ "degraded" ] ]
+         else []))
+      (fun _ ->
+        scenario ~runner ~degrades:f.degrades ~dir:(Temp_dir.sub dir name)
+          ~replicas ~target:f.target (fun _ -> f.plan))
+  in
+  let stores = [ ("plain", 1); ("mirrored", 2) ] in
+  let title, prefix, arms =
+    match runner with
+    | In_process ->
+        ( "E17 — in-process crash/fault slices on file-backed stores \
+           (seeded kills at the fence; fsync EIO, short writes, ENOSPC; \
+           violations must be 0)",
+          "e17",
+          List.map restart stores
+          @ List.map (fun f -> fault ~name:f.name ~replicas:1 f) fault_arms )
+    | Forked ->
+        ( "E17 — kill -9 campaign on file-backed stores (every epoch a \
+           forked child; exactly-once across SIGKILLs and fsync faults; \
+           violations must be 0)",
+          "e17c",
+          List.concat_map
+            (fun ((store, replicas) as s) ->
+              restart s
+              :: List.map
+                   (fun f -> fault ~name:(f.name ^ "." ^ store) ~replicas f)
+                   fault_arms)
+            stores )
+  in
+  Campaign.make ~title ~header:"arm"
     ~columns:
       (List.map
          (fun k -> (k, k))
@@ -466,3 +479,4 @@ let print_rows =
            "runs"; "crashed"; "epochs"; "kills"; "degraded"; "acks";
            "confirmed"; "adopted"; "resubmitted"; "violations";
          ])
+    ~prefix arms

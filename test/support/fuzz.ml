@@ -212,24 +212,24 @@ let outcome r =
     failure or a checker verdict that does not validate. [onll fuzz]
     runs one object's arm. *)
 let e8 ~seeds =
-  Campaign.make ~recorded:`Columns
+  let columns =
+    [
+      ("runs", "runs");
+      ("crashed", "crashed");
+      ("checker-validated", "checked");
+      ("failures", "failures");
+    ]
+  in
+  Campaign.make
     ~title:
       "E8 — crash-fuzz campaign (random schedules, crash points and \
        policies; failures must be 0)"
-    ~header:"object"
-    ~columns:
-      [
-        ("runs", "runs");
-        ("crashed", "crashed");
-        ("checker-validated", "checked");
-        ("failures", "failures");
-      ]
-    ~prefix:"fuzz"
+    ~header:"object" ~columns ~prefix:"fuzz"
     (List.map
        (fun name ->
          let (module G : Gen.S) = List.assoc name Gen.by_name in
          let module F = Make (G.Spec) in
-         Campaign.arm ~name ~seeds
+         Campaign.arm ~name ~records:(List.map snd columns) ~seeds
            ~requires:[ Campaign.zero "zero failures on every object" [ "failures" ] ]
            (fun seed ->
              outcome

@@ -485,7 +485,19 @@ let within_budget =
    [calibrate]'s grid, caught when a crash run is flagged ([at_least]
    times). [hist] prints and records the arms' ops-at-risk histogram. *)
 let campaign ?(hist = false) ?at_least ~arms ~calibrate:(plan_of, seeds) () =
-  Campaign.make ~recorded:`Columns
+  let columns =
+    [
+      ("runs", "runs");
+      ("crashed", "crashed");
+      ("acked", "acked");
+      ("lost", "lost");
+      ("drains", "drains");
+      ("deferred", "deferred");
+      ("converge-steps", "converge_steps");
+      ("violations", "violations");
+    ]
+  in
+  Campaign.make
     ?hist:
       (if hist then
          Some ("ops at risk when the crash hit (tail depth -> runs)",
@@ -495,22 +507,10 @@ let campaign ?(hist = false) ?at_least ~arms ~calibrate:(plan_of, seeds) () =
       "E20 — bounded-staleness crash chaos (swept crash points; loss is \
        at most the budgeted suffix, named exactly, never resurrected; \
        violations must be 0)"
-    ~header:"arm"
-    ~columns:
-      [
-        ("runs", "runs");
-        ("crashed", "crashed");
-        ("acked", "acked");
-        ("lost", "lost");
-        ("drains", "drains");
-        ("deferred", "deferred");
-        ("converge-steps", "converge_steps");
-        ("violations", "violations");
-      ]
-    ~prefix:"e20"
+    ~header:"arm" ~columns ~prefix:"e20"
     (List.map
        (fun (name, plan_of, seeds) ->
-         Campaign.arm ~name ~seeds
+         Campaign.arm ~name ~records:(List.map snd columns) ~seeds
            ~requires:[ Campaign.no_violations; within_budget ]
            (fun seed -> outcome (run ~plan:(plan_of seed) ())))
        arms

@@ -2,7 +2,7 @@
 
    Two layers, like the E17 store harness (file_chaos.ml):
 
-   - IN-PROCESS, DETERMINISTIC (gate material): drive
+   - IN-PROCESS, DETERMINISTIC (gate material, {!e18}): drive
      {!Onll_serve.Service.Make.handle} directly over a file-backed
      machine with Raise-mode kill plans — no sockets, no clocks, no
      subprocesses. The injected crash escapes [handle] (the service
@@ -11,10 +11,11 @@
      applies the protocol's resolution rule. Counters from these slices
      are byte-stable and gate-golden.
 
-   - OUT-OF-PROCESS (the campaign): spawn `onll serve` subprocesses over
-     real sockets, arm the file fault injector so the server SIGKILLs
-     itself mid-fence (or fsync-EIOs into sticky degradation), drive them
-     with the in-process {!Onll_serve.Loadgen} under one cross-pass
+   - OUT-OF-PROCESS (the campaign, {!e18c}): spawn `onll serve`
+     subprocesses over real sockets, arm the file fault injector so the
+     server SIGKILLs itself mid-fence (or fsync-EIOs into sticky
+     degradation), drive them with the in-process
+     {!Onll_serve.Loadgen} under one cross-pass
      {!Onll_serve.Loadgen.Audit}, and close each scenario with a
      resolve-only pass against a clean server plus a direct counter
      read. Arms: seeded SIGKILL storms (plain and mirrored),
@@ -22,7 +23,8 @@
      degraded-media drill. The audit's verdict is the tentpole claim:
      0 duplicate applies, 0 lost acks, every in-doubt op resolved.
 
-   Both layers count into {!Campaign} tallies and sum into its rows. *)
+   Each layer is one {!Campaign.t}: the bench, the gate, [onll service
+   campaign] and the tests act on its verdict. *)
 
 module Faults = Onll_faults.Faults
 module Fm = Onll_machine.File_machine
@@ -158,16 +160,28 @@ let run_restart_scenario ~construction ~target ~seed =
   done;
   if not !finished then Campaign.fail t "scenario never completed";
   Temp_dir.rm_rf dir;
-  t
+  Campaign.of_tally ~keys:restart_counts t
 
-let restart_arm ~name ~construction ~seeds =
-  Campaign.tally_arm ~name ~seeds ~keys:restart_counts (fun seed ->
-      run_restart_scenario ~construction ~target:6 ~seed:(seed - 1))
+(* An answer as a violation message names it. *)
+let answer_to_string = function
+  | Protocol.Attached { next_seq; resolution } ->
+      Printf.sprintf "Attached (next seq %d%s)" next_seq
+        (match resolution with
+        | Protocol.W_none -> ""
+        | Protocol.W_applied last -> Printf.sprintf ", last applied %d" last
+        | _ -> ", a resolution")
+  | Protocol.Acked { seq; value } ->
+      Printf.sprintf "Acked (seq %d, value %d)" seq value
+  | Protocol.Refused r -> Format.asprintf "Refused (%a)" Protocol.pp_refusal r
+  | Protocol.Got v -> Printf.sprintf "Got %d" v
+  | Protocol.Pong -> "Pong"
+  | Protocol.Gone -> "Gone"
 
 (* Protocol policy surface, deterministically: refusals, injectivity,
-   drain semantics — no faults, one epoch. *)
-let run_policy_slice reg =
-  let c name v = Metrics.add (Metrics.counter reg name) v in
+   drain semantics — no faults, one epoch. Each request is checked
+   against the answer it must get, and a wrong answer is a violation
+   naming both. *)
+let policy_run _seed =
   let dir = fresh_dir () in
   let fmach = Fm.create ~dir ~max_processes:1 () in
   ignore (Fm.register fmach);
@@ -176,84 +190,68 @@ let run_policy_slice reg =
   let svc =
     Srv.make ~log_capacity:4096 ~token:"sesame" ~max_clients:100 Service.Plain
   in
-  let refusal conn req =
+  let checks = ref 0 and failures = ref [] in
+  let expect conn what req want =
     match Srv.handle svc conn req with
-    | Protocol.Refused r -> Some r
-    | _ -> None
+    | got when got = want -> incr checks
+    | got ->
+        failures :=
+          Printf.sprintf "%s answered %s, expected %s" what
+            (answer_to_string got) (answer_to_string want)
+          :: !failures
+  in
+  let hello client token =
+    Protocol.Hello { client; token; tier = Protocol.T_exactly_once }
+  in
+  let submit ?(op = inc_op) seq =
+    Protocol.Submit { seq; deadline_ns = 0; op }
   in
   let conn = Srv.conn () in
-  let hits = ref 0 in
-  let expect what = if what then incr hits in
-  expect
-    (refusal conn (Protocol.Submit { seq = 0; deadline_ns = 0; op = inc_op })
-    = Some Protocol.R_not_attached);
-  expect
-    (refusal conn (Protocol.Hello { client = 1; token = "wrong"; tier = Protocol.T_exactly_once })
-    = Some Protocol.R_bad_token);
-  expect
-    (refusal conn (Protocol.Hello { client = 100; token = "sesame"; tier = Protocol.T_exactly_once })
-    = Some Protocol.R_bad_client);
-  (match Srv.handle svc conn (Protocol.Hello { client = 1; token = "sesame"; tier = Protocol.T_exactly_once })
-   with
-  | Protocol.Attached { next_seq = 0; _ } -> incr hits
-  | _ -> ());
-  expect
-    (refusal conn (Protocol.Submit { seq = 5; deadline_ns = 0; op = inc_op })
-    = Some (Protocol.R_bad_seq 0));
-  expect
-    (refusal conn
-       (Protocol.Submit { seq = 0; deadline_ns = 0; op = "\255garbage" })
-    = Some Protocol.R_bad_op);
-  (match
-     Srv.handle svc conn
-       (Protocol.Submit { seq = 0; deadline_ns = 0; op = inc_op })
-   with
-  | Protocol.Acked { seq = 0; value = 1 } -> incr hits
-  | _ -> ());
-  (match Srv.handle svc conn (Protocol.Fetch { op = "" }) with
-  | Protocol.Got 1 -> incr hits
-  | _ -> ());
-  expect (Srv.handle svc conn Protocol.Ping = Protocol.Pong);
+  expect conn "Submit before Hello" (submit 0)
+    (Protocol.Refused Protocol.R_not_attached);
+  expect conn "Hello with a wrong token" (hello 1 "wrong")
+    (Protocol.Refused Protocol.R_bad_token);
+  expect conn "Hello from client 100 of 100" (hello 100 "sesame")
+    (Protocol.Refused Protocol.R_bad_client);
+  expect conn "client 1's first Hello" (hello 1 "sesame")
+    (Protocol.Attached { next_seq = 0; resolution = Protocol.W_none });
+  expect conn "Submit seq 5 past next seq 0" (submit 5)
+    (Protocol.Refused (Protocol.R_bad_seq 0));
+  expect conn "Submit of an undecodable op" (submit ~op:"\255garbage" 0)
+    (Protocol.Refused Protocol.R_bad_op);
+  expect conn "Submit seq 0" (submit 0) (Protocol.Acked { seq = 0; value = 1 });
+  expect conn "Fetch after one increment" (Protocol.Fetch { op = "" })
+    (Protocol.Got 1);
+  expect conn "Ping" Protocol.Ping Protocol.Pong;
   (* a small population: every client its own table entry, one counter *)
   for client = 2 to 41 do
     let cn = Srv.conn () in
-    (match
-       Srv.handle svc cn (Protocol.Hello { client; token = "sesame"; tier = Protocol.T_exactly_once })
-     with
-    | Protocol.Attached _ -> ()
-    | _ -> ());
-    match
-      Srv.handle svc cn (Protocol.Submit { seq = 0; deadline_ns = 0; op = inc_op })
-    with
-    | Protocol.Acked _ -> ()
-    | _ -> ()
+    ignore (Srv.handle svc cn (hello client "sesame"));
+    ignore (Srv.handle svc cn (submit 0))
   done;
   (* the table's entries, each read by a fence-free Hello *)
   let entries = ref 0 in
   for client = 0 to 99 do
-    match
-      Srv.handle svc (Srv.conn ())
-        (Protocol.Hello { client; token = "sesame"; tier = Protocol.T_exactly_once })
-    with
+    match Srv.handle svc (Srv.conn ()) (hello client "sesame") with
     | Protocol.Attached { resolution = Protocol.W_applied _; _ } -> incr entries
     | _ -> ()
   done;
   Srv.drain svc;
-  expect
-    (refusal (Srv.conn ()) (Protocol.Hello { client = 50; token = "sesame"; tier = Protocol.T_exactly_once })
-    = Some Protocol.R_draining);
-  expect
-    (refusal conn (Protocol.Submit { seq = 1; deadline_ns = 0; op = inc_op })
-    = Some Protocol.R_draining);
-  (match Srv.handle svc conn (Protocol.Fetch { op = "" }) with
-  | Protocol.Got 41 -> incr hits
-  | _ -> ());
-  expect (Srv.handle svc conn Protocol.Bye = Protocol.Gone);
-  c "e18.policy.checks" !hits;
-  c "e18.policy.value" (Srv.counter_value svc);
-  c "e18.policy.sessions" !entries;
+  expect (Srv.conn ()) "Hello while draining" (hello 50 "sesame")
+    (Protocol.Refused Protocol.R_draining);
+  expect conn "Submit while draining" (submit 1)
+    (Protocol.Refused Protocol.R_draining);
+  expect conn "Fetch while draining" (Protocol.Fetch { op = "" })
+    (Protocol.Got 41);
+  expect conn "Bye" Protocol.Bye Protocol.Gone;
+  let value = Srv.counter_value svc in
   Fm.close fmach;
-  Temp_dir.rm_rf dir
+  Temp_dir.rm_rf dir;
+  {
+    Campaign.crashed = false;
+    counts = [ ("checks", !checks); ("value", value); ("sessions", !entries) ];
+    violations = List.rev !failures;
+  }
 
 (* Exactly-once across a restart and later compactions. Client A's
    second submit is cut at its fence — before any write, and again at
@@ -262,130 +260,173 @@ let run_policy_slice reg =
    resubmits under the [next_seq] it was given; a retry of the same seq
    after that must be acknowledged without a second apply. Every
    confirmation is counted once: the counter must equal them, with no
-   duplicate and no lost ack. *)
-let run_dedup_slice reg =
-  let c name v = Metrics.add (Metrics.counter reg name) v in
+   duplicate and no lost ack. Seed 1 cuts before any write, seed 2 at
+   the fsync point. *)
+let dedup_run seed =
+  let kill_after_sectors = [| 0; -1 |].(seed - 1) in
   let eo = Protocol.T_exactly_once in
-  List.iter
-    (fun kill_after_sectors ->
-      let dir = fresh_dir () in
-      let confirmed = Hashtbl.create 256 and duplicates = ref 0 in
-      let confirm ~client ~seq =
-        if Hashtbl.mem confirmed (client, seq) then incr duplicates
-        else Hashtbl.replace confirmed (client, seq) ()
-      in
-      let open_store () =
-        let fmach = Fm.create ~dir ~max_processes:1 () in
-        ignore (Fm.register fmach);
-        fmach
-      in
-      (* life 1: A's seq 0 is acked, its seq 1 cut at the fence *)
-      let fmach = open_store () in
-      (let module M = (val Fm.machine fmach) in
-       let module Srv = Service.Make (M) in
-       let svc = Srv.make ~log_capacity:4096 ~max_clients:8 Service.Plain in
-       let a = Srv.conn () in
-       let req = Srv.handle svc a in
-       ignore (req (Protocol.Hello { client = 0; token = "onll"; tier = eo }));
-       (match req (Protocol.Submit { seq = 0; deadline_ns = 0; op = inc_op }) with
-       | Protocol.Acked { seq; _ } -> confirm ~client:0 ~seq
-       | _ -> failwith "dedup slice: A's first submit not acked");
-       let inj =
-         Faults.install_file (Fm.memory fmach)
-           {
-             Faults.File_plan.none with
-             kill_at_fence = 1;
-             kill_after_sectors;
-             kill_mode = Faults.File_plan.Raise;
-           }
-       in
-       match req (Protocol.Submit { seq = 1; deadline_ns = 0; op = inc_op }) with
-       | _ -> failwith "dedup slice: A's second submit was not cut"
-       | exception Onll_nvm.Memory.Injected_crash -> Faults.remove_file inj);
-      Fm.close fmach;
-      (* life 2: B drives compactions, then A comes back *)
-      let fmach = open_store () in
-      let module M = (val Fm.machine fmach) in
-      let module Srv = Service.Make (M) in
-      let registry = Metrics.create () in
-      let svc =
-        Srv.make ~sink:(Onll_obs.Sink.make ~registry ()) ~log_capacity:4096
-          ~max_clients:8 Service.Plain
-      in
-      let compactions () = Metrics.counter_value registry "checkpoints" in
-      let b = Srv.conn () in
-      ignore
-        (Srv.handle svc b (Protocol.Hello { client = 1; token = "onll"; tier = eo }));
-      let seq = ref 0 in
-      while compactions () < 3 && !seq < 5_000 do
-        (match
-           Srv.handle svc b
-             (Protocol.Submit { seq = !seq; deadline_ns = 0; op = inc_op })
-         with
-        | Protocol.Acked { seq; _ } -> confirm ~client:1 ~seq
-        | _ -> failwith "dedup slice: B's submit not acked");
-        incr seq
-      done;
-      let a = Srv.conn () in
-      let submit seq =
-        Srv.handle svc a (Protocol.Submit { seq; deadline_ns = 0; op = inc_op })
-      in
-      (match
-         Srv.handle svc a (Protocol.Hello { client = 0; token = "onll"; tier = eo })
-       with
-      | Protocol.Attached { next_seq; _ } when 1 < next_seq ->
-          (* the cut op was applied: its ack is the re-attach *)
-          confirm ~client:0 ~seq:1;
-          c "e18.dedup.adopted" 1
-      | Protocol.Attached { next_seq; _ } -> (
-          match submit next_seq with
-          | Protocol.Acked { seq; _ } ->
-              confirm ~client:0 ~seq;
-              c "e18.dedup.resubmitted" 1
-          | _ -> failwith "dedup slice: A's resubmit not acked")
-      | _ -> failwith "dedup slice: A's hello refused");
-      (* a retry of the settled op is acknowledged, not applied again *)
-      let before = Srv.counter_value svc in
-      (match submit 1 with
-      | Protocol.Acked { seq = 1; value } when value = before -> ()
-      | Protocol.Acked _ -> incr duplicates
-      | _ -> failwith "dedup slice: A's retry not acked");
-      let value = Srv.counter_value svc and n = Hashtbl.length confirmed in
-      c "e18.dedup.runs" 1;
-      c "e18.dedup.compactions" (compactions ());
-      c "e18.dedup.confirmed" n;
-      c "e18.dedup.value" value;
-      c "e18.dedup.duplicates" (!duplicates + max 0 (value - n));
-      c "e18.dedup.lost" (max 0 (n - value));
-      Fm.close fmach;
-      Temp_dir.rm_rf dir)
-    [ 0; -1 ]
-
-(* The dedup slice's verdict: both cuts confirmed once each, nothing
-   duplicated or lost, and the counter equal to the confirmations. *)
-let assert_dedup reg =
-  let v k = Metrics.counter_value reg ("e18.dedup." ^ k) in
-  assert (v "runs" = 2);
-  assert (v "duplicates" = 0);
-  assert (v "lost" = 0);
-  assert (v "value" = v "confirmed");
-  assert (v "compactions" >= 6)
-
-let gate_slices reg =
-  List.iter
-    (fun (name, construction) ->
-      let row = restart_arm ~name ~construction ~seeds:3 in
-      List.iter (Printf.eprintf "e18 violation: %s\n%!") row.violations;
-      ignore
-        (Campaign.to_metrics ~reg
-           ~keys:(("runs" :: restart_counts) @ [ "violations" ])
-           ~prefix:("e18." ^ name) row))
+  let dir = fresh_dir () in
+  let confirmed = Hashtbl.create 256 and duplicates = ref 0 in
+  let confirm ~client ~seq =
+    if Hashtbl.mem confirmed (client, seq) then incr duplicates
+    else Hashtbl.replace confirmed (client, seq) ()
+  in
+  let open_store () =
+    let fmach = Fm.create ~dir ~max_processes:1 () in
+    ignore (Fm.register fmach);
+    fmach
+  in
+  (* life 1: A's seq 0 is acked, its seq 1 cut at the fence *)
+  let fmach = open_store () in
+  (let module M = (val Fm.machine fmach) in
+   let module Srv = Service.Make (M) in
+   let svc = Srv.make ~log_capacity:4096 ~max_clients:8 Service.Plain in
+   let a = Srv.conn () in
+   let req = Srv.handle svc a in
+   ignore (req (Protocol.Hello { client = 0; token = "onll"; tier = eo }));
+   (match req (Protocol.Submit { seq = 0; deadline_ns = 0; op = inc_op }) with
+   | Protocol.Acked { seq; _ } -> confirm ~client:0 ~seq
+   | _ -> failwith "dedup slice: A's first submit not acked");
+   let inj =
+     Faults.install_file (Fm.memory fmach)
+       {
+         Faults.File_plan.none with
+         kill_at_fence = 1;
+         kill_after_sectors;
+         kill_mode = Faults.File_plan.Raise;
+       }
+   in
+   match req (Protocol.Submit { seq = 1; deadline_ns = 0; op = inc_op }) with
+   | _ -> failwith "dedup slice: A's second submit was not cut"
+   | exception Onll_nvm.Memory.Injected_crash -> Faults.remove_file inj);
+  Fm.close fmach;
+  (* life 2: B drives compactions, then A comes back *)
+  let fmach = open_store () in
+  let module M = (val Fm.machine fmach) in
+  let module Srv = Service.Make (M) in
+  let registry = Metrics.create () in
+  let svc =
+    Srv.make ~sink:(Onll_obs.Sink.make ~registry ()) ~log_capacity:4096
+      ~max_clients:8 Service.Plain
+  in
+  let compactions () = Metrics.counter_value registry "checkpoints" in
+  let b = Srv.conn () in
+  ignore
+    (Srv.handle svc b
+       (Protocol.Hello { client = 1; token = "onll"; tier = eo }));
+  let seq = ref 0 in
+  while compactions () < 3 && !seq < 5_000 do
+    (match
+       Srv.handle svc b
+         (Protocol.Submit { seq = !seq; deadline_ns = 0; op = inc_op })
+     with
+    | Protocol.Acked { seq; _ } -> confirm ~client:1 ~seq
+    | _ -> failwith "dedup slice: B's submit not acked");
+    incr seq
+  done;
+  let a = Srv.conn () in
+  let submit seq =
+    Srv.handle svc a (Protocol.Submit { seq; deadline_ns = 0; op = inc_op })
+  in
+  let adopted =
+    match
+      Srv.handle svc a
+        (Protocol.Hello { client = 0; token = "onll"; tier = eo })
+    with
+    | Protocol.Attached { next_seq; _ } when 1 < next_seq ->
+        (* the cut op was applied: its ack is the re-attach *)
+        confirm ~client:0 ~seq:1;
+        true
+    | Protocol.Attached { next_seq; _ } -> (
+        match submit next_seq with
+        | Protocol.Acked { seq; _ } ->
+            confirm ~client:0 ~seq;
+            false
+        | _ -> failwith "dedup slice: A's resubmit not acked")
+    | _ -> failwith "dedup slice: A's hello refused"
+  in
+  (* a retry of the settled op is acknowledged, not applied again *)
+  let before = Srv.counter_value svc in
+  (match submit 1 with
+  | Protocol.Acked { seq = 1; value } when value = before -> ()
+  | Protocol.Acked _ -> incr duplicates
+  | _ -> failwith "dedup slice: A's retry not acked");
+  let value = Srv.counter_value svc and n = Hashtbl.length confirmed in
+  let counts =
     [
-      ("restart.plain", Service.Plain);
-      ("restart.mirrored", Service.Mirrored);
-    ];
-  run_policy_slice reg;
-  run_dedup_slice reg
+      ("compactions", compactions ());
+      ("confirmed", n);
+      ("value", value);
+      ("duplicates", !duplicates + max 0 (value - n));
+      ("lost", max 0 (n - value));
+      ("adopted", Bool.to_int adopted);
+      ("resubmitted", Bool.to_int (not adopted));
+    ]
+  in
+  Fm.close fmach;
+  Temp_dir.rm_rf dir;
+  { Campaign.crashed = true; counts; violations = [] }
+
+(** E18's in-process slice, the material the bench gate replays (prefix
+    [e18]): the restart arms over a plain and a mirrored store ([seeds]
+    seeded kill schedules each), the policy surface and the dedup slice's
+    two cut points. Every arm must be clean, each restart arm must have
+    killed an epoch, and the dedup slice must neither duplicate nor lose
+    an op across its compactions. *)
+let e18 ~seeds =
+  let restart name construction =
+    Campaign.arm ~name
+      ~records:(("runs" :: restart_counts) @ [ "violations" ])
+      ~seeds
+      ~requires:
+        [
+          Campaign.no_violations;
+          Campaign.at_least 1 (name ^ " killed an epoch") [ "kills" ];
+        ]
+      (fun seed ->
+        run_restart_scenario ~construction ~target:6 ~seed:(seed - 1))
+  in
+  Campaign.make
+    ~title:
+      "E18 — in-process service crash slices (the protocol state machine \
+       over file-backed stores: seeded kills at the fence, the policy \
+       surface, a cut op resubmitted across compactions; violations, \
+       duplicates and lost acks must be 0)"
+    ~header:"arm"
+    ~columns:
+      (List.map
+         (fun k -> (k, k))
+         [
+           "runs"; "epochs"; "kills"; "acks"; "confirmed"; "adopted";
+           "resubmitted"; "compactions"; "value"; "duplicates"; "lost";
+           "checks"; "sessions"; "violations";
+         ])
+    ~prefix:"e18"
+    [
+      restart "restart.plain" Service.Plain;
+      restart "restart.mirrored" Service.Mirrored;
+      Campaign.arm ~name:"policy" ~records:[ "checks"; "value"; "sessions" ]
+        ~seeds:1 ~requires:[ Campaign.no_violations ] policy_run;
+      Campaign.arm ~name:"dedup"
+        ~records:
+          [
+            "runs"; "compactions"; "confirmed"; "value"; "duplicates"; "lost";
+            "adopted"; "resubmitted";
+          ]
+        ~seeds:2
+        ~requires:
+          [
+            Campaign.no_violations;
+            Campaign.zero
+              "a cut op is applied once and its ack never lost: zero \
+               duplicates and zero lost acks"
+              [ "duplicates"; "lost" ];
+            Campaign.at_least 6
+              "the cut op came back across at least 3 compactions a cut"
+              [ "compactions" ];
+          ]
+        dedup_run;
+    ]
 
 (* {1 The out-of-process campaign (kill -9 over sockets)} *)
 
@@ -617,28 +658,26 @@ let scenario_degraded t ~worker ~dir ~construction ~seed =
             (Campaign.status_to_string st)));
   final_resolve t ~worker ~dir ~socket ~construction ~audit ~seed
 
-(* Seeds [0, seeds) of the kill arms over plain and mirrored stores, and
-   up to two of the flood and degraded drills; each scenario in its own
-   directory under [dir]. *)
-let run_campaign ~worker ~dir ~seeds =
+(** E18's socket campaign (prefix [e18c]): seeds [0, seeds) of the kill
+    arms over plain and mirrored stores, and up to two of the flood and
+    degraded drills, each scenario in its own directory under [dir] with
+    [worker] as the server. Every arm must be clean, and a server must
+    have been killed somewhere, or the audit had no crash to check. *)
+let e18c ~worker ~dir ~seeds =
+  let killed =
+    Campaign.at_least 1 "a server was killed mid-fence" [ "kills" ]
+  in
   let arm name scenario construction ~seeds =
-    Campaign.tally_arm ~name ~seeds ~keys:campaign_counts (fun seed ->
+    Campaign.arm ~name ~seeds ~requires:[ Campaign.no_violations; killed ]
+      (fun seed ->
         let seed = seed - 1 in
         let t = Campaign.tally () in
         scenario t ~worker
           ~dir:(Temp_dir.sub dir (Printf.sprintf "%s-%d" name seed))
           ~construction ~seed;
-        t)
+        Campaign.of_tally ~keys:campaign_counts t)
   in
-  [
-    arm "kill.plain" scenario_kill Service.Plain ~seeds;
-    arm "kill.mirrored" scenario_kill Service.Mirrored ~seeds;
-    arm "flood" scenario_flood Service.Mirrored ~seeds:(min 2 seeds);
-    arm "degraded" scenario_degraded Service.Plain ~seeds:(min 2 seeds);
-  ]
-
-let print_rows =
-  Campaign.print
+  Campaign.make
     ~title:
       "E18 — fault-storm campaign over sockets (SIGKILL storms, reattach \
        floods, SIGTERM mid-load, sticky degradation; 0 duplicate applies, \
@@ -648,3 +687,10 @@ let print_rows =
       (List.map
          (fun k -> (k, k))
          (("runs" :: "crashed" :: campaign_counts) @ [ "violations" ]))
+    ~prefix:"e18c"
+    [
+      arm "kill.plain" scenario_kill Service.Plain ~seeds;
+      arm "kill.mirrored" scenario_kill Service.Mirrored ~seeds;
+      arm "flood" scenario_flood Service.Mirrored ~seeds:(min 2 seeds);
+      arm "degraded" scenario_degraded Service.Plain ~seeds:(min 2 seeds);
+    ]

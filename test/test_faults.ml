@@ -250,24 +250,17 @@ module Campaign = Test_support.Campaign
 
 (* A fake per-seed run: seed [s] crashes when odd, counts [s] hits and
    [2s] misses, and fails its audit on multiples of 3. *)
-type fake = {
-  f_crashed : bool;
-  f_counts : (string * int) list;
-  f_bad : string list;
-}
-
 let fake seed =
   {
-    f_crashed = seed mod 2 = 1;
-    f_counts = [ ("hits", seed); ("misses", 2 * seed) ];
-    f_bad = (if seed mod 3 = 0 then [ "bad"; "worse" ] else []);
+    Campaign.crashed = seed mod 2 = 1;
+    counts = [ ("hits", seed); ("misses", 2 * seed) ];
+    violations = (if seed mod 3 = 0 then [ "bad"; "worse" ] else []);
   }
 
-let fake_arm ?(counts = fun r -> r.f_counts) seeds =
-  Campaign.sum ~name:"fake" ~seeds
-    ~crashed:(fun r -> r.f_crashed)
-    ~violations:(fun r -> r.f_bad)
-    ~counts fake
+let fake_arm ?(counts = fun (o : Campaign.outcome) -> o.counts) seeds =
+  Campaign.sum ~name:"fake" ~seeds (fun seed ->
+      let o = fake seed in
+      { o with counts = counts o })
 
 let test_campaign_sums_per_key () =
   let r = fake_arm 4 in
@@ -301,8 +294,12 @@ let test_campaign_misaligned_keys_raise () =
     with Assert_failure _ | Invalid_argument _ -> true
   in
   (* seed 1 crashes, seed 2 does not: the second run's keys disagree *)
-  let reordered r = if r.f_crashed then r.f_counts else List.rev r.f_counts in
-  let dropped r = if r.f_crashed then r.f_counts else List.tl r.f_counts in
+  let reordered (o : Campaign.outcome) =
+    if o.crashed then o.counts else List.rev o.counts
+  in
+  let dropped (o : Campaign.outcome) =
+    if o.crashed then o.counts else List.tl o.counts
+  in
   check Alcotest.bool "keys out of order raise" true (raises reordered);
   check Alcotest.bool "a missing key raises" true (raises dropped)
 
@@ -315,8 +312,7 @@ let test_campaign_calibration_predicate () =
           ~caught:(fun o -> o.Campaign.violations <> [])
           (fun seed ->
             seen := seed :: !seen;
-            let r = fake seed in
-            { Campaign.crashed = r.f_crashed; counts = []; violations = r.f_bad });
+            fake seed);
       ]
   in
   let s = Campaign.run c in
@@ -326,35 +322,43 @@ let test_campaign_calibration_predicate () =
     Alcotest.(list int)
     "every seed run once" [ 9; 8; 7; 6; 5; 4; 3; 2; 1 ] !seen
 
+(* Each row records the values its arm names, or every value. *)
 let test_campaign_metrics_keys () =
-  let r = fake_arm 3 in
-  let dump reg =
+  let c =
+    Campaign.make ~title:"fake" ~header:"arm" ~columns:[] ~prefix:"x"
+      [
+        Campaign.arm ~key:"y" ~records:[ "runs"; "misses"; "violations" ]
+          ~name:"listed" ~seeds:3 ~requires:[] fake;
+        Campaign.arm ~key:"p" ~name:"every" ~seeds:3 ~requires:[] fake;
+      ]
+  in
+  let dump =
     List.map
       (fun (k, v) ->
         match v with
         | Onll_obs.Metrics.Int n -> (k, n)
         | _ -> Alcotest.fail ("non-counter metric " ^ k))
-      (Onll_obs.Metrics.dump reg)
+      (Onll_obs.Metrics.dump (Campaign.metrics (Campaign.run c)))
+  in
+  let under p =
+    List.filter (fun (k, _) -> String.starts_with ~prefix:p k) dump
   in
   check
     Alcotest.(list (pair string int))
     "exactly prefix.key for the listed keys"
     [ ("x.y.misses", 12); ("x.y.runs", 3); ("x.y.violations", 2) ]
-    (dump
-       (Campaign.to_metrics ~prefix:"x.y"
-          ~keys:[ "runs"; "misses"; "violations" ]
-          r));
+    (under "x.y.");
   check
     Alcotest.(list (pair string int))
     "no keys: every field"
     [
-      ("p.crashed", 2);
-      ("p.hits", 6);
-      ("p.misses", 12);
-      ("p.runs", 3);
-      ("p.violations", 2);
+      ("x.p.crashed", 2);
+      ("x.p.hits", 6);
+      ("x.p.misses", 12);
+      ("x.p.runs", 3);
+      ("x.p.violations", 2);
     ]
-    (dump (Campaign.to_metrics ~prefix:"p" r))
+    (under "x.p.")
 
 (* {1 The campaign values' verdicts}
 
@@ -371,12 +375,21 @@ let campaigns =
        [
          ("E8", Test_support.Fuzz.e8 ~seeds:6);
          ("E12", Ch.e12 ~seeds:4 ~calibration_seeds:15);
-         ("E13", Ch.e13 ~seeds_per_object:4 ~dual_seeds:3 ~unmirrored_seeds:3);
+         ("E13", Ch.e13 ~seeds_per_object:4 ~dual_seeds:3);
          ("E14", Ch.e14 ~seeds:10);
          ("E15", Test_support.Session_chaos.e15 ~seeds_per_arm:6);
          ("E16", Ch.e16 ~seeds:10);
+         ("E18", Test_support.Service_chaos.e18 ~seeds:3);
          ("E19", Test_support.Txn_chaos.e19 ~seeds:6 ~calibration_seeds:8);
          ("E20", Test_support.Relaxed_chaos.e20 ~seeds:6 ~calibration_seeds:8);
+       ]
+     @ [
+         ( "E17",
+           Test_support.Temp_dir.with_fresh ~prefix:"onll-test-e17" (fun dir ->
+               Campaign.run
+                 (Test_support.File_chaos.e17
+                    ~runner:Test_support.File_chaos.In_process ~dir ~seeds:3
+                    ~target:6)) );
        ])
 
 let summary name = List.assoc name (Lazy.force campaigns)
@@ -462,7 +475,7 @@ let test_verdict_names_calibration () =
            (fun u ->
              List.exists (fun a -> List.mem a u.Campaign.rows) arms)
            (Campaign.verdict s)))
-    [ "E12"; "E13"; "E19"; "E20" ]
+    [ "E12"; "E19"; "E20" ]
 
 let test_verdict_names_mirrored_loss () =
   List.iter
@@ -480,20 +493,12 @@ let test_verdict_names_mirrored_loss () =
       ("E16", [ "kv/batched+mirrored" ]);
     ]
 
-(* At full size E13's unmirrored row carries the must-lose requirement
-   itself, with no unshown arm beside it. *)
+(* E13's unmirrored row carries the must-lose requirement itself (E13
+   has no calibration arm: the row is its scale check). *)
 let test_verdict_names_unmirrored_without_loss () =
-  let module Ch = Test_support.Chaos_harness in
-  let s =
-    Campaign.run
-      (Ch.e13 ~seeds_per_object:0 ~dual_seeds:0
-         ~unmirrored_seeds:Ch.scale_seeds)
-  in
-  check Alcotest.(list string) "E13 at full unmirrored size holds" []
-    (List.map Campaign.describe (Campaign.verdict s));
   let arms = [ "kv/unmirrored" ] in
   names ~what:"E13"
-    (doctor s ~arms (fun r ->
+    (doctor (summary "E13") ~arms (fun r ->
          set "tail_ambiguous" 0 (set "reported_lost" 0 r)))
     ~arms ~key:"reported_lost"
 
@@ -508,6 +513,34 @@ let test_verdict_names_risk_over_budget () =
   names ~what:"E20"
     (doctor (summary "E20") ~arms (set "risk.hist.over" 1))
     ~arms ~key:"risk.hist.over"
+
+(* E17's and E18's in-process slices name an audit with nothing to
+   check: a restart arm that killed no epoch, a sticky-EIO arm that never
+   degraded, and a dedup slice that applied an op twice. *)
+let test_verdict_names_unbitten_restart () =
+  List.iter
+    (fun name ->
+      let arms = [ "restart.plain"; "restart.mirrored" ] in
+      List.iter
+        (fun arm ->
+          let arms = [ arm ] in
+          names ~what:name
+            (doctor (summary name) ~arms (set "kills" 0))
+            ~arms ~key:"kills")
+        arms)
+    [ "E17"; "E18" ]
+
+let test_verdict_names_sticky_eio_without_degrading () =
+  let arms = [ "eio.sticky" ] in
+  names ~what:"E17"
+    (doctor (summary "E17") ~arms (set "degraded" 0))
+    ~arms ~key:"degraded"
+
+let test_verdict_names_dedup_duplicate () =
+  let arms = [ "dedup" ] in
+  names ~what:"E18"
+    (doctor (summary "E18") ~arms (set "duplicates" 1))
+    ~arms ~key:"duplicates"
 
 (* {1 Scrubbing under active rot} *)
 
@@ -766,7 +799,7 @@ let () =
             test_campaign_misaligned_keys_raise;
           Alcotest.test_case "calibration counts its predicate" `Quick
             test_campaign_calibration_predicate;
-          Alcotest.test_case "to_metrics emits exactly the listed keys"
+          Alcotest.test_case "metrics records exactly the listed keys"
             `Quick test_campaign_metrics_keys;
           Alcotest.test_case "verdict: every campaign holds at a slice"
             `Quick test_verdict_clean;
@@ -782,6 +815,12 @@ let () =
             `Quick test_verdict_names_risk_over_budget;
           Alcotest.test_case "verdict names a lossless full unmirrored row"
             `Quick test_verdict_names_unmirrored_without_loss;
+          Alcotest.test_case "verdict names a restart arm with no kill"
+            `Quick test_verdict_names_unbitten_restart;
+          Alcotest.test_case "verdict names a sticky EIO that never degraded"
+            `Quick test_verdict_names_sticky_eio_without_degrading;
+          Alcotest.test_case "verdict names a dedup duplicate" `Quick
+            test_verdict_names_dedup_duplicate;
         ] );
       ( "backend parity",
         [

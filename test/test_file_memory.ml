@@ -237,25 +237,27 @@ let test_short_writes_healed_by_retry () =
 module Fc = Test_support.File_chaos
 module Campaign = Test_support.Campaign
 
-let restart_row ~runner ~replicas ~target ~seeds =
+(* The E17 value's restart arms (all, or the one over [replicas]) on
+   [runner], over a scratch directory. *)
+let restart_arms ?replicas ~runner ~target ~seeds () =
+  let only (a : Campaign.arm) =
+    match replicas with
+    | None -> String.starts_with ~prefix:"restart." a.name
+    | Some 1 -> a.name = "restart.plain"
+    | Some _ -> a.name = "restart.mirrored"
+  in
   Test_support.Temp_dir.with_fresh ~prefix:"onll-test-e17" (fun dir ->
-      Fc.restart_arm ~runner ~dir ~name:"restart" ~replicas ~target ~seeds)
+      Campaign.run ~only (Fc.e17 ~runner ~dir ~seeds ~target))
 
+(* Zero violations and kills fired on the plain and the mirrored store:
+   the restart arms' verdict. *)
 let test_session_exactly_once_restart_grid () =
-  List.iter
-    (fun replicas ->
-      let row =
-        restart_row ~runner:Fc.in_process ~replicas ~target:5 ~seeds:4
-      in
-      check
-        Alcotest.(list string)
-        (Printf.sprintf "replicas=%d: zero violations" replicas)
-        [] row.Campaign.violations;
-      check Alcotest.bool
-        (Printf.sprintf "replicas=%d: kills actually fired" replicas)
-        true
-        (Campaign.get row "kills" > 0))
-    [ 1; 2 ]
+  let s = restart_arms ~runner:Fc.In_process ~target:5 ~seeds:4 () in
+  check Alcotest.int "both restart arms ran" 2 (List.length s.Campaign.ran);
+  check
+    Alcotest.(list string)
+    "the restart arms' verdict" []
+    (List.map Campaign.describe (Campaign.verdict s))
 
 (* A campaign over a kept directory must not run over the stores an
    earlier run left: the second scenario directory of one name under one
@@ -276,11 +278,16 @@ let test_scenario_dir_reuse_refused () =
    the seeded fence; recovery runs in the next child. *)
 let test_forked_kill_scenario replicas () =
   let target = 5 in
-  let row = restart_row ~runner:Fc.forked ~replicas ~target ~seeds:1 in
-  check Alcotest.bool "at least one SIGKILL" true
-    (Campaign.get row "kills" > 0);
-  check Alcotest.(list string) "zero violations" [] row.Campaign.violations;
-  check Alcotest.int "final value = target" target (Campaign.get row "value")
+  let s = restart_arms ~replicas ~runner:Fc.Forked ~target ~seeds:1 () in
+  check
+    Alcotest.(list string)
+    "zero violations, at least one SIGKILL" []
+    (List.map Campaign.describe (Campaign.verdict s));
+  match s.Campaign.ran with
+  | [ (_, row) ] ->
+      check Alcotest.int "final value = target" target
+        (Campaign.get row "value")
+  | ran -> Alcotest.failf "%d restart arms ran, expected 1" (List.length ran)
 
 let () =
   Alcotest.run "file_memory"
