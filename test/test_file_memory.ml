@@ -237,22 +237,22 @@ let test_short_writes_healed_by_retry () =
 module Fc = Test_support.File_chaos
 module Campaign = Test_support.Campaign
 
-(* The E17 value's restart arms (all, or the one over [replicas]) on
-   [runner], over a scratch directory. *)
-let restart_arms ?replicas ~runner ~target ~seeds () =
-  let only (a : Campaign.arm) =
-    match replicas with
-    | None -> String.starts_with ~prefix:"restart." a.name
-    | Some 1 -> a.name = "restart.plain"
-    | Some _ -> a.name = "restart.mirrored"
-  in
+(* The E17 value's arms whose names [only] accepts, on [runner], over a
+   scratch directory. *)
+let e17_arms ~only ~runner ~target ~seeds =
   Test_support.Temp_dir.with_fresh ~prefix:"onll-test-e17" (fun dir ->
-      Campaign.run ~only (Fc.e17 ~runner ~dir ~seeds ~target))
+      Campaign.run
+        ~only:(fun (a : Campaign.arm) -> only a.name)
+        (Fc.e17 ~runner ~dir ~seeds ~target))
 
 (* Zero violations and kills fired on the plain and the mirrored store:
    the restart arms' verdict. *)
 let test_session_exactly_once_restart_grid () =
-  let s = restart_arms ~runner:Fc.In_process ~target:5 ~seeds:4 () in
+  let s =
+    e17_arms
+      ~only:(String.starts_with ~prefix:"restart.")
+      ~runner:Fc.In_process ~target:5 ~seeds:4
+  in
   check Alcotest.int "both restart arms ran" 2 (List.length s.Campaign.ran);
   check
     Alcotest.(list string)
@@ -276,9 +276,9 @@ let test_scenario_dir_reuse_refused () =
 
 (* The kill -9 path: every epoch a forked child that SIGKILLs itself at
    the seeded fence; recovery runs in the next child. *)
-let test_forked_kill_scenario replicas () =
+let test_forked_kill_scenario arm () =
   let target = 5 in
-  let s = restart_arms ~replicas ~runner:Fc.Forked ~target ~seeds:1 () in
+  let s = e17_arms ~only:(( = ) arm) ~runner:Fc.Forked ~target ~seeds:1 in
   check
     Alcotest.(list string)
     "zero violations, at least one SIGKILL" []
@@ -324,9 +324,9 @@ let () =
           Alcotest.test_case "exactly-once restart grid" `Quick
             test_session_exactly_once_restart_grid;
           Alcotest.test_case "kill -9 scenario, one replica" `Quick
-            (test_forked_kill_scenario 1);
+            (test_forked_kill_scenario "restart.plain");
           Alcotest.test_case "kill -9 scenario, two replicas" `Quick
-            (test_forked_kill_scenario 2);
+            (test_forked_kill_scenario "restart.mirrored");
           Alcotest.test_case "a kept scenario directory is refused" `Quick
             test_scenario_dir_reuse_refused;
         ] );
